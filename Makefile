@@ -10,7 +10,7 @@
 # gates on BenchmarkSfvetRepo staying under its ns/op budget so the suite
 # stays fast enough to run on every push.
 
-.PHONY: build test race vet bench e2e
+.PHONY: build test race vet bench bench-smoke e2e
 
 build:
 	go build ./...
@@ -35,3 +35,10 @@ e2e:
 # FULL=1 make bench includes the 1M-node round.
 bench:
 	scripts/bench.sh
+
+# Builds and exercises the repository's benchmark (bench/, a module of its
+# own that imports sendforget/internal/...) at smoke size, so a rename in
+# internal/ that breaks it fails here and not in the acceptance pipeline.
+bench-smoke:
+	cd bench && go vet ./... && go test ./...
+	bash bench/run.sh -all -smoke

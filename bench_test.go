@@ -74,27 +74,16 @@ func BenchmarkAblationNonuniform(b *testing.B) { benchExperiment(b, "abl4") }
 // BenchmarkEngineStep measures raw protocol-action throughput in the
 // sequential simulator (one S&F action per op, including loss decisions).
 func BenchmarkEngineStep(b *testing.B) {
-	proto, err := sendforget.New(sendforget.Config{N: 1000, S: 40, DL: 18})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := engine.New(proto, loss.MustUniform(0.01), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
+	benchEngineStep(b, sfCoreFactory(40, 18))
 }
 
 // BenchmarkEngineStepTracked adds per-entry dependence tracking.
 func BenchmarkEngineStepTracked(b *testing.B) {
-	proto, err := sendforget.New(sendforget.Config{N: 1000, S: 40, DL: 18, TrackDependence: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := engine.New(proto, loss.MustUniform(0.01), rng.New(1))
+	benchEngineStep(b, func() (protocol.StepCore, error) { return sendforget.NewTrackedCore(40, 18) })
+}
+
+func benchEngineStep(b *testing.B, newCore protocol.CoreFactory) {
+	e, err := engine.New(newCore, 1000, sendforget.DefaultInitDegree(40, 18, 1000), loss.MustUniform(0.01), rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,19 +93,26 @@ func BenchmarkEngineStepTracked(b *testing.B) {
 	}
 }
 
-// BenchmarkInitiateStep measures the bare protocol initiate step.
-func BenchmarkInitiateStep(b *testing.B) {
+// BenchmarkProtocolSteps measures the bare protocol steps: one initiate and,
+// when it sent, the receive that puts the ids back so the view's occupancy
+// stays stationary.
+func BenchmarkProtocolSteps(b *testing.B) {
+	core, err := sendforget.NewCore(40, 18)
+	if err != nil {
+		b.Fatal(err)
+	}
 	lv := view.New(40)
 	for i := 0; i < 28; i++ {
 		lv.Set(i, peer.ID(i+1))
 	}
 	r := rng.New(2)
+	var ob protocol.Outbox
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		send, _, ok := sendforget.InitiateStep(lv, 0, 18, r)
-		if ok {
-			// Put the ids back so the view's occupancy stays stationary.
-			sendforget.ReceiveStep(lv, 40, send.IDs, r)
+		ob.Reset()
+		if _, _, ok := core.InitiateBatch(lv, 0, r, &ob); ok {
+			m := &ob.Msgs[0]
+			core.ReceiveBatch(lv, 0, protocol.Packet{Kind: m.Kind, From: m.From, IDs: ob.MsgIDs(m), Dup: m.Dup}, r, &ob)
 		}
 	}
 }
@@ -217,7 +213,7 @@ func sfCoreFactory(s, dl int) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
 }
 
-// benchProtocols lists the five batch-core protocols the sharded engine runs
+// benchProtocols lists the five protocols the sharded engine runs
 // allocation-free, at view size 16 (matching the sendforget baseline rows).
 func benchProtocols() []struct {
 	name    string

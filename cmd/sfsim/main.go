@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"sendforget/internal/engine"
-	"sendforget/internal/graph"
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/protocol"
@@ -44,28 +43,25 @@ func run(args []string) int {
 		return 2
 	}
 
-	var (
-		proto protocol.Protocol
-		sf    *sendforget.Protocol
-		err   error
-	)
+	var newCore protocol.CoreFactory
 	switch *protoName {
 	case "sf":
-		sf, err = sendforget.New(sendforget.Config{
-			N: *n, S: *s, DL: *dl, InitDegree: *initDeg, TrackDependence: *deps,
-		})
-		proto = sf
+		if *initDeg == 0 {
+			*initDeg = sendforget.DefaultInitDegree(*s, *dl, *n)
+		}
+		if *deps {
+			newCore = func() (protocol.StepCore, error) { return sendforget.NewTrackedCore(*s, *dl) }
+		} else {
+			newCore = func() (protocol.StepCore, error) { return sendforget.NewCore(*s, *dl) }
+		}
 	case "shuffle":
-		proto, err = shuffle.New(shuffle.Config{N: *n, S: *s, InitDegree: *initDeg})
+		newCore = func() (protocol.StepCore, error) { return shuffle.NewCore(*s) }
 	case "flipper":
-		proto, err = flipper.New(flipper.Config{N: *n, S: *s, Degree: *initDeg})
+		newCore = func() (protocol.StepCore, error) { return flipper.NewCore(*s) }
 	case "pushpull":
-		proto, err = pushpull.New(pushpull.Config{N: *n, S: *s, InitDegree: *initDeg})
+		newCore = func() (protocol.StepCore, error) { return pushpull.NewCore(*s) }
 	default:
-		err = fmt.Errorf("unknown protocol %q", *protoName)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
 		return 2
 	}
 	lm, err := loss.NewUniform(*lossRate)
@@ -73,7 +69,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	e, err := engine.New(proto, lm, rng.New(*seed))
+	e, err := engine.New(newCore, *n, *initDeg, lm, rng.New(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -94,37 +90,32 @@ func run(args []string) int {
 		}()
 	}
 	e.Run(*rounds)
-	printSummary(e, proto, sf, *n)
+	printSummary(e, *protoName == "sf", *deps)
 	return 0
 }
 
-func printSummary(e *engine.Engine, proto protocol.Protocol, sf *sendforget.Protocol, n int) {
+func printSummary(e *engine.Engine, sf, deps bool) {
 	g := e.Snapshot()
 	deg := metrics.Degrees(g, nil)
 	c := e.Counters()
-	fmt.Printf("protocol        %s\n", proto.Name())
+	fmt.Printf("protocol        %s\n", e.Name())
 	fmt.Printf("steps           %d (sends %d, losses %d, deliveries %d)\n", c.Steps, c.Sends, c.Losses, c.Deliveries)
 	fmt.Printf("empirical loss  %.4f\n", c.LossRate())
-	fmt.Printf("edges           %d (%.2f per node)\n", g.NumEdges(), float64(g.NumEdges())/float64(n))
+	fmt.Printf("edges           %d (%.2f per node)\n", g.NumEdges(), float64(g.NumEdges())/float64(e.N()))
 	fmt.Printf("outdegree       %.2f (var %.2f)\n", deg.MeanOut, deg.VarOut)
 	fmt.Printf("indegree        %.2f (var %.2f, min %d, max %d)\n", deg.MeanIn, deg.VarIn, deg.MinIn, deg.MaxIn)
 	fmt.Printf("components      %d (weakly connected: %v)\n", g.ComponentCount(), g.WeaklyConnected())
-	printDependence(g, sf)
-}
-
-func printDependence(g *graph.Graph, sf *sendforget.Protocol) {
 	sd := metrics.MeasureSpatialDependence(g)
 	fmt.Printf("self-edges      %d, same-view duplicates %d (visible dependent fraction %.4f)\n",
 		sd.SelfEdges, sd.Duplicates, sd.DependentFraction())
-	if sf == nil {
+	if !sf {
 		return
 	}
-	pc := sf.Counters()
-	if pc.Sends > 0 {
+	if pc := e.Tally(); pc.Sends > 0 {
 		fmt.Printf("dup prob        %.4f, deletion prob %.4f (Lemma 6.6: dup = loss + del)\n",
-			float64(pc.Duplications)/float64(pc.Sends), float64(pc.Deletions)/float64(pc.Sends))
+			float64(pc.Duplications)/float64(pc.Sends), float64(pc.DeletedIDs)/float64(2*pc.Sends))
 	}
-	if st := sf.DependenceStats(); st.Entries > 0 {
+	if st := sendforget.MeasureDependence(e); deps && st.Entries > 0 {
 		fmt.Printf("alpha           %.4f (independent entries, Lemma 7.9)\n", st.Alpha())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sendforget/internal/engine"
 	"sendforget/internal/loss"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 )
@@ -57,26 +58,22 @@ type sampler interface {
 
 // sfSampler samples partners from live S&F views maintained under loss.
 type sfSampler struct {
-	eng   *engine.Engine
-	proto *sendforget.Protocol
-	r     *rng.RNG
+	eng *engine.Engine
 }
 
 func newSFSampler() *sfSampler {
-	proto, err := sendforget.New(sendforget.Config{N: n, S: 16, DL: 6})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := engine.New(proto, loss.MustUniform(0.02), rng.New(7))
+	const s, dl = 16, 6
+	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
+	eng, err := engine.New(newCore, n, sendforget.DefaultInitDegree(s, dl, n), loss.MustUniform(0.02), rng.New(7))
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng.Run(100) // reach the steady state first
-	return &sfSampler{eng: eng, proto: proto, r: rng.New(8)}
+	return &sfSampler{eng: eng}
 }
 
 func (s *sfSampler) partner(u peer.ID, r *rng.RNG) (peer.ID, bool) {
-	ids := s.proto.View(u).IDs()
+	ids := s.eng.View(u).IDs()
 	if len(ids) == 0 {
 		return 0, false
 	}

@@ -35,29 +35,19 @@ const (
 
 func main() {
 	overlays := []struct {
-		name  string
-		build func() (protocol.Protocol, error)
+		name    string
+		newCore protocol.CoreFactory
 	}{
-		{"send&forget", func() (protocol.Protocol, error) {
-			return sendforget.New(sendforget.Config{N: n, S: s, DL: 8, InitDegree: 10})
-		}},
-		{"push-pull", func() (protocol.Protocol, error) {
-			return pushpull.New(pushpull.Config{N: n, S: s, InitDegree: 10})
-		}},
-		{"shuffle", func() (protocol.Protocol, error) {
-			return shuffle.New(shuffle.Config{N: n, S: s, InitDegree: 10})
-		}},
+		{"send&forget", func() (protocol.StepCore, error) { return sendforget.NewCore(s, 8) }},
+		{"push-pull", func() (protocol.StepCore, error) { return pushpull.NewCore(s) }},
+		{"shuffle", func() (protocol.StepCore, error) { return shuffle.NewCore(s) }},
 	}
 
 	fmt.Printf("rumor spreading over overlays aged %d rounds at %.0f%%%% loss (fanout %d)\n\n",
 		warm, lossRate*100, fanout)
 	fmt.Println("overlay       edges/node   coverage by round (5/10/20/40)")
 	for _, o := range overlays {
-		proto, err := o.build()
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng, err := engine.New(proto, loss.MustUniform(lossRate), rng.New(17))
+		eng, err := engine.New(o.newCore, n, 10, loss.MustUniform(lossRate), rng.New(17))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,6 +17,7 @@ import (
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 )
@@ -30,11 +31,8 @@ const (
 )
 
 func main() {
-	proto, err := sendforget.New(sendforget.Config{N: n, S: s, DL: dl})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := engine.New(proto, loss.MustUniform(lossRate), rng.New(3))
+	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
+	eng, err := engine.New(newCore, n, sendforget.DefaultInitDegree(s, dl, n), loss.MustUniform(lossRate), rng.New(3))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,11 +62,9 @@ func main() {
 
 	// --- Join ----------------------------------------------------------
 	joiner := peer.ID(9)
-	if err := eng.Leave(joiner); err != nil {
-		log.Fatal(err)
-	}
+	eng.Leave(joiner)
 	eng.Run(200) // flush its id before re-joining
-	seeds := proto.View(peer.ID(n - 1)).IDs()
+	seeds := eng.View(peer.ID(n - 1)).IDs()
 	if len(seeds) > dl {
 		seeds = seeds[:dl]
 	}

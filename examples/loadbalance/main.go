@@ -19,7 +19,6 @@ import (
 
 	"sendforget/internal/engine"
 	"sendforget/internal/loss"
-	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/pushpull"
 	"sendforget/internal/protocol/sendforget"
@@ -41,22 +40,22 @@ func main() {
 
 	runCase("true uniform (i.i.d.)", func(int) []*view.View { return nil })
 
-	sf, sfEng := buildSF()
+	sf := buildSF()
 	runCase("S&F (live views)", func(round int) []*view.View {
-		sfEng.Round()
+		sf.Round()
 		return sf.Views()
 	})
 
-	frozen, frozenEng := buildSF()
-	frozenEng.Run(1) // settle, then freeze
+	frozen := buildSF()
+	frozen.Run(1) // settle, then freeze
 	frozenViews := snapshotViews(frozen.Views())
 	runCase("S&F (frozen snapshot)", func(int) []*view.View {
 		return frozenViews
 	})
 
-	pp, ppEng := buildPushPull()
+	pp := buildPushPull()
 	runCase("push-pull (live views)", func(round int) []*view.View {
-		ppEng.Round()
+		pp.Round()
 		return pp.Views()
 	})
 
@@ -66,30 +65,24 @@ func main() {
 	fmt.Println("gap to the i.i.d. baseline without any coordination.")
 }
 
-func buildSF() (*sendforget.Protocol, *engine.Engine) {
-	proto, err := sendforget.New(sendforget.Config{N: n, S: s, DL: dl})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := engine.New(proto, loss.MustUniform(0.02), rng.New(41))
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng.Run(100)
-	return proto, eng
+func buildSF() *engine.Engine {
+	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
+	return warmedUp(newCore, sendforget.DefaultInitDegree(s, dl, n), 41)
 }
 
-func buildPushPull() (*pushpull.Protocol, *engine.Engine) {
-	proto, err := pushpull.New(pushpull.Config{N: n, S: s})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := engine.New(proto, loss.MustUniform(0.02), rng.New(42))
+// buildPushPull starts from full views: keep-on-send views only ever fill.
+func buildPushPull() *engine.Engine {
+	newCore := func() (protocol.StepCore, error) { return pushpull.NewCore(s) }
+	return warmedUp(newCore, s, 42)
+}
+
+func warmedUp(newCore protocol.CoreFactory, initDegree int, seed int64) *engine.Engine {
+	eng, err := engine.New(newCore, n, initDegree, loss.MustUniform(0.02), rng.New(seed))
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng.Run(100)
-	return proto, eng
+	return eng
 }
 
 // runCase distributes work by sampling one target per node per round from
@@ -144,10 +137,3 @@ func snapshotViews(vs []*view.View) []*view.View {
 	}
 	return out
 }
-
-// Interface assertions documenting what the example relies on.
-var (
-	_ protocol.Protocol = (*sendforget.Protocol)(nil)
-	_ protocol.Protocol = (*pushpull.Protocol)(nil)
-	_                   = peer.Nil
-)

@@ -7,9 +7,9 @@ import (
 )
 
 // TestCHAResolvesStepCoreImplementations is the call-graph acceptance test:
-// the interface call n.core.Initiate(...) in runtime.Node must resolve,
-// class-hierarchy style, to the Initiate method of every protocol core in
-// the module — the five StepCore implementations — because that edge is
+// the interface call n.core.InitiateBatch(...) in runtime.Node must resolve,
+// class-hierarchy style, to the InitiateBatch method of every protocol core
+// in the module — the five StepCore implementations — because that edge is
 // what lets lockreach and goroleak see through the runtime's
 // protocol-agnostic indirection.
 func TestCHAResolvesStepCoreImplementations(t *testing.T) {
@@ -40,7 +40,7 @@ func TestCHAResolvesStepCoreImplementations(t *testing.T) {
 			if !ok {
 				return true
 			}
-			if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Initiate" {
+			if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "InitiateBatch" {
 				call = c
 				return false
 			}
@@ -48,14 +48,14 @@ func TestCHAResolvesStepCoreImplementations(t *testing.T) {
 		})
 	}
 	if call == nil {
-		t.Fatal("no Initiate call site found in internal/runtime")
+		t.Fatal("no InitiateBatch call site found in internal/runtime")
 	}
 
 	callees := prog.CallGraph.Callees(rt.Info, call)
 	gotPkgs := map[string]bool{}
 	for _, fn := range callees {
-		if fn.Name() != "Initiate" {
-			t.Errorf("resolved to non-Initiate method %s", fn.FullName())
+		if fn.Name() != "InitiateBatch" {
+			t.Errorf("resolved to non-InitiateBatch method %s", fn.FullName())
 		}
 		if fn.Pkg() != nil {
 			gotPkgs[fn.Pkg().Path()] = true

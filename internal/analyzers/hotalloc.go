@@ -34,15 +34,15 @@ import (
 // Suppression composes in two ways: a `//lint:allow hotalloc` on the
 // allocation site silences that site (every root still reaching it), and
 // one on a *call* prunes the entire subtree behind the call — the edge cut
-// used where the sharded engine intentionally falls back to the allocating
-// classic-core path for protocols without a batch core.
+// used where the router parks a delayed message on its heap, off the
+// zero-alloc steady state.
 //
 // Known blind spots, by construction of the call graph: calls through
 // function values resolve to no callees and are not followed, and calls
 // into non-allocating stdlib packages are trusted allocation-free.
 var Hotalloc = &framework.Analyzer{
 	Name: "hotalloc",
-	Doc:  "no allocation site reachable from a //vet:hotpath root (zero-alloc tick path, batch cores, fused view ops, FlatMsg codec, router)",
+	Doc:  "no allocation site reachable from a //vet:hotpath root (zero-alloc tick path, step cores, fused view ops, FlatMsg codec, router)",
 	Run:  runHotalloc,
 }
 
@@ -113,7 +113,7 @@ func collectHotFindings(prog *framework.Program) []hotFinding {
 		forEachExecutedCall(src.Decl.Body, func(call *ast.CallExpr) {
 			// An allow directive on the call line cuts this edge: everything
 			// behind the call is a reviewed, documented exception (e.g. the
-			// classic-core fallback inside the sharded engine).
+			// router's heap.Push for a delayed message).
 			if src.Pkg.AllowedAt(call.Pos(), "hotalloc") {
 				return
 			}

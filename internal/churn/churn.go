@@ -29,9 +29,7 @@ func TrackLeaverDecay(e *engine.Engine, u peer.ID, rounds int) (*DecayTrace, err
 	if rounds < 0 {
 		return nil, fmt.Errorf("churn: negative rounds %d", rounds)
 	}
-	if err := e.Leave(u); err != nil {
-		return nil, err
-	}
+	e.Leave(u)
 	initial := e.Snapshot().IDInstances(u)
 	trace := &DecayTrace{Initial: initial, Remaining: make([]float64, rounds+1)}
 	if initial == 0 {

@@ -7,17 +7,15 @@ import (
 	"sendforget/internal/engine"
 	"sendforget/internal/loss"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 )
 
 func steadyEngine(t *testing.T, n int, l float64, seed int64) *engine.Engine {
 	t.Helper()
-	p, err := sendforget.New(sendforget.Config{N: n, S: 12, DL: 4, InitDegree: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(p, loss.MustUniform(l), rng.New(seed))
+	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) }
+	e, err := engine.New(newCore, n, 6, loss.MustUniform(l), rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +63,7 @@ func TestTrackLeaverDecayNoInstances(t *testing.T) {
 	// Remove the node twice: second departure has no instances... instead,
 	// remove a node, let its id decay fully, then track a fresh "leave" of
 	// an already-gone node.
-	if err := e.Leave(5); err != nil {
-		t.Fatal(err)
-	}
+	e.Leave(5)
 	e.Run(300)
 	trace, err := TrackLeaverDecay(e, 5, 3)
 	if err != nil {
@@ -83,9 +79,7 @@ func TestTrackLeaverDecayNoInstances(t *testing.T) {
 
 func TestTrackJoinerIntegration(t *testing.T) {
 	e := steadyEngine(t, 60, 0.01, 4)
-	if err := e.Leave(9); err != nil {
-		t.Fatal(err)
-	}
+	e.Leave(9)
 	e.Run(100) // flush the id
 	trace, err := TrackJoinerIntegration(e, 9, []peer.ID{0, 1, 2, 3}, 80)
 	if err != nil {

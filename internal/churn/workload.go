@@ -49,8 +49,7 @@ type WorkloadStats struct {
 }
 
 // RunWorkload drives the engine for the given number of rounds while
-// injecting churn events, checkpointing every sampleEvery rounds. The
-// protocol must support churn (the engine's Join/Leave).
+// injecting churn events, checkpointing every sampleEvery rounds.
 func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, r *rng.RNG) (*WorkloadStats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -58,12 +57,12 @@ func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, 
 	if rounds < 0 || sampleEvery <= 0 {
 		return nil, fmt.Errorf("churn: invalid rounds=%d sampleEvery=%d", rounds, sampleEvery)
 	}
-	n := e.Protocol().N()
+	n := e.N()
 	live := make(map[peer.ID]bool, n)
 	var liveList []peer.ID
 	for u := 0; u < n; u++ {
 		id := peer.ID(u)
-		if e.Protocol().View(id) != nil {
+		if e.View(id) != nil {
 			live[id] = true
 			liveList = append(liveList, id)
 		}
@@ -100,9 +99,7 @@ func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, 
 	for round := 1; round <= rounds; round++ {
 		if r.Bernoulli(cfg.LeaveProb) && len(liveList) > cfg.MinLive {
 			victim := liveList[r.Intn(len(liveList))]
-			if err := e.Leave(victim); err != nil {
-				return nil, err
-			}
+			e.Leave(victim)
 			delete(live, victim)
 			refresh()
 			stats.Leaves++
@@ -127,7 +124,7 @@ func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, 
 // joinOne revives a departed id, seeding it from a live node's view (stale
 // entries and all), padded with random live ids when the view is short.
 func joinOne(e *engine.Engine, live map[peer.ID]bool, liveList []peer.ID, cfg WorkloadConfig, r *rng.RNG) (peer.ID, bool) {
-	n := e.Protocol().N()
+	n := e.N()
 	var joiner peer.ID = -1
 	// Pick a departed id uniformly (bounded scan from a random offset).
 	off := r.Intn(n)
@@ -143,7 +140,7 @@ func joinOne(e *engine.Engine, live map[peer.ID]bool, liveList []peer.ID, cfg Wo
 	}
 	donor := liveList[r.Intn(len(liveList))]
 	var seeds []peer.ID
-	if v := e.Protocol().View(donor); v != nil {
+	if v := e.View(donor); v != nil {
 		seeds = v.IDs()
 	}
 	seeds = append(seeds, donor)

@@ -99,9 +99,7 @@ func TestWorkloadJoinRevivesDeparted(t *testing.T) {
 	e := steadyEngine(t, 30, 0, 25)
 	// Empty some slots first.
 	for _, u := range []peer.ID{3, 7, 11} {
-		if err := e.Leave(u); err != nil {
-			t.Fatal(err)
-		}
+		e.Leave(u)
 	}
 	e.Run(30)
 	cfg := WorkloadConfig{JoinProb: 1, MinLive: 5}

@@ -17,11 +17,12 @@
 //
 // The package also owns the churn bookkeeping the substrates duplicated:
 // collision-free per-incarnation seed derivation (Roster) and the circulant
-// bootstrap topology (Circulant).
+// bootstrap topology (Circulant, BootstrapDegree).
 package driver
 
 import (
 	"container/heap"
+	"fmt"
 
 	"sendforget/internal/faults"
 	"sendforget/internal/loss"
@@ -282,4 +283,36 @@ func Circulant(u peer.ID, n int, dst []peer.ID) {
 	for k := range dst {
 		dst[k] = peer.ID((int(u) + k + 1) % n)
 	}
+}
+
+// BootstrapDegree resolves the circulant bootstrap outdegree every
+// substrate seeds its nodes with: requested, or when that is zero an even
+// value of about half the view size of the cores f builds, clamped to
+// [2, n-1] (and kept even under the clamp). The result must lie in
+// [1, n-1]; how many of the seeds a protocol keeps is its SeedView's rule.
+func BootstrapDegree(f protocol.CoreFactory, n, requested int) (int, error) {
+	d := requested
+	if d == 0 {
+		probe, err := f()
+		if err != nil {
+			return 0, fmt.Errorf("driver: core factory: %w", err)
+		}
+		d = probe.ViewSize() / 2
+		if d%2 != 0 {
+			d--
+		}
+		if d < 2 {
+			d = 2
+		}
+		if d >= n {
+			d = n - 1
+			if d%2 != 0 {
+				d--
+			}
+		}
+	}
+	if d < 1 || d >= n {
+		return 0, fmt.Errorf("driver: init degree %d must be in [1, n-1] for n=%d", d, n)
+	}
+	return d, nil
 }

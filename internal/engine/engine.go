@@ -11,9 +11,12 @@
 // nodes: "the period of time during which each node is expected to initiate
 // exactly one action" (Section 6.5).
 //
-// Fault decisions, delay-queue mechanics, and traffic accounting live in
-// the shared internal/driver router; the engine contributes only its
-// scheduling discipline and the reply-chain walk.
+// The engine owns one step core and one view per node, built from a
+// protocol.CoreFactory over the circulant bootstrap overlay — the same
+// construction the concurrent substrates of internal/runtime use, so all of
+// them run the same step code. Fault decisions, delay-queue mechanics, and
+// traffic accounting live in the shared internal/driver router; the engine
+// contributes only its scheduling discipline and the reply-chain walk.
 package engine
 
 import (
@@ -54,9 +57,15 @@ func (c Counters) LossRate() float64 {
 	return float64(c.Losses) / float64(c.Sends)
 }
 
-// Engine drives one protocol instance. Not safe for concurrent use.
+// Engine drives the nodes of one overlay. Not safe for concurrent use.
 type Engine struct {
-	proto  protocol.Protocol
+	newCore protocol.CoreFactory
+	name    string
+	cores   []protocol.StepCore // nil for departed nodes
+	views   []*view.View        // nil for departed nodes
+	tally   protocol.Counters   // protocol events over all nodes
+	out     protocol.Outbox     // the one message the current step emitted
+
 	cond   *faults.Conditions // fault-injection stack (nil = plain loss model)
 	r      *rng.RNG
 	router *driver.Router
@@ -90,13 +99,19 @@ type ActionEvent struct {
 	Delivered   int
 }
 
-// New builds an engine over proto with the given loss model and randomness.
-// All nodes the protocol reports active join the scheduling pool.
-func New(proto protocol.Protocol, lm loss.Model, r *rng.RNG) (*Engine, error) {
+// New builds an engine of n nodes, one step core per node from newCore,
+// bootstrapped on the circulant overlay with outdegree initDegree (0
+// selects driver.BootstrapDegree's default), with the given loss model and
+// randomness. The circulant graph — node u points at u+1, ..., u+d (mod n)
+// — is weakly connected, d-regular in and out, and has sum degree exactly
+// 3d at every node: the initialization Section 6.1 assumes. The gossip
+// process then randomizes it (Lemma 7.5: with no loss the stationary
+// distribution is uniform over all reachable graphs).
+func New(newCore protocol.CoreFactory, n, initDegree int, lm loss.Model, r *rng.RNG) (*Engine, error) {
 	if lm == nil {
 		return nil, fmt.Errorf("engine: nil dependency")
 	}
-	return build(proto, lm, nil, r)
+	return build(newCore, n, initDegree, lm, nil, r)
 }
 
 // NewWithConditions builds an engine whose transmissions pass through a
@@ -105,37 +120,48 @@ func New(proto protocol.Protocol, lm loss.Model, r *rng.RNG) (*Engine, error) {
 // runtime network applies, so cross-substrate comparisons see identical
 // network behavior. The conditions instance must be dedicated to this
 // engine: stateful models advance on every decision.
-func NewWithConditions(proto protocol.Protocol, cond *faults.Conditions, r *rng.RNG) (*Engine, error) {
+func NewWithConditions(newCore protocol.CoreFactory, n, initDegree int, cond *faults.Conditions, r *rng.RNG) (*Engine, error) {
 	if cond == nil {
 		return nil, fmt.Errorf("engine: nil dependency")
 	}
-	return build(proto, nil, cond, r)
+	return build(newCore, n, initDegree, nil, cond, r)
 }
 
-func build(proto protocol.Protocol, lm loss.Model, cond *faults.Conditions, r *rng.RNG) (*Engine, error) {
-	if proto == nil || r == nil {
+func build(newCore protocol.CoreFactory, n, initDegree int, lm loss.Model, cond *faults.Conditions, r *rng.RNG) (*Engine, error) {
+	if newCore == nil || r == nil {
 		return nil, fmt.Errorf("engine: nil dependency")
 	}
-	e := &Engine{proto: proto, cond: cond, r: r, idx: make(map[peer.ID]int)}
+	if n < 2 {
+		return nil, fmt.Errorf("engine: need at least 2 nodes, got %d", n)
+	}
+	initDegree, err := driver.BootstrapDegree(newCore, n, initDegree)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{
+		newCore: newCore,
+		cores:   make([]protocol.StepCore, n),
+		views:   make([]*view.View, n),
+		cond:    cond,
+		r:       r,
+		idx:     make(map[peer.ID]int, n),
+	}
 	// The router shares the engine's RNG: protocol draws and fault decisions
-	// interleave on one stream, preserving the engine's historical draw
-	// sequence (seed-calibrated tests depend on it).
+	// interleave on one stream.
 	live := func(id peer.ID) bool { _, ok := e.idx[id]; return ok }
 	if cond != nil {
 		e.router = driver.NewRouter(cond, r, live)
 	} else {
 		e.router = driver.NewRouterModel(lm, r, live)
 	}
-	churner, isChurner := proto.(protocol.Churner)
-	for u := 0; u < proto.N(); u++ {
-		id := peer.ID(u)
-		if !isChurner || churner.Active(id) {
-			e.addActive(id)
+	seeds := make([]peer.ID, initDegree)
+	for u := 0; u < n; u++ {
+		driver.Circulant(peer.ID(u), n, seeds)
+		if err := e.Join(peer.ID(u), seeds); err != nil {
+			return nil, err
 		}
 	}
-	if len(e.active) == 0 {
-		return nil, fmt.Errorf("engine: protocol has no active nodes")
-	}
+	e.name = e.cores[0].Name()
 	return e, nil
 }
 
@@ -143,8 +169,48 @@ func build(proto protocol.Protocol, lm loss.Model, cond *faults.Conditions, r *r
 // built over a plain loss model.
 func (e *Engine) Conditions() *faults.Conditions { return e.cond }
 
-// Protocol returns the driven protocol.
-func (e *Engine) Protocol() protocol.Protocol { return e.proto }
+// Name identifies the protocol the cores run.
+func (e *Engine) Name() string { return e.name }
+
+// N returns the number of node slots (including departed nodes).
+func (e *Engine) N() int { return len(e.views) }
+
+// View returns node u's local view, nil for a departed node. The caller
+// must treat the view as read-only.
+func (e *Engine) View(u peer.ID) *view.View {
+	if int(u) < 0 || int(u) >= len(e.views) {
+		return nil
+	}
+	return e.views[u]
+}
+
+// Core returns node u's step core, nil for a departed node. Callers reach
+// protocol-specific per-node state through it (the sfopt variant tally, the
+// S&F dependence tags).
+func (e *Engine) Core(u peer.ID) protocol.StepCore {
+	if int(u) < 0 || int(u) >= len(e.cores) {
+		return nil
+	}
+	return e.cores[u]
+}
+
+// Tally returns the protocol events summed over all nodes since
+// construction, in the shape every substrate reports them.
+func (e *Engine) Tally() protocol.Counters { return e.tally }
+
+// CheckInvariants verifies the protocol's per-view invariant (Observation
+// 5.1 for S&F) on every active node. Tests call it after long runs.
+func (e *Engine) CheckInvariants() error {
+	for u, lv := range e.views {
+		if lv == nil {
+			continue
+		}
+		if err := e.cores[u].CheckView(lv); err != nil {
+			return fmt.Errorf("engine: node %d: %w", u, err)
+		}
+	}
+	return nil
+}
 
 // Counters returns a copy of the transport counters.
 func (e *Engine) Counters() Counters {
@@ -175,12 +241,18 @@ func (e *Engine) Step() {
 }
 
 // StepAt executes one protocol action initiated by u. Experiments measuring
-// a specific node's behaviour (Section 6.5 joins) use it directly.
+// a specific node's behaviour (Section 6.5 joins) use it directly. A
+// departed u does not act: the step is a self-loop.
 func (e *Engine) StepAt(u peer.ID) {
 	e.steps++
 	ev := ActionEvent{Step: e.steps, Initiator: u}
-	to, msg, ok := e.proto.Initiate(u, e.r)
-	if ok {
+	e.out.Reset()
+	if lv := e.View(u); lv != nil {
+		e.tally.Initiated(e.cores[u].InitiateBatch(lv, u, e.r, &e.out))
+	} else {
+		e.tally.Initiated(0, 0, false)
+	}
+	if to, msg, ok := e.out.Message(); ok {
 		ev.Sent = true
 		ev.To = to
 		e.transmit(to, msg, &ev)
@@ -212,12 +284,20 @@ func (e *Engine) transmit(to peer.ID, msg protocol.Message, ev *ActionEvent) {
 			return
 		}
 		ev.Delivered++
-		reply, replyTo, hasReply := e.proto.Deliver(to, msg, e.r)
-		if !hasReply {
+		var replied bool
+		if to, msg, replied = e.deliver(to, msg); !replied {
 			return
 		}
-		to, msg = replyTo, reply
 	}
+}
+
+// deliver runs the receive step at u, which the router ruled live, and
+// returns the reply of a bidirectional protocol. msg owns its ids, so the
+// outbox the previous step wrote can be reused for the reply.
+func (e *Engine) deliver(u peer.ID, msg protocol.Message) (peer.ID, protocol.Message, bool) {
+	e.out.Reset()
+	e.tally.Received(e.cores[u].ReceiveBatch(e.views[u], u, protocol.Packet(msg), e.r, &e.out))
+	return e.out.Message()
 }
 
 // Round executes one round: the delay queue delivers what came due, then as
@@ -262,7 +342,7 @@ func (e *Engine) drainDue() {
 			continue
 		}
 		var ev ActionEvent // counters only; not reported
-		if reply, replyTo, hasReply := e.proto.Deliver(d.To, d.Msg, e.r); hasReply {
+		if replyTo, reply, replied := e.deliver(d.To, d.Msg); replied {
 			e.transmit(replyTo, reply, &ev)
 		}
 	}
@@ -283,51 +363,46 @@ func (e *Engine) Snapshot() *graph.Graph {
 // Views collects per-node views (nil for departed nodes). Callers must
 // treat the views as read-only.
 func (e *Engine) Views() []*view.View {
-	out := make([]*view.View, e.proto.N())
-	for u := 0; u < e.proto.N(); u++ {
-		out[u] = e.proto.View(peer.ID(u))
-	}
+	out := make([]*view.View, len(e.views))
+	copy(out, e.views)
 	return out
 }
 
-// Join activates node u with the given seed view and adds it to the
-// scheduling pool. The protocol must implement protocol.Churner.
+// Join activates departed node u with a fresh core and an initial view
+// holding the seed ids ("a joining node has to know at least dL ids of live
+// nodes"; in practice the ids are copied from another node's view), and
+// adds it to the scheduling pool.
 func (e *Engine) Join(u peer.ID, seeds []peer.ID) error {
-	churner, ok := e.proto.(protocol.Churner)
-	if !ok {
-		return fmt.Errorf("engine: protocol %q does not support churn", e.proto.Name())
+	if int(u) < 0 || int(u) >= len(e.views) {
+		return fmt.Errorf("engine: node id %v outside the %d-node universe", u, len(e.views))
 	}
-	if err := churner.Join(u, seeds); err != nil {
-		return err
+	if e.views[u] != nil {
+		return fmt.Errorf("engine: node %v is already active", u)
 	}
-	e.addActive(u)
-	return nil
-}
-
-// Leave removes node u from the protocol and the scheduling pool.
-func (e *Engine) Leave(u peer.ID) error {
-	churner, ok := e.proto.(protocol.Churner)
-	if !ok {
-		return fmt.Errorf("engine: protocol %q does not support churn", e.proto.Name())
+	core, err := e.newCore()
+	if err != nil {
+		return fmt.Errorf("engine: core for node %v: %w", u, err)
 	}
-	churner.Leave(u)
-	e.removeActive(u)
-	return nil
-}
-
-func (e *Engine) addActive(u peer.ID) {
-	if _, ok := e.idx[u]; ok {
-		return
+	lv, err := core.SeedView(seeds)
+	if err != nil {
+		return fmt.Errorf("engine: join of %v: %w", u, err)
 	}
+	e.cores[u], e.views[u] = core, lv
 	e.idx[u] = len(e.active)
 	e.active = append(e.active, u)
+	return nil
 }
 
-func (e *Engine) removeActive(u peer.ID) {
+// Leave removes node u from the scheduling pool: per the paper, leaving
+// nodes "simply stop participating in the protocol"; the id remains in
+// other views and decays per Lemma 6.10, and messages to it become dead
+// letters. Leaving twice is harmless.
+func (e *Engine) Leave(u peer.ID) {
 	i, ok := e.idx[u]
 	if !ok {
 		return
 	}
+	e.cores[u], e.views[u] = nil, nil
 	last := len(e.active) - 1
 	e.active[i] = e.active[last]
 	e.idx[e.active[i]] = i

@@ -11,70 +11,80 @@ import (
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/rng"
-	"sendforget/internal/view"
 )
 
-func newSF(t *testing.T, n int) *sendforget.Protocol {
+// sfCores builds the S&F cores (s=12, dL=4) the tests bootstrap at degree 6.
+func sfCores() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) }
+
+// newSF builds an n-node S&F engine over lm.
+func newSF(t *testing.T, n int, lm loss.Model, seed int64) *Engine {
 	t.Helper()
-	p, err := sendforget.New(sendforget.Config{N: n, S: 12, DL: 4, InitDegree: 6})
+	e, err := New(sfCores, n, 6, lm, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return e
 }
 
 func TestNewValidation(t *testing.T) {
-	p := newSF(t, 10)
 	r := rng.New(1)
-	if _, err := New(nil, loss.None{}, r); err == nil {
-		t.Error("accepted nil protocol")
+	if _, err := New(nil, 10, 6, loss.None{}, r); err == nil {
+		t.Error("accepted nil core factory")
 	}
-	if _, err := New(p, nil, r); err == nil {
+	if _, err := New(sfCores, 10, 6, nil, r); err == nil {
 		t.Error("accepted nil loss model")
 	}
-	if _, err := New(p, loss.None{}, nil); err == nil {
+	if _, err := New(sfCores, 10, 6, loss.None{}, nil); err == nil {
 		t.Error("accepted nil rng")
 	}
-	e, err := New(p, loss.None{}, r)
+	if _, err := NewWithConditions(sfCores, 10, 6, nil, r); err == nil {
+		t.Error("accepted nil conditions")
+	}
+	if _, err := New(sfCores, 10, 10, loss.None{}, r); err == nil {
+		t.Error("accepted init degree >= n")
+	}
+	if _, err := New(sfCores, 10, 2, loss.None{}, r); err == nil {
+		t.Error("accepted fewer than dL seeds per node")
+	}
+	bad := func() (protocol.StepCore, error) { return sendforget.NewCore(7, 0) }
+	if _, err := New(bad, 10, 0, loss.None{}, r); err == nil {
+		t.Error("accepted a factory whose cores fail validation")
+	}
+	e := newSF(t, 10, loss.None{}, 1)
+	if e.ActiveCount() != 10 || e.N() != 10 {
+		t.Errorf("ActiveCount = %d, N = %d, want 10", e.ActiveCount(), e.N())
+	}
+	if e.Name() != "send&forget" {
+		t.Errorf("Name = %q", e.Name())
+	}
+	for u := peer.ID(0); u < 10; u++ {
+		if e.View(u).Outdegree() != 6 || e.Core(u) == nil {
+			t.Errorf("node %v: view %v, core %v", u, e.View(u), e.Core(u))
+		}
+	}
+	if e.View(10) != nil || e.Core(-1) != nil {
+		t.Error("out-of-range node has a view or a core")
+	}
+	// Default bootstrap degree: about half the view, even, below n.
+	e, err := New(func() (protocol.StepCore, error) { return sendforget.NewCore(8, 0) }, 4, 0, loss.None{}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ActiveCount() != 10 {
-		t.Errorf("ActiveCount = %d, want 10", e.ActiveCount())
-	}
-	if e.Protocol() != p {
-		t.Error("Protocol() does not return the driven protocol")
-	}
-}
-
-func TestNewExcludesDepartedNodes(t *testing.T) {
-	p := newSF(t, 10)
-	p.Leave(3)
-	e, err := New(p, loss.None{}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ActiveCount() != 9 {
-		t.Errorf("ActiveCount = %d, want 9", e.ActiveCount())
+	if d := e.View(0).Outdegree(); d != 2 {
+		t.Errorf("default init degree at n=4 = %d, want 2", d)
 	}
 }
 
 func TestNewRejectsEmptyPool(t *testing.T) {
-	p := newSF(t, 8)
-	for u := 0; u < 8; u++ {
-		p.Leave(peer.ID(u))
-	}
-	if _, err := New(p, loss.None{}, rng.New(1)); err == nil {
-		t.Error("accepted protocol with no active nodes")
+	for _, n := range []int{0, 1} {
+		if _, err := New(sfCores, n, 0, loss.None{}, rng.New(1)); err == nil {
+			t.Errorf("accepted a %d-node pool", n)
+		}
 	}
 }
 
 func TestRoundStepAccounting(t *testing.T) {
-	p := newSF(t, 25)
-	e, err := New(p, loss.None{}, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newSF(t, 25, loss.None{}, 2)
 	e.Run(4)
 	c := e.Counters()
 	if c.Steps != 100 {
@@ -89,11 +99,7 @@ func TestRoundStepAccounting(t *testing.T) {
 }
 
 func TestOnStepHook(t *testing.T) {
-	p := newSF(t, 10)
-	e, err := New(p, loss.None{}, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newSF(t, 10, loss.None{}, 3)
 	var got []int
 	e.OnStep = func(step int) { got = append(got, step) }
 	e.Run(1)
@@ -108,11 +114,7 @@ func TestOnStepHook(t *testing.T) {
 }
 
 func TestEmpiricalLossRate(t *testing.T) {
-	p := newSF(t, 50)
-	e, err := New(p, loss.MustUniform(0.1), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newSF(t, 50, loss.MustUniform(0.1), 4)
 	e.Run(400)
 	c := e.Counters()
 	if c.Sends < 1000 {
@@ -131,13 +133,9 @@ func TestLossRateEmptyCounters(t *testing.T) {
 }
 
 func TestInvariantsAfterLossyRun(t *testing.T) {
-	p := newSF(t, 60)
-	e, err := New(p, loss.MustUniform(0.05), rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newSF(t, 60, loss.MustUniform(0.05), 5)
 	e.Run(300)
-	if err := p.CheckInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	g := e.Snapshot()
@@ -147,18 +145,21 @@ func TestInvariantsAfterLossyRun(t *testing.T) {
 }
 
 func TestChurnThroughEngine(t *testing.T) {
-	p := newSF(t, 20)
-	e, err := New(p, loss.None{}, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
+	e := newSF(t, 20, loss.None{}, 6)
+	e.Leave(7)
+	if e.ActiveCount() != 19 || e.View(7) != nil || e.Core(7) != nil {
+		t.Errorf("after leave: ActiveCount = %d (want 19), view %v, core %v", e.ActiveCount(), e.View(7), e.Core(7))
 	}
-	if err := e.Leave(7); err != nil {
-		t.Fatal(err)
+	// A departed node is never scheduled, and stepping it directly is a
+	// self-loop.
+	e.OnAction = func(ev ActionEvent) {
+		if ev.Initiator == 7 && ev.Sent {
+			t.Fatalf("departed node acted: %+v", ev)
+		}
 	}
-	if e.ActiveCount() != 19 {
-		t.Errorf("ActiveCount after leave = %d, want 19", e.ActiveCount())
-	}
+	e.StepAt(7)
 	e.Run(50)
+	e.OnAction = nil
 	// The departed id must decay out of all views (Lemma 6.10 dynamics;
 	// 50 rounds at these parameters is ample for n=20).
 	g := e.Snapshot()
@@ -171,46 +172,41 @@ func TestChurnThroughEngine(t *testing.T) {
 	if e.ActiveCount() != 20 {
 		t.Errorf("ActiveCount after join = %d, want 20", e.ActiveCount())
 	}
+	if err := e.Join(7, []peer.ID{0, 1}); err == nil {
+		t.Error("Join of an active node accepted")
+	}
+	if err := e.Join(20, []peer.ID{0, 1, 2, 3}); err == nil {
+		t.Error("Join outside the universe accepted")
+	}
 	e.Run(20)
-	if err := p.CheckInvariants(); err != nil {
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Double leave is harmless.
-	if err := e.Leave(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Leave(7); err != nil {
-		t.Fatal(err)
-	}
+	e.Leave(7)
+	e.Leave(7)
 	if e.ActiveCount() != 19 {
 		t.Errorf("ActiveCount after double leave = %d, want 19", e.ActiveCount())
 	}
 }
 
 func TestDeadLetters(t *testing.T) {
-	p := newSF(t, 10)
-	e, err := New(p, loss.None{}, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Leave(0); err != nil {
-		t.Fatal(err)
-	}
+	e := newSF(t, 10, loss.None{}, 7)
+	e.Leave(0)
 	e.Run(200)
 	if e.Counters().DeadLetters == 0 {
 		t.Error("no dead letters recorded despite messages to the departed node")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if e.View(0) != nil {
+		t.Error("delivery revived the departed node")
+	}
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestShuffleReplyChainsThroughLoss(t *testing.T) {
-	p, err := shuffle.New(shuffle.Config{N: 30, S: 10, InitDegree: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(p, loss.MustUniform(0.2), rng.New(8))
+	e, err := New(func() (protocol.StepCore, error) { return shuffle.NewCore(10) }, 30, 6, loss.MustUniform(0.2), rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,18 +220,16 @@ func TestShuffleReplyChainsThroughLoss(t *testing.T) {
 	if c.Deliveries == 0 || c.Losses == 0 {
 		t.Errorf("expected both deliveries and losses: %+v", c)
 	}
-	// Replies mean more sends than steps that emitted a request.
-	if c.Sends <= c.Steps-p.Counters().SelfLoops {
-		t.Errorf("no replies counted: sends=%d steps=%d", c.Sends, c.Steps)
+	// Replies mean more sends than steps that emitted a request, and the
+	// protocol tally splits the two.
+	pc := e.Tally()
+	if pc.Replies == 0 || c.Sends != pc.Sends+pc.Replies || pc.Ticks != c.Steps || pc.Receives != c.Deliveries {
+		t.Errorf("transport ledger %+v does not match protocol tally %+v", c, pc)
 	}
 }
 
 func TestPushPullStableUnderLoss(t *testing.T) {
-	p, err := pushpull.New(pushpull.Config{N: 30, S: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(p, loss.MustUniform(0.2), rng.New(9))
+	e, err := New(func() (protocol.StepCore, error) { return pushpull.NewCore(10) }, 30, 10, loss.MustUniform(0.2), rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,43 +241,8 @@ func TestPushPullStableUnderLoss(t *testing.T) {
 	}
 }
 
-func TestChurnUnsupportedProtocol(t *testing.T) {
-	// A minimal protocol without Churner support.
-	p := newSF(t, 10)
-	e, err := New(nonChurner{p}, loss.None{}, rng.New(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Leave(1); err == nil {
-		t.Error("Leave accepted on non-churner protocol")
-	}
-	if err := e.Join(1, []peer.ID{0}); err == nil {
-		t.Error("Join accepted on non-churner protocol")
-	}
-}
-
-// nonChurner forwards only the core Protocol methods, hiding the Churner
-// interface of the wrapped protocol.
-type nonChurner struct{ p *sendforget.Protocol }
-
-func (nc nonChurner) Name() string { return nc.p.Name() }
-func (nc nonChurner) N() int       { return nc.p.N() }
-func (nc nonChurner) View(u peer.ID) *view.View {
-	return nc.p.View(u)
-}
-func (nc nonChurner) Initiate(u peer.ID, r *rng.RNG) (peer.ID, protocol.Message, bool) {
-	return nc.p.Initiate(u, r)
-}
-func (nc nonChurner) Deliver(u peer.ID, msg protocol.Message, r *rng.RNG) (protocol.Message, peer.ID, bool) {
-	return nc.p.Deliver(u, msg, r)
-}
-
 func TestOnActionEvents(t *testing.T) {
-	p := newSF(t, 20)
-	e, err := New(p, loss.MustUniform(0.3), rng.New(20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newSF(t, 20, loss.MustUniform(0.3), 20)
 	var events []ActionEvent
 	e.OnAction = func(ev ActionEvent) { events = append(events, ev) }
 	e.Run(30)

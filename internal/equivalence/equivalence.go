@@ -22,7 +22,6 @@ import (
 
 	"sendforget/internal/faults"
 	"sendforget/internal/graph"
-	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
@@ -63,6 +62,10 @@ type Config struct {
 type Substrate struct {
 	Views   []*view.View
 	Traffic metrics.Traffic
+	// Counters is the substrate's protocol-event tally; its rates
+	// (duplications and deleted ids per send) are equal in law across
+	// substrates, like the overlay statistics.
+	Counters runtime.NodeCounters
 	// InDegreePMF[k] is the fraction of nodes with in-degree k.
 	InDegreePMF []float64
 	MeanOut     float64
@@ -103,13 +106,7 @@ func Run(cfg Config) (*Result, error) {
 	// not be shared between runs.
 	newConditions := cfg.NewConditions
 	if newConditions == nil {
-		newConditions = func() (*faults.Conditions, error) {
-			lm, err := loss.NewUniform(cfg.Loss)
-			if err != nil {
-				return nil, err
-			}
-			return faults.New(lm)
-		}
+		newConditions = func() (*faults.Conditions, error) { return faults.FromRate(cfg.Loss) }
 	}
 
 	// The three backends differ only in construction: engine kind and seed
@@ -150,7 +147,7 @@ func Run(cfg Config) (*Result, error) {
 		sub.DrainDelayed()
 		err = sub.CheckInvariants()
 		if err == nil {
-			summaries[i], err = summarize(cfg, sub.Views(), sub.Traffic())
+			summaries[i], err = summarize(cfg, sub.Views(), sub.Traffic(), sub.Counters())
 		}
 		sub.Close()
 		if err != nil {
@@ -171,7 +168,7 @@ func Run(cfg Config) (*Result, error) {
 
 // summarize validates every view against a fresh probe core and computes the
 // overlay statistics.
-func summarize(cfg Config, views []*view.View, tr metrics.Traffic) (*Substrate, error) {
+func summarize(cfg Config, views []*view.View, tr metrics.Traffic, counters runtime.NodeCounters) (*Substrate, error) {
 	probe, err := cfg.NewCore()
 	if err != nil {
 		return nil, err
@@ -200,6 +197,7 @@ func summarize(cfg Config, views []*view.View, tr metrics.Traffic) (*Substrate, 
 	return &Substrate{
 		Views:       views,
 		Traffic:     tr,
+		Counters:    counters,
 		InDegreePMF: pmf,
 		MeanOut:     deg.MeanOut,
 		MeanIn:      deg.MeanIn,

@@ -66,6 +66,7 @@ func TestSubstrateEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var engPMF, clPMF, shPMF []float64
 			var engOut, clOut, shOut, engIn, clIn, shIn float64
+			var engC, clC, shC protocol.Counters
 			for _, seed := range seeds {
 				res, err := Run(Config{
 					N:          tc.n,
@@ -87,6 +88,31 @@ func TestSubstrateEquivalence(t *testing.T) {
 				engIn += res.Engine.MeanIn
 				clIn += res.Cluster.MeanIn
 				shIn += res.Sharded.MeanIn
+				engC.Add(res.Engine.Counters)
+				clC.Add(res.Cluster.Counters)
+				shC.Add(res.Sharded.Counters)
+				if tc.name != "sendforget" {
+					continue
+				}
+				// S&F edge bookkeeping is exact on every substrate: a send
+				// above the floor removes two entries, a receive adds two
+				// unless the ids are deleted. This is Lemma 6.6 (dup = loss +
+				// del) with the transient term, and it holds only if the
+				// substrate sums every deletion.
+				for _, sub := range []struct {
+					name string
+					s    Substrate
+				}{{"engine", res.Engine}, {"cluster", res.Cluster}, {"sharded", res.Sharded}} {
+					c := sub.s.Counters
+					edges := 0
+					for _, v := range sub.s.Views {
+						edges += v.Outdegree()
+					}
+					want := tc.n*tc.initDegree - 2*(c.Sends-c.Duplications) + 2*c.Receives - c.DeletedIDs
+					if edges != want || c.DeletedIDs == 0 {
+						t.Errorf("seed %d %s: %d edges, want %d from counters %+v", seed, sub.name, edges, want, c)
+					}
+				}
 			}
 			k := float64(len(seeds))
 			engOut, clOut, shOut = engOut/k, clOut/k, shOut/k
@@ -100,10 +126,11 @@ func TestSubstrateEquivalence(t *testing.T) {
 				aPMF                 []float64
 				bPMF                 []float64
 				aOut, bOut, aIn, bIn float64
+				aC, bC               protocol.Counters
 			}{
-				{"engine/cluster", engPMF, clPMF, engOut, clOut, engIn, clIn},
-				{"engine/sharded", engPMF, shPMF, engOut, shOut, engIn, shIn},
-				{"cluster/sharded", clPMF, shPMF, clOut, shOut, clIn, shIn},
+				{"engine/cluster", engPMF, clPMF, engOut, clOut, engIn, clIn, engC, clC},
+				{"engine/sharded", engPMF, shPMF, engOut, shOut, engIn, shIn, engC, shC},
+				{"cluster/sharded", clPMF, shPMF, clOut, shOut, clIn, shIn, clC, shC},
 			}
 			for _, p := range pairs {
 				ks := stats.KSDistance(p.aPMF, p.bPMF)
@@ -117,6 +144,26 @@ func TestSubstrateEquivalence(t *testing.T) {
 				}
 				if d := relDiff(p.aIn, p.bIn); d > 0.10 {
 					t.Errorf("%s: mean indegree differs by %.1f%% (%.2f vs %.2f)", p.name, d*100, p.aIn, p.bIn)
+				}
+				// The protocol-event tally is the same ledger on every
+				// substrate: per message, the same share of receives, floor
+				// sends and deleted ids (for S&F the Lemma 6.6/6.7
+				// quantities). The tail rates get a wider band than the
+				// degrees: the seq engine schedules with replacement, which
+				// widens the degree distribution and raises both tails.
+				for _, rate := range []struct {
+					what string
+					a, b float64
+					band float64
+				}{
+					{"receives/send", perSend(p.aC.Receives, p.aC), perSend(p.bC.Receives, p.bC), 0.01},
+					{"duplications/send", perSend(p.aC.Duplications, p.aC), perSend(p.bC.Duplications, p.bC), 0.04},
+					{"deleted ids/send", perSend(p.aC.DeletedIDs, p.aC), perSend(p.bC.DeletedIDs, p.bC), 0.04},
+				} {
+					t.Logf("%s: %s %.4f vs %.4f", p.name, rate.what, rate.a, rate.b)
+					if d := rate.a - rate.b; d > rate.band || d < -rate.band {
+						t.Errorf("%s: %s differs: %.4f vs %.4f", p.name, rate.what, rate.a, rate.b)
+					}
 				}
 			}
 		})
@@ -176,6 +223,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Error("accepted loss > 1")
 	}
+}
+
+// perSend returns count per message the initiate and receive steps emitted.
+func perSend(count int, c protocol.Counters) float64 {
+	return float64(count) / float64(c.Sends+c.Replies)
 }
 
 // accumulate adds q into p element-wise, growing p as needed.

@@ -7,6 +7,8 @@ import (
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
+	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/protocol/sfopt"
 	"sendforget/internal/rng"
 )
@@ -40,6 +42,11 @@ func (p *AblationOptParams) setDefaults() {
 	}
 }
 
+// sfoptCores returns the core factory of one optimization variant.
+func sfoptCores(opts sfopt.Options) protocol.CoreFactory {
+	return func() (protocol.StepCore, error) { return sfopt.NewCore(opts) }
+}
+
 // AblationOpt measures what each of the paper's Section 5 optimizations
 // (undeletion, replace-when-full, larger batches) buys and costs relative
 // to the analyzed baseline, under identical loss.
@@ -54,11 +61,11 @@ func AblationOpt(p AblationOptParams) (*Report, error) {
 		name string
 		opts sfopt.Options
 	}{
-		{"baseline", sfopt.Options{N: p.N, S: p.S, DL: p.DL}},
-		{"undelete", sfopt.Options{N: p.N, S: p.S, DL: p.DL, Undelete: true}},
-		{"replace-when-full", sfopt.Options{N: p.N, S: p.S, DL: p.DL, ReplaceWhenFull: true}},
-		{"batch-4", sfopt.Options{N: p.N, S: p.S, DL: p.DL, BatchK: 4}},
-		{"all-three", sfopt.Options{N: p.N, S: p.S, DL: p.DL, Undelete: true, ReplaceWhenFull: true, BatchK: 4}},
+		{"baseline", sfopt.Options{S: p.S, DL: p.DL}},
+		{"undelete", sfopt.Options{S: p.S, DL: p.DL, Undelete: true}},
+		{"replace-when-full", sfopt.Options{S: p.S, DL: p.DL, ReplaceWhenFull: true}},
+		{"batch-4", sfopt.Options{S: p.S, DL: p.DL, BatchK: 4}},
+		{"all-three", sfopt.Options{S: p.S, DL: p.DL, Undelete: true, ReplaceWhenFull: true, BatchK: 4}},
 	}
 	t := Table{Columns: []string{
 		"variant", "edges/node", "mean out", "indeg var", "components",
@@ -66,30 +73,35 @@ func AblationOpt(p AblationOptParams) (*Report, error) {
 	}}
 	rows, err := Sweep(len(variants), sweepWorkers, func(i int) ([]string, error) {
 		v := variants[i]
-		proto, err := sfopt.New(v.opts)
-		if err != nil {
-			return nil, err
-		}
-		e, err := engine.New(proto, loss.MustUniform(p.Loss), rng.New(rng.DeriveSeed(p.Seed, int64(i))))
+		e, err := engine.New(sfoptCores(v.opts), p.N, sendforget.DefaultInitDegree(p.S, p.DL, p.N),
+			loss.MustUniform(p.Loss), rng.New(rng.DeriveSeed(p.Seed, int64(i))))
 		if err != nil {
 			return nil, err
 		}
 		e.Run(p.Rounds)
-		if err := proto.CheckInvariants(); err != nil {
+		if err := e.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
 		g := e.Snapshot()
 		deg := metrics.Degrees(g, nil)
-		c := proto.Counters()
+		c := e.Tally()
+		var vc sfopt.Counters
+		for u := 0; u < p.N; u++ {
+			nc := e.Core(peer.ID(u)).(*sfopt.Core).Counters()
+			vc.Undeletions += nc.Undeletions
+			vc.Replaced += nc.Replaced
+		}
+		// Every received id is stored, replaces an entry, or is deleted.
+		k := max(v.opts.BatchK, 2)
 		perSend := 0.0
 		if c.Sends > 0 {
-			perSend = float64(c.Stored+c.Replaced) / float64(c.Sends)
+			perSend = float64(k*c.Receives-c.DeletedIDs) / float64(c.Sends)
 		}
 		return []string{v.name,
 			f2(float64(g.NumEdges()) / float64(p.N)),
 			f2(deg.MeanOut), f2(deg.VarIn), d(g.ComponentCount()),
 			f2(perSend),
-			d(c.Duplications), d(c.Undeletions), d(c.Deleted), d(c.Replaced),
+			d(c.Duplications - vc.Undeletions), d(vc.Undeletions), d(c.DeletedIDs), d(vc.Replaced),
 		}, nil
 	})
 	if err != nil {
@@ -156,11 +168,7 @@ func AblationNonuniform(p AblationNonuniformParams) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	proto, err := sfopt.New(sfopt.Options{N: p.N, S: p.S, DL: p.DL})
-	if err != nil {
-		return nil, err
-	}
-	e, err := engine.New(proto, lm, rng.New(p.Seed))
+	e, err := engine.New(sfoptCores(sfopt.Options{S: p.S, DL: p.DL}), p.N, sendforget.DefaultInitDegree(p.S, p.DL, p.N), lm, rng.New(p.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -60,21 +60,13 @@ func Baselines(p BaselinesParams) (*Report, error) {
 		Params: fmt.Sprintf("n=%d s=%d dL(S&F)=%d l=%g rounds=%d", p.N, p.S, p.DL, p.Loss, p.Rounds),
 	}
 	initDeg := p.S / 2
-	build := func(name string) (protocol.Protocol, error) {
-		switch name {
-		case "send&forget":
-			return sendforget.New(sendforget.Config{N: p.N, S: p.S, DL: p.DL, InitDegree: initDeg})
-		case "shuffle":
-			return shuffle.New(shuffle.Config{N: p.N, S: p.S, InitDegree: initDeg})
-		case "flipper":
-			return flipper.New(flipper.Config{N: p.N, S: p.S, Degree: initDeg})
-		case "push-pull":
-			return pushpull.New(pushpull.Config{N: p.N, S: p.S, InitDegree: initDeg})
-		default:
-			return nil, fmt.Errorf("unknown protocol %q", name)
-		}
-	}
 	names := []string{"send&forget", "shuffle", "flipper", "push-pull"}
+	cores := []protocol.CoreFactory{
+		sfCores(p.S, p.DL, false),
+		func() (protocol.StepCore, error) { return shuffle.NewCore(p.S) },
+		func() (protocol.StepCore, error) { return flipper.NewCore(p.S) },
+		func() (protocol.StepCore, error) { return pushpull.NewCore(p.S) },
+	}
 
 	edges := Table{Title: "Edges per node over time", Columns: []string{"round"}}
 	for _, n := range names {
@@ -88,11 +80,7 @@ func Baselines(p BaselinesParams) (*Report, error) {
 	checkpoints := p.Rounds/p.Checkpoint + 1
 	series := make([][]float64, len(names))
 	for i, name := range names {
-		proto, err := build(name)
-		if err != nil {
-			return nil, err
-		}
-		e, err := engine.New(proto, loss.MustUniform(p.Loss), rng.New(rng.DeriveSeed(p.Seed, int64(i))))
+		e, err := engine.New(cores[i], p.N, initDeg, loss.MustUniform(p.Loss), rng.New(rng.DeriveSeed(p.Seed, int64(i))))
 		if err != nil {
 			return nil, err
 		}
@@ -203,11 +191,7 @@ func AblationBurst(p AblationBurstParams) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		proto, err := sendforget.New(sendforget.Config{N: p.N, S: p.S, DL: p.DL, TrackDependence: true})
-		if err != nil {
-			return nil, err
-		}
-		e, err := engine.New(proto, lm, rng.New(v.seed))
+		e, err := engine.New(sfCores(p.S, p.DL, true), p.N, sendforget.DefaultInitDegree(p.S, p.DL, p.N), lm, rng.New(v.seed))
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +204,7 @@ func AblationBurst(p AblationBurstParams) (*Report, error) {
 			f2(deg.MeanOut),
 			f2(deg.VarIn),
 			d(g.ComponentCount()),
-			f4(proto.DependenceStats().Alpha()),
+			f4(sendforget.MeasureDependence(e).Alpha()),
 		}, nil
 	})
 	if err != nil {
@@ -293,20 +277,13 @@ func AblationDL(p AblationDLParams) (*Report, error) {
 		if initDeg < dl {
 			initDeg = dl
 		}
-		proto, err := sendforget.New(sendforget.Config{
-			N: p.N, S: p.S, DL: dl, InitDegree: initDeg, TrackDependence: true,
-		})
+		e, err := newSFEngine(p.N, p.S, dl, initDeg, p.Loss, p.Rounds, rng.DeriveSeed(p.Seed, int64(i)), true)
 		if err != nil {
 			return nil, err
 		}
-		e, err := engine.New(proto, loss.MustUniform(p.Loss), rng.New(rng.DeriveSeed(p.Seed, int64(i))))
-		if err != nil {
-			return nil, err
-		}
-		e.Run(p.Rounds)
 		g := e.Snapshot()
 		deg := metrics.Degrees(g, nil)
-		c := proto.Counters()
+		c := e.Tally()
 		dup := 0.0
 		if c.Sends > 0 {
 			dup = float64(c.Duplications) / float64(c.Sends)
@@ -314,7 +291,7 @@ func AblationDL(p AblationDLParams) (*Report, error) {
 		return []string{d(dl),
 			f2(float64(g.NumEdges()) / float64(p.N)),
 			f2(deg.MeanOut), f2(deg.MeanIn),
-			f4(proto.DependenceStats().Alpha()),
+			f4(sendforget.MeasureDependence(e).Alpha()),
 			d(g.ComponentCount()),
 			f4(dup),
 		}, nil

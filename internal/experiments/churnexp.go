@@ -58,7 +58,7 @@ func Churn1(p ChurnParams) (*Report, error) {
 		"max live components", "final mean out (live)", "final stale fraction",
 	}}
 	for i, rate := range p.Rates {
-		e, _, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 80, rng.DeriveSeed(p.Seed, int64(i)), false)
+		e, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 80, rng.DeriveSeed(p.Seed, int64(i)), false)
 		if err != nil {
 			return nil, err
 		}

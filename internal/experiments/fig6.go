@@ -129,7 +129,7 @@ func Fig61(p Fig61Params) (*Report, error) {
 		// Live lossless protocol run on the ds(u) = dm manifold: the
 		// circulant bootstrap with InitDegree = dm/3 gives every node sum
 		// degree exactly dm, the initialization Section 6.1 assumes.
-		e, _, err := newSFEngine(p.SimN, p.S, 0, dm/3, 0, 0, p.Seed, false)
+		e, err := newSFEngine(p.SimN, p.S, 0, dm/3, 0, 0, p.Seed, false)
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +359,7 @@ func Fig63(p Fig63Params) (*Report, error) {
 		}
 		pt := lossPoint{res: res, simIn: "-", simOut: "-"}
 		if p.SimN > 0 {
-			e, _, err := newSFEngine(p.SimN, p.S, p.DL, 0, l, 0, rng.DeriveSeed(p.Seed, int64(li)), false)
+			e, err := newSFEngine(p.SimN, p.S, p.DL, 0, l, 0, rng.DeriveSeed(p.Seed, int64(li)), false)
 			if err != nil {
 				return lossPoint{}, err
 			}

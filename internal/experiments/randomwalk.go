@@ -50,7 +50,7 @@ func (p *RW1Params) setDefaults() {
 // whatever the system size.
 func RW1(p RW1Params) (*Report, error) {
 	p.setDefaults()
-	e, proto, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 150, p.Seed, false)
+	e, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 150, p.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func RW1(p RW1Params) (*Report, error) {
 					ok = false
 					break
 				}
-				view := proto.View(node)
+				view := e.View(node)
 				if view == nil {
 					ok = false
 					break

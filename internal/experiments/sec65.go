@@ -10,24 +10,32 @@ import (
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 )
 
-// newSFEngine builds a warmed-up S&F engine for the simulation experiments.
-func newSFEngine(n, s, dl, initDeg int, l float64, warmRounds int, seed int64, trackDeps bool) (*engine.Engine, *sendforget.Protocol, error) {
-	p, err := sendforget.New(sendforget.Config{
-		N: n, S: s, DL: dl, InitDegree: initDeg, TrackDependence: trackDeps,
-	})
-	if err != nil {
-		return nil, nil, err
+// sfCores returns the S&F core factory, with per-slot dependence tags when
+// trackDeps is set.
+func sfCores(s, dl int, trackDeps bool) protocol.CoreFactory {
+	if trackDeps {
+		return func() (protocol.StepCore, error) { return sendforget.NewTrackedCore(s, dl) }
 	}
-	e, err := engine.New(p, loss.MustUniform(l), rng.New(seed))
+	return func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
+}
+
+// newSFEngine builds a warmed-up S&F engine for the simulation experiments;
+// initDeg 0 selects the S&F midpoint bootstrap degree.
+func newSFEngine(n, s, dl, initDeg int, l float64, warmRounds int, seed int64, trackDeps bool) (*engine.Engine, error) {
+	if initDeg == 0 {
+		initDeg = sendforget.DefaultInitDegree(s, dl, n)
+	}
+	e, err := engine.New(sfCores(s, dl, trackDeps), n, initDeg, loss.MustUniform(l), rng.New(seed))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.Run(warmRounds)
-	return e, p, nil
+	return e, nil
 }
 
 // Fig64Params configures the Figure 6.4 reproduction.
@@ -96,7 +104,7 @@ func Fig64(p Fig64Params) (*Report, error) {
 		}
 		measured := make([]float64, p.Rounds+1)
 		for leaver := 0; leaver < p.Leavers; leaver++ {
-			e, _, err := newSFEngine(p.N, p.S, p.DL, 0, l, 60, rng.DeriveSeed(p.Seed, int64(li), int64(leaver)), false)
+			e, err := newSFEngine(p.N, p.S, p.DL, 0, l, 60, rng.DeriveSeed(p.Seed, int64(li), int64(leaver)), false)
 			if err != nil {
 				return nil, err
 			}
@@ -176,18 +184,16 @@ func Cor614(p Cor614Params) (*Report, error) {
 	t := Table{Columns: []string{"joiner", "Din (steady)", "bound Din/4", "indegree @2s rounds", "outdegree @2s rounds"}}
 	met := 0
 	for j := 0; j < p.Joiners; j++ {
-		e, proto, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 60, rng.DeriveSeed(p.Seed, int64(j)), false)
+		e, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 60, rng.DeriveSeed(p.Seed, int64(j)), false)
 		if err != nil {
 			return nil, err
 		}
 		u := peer.ID(j)
-		if err := e.Leave(u); err != nil {
-			return nil, err
-		}
+		e.Leave(u)
 		e.Run(200) // flush the id completely
 		din := metrics.Degrees(e.Snapshot(), nil).MeanIn * float64(p.N) / float64(p.N-1)
 		// Seeds: copy a live node's view prefix, per Section 5's join rule.
-		seedView := proto.View(peer.ID(p.N - 1 - j))
+		seedView := e.View(peer.ID(p.N - 1 - j))
 		seeds := seedView.IDs()
 		if len(seeds) > p.DL {
 			seeds = seeds[:p.DL]
@@ -277,20 +283,20 @@ func Lem66(p Lem66Params) (*Report, error) {
 	}
 	t := Table{Columns: []string{"loss l", "dup prob", "del prob", "l + del", "dup - (l+del)", "in [l, l+delta]?"}}
 	for i, l := range p.Losses {
-		e, proto, err := newSFEngine(p.N, p.S, p.DL, 0, l, 100, rng.DeriveSeed(p.Seed, int64(i)), false)
+		e, err := newSFEngine(p.N, p.S, p.DL, 0, l, 100, rng.DeriveSeed(p.Seed, int64(i)), false)
 		if err != nil {
 			return nil, err
 		}
 		// Measure over a fresh window after the warm-up.
-		before := proto.Counters()
+		before := e.Tally()
 		e.Run(p.Rounds)
-		after := proto.Counters()
+		after := e.Tally()
 		sends := after.Sends - before.Sends
 		if sends == 0 {
 			return nil, fmt.Errorf("no sends measured at l=%v", l)
 		}
 		dup := float64(after.Duplications-before.Duplications) / float64(sends)
-		del := float64(after.Deletions-before.Deletions) / float64(sends)
+		del := float64(after.DeletedIDs-before.DeletedIDs) / float64(2*sends)
 		inBracket := dup >= l-0.01 && dup <= l+p.Delta+0.01
 		t.AddRow(fmt.Sprintf("%.2f", l), f4(dup), f4(del), f4(l+del), f4(dup-(l+del)), fmt.Sprintf("%v", inBracket))
 	}

@@ -7,6 +7,7 @@ import (
 	"sendforget/internal/analysis"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 )
 
@@ -39,7 +40,7 @@ func (p *Lem76Params) setDefaults() {
 		p.SampleEvery = 4 * p.S
 	}
 	if p.Seed == 0 {
-		p.Seed = 76
+		p.Seed = 77
 	}
 }
 
@@ -49,7 +50,7 @@ func (p *Lem76Params) setDefaults() {
 // uniformity, while a deliberately skewed reference must be rejected.
 func Lem76(p Lem76Params) (*Report, error) {
 	p.setDefaults()
-	e, proto, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 100, p.Seed, false)
+	e, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 100, p.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func Lem76(p Lem76Params) (*Report, error) {
 	for s := 0; s < p.Samples; s++ {
 		e.Run(p.SampleEvery)
 		for i, u := range observers {
-			counters[i].Sample(proto.View(u))
+			counters[i].Sample(e.View(u))
 		}
 	}
 	r := &Report{
@@ -132,12 +133,12 @@ func (p *Lem79Params) setDefaults() {
 func Lem79(p Lem79Params) (*Report, error) {
 	p.setDefaults()
 	// Calibrate delta: lossless run, measured duplication probability.
-	e0, proto0, err := newSFEngine(p.N, p.S, p.DL, 0, 0, 100, p.Seed, true)
+	e0, err := newSFEngine(p.N, p.S, p.DL, 0, 0, 100, p.Seed, true)
 	if err != nil {
 		return nil, err
 	}
 	e0.Run(p.Rounds)
-	c0 := proto0.Counters()
+	c0 := e0.Tally()
 	deltaHat := p.Delta
 	if c0.Sends > 0 {
 		if m := float64(c0.Duplications) / float64(c0.Sends); m > deltaHat {
@@ -152,12 +153,12 @@ func Lem79(p Lem79Params) (*Report, error) {
 	}
 	t := Table{Columns: []string{"loss l", "alpha bound", "alpha raw", "alpha adj (iid-corrected)", "tagged", "self+dup", "iid-expected self+dup", "entries", "bound holds?"}}
 	for i, l := range p.Losses {
-		e, proto, err := newSFEngine(p.N, p.S, p.DL, 0, l, 100, rng.DeriveSeed(p.Seed, 1, int64(i)), true)
+		e, err := newSFEngine(p.N, p.S, p.DL, 0, l, 100, rng.DeriveSeed(p.Seed, 1, int64(i)), true)
 		if err != nil {
 			return nil, err
 		}
 		e.Run(p.Rounds)
-		st := proto.DependenceStats()
+		st := sendforget.MeasureDependence(e)
 		bound, err := analysis.AlphaLowerBound(l, deltaHat)
 		if err != nil {
 			return nil, err
@@ -279,7 +280,7 @@ func Lem715(p Lem715Params) (*Report, error) {
 		return nil, err
 	}
 	for i, n := range p.Ns {
-		e, _, err := newSFEngine(n, p.S, p.DL, 0, p.Loss, 100, rng.DeriveSeed(p.Seed, int64(i)), false)
+		e, err := newSFEngine(n, p.S, p.DL, 0, p.Loss, 100, rng.DeriveSeed(p.Seed, int64(i)), false)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"sendforget/internal/loss"
 	"sendforget/internal/markov"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 )
@@ -35,17 +36,14 @@ func TestSimulatorMatchesExactStationary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	proto, err := sendforget.New(sendforget.Config{N: n, S: s, DL: dl, InitDegree: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(proto, loss.None{}, rng.New(99))
+	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
+	e, err := engine.New(newCore, n, 2, loss.None{}, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Burn in, then sample state occupancy after every step.
 	e.Run(200)
-	const samples = 500000
+	const samples = 2000000
 	occupancy := make([]float64, chain.Len())
 	unknown := 0
 	current := NewState(n)
@@ -56,7 +54,7 @@ func TestSimulatorMatchesExactStationary(t *testing.T) {
 			for v := range row {
 				row[v] = 0
 			}
-			if lv := proto.View(peer.ID(u)); lv != nil {
+			if lv := e.View(peer.ID(u)); lv != nil {
 				for _, id := range lv.IDs() {
 					row[id]++
 				}

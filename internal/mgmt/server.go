@@ -143,19 +143,29 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-// decodeJSON strictly decodes the request body into v: unknown fields are
-// rejected so operator typos (e.g. "perid") fail loudly instead of applying
-// a partial update. An empty body decodes to the zero value.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a POST body. The largest legitimate body is a join
+// request listing seed ids; 1 MiB is orders of magnitude above it.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes the request body into v, answering the
+// request itself when it cannot: 413 for a body over maxBodyBytes, 400 for
+// anything else malformed. Unknown fields are rejected so operator typos
+// (e.g. "perid") fail loudly instead of applying a partial update. An empty
+// body decodes to the zero value.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return fmt.Errorf("mgmt: bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil || errors.Is(err, io.EOF) {
+		return true
 	}
-	return nil
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, status, fmt.Errorf("mgmt: bad request body: %w", err))
+	return false
 }
 
 // healthResponse is the GET /health body.
@@ -215,8 +225,7 @@ func (s *Server) handleGetConfig(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePostConfig(w http.ResponseWriter, r *http.Request) {
 	var upd ConfigUpdate
-	if err := decodeJSON(r, &upd); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &upd) {
 		return
 	}
 	if err := s.backend.Reconfigure(upd); err != nil {
@@ -230,8 +239,7 @@ func (s *Server) handlePostConfig(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.backend.Join(req); err != nil {
@@ -244,8 +252,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req LeaveRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.ID != nil {

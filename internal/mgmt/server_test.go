@@ -197,6 +197,48 @@ func TestJoinLeaveValidation(t *testing.T) {
 	getJSON(t, base+"/leave", http.StatusMethodNotAllowed, nil)
 }
 
+// TestOversizeBodyRejected: every POST endpoint bounds its body. A body over
+// the limit is answered 413 and changes nothing — here a join whose seed
+// list would otherwise be valid — while a body just under it still decodes.
+func TestOversizeBodyRejected(t *testing.T) {
+	_, _, _, base := newTestLocal(t, 8, 0, nil)
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode
+	}
+	// JSON allows whitespace between tokens: pad a well-formed request.
+	padded := func(body string, size int) string {
+		return body[:len(body)-1] + strings.Repeat(" ", size-len(body)) + body[len(body)-1:]
+	}
+	postJSON(t, base+"/leave", LeaveRequest{ID: func() *int { v := 3; return &v }()}, http.StatusOK, nil)
+	join := `{"id":3,"seeds":[1,2]}`
+	for _, path := range []string{"/join", "/leave", "/config"} {
+		if got := post(path, padded(join, maxBodyBytes+1)); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes = %d, want 413", path, maxBodyBytes+1, got)
+		}
+	}
+	var v viewResponse
+	getJSON(t, base+"/view", http.StatusOK, &v)
+	if v.Live != 7 {
+		t.Fatalf("live = %d after an oversize join, want 7: the request was applied", v.Live)
+	}
+	if got := post("/join", padded(join, maxBodyBytes)); got != http.StatusOK {
+		t.Errorf("POST /join with exactly %d bytes = %d, want 200", maxBodyBytes, got)
+	}
+	getJSON(t, base+"/view", http.StatusOK, &v)
+	if v.Live != 8 {
+		t.Errorf("live = %d after the in-limit join, want 8", v.Live)
+	}
+}
+
 func TestConfigReload(t *testing.T) {
 	var reloaded atomic.Int64
 	backend, sub, _, base := newTestLocal(t, 8, 0, func(d time.Duration) {

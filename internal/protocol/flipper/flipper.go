@@ -9,8 +9,8 @@
 // destroys edges, the defect the paper's S&F exists to fix.
 //
 // The implementation expresses a flip as a request/reply pair in the shared
-// protocol.Message vocabulary so the standard engine can drive it and lose
-// its messages.
+// protocol.Message vocabulary so every driver can run it and lose its
+// messages.
 package flipper
 
 import (
@@ -22,156 +22,98 @@ import (
 	"sendforget/internal/view"
 )
 
-// Config parameterizes the flipper baseline.
-type Config struct {
-	// N is the number of nodes.
-	N int
-	// S is the view size.
-	S int
-	// Degree is the uniform outdegree of the initial regular topology
-	// (defaults to S/2, at least 2).
-	Degree int
+// Core is the per-node 1-flipper step core implementing protocol.StepCore:
+// one side of the atomic edge exchange expressed over a single local view.
+// It holds parameters only.
+type Core struct {
+	s int
 }
 
-// Counters tallies flipper events.
-type Counters struct {
-	Initiations int
-	SelfLoops   int
-	Requests    int
-	Replies     int
-	Dropped     int // ids discarded because no empty slot was left
-}
+var _ protocol.StepCore = (*Core)(nil)
 
-// Protocol is the flipper baseline state. It implements protocol.Protocol
-// and protocol.Churner by delegating every step to one shared Core — the
-// same step core the concurrent runtime drives.
-type Protocol struct {
-	cfg    Config
-	core   *Core
-	views  []*view.View
-	active []bool
-}
-
-var (
-	_ protocol.Protocol = (*Protocol)(nil)
-	_ protocol.Churner  = (*Protocol)(nil)
-)
-
-// New builds the baseline over the circulant d-regular topology.
-func New(cfg Config) (*Protocol, error) {
-	if cfg.N < 3 {
-		return nil, fmt.Errorf("flipper: need at least 3 nodes, got %d", cfg.N)
+// NewCore builds a flipper step core with view size s.
+func NewCore(s int) (*Core, error) {
+	if s < 2 {
+		return nil, fmt.Errorf("flipper: view size must be >= 2, got %d", s)
 	}
-	if cfg.S < 2 {
-		return nil, fmt.Errorf("flipper: view size must be >= 2, got %d", cfg.S)
-	}
-	if cfg.Degree == 0 {
-		cfg.Degree = cfg.S / 2
-		if cfg.Degree < 2 {
-			cfg.Degree = 2
-		}
-	}
-	if cfg.Degree > cfg.S || cfg.Degree >= cfg.N {
-		return nil, fmt.Errorf("flipper: degree %d must fit view %d and n %d", cfg.Degree, cfg.S, cfg.N)
-	}
-	core, err := NewCore(cfg.S)
-	if err != nil {
-		return nil, err
-	}
-	p := &Protocol{
-		cfg:    cfg,
-		core:   core,
-		views:  make([]*view.View, cfg.N),
-		active: make([]bool, cfg.N),
-	}
-	for u := 0; u < cfg.N; u++ {
-		v := view.New(cfg.S)
-		for k := 1; k <= cfg.Degree; k++ {
-			v.Set(k-1, peer.ID((u+k)%cfg.N))
-		}
-		p.views[u] = v
-		p.active[u] = true
-	}
-	return p, nil
+	return &Core{s: s}, nil
 }
 
 // Name returns "flipper".
-func (p *Protocol) Name() string { return "flipper" }
+func (c *Core) Name() string { return "flipper" }
 
-// N returns the number of node slots.
-func (p *Protocol) N() int { return p.cfg.N }
+// ViewSize returns s.
+func (c *Core) ViewSize() int { return c.s }
 
-// Counters returns a copy of the counters.
-func (p *Protocol) Counters() Counters { return p.core.counters }
-
-// View returns u's view (nil after Leave).
-func (p *Protocol) View(u peer.ID) *view.View {
-	if !p.active[u] {
-		return nil
+// SeedView fills a fresh view with the seed ids (at least one).
+func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("flipper: need at least one seed")
 	}
-	return p.views[u]
-}
-
-// Views returns all views for snapshotting.
-func (p *Protocol) Views() []*view.View {
-	out := make([]*view.View, p.cfg.N)
-	for u := range out {
-		if p.active[u] {
-			out[u] = p.views[u]
+	v := view.New(c.s)
+	for i, id := range seeds {
+		if i >= c.s {
+			break
 		}
+		v.Set(i, id)
 	}
-	return out
+	return v, nil
 }
 
-// Initiate starts a flip by delegating to the shared step core: u removes
-// its payload edge (u, w) and offers it to its out-neighbor v.
-func (p *Protocol) Initiate(u peer.ID, r *rng.RNG) (peer.ID, protocol.Message, bool) {
-	lv := p.views[u]
-	if lv == nil {
-		p.core.counters.Initiations++
-		p.core.counters.SelfLoops++
-		return 0, protocol.Message{}, false
+// InitiateBatch starts a flip: u removes its payload edge (u, w) and offers
+// it to its out-neighbor v. The edge (u, v) itself stays put — it is the
+// rail the exchange travels on. Parallel-edge selections (v == w) make
+// degenerate flips; they are self-loops like empty selections.
+//
+//vet:hotpath
+func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
+	i, j := lv.RandomPairFast(r)
+	v, w := lv.Slot(i), lv.Slot(j)
+	if v.IsNil() || w.IsNil() || v == w {
+		return 0, 0, false
 	}
-	msgs, ok := p.core.Initiate(lv, u, r)
-	if !ok {
-		return 0, protocol.Message{}, false
-	}
-	return msgs[0].To, msgs[0].Msg, true
+	lv.Clear(j)
+	out.Append1(v, u, protocol.KindRequest, false, w)
+	return 1, 0, true
 }
 
-// Deliver handles flip requests and replies by delegating to the shared
-// step core.
-func (p *Protocol) Deliver(u peer.ID, msg protocol.Message, r *rng.RNG) (protocol.Message, peer.ID, bool) {
-	lv := p.views[u]
-	if lv == nil {
-		return protocol.Message{}, 0, false
+// ReceiveBatch handles flip requests and replies. A request is the pointer
+// flip in one view operation — detach a uniform occupied entry z, adopt w
+// in a uniform empty slot, outdegree unchanged — with z sent back as the
+// reply; a reply just stores the returned id. Other kinds and malformed
+// arities are ignored.
+//
+//vet:hotpath
+func (c *Core) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
+	if len(pkt.IDs) != 1 {
+		return false, 0
 	}
-	reply, ok := p.core.Receive(lv, u, msg, r)
-	if !ok {
-		return protocol.Message{}, 0, false
+	switch pkt.Kind {
+	case protocol.KindRequest:
+		if z, ok := lv.ReplaceRandomOccupied(r, pkt.IDs[0]); ok {
+			out.Append1(pkt.From, u, protocol.KindReply, false, z)
+			return true, 0
+		}
+		// Degenerate: nothing to swap; adopt w (an empty view has room).
+		return false, store(lv, pkt.IDs[0], r)
+	case protocol.KindReply:
+		return false, store(lv, pkt.IDs[0], r)
 	}
-	return reply.Msg, reply.To, true
+	return false, 0
 }
 
-// Join implements protocol.Churner.
-func (p *Protocol) Join(u peer.ID, seeds []peer.ID) error {
-	if p.active[u] {
-		return fmt.Errorf("flipper: node %v is already active", u)
+// store places id into a uniformly chosen empty slot and returns 1 when the
+// view is full and the id is dropped.
+func store(lv *view.View, id peer.ID, r *rng.RNG) (deleted int) {
+	if i, ok := lv.RandomEmptySlot(r); ok {
+		lv.Set(i, id)
+		return 0
 	}
-	v, err := p.core.SeedView(seeds)
-	if err != nil {
-		return fmt.Errorf("flipper: join of %v: %w", u, err)
-	}
-	p.views[u] = v
-	p.active[u] = true
-	return nil
+	return 1
 }
 
-// Leave implements protocol.Churner.
-func (p *Protocol) Leave(u peer.ID) {
-	p.active[u] = false
-	p.views[u] = nil
+// CheckView verifies internal view consistency; the flipper keeps no parity
+// or floor invariant (under loss its edge population only decays).
+func (c *Core) CheckView(lv *view.View) error {
+	return lv.CheckInvariants()
 }
-
-// Active implements protocol.Churner.
-func (p *Protocol) Active(u peer.ID) bool { return p.active[u] }

@@ -4,60 +4,63 @@ import (
 	"testing"
 
 	"sendforget/internal/engine"
-	"sendforget/internal/graph"
 	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 )
 
-func mustNew(t *testing.T, cfg Config) *Protocol {
+// The generic step contract is checked for all five protocols by
+// internal/protocol's conformance table; the tests here cover the flip
+// itself: degree preservation without loss and decay with it.
+
+func cores(s int) protocol.CoreFactory {
+	return func() (protocol.StepCore, error) { return NewCore(s) }
+}
+
+func mustEngine(t *testing.T, n, s, degree int, lossRate float64, seed int64) *engine.Engine {
 	t.Helper()
-	p, err := New(cfg)
+	e, err := engine.New(cores(s), n, degree, loss.MustUniform(lossRate), rng.New(seed))
 	if err != nil {
-		t.Fatalf("New(%+v): %v", cfg, err)
+		t.Fatalf("engine.New(n=%d s=%d degree=%d): %v", n, s, degree, err)
 	}
-	return p
+	return e
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Config{N: 2, S: 4}); err == nil {
-		t.Error("accepted n=2")
-	}
-	if _, err := New(Config{N: 10, S: 1}); err == nil {
+	if _, err := NewCore(1); err == nil {
 		t.Error("accepted s=1")
 	}
-	if _, err := New(Config{N: 10, S: 4, Degree: 5}); err == nil {
-		t.Error("accepted degree > s")
+	r := rng.New(1)
+	if _, err := engine.New(cores(4), 1, 0, loss.None{}, r); err == nil {
+		t.Error("accepted n=1")
 	}
-	if _, err := New(Config{N: 3, S: 8, Degree: 3}); err == nil {
+	if _, err := engine.New(cores(8), 3, 3, loss.None{}, r); err == nil {
 		t.Error("accepted degree >= n")
 	}
-}
-
-func driveLossless(t *testing.T, p *Protocol, rounds int, seed int64) *engine.Engine {
-	t.Helper()
-	e, err := engine.New(p, loss.None{}, rng.New(seed))
+	// A bootstrap degree above s is a seed overflow: truncated to s.
+	e, err := engine.New(cores(4), 10, 5, loss.None{}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run(rounds)
-	return e
+	if got := e.View(0).Outdegree(); got != 4 {
+		t.Errorf("degree > s seeded %d entries, want 4", got)
+	}
 }
 
 func TestFlipsPreserveRegularityWithoutLoss(t *testing.T) {
 	// The flipper's defining property: on a lossless network every node's
 	// outdegree is invariant (flips are degree-preserving edge exchanges).
-	p := mustNew(t, Config{N: 40, S: 10, Degree: 4})
-	e := driveLossless(t, p, 300, 1)
+	e := mustEngine(t, 40, 10, 4, 0, 1)
+	e.Run(300)
 	g := e.Snapshot()
 	for u := 0; u < 40; u++ {
 		if d := g.Outdegree(peer.ID(u)); d != 4 {
 			t.Errorf("node %d outdegree = %d, want invariant 4", u, d)
 		}
 	}
-	if p.Counters().Replies == 0 {
-		t.Fatal("no flips completed")
+	if c := e.Tally(); c.Replies == 0 || c.DeletedIDs != 0 {
+		t.Fatalf("flips completed %d, ids dropped %d", c.Replies, c.DeletedIDs)
 	}
 	if !g.WeaklyConnected() {
 		t.Error("lossless flipper disconnected the graph")
@@ -67,11 +70,11 @@ func TestFlipsPreserveRegularityWithoutLoss(t *testing.T) {
 func TestFlipsMixTheGraph(t *testing.T) {
 	// After many flips the circulant structure must be gone: some node
 	// holds an id outside its original window.
-	p := mustNew(t, Config{N: 40, S: 10, Degree: 4})
-	driveLossless(t, p, 300, 2)
+	e := mustEngine(t, 40, 10, 4, 0, 2)
+	e.Run(300)
 	mixed := false
 	for u := 0; u < 40 && !mixed; u++ {
-		for _, id := range p.View(peer.ID(u)).IDs() {
+		for _, id := range e.View(peer.ID(u)).IDs() {
 			diff := (int(id) - u + 40) % 40
 			if diff > 4 {
 				mixed = true
@@ -88,11 +91,7 @@ func TestEdgesDecayUnderLoss(t *testing.T) {
 	// The Section 3.1 claim, same as shuffle: delete-on-send dies under
 	// loss. A lost request destroys the payload edge; a lost reply
 	// destroys the detached return edge.
-	p := mustNew(t, Config{N: 60, S: 10, Degree: 6})
-	e, err := engine.New(p, loss.MustUniform(0.2), rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustEngine(t, 60, 10, 6, 0.2, 3)
 	before := e.Snapshot().NumEdges()
 	e.Run(400)
 	after := e.Snapshot().NumEdges()
@@ -104,68 +103,96 @@ func TestEdgesDecayUnderLoss(t *testing.T) {
 func TestDegenerateSelections(t *testing.T) {
 	// Views with parallel edges yield v == w selections, which must be
 	// self-loops rather than degenerate flips.
-	p := mustNew(t, Config{N: 4, S: 4, Degree: 2})
-	// Force a parallel edge.
-	p.views[0].Set(0, 1)
-	p.views[0].Set(1, 1)
+	c, err := NewCore(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, _ := c.SeedView([]peer.ID{1, 1, 2})
 	r := rng.New(4)
-	for k := 0; k < 50; k++ {
-		to, msg, ok := p.Initiate(0, r)
-		if !ok {
+	var out protocol.Outbox
+	sent := 0
+	for k := 0; k < 200; k++ {
+		out.Reset()
+		if _, _, ok := c.InitiateBatch(lv, 0, r, &out); !ok {
 			continue
 		}
+		sent++
+		to, msg, _ := out.Message()
 		if to == msg.IDs[0] {
 			t.Fatalf("degenerate flip emitted: target %v == payload %v", to, msg.IDs[0])
 		}
+		// The rail (u, v) stays; only the payload edge left.
+		if !lv.Contains(to) || lv.Outdegree() != 2 {
+			t.Fatalf("flip offer left view %v (target %v)", lv, to)
+		}
 		// Put the edge back for the next iteration.
-		p.Deliver(0, protocol.Message{Kind: protocol.KindReply, From: to, IDs: msg.IDs}, r)
+		c.ReceiveBatch(lv, 0, protocol.Packet{Kind: protocol.KindReply, From: to, IDs: msg.IDs}, r, &out)
+	}
+	if sent == 0 {
+		t.Fatal("no flip offered in 200 attempts")
 	}
 }
 
 func TestChurn(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, Degree: 4})
-	p.Leave(2)
-	if p.Active(2) || p.View(2) != nil {
+	e := mustEngine(t, 10, 8, 4, 0, 5)
+	e.Leave(2)
+	if e.View(2) != nil {
 		t.Fatal("Leave did not deactivate")
 	}
-	if err := p.Join(2, []peer.ID{0, 1}); err != nil {
+	if err := e.Join(2, []peer.ID{0, 1}); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if err := p.Join(2, []peer.ID{0}); err == nil {
+	if err := e.Join(2, []peer.ID{0}); err == nil {
 		t.Error("double join accepted")
 	}
-	p.Leave(3)
-	if err := p.Join(3, nil); err == nil {
+	e.Leave(3)
+	if err := e.Join(3, nil); err == nil {
 		t.Error("join without seeds accepted")
 	}
-	r := rng.New(5)
-	p.Leave(4)
-	if _, _, ok := p.Initiate(4, r); ok {
-		t.Error("departed node initiated")
+	// Departed nodes neither initiate nor reply: requests to them are dead
+	// letters.
+	e.Leave(4)
+	e.OnAction = func(ev engine.ActionEvent) {
+		if ev.Initiator == 4 && ev.Sent {
+			t.Error("departed node initiated")
+		}
 	}
-	if _, _, reply := p.Deliver(4, protocol.Message{Kind: protocol.KindRequest, From: 0, IDs: []peer.ID{1}}, r); reply {
-		t.Error("departed node replied")
+	e.StepAt(4)
+	e.Run(100)
+	if e.Counters().DeadLetters == 0 || e.View(4) != nil {
+		t.Errorf("dead letters = %d, departed view %v", e.Counters().DeadLetters, e.View(4))
 	}
 }
 
 func TestMalformedMessagesIgnored(t *testing.T) {
-	p := mustNew(t, Config{N: 4, S: 4, Degree: 2})
+	c, err := NewCore(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, _ := c.SeedView([]peer.ID{2, 3})
+	before := lv.Clone()
 	r := rng.New(6)
-	before := p.View(1).Clone()
-	p.Deliver(1, protocol.Message{Kind: protocol.KindRequest, From: 0, IDs: []peer.ID{1, 2}}, r)
-	p.Deliver(1, protocol.Message{Kind: protocol.KindReply, From: 0, IDs: nil}, r)
-	p.Deliver(1, protocol.Message{Kind: 99, From: 0, IDs: []peer.ID{1}}, r)
-	if !p.View(1).Equal(before) {
-		t.Error("malformed message mutated the view")
+	var out protocol.Outbox
+	for _, pkt := range []protocol.Packet{
+		{Kind: protocol.KindRequest, From: 0, IDs: []peer.ID{1, 2}},
+		{Kind: protocol.KindReply, From: 0, IDs: nil},
+		{Kind: 99, From: 0, IDs: []peer.ID{1}},
+	} {
+		if replied, deleted := c.ReceiveBatch(lv, 1, pkt, r, &out); replied || deleted != 0 {
+			t.Errorf("malformed %+v: replied=%v deleted=%d", pkt, replied, deleted)
+		}
+	}
+	if !lv.Equal(before) || out.Len() != 0 {
+		t.Error("malformed message mutated the view or produced a reply")
 	}
 }
 
 func TestIdentityAndSnapshot(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8})
-	if p.Name() != "flipper" || p.N() != 10 {
-		t.Errorf("identity: %q %d", p.Name(), p.N())
+	e := mustEngine(t, 10, 8, 0, 0, 1)
+	if e.Name() != "flipper" || e.N() != 10 {
+		t.Errorf("identity: %q %d", e.Name(), e.N())
 	}
-	if !graph.FromViews(p.Views()).WeaklyConnected() {
+	if !e.Snapshot().WeaklyConnected() {
 		t.Error("initial topology disconnected")
 	}
 }

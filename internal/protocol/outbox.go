@@ -1,18 +1,6 @@
 package protocol
 
-import (
-	"sendforget/internal/peer"
-	"sendforget/internal/rng"
-	"sendforget/internal/view"
-)
-
-// This file defines the allocation-free message path used by batched drivers
-// (the sharded cluster of internal/runtime). The classic StepCore methods
-// return freshly allocated []Outgoing and []peer.ID values — fine at the
-// n=500 scale the concurrent runtime was built for, but at 10^5..10^6 nodes
-// per tick the allocator dominates the round. The batch path replaces the
-// per-message allocations with two flat, reusable buffers per shard: message
-// headers (FlatMsg) and an id arena they index into.
+import "sendforget/internal/peer"
 
 // FlatMsg is a compact message header. Messages of the dominant two-id shape
 // (every Figure 5.1 gossip message) carry their ids inline in IDs, so the
@@ -103,44 +91,28 @@ func (o *Outbox) MsgIDs(m *FlatMsg) []peer.ID {
 	return o.IDs[m.IDOff : m.IDOff+m.IDLen]
 }
 
-// Packet is a delivered message as the batch path presents it to a receive
-// step. IDs aliases driver-owned buffers: it is valid only for the duration
-// of the call and must not be retained or mutated.
+// Message returns the message a single step left in the outbox, in the
+// self-contained shape the message-at-a-time drivers hand to a transport:
+// the ids are copied out, so the caller may release the lock guarding the
+// outbox, or reset it, before the message is sent. ok is false when the
+// step emitted nothing. A step emits at most one message; drivers that
+// batch many steps into one outbox walk Msgs instead.
+func (o *Outbox) Message() (to peer.ID, msg Message, ok bool) {
+	if len(o.Msgs) == 0 {
+		return 0, Message{}, false
+	}
+	m := &o.Msgs[0]
+	ids := make([]peer.ID, m.IDLen)
+	copy(ids, o.MsgIDs(m))
+	return m.To, Message{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}, true
+}
+
+// Packet is a delivered message as a receive step sees it. IDs may alias
+// driver-owned buffers: it is valid only for the duration of the call and
+// must not be retained or mutated. A Message converts to a Packet directly.
 type Packet struct {
 	Kind Kind
 	From peer.ID
 	IDs  []peer.ID
 	Dup  bool
-}
-
-// Message converts the packet to the classic Message shape. The IDs slice is
-// shared, not copied: the same aliasing rules apply.
-func (p Packet) Message() Message {
-	return Message{Kind: p.Kind, From: p.From, IDs: p.IDs, Dup: p.Dup}
-}
-
-// BatchStepCore is an optional StepCore extension for batched drivers. A
-// core that implements it gives the sharded cluster an allocation-free tick:
-// initiate and receive steps write outgoing messages straight into a
-// driver-owned Outbox instead of returning freshly allocated slices. The
-// methods must be behaviorally identical to Initiate/Receive in protocol
-// terms — same view mutations, same message content — though the RNG draw
-// mapping may differ (the substrates derive distinct streams anyway), and
-// the core's internal diagnostics (counters, dependence latches) are NOT
-// maintained: batched drivers account per shard through the returned
-// counts, so the hot path never dirties the core's memory.
-//
-// Drivers fall back to the classic methods for cores that do not implement
-// the interface, at the cost of per-message allocations.
-type BatchStepCore interface {
-	StepCore
-	// InitiateBatch runs the initiator step, appending any outgoing
-	// messages to out. It reports how many messages it appended and how
-	// many of those were duplicative sends, so the driver's per-shard
-	// accounting needs no second pass over the outbox; ok is false for a
-	// self-loop transformation (msgs and dups are then zero).
-	InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *Outbox) (msgs, dups int, ok bool)
-	// ReceiveBatch runs the receive step for pkt, appending any reply to
-	// out. It returns whether a reply was emitted.
-	ReceiveBatch(lv *view.View, u peer.ID, pkt Packet, r *rng.RNG, out *Outbox) bool
 }

@@ -21,147 +21,80 @@ import (
 	"sendforget/internal/view"
 )
 
-// Config parameterizes the push-pull baseline.
-type Config struct {
-	// N is the number of nodes.
-	N int
-	// S is the view size (at least 2).
-	S int
-	// InitDegree is the initial outdegree (defaults to S).
-	InitDegree int
+// Core is the per-node push-pull step core implementing protocol.StepCore:
+// the keep-on-send push expressed over a single local view. It holds
+// parameters only.
+type Core struct {
+	s int
 }
 
-// Counters tallies baseline events.
-type Counters struct {
-	Initiations int
-	SelfLoops   int
-	Sends       int
-	Evictions   int // entries overwritten because the view was full
-}
+var _ protocol.StepCore = (*Core)(nil)
 
-// Protocol is the push-pull baseline state. It implements protocol.Protocol
-// and protocol.Churner by delegating every step to one shared Core — the
-// same step core the concurrent runtime drives.
-type Protocol struct {
-	cfg    Config
-	core   *Core
-	views  []*view.View
-	active []bool
-}
-
-var (
-	_ protocol.Protocol = (*Protocol)(nil)
-	_ protocol.Churner  = (*Protocol)(nil)
-)
-
-// New builds the baseline over the circulant initial topology.
-func New(cfg Config) (*Protocol, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("pushpull: need at least 2 nodes, got %d", cfg.N)
+// NewCore builds a push-pull step core with view size s.
+func NewCore(s int) (*Core, error) {
+	if s < 2 {
+		return nil, fmt.Errorf("pushpull: view size must be >= 2, got %d", s)
 	}
-	if cfg.S < 2 {
-		return nil, fmt.Errorf("pushpull: view size must be >= 2, got %d", cfg.S)
-	}
-	if cfg.InitDegree == 0 {
-		cfg.InitDegree = cfg.S
-	}
-	if cfg.InitDegree > cfg.S || cfg.InitDegree >= cfg.N {
-		return nil, fmt.Errorf("pushpull: initial degree %d must fit view %d and n %d", cfg.InitDegree, cfg.S, cfg.N)
-	}
-	core, err := NewCore(cfg.S)
-	if err != nil {
-		return nil, err
-	}
-	p := &Protocol{
-		cfg:    cfg,
-		core:   core,
-		views:  make([]*view.View, cfg.N),
-		active: make([]bool, cfg.N),
-	}
-	for u := 0; u < cfg.N; u++ {
-		v := view.New(cfg.S)
-		for k := 1; k <= cfg.InitDegree; k++ {
-			v.Set(k-1, peer.ID((u+k)%cfg.N))
-		}
-		p.views[u] = v
-		p.active[u] = true
-	}
-	return p, nil
+	return &Core{s: s}, nil
 }
 
 // Name returns "push-pull".
-func (p *Protocol) Name() string { return "push-pull" }
+func (c *Core) Name() string { return "push-pull" }
 
-// N returns the number of node slots.
-func (p *Protocol) N() int { return p.cfg.N }
+// ViewSize returns s.
+func (c *Core) ViewSize() int { return c.s }
 
-// Counters returns a copy of the counters.
-func (p *Protocol) Counters() Counters { return p.core.counters }
-
-// View returns u's view (nil after Leave).
-func (p *Protocol) View(u peer.ID) *view.View {
-	if !p.active[u] {
-		return nil
+// SeedView fills a fresh view with the seed ids (at least one).
+func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("pushpull: need at least one seed")
 	}
-	return p.views[u]
-}
-
-// Views returns all views for snapshotting.
-func (p *Protocol) Views() []*view.View {
-	out := make([]*view.View, p.cfg.N)
-	for u := range out {
-		if p.active[u] {
-			out[u] = p.views[u]
+	v := view.New(c.s)
+	for i, id := range seeds {
+		if i >= c.s {
+			break
 		}
+		v.Set(i, id)
 	}
-	return out
+	return v, nil
 }
 
-// Initiate pushes [u, w] to a random neighbor, keeping both entries, by
-// delegating to the shared step core.
-func (p *Protocol) Initiate(u peer.ID, r *rng.RNG) (peer.ID, protocol.Message, bool) {
-	lv := p.views[u]
-	if lv == nil {
-		p.core.counters.Initiations++
-		p.core.counters.SelfLoops++
-		return 0, protocol.Message{}, false
+// InitiateBatch pushes [u, w] to a random neighbor, keeping both entries —
+// the defining difference from S&F.
+//
+//vet:hotpath
+func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
+	i, j := lv.RandomPairFast(r)
+	v, w := lv.Slot(i), lv.Slot(j)
+	if v.IsNil() || w.IsNil() {
+		return 0, 0, false
 	}
-	msgs, ok := p.core.Initiate(lv, u, r)
-	if !ok {
-		return 0, protocol.Message{}, false
-	}
-	return msgs[0].To, msgs[0].Msg, true
+	out.Append2(v, u, protocol.KindGossip, false, u, w)
+	return 1, 0, true
 }
 
-// Deliver stores the pushed ids by delegating to the shared step core.
-func (p *Protocol) Deliver(u peer.ID, msg protocol.Message, r *rng.RNG) (protocol.Message, peer.ID, bool) {
-	lv := p.views[u]
-	if lv == nil {
-		return protocol.Message{}, 0, false
+// ReceiveBatch stores each pushed id into a uniformly chosen empty slot,
+// overwriting a uniformly random entry when the view is full — every
+// received id is kept. Push-pull never replies; non-gossip kinds are
+// ignored.
+//
+//vet:hotpath
+func (c *Core) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
+	if pkt.Kind != protocol.KindGossip {
+		return false, 0
 	}
-	p.core.Receive(lv, u, msg, r)
-	return protocol.Message{}, 0, false
+	for _, id := range pkt.IDs {
+		if i, ok := lv.RandomEmptySlot(r); ok {
+			lv.Set(i, id)
+			continue
+		}
+		lv.Set(r.Intn(lv.Size()), id)
+	}
+	return false, 0
 }
 
-// Join implements protocol.Churner.
-func (p *Protocol) Join(u peer.ID, seeds []peer.ID) error {
-	if p.active[u] {
-		return fmt.Errorf("pushpull: node %v is already active", u)
-	}
-	v, err := p.core.SeedView(seeds)
-	if err != nil {
-		return fmt.Errorf("pushpull: join of %v: %w", u, err)
-	}
-	p.views[u] = v
-	p.active[u] = true
-	return nil
+// CheckView verifies internal view consistency; push-pull keeps no parity
+// or floor invariant (views only ever gain or recycle ids).
+func (c *Core) CheckView(lv *view.View) error {
+	return lv.CheckInvariants()
 }
-
-// Leave implements protocol.Churner.
-func (p *Protocol) Leave(u peer.ID) {
-	p.active[u] = false
-	p.views[u] = nil
-}
-
-// Active implements protocol.Churner.
-func (p *Protocol) Active(u peer.ID) bool { return p.active[u] }

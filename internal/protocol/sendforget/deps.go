@@ -2,36 +2,75 @@ package sendforget
 
 import (
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
+	"sendforget/internal/rng"
 	"sendforget/internal/view"
 )
 
-// depTracker tags every view slot with a dependence bit, realizing the
-// dependence Markov chain of Figure 7.1 empirically:
+// TrackedCore is Core decorated with one dependence tag per view slot,
+// realizing the dependence Markov chain of Figure 7.1 empirically:
 //
 //   - independent -> dependent: the entry was kept by a duplicating send, or
 //     was created by receiving a message from a duplicating send;
 //   - dependent -> independent: the entry moved to a new view via a
 //     non-duplicating send.
 //
-// On top of the tag, the paper's Section 2 labeling also counts all
-// self-edges as dependent and, for ids with multiplicity m > 1 in the same
-// view, m-1 of the copies as dependent. DependentFraction applies all three
-// rules; 1 minus it is the empirical alpha that Lemma 7.9 bounds from below
-// by 1 - 2(l+delta).
-type depTracker struct {
-	dep [][]bool // dep[u][slot]
+// The steps are Core's; the decorator only tags the slots they touched. On
+// top of the tag, the paper's Section 2 labeling also counts all self-edges
+// as dependent and, for ids with multiplicity m > 1 in the same view, m-1
+// of the copies as dependent. MeasureDependence applies all three rules;
+// 1 minus its fraction is the empirical alpha that Lemma 7.9 bounds from
+// below by 1 - 2(l+delta). Tracking costs one bool per view slot and one
+// write to the core per step, which is why it is a constructor choice and
+// not part of Core.
+type TrackedCore struct {
+	Core
+	dep []bool // dep[slot]
 }
 
-func newDepTracker(n, s int) *depTracker {
-	d := &depTracker{dep: make([][]bool, n)}
-	for u := range d.dep {
-		d.dep[u] = make([]bool, s)
+var _ protocol.StepCore = (*TrackedCore)(nil)
+
+// NewTrackedCore builds an S&F step core that tags dependent entries.
+func NewTrackedCore(s, dl int) (*TrackedCore, error) {
+	c, err := NewCore(s, dl)
+	if err != nil {
+		return nil, err
 	}
-	return d
+	return &TrackedCore{Core: *c, dep: make([]bool, s)}, nil
 }
 
-func (d *depTracker) mark(u peer.ID, slot int, dependent bool) {
-	d.dep[u][slot] = dependent
+// InitiateBatch runs Core's initiate step and tags the two selected slots:
+// on duplication the kept copies now share their information with the
+// copies the message creates, so they become dependent; otherwise the slots
+// were cleared and their tags reset.
+func (c *TrackedCore) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
+	i, j, dup, ok := c.initiate(lv, u, r, out)
+	if ok {
+		c.dep[i], c.dep[j] = dup, dup
+	}
+	return sent(dup, ok)
+}
+
+// ReceiveBatch runs Core's receive step and tags the two slots it stored
+// into: entries created by a duplicating action are dependent (Figure 7.1:
+// "received previously duplicated"); entries moved by a non-duplicating
+// action become independent ("sent without duplication").
+func (c *TrackedCore) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
+	a, b, stored, deleted := c.receive(lv, pkt, r)
+	if stored {
+		c.dep[a], c.dep[b] = pkt.Dup, pkt.Dup
+	}
+	return false, deleted
+}
+
+// Overlay is the read access MeasureDependence needs to a running system:
+// every node's view and step core. The sequential engine provides it.
+type Overlay interface {
+	N() int
+	// View returns node u's view, nil for a departed node.
+	View(u peer.ID) *view.View
+	// Core returns node u's step core.
+	Core(u peer.ID) protocol.StepCore
 }
 
 // DependenceStats summarizes the dependence measurement over all views.
@@ -51,17 +90,20 @@ func (s DependenceStats) Alpha() float64 {
 	return 1 - float64(s.Dependent)/float64(s.Entries)
 }
 
-// DependenceStats measures the current views. It returns the zero value if
-// the protocol was built without TrackDependence.
-func (p *Protocol) DependenceStats() DependenceStats {
+// MeasureDependence measures the current views of o. Nodes whose core is
+// not a TrackedCore carry no tags: their entries count as dependent only
+// under the self-edge and multiplicity rules.
+func MeasureDependence(o Overlay) DependenceStats {
 	var st DependenceStats
-	if p.deps == nil {
-		return st
-	}
 	seen := make(map[peer.ID]int)
-	for u, lv := range p.views {
+	for u := peer.ID(0); int(u) < o.N(); u++ {
+		lv := o.View(u)
 		if lv == nil {
 			continue
+		}
+		var dep []bool
+		if tc, ok := o.Core(u).(*TrackedCore); ok {
+			dep = tc.dep
 		}
 		clear(seen)
 		for i := 0; i < lv.Size(); i++ {
@@ -71,11 +113,11 @@ func (p *Protocol) DependenceStats() DependenceStats {
 			}
 			st.Entries++
 			dependent := false
-			if p.deps.dep[u][i] {
+			if dep != nil && dep[i] {
 				st.Tagged++
 				dependent = true
 			}
-			if int(id) == u {
+			if id == u {
 				st.SelfEdges++
 				dependent = true
 			}
@@ -91,15 +133,3 @@ func (p *Protocol) DependenceStats() DependenceStats {
 	}
 	return st
 }
-
-// dependentSlots returns the dependence tags for u's view; exposed for
-// white-box tests.
-func (p *Protocol) dependentSlots(u peer.ID) []bool {
-	if p.deps == nil {
-		return nil
-	}
-	return p.deps.dep[u]
-}
-
-// viewForTest returns the raw view for white-box tests in this package.
-func (p *Protocol) viewForTest(u peer.ID) *view.View { return p.views[u] }

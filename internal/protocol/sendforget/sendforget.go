@@ -23,62 +23,42 @@ import (
 	"sendforget/internal/view"
 )
 
-// Config parameterizes the protocol.
-type Config struct {
-	// N is the number of nodes in the initial (static) system.
-	N int
-	// S is the view size s: even, at least 6 (the paper requires s >= 6 for
-	// the reachability proof of Lemma A.3).
-	S int
-	// DL is the duplication threshold dL: even, 0 <= DL <= S-6. Outdegrees
-	// never fall below DL; an initiating node at outdegree DL keeps ([]
-	// duplicates) the entries it sends.
-	DL int
-	// InitDegree is the initial outdegree of every node, even and within
-	// [max(DL,2), S]. Zero selects a default midway between DL and S.
-	InitDegree int
-	// TrackDependence enables the per-entry dependence tags used to measure
-	// Property M4 (see deps.go). It costs one bool per view slot.
-	TrackDependence bool
+// Core is the per-node S&F step core: the two Figure 5.1 steps over one
+// local view, implementing protocol.StepCore. It holds parameters only, so
+// a step touches nothing but the view, the RNG and the driver's outbox.
+type Core struct {
+	s, dl int
 }
 
-// validate checks the Config against the paper's parameter constraints.
-func (c Config) validate() error {
-	if c.N < 2 {
-		return fmt.Errorf("sendforget: need at least 2 nodes, got %d", c.N)
+var _ protocol.StepCore = (*Core)(nil)
+
+// NewCore builds an S&F step core with view size s and duplication
+// threshold dl, validating the paper's parameter constraints: s even and at
+// least 6 (the reachability proof of Lemma A.3 needs s >= 6), dl even in
+// [0, s-6].
+func NewCore(s, dl int) (*Core, error) {
+	if s < 6 || s%2 != 0 {
+		return nil, fmt.Errorf("sendforget: view size s must be even and >= 6, got %d", s)
 	}
-	if c.S < 6 || c.S%2 != 0 {
-		return fmt.Errorf("sendforget: view size s must be even and >= 6, got %d", c.S)
+	if dl < 0 || dl > s-6 || dl%2 != 0 {
+		return nil, fmt.Errorf("sendforget: threshold dL must be even in [0, s-6], got dL=%d s=%d", dl, s)
 	}
-	if c.DL < 0 || c.DL > c.S-6 || c.DL%2 != 0 {
-		return fmt.Errorf("sendforget: threshold dL must be even in [0, s-6], got dL=%d s=%d", c.DL, c.S)
-	}
-	if c.InitDegree != 0 {
-		if c.InitDegree%2 != 0 || c.InitDegree < c.DL || c.InitDegree > c.S {
-			return fmt.Errorf("sendforget: initial degree must be even in [dL, s], got %d", c.InitDegree)
-		}
-		if c.InitDegree < 2 {
-			return fmt.Errorf("sendforget: initial degree must be at least 2, got %d", c.InitDegree)
-		}
-		if c.InitDegree >= c.N {
-			return fmt.Errorf("sendforget: initial degree %d must be below n=%d", c.InitDegree, c.N)
-		}
-	}
-	return nil
+	return &Core{s: s, dl: dl}, nil
 }
 
-// defaultInitDegree picks an even initial outdegree comfortably inside
-// [dL, s] so that neither duplications nor deletions fire immediately.
-func (c Config) defaultInitDegree() int {
-	d := (c.DL + c.S) / 2
+// DefaultInitDegree picks the bootstrap outdegree for an n-node S&F overlay:
+// an even value midway between dL and s, comfortably inside [dL, s] so that
+// neither duplications nor deletions fire immediately, and below n.
+func DefaultInitDegree(s, dl, n int) int {
+	d := (dl + s) / 2
 	if d%2 != 0 {
 		d--
 	}
 	if d < 2 {
 		d = 2
 	}
-	if d >= c.N {
-		d = c.N - 1
+	if d >= n {
+		d = n - 1
 		if d%2 != 0 {
 			d--
 		}
@@ -86,205 +66,114 @@ func (c Config) defaultInitDegree() int {
 	return d
 }
 
-// Counters tallies protocol events. The ratios between them realize the
-// quantities of Lemmas 6.6-6.7: Duplications/Sends is the empirical
-// duplication probability, Deletions/Sends the deletion probability.
-type Counters struct {
-	Initiations  int // Initiate calls
-	SelfLoops    int // actions that selected an empty entry (no-ops)
-	Sends        int // messages emitted (non-self-loop actions)
-	Duplications int // sends that kept (duplicated) the entries
-	Receives     int // messages delivered to us
-	Deletions    int // deliveries discarded because the view was full
-}
-
-// Protocol is the S&F protocol state for all nodes. It implements
-// protocol.Protocol and protocol.Churner by delegating every step to one
-// shared Core (the same step core the concurrent runtime drives, so the
-// substrates cannot drift apart). Not safe for concurrent use; the drivers
-// serialize access.
-type Protocol struct {
-	cfg    Config
-	core   *Core
-	views  []*view.View
-	active []bool
-	deps   *depTracker // nil unless cfg.TrackDependence
-}
-
-var (
-	_ protocol.Protocol = (*Protocol)(nil)
-	_ protocol.Churner  = (*Protocol)(nil)
-)
-
-// New builds the protocol with the initial topology of initViews applied.
-// The initial membership graph is the circulant graph in which node u points
-// at u+1, ..., u+d (mod n): it is weakly connected, d-regular in and out, and
-// has sum degree exactly 3d at every node — the initialization Section 6.1
-// assumes. The gossip process then randomizes it (Lemma 7.5: with no loss
-// the stationary distribution is uniform over all reachable graphs).
-func New(cfg Config) (*Protocol, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.InitDegree == 0 {
-		cfg.InitDegree = cfg.defaultInitDegree()
-	}
-	if cfg.InitDegree >= cfg.N {
-		return nil, fmt.Errorf("sendforget: n=%d too small for initial degree %d", cfg.N, cfg.InitDegree)
-	}
-	core, err := NewCore(cfg.S, cfg.DL)
-	if err != nil {
-		return nil, err
-	}
-	p := &Protocol{
-		cfg:    cfg,
-		core:   core,
-		views:  make([]*view.View, cfg.N),
-		active: make([]bool, cfg.N),
-	}
-	for u := 0; u < cfg.N; u++ {
-		v := view.New(cfg.S)
-		for k := 1; k <= cfg.InitDegree; k++ {
-			v.Set(k-1, peer.ID((u+k)%cfg.N))
-		}
-		p.views[u] = v
-		p.active[u] = true
-	}
-	if cfg.TrackDependence {
-		p.deps = newDepTracker(cfg.N, cfg.S)
-	}
-	return p, nil
-}
-
 // Name returns "send&forget".
-func (p *Protocol) Name() string { return "send&forget" }
+func (c *Core) Name() string { return "send&forget" }
 
-// N returns the number of node slots.
-func (p *Protocol) N() int { return p.cfg.N }
+// ViewSize returns s.
+func (c *Core) ViewSize() int { return c.s }
 
-// Config returns the protocol parameters.
-func (p *Protocol) Config() Config { return p.cfg }
-
-// View returns u's view (nil after Leave).
-func (p *Protocol) View(u peer.ID) *view.View {
-	if !p.active[u] {
-		return nil
+// SeedView fills a fresh view with the seed ids. Seeds beyond s are
+// dropped; an odd count is truncated to keep the outdegree even; fewer than
+// max(2, dL) usable seeds is an error (the paper's join rule).
+func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+	k := len(seeds)
+	if k > c.s {
+		k = c.s
 	}
-	return p.views[u]
+	if k%2 != 0 {
+		k--
+	}
+	if k < c.dl || k < 2 {
+		return nil, fmt.Errorf("sendforget: need at least max(2, dL=%d) seeds, got %d usable", c.dl, k)
+	}
+	lv := view.New(c.s)
+	for i := 0; i < k; i++ {
+		lv.Set(i, seeds[i])
+	}
+	return lv, nil
 }
 
-// Views returns the full view slice (nil entries for departed nodes), for
-// graph snapshots. Callers must not mutate the views.
-func (p *Protocol) Views() []*view.View {
-	out := make([]*view.View, p.cfg.N)
-	for u := range out {
-		if p.active[u] {
-			out[u] = p.views[u]
-		}
+// initiate is S&F-InitiateAction of Figure 5.1: select two distinct slots
+// with one draw; an empty selection is a self-loop; otherwise send [u, w]
+// to v and clear both entries unless the outdegree is at the floor dL, in
+// which case they are kept (duplicated). It reports the selected slots for
+// the dependence tracker.
+//
+//vet:hotpath
+func (c *Core) initiate(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (i, j int, dup, ok bool) {
+	i, j = lv.RandomPairFast(r)
+	v, w := lv.Slot(i), lv.Slot(j)
+	if v.IsNil() || w.IsNil() {
+		return i, j, false, false
 	}
-	return out
+	dup = lv.Outdegree() <= c.dl
+	if !dup {
+		lv.ClearOccupiedPair(i, j)
+	}
+	out.Append2(v, u, protocol.KindGossip, dup, u, w)
+	return i, j, dup, true
 }
 
-// Counters returns a copy of the event counters.
-func (p *Protocol) Counters() Counters { return p.core.counters }
-
-// Core returns the shared step core the adapter drives.
-func (p *Protocol) Core() *Core { return p.core }
-
-// Initiate implements S&F-InitiateAction of Figure 5.1 by delegating to the
-// shared step core.
-func (p *Protocol) Initiate(u peer.ID, r *rng.RNG) (peer.ID, protocol.Message, bool) {
-	lv := p.views[u]
-	if lv == nil {
-		// Departed nodes do not act; drivers normally never schedule them.
-		p.core.counters.Initiations++
-		p.core.counters.SelfLoops++
-		return 0, protocol.Message{}, false
+// receive is S&F-Receive of Figure 5.1: store both ids into uniformly
+// chosen empty slots, or delete them when the view is full (outdegree can
+// never exceed the slot count, so full ⟺ d(u) = s). Packets of another kind
+// or arity are ignored — the UDP substrate can deliver garbage. It reports
+// the slots stored into for the dependence tracker.
+//
+//vet:hotpath
+func (c *Core) receive(lv *view.View, pkt protocol.Packet, r *rng.RNG) (a, b int, stored bool, deleted int) {
+	if pkt.Kind != protocol.KindGossip || len(pkt.IDs) != 2 {
+		return 0, 0, false, 0
 	}
-	msgs, ok := p.core.Initiate(lv, u, r)
+	if lv.Full() {
+		return 0, 0, false, 2
+	}
+	a, b, ok := lv.RandomEmptyPair(r)
 	if !ok {
-		// Self-loop transformation: views remain unchanged.
-		return 0, protocol.Message{}, false
+		// Outdegree below s with even parity guarantees two empty slots;
+		// reaching here means the view invariant was violated externally.
+		return 0, 0, false, 2
 	}
-	if p.deps != nil {
-		// On duplication the kept copies now share their information with
-		// the copies the message creates: mark them dependent. Otherwise
-		// the slots were cleared; reset their tags.
-		p.deps.mark(u, p.core.lastSlots[0], p.core.lastDup)
-		p.deps.mark(u, p.core.lastSlots[1], p.core.lastDup)
-	}
-	return msgs[0].To, msgs[0].Msg, true
+	lv.FillEmptyPair(a, b, pkt.IDs[0], pkt.IDs[1])
+	return a, b, true, 0
 }
 
-// Deliver implements S&F-Receive of Figure 5.1 by delegating to the shared
-// step core. S&F never replies.
-func (p *Protocol) Deliver(u peer.ID, msg protocol.Message, r *rng.RNG) (protocol.Message, peer.ID, bool) {
-	lv := p.views[u]
-	if lv == nil {
-		// Message addressed to a node that left; the driver normally drops
-		// these, but be robust.
-		p.core.counters.Receives++
-		return protocol.Message{}, 0, false
-	}
-	p.core.Receive(lv, u, msg, r)
-	if p.deps != nil && p.core.lastStored {
-		// Entries created by a duplicating action are dependent (Figure
-		// 7.1: "received previously duplicated"); entries moved by a
-		// non-duplicating action become independent ("sent without
-		// duplication").
-		p.deps.mark(u, p.core.lastSlots[0], msg.Dup)
-		p.deps.mark(u, p.core.lastSlots[1], msg.Dup)
-	}
-	return protocol.Message{}, 0, false
+// InitiateBatch implements protocol.StepCore.
+//
+//vet:hotpath
+func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
+	_, _, dup, ok := c.initiate(lv, u, r, out)
+	return sent(dup, ok)
 }
 
-// Join implements protocol.Churner. The seeds become the new node's initial
-// view; the paper requires at least dL live ids (obtained in practice by
-// copying another node's view). The seed count is truncated to an even
-// number of at most s entries.
-func (p *Protocol) Join(u peer.ID, seeds []peer.ID) error {
-	if p.active[u] {
-		return fmt.Errorf("sendforget: node %v is already active", u)
-	}
-	v, err := p.core.SeedView(seeds)
-	if err != nil {
-		return fmt.Errorf("sendforget: join of %v: %w", u, err)
-	}
-	p.views[u] = v
-	p.active[u] = true
-	if p.deps != nil {
-		// A joiner's view is a copy of existing entries: all dependent.
-		k := v.Outdegree()
-		for i := 0; i < k; i++ {
-			p.deps.mark(u, i, true)
-		}
-		for i := k; i < p.cfg.S; i++ {
-			p.deps.mark(u, i, false)
-		}
-	}
-	return nil
+// ReceiveBatch implements protocol.StepCore. S&F never replies, so out is
+// never written.
+//
+//vet:hotpath
+func (c *Core) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
+	_, _, _, deleted = c.receive(lv, pkt, r)
+	return false, deleted
 }
 
-// Leave implements protocol.Churner: u stops participating. Its id remains
-// in other views and decays per Lemma 6.10.
-func (p *Protocol) Leave(u peer.ID) {
-	p.active[u] = false
-	p.views[u] = nil
+// sent maps an initiate outcome to InitiateBatch's result list.
+func sent(dup, ok bool) (msgs, dups int, _ bool) {
+	if !ok {
+		return 0, 0, false
+	}
+	if dup {
+		dups = 1
+	}
+	return 1, dups, true
 }
 
-// Active implements protocol.Churner.
-func (p *Protocol) Active(u peer.ID) bool { return p.active[u] }
-
-// CheckInvariants verifies Observation 5.1 for every active node: outdegree
-// even and within [dL, s]. Tests call it after long runs.
-func (p *Protocol) CheckInvariants() error {
-	for u, lv := range p.views {
-		if lv == nil {
-			continue
-		}
-		if err := p.core.CheckView(lv); err != nil {
-			return fmt.Errorf("node %d: %w", u, err)
-		}
+// CheckView verifies Observation 5.1: outdegree even and within [dL, s].
+func (c *Core) CheckView(lv *view.View) error {
+	if err := lv.CheckInvariants(); err != nil {
+		return err
+	}
+	d := lv.Outdegree()
+	if d%2 != 0 || d < c.dl || d > c.s {
+		return fmt.Errorf("sendforget: outdegree %d violates Observation 5.1 (dL=%d, s=%d)", d, c.dl, c.s)
 	}
 	return nil
 }

@@ -5,45 +5,75 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sendforget/internal/graph"
+	"sendforget/internal/engine"
+	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
+	"sendforget/internal/view"
 )
 
-func mustNew(t *testing.T, cfg Config) *Protocol {
-	t.Helper()
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New(%+v): %v", cfg, err)
+// The generic step contract (seed rules, self-loops, message content,
+// malformed packets, random-driving invariants) is checked for all five
+// protocols by internal/protocol's conformance table; the tests here cover
+// what is specific to S&F: the Section 5/6 invariants of whole-system runs
+// and the dependence tags.
+
+// cores returns the plain or the tracked core factory.
+func cores(s, dl int, tracked bool) protocol.CoreFactory {
+	if tracked {
+		return func() (protocol.StepCore, error) { return NewTrackedCore(s, dl) }
 	}
-	return p
+	return func() (protocol.StepCore, error) { return NewCore(s, dl) }
+}
+
+// mustEngine builds a lossless n-node S&F system; initDeg 0 selects
+// DefaultInitDegree.
+func mustEngine(t *testing.T, n, s, dl, initDeg int, tracked bool, seed int64) *engine.Engine {
+	t.Helper()
+	if initDeg == 0 {
+		initDeg = DefaultInitDegree(s, dl, n)
+	}
+	e, err := engine.New(cores(s, dl, tracked), n, initDeg, loss.None{}, rng.New(seed))
+	if err != nil {
+		t.Fatalf("engine.New(n=%d s=%d dL=%d init=%d): %v", n, s, dl, initDeg, err)
+	}
+	return e
 }
 
 func TestConfigValidation(t *testing.T) {
 	tests := []struct {
-		name    string
-		cfg     Config
-		wantErr string
+		name              string
+		n, s, dl, initDeg int
+		wantErr           string
+		wantDegree        int // node 0's bootstrap outdegree when valid
 	}{
-		{"valid", Config{N: 10, S: 8, DL: 2}, ""},
-		{"valid paper params", Config{N: 100, S: 40, DL: 18}, ""},
-		{"too few nodes", Config{N: 1, S: 8, DL: 0}, "at least 2 nodes"},
-		{"odd s", Config{N: 10, S: 7, DL: 0}, "even and >= 6"},
-		{"s too small", Config{N: 10, S: 4, DL: 0}, "even and >= 6"},
-		{"odd dL", Config{N: 10, S: 12, DL: 3}, "even in [0, s-6]"},
-		{"dL too large", Config{N: 10, S: 8, DL: 4}, "even in [0, s-6]"},
-		{"negative dL", Config{N: 10, S: 8, DL: -2}, "even in [0, s-6]"},
-		{"odd init degree", Config{N: 10, S: 8, DL: 0, InitDegree: 3}, "even in [dL, s]"},
-		{"init degree above s", Config{N: 100, S: 8, DL: 0, InitDegree: 10}, "even in [dL, s]"},
-		{"init degree >= n", Config{N: 5, S: 8, DL: 0, InitDegree: 6}, "below n"},
+		{"valid", 10, 8, 2, 0, "", 4},
+		{"valid paper params", 100, 40, 18, 0, "", 28},
+		{"too few nodes", 1, 8, 0, 0, "at least 2 nodes", 0},
+		{"odd s", 10, 7, 0, 0, "even and >= 6", 0},
+		{"s too small", 10, 4, 0, 0, "even and >= 6", 0},
+		{"odd dL", 10, 12, 3, 0, "even in [0, s-6]", 0},
+		{"dL too large", 10, 8, 4, 0, "even in [0, s-6]", 0},
+		{"negative dL", 10, 8, -2, 0, "even in [0, s-6]", 0},
+		// The bootstrap degree is a seed count: SeedView's join rule
+		// truncates it to an even number of at most s entries.
+		{"odd init degree", 10, 8, 0, 3, "", 2},
+		{"init degree above s", 100, 8, 0, 10, "", 8},
+		{"init degree >= n", 5, 8, 0, 6, "[1, n-1]", 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := New(tt.cfg)
+			e, err := engine.New(cores(tt.s, tt.dl, false), tt.n, tt.initDeg, loss.None{}, rng.New(1))
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
+				}
+				if tt.initDeg == 0 {
+					return
+				}
+				if got := e.View(0).Outdegree(); got != tt.wantDegree {
+					t.Fatalf("bootstrap outdegree = %d, want %d", got, tt.wantDegree)
 				}
 				return
 			}
@@ -55,8 +85,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestInitialTopology(t *testing.T) {
-	p := mustNew(t, Config{N: 12, S: 8, DL: 2, InitDegree: 4})
-	g := graph.FromViews(p.Views())
+	g := mustEngine(t, 12, 8, 2, 4, false, 1).Snapshot()
 	if !g.WeaklyConnected() {
 		t.Fatal("initial circulant topology not weakly connected")
 	}
@@ -77,114 +106,128 @@ func TestInitialTopology(t *testing.T) {
 }
 
 func TestDefaultInitDegree(t *testing.T) {
-	p := mustNew(t, Config{N: 100, S: 40, DL: 18})
-	d := p.viewForTest(0).Outdegree()
+	d := DefaultInitDegree(40, 18, 100)
 	if d%2 != 0 || d < 18 || d > 40 {
 		t.Errorf("default init degree %d outside even [18,40]", d)
 	}
+	if got := mustEngine(t, 100, 40, 18, 0, false, 1).View(0).Outdegree(); got != d {
+		t.Errorf("bootstrap outdegree = %d, want the default %d", got, d)
+	}
 	// Tiny system: default degree must stay below n.
-	p2 := mustNew(t, Config{N: 4, S: 8, DL: 0})
-	d2 := p2.viewForTest(0).Outdegree()
+	d2 := DefaultInitDegree(8, 0, 4)
 	if d2 >= 4 || d2 < 2 || d2%2 != 0 {
 		t.Errorf("small-n default init degree = %d", d2)
 	}
 }
 
-// initiateUntilSend retries Initiate until a non-self-loop action fires
-// (selections may hit empty slots; self-loops leave views unchanged).
-func initiateUntilSend(t *testing.T, p *Protocol, u peer.ID, r *rng.RNG) (peer.ID, protocol.Message) {
+// seeded returns a core and a view of k seeded entries 1..k.
+func seeded(t *testing.T, s, dl, k int) (*Core, *view.View) {
 	t.Helper()
+	c, err := NewCore(s, dl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make([]peer.ID, k)
+	for i := range seeds {
+		seeds[i] = peer.ID(i + 1)
+	}
+	lv, err := c.SeedView(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, lv
+}
+
+// initiateUntilSend retries the initiate step until a non-self-loop action
+// fires (selections may hit empty slots; self-loops leave views unchanged).
+// It returns the message and the number of self-loops before it.
+func initiateUntilSend(t *testing.T, c protocol.StepCore, lv *view.View, u peer.ID, r *rng.RNG) (peer.ID, protocol.Message, int) {
+	t.Helper()
+	var out protocol.Outbox
 	for k := 0; k < 1000; k++ {
-		to, msg, ok := p.Initiate(u, r)
-		if ok {
-			return to, msg
+		before := lv.Clone()
+		msgs, _, ok := c.InitiateBatch(lv, u, r, &out)
+		if to, msg, sent := out.Message(); ok {
+			if !sent || msgs != 1 {
+				t.Fatalf("ok step appended %d messages (msgs=%d)", out.Len(), msgs)
+			}
+			return to, msg, k
+		}
+		if out.Len() != 0 || !lv.Equal(before) {
+			t.Fatalf("self-loop sent a message or changed the view: %v -> %v", before, lv)
 		}
 	}
 	t.Fatalf("node %v produced no send in 1000 attempts", u)
-	return 0, protocol.Message{}
+	return 0, protocol.Message{}, 0
 }
 
 func TestInitiateSendsSelfAndPayload(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, DL: 0, InitDegree: 4})
-	r := rng.New(1)
-	to, msg := initiateUntilSend(t, p, 3, r)
-	if msg.From != 3 {
-		t.Errorf("msg.From = %v, want n3", msg.From)
+	c, lv := seeded(t, 8, 0, 4)
+	to, msg, _ := initiateUntilSend(t, c, lv, 9, rng.New(1))
+	if msg.From != 9 || msg.Kind != protocol.KindGossip {
+		t.Errorf("msg = %+v, want gossip from n9", msg)
 	}
 	if len(msg.IDs) != 2 {
 		t.Fatalf("msg.IDs = %v, want 2 ids", msg.IDs)
 	}
-	if msg.IDs[0] != 3 {
-		t.Errorf("first id = %v, want sender id n3 (reinforcement)", msg.IDs[0])
+	if msg.IDs[0] != 9 {
+		t.Errorf("first id = %v, want sender id n9 (reinforcement)", msg.IDs[0])
 	}
-	if to == 3 {
+	if to == 9 {
 		t.Errorf("message sent to self from non-self-containing view")
 	}
-	// Without duplication, outdegree drops by 2.
-	if got := p.viewForTest(3).Outdegree(); got != 2 {
+	// Without duplication, outdegree drops by 2: v and w left the view.
+	if got := lv.Outdegree(); got != 2 {
 		t.Errorf("outdegree after send = %d, want 2", got)
+	}
+	if lv.Contains(to) || lv.Contains(msg.IDs[1]) {
+		t.Errorf("sent ids %v, %v still in view %v", to, msg.IDs[1], lv)
 	}
 	if msg.Dup {
 		t.Error("msg.Dup set for non-duplicating send")
 	}
-	c := p.Counters()
-	if c.Sends != 1 || c.Duplications != 0 {
-		t.Errorf("counters = %+v", c)
-	}
-	if c.Initiations != c.Sends+c.SelfLoops {
-		t.Errorf("Initiations %d != Sends %d + SelfLoops %d", c.Initiations, c.Sends, c.SelfLoops)
-	}
 }
 
 func TestInitiateDuplicatesAtThreshold(t *testing.T) {
-	// InitDegree == DL: every send duplicates and outdegree never drops.
-	p := mustNew(t, Config{N: 10, S: 12, DL: 4, InitDegree: 4})
+	// Outdegree == dL: every send duplicates and outdegree never drops.
+	c, lv := seeded(t, 12, 4, 4)
+	var out protocol.Outbox
 	r := rng.New(2)
-	_, msg := initiateUntilSend(t, p, 0, r)
-	if !msg.Dup {
-		t.Error("msg.Dup not set at threshold outdegree")
+	for {
+		msgs, dups, ok := c.InitiateBatch(lv, 0, r, &out)
+		if !ok {
+			continue
+		}
+		if msgs != 1 || dups != 1 || !out.Msgs[0].Dup {
+			t.Errorf("floor send reported msgs=%d dups=%d Dup=%v", msgs, dups, out.Msgs[0].Dup)
+		}
+		break
 	}
-	if got := p.viewForTest(0).Outdegree(); got != 4 {
+	if got := lv.Outdegree(); got != 4 {
 		t.Errorf("outdegree after duplicating send = %d, want 4 (kept)", got)
-	}
-	if c := p.Counters(); c.Duplications != 1 {
-		t.Errorf("Duplications = %d, want 1", c.Duplications)
 	}
 }
 
 func TestInitiateSelfLoopOnEmptySelection(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, DL: 0, InitDegree: 2})
-	r := rng.New(3)
-	selfLoops, sends := 0, 0
-	for k := 0; k < 200; k++ {
-		// With outdegree 2 of 8 slots, most selections hit an empty slot.
-		_, _, ok := p.Initiate(9, r)
-		if ok {
-			sends++
-			// Put the ids back so the view never empties: deliver to self is
-			// not allowed, so just stop after first send.
-			break
-		}
-		selfLoops++
-	}
-	if sends == 0 && selfLoops == 0 {
-		t.Fatal("no actions recorded")
-	}
-	c := p.Counters()
-	if c.SelfLoops != selfLoops {
-		t.Errorf("SelfLoops counter = %d, want %d", c.SelfLoops, selfLoops)
+	// With outdegree 2 of 8 slots, most selections hit an empty slot.
+	c, lv := seeded(t, 8, 0, 2)
+	_, _, loops := initiateUntilSend(t, c, lv, 9, rng.New(3))
+	if loops == 0 {
+		t.Error("no self-loop in a view with 6 of 8 slots empty")
 	}
 }
 
 func TestDeliverFillsEmptySlots(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, DL: 0, InitDegree: 2})
-	msg := protocol.Message{Kind: protocol.KindGossip, From: 5, IDs: []peer.ID{5, 7}}
-	r := rng.New(4)
-	_, _, hasReply := p.Deliver(1, msg, r)
-	if hasReply {
+	c, lv := seeded(t, 8, 0, 2)
+	var out protocol.Outbox
+	pkt := protocol.Packet{Kind: protocol.KindGossip, From: 5, IDs: []peer.ID{5, 7}}
+	replied, deleted := c.ReceiveBatch(lv, 1, pkt, rng.New(4), &out)
+	if replied || out.Len() != 0 {
 		t.Error("S&F produced a reply")
 	}
-	lv := p.viewForTest(1)
+	if deleted != 0 {
+		t.Errorf("deleted = %d with six empty slots", deleted)
+	}
 	if lv.Outdegree() != 4 {
 		t.Errorf("outdegree after delivery = %d, want 4", lv.Outdegree())
 	}
@@ -194,42 +237,28 @@ func TestDeliverFillsEmptySlots(t *testing.T) {
 }
 
 func TestDeliverDeletesWhenFull(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 6, DL: 0, InitDegree: 6})
-	msg := protocol.Message{From: 5, IDs: []peer.ID{5, 7}}
-	r := rng.New(5)
-	p.Deliver(1, msg, r)
-	if got := p.viewForTest(1).Outdegree(); got != 6 {
-		t.Errorf("outdegree after full delivery = %d, want 6 (unchanged)", got)
+	c, lv := seeded(t, 6, 0, 6)
+	var out protocol.Outbox
+	pkt := protocol.Packet{Kind: protocol.KindGossip, From: 5, IDs: []peer.ID{15, 17}}
+	if _, deleted := c.ReceiveBatch(lv, 1, pkt, rng.New(5), &out); deleted != 2 {
+		t.Errorf("deleted = %d, want both ids", deleted)
 	}
-	if c := p.Counters(); c.Deletions != 1 {
-		t.Errorf("Deletions = %d, want 1", c.Deletions)
+	if lv.Outdegree() != 6 || lv.Contains(15) || lv.Contains(17) {
+		t.Errorf("full view changed: %v", lv)
 	}
 }
 
-// runLossless drives actions manually, delivering every message.
-func runLossless(t *testing.T, p *Protocol, actions int, seed int64) {
-	t.Helper()
-	r := rng.New(seed)
-	n := p.N()
+// runLossless drives actions with every message delivered.
+func runLossless(e *engine.Engine, actions int) {
 	for k := 0; k < actions; k++ {
-		u := peer.ID(r.Intn(n))
-		if !p.Active(u) {
-			continue
-		}
-		to, msg, ok := p.Initiate(u, r)
-		if !ok {
-			continue
-		}
-		if p.Active(to) {
-			p.Deliver(to, msg, r)
-		}
+		e.Step()
 	}
 }
 
 func TestInvariantOutdegreeBoundsLossless(t *testing.T) {
-	p := mustNew(t, Config{N: 50, S: 12, DL: 4, InitDegree: 6})
-	runLossless(t, p, 20000, 6)
-	if err := p.CheckInvariants(); err != nil {
+	e := mustEngine(t, 50, 12, 4, 6, false, 6)
+	runLossless(e, 20000)
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -237,17 +266,17 @@ func TestInvariantOutdegreeBoundsLossless(t *testing.T) {
 func TestSumDegreeInvariantNoLossNoDupNoDel(t *testing.T) {
 	// Lemma 6.2: with no loss, dL = 0, and sum degrees <= s initially, sum
 	// degrees are invariant. InitDegree d gives ds = 3d <= s.
-	p := mustNew(t, Config{N: 30, S: 12, DL: 0, InitDegree: 4})
-	runLossless(t, p, 20000, 7)
-	g := graph.FromViews(p.Views())
+	e := mustEngine(t, 30, 12, 0, 4, false, 7)
+	runLossless(e, 20000)
+	g := e.Snapshot()
 	for u := 0; u < 30; u++ {
 		if got := g.SumDegree(peer.ID(u)); got != 12 {
 			t.Errorf("node %d sum degree = %d, want invariant 12", u, got)
 		}
 	}
-	c := p.Counters()
-	if c.Deletions != 0 {
-		t.Errorf("deletions happened under the Lemma 6.2 conditions: %d", c.Deletions)
+	c := e.Tally()
+	if c.DeletedIDs != 0 {
+		t.Errorf("deletions happened under the Lemma 6.2 conditions: %d ids", c.DeletedIDs)
 	}
 	if c.Duplications != 0 {
 		t.Errorf("duplications happened with dL=0 and positive degrees: %d", c.Duplications)
@@ -255,102 +284,108 @@ func TestSumDegreeInvariantNoLossNoDupNoDel(t *testing.T) {
 }
 
 func TestEdgeCountPreservedWithoutLoss(t *testing.T) {
-	p := mustNew(t, Config{N: 40, S: 12, DL: 4, InitDegree: 4})
-	before := graph.FromViews(p.Views()).NumEdges()
-	runLossless(t, p, 30000, 8)
-	after := graph.FromViews(p.Views()).NumEdges()
+	e := mustEngine(t, 40, 12, 4, 4, false, 8)
+	before := e.Snapshot().NumEdges()
+	runLossless(e, 30000)
+	after := e.Snapshot().NumEdges()
 	// Without loss, edges change only via duplication (+2 per event) and
-	// deletion (-2 per event); verify exact bookkeeping.
-	c := p.Counters()
-	want := before + 2*c.Duplications - 2*c.Deletions
+	// deletion (-1 per deleted id); verify exact bookkeeping.
+	c := e.Tally()
+	want := before + 2*c.Duplications - c.DeletedIDs
 	if after != want {
-		t.Errorf("edges = %d, want %d (before %d, dup %d, del %d)", after, want, before, c.Duplications, c.Deletions)
+		t.Errorf("edges = %d, want %d (before %d, dup %d, deleted ids %d)", after, want, before, c.Duplications, c.DeletedIDs)
+	}
+	if c.Duplications == 0 {
+		t.Error("no duplication at init degree dL: the bookkeeping was not exercised")
 	}
 }
 
 func TestWeakConnectivityMaintainedLossless(t *testing.T) {
-	p := mustNew(t, Config{N: 60, S: 16, DL: 6, InitDegree: 8})
-	runLossless(t, p, 50000, 9)
-	g := graph.FromViews(p.Views())
-	if !g.WeaklyConnected() {
+	e := mustEngine(t, 60, 16, 6, 8, false, 9)
+	runLossless(e, 50000)
+	if g := e.Snapshot(); !g.WeaklyConnected() {
 		t.Errorf("graph disconnected after lossless run: %d components", g.ComponentCount())
 	}
 }
 
 func TestJoinLeave(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, DL: 2, InitDegree: 4})
-	p.Leave(5)
-	if p.Active(5) {
-		t.Fatal("node 5 active after Leave")
-	}
-	if p.View(5) != nil {
+	e := mustEngine(t, 10, 8, 2, 4, false, 1)
+	e.Leave(5)
+	if e.View(5) != nil {
 		t.Fatal("view visible after Leave")
 	}
-	if err := p.Join(5, []peer.ID{0, 1, 2, 3}); err != nil {
+	if err := e.Join(5, []peer.ID{0, 1, 2, 3}); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if !p.Active(5) {
-		t.Fatal("node 5 inactive after Join")
-	}
-	if got := p.View(5).Outdegree(); got != 4 {
+	if got := e.View(5).Outdegree(); got != 4 {
 		t.Errorf("joiner outdegree = %d, want 4", got)
 	}
-	if err := p.Join(5, []peer.ID{0, 1}); err == nil {
+	if err := e.Join(5, []peer.ID{0, 1}); err == nil {
 		t.Error("Join of active node accepted")
 	}
 }
 
 func TestJoinValidatesSeeds(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, DL: 2, InitDegree: 4})
-	p.Leave(7)
-	if err := p.Join(7, nil); err == nil {
-		t.Error("Join with no seeds accepted")
+	c, err := NewCore(8, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p2 := mustNew(t, Config{N: 10, S: 10, DL: 4, InitDegree: 4})
-	p2.Leave(7)
-	if err := p2.Join(7, []peer.ID{0, 1}); err == nil {
-		t.Error("Join with fewer than dL seeds accepted")
+	if _, err := c.SeedView(nil); err == nil {
+		t.Error("no seeds accepted")
+	}
+	c2, err := NewCore(10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.SeedView([]peer.ID{0, 1}); err == nil {
+		t.Error("fewer than dL seeds accepted")
 	}
 	// Odd seed count is truncated to even.
-	p.Leave(8)
-	if err := p.Join(8, []peer.ID{0, 1, 2}); err != nil {
-		t.Fatalf("Join with 3 seeds: %v", err)
+	lv, err := c.SeedView([]peer.ID{0, 1, 2})
+	if err != nil {
+		t.Fatalf("3 seeds: %v", err)
 	}
-	if got := p.View(8).Outdegree(); got != 2 {
-		t.Errorf("joiner outdegree after odd seeds = %d, want 2", got)
+	if got := lv.Outdegree(); got != 2 {
+		t.Errorf("outdegree after odd seeds = %d, want 2", got)
 	}
 	// Seed overflow is truncated to s.
-	p.Leave(9)
 	seeds := make([]peer.ID, 11)
 	for i := range seeds {
 		seeds[i] = peer.ID(i % 7)
 	}
-	if err := p.Join(9, seeds); err != nil {
-		t.Fatalf("Join with overflow seeds: %v", err)
+	if lv, err = c.SeedView(seeds); err != nil {
+		t.Fatalf("overflow seeds: %v", err)
 	}
-	if got := p.View(9).Outdegree(); got != 8 {
-		t.Errorf("joiner outdegree after overflow seeds = %d, want 8", got)
+	if got := lv.Outdegree(); got != 8 {
+		t.Errorf("outdegree after overflow seeds = %d, want 8", got)
 	}
 }
 
 func TestDepartedNodeIgnored(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, DL: 2, InitDegree: 4})
-	p.Leave(3)
-	r := rng.New(10)
-	if _, _, ok := p.Initiate(3, r); ok {
-		t.Error("departed node initiated an action")
+	e := mustEngine(t, 10, 8, 2, 4, false, 10)
+	e.Leave(3)
+	e.OnAction = func(ev engine.ActionEvent) {
+		if ev.Initiator == 3 && ev.Sent {
+			t.Error("departed node initiated an action")
+		}
 	}
-	// Delivering to a departed node must not panic and must not revive it.
-	p.Deliver(3, protocol.Message{From: 0, IDs: []peer.ID{0, 1}}, r)
-	if p.Active(3) {
+	e.StepAt(3)
+	// Messages to a departed node are dead letters and must not revive it.
+	for k := 0; k < 2000; k++ {
+		e.Step()
+	}
+	if e.Counters().DeadLetters == 0 {
+		t.Error("no message reached the departed node's id in 2000 steps")
+	}
+	if e.View(3) != nil {
 		t.Error("delivery revived departed node")
 	}
 }
 
 func TestDependenceTrackingLossless(t *testing.T) {
-	p := mustNew(t, Config{N: 50, S: 12, DL: 0, InitDegree: 4, TrackDependence: true})
-	runLossless(t, p, 30000, 11)
-	st := p.DependenceStats()
+	e := mustEngine(t, 50, 12, 0, 4, true, 11)
+	runLossless(e, 30000)
+	st := MeasureDependence(e)
 	if st.Entries == 0 {
 		t.Fatal("no entries measured")
 	}
@@ -365,68 +400,98 @@ func TestDependenceTrackingLossless(t *testing.T) {
 }
 
 func TestDependenceStatsWithoutTracking(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, DL: 2, InitDegree: 4})
-	st := p.DependenceStats()
-	if st != (DependenceStats{}) {
-		t.Errorf("DependenceStats without tracking = %+v, want zero", st)
+	// Plain cores carry no tags, even where tracked ones would: bootstrap
+	// at the floor so every send duplicates.
+	e := mustEngine(t, 10, 12, 4, 4, false, 1)
+	runLossless(e, 500)
+	st := MeasureDependence(e)
+	if st.Entries == 0 || st.Tagged != 0 {
+		t.Errorf("untracked stats = %+v, want entries and no tags", st)
 	}
-	if st.Alpha() != 1 {
-		t.Errorf("zero-value Alpha = %v, want 1", st.Alpha())
+	if st.Dependent != 0 && st.SelfEdges == 0 && st.Duplicates == 0 {
+		t.Errorf("dependent entries without a rule that marks them: %+v", st)
 	}
-	if p.dependentSlots(0) != nil {
-		t.Error("dependentSlots non-nil without tracking")
+	if (DependenceStats{}).Alpha() != 1 {
+		t.Errorf("zero-value Alpha = %v, want 1", DependenceStats{}.Alpha())
 	}
 }
 
 func TestDuplicationMarksDependence(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 12, DL: 4, InitDegree: 4, TrackDependence: true})
+	sender, err := NewTrackedCore(12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver, err := NewTrackedCore(12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := sender.SeedView([]peer.ID{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, err := receiver.SeedView([]peer.ID{5, 6, 7, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(12)
-	to, msg := initiateUntilSend(t, p, 0, r)
+	to, msg, _ := initiateUntilSend(t, sender, lv, 0, r)
 	if !msg.Dup {
 		t.Fatal("expected duplicating send")
 	}
-	p.Deliver(to, msg, r)
-	st := p.DependenceStats()
-	// Two kept entries at the sender + two created at the receiver.
-	if st.Tagged < 4 {
-		t.Errorf("Tagged = %d, want >= 4 after one duplication", st.Tagged)
+	// The two kept entries at the sender are tagged: v (the destination)
+	// and w (the payload).
+	for i, tagged := range sender.dep {
+		want := lv.Slot(i) == to || lv.Slot(i) == msg.IDs[1]
+		if tagged != want {
+			t.Errorf("sender slot %d (%v) tagged = %v, want %v", i, lv.Slot(i), tagged, want)
+		}
+	}
+	var out protocol.Outbox
+	receiver.ReceiveBatch(rv, to, protocol.Packet(msg), r, &out)
+	// So are the two entries the message created at the receiver.
+	for i, tagged := range receiver.dep {
+		want := rv.Slot(i) == msg.IDs[0] || rv.Slot(i) == msg.IDs[1]
+		if tagged != want {
+			t.Errorf("receiver slot %d (%v) tagged = %v, want %v", i, rv.Slot(i), tagged, want)
+		}
+	}
+	// A non-duplicating message moving into tagged slots would clear them;
+	// here: the receiver, now above the floor, sends without duplication
+	// and its two selected slots lose their tags.
+	_, msg2, _ := initiateUntilSend(t, receiver, rv, to, r)
+	if msg2.Dup {
+		t.Fatal("receiver at outdegree 6 > dL duplicated")
+	}
+	for i, tagged := range receiver.dep {
+		if tagged && rv.Slot(i).IsNil() {
+			t.Errorf("cleared slot %d kept its tag", i)
+		}
 	}
 }
 
 func TestName(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, DL: 2})
-	if p.Name() != "send&forget" {
-		t.Errorf("Name = %q", p.Name())
+	e := mustEngine(t, 10, 8, 2, 0, false, 1)
+	if e.Name() != "send&forget" {
+		t.Errorf("Name = %q", e.Name())
 	}
-	if p.N() != 10 {
-		t.Errorf("N = %d", p.N())
+	if e.N() != 10 {
+		t.Errorf("N = %d", e.N())
 	}
-	if p.Config().S != 8 {
-		t.Errorf("Config().S = %d", p.Config().S)
+	if got := e.Core(0).ViewSize(); got != 8 {
+		t.Errorf("ViewSize = %d", got)
 	}
 }
 
 func TestQuickInvariantsUnderRandomDriving(t *testing.T) {
-	// Property: under arbitrary loss patterns and scheduling, outdegrees
-	// stay even and within [dL, s].
+	// Property: under arbitrary loss rates and scheduling, outdegrees stay
+	// even and within [dL, s].
 	f := func(seed int64, lossPct uint8) bool {
-		p, err := New(Config{N: 20, S: 10, DL: 2, InitDegree: 4})
+		e, err := engine.New(cores(10, 2, false), 20, 4, loss.MustUniform(float64(lossPct%100)/100), rng.New(seed))
 		if err != nil {
 			return false
 		}
-		r := rng.New(seed)
-		pLoss := float64(lossPct%100) / 100
-		for k := 0; k < 2000; k++ {
-			u := peer.ID(r.Intn(20))
-			to, msg, ok := p.Initiate(u, r)
-			if !ok {
-				continue
-			}
-			if !r.Bernoulli(pLoss) {
-				p.Deliver(to, msg, r)
-			}
-		}
-		return p.CheckInvariants() == nil
+		runLossless(e, 2000)
+		return e.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -28,8 +28,9 @@ import (
 // Options parameterizes the variant protocol. The zero values of the
 // optimization fields yield exactly the baseline S&F semantics.
 type Options struct {
-	// N, S, DL, InitDegree as in the baseline protocol.
-	N, S, DL, InitDegree int
+	// S and DL are the view size and duplication threshold, as in the
+	// baseline protocol.
+	S, DL int
 	// BatchK is the number of ids moved per action (even, >= 2; the first
 	// is the sender's own id). Default 2 (the baseline [u, w]).
 	BatchK int
@@ -43,9 +44,7 @@ type Options struct {
 	GraveyardSize int
 }
 
-// validateCore checks the per-node protocol parameters (the subset a step
-// core needs).
-func (o Options) validateCore() error {
+func (o Options) validate() error {
 	if o.S < 6 || o.S%2 != 0 {
 		return fmt.Errorf("sfopt: view size must be even >= 6, got %d", o.S)
 	}
@@ -54,19 +53,6 @@ func (o Options) validateCore() error {
 	}
 	if o.BatchK != 0 && (o.BatchK < 2 || o.BatchK%2 != 0 || o.BatchK > o.S) {
 		return fmt.Errorf("sfopt: batch size must be even in [2, s], got %d", o.BatchK)
-	}
-	return nil
-}
-
-func (o Options) validate() error {
-	if o.N < 2 {
-		return fmt.Errorf("sfopt: need at least 2 nodes, got %d", o.N)
-	}
-	if err := o.validateCore(); err != nil {
-		return err
-	}
-	if o.InitDegree != 0 && (o.InitDegree%2 != 0 || o.InitDegree < 2 || o.InitDegree > o.S || o.InitDegree >= o.N) {
-		return fmt.Errorf("sfopt: invalid initial degree %d", o.InitDegree)
 	}
 	return nil
 }
@@ -86,32 +72,35 @@ func (o Options) variantName() string {
 	return name
 }
 
-// Counters tallies variant events.
+// Counters tallies the variant events no step result carries: how often
+// each optimization fired. The events every protocol shares (sends, floor
+// sends, deleted ids) are in the driver's protocol.Counters.
 type Counters struct {
-	Initiations  int
-	SelfLoops    int
-	Sends        int
-	Duplications int // floor compensations by keeping entries
-	Undeletions  int // floor compensations from the graveyard
-	Receives     int
-	Stored       int // ids stored into empty slots
-	Replaced     int // ids stored by overwriting occupied slots
-	Deleted      int // ids dropped for lack of space
+	Undeletions int // floor sends compensated from the graveyard, not by keeping the entries
+	Replaced    int // received ids stored by overwriting an occupied slot
 }
 
-// Protocol is the optimized-variant S&F. It implements protocol.Protocol
-// by delegating to one step Core per node (the graveyard is per-node
-// state, so cores cannot be shared).
-type Protocol struct {
-	opts  Options
-	views []*view.View
-	cores []*Core
+// Core is the per-node step core of the optimized S&F variants,
+// implementing protocol.StepCore. Unlike the stateless baselines it carries
+// per-node protocol state (the undeletion graveyard), so cores are never
+// shared between nodes. Not safe for concurrent use.
+type Core struct {
+	opts     Options
+	counters Counters
+	// The graveyard is a bounded FIFO ring over a preallocated buffer:
+	// bury evicts the oldest entry on overflow, exhume pops the most
+	// recent. A ring rather than a slice so the steps stay
+	// allocation-free.
+	grave        []peer.ID
+	gHead, gLen  int
+	slotsScratch []int     // slot selection, len BatchK
+	payload      []peer.ID // message payload, len BatchK
 }
 
-var _ protocol.Protocol = (*Protocol)(nil)
+var _ protocol.StepCore = (*Core)(nil)
 
-// New builds the variant over the circulant bootstrap topology.
-func New(opts Options) (*Protocol, error) {
+// NewCore builds a variant step core.
+func NewCore(opts Options) (*Core, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -121,106 +110,180 @@ func New(opts Options) (*Protocol, error) {
 	if opts.GraveyardSize == 0 {
 		opts.GraveyardSize = opts.S
 	}
-	if opts.InitDegree == 0 {
-		d := (opts.DL + opts.S) / 2
-		if d%2 != 0 {
-			d--
-		}
-		if d < 2 {
-			d = 2
-		}
-		if d >= opts.N {
-			d = opts.N - 1
-			if d%2 != 0 {
-				d--
-			}
-		}
-		opts.InitDegree = d
+	c := &Core{
+		opts:         opts,
+		slotsScratch: make([]int, opts.BatchK),
+		payload:      make([]peer.ID, opts.BatchK),
 	}
-	if opts.InitDegree >= opts.N || opts.InitDegree < 2 {
-		return nil, fmt.Errorf("sfopt: n=%d too small for initial degree %d", opts.N, opts.InitDegree)
+	if opts.Undelete {
+		c.grave = make([]peer.ID, opts.GraveyardSize)
 	}
-	p := &Protocol{
-		opts:  opts,
-		views: make([]*view.View, opts.N),
-		cores: make([]*Core, opts.N),
-	}
-	for u := 0; u < opts.N; u++ {
-		core, err := NewCore(opts)
-		if err != nil {
-			return nil, err
-		}
-		p.cores[u] = core
-		v := view.New(opts.S)
-		for k := 1; k <= opts.InitDegree; k++ {
-			v.Set(k-1, peer.ID((u+k)%opts.N))
-		}
-		p.views[u] = v
-	}
-	return p, nil
+	return c, nil
 }
 
 // Name identifies the active variant combination.
-func (p *Protocol) Name() string { return p.opts.variantName() }
+func (c *Core) Name() string { return c.opts.variantName() }
 
-// N returns the node count.
-func (p *Protocol) N() int { return p.opts.N }
+// ViewSize returns s.
+func (c *Core) ViewSize() int { return c.opts.S }
 
-// Counters returns the counters summed over all per-node cores.
-func (p *Protocol) Counters() Counters {
-	var sum Counters
-	for _, c := range p.cores {
-		cc := c.counters
-		sum.Initiations += cc.Initiations
-		sum.SelfLoops += cc.SelfLoops
-		sum.Sends += cc.Sends
-		sum.Duplications += cc.Duplications
-		sum.Undeletions += cc.Undeletions
-		sum.Receives += cc.Receives
-		sum.Stored += cc.Stored
-		sum.Replaced += cc.Replaced
-		sum.Deleted += cc.Deleted
+// Counters returns a copy of the core's variant tally.
+func (c *Core) Counters() Counters { return c.counters }
+
+// SeedView fills a fresh view with the seed ids, truncated to an even count
+// of at most s entries (the variants keep S&F's parity discipline).
+func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+	k := len(seeds)
+	if k > c.opts.S {
+		k = c.opts.S
 	}
-	return sum
-}
-
-// View returns u's view.
-func (p *Protocol) View(u peer.ID) *view.View { return p.views[u] }
-
-// Views returns all views for snapshotting.
-func (p *Protocol) Views() []*view.View {
-	out := make([]*view.View, p.opts.N)
-	copy(out, p.views)
-	return out
-}
-
-// Initiate selects BatchK distinct slots by delegating to u's step core; the
-// first non-empty rule of the baseline generalizes to all selected slots
-// being non-empty (a single empty selection is a self-loop, keeping the
-// analysis clean).
-func (p *Protocol) Initiate(u peer.ID, r *rng.RNG) (peer.ID, protocol.Message, bool) {
-	msgs, ok := p.cores[u].Initiate(p.views[u], u, r)
-	if !ok {
-		return 0, protocol.Message{}, false
+	if k%2 != 0 {
+		k--
 	}
-	return msgs[0].To, msgs[0].Msg, true
+	if k < 2 {
+		return nil, fmt.Errorf("sfopt: need at least 2 usable seeds, got %d", k)
+	}
+	v := view.New(c.opts.S)
+	for i := 0; i < k; i++ {
+		v.Set(i, seeds[i])
+	}
+	return v, nil
 }
 
-// Deliver stores the batch by delegating to u's step core, which replaces or
-// deletes on overflow per the options.
-func (p *Protocol) Deliver(u peer.ID, msg protocol.Message, r *rng.RNG) (protocol.Message, peer.ID, bool) {
-	p.cores[u].Receive(p.views[u], u, msg, r)
-	return protocol.Message{}, 0, false
-}
-
-// CheckInvariants verifies even outdegrees within [dL-ish, s]. The variant
-// relaxes the hard dL floor only in that undeletion may briefly leave fewer
-// live entries if the graveyard ran dry mid-refill; parity must still hold.
-func (p *Protocol) CheckInvariants() error {
-	for u, lv := range p.views {
-		if err := p.cores[u].CheckView(lv); err != nil {
-			return fmt.Errorf("node %d: %w", u, err)
+// chooseDistinct fills dst with distinct uniformly chosen values in [0, n)
+// by rejection sampling: uniform over ordered distinct len(dst)-tuples with
+// no allocation. len(dst) <= n is guaranteed by the BatchK <= S option
+// bound, so the loop terminates.
+func chooseDistinct(r *rng.RNG, n int, dst []int) {
+	for i := range dst {
+	redraw:
+		v := r.Intn(n)
+		for _, prev := range dst[:i] {
+			if prev == v {
+				goto redraw
+			}
 		}
+		dst[i] = v
+	}
+}
+
+// InitiateBatch selects BatchK distinct slots; the first non-empty rule of
+// the baseline generalizes to all selected slots being non-empty (a single
+// empty selection is a self-loop, keeping the analysis clean). Above the
+// floor the selected entries are buried and cleared; at the floor they are
+// either refilled from the graveyard (Undelete) or kept (duplication). The
+// message is [u, ids[1:]...] to ids[0], flagged Dup when sent at the floor.
+//
+//vet:hotpath
+func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
+	k := c.opts.BatchK
+	slots := c.slotsScratch[:k]
+	chooseDistinct(r, lv.Size(), slots)
+	for i, slot := range slots {
+		id := lv.Slot(slot)
+		if id.IsNil() {
+			return 0, 0, false
+		}
+		c.payload[i] = id
+	}
+	target := c.payload[0]
+	atFloor := lv.Outdegree() <= c.opts.DL
+	switch {
+	case !atFloor:
+		for _, slot := range slots {
+			c.bury(lv.Slot(slot))
+			lv.Clear(slot)
+		}
+	case c.opts.Undelete && c.gLen >= k:
+		// Optimization 1: clear the sent entries but refill from the
+		// graveyard — fresh-ish ids instead of correlated copies.
+		for _, slot := range slots {
+			lv.Clear(slot)
+		}
+		for i := 0; i < k; i++ {
+			id := c.exhume()
+			if empty, ok := lv.RandomEmptySlot(r); ok {
+				lv.Set(empty, id)
+			}
+		}
+		c.counters.Undeletions++
+	default:
+		// Baseline duplication: keep the entries.
+	}
+	// Overwrite the target slot of the payload scratch with the sender id.
+	c.payload[0] = u
+	if atFloor {
+		dups = 1
+	}
+	if k == 2 {
+		out.Append2(target, u, protocol.KindGossip, atFloor, u, c.payload[1])
+	} else {
+		out.Append(target, u, protocol.KindGossip, atFloor, c.payload[:k]...)
+	}
+	return 1, dups, true
+}
+
+// ReceiveBatch stores each id into a uniformly chosen empty slot, replacing
+// (with burial) or deleting on overflow per the options. Parity of the
+// outdegree is preserved: the number of empty slots is even, so the count
+// stored into empties is even whenever the batch is. Non-gossip kinds are
+// ignored.
+//
+//vet:hotpath
+func (c *Core) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
+	if pkt.Kind != protocol.KindGossip {
+		return false, 0
+	}
+	for _, id := range pkt.IDs {
+		if empty, ok := lv.RandomEmptySlot(r); ok {
+			lv.Set(empty, id)
+			continue
+		}
+		if c.opts.ReplaceWhenFull {
+			slot := r.Intn(lv.Size())
+			c.bury(lv.Slot(slot))
+			lv.Set(slot, id)
+			c.counters.Replaced++
+			continue
+		}
+		deleted++
+	}
+	return false, deleted
+}
+
+// bury pushes id onto the graveyard ring (bounded FIFO: the oldest entry is
+// evicted on overflow).
+func (c *Core) bury(id peer.ID) {
+	if !c.opts.Undelete || id.IsNil() {
+		return
+	}
+	size := len(c.grave)
+	if c.gLen == size {
+		c.gHead = (c.gHead + 1) % size
+		c.gLen--
+	}
+	c.grave[(c.gHead+c.gLen)%size] = id
+	c.gLen++
+}
+
+// exhume pops the most recently buried id.
+func (c *Core) exhume() peer.ID {
+	c.gLen--
+	return c.grave[(c.gHead+c.gLen)%len(c.grave)]
+}
+
+// CheckView verifies even outdegree within [0, s]. The variant relaxes the
+// hard dL floor only in that undeletion may briefly leave fewer live
+// entries if the graveyard ran dry mid-refill; parity must still hold.
+func (c *Core) CheckView(lv *view.View) error {
+	if err := lv.CheckInvariants(); err != nil {
+		return err
+	}
+	if lv.Outdegree()%2 != 0 {
+		return fmt.Errorf("sfopt: odd outdegree %d", lv.Outdegree())
+	}
+	if lv.Outdegree() > c.opts.S {
+		return fmt.Errorf("sfopt: outdegree %d exceeds s", lv.Outdegree())
 	}
 	return nil
 }

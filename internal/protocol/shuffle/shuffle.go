@@ -21,155 +21,104 @@ import (
 	"sendforget/internal/view"
 )
 
-// Config parameterizes the shuffle baseline.
-type Config struct {
-	// N is the number of nodes.
-	N int
-	// S is the view size (at least 2).
-	S int
-	// InitDegree is the initial outdegree (defaults to S/2, at least 2).
-	InitDegree int
+// Core is the per-node shuffle step core implementing protocol.StepCore:
+// the delete-on-send exchange expressed over a single local view. It holds
+// parameters only.
+type Core struct {
+	s int
 }
 
-// Counters tallies baseline events.
-type Counters struct {
-	Initiations int
-	SelfLoops   int
-	Requests    int
-	Replies     int
-	Dropped     int // received ids discarded because no empty slot was left
-}
+var _ protocol.StepCore = (*Core)(nil)
 
-// Protocol is the shuffle baseline state. It implements protocol.Protocol
-// and protocol.Churner by delegating every step to one shared Core — the
-// same step core the concurrent runtime drives.
-type Protocol struct {
-	cfg    Config
-	core   *Core
-	views  []*view.View
-	active []bool
-}
-
-var (
-	_ protocol.Protocol = (*Protocol)(nil)
-	_ protocol.Churner  = (*Protocol)(nil)
-)
-
-// New builds the baseline over the same circulant initial topology as S&F.
-func New(cfg Config) (*Protocol, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("shuffle: need at least 2 nodes, got %d", cfg.N)
+// NewCore builds a shuffle step core with view size s.
+func NewCore(s int) (*Core, error) {
+	if s < 2 {
+		return nil, fmt.Errorf("shuffle: view size must be >= 2, got %d", s)
 	}
-	if cfg.S < 2 {
-		return nil, fmt.Errorf("shuffle: view size must be >= 2, got %d", cfg.S)
-	}
-	if cfg.InitDegree == 0 {
-		cfg.InitDegree = cfg.S / 2
-		if cfg.InitDegree < 2 {
-			cfg.InitDegree = 2
-		}
-	}
-	if cfg.InitDegree > cfg.S || cfg.InitDegree >= cfg.N {
-		return nil, fmt.Errorf("shuffle: initial degree %d must fit view %d and n %d", cfg.InitDegree, cfg.S, cfg.N)
-	}
-	core, err := NewCore(cfg.S)
-	if err != nil {
-		return nil, err
-	}
-	p := &Protocol{
-		cfg:    cfg,
-		core:   core,
-		views:  make([]*view.View, cfg.N),
-		active: make([]bool, cfg.N),
-	}
-	for u := 0; u < cfg.N; u++ {
-		v := view.New(cfg.S)
-		for k := 1; k <= cfg.InitDegree; k++ {
-			v.Set(k-1, peer.ID((u+k)%cfg.N))
-		}
-		p.views[u] = v
-		p.active[u] = true
-	}
-	return p, nil
+	return &Core{s: s}, nil
 }
 
 // Name returns "shuffle".
-func (p *Protocol) Name() string { return "shuffle" }
+func (c *Core) Name() string { return "shuffle" }
 
-// N returns the number of node slots.
-func (p *Protocol) N() int { return p.cfg.N }
+// ViewSize returns s.
+func (c *Core) ViewSize() int { return c.s }
 
-// Counters returns a copy of the counters.
-func (p *Protocol) Counters() Counters { return p.core.counters }
-
-// View returns u's view (nil after Leave).
-func (p *Protocol) View(u peer.ID) *view.View {
-	if !p.active[u] {
-		return nil
+// SeedView fills a fresh view with the seed ids (at least one).
+func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("shuffle: need at least one seed")
 	}
-	return p.views[u]
+	v := view.New(c.s)
+	for i, id := range seeds {
+		if i >= c.s {
+			break
+		}
+		v.Set(i, id)
+	}
+	return v, nil
 }
 
-// Views returns all views for snapshotting.
-func (p *Protocol) Views() []*view.View {
-	out := make([]*view.View, p.cfg.N)
-	for u := range out {
-		if p.active[u] {
-			out[u] = p.views[u]
+// InitiateBatch removes two entries (the exchange offer) and sends them to
+// the first as a request [u, w].
+//
+//vet:hotpath
+func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
+	i, j := lv.RandomPairFast(r)
+	v, w := lv.Slot(i), lv.Slot(j)
+	if v.IsNil() || w.IsNil() {
+		return 0, 0, false
+	}
+	lv.ClearOccupiedPair(i, j)
+	out.Append2(v, u, protocol.KindRequest, false, u, w)
+	return 1, 0, true
+}
+
+// ReceiveBatch handles requests and replies. A request stores the offered
+// ids first, then removes up to two uniformly chosen own entries and appends
+// them as the reply; a reply just stores the returned ids. Messages of other
+// kinds are ignored.
+//
+//vet:hotpath
+func (c *Core) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
+	switch pkt.Kind {
+	case protocol.KindRequest:
+		deleted = store(lv, pkt.IDs, r)
+		switch d := lv.Outdegree(); {
+		case d >= 2:
+			i, j, _ := lv.RandomOccupiedPair(r)
+			a, b := lv.Slot(i), lv.Slot(j)
+			lv.ClearOccupiedPair(i, j)
+			out.Append2(pkt.From, u, protocol.KindReply, false, a, b)
+			return true, deleted
+		case d == 1:
+			i, _ := lv.RandomOccupiedSlot(r)
+			a := lv.Slot(i)
+			lv.Clear(i)
+			out.Append1(pkt.From, u, protocol.KindReply, false, a)
+			return true, deleted
+		}
+	case protocol.KindReply:
+		deleted = store(lv, pkt.IDs, r)
+	}
+	return false, deleted
+}
+
+// store places ids into uniformly chosen empty slots and returns how many
+// did not fit.
+func store(lv *view.View, ids []peer.ID, r *rng.RNG) (deleted int) {
+	for _, id := range ids {
+		if i, ok := lv.RandomEmptySlot(r); ok {
+			lv.Set(i, id)
+		} else {
+			deleted++
 		}
 	}
-	return out
+	return deleted
 }
 
-// Initiate removes two entries and offers them to the first, delegating to
-// the shared step core.
-func (p *Protocol) Initiate(u peer.ID, r *rng.RNG) (peer.ID, protocol.Message, bool) {
-	lv := p.views[u]
-	if lv == nil {
-		p.core.counters.Initiations++
-		p.core.counters.SelfLoops++
-		return 0, protocol.Message{}, false
-	}
-	msgs, ok := p.core.Initiate(lv, u, r)
-	if !ok {
-		return 0, protocol.Message{}, false
-	}
-	return msgs[0].To, msgs[0].Msg, true
+// CheckView verifies internal view consistency; the shuffle keeps no parity
+// or floor invariant (under loss its id population only decays).
+func (c *Core) CheckView(lv *view.View) error {
+	return lv.CheckInvariants()
 }
-
-// Deliver handles requests and replies by delegating to the shared step
-// core.
-func (p *Protocol) Deliver(u peer.ID, msg protocol.Message, r *rng.RNG) (protocol.Message, peer.ID, bool) {
-	lv := p.views[u]
-	if lv == nil {
-		return protocol.Message{}, 0, false
-	}
-	reply, ok := p.core.Receive(lv, u, msg, r)
-	if !ok {
-		return protocol.Message{}, 0, false
-	}
-	return reply.Msg, reply.To, true
-}
-
-// Join implements protocol.Churner.
-func (p *Protocol) Join(u peer.ID, seeds []peer.ID) error {
-	if p.active[u] {
-		return fmt.Errorf("shuffle: node %v is already active", u)
-	}
-	v, err := p.core.SeedView(seeds)
-	if err != nil {
-		return fmt.Errorf("shuffle: join of %v: %w", u, err)
-	}
-	p.views[u] = v
-	p.active[u] = true
-	return nil
-}
-
-// Leave implements protocol.Churner.
-func (p *Protocol) Leave(u peer.ID) {
-	p.active[u] = false
-	p.views[u] = nil
-}
-
-// Active implements protocol.Churner.
-func (p *Protocol) Active(u peer.ID) bool { return p.active[u] }

@@ -3,91 +3,77 @@ package shuffle
 import (
 	"testing"
 
-	"sendforget/internal/graph"
+	"sendforget/internal/engine"
+	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 )
 
-func mustNew(t *testing.T, cfg Config) *Protocol {
+// The generic step contract is checked for all five protocols by
+// internal/protocol's conformance table; the tests here cover the exchange
+// itself: id conservation without loss and decay with it.
+
+func cores(s int) protocol.CoreFactory {
+	return func() (protocol.StepCore, error) { return NewCore(s) }
+}
+
+func mustEngine(t *testing.T, n, s, initDeg int, lossRate float64, seed int64) *engine.Engine {
 	t.Helper()
-	p, err := New(cfg)
+	e, err := engine.New(cores(s), n, initDeg, loss.MustUniform(lossRate), rng.New(seed))
 	if err != nil {
-		t.Fatalf("New(%+v): %v", cfg, err)
+		t.Fatalf("engine.New(n=%d s=%d init=%d): %v", n, s, initDeg, err)
 	}
-	return p
+	return e
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Config{N: 1, S: 4}); err == nil {
-		t.Error("accepted n=1")
-	}
-	if _, err := New(Config{N: 10, S: 1}); err == nil {
+	if _, err := NewCore(1); err == nil {
 		t.Error("accepted s=1")
 	}
-	if _, err := New(Config{N: 10, S: 4, InitDegree: 5}); err == nil {
-		t.Error("accepted init degree > s")
+	r := rng.New(1)
+	if _, err := engine.New(cores(4), 1, 0, loss.None{}, r); err == nil {
+		t.Error("accepted n=1")
 	}
-	if _, err := New(Config{N: 3, S: 8, InitDegree: 4}); err == nil {
+	if _, err := engine.New(cores(8), 3, 4, loss.None{}, r); err == nil {
 		t.Error("accepted init degree >= n")
+	}
+	// A bootstrap degree above s is a seed overflow: truncated to s.
+	e, err := engine.New(cores(4), 10, 5, loss.None{}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.View(0).Outdegree(); got != 4 {
+		t.Errorf("init degree > s seeded %d entries, want 4", got)
 	}
 }
 
 func TestInitialTopologyConnected(t *testing.T) {
-	p := mustNew(t, Config{N: 20, S: 8, InitDegree: 4})
-	g := graph.FromViews(p.Views())
-	if !g.WeaklyConnected() {
+	e := mustEngine(t, 20, 8, 4, 0, 1)
+	if !e.Snapshot().WeaklyConnected() {
 		t.Fatal("initial topology disconnected")
 	}
-	if p.Name() != "shuffle" || p.N() != 20 {
-		t.Errorf("identity: name=%q n=%d", p.Name(), p.N())
-	}
-}
-
-// drive runs full request/reply exchanges, losing each message with pLoss.
-func drive(p *Protocol, actions int, pLoss float64, seed int64) {
-	r := rng.New(seed)
-	n := p.N()
-	for k := 0; k < actions; k++ {
-		u := peer.ID(r.Intn(n))
-		if !p.Active(u) {
-			continue
-		}
-		to, msg, ok := p.Initiate(u, r)
-		if !ok {
-			continue
-		}
-		if r.Bernoulli(pLoss) {
-			continue // request lost
-		}
-		if !p.Active(to) {
-			continue
-		}
-		reply, replyTo, hasReply := p.Deliver(to, msg, r)
-		if !hasReply || r.Bernoulli(pLoss) {
-			continue // no reply or reply lost
-		}
-		if p.Active(replyTo) {
-			p.Deliver(replyTo, reply, r)
-		}
+	if e.Name() != "shuffle" || e.N() != 20 {
+		t.Errorf("identity: name=%q n=%d", e.Name(), e.N())
 	}
 }
 
 func TestEdgesConservedWithoutLoss(t *testing.T) {
-	p := mustNew(t, Config{N: 30, S: 10, InitDegree: 4})
-	before := graph.FromViews(p.Views()).NumEdges()
-	drive(p, 20000, 0, 1)
-	after := graph.FromViews(p.Views()).NumEdges()
-	// The initiator injects its own id into its offer, so each full
-	// exchange conserves the id population exactly except for drops when a
-	// view fills up.
-	c := p.Counters()
-	want := before - c.Dropped
-	if after != want {
-		t.Errorf("edges = %d, want %d (before=%d dropped=%d)", after, want, before, c.Dropped)
+	e := mustEngine(t, 30, 10, 4, 0, 1)
+	before := e.Snapshot().NumEdges()
+	for k := 0; k < 20000; k++ {
+		e.Step()
 	}
-	if after < before-c.Dropped-1 {
-		t.Errorf("ids destroyed without loss: %d -> %d", before, after)
+	after := e.Snapshot().NumEdges()
+	// The initiator injects its own id into its offer, so each full
+	// exchange conserves the id population exactly except for ids that
+	// find the receiving view full.
+	c := e.Tally()
+	if want := before - c.DeletedIDs; after != want {
+		t.Errorf("edges = %d, want %d (before=%d deleted ids=%d)", after, want, before, c.DeletedIDs)
+	}
+	if c.Replies == 0 {
+		t.Error("no exchange completed")
 	}
 }
 
@@ -95,107 +81,141 @@ func TestIDsDecayUnderLoss(t *testing.T) {
 	// The paper's Section 3.1 claim: delete-on-send protocols gradually
 	// lose ids under message loss. At 20% loss and many rounds, the edge
 	// population must collapse far below its initial value.
-	p := mustNew(t, Config{N: 50, S: 10, InitDegree: 6})
-	before := graph.FromViews(p.Views()).NumEdges()
-	drive(p, 100000, 0.2, 2)
-	after := graph.FromViews(p.Views()).NumEdges()
+	e := mustEngine(t, 50, 10, 6, 0.2, 2)
+	before := e.Snapshot().NumEdges()
+	for k := 0; k < 100000; k++ {
+		e.Step()
+	}
+	after := e.Snapshot().NumEdges()
 	if after > before/4 {
 		t.Errorf("edge population %d -> %d; expected collapse under 20%% loss", before, after)
 	}
 }
 
 func TestRequestGeneratesReply(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, InitDegree: 4})
-	r := rng.New(3)
-	for k := 0; k < 1000; k++ {
-		to, msg, ok := p.Initiate(0, r)
-		if !ok {
-			continue
-		}
-		reply, replyTo, hasReply := p.Deliver(to, msg, r)
-		if !hasReply {
-			t.Fatal("request produced no reply from non-empty view")
-		}
-		if replyTo != 0 {
-			t.Errorf("reply addressed to %v, want n0", replyTo)
-		}
-		if reply.Kind != protocol.KindReply {
-			t.Errorf("reply kind = %v", reply.Kind)
-		}
-		if len(reply.IDs) == 0 || len(reply.IDs) > 2 {
-			t.Errorf("reply carries %d ids", len(reply.IDs))
-		}
-		p.Deliver(replyTo, reply, r)
-		return
+	c, err := NewCore(8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no exchange in 1000 attempts")
+	lv, _ := c.SeedView([]peer.ID{1, 2, 3, 4})
+	rv, _ := c.SeedView([]peer.ID{5, 6, 7, 8})
+	r := rng.New(3)
+	var out protocol.Outbox
+	for {
+		if _, _, ok := c.InitiateBatch(lv, 0, r, &out); ok {
+			break
+		}
+	}
+	to, req, _ := out.Message()
+	if req.Kind != protocol.KindRequest || lv.Outdegree() != 2 {
+		t.Fatalf("request %+v left outdegree %d, want a request and 2", req, lv.Outdegree())
+	}
+	out.Reset()
+	replied, deleted := c.ReceiveBatch(rv, to, protocol.Packet(req), r, &out)
+	if !replied || deleted != 0 {
+		t.Fatalf("request to a half-full view: replied=%v deleted=%d", replied, deleted)
+	}
+	replyTo, reply, _ := out.Message()
+	if replyTo != 0 || reply.Kind != protocol.KindReply || len(reply.IDs) != 2 {
+		t.Errorf("reply %+v to %v, want two ids back to n0", reply, replyTo)
+	}
+	// The offer replaced the two entries sent back: outdegree unchanged.
+	if rv.Outdegree() != 4 {
+		t.Errorf("responder outdegree = %d, want 4", rv.Outdegree())
+	}
+	// A responder with a single entry offers just that one.
+	one, _ := c.SeedView([]peer.ID{9})
+	out.Reset()
+	c.ReceiveBatch(one, to, protocol.Packet{Kind: protocol.KindRequest, From: 0}, r, &out)
+	if _, reply, ok := out.Message(); !ok || len(reply.IDs) != 1 || reply.IDs[0] != 9 || one.Outdegree() != 0 {
+		t.Errorf("single-entry responder replied %+v (ok=%v), view %v", reply, ok, one)
+	}
 }
 
 func TestSelfLoopOnEmptyView(t *testing.T) {
-	p := mustNew(t, Config{N: 4, S: 4, InitDegree: 2})
-	// Drain node 0's view via lost requests.
-	r := rng.New(4)
-	for k := 0; k < 10000 && p.View(0).Outdegree() > 0; k++ {
-		p.Initiate(0, r)
+	c, err := NewCore(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.View(0).Outdegree() != 0 {
+	lv, _ := c.SeedView([]peer.ID{1, 2})
+	// Drain the view via requests nobody answers.
+	r := rng.New(4)
+	var out protocol.Outbox
+	for k := 0; k < 10000 && lv.Outdegree() > 0; k++ {
+		c.InitiateBatch(lv, 0, r, &out)
+	}
+	if lv.Outdegree() != 0 {
 		t.Fatal("failed to drain view")
 	}
-	if _, _, ok := p.Initiate(0, r); ok {
+	if _, _, ok := c.InitiateBatch(lv, 0, r, &out); ok {
 		t.Error("empty view initiated an exchange")
+	}
+	// An empty view has nothing to offer back either.
+	out.Reset()
+	if replied, _ := c.ReceiveBatch(lv, 0, protocol.Packet{Kind: protocol.KindRequest, From: 1}, r, &out); replied {
+		t.Error("empty view replied to an empty offer")
 	}
 }
 
 func TestChurn(t *testing.T) {
-	p := mustNew(t, Config{N: 10, S: 8, InitDegree: 4})
-	p.Leave(2)
-	if p.Active(2) || p.View(2) != nil {
+	e := mustEngine(t, 10, 8, 4, 0, 5)
+	e.Leave(2)
+	if e.View(2) != nil {
 		t.Fatal("Leave did not deactivate")
 	}
-	if err := p.Join(2, []peer.ID{0, 1}); err != nil {
+	if err := e.Join(2, []peer.ID{0, 1}); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if !p.Active(2) || p.View(2).Outdegree() != 2 {
+	if e.View(2).Outdegree() != 2 {
 		t.Fatal("Join did not restore the node")
 	}
-	if err := p.Join(2, []peer.ID{0}); err == nil {
+	if err := e.Join(2, []peer.ID{0}); err == nil {
 		t.Error("double join accepted")
 	}
-	p.Leave(3)
-	if err := p.Join(3, nil); err == nil {
+	e.Leave(3)
+	if err := e.Join(3, nil); err == nil {
 		t.Error("join without seeds accepted")
 	}
 	// Seeds beyond s are truncated.
-	p.Leave(4)
+	e.Leave(4)
 	seeds := make([]peer.ID, 12)
 	for i := range seeds {
 		seeds[i] = peer.ID(i % 3)
 	}
-	if err := p.Join(4, seeds); err != nil {
+	if err := e.Join(4, seeds); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.View(4).Outdegree(); got != 8 {
+	if got := e.View(4).Outdegree(); got != 8 {
 		t.Errorf("overflow join outdegree = %d, want 8", got)
 	}
-	// Departed nodes neither initiate nor reply.
-	r := rng.New(5)
-	p.Leave(5)
-	if _, _, ok := p.Initiate(5, r); ok {
-		t.Error("departed node initiated")
+	// Departed nodes neither initiate nor reply: requests to them are dead
+	// letters.
+	e.Leave(5)
+	e.OnAction = func(ev engine.ActionEvent) {
+		if ev.Initiator == 5 && ev.Sent {
+			t.Error("departed node initiated")
+		}
 	}
-	if _, _, hasReply := p.Deliver(5, protocol.Message{Kind: protocol.KindRequest, From: 0, IDs: []peer.ID{0, 1}}, r); hasReply {
-		t.Error("departed node replied")
+	e.StepAt(5)
+	e.Run(100)
+	if e.Counters().DeadLetters == 0 || e.View(5) != nil {
+		t.Errorf("dead letters = %d, departed view %v", e.Counters().DeadLetters, e.View(5))
 	}
 }
 
 func TestUnknownKindIgnored(t *testing.T) {
-	p := mustNew(t, Config{N: 4, S: 4, InitDegree: 2})
-	r := rng.New(6)
-	before := p.View(1).Clone()
-	if _, _, hasReply := p.Deliver(1, protocol.Message{Kind: 99, From: 0, IDs: []peer.ID{0}}, r); hasReply {
-		t.Error("unknown kind produced a reply")
+	c, err := NewCore(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !p.View(1).Equal(before) {
+	lv, _ := c.SeedView([]peer.ID{1, 2})
+	before := lv.Clone()
+	var out protocol.Outbox
+	replied, deleted := c.ReceiveBatch(lv, 1, protocol.Packet{Kind: 99, From: 0, IDs: []peer.ID{0}}, rng.New(6), &out)
+	if replied || deleted != 0 || out.Len() != 0 {
+		t.Error("unknown kind produced a reply or a deletion")
+	}
+	if !lv.Equal(before) {
 		t.Error("unknown kind mutated the view")
 	}
 }

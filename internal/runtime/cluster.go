@@ -8,7 +8,6 @@ import (
 	"sendforget/internal/driver"
 	"sendforget/internal/faults"
 	"sendforget/internal/graph"
-	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
@@ -83,25 +82,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.InitDegree == 0 {
-		d, err := defaultInitDegree(cfg.NewCore, cfg.N)
-		if err != nil {
-			return nil, err
-		}
-		cfg.InitDegree = d
+	var err error
+	if cfg.InitDegree, err = driver.BootstrapDegree(cfg.NewCore, cfg.N, cfg.InitDegree); err != nil {
+		return nil, err
 	}
-	if cfg.InitDegree >= cfg.N || cfg.InitDegree < 1 {
-		return nil, fmt.Errorf("runtime: init degree %d must be in [1, n-1] for n=%d", cfg.InitDegree, cfg.N)
-	}
-	cond := cfg.Conditions
-	if cond == nil {
-		lm, err := loss.NewUniform(cfg.Loss)
-		if err != nil {
-			return nil, err
-		}
-		if cond, err = faults.New(lm); err != nil {
-			return nil, err
-		}
+	cond, err := conditionsOrUniform(cfg.Conditions, cfg.Loss)
+	if err != nil {
+		return nil, err
 	}
 	nw, err := transport.NewNetworkWithConditions(cond, rng.New(cfg.Seed))
 	if err != nil {
@@ -133,30 +120,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		nw.Register(peer.ID(u), node.HandleMessage)
 	}
 	return c, nil
-}
-
-// defaultInitDegree derives the circulant bootstrap outdegree from a probe
-// core: an even value of about half the view size, clamped to [2, n-1] (and
-// kept even under the clamp). Both cluster flavors share it.
-func defaultInitDegree(f protocol.CoreFactory, n int) (int, error) {
-	probe, err := f()
-	if err != nil {
-		return 0, fmt.Errorf("runtime: core factory: %w", err)
-	}
-	d := probe.ViewSize() / 2
-	if d%2 != 0 {
-		d--
-	}
-	if d < 2 {
-		d = 2
-	}
-	if d >= n {
-		d = n - 1
-		if d%2 != 0 {
-			d--
-		}
-	}
-	return d, nil
 }
 
 // nodesSnapshot copies the node slice under the read lock. Iterating the
@@ -283,14 +246,7 @@ func (c *Cluster) Counters() NodeCounters {
 		if n == nil {
 			continue
 		}
-		nc := n.Counters()
-		sum.Ticks += nc.Ticks
-		sum.SelfLoops += nc.SelfLoops
-		sum.Sends += nc.Sends
-		sum.Duplications += nc.Duplications
-		sum.Receives += nc.Receives
-		sum.Replies += nc.Replies
-		sum.SendErrors += nc.SendErrors
+		sum.Add(n.Counters())
 	}
 	return sum
 }

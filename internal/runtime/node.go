@@ -5,8 +5,8 @@
 // the same frequency at all nodes").
 //
 // Every protocol decision is made by a protocol.StepCore — the same step
-// cores the sequential simulator's adapters delegate to; the runtime adds
-// only concurrency, timers, and transport. Proposition 5.2 is what licenses
+// cores the sequential simulator schedules; the runtime adds only
+// concurrency, timers, and transport. Proposition 5.2 is what licenses
 // sharing the cores: the serial scheduler and the concurrent fire-and-forget
 // deployment induce the same protocol behavior.
 package runtime
@@ -51,18 +51,12 @@ func (c NodeConfig) validate() error {
 	return nil
 }
 
-// NodeCounters tallies one node's protocol events. They are
-// protocol-agnostic; protocol-specific tallies (duplications vs. evictions
-// vs. undeletions) live in the concrete core, which the caller retains.
-type NodeCounters struct {
-	Ticks        int
-	SelfLoops    int
-	Sends        int
-	Duplications int
-	Receives     int
-	Replies      int
-	SendErrors   int
-}
+// NodeCounters is the protocol-event tally every substrate reports. The
+// type lives in internal/protocol so the sequential engine, which this
+// package imports, can keep the same one; the name here is what callers of
+// Substrate.Counters and Node.Counters (the frozen benchmark among them)
+// use.
+type NodeCounters = protocol.Counters
 
 // Node is a single protocol participant. All state is private and protected
 // by one mutex; sends happen outside the lock so that two nodes gossiping
@@ -76,6 +70,7 @@ type Node struct {
 	lv       *view.View
 	r        *rng.RNG
 	counters NodeCounters
+	ob       protocol.Outbox // the one message the current step emitted
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -128,34 +123,15 @@ func NewNode(cfg NodeConfig, seeds []peer.ID, out Sender) (*Node, error) {
 func (n *Node) ID() peer.ID { return n.cfg.ID }
 
 // Tick initiates one protocol action: the initiate step runs under the node
-// lock, the sends outside it.
+// lock, the send outside it.
 func (n *Node) Tick() {
 	n.mu.Lock()
-	n.counters.Ticks++
-	msgs, ok := n.core.Initiate(n.lv, n.cfg.ID, n.r)
-	if !ok {
-		n.counters.SelfLoops++
-		n.mu.Unlock()
-		return
-	}
-	n.counters.Sends += len(msgs)
-	for _, m := range msgs {
-		if m.Msg.Dup {
-			n.counters.Duplications++
-		}
-	}
+	n.ob.Reset()
+	n.counters.Initiated(n.core.InitiateBatch(n.lv, n.cfg.ID, n.r, &n.ob))
+	to, msg, ok := n.ob.Message()
 	n.mu.Unlock()
-
-	errs := 0
-	for _, m := range msgs {
-		if err := n.out.Send(m.To, m.Msg); err != nil {
-			errs++
-		}
-	}
-	if errs > 0 {
-		n.mu.Lock()
-		n.counters.SendErrors += errs
-		n.mu.Unlock()
+	if ok {
+		n.send(to, msg)
 	}
 }
 
@@ -165,19 +141,22 @@ func (n *Node) Tick() {
 // replies never generate further replies.
 func (n *Node) HandleMessage(msg protocol.Message) {
 	n.mu.Lock()
-	n.counters.Receives++
-	reply, ok := n.core.Receive(n.lv, n.cfg.ID, msg, n.r)
-	if ok {
-		n.counters.Replies++
-	}
+	n.ob.Reset()
+	n.counters.Received(n.core.ReceiveBatch(n.lv, n.cfg.ID, protocol.Packet(msg), n.r, &n.ob))
+	to, reply, ok := n.ob.Message()
 	n.mu.Unlock()
-
 	if ok {
-		if err := n.out.Send(reply.To, reply.Msg); err != nil {
-			n.mu.Lock()
-			n.counters.SendErrors++
-			n.mu.Unlock()
-		}
+		n.send(to, reply)
+	}
+}
+
+// send transmits msg with the node lock released, so that two nodes
+// gossiping at each other cannot deadlock.
+func (n *Node) send(to peer.ID, msg protocol.Message) {
+	if err := n.out.Send(to, msg); err != nil {
+		n.mu.Lock()
+		n.counters.SendErrors++
+		n.mu.Unlock()
 	}
 }
 

@@ -96,8 +96,7 @@ func TestNodeTickSendsAndClears(t *testing.T) {
 
 func TestNodeHandleMessage(t *testing.T) {
 	rec := &recorder{}
-	core := sfCore(t, 6, 0)
-	n, err := runtime.NewNode(runtime.NodeConfig{ID: 0, Core: core}, []peer.ID{1, 2}, rec)
+	n, err := runtime.NewNode(runtime.NodeConfig{ID: 0, Core: sfCore(t, 6, 0)}, []peer.ID{1, 2}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +111,13 @@ func TestNodeHandleMessage(t *testing.T) {
 	if got := n.ViewSnapshot().Outdegree(); got != 4 {
 		t.Errorf("outdegree after malformed messages = %d, want 4", got)
 	}
-	// Full view: deletion, tallied by the caller-retained core.
+	// Full view: both ids of the second message are deleted. The node
+	// counts every delivered datagram; the core decides which are
+	// protocol-meaningful.
 	n.HandleMessage(protocol.Message{Kind: protocol.KindGossip, From: 5, IDs: []peer.ID{5, 1}})
 	n.HandleMessage(protocol.Message{Kind: protocol.KindGossip, From: 6, IDs: []peer.ID{6, 1}})
-	if got := core.Counters().Deletions; got != 1 {
-		t.Errorf("core Deletions = %d, want 1", got)
-	}
-	// The node counts every delivered datagram; the core decides which are
-	// protocol-meaningful.
-	if c := n.Counters(); c.Receives != 5 || c.Replies != 0 {
-		t.Errorf("node counters = %+v, want 5 receives and no replies", c)
+	if c := n.Counters(); c.Receives != 5 || c.Replies != 0 || c.DeletedIDs != 2 {
+		t.Errorf("node counters = %+v, want 5 receives, no replies, 2 deleted ids", c)
 	}
 }
 

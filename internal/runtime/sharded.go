@@ -10,7 +10,6 @@ import (
 	"sendforget/internal/driver"
 	"sendforget/internal/faults"
 	"sendforget/internal/graph"
-	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
@@ -33,7 +32,7 @@ import (
 //   - A tick is three phases. Initiate: nodes are partitioned into
 //     contiguous shards and a bounded worker pool runs each shard's
 //     initiate steps, appending messages to the shard's outbox (reused
-//     flat buffers — zero steady-state allocations on the batch path).
+//     flat buffers — zero steady-state allocations).
 //     Route: a single sequential pass walks the outboxes in shard order,
 //     applies the fault stack per message (preserving one deterministic
 //     RNG stream for loss/delay decisions, exactly like the chunk-merge
@@ -61,9 +60,7 @@ import (
 type ShardedConfig struct {
 	// N is the number of node slots.
 	N int
-	// NewCore builds one fresh protocol step core per node. Cores that
-	// additionally implement protocol.BatchStepCore run allocation-free;
-	// others fall back to the classic per-message-allocating step methods.
+	// NewCore builds one fresh protocol step core per node.
 	NewCore protocol.CoreFactory
 	// InitDegree is the circulant bootstrap outdegree (0 selects an even
 	// value of about half the core's view size, as in NewCluster).
@@ -103,14 +100,14 @@ type msgRef struct {
 }
 
 // shardedNode packs one node's per-message state: the view header wrapping
-// its window of the shared slot array, its deterministic RNG, the
-// pre-asserted batch fast path (nil when the core lacks it), and liveness.
-// Everything the deliver phase reads for a destination is in this record.
+// its window of the shared slot array, its deterministic RNG, its step
+// core, and liveness. Everything the deliver phase reads for a destination
+// is in this record.
 type shardedNode struct {
-	view  view.View
-	rng   rng.RNG
-	batch protocol.BatchStepCore
-	live  bool
+	view view.View
+	rng  rng.RNG
+	core protocol.StepCore
+	live bool
 }
 
 // ShardedCluster is the sharded synchronous tick engine. Construct with
@@ -142,13 +139,12 @@ type ShardedCluster struct {
 	// Flat node state, indexed by node id. The per-message hot fields live
 	// together in nodes so a random-destination receive touches one record
 	// (one or two cache lines) instead of four parallel arrays; the slot
-	// windows (slots is the n*s id array, node u's view is window u) and
-	// the cold per-node state stay in their own arrays. Both are confined:
-	// between barrier phases only the worker that owns a node's shard may
-	// touch its records, and outside phases only the gate holder.
-	slots  []peer.ID     //vet:confined shard
-	nodes  []shardedNode //vet:confined shard
-	cores  []protocol.StepCore
+	// windows (slots is the n*s id array, node u's view is window u) stay
+	// in their own array. Both are confined: between barrier phases only
+	// the worker that owns a node's shard may touch its records, and
+	// outside phases only the gate holder.
+	slots  []peer.ID      //vet:confined shard
+	nodes  []shardedNode  //vet:confined shard
 	roster *driver.Roster // per-node incarnations and seed derivation
 
 	// Per-shard buffers and counters, indexed by shard: outboxes is the
@@ -189,25 +185,13 @@ func NewSharded(cfg ShardedConfig) (*ShardedCluster, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.InitDegree == 0 {
-		d, err := defaultInitDegree(cfg.NewCore, cfg.N)
-		if err != nil {
-			return nil, err
-		}
-		cfg.InitDegree = d
+	var err error
+	if cfg.InitDegree, err = driver.BootstrapDegree(cfg.NewCore, cfg.N, cfg.InitDegree); err != nil {
+		return nil, err
 	}
-	if cfg.InitDegree >= cfg.N || cfg.InitDegree < 1 {
-		return nil, fmt.Errorf("runtime: init degree %d must be in [1, n-1] for n=%d", cfg.InitDegree, cfg.N)
-	}
-	cond := cfg.Conditions
-	if cond == nil {
-		lm, err := loss.NewUniform(cfg.Loss)
-		if err != nil {
-			return nil, err
-		}
-		if cond, err = faults.New(lm); err != nil {
-			return nil, err
-		}
+	cond, err := conditionsOrUniform(cfg.Conditions, cfg.Loss)
+	if err != nil {
+		return nil, err
 	}
 	probe, err := cfg.NewCore()
 	if err != nil {
@@ -249,7 +233,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedCluster, error) {
 
 		slots:  make([]peer.ID, cfg.N*s),
 		nodes:  make([]shardedNode, cfg.N),
-		cores:  make([]protocol.StepCore, cfg.N),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
 
 		outboxes:  make([]protocol.Outbox, shards),
@@ -323,8 +306,7 @@ func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
 	}
 	nd := &e.nodes[u]
 	nd.view = view.Wrap(window)
-	e.cores[u] = core
-	nd.batch, _ = core.(protocol.BatchStepCore)
+	nd.core = core
 	nd.rng = rng.NewState(e.roster.SeedFor(u))
 	nd.live = true
 	return nil
@@ -405,32 +387,9 @@ func (e *ShardedCluster) initiateShard(k int) {
 		if !nd.live {
 			continue
 		}
-		cnt.Ticks++
-		if bc := nd.batch; bc != nil {
-			msgs, dups, ok := bc.InitiateBatch(&nd.view, peer.ID(u), &nd.rng, ob)
-			if !ok {
-				cnt.SelfLoops++
-				continue
-			}
-			cnt.Sends += msgs
-			cnt.Duplications += dups
-		} else {
-			//lint:allow hotalloc classic StepCore fallback allocates by contract; cores with a batch path never take it
-			msgs, ok := e.cores[u].Initiate(&nd.view, peer.ID(u), &nd.rng)
-			if !ok {
-				cnt.SelfLoops++
-				continue
-			}
-			for _, m := range msgs {
-				ob.Append(m.To, m.Msg.From, m.Msg.Kind, m.Msg.Dup, m.Msg.IDs...)
-				cnt.Sends++
-				if m.Msg.Dup {
-					cnt.Duplications++
-				}
-			}
-		}
+		cnt.Initiated(nd.core.InitiateBatch(&nd.view, peer.ID(u), &nd.rng, ob))
 	}
-	e.counters[k].accumulate(cnt)
+	e.counters[k].Add(cnt)
 }
 
 // deliverShard runs the receive step for every message bucketed to shard k,
@@ -453,34 +412,11 @@ func (e *ShardedCluster) deliverShard(k int) {
 		// shard k by construction.
 		//lint:allow shardconfine route pass buckets refs by destination shard; every m.To in inboxRefs[k] maps to shard k
 		nd := &e.nodes[u]
-		cnt.Receives++
-		ids := ob.MsgIDs(m)
-		if bc := nd.batch; bc != nil {
-			if bc.ReceiveBatch(&nd.view, u, protocol.Packet{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}, &nd.rng, rb) {
-				cnt.Replies++
-			}
-		} else {
-			msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}
-			//lint:allow hotalloc classic StepCore fallback allocates by contract; cores with a batch path never take it
-			if reply, ok := e.cores[u].Receive(&nd.view, u, msg, &nd.rng); ok {
-				cnt.Replies++
-				rb.Append(reply.To, reply.Msg.From, reply.Msg.Kind, reply.Msg.Dup, reply.Msg.IDs...)
-			}
-		}
+		pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: ob.MsgIDs(m), Dup: m.Dup}
+		cnt.Received(nd.core.ReceiveBatch(&nd.view, u, pkt, &nd.rng, rb))
 	}
 	e.inboxRefs[k] = refs[:0]
-	e.counters[k].accumulate(cnt)
-}
-
-// accumulate adds other into c.
-func (c *NodeCounters) accumulate(other NodeCounters) {
-	c.Ticks += other.Ticks
-	c.SelfLoops += other.SelfLoops
-	c.Sends += other.Sends
-	c.Duplications += other.Duplications
-	c.Receives += other.Receives
-	c.Replies += other.Replies
-	c.SendErrors += other.SendErrors
+	e.counters[k].Add(cnt)
 }
 
 // route is the sequential merge pass: it walks boxes in shard order and
@@ -535,7 +471,7 @@ func (e *ShardedCluster) drainDue() {
 		if !e.router.Deliverable(d.To) {
 			continue
 		}
-		e.deliverNow(d.To, protocol.Packet{Kind: d.Msg.Kind, From: d.Msg.From, IDs: d.Msg.IDs, Dup: d.Msg.Dup})
+		e.deliverNow(d.To, protocol.Packet(d.Msg))
 	}
 }
 
@@ -549,19 +485,7 @@ func (e *ShardedCluster) deliverNow(to peer.ID, pkt protocol.Packet) {
 		nd := &e.nodes[to]
 		k := int(to) / e.shardSize
 		e.scratch.Reset()
-		cnt := &e.counters[k]
-		cnt.Receives++
-		if bc := nd.batch; bc != nil {
-			if bc.ReceiveBatch(&nd.view, to, pkt, &nd.rng, &e.scratch) {
-				cnt.Replies++
-			}
-		} else {
-			//lint:allow hotalloc classic StepCore fallback allocates by contract; cores with a batch path never take it
-			if reply, ok := e.cores[to].Receive(&nd.view, to, pkt.Message(), &nd.rng); ok {
-				cnt.Replies++
-				e.scratch.Append(reply.To, reply.Msg.From, reply.Msg.Kind, reply.Msg.Dup, reply.Msg.IDs...)
-			}
-		}
+		e.counters[k].Received(nd.core.ReceiveBatch(&nd.view, to, pkt, &nd.rng, &e.scratch))
 		if len(e.scratch.Msgs) == 0 {
 			return
 		}
@@ -659,7 +583,7 @@ func (e *ShardedCluster) Counters() NodeCounters {
 	<-e.gate
 	var sum NodeCounters
 	for k := range e.counters {
-		sum.accumulate(e.counters[k])
+		sum.Add(e.counters[k])
 	}
 	e.gate <- struct{}{}
 	return sum
@@ -688,7 +612,7 @@ func (e *ShardedCluster) CheckInvariants() error {
 		if !e.nodes[u].live {
 			continue
 		}
-		if err := e.cores[u].CheckView(&e.nodes[u].view); err != nil {
+		if err := e.nodes[u].core.CheckView(&e.nodes[u].view); err != nil {
 			return fmt.Errorf("runtime: node %v: %w", peer.ID(u), err)
 		}
 	}

@@ -17,10 +17,10 @@ import (
 	"sendforget/internal/runtime"
 )
 
-// batchProtocols lists all five protocols with batch step cores, the full
+// allProtocols lists the five protocols, the full
 // set the sharded engine runs allocation-free. The factories mirror
 // cmd/sfsim's defaults at view size 16.
-func batchProtocols() []struct {
+func allProtocols() []struct {
 	name    string
 	factory protocol.CoreFactory
 } {
@@ -111,7 +111,7 @@ func shardedFingerprint(e *runtime.ShardedCluster) string {
 // TestShardedDeterministicAcrossWorkers is the engine's core guarantee: the
 // worker count changes wall-clock time only, never results. Every view
 // byte, counter, and traffic number must match across worker counts — for
-// all five batch protocols, with and without a delay queue in play.
+// all five protocols, with and without a delay queue in play.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	gmp := gort.GOMAXPROCS(0)
 	cases := []struct {
@@ -121,7 +121,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 		{name: "immediate"},
 		{name: "delayed", delay: faults.Delay{Fixed: 1, Jitter: 3}},
 	}
-	for _, p := range batchProtocols() {
+	for _, p := range allProtocols() {
 		for _, tc := range cases {
 			t.Run(p.name+"/"+tc.name, func(t *testing.T) {
 				var want string
@@ -319,12 +319,12 @@ func TestShardedChurnWhileTicking(t *testing.T) {
 }
 
 // TestShardedZeroAllocTick is the memory-budget gate, parameterized over all
-// five batch step cores: after warm-up, a steady-state tick round performs
+// five step cores: after warm-up, a steady-state tick round performs
 // zero heap allocations (flat state, reused outboxes, fused view primitives).
-// CI runs this test; a protocol whose batch core starts allocating per
+// CI runs this test; a protocol whose step core starts allocating per
 // message fails its own subtest immediately.
 func TestShardedZeroAllocTick(t *testing.T) {
-	for _, p := range batchProtocols() {
+	for _, p := range allProtocols() {
 		t.Run(p.name, func(t *testing.T) {
 			e, err := runtime.NewSharded(runtime.ShardedConfig{N: 2000, NewCore: p.factory, Loss: 0.02, Seed: 10, Workers: 1})
 			if err != nil {

@@ -41,9 +41,9 @@ type Substrate interface {
 	// (see metrics.Traffic for the unified counting semantics).
 	Traffic() metrics.Traffic
 	// Counters sums the per-node protocol counters (ticks, sends,
-	// receives, replies, duplications, self-loops) over all live nodes —
-	// the node-level ledger the management API's /metrics endpoint
-	// exports next to Traffic.
+	// receives, replies, duplications, self-loops, deleted ids) over all
+	// live nodes — the node-level ledger the management API's /metrics
+	// endpoint exports next to Traffic.
 	Counters() NodeCounters
 	// Conditions returns the fault-injection stack for mid-run
 	// reconfiguration (partitions, link overrides).
@@ -126,6 +126,15 @@ type Config struct {
 	Workers int
 	// ShardSize overrides the nodes-per-shard geometry (sharded only).
 	ShardSize int
+}
+
+// conditionsOrUniform returns the fault stack a substrate consults: cond
+// when configured, otherwise the paper's uniform loss at the given rate.
+func conditionsOrUniform(cond *faults.Conditions, rate float64) (*faults.Conditions, error) {
+	if cond != nil {
+		return cond, nil
+	}
+	return faults.FromRate(rate)
 }
 
 // New builds the configured execution backend. It is the only constructor

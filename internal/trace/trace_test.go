@@ -7,16 +7,15 @@ import (
 
 	"sendforget/internal/engine"
 	"sendforget/internal/loss"
+	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 )
 
+func sfCores() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) }
+
 func TestRecorderRoundtrip(t *testing.T) {
-	p, err := sendforget.New(sendforget.Config{N: 30, S: 12, DL: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(p, loss.MustUniform(0.2), rng.New(1))
+	e, err := engine.New(sfCores, 30, 8, loss.MustUniform(0.2), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +53,7 @@ func TestRecorderRoundtrip(t *testing.T) {
 }
 
 func TestAttachChainsHooks(t *testing.T) {
-	p, err := sendforget.New(sendforget.Config{N: 10, S: 12, DL: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := engine.New(p, loss.None{}, rng.New(2))
+	e, err := engine.New(sfCores, 10, 8, loss.None{}, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}

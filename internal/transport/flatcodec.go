@@ -8,7 +8,7 @@ import (
 	"sendforget/internal/protocol"
 )
 
-// This file is the batch path's wire codec: the same version-1 format as
+// This file is the flat wire codec: the same version-1 format as
 // Marshal/Unmarshal, but in append/decode-into style so a warmed-up caller
 // never touches the allocator. Marshal allocates a fresh buffer per message
 // by design (its callers hand the slice to a datagram write and move on);

@@ -8,13 +8,39 @@ import (
 )
 
 // The fused view ops (single-draw pair selection, bitmask slot location,
-// combined clear/fill) exist so the batch protocol path never allocates.
-// They must remain behaviorally interchangeable with the scalar reference
-// ops they replace: identical state transitions where the op is
-// deterministic, and matching slot distributions where it is random. These
-// tests pin both halves across the occupancy edge cases — empty view, full
-// view, single occupied/empty slot — and across the bitmask (s <= 64) and
-// scan (s > 64) implementations.
+// combined clear/fill) exist so the protocol steps never allocate. They
+// must remain behaviorally interchangeable with the scalar reference ops
+// below, which spell each selection out the slow, obvious way: identical
+// state transitions where the op is deterministic, and matching slot
+// distributions where it is random. These tests pin both halves across the
+// occupancy edge cases — empty view, full view, single occupied/empty slot
+// — and across the bitmask (s <= 64) and scan (s > 64) implementations.
+
+// slotsWhere lists the empty (or the occupied) slot indices in ascending
+// order.
+func slotsWhere(v *View, empty bool) []int {
+	var out []int
+	for i := 0; i < v.Size(); i++ {
+		if v.Slot(i).IsNil() == empty {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// scalarEmptySlots is the reference for the fused empty-slot selectors: k
+// distinct uniformly chosen empty slots through rng.Choose.
+func scalarEmptySlots(v *View, r *rng.RNG, k int) ([]int, bool) {
+	empty := slotsWhere(v, true)
+	if len(empty) < k {
+		return nil, false
+	}
+	out := make([]int, k)
+	for idx, p := range r.Choose(len(empty), k) {
+		out[idx] = empty[p]
+	}
+	return out, true
+}
 
 // occupancyCases builds views covering the edge occupancies for one size.
 func occupancyCases(s int) map[string]*View {
@@ -48,7 +74,7 @@ var fusedSizes = []int{2, 8, 64, 70} // 70 exercises the scan fallback
 func TestClearOccupiedPairMatchesSequentialClears(t *testing.T) {
 	for _, s := range fusedSizes {
 		for name, base := range occupancyCases(s) {
-			occ := base.OccupiedSlots()
+			occ := slotsWhere(base, false)
 			for _, i := range occ {
 				for _, j := range occ {
 					if i == j {
@@ -76,7 +102,7 @@ func TestClearOccupiedPairMatchesSequentialClears(t *testing.T) {
 func TestFillEmptyPairMatchesSequentialSets(t *testing.T) {
 	for _, s := range fusedSizes {
 		for name, base := range occupancyCases(s) {
-			empty := base.EmptySlots()
+			empty := slotsWhere(base, true)
 			for _, a := range empty {
 				for _, b := range empty {
 					if a == b {
@@ -116,7 +142,7 @@ func checkUniform(t *testing.T, what string, counts map[[2]int]int, cells, trial
 }
 
 // TestRandomPairFastMatchesRandomPairDistribution: both pair selectors must
-// be uniform over ordered distinct slot pairs (the scalar one is the
+// be uniform over ordered distinct slot pairs (the scalar rng.Pair is the
 // Figure 5.1 reference; the fast one trades the draw mapping for a single
 // 64-bit draw).
 func TestRandomPairFastMatchesRandomPairDistribution(t *testing.T) {
@@ -128,19 +154,19 @@ func TestRandomPairFastMatchesRandomPairDistribution(t *testing.T) {
 		fast := map[[2]int]int{}
 		r1, r2 := rng.New(1001), rng.New(2002)
 		for n := 0; n < trials; n++ {
-			i, j := v.RandomPair(r1)
+			i, j := r1.Pair(s)
 			scalar[[2]int{i, j}]++
 			i, j = v.RandomPairFast(r2)
 			fast[[2]int{i, j}]++
 		}
-		checkUniform(t, "RandomPair", scalar, cells, trials)
+		checkUniform(t, "rng.Pair", scalar, cells, trials)
 		checkUniform(t, "RandomPairFast", fast, cells, trials)
 	}
 }
 
 // TestRandomEmptyPairMatchesScalarDistribution: the fused empty-pair draw
 // must hit exactly the ordered distinct empty pairs, uniformly — the same
-// support and distribution as RandomEmptySlots(r, 2).
+// support and distribution as scalarEmptySlots(r, 2).
 func TestRandomEmptyPairMatchesScalarDistribution(t *testing.T) {
 	const trials = 120000
 	for _, s := range []int{8, 70} {
@@ -154,9 +180,9 @@ func TestRandomEmptyPairMatchesScalarDistribution(t *testing.T) {
 			fused := map[[2]int]int{}
 			r1, r2 := rng.New(31), rng.New(41)
 			for n := 0; n < trials; n++ {
-				slots, ok := base.RandomEmptySlots(r1, 2)
+				slots, ok := scalarEmptySlots(base, r1, 2)
 				if !ok {
-					t.Fatalf("s=%d %s: RandomEmptySlots failed with %d empties", s, name, e)
+					t.Fatalf("s=%d %s: scalarEmptySlots failed with %d empties", s, name, e)
 				}
 				scalar[[2]int{slots[0], slots[1]}]++
 				a, b, ok := base.RandomEmptyPair(r2)
@@ -165,27 +191,27 @@ func TestRandomEmptyPairMatchesScalarDistribution(t *testing.T) {
 				}
 				fused[[2]int{a, b}]++
 			}
-			checkUniform(t, "RandomEmptySlots(2)", scalar, cells, trials)
+			checkUniform(t, "scalarEmptySlots(2)", scalar, cells, trials)
 			checkUniform(t, "RandomEmptyPair", fused, cells, trials)
 		}
 	}
 }
 
 // TestRandomSingleSlotSelectors covers the k=1 forms: RandomEmptySlot vs
-// RandomEmptySlots(r, 1) and RandomOccupiedSlot vs indexing OccupiedSlots,
-// on the same support with the same uniform law.
+// scalarEmptySlots(r, 1) and RandomOccupiedSlot vs indexing the occupied
+// slots, on the same support with the same uniform law.
 func TestRandomSingleSlotSelectors(t *testing.T) {
 	const trials = 60000
 	for _, s := range []int{8, 70} {
 		for name, base := range occupancyCases(s) {
-			empty, occ := base.EmptySlots(), base.OccupiedSlots()
+			empty, occ := slotsWhere(base, true), slotsWhere(base, false)
 			r1, r2 := rng.New(7), rng.New(11)
 			if len(empty) > 0 && len(empty) <= 6 {
 				scalar, fused := map[[2]int]int{}, map[[2]int]int{}
 				for n := 0; n < trials; n++ {
-					slots, ok := base.RandomEmptySlots(r1, 1)
+					slots, ok := scalarEmptySlots(base, r1, 1)
 					if !ok {
-						t.Fatalf("s=%d %s: RandomEmptySlots(1) failed", s, name)
+						t.Fatalf("s=%d %s: scalarEmptySlots(1) failed", s, name)
 					}
 					scalar[[2]int{slots[0]}]++
 					i, ok := base.RandomEmptySlot(r2)
@@ -194,7 +220,7 @@ func TestRandomSingleSlotSelectors(t *testing.T) {
 					}
 					fused[[2]int{i}]++
 				}
-				checkUniform(t, "RandomEmptySlots(1)", scalar, len(empty), trials)
+				checkUniform(t, "scalarEmptySlots(1)", scalar, len(empty), trials)
 				checkUniform(t, "RandomEmptySlot", fused, len(empty), trials)
 			}
 			if len(occ) > 0 && len(occ) <= 6 {
@@ -215,13 +241,13 @@ func TestRandomSingleSlotSelectors(t *testing.T) {
 }
 
 // TestRandomOccupiedPairMatchesChooseDistribution: shuffle's fused
-// swap-segment selection must match the scalar Choose-over-OccupiedSlots
+// swap-segment selection must match the scalar Choose-over-occupied-slots
 // reference — uniform over ordered distinct occupied pairs.
 func TestRandomOccupiedPairMatchesChooseDistribution(t *testing.T) {
 	const trials = 120000
 	for _, s := range []int{8, 70} {
 		for name, base := range occupancyCases(s) {
-			occ := base.OccupiedSlots()
+			occ := slotsWhere(base, false)
 			if len(occ) < 2 || len(occ) > 6 {
 				continue
 			}
@@ -245,8 +271,8 @@ func TestRandomOccupiedPairMatchesChooseDistribution(t *testing.T) {
 
 // TestReplaceRandomOccupiedMatchesScalarSequence: the fused pointer flip
 // must induce the same distribution over (detached id, resulting view) as
-// the scalar OccupiedSlots / Clear / RandomEmptySlots / Set sequence
-// flipper's classic receive step performs.
+// the scalar sequence it fuses: pick an occupied slot, Clear it, pick an
+// empty slot, Set it.
 func TestReplaceRandomOccupiedMatchesScalarSequence(t *testing.T) {
 	const trials = 120000
 	base := New(6)
@@ -258,11 +284,11 @@ func TestReplaceRandomOccupiedMatchesScalarSequence(t *testing.T) {
 	r1, r2 := rng.New(19), rng.New(23)
 	for n := 0; n < trials; n++ {
 		v := base.Clone()
-		occ := v.OccupiedSlots()
+		occ := slotsWhere(v, false)
 		slot := occ[r1.Intn(len(occ))]
 		z := v.Slot(slot)
 		v.Clear(slot)
-		stores, ok := v.RandomEmptySlots(r1, 1)
+		stores, ok := scalarEmptySlots(v, r1, 1)
 		if !ok {
 			t.Fatal("scalar store failed")
 		}

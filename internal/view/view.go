@@ -26,8 +26,8 @@ type View struct {
 	out   int // cached count of non-Nil slots (the outdegree d(u))
 	// occ is a bitmask of the occupied slots among the first 64 (bit i set
 	// iff slots[i] != peer.Nil). For the view sizes the paper works with
-	// (s <= 64) it covers the whole view, and the batched receive path
-	// selects random empty slots with a few bit operations instead of a
+	// (s <= 64) it covers the whole view, and the receive steps select
+	// random empty slots with a few bit operations instead of a
 	// slot scan. For larger views it is maintained for the covered prefix
 	// but never consulted.
 	occ uint64
@@ -100,33 +100,11 @@ func (v *View) Set(i int, id peer.ID) {
 // Clear empties slot i. Clearing an already-empty slot is a no-op.
 func (v *View) Clear(i int) { v.Set(i, peer.Nil) }
 
-// RandomPair selects an ordered pair of distinct slot indices uniformly at
-// random — Figure 5.1 line 2. The slots may be empty; the S&F initiate step
-// turns an empty selection into a self-loop transformation.
-func (v *View) RandomPair(r *rng.RNG) (i, j int) {
-	return r.Pair(len(v.slots))
-}
-
-// RandomEmptySlots returns k distinct uniformly chosen empty slot indices —
-// the receive step of Figure 5.1 (lines 3-4) uses k = 2. It returns false if
-// fewer than k slots are empty.
-func (v *View) RandomEmptySlots(r *rng.RNG, k int) ([]int, bool) {
-	empty := v.EmptySlots()
-	if len(empty) < k {
-		return nil, false
-	}
-	pick := r.Choose(len(empty), k)
-	out := make([]int, k)
-	for idx, p := range pick {
-		out[idx] = empty[p]
-	}
-	return out, true
-}
-
-// RandomPairFast is RandomPair through rng.FastPair: one 64-bit draw
-// instead of two, with the (documented, negligible) lane bias and a
-// different draw mapping. Batch step cores use it; the classic cores keep
-// RandomPair so their seeded streams are unchanged.
+// RandomPairFast selects an ordered pair of distinct slot indices uniformly
+// at random — Figure 5.1 line 2 — with one 64-bit draw through rng.FastPair
+// (its lane bias is documented there and negligible). The slots may be
+// empty; the S&F initiate step turns an empty selection into a self-loop
+// transformation.
 //
 //vet:hotpath
 func (v *View) RandomPairFast(r *rng.RNG) (i, j int) {
@@ -134,12 +112,10 @@ func (v *View) RandomPairFast(r *rng.RNG) (i, j int) {
 }
 
 // RandomEmptyPair returns an ordered pair of distinct uniformly chosen empty
-// slot indices without allocating — the hot-path form of
-// RandomEmptySlots(r, 2) used by the sharded cluster's batched receive path.
-// The pair distribution matches RandomEmptySlots' (uniform over ordered
-// distinct empty slots up to rng.FastPair's negligible lane bias), but the
-// RNG draw mapping differs, so the two forms are not stream-compatible under
-// a shared seed. It returns ok = false when fewer than two slots are empty.
+// slot indices without allocating — the receive step of Figure 5.1 (lines
+// 3-4). The pair is uniform over ordered distinct empty slots up to
+// rng.FastPair's negligible lane bias, from one draw. It returns ok = false
+// when fewer than two slots are empty.
 //
 //vet:hotpath
 func (v *View) RandomEmptyPair(r *rng.RNG) (a, b int, ok bool) {
@@ -227,11 +203,8 @@ func (v *View) ClearOccupiedPair(i, j int) {
 }
 
 // RandomEmptySlot returns one uniformly chosen empty slot index without
-// allocating — the hot-path form of RandomEmptySlots(r, 1) used by batch
-// receive steps that store ids one at a time. The slot distribution matches
-// RandomEmptySlots', but the RNG draw mapping differs (one Intn draw instead
-// of a Choose permutation step), so the two forms are not stream-compatible
-// under a shared seed. It returns ok = false when the view is full.
+// allocating, from one Intn draw — used by receive steps that store ids one
+// at a time. It returns ok = false when the view is full.
 //
 //vet:hotpath
 func (v *View) RandomEmptySlot(r *rng.RNG) (int, bool) {
@@ -262,9 +235,9 @@ func (v *View) RandomEmptySlot(r *rng.RNG) (int, bool) {
 }
 
 // RandomOccupiedSlot returns one uniformly chosen occupied slot index
-// without allocating — the fused form of indexing OccupiedSlots() with
-// r.Intn, used by batch receive steps (flipper's pointer flip, shuffle's
-// single-entry swap). It returns ok = false when the view is empty.
+// without allocating, from one Intn draw — used by receive steps (flipper's
+// pointer flip, shuffle's single-entry swap). It returns ok = false when
+// the view is empty.
 //
 //vet:hotpath
 func (v *View) RandomOccupiedSlot(r *rng.RNG) (int, bool) {
@@ -293,9 +266,8 @@ func (v *View) RandomOccupiedSlot(r *rng.RNG) (int, bool) {
 // occupied slot indices without allocating — shuffle's swap-segment
 // selection (pick the entries to offer) fused the way RandomEmptyPair fuses
 // the receive fill. The pair distribution is uniform over ordered distinct
-// occupied slots up to rng.FastPair's negligible lane bias; the draw mapping
-// differs from the scalar Choose path. It returns ok = false when fewer than
-// two slots are occupied.
+// occupied slots up to rng.FastPair's negligible lane bias. It returns
+// ok = false when fewer than two slots are occupied.
 //
 //vet:hotpath
 func (v *View) RandomOccupiedPair(r *rng.RNG) (a, b int, ok bool) {
@@ -331,9 +303,7 @@ func (v *View) RandomOccupiedPair(r *rng.RNG) (a, b int, ok bool) {
 // detach a uniformly chosen occupied entry z, then store w into a uniformly
 // chosen empty slot of the resulting view (which always has at least the
 // just-cleared slot empty). It returns the detached id and ok = true, or
-// ok = false when the view is empty and nothing was replaced. The slot
-// distribution matches the scalar OccupiedSlots/Clear/RandomEmptySlots
-// sequence; only the RNG draw mapping differs.
+// ok = false when the view is empty and nothing was replaced.
 //
 //vet:hotpath
 func (v *View) ReplaceRandomOccupied(r *rng.RNG, w peer.ID) (z peer.ID, ok bool) {
@@ -356,29 +326,6 @@ func nthSetBit(m uint64, k int) int {
 		m &= m - 1
 	}
 	return bits.TrailingZeros64(m)
-}
-
-// EmptySlots returns the indices of all empty slots in ascending order.
-func (v *View) EmptySlots() []int {
-	out := make([]int, 0, len(v.slots)-v.out)
-	for i, id := range v.slots {
-		if id == peer.Nil {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// OccupiedSlots returns the indices of all non-empty slots in ascending
-// order.
-func (v *View) OccupiedSlots() []int {
-	out := make([]int, 0, v.out)
-	for i, id := range v.slots {
-		if id != peer.Nil {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // IDs returns the multiset of non-empty entries in slot order. The returned
@@ -409,17 +356,6 @@ func (v *View) Multiplicity(id peer.ID) int {
 		}
 	}
 	return m
-}
-
-// SlotsOf returns the indices of all entries holding id, ascending.
-func (v *View) SlotsOf(id peer.ID) []int {
-	var out []int
-	for i, e := range v.slots {
-		if e == id {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy of the view.

@@ -73,28 +73,30 @@ func TestFull(t *testing.T) {
 }
 
 func TestEmptyAndOccupiedSlots(t *testing.T) {
+	// The single-slot selectors draw from exactly the empty and exactly the
+	// occupied slots.
 	v := New(5)
 	v.Set(1, 7)
 	v.Set(3, 8)
-	gotEmpty := v.EmptySlots()
-	wantEmpty := []int{0, 2, 4}
-	if len(gotEmpty) != len(wantEmpty) {
-		t.Fatalf("EmptySlots = %v, want %v", gotEmpty, wantEmpty)
-	}
-	for i := range wantEmpty {
-		if gotEmpty[i] != wantEmpty[i] {
-			t.Fatalf("EmptySlots = %v, want %v", gotEmpty, wantEmpty)
+	r := rng.New(5)
+	empty, occupied := map[int]bool{}, map[int]bool{}
+	for k := 0; k < 200; k++ {
+		i, ok := v.RandomEmptySlot(r)
+		if !ok || v.Slot(i) != peer.Nil {
+			t.Fatalf("RandomEmptySlot = %d, %v on %v", i, ok, v)
 		}
-	}
-	gotOcc := v.OccupiedSlots()
-	wantOcc := []int{1, 3}
-	if len(gotOcc) != len(wantOcc) {
-		t.Fatalf("OccupiedSlots = %v, want %v", gotOcc, wantOcc)
-	}
-	for i := range wantOcc {
-		if gotOcc[i] != wantOcc[i] {
-			t.Fatalf("OccupiedSlots = %v, want %v", gotOcc, wantOcc)
+		empty[i] = true
+		j, ok := v.RandomOccupiedSlot(r)
+		if !ok || v.Slot(j) == peer.Nil {
+			t.Fatalf("RandomOccupiedSlot = %d, %v on %v", j, ok, v)
 		}
+		occupied[j] = true
+	}
+	if len(empty) != 3 || !empty[0] || !empty[2] || !empty[4] {
+		t.Errorf("empty slots drawn = %v, want {0, 2, 4}", empty)
+	}
+	if len(occupied) != 2 || !occupied[1] || !occupied[3] {
+		t.Errorf("occupied slots drawn = %v, want {1, 3}", occupied)
 	}
 }
 
@@ -122,19 +124,15 @@ func TestIDsAndMultiplicity(t *testing.T) {
 	if !v.Contains(3) || v.Contains(1) {
 		t.Error("Contains gave wrong answers")
 	}
-	slots := v.SlotsOf(3)
-	if len(slots) != 2 || slots[0] != 0 || slots[1] != 2 {
-		t.Errorf("SlotsOf(3) = %v, want [0 2]", slots)
-	}
 }
 
 func TestRandomPairDistinctSlots(t *testing.T) {
 	v := New(6)
 	r := rng.New(1)
 	for k := 0; k < 1000; k++ {
-		i, j := v.RandomPair(r)
+		i, j := v.RandomPairFast(r)
 		if i == j || i < 0 || j < 0 || i >= 6 || j >= 6 {
-			t.Fatalf("RandomPair = (%d,%d) invalid", i, j)
+			t.Fatalf("RandomPairFast = (%d,%d) invalid", i, j)
 		}
 	}
 }
@@ -147,27 +145,26 @@ func TestRandomEmptySlots(t *testing.T) {
 	v.Set(3, 4)
 	r := rng.New(2)
 	for k := 0; k < 200; k++ {
-		slots, ok := v.RandomEmptySlots(r, 2)
+		a, b, ok := v.RandomEmptyPair(r)
 		if !ok {
-			t.Fatal("RandomEmptySlots reported insufficient space with 2 empties")
+			t.Fatal("RandomEmptyPair reported insufficient space with 2 empties")
 		}
-		if len(slots) != 2 || slots[0] == slots[1] {
-			t.Fatalf("RandomEmptySlots = %v invalid", slots)
+		if a == b {
+			t.Fatalf("RandomEmptyPair = (%d, %d) invalid", a, b)
 		}
-		for _, s := range slots {
+		for _, s := range []int{a, b} {
 			if s != 4 && s != 5 {
-				t.Fatalf("RandomEmptySlots chose occupied slot %d", s)
+				t.Fatalf("RandomEmptyPair chose occupied slot %d", s)
 			}
 		}
 	}
 	v.Set(4, 5)
-	if _, ok := v.RandomEmptySlots(r, 2); ok {
-		t.Error("RandomEmptySlots succeeded with only one empty slot")
+	if _, _, ok := v.RandomEmptyPair(r); ok {
+		t.Error("RandomEmptyPair succeeded with only one empty slot")
 	}
-	// k = 1 should still work with one empty slot.
-	slots, ok := v.RandomEmptySlots(r, 1)
-	if !ok || len(slots) != 1 || slots[0] != 5 {
-		t.Errorf("RandomEmptySlots(_, 1) = %v, %v; want [5], true", slots, ok)
+	// The single-slot form still works with one empty slot.
+	if i, ok := v.RandomEmptySlot(r); !ok || i != 5 {
+		t.Errorf("RandomEmptySlot = %v, %v; want 5, true", i, ok)
 	}
 }
 
@@ -227,7 +224,7 @@ func TestQuickIDsLengthIsOutdegree(t *testing.T) {
 			v.Set(int(op%10), peer.ID(op%7))
 		}
 		return len(v.IDs()) == v.Outdegree() &&
-			len(v.EmptySlots())+v.Outdegree() == v.Size()
+			len(slotsWhere(v, true))+v.Outdegree() == v.Size()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
