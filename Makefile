@@ -10,7 +10,7 @@
 # gates on BenchmarkSfvetRepo staying under its ns/op budget so the suite
 # stays fast enough to run on every push.
 
-.PHONY: build test race vet bench bench-smoke e2e
+.PHONY: build test race vet bench-smoke e2e
 
 build:
 	go build ./...
@@ -30,11 +30,6 @@ vet:
 # /config reload, a bare-/leave drain, and SIGTERM teardown.
 e2e:
 	scripts/e2e.sh
-
-# Runs the cluster tick benchmark family and refreshes BENCH_cluster.json.
-# FULL=1 make bench includes the 1M-node round.
-bench:
-	scripts/bench.sh
 
 # Builds and exercises the repository's benchmark (bench/, a module of its
 # own that imports sendforget/internal/...) at smoke size, so a rename in

@@ -263,10 +263,10 @@ func BenchmarkRuntimeTick(b *testing.B) {
 //   - sharded: the sharded tick engine at 10k, 100k, and (full mode only;
 //     skipped under -short) 1M nodes — the S&F baseline rows.
 //   - sharded/<proto>: the same engine under each of the other batch-core
-//     protocols at 10k and 100k, the per-protocol rows of
-//     BENCH_cluster.json schema 2.
+//     protocols at 10k and 100k.
 //
-// scripts/bench.sh runs this family and records BENCH_cluster.json.
+// CI's zero-alloc guard reads the sharded rows; performance is quoted from
+// bench/ (see bench/README.md), not from this family.
 func BenchmarkClusterTick(b *testing.B) {
 	tickRound := func(engine runtime.EngineKind, factory protocol.CoreFactory, n, warm int) func(*testing.B) {
 		return func(b *testing.B) {

@@ -27,9 +27,9 @@ func TestAnalyzerNameListIsCurrent(t *testing.T) {
 }
 
 var allAnalyzerNames = []string{
-	"detrand", "seedflow", "lockdiscipline", "counterbalance", "maporder",
-	"substrate", "seedtaint", "lockreach", "goroleak", "errdrop",
-	"hotalloc", "atomicmix", "sharedguard", "shardconfine",
+	"detrand", "counterbalance", "maporder", "substrate", "atomicmix",
+	"seedtaint", "lockreach", "goroleak", "errdrop", "hotalloc",
+	"sharedguard", "shardconfine",
 }
 
 func TestListPrintsAllAnalyzers(t *testing.T) {
@@ -206,7 +206,7 @@ func TestWholeRepoIsClean(t *testing.T) {
 }
 
 // BenchmarkSfvetRepo is the whole-repo smoke benchmark: one full suite run —
-// load, call graph, program-wide fixpoints, fourteen analyzers over every
+// load, call graph, program-wide fixpoints, twelve analyzers over every
 // package — per iteration. It bounds the CI vet budget (the workflow
 // parses its ns/op figure and fails above the stated budget); a
 // regression here is a regression in every CI run.

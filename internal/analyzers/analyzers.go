@@ -1,4 +1,4 @@
-// Package analyzers is the repository's static-analysis suite: fourteen
+// Package analyzers is the repository's static-analysis suite: twelve
 // framework.Analyzers that mechanically enforce the determinism,
 // lock-discipline, accounting, allocation, goroutine-lifecycle, and
 // concurrency invariants the reproduction's correctness and performance
@@ -12,40 +12,44 @@
 // the lock discipline, PR 3 the seed-derivation rule); this suite promotes
 // them to compiler-grade checks run by cmd/sfvet in CI.
 //
-// The first six analyzers are syntactic, per-package checks:
+// Five analyzers are syntactic, per-package checks:
 //
 //	detrand        no ambient randomness or wall clock in simulation code
-//	seedflow       RNG seeds come from rng.DeriveSeed, never arithmetic
-//	lockdiscipline no sends or blocking calls under a node/cluster mutex
 //	counterbalance traffic counters move only through their owning package,
 //	               and every send is paired with an outcome
 //	maporder       no map-iteration order leaking into ordered output
 //	substrate      execution backends are built only via runtime.New — no
 //	               package outside internal/runtime calls a concrete
 //	               substrate constructor
+//	atomicmix      no package-level sync/atomic function calls: shared
+//	               words are typed atomics, so atomic and plain access
+//	               cannot mix
 //
-// The remaining eight are interprocedural, built on the framework's CFG,
-// call graph, taint, escape, and happens-before engines, and see the whole
-// loaded program:
+// The remaining seven are interprocedural, built on the framework's CFG,
+// call graph, taint, escape, held-lock, and happens-before engines, and see
+// the whole loaded program:
 //
-//	seedtaint no arithmetic-derived seed reaches rng.New through any
-//	          chain of calls or assignments
-//	lockreach no call that transitively blocks (send, channel op, lock)
-//	          while a runtime/engine mutex is held
+//	seedtaint RNG seeds come from rng.DeriveSeed: no arithmetic on a
+//	          seed, and no arithmetic-derived seed reaching rng.New
+//	          through any chain of calls or assignments
+//	lockreach nothing that blocks (send, channel op, sleep, wait) while
+//	          a mutex is held, written in place or reached through any
+//	          chain of calls
 //	goroleak  every goroutine in the runtime and commands has a
 //	          termination path and a shutdown/sync mechanism
 //	errdrop   transport/faults errors are consulted, never discarded
 //	hotalloc  no allocation site reachable from a //vet:hotpath root —
 //	          the zero-alloc tick guarantee, proved over every branch
 //	          instead of sampled by alloc counters
-//	atomicmix no field accessed both via sync/atomic and by plain
-//	          read/write without a mutex held
 //	sharedguard conflicting accesses to substrate state (runtime, mgmt,
 //	          driver, transport) must be ordered by a happens-before
 //	          edge, excluded by a common lock, or provably confined
 //	shardconfine fields annotated //vet:confined are only touched by
 //	          their owning shard's worker between barrier phases or
 //	          while holding the engine's gate token
+//
+// TestDetectionMatrix records which analyzer flags which line of every
+// fixture; an analyzer is merged or replaced only with that table intact.
 //
 // Exceptions are granted per line with `//lint:allow <analyzer> <reason>`
 // (see the framework package).
@@ -61,17 +65,15 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		Detrand,
-		Seedflow,
-		Lockdiscipline,
 		Counterbalance,
 		Maporder,
 		Substrate,
+		Atomicmix,
 		Seedtaint,
 		Lockreach,
 		Goroleak,
 		Errdrop,
 		Hotalloc,
-		Atomicmix,
 		Sharedguard,
 		Shardconfine,
 	}

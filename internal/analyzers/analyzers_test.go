@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sendforget/internal/analyzers/framework"
@@ -16,12 +17,14 @@ func TestDetrandFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("detrand"), Detrand)
 }
 
+// The seedflow and lockdiscipline fixtures outlived their analyzers: they
+// pin the site rules seedtaint and lockreach took over.
 func TestSeedflowFixture(t *testing.T) {
-	framework.RunFixture(t, fixture("seedflow"), Seedflow)
+	framework.RunFixture(t, fixture("seedtaint/seedflow"), Seedtaint)
 }
 
 func TestLockdisciplineFixture(t *testing.T) {
-	framework.RunFixture(t, fixture("lockdiscipline"), Lockdiscipline)
+	framework.RunFixture(t, fixture("lockreach/lockdiscipline"), Lockreach)
 }
 
 func TestCounterbalanceFixture(t *testing.T) {
@@ -55,30 +58,21 @@ func TestSubstrateFixture(t *testing.T) {
 // TestSeedtaintSeesWhatSeedflowMisses pins the gap that justifies the
 // interprocedural engine: every flagged case in the seedtaint fixture hides
 // its arithmetic behind a helper whose parameters are not seed-named, so
-// the syntactic seedflow analyzer reports nothing on the package — while
-// seedtaint, following the taint through calls and fields, flags the PR 3
+// none of the site rules seedtaint inherited from the syntactic seedflow
+// analyzer fires on the package — all three findings come from following
+// the taint through calls and fields to the rng.New sink, the PR 3
 // collision scheme end to end.
 func TestSeedtaintSeesWhatSeedflowMisses(t *testing.T) {
-	dir := fixture("seedtaint")
-
-	syntactic, err := framework.FixtureDiagnostics(dir, Seedflow)
+	diags, err := framework.FixtureDiagnostics(fixture("seedtaint"), Seedtaint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range syntactic {
-		t.Errorf("seedflow unexpectedly sees through the helper: %s", d)
+	if len(diags) != 3 {
+		t.Fatalf("want 3 seedtaint diagnostics (helper, inline, field), got %d: %v", len(diags), diags)
 	}
-
-	interproc, err := framework.FixtureDiagnostics(dir, Seedtaint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(interproc) != 3 {
-		t.Fatalf("want 3 seedtaint diagnostics (helper, inline, field), got %d: %v", len(interproc), interproc)
-	}
-	for _, d := range interproc {
-		if d.Analyzer != "seedtaint" {
-			t.Errorf("diagnostic from %q, want seedtaint: %s", d.Analyzer, d)
+	for _, d := range diags {
+		if !strings.Contains(d.Message, "arithmetic-derived seed reaches rng.New") {
+			t.Errorf("a site rule sees through the helper: %s", d)
 		}
 	}
 }
@@ -86,24 +80,19 @@ func TestSeedtaintSeesWhatSeedflowMisses(t *testing.T) {
 // TestSeedflowCatchesPR3Collision is the regression test for the PR 3 seed
 // bug: the cluster derived node u's initial stream from Seed+u+1 and its
 // rejoin stream from Seed+u+7919, so a rejoining node u replayed the
-// initial stream of node u+7918. The test asserts (a) seedflow flags both
+// initial stream of node u+7918. The test asserts (a) seedtaint flags both
 // derivations in the replayed scheme, (b) the historical scheme really does
 // collide, and (c) rng.DeriveSeed on the same part tuples does not.
 func TestSeedflowCatchesPR3Collision(t *testing.T) {
 	dir := fixture("seedcollision")
-	framework.RunFixture(t, dir, Seedflow)
+	framework.RunFixture(t, dir, Seedtaint)
 
-	diags, err := framework.FixtureDiagnostics(dir, Seedflow)
+	diags, err := framework.FixtureDiagnostics(dir, Seedtaint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 2 {
-		t.Fatalf("want 2 seedflow diagnostics for the PR 3 scheme, got %d: %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if d.Analyzer != "seedflow" {
-			t.Errorf("diagnostic from %q, want seedflow: %s", d.Analyzer, d)
-		}
+		t.Fatalf("want 2 seedtaint diagnostics for the PR 3 scheme, got %d: %v", len(diags), diags)
 	}
 
 	// (b) The collision itself: node u's rejoin stream equals node

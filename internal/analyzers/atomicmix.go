@@ -2,239 +2,51 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"sendforget/internal/analyzers/framework"
 )
 
-// Atomicmix flags variables accessed both through the classic sync/atomic
-// function API (atomic.AddInt64(&x.n, 1), atomic.LoadUint32(&v), ...) and by
-// plain read/write with no mutex held. Mixing the two is a data race even
-// when each side looks locally innocent: the plain access can tear, be
-// reordered, or read a stale value, and -race only catches the schedules it
-// happens to see.
+// Atomicmix reports every call to a package-level sync/atomic function
+// (atomic.AddInt64(&x.n, 1), atomic.LoadUint32(&v), ...). A word reached
+// through that API is an ordinary int64 to the compiler, so nothing stops
+// a plain read or write of it elsewhere — a data race even when each side
+// looks locally innocent: the plain access can tear, be reordered, or read
+// a stale value, and -race only catches the schedules it happens to see.
 //
-// The repo's sanctioned pattern is the one runtime.Node.SetPeriod (PR 8)
-// uses: a *typed* atomic (atomic.Int64) for the shared word — which makes
-// unsynchronized plain access a compile error — plus a channel for the
-// wakeup edge. The regression this analyzer guards against is the classic
-// form creeping back in during a refactor: someone converts the field to a
-// plain int64 "because only one writer exists", keeps atomic.LoadInt64 on
-// the reader, and writes it bare in Reconfigure.
-//
-// Mechanics: a program-wide pass collects every object (field or variable)
-// whose address is passed to a classic sync/atomic function. Then each
-// function in every package runs the same CFG-based may-hold lock dataflow
-// lockreach uses; a plain mention of a monitored object at a point where no
-// mutex may be held is reported, pointing back at the atomic access site.
-// Accesses under any held mutex are accepted — the analyzer checks the
-// atomic/plain mix, not which mutex is the right one. Typed atomics are out
-// of scope: the type system already polices them.
+// The repo's rule is the pattern runtime.Node.SetPeriod (PR 8) uses: a
+// *typed* atomic (atomic.Int64) for the shared word, which makes the
+// atomic/plain mix a compile error instead of a finding. No package uses
+// the function API today; this analyzer keeps it from creeping back in
+// during a refactor ("only one writer exists, a plain int64 will do").
+// Methods of the typed atomics live in sync/atomic too but have a receiver,
+// which excludes them.
 var Atomicmix = &framework.Analyzer{
 	Name: "atomicmix",
-	Doc:  "no field accessed both via sync/atomic and by plain read/write without a mutex held",
+	Doc:  "no package-level sync/atomic function calls: shared words are typed atomics, so atomic and plain access cannot mix",
 	Run:  runAtomicmix,
 }
 
-// atomicUses maps each object reached by a classic &x atomic call to the
-// position of one such call, for the diagnostic.
-type atomicUses map[types.Object]token.Position
-
 func runAtomicmix(pass *framework.Pass) error {
-	uses := pass.Prog.Shared("atomicmix.uses", func() any {
-		return collectAtomicUses(pass.Prog)
-	}).(atomicUses)
-	if len(uses) == 0 {
-		return nil
-	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkAtomicmix(pass, fd.Body, uses)
-		}
-	}
-	return nil
-}
-
-// collectAtomicUses scans every source package for classic sync/atomic
-// calls and records the objects their first &-argument addresses.
-func collectAtomicUses(prog *framework.Program) atomicUses {
-	uses := make(atomicUses)
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if obj := classicAtomicTarget(pkg.Info, call); obj != nil {
-					if _, seen := uses[obj]; !seen {
-						uses[obj] = pkg.Fset.Position(call.Pos())
-					}
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
 				return true
-			})
-		}
-	}
-	return uses
-}
-
-// classicAtomicTarget returns the object addressed by the first argument of
-// a classic sync/atomic function call (atomic.AddInt64(&c.n, 1) -> field n),
-// or nil when call is anything else. Methods on the typed atomics also live
-// in package sync/atomic but arrive as method selections, which the
-// Selections check excludes.
-func classicAtomicTarget(info *types.Info, call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if _, isMethod := info.Selections[sel]; isMethod {
-		return nil
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return nil
-	}
-	name := fn.Name()
-	switch {
-	case strings.HasPrefix(name, "Add"), strings.HasPrefix(name, "Load"),
-		strings.HasPrefix(name, "Store"), strings.HasPrefix(name, "Swap"),
-		strings.HasPrefix(name, "CompareAndSwap"), strings.HasPrefix(name, "Or"),
-		strings.HasPrefix(name, "And"):
-	default:
-		return nil
-	}
-	if len(call.Args) == 0 {
-		return nil
-	}
-	addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-	if !ok || addr.Op != token.AND {
-		return nil
-	}
-	return addressedObject(info, addr.X)
-}
-
-// addressedObject resolves &expr's target to a field or variable object.
-func addressedObject(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok {
-			return v
-		}
-	case *ast.SelectorExpr:
-		if v, ok := info.Uses[e.Sel].(*types.Var); ok {
-			return v
-		}
-	case *ast.IndexExpr:
-		return addressedObject(info, e.X)
-	}
-	return nil
-}
-
-// checkAtomicmix runs the may-hold lock dataflow over one body and reports
-// plain mentions of atomically-accessed objects at lock-free points.
-// Function literals get their own analysis with an empty held set — a
-// callback does not inherit its creator's critical section.
-func checkAtomicmix(pass *framework.Pass, body *ast.BlockStmt, uses atomicUses) {
-	cfg := framework.BuildCFG(body)
-	transfer := func(b *framework.Block, in heldFact) heldFact {
-		out := in.clone()
-		for _, n := range b.Nodes {
-			applyLockOps(pass.TypesInfo, n, out)
-		}
-		return out
-	}
-	join := func(a, b heldFact) heldFact {
-		m := a.clone()
-		for k := range b {
-			m[k] = true
-		}
-		return m
-	}
-	equal := func(a, b heldFact) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
 			}
-		}
-		return true
-	}
-	entry := framework.ForwardDataflow(cfg, heldFact{}, transfer, join, equal)
-
-	reported := map[token.Pos]bool{}
-	for _, blk := range cfg.Blocks {
-		held, ok := entry[blk]
-		if !ok {
-			continue // unreachable block
-		}
-		held = held.clone()
-		for _, n := range blk.Nodes {
-			if len(held) == 0 {
-				reportPlainAtomicAccess(pass, n, uses, reported)
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
 			}
-			applyLockOps(pass.TypesInfo, n, held)
-		}
-	}
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkAtomicmix(pass, lit.Body, uses)
-			return false
-		}
-		return true
-	})
-}
-
-// reportPlainAtomicAccess reports plain mentions of monitored objects inside
-// one CFG node. Atomic calls on the objects are skipped whole (they are the
-// sanctioned access), as are composite-literal field keys (naming a field is
-// not accessing it) and nested literals (analyzed separately).
-func reportPlainAtomicAccess(pass *framework.Pass, node ast.Node, uses atomicUses, reported map[token.Pos]bool) {
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit, *ast.GoStmt:
-				return false
-			case *ast.CallExpr:
-				if classicAtomicTarget(pass.TypesInfo, n) != nil {
-					// The atomic access itself; its remaining arguments still
-					// need checking (atomic.StoreInt64(&c.n, c.m) reads c.m).
-					for _, arg := range n.Args[1:] {
-						walk(arg)
-					}
-					return false
-				}
-			case *ast.CompositeLit:
-				for _, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						walk(kv.Value)
-					} else {
-						walk(elt)
-					}
-				}
-				return false
-			case *ast.Ident:
-				if obj := pass.TypesInfo.Uses[n]; obj != nil {
-					if at, monitored := uses[obj]; monitored && !reported[n.Pos()] {
-						reported[n.Pos()] = true
-						pass.Reportf(n.Pos(),
-							"%s is accessed atomically (%s) but plainly here with no mutex held; use the atomic API or hold the lock",
-							n.Name, at)
-					}
-				}
+			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
+				fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(call.Pos(),
+					"atomic.%s(%s, ...) leaves every plain access to that word a silent race: declare it as a typed atomic (atomic.Int64, atomic.Pointer[T], ...)",
+					fn.Name(), types.ExprString(call.Args[0]))
 			}
 			return true
 		})
 	}
-	walk(node)
+	return nil
 }

@@ -48,58 +48,6 @@ import (
 	"strings"
 )
 
-// LockMode grades how strongly a held lock key excludes other holders.
-// ModeExcl is a real exclusive hold (mutex Lock, token channel, once body);
-// ModeRead is a shared RLock hold; ModeBarrier is inherited across a
-// dispatch barrier and excludes only non-barrier holders.
-type LockMode int
-
-const (
-	ModeBarrier LockMode = iota
-	ModeRead
-	ModeExcl
-)
-
-// Lockset maps lock key objects (mutex fields, token channel fields,
-// sync.Once fields) to the mode they are held in.
-type Lockset map[types.Object]LockMode
-
-func (l Lockset) clone() Lockset {
-	c := make(Lockset, len(l))
-	for k, v := range l {
-		c[k] = v
-	}
-	return c
-}
-
-// intersect is the call-site meet: a callee holds a key only if every
-// caller holds it, in the weakest mode any caller holds it in.
-func intersectLocks(a, b Lockset) Lockset {
-	out := make(Lockset)
-	for k, ma := range a {
-		if mb, ok := b[k]; ok {
-			m := ma
-			if mb < m {
-				m = mb
-			}
-			out[k] = m
-		}
-	}
-	return out
-}
-
-func equalLocks(a, b Lockset) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Goroutine is one static goroutine-creation context: a go statement, or
 // the synthetic External context modeling callers outside the loaded
 // program (exported API, main, stored callbacks, address-taken methods).

@@ -94,28 +94,9 @@ func (s *concSolver) analyzeBody(env *bodyEnv, body *ast.BlockStmt) {
 	s.collectAddrTaken(env, body)
 	s.prescan(env, body)
 	s.collectWaits(env, body)
-	cfg := s.cfgOf(body)
-	entry := env.entry.clone()
-	facts := ForwardDataflow(cfg, entry,
-		func(b *Block, f Lockset) Lockset {
-			out := f.clone()
-			for _, n := range b.Nodes {
-				s.applyNodeOps(env, out, n)
-			}
-			return out
-		},
-		intersectLocks, equalLocks)
-	for _, b := range cfg.Blocks {
-		f, ok := facts[b]
-		if !ok {
-			continue // unreachable
-		}
-		held := f.clone()
-		for _, n := range b.Nodes {
-			s.walkNode(env, n, held)
-			s.applyNodeOps(env, held, n)
-		}
-	}
+	ReplayHeldLocks(s.cfgOf(body), env.entry, MustHold,
+		func(held Lockset, n ast.Node) { s.applyNodeOps(env, held, n) },
+		func(n ast.Node, held Lockset) { s.walkNode(env, n, held) })
 }
 
 func (s *concSolver) cfgOf(body *ast.BlockStmt) *CFG {
@@ -334,7 +315,7 @@ func (s *concSolver) wgCall(env *bodyEnv, call *ast.CallExpr) (types.Object, str
 		return nil, ""
 	}
 	obj := refObject(env.pkg.Info, sel.X)
-	if obj == nil || !isSyncNamed(obj.Type(), "WaitGroup") {
+	if obj == nil || !IsSyncNamed(obj.Type(), "WaitGroup") {
 		return nil, ""
 	}
 	return obj, sel.Sel.Name
@@ -381,13 +362,7 @@ func (s *concSolver) applyNodeOps(env *bodyEnv, held Lockset, node ast.Node) {
 				}
 			}
 		case *ast.CallExpr:
-			if obj, mode, acquire, ok := mutexOp(info, n); ok {
-				if acquire {
-					held[obj] = mode
-				} else if held[obj] == mode {
-					delete(held, obj)
-				}
-			}
+			held.applyMutexOp(info, n)
 		}
 		return true
 	})
@@ -414,45 +389,6 @@ func (s *concSolver) applyRecv(info *types.Info, held Lockset, ch ast.Expr) {
 			}
 		}
 	}
-}
-
-// mutexOp matches sync.Mutex / sync.RWMutex lock-family calls on a named
-// field or variable, keyed instance-insensitively by the declared object.
-func mutexOp(info *types.Info, call *ast.CallExpr) (obj types.Object, mode LockMode, acquire, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return nil, 0, false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock":
-		mode, acquire = ModeExcl, sel.Sel.Name == "Lock"
-	case "RLock", "RUnlock":
-		mode, acquire = ModeRead, sel.Sel.Name == "RLock"
-	default:
-		return nil, 0, false, false
-	}
-	obj = refObject(info, sel.X)
-	if obj == nil {
-		return nil, 0, false, false
-	}
-	if !isSyncNamed(obj.Type(), "Mutex") && !isSyncNamed(obj.Type(), "RWMutex") {
-		return nil, 0, false, false
-	}
-	return obj, mode, acquire, true
-}
-
-// isSyncNamed reports whether t (possibly behind a pointer) is the named
-// sync.<name> type.
-func isSyncNamed(t types.Type, name string) bool {
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	n, isNamed := t.(*types.Named)
-	if !isNamed {
-		return false
-	}
-	o := n.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "sync" && o.Name() == name
 }
 
 // syncGuardedType reports whether a field's type is itself a
@@ -803,7 +739,7 @@ func onceDoTarget(info *types.Info, call *ast.CallExpr) types.Object {
 		return nil
 	}
 	obj := refObject(info, sel.X)
-	if obj == nil || !isSyncNamed(obj.Type(), "Once") {
+	if obj == nil || !IsSyncNamed(obj.Type(), "Once") {
 		return nil
 	}
 	return obj

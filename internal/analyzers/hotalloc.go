@@ -110,7 +110,11 @@ func collectHotFindings(prog *framework.Program) []hotFinding {
 				what:    site.What,
 			})
 		}
-		forEachExecutedCall(src.Decl.Body, func(call *ast.CallExpr) {
+		walkExecuted(src.Decl.Body, func(n ast.Node) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return
+			}
 			// An allow directive on the call line cuts this edge: everything
 			// behind the call is a reviewed, documented exception (e.g. the
 			// router's heap.Push for a delayed message).

@@ -11,59 +11,61 @@ import (
 	"sendforget/internal/analyzers/framework"
 )
 
-// Lockreach is the interprocedural upgrade of lockdiscipline: it flags
-// calls made while a mutex is held to functions that block *transitively* —
-// a channel operation, a transport send, a lock acquisition, or a known
-// blocking call buried any number of helper calls deep. Lockdiscipline sees
+// Lockreach forbids blocking while a sync.Mutex or sync.RWMutex is held: a
+// channel send or receive, a select without default, a range over a channel,
+// a call to a method named Send (the transport.Network / transport.Endpoint
+// / runtime.Sender surface), time.Sleep, sync.WaitGroup.Wait or
+// sync.Cond.Wait — written in the locked function itself or buried any
+// number of helper calls deep:
 //
 //	n.mu.Lock()
-//	n.ch <- v // flagged: direct op under lock
-//
-// but is blind to
+//	n.ch <- v // flagged: direct operation under the lock
 //
 //	n.mu.Lock()
-//	n.flush() // flush does n.ch <- v
+//	n.flush() // flagged too: flush does n.ch <- v
 //
-// which deadlocks just the same — the shape PR 2's "replies are sent
-// outside the node lock" rule exists to prevent, and the shape a helper
-// extraction silently reintroduces.
+// This is the "replies are sent outside the node lock" rule PR 2
+// established for the concurrent runtime: a node that sends while holding
+// its own lock can deadlock against a peer doing the same (each send runs
+// the receiver's handler, which takes the receiver's lock), and a blocking
+// call under a node or cluster mutex stalls every goroutine that gossips
+// through it. The second shape is the one a helper extraction silently
+// reintroduces.
 //
 // Mechanics: a program-wide summary pass computes, for every source
-// function, whether its body can block (channel send/receive, blocking
-// select, range over a channel, Lock/RLock acquisition, time.Sleep,
-// WaitGroup/Cond.Wait, or a method named Send) or calls — statically or
-// through a CHA-resolved interface — a function that can. Then each
-// function in the scoped packages is analyzed with a CFG-based forward
-// "may-hold" dataflow (Lock adds, Unlock removes, deferred Unlock holds to
-// function exit, branch facts join by union), and every call whose callee
-// summary blocks while the held set is nonempty is reported with the
-// blocking reason one level down the chain.
+// function, whether its body can block (one of the operations above, or a
+// Lock/RLock acquisition — taking a second mutex under the first is the
+// lock-ordering deadlock) or calls — statically or through a CHA-resolved
+// interface — a function that can. Then each function body is replayed
+// under the framework's held-lock dataflow with the MayHold meet (Lock
+// adds, Unlock removes, a deferred Unlock holds to function exit, branches
+// join by union), and every blocking operation or summarized call reached
+// with a nonempty held set is reported, the call with the blocking reason
+// one level down the chain. Goroutine bodies and non-invoked function
+// literals do not count toward a function's summary — spawning is not
+// blocking — and are replayed on their own with an empty held set: a
+// spawned goroutine does not inherit the spawner's critical section.
 //
-// Division of labor with lockdiscipline: direct operations in the locked
-// function itself (channel ops, .Send calls, time.Sleep, Wait) stay
-// lockdiscipline's findings; lockreach reports only the transitive cases
-// lockdiscipline provably cannot see. Goroutine bodies and non-invoked
-// function literals do not count toward a function's summary — spawning is
-// not blocking.
-//
-// Scope: internal/runtime and internal/engine, where the node/cluster
-// locks and the gossip hot path live (plus fixture packages).
+// Scope: direct operations are reported in every package. Calls that block
+// transitively are reported in internal/runtime and internal/engine, where
+// the node/cluster locks and the gossip hot path live (plus fixture
+// packages); mgmt.Local serializes a whole substrate behind one mutex by
+// design.
 var Lockreach = &framework.Analyzer{
 	Name: "lockreach",
-	Doc:  "no call that transitively blocks (channel op, send, lock, sleep, wait) while holding a mutex",
+	Doc:  "no blocking operation (channel op, send, sleep, wait), direct or through any chain of calls, while holding a mutex",
 	Run:  runLockreach,
 }
 
-// lockreachScoped reports whether the package's functions are checked for
-// held-lock call sites. The blocking summaries always span the whole
-// program; only the reporting is scoped.
+// lockreachScoped reports whether calls in the package are checked against
+// the blocking summaries. The summaries always span the whole program.
 func lockreachScoped(path string) bool {
 	return fixturePackage(path) ||
 		strings.HasPrefix(path, "sendforget/internal/runtime") ||
 		strings.HasPrefix(path, "sendforget/internal/engine")
 }
 
-// blockReason explains why a function may block: a direct operation at Pos,
+// blockReason explains why a function may block: a direct operation at pos,
 // or a call to the next blocking function down the chain.
 type blockReason struct {
 	what string
@@ -74,21 +76,26 @@ type blockReason struct {
 type blockSummaries map[*types.Func]*blockReason
 
 func runLockreach(pass *framework.Pass) error {
-	if !lockreachScoped(pass.Pkg.Path()) {
-		return nil
+	var summaries blockSummaries
+	if lockreachScoped(pass.Pkg.Path()) {
+		summaries = pass.Prog.Shared("lockreach.summaries", func() any {
+			return buildBlockSummaries(pass.Prog)
+		}).(blockSummaries)
 	}
-	summaries := pass.Prog.Shared("lockreach.summaries", func() any {
-		return buildBlockSummaries(pass.Prog)
-	}).(blockSummaries)
-
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					checkLockreach(pass, n.Body, summaries)
+				}
+				return false
+			case *ast.FuncLit: // package-level initializer
+				checkLockreach(pass, n.Body, summaries)
+				return false
 			}
-			checkLockreach(pass, fd.Body, summaries)
-		}
+			return true
+		})
 	}
 	return nil
 }
@@ -97,12 +104,12 @@ func runLockreach(pass *framework.Pass) error {
 // function in the program.
 func buildBlockSummaries(prog *framework.Program) blockSummaries {
 	summaries := make(blockSummaries)
-	type fnBody struct {
-		pkg  *framework.Package
-		fn   *types.Func
-		body *ast.BlockStmt
+	type fnCalls struct {
+		pkg   *framework.Package
+		fn    *types.Func
+		calls []*ast.CallExpr
 	}
-	var fns []fnBody
+	var fns []fnCalls
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -110,347 +117,228 @@ func buildBlockSummaries(prog *framework.Program) blockSummaries {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				fn := framework.FuncOf(pkg, fd)
-				if fn == nil {
+				fc := fnCalls{pkg: pkg, fn: framework.FuncOf(pkg, fd)}
+				if fc.fn == nil {
 					continue
 				}
-				fns = append(fns, fnBody{pkg, fn, fd.Body})
-				if why := directBlockOp(pkg, fd.Body); why != nil {
-					summaries[fn] = why
+				walkExecuted(fd.Body, func(n ast.Node) {
+					if summaries[fc.fn] != nil {
+						return
+					}
+					if _, why := blockingOp(pkg.Info, n); why != "" {
+						summaries[fc.fn] = &blockReason{why, pkg.Fset.Position(n.Pos())}
+					} else if call, ok := n.(*ast.CallExpr); ok {
+						fc.calls = append(fc.calls, call)
+					}
+				})
+				if summaries[fc.fn] == nil {
+					fns = append(fns, fc)
 				}
 			}
 		}
 	}
 	// Propagate call edges to fixpoint: fn blocks if any resolvable callee
-	// (outside go statements and non-invoked literals) blocks.
+	// blocks.
 	for changed := true; changed; {
 		changed = false
-		for _, fb := range fns {
-			if summaries[fb.fn] != nil {
-				continue
-			}
-			forEachExecutedCall(fb.body, func(call *ast.CallExpr) {
-				if summaries[fb.fn] != nil {
-					return
+		for _, fc := range fns {
+			for _, call := range fc.calls {
+				if summaries[fc.fn] != nil {
+					break
 				}
-				for _, callee := range prog.CallGraph.Callees(fb.pkg.Info, call) {
-					if callee == fb.fn {
-						continue
-					}
-					if why := summaries[callee]; why != nil {
-						summaries[fb.fn] = &blockReason{
+				for _, callee := range prog.CallGraph.Callees(fc.pkg.Info, call) {
+					if why := summaries[callee]; why != nil && callee != fc.fn {
+						summaries[fc.fn] = &blockReason{
 							what: fmt.Sprintf("calls %s, which %s", callee.Name(), why.what),
-							pos:  fb.pkg.Fset.Position(call.Pos()),
+							pos:  fc.pkg.Fset.Position(call.Pos()),
 						}
 						changed = true
-						return
+						break
 					}
 				}
-			})
+			}
 		}
 	}
 	return summaries
 }
 
-// directBlockOp scans a body for operations that block the calling
-// goroutine, ignoring goroutine launches and function literals that are not
-// invoked on the spot (their ops run elsewhere/later). Deferred calls run
-// on this goroutine and count.
-func directBlockOp(pkg *framework.Package, body *ast.BlockStmt) *blockReason {
-	var found *blockReason
-	report := func(what string, pos token.Pos) {
-		if found == nil {
-			found = &blockReason{what: what, pos: pkg.Fset.Position(pos)}
-		}
-	}
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if found != nil {
-				return false
+// walkExecuted calls visit, in source order, for every node root executes
+// on its own goroutine: it skips go statements (spawning never blocks; only
+// the arguments are evaluated here) and function literals that are merely
+// defined, and descends into immediately-invoked and deferred literals. A
+// select is visited as one operation — its communications block, or not,
+// as a group — followed by the calls among their operands and the clause
+// bodies.
+func walkExecuted(root ast.Node, visit func(ast.Node)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case nil, *ast.FuncLit:
+			return false
+		case *ast.GoStmt:
+			for _, arg := range n.Call.Args {
+				walkExecuted(arg, visit)
 			}
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				// Spawning never blocks; the spawned body runs elsewhere.
-				for _, arg := range n.Call.Args {
-					walk(arg)
+			return false
+		case *ast.SelectStmt:
+			visit(n)
+			for _, c := range n.Body.List {
+				cc := c.(*ast.CommClause)
+				if cc.Comm != nil {
+					walkExecuted(cc.Comm, func(m ast.Node) {
+						if _, isCall := m.(*ast.CallExpr); isCall {
+							visit(m)
+						}
+					})
 				}
-				return false
-			case *ast.FuncLit:
-				// Only counted where invoked (call or defer), handled below.
-				return false
-			case *ast.CallExpr:
-				if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
-					walk(lit.Body) // immediately-invoked literal runs here
+				for _, s := range cc.Body {
+					walkExecuted(s, visit)
 				}
-				if what := blockingCallName(pkg.Info, n); what != "" {
-					report(what, n.Pos())
-				}
-			case *ast.DeferStmt:
-				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					walk(lit.Body) // runs on this goroutine at exit
-				}
-			case *ast.SendStmt:
-				report("sends on a channel", n.Pos())
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW {
-					report("receives from a channel", n.Pos())
-				}
-			case *ast.SelectStmt:
-				if !selectHasDefault(n) {
-					report("blocks in a select", n.Pos())
-				}
-			case *ast.RangeStmt:
-				if t := pkg.Info.TypeOf(n.X); t != nil {
-					if _, isChan := t.Underlying().(*types.Chan); isChan {
-						report("ranges over a channel", n.Pos())
+			}
+			return false
+		case *ast.CallExpr:
+			if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
+				walkExecuted(lit.Body, visit)
+			}
+		}
+		visit(n)
+		return true
+	})
+}
+
+// blockingOp classifies one node as an operation that blocks the goroutine
+// executing it: direct words it as a finding under a lock ("channel send"),
+// why as a callee's summary ("sends on a channel"); both are empty for any
+// other node. A Lock/RLock acquisition has a why only: it makes its
+// function blocking for callers that hold a mutex, but nesting two
+// acquisitions in one body is the runtime's cluster-then-node order, not a
+// finding.
+func blockingOp(info *types.Info, n ast.Node) (direct, why string) {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return "channel send", "sends on a channel"
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return "channel receive", "receives from a channel"
+		}
+	case *ast.SelectStmt:
+		for _, c := range n.Body.List {
+			if c.(*ast.CommClause).Comm == nil {
+				return "", "" // a select with a default never blocks
+			}
+		}
+		return "blocking select", "blocks in a select"
+	case *ast.RangeStmt:
+		if t := info.TypeOf(n.X); t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				return "range over a channel", "ranges over a channel"
+			}
+		}
+	case *ast.CallExpr:
+		sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+		if !ok {
+			break
+		}
+		if _, _, acquire, isMutex := framework.MutexOp(info, n); isMutex {
+			if acquire {
+				why = "acquires " + types.ExprString(sel.X)
+			}
+			return "", why
+		}
+		var name string
+		if selection, isMethod := info.Selections[sel]; isMethod {
+			switch sel.Sel.Name {
+			case "Send":
+				name = types.ExprString(sel.X) + ".Send"
+			case "Wait":
+				for _, t := range []string{"WaitGroup", "Cond"} {
+					if framework.IsSyncNamed(selection.Recv(), t) {
+						name = "sync." + t + ".Wait"
 					}
 				}
 			}
-			return true
-		})
-	}
-	walk(body)
-	return found
-}
-
-// blockingCallName classifies a single call as a direct blocking operation,
-// returning a description ("" if it is not one). Lock acquisitions count:
-// taking a second mutex while holding the first is the lock-ordering
-// deadlock this analyzer exists to surface.
-func blockingCallName(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if selection, found := info.Selections[sel]; found {
-		switch sel.Sel.Name {
-		case "Send":
-			return "calls " + types.ExprString(sel.X) + ".Send"
-		case "Lock", "RLock":
-			if isSyncMutex(selection.Recv()) {
-				return "acquires " + types.ExprString(sel.X)
-			}
-		case "Wait":
-			recv := selection.Recv()
-			if p, isPtr := recv.Underlying().(*types.Pointer); isPtr {
-				recv = p.Elem()
-			}
-			if named, isNamed := recv.(*types.Named); isNamed {
-				obj := named.Obj()
-				if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-					(obj.Name() == "WaitGroup" || obj.Name() == "Cond") {
-					return "waits on sync." + obj.Name()
-				}
-			}
+		} else if fn, isFn := info.Uses[sel.Sel].(*types.Func); isFn && fn.Pkg() != nil &&
+			fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
+			name = "time.Sleep"
 		}
-		return ""
-	}
-	if fn, isFn := info.Uses[sel.Sel].(*types.Func); isFn && fn.Pkg() != nil {
-		if fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
-			return "calls time.Sleep"
+		if name != "" {
+			return "call to " + name, "calls " + name
 		}
 	}
-	return ""
+	return "", ""
 }
 
-// forEachExecutedCall visits the calls a body executes on its own
-// goroutine: it skips go statements and the bodies of function literals
-// that are merely defined, while descending into immediately-invoked and
-// deferred literals.
-func forEachExecutedCall(body *ast.BlockStmt, visit func(*ast.CallExpr)) {
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				for _, arg := range n.Call.Args {
-					walk(arg)
-				}
-				return false
-			case *ast.FuncLit:
-				return false
-			case *ast.DeferStmt:
-				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					walk(lit.Body)
-				} else {
-					visit(n.Call)
-				}
-				for _, arg := range n.Call.Args {
-					walk(arg)
-				}
-				return false
-			case *ast.CallExpr:
-				if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
-					walk(lit.Body)
-				} else {
-					visit(n)
-				}
-			}
-			return true
-		})
-	}
-	walk(body)
-}
-
-// heldFact is the may-hold dataflow fact: the set of held mutex receiver
-// paths. Facts are immutable; transfer copies before mutating.
-type heldFact map[string]bool
-
-func (h heldFact) clone() heldFact {
-	c := make(heldFact, len(h))
-	for k := range h {
-		c[k] = true
-	}
-	return c
-}
-
-func (h heldFact) names() string {
-	names := make([]string, 0, len(h))
-	for k := range h {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-// checkLockreach runs the may-hold dataflow over one function body and
-// reports transitively-blocking calls made while any mutex may be held.
-// Function literals are analyzed independently with an empty held set — a
-// goroutine or callback does not inherit the spawner's critical section.
+// checkLockreach replays one function body under the may-hold dataflow and
+// reports what blocks while any mutex may be held. Function literals are
+// checked on their own with an empty held set — a goroutine or callback
+// does not inherit its creator's critical section.
 func checkLockreach(pass *framework.Pass, body *ast.BlockStmt, summaries blockSummaries) {
-	cfg := framework.BuildCFG(body)
-	transfer := func(b *framework.Block, in heldFact) heldFact {
-		out := in.clone()
-		for _, n := range b.Nodes {
-			applyLockOps(pass.TypesInfo, n, out)
-		}
-		return out
-	}
-	join := func(a, b heldFact) heldFact {
-		m := a.clone()
-		for k := range b {
-			m[k] = true
-		}
-		return m
-	}
-	equal := func(a, b heldFact) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-	entry := framework.ForwardDataflow(cfg, heldFact{}, transfer, join, equal)
-
-	reported := map[token.Pos]bool{}
-	for _, blk := range cfg.Blocks {
-		held, ok := entry[blk]
-		if !ok {
-			continue // unreachable block
-		}
-		held = held.clone()
-		for _, n := range blk.Nodes {
-			if len(held) > 0 {
-				checkNodeCalls(pass, n, held, summaries, reported)
-			}
-			applyLockOps(pass.TypesInfo, n, held)
-		}
-	}
-
-	// Nested literals get their own, lock-free analysis.
+	info := pass.TypesInfo
+	// What the CFG does not carry: the select or range statement a
+	// communication or range-operand node belongs to, and the receiver path
+	// each mutex is locked through, for the diagnostic.
+	stmtOf := map[ast.Node]ast.Stmt{}
+	paths := map[types.Object]string{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkLockreach(pass, lit.Body, summaries)
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			checkLockreach(pass, n.Body, summaries)
 			return false
+		case *ast.SelectStmt:
+			for _, c := range n.Body.List {
+				if comm := c.(*ast.CommClause).Comm; comm != nil {
+					stmtOf[comm] = n
+				}
+			}
+		case *ast.RangeStmt:
+			stmtOf[n.X] = n
+		case *ast.CallExpr:
+			if obj, _, acquire, ok := framework.MutexOp(info, n); ok && acquire {
+				paths[obj] = types.ExprString(ast.Unparen(n.Fun).(*ast.SelectorExpr).X)
+			}
 		}
 		return true
 	})
-}
 
-// applyLockOps mutates the held set for any Lock/Unlock statements in the
-// node. Deferred unlocks are ignored: the mutex stays held to function
-// exit, which the fact already models.
-func applyLockOps(info *types.Info, n ast.Node, held heldFact) {
-	es, ok := n.(*ast.ExprStmt)
-	if !ok {
-		return
+	holding := func(held framework.Lockset) string {
+		names := make([]string, 0, len(held))
+		for obj := range held {
+			names = append(names, paths[obj])
+		}
+		sort.Strings(names)
+		return strings.Join(names, ", ")
 	}
-	key, op, ok := lockreachMutexOp(info, es.X)
-	if !ok {
-		return
-	}
-	switch op {
-	case "Lock", "RLock":
-		held[key] = true
-	case "Unlock", "RUnlock":
-		delete(held, key)
-	}
-}
-
-// checkNodeCalls reports calls within one CFG node whose callees
-// transitively block, while held is nonempty. Direct blocking operations
-// and Send-named calls are lockdiscipline's findings and are skipped here;
-// lock/unlock statements themselves are the transfer function's business.
-func checkNodeCalls(pass *framework.Pass, n ast.Node, held heldFact, summaries blockSummaries, reported map[token.Pos]bool) {
-	if es, ok := n.(*ast.ExprStmt); ok {
-		if _, _, isLockOp := lockreachMutexOp(pass.TypesInfo, es.X); isLockOp {
+	reported := map[token.Pos]bool{}
+	check := func(n ast.Node, held framework.Lockset) {
+		if reported[n.Pos()] {
 			return
 		}
-	}
-	if _, isDefer := n.(*ast.DeferStmt); isDefer {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			if reported[n.Pos()] {
-				return true
-			}
-			if blockingCallName(pass.TypesInfo, n) != "" {
-				return true // lockdiscipline's finding
-			}
-			for _, callee := range pass.Prog.CallGraph.Callees(pass.TypesInfo, n) {
-				why := summaries[callee]
-				if why == nil {
-					continue
+		if direct, why := blockingOp(info, n); direct != "" {
+			reported[n.Pos()] = true
+			pass.Reportf(n.Pos(), "%s while holding %s: release the lock (or stage the message) first", direct, holding(held))
+		} else if call, ok := n.(*ast.CallExpr); ok && why == "" {
+			for _, callee := range pass.Prog.CallGraph.Callees(info, call) {
+				if why := summaries[callee]; why != nil {
+					reported[n.Pos()] = true
+					pass.Reportf(n.Pos(),
+						"call to %s while holding %s: %s %s (%s); release the lock first",
+						callee.Name(), holding(held), callee.Name(), why.what, why.pos)
+					break
 				}
-				reported[n.Pos()] = true
-				pass.Reportf(n.Pos(),
-					"call to %s while holding %s: %s %s (%s); release the lock first",
-					callee.Name(), held.names(), callee.Name(), why.what, why.pos)
-				break
 			}
 		}
-		return true
-	})
-}
-
-// lockreachMutexOp mirrors lockdiscipline's mutexOp without needing a
-// walker instance.
-func lockreachMutexOp(info *types.Info, e ast.Expr) (key, op string, ok bool) {
-	call, isCall := e.(*ast.CallExpr)
-	if !isCall {
-		return "", "", false
 	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	selection, found := info.Selections[sel]
-	if !found || !isSyncMutex(selection.Recv()) {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
+	framework.ReplayHeldLocks(framework.BuildCFG(body), nil, framework.MayHold,
+		func(held framework.Lockset, n ast.Node) { framework.MutexOps(info, held, n) },
+		func(n ast.Node, held framework.Lockset) {
+			if _, deferred := n.(*ast.DeferStmt); deferred || len(held) == 0 {
+				return // a deferred call runs at exit, not here
+			}
+			if s := stmtOf[n]; s != nil {
+				check(s, held)
+				if _, isSelect := s.(*ast.SelectStmt); isSelect {
+					return // the communication is the select's own operation
+				}
+			}
+			walkExecuted(n, func(m ast.Node) { check(m, held) })
+		})
 }

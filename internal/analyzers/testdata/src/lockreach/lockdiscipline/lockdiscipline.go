@@ -1,6 +1,6 @@
-// Package lockdiscipline exercises the lockdiscipline analyzer: no
-// transport sends, channel operations, or blocking calls while holding a
-// sync.Mutex or sync.RWMutex.
+// Package lockdiscipline exercises lockreach's direct rule: no transport
+// sends, channel operations, or blocking calls written in a function while
+// it holds a sync.Mutex or sync.RWMutex.
 package lockdiscipline
 
 import (
@@ -121,6 +121,6 @@ func (c *cluster) broadcastUnderRLock(msg string) {
 func (n *node) allowListed() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	//lint:allow lockdiscipline buffered channel sized to the lock's critical sections
+	//lint:allow lockreach buffered channel sized to the lock's critical sections
 	n.ch <- "token"
 }

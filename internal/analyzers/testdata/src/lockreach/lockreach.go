@@ -1,7 +1,7 @@
 // Package lockreach exercises the lockreach analyzer: no call that
 // *transitively* blocks — through any chain of helpers or an interface
 // dispatch — while a mutex is held. Direct operations under a lock are
-// lockdiscipline's findings and deliberately absent here.
+// exercised by the lockdiscipline fixture beside this one.
 package lockreach
 
 import "sync"
@@ -88,4 +88,17 @@ func (n *node) allowedFlush() {
 	defer n.mu.Unlock()
 	//lint:allow lockreach startup path, channel is buffered and provably empty
 	n.flush()
+}
+
+// The lock is taken on one branch only. After the join it is held on some
+// paths, not all — which is enough to deadlock, so the blocking check joins
+// by union (may hold); an intersection would drop the lock here.
+func (n *node) lockOnOneBranch(cond bool) {
+	if cond {
+		n.mu.Lock()
+	}
+	n.flush() // want `call to flush while holding n.mu`
+	if cond {
+		n.mu.Unlock()
+	}
 }

@@ -1,7 +1,7 @@
 // Package seedcollision replays the exact PR 3 bug: the concurrent
 // cluster derived a node's protocol stream from Seed+u+1 and its rejoin
 // stream from Seed+u+7919, so a rejoining node u replayed the initial
-// stream of node u+7918. The seedflow analyzer must flag every derivation
+// stream of node u+7918. The seedtaint analyzer must flag every derivation
 // in this scheme; the regression test in analyzers_test.go also proves the
 // collision numerically and that rng.DeriveSeed removes it.
 package seedcollision

@@ -1,4 +1,4 @@
-// Package seedflow exercises the seedflow analyzer: RNG seeds must come
+// Package seedflow exercises seedtaint's site rules: RNG seeds must come
 // from rng.DeriveSeed, never from arithmetic on other seeds.
 package seedflow
 
@@ -63,6 +63,6 @@ func bootstrapCount(seeds []int64) int {
 // The escape hatch: a regression harness reproducing the historical bug on
 // purpose.
 func historicalScheme(seed int64, u int64) int64 {
-	//lint:allow seedflow reproduces the PR 3 collision on purpose
+	//lint:allow seedtaint reproduces the PR 3 collision on purpose
 	return seed + u + 1
 }

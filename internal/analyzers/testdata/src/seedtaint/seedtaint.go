@@ -1,18 +1,18 @@
 // Package seedtaint exercises the seedtaint analyzer: an arithmetic-derived
 // seed must not reach rng.New through *any* chain of assignments and calls.
 //
-// Every flagged case here is deliberately invisible to the syntactic
-// seedflow analyzer — the arithmetic is hidden behind helpers whose
+// Every flagged case here is deliberately invisible to the site rules the
+// seedflow fixture covers — the arithmetic is hidden behind helpers whose
 // parameters are not seed-named, which is exactly how the PR 3 collision
 // scheme survived review. TestSeedtaintSeesWhatSeedflowMisses asserts that
-// gap: seedflow reports nothing on this package.
+// gap: every finding on this package is a flow into rng.New.
 package seedtaint
 
 import "sendforget/internal/rng"
 
 // seedFor is the PR 3 bug shape extracted into a helper: additive per-arm
 // seeds collide across experiment arms. Its parameters are not seed-named,
-// so seedflow's naming heuristic never looks inside.
+// so the site rules' naming heuristic never looks inside.
 func seedFor(base int64, u int64) int64 {
 	return base + u + 1
 }

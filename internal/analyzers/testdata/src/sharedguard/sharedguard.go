@@ -90,3 +90,29 @@ func Dump(s *srv) {
 	}()
 	s.allowed++
 }
+
+// half is guarded on one side only.
+type half struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (h *half) work() {
+	h.mu.Lock()
+	h.n++ // want `unsynchronized write to n in \(half\)\.work: conflicts with the write in HalfGuarded`
+	h.mu.Unlock()
+}
+
+// HalfGuarded takes mu on one branch only. After the join the lock is held
+// on some paths, not all — which protects nothing, so the race proofs join
+// by intersection (must hold); a union would call the bump below excluded.
+func HalfGuarded(h *half, lock bool) {
+	go h.work()
+	if lock {
+		h.mu.Lock()
+	}
+	h.n++
+	if lock {
+		h.mu.Unlock()
+	}
+}

@@ -150,13 +150,19 @@ const maxBodyBytes = 1 << 20
 // decodeBody strictly decodes the request body into v, answering the
 // request itself when it cannot: 413 for a body over maxBodyBytes, 400 for
 // anything else malformed. Unknown fields are rejected so operator typos
-// (e.g. "perid") fail loudly instead of applying a partial update. An empty
-// body decodes to the zero value.
+// (e.g. "perid") fail loudly instead of applying a partial update, and so
+// is anything after the first JSON value — a second object glued on, or
+// junk — for the same reason. An empty body decodes to the zero value.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
-	if err == nil || errors.Is(err, io.EOF) {
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if errors.Is(err, io.EOF) {
 		return true
 	}
 	status := http.StatusBadRequest

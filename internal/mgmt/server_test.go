@@ -239,6 +239,41 @@ func TestOversizeBodyRejected(t *testing.T) {
 	}
 }
 
+// TestTrailingBodyRejected: a request body is exactly one JSON value. A
+// second value or junk after it used to be ignored, silently applying the
+// first half of what the operator sent.
+func TestTrailingBodyRejected(t *testing.T) {
+	_, _, _, base := newTestLocal(t, 8, 0.25, nil)
+	for _, body := range []string{
+		`{"loss":0.1}{"period":"1ms"}`,
+		`{"loss":0.1} junk`,
+		`{"loss":0.1} 7`,
+	} {
+		resp, err := http.Post(base+"/config", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /config %q = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	var cfg Config
+	getJSON(t, base+"/config", http.StatusOK, &cfg)
+	if cfg.Loss != 0.25 {
+		t.Errorf("loss = %v after rejected requests, want 0.25: half a request was applied", cfg.Loss)
+	}
+	// Trailing whitespace is still one value.
+	resp, err := http.Post(base+"/config", "application/json", strings.NewReader("{\"loss\":0.1}\n \t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("POST /config with trailing whitespace = %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestConfigReload(t *testing.T) {
 	var reloaded atomic.Int64
 	backend, sub, _, base := newTestLocal(t, 8, 0, func(d time.Duration) {

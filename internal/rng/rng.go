@@ -13,7 +13,7 @@
 // crypto/rand, and must not read the wall clock for anything that feeds a
 // protocol decision — the detrand analyzer (cmd/sfvet) enforces both
 // mechanically. Seeds for derived streams come from DeriveSeed, never from
-// arithmetic on other seeds (the seedflow analyzer enforces that). The one
+// arithmetic on other seeds (the seedtaint analyzer enforces that). The one
 // entropy escape is AutoSeed in this package, which wraps crypto/rand
 // behind an audited `//lint:allow detrand` directive so that even
 // nondeterministic seeding for production nodes enters through here.

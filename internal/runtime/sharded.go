@@ -48,7 +48,7 @@ import (
 // They serialize through a capacity-1 token channel (gate) instead of a
 // mutex, deliberately: the tick must dispatch to the worker pool (channel
 // sends and receives) while the engine is exclusively held, and the repo's
-// lock discipline — enforced by sfvet's lockdiscipline/lockreach analyzers —
+// lock discipline — enforced by sfvet's lockreach analyzer —
 // forbids blocking operations under a sync.Mutex because a handler running
 // under a peer's lock can deadlock against it. That hazard cannot arise
 // here: pool workers never acquire the gate (they are fed work and state
