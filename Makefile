@@ -10,7 +10,7 @@
 # gates on BenchmarkSfvetRepo staying under its ns/op budget so the suite
 # stays fast enough to run on every push.
 
-.PHONY: build test race vet bench-smoke e2e
+.PHONY: build test race vet bench-smoke e2e loc
 
 build:
 	go build ./...
@@ -37,3 +37,11 @@ e2e:
 bench-smoke:
 	cd bench && go vet ./... && go test ./...
 	bash bench/run.sh -all -smoke
+
+# Non-test Go lines outside bench/ and testdata/, for the whole repo and per
+# top-level internal/ package: the figure CHANGES.md quotes when a PR reports
+# a net line count.
+LOC = find $(1) -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+loc:
+	@printf '%7d  total\n' $$($(call LOC,.))
+	@for d in internal/*/; do printf '%7d  %s\n' $$($(call LOC,$$d)) $$d; done

@@ -97,9 +97,9 @@ func run(args []string) int {
 func printSummary(e *engine.Engine, sf, deps bool) {
 	g := e.Snapshot()
 	deg := metrics.Degrees(g, nil)
-	c := e.Counters()
+	c := e.Traffic()
 	fmt.Printf("protocol        %s\n", e.Name())
-	fmt.Printf("steps           %d (sends %d, losses %d, deliveries %d)\n", c.Steps, c.Sends, c.Losses, c.Deliveries)
+	fmt.Printf("steps           %d (sends %d, losses %d, deliveries %d)\n", e.Tally().Ticks, c.Sends, c.Losses, c.Deliveries)
 	fmt.Printf("empirical loss  %.4f\n", c.LossRate())
 	fmt.Printf("edges           %d (%.2f per node)\n", g.NumEdges(), float64(g.NumEdges())/float64(e.N()))
 	fmt.Printf("outdegree       %.2f (var %.2f)\n", deg.MeanOut, deg.VarOut)

@@ -1,4 +1,4 @@
-// Command sfvet runs the repository's static-analysis suite — the twelve
+// Command sfvet runs the repository's static-analysis suite — the eleven
 // invariant checkers in internal/analyzers — over the named package
 // patterns and prints every diagnostic in file:line:col form. It is the
 // multichecker CI and the Makefile `vet` target invoke; both run

@@ -27,7 +27,7 @@ func TestAnalyzerNameListIsCurrent(t *testing.T) {
 }
 
 var allAnalyzerNames = []string{
-	"detrand", "counterbalance", "maporder", "substrate", "atomicmix",
+	"detrand", "counterbalance", "maporder", "atomicmix",
 	"seedtaint", "lockreach", "goroleak", "errdrop", "hotalloc",
 	"sharedguard", "shardconfine",
 }
@@ -206,7 +206,7 @@ func TestWholeRepoIsClean(t *testing.T) {
 }
 
 // BenchmarkSfvetRepo is the whole-repo smoke benchmark: one full suite run —
-// load, call graph, program-wide fixpoints, twelve analyzers over every
+// load, call graph, program-wide fixpoints, eleven analyzers over every
 // package — per iteration. It bounds the CI vet budget (the workflow
 // parses its ns/op figure and fails above the stated budget); a
 // regression here is a regression in every CI run.

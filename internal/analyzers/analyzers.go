@@ -1,4 +1,4 @@
-// Package analyzers is the repository's static-analysis suite: twelve
+// Package analyzers is the repository's static-analysis suite: eleven
 // framework.Analyzers that mechanically enforce the determinism,
 // lock-discipline, accounting, allocation, goroutine-lifecycle, and
 // concurrency invariants the reproduction's correctness and performance
@@ -12,15 +12,12 @@
 // the lock discipline, PR 3 the seed-derivation rule); this suite promotes
 // them to compiler-grade checks run by cmd/sfvet in CI.
 //
-// Five analyzers are syntactic, per-package checks:
+// Four analyzers are syntactic, per-package checks:
 //
 //	detrand        no ambient randomness or wall clock in simulation code
 //	counterbalance traffic counters move only through their owning package,
 //	               and every send is paired with an outcome
 //	maporder       no map-iteration order leaking into ordered output
-//	substrate      execution backends are built only via runtime.New — no
-//	               package outside internal/runtime calls a concrete
-//	               substrate constructor
 //	atomicmix      no package-level sync/atomic function calls: shared
 //	               words are typed atomics, so atomic and plain access
 //	               cannot mix
@@ -67,7 +64,6 @@ func All() []*framework.Analyzer {
 		Detrand,
 		Counterbalance,
 		Maporder,
-		Substrate,
 		Atomicmix,
 		Seedtaint,
 		Lockreach,

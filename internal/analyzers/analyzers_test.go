@@ -51,10 +51,6 @@ func TestErrdropFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("errdrop"), Errdrop)
 }
 
-func TestSubstrateFixture(t *testing.T) {
-	framework.RunFixture(t, fixture("substrate"), Substrate)
-}
-
 // TestSeedtaintSeesWhatSeedflowMisses pins the gap that justifies the
 // interprocedural engine: every flagged case in the seedtaint fixture hides
 // its arithmetic behind a helper whose parameters are not seed-named, so

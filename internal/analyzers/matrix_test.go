@@ -34,7 +34,6 @@ var detectionMatrix = map[string]map[string][]int{
 	"shardconfine":             {"shardconfine": {59, 60, 98}},
 	"shardplant":               {"shardconfine": {55}},
 	"sharedguard":              {"goroleak": {66, 87, 110}, "sharedguard": {30, 102}},
-	"substrate":                {"substrate": {22, 24, 36, 41}},
 	"unusedallow":              {},
 }
 

@@ -25,45 +25,11 @@ import (
 	"fmt"
 
 	"sendforget/internal/faults"
-	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 )
-
-// Ledger is the unified traffic ledger (the cross-substrate counting
-// semantics documented on metrics.Traffic): every routed message counts
-// under Sends first and then lands in exactly one of Losses, DeadLetters,
-// or Deliveries, possibly after a stay in the delay queue (Delayed). Only
-// this package writes the fields; substrates read snapshots through
-// Router.Ledger or Router.Traffic. A Router is single-owner state: each
-// substrate confines its router to one goroutine (or one barrier phase) at
-// a time, a contract the sharedguard and shardconfine analyzers enforce on
-// every access rather than one left to reviewer memory.
-type Ledger struct {
-	Sends       int // messages routed (including replies)
-	Losses      int // messages dropped by the fault layer (all conditions)
-	Deliveries  int // messages delivered to live destinations
-	DeadLetters int // messages addressed to departed destinations
-
-	LinkLosses     int // subset of Losses: per-link override models
-	PartitionDrops int // subset of Losses: active partitions
-	Delayed        int // messages that entered the delay queue
-}
-
-// Traffic converts the ledger to the substrate-neutral metrics shape.
-func (l Ledger) Traffic() metrics.Traffic {
-	return metrics.Traffic{
-		Sends:          l.Sends,
-		Losses:         l.Losses,
-		Deliveries:     l.Deliveries,
-		DeadLetters:    l.DeadLetters,
-		LinkLosses:     l.LinkLosses,
-		PartitionDrops: l.PartitionDrops,
-		Delayed:        l.Delayed,
-	}
-}
 
 // Outcome is the router's per-message ruling.
 type Outcome uint8
@@ -117,17 +83,22 @@ func (q *parkedQueue) Pop() any {
 	return it
 }
 
-// Router rules on messages for one substrate. It is not safe for concurrent
-// use: each substrate serializes access under its own exclusivity regime
-// (the engine is single-threaded, the network holds its mutex, the sharded
-// engine holds its gate).
+// Router rules on messages for one substrate and is the single writer of
+// the traffic ledger (the counting semantics documented on metrics.Traffic):
+// every routed message counts under Sends first and then lands in exactly
+// one of Losses, DeadLetters, or Deliveries, possibly after a stay in the
+// delay queue (Delayed). Substrates read snapshots through Traffic. It is
+// not safe for concurrent use: each substrate confines its router to one
+// goroutine (or one barrier phase) at a time — the engine is
+// single-threaded, the network holds its mutex, the sharded engine holds its
+// gate — a contract the sharedguard and shardconfine analyzers enforce on
+// every access rather than one left to reviewer memory.
 type Router struct {
-	cond  *faults.Conditions // fault-injection path (when non-nil)
-	model loss.Model         // legacy plain-loss path (when cond is nil)
-	rng   *rng.RNG
-	live  func(peer.ID) bool
+	cond *faults.Conditions
+	rng  *rng.RNG
+	live func(peer.ID) bool
 
-	ledger  Ledger
+	ledger  metrics.Traffic
 	clock   int
 	seq     int
 	pending parkedQueue
@@ -143,12 +114,6 @@ func NewRouter(cond *faults.Conditions, r *rng.RNG, live func(peer.ID) bool) *Ro
 	return &Router{cond: cond, rng: r, live: live}
 }
 
-// NewRouterModel builds a router ruling through a plain loss model — the
-// sequential engine's legacy path, including destination-aware models.
-func NewRouterModel(m loss.Model, r *rng.RNG, live func(peer.ID) bool) *Router {
-	return &Router{model: m, rng: r, live: live}
-}
-
 // Route rules on one message addressed to to, consulting the fault stack
 // with a per-message decision. Msg.IDs is copied only if the message parks
 // (delay-queue entries outlive the caller's buffers); the steady-state
@@ -156,21 +121,7 @@ func NewRouterModel(m loss.Model, r *rng.RNG, live func(peer.ID) bool) *Router {
 //
 //vet:hotpath
 func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
-	if rt.cond != nil {
-		return rt.ruleVerdict(rt.cond.Decide(msg.From, to, rt.rng), to, msg)
-	}
-	rt.ledger.Sends++
-	lost := false
-	if dm, destAware := rt.model.(loss.DestinationModel); destAware {
-		lost = dm.LostTo(to, rt.rng)
-	} else {
-		lost = rt.model.Lost(rt.rng)
-	}
-	if lost {
-		rt.ledger.Losses++
-		return Dropped
-	}
-	return rt.deliverable(to)
+	return rt.ruleVerdict(rt.cond.Decide(msg.From, to, rt.rng), to, msg)
 }
 
 // RouteIn is Route under an open fault-stack session — the sharded engine's
@@ -247,11 +198,8 @@ func (rt *Router) Deliverable(to peer.ID) bool {
 // Pending returns the number of messages parked in the delay queue.
 func (rt *Router) Pending() int { return len(rt.pending) }
 
-// Ledger returns a snapshot of the traffic ledger.
-func (rt *Router) Ledger() Ledger { return rt.ledger }
-
-// Traffic returns the ledger in the substrate-neutral metrics shape.
-func (rt *Router) Traffic() metrics.Traffic { return rt.ledger.Traffic() }
+// Traffic returns a snapshot of the traffic ledger.
+func (rt *Router) Traffic() metrics.Traffic { return rt.ledger }
 
 // Roster tracks per-node incarnations and derives each activation's RNG
 // seed — the collision-free splitmix derivation both cluster flavors

@@ -17,7 +17,7 @@ import (
 // then in exactly one place.
 func conserved(t *testing.T, rt *Router, when string) {
 	t.Helper()
-	l := rt.Ledger()
+	l := rt.Traffic()
 	if l.Sends != l.Losses+l.Deliveries+l.DeadLetters+rt.Pending() {
 		t.Fatalf("%s: sends %d != losses %d + deliveries %d + dead letters %d + pending %d",
 			when, l.Sends, l.Losses, l.Deliveries, l.DeadLetters, rt.Pending())
@@ -47,19 +47,19 @@ func TestRouteVerdictsAgainstLedger(t *testing.T) {
 		name     string
 		from, to peer.ID
 		want     Outcome
-		after    Ledger
+		after    metrics.Traffic
 	}{
-		{"plain delivery", 0, 1, Delivered, Ledger{Sends: 1, Deliveries: 1}},
-		{"link override drops", 1, 2, Dropped, Ledger{Sends: 2, Deliveries: 1, Losses: 1, LinkLosses: 1}},
-		{"the reverse link is clean", 2, 1, Delivered, Ledger{Sends: 3, Deliveries: 2, Losses: 1, LinkLosses: 1}},
-		{"partition cuts", 0, 3, Dropped, Ledger{Sends: 4, Deliveries: 2, Losses: 2, LinkLosses: 1, PartitionDrops: 1}},
-		{"departed destination", 0, 7, DeadLetter, Ledger{Sends: 5, Deliveries: 2, Losses: 2, LinkLosses: 1, PartitionDrops: 1, DeadLetters: 1}},
+		{"plain delivery", 0, 1, Delivered, metrics.Traffic{Sends: 1, Deliveries: 1}},
+		{"link override drops", 1, 2, Dropped, metrics.Traffic{Sends: 2, Deliveries: 1, Losses: 1, LinkLosses: 1}},
+		{"the reverse link is clean", 2, 1, Delivered, metrics.Traffic{Sends: 3, Deliveries: 2, Losses: 1, LinkLosses: 1}},
+		{"partition cuts", 0, 3, Dropped, metrics.Traffic{Sends: 4, Deliveries: 2, Losses: 2, LinkLosses: 1, PartitionDrops: 1}},
+		{"departed destination", 0, 7, DeadLetter, metrics.Traffic{Sends: 5, Deliveries: 2, Losses: 2, LinkLosses: 1, PartitionDrops: 1, DeadLetters: 1}},
 	}
 	for _, st := range steps {
 		if got := rt.Route(st.to, gossip(st.from, st.from, 9)); got != st.want {
 			t.Fatalf("%s: outcome %v, want %v", st.name, got, st.want)
 		}
-		if got := rt.Ledger(); got != st.after {
+		if got := rt.Traffic(); got != st.after {
 			t.Fatalf("%s: ledger %+v, want %+v", st.name, got, st.after)
 		}
 		conserved(t, rt, st.name)
@@ -87,20 +87,32 @@ func TestRouteVerdictsAgainstLedger(t *testing.T) {
 		t.Fatalf("RouteIn outcomes %v, want %v", in, want)
 	}
 	conserved(t, rt, "RouteIn")
-	if fc := cond.Counters(); fc.Decisions != rt.Ledger().Sends {
-		t.Errorf("fault stack ruled on %d messages, router counted %d sends", fc.Decisions, rt.Ledger().Sends)
+	if fc := cond.Counters(); fc.Decisions != rt.Traffic().Sends {
+		t.Errorf("fault stack ruled on %d messages, router counted %d sends", fc.Decisions, rt.Traffic().Sends)
 	}
 }
 
+// newRouterOver builds a router whose fault stack is nothing but the base
+// model lm — what engine.New hands its router.
+func newRouterOver(t *testing.T, lm loss.Model, seed int64, live func(peer.ID) bool) *Router {
+	t.Helper()
+	cond, err := faults.New(lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewRouter(cond, rng.New(seed), live)
+}
+
 func TestRouteModelPath(t *testing.T) {
-	// The plain-loss path: a uniform model, then a destination-aware one.
+	// A bare base model under the stack: a uniform model, then a
+	// destination-aware one.
 	nodes := liveSet{0: true, 1: true}
-	rt := NewRouterModel(loss.MustUniform(0.3), rng.New(2), nodes.live)
+	rt := newRouterOver(t, loss.MustUniform(0.3), 2, nodes.live)
 	for i := 0; i < 2000; i++ {
 		rt.Route(peer.ID(i%3), gossip(0, 0, 1)) // every third message dead-letters
 		conserved(t, rt, "uniform model")
 	}
-	l := rt.Ledger()
+	l := rt.Traffic()
 	if rate := float64(l.Losses) / float64(l.Sends); rate < 0.25 || rate > 0.35 {
 		t.Errorf("loss rate %.3f over %d sends, want ~0.3", rate, l.Sends)
 	}
@@ -112,7 +124,7 @@ func TestRouteModelPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt = NewRouterModel(perDest, rng.New(3), nodes.live)
+	rt = newRouterOver(t, perDest, 3, nodes.live)
 	if got := rt.Route(0, gossip(1, 1, 0)); got != Delivered {
 		t.Errorf("to the clean destination: %v", got)
 	}
@@ -147,7 +159,7 @@ func TestParkedSurfaceInDueEnqueueOrder(t *testing.T) {
 		park(m.delay, m.tag, buf)
 	}
 	buf[1] = -5
-	if l := rt.Ledger(); l.Delayed != 4 || l.Deliveries != 0 || rt.Pending() != 4 {
+	if l := rt.Traffic(); l.Delayed != 4 || l.Deliveries != 0 || rt.Pending() != 4 {
 		t.Fatalf("after parking: ledger %+v, pending %d", l, rt.Pending())
 	}
 	if _, ok := rt.Due(); ok {
@@ -178,7 +190,7 @@ func TestParkedSurfaceInDueEnqueueOrder(t *testing.T) {
 	if want := []peer.ID{101, 103, 100, 102}; !reflect.DeepEqual(order, want) {
 		t.Errorf("drain order %v, want %v", order, want)
 	}
-	if l := rt.Ledger(); l.Deliveries != 4 || rt.Pending() != 0 {
+	if l := rt.Traffic(); l.Deliveries != 4 || rt.Pending() != 0 {
 		t.Errorf("after drain: ledger %+v, pending %d", l, rt.Pending())
 	}
 }
@@ -216,33 +228,9 @@ func TestDeadLetterResolvedAtDrainTime(t *testing.T) {
 	if want := map[peer.ID]bool{1: true, 2: false, 9: true}; !reflect.DeepEqual(got, want) {
 		t.Errorf("deliverable at drain time: %v, want %v", got, want)
 	}
-	l := rt.Ledger()
-	if want := (Ledger{Sends: 3, Deliveries: 2, DeadLetters: 1, Delayed: 3}); l != want {
+	l := rt.Traffic()
+	if want := (metrics.Traffic{Sends: 3, Deliveries: 2, DeadLetters: 1, Delayed: 3}); l != want {
 		t.Errorf("ledger %+v, want %+v", l, want)
-	}
-}
-
-func TestLedgerTrafficFieldMapping(t *testing.T) {
-	l := Ledger{Sends: 1, Losses: 2, Deliveries: 3, DeadLetters: 4, LinkLosses: 5, PartitionDrops: 6, Delayed: 7}
-	want := metrics.Traffic{Sends: 1, Losses: 2, Deliveries: 3, DeadLetters: 4, LinkLosses: 5, PartitionDrops: 6, Delayed: 7}
-	if got := l.Traffic(); got != want {
-		t.Errorf("Traffic() = %+v, want %+v", got, want)
-	}
-	// Every ledger field has a Traffic counterpart of the same name; a field
-	// added to one and not the other fails here.
-	lt, tt := reflect.TypeOf(l), reflect.TypeOf(want)
-	if lt.NumField() != tt.NumField() {
-		t.Fatalf("Ledger has %d fields, Traffic %d", lt.NumField(), tt.NumField())
-	}
-	for i := 0; i < lt.NumField(); i++ {
-		if _, ok := tt.FieldByName(lt.Field(i).Name); !ok {
-			t.Errorf("Ledger.%s has no Traffic counterpart", lt.Field(i).Name)
-		}
-	}
-	rt := NewRouter(faults.Lossless(), rng.New(6), func(peer.ID) bool { return true })
-	rt.Route(0, gossip(1, 1, 2))
-	if rt.Traffic() != rt.Ledger().Traffic() {
-		t.Errorf("Router.Traffic %+v != Ledger().Traffic() %+v", rt.Traffic(), rt.Ledger().Traffic())
 	}
 }
 

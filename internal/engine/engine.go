@@ -33,30 +33,6 @@ import (
 	"sendforget/internal/view"
 )
 
-// Counters aggregates transport-level events across a run, with the unified
-// cross-substrate semantics documented on metrics.Traffic: every emitted
-// message counts under Sends first and then lands in exactly one of Losses,
-// DeadLetters, or Deliveries (possibly after a stay in the delay queue).
-type Counters struct {
-	Steps       int // initiate steps executed
-	Sends       int // messages emitted (including replies)
-	Losses      int // messages dropped by the fault layer (all conditions)
-	Deliveries  int // messages delivered to active nodes
-	DeadLetters int // messages addressed to departed nodes
-
-	LinkLosses     int // subset of Losses: per-link override models
-	PartitionDrops int // subset of Losses: active partitions
-	Delayed        int // messages that entered the delay queue
-}
-
-// LossRate returns the empirical loss fraction over all sends.
-func (c Counters) LossRate() float64 {
-	if c.Sends == 0 {
-		return 0
-	}
-	return float64(c.Losses) / float64(c.Sends)
-}
-
 // Engine drives the nodes of one overlay. Not safe for concurrent use.
 type Engine struct {
 	newCore protocol.CoreFactory
@@ -66,12 +42,11 @@ type Engine struct {
 	tally   protocol.Counters   // protocol events over all nodes
 	out     protocol.Outbox     // the one message the current step emitted
 
-	cond   *faults.Conditions // fault-injection stack (nil = plain loss model)
+	cond   *faults.Conditions
 	r      *rng.RNG
 	router *driver.Router
 	active []peer.ID // scheduling pool
 	idx    map[peer.ID]int
-	steps  int
 
 	// OnStep, when non-nil, runs after every step with the step index.
 	// Metrics collectors hook here.
@@ -108,27 +83,21 @@ type ActionEvent struct {
 // process then randomizes it (Lemma 7.5: with no loss the stationary
 // distribution is uniform over all reachable graphs).
 func New(newCore protocol.CoreFactory, n, initDegree int, lm loss.Model, r *rng.RNG) (*Engine, error) {
-	if lm == nil {
-		return nil, fmt.Errorf("engine: nil dependency")
+	cond, err := faults.New(lm)
+	if err != nil {
+		return nil, err
 	}
-	return build(newCore, n, initDegree, lm, nil, r)
+	return NewWithConditions(newCore, n, initDegree, cond, r)
 }
 
 // NewWithConditions builds an engine whose transmissions pass through a
-// fault-injection stack (burst loss, per-link overrides, partitions, delay)
-// instead of a plain loss model — the same decision logic the in-memory
-// runtime network applies, so cross-substrate comparisons see identical
-// network behavior. The conditions instance must be dedicated to this
-// engine: stateful models advance on every decision.
+// caller-owned fault-injection stack (burst loss, per-link overrides,
+// partitions, delay) — the same decision logic the in-memory runtime network
+// applies, so cross-substrate comparisons see identical network behavior.
+// The conditions instance must be dedicated to this engine: stateful models
+// advance on every decision.
 func NewWithConditions(newCore protocol.CoreFactory, n, initDegree int, cond *faults.Conditions, r *rng.RNG) (*Engine, error) {
-	if cond == nil {
-		return nil, fmt.Errorf("engine: nil dependency")
-	}
-	return build(newCore, n, initDegree, nil, cond, r)
-}
-
-func build(newCore protocol.CoreFactory, n, initDegree int, lm loss.Model, cond *faults.Conditions, r *rng.RNG) (*Engine, error) {
-	if newCore == nil || r == nil {
+	if newCore == nil || cond == nil || r == nil {
 		return nil, fmt.Errorf("engine: nil dependency")
 	}
 	if n < 2 {
@@ -148,12 +117,7 @@ func build(newCore protocol.CoreFactory, n, initDegree int, lm loss.Model, cond 
 	}
 	// The router shares the engine's RNG: protocol draws and fault decisions
 	// interleave on one stream.
-	live := func(id peer.ID) bool { _, ok := e.idx[id]; return ok }
-	if cond != nil {
-		e.router = driver.NewRouter(cond, r, live)
-	} else {
-		e.router = driver.NewRouterModel(lm, r, live)
-	}
+	e.router = driver.NewRouter(cond, r, func(id peer.ID) bool { _, ok := e.idx[id]; return ok })
 	seeds := make([]peer.ID, initDegree)
 	for u := 0; u < n; u++ {
 		driver.Circulant(peer.ID(u), n, seeds)
@@ -165,8 +129,7 @@ func build(newCore protocol.CoreFactory, n, initDegree int, lm loss.Model, cond 
 	return e, nil
 }
 
-// Conditions returns the fault-injection stack, nil when the engine was
-// built over a plain loss model.
+// Conditions returns the fault-injection stack every transmission passes.
 func (e *Engine) Conditions() *faults.Conditions { return e.cond }
 
 // Name identifies the protocol the cores run.
@@ -212,23 +175,7 @@ func (e *Engine) CheckInvariants() error {
 	return nil
 }
 
-// Counters returns a copy of the transport counters.
-func (e *Engine) Counters() Counters {
-	l := e.router.Ledger()
-	return Counters{
-		Steps:          e.steps,
-		Sends:          l.Sends,
-		Losses:         l.Losses,
-		Deliveries:     l.Deliveries,
-		DeadLetters:    l.DeadLetters,
-		LinkLosses:     l.LinkLosses,
-		PartitionDrops: l.PartitionDrops,
-		Delayed:        l.Delayed,
-	}
-}
-
-// Traffic reports the transport counters in the substrate-neutral shape
-// shared with the concurrent runtime's Cluster.
+// Traffic reports the router's ledger.
 func (e *Engine) Traffic() metrics.Traffic { return e.router.Traffic() }
 
 // ActiveCount returns the number of schedulable nodes.
@@ -244,8 +191,7 @@ func (e *Engine) Step() {
 // a specific node's behaviour (Section 6.5 joins) use it directly. A
 // departed u does not act: the step is a self-loop.
 func (e *Engine) StepAt(u peer.ID) {
-	e.steps++
-	ev := ActionEvent{Step: e.steps, Initiator: u}
+	ev := ActionEvent{Step: e.tally.Ticks + 1, Initiator: u}
 	e.out.Reset()
 	if lv := e.View(u); lv != nil {
 		e.tally.Initiated(e.cores[u].InitiateBatch(lv, u, e.r, &e.out))
@@ -258,7 +204,7 @@ func (e *Engine) StepAt(u peer.ID) {
 		e.transmit(to, msg, &ev)
 	}
 	if e.OnStep != nil {
-		e.OnStep(e.steps)
+		e.OnStep(e.tally.Ticks)
 	}
 	if e.OnAction != nil {
 		e.OnAction(ev)
@@ -266,11 +212,9 @@ func (e *Engine) StepAt(u peer.ID) {
 }
 
 // transmit routes msg through the shared driver and delivers it, following
-// reply chains (each reply is again subject to the fault layer). With a
-// plain loss model, destination-aware models (loss.DestinationModel)
-// receive the target so nonuniform loss can be simulated; with conditions,
-// messages may additionally be cut by partitions or parked in the delay
-// queue until a later round.
+// reply chains (each reply is again subject to the fault layer, which may
+// drop it, cut it at a partition, or park it in the delay queue until a
+// later round).
 func (e *Engine) transmit(to peer.ID, msg protocol.Message, ev *ActionEvent) {
 	for {
 		switch e.router.Route(to, msg) {

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"sendforget/internal/loss"
+	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/pushpull"
@@ -86,11 +89,11 @@ func TestNewRejectsEmptyPool(t *testing.T) {
 func TestRoundStepAccounting(t *testing.T) {
 	e := newSF(t, 25, loss.None{}, 2)
 	e.Run(4)
-	c := e.Counters()
-	if c.Steps != 100 {
-		t.Errorf("Steps after 4 rounds of 25 = %d, want 100", c.Steps)
+	if ticks := e.Tally().Ticks; ticks != 100 {
+		t.Errorf("Ticks after 4 rounds of 25 = %d, want 100", ticks)
 	}
-	if c.Sends != c.Deliveries+c.Losses+c.DeadLetters {
+	c := e.Traffic()
+	if !c.Conserved() {
 		t.Errorf("send accounting broken: %+v", c)
 	}
 	if c.Losses != 0 {
@@ -116,7 +119,7 @@ func TestOnStepHook(t *testing.T) {
 func TestEmpiricalLossRate(t *testing.T) {
 	e := newSF(t, 50, loss.MustUniform(0.1), 4)
 	e.Run(400)
-	c := e.Counters()
+	c := e.Traffic()
 	if c.Sends < 1000 {
 		t.Fatalf("too few sends (%d) for a rate estimate", c.Sends)
 	}
@@ -126,9 +129,9 @@ func TestEmpiricalLossRate(t *testing.T) {
 }
 
 func TestLossRateEmptyCounters(t *testing.T) {
-	var c Counters
-	if c.LossRate() != 0 {
-		t.Errorf("LossRate on zero counters = %v", c.LossRate())
+	e := newSF(t, 10, loss.MustUniform(0.5), 4)
+	if c := e.Traffic(); c.LossRate() != 0 {
+		t.Errorf("LossRate before the first step = %v (%+v)", c.LossRate(), c)
 	}
 }
 
@@ -194,7 +197,7 @@ func TestDeadLetters(t *testing.T) {
 	e := newSF(t, 10, loss.None{}, 7)
 	e.Leave(0)
 	e.Run(200)
-	if e.Counters().DeadLetters == 0 {
+	if e.Traffic().DeadLetters == 0 {
 		t.Error("no dead letters recorded despite messages to the departed node")
 	}
 	if e.View(0) != nil {
@@ -216,14 +219,14 @@ func TestShuffleReplyChainsThroughLoss(t *testing.T) {
 	if after >= before {
 		t.Errorf("shuffle under 20%% loss did not lose ids: %d -> %d", before, after)
 	}
-	c := e.Counters()
+	c := e.Traffic()
 	if c.Deliveries == 0 || c.Losses == 0 {
 		t.Errorf("expected both deliveries and losses: %+v", c)
 	}
 	// Replies mean more sends than steps that emitted a request, and the
 	// protocol tally splits the two.
 	pc := e.Tally()
-	if pc.Replies == 0 || c.Sends != pc.Sends+pc.Replies || pc.Ticks != c.Steps || pc.Receives != c.Deliveries {
+	if pc.Replies == 0 || c.Sends != pc.Sends+pc.Replies || pc.Ticks != 300*30 || pc.Receives != c.Deliveries {
 		t.Errorf("transport ledger %+v does not match protocol tally %+v", c, pc)
 	}
 }
@@ -267,7 +270,7 @@ func TestOnActionEvents(t *testing.T) {
 		}
 		delivered += ev.Delivered
 	}
-	c := e.Counters()
+	c := e.Traffic()
 	if sent != c.Sends {
 		t.Errorf("event sends %d != counter %d", sent, c.Sends)
 	}
@@ -279,5 +282,45 @@ func TestOnActionEvents(t *testing.T) {
 	}
 	if selfLoops == 0 || lost == 0 || delivered == 0 {
 		t.Errorf("expected a mix of outcomes: self=%d lost=%d delivered=%d", selfLoops, lost, delivered)
+	}
+}
+
+// TestSeededRunPin holds engine.New to the exact run the deleted plain-loss
+// router path produced: the expected digests and ledgers were recorded by
+// running this body at the commit before the path went, so routing a bare
+// model through faults.New(lm) is shown draw-for-draw equal, for a uniform
+// and for a destination-aware model.
+func TestSeededRunPin(t *testing.T) {
+	perDest, err := loss.NewPerDest(0.02, map[peer.ID]float64{3: 0.5, 17: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		lm      loss.Model
+		digest  uint64
+		traffic metrics.Traffic
+	}{
+		{loss.MustUniform(0.05), 0xba8c2583aca4976c, metrics.Traffic{Sends: 579, Losses: 23, Deliveries: 556}},
+		{perDest, 0x86c1c3222fffc415, metrics.Traffic{Sends: 545, Losses: 23, Deliveries: 522}},
+	} {
+		e := newSF(t, 40, tc.lm, 14)
+		e.Run(50)
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range e.Views() {
+			for i := 0; i < v.Size(); i++ {
+				binary.LittleEndian.PutUint64(b[:], uint64(v.Slot(i)))
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.digest {
+			t.Errorf("%v: view digest %#x, want %#x", tc.lm, got, tc.digest)
+		}
+		if got := e.Traffic(); got != tc.traffic {
+			t.Errorf("%v: traffic %+v, want %+v", tc.lm, got, tc.traffic)
+		}
+		if fc := e.Conditions().Counters(); fc.Decisions != tc.traffic.Sends || fc.Drops() != tc.traffic.Losses {
+			t.Errorf("%v: fault stack tally %+v does not match the ledger %+v", tc.lm, fc, tc.traffic)
+		}
 	}
 }

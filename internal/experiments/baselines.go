@@ -199,7 +199,7 @@ func AblationBurst(p AblationBurstParams) (*Report, error) {
 		g := e.Snapshot()
 		deg := metrics.Degrees(g, nil)
 		return []string{v.name,
-			f4(e.Counters().LossRate()),
+			f4(e.Traffic().LossRate()),
 			f2(float64(g.NumEdges()) / float64(p.N)),
 			f2(deg.MeanOut),
 			f2(deg.VarIn),

@@ -13,10 +13,12 @@ import (
 	"sendforget/internal/view"
 )
 
-// Traffic aggregates message-level transport events in a substrate-neutral
-// shape: the sequential engine and the concurrent runtime cluster both
-// report their counters through it, so experiments can compare loss behavior
-// across substrates without caring which one produced the numbers.
+// Traffic is the traffic ledger, the only one: every substrate's
+// driver.Router holds one and is the single writer of its fields (sfvet's
+// counterbalance analyzer rejects a write anywhere else), and engine,
+// cluster, sharded engine, /metrics and the experiments all read that same
+// value — so loss behavior compares across substrates without a mapping
+// between shapes that could drift.
 //
 // The counting semantics are identical on every substrate: Sends counts
 // every attempted transmission, incremented before the fault layer, routing,

@@ -43,6 +43,16 @@ type Server struct {
 	shutdownCh   chan struct{}
 }
 
+// Connection time limits. A client that stalls — in its headers, in the
+// middle of a body, or on an idle keep-alive connection — holds a goroutine
+// and a socket until one of these fires. There is no write limit: /view of
+// a 100k-node cluster is legitimately slow to send.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second // headers plus body (at most maxBodyBytes)
+	idleTimeout       = 2 * time.Minute  // between requests on a kept-alive connection
+)
+
 // New builds a server; Start makes it listen.
 func New(o Options) (*Server, error) {
 	if o.Backend == nil {
@@ -71,7 +81,9 @@ func New(o Options) (*Server, error) {
 	s.srv = &http.Server{
 		Addr:              o.Addr,
 		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	return s, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -22,6 +23,18 @@ import (
 // newTestLocal boots a managed in-process cluster and its server, returning
 // the backend, the substrate, and the server's base URL.
 func newTestLocal(t *testing.T, n int, lossRate float64, onPeriod func(time.Duration)) (*Local, runtime.Substrate, *Server, string) {
+	t.Helper()
+	backend, sub := newTestBackend(t, n, lossRate, onPeriod)
+	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startTestServer(t, srv)
+	return backend, sub, srv, "http://" + srv.Addr()
+}
+
+// newTestBackend builds a managed in-process cluster without a server.
+func newTestBackend(t *testing.T, n int, lossRate float64, onPeriod func(time.Duration)) (*Local, runtime.Substrate) {
 	t.Helper()
 	sub, err := runtime.New(runtime.Config{
 		Engine: runtime.EngineCluster,
@@ -43,10 +56,12 @@ func newTestLocal(t *testing.T, n int, lossRate float64, onPeriod func(time.Dura
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return backend, sub
+}
+
+// startTestServer starts srv and shuts it down with the test.
+func startTestServer(t *testing.T, srv *Server) {
+	t.Helper()
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +72,6 @@ func newTestLocal(t *testing.T, n int, lossRate float64, onPeriod func(time.Dura
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return backend, sub, srv, "http://" + srv.Addr()
 }
 
 // getJSON decodes a GET response body into out, requiring the given status.
@@ -271,6 +285,42 @@ func TestTrailingBodyRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("POST /config with trailing whitespace = %d, want 200", resp.StatusCode)
+	}
+}
+
+func TestStalledBodyClosesConnection(t *testing.T) {
+	// A client that sends its headers and then stalls mid-body must not pin
+	// a handler goroutine and a connection for ever: the read limit closes
+	// the connection. New sets both limits; the test shortens the read one.
+	backend, _ := newTestBackend(t, 4, 0, nil)
+	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.srv.ReadTimeout <= 0 || srv.srv.IdleTimeout <= 0 {
+		t.Fatalf("New left ReadTimeout %v, IdleTimeout %v", srv.srv.ReadTimeout, srv.srv.IdleTimeout)
+	}
+	srv.srv.ReadTimeout = 100 * time.Millisecond
+	startTestServer(t, srv)
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const body = `{"loss":0.25}`
+	fmt.Fprintf(conn, "POST /config HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body[:len(body)/2])
+	// The server may answer 400 before it hangs up; what matters is that the
+	// read below ends in EOF and not in this deadline.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("server kept the stalled connection open: %v", err)
+	}
+	if got := backend.Config().Loss; got != 0 {
+		t.Errorf("half a body changed the loss rate to %v", got)
 	}
 }
 

@@ -71,7 +71,6 @@ func (u *UDPNode) Traffic() metrics.Traffic {
 	c := u.opts.Endpoint.Counters()
 	return metrics.Traffic{
 		Sends:       c.Sent,
-		Losses:      c.Lost,
 		Deliveries:  c.Delivered,
 		DeadLetters: c.NoRoute,
 	}

@@ -159,8 +159,8 @@ func TestChurn(t *testing.T) {
 	}
 	e.StepAt(4)
 	e.Run(100)
-	if e.Counters().DeadLetters == 0 || e.View(4) != nil {
-		t.Errorf("dead letters = %d, departed view %v", e.Counters().DeadLetters, e.View(4))
+	if e.Traffic().DeadLetters == 0 || e.View(4) != nil {
+		t.Errorf("dead letters = %d, departed view %v", e.Traffic().DeadLetters, e.View(4))
 	}
 }
 

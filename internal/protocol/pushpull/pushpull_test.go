@@ -158,9 +158,9 @@ func TestChurn(t *testing.T) {
 	}
 	e.StepAt(4)
 	e.Run(100)
-	if e.Counters().DeadLetters == 0 || e.View(4) != nil {
+	if e.Traffic().DeadLetters == 0 || e.View(4) != nil {
 		t.Errorf("dead letters = %d, departed view %v: delivery revived the node or never reached it",
-			e.Counters().DeadLetters, e.View(4))
+			e.Traffic().DeadLetters, e.View(4))
 	}
 }
 

@@ -374,7 +374,7 @@ func TestDepartedNodeIgnored(t *testing.T) {
 	for k := 0; k < 2000; k++ {
 		e.Step()
 	}
-	if e.Counters().DeadLetters == 0 {
+	if e.Traffic().DeadLetters == 0 {
 		t.Error("no message reached the departed node's id in 2000 steps")
 	}
 	if e.View(3) != nil {

@@ -198,8 +198,8 @@ func TestChurn(t *testing.T) {
 	}
 	e.StepAt(5)
 	e.Run(100)
-	if e.Counters().DeadLetters == 0 || e.View(5) != nil {
-		t.Errorf("dead letters = %d, departed view %v", e.Counters().DeadLetters, e.View(5))
+	if e.Traffic().DeadLetters == 0 || e.View(5) != nil {
+		t.Errorf("dead letters = %d, departed view %v", e.Traffic().DeadLetters, e.View(5))
 	}
 }
 

@@ -46,6 +46,24 @@ func sfFactory(s, dl int) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
 }
 
+// newCluster builds the goroutine-per-node backend the only way a package
+// outside internal/runtime can, and asserts the concrete type: these tests
+// reach Nodes, Network, Start and Stop, which Substrate does not carry.
+func newCluster(cfg runtime.Config) (*runtime.Cluster, error) {
+	cfg.Engine = runtime.EngineCluster
+	sub, err := runtime.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sub.(*runtime.Cluster), nil
+}
+
+// newSharded builds the sharded tick backend.
+func newSharded(cfg runtime.Config) (runtime.Substrate, error) {
+	cfg.Engine = runtime.EngineSharded
+	return runtime.New(cfg)
+}
+
 func TestNodeConfigValidation(t *testing.T) {
 	rec := &recorder{}
 	seeds := []peer.ID{1, 2}
@@ -175,22 +193,22 @@ func TestNodeStartStopIdempotent(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := runtime.NewCluster(runtime.ClusterConfig{N: 1, NewCore: sfFactory(8, 0)}); err == nil {
+	if _, err := newCluster(runtime.Config{N: 1, NewCore: sfFactory(8, 0)}); err == nil {
 		t.Error("accepted n=1")
 	}
-	if _, err := runtime.NewCluster(runtime.ClusterConfig{N: 4, NewCore: sfFactory(8, 0), InitDegree: 4}); err == nil {
+	if _, err := newCluster(runtime.Config{N: 4, NewCore: sfFactory(8, 0), InitDegree: 4}); err == nil {
 		t.Error("accepted init degree >= n")
 	}
-	if _, err := runtime.NewCluster(runtime.ClusterConfig{N: 10, NewCore: sfFactory(8, 0), Loss: 1.5}); err == nil {
+	if _, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 0), Loss: 1.5}); err == nil {
 		t.Error("accepted loss > 1")
 	}
-	if _, err := runtime.NewCluster(runtime.ClusterConfig{N: 10}); err == nil {
+	if _, err := newCluster(runtime.Config{N: 10}); err == nil {
 		t.Error("accepted nil core factory")
 	}
 }
 
 func TestClusterTickRounds(t *testing.T) {
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: 40, NewCore: sfFactory(12, 4), Loss: 0.05, Seed: 7})
+	c, err := newCluster(runtime.Config{N: 40, NewCore: sfFactory(12, 4), Loss: 0.05, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +241,7 @@ func TestClusterTickRounds(t *testing.T) {
 func TestClusterConcurrent(t *testing.T) {
 	// Real goroutines + timers: run briefly, then verify invariants. This
 	// is the race-detector workout for the lock discipline.
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: 20, NewCore: sfFactory(12, 4), Loss: 0.02, Period: time.Millisecond, Seed: 8})
+	c, err := newCluster(runtime.Config{N: 20, NewCore: sfFactory(12, 4), Loss: 0.02, Period: time.Millisecond, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +257,7 @@ func TestClusterConcurrent(t *testing.T) {
 }
 
 func TestClusterNodeDeparture(t *testing.T) {
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: 30, NewCore: sfFactory(12, 4), Seed: 9})
+	c, err := newCluster(runtime.Config{N: 30, NewCore: sfFactory(12, 4), Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +337,7 @@ func TestNodesOverUDP(t *testing.T) {
 }
 
 func TestClusterRemoveAddNode(t *testing.T) {
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: 30, NewCore: sfFactory(12, 4), Seed: 31})
+	c, err := newCluster(runtime.Config{N: 30, NewCore: sfFactory(12, 4), Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +395,7 @@ func TestClusterRemoveAddNode(t *testing.T) {
 }
 
 func TestClusterAddNodeStarted(t *testing.T) {
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: 10, NewCore: sfFactory(8, 2), Period: time.Millisecond, Seed: 32})
+	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Period: time.Millisecond, Seed: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +420,7 @@ func TestClusterAddNodeStarted(t *testing.T) {
 // loss- and churn-independent).
 func TestClusterChurnUnderLoss(t *testing.T) {
 	const n = 40
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: n, NewCore: sfFactory(12, 4), Loss: 0.1, Seed: 51})
+	c, err := newCluster(runtime.Config{N: n, NewCore: sfFactory(12, 4), Loss: 0.1, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +481,7 @@ func TestClusterChurnUnderLoss(t *testing.T) {
 // Views/TickRound/Counters/CheckInvariants iterated it).
 func TestClusterChurnWhileSnapshotting(t *testing.T) {
 	const n = 24
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: n, NewCore: sfFactory(12, 4), Loss: 0.05, Seed: 77})
+	c, err := newCluster(runtime.Config{N: n, NewCore: sfFactory(12, 4), Loss: 0.05, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +543,7 @@ func TestClusterChurnWhileSnapshotting(t *testing.T) {
 // additive Seed+u+7919 scheme collided with the initial seed of node
 // u+7918), so two successive incarnations behave differently.
 func TestClusterRejoinSeedStreams(t *testing.T) {
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: 10, NewCore: sfFactory(8, 2), Seed: 3})
+	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +574,7 @@ func TestClusterRejoinSeedStreams(t *testing.T) {
 // dropped) and disconnect the overlay; healing must let S&F reconnect it.
 func TestClusterPartitionHeal(t *testing.T) {
 	const n = 30
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: n, NewCore: sfFactory(12, 4), Seed: 13})
+	c, err := newCluster(runtime.Config{N: n, NewCore: sfFactory(12, 4), Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +633,7 @@ func TestClusterDelayedDelivery(t *testing.T) {
 	if err := cond.SetDelay(faults.Delay{Fixed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := runtime.NewCluster(runtime.ClusterConfig{N: 10, NewCore: sfFactory(8, 2), Conditions: cond, Seed: 21})
+	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Conditions: cond, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"sendforget/internal/engine"
 	"sendforget/internal/faults"
 	"sendforget/internal/graph"
@@ -21,20 +19,9 @@ type seqSubstrate struct {
 	eng *engine.Engine
 }
 
-// newSeq builds the sequential backend from the factory config, mirroring
-// the cluster constructors' defaulting and validation.
+// newSeq builds the sequential backend from a Config New has resolved.
 func newSeq(cfg Config) (Substrate, error) {
-	if cfg.NewCore == nil {
-		return nil, fmt.Errorf("runtime: seq engine needs a core factory")
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	cond, err := conditionsOrUniform(cfg.Conditions, cfg.Loss)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.NewWithConditions(cfg.NewCore, cfg.N, cfg.InitDegree, cond, rng.New(cfg.Seed))
+	eng, err := engine.NewWithConditions(cfg.NewCore, cfg.N, cfg.InitDegree, cfg.Conditions, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

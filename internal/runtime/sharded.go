@@ -56,35 +56,6 @@ import (
 // the pool cannot cycle back to the gate. The token channel makes that
 // reasoning structural rather than suppressed.
 
-// ShardedConfig parameterizes a sharded tick cluster.
-type ShardedConfig struct {
-	// N is the number of node slots.
-	N int
-	// NewCore builds one fresh protocol step core per node.
-	NewCore protocol.CoreFactory
-	// InitDegree is the circulant bootstrap outdegree (0 selects an even
-	// value of about half the core's view size, as in NewCluster).
-	InitDegree int
-	// Loss is the uniform message loss rate, ignored when Conditions is
-	// set.
-	Loss float64
-	// Conditions, when non-nil, is the fault-injection stack consulted per
-	// message in the route phase. The instance must be dedicated to this
-	// cluster.
-	Conditions *faults.Conditions
-	// Workers bounds the worker pool (0 selects min(GOMAXPROCS, shards);
-	// 1 runs every phase inline with no goroutines at all). The worker
-	// count never influences results, only wall-clock time.
-	Workers int
-	// ShardSize overrides the nodes-per-shard geometry (0 selects an
-	// automatic size that depends only on N, keeping results machine-
-	// independent). Tests use small sizes to exercise multi-shard paths
-	// at small n.
-	ShardSize int
-	// Seed drives the fault-decision stream and the per-node RNGs.
-	Seed int64
-}
-
 // Tick phases executed by the worker pool.
 const (
 	phaseInitiate int32 = iota
@@ -110,17 +81,16 @@ type shardedNode struct {
 	live bool
 }
 
-// ShardedCluster is the sharded synchronous tick engine. Construct with
-// NewSharded; call Close when done to release the worker pool.
+// ShardedCluster is the sharded synchronous tick engine. Construct with New
+// (EngineSharded); call Close when done to release the worker pool.
 type ShardedCluster struct {
-	cfg        ShardedConfig
+	cfg        Config
 	n, s       int
 	shardSize  int
 	shardShift uint // log2(shardSize) when shardSize is a power of two
 	shardPow2  bool
 	shards     int
 	workers    int
-	cond       *faults.Conditions
 
 	// gate is the engine's exclusivity token (capacity 1, token present
 	// when idle): receive to acquire, send to release. See the package
@@ -173,26 +143,10 @@ type ShardedCluster struct {
 	scratch protocol.Outbox
 }
 
-// NewSharded builds a sharded tick cluster with the circulant bootstrap
-// topology (the same initial overlay NewCluster wires).
-func NewSharded(cfg ShardedConfig) (*ShardedCluster, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("runtime: sharded cluster needs at least 2 nodes, got %d", cfg.N)
-	}
-	if cfg.NewCore == nil {
-		return nil, fmt.Errorf("runtime: sharded cluster needs a core factory")
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	var err error
-	if cfg.InitDegree, err = driver.BootstrapDegree(cfg.NewCore, cfg.N, cfg.InitDegree); err != nil {
-		return nil, err
-	}
-	cond, err := conditionsOrUniform(cfg.Conditions, cfg.Loss)
-	if err != nil {
-		return nil, err
-	}
+// newSharded builds a sharded tick cluster with the circulant bootstrap
+// topology (the same initial overlay newCluster wires), from a Config New
+// has resolved.
+func newSharded(cfg Config) (*ShardedCluster, error) {
 	probe, err := cfg.NewCore()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: core factory: %w", err)
@@ -225,7 +179,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedCluster, error) {
 		shardSize: shardSize,
 		shards:    shards,
 		workers:   workers,
-		cond:      cond,
 		gate:      make(chan struct{}, 1),
 		work:      make(chan int32),
 		done:      make(chan struct{}),
@@ -239,7 +192,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedCluster, error) {
 		inboxRefs: make([][]msgRef, shards),
 		counters:  make([]NodeCounters, shards),
 	}
-	e.router = driver.NewRouter(cond, rng.New(cfg.Seed), func(id peer.ID) bool {
+	e.router = driver.NewRouter(cfg.Conditions, rng.New(cfg.Seed), func(id peer.ID) bool {
 		// The router invokes this only from its Route/Deliverable entry
 		// points, which the engine reaches exclusively while holding the
 		// gate (TickRound, drainDue) — a contract the confinement engine
@@ -287,7 +240,7 @@ func defaultShardSize(n int) int {
 }
 
 // activate installs a fresh core, view, and RNG stream for node u. Callers
-// hold the gate (or, in NewSharded, are the only reference holder).
+// hold the gate (or, in newSharded, are the only reference holder).
 func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
 	core, err := e.cfg.NewCore()
 	if err != nil {
@@ -436,7 +389,7 @@ func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 	// single-owner contract holds trivially). The router rules per message
 	// — drop, park (copying the ids out of the transient arena), dead
 	// letter, or deliver — and the bucketing of survivors stays here.
-	ses := e.cond.Begin()
+	ses := e.cfg.Conditions.Begin()
 	for k := range boxes {
 		ob := &boxes[k]
 		for i := range ob.Msgs {
@@ -589,9 +542,7 @@ func (e *ShardedCluster) Counters() NodeCounters {
 	return sum
 }
 
-// Traffic reports the transport counters in the substrate-neutral shape
-// shared with Engine and Cluster (see metrics.Traffic for the unified
-// counting semantics).
+// Traffic reports the router's ledger.
 func (e *ShardedCluster) Traffic() metrics.Traffic {
 	<-e.gate
 	t := e.router.Traffic()
@@ -601,7 +552,7 @@ func (e *ShardedCluster) Traffic() metrics.Traffic {
 
 // Conditions returns the fault-injection stack for mid-run reconfiguration
 // (partitions, link overrides).
-func (e *ShardedCluster) Conditions() *faults.Conditions { return e.cond }
+func (e *ShardedCluster) Conditions() *faults.Conditions { return e.cfg.Conditions }
 
 // CheckInvariants validates the protocol's per-view invariant on every live
 // node, in one bulk pass.

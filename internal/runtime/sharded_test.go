@@ -39,19 +39,19 @@ func allProtocols() []struct {
 }
 
 func TestShardedValidation(t *testing.T) {
-	if _, err := runtime.NewSharded(runtime.ShardedConfig{N: 1, NewCore: sfFactory(8, 2)}); err == nil {
+	if _, err := newSharded(runtime.Config{N: 1, NewCore: sfFactory(8, 2)}); err == nil {
 		t.Error("accepted n=1")
 	}
-	if _, err := runtime.NewSharded(runtime.ShardedConfig{N: 10}); err == nil {
+	if _, err := newSharded(runtime.Config{N: 10}); err == nil {
 		t.Error("accepted nil core factory")
 	}
-	if _, err := runtime.NewSharded(runtime.ShardedConfig{N: 10, NewCore: sfFactory(8, 2), InitDegree: 10}); err == nil {
+	if _, err := newSharded(runtime.Config{N: 10, NewCore: sfFactory(8, 2), InitDegree: 10}); err == nil {
 		t.Error("accepted init degree >= n")
 	}
 }
 
 func TestShardedTickRounds(t *testing.T) {
-	e, err := runtime.NewSharded(runtime.ShardedConfig{N: 60, NewCore: sfFactory(12, 4), Loss: 0.05, Seed: 7, ShardSize: 16})
+	e, err := newSharded(runtime.Config{N: 60, NewCore: sfFactory(12, 4), Loss: 0.05, Seed: 7, ShardSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestShardedTickRounds(t *testing.T) {
 // shardedFingerprint condenses an engine's full observable state — every
 // view byte, the summed counters, and the traffic ledger — into one string
 // for exact cross-run comparison.
-func shardedFingerprint(e *runtime.ShardedCluster) string {
+func shardedFingerprint(e runtime.Substrate) string {
 	views := e.Views()
 	buf := make([]byte, 0, 1<<16)
 	for u, v := range views {
@@ -134,7 +134,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 					} else {
 						cond = nil
 					}
-					e, err := runtime.NewSharded(runtime.ShardedConfig{
+					e, err := newSharded(runtime.Config{
 						N: 200, NewCore: p.factory, Loss: 0.05,
 						Conditions: cond, Seed: 17, ShardSize: 16, Workers: workers,
 					})
@@ -167,7 +167,7 @@ func TestShardedDelayedDelivery(t *testing.T) {
 	if err := cond.SetDelay(faults.Delay{Fixed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := runtime.NewSharded(runtime.ShardedConfig{N: 10, NewCore: sfFactory(8, 2), Conditions: cond, Seed: 21})
+	e, err := newSharded(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Conditions: cond, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestShardedDelayedDelivery(t *testing.T) {
 }
 
 func TestShardedRemoveAddNode(t *testing.T) {
-	e, err := runtime.NewSharded(runtime.ShardedConfig{N: 30, NewCore: sfFactory(12, 4), Seed: 5, ShardSize: 8})
+	e, err := newSharded(runtime.Config{N: 30, NewCore: sfFactory(12, 4), Seed: 5, ShardSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestShardedRemoveAddNode(t *testing.T) {
 // distinct incarnations of the same node must draw distinct RNG streams
 // (seedFor derives from (seed, id, incarnation)).
 func TestShardedRejoinSeedStreams(t *testing.T) {
-	e, err := runtime.NewSharded(runtime.ShardedConfig{N: 10, NewCore: sfFactory(8, 2), Seed: 3})
+	e, err := newSharded(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestShardedRejoinSeedStreams(t *testing.T) {
 // churn, and snapshots race from several goroutines (the race detector
 // checks the serialization; the invariants check the protocol state).
 func TestShardedChurnWhileTicking(t *testing.T) {
-	e, err := runtime.NewSharded(runtime.ShardedConfig{N: 40, NewCore: sfFactory(12, 4), Loss: 0.02, Seed: 9, ShardSize: 8, Workers: 4})
+	e, err := newSharded(runtime.Config{N: 40, NewCore: sfFactory(12, 4), Loss: 0.02, Seed: 9, ShardSize: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestShardedChurnWhileTicking(t *testing.T) {
 func TestShardedZeroAllocTick(t *testing.T) {
 	for _, p := range allProtocols() {
 		t.Run(p.name, func(t *testing.T) {
-			e, err := runtime.NewSharded(runtime.ShardedConfig{N: 2000, NewCore: p.factory, Loss: 0.02, Seed: 10, Workers: 1})
+			e, err := newSharded(runtime.Config{N: 2000, NewCore: p.factory, Loss: 0.02, Seed: 10, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +347,7 @@ func TestShardedZeroAllocTick(t *testing.T) {
 // TestShardedViewsAreCopies guards the bulk snapshot: mutating a returned
 // view must not touch engine state.
 func TestShardedViewsAreCopies(t *testing.T) {
-	e, err := runtime.NewSharded(runtime.ShardedConfig{N: 10, NewCore: sfFactory(8, 2), Seed: 4})
+	e, err := newSharded(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestShardedViewsAreCopies(t *testing.T) {
 // caller overrides ShardSize with the same value or leaves it 0.
 func TestShardedMatchesDefaultGeometry(t *testing.T) {
 	run := func(shardSize, workers int) string {
-		e, err := runtime.NewSharded(runtime.ShardedConfig{
+		e, err := newSharded(runtime.Config{
 			N: 300, NewCore: sfFactory(8, 2), Loss: 0.1, Seed: 23,
 			ShardSize: shardSize, Workers: workers,
 		})

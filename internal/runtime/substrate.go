@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"sendforget/internal/driver"
 	"sendforget/internal/faults"
 	"sendforget/internal/graph"
 	"sendforget/internal/metrics"
@@ -98,14 +99,14 @@ func ParseEngine(s string) (EngineKind, error) {
 }
 
 // Config parameterizes New, the single constructor for every execution
-// backend. The shared fields mirror ClusterConfig/ShardedConfig; fields
-// that apply to only one backend are ignored by the others.
+// backend. Fields that apply to only one backend are ignored by the others.
 type Config struct {
 	// Engine selects the backend (default EngineCluster).
 	Engine EngineKind
 	// N is the number of node slots.
 	N int
-	// NewCore builds one fresh protocol step core per node.
+	// NewCore builds one fresh protocol step core per node. Cores hold
+	// per-node state and are never shared across nodes.
 	NewCore protocol.CoreFactory
 	// InitDegree is the circulant bootstrap outdegree (0 selects an even
 	// value of about half the core's view size).
@@ -114,58 +115,64 @@ type Config struct {
 	// set.
 	Loss float64
 	// Conditions, when non-nil, is the fault-injection stack consulted per
-	// message. The instance must be dedicated to this substrate.
+	// message instead of plain uniform loss: burst models, per-link
+	// overrides, partitions, and delivery delay. The instance must be
+	// dedicated to this substrate (stateful models would otherwise
+	// interleave streams across runs).
 	Conditions *faults.Conditions
-	// Seed drives the fault-decision stream and the per-node RNGs.
+	// Seed drives the fault-decision stream and the per-node RNGs (0
+	// selects 1).
 	Seed int64
-	// Period is the gossip period for timer-driven operation (cluster
-	// only).
+	// Period is each node's gossip period for timer-driven operation
+	// (cluster only; TickRound works without timers). Defaults to 10ms for
+	// fast examples.
 	Period time.Duration
-	// Workers bounds the worker pool (sharded only; never influences
-	// results).
+	// Workers bounds the worker pool (sharded only; 0 selects
+	// min(GOMAXPROCS, shards), 1 runs every phase inline with no
+	// goroutines at all). The worker count never influences results, only
+	// wall-clock time.
 	Workers int
-	// ShardSize overrides the nodes-per-shard geometry (sharded only).
+	// ShardSize overrides the nodes-per-shard geometry (sharded only; 0
+	// selects an automatic size that depends only on N, keeping results
+	// machine-independent). Tests use small sizes to exercise multi-shard
+	// paths at small n.
 	ShardSize int
 }
 
-// conditionsOrUniform returns the fault stack a substrate consults: cond
-// when configured, otherwise the paper's uniform loss at the given rate.
-func conditionsOrUniform(cond *faults.Conditions, rate float64) (*faults.Conditions, error) {
-	if cond != nil {
-		return cond, nil
-	}
-	return faults.FromRate(rate)
-}
-
-// New builds the configured execution backend. It is the only constructor
-// packages outside internal/runtime may use (sfvet's substrate analyzer
-// enforces this): equivalence harnesses, benchmarks, and commands stay free
-// of backend-specific branches beyond this call.
+// New builds the configured execution backend. The concrete constructors
+// are unexported, so this is the only way any package outside
+// internal/runtime obtains a substrate: equivalence harnesses, benchmarks,
+// and commands stay free of backend-specific branches beyond this call. It
+// resolves what every backend resolves the same way — the node count and
+// core factory checks, the seed and bootstrap-degree defaults, and the fault
+// stack (Conditions, or the paper's uniform loss at rate Loss) — so the
+// constructors receive a Config with those fields final.
 func New(cfg Config) (Substrate, error) {
+	if cfg.N < 2 {
+		return nil, fmt.Errorf("runtime: need at least 2 nodes, got %d", cfg.N)
+	}
+	if cfg.NewCore == nil {
+		return nil, fmt.Errorf("runtime: config needs a core factory")
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	var err error
+	if cfg.InitDegree, err = driver.BootstrapDegree(cfg.NewCore, cfg.N, cfg.InitDegree); err != nil {
+		return nil, err
+	}
+	if cfg.Conditions == nil {
+		if cfg.Conditions, err = faults.FromRate(cfg.Loss); err != nil {
+			return nil, err
+		}
+	}
 	switch cfg.Engine {
 	case EngineSeq:
 		return newSeq(cfg)
 	case EngineCluster, "":
-		return NewCluster(ClusterConfig{
-			N:          cfg.N,
-			NewCore:    cfg.NewCore,
-			InitDegree: cfg.InitDegree,
-			Loss:       cfg.Loss,
-			Conditions: cfg.Conditions,
-			Period:     cfg.Period,
-			Seed:       cfg.Seed,
-		})
+		return newCluster(cfg)
 	case EngineSharded:
-		return NewSharded(ShardedConfig{
-			N:          cfg.N,
-			NewCore:    cfg.NewCore,
-			InitDegree: cfg.InitDegree,
-			Loss:       cfg.Loss,
-			Conditions: cfg.Conditions,
-			Workers:    cfg.Workers,
-			ShardSize:  cfg.ShardSize,
-			Seed:       cfg.Seed,
-		})
+		return newSharded(cfg)
 	}
 	return nil, fmt.Errorf("runtime: unknown engine %q", cfg.Engine)
 }

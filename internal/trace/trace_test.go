@@ -37,8 +37,8 @@ func TestRecorderRoundtrip(t *testing.T) {
 		t.Fatalf("loaded %d records, want 600", len(records))
 	}
 	s := Summarize(records)
-	c := e.Counters()
-	if s.Steps != c.Steps || s.Sends != c.Sends || s.Losses != c.Losses || s.Delivered != c.Deliveries {
+	c := e.Traffic()
+	if s.Steps != e.Tally().Ticks || s.Sends != c.Sends || s.Losses != c.Losses || s.Delivered != c.Deliveries {
 		t.Errorf("summary %+v does not match counters %+v", s, c)
 	}
 	if s.SelfLoops == 0 || s.Losses == 0 {

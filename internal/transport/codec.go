@@ -7,6 +7,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"sendforget/internal/peer"
@@ -27,6 +28,10 @@ import (
 // (uint8 length; 0 = unknown). The paper models ids as "IP addresses and
 // ports"; carrying addresses alongside ids lets a deployment's directory
 // self-populate from gossip instead of requiring static configuration.
+//
+// appendWire is the only function that lays these bytes out and parseWire
+// the only one that reads and validates them; the allocating codec below
+// and the flat codec (flatcodec.go) both go through the pair.
 const (
 	wireMagic    = 0x5346
 	wireVersion  = 1
@@ -36,24 +41,86 @@ const (
 	maxWireAddr  = 255
 )
 
+// Error sentinels are package-level values so the hot decode path returns
+// pre-existing interface values instead of constructing errors per call.
+var (
+	// ErrFlatOversize reports a message whose id count exceeds the wire
+	// format's 255-id limit.
+	ErrFlatOversize = errors.New("transport: ids exceed wire limit")
+	// ErrFlatTruncated reports a datagram whose length disagrees with its
+	// header or id count.
+	ErrFlatTruncated = errors.New("transport: truncated datagram")
+	// ErrFlatBadHeader reports a bad magic, a version the decoder does not
+	// speak (the flat decoder speaks version 1 only — version-2 address
+	// trailers need string allocation and belong to UnmarshalAddressed), or
+	// unknown flag bits.
+	ErrFlatBadHeader = errors.New("transport: bad datagram header")
+)
+
+// wireHeader is the fixed part of a datagram, decoded. It stays at four
+// fields so that the compiler passes it in registers: with the version as a
+// fifth, parseWire's result went through the stack in mixed-width stores and
+// loads and cost both decoders about 20 ns.
+type wireHeader struct {
+	kind  protocol.Kind
+	from  peer.ID
+	dup   bool
+	count int // ids follow the header at headerLen + 4*i
+}
+
+// appendWire appends the header and ids of one datagram to dst.
+func appendWire(dst []byte, version byte, kind protocol.Kind, from peer.ID, dup bool, ids []peer.ID) ([]byte, error) {
+	if len(ids) > maxWireIDs {
+		return dst, ErrFlatOversize
+	}
+	var flags byte
+	if dup {
+		flags = 1
+	}
+	dst = append(dst, byte(wireMagic>>8), byte(wireMagic&0xff), version, byte(kind))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(from)))
+	dst = append(dst, flags, byte(len(ids)))
+	for _, id := range ids {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(id)))
+	}
+	return dst, nil
+}
+
+// parseWire validates a datagram of version 1..maxVersion and returns its
+// header and version. A version-1 datagram ends with its ids; a version-2
+// datagram continues with the address trailer, which the caller parses from
+// headerLen + 4*count on.
+func parseWire(buf []byte, maxVersion byte) (h wireHeader, version byte, err error) {
+	if len(buf) < headerLen {
+		return wireHeader{}, 0, ErrFlatTruncated
+	}
+	version = buf[2]
+	// Unknown flag bits are rejected: the format defines only bit0 (dup),
+	// and accepting extras would break the canonical encoding.
+	if binary.BigEndian.Uint16(buf[0:2]) != wireMagic || version < wireVersion || version > maxVersion || buf[8]&^1 != 0 {
+		return wireHeader{}, 0, ErrFlatBadHeader
+	}
+	h = wireHeader{
+		kind:  protocol.Kind(buf[3]),
+		from:  peer.ID(int32(binary.BigEndian.Uint32(buf[4:8]))),
+		dup:   buf[8]&1 == 1,
+		count: int(buf[9]),
+	}
+	idsEnd := headerLen + 4*h.count
+	if len(buf) < idsEnd || (version == wireVersion && len(buf) != idsEnd) {
+		return wireHeader{}, 0, ErrFlatTruncated
+	}
+	return h, version, nil
+}
+
+// wireID reads the i-th id of a datagram parseWire accepted.
+func wireID(buf []byte, i int) peer.ID {
+	return peer.ID(int32(binary.BigEndian.Uint32(buf[headerLen+4*i:])))
+}
+
 // Marshal encodes a protocol message into a datagram payload.
 func Marshal(msg protocol.Message) ([]byte, error) {
-	if len(msg.IDs) > maxWireIDs {
-		return nil, fmt.Errorf("transport: %d ids exceed wire limit %d", len(msg.IDs), maxWireIDs)
-	}
-	buf := make([]byte, headerLen+4*len(msg.IDs))
-	binary.BigEndian.PutUint16(buf[0:2], wireMagic)
-	buf[2] = wireVersion
-	buf[3] = byte(msg.Kind)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(int32(msg.From)))
-	if msg.Dup {
-		buf[8] = 1
-	}
-	buf[9] = byte(len(msg.IDs))
-	for i, id := range msg.IDs {
-		binary.BigEndian.PutUint32(buf[headerLen+4*i:], uint32(int32(id)))
-	}
-	return buf, nil
+	return appendWire(make([]byte, 0, headerLen+4*len(msg.IDs)), wireVersion, msg.Kind, msg.From, msg.Dup, msg.IDs)
 }
 
 // MarshalAddressed encodes a version-2 datagram carrying one address string
@@ -62,15 +129,18 @@ func MarshalAddressed(msg protocol.Message, addrs []string) ([]byte, error) {
 	if len(addrs) != len(msg.IDs) {
 		return nil, fmt.Errorf("transport: %d addresses for %d ids", len(addrs), len(msg.IDs))
 	}
-	buf, err := Marshal(msg)
-	if err != nil {
-		return nil, err
-	}
-	buf[2] = wireVersion2
+	size := headerLen + 4*len(msg.IDs)
 	for _, a := range addrs {
 		if len(a) > maxWireAddr {
 			return nil, fmt.Errorf("transport: address %q exceeds %d bytes", a, maxWireAddr)
 		}
+		size += 1 + len(a)
+	}
+	buf, err := appendWire(make([]byte, 0, size), wireVersion2, msg.Kind, msg.From, msg.Dup, msg.IDs)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range addrs {
 		buf = append(buf, byte(len(a)))
 		buf = append(buf, a...)
 	}
@@ -87,47 +157,23 @@ func Unmarshal(buf []byte) (protocol.Message, error) {
 // UnmarshalAddressed decodes a datagram payload. For version-1 datagrams
 // addrs is nil; for version 2 it has one entry per id (possibly empty).
 func UnmarshalAddressed(buf []byte) (protocol.Message, []string, error) {
-	if len(buf) < headerLen {
-		return protocol.Message{}, nil, fmt.Errorf("transport: short datagram (%d bytes)", len(buf))
+	h, version, err := parseWire(buf, wireVersion2)
+	if err != nil {
+		return protocol.Message{}, nil, err
 	}
-	if binary.BigEndian.Uint16(buf[0:2]) != wireMagic {
-		return protocol.Message{}, nil, fmt.Errorf("transport: bad magic")
-	}
-	version := buf[2]
-	if version != wireVersion && version != wireVersion2 {
-		return protocol.Message{}, nil, fmt.Errorf("transport: unsupported version %d", version)
-	}
-	if buf[8]&^1 != 0 {
-		// Reject unknown flag bits: the format defines only bit0 (dup),
-		// and accepting extras would break the canonical encoding.
-		return protocol.Message{}, nil, fmt.Errorf("transport: unknown flag bits %#x", buf[8])
-	}
-	count := int(buf[9])
-	idsEnd := headerLen + 4*count
-	if len(buf) < idsEnd {
-		return protocol.Message{}, nil, fmt.Errorf("transport: length %d does not match %d ids", len(buf), count)
-	}
-	if version == wireVersion && len(buf) != idsEnd {
-		return protocol.Message{}, nil, fmt.Errorf("transport: length %d does not match %d ids", len(buf), count)
-	}
-	msg := protocol.Message{
-		Kind: protocol.Kind(buf[3]),
-		From: peer.ID(int32(binary.BigEndian.Uint32(buf[4:8]))),
-		Dup:  buf[8]&1 == 1,
-	}
-	if count > 0 {
-		msg.IDs = make([]peer.ID, count)
+	msg := protocol.Message{Kind: h.kind, From: h.from, Dup: h.dup}
+	if h.count > 0 {
+		msg.IDs = make([]peer.ID, h.count)
 		for i := range msg.IDs {
-			msg.IDs[i] = peer.ID(int32(binary.BigEndian.Uint32(buf[headerLen+4*i:])))
+			msg.IDs[i] = wireID(buf, i)
 		}
 	}
 	if version == wireVersion {
 		return msg, nil, nil
 	}
-	// Version 2: parse the address trailer.
-	addrs := make([]string, count)
-	off := idsEnd
-	for i := 0; i < count; i++ {
+	addrs := make([]string, h.count)
+	off := headerLen + 4*h.count
+	for i := range addrs {
 		if off >= len(buf) {
 			return protocol.Message{}, nil, fmt.Errorf("transport: truncated address trailer")
 		}

@@ -7,6 +7,7 @@ import (
 	"sendforget/internal/driver"
 	"sendforget/internal/faults"
 	"sendforget/internal/loss"
+	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
@@ -16,31 +17,6 @@ import (
 // sender's goroutine (or the drain goroutine for delayed messages) and must
 // not block.
 type Handler func(msg protocol.Message)
-
-// Counters aggregates network-level events. The semantics are the unified
-// cross-substrate ones documented on metrics.Traffic: Sent counts every
-// attempted transmission, incremented before the fault layer, routing, or
-// marshalling rules on the message; each attempt then lands in exactly one
-// of Lost, NoRoute, or Delivered (for delayed messages, when the delay queue
-// drains). Endpoint shares the type; its fault-layer fields stay zero.
-type Counters struct {
-	// Sent counts attempted transmissions.
-	Sent int
-	// Lost counts messages dropped by the fault layer (base loss model,
-	// per-link overrides, and partitions together).
-	Lost int
-	// Delivered counts messages handed to a receive handler.
-	Delivered int
-	// NoRoute counts messages with no registered handler or directory
-	// entry at delivery time.
-	NoRoute int
-	// LinkLost is the subset of Lost dropped by per-link overrides.
-	LinkLost int
-	// PartitionDropped is the subset of Lost dropped by a partition.
-	PartitionDropped int
-	// Delayed counts messages that entered the delay queue.
-	Delayed int
-}
 
 // Network is an in-memory datagram network for the concurrent runtime:
 // every Send consults the fault-injection conditions (loss, partitions,
@@ -147,7 +123,7 @@ func (nw *Network) Send(to peer.ID, msg protocol.Message) error {
 // message that came due, in (due, enqueue) order. The cluster calls it at
 // each round boundary (manual ticking) or from a drain timer (Start mode);
 // routing is resolved at drain time, so a message to a node that departed
-// while in flight counts as NoRoute. Handlers run outside the lock.
+// while in flight counts as a dead letter. Handlers run outside the lock.
 func (nw *Network) Advance() {
 	type delivery struct {
 		h   Handler
@@ -179,18 +155,9 @@ func (nw *Network) Pending() int {
 	return nw.router.Pending()
 }
 
-// Counters returns a snapshot of the counters.
-func (nw *Network) Counters() Counters {
+// Traffic returns a snapshot of the router's ledger.
+func (nw *Network) Traffic() metrics.Traffic {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	l := nw.router.Ledger()
-	return Counters{
-		Sent:             l.Sends,
-		Lost:             l.Losses,
-		Delivered:        l.Deliveries,
-		NoRoute:          l.DeadLetters,
-		LinkLost:         l.LinkLosses,
-		PartitionDropped: l.PartitionDrops,
-		Delayed:          l.Delayed,
-	}
+	return nw.router.Traffic()
 }

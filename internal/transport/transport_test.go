@@ -116,8 +116,8 @@ func TestNetworkDelivery(t *testing.T) {
 	})
 	nw.Send(1, protocol.Message{From: 0, IDs: []peer.ID{0, 2}})
 	nw.Send(2, protocol.Message{From: 0}) // unroutable
-	c := nw.Counters()
-	if c.Sent != 2 || c.Delivered != 1 || c.NoRoute != 1 || c.Lost != 0 {
+	c := nw.Traffic()
+	if c.Sends != 2 || c.Deliveries != 1 || c.DeadLetters != 1 || c.Losses != 0 {
 		t.Errorf("counters = %+v", c)
 	}
 	if len(got) != 1 || got[0].From != 0 {
@@ -138,8 +138,8 @@ func TestNetworkLoss(t *testing.T) {
 	if delivered != 0 {
 		t.Errorf("delivered %d messages through 100%% loss", delivered)
 	}
-	if c := nw.Counters(); c.Lost != 100 {
-		t.Errorf("Lost = %d, want 100", c.Lost)
+	if c := nw.Traffic(); c.Losses != 100 {
+		t.Errorf("Losses = %d, want 100", c.Losses)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestNetworkDeregister(t *testing.T) {
 	nw.Register(1, func(protocol.Message) {})
 	nw.Register(1, nil) // departed
 	nw.Send(1, protocol.Message{From: 0})
-	if c := nw.Counters(); c.NoRoute != 1 {
-		t.Errorf("NoRoute = %d, want 1", c.NoRoute)
+	if c := nw.Traffic(); c.DeadLetters != 1 {
+		t.Errorf("DeadLetters = %d, want 1", c.DeadLetters)
 	}
 }
 
@@ -554,6 +554,45 @@ func TestUDPTrailerCannotClobberFreshEntry(t *testing.T) {
 	}
 }
 
+func TestUDPTrailerHostnameNotResolved(t *testing.T) {
+	// Trailer strings are hostile input: a name in one must never reach the
+	// resolver (the lookup would run on the receive goroutine under the lock
+	// every Send takes). Only literal ip:port entries are learned.
+	got := make(chan protocol.Message, 1)
+	ep, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { got <- m })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	if err := ep.EnableAddressLearning(0, ep.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := MarshalAddressed(
+		protocol.Message{Kind: protocol.KindGossip, From: 5, IDs: []peer.ID{7, 8}},
+		[]string{"localhost:9", "127.0.0.1:9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", ep.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("datagram not delivered")
+	}
+	// Learned: the sender (5, from the source address) and id 8 (literal
+	// trailer entry). Id 7's entry names a host and is ignored.
+	if n := ep.LearnedPeers(); n != 2 {
+		t.Errorf("LearnedPeers = %d, want 2 (sender and the literal entry; localhost:9 must not be resolved)", n)
+	}
+}
+
 func TestNetworkSentAccountingUnified(t *testing.T) {
 	// Every attempt increments Sent and lands in exactly one of Lost,
 	// NoRoute, Delivered — including unroutable and dropped sends.
@@ -573,14 +612,14 @@ func TestNetworkSentAccountingUnified(t *testing.T) {
 	nw.Conditions().Partition([]peer.ID{0}, []peer.ID{1})
 	nw.Send(1, msg) // partition drop
 	nw.Conditions().Heal()
-	c := nw.Counters()
-	if c.Sent != 3 {
-		t.Errorf("Sent = %d, want 3 (every attempt counted)", c.Sent)
+	c := nw.Traffic()
+	if c.Sends != 3 {
+		t.Errorf("Sends = %d, want 3 (every attempt counted)", c.Sends)
 	}
-	if c.Sent != c.Lost+c.Delivered+c.NoRoute {
+	if c.Sends != c.Losses+c.Deliveries+c.DeadLetters {
 		t.Errorf("counter identity violated: %+v", c)
 	}
-	if c.PartitionDropped != 1 || c.Lost != 1 || c.NoRoute != 1 || c.Delivered != 1 || got != 1 {
+	if c.PartitionDrops != 1 || c.Losses != 1 || c.DeadLetters != 1 || c.Deliveries != 1 || got != 1 {
 		t.Errorf("counters = %+v (handled %d), want one of each", c, got)
 	}
 }
@@ -606,11 +645,11 @@ func TestNetworkLinkOverride(t *testing.T) {
 		nw.Send(1, msg)
 		nw.Send(2, msg)
 	}
-	c := nw.Counters()
-	if c.LinkLost != 10 || c.Lost != 10 {
+	c := nw.Traffic()
+	if c.LinkLosses != 10 || c.Losses != 10 {
 		t.Errorf("link 0->1 should drop all 10: %+v", c)
 	}
-	if c.Delivered != 10 {
+	if c.Deliveries != 10 {
 		t.Errorf("link 0->2 should deliver all 10: %+v", c)
 	}
 }
@@ -640,7 +679,7 @@ func TestNetworkDelayAndReorder(t *testing.T) {
 	for i := 0; i < total; i++ {
 		nw.Send(1, protocol.Message{Kind: protocol.KindGossip, From: peer.ID(i), IDs: []peer.ID{peer.ID(i)}})
 	}
-	if c := nw.Counters(); c.Delayed != total || c.Delivered != 0 {
+	if c := nw.Traffic(); c.Delayed != total || c.Deliveries != 0 {
 		t.Fatalf("before drain: %+v, want all %d delayed", c, total)
 	}
 	if nw.Pending() != total {
@@ -649,11 +688,11 @@ func TestNetworkDelayAndReorder(t *testing.T) {
 	for i := 0; i < 8 && nw.Pending() > 0; i++ {
 		nw.Advance()
 	}
-	c := nw.Counters()
-	if nw.Pending() != 0 || c.Delivered != total {
+	c := nw.Traffic()
+	if nw.Pending() != 0 || c.Deliveries != total {
 		t.Fatalf("after drain: pending=%d counters=%+v", nw.Pending(), c)
 	}
-	if c.Sent != c.Lost+c.Delivered+c.NoRoute {
+	if c.Sends != c.Losses+c.Deliveries+c.DeadLetters {
 		t.Errorf("counter identity violated after drain: %+v", c)
 	}
 	reordered := false
@@ -689,11 +728,11 @@ func TestNetworkDelayedToDepartedIsDeadLetter(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		nw.Advance()
 	}
-	c := nw.Counters()
-	if c.NoRoute != 1 || c.Delivered != 0 || nw.Pending() != 0 {
+	c := nw.Traffic()
+	if c.DeadLetters != 1 || c.Deliveries != 0 || nw.Pending() != 0 {
 		t.Errorf("counters = %+v pending=%d, want the delayed message dead-lettered", c, nw.Pending())
 	}
-	if c.Sent != c.Lost+c.Delivered+c.NoRoute {
+	if c.Sends != c.Losses+c.Deliveries+c.DeadLetters {
 		t.Errorf("counter identity violated: %+v", c)
 	}
 }

@@ -4,11 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 )
+
+// Counters is what a real socket can count on its own: Sent is every
+// attempted transmission (incremented before marshalling and the route
+// lookup, the semantics of metrics.Traffic.Sends), NoRoute the attempts with
+// no directory entry for the destination, Delivered the datagrams decoded
+// and handed to the handler. What the network did to a datagram in between
+// is invisible to an endpoint, so it keeps no loss counts.
+type Counters struct {
+	Sent      int
+	Delivered int
+	NoRoute   int
+}
 
 // Endpoint is a UDP transport endpoint: it listens on one socket,
 // dispatches decoded datagrams to a handler, and sends fire-and-forget
@@ -123,9 +136,9 @@ func (ep *Endpoint) KnownPeers() int {
 // real network would for a departed node). With address learning enabled,
 // the datagram carries the directory's best-known address per id.
 //
-// Sent counts every attempt — before marshalling and the route lookup — the
-// unified semantics shared with the in-memory Network and documented on
-// Counters, so metrics.Traffic is comparable across substrates.
+// Sent counts every attempt — before marshalling and the route lookup — so
+// the figure is comparable with metrics.Traffic.Sends on the simulated
+// substrates.
 func (ep *Endpoint) Send(to peer.ID, msg protocol.Message) error {
 	ep.mu.Lock()
 	ep.counters.Sent++
@@ -228,8 +241,11 @@ func (ep *Endpoint) receiveLoop() {
 				if a == "" || i >= len(msg.IDs) {
 					continue
 				}
-				if ua, err := net.ResolveUDPAddr("udp", a); err == nil {
-					ep.learn(msg.IDs[i], ua, false)
+				// Trailer strings come off the wire: only a literal ip:port
+				// is taken, never a name to resolve — a lookup here would
+				// stall every Send behind ep.mu on a peer's say-so.
+				if ap, err := netip.ParseAddrPort(a); err == nil {
+					ep.learn(msg.IDs[i], net.UDPAddrFromAddrPort(ap), false)
 				}
 			}
 		}
