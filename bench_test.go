@@ -14,6 +14,7 @@ import (
 	"sendforget/internal/degreemc"
 	"sendforget/internal/engine"
 	"sendforget/internal/experiments"
+	"sendforget/internal/faults"
 	"sendforget/internal/globalmc"
 	"sendforget/internal/loss"
 	"sendforget/internal/markov"
@@ -268,10 +269,17 @@ func BenchmarkRuntimeTick(b *testing.B) {
 // CI's zero-alloc guard reads the sharded rows; performance is quoted from
 // bench/ (see bench/README.md), not from this family.
 func BenchmarkClusterTick(b *testing.B) {
-	tickRound := func(engine runtime.EngineKind, factory protocol.CoreFactory, n, warm int) func(*testing.B) {
+	tickRound := func(engine runtime.EngineKind, factory protocol.CoreFactory, n, warm int, delay faults.Delay) func(*testing.B) {
 		return func(b *testing.B) {
+			cond, err := faults.FromRate(0.02)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cond.SetDelay(delay); err != nil {
+				b.Fatal(err)
+			}
 			sub, err := runtime.New(runtime.Config{
-				Engine: engine, N: n, NewCore: factory, Loss: 0.02, Seed: 10,
+				Engine: engine, N: n, NewCore: factory, Conditions: cond, Seed: 10,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -290,9 +298,9 @@ func BenchmarkClusterTick(b *testing.B) {
 		}
 	}
 	pernode := func(n int) func(*testing.B) {
-		return tickRound(runtime.EngineCluster, sfCoreFactory(16, 6), n, 0)
+		return tickRound(runtime.EngineCluster, sfCoreFactory(16, 6), n, 0, faults.Delay{})
 	}
-	sharded := func(factory protocol.CoreFactory, n int) func(*testing.B) {
+	sharded := func(factory protocol.CoreFactory, n int, delay faults.Delay) func(*testing.B) {
 		// Arena capacity creeps up for hundreds of rounds at n>=100k (the
 		// in-flight message high-water mark drifts under loss), so the
 		// larger sizes need a longer warm-up before allocs/op reads 0.
@@ -300,21 +308,27 @@ func BenchmarkClusterTick(b *testing.B) {
 		if n > 10_000 {
 			warm = 500
 		}
-		return tickRound(runtime.EngineSharded, factory, n, warm)
+		return tickRound(runtime.EngineSharded, factory, n, warm, delay)
 	}
 	b.Run("pernode/n=500", pernode(500))
 	b.Run("pernode/n=10k", pernode(10_000))
-	b.Run("sharded/n=10k", sharded(sfCoreFactory(16, 6), 10_000))
-	b.Run("sharded/n=100k", sharded(sfCoreFactory(16, 6), 100_000))
+	b.Run("sharded/n=10k", sharded(sfCoreFactory(16, 6), 10_000, faults.Delay{}))
+	b.Run("sharded/n=100k", sharded(sfCoreFactory(16, 6), 100_000, faults.Delay{}))
 	b.Run("sharded/n=1M", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("1M-node round skipped under -short")
 		}
-		sharded(sfCoreFactory(16, 6), 1_000_000)(b)
+		sharded(sfCoreFactory(16, 6), 1_000_000, faults.Delay{})(b)
 	})
 	for _, p := range benchProtocols() {
-		b.Run("sharded/"+p.name+"/n=10k", sharded(p.factory, 10_000))
-		b.Run("sharded/"+p.name+"/n=100k", sharded(p.factory, 100_000))
+		b.Run("sharded/"+p.name+"/n=10k", sharded(p.factory, 10_000, faults.Delay{}))
+		b.Run("sharded/"+p.name+"/n=100k", sharded(p.factory, 100_000, faults.Delay{}))
+		// The delay rows: jitter 0..2 parks two thirds of the messages in
+		// the router's delay calendar, for the busiest protocol that never
+		// replies and for one whose drained requests are answered.
+		if p.name == "pushpull" || p.name == "shuffle" {
+			b.Run("sharded/"+p.name+"-delay/n=10k", sharded(p.factory, 10_000, faults.Delay{Jitter: 2}))
+		}
 	}
 }
 

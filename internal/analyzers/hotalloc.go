@@ -34,8 +34,7 @@ import (
 // Suppression composes in two ways: a `//lint:allow hotalloc` on the
 // allocation site silences that site (every root still reaching it), and
 // one on a *call* prunes the entire subtree behind the call — the edge cut
-// used where the router parks a delayed message on its heap, off the
-// zero-alloc steady state.
+// for a reviewed, documented cold branch hanging off a hot chain.
 //
 // Known blind spots, by construction of the call graph: calls through
 // function values resolve to no callees and are not followed, and calls
@@ -116,8 +115,7 @@ func collectHotFindings(prog *framework.Program) []hotFinding {
 				return
 			}
 			// An allow directive on the call line cuts this edge: everything
-			// behind the call is a reviewed, documented exception (e.g. the
-			// router's heap.Push for a delayed message).
+			// behind the call is a reviewed, documented exception.
 			if src.Pkg.AllowedAt(call.Pos(), "hotalloc") {
 				return
 			}

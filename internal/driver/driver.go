@@ -1,19 +1,28 @@
 // Package driver is the engine-agnostic transmission discipline shared by
 // every execution substrate: the sequential engine, the goroutine-per-node
 // cluster, and the sharded tick engine all route messages through one
-// Router, so the fault-then-liveness rule, the delay-queue clock, and the
-// traffic ledger are implemented exactly once (PR 3 unified the counting
-// semantics across three hand-kept copies; this package deletes the
+// Router, so the fault-then-liveness rule, the delay calendar and its clock,
+// and the traffic ledger are implemented exactly once (PR 3 unified the
+// counting semantics across three hand-kept copies; this package deletes the
 // copies).
 //
 // The discipline, per message: Sends is incremented first, then the fault
 // stack rules — drop (model, per-link, or partition), park in the delay
-// queue, or pass — and a passing message faces the liveness check (a
+// calendar, or pass — and a passing message faces the liveness check (a
 // departed destination is a dead letter, per the paper: "every message sent
 // to this node causes its id to be deleted from the sender's view") before
 // counting as a delivery. Parked messages re-enter at drain time, where
 // liveness is resolved again (a destination that left while the message was
 // in flight dead-letters) but the fault stack is not re-consulted.
+//
+// The delay calendar is a power-of-two ring of protocol.Outbox buckets, one
+// per due round: parking is one Outbox.Append into the bucket of round
+// clock+delay, so append order inside a bucket is (due, enqueue) order and
+// the arenas are reused round after round — a warmed-up router parks and
+// drains without allocating. The ring does not exist until a message parks
+// and doubles when a delay reaches past it. A drained message (Held, or a
+// DueBatch bucket) aliases its bucket, which nothing parks into until the
+// next Tick.
 //
 // The package also owns the churn bookkeeping the substrates duplicated:
 // collision-free per-incarnation seed derivation (Roster) and the circulant
@@ -21,7 +30,6 @@
 package driver
 
 import (
-	"container/heap"
 	"fmt"
 
 	"sendforget/internal/faults"
@@ -40,54 +48,32 @@ const (
 	Delivered Outcome = iota
 	// Dropped: the fault stack dropped the message.
 	Dropped
-	// Parked: the message entered the delay queue; it will surface from
+	// Parked: the message entered the delay calendar; it will surface from
 	// Due after the assigned number of Tick calls.
 	Parked
 	// DeadLetter: the destination is not live.
 	DeadLetter
 )
 
-// Held is one message surfaced from the delay queue by Due. Msg.IDs is a
-// copy owned by the router's queue entry; callers may retain it until the
-// next Due call.
+// Held is one message surfaced from the delay calendar by Due. Msg.IDs
+// aliases the bucket of the round the message came due in and is valid until
+// the next Tick (for a round drained late, after several Ticks: until Due
+// moves on to the following round). A caller that lets other goroutines
+// Tick while it holds the message copies the ids out first.
 type Held struct {
 	To  peer.ID
 	Msg protocol.Message
 }
 
-// parked is one delay-queue entry.
-type parked struct {
-	due int // clock value at which the message is deliverable
-	seq int // enqueue order, for deterministic equal-due drains
-	to  peer.ID
-	msg protocol.Message
-}
-
-// parkedQueue is a min-heap on (due, seq).
-type parkedQueue []parked
-
-func (q parkedQueue) Len() int { return len(q) }
-func (q parkedQueue) Less(i, j int) bool {
-	if q[i].due != q[j].due {
-		return q[i].due < q[j].due
-	}
-	return q[i].seq < q[j].seq
-}
-func (q parkedQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *parkedQueue) Push(x any)   { *q = append(*q, x.(parked)) }
-func (q *parkedQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
+// minRing is the calendar's initial length in rounds: room for delays up to
+// minRing-1 beside the bucket being drained.
+const minRing = 4
 
 // Router rules on messages for one substrate and is the single writer of
 // the traffic ledger (the counting semantics documented on metrics.Traffic):
 // every routed message counts under Sends first and then lands in exactly
 // one of Losses, DeadLetters, or Deliveries, possibly after a stay in the
-// delay queue (Delayed). Substrates read snapshots through Traffic. It is
+// delay calendar (Delayed). Substrates read snapshots through Traffic. It is
 // not safe for concurrent use: each substrate confines its router to one
 // goroutine (or one barrier phase) at a time — the engine is
 // single-threaded, the network holds its mutex, the sharded engine holds its
@@ -98,10 +84,19 @@ type Router struct {
 	rng  *rng.RNG
 	live func(peer.ID) bool
 
-	ledger  metrics.Traffic
-	clock   int
-	seq     int
-	pending parkedQueue
+	ledger metrics.Traffic
+	clock  int
+
+	// The delay calendar: round d's bucket is ring[d&(len(ring)-1)], the
+	// length zero or a power of two. head is the oldest round whose bucket
+	// is in use — being drained, or drained and still aliased by the caller
+	// — and next the drain cursor inside it. Every parked message is due in
+	// [head, head+len(ring)), so no two rounds in use share a bucket.
+	// pending counts the messages not yet handed out.
+	ring    []protocol.Outbox
+	head    int
+	next    int
+	pending int
 }
 
 // NewRouter builds a router ruling through a fault-injection stack. The rng
@@ -115,9 +110,9 @@ func NewRouter(cond *faults.Conditions, r *rng.RNG, live func(peer.ID) bool) *Ro
 }
 
 // Route rules on one message addressed to to, consulting the fault stack
-// with a per-message decision. Msg.IDs is copied only if the message parks
-// (delay-queue entries outlive the caller's buffers); the steady-state
-// paths never allocate.
+// with a per-message decision. A message that parks is copied into its
+// calendar bucket (delayed messages outlive the caller's buffers); no path
+// allocates once the buckets have reached their steady-state capacity.
 //
 //vet:hotpath
 func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
@@ -150,16 +145,46 @@ func (rt *Router) ruleVerdict(v faults.Verdict, to peer.ID, msg protocol.Message
 	}
 	if v.Delay > 0 {
 		rt.ledger.Delayed++
-		rt.seq++
-		//lint:allow hotalloc delay-queue entries outlive the caller's arena; parking is off the zero-alloc steady state
-		ids := make([]peer.ID, len(msg.IDs))
-		copy(ids, msg.IDs)
-		msg.IDs = ids
-		//lint:allow hotalloc heap.Push boxes the parked entry; only delayed messages pay it
-		heap.Push(&rt.pending, parked{due: rt.clock + v.Delay, seq: rt.seq, to: to, msg: msg})
+		rt.park(rt.clock+v.Delay, to, msg)
 		return Parked
 	}
 	return rt.deliverable(to)
+}
+
+// park appends the message to the bucket of round due. The span the ring
+// must cover starts at head: a delay equal to the ring length grows the ring
+// instead of landing in the bucket a drain is reading.
+func (rt *Router) park(due int, to peer.ID, msg protocol.Message) {
+	if rt.ring == nil {
+		rt.head = rt.clock
+	}
+	if span := due - rt.head + 1; span > len(rt.ring) {
+		rt.grow(span)
+	}
+	rt.ring[due&(len(rt.ring)-1)].Append(to, msg.From, msg.Kind, msg.Dup, msg.IDs...)
+	rt.pending++
+}
+
+// grow doubles the ring until it spans span rounds and moves every round's
+// bucket — the one being drained included — to its slot under the new
+// length. Buckets move as headers: the arenas, and the ids a caller still
+// aliases, stay where they are.
+func (rt *Router) grow(span int) {
+	old := len(rt.ring)
+	n := max(old, minRing)
+	for n < span {
+		n <<= 1
+	}
+	for len(rt.ring) < n {
+		rt.ring = append(rt.ring, protocol.Outbox{})
+	}
+	// A round's new slot is its old slot plus a multiple of the old length:
+	// either where it already is, or a fresh slot no other round maps to.
+	for d := rt.head; d < rt.head+old; d++ {
+		if from, to := d&(old-1), d&(n-1); from != to {
+			rt.ring[to], rt.ring[from] = rt.ring[from], rt.ring[to]
+		}
+	}
 }
 
 // deliverable is the liveness half of the discipline: dead letter or
@@ -173,30 +198,71 @@ func (rt *Router) deliverable(to peer.ID) Outcome {
 	return Delivered
 }
 
-// Tick advances the delay-queue clock one round.
+// Tick advances the delay-calendar clock one round, ending the lifetime of
+// everything the previous round's drain handed out.
 func (rt *Router) Tick() { rt.clock++ }
 
-// Due pops the next delayed message due by the current clock, in (due,
+// dueBucket returns the oldest bucket with messages due by the current clock
+// still to hand out (from index rt.next on), releasing the drained buckets
+// of earlier rounds on the way; nil when nothing further is due.
+func (rt *Router) dueBucket() *protocol.Outbox {
+	for rt.ring != nil {
+		b := &rt.ring[rt.head&(len(rt.ring)-1)]
+		if rt.next < len(b.Msgs) {
+			return b
+		}
+		if rt.head == rt.clock {
+			break
+		}
+		b.Reset()
+		rt.head++
+		rt.next = 0
+	}
+	return nil
+}
+
+// Due hands out the next delayed message due by the current clock, in (due,
 // enqueue) order; ok is false when nothing further is due. The returned
 // message has not been accounted beyond Delayed: the caller resolves it
 // with Deliverable at drain time.
 func (rt *Router) Due() (Held, bool) {
-	if len(rt.pending) == 0 || rt.pending[0].due > rt.clock {
+	b := rt.dueBucket()
+	if b == nil {
 		return Held{}, false
 	}
-	d := heap.Pop(&rt.pending).(parked)
-	return Held{To: d.to, Msg: d.msg}, true
+	m := &b.Msgs[rt.next]
+	rt.next++
+	rt.pending--
+	return Held{To: m.To, Msg: protocol.Message{Kind: m.Kind, From: m.From, IDs: b.MsgIDs(m), Dup: m.Dup}}, true
 }
 
-// Deliverable resolves drain-time liveness for a message surfaced by Due,
-// counting the dead letter or the delivery. The fault stack is not
+// DueBatch is Due for a whole round at once: every remaining message of the
+// oldest due round, as ob.Msgs[from:] of its bucket in (due, enqueue) order;
+// ob is nil when nothing further is due. The bucket is read-only and has
+// Held's lifetime, and each message is still to be resolved with
+// Deliverable.
+//
+//vet:hotpath
+func (rt *Router) DueBatch() (ob *protocol.Outbox, from int) {
+	b := rt.dueBucket()
+	if b == nil {
+		return nil, 0
+	}
+	from = rt.next
+	rt.pending -= len(b.Msgs) - from
+	rt.next = len(b.Msgs)
+	return b, from
+}
+
+// Deliverable resolves drain-time liveness for a message surfaced by Due or
+// DueBatch, counting the dead letter or the delivery. The fault stack is not
 // re-consulted: the message already passed it when it parked.
 func (rt *Router) Deliverable(to peer.ID) bool {
 	return rt.deliverable(to) == Delivered
 }
 
-// Pending returns the number of messages parked in the delay queue.
-func (rt *Router) Pending() int { return len(rt.pending) }
+// Pending returns the number of messages parked in the delay calendar.
+func (rt *Router) Pending() int { return rt.pending }
 
 // Traffic returns a snapshot of the traffic ledger.
 func (rt *Router) Traffic() metrics.Traffic { return rt.ledger }

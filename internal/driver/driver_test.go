@@ -273,3 +273,346 @@ type sized struct {
 }
 
 func (c sized) ViewSize() int { return c.s }
+
+// refEntry is one parked message as the reference model of the delay
+// calendar remembers it: everything Due must give back, plus the (due, seq)
+// key the drain order is defined by.
+type refEntry struct {
+	due, seq int
+	to       peer.ID
+	msg      protocol.Message // owns its ids
+}
+
+// calendarModel drives a Router and a sort-by-(due, enqueue) reference side
+// by side and fails the test on the first divergence. held are the messages
+// handed out and still inside their documented lifetime: they are compared
+// with the reference again after every later call, so a bucket reused or
+// overwritten too early shows up as a changed message.
+type calendarModel struct {
+	t     *testing.T
+	rt    *Router
+	cond  *faults.Conditions
+	nodes liveSet
+	clock int
+	seq   int
+	ref   []refEntry // always sorted by (due, seq)
+	held  []heldEntry
+}
+
+// heldEntry is a message the router handed out, beside what the reference
+// says it is.
+type heldEntry struct {
+	got  Held
+	want refEntry
+}
+
+func (m *calendarModel) check(when string) {
+	m.t.Helper()
+	conserved(m.t, m.rt, when)
+	if got := m.rt.Pending(); got != len(m.ref) {
+		m.t.Fatalf("%s: pending %d, reference holds %d", when, got, len(m.ref))
+	}
+	for _, h := range m.held {
+		m.same(when+" (held earlier)", h.got.To, h.got.Msg, h.want)
+	}
+}
+
+func (m *calendarModel) same(when string, to peer.ID, msg protocol.Message, want refEntry) {
+	m.t.Helper()
+	if to != want.to || !reflect.DeepEqual(msg, want.msg) {
+		m.t.Fatalf("%s: got to=%v %+v, reference (due %d, seq %d) has to=%v %+v",
+			when, to, msg, want.due, want.seq, want.to, want.msg)
+	}
+}
+
+// route sends one message with the given delay through Route or RouteIn and
+// files it in the reference when it parks. The caller's id buffer is
+// scribbled on afterwards: the calendar must own what it parked.
+func (m *calendarModel) route(to peer.ID, delay, nIDs int, session bool) {
+	m.t.Helper()
+	if err := m.cond.SetDelay(faults.Delay{Fixed: delay}); err != nil {
+		m.t.Fatal(err)
+	}
+	m.seq++
+	ids := make([]peer.ID, nIDs)
+	for i := range ids {
+		ids[i] = peer.ID(1000*m.seq + i)
+	}
+	msg := protocol.Message{Kind: protocol.KindGossip, From: peer.ID(m.seq % 7), IDs: ids, Dup: m.seq%3 == 0}
+	var got Outcome
+	if session {
+		ses := m.cond.Begin()
+		got = m.rt.RouteIn(&ses, to, msg)
+		ses.Close()
+	} else {
+		got = m.rt.Route(to, msg)
+	}
+	switch {
+	case got == Dropped:
+	case delay > 0:
+		if got != Parked {
+			m.t.Fatalf("delay %d: %v, want Parked", delay, got)
+		}
+		own := msg
+		own.IDs = append([]peer.ID(nil), ids...)
+		e := refEntry{due: m.clock + delay, seq: m.seq, to: to, msg: own}
+		at := len(m.ref)
+		for at > 0 && m.ref[at-1].due > e.due {
+			at--
+		}
+		m.ref = append(m.ref, refEntry{})
+		copy(m.ref[at+1:], m.ref[at:])
+		m.ref[at] = e
+	case m.nodes[to] != (got == Delivered) || !m.nodes[to] != (got == DeadLetter):
+		m.t.Fatalf("undelayed to %v (live %v): %v", to, m.nodes[to], got)
+	}
+	for i := range ids {
+		ids[i] = -1
+	}
+	m.check("route")
+}
+
+func (m *calendarModel) tick() {
+	m.rt.Tick()
+	m.clock++
+	m.held = m.held[:0]
+	m.check("tick")
+}
+
+// expire ends the lifetime of held messages of rounds before due: handing
+// out a message of a later round lets the calendar reuse their bucket.
+func (m *calendarModel) expire(due int) {
+	if len(m.held) > 0 && m.held[0].want.due < due {
+		m.held = m.held[:0]
+	}
+}
+
+// resolve does what every substrate does with a surfaced message: settle its
+// liveness at drain time.
+func (m *calendarModel) resolve(to peer.ID, msg protocol.Message, want refEntry) {
+	m.t.Helper()
+	m.same("drain", to, msg, want)
+	if got := m.rt.Deliverable(to); got != m.nodes[to] {
+		m.t.Fatalf("deliverable(%v) = %v with live = %v", to, got, m.nodes[to])
+	}
+}
+
+// dueOne calls Due once and reports whether a message surfaced.
+func (m *calendarModel) dueOne() bool {
+	m.t.Helper()
+	if len(m.ref) == 0 || m.ref[0].due > m.clock {
+		if h, ok := m.rt.Due(); ok {
+			m.t.Fatalf("Due surfaced %+v, reference has nothing due at clock %d", h, m.clock)
+		}
+		m.check("empty due")
+		return false
+	}
+	want := m.ref[0]
+	m.expire(want.due)
+	h, ok := m.rt.Due()
+	if !ok {
+		m.t.Fatalf("Due is empty at clock %d, reference has (due %d, seq %d)", m.clock, want.due, want.seq)
+	}
+	m.ref = m.ref[1:]
+	m.resolve(h.To, h.Msg, want)
+	m.held = append(m.held, heldEntry{h, want})
+	m.check("due")
+	return true
+}
+
+// dueBatch calls DueBatch once: everything left of the oldest due round.
+func (m *calendarModel) dueBatch() {
+	m.t.Helper()
+	ob, from := m.rt.DueBatch()
+	if len(m.ref) == 0 || m.ref[0].due > m.clock {
+		if ob != nil {
+			m.t.Fatalf("DueBatch surfaced %d messages, reference has nothing due at clock %d", len(ob.Msgs)-from, m.clock)
+		}
+		m.check("empty batch")
+		return
+	}
+	round := m.ref[0].due
+	m.expire(round)
+	if ob == nil {
+		m.t.Fatalf("DueBatch is empty at clock %d, reference has round %d due", m.clock, round)
+	}
+	for i := from; i < len(ob.Msgs); i++ {
+		if len(m.ref) == 0 || m.ref[0].due != round {
+			m.t.Fatalf("DueBatch handed out %d messages of round %d, more than the reference holds", len(ob.Msgs)-from, round)
+		}
+		want := m.ref[0]
+		m.ref = m.ref[1:]
+		fm := &ob.Msgs[i]
+		msg := protocol.Message{Kind: fm.Kind, From: fm.From, IDs: ob.MsgIDs(fm), Dup: fm.Dup}
+		m.resolve(fm.To, msg, want)
+		m.held = append(m.held, heldEntry{Held{To: fm.To, Msg: msg}, want})
+	}
+	if len(m.ref) > 0 && m.ref[0].due == round {
+		m.t.Fatalf("DueBatch left (due %d, seq %d) of round %d behind", m.ref[0].due, m.ref[0].seq, round)
+	}
+	m.check("batch")
+}
+
+// TestCalendarMatchesSortedReference is the delay calendar's model test:
+// random interleavings of Route and RouteIn with delays from 0 to three
+// times the initial ring, Tick with and without a drain after it, Due one
+// message at a time and DueBatch, and destinations leaving and joining while
+// their messages are in flight — every call checked against a reference
+// that sorts by (due, enqueue), with Sends = Losses + Deliveries +
+// DeadLetters + Pending after each.
+func TestCalendarMatchesSortedReference(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		cond, err := faults.FromRate(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &calendarModel{t: t, cond: cond, nodes: liveSet{}}
+		for id := peer.ID(0); id < 6; id++ {
+			m.nodes[id] = id%2 == 0
+		}
+		m.rt = NewRouter(cond, rng.New(seed), m.nodes.live)
+		r := rng.New(1000 + seed)
+		// Early seeds stay inside the initial ring, later ones reach three
+		// times past it, so both the no-growth and the growth paths see long
+		// runs.
+		maxDelay := 3 * minRing
+		if seed <= 5 {
+			maxDelay = minRing - 1
+		}
+		for step := 0; step < 1500; step++ {
+			switch op := r.Intn(20); {
+			case op < 9:
+				m.route(peer.ID(r.Intn(8)), r.Intn(maxDelay+1), 1+r.Intn(5), r.Intn(2) == 0)
+			case op < 12:
+				m.tick() // possibly several in a row: the drain falls behind
+			case op < 14:
+				m.tick()
+				for m.dueOne() {
+				}
+			case op < 16:
+				m.tick()
+				m.dueBatch()
+			case op < 18:
+				// Part of a round one message at a time, the rest as a batch
+				// — or left half-drained for whatever comes next.
+				for k := r.Intn(4); k > 0 && m.dueOne(); k-- {
+				}
+				if r.Intn(2) == 0 {
+					m.dueBatch()
+				}
+			default:
+				id := peer.ID(r.Intn(8))
+				m.nodes[id] = !m.nodes[id]
+			}
+		}
+		for len(m.ref) > 0 {
+			m.tick()
+			for m.dueOne() {
+			}
+		}
+		if l := m.rt.Traffic(); !l.Conserved() || l.Delayed == 0 || l.DeadLetters == 0 || l.Losses == 0 {
+			t.Errorf("seed %d: final ledger %+v: want conserved with delays, dead letters and losses", seed, l)
+		}
+	}
+}
+
+// TestCalendarGrowsUnderHalfDrainedBucket pins the first bucket-lifetime
+// rule: the bucket a drain is reading counts toward the ring's span. A
+// message parked mid-drain with a delay equal to the ring length maps to the
+// very slot being drained; it must grow the ring (moving the half-drained
+// bucket with its cursor) instead of joining that bucket — where the next
+// Tick's release would drop it and Pending would never reach zero.
+func TestCalendarGrowsUnderHalfDrainedBucket(t *testing.T) {
+	cond := faults.Lossless()
+	rt := NewRouter(cond, rng.New(7), func(peer.ID) bool { return true })
+	park := func(delay int, tag peer.ID) {
+		t.Helper()
+		if err := cond.SetDelay(faults.Delay{Fixed: delay}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.Route(1, gossip(0, tag, tag+1, tag+2)); got != Parked {
+			t.Fatalf("message %v: %v, want Parked", tag, got)
+		}
+	}
+	park(1, 10)
+	park(1, 20)
+	park(2, 30)
+	if len(rt.ring) != minRing {
+		t.Fatalf("ring length %d after small delays, want %d", len(rt.ring), minRing)
+	}
+	rt.Tick()
+	first, ok := rt.Due()
+	if !ok || first.Msg.IDs[0] != 10 {
+		t.Fatalf("first due: %+v %v", first, ok)
+	}
+	// Mid-drain, as a reply to the message just delivered would be.
+	for ring := len(rt.ring); ring <= 4*minRing; ring = len(rt.ring) {
+		park(ring, peer.ID(100*ring))
+		if len(rt.ring) <= ring {
+			t.Fatalf("delay %d did not grow a ring of %d", ring, ring)
+		}
+	}
+	if want := []peer.ID{10, 11, 12}; !reflect.DeepEqual(first.Msg.IDs, want) {
+		t.Errorf("held message changed under growth: %v, want %v", first.Msg.IDs, want)
+	}
+	second, ok := rt.Due()
+	if !ok || second.Msg.IDs[0] != 20 {
+		t.Fatalf("the drain lost its place across growth: %+v %v", second, ok)
+	}
+	if _, ok := rt.Due(); ok {
+		t.Fatal("a message of a later round surfaced")
+	}
+	var order []peer.ID
+	for rounds := 0; rt.Pending() > 0; rounds++ {
+		if rounds > 10*minRing {
+			t.Fatalf("pending stuck at %d", rt.Pending())
+		}
+		rt.Tick()
+		for {
+			h, ok := rt.Due()
+			if !ok {
+				break
+			}
+			rt.Deliverable(h.To)
+			order = append(order, h.Msg.IDs[0])
+		}
+	}
+	if want := []peer.ID{30, 400, 800, 1600}; !reflect.DeepEqual(order, want) {
+		t.Errorf("drain order after growth %v, want %v", order, want)
+	}
+}
+
+// TestCalendarSteadyStateDoesNotAllocate is the router's share of the
+// zero-alloc tick: once every bucket of the ring has held a round, parking
+// and draining — by message or by batch — never reach the allocator.
+func TestCalendarSteadyStateDoesNotAllocate(t *testing.T) {
+	cond := faults.Lossless()
+	if err := cond.SetDelay(faults.Delay{Fixed: 1, Jitter: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(cond, rng.New(9), func(peer.ID) bool { return true })
+	ids := []peer.ID{1, 2, 3, 4}
+	round := func() {
+		ses := cond.Begin()
+		for i := 0; i < 512; i++ {
+			rt.RouteIn(&ses, peer.ID(i), protocol.Message{Kind: protocol.KindGossip, From: 0, IDs: ids[:1+i%4]})
+		}
+		ses.Close()
+		rt.Tick()
+		if h, ok := rt.Due(); ok {
+			rt.Deliverable(h.To)
+		}
+		if ob, from := rt.DueBatch(); ob != nil {
+			for i := from; i < len(ob.Msgs); i++ {
+				rt.Deliverable(ob.Msgs[i].To)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(50, round); avg != 0 {
+		t.Errorf("steady-state park and drain allocate %.1f times per round, want 0", avg)
+	}
+	conserved(t, rt, "steady state")
+}

@@ -196,10 +196,22 @@ func (c *Conditions) SetLinkLoss(from, to peer.ID, m loss.Model) {
 	c.links[Link{From: from, To: to}] = m
 }
 
-// SetDelay configures delivery delay; Delay{} disables it.
+// MaxDelay is the longest delivery delay, Fixed+Jitter, SetDelay accepts, in
+// rounds. Substrates size their delay calendars from the delays they are
+// handed, so the bound is what keeps a mistyped delay from becoming an
+// allocation of that many buckets.
+const MaxDelay = 65535
+
+// SetDelay configures delivery delay; Delay{} disables it. Negative fields
+// and a Fixed+Jitter above MaxDelay are rejected.
 func (c *Conditions) SetDelay(d Delay) error {
 	if d.Fixed < 0 || d.Jitter < 0 {
 		return fmt.Errorf("faults: negative delay %+v", d)
+	}
+	// Compared per field and by subtraction, so a sum that would overflow
+	// int is rejected too.
+	if d.Fixed > MaxDelay || d.Jitter > MaxDelay-d.Fixed {
+		return fmt.Errorf("faults: delay %+v exceeds %d rounds", d, MaxDelay)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

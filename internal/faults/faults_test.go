@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -111,6 +112,26 @@ func TestDelayAndJitter(t *testing.T) {
 	c := Lossless()
 	if err := c.SetDelay(Delay{Fixed: -1}); err == nil {
 		t.Error("accepted negative delay")
+	}
+	// A delay sizes the substrates' calendars: anything past MaxDelay rounds
+	// is refused, including sums that overflow int, and leaves the stack as
+	// it was.
+	for _, d := range []Delay{
+		{Fixed: MaxDelay + 1},
+		{Jitter: MaxDelay + 1},
+		{Fixed: MaxDelay, Jitter: 1},
+		{Fixed: math.MaxInt, Jitter: math.MaxInt},
+		{Fixed: 1, Jitter: math.MaxInt},
+	} {
+		if err := c.SetDelay(d); err == nil {
+			t.Errorf("accepted delay %+v", d)
+		}
+	}
+	if v := c.Decide(0, 1, rng.New(1)); v.Delay != 0 {
+		t.Errorf("a rejected delay took effect: %+v", v)
+	}
+	if err := c.SetDelay(Delay{Fixed: MaxDelay - 3, Jitter: 3}); err != nil {
+		t.Errorf("rejected the largest delay: %v", err)
 	}
 	if err := c.SetDelay(Delay{Fixed: 2, Jitter: 3}); err != nil {
 		t.Fatal(err)

@@ -39,6 +39,12 @@ import (
 //     discipline of the markov CSR kernel), and buckets survivors into
 //     per-destination-shard inboxes. Deliver: the pool runs each inbox's
 //     receive steps; replies loop back through route until quiet.
+//   - Delayed messages take the same path. The route pass parks them in the
+//     router's delay calendar (one reused arena per due round); each tick
+//     starts by draining the round that came due as one more deliver phase —
+//     liveness resolved per message in (due, enqueue) order, references
+//     bucketed by destination shard, replies routed like any other
+//     generation — before the initiate phase runs.
 //   - Results are bit-identical for any worker count: shard geometry
 //     depends only on n (never on GOMAXPROCS), every shard is processed
 //     in node order by exactly one worker, and all cross-shard merging
@@ -62,10 +68,10 @@ const (
 	phaseDeliver
 )
 
-// msgRef locates one routed message: index idx in source shard src's
-// current outbox. The route pass buckets references instead of copying
-// message bodies, so delivery reads each id exactly once from the arena it
-// was written to.
+// msgRef locates one routed message: index idx in box src of the boxes being
+// delivered (a source shard's outbox, or the one drained calendar bucket).
+// The route pass buckets references instead of copying message bodies, so
+// delivery reads each id exactly once from the arena it was written to.
 type msgRef struct {
 	src, idx int32
 }
@@ -128,19 +134,18 @@ type ShardedCluster struct {
 	// references and the deliver phase reads ids straight out of the source
 	// arenas (deliverSrc). Reply generations alternate between the two
 	// replySets so a deliver phase never writes the arena it is reading.
+	// dueBox holds the header of the calendar bucket a drain is delivering,
+	// so the drained round is one more box for deliverSrc to point at.
 	inboxRefs  [][]msgRef //vet:confined shard
 	deliverSrc []protocol.Outbox
 	replyOut   []protocol.Outbox
 	replySets  [2][]protocol.Outbox
+	dueBox     [1]protocol.Outbox
 
 	// router is the shared transmission discipline (fault decisions,
-	// delay queue, traffic ledger), drawing from one deterministic stream
+	// delay calendar, traffic ledger), drawing from one deterministic stream
 	// consumed in merged shard order. Accessed only by the gate holder.
 	router *driver.Router //vet:confined gate
-
-	// scratch is the sequential outbox used when delivering drained
-	// delayed messages and their reply chains outside the phased path.
-	scratch protocol.Outbox
 }
 
 // newSharded builds a sharded tick cluster with the circulant bootstrap
@@ -378,17 +383,17 @@ func (e *ShardedCluster) deliverShard(k int) {
 // the markov CSR kernel bit-reproducible: parallel phases produce per-chunk
 // buffers, one deterministic order consumes them). Survivors are bucketed
 // by reference into the destination shard's inbox (the boxes stay alive for
-// the deliver phase to read); delayed messages park in the heap with their
-// ids copied out of the transient arena. It returns whether any message was
-// bucketed for delivery.
+// the deliver phase to read); delayed messages are copied out of the
+// transient arena into the router's delay calendar. It returns whether any
+// message was bucketed for delivery.
 func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 	delivered := false
 	e.deliverSrc = boxes
 	// One condition-stack session for the whole pass: the stack is locked
 	// once here instead of once per message (route is sequential, so the
 	// single-owner contract holds trivially). The router rules per message
-	// — drop, park (copying the ids out of the transient arena), dead
-	// letter, or deliver — and the bucketing of survivors stays here.
+	// — drop, park, dead letter, or deliver — and the bucketing of survivors
+	// stays here.
 	ses := e.cfg.Conditions.Begin()
 	for k := range boxes {
 		ob := &boxes[k]
@@ -398,11 +403,7 @@ func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 			if e.router.RouteIn(&ses, m.To, msg) != driver.Delivered {
 				continue
 			}
-			dest := int(m.To) / e.shardSize
-			if e.shardPow2 {
-				dest = int(m.To) >> e.shardShift
-			}
-			e.inboxRefs[dest] = append(e.inboxRefs[dest], msgRef{src: int32(k), idx: int32(i)})
+			e.bucket(m.To, msgRef{src: int32(k), idx: int32(i)})
 			delivered = true
 		}
 	}
@@ -410,55 +411,72 @@ func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 	return delivered
 }
 
-// drainDue delivers every delayed message due by the current tick, in
-// (due, enqueue) order — sequentially, off the phased path (drains are rare
-// and small; determinism matters more than parallelism here). Routing is
-// resolved at drain time, so a message to a node that departed while in
-// flight is a dead letter, exactly as on the other substrates.
+// bucket files a reference to a message ruled deliverable to node to in the
+// inbox of to's shard, for the next deliver phase.
+func (e *ShardedCluster) bucket(to peer.ID, ref msgRef) {
+	dest := int(to) / e.shardSize
+	if e.shardPow2 {
+		dest = int(to) >> e.shardShift
+	}
+	e.inboxRefs[dest] = append(e.inboxRefs[dest], ref)
+}
+
+// drainDue does for the delayed messages due by the current tick what route
+// does for fresh ones: it walks the due round's calendar bucket in (due,
+// enqueue) order, resolves liveness per message at drain time (a message to
+// a node that departed while in flight is a dead letter, exactly as on the
+// other substrates; the fault stack already ruled when the message parked),
+// buckets the deliverable ones by reference, and settles them — a deliver
+// phase, with replies routed like any other generation.
+//
+//vet:hotpath
 func (e *ShardedCluster) drainDue() {
 	for {
-		d, ok := e.router.Due()
-		if !ok {
+		ob, from := e.router.DueBatch()
+		if ob == nil {
 			return
 		}
-		if !e.router.Deliverable(d.To) {
-			continue
+		// The header copy is what deliverSrc points at; the bucket itself
+		// stays untouched in the calendar until the next Tick.
+		e.dueBox[0] = *ob
+		e.deliverSrc = e.dueBox[:]
+		delivered := false
+		for i := from; i < len(ob.Msgs); i++ {
+			if to := ob.Msgs[i].To; e.router.Deliverable(to) {
+				e.bucket(to, msgRef{idx: int32(i)})
+				delivered = true
+			}
 		}
-		e.deliverNow(d.To, protocol.Packet(d.Msg))
+		e.settle(delivered)
 	}
 }
 
-// deliverNow delivers one message immediately, following its reply chain
-// through the fault stack (replies may be dropped, delayed, or delivered in
-// turn). The first hop is already accounted by the caller's Deliverable
-// check; replies re-enter the router like any send. Used for drained
-// delayed messages only; phased delivery handles the per-tick bulk.
-func (e *ShardedCluster) deliverNow(to peer.ID, pkt protocol.Packet) {
-	for {
-		nd := &e.nodes[to]
-		k := int(to) / e.shardSize
-		e.scratch.Reset()
-		e.counters[k].Received(nd.core.ReceiveBatch(&nd.view, to, pkt, &nd.rng, &e.scratch))
-		if len(e.scratch.Msgs) == 0 {
-			return
+// settle runs deliver phases until the engine is quiet: while the last
+// route pass or drain bucketed messages (delivered), the pool delivers them
+// and the replies they produced are routed as the next generation.
+func (e *ShardedCluster) settle(delivered bool) {
+	for w := 0; delivered; w ^= 1 {
+		// Replies of this deliver generation go to a reply set the phase is
+		// NOT reading from: the references point into deliverSrc's arenas,
+		// which the deliver phase reads while appending replies to rs. The
+		// two sets alternate across generations. Reply chains terminate for
+		// every current protocol (replies never generate further replies),
+		// so this loop runs at most twice.
+		rs := e.replySets[w]
+		for k := range rs {
+			rs[k].Reset()
 		}
-		// Current protocols reply with at most one message; route it and
-		// continue the chain.
-		m := &e.scratch.Msgs[0]
-		msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: e.scratch.MsgIDs(m), Dup: m.Dup}
-		if e.router.Route(m.To, msg) != driver.Delivered {
-			return
-		}
-		to = m.To
-		pkt = protocol.Packet{Kind: m.Kind, From: m.From, IDs: e.scratch.MsgIDs(m), Dup: m.Dup}
+		e.replyOut = rs
+		e.runPhase(phaseDeliver)
+		delivered = e.route(rs)
 	}
 }
 
-// TickRound drives one synchronous round: the delay queue delivers what came
-// due, every live node initiates once (initiate phase), the fault stack
-// rules on the round's messages in shard order (route), and survivors'
-// receive steps run (deliver phase), with reply generations looping through
-// route until the round is quiet.
+// TickRound drives one synchronous round: the delay calendar delivers what
+// came due (a deliver phase of its own), every live node initiates once
+// (initiate phase), the fault stack rules on the round's messages in shard
+// order (route), and survivors' receive steps run (deliver phase), with
+// reply generations looping through route until the round is quiet.
 //
 //vet:hotpath
 func (e *ShardedCluster) TickRound() {
@@ -466,30 +484,12 @@ func (e *ShardedCluster) TickRound() {
 	e.router.Tick()
 	e.drainDue()
 	e.runPhase(phaseInitiate)
-	cur := e.outboxes
-	w := 0
-	for e.route(cur) {
-		// Replies of this deliver generation go to the reply set the route
-		// pass is NOT reading from: route bucketed references into cur, so
-		// the deliver phase reads ids straight out of cur's arenas while
-		// appending replies to rs. The two sets alternate across
-		// generations. Reply chains terminate for every current protocol
-		// (replies never generate further replies), so this loop runs at
-		// most twice.
-		rs := e.replySets[w]
-		for k := range rs {
-			rs[k].Reset()
-		}
-		e.replyOut = rs
-		e.runPhase(phaseDeliver)
-		cur = rs
-		w ^= 1
-	}
+	e.settle(e.route(e.outboxes))
 	e.gate <- struct{}{}
 }
 
 // DrainDelayed advances the tick clock without initiating any actions until
-// the delay queue is empty, delivering everything in flight — the sharded
+// the delay calendar is empty, delivering everything in flight — the sharded
 // counterpart of Engine.DrainDelayed, run at the end of a comparison so the
 // traffic identity (metrics.Traffic.Conserved) holds exactly.
 func (e *ShardedCluster) DrainDelayed() {
@@ -501,7 +501,7 @@ func (e *ShardedCluster) DrainDelayed() {
 	e.gate <- struct{}{}
 }
 
-// Pending returns the number of messages parked in the delay queue.
+// Pending returns the number of messages parked in the delay calendar.
 func (e *ShardedCluster) Pending() int {
 	<-e.gate
 	n := e.router.Pending()

@@ -1,12 +1,15 @@
 package runtime_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	gort "runtime"
 	"sync"
 	"testing"
 
 	"sendforget/internal/faults"
+	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/flipper"
@@ -146,6 +149,19 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 					}
 					e.DrainDelayed()
 					got := shardedFingerprint(e)
+					if tc.name == "delayed" {
+						// Fixed 1 parks every surviving send, replies to
+						// drained requests included: a shuffle or flipper
+						// exchange parks twice, and its reply is routed from
+						// inside the drain.
+						tr, replies := e.Traffic(), e.Counters().Replies
+						if tr.Delayed != tr.Sends-tr.Losses || e.Pending() != 0 || !tr.Conserved() {
+							t.Errorf("workers=%d: ledger %+v, pending %d: want every surviving send parked and all of them drained", workers, tr, e.Pending())
+						}
+						if replying := p.name == "shuffle" || p.name == "flipper"; replying != (replies > 0) {
+							t.Errorf("workers=%d: %d replies", workers, replies)
+						}
+					}
 					e.Close()
 					if want == "" {
 						want = got
@@ -320,27 +336,47 @@ func TestShardedChurnWhileTicking(t *testing.T) {
 
 // TestShardedZeroAllocTick is the memory-budget gate, parameterized over all
 // five step cores: after warm-up, a steady-state tick round performs
-// zero heap allocations (flat state, reused outboxes, fused view primitives).
+// zero heap allocations (flat state, reused outboxes, fused view primitives)
+// — and so does one whose messages are parked in the delay calendar and
+// drained through a deliver phase of their own (the delayed variants).
 // CI runs this test; a protocol whose step core starts allocating per
 // message fails its own subtest immediately.
 func TestShardedZeroAllocTick(t *testing.T) {
 	for _, p := range allProtocols() {
-		t.Run(p.name, func(t *testing.T) {
-			e, err := newSharded(runtime.Config{N: 2000, NewCore: p.factory, Loss: 0.02, Seed: 10, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			// Warm up until the outbox arenas reach their steady-state
-			// capacity.
-			for round := 0; round < 50; round++ {
-				e.TickRound()
-			}
-			avg := testing.AllocsPerRun(20, e.TickRound)
-			if avg != 0 {
-				t.Errorf("steady-state TickRound allocates %.1f times per round, want 0", avg)
-			}
-		})
+		for _, tc := range []struct {
+			name  string
+			delay faults.Delay
+		}{
+			{name: p.name},
+			{name: p.name + "/delayed", delay: faults.Delay{Fixed: 1, Jitter: 2}},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				cond, err := faults.FromRate(0.02)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cond.SetDelay(tc.delay); err != nil {
+					t.Fatal(err)
+				}
+				e, err := newSharded(runtime.Config{N: 2000, NewCore: p.factory, Conditions: cond, Seed: 10, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				// Warm up until the outbox arenas and the calendar buckets
+				// reach their steady-state capacity.
+				for round := 0; round < 50; round++ {
+					e.TickRound()
+				}
+				avg := testing.AllocsPerRun(20, e.TickRound)
+				if avg != 0 {
+					t.Errorf("steady-state TickRound allocates %.1f times per round, want 0", avg)
+				}
+				if delayed := e.Traffic().Delayed > 0; delayed != (tc.delay != faults.Delay{}) {
+					t.Errorf("delayed messages seen: %v", delayed)
+				}
+			})
+		}
 	}
 }
 
@@ -388,5 +424,124 @@ func TestShardedMatchesDefaultGeometry(t *testing.T) {
 	// n=300 < default shard size 256*2: explicit 256 must equal default.
 	if run(256, 1) != run(0, 2) {
 		t.Error("explicit ShardSize=256 differs from default geometry")
+	}
+}
+
+// delayedRunPin drives a seeded 60-round run under 5% loss and a jittered
+// 1..3-round delay, with two nodes leaving in round 20 and one of them
+// rejoining in round 40, drains the delay calendar, and condenses the
+// outcome to a digest of every view slot plus the traffic ledger.
+func delayedRunPin(t *testing.T, cfg runtime.Config) (uint64, metrics.Traffic) {
+	t.Helper()
+	cond, err := faults.FromRate(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cond.SetDelay(faults.Delay{Fixed: 1, Jitter: 2}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Conditions = cond
+	sub, err := runtime.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	for round := 0; round < 60; round++ {
+		switch round {
+		case 20:
+			sub.RemoveNode(7)
+			sub.RemoveNode(peer.ID(cfg.N / 2))
+		case 40:
+			if err := sub.AddNode(7, []peer.ID{10, 11, 12, 13, 14, 15, 16, 17}, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sub.TickRound()
+	}
+	sub.DrainDelayed()
+	if p := sub.Pending(); p != 0 {
+		t.Fatalf("pending %d after DrainDelayed", p)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range sub.Views() {
+		if v == nil {
+			h.Write([]byte{0xff})
+			continue
+		}
+		for i := 0; i < v.Size(); i++ {
+			binary.LittleEndian.PutUint64(b[:], uint64(v.Slot(i)))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64(), sub.Traffic()
+}
+
+// TestShardedDelayedRunPin holds the sharded engine's delayed path to the
+// exact runs the logical-time heap produced: the digests and ledgers were
+// recorded by running this body at the commit before the delay calendar
+// replaced the heap. For the protocols that never reply — S&F, sfopt,
+// push-pull — draining a due round as one deliver phase keeps every
+// destination's receive order and the fault stream's draw order, so the run
+// is byte-identical for any worker count. (Shuffle and flipper are not
+// pinned here: a drained request's reply is now ruled after its drain batch,
+// see DESIGN.md "Fault injection"; TestDelayedRunPinSeqAndCluster pins them
+// where nothing moved.)
+func TestShardedDelayedRunPin(t *testing.T) {
+	pins := map[string]struct {
+		digest  uint64
+		traffic metrics.Traffic
+	}{
+		"sf":       {0x4e754d416f8b549b, metrics.Traffic{Sends: 35356, Losses: 1787, Deliveries: 33554, DeadLetters: 15, Delayed: 33569}},
+		"sfopt":    {0x466d1a5e050d5ea4, metrics.Traffic{Sends: 34790, Losses: 1754, Deliveries: 33028, DeadLetters: 8, Delayed: 33036}},
+		"pushpull": {0xafdacbe19f2a83e8, metrics.Traffic{Sends: 106238, Losses: 5297, Deliveries: 100893, DeadLetters: 48, Delayed: 100941}},
+	}
+	for _, p := range allProtocols() {
+		pin, ok := pins[p.name]
+		if !ok {
+			continue
+		}
+		for _, workers := range []int{1, 4} {
+			digest, traffic := delayedRunPin(t, runtime.Config{Engine: runtime.EngineSharded, N: 2000, NewCore: p.factory, Seed: 31, Workers: workers})
+			if digest != pin.digest || traffic != pin.traffic {
+				t.Errorf("%s workers=%d: digest %#x traffic %+v, want %#x %+v", p.name, workers, digest, traffic, pin.digest, pin.traffic)
+			}
+		}
+	}
+}
+
+// TestDelayedRunPinSeqAndCluster is the same pin for the two substrates that
+// drain the router one message at a time — the sequential engine and a
+// manually ticked Cluster — for all five protocols, recorded at the same
+// parent commit: their Due order, and so their whole run, must not move.
+func TestDelayedRunPinSeqAndCluster(t *testing.T) {
+	type pin struct {
+		digest  uint64
+		traffic metrics.Traffic
+	}
+	pins := map[runtime.EngineKind]map[string]pin{
+		runtime.EngineSeq: {
+			"sf":       {0xac057a4fdcfc9651, metrics.Traffic{Sends: 3485, Losses: 161, Deliveries: 3314, DeadLetters: 10, Delayed: 3324}},
+			"sfopt":    {0xc1235952eb2ab95b, metrics.Traffic{Sends: 3379, Losses: 169, Deliveries: 3201, DeadLetters: 9, Delayed: 3210}},
+			"shuffle":  {0x6ad3a28fac1808e4, metrics.Traffic{Sends: 3494, Losses: 165, Deliveries: 3321, DeadLetters: 8, Delayed: 3329}},
+			"flipper":  {0xabbea79cc75ef6d7, metrics.Traffic{Sends: 4077, Losses: 197, Deliveries: 3873, DeadLetters: 7, Delayed: 3880}},
+			"pushpull": {0xe933280592dbd002, metrics.Traffic{Sends: 10544, Losses: 541, Deliveries: 9967, DeadLetters: 36, Delayed: 10003}},
+		},
+		runtime.EngineCluster: {
+			"sf":       {0xc2eb43e682dee075, metrics.Traffic{Sends: 3610, Losses: 181, Deliveries: 3415, DeadLetters: 14, Delayed: 3429}},
+			"sfopt":    {0x3ed3076ad51c9705, metrics.Traffic{Sends: 3499, Losses: 174, Deliveries: 3316, DeadLetters: 9, Delayed: 3325}},
+			"shuffle":  {0x7be6518c475afbf6, metrics.Traffic{Sends: 3535, Losses: 176, Deliveries: 3353, DeadLetters: 6, Delayed: 3359}},
+			"flipper":  {0xe5ee243fad8d706c, metrics.Traffic{Sends: 4144, Losses: 211, Deliveries: 3923, DeadLetters: 10, Delayed: 3933}},
+			"pushpull": {0xa2f194e76147f2b, metrics.Traffic{Sends: 10619, Losses: 553, Deliveries: 10040, DeadLetters: 26, Delayed: 10066}},
+		},
+	}
+	for engine, byProtocol := range pins {
+		for _, p := range allProtocols() {
+			want := byProtocol[p.name]
+			digest, traffic := delayedRunPin(t, runtime.Config{Engine: engine, N: 200, NewCore: p.factory, Seed: 31})
+			if digest != want.digest || traffic != want.traffic {
+				t.Errorf("%s %s: digest %#x traffic %+v, want %#x %+v", engine, p.name, digest, traffic, want.digest, want.traffic)
+			}
+		}
 	}
 }

@@ -21,8 +21,8 @@ type Handler func(msg protocol.Message)
 // Network is an in-memory datagram network for the concurrent runtime:
 // every Send consults the fault-injection conditions (loss, partitions,
 // delay), then the receiver's handler runs synchronously — or, for delayed
-// messages, when Advance drains the delay queue. The fault decision, delay
-// queue, and accounting are the shared internal/driver router, serialized
+// messages, when Advance drains the delay calendar. The fault decision, delay
+// calendar, and accounting are the shared internal/driver router, serialized
 // under the network lock. Safe for concurrent use.
 type Network struct {
 	mu     sync.Mutex
@@ -123,13 +123,18 @@ func (nw *Network) Send(to peer.ID, msg protocol.Message) error {
 // message that came due, in (due, enqueue) order. The cluster calls it at
 // each round boundary (manual ticking) or from a drain timer (Start mode);
 // routing is resolved at drain time, so a message to a node that departed
-// while in flight counts as a dead letter. Handlers run outside the lock.
+// while in flight counts as a dead letter. Handlers run outside the lock,
+// on ids copied out of the router's calendar under it: a drained message
+// aliases calendar storage only until the next Tick, and once the lock is
+// released another goroutine's Advance may tick.
 func (nw *Network) Advance() {
 	type delivery struct {
 		h   Handler
 		msg protocol.Message
+		off int // msg's ids are ids[off : off+len(msg.IDs)]
 	}
 	var deliveries []delivery
+	var ids []peer.ID
 	nw.mu.Lock()
 	nw.router.Tick()
 	for {
@@ -140,10 +145,13 @@ func (nw *Network) Advance() {
 		if !nw.router.Deliverable(d.To) {
 			continue
 		}
-		deliveries = append(deliveries, delivery{h: nw.handlerFor(d.To), msg: d.Msg})
+		deliveries = append(deliveries, delivery{h: nw.handlerFor(d.To), msg: d.Msg, off: len(ids)})
+		ids = append(ids, d.Msg.IDs...)
 	}
 	nw.mu.Unlock()
 	for _, d := range deliveries {
+		end := d.off + len(d.msg.IDs)
+		d.msg.IDs = ids[d.off:end:end]
 		d.h(d.msg)
 	}
 }

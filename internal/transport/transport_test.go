@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -734,5 +735,73 @@ func TestNetworkDelayedToDepartedIsDeadLetter(t *testing.T) {
 	}
 	if c.Sends != c.Losses+c.Deliveries+c.DeadLetters {
 		t.Errorf("counter identity violated: %+v", c)
+	}
+}
+
+func TestNetworkDelayedResendUnderConcurrentSends(t *testing.T) {
+	// The router's delay calendar hands Advance messages that alias calendar
+	// storage until the next tick, and Advance runs the handlers after it
+	// has released the lock. Here handlers re-send what they received while
+	// other goroutines Send and Advance concurrently, under the two delays
+	// that aim at the bucket a drain has handed out (the calendar starts
+	// four rounds long): delay 4 maps to it at once and must grow the ring
+	// instead; delay 3 maps to it as soon as another goroutine's Advance has
+	// ticked, which is why Advance copies the ids out under the lock. Every
+	// message must arrive intact, none may be stranded, and the race
+	// detector must stay quiet.
+	for _, delay := range []int{3, 4} {
+		nw, err := NewNetworkWithConditions(faults.Lossless(), rng.New(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Conditions().SetDelay(faults.Delay{Fixed: delay}); err != nil {
+			t.Fatal(err)
+		}
+		const senders, perSender, hops = 4, 50, 3
+		var delivered atomic.Int64
+		handler := func(m protocol.Message) {
+			for i, id := range m.IDs {
+				if id != m.IDs[0]+peer.ID(i) {
+					t.Errorf("delay %d: delivered ids %v are not the run that was sent", delay, m.IDs)
+					break
+				}
+			}
+			delivered.Add(1)
+			if hop := int(m.From); hop < hops {
+				nw.Send(peer.ID(1+hop%2), protocol.Message{Kind: m.Kind, From: peer.ID(hop + 1), IDs: m.IDs})
+			}
+		}
+		nw.Register(1, handler)
+		nw.Register(2, handler)
+
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for i := 0; i < perSender; i++ {
+					base := peer.ID(1000*s + 10*i)
+					nw.Send(1, protocol.Message{Kind: protocol.KindGossip, From: 0, IDs: []peer.ID{base, base + 1, base + 2, base + 3}})
+				}
+			}(s)
+		}
+		const want = senders * perSender * (hops + 1)
+		for a := 0; a < 2; a++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100000 && delivered.Load() < want; i++ {
+					nw.Advance()
+				}
+			}()
+		}
+		wg.Wait()
+		for i := 0; i < 64 && nw.Pending() > 0; i++ {
+			nw.Advance()
+		}
+		c := nw.Traffic()
+		if got := delivered.Load(); got != want || nw.Pending() != 0 || !c.Conserved() || c.Deliveries != want {
+			t.Errorf("delay %d: delivered %d of %d, pending %d, ledger %+v", delay, got, want, nw.Pending(), c)
+		}
 	}
 }
