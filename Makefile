@@ -10,7 +10,7 @@
 # gates on BenchmarkSfvetRepo staying under its ns/op budget so the suite
 # stays fast enough to run on every push.
 
-.PHONY: build test race vet bench-smoke e2e loc
+.PHONY: build test race vet bench-smoke bench-pin e2e loc
 
 build:
 	go build ./...
@@ -37,6 +37,25 @@ e2e:
 bench-smoke:
 	cd bench && go vet ./... && go test ./...
 	bash bench/run.sh -all -smoke
+
+# The byte-identity pin: the benchmark at a fixed round count is seeded, so
+# its final state is one value per workload, and a change that claims to leave
+# seeded runs untouched (a performance PR) must reproduce it. This list is the
+# one place the digests are recorded — workload:rounds:state_digest, seed 1 —
+# and .claude/skills/verify/SKILL.md points here. A PR that moves a digest on
+# purpose edits the list and says why.
+BENCH_PINS = \
+	sharded-pushpull-faults-50k:100:138b15adf7b88060 \
+	sharded-sf-100k:400:32aa62b7550359a5
+bench-pin:
+	@for pin in $(BENCH_PINS); do \
+		set -- $$(echo $$pin | tr : ' '); \
+		got=$$(bash bench/run.sh -workload $$1 -rounds $$2 -seed 1 | awk '$$1 == "state_digest" { print $$2 }'); \
+		if [ "$$got" != "$$3" ]; then \
+			echo "bench-pin: $$1 -rounds $$2 -seed 1: state_digest '$$got', want $$3"; exit 1; \
+		fi; \
+		echo "bench-pin: $$1 -rounds $$2 -seed 1: state_digest $$got ok"; \
+	done
 
 # Non-test Go lines outside bench/ and testdata/, for the whole repo and per
 # top-level internal/ package: the figure CHANGES.md quotes when a PR reports

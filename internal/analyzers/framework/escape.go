@@ -44,8 +44,8 @@ import (
 //     leaking position);
 //   - append allocates unless its base is rooted in a parameter, receiver,
 //     or package variable — the pooled-slab idiom (`o.Msgs = append(o.Msgs,
-//     m)`, `e.inboxRefs[d] = append(e.inboxRefs[d], ref)`) reuses caller-
-//     owned capacity and is the hot path's sanctioned append shape;
+//     m)`, `o.IDs = append(o.IDs, src.IDs[a:b]...)`) reuses caller-owned
+//     capacity and is the hot path's sanctioned append shape;
 //   - boxing a concrete non-pointer-shaped value into an interface
 //     (assignment, call argument, or return) allocates, as does a variadic
 //     call that materializes its argument slice, string concatenation, and

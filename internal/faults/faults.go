@@ -109,7 +109,7 @@ type Conditions struct {
 	mu    sync.Mutex
 	base  loss.Model
 	links map[Link]loss.Model
-	group map[peer.ID]int // nil when healed
+	group []int32 // nil when healed; group[id] is id's group, -1 when listed in none
 	delay Delay
 	c     Counters
 }
@@ -222,12 +222,24 @@ func (c *Conditions) SetDelay(d Delay) error {
 // Partition splits the network into the given groups: messages between
 // different groups (or touching a node listed in no group — such nodes form
 // one implicit leftover group) are dropped until Heal. Replaces any active
-// partition.
+// partition. Negative ids such as peer.Nil name no node and are ignored. The
+// group table is dense, one entry per id up to the largest listed.
 func (c *Conditions) Partition(groups ...[]peer.ID) {
-	g := make(map[peer.ID]int)
+	size := 0
+	for _, members := range groups {
+		for _, id := range members {
+			size = max(size, int(id)+1)
+		}
+	}
+	g := make([]int32, size)
+	for i := range g {
+		g[i] = -1
+	}
 	for i, members := range groups {
 		for _, id := range members {
-			g[id] = i
+			if id >= 0 {
+				g[id] = int32(i)
+			}
 		}
 	}
 	c.mu.Lock()
@@ -258,15 +270,16 @@ func (c *Conditions) separated(from, to peer.ID) bool {
 	if c.group == nil {
 		return false
 	}
-	ga, aok := c.group[from]
-	gb, bok := c.group[to]
-	if !aok {
-		ga = -1
+	return c.groupOf(from) != c.groupOf(to)
+}
+
+// groupOf returns id's group in the active partition, -1 for an id listed in
+// no group (negative ids and ids past the table among them).
+func (c *Conditions) groupOf(id peer.ID) int32 {
+	if uint(id) < uint(len(c.group)) {
+		return c.group[id]
 	}
-	if !bok {
-		gb = -1
-	}
-	return ga != gb
+	return -1
 }
 
 // Decide rules on one attempted transmission from -> to, advancing any

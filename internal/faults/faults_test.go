@@ -108,6 +108,68 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 }
 
+// TestPartitionTableMatchesMapModel holds the dense group table to the map
+// it replaced, over the ids a table can get wrong: gaps inside the table, ids
+// past its end, peer.Nil and other negative ids (ignored by Partition, in no
+// group ever), an id listed twice (the last listing wins), and the empty
+// partition. A partition drop draws nothing from the RNG.
+func TestPartitionTableMatchesMapModel(t *testing.T) {
+	groupings := [][][]peer.ID{
+		{{0, 1}, {2, 3}},
+		{{5, 63, 64}, {7, 200}},  // gaps: 0..4, 6, 8..62 are in the table and in no group
+		{{peer.Nil, 3}, {-7, 4}}, // negative ids name no node
+		{{1, 2}, {2, 9}},         // 2 listed twice
+		{{}, {6}},                // an empty group still takes an index
+		{},                       // no groups: everyone is in the leftover group
+		{{peer.Nil}},             // a table of no entries
+	}
+	probe := []peer.ID{peer.Nil, -7, 0, 1, 2, 3, 4, 5, 6, 7, 9, 63, 64, 65, 199, 200, 201, 1 << 20}
+	for gi, groups := range groupings {
+		model := make(map[peer.ID]int)
+		for i, members := range groups {
+			for _, id := range members {
+				if id >= 0 {
+					model[id] = i
+				}
+			}
+		}
+		groupOf := func(id peer.ID) int {
+			if g, ok := model[id]; ok {
+				return g
+			}
+			return -1
+		}
+		c := Lossless()
+		c.Partition(groups...)
+		r, untouched := rng.New(11), rng.New(11)
+		drops := 0
+		for _, from := range probe {
+			for _, to := range probe {
+				want := groupOf(from) != groupOf(to)
+				if got := c.Partitioned(from, to); got != want {
+					t.Errorf("grouping %d: Partitioned(%v, %v) = %v, want %v", gi, from, to, got, want)
+				}
+				ses := c.Begin()
+				v := ses.Decide(from, to, r)
+				ses.Close()
+				if (v.Drop == DropPartition) != want {
+					t.Errorf("grouping %d: Decide(%v, %v) = %+v, want partition drop %v", gi, from, to, v, want)
+				}
+				if want {
+					drops++
+				}
+			}
+		}
+		if r.Uint64() != untouched.Uint64() {
+			t.Errorf("grouping %d: a lossless, delay-free stack drew from the RNG", gi)
+		}
+		c.Heal()
+		if got := c.Counters(); got.Partitions != 1 || got.Heals != 1 || got.PartitionDrops != drops {
+			t.Errorf("grouping %d: counters = %+v, want 1 partition, 1 heal, %d partition drops", gi, got, drops)
+		}
+	}
+}
+
 func TestDelayAndJitter(t *testing.T) {
 	c := Lossless()
 	if err := c.SetDelay(Delay{Fixed: -1}); err == nil {

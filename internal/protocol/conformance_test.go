@@ -474,6 +474,66 @@ func TestOutboxMessageCopiesIDs(t *testing.T) {
 	}
 }
 
+// TestOutboxAppendFrom pins the copy the sharded engine's route pass and
+// drain make into a destination inbox: every payload shape — inline (0, 1, 2
+// ids) and arena (3, 8, 255 ids) — arrives with its header intact and its ids
+// re-homed, so the copy reads the same after the source is reset and
+// refilled, while the destination arena grows mid-sequence; and once both
+// buffers have their capacity a copy allocates nothing.
+func TestOutboxAppendFrom(t *testing.T) {
+	payload := func(n, salt int) []peer.ID {
+		ids := make([]peer.ID, n)
+		for i := range ids {
+			ids[i] = peer.ID(salt*1000 + i)
+		}
+		return ids
+	}
+	sizes := []int{2, 0, 3, 1, 255, 8, 2, 3, 255}
+	var src, dst protocol.Outbox
+	fill := func() {
+		src.Reset()
+		for i, n := range sizes {
+			src.Append(peer.ID(i), peer.ID(100+i), protocol.Kind(i%2), i%3 == 0, payload(n, i)...)
+		}
+	}
+	copyAll := func() {
+		dst.Reset()
+		for i := range src.Msgs {
+			dst.AppendFrom(&src, &src.Msgs[i])
+		}
+	}
+	fill()
+	dst.Append(9, 9, protocol.KindGossip, false, 1, 2, 3) // the copies do not start at arena offset 0
+	for i := range src.Msgs {
+		dst.AppendFrom(&src, &src.Msgs[i])
+	}
+	src.Reset()
+	src.Append(1, 1, protocol.KindGossip, false, payload(300, 77)...) // overwrite the source arena
+	if dst.Len() != len(sizes)+1 {
+		t.Fatalf("destination holds %d messages, want %d", dst.Len(), len(sizes)+1)
+	}
+	for i, n := range sizes {
+		m := &dst.Msgs[i+1]
+		if m.To != peer.ID(i) || m.From != peer.ID(100+i) || m.Kind != protocol.Kind(i%2) || m.Dup != (i%3 == 0) {
+			t.Errorf("message %d: header %+v", i, *m)
+		}
+		got, want := dst.MsgIDs(m), payload(n, i)
+		if len(got) != len(want) {
+			t.Fatalf("message %d: %d ids, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("message %d: ids %v, want %v", i, got, want)
+			}
+		}
+	}
+	fill()
+	copyAll() // warm: dst has seen this sequence's sizes
+	if avg := testing.AllocsPerRun(50, copyAll); avg != 0 {
+		t.Errorf("warm AppendFrom sequence allocates %.1f times, want 0", avg)
+	}
+}
+
 // TestCountersFollowStepResults pins how the one tally maps step results.
 func TestCountersFollowStepResults(t *testing.T) {
 	var c protocol.Counters

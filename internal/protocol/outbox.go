@@ -79,6 +79,20 @@ func (o *Outbox) Append1(to, from peer.ID, kind Kind, dup bool, id0 peer.ID) {
 	})
 }
 
+// AppendFrom buffers a copy of message m of outbox src. The header is copied
+// as is; a payload of more than two ids is re-homed into o's arena, so the
+// copy outlives src's Reset.
+//
+//vet:hotpath
+func (o *Outbox) AppendFrom(src *Outbox, m *FlatMsg) {
+	h := *m
+	if h.IDLen > 2 {
+		h.IDOff = int32(len(o.IDs))
+		o.IDs = append(o.IDs, src.IDs[m.IDOff:m.IDOff+m.IDLen]...)
+	}
+	o.Msgs = append(o.Msgs, h)
+}
+
 // MsgIDs returns message m's ids. The slice aliases the header (inline ids)
 // or the arena: it is valid until the next Reset and must not be retained
 // past it. m must point into o.Msgs.

@@ -27,8 +27,10 @@ import (
 //
 //   - Node state is flat: all views live in one contiguous id array (one
 //     s-slot window per node, wrapped by view.Wrap), per-node RNGs are
-//     values in a flat slice, and per-node event counters are replaced by
-//     per-shard counter arrays summed at snapshot time.
+//     values in a flat slice, liveness is one bit per node in a dense
+//     bitset (n/8 bytes, small enough to stay cached under the route
+//     pass), and per-node event counters are replaced by per-shard counter
+//     arrays summed at snapshot time.
 //   - A tick is three phases. Initiate: nodes are partitioned into
 //     contiguous shards and a bounded worker pool runs each shard's
 //     initiate steps, appending messages to the shard's outbox (reused
@@ -36,14 +38,17 @@ import (
 //     Route: a single sequential pass walks the outboxes in shard order,
 //     applies the fault stack per message (preserving one deterministic
 //     RNG stream for loss/delay decisions, exactly like the chunk-merge
-//     discipline of the markov CSR kernel), and buckets survivors into
-//     per-destination-shard inboxes. Deliver: the pool runs each inbox's
-//     receive steps; replies loop back through route until quiet.
+//     discipline of the markov CSR kernel), and copies each survivor into
+//     the inbox of its destination shard. Deliver: the pool walks each
+//     inbox front to back, running the receive steps; replies loop back
+//     through route until quiet. An inbox holds the messages themselves,
+//     so a deliver phase reads one contiguous buffer and nothing it reads
+//     is an arena it appends to.
 //   - Delayed messages take the same path. The route pass parks them in the
 //     router's delay calendar (one reused arena per due round); each tick
 //     starts by draining the round that came due as one more deliver phase —
-//     liveness resolved per message in (due, enqueue) order, references
-//     bucketed by destination shard, replies routed like any other
+//     liveness resolved per message in (due, enqueue) order, survivors
+//     copied to their destination inboxes, replies routed like any other
 //     generation — before the initiate phase runs.
 //   - Results are bit-identical for any worker count: shard geometry
 //     depends only on n (never on GOMAXPROCS), every shard is processed
@@ -68,23 +73,21 @@ const (
 	phaseDeliver
 )
 
-// msgRef locates one routed message: index idx in box src of the boxes being
-// delivered (a source shard's outbox, or the one drained calendar bucket).
-// The route pass buckets references instead of copying message bodies, so
-// delivery reads each id exactly once from the arena it was written to.
-type msgRef struct {
-	src, idx int32
-}
+// liveSet is a dense bitset over node ids: bit u is set while node u is
+// active.
+type liveSet []uint64
+
+func (b liveSet) has(u peer.ID) bool { return b[u>>6]&(1<<(uint(u)&63)) != 0 }
 
 // shardedNode packs one node's per-message state: the view header wrapping
-// its window of the shared slot array, its deterministic RNG, its step
-// core, and liveness. Everything the deliver phase reads for a destination
-// is in this record.
+// its window of the shared slot array, its deterministic RNG, and its step
+// core. Everything the deliver phase reads for a destination is in this
+// record; liveness, which the sequential passes ask for every message, is
+// not (see ShardedCluster.live).
 type shardedNode struct {
 	view view.View
 	rng  rng.RNG
 	core protocol.StepCore
-	live bool
 }
 
 // ShardedCluster is the sharded synchronous tick engine. Construct with New
@@ -123,24 +126,21 @@ type ShardedCluster struct {
 	nodes  []shardedNode  //vet:confined shard
 	roster *driver.Roster // per-node incarnations and seed derivation
 
-	// Per-shard buffers and counters, indexed by shard: outboxes is the
-	// initiate phase output (source-sharded), counters is summed at
-	// snapshot time.
-	outboxes []protocol.Outbox //vet:confined shard
-	counters []NodeCounters    //vet:confined shard
+	// live is written only by the gate holder outside phases (activate,
+	// RemoveNode) and is read-only inside them, so a word that two shards
+	// share is safe.
+	live liveSet //vet:confined shard
 
-	// Routing state. The route pass does not copy surviving messages into
-	// per-destination buffers; it buckets (source shard, message index)
-	// references and the deliver phase reads ids straight out of the source
-	// arenas (deliverSrc). Reply generations alternate between the two
-	// replySets so a deliver phase never writes the arena it is reading.
-	// dueBox holds the header of the calendar bucket a drain is delivering,
-	// so the drained round is one more box for deliverSrc to point at.
-	inboxRefs  [][]msgRef //vet:confined shard
-	deliverSrc []protocol.Outbox
-	replyOut   []protocol.Outbox
-	replySets  [2][]protocol.Outbox
-	dueBox     [1]protocol.Outbox
+	// Per-shard buffers and counters, indexed by shard. outboxes is the
+	// initiate phase output and replyOut the deliver phase output, both
+	// source-sharded: the owning worker resets and fills them, the route
+	// pass reads them. inboxes is the route pass output, one per destination
+	// shard, holding the messages themselves: the deliver phase walks and
+	// resets them. counters is summed at snapshot time.
+	outboxes []protocol.Outbox //vet:confined shard
+	replyOut []protocol.Outbox //vet:confined shard
+	inboxes  []protocol.Outbox //vet:confined shard
+	counters []NodeCounters    //vet:confined shard
 
 	// router is the shared transmission discipline (fault decisions,
 	// delay calendar, traffic ledger), drawing from one deterministic stream
@@ -192,27 +192,23 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 		slots:  make([]peer.ID, cfg.N*s),
 		nodes:  make([]shardedNode, cfg.N),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
+		live:   make(liveSet, (cfg.N+63)/64),
 
-		outboxes:  make([]protocol.Outbox, shards),
-		inboxRefs: make([][]msgRef, shards),
-		counters:  make([]NodeCounters, shards),
+		outboxes: make([]protocol.Outbox, shards),
+		replyOut: make([]protocol.Outbox, shards),
+		inboxes:  make([]protocol.Outbox, shards),
+		counters: make([]NodeCounters, shards),
 	}
-	e.router = driver.NewRouter(cfg.Conditions, rng.New(cfg.Seed), func(id peer.ID) bool {
-		// The router invokes this only from its Route/Deliverable entry
-		// points, which the engine reaches exclusively while holding the
-		// gate (TickRound, drainDue) — a contract the confinement engine
-		// cannot see through the stored callback.
-		//lint:allow shardconfine router calls the liveness callback with the gate held (route pass and drain both run under the token)
-		return e.nodes[id].live
-	})
+	// The router asks for liveness per routed and per drained message, always
+	// under the gate. Its callback is bound to the bitset itself (which is
+	// never reallocated): one load, no engine record behind it.
+	e.router = driver.NewRouter(cfg.Conditions, rng.New(cfg.Seed), e.live.has)
 	if shardSize&(shardSize-1) == 0 {
 		// Power-of-two shard size (the default geometry): the route pass
 		// maps destination ids to shards with a shift instead of a divide.
 		e.shardPow2 = true
 		e.shardShift = uint(bits.TrailingZeros(uint(shardSize)))
 	}
-	e.replySets[0] = make([]protocol.Outbox, shards)
-	e.replySets[1] = make([]protocol.Outbox, shards)
 
 	seeds := make([]peer.ID, cfg.InitDegree)
 	for u := 0; u < cfg.N; u++ {
@@ -266,7 +262,7 @@ func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
 	nd.view = view.Wrap(window)
 	nd.core = core
 	nd.rng = rng.NewState(e.roster.SeedFor(u))
-	nd.live = true
+	e.live[u>>6] |= 1 << (uint(u) & 63)
 	return nil
 }
 
@@ -341,39 +337,39 @@ func (e *ShardedCluster) initiateShard(k int) {
 	ob.Reset() // the previous round's messages were consumed by deliver
 	var cnt NodeCounters
 	for u := lo; u < hi; u++ {
-		nd := &e.nodes[u]
-		if !nd.live {
+		// liveSet.has spelled out: shardconfine follows the index u from
+		// this worker's shard steal to the field, not through a call.
+		if e.live[u>>6]&(1<<(uint(u)&63)) == 0 {
 			continue
 		}
+		nd := &e.nodes[u]
 		cnt.Initiated(nd.core.InitiateBatch(&nd.view, peer.ID(u), &nd.rng, ob))
 	}
 	e.counters[k].Add(cnt)
 }
 
-// deliverShard runs the receive step for every message bucketed to shard k,
-// in bucket order (which the sequential route pass made deterministic),
-// reading message bodies straight out of the source shard arenas. Replies go
-// to the shard's reply outbox and face the fault stack in the next route
-// pass.
+// deliverShard runs the receive step for every message in shard k's inbox,
+// front to back (the order the sequential route pass filed them in, which is
+// what makes it deterministic), and empties the inbox. Replies go to the
+// shard's reply outbox and face the fault stack in the next route pass.
 func (e *ShardedCluster) deliverShard(k int) {
-	refs := e.inboxRefs[k]
-	src := e.deliverSrc
+	in := &e.inboxes[k]
 	rb := &e.replyOut[k]
+	rb.Reset() // the previous generation's replies were consumed by route
 	var cnt NodeCounters
-	for _, ref := range refs {
-		ob := &src[ref.src]
-		m := &ob.Msgs[ref.idx]
+	for i := range in.Msgs {
+		m := &in.Msgs[i]
 		u := m.To
 		// u is the message destination, not a value derived from this
-		// worker's shard steal — but the route pass bucketed every ref in
-		// inboxRefs[k] by destination shard, so u's record belongs to
-		// shard k by construction.
-		//lint:allow shardconfine route pass buckets refs by destination shard; every m.To in inboxRefs[k] maps to shard k
+		// worker's shard steal — but the route pass filed every message of
+		// inboxes[k] by destination shard, so u's record belongs to shard k
+		// by construction.
+		//lint:allow shardconfine route pass files messages by destination shard; every m.To in inboxes[k] maps to shard k
 		nd := &e.nodes[u]
-		pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: ob.MsgIDs(m), Dup: m.Dup}
+		pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: in.MsgIDs(m), Dup: m.Dup}
 		cnt.Received(nd.core.ReceiveBatch(&nd.view, u, pkt, &nd.rng, rb))
 	}
-	e.inboxRefs[k] = refs[:0]
+	in.Reset()
 	e.counters[k].Add(cnt)
 }
 
@@ -381,18 +377,16 @@ func (e *ShardedCluster) deliverShard(k int) {
 // rules on every message with the fault stack, drawing from the single
 // fault-decision stream in that fixed order (the same discipline that makes
 // the markov CSR kernel bit-reproducible: parallel phases produce per-chunk
-// buffers, one deterministic order consumes them). Survivors are bucketed
-// by reference into the destination shard's inbox (the boxes stay alive for
-// the deliver phase to read); delayed messages are copied out of the
+// buffers, one deterministic order consumes them). Survivors are copied into
+// the destination shard's inbox; delayed messages are copied out of the
 // transient arena into the router's delay calendar. It returns whether any
-// message was bucketed for delivery.
+// message was filed for delivery.
 func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 	delivered := false
-	e.deliverSrc = boxes
 	// One condition-stack session for the whole pass: the stack is locked
 	// once here instead of once per message (route is sequential, so the
 	// single-owner contract holds trivially). The router rules per message
-	// — drop, park, dead letter, or deliver — and the bucketing of survivors
+	// — drop, park, dead letter, or deliver — and the filing of survivors
 	// stays here.
 	ses := e.cfg.Conditions.Begin()
 	for k := range boxes {
@@ -400,25 +394,24 @@ func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 		for i := range ob.Msgs {
 			m := &ob.Msgs[i]
 			msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: ob.MsgIDs(m), Dup: m.Dup}
-			if e.router.RouteIn(&ses, m.To, msg) != driver.Delivered {
-				continue
+			if e.router.RouteIn(&ses, m.To, msg) == driver.Delivered {
+				e.inbox(m.To).AppendFrom(ob, m)
+				delivered = true
 			}
-			e.bucket(m.To, msgRef{src: int32(k), idx: int32(i)})
-			delivered = true
 		}
 	}
 	ses.Close()
 	return delivered
 }
 
-// bucket files a reference to a message ruled deliverable to node to in the
-// inbox of to's shard, for the next deliver phase.
-func (e *ShardedCluster) bucket(to peer.ID, ref msgRef) {
+// inbox returns the inbox of node to's shard, which the next deliver phase
+// walks.
+func (e *ShardedCluster) inbox(to peer.ID) *protocol.Outbox {
 	dest := int(to) / e.shardSize
 	if e.shardPow2 {
 		dest = int(to) >> e.shardShift
 	}
-	e.inboxRefs[dest] = append(e.inboxRefs[dest], ref)
+	return &e.inboxes[dest]
 }
 
 // drainDue does for the delayed messages due by the current tick what route
@@ -426,8 +419,8 @@ func (e *ShardedCluster) bucket(to peer.ID, ref msgRef) {
 // enqueue) order, resolves liveness per message at drain time (a message to
 // a node that departed while in flight is a dead letter, exactly as on the
 // other substrates; the fault stack already ruled when the message parked),
-// buckets the deliverable ones by reference, and settles them — a deliver
-// phase, with replies routed like any other generation.
+// copies the deliverable ones into their inboxes, and settles them — a
+// deliver phase, with replies routed like any other generation.
 //
 //vet:hotpath
 func (e *ShardedCluster) drainDue() {
@@ -436,14 +429,10 @@ func (e *ShardedCluster) drainDue() {
 		if ob == nil {
 			return
 		}
-		// The header copy is what deliverSrc points at; the bucket itself
-		// stays untouched in the calendar until the next Tick.
-		e.dueBox[0] = *ob
-		e.deliverSrc = e.dueBox[:]
 		delivered := false
 		for i := from; i < len(ob.Msgs); i++ {
-			if to := ob.Msgs[i].To; e.router.Deliverable(to) {
-				e.bucket(to, msgRef{idx: int32(i)})
+			if m := &ob.Msgs[i]; e.router.Deliverable(m.To) {
+				e.inbox(m.To).AppendFrom(ob, m)
 				delivered = true
 			}
 		}
@@ -452,23 +441,14 @@ func (e *ShardedCluster) drainDue() {
 }
 
 // settle runs deliver phases until the engine is quiet: while the last
-// route pass or drain bucketed messages (delivered), the pool delivers them
-// and the replies they produced are routed as the next generation.
+// route pass or drain filed messages (delivered), the pool delivers them and
+// the replies they produced are routed as the next generation. Reply chains
+// terminate for every current protocol (replies never generate further
+// replies), so this loop runs at most twice.
 func (e *ShardedCluster) settle(delivered bool) {
-	for w := 0; delivered; w ^= 1 {
-		// Replies of this deliver generation go to a reply set the phase is
-		// NOT reading from: the references point into deliverSrc's arenas,
-		// which the deliver phase reads while appending replies to rs. The
-		// two sets alternate across generations. Reply chains terminate for
-		// every current protocol (replies never generate further replies),
-		// so this loop runs at most twice.
-		rs := e.replySets[w]
-		for k := range rs {
-			rs[k].Reset()
-		}
-		e.replyOut = rs
+	for delivered {
 		e.runPhase(phaseDeliver)
-		delivered = e.route(rs)
+		delivered = e.route(e.replyOut)
 	}
 }
 
@@ -511,14 +491,21 @@ func (e *ShardedCluster) Pending() int {
 
 // Views snapshots all node views (nil entries for departed nodes) in one
 // bulk pass: the engine is held once for the whole copy instead of locking
-// every node individually, which is what keeps snapshot cost sane at 10^5+
-// nodes.
+// every node individually, and the copy is three allocations — one slab for
+// every slot, one for the view headers, one for the result — instead of two
+// per live node, which is what keeps snapshot cost sane at 10^5+ nodes.
 func (e *ShardedCluster) Views() []*view.View {
 	<-e.gate
+	slab := make([]peer.ID, len(e.slots))
+	copy(slab, e.slots)
+	views := make([]view.View, e.n)
 	out := make([]*view.View, e.n)
 	for u := range out {
-		if e.nodes[u].live {
-			out[u] = e.nodes[u].view.Clone()
+		if e.live.has(peer.ID(u)) {
+			// Capacity-clipped, so no operation on one snapshot view can
+			// reach its neighbor's window.
+			views[u] = view.Wrap(slab[u*e.s : (u+1)*e.s : (u+1)*e.s])
+			out[u] = &views[u]
 		}
 	}
 	e.gate <- struct{}{}
@@ -560,7 +547,7 @@ func (e *ShardedCluster) CheckInvariants() error {
 	<-e.gate
 	defer func() { e.gate <- struct{}{} }()
 	for u := 0; u < e.n; u++ {
-		if !e.nodes[u].live {
+		if !e.live.has(peer.ID(u)) {
 			continue
 		}
 		if err := e.nodes[u].core.CheckView(&e.nodes[u].view); err != nil {
@@ -579,7 +566,7 @@ func (e *ShardedCluster) RemoveNode(u peer.ID) {
 		return
 	}
 	<-e.gate
-	e.nodes[u].live = false
+	e.live[u>>6] &^= 1 << (uint(u) & 63)
 	e.gate <- struct{}{}
 }
 
@@ -596,7 +583,7 @@ func (e *ShardedCluster) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 	}
 	<-e.gate
 	defer func() { e.gate <- struct{}{} }()
-	if e.nodes[u].live {
+	if e.live.has(u) {
 		return fmt.Errorf("runtime: node %v is already active", u)
 	}
 	e.roster.Bump(u)

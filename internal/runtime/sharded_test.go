@@ -287,9 +287,21 @@ func TestShardedRejoinSeedStreams(t *testing.T) {
 
 // TestShardedChurnWhileTicking exercises the gate under concurrency: ticks,
 // churn, and snapshots race from several goroutines (the race detector
-// checks the serialization; the invariants check the protocol state).
+// checks the serialization; the invariants check the protocol state). The
+// churned ids sit on both sides of every word boundary of the liveness
+// bitset, whose words four 16-node shards share: under -race the bitset's
+// writers (RemoveNode, AddNode) run against a ticking pool that reads it in
+// the initiate phase, in the route pass and — with the jittered delay — in
+// the drain.
 func TestShardedChurnWhileTicking(t *testing.T) {
-	e, err := newSharded(runtime.Config{N: 40, NewCore: sfFactory(12, 4), Loss: 0.02, Seed: 9, ShardSize: 8, Workers: 4})
+	cond, err := faults.FromRate(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cond.SetDelay(faults.Delay{Jitter: 2}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := newSharded(runtime.Config{N: 200, NewCore: sfFactory(12, 4), Conditions: cond, Seed: 9, ShardSize: 16, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +316,10 @@ func TestShardedChurnWhileTicking(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		seeds := []peer.ID{0, 1, 2, 3}
-		for i := 0; i < 20; i++ {
-			u := peer.ID(10 + i%5)
+		seeds := []peer.ID{1, 2, 3, 4}
+		churned := []peer.ID{0, 63, 64, 127, 128, 199, 10, 11}
+		for i := 0; i < 40; i++ {
+			u := churned[i%len(churned)]
 			e.RemoveNode(u)
 			if err := e.AddNode(u, seeds, false); err != nil {
 				t.Errorf("rejoin %v: %v", u, err)
@@ -327,6 +340,12 @@ func TestShardedChurnWhileTicking(t *testing.T) {
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	for u, v := range e.Views() {
+		if v == nil {
+			t.Errorf("node %d is away after every leaver rejoined", u)
+		}
+	}
+	e.DrainDelayed()
 	if !e.Traffic().Conserved() {
 		// Churn dead-letters in-flight messages but never loses track of
 		// them.
@@ -381,14 +400,15 @@ func TestShardedZeroAllocTick(t *testing.T) {
 }
 
 // TestShardedViewsAreCopies guards the bulk snapshot: mutating a returned
-// view must not touch engine state.
+// view must not touch engine state, nor the other views of the snapshot.
 func TestShardedViewsAreCopies(t *testing.T) {
 	e, err := newSharded(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	v := e.Views()[3]
+	snap := e.Views()
+	v, neighbor := snap[3], snap[4].Clone()
 	var before []peer.ID
 	for i := 0; i < v.Size(); i++ {
 		before = append(before, v.Slot(i))
@@ -400,6 +420,11 @@ func TestShardedViewsAreCopies(t *testing.T) {
 		if again.Slot(i) != id {
 			t.Fatalf("slot %d changed from %v to %v after mutating a snapshot", i, id, again.Slot(i))
 		}
+	}
+	// The views of one snapshot are windows of one slab: writing one must
+	// not reach the next.
+	if !snap[4].Equal(neighbor) {
+		t.Errorf("mutating view 3 of a snapshot changed view 4 of it: %v, was %v", snap[4], neighbor)
 	}
 }
 
