@@ -23,8 +23,8 @@
 //	               cannot mix
 //
 // The remaining seven are interprocedural, built on the framework's CFG,
-// call graph, taint, escape, held-lock, and happens-before engines, and see
-// the whole loaded program:
+// call graph, taint, allocation-site, held-lock, and happens-before engines,
+// and see the whole loaded program:
 //
 //	seedtaint RNG seeds come from rng.DeriveSeed: no arithmetic on a
 //	          seed, and no arithmetic-derived seed reaching rng.New
@@ -39,14 +39,15 @@
 //	          the zero-alloc tick guarantee, proved over every branch
 //	          instead of sampled by alloc counters
 //	sharedguard conflicting accesses to substrate state (runtime, mgmt,
-//	          driver, transport) must be ordered by a happens-before
-//	          edge, excluded by a common lock, or provably confined
+//	          driver, transport) must be excluded by a common lock, run
+//	          only in external callers, or touch a not-yet-shared instance
 //	shardconfine fields annotated //vet:confined are only touched by
 //	          their owning shard's worker between barrier phases or
 //	          while holding the engine's gate token
 //
 // TestDetectionMatrix records which analyzer flags which line of every
-// fixture; an analyzer is merged or replaced only with that table intact.
+// fixture, five planted bugs included; an analyzer or an engine rule is
+// merged, replaced or deleted only with that table intact.
 //
 // Exceptions are granted per line with `//lint:allow <analyzer> <reason>`
 // (see the framework package).

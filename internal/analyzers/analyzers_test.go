@@ -31,6 +31,11 @@ func TestCounterbalanceFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("counterbalance"), Counterbalance)
 }
 
+// A ledger double count, replayed: a second Deliveries++ outside the driver.
+func TestLedgerplantFixture(t *testing.T) {
+	framework.RunFixture(t, fixture("ledgerplant"), Counterbalance)
+}
+
 func TestMaporderFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("maporder"), Maporder)
 }

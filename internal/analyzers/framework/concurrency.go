@@ -1,11 +1,10 @@
 // The happens-before/confinement engine: the framework's fifth layer, under
-// the sharedguard and shardconfine analyzers. It models the orderings a Go
-// program establishes — goroutine-creation edges, channel token protocols
-// (including the sharded engine's gate/work/done barrier dispatch),
-// sync.WaitGroup join edges, sync.Once bodies, and mutex locksets — and
-// classifies every pair of accesses to the same shared object as read-only,
-// constructor-fresh, sequential, ordered, mutually excluded, confined, or
-// racy.
+// the sharedguard and shardconfine analyzers. It models the goroutine
+// contexts code may run in and the exclusion a Go program establishes —
+// mutex locksets and channel token protocols (including the sharded
+// engine's gate/work/done barrier dispatch) — and judges every pair of
+// accesses to the same shared object constructor-fresh, sequential,
+// mutually excluded, or racy.
 //
 // The engine is deliberately instance-insensitive: a lock or an access is
 // keyed by the declared field (or package variable) object, not by the
@@ -33,11 +32,9 @@
 //     the gate), but not against the other workers of the same phase: those
 //     run concurrently and must be confined by shard index instead.
 //
-//   - Confinement. Accesses that provably stay inside one worker's shard —
-//     indexed by a value tainted from the shard-steal counter, reached
-//     through a handle checked out at such an index, or rooted in a
-//     function-local value — are confined; two confined accesses cannot
-//     alias across workers.
+//   - Confinement. An access indexed by a value tainted from the
+//     shard-steal counter stays inside the one worker's shard that stole
+//     that index; shardconfine accepts it inside a barrier phase.
 package framework
 
 import (
@@ -52,11 +49,7 @@ import (
 // the synthetic External context modeling callers outside the loaded
 // program (exported API, main, stored callbacks, address-taken methods).
 type Goroutine struct {
-	Pos   token.Pos
 	Label string
-	// SelfConcurrent marks a spawn site inside a loop: two instances of the
-	// same goroutine may run concurrently with each other.
-	SelfConcurrent bool
 	// External marks the synthetic outside-world context. Two accesses that
 	// only ever run externally are treated as sequenced by the caller
 	// (exported APIs synchronize internally; the pair rule needs at least
@@ -89,26 +82,13 @@ type ConcAccess struct {
 	// Fresh: the access runs on an object this function just allocated and
 	// has not shared yet (constructor confinement).
 	Fresh bool
-	// Confined: the access stays inside one worker's shard or one
-	// function's locals — a shard-index-tainted element access, an access
-	// through a handle checked out at such an index, or an access rooted
-	// in a pointer-free local value.
+	// Confined: the access is the base of an index expression whose index
+	// is shard-tainted, so it stays inside one worker's shard.
 	Confined bool
-	// Region is the named type that owns the storage the access resolves
-	// into: the pointee of the last pointer crossed on the access path (or
-	// the root variable's own type), with slice, array, and map storage
-	// counted as inside their owner. Nil when the path defies the walk.
-	// Accesses in regions that provably cannot overlap do not race even
-	// though they share a field object.
-	Region types.Type
 	// Locks holds the must-held lock keys at the access.
 	Locks Lockset
-	// Joined holds WaitGroup objects this access runs after Wait() on.
-	Joined map[types.Object]bool
 	// Ctxs holds the goroutine contexts the enclosing code may run in.
 	Ctxs map[*Goroutine]bool
-
-	unit *concUnit
 }
 
 // HoldsToken reports whether the access really holds (ModeExcl) a token
@@ -134,37 +114,6 @@ func (a *ConcAccess) InBarrierPhase(r *ConcurrencyResult) bool {
 	return false
 }
 
-// PairClass is the verdict on one pair of accesses to the same object.
-type PairClass int
-
-const (
-	// PairReadRead: neither access writes.
-	PairReadRead PairClass = iota
-	// PairFresh: at least one side runs on a freshly allocated, not yet
-	// shared instance.
-	PairFresh
-	// PairSequential: the two accesses cannot run concurrently (no
-	// overlapping goroutine contexts beyond the external caller).
-	PairSequential
-	// PairOrdered: a happens-before edge (goroutine creation, WaitGroup
-	// join) orders the two accesses.
-	PairOrdered
-	// PairExcluded: a common lock key held in an exclusive-enough mode on
-	// at least one side separates the accesses.
-	PairExcluded
-	// PairDisjoint: the two accesses resolve into value storage owned by
-	// distinct named types, neither of which can appear inside the other's
-	// value representation — the storage cannot overlap even though the
-	// declared field object is shared (e.g. the same counter struct
-	// embedded by value in two unrelated engine types).
-	PairDisjoint
-	// PairConfined: both accesses are confined to one worker's shard or
-	// one function's locals, so they cannot alias across threads.
-	PairConfined
-	// PairRacy: conflicting, concurrent, unordered, unlocked, unconfined.
-	PairRacy
-)
-
 // ConcurrencyResult is the program-wide happens-before/confinement model,
 // built once per Program (prog.Concurrency()) and shared by analyzers.
 type ConcurrencyResult struct {
@@ -175,8 +124,6 @@ type ConcurrencyResult struct {
 	Confined map[types.Object]*ConfinedField
 	// Tokens marks the channel objects detected as exclusivity tokens.
 	Tokens map[types.Object]bool
-
-	spawns map[*types.Func][]spawnRec
 }
 
 // Concurrency returns the program's happens-before/confinement model,
@@ -187,85 +134,21 @@ func (prog *Program) Concurrency() *ConcurrencyResult {
 	}).(*ConcurrencyResult)
 }
 
-// Classify grades one pair of accesses to the same object. The order of
-// the tests is the proof search: cheap structural exemptions first, then
-// concurrency, ordering, exclusion, confinement.
-func (r *ConcurrencyResult) Classify(a, b *ConcAccess) PairClass {
-	if !a.Write && !b.Write {
-		return PairReadRead
-	}
-	if a.Fresh || b.Fresh {
-		return PairFresh
-	}
-	if !mayRunConcurrently(a, b) {
-		return PairSequential
-	}
-	if r.ordered(a, b) || r.ordered(b, a) {
-		return PairOrdered
-	}
-	if locksExclude(a.Locks, b.Locks) {
-		return PairExcluded
-	}
-	if regionsDisjoint(a.Region, b.Region) {
-		return PairDisjoint
-	}
-	if a.Confined && b.Confined {
-		return PairConfined
-	}
-	return PairRacy
+// Racy reports whether the write w and another access o to the same object
+// survive every proof: neither runs on a fresh instance, some pair of their
+// contexts can overlap, and no common lock excludes them.
+func Racy(w, o *ConcAccess) bool {
+	return !w.Fresh && !o.Fresh && mayRunConcurrently(w, o) && !locksExclude(w.Locks, o.Locks)
 }
 
-// regionsDisjoint reports that two accesses land in storage owned by
-// distinct named types where neither type's value representation can
-// contain the other: such storage cannot overlap, so the pair cannot be
-// the same memory even under the instance-insensitive field keying.
-func regionsDisjoint(a, b types.Type) bool {
-	if a == nil || b == nil || types.Identical(a, b) {
-		return false
-	}
-	return !valueReach(a, b, make(map[types.Type]bool)) &&
-		!valueReach(b, a, make(map[types.Type]bool))
-}
-
-// valueReach reports whether the value representation of from — its
-// fields, array elements, and the backing stores of its slices and maps —
-// can contain a to. Pointers, interfaces, channels, and funcs stop the
-// walk: storage behind them is a separate allocation with its own region.
-func valueReach(from, to types.Type, seen map[types.Type]bool) bool {
-	if types.Identical(from, to) {
-		return true
-	}
-	if seen[from] {
-		return false
-	}
-	seen[from] = true
-	switch u := from.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if valueReach(u.Field(i).Type(), to, seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return valueReach(u.Elem(), to, seen)
-	case *types.Slice:
-		return valueReach(u.Elem(), to, seen)
-	case *types.Map:
-		return valueReach(u.Key(), to, seen) || valueReach(u.Elem(), to, seen)
-	}
-	return false
-}
-
-// mayRunConcurrently: the pair needs two contexts that can overlap, at
-// least one of them a tracked goroutine. Two accesses that only ever run
-// in external callers are the caller's to sequence.
+// mayRunConcurrently: some context on either side is a tracked goroutine.
+// Two accesses that only ever run in external callers are the caller's to
+// sequence; a tracked goroutine may overlap with anything, another instance
+// of itself included.
 func mayRunConcurrently(a, b *ConcAccess) bool {
 	for ga := range a.Ctxs {
 		for gb := range b.Ctxs {
-			if ga.External && gb.External {
-				continue
-			}
-			if ga != gb || ga.SelfConcurrent {
+			if !ga.External || !gb.External {
 				return true
 			}
 		}
@@ -286,66 +169,9 @@ func locksExclude(a, b Lockset) bool {
 	return false
 }
 
-// ordered reports a happens-before edge from a to b: either b runs only in
-// goroutines a's function spawns after a executes (goroutine-creation
-// edge), or b's function signals a WaitGroup a has already Wait()ed on
-// (join edge).
-func (r *ConcurrencyResult) ordered(a, b *ConcAccess) bool {
-	// Join edge: a runs after wg.Wait(); b's unit calls wg.Done().
-	for w := range a.Joined {
-		if b.unit.doneWGs[w] {
-			return true
-		}
-	}
-	// Spawn edge: every context of b is a goroutine spawned in a's
-	// declaring function, at a point after a.
-	if a.unit.root && len(b.Ctxs) > 0 {
-		all := true
-		for gb := range b.Ctxs {
-			if gb.External {
-				all = false
-				break
-			}
-			found := false
-			for _, rec := range r.spawns[a.unit.declObj] {
-				if rec.g == gb && rec.pos > a.Pos {
-					found = true
-					break
-				}
-			}
-			if !found {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Solver
 // ---------------------------------------------------------------------------
-
-type spawnRec struct {
-	pos token.Pos
-	g   *Goroutine
-}
-
-// concUnit is one unit of sequential execution for bookkeeping purposes: a
-// declared function body together with its deferred and immediately
-// invoked literals. Go-statement literals and stored callback literals get
-// their own units.
-type concUnit struct {
-	declObj *types.Func
-	label   string
-	// root: this unit is the declared body proper (spawn-before edges
-	// anchor here).
-	root    bool
-	doneWGs map[types.Object]bool
-}
 
 // concFn is the solver's view of one declared function.
 type concFn struct {
@@ -378,37 +204,22 @@ type concSolver struct {
 	confined map[types.Object]*ConfinedField
 	external *Goroutine
 	litCtx   map[*ast.FuncLit]*Goroutine
-	spawns   map[*types.Func][]spawnRec
 	barriers []*barrierSpec
 
 	hasCaller map[*types.Func]bool
 	addrTaken map[*types.Func]bool
 
-	// Cross-function must-facts for parameters, updated per fixpoint round
-	// with AND semantics over call sites.
+	// paramTaint is the cross-function must-fact for parameters: every known
+	// call site passes a shard index. Updated per fixpoint round with AND
+	// semantics over call sites.
 	paramTaint map[*types.Var]bool
-	paramBless map[*types.Var]bool
-	// recvRegion refines a method receiver's storage region when every
-	// known (non-fresh, non-interface) call site agrees on it: the helper
-	// (NodeCounters).accumulate only ever runs on &e.counters[k], so its
-	// receiver accesses are in the ShardedCluster region, not in every
-	// struct that embeds a NodeCounters.
-	recvRegion map[*types.Var]types.Type
 
 	// Per-round accumulators.
 	cand       map[*types.Func]Lockset
 	candSeen   map[*types.Func]bool
-	taintCand  map[*types.Var]int // bit1 = saw tainted site, bit2 = saw untainted
-	blessCand  map[*types.Var]int
+	taintCand  map[*types.Var]int       // bit1 = saw tainted site, bit2 = saw untainted
 	sendHeld   map[types.Object]Lockset // meet of held at sends per chan field
 	sendHeldOK map[types.Object]bool
-	freshCand  map[*types.Func]int // bit1 = fresh-receiver site, bit2 = shared site
-	recvCand   map[*types.Var]types.Type
-	recvSeen   map[*types.Var]bool
-	recvBad    map[*types.Var]bool
-	// freshOnly: every known call site of this method runs on a freshly
-	// constructed receiver — its receiver accesses are constructor-fresh.
-	freshOnly map[*types.Func]bool
 
 	cfgs map[*ast.BlockStmt]*CFG
 
@@ -424,13 +235,9 @@ func newConcSolver(prog *Program) *concSolver {
 		confined:   make(map[types.Object]*ConfinedField),
 		external:   &Goroutine{Label: "external caller", External: true},
 		litCtx:     make(map[*ast.FuncLit]*Goroutine),
-		spawns:     make(map[*types.Func][]spawnRec),
 		hasCaller:  make(map[*types.Func]bool),
 		addrTaken:  make(map[*types.Func]bool),
 		paramTaint: make(map[*types.Var]bool),
-		paramBless: make(map[*types.Var]bool),
-		recvRegion: make(map[*types.Var]types.Type),
-		freshOnly:  make(map[*types.Func]bool),
 		cfgs:       make(map[*ast.BlockStmt]*CFG),
 	}
 }
@@ -468,7 +275,6 @@ func (s *concSolver) solve() *ConcurrencyResult {
 		Accesses: s.accesses,
 		Confined: s.confined,
 		Tokens:   s.tokens,
-		spawns:   s.spawns,
 	}
 }
 
@@ -677,58 +483,29 @@ func (s *concSolver) collectReferences() {
 }
 
 // seedContexts creates one Goroutine per go statement, seeds spawned
-// functions with it, records spawn sites for the happens-before edge, and
-// marks external entry points.
+// functions with it, and marks external entry points.
 func (s *concSolver) seedContexts() {
 	for _, fn := range s.fns {
-		loopDepth := 0
-		var walk func(n ast.Node, inStoredLit bool)
-		walk = func(n ast.Node, inStoredLit bool) {
-			ast.Inspect(n, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.ForStmt, *ast.RangeStmt:
-					loopDepth++
-					var body *ast.BlockStmt
-					if f, ok := n.(*ast.ForStmt); ok {
-						body = f.Body
-					} else {
-						body = n.(*ast.RangeStmt).Body
-					}
-					walk(body, inStoredLit)
-					loopDepth--
-					return false
-				case *ast.GoStmt:
-					g := &Goroutine{Pos: n.Pos(), SelfConcurrent: loopDepth > 0}
-					if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-						g.Label = fn.label + " goroutine literal"
-						s.litCtx[lit] = g
-						walk(lit.Body, inStoredLit) // nested spawns
-					} else {
-						for _, callee := range s.prog.CallGraph.Callees(fn.pkg.Info, n.Call) {
-							g.Label = funcLabel(callee)
-							if target := s.byObj[callee]; target != nil {
-								target.ctxs[g] = true
-								target.goEntry = true
-							}
-						}
-					}
-					if !inStoredLit {
-						s.spawns[fn.obj] = append(s.spawns[fn.obj], spawnRec{pos: n.Pos(), g: g})
-					}
-					for _, arg := range n.Call.Args {
-						walk(arg, inStoredLit)
-					}
-					return false
-				case *ast.FuncLit:
-					// Stored or passed literal: spawns inside it do not
-					// order against the enclosing body.
-					walk(n.Body, true)
-					return false
-				}
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			gs, ok := n.(*ast.GoStmt)
+			if !ok {
 				return true
-			})
-		}
-		walk(fn.decl.Body, false)
+			}
+			g := &Goroutine{}
+			if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
+				g.Label = fn.label + " goroutine literal"
+				s.litCtx[lit] = g
+				return true
+			}
+			for _, callee := range s.prog.CallGraph.Callees(fn.pkg.Info, gs.Call) {
+				g.Label = funcLabel(callee)
+				if target := s.byObj[callee]; target != nil {
+					target.ctxs[g] = true
+					target.goEntry = true
+				}
+			}
+			return true
+		})
 	}
 	for _, fn := range s.fns {
 		if !s.hasCaller[fn.obj] || s.addrTaken[fn.obj] {
@@ -758,25 +535,6 @@ const (
 	edgeGoroutine
 	edgeExternal
 )
-
-// inheritLitCallers lists call targets whose function-literal argument runs
-// synchronously in the caller: the literal inherits contexts and locks
-// instead of being treated as an escaping callback.
-func inheritsLitArg(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
-		switch fn.Pkg().Path() {
-		case "sort":
-			return true
-		case "sync":
-			return fn.Name() == "Do" // sync.Once.Do
-		}
-	}
-	return false
-}
 
 // callEdges walks one function body and produces its context-propagation
 // edges, classifying each call by the region it executes in.
@@ -820,21 +578,12 @@ func (s *concSolver) callEdges(fn *concFn) []*concEdge {
 				} else {
 					add(n, kind, g)
 				}
-				inherit := inheritsLitArg(info, n)
 				for _, arg := range n.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						if inherit {
-							walk(lit.Body, kind, g)
-						} else {
-							walk(lit.Body, edgeExternal, nil)
-						}
-						continue
-					}
 					walk(arg, kind, g)
 				}
 				return false
 			case *ast.FuncLit:
-				// Stored literal (assigned, returned): escapes to callers.
+				// Stored or passed literal: escapes to callers.
 				walk(n.Body, edgeExternal, nil)
 				return false
 			}
@@ -878,12 +627,6 @@ func (s *concSolver) propagateContexts() {
 				case edgeExternal:
 					grow(s.external)
 				}
-				if !target.known {
-					// Reachable at all → it will get an entry lockset from
-					// the fixpoint; seed callbacks/goroutine literals'
-					// callees pessimistically there.
-					_ = target
-				}
 			}
 		}
 	}
@@ -908,13 +651,8 @@ func (s *concSolver) lockFixpoint() {
 		s.cand = make(map[*types.Func]Lockset)
 		s.candSeen = make(map[*types.Func]bool)
 		s.taintCand = make(map[*types.Var]int)
-		s.blessCand = make(map[*types.Var]int)
 		s.sendHeld = make(map[types.Object]Lockset)
 		s.sendHeldOK = make(map[types.Object]bool)
-		s.freshCand = make(map[*types.Func]int)
-		s.recvCand = make(map[*types.Var]types.Type)
-		s.recvSeen = make(map[*types.Var]bool)
-		s.recvBad = make(map[*types.Var]bool)
 		for _, fn := range s.fns {
 			if fn.known {
 				s.runBody(fn)
@@ -939,40 +677,6 @@ func (s *concSolver) lockFixpoint() {
 			want := bits == 1
 			if s.paramTaint[v] != want {
 				s.paramTaint[v] = want
-				changed = true
-			}
-		}
-		for v, bits := range s.blessCand {
-			want := bits == 1
-			if s.paramBless[v] != want {
-				s.paramBless[v] = want
-				changed = true
-			}
-		}
-		for fnObj, bits := range s.freshCand {
-			want := bits == 1
-			if s.freshOnly[fnObj] != want {
-				s.freshOnly[fnObj] = want
-				changed = true
-			}
-		}
-		for _, fn := range s.fns {
-			sig, _ := fn.obj.Type().(*types.Signature)
-			if sig == nil || sig.Recv() == nil {
-				continue
-			}
-			v := sig.Recv()
-			var want types.Type
-			if !fn.root && s.recvSeen[v] && !s.recvBad[v] {
-				want = s.recvCand[v]
-			}
-			cur := s.recvRegion[v]
-			if (want == nil) != (cur == nil) || (want != nil && cur != nil && !types.Identical(want, cur)) {
-				if want == nil {
-					delete(s.recvRegion, v)
-				} else {
-					s.recvRegion[v] = want
-				}
 				changed = true
 			}
 		}

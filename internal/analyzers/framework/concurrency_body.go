@@ -12,88 +12,58 @@ import (
 	"go/types"
 )
 
-// waitRec is one wg.Wait() call: accesses positioned after it in the same
-// body are ordered after the Done()s it joins.
-type waitRec struct {
-	pos token.Pos
-	wg  types.Object
-}
-
 // bodyEnv is the per-body analysis environment. Deferred and immediately
-// invoked literals share the enclosing environment (same unit, same local
+// invoked literals share the enclosing environment (same label, same local
 // fact maps); goroutine and stored-callback literals get their own.
 type bodyEnv struct {
 	fn      *concFn
 	pkg     *Package
-	unit    *concUnit
+	label   string
 	ctxs    map[*Goroutine]bool
 	entry   Lockset
 	freshOK bool
 	fresh   map[types.Object]bool
 	taint   map[types.Object]bool
-	bless   map[types.Object]bool
 	// addr marks locals whose storage may be reached from outside the
 	// body's straight-line code: address-taken (explicitly or by a
 	// pointer-receiver method call) or captured by a function literal.
 	// Only addr-free locals qualify as private value storage.
-	addr  map[types.Object]bool
-	waits []waitRec
+	addr map[types.Object]bool
 }
 
 func (s *concSolver) runBody(fn *concFn) {
 	env := &bodyEnv{
-		fn:  fn,
-		pkg: fn.pkg,
-		unit: &concUnit{
-			declObj: fn.obj,
-			label:   fn.label,
-			root:    true,
-			doneWGs: make(map[types.Object]bool),
-		},
+		fn:      fn,
+		pkg:     fn.pkg,
+		label:   fn.label,
 		ctxs:    fn.ctxs,
 		entry:   fn.entry,
 		freshOK: true,
 		fresh:   make(map[types.Object]bool),
 		taint:   make(map[types.Object]bool),
-		bless:   make(map[types.Object]bool),
 		addr:    make(map[types.Object]bool),
 	}
-	sig, _ := fn.obj.Type().(*types.Signature)
-	if sig != nil {
-		if recv := sig.Recv(); recv != nil {
-			s.seedParam(env, recv)
-			if s.freshOnly[fn.obj] {
-				env.fresh[recv] = true
-				env.bless[recv] = true
-			}
+	// A parameter is shard-tainted only when every known call site passes a
+	// tainted argument.
+	if sig, ok := fn.obj.Type().(*types.Signature); ok {
+		if recv := sig.Recv(); recv != nil && s.paramTaint[recv] {
+			env.taint[recv] = true
 		}
 		for i := 0; i < sig.Params().Len(); i++ {
-			s.seedParam(env, sig.Params().At(i))
+			if v := sig.Params().At(i); s.paramTaint[v] {
+				env.taint[v] = true
+			}
 		}
 	}
 	s.analyzeBody(env, fn.decl.Body)
 }
 
-// seedParam applies the cross-function must-facts to one parameter: a
-// pointer-free value parameter is the callee's own copy (always blessed);
-// reference parameters are blessed or shard-tainted only when every known
-// call site passes a blessed or tainted argument.
-func (s *concSolver) seedParam(env *bodyEnv, v *types.Var) {
-	if pointerFreeType(v.Type()) || s.paramBless[v] {
-		env.bless[v] = true
-	}
-	if s.paramTaint[v] {
-		env.taint[v] = true
-	}
-}
-
 // analyzeBody runs the full per-body pipeline: local fact prescan,
-// WaitGroup bookkeeping, must-lockset dataflow, and the block replay that
-// feeds the fixpoint (collect mode) or the access list (emit mode).
+// must-lockset dataflow, and the block replay that feeds the fixpoint
+// (collect mode) or the access list (emit mode).
 func (s *concSolver) analyzeBody(env *bodyEnv, body *ast.BlockStmt) {
 	s.collectAddrTaken(env, body)
 	s.prescan(env, body)
-	s.collectWaits(env, body)
 	ReplayHeldLocks(s.cfgOf(body), env.entry, MustHold,
 		func(held Lockset, n ast.Node) { s.applyNodeOps(env, held, n) },
 		func(n ast.Node, held Lockset) { s.walkNode(env, n, held) })
@@ -112,9 +82,9 @@ func (s *concSolver) cfgOf(body *ast.BlockStmt) *CFG {
 }
 
 // prescan computes the body's local facts to a fixpoint: freshly
-// allocated locals, shard-index-tainted locals, and blessed (confined)
-// locals. It walks the body proper plus deferred/invoked literals, and
-// skips goroutine and stored literals (they get their own environments).
+// allocated locals and shard-index-tainted locals. It walks the body proper
+// plus deferred/invoked literals, and skips goroutine and stored literals
+// (they get their own environments).
 func (s *concSolver) prescan(env *bodyEnv, body *ast.BlockStmt) {
 	for round := 0; round < 4; round++ {
 		changed := false
@@ -135,13 +105,9 @@ func (s *concSolver) prescan(env *bodyEnv, body *ast.BlockStmt) {
 			}
 			if env.freshOK && freshExpr(rhs) {
 				mark(env.fresh, obj)
-				mark(env.bless, obj)
 			}
 			if s.taintedExpr(env, rhs) {
 				mark(env.taint, obj)
-			}
-			if s.blessedExpr(env, rhs) {
-				mark(env.bless, obj)
 			}
 		}
 		var walk func(n ast.Node)
@@ -159,14 +125,7 @@ func (s *concSolver) prescan(env *bodyEnv, body *ast.BlockStmt) {
 					if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
 						walk(lit.Body)
 					}
-					inherit := inheritsLitArg(env.pkg.Info, n)
 					for _, arg := range n.Args {
-						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-							if inherit {
-								walk(lit.Body)
-							}
-							continue
-						}
 						walk(arg)
 					}
 					return false
@@ -190,16 +149,6 @@ func (s *concSolver) prescan(env *bodyEnv, body *ast.BlockStmt) {
 					} else if len(n.Values) == 1 {
 						for _, name := range n.Names {
 							assign(name, n.Values[0])
-						}
-					}
-				case *ast.RangeStmt:
-					// Ranging over a blessed container blesses the value
-					// binding (the element is the worker's own); ranging
-					// over anything blesses neither index nor key with
-					// shard taint.
-					if n.Value != nil && s.blessedExpr(env, n.X) {
-						if id, ok := ast.Unparen(n.Value).(*ast.Ident); ok {
-							mark(env.bless, refObject(env.pkg.Info, id))
 						}
 					}
 				}
@@ -272,55 +221,6 @@ func (s *concSolver) collectAddrTaken(env *bodyEnv, body *ast.BlockStmt) {
 	})
 }
 
-// collectWaits records wg.Wait() positions (join edges for later accesses
-// in this body) and wg.Done() calls (this unit signals the group),
-// including deferred literals.
-func (s *concSolver) collectWaits(env *bodyEnv, body *ast.BlockStmt) {
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				return false
-			case *ast.DeferStmt:
-				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					walk(lit.Body)
-				} else if obj, name := s.wgCall(env, n.Call); obj != nil && name == "Done" {
-					env.unit.doneWGs[obj] = true
-				}
-				return false
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				if obj, name := s.wgCall(env, n); obj != nil {
-					switch name {
-					case "Wait":
-						env.waits = append(env.waits, waitRec{pos: n.Pos(), wg: obj})
-					case "Done":
-						env.unit.doneWGs[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	walk(body)
-}
-
-// wgCall matches a method call on a sync.WaitGroup-typed field or variable
-// and returns the group's object and the method name.
-func (s *concSolver) wgCall(env *bodyEnv, call *ast.CallExpr) (types.Object, string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
-	}
-	obj := refObject(env.pkg.Info, sel.X)
-	if obj == nil || !IsSyncNamed(obj.Type(), "WaitGroup") {
-		return nil, ""
-	}
-	return obj, sel.Sel.Name
-}
-
 // ---------------------------------------------------------------------------
 // Lock operations
 // ---------------------------------------------------------------------------
@@ -391,38 +291,16 @@ func (s *concSolver) applyRecv(info *types.Info, held Lockset, ch ast.Expr) {
 	}
 }
 
-// syncGuardedType reports whether a field's type is itself a
-// synchronization primitive (channels, sync.* and sync/atomic.* values):
-// such fields are their own discipline and are not tracked as plain shared
-// data.
-func syncGuardedType(t types.Type) bool {
-	if _, isChan := t.Underlying().(*types.Chan); isChan {
-		return true
-	}
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	if n, isNamed := t.(*types.Named); isNamed {
-		if pkg := n.Obj().Pkg(); pkg != nil {
-			switch pkg.Path() {
-			case "sync", "sync/atomic":
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Node replay: calls, literal descent, access recording
 // ---------------------------------------------------------------------------
 
 // exprCtx carries the syntactic context down an expression walk: whether
-// the expression is a write target and whether an enclosing construct
-// (tainted index, len/cap) blesses accesses below it.
+// the expression is a write target and whether it is the base of an index
+// expression with a shard-tainted index.
 type exprCtx struct {
-	write   bool
-	blessed bool
+	write    bool
+	confined bool
 }
 
 // walkNode dispatches one CFG node to the expression walker with the
@@ -484,30 +362,12 @@ func (s *concSolver) walkNode(env *bodyEnv, n ast.Node, held Lockset) {
 // the current region.
 func (s *concSolver) walkGoCall(env *bodyEnv, n *ast.GoStmt, held Lockset) {
 	if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-		g := s.litCtx[lit]
-		sub := &bodyEnv{
-			fn:  env.fn,
-			pkg: env.pkg,
-			unit: &concUnit{
-				declObj: env.fn.obj,
-				label:   env.unit.label + " goroutine",
-				doneWGs: make(map[types.Object]bool),
-			},
-			ctxs:    map[*Goroutine]bool{g: true},
-			entry:   Lockset{},
-			freshOK: false,
-			fresh:   make(map[types.Object]bool),
-			taint:   make(map[types.Object]bool),
-			bless:   make(map[types.Object]bool),
-			addr:    make(map[types.Object]bool),
-		}
-		s.seedLitParams(env, sub, lit, n.Call.Args, true)
-		s.analyzeBody(sub, lit.Body)
+		s.analyzeBody(env.detached(" goroutine", s.litCtx[lit]), lit.Body)
 	} else if !s.emit {
 		for _, callee := range s.prog.CallGraph.Callees(env.pkg.Info, n.Call) {
 			if s.byObj[callee] != nil {
 				s.candMeet(callee, Lockset{})
-				s.recordArgFacts(env, callee, n.Call, false, true)
+				s.recordArgFacts(env, callee, n.Call)
 			}
 		}
 	}
@@ -540,54 +400,27 @@ func (s *concSolver) walkDeferCall(env *bodyEnv, n *ast.DeferStmt, held Lockset)
 	}
 }
 
-// inherit builds a sub-environment that shares the unit and local facts of
+// inherit builds a sub-environment that shares the label and local facts of
 // env but snapshots the given lockset as its entry.
 func (env *bodyEnv) inherit(held Lockset) *bodyEnv {
-	return &bodyEnv{
-		fn:      env.fn,
-		pkg:     env.pkg,
-		unit:    env.unit,
-		ctxs:    env.ctxs,
-		entry:   held.clone(),
-		freshOK: env.freshOK,
-		fresh:   env.fresh,
-		taint:   env.taint,
-		bless:   env.bless,
-		addr:    env.addr,
-		waits:   env.waits,
-	}
+	sub := *env
+	sub.entry = held.clone()
+	return &sub
 }
 
-// seedLitParams maps taint/blessing facts from call arguments onto a
-// literal's parameters. Taint survives a spawn — a shard index is a value,
-// copied at the go statement — but blessing does not: storage that was
-// fresh or confined when the spawner ran is published by the spawn itself,
-// and the goroutine touches it only after the spawner has moved on.
-func (s *concSolver) seedLitParams(env *bodyEnv, sub *bodyEnv, lit *ast.FuncLit, args []ast.Expr, spawn bool) {
-	if lit.Type.Params == nil {
-		return
-	}
-	i := 0
-	for _, field := range lit.Type.Params.List {
-		for _, name := range field.Names {
-			v, _ := env.pkg.Info.Defs[name].(*types.Var)
-			if v == nil {
-				i++
-				continue
-			}
-			if pointerFreeType(v.Type()) {
-				sub.bless[v] = true
-			}
-			if i < len(args) {
-				if s.taintedExpr(env, args[i]) {
-					sub.taint[v] = true
-				}
-				if !spawn && s.blessedExpr(env, args[i]) {
-					sub.bless[v] = true
-				}
-			}
-			i++
-		}
+// detached builds the environment of a literal that does not run in env's
+// region — a goroutine body or an escaping callback: one context, no locks,
+// no local facts, no freshness.
+func (env *bodyEnv) detached(suffix string, g *Goroutine) *bodyEnv {
+	return &bodyEnv{
+		fn:    env.fn,
+		pkg:   env.pkg,
+		label: env.label + suffix,
+		ctxs:  map[*Goroutine]bool{g: true},
+		entry: Lockset{},
+		fresh: make(map[types.Object]bool),
+		taint: make(map[types.Object]bool),
+		addr:  make(map[types.Object]bool),
 	}
 }
 
@@ -608,25 +441,24 @@ func (s *concSolver) walkExpr(env *bodyEnv, e ast.Expr, held Lockset, ctx exprCt
 		if v, ok := info.Uses[e.Sel].(*types.Var); ok {
 			s.record(env, e, v, held, ctx)
 		}
-		s.walkExpr(env, e.X, held, exprCtx{blessed: ctx.blessed})
+		s.walkExpr(env, e.X, held, exprCtx{})
 	case *ast.IndexExpr:
-		inner := exprCtx{write: ctx.write, blessed: ctx.blessed || s.taintedExpr(env, e.Index)}
-		s.walkExpr(env, e.X, held, inner)
+		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write, confined: s.taintedExpr(env, e.Index)})
 		s.walkExpr(env, e.Index, held, exprCtx{})
 	case *ast.SliceExpr:
-		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write, blessed: ctx.blessed})
+		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write})
 		s.walkExpr(env, e.Low, held, exprCtx{})
 		s.walkExpr(env, e.High, held, exprCtx{})
 		s.walkExpr(env, e.Max, held, exprCtx{})
 	case *ast.StarExpr:
-		s.walkExpr(env, e.X, held, ctx)
+		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write})
 	case *ast.UnaryExpr:
-		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write && e.Op == token.AND, blessed: ctx.blessed})
+		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write && e.Op == token.AND})
 	case *ast.BinaryExpr:
-		s.walkExpr(env, e.X, held, exprCtx{blessed: ctx.blessed})
-		s.walkExpr(env, e.Y, held, exprCtx{blessed: ctx.blessed})
+		s.walkExpr(env, e.X, held, exprCtx{})
+		s.walkExpr(env, e.Y, held, exprCtx{})
 	case *ast.TypeAssertExpr:
-		s.walkExpr(env, e.X, held, ctx)
+		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write})
 	case *ast.KeyValueExpr:
 		s.walkExpr(env, e.Value, held, exprCtx{})
 	case *ast.CompositeLit:
@@ -638,72 +470,26 @@ func (s *concSolver) walkExpr(env *bodyEnv, e ast.Expr, held Lockset, ctx exprCt
 		// external callback.
 		s.descendStoredLit(env, e)
 	case *ast.CallExpr:
-		s.walkCall(env, e, held, ctx)
+		s.walkCall(env, e, held)
 	}
 }
 
-// walkCall handles every call-shaped expression: conversions, len/cap
-// blessing, sync.Once bodies, immediately invoked and escaping literals,
-// executed call-site collection, and receiver/argument traversal.
-func (s *concSolver) walkCall(env *bodyEnv, call *ast.CallExpr, held Lockset, ctx exprCtx) {
-	info := env.pkg.Info
+// walkCall handles every call-shaped expression: conversions, immediately
+// invoked and escaping literals, executed call-site collection, and
+// receiver/argument traversal.
+func (s *concSolver) walkCall(env *bodyEnv, call *ast.CallExpr, held Lockset) {
 	fun := ast.Unparen(call.Fun)
-
-	// Conversion: the operand keeps the surrounding context.
-	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		for _, arg := range call.Args {
-			s.walkExpr(env, arg, held, exprCtx{blessed: ctx.blessed})
-		}
-		return
-	}
-	// len/cap read only the header: bless the operand access (a shard
-	// geometry computation may measure a confined slice without touching
-	// its elements).
-	if id, ok := fun.(*ast.Ident); ok && (id.Name == "len" || id.Name == "cap") {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			for _, arg := range call.Args {
-				s.walkExpr(env, arg, held, exprCtx{blessed: true})
-			}
-			return
-		}
-	}
-	// Immediately invoked literal: inherits everything.
 	if lit, ok := fun.(*ast.FuncLit); ok {
-		sub := env.inherit(held)
-		s.analyzeBody(sub, lit.Body)
-	} else {
-		// once.Do(func(){...}): the body runs under the Once's own
-		// exclusion key in the caller's context.
-		if onceObj := onceDoTarget(info, call); onceObj != nil {
-			if lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit); ok {
-				entry := held.clone()
-				entry[onceObj] = ModeExcl
-				sub := env.inherit(entry)
-				sub.entry = entry
-				s.analyzeBody(sub, lit.Body)
-				if sel, ok := fun.(*ast.SelectorExpr); ok {
-					s.walkExpr(env, sel.X, held, exprCtx{})
-				}
-				return
-			}
-		}
+		// Immediately invoked literal: inherits everything.
+		s.analyzeBody(env.inherit(held), lit.Body)
+	} else if tv, ok := env.pkg.Info.Types[fun]; !ok || !tv.IsType() {
 		s.walkCallSite(env, call, held)
 		if sel, ok := fun.(*ast.SelectorExpr); ok {
 			// Method receiver (or package qualifier — resolves to nothing).
-			s.walkExpr(env, sel.X, held, exprCtx{blessed: ctx.blessed})
+			s.walkExpr(env, sel.X, held, exprCtx{})
 		}
 	}
-	inherit := inheritsLitArg(info, call)
 	for _, arg := range call.Args {
-		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-			if inherit {
-				sub := env.inherit(held)
-				s.analyzeBody(sub, lit.Body)
-			} else {
-				s.descendStoredLit(env, lit)
-			}
-			continue
-		}
 		s.walkExpr(env, arg, held, exprCtx{})
 	}
 }
@@ -712,37 +498,7 @@ func (s *concSolver) walkCall(env *bodyEnv, call *ast.CallExpr, held Lockset, ct
 // stored, returned, or passed to a callee that may hold it — as an
 // external callback: unknown context, no locks, no freshness.
 func (s *concSolver) descendStoredLit(env *bodyEnv, lit *ast.FuncLit) {
-	sub := &bodyEnv{
-		fn:  env.fn,
-		pkg: env.pkg,
-		unit: &concUnit{
-			declObj: env.fn.obj,
-			label:   env.unit.label + " callback",
-			doneWGs: make(map[types.Object]bool),
-		},
-		ctxs:    map[*Goroutine]bool{s.external: true},
-		entry:   Lockset{},
-		freshOK: false,
-		fresh:   make(map[types.Object]bool),
-		taint:   make(map[types.Object]bool),
-		bless:   make(map[types.Object]bool),
-		addr:    make(map[types.Object]bool),
-	}
-	s.seedLitParams(env, sub, lit, nil, false)
-	s.analyzeBody(sub, lit.Body)
-}
-
-// onceDoTarget matches once.Do(f) on a sync.Once field/variable.
-func onceDoTarget(info *types.Info, call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Do" || len(call.Args) != 1 {
-		return nil
-	}
-	obj := refObject(info, sel.X)
-	if obj == nil || !IsSyncNamed(obj.Type(), "Once") {
-		return nil
-	}
-	return obj
+	s.analyzeBody(env.detached(" callback", s.external), lit.Body)
 }
 
 // walkCallSite feeds one executed call into the interprocedural fixpoint:
@@ -757,61 +513,18 @@ func (s *concSolver) walkCallSite(env *bodyEnv, call *ast.CallExpr, held Lockset
 	}
 	info := env.pkg.Info
 	freshRecv := false
-	var recvSel ast.Expr
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		// A receiver that is freshly allocated — or that points into the
-		// caller's own value storage, like sum.accumulate on a local sum —
-		// runs the callee on an unshared instance: the site must not weaken
-		// the entry lockset or region its shared-instance callers establish.
-		if root := rootIdentObj(info, sel.X); root != nil && env.fresh[root] {
-			freshRecv = true
-		} else if valueChainRoot(info, sel.X) != nil {
-			freshRecv = true
-		}
-		// Receiver region meets flow only through direct (non-interface)
-		// method calls: a devirtualized interface call says nothing about
-		// where the implementation's instance lives.
-		if tv, ok := info.Types[sel.X]; ok && !types.IsInterface(tv.Type) {
-			recvSel = sel.X
-		}
+		root := rootIdentObj(info, sel.X)
+		freshRecv = root != nil && env.fresh[root]
 	}
 	for _, callee := range s.prog.CallGraph.Callees(info, call) {
 		if s.byObj[callee] == nil {
 			continue
 		}
-		if freshRecv {
-			s.freshCand[callee] |= 1
-		} else {
-			s.freshCand[callee] |= 2
+		if !freshRecv {
 			s.candMeet(callee, held)
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if recvSel != nil {
-					s.recvMeet(sig.Recv(), s.regionOf(env, recvSel))
-				} else {
-					// Interface dispatch or method value: instance unknown.
-					s.recvBad[sig.Recv()] = true
-					s.recvSeen[sig.Recv()] = true
-				}
-			}
 		}
-		s.recordArgFacts(env, callee, call, freshRecv, false)
-	}
-}
-
-// recvMeet accumulates the receiver-region candidate for one callee
-// receiver: all known call sites must agree on a non-nil region.
-func (s *concSolver) recvMeet(recv *types.Var, reg types.Type) {
-	if reg == nil {
-		s.recvBad[recv] = true
-		return
-	}
-	if !s.recvSeen[recv] {
-		s.recvCand[recv] = reg
-		s.recvSeen[recv] = true
-		return
-	}
-	if !types.Identical(s.recvCand[recv], reg) {
-		s.recvBad[recv] = true
+		s.recordArgFacts(env, callee, call)
 	}
 }
 
@@ -824,46 +537,32 @@ func (s *concSolver) candMeet(callee *types.Func, held Lockset) {
 	s.cand[callee] = intersectLocks(s.cand[callee], held)
 }
 
-// recordArgFacts accumulates per-parameter must-facts across call sites.
-// A spawn site keeps taint (a shard index is a value, copied at the go
-// statement) but never contributes blessing: the spawner's fresh or
-// confined storage is published by the spawn itself, and the goroutine
-// runs only after the spawner has moved on.
-func (s *concSolver) recordArgFacts(env *bodyEnv, callee *types.Func, call *ast.CallExpr, freshRecv, spawn bool) {
+// recordArgFacts accumulates the per-parameter shard-taint must-fact across
+// call sites. Taint survives a spawn: a shard index is a value, copied at
+// the go statement.
+func (s *concSolver) recordArgFacts(env *bodyEnv, callee *types.Func, call *ast.CallExpr) {
 	sig, ok := callee.Type().(*types.Signature)
 	if !ok {
 		return
 	}
-	note := func(v *types.Var, tainted, blessed bool) {
+	note := func(v *types.Var, tainted bool) {
 		if tainted {
 			s.taintCand[v] |= 1
 		} else {
 			s.taintCand[v] |= 2
 		}
-		if blessed && !spawn {
-			s.blessCand[v] |= 1
-		} else {
-			s.blessCand[v] |= 2
-		}
 	}
 	if recv := sig.Recv(); recv != nil {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			blessed := freshRecv || s.blessedExpr(env, sel.X)
-			note(recv, s.taintedExpr(env, sel.X), blessed)
+			note(recv, s.taintedExpr(env, sel.X))
 		}
 	}
 	params := sig.Params()
-	if sig.Variadic() || params.Len() != len(call.Args) {
-		// Shapes the simple positional mapping cannot cover keep their
-		// parameters unblessed.
-		for i := 0; i < params.Len(); i++ {
-			note(params.At(i), false, false)
-		}
-		return
-	}
+	// Shapes the simple positional mapping cannot cover keep their
+	// parameters untainted.
+	positional := !sig.Variadic() && params.Len() == len(call.Args)
 	for i := 0; i < params.Len(); i++ {
-		arg := call.Args[i]
-		note(params.At(i), s.taintedExpr(env, arg), s.blessedExpr(env, arg))
+		note(params.At(i), positional && s.taintedExpr(env, call.Args[i]))
 	}
 }
 
@@ -883,7 +582,7 @@ func (s *concSolver) recordIdent(env *bodyEnv, id *ast.Ident, held Lockset, ctx 
 	if v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
 		return // local
 	}
-	s.emitAccess(env, id.Pos(), v, held, ctx.write, false, ctx.blessed, nil)
+	s.emitAccess(env, id.Pos(), v, held, ctx, false)
 }
 
 // record records a field access reached through a selector.
@@ -893,56 +592,20 @@ func (s *concSolver) record(env *bodyEnv, sel *ast.SelectorExpr, v *types.Var, h
 	}
 	root := rootIdentObj(env.pkg.Info, sel.X)
 	fresh := (root != nil && env.fresh[root]) || s.privateRoot(env, sel.X) != nil
-	blessed := ctx.blessed ||
-		(root != nil && env.bless[root]) ||
-		s.chainHasConfined(env, sel.X)
-	s.emitAccess(env, sel.Sel.Pos(), v, held, ctx.write, fresh, blessed, s.regionOf(env, sel.X))
+	s.emitAccess(env, sel.Sel.Pos(), v, held, ctx, fresh)
 }
 
-func (s *concSolver) emitAccess(env *bodyEnv, pos token.Pos, v *types.Var, held Lockset, write, fresh, blessed bool, region types.Type) {
-	if syncGuardedType(v.Type()) {
-		return
-	}
-	var joined map[types.Object]bool
-	for _, w := range env.waits {
-		if w.pos < pos {
-			if joined == nil {
-				joined = make(map[types.Object]bool)
-			}
-			joined[w.wg] = true
-		}
-	}
+func (s *concSolver) emitAccess(env *bodyEnv, pos token.Pos, v *types.Var, held Lockset, ctx exprCtx, fresh bool) {
 	s.accesses = append(s.accesses, &ConcAccess{
 		Obj:      v,
 		Pos:      pos,
 		Position: env.pkg.Fset.Position(pos),
 		Pkg:      env.pkg,
-		FnLabel:  env.unit.label,
-		Write:    write,
+		FnLabel:  env.label,
+		Write:    ctx.write,
 		Fresh:    fresh,
-		Confined: blessed,
-		Region:   region,
+		Confined: ctx.confined,
 		Locks:    held.clone(),
-		Joined:   joined,
 		Ctxs:     env.ctxs,
-		unit:     env.unit,
 	})
-}
-
-// chainHasConfined reports whether the base expression itself goes through
-// a confined field: an access chained behind a confined checkpoint (e.g.
-// the .live behind e.nodes[u]) is covered by the inner access's own
-// verdict and must not double-report.
-func (s *concSolver) chainHasConfined(env *bodyEnv, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if v, ok := env.pkg.Info.Uses[sel.Sel].(*types.Var); ok && s.confined[v] != nil {
-				found = true
-				return false
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -1,10 +1,8 @@
 // Confinement-side value classification for the happens-before engine: how
 // one expression is judged fresh (an allocation this frame just made, or
-// storage that never leaves a local's own bytes), shard-tainted (a value
-// derived from the atomic steal counter), blessed (confined storage, or an
-// element checked out of a //vet:confined field at a tainted index), and
-// which named type's region its storage belongs to. concurrency_body.go
-// consumes these while replaying function bodies.
+// storage that never leaves a local's own bytes) or shard-tainted (a value
+// derived from the atomic steal counter). concurrency_body.go consumes
+// these while replaying function bodies.
 package framework
 
 import (
@@ -91,69 +89,6 @@ func valueChainRoot(info *types.Info, e ast.Expr) *types.Var {
 	}
 }
 
-// regionOf resolves the named type that owns the storage an access base
-// expression lands in: the pointee of the last pointer crossed, with
-// slice, array, and map storage counted as inside their owner (the
-// repo's internal slices are never shared across owners — the same
-// convention //vet:confined relies on). A receiver variable whose every
-// known call site agrees on a finer region uses that instead.
-func (s *concSolver) regionOf(env *bodyEnv, e ast.Expr) types.Type {
-	info := env.pkg.Info
-	for {
-		e = ast.Unparen(e)
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			if tv, ok := info.Types[x.X]; ok && isPointerType(tv.Type) {
-				return namedPointee(tv.Type)
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			if tv, ok := info.Types[x.X]; ok && isPointerType(tv.Type) {
-				return namedPointee(tv.Type)
-			}
-			e = x.X
-		case *ast.SliceExpr:
-			if tv, ok := info.Types[x.X]; ok && isPointerType(tv.Type) {
-				return namedPointee(tv.Type)
-			}
-			e = x.X
-		case *ast.StarExpr:
-			if tv, ok := info.Types[x.X]; ok {
-				return namedPointee(tv.Type)
-			}
-			return nil
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		case *ast.Ident:
-			v, _ := refObject(info, x).(*types.Var)
-			if v == nil {
-				return nil
-			}
-			if r, ok := s.recvRegion[v]; ok {
-				return r
-			}
-			return namedPointee(v.Type())
-		default:
-			return nil
-		}
-	}
-}
-
-// namedPointee strips one pointer level and returns the named type, or nil
-// for anonymous and non-named shapes.
-func namedPointee(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n
-	}
-	return nil
-}
-
 func isPointerType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Pointer)
 	return ok
@@ -212,34 +147,6 @@ func atomicCounterCall(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// blessedExpr reports whether e denotes confined storage: a fresh or
-// blessed local (or anything reached through one), a confined field
-// element checked out at a shard-tainted index, or a slice/address of
-// either.
-func (s *concSolver) blessedExpr(env *bodyEnv, e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := refObject(env.pkg.Info, e)
-		return obj != nil && (env.bless[obj] || env.fresh[obj])
-	case *ast.UnaryExpr:
-		return e.Op == token.AND && s.blessedExpr(env, e.X)
-	case *ast.SliceExpr:
-		return s.blessedExpr(env, e.X)
-	case *ast.SelectorExpr:
-		return s.blessedExpr(env, e.X)
-	case *ast.IndexExpr:
-		if s.taintedExpr(env, e.Index) {
-			if sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok {
-				if v, ok := env.pkg.Info.Uses[sel.Sel].(*types.Var); ok && s.confined[v] != nil {
-					return true
-				}
-			}
-		}
-		return s.blessedExpr(env, e.X)
-	}
-	return false
-}
-
 // freshExpr matches an allocation the enclosing function just made:
 // &T{...}, new(T), make(...), or a composite literal value.
 func freshExpr(e ast.Expr) bool {
@@ -261,8 +168,7 @@ func freshExpr(e ast.Expr) bool {
 }
 
 // pointerFreeType reports whether values of t are self-contained: copying
-// one shares no mutable storage with the original. Such locals and
-// by-value parameters are always the function's own.
+// one shares no mutable storage with the original.
 func pointerFreeType(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Basic:

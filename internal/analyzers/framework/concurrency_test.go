@@ -20,63 +20,6 @@ func namedStruct(name string, fields ...any) *types.Named {
 	return types.NewNamed(tn, st, nil)
 }
 
-// TestRegionsDisjoint pins the region proof the Classify chain relies on:
-// storage of two named types overlaps only when one type's value
-// representation can contain the other. Pointers, channels, and interfaces
-// are separate allocations and stop containment.
-func TestRegionsDisjoint(t *testing.T) {
-	intT := types.Typ[types.Int]
-	stats := namedStruct("stats", "hits", intT)
-	alpha := namedStruct("alpha", "s", stats)                     // embeds stats by value
-	beta := namedStruct("beta", "s", stats)                       // also embeds by value
-	gamma := namedStruct("gamma", "p", types.NewPointer(stats))   // only points at stats
-	delta := namedStruct("delta", "xs", types.NewSlice(stats))    // backing store holds stats
-	eps := namedStruct("eps", "m", types.NewMap(intT, stats))     // map values hold stats
-	zeta := namedStruct("zeta", "arr", types.NewArray(stats, 16)) // array elements are stats
-
-	cases := []struct {
-		name     string
-		a, b     types.Type
-		disjoint bool
-	}{
-		{"nil side never disjoint", nil, stats, false},
-		{"identical type not disjoint", stats, stats, false},
-		{"value embedding overlaps", alpha, stats, false},
-		{"slice backing store overlaps", delta, stats, false},
-		{"map element overlaps", eps, stats, false},
-		{"array element overlaps", zeta, stats, false},
-		{"pointer field does not overlap", gamma, stats, true},
-		{"two value embedders are distinct regions", alpha, beta, true},
-	}
-	for _, c := range cases {
-		if got := regionsDisjoint(c.a, c.b); got != c.disjoint {
-			t.Errorf("%s: regionsDisjoint(%v, %v) = %v, want %v", c.name, c.a, c.b, got, c.disjoint)
-		}
-		if got := regionsDisjoint(c.b, c.a); got != c.disjoint {
-			t.Errorf("%s (flipped): regionsDisjoint(%v, %v) = %v, want %v", c.name, c.b, c.a, got, c.disjoint)
-		}
-	}
-}
-
-// TestValueReachIsCycleSafe: a self-referential shape (struct holding a
-// slice of itself) must terminate and still report containment.
-func TestValueReachIsCycleSafe(t *testing.T) {
-	tn := types.NewTypeName(token.NoPos, nil, "node", nil)
-	node := types.NewNamed(tn, nil, nil)
-	st := types.NewStruct([]*types.Var{
-		types.NewField(token.NoPos, nil, "kids", types.NewSlice(node), false),
-	}, nil)
-	node.SetUnderlying(st)
-
-	if !valueReach(node, node, make(map[types.Type]bool)) {
-		t.Error("valueReach(node, node) = false, want true (identity)")
-	}
-	other := namedStruct("other", "n", types.NewSlice(node))
-	if !valueReach(other, node, make(map[types.Type]bool)) {
-		t.Error("valueReach(other, node) = false, want true (through slice of recursive type)")
-	}
-}
-
 // TestLocksExclude pins the mode semantics: exclusion needs a common key
 // with at least one exclusive hold. Read-vs-read and barrier-vs-barrier
 // never exclude — two phase workers inherit the same barrier token and
@@ -104,8 +47,8 @@ func TestLocksExclude(t *testing.T) {
 	}
 }
 
-// TestPointerFreeType: a by-value parameter of self-contained type is the
-// callee's own copy; anything that can alias mutable storage is not.
+// TestPointerFreeType: a value of self-contained type shares no storage
+// with its copies; anything that can alias mutable storage does.
 func TestPointerFreeType(t *testing.T) {
 	intT := types.Typ[types.Int]
 	cases := []struct {
@@ -126,21 +69,6 @@ func TestPointerFreeType(t *testing.T) {
 		if got := pointerFreeType(c.t); got != c.free {
 			t.Errorf("%s: pointerFreeType(%v) = %v, want %v", c.name, c.t, got, c.free)
 		}
-	}
-}
-
-// TestNamedPointee: one pointer level is stripped; anonymous shapes have
-// no owning region.
-func TestNamedPointee(t *testing.T) {
-	stats := namedStruct("stats", "hits", types.Typ[types.Int])
-	if got := namedPointee(types.NewPointer(stats)); got != stats {
-		t.Errorf("namedPointee(*stats) = %v, want stats", got)
-	}
-	if got := namedPointee(stats); got != stats {
-		t.Errorf("namedPointee(stats) = %v, want stats", got)
-	}
-	if got := namedPointee(types.NewPointer(types.NewSlice(stats))); got != nil {
-		t.Errorf("namedPointee(*[]stats) = %v, want nil (anonymous shape)", got)
 	}
 }
 

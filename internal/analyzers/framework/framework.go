@@ -12,6 +12,15 @@
 //   - an analysistest-style fixture runner keyed on `// want "regexp"`
 //     comments (see atest.go).
 //
+// On top sit the engines the interprocedural analyzers compose: a CFG
+// builder with a forward dataflow solver (cfg.go), a CHA call graph
+// (callgraph.go), an object-based taint fixpoint (taint.go), the held-lock
+// dataflow (lockflow.go), an allocation-site classifier (alloc.go), and the
+// happens-before/confinement engine (concurrency*.go). A rule in those
+// engines whose only effect is to silence a finding stays only while some
+// line of the repository is reported without it; DESIGN.md "Enforced
+// invariants" lists each with its witness.
+//
 // Suppression: a source line carrying (or directly following) a comment of
 // the form
 //
@@ -91,9 +100,9 @@ type Program struct {
 }
 
 // sharedEntry is one memoized program-wide computation. Each key builds
-// under its own once, so one Shared build may depend on another (hotalloc's
-// reachability pass consumes the escape fixpoint); only self-recursion on a
-// single key deadlocks.
+// under its own once, so one Shared build may depend on another
+// (sharedguard's findings consume the happens-before model); only
+// self-recursion on a single key deadlocks.
 type sharedEntry struct {
 	once sync.Once
 	v    any

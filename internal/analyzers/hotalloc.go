@@ -25,11 +25,12 @@ import (
 // stdlib package (fmt, sort, strconv, ...) reachable from a hot root is a
 // finding, reported with the full call chain from root to site.
 //
-// The escape layer (framework.SolveEscape) keeps the sanctioned idioms out
-// of the findings: constant-size makes that provably never leave their
-// frame, the pooled view-slab and Outbox appends (`o.IDs = append(o.IDs,
-// ...)` reuses caller-owned capacity), and value-struct message passing
-// (FlatMsg carries no pointers) are all allocation-free and stay silent.
+// The classifier (Program.AllocSites) keeps the sanctioned idioms out of the
+// findings: the pooled view-slab and Outbox appends (`o.IDs = append(o.IDs,
+// ...)` reuses caller-owned capacity) and value-struct message passing
+// (FlatMsg is copied, never boxed) are allocation-free and stay silent. It
+// attempts no escape proof, so a make, new, &T{...} or []T{...} is a finding
+// wherever it stands on a hot chain.
 //
 // Suppression composes in two ways: a `//lint:allow hotalloc` on the
 // allocation site silences that site (every root still reaching it), and
@@ -72,7 +73,6 @@ func runHotalloc(pass *framework.Pass) error {
 // the deterministic package/declaration/callee ordering makes the output
 // stable across runs and worker counts.
 func collectHotFindings(prog *framework.Program) []hotFinding {
-	esc := prog.Escape()
 	graph := prog.CallGraph
 
 	type workItem struct {
@@ -101,7 +101,7 @@ func collectHotFindings(prog *framework.Program) []hotFinding {
 			continue
 		}
 		chain := strings.Join(item.chain, " -> ")
-		for _, site := range esc.AllocSites(src.Pkg, src.Decl) {
+		for _, site := range prog.AllocSites(src.Pkg, src.Decl) {
 			findings = append(findings, hotFinding{
 				pkgPath: src.Pkg.Path,
 				pos:     site.Pos,

@@ -19,12 +19,14 @@ import (
 // not drop out of the table.
 var detectionMatrix = map[string]map[string][]int{
 	"atomicmix":                {"atomicmix": {20, 42, 48}},
+	"churnplant":               {"sharedguard": {56}},
 	"counterbalance":           {"counterbalance": {36, 59, 60}},
 	"detrand":                  {"detrand": {7, 8, 9, 18, 21, 25}},
 	"errdrop":                  {"errdrop": {23, 27, 33, 38, 43}, "goroleak": {79}},
 	"goroleak":                 {"goroleak": {26, 33}, "sharedguard": {21, 41, 56, 78}},
-	"hotalloc":                 {"goroleak": {81}, "hotalloc": {31, 48, 57, 64, 69, 73, 77, 81, 89, 95}, "sharedguard": {21, 101}},
+	"hotalloc":                 {"goroleak": {73}, "hotalloc": {25, 40, 49, 56, 61, 65, 69, 73, 81, 87}, "sharedguard": {21, 93}},
 	"hotplant":                 {"hotalloc": {53}},
+	"ledgerplant":              {"counterbalance": {32}},
 	"lockreach":                {"lockreach": {35, 41, 55, 66, 100}},
 	"lockreach/lockdiscipline": {"goroleak": {90}, "lockreach": {25, 32, 38, 43, 50, 56, 70, 116}},
 	"maporder":                 {"maporder": {14, 45, 52, 68, 78}},
@@ -33,7 +35,7 @@ var detectionMatrix = map[string]map[string][]int{
 	"seedtaint/seedflow":       {"seedtaint": {21, 25, 29, 33, 37}},
 	"shardconfine":             {"shardconfine": {59, 60, 98}},
 	"shardplant":               {"shardconfine": {55}},
-	"sharedguard":              {"goroleak": {66, 87, 110}, "sharedguard": {30, 102}},
+	"sharedguard":              {"goroleak": {46, 66, 89}, "sharedguard": {25, 81}},
 	"unusedallow":              {},
 }
 

@@ -18,10 +18,9 @@ import (
 // not-yet-shared instance (constructors); the gate token is held in earnest
 // (the public API surface); or — for shard mode — the access is confined to
 // the owning worker's shard: indexed by a value tainted from the
-// shard-steal counter, reached through a handle checked out at such an
-// index, or rooted in the function's own locals. Everything else is a
-// confinement violation, reported with its barrier-phase context so the
-// reader knows which side of the protocol was broken.
+// shard-steal counter. Everything else is a confinement violation, reported
+// with its barrier-phase context so the reader knows which side of the
+// protocol was broken.
 var Shardconfine = &framework.Analyzer{
 	Name: "shardconfine",
 	Doc:  "//vet:confined fields are only touched by their owning shard's worker or under the gate token",

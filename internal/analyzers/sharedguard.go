@@ -11,13 +11,12 @@ import (
 
 // Sharedguard proves race freedom of the concurrent substrates at the
 // access-pair level. The framework's happens-before engine
-// (framework.Concurrency) models goroutine creation, channel token
-// protocols, the sharded engine's dispatch barrier, WaitGroup joins,
-// sync.Once, and mutex locksets, then classifies every pair of accesses to
-// the same field or package variable. Sharedguard reports the pairs that
-// survive every proof: two conflicting accesses that may run concurrently,
-// with no common lock, no happens-before edge, and no confinement argument
-// separating them.
+// (framework.Concurrency) models goroutine contexts, channel token
+// protocols, the sharded engine's dispatch barrier, and mutex locksets, and
+// judges every pair of accesses to the same field or package variable.
+// Sharedguard reports the pairs that survive every proof (framework.Racy):
+// a write and another access that may run concurrently, neither on a fresh
+// instance, with no common lock separating them.
 //
 // The paper's correctness results assume atomic per-round semantics;
 // `go test -race` only certifies the single schedules it happens to run at
@@ -118,7 +117,7 @@ func collectSharedguard(prog *framework.Program) []*sharedguardFinding {
 				if o == w {
 					continue
 				}
-				if res.Classify(w, o) != framework.PairRacy {
+				if !framework.Racy(w, o) {
 					continue
 				}
 				findings = append(findings, &sharedguardFinding{
@@ -147,7 +146,7 @@ func sharedguardMessage(f *sharedguardFinding) string {
 	pos := f.other.Position
 	site := fmt.Sprintf("%s:%d", shortFile(pos.Filename), pos.Line)
 	return fmt.Sprintf(
-		"unsynchronized write to %s in %s: conflicts with the %s in %s at %s — no common lock and no happens-before edge orders the two",
+		"unsynchronized write to %s in %s: conflicts with the %s in %s at %s — no common lock excludes the two and neither runs on a fresh instance",
 		f.at.Obj.Name(), f.at.FnLabel, kind, f.other.FnLabel, site)
 }
 

@@ -12,6 +12,11 @@ func TestSharedguardFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("sharedguard"), Sharedguard)
 }
 
+// The PR 3 churn race, replayed: a lock on the writer's side only.
+func TestChurnplantFixture(t *testing.T) {
+	framework.RunFixture(t, fixture("churnplant"), Sharedguard)
+}
+
 func TestShardconfineFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("shardconfine"), Shardconfine)
 }

@@ -1,9 +1,9 @@
 // Package hotalloc exercises the hotalloc analyzer: no allocation site may
 // be reachable from a //vet:hotpath root, through any chain of calls. The
-// escape layer keeps the sanctioned idioms silent — constant-size makes
-// that stay in their frame, pooled appends into caller-owned storage, and
-// value structs — while everything that can reach the allocator on a hot
-// chain is a finding carrying the root-to-site path.
+// classifier keeps the sanctioned idioms silent — pooled appends into
+// caller-owned storage, stack array values — while everything that can
+// reach the allocator on a hot chain is a finding carrying the root-to-site
+// path.
 package hotalloc
 
 type buf struct {
@@ -20,12 +20,6 @@ func tick(b *buf, n int, m map[int]int, s1, s2 string, raw []byte) {
 	local[0] = n
 	b.out = append(b.out, local[0]) // pooled append into the receiver: clean
 
-	stay := make([]int, 8) // constant size, never leaks this frame: clean
-	stay[0] = n
-
-	p := &pair{a: 1, b: 2} // address never leaks: clean
-	p.a += n
-
 	grown := freshAppend(n)
 	dynamic(b, n+grown)
 	sink = n // want `int boxed into interface \(allocates\)`
@@ -39,8 +33,6 @@ func tick(b *buf, n int, m map[int]int, s1, s2 string, raw []byte) {
 	//lint:allow hotalloc logging fallback is off the steady state; reviewed edge cut
 	cold(b)
 }
-
-type pair struct{ a, b int }
 
 // dynamic is one call deep: its non-constant make is a finding with the
 // two-link chain.

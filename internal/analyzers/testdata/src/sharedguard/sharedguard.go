@@ -1,76 +1,55 @@
 // Package sharedguard exercises the happens-before engine's access-pair
-// classification: one representative of every proof path that silences a
-// conflicting pair — mutex exclusion, the spawn edge, the WaitGroup join
-// edge, region disjointness, caller-private value storage — plus the pair
-// no proof covers and a reviewed suppression.
+// judgement: one representative of every proof path that silences a
+// conflicting pair — mutex exclusion, caller-private value storage — plus
+// the pair no proof covers and a reviewed suppression.
 package sharedguard
 
 import "sync"
 
-// srv models one substrate instance: a mutex-guarded counter, state ordered
-// by the spawn and join edges, and one field with no synchronization story.
+// srv models one substrate instance: a mutex-guarded counter and one field
+// with no synchronization story.
 type srv struct {
 	mu      sync.Mutex
 	guarded int
-	ordered int
-	joined  int
 	racy    int
 	allowed int
 }
 
 // loop is the worker goroutine body: its guarded bump is excluded by mu,
-// its ordered read happens after the pre-spawn write, and its racy bump is
-// the real finding.
+// and its racy bump is the real finding.
 func (s *srv) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	s.mu.Lock()
 	s.guarded++
 	s.mu.Unlock()
-	_ = s.ordered
 	s.racy++ // want `unsynchronized write to racy in \(srv\)\.loop: conflicts with the write in Run at sharedguard/sharedguard\.go:\d+`
 }
 
-// Run is an external entry point. The write to ordered precedes the spawn
-// (goroutine-creation edge), the guarded bump holds mu on both sides, the
-// joined read follows wg.Wait() (join edge) — and the racy bump after the
-// spawn has no ordering, no lock, and no confinement argument.
+// Run is an external entry point. The guarded bump holds mu on both sides;
+// the racy bump after the spawn has no lock and runs on no fresh instance.
 func Run(s *srv) {
-	s.ordered = 1
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(1)
 	go s.loop(&wg)
-	go func() {
-		s.joined++
-		wg.Done()
-	}()
 	s.mu.Lock()
 	s.guarded++
 	s.mu.Unlock()
 	s.racy++
 	wg.Wait()
-	_ = s.joined
 }
 
-// stats is storage embedded by value in two unrelated owners, so the field
-// object is one but the regions differ.
 type stats struct{ hits int }
 
-type alpha struct{ st stats }
-
-type beta struct{ st stats }
-
-// Mix bumps the same field object through disjoint regions: alpha storage
-// and beta storage cannot overlap, so the concurrent pair is not a race
-// even under instance-insensitive field keying.
-func Mix(a *alpha, b *beta) {
+// Bump writes shared stats storage from a goroutine: the access Tally's
+// bumps would conflict with if they were not private.
+func Bump(st *stats) {
 	go func() {
-		a.st.hits++
+		st.hits++
 	}()
-	b.st.hits++
 }
 
 // Tally works on a caller-private value: the struct lives in a local whose
-// address is never taken, so its accesses can never be the storage Mix's
+// address is never taken, so its accesses can never be the storage Bump's
 // goroutine touches.
 func Tally(n int) int {
 	var acc stats

@@ -48,9 +48,6 @@ type Engine struct {
 	active []peer.ID // scheduling pool
 	idx    map[peer.ID]int
 
-	// OnStep, when non-nil, runs after every step with the step index.
-	// Metrics collectors hook here.
-	OnStep func(step int)
 	// OnAction, when non-nil, receives a structured event per step —
 	// tracing and fine-grained measurement hook.
 	OnAction func(ev ActionEvent)
@@ -187,9 +184,9 @@ func (e *Engine) Step() {
 	e.StepAt(u)
 }
 
-// StepAt executes one protocol action initiated by u. Experiments measuring
-// a specific node's behaviour (Section 6.5 joins) use it directly. A
-// departed u does not act: the step is a self-loop.
+// StepAt executes one protocol action initiated by u; the protocol tests
+// drive a chosen node with it. A departed u does not act: the step is a
+// self-loop.
 func (e *Engine) StepAt(u peer.ID) {
 	ev := ActionEvent{Step: e.tally.Ticks + 1, Initiator: u}
 	e.out.Reset()
@@ -202,9 +199,6 @@ func (e *Engine) StepAt(u peer.ID) {
 		ev.Sent = true
 		ev.To = to
 		e.transmit(to, msg, &ev)
-	}
-	if e.OnStep != nil {
-		e.OnStep(e.tally.Ticks)
 	}
 	if e.OnAction != nil {
 		e.OnAction(ev)

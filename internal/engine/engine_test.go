@@ -101,21 +101,6 @@ func TestRoundStepAccounting(t *testing.T) {
 	}
 }
 
-func TestOnStepHook(t *testing.T) {
-	e := newSF(t, 10, loss.None{}, 3)
-	var got []int
-	e.OnStep = func(step int) { got = append(got, step) }
-	e.Run(1)
-	if len(got) != 10 {
-		t.Fatalf("hook fired %d times, want 10", len(got))
-	}
-	for i, s := range got {
-		if s != i+1 {
-			t.Fatalf("hook sequence %v", got)
-		}
-	}
-}
-
 func TestEmpiricalLossRate(t *testing.T) {
 	e := newSF(t, 50, loss.MustUniform(0.1), 4)
 	e.Run(400)

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -217,8 +218,8 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	views := s.backend.Views()
 	live := len(views)
 	if q := r.URL.Query().Get("id"); q != "" {
-		var id int
-		if _, err := fmt.Sscanf(q, "%d", &id); err != nil {
+		id, err := strconv.Atoi(q)
+		if err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("mgmt: bad id %q", q))
 			return
 		}

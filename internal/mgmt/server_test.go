@@ -178,7 +178,10 @@ func TestHealthAndView(t *testing.T) {
 	if len(v.Views) != 1 || v.Views[0].ID != 3 {
 		t.Errorf("filtered view = %+v", v.Views)
 	}
-	getJSON(t, base+"/view?id=zzz", http.StatusBadRequest, nil)
+	// The whole value must be a decimal id: no trailing junk, no 0x prefix.
+	for _, bad := range []string{"zzz", "3abc", "0x10", "3.0", "+-3", "%203"} {
+		getJSON(t, base+"/view?id="+bad, http.StatusBadRequest, nil)
+	}
 	getJSON(t, base+"/view?id=99", http.StatusNotFound, nil)
 }
 

@@ -96,8 +96,7 @@ type ShardedCluster struct {
 	cfg        Config
 	n, s       int
 	shardSize  int
-	shardShift uint // log2(shardSize) when shardSize is a power of two
-	shardPow2  bool
+	shardShift uint // log2(shardSize): inbox maps a destination id to its shard with a shift
 	shards     int
 	workers    int
 
@@ -165,8 +164,8 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 	if shardSize == 0 {
 		shardSize = defaultShardSize(cfg.N)
 	}
-	if shardSize < 1 {
-		return nil, fmt.Errorf("runtime: shard size %d", shardSize)
+	if shardSize < 1 || shardSize&(shardSize-1) != 0 {
+		return nil, fmt.Errorf("runtime: shard size %d is not a power of two", shardSize)
 	}
 	shards := (cfg.N + shardSize - 1) / shardSize
 	workers := cfg.Workers
@@ -178,16 +177,17 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 	}
 
 	e := &ShardedCluster{
-		cfg:       cfg,
-		n:         cfg.N,
-		s:         s,
-		shardSize: shardSize,
-		shards:    shards,
-		workers:   workers,
-		gate:      make(chan struct{}, 1),
-		work:      make(chan int32),
-		done:      make(chan struct{}),
-		quit:      make(chan struct{}),
+		cfg:        cfg,
+		n:          cfg.N,
+		s:          s,
+		shardSize:  shardSize,
+		shardShift: uint(bits.TrailingZeros(uint(shardSize))),
+		shards:     shards,
+		workers:    workers,
+		gate:       make(chan struct{}, 1),
+		work:       make(chan int32),
+		done:       make(chan struct{}),
+		quit:       make(chan struct{}),
 
 		slots:  make([]peer.ID, cfg.N*s),
 		nodes:  make([]shardedNode, cfg.N),
@@ -203,12 +203,6 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 	// under the gate. Its callback is bound to the bitset itself (which is
 	// never reallocated): one load, no engine record behind it.
 	e.router = driver.NewRouter(cfg.Conditions, rng.New(cfg.Seed), e.live.has)
-	if shardSize&(shardSize-1) == 0 {
-		// Power-of-two shard size (the default geometry): the route pass
-		// maps destination ids to shards with a shift instead of a divide.
-		e.shardPow2 = true
-		e.shardShift = uint(bits.TrailingZeros(uint(shardSize)))
-	}
 
 	seeds := make([]peer.ID, cfg.InitDegree)
 	for u := 0; u < cfg.N; u++ {
@@ -407,11 +401,7 @@ func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 // inbox returns the inbox of node to's shard, which the next deliver phase
 // walks.
 func (e *ShardedCluster) inbox(to peer.ID) *protocol.Outbox {
-	dest := int(to) / e.shardSize
-	if e.shardPow2 {
-		dest = int(to) >> e.shardShift
-	}
-	return &e.inboxes[dest]
+	return &e.inboxes[int(to)>>e.shardShift]
 }
 
 // drainDue does for the delayed messages due by the current tick what route

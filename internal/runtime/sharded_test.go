@@ -51,6 +51,11 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := newSharded(runtime.Config{N: 10, NewCore: sfFactory(8, 2), InitDegree: 10}); err == nil {
 		t.Error("accepted init degree >= n")
 	}
+	for _, size := range []int{-8, 3, 12, 100} {
+		if _, err := newSharded(runtime.Config{N: 60, NewCore: sfFactory(8, 2), ShardSize: size}); err == nil {
+			t.Errorf("accepted shard size %d, not a power of two", size)
+		}
+	}
 }
 
 func TestShardedTickRounds(t *testing.T) {

@@ -132,10 +132,10 @@ type Config struct {
 	// goroutines at all). The worker count never influences results, only
 	// wall-clock time.
 	Workers int
-	// ShardSize overrides the nodes-per-shard geometry (sharded only; 0
-	// selects an automatic size that depends only on N, keeping results
-	// machine-independent). Tests use small sizes to exercise multi-shard
-	// paths at small n.
+	// ShardSize overrides the nodes-per-shard geometry (sharded only; a
+	// power of two, or 0 for an automatic size that depends only on N,
+	// keeping results machine-independent). Tests use small sizes to
+	// exercise multi-shard paths at small n.
 	ShardSize int
 }
 
