@@ -7,7 +7,7 @@
 # load error (bad flag, unparseable package). -unusedallow prints stale
 # //lint:allow directives as warnings on stderr and never changes the exit
 # code — a stale escape hatch is advice, not a failure. CI additionally
-# gates on BenchmarkSfvetRepo (recorded 1.1 s) staying under its 5 s ns/op
+# gates on BenchmarkSfvetRepo (recorded 0.9 s) staying under its 5 s ns/op
 # budget so the suite stays fast enough to run on every push.
 
 .PHONY: build test race vet bench-smoke bench-pin e2e loc

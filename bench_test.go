@@ -27,7 +27,6 @@ import (
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
-	"sendforget/internal/transport"
 	"sendforget/internal/view"
 )
 
@@ -184,31 +183,6 @@ func BenchmarkStationaryCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecRoundtrip measures wire marshal+unmarshal of an S&F
-// message.
-func BenchmarkCodecRoundtrip(b *testing.B) {
-	msg := protocol.Message{Kind: protocol.KindGossip, From: 7, IDs: []peer.ID{7, 42}, Dup: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := transport.Marshal(msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := transport.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRNGPair measures the uniform distinct-pair selection that every
-// protocol action performs.
-func BenchmarkRNGPair(b *testing.B) {
-	r := rng.New(3)
-	for i := 0; i < b.N; i++ {
-		r.Pair(40)
-	}
-}
-
 // sfCoreFactory builds S&F step cores for the runtime benchmarks.
 func sfCoreFactory(s, dl int) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
@@ -234,42 +208,30 @@ func benchProtocols() []struct {
 	}
 }
 
-// BenchmarkRuntimeTick measures one concurrent-node gossip action over the
-// in-memory lossy network (lock acquisition + step + transport). The
-// per-node Tick is specific to the goroutine-per-node backend, so this is
-// the one benchmark that needs the concrete type back from the factory.
-func BenchmarkRuntimeTick(b *testing.B) {
-	sub, err := runtime.New(runtime.Config{
-		Engine: runtime.EngineCluster, N: 64, NewCore: sfCoreFactory(16, 6), Loss: 0.02, Seed: 9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sub.Close()
-	nodes := sub.(*runtime.Cluster).Nodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodes[i%len(nodes)].Tick()
-	}
-}
-
-// BenchmarkClusterTick measures one full synchronous round (n initiate
-// steps plus all triggered receive steps and loss decisions), reporting
-// ns/node-tick so runs at different n compare directly. Every variant is
-// built by runtime.New and driven through the Substrate interface — the
-// backend appears only in the construction config:
+// BenchmarkClusterTick measures one full synchronous round of the sharded
+// tick engine (n initiate steps plus all triggered receive steps and loss
+// decisions), built by runtime.New and driven through the Substrate
+// interface, reporting ns/node-tick so runs at different n compare directly:
 //
-//   - pernode: the goroutine-per-node path (per-node locks, handler
-//     dispatch, per-message allocations) at its practical sizes.
-//   - sharded: the sharded tick engine at 10k, 100k, and (full mode only;
-//     skipped under -short) 1M nodes — the S&F baseline rows.
-//   - sharded/<proto>: the same engine under each of the other batch-core
-//     protocols at 10k and 100k.
+//   - sharded: S&F at 10k, 100k, and (full mode only; skipped under -short)
+//     1M nodes.
+//   - sharded/<proto>: each of the five protocols at 10k and 100k, and two
+//     of them under jittered delay.
 //
-// CI's zero-alloc guard reads the sharded rows; performance is quoted from
-// bench/ (see bench/README.md), not from this family.
+// The family exists for its allocs/op column: CI's zero-alloc guard reads
+// every row. Performance is quoted from bench/ (see bench/README.md), which
+// also times the goroutine-per-node path (runtime.node_tick_us), the codec
+// (transport.marshal_ns/unmarshal_ns) and the pair draw (rng.fastpair_ns)
+// this file used to carry rows for.
 func BenchmarkClusterTick(b *testing.B) {
-	tickRound := func(engine runtime.EngineKind, factory protocol.CoreFactory, n, warm int, delay faults.Delay) func(*testing.B) {
+	sharded := func(factory protocol.CoreFactory, n int, delay faults.Delay) func(*testing.B) {
+		// Arena capacity creeps up for hundreds of rounds at n>=100k (the
+		// in-flight message high-water mark drifts under loss), so the
+		// larger sizes need a longer warm-up before allocs/op reads 0.
+		warm := 150
+		if n > 10_000 {
+			warm = 500
+		}
 		return func(b *testing.B) {
 			cond, err := faults.FromRate(0.02)
 			if err != nil {
@@ -279,7 +241,7 @@ func BenchmarkClusterTick(b *testing.B) {
 				b.Fatal(err)
 			}
 			sub, err := runtime.New(runtime.Config{
-				Engine: engine, N: n, NewCore: factory, Conditions: cond, Seed: 10,
+				Engine: runtime.EngineSharded, N: n, NewCore: factory, Conditions: cond, Seed: 10,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -297,21 +259,6 @@ func BenchmarkClusterTick(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node-tick")
 		}
 	}
-	pernode := func(n int) func(*testing.B) {
-		return tickRound(runtime.EngineCluster, sfCoreFactory(16, 6), n, 0, faults.Delay{})
-	}
-	sharded := func(factory protocol.CoreFactory, n int, delay faults.Delay) func(*testing.B) {
-		// Arena capacity creeps up for hundreds of rounds at n>=100k (the
-		// in-flight message high-water mark drifts under loss), so the
-		// larger sizes need a longer warm-up before allocs/op reads 0.
-		warm := 150
-		if n > 10_000 {
-			warm = 500
-		}
-		return tickRound(runtime.EngineSharded, factory, n, warm, delay)
-	}
-	b.Run("pernode/n=500", pernode(500))
-	b.Run("pernode/n=10k", pernode(10_000))
 	b.Run("sharded/n=10k", sharded(sfCoreFactory(16, 6), 10_000, faults.Delay{}))
 	b.Run("sharded/n=100k", sharded(sfCoreFactory(16, 6), 100_000, faults.Delay{}))
 	b.Run("sharded/n=1M", func(b *testing.B) {

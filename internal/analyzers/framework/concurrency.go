@@ -209,15 +209,9 @@ type concSolver struct {
 	hasCaller map[*types.Func]bool
 	addrTaken map[*types.Func]bool
 
-	// paramTaint is the cross-function must-fact for parameters: every known
-	// call site passes a shard index. Updated per fixpoint round with AND
-	// semantics over call sites.
-	paramTaint map[*types.Var]bool
-
 	// Per-round accumulators.
 	cand       map[*types.Func]Lockset
 	candSeen   map[*types.Func]bool
-	taintCand  map[*types.Var]int       // bit1 = saw tainted site, bit2 = saw untainted
 	sendHeld   map[types.Object]Lockset // meet of held at sends per chan field
 	sendHeldOK map[types.Object]bool
 
@@ -229,16 +223,15 @@ type concSolver struct {
 
 func newConcSolver(prog *Program) *concSolver {
 	return &concSolver{
-		prog:       prog,
-		byObj:      make(map[*types.Func]*concFn),
-		tokens:     make(map[types.Object]bool),
-		confined:   make(map[types.Object]*ConfinedField),
-		external:   &Goroutine{Label: "external caller", External: true},
-		litCtx:     make(map[*ast.FuncLit]*Goroutine),
-		hasCaller:  make(map[*types.Func]bool),
-		addrTaken:  make(map[*types.Func]bool),
-		paramTaint: make(map[*types.Var]bool),
-		cfgs:       make(map[*ast.BlockStmt]*CFG),
+		prog:      prog,
+		byObj:     make(map[*types.Func]*concFn),
+		tokens:    make(map[types.Object]bool),
+		confined:  make(map[types.Object]*ConfinedField),
+		external:  &Goroutine{Label: "external caller", External: true},
+		litCtx:    make(map[*ast.FuncLit]*Goroutine),
+		hasCaller: make(map[*types.Func]bool),
+		addrTaken: make(map[*types.Func]bool),
+		cfgs:      make(map[*ast.BlockStmt]*CFG),
 	}
 }
 
@@ -650,7 +643,6 @@ func (s *concSolver) lockFixpoint() {
 	for round := 0; round < 12; round++ {
 		s.cand = make(map[*types.Func]Lockset)
 		s.candSeen = make(map[*types.Func]bool)
-		s.taintCand = make(map[*types.Var]int)
 		s.sendHeld = make(map[types.Object]Lockset)
 		s.sendHeldOK = make(map[types.Object]bool)
 		for _, fn := range s.fns {
@@ -670,13 +662,6 @@ func (s *concSolver) lockFixpoint() {
 			if !fn.known || !equalLocks(fn.entry, meet) {
 				fn.entry = meet
 				fn.known = true
-				changed = true
-			}
-		}
-		for v, bits := range s.taintCand {
-			want := bits == 1
-			if s.paramTaint[v] != want {
-				s.paramTaint[v] = want
 				changed = true
 			}
 		}

@@ -43,18 +43,6 @@ func (s *concSolver) runBody(fn *concFn) {
 		taint:   make(map[types.Object]bool),
 		addr:    make(map[types.Object]bool),
 	}
-	// A parameter is shard-tainted only when every known call site passes a
-	// tainted argument.
-	if sig, ok := fn.obj.Type().(*types.Signature); ok {
-		if recv := sig.Recv(); recv != nil && s.paramTaint[recv] {
-			env.taint[recv] = true
-		}
-		for i := 0; i < sig.Params().Len(); i++ {
-			if v := sig.Params().At(i); s.paramTaint[v] {
-				env.taint[v] = true
-			}
-		}
-	}
 	s.analyzeBody(env, fn.decl.Body)
 }
 
@@ -367,7 +355,6 @@ func (s *concSolver) walkGoCall(env *bodyEnv, n *ast.GoStmt, held Lockset) {
 		for _, callee := range s.prog.CallGraph.Callees(env.pkg.Info, n.Call) {
 			if s.byObj[callee] != nil {
 				s.candMeet(callee, Lockset{})
-				s.recordArgFacts(env, callee, n.Call)
 			}
 		}
 	}
@@ -502,8 +489,7 @@ func (s *concSolver) descendStoredLit(env *bodyEnv, lit *ast.FuncLit) {
 }
 
 // walkCallSite feeds one executed call into the interprocedural fixpoint:
-// the callee's entry lockset candidates meet the caller's held set, and
-// parameter taint/blessing candidates accumulate with AND semantics. Call
+// the callee's entry lockset candidates meet the caller's held set. Call
 // sites on a freshly constructed receiver are skipped — the callee runs on
 // an unshared instance there, which must not weaken the entry lockset its
 // shared-instance callers establish.
@@ -512,19 +498,15 @@ func (s *concSolver) walkCallSite(env *bodyEnv, call *ast.CallExpr, held Lockset
 		return
 	}
 	info := env.pkg.Info
-	freshRecv := false
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		root := rootIdentObj(info, sel.X)
-		freshRecv = root != nil && env.fresh[root]
+		if root := rootIdentObj(info, sel.X); root != nil && env.fresh[root] {
+			return
+		}
 	}
 	for _, callee := range s.prog.CallGraph.Callees(info, call) {
-		if s.byObj[callee] == nil {
-			continue
-		}
-		if !freshRecv {
+		if s.byObj[callee] != nil {
 			s.candMeet(callee, held)
 		}
-		s.recordArgFacts(env, callee, call)
 	}
 }
 
@@ -535,35 +517,6 @@ func (s *concSolver) candMeet(callee *types.Func, held Lockset) {
 		return
 	}
 	s.cand[callee] = intersectLocks(s.cand[callee], held)
-}
-
-// recordArgFacts accumulates the per-parameter shard-taint must-fact across
-// call sites. Taint survives a spawn: a shard index is a value, copied at
-// the go statement.
-func (s *concSolver) recordArgFacts(env *bodyEnv, callee *types.Func, call *ast.CallExpr) {
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	note := func(v *types.Var, tainted bool) {
-		if tainted {
-			s.taintCand[v] |= 1
-		} else {
-			s.taintCand[v] |= 2
-		}
-	}
-	if recv := sig.Recv(); recv != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			note(recv, s.taintedExpr(env, sel.X))
-		}
-	}
-	params := sig.Params()
-	// Shapes the simple positional mapping cannot cover keep their
-	// parameters untainted.
-	positional := !sig.Variadic() && params.Len() == len(call.Args)
-	for i := 0; i < params.Len(); i++ {
-		note(params.At(i), positional && s.taintedExpr(env, call.Args[i]))
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -95,11 +95,12 @@ func isPointerType(t types.Type) bool {
 }
 
 // taintedExpr reports whether e carries a shard index: a value derived
-// from the shard-steal counter (an atomic Add/Load on a counter field) or
-// from a parameter every caller passes a shard index to. Taint propagates
-// through arithmetic, conversions, and call results — but deliberately not
-// through indexing or field selection: a value read OUT of shard state
-// (like a message's destination id) is not a shard index.
+// from the shard-steal counter (a sync/atomic call on a counter field).
+// Taint propagates through locals, binary arithmetic, conversions, and call
+// results — but deliberately not through indexing or field selection: a
+// value read OUT of shard state (like a message's destination id) is not a
+// shard index. Nor through a call boundary: the function that steals an
+// index spends it, and what it hands on is the shard, not the number.
 func (s *concSolver) taintedExpr(env *bodyEnv, e ast.Expr) bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -107,8 +108,6 @@ func (s *concSolver) taintedExpr(env *bodyEnv, e ast.Expr) bool {
 		return obj != nil && env.taint[obj]
 	case *ast.BinaryExpr:
 		return s.taintedExpr(env, e.X) || s.taintedExpr(env, e.Y)
-	case *ast.UnaryExpr:
-		return e.Op != token.AND && s.taintedExpr(env, e.X)
 	case *ast.CallExpr:
 		if atomicCounterCall(env.pkg.Info, e) {
 			return true
@@ -118,33 +117,19 @@ func (s *concSolver) taintedExpr(env *bodyEnv, e ast.Expr) bool {
 				return true
 			}
 		}
-		return false
 	}
 	return false
 }
 
-// atomicCounterCall matches reading the shard-steal counter: a method call
-// (Add, Load, Swap) on a sync/atomic-typed field, or the package-function
-// form (atomic.AddInt32) on such a field's address.
+// atomicCounterCall matches reading the shard-steal counter: a call of a
+// sync/atomic function or method (e.nextShard.Add(1)).
 func atomicCounterCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
-		return true
-	}
-	switch sel.Sel.Name {
-	case "Add", "Load", "Swap", "CompareAndSwap":
-		if obj := refObject(info, sel.X); obj != nil {
-			if n, ok := obj.Type().(*types.Named); ok {
-				if pkg := n.Obj().Pkg(); pkg != nil && pkg.Path() == "sync/atomic" {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
 }
 
 // freshExpr matches an allocation the enclosing function just made:

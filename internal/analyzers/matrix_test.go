@@ -5,7 +5,9 @@ import (
 	"io/fs"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,7 +18,9 @@ import (
 // lines flagged after //lint:allow suppression; analyzers that stay silent
 // on a fixture are omitted. It is the gate for merging or replacing
 // analyzers: a plant line may change which analyzer catches it, but it may
-// not drop out of the table.
+// not drop out of the table. A plant whose invariant moved from an analyzer
+// to the type system is a fixture that does not type-check: its row is the
+// lines of its type errors, under "compiler".
 var detectionMatrix = map[string]map[string][]int{
 	"atomicmix":                {"atomicmix": {20, 42, 48}},
 	"churnplant":               {"sharedguard": {56}},
@@ -35,6 +39,7 @@ var detectionMatrix = map[string]map[string][]int{
 	"seedtaint/seedflow":       {"seedtaint": {21, 25, 29, 33, 37}},
 	"shardconfine":             {"shardconfine": {59, 60, 98}},
 	"shardplant":               {"shardconfine": {55}},
+	"shardtype":                {"compiler": {33}},
 	"sharedguard":              {"goroleak": {46, 66, 89}, "sharedguard": {25, 81}},
 	"unusedallow":              {},
 }
@@ -62,10 +67,30 @@ func fixtureDirs(t *testing.T) []string {
 	return dirs
 }
 
+var typeErrorPos = regexp.MustCompile(`\.go:(\d+):\d+: `)
+
+// typeErrorLines returns the source lines named by the type errors in a
+// fixture load error (nil for any other error, or none).
+func typeErrorLines(err error) []int {
+	if err == nil || !strings.Contains(err.Error(), "type errors in") {
+		return nil
+	}
+	var lines []int
+	for _, m := range typeErrorPos.FindAllStringSubmatch(err.Error(), -1) {
+		n, _ := strconv.Atoi(m[1])
+		lines = append(lines, n)
+	}
+	return lines
+}
+
 func TestDetectionMatrix(t *testing.T) {
 	got := map[string]map[string][]int{}
 	for _, dir := range fixtureDirs(t) {
 		diags, err := framework.FixtureDiagnostics(fixture(dir), All()...)
+		if lines := typeErrorLines(err); lines != nil {
+			got[dir] = map[string][]int{"compiler": lines}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,11 +16,15 @@ import (
 // An access to an annotated field passes if the happens-before engine can
 // prove one of: the enclosing function runs on a freshly constructed,
 // not-yet-shared instance (constructors); the gate token is held in earnest
-// (the public API surface); or — for shard mode — the access is confined to
-// the owning worker's shard: indexed by a value tainted from the
-// shard-steal counter. Everything else is a confinement violation, reported
-// with its barrier-phase context so the reader knows which side of the
-// protocol was broken.
+// (the public API surface); or — for shard mode — the access is the base of
+// an index expression whose index derives, inside that one function body,
+// from the shard-steal counter: through locals, arithmetic, conversions and
+// call results, never through a parameter. The function that steals an index
+// spends it; the sharded engine hands its phase bodies the *shard the index
+// names, and what they may touch is then the compiler's to check (the
+// shardtype fixture is the plant that no longer compiles). Everything else
+// is a confinement violation, reported with its barrier-phase context so the
+// reader knows which side of the protocol was broken.
 var Shardconfine = &framework.Analyzer{
 	Name: "shardconfine",
 	Doc:  "//vet:confined fields are only touched by their owning shard's worker or under the gate token",

@@ -1,6 +1,8 @@
 package analyzers
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,6 +25,36 @@ func TestShardconfineFixture(t *testing.T) {
 
 func TestShardplantFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("shardplant"), Shardconfine)
+}
+
+// TestShardtypeDoesNotCompile holds the invariant the compiler took over
+// from shardconfine when the sharded engine's phase bodies became methods of
+// a shard type: the shardplant bug written in that shape — a *shard method
+// bumping another shard's counter on the spill branch — has no name for the
+// other shard, and must keep failing to type-check, at the planted line and
+// nowhere else.
+func TestShardtypeDoesNotCompile(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(fixture("shardtype"), "shardtype.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _, planted := strings.Cut(string(src), "// the planted cross-shard write")
+	if !planted {
+		t.Fatal("the fixture lost its planted line")
+	}
+	want := strings.Count(before, "\n") + 1
+
+	loader, err := framework.NewLoader("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = loader.LoadDir(fixture("shardtype"))
+	if lines := typeErrorLines(err); len(lines) != 1 || lines[0] != want {
+		t.Fatalf("want one type error, at the planted line %d; loading gave: %v", want, err)
+	}
+	if !strings.Contains(err.Error(), "sh.shards undefined (type *shard has no field or method shards)") {
+		t.Errorf("the type error is not the missing way to a sibling shard: %v", err)
+	}
 }
 
 // The mirror of testdata/src/shardplant, compiled for real so the dynamic

@@ -186,7 +186,7 @@ func TestHealthAndView(t *testing.T) {
 }
 
 func TestJoinLeaveValidation(t *testing.T) {
-	_, _, _, base := newTestLocal(t, 8, 0, nil)
+	backend, _, _, base := newTestLocal(t, 8, 0, nil)
 	id := func(v int) *int { return &v }
 	postJSON(t, base+"/join", JoinRequest{}, http.StatusBadRequest, nil)
 	postJSON(t, base+"/join", JoinRequest{ID: id(3)}, http.StatusBadRequest, nil)
@@ -203,6 +203,18 @@ func TestJoinLeaveValidation(t *testing.T) {
 	getJSON(t, base+"/view", http.StatusOK, &v)
 	if v.Live != 7 {
 		t.Errorf("live after leave = %d, want 7", v.Live)
+	}
+	// A seed outside [0, n) would be gossiped to for ever (and crashes the
+	// sharded engine's router): refused, nothing joined, rounds go on.
+	for _, seeds := range [][]int{{1048576, 1}, {1, 8}, {1, -7}} {
+		postJSON(t, base+"/join", JoinRequest{ID: id(3), Seeds: seeds}, http.StatusBadRequest, nil)
+	}
+	for i := 0; i < 3; i++ {
+		backend.Tick()
+	}
+	getJSON(t, base+"/view", http.StatusOK, &v)
+	if v.Live != 7 {
+		t.Errorf("live after rejected joins = %d, want 7", v.Live)
 	}
 	postJSON(t, base+"/join", JoinRequest{ID: id(3), Seeds: []int{1, 2}}, http.StatusOK, nil)
 	getJSON(t, base+"/view", http.StatusOK, &v)

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -736,6 +737,45 @@ func TestSubstrateCountersAllEngines(t *testing.T) {
 		}
 		if c.Receives != tr.Deliveries {
 			t.Errorf("%s: node receives %d != deliveries %d", kind, c.Receives, tr.Deliveries)
+		}
+		sub.Close()
+	}
+}
+
+// A seed id outside [0, N) must not enter a view: on the sharded engine the
+// first message routed to it indexes past the liveness bitset, and on the
+// other two it is a dead letter every round from then on. All three engines
+// refuse the join and keep their state.
+func TestAddNodeRejectsSeedsOutsideUniverse(t *testing.T) {
+	for _, kind := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster, runtime.EngineSharded} {
+		sub, err := runtime.New(runtime.Config{Engine: kind, N: 128, NewCore: sfFactory(8, 2), Seed: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		sub.RemoveNode(5)
+		for _, seeds := range [][]peer.ID{
+			{1 << 20, 1, 2, 3},
+			{1, 2, 128, 3},
+			{1, 2, 3, -7},
+			{peer.Nil, 1, 2, 3},
+		} {
+			err := sub.AddNode(5, seeds, false)
+			if err == nil || !strings.Contains(err.Error(), "outside cluster universe [0, 128)") {
+				t.Errorf("%s: AddNode(5, %v) = %v, want a seed-outside-universe error", kind, seeds, err)
+			}
+		}
+		if sub.Views()[5] != nil {
+			t.Errorf("%s: a rejected join left node 5 active", kind)
+		}
+		for i := 0; i < 5; i++ {
+			sub.TickRound()
+		}
+		if err := sub.AddNode(5, []peer.ID{1, 2, 3, 127}, false); err != nil {
+			t.Errorf("%s: join with in-range seeds after the rejected ones: %v", kind, err)
+		}
+		sub.TickRound()
+		if err := sub.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", kind, err)
 		}
 		sub.Close()
 	}

@@ -43,6 +43,9 @@ func (s *seqSubstrate) CheckInvariants() error         { return s.eng.CheckInvar
 // scheduler-driven, not timer-driven).
 func (s *seqSubstrate) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 	_ = start
+	if err := checkSeeds(seeds, s.eng.N()); err != nil {
+		return err
+	}
 	return s.eng.Join(u, seeds)
 }
 

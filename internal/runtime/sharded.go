@@ -27,14 +27,19 @@ import (
 //
 //   - Node state is flat: all views live in one contiguous id array (one
 //     s-slot window per node, wrapped by view.Wrap), per-node RNGs are
-//     values in a flat slice, liveness is one bit per node in a dense
+//     values in the node records, liveness is one bit per node in a dense
 //     bitset (n/8 bytes, small enough to stay cached under the route
-//     pass), and per-node event counters are replaced by per-shard counter
-//     arrays summed at snapshot time.
-//   - A tick is three phases. Initiate: nodes are partitioned into
-//     contiguous shards and a bounded worker pool runs each shard's
-//     initiate steps, appending messages to the shard's outbox (reused
-//     flat buffers — zero steady-state allocations).
+//     pass), and per-node event counters are replaced by one counter block
+//     per shard, summed at snapshot time.
+//   - A shard is a type. Nodes are partitioned into contiguous id ranges,
+//     and one shard value owns everything a phase worker may touch for its
+//     range. The phase bodies are methods of *shard, which holds no pointer
+//     to the engine: another shard's state, the router, the gate and the
+//     roster are not nameable from phase code, so the compiler checks what
+//     an analyzer used to infer from an index.
+//   - A tick is three phases. Initiate: a bounded worker pool runs each
+//     shard's initiate steps, appending messages to the shard's outbox
+//     (reused flat buffers — zero steady-state allocations).
 //     Route: a single sequential pass walks the outboxes in shard order,
 //     applies the fault stack per message (preserving one deterministic
 //     RNG stream for loss/delay decisions, exactly like the chunk-merge
@@ -90,14 +95,32 @@ type shardedNode struct {
 	core protocol.StepCore
 }
 
+// shard owns everything a phase worker may touch for the contiguous id range
+// [lo, lo+len(nodes)). Between barrier phases only the worker that stole the
+// shard runs its methods; outside phases only the gate holder reaches it.
+// It holds no reference to the engine or to another shard.
+type shard struct {
+	// in leads the struct: the route pass and the drain file every message
+	// into its destination shard's inbox, and this header is all they touch
+	// there. The deliver phase walks it front to back and empties it.
+	in protocol.Outbox
+	// out is the initiate phase output and reply the deliver phase output:
+	// the owning worker resets and fills them, the route pass reads them.
+	out, reply protocol.Outbox
+	cnt        NodeCounters // summed over shards at snapshot time
+
+	lo    peer.ID       // id of nodes[0]
+	nodes []shardedNode // this shard's window of the node records
+	live  liveSet       // the engine's bitset; phases only read it
+}
+
 // ShardedCluster is the sharded synchronous tick engine. Construct with New
 // (EngineSharded); call Close when done to release the worker pool.
 type ShardedCluster struct {
 	cfg        Config
 	n, s       int
-	shardSize  int
-	shardShift uint // log2(shardSize): inbox maps a destination id to its shard with a shift
-	shards     int
+	shardShift uint // log2(shardSize): a destination id maps to its shard with a shift
+	nshards    int  // len(shards), which a phase worker may not read
 	workers    int
 
 	// gate is the engine's exclusivity token (capacity 1, token present
@@ -114,36 +137,20 @@ type ShardedCluster struct {
 	closeOnce sync.Once
 	nextShard atomic.Int32
 
-	// Flat node state, indexed by node id. The per-message hot fields live
-	// together in nodes so a random-destination receive touches one record
-	// (one or two cache lines) instead of four parallel arrays; the slot
-	// windows (slots is the n*s id array, node u's view is window u) stay
-	// in their own array. Both are confined: between barrier phases only
-	// the worker that owns a node's shard may touch its records, and
-	// outside phases only the gate holder.
-	slots  []peer.ID      //vet:confined shard
-	nodes  []shardedNode  //vet:confined shard
+	// shards is indexed inside a barrier phase by one expression, runShards'
+	// with the stolen index; outside phases only the gate holder touches it.
+	shards []shard        //vet:confined shard
 	roster *driver.Roster // per-node incarnations and seed derivation
 
-	// live is written only by the gate holder outside phases (activate,
-	// RemoveNode) and is read-only inside them, so a word that two shards
-	// share is safe.
-	live liveSet //vet:confined shard
-
-	// Per-shard buffers and counters, indexed by shard. outboxes is the
-	// initiate phase output and replyOut the deliver phase output, both
-	// source-sharded: the owning worker resets and fills them, the route
-	// pass reads them. inboxes is the route pass output, one per destination
-	// shard, holding the messages themselves: the deliver phase walks and
-	// resets them. counters is summed at snapshot time.
-	outboxes []protocol.Outbox //vet:confined shard
-	replyOut []protocol.Outbox //vet:confined shard
-	inboxes  []protocol.Outbox //vet:confined shard
-	counters []NodeCounters    //vet:confined shard
-
-	// router is the shared transmission discipline (fault decisions,
-	// delay calendar, traffic ledger), drawing from one deterministic stream
-	// consumed in merged shard order. Accessed only by the gate holder.
+	// What the gate holder alone touches. slots is the n*s id array behind
+	// every view (node u's view wraps window u), kept for the bulk snapshot.
+	// live is written by activate and RemoveNode; the shards hold its header
+	// and read it inside phases, where no one writes it, so a word that two
+	// shards share is safe. router is the shared transmission discipline
+	// (fault decisions, delay calendar, traffic ledger), drawing from one
+	// deterministic stream consumed in merged shard order.
+	slots  []peer.ID      //vet:confined gate
+	live   liveSet        //vet:confined gate
 	router *driver.Router //vet:confined gate
 }
 
@@ -167,37 +174,36 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 	if shardSize < 1 || shardSize&(shardSize-1) != 0 {
 		return nil, fmt.Errorf("runtime: shard size %d is not a power of two", shardSize)
 	}
-	shards := (cfg.N + shardSize - 1) / shardSize
+	nshards := (cfg.N + shardSize - 1) / shardSize
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = gort.GOMAXPROCS(0)
 	}
-	if workers > shards {
-		workers = shards
+	if workers > nshards {
+		workers = nshards
 	}
 
 	e := &ShardedCluster{
 		cfg:        cfg,
 		n:          cfg.N,
 		s:          s,
-		shardSize:  shardSize,
 		shardShift: uint(bits.TrailingZeros(uint(shardSize))),
-		shards:     shards,
+		nshards:    nshards,
 		workers:    workers,
 		gate:       make(chan struct{}, 1),
 		work:       make(chan int32),
 		done:       make(chan struct{}),
 		quit:       make(chan struct{}),
 
-		slots:  make([]peer.ID, cfg.N*s),
-		nodes:  make([]shardedNode, cfg.N),
+		shards: make([]shard, nshards),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
+		slots:  make([]peer.ID, cfg.N*s),
 		live:   make(liveSet, (cfg.N+63)/64),
-
-		outboxes: make([]protocol.Outbox, shards),
-		replyOut: make([]protocol.Outbox, shards),
-		inboxes:  make([]protocol.Outbox, shards),
-		counters: make([]NodeCounters, shards),
+	}
+	nodes := make([]shardedNode, cfg.N) // one slab, like slots; a shard holds its window
+	for k := range e.shards {
+		lo := k * shardSize
+		e.shards[k] = shard{lo: peer.ID(lo), nodes: nodes[lo:min(lo+shardSize, cfg.N)], live: e.live}
 	}
 	// The router asks for liveness per routed and per drained message, always
 	// under the gate. Its callback is bound to the bitset itself (which is
@@ -252,13 +258,20 @@ func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
 	for i := 0; i < e.s; i++ {
 		window[i] = sv.Slot(i)
 	}
-	nd := &e.nodes[u]
+	nd := e.shardOf(u).node(u)
 	nd.view = view.Wrap(window)
 	nd.core = core
 	nd.rng = rng.NewState(e.roster.SeedFor(u))
 	e.live[u>>6] |= 1 << (uint(u) & 63)
 	return nil
 }
+
+// shardOf returns the shard that owns node u. Callers hold the gate.
+func (e *ShardedCluster) shardOf(u peer.ID) *shard { return &e.shards[int(u)>>e.shardShift] }
+
+// node returns the record of node u, which must lie in the shard's range: an
+// id outside it indexes out of range instead of reaching a neighbour.
+func (sh *shard) node(u peer.ID) *shardedNode { return &sh.nodes[u-sh.lo] }
 
 // worker is one parked pool worker: each wake token carries a phase id; the
 // worker steals shards until the phase is exhausted, then reports done.
@@ -277,18 +290,20 @@ func (e *ShardedCluster) worker() {
 // runShards processes shards of phase p until none remain, stealing shard
 // indices from the shared counter. Any worker may run any shard; each shard
 // runs exactly once per phase, in node order, on one worker — which is why
-// results cannot depend on the worker count.
+// results cannot depend on the worker count. The stolen index is spent here:
+// the phase bodies see the one shard it names and nothing else.
 func (e *ShardedCluster) runShards(p int32) {
 	for {
 		k := int(e.nextShard.Add(1)) - 1
-		if k >= e.shards {
+		if k >= e.nshards {
 			return
 		}
+		sh := &e.shards[k]
 		switch p {
 		case phaseInitiate:
-			e.initiateShard(k)
+			sh.initiate()
 		case phaseDeliver:
-			e.deliverShard(k)
+			sh.deliver()
 		}
 	}
 }
@@ -311,71 +326,51 @@ func (e *ShardedCluster) runPhase(p int32) {
 	}
 }
 
-// shardRange returns shard k's node id range [lo, hi).
-func (e *ShardedCluster) shardRange(k int) (lo, hi int) {
-	lo = k * e.shardSize
-	hi = lo + e.shardSize
-	if hi > e.n {
-		hi = e.n
-	}
-	return lo, hi
-}
-
-// initiateShard runs the initiate step of every live node in shard k,
-// appending outgoing messages to the shard outbox and accumulating the
-// shard's counters locally (one write to the shared array per shard per
-// phase — no per-node locks, no false sharing in the loop).
-func (e *ShardedCluster) initiateShard(k int) {
-	lo, hi := e.shardRange(k)
-	ob := &e.outboxes[k]
-	ob.Reset() // the previous round's messages were consumed by deliver
+// initiate runs the initiate step of every live node of the shard, appending
+// outgoing messages to the shard outbox and accumulating the counters locally
+// (one write to the shard's block per phase, none in the loop).
+func (sh *shard) initiate() {
+	sh.out.Reset() // the previous round's messages were consumed by deliver
 	var cnt NodeCounters
-	for u := lo; u < hi; u++ {
-		// liveSet.has spelled out: shardconfine follows the index u from
-		// this worker's shard steal to the field, not through a call.
-		if e.live[u>>6]&(1<<(uint(u)&63)) == 0 {
+	for i := range sh.nodes {
+		u := sh.lo + peer.ID(i)
+		if !sh.live.has(u) {
 			continue
 		}
-		nd := &e.nodes[u]
-		cnt.Initiated(nd.core.InitiateBatch(&nd.view, peer.ID(u), &nd.rng, ob))
+		nd := &sh.nodes[i]
+		cnt.Initiated(nd.core.InitiateBatch(&nd.view, u, &nd.rng, &sh.out))
 	}
-	e.counters[k].Add(cnt)
+	sh.cnt.Add(cnt)
 }
 
-// deliverShard runs the receive step for every message in shard k's inbox,
+// deliver runs the receive step for every message in the shard's inbox,
 // front to back (the order the sequential route pass filed them in, which is
 // what makes it deterministic), and empties the inbox. Replies go to the
-// shard's reply outbox and face the fault stack in the next route pass.
-func (e *ShardedCluster) deliverShard(k int) {
-	in := &e.inboxes[k]
-	rb := &e.replyOut[k]
-	rb.Reset() // the previous generation's replies were consumed by route
+// shard's reply outbox and face the fault stack in the next route pass. The
+// route pass files by destination shard, so every m.To lies in this shard.
+func (sh *shard) deliver() {
+	sh.reply.Reset() // the previous generation's replies were consumed by route
 	var cnt NodeCounters
-	for i := range in.Msgs {
-		m := &in.Msgs[i]
-		u := m.To
-		// u is the message destination, not a value derived from this
-		// worker's shard steal — but the route pass filed every message of
-		// inboxes[k] by destination shard, so u's record belongs to shard k
-		// by construction.
-		//lint:allow shardconfine route pass files messages by destination shard; every m.To in inboxes[k] maps to shard k
-		nd := &e.nodes[u]
-		pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: in.MsgIDs(m), Dup: m.Dup}
-		cnt.Received(nd.core.ReceiveBatch(&nd.view, u, pkt, &nd.rng, rb))
+	for i := range sh.in.Msgs {
+		m := &sh.in.Msgs[i]
+		nd := sh.node(m.To)
+		pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: sh.in.MsgIDs(m), Dup: m.Dup}
+		cnt.Received(nd.core.ReceiveBatch(&nd.view, m.To, pkt, &nd.rng, &sh.reply))
 	}
-	in.Reset()
-	e.counters[k].Add(cnt)
+	sh.in.Reset()
+	sh.cnt.Add(cnt)
 }
 
-// route is the sequential merge pass: it walks boxes in shard order and
-// rules on every message with the fault stack, drawing from the single
-// fault-decision stream in that fixed order (the same discipline that makes
-// the markov CSR kernel bit-reproducible: parallel phases produce per-chunk
-// buffers, one deterministic order consumes them). Survivors are copied into
-// the destination shard's inbox; delayed messages are copied out of the
-// transient arena into the router's delay calendar. It returns whether any
-// message was filed for delivery.
-func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
+// route is the sequential merge pass over what phase p produced: it walks the
+// shards' outboxes (after initiate) or reply outboxes (after deliver) in shard
+// order and rules on every message with the fault stack, drawing from the
+// single fault-decision stream in that fixed order (the same discipline that
+// makes the markov CSR kernel bit-reproducible: parallel phases produce
+// per-chunk buffers, one deterministic order consumes them). Survivors are
+// copied into the destination shard's inbox; delayed messages are copied out
+// of the transient arena into the router's delay calendar. It returns whether
+// any message was filed for delivery.
+func (e *ShardedCluster) route(p int32) bool {
 	delivered := false
 	// One condition-stack session for the whole pass: the stack is locked
 	// once here instead of once per message (route is sequential, so the
@@ -383,25 +378,22 @@ func (e *ShardedCluster) route(boxes []protocol.Outbox) bool {
 	// — drop, park, dead letter, or deliver — and the filing of survivors
 	// stays here.
 	ses := e.cfg.Conditions.Begin()
-	for k := range boxes {
-		ob := &boxes[k]
+	for k := range e.shards {
+		ob := &e.shards[k].out
+		if p == phaseDeliver {
+			ob = &e.shards[k].reply
+		}
 		for i := range ob.Msgs {
 			m := &ob.Msgs[i]
 			msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: ob.MsgIDs(m), Dup: m.Dup}
 			if e.router.RouteIn(&ses, m.To, msg) == driver.Delivered {
-				e.inbox(m.To).AppendFrom(ob, m)
+				e.shardOf(m.To).in.AppendFrom(ob, m)
 				delivered = true
 			}
 		}
 	}
 	ses.Close()
 	return delivered
-}
-
-// inbox returns the inbox of node to's shard, which the next deliver phase
-// walks.
-func (e *ShardedCluster) inbox(to peer.ID) *protocol.Outbox {
-	return &e.inboxes[int(to)>>e.shardShift]
 }
 
 // drainDue does for the delayed messages due by the current tick what route
@@ -422,7 +414,7 @@ func (e *ShardedCluster) drainDue() {
 		delivered := false
 		for i := from; i < len(ob.Msgs); i++ {
 			if m := &ob.Msgs[i]; e.router.Deliverable(m.To) {
-				e.inbox(m.To).AppendFrom(ob, m)
+				e.shardOf(m.To).in.AppendFrom(ob, m)
 				delivered = true
 			}
 		}
@@ -438,7 +430,7 @@ func (e *ShardedCluster) drainDue() {
 func (e *ShardedCluster) settle(delivered bool) {
 	for delivered {
 		e.runPhase(phaseDeliver)
-		delivered = e.route(e.replyOut)
+		delivered = e.route(phaseDeliver)
 	}
 }
 
@@ -454,7 +446,7 @@ func (e *ShardedCluster) TickRound() {
 	e.router.Tick()
 	e.drainDue()
 	e.runPhase(phaseInitiate)
-	e.settle(e.route(e.outboxes))
+	e.settle(e.route(phaseInitiate))
 	e.gate <- struct{}{}
 }
 
@@ -512,8 +504,8 @@ func (e *ShardedCluster) Snapshot() *graph.Graph {
 func (e *ShardedCluster) Counters() NodeCounters {
 	<-e.gate
 	var sum NodeCounters
-	for k := range e.counters {
-		sum.Add(e.counters[k])
+	for k := range e.shards {
+		sum.Add(e.shards[k].cnt)
 	}
 	e.gate <- struct{}{}
 	return sum
@@ -540,7 +532,8 @@ func (e *ShardedCluster) CheckInvariants() error {
 		if !e.live.has(peer.ID(u)) {
 			continue
 		}
-		if err := e.nodes[u].core.CheckView(&e.nodes[u].view); err != nil {
+		nd := e.shardOf(peer.ID(u)).node(peer.ID(u))
+		if err := nd.core.CheckView(&nd.view); err != nil {
 			return fmt.Errorf("runtime: node %v: %w", peer.ID(u), err)
 		}
 	}
@@ -570,6 +563,9 @@ func (e *ShardedCluster) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 	_ = start
 	if int(u) < 0 || int(u) >= e.n {
 		return fmt.Errorf("runtime: node id %v outside cluster universe", u)
+	}
+	if err := checkSeeds(seeds, e.n); err != nil {
+		return err
 	}
 	<-e.gate
 	defer func() { e.gate <- struct{}{} }()

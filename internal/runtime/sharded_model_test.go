@@ -156,17 +156,27 @@ func (m *probeModel) advance() {
 // without a delay and at drain time with one — a message to an away node is
 // one dead letter and no receive, per node, and a rejoined node receives
 // again.
+//
+// Shard sizes 16, 64 and 256 put a shard's window of the node records, the
+// slot slab and the bitset at every alignment: several shards to a bitset
+// word, exactly one word, and (256 is the default size) four words — with a
+// short last shard at every n, and at n = 63/64/65/255 under size 256 a
+// single partial one.
 func TestShardedLivenessModel(t *testing.T) {
 	for _, n := range []int{63, 64, 65, 255, 300, 1000} {
-		for _, delay := range []int{0, 2} {
-			t.Run(fmt.Sprintf("n=%d/delay=%d", n, delay), func(t *testing.T) {
-				runLivenessModel(t, n, delay)
-			})
+		for _, shardSize := range []int{16, 64, 256} {
+			for _, delay := range []int{0, 2} {
+				name := fmt.Sprintf("n=%d/delay=%d", n, delay)
+				if shardSize != 16 {
+					name += fmt.Sprintf("/shard=%d", shardSize)
+				}
+				t.Run(name, func(t *testing.T) { runLivenessModel(t, n, shardSize, delay) })
+			}
 		}
 	}
 }
 
-func runLivenessModel(t *testing.T, n, delay int) {
+func runLivenessModel(t *testing.T, n, shardSize, delay int) {
 	net := &probeNet{
 		n: n, sent: make([]probeFlight, n), recv: make([]int, n), bad: make([]int, n),
 		hot: []peer.ID{0, peer.ID(min(62, n-1)), peer.ID(min(63, n-1)), peer.ID(min(64, n-1)), peer.ID(n - 2), peer.ID(n - 1)},
@@ -176,7 +186,7 @@ func runLivenessModel(t *testing.T, n, delay int) {
 		t.Fatal(err)
 	}
 	e, err := newSharded(runtime.Config{
-		N: n, Conditions: cond, Seed: int64(n + delay), ShardSize: 16, Workers: 4,
+		N: n, Conditions: cond, Seed: int64(n + delay), ShardSize: shardSize, Workers: 4,
 		NewCore: func() (protocol.StepCore, error) { return probeCore{net}, nil },
 	})
 	if err != nil {

@@ -72,6 +72,19 @@ var (
 	_ Substrate = (*seqSubstrate)(nil)
 )
 
+// checkSeeds is the join check every backend's AddNode starts with: each
+// seed id must name a slot of the n-node universe. One that does not would
+// sit in the joiner's view and be gossiped to for ever — a dead letter per
+// round, and on the sharded engine an index past the liveness bitset.
+func checkSeeds(seeds []peer.ID, n int) error {
+	for _, v := range seeds {
+		if int(v) < 0 || int(v) >= n {
+			return fmt.Errorf("runtime: seed id %v outside cluster universe [0, %d)", v, n)
+		}
+	}
+	return nil
+}
+
 // EngineKind names an execution backend for Config.Engine and the -engine
 // command-line flags.
 type EngineKind string
