@@ -1,78 +1,45 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"time"
 
 	"sendforget/internal/mgmt"
 	"sendforget/internal/protocol"
-	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
 )
 
-// localConfig parameterizes the in-process -local mode.
-type localConfig struct {
-	n             int
-	engine, proto string
-	s, dl         int
-	loss          float64
-	seed          int64
-	period        time.Duration
-	report        time.Duration
-	duration      time.Duration
-	mgmt          string
-}
-
-// runLocal drives an in-process cluster through the Substrate interface: the
-// backend choice is construction-only (runtime.New); everything after it —
-// ticking rounds, snapshots, traffic — is substrate-neutral. All substrate
-// access goes through the mgmt.Local backend, whose lock serializes the tick
-// loop against management-API churn and config reloads on every engine.
-//
-// Every exit path funnels through one shutdown routine: drain in-flight
-// messages, report final overlay health, check the view invariants. The
-// signal path gets the same treatment as the -duration deadline — a Ctrl-C'd
-// run must leave the same audited ledger behind as a timed one.
-func runLocal(ctx context.Context, cfg localConfig, log *slog.Logger, stderr io.Writer) int {
-	kind, err := runtime.ParseEngine(cfg.engine)
+// newLocalDaemon builds an in-process cluster behind the Substrate
+// interface: the backend choice is construction-only (runtime.New);
+// everything after it — ticking rounds, snapshots, traffic — is
+// substrate-neutral. All substrate access goes through the mgmt.Local
+// backend, whose lock serializes the tick loop against management-API churn
+// and config reloads on every engine.
+func newLocalDaemon(c config, log *slog.Logger) (*daemon, error) {
+	kind, err := runtime.ParseEngine(c.engine)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	seed := cfg.seed
-	if seed == 0 {
-		//lint:allow detrand demo runs want fresh entropy; the seed is logged for replay
-		if seed, err = rng.AutoSeed(); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
+		return nil, err
 	}
 	sub, err := runtime.New(runtime.Config{
 		Engine: kind,
-		N:      cfg.n,
+		N:      c.local,
 		NewCore: func() (protocol.StepCore, error) {
-			return newCore(cfg.proto, cfg.s, cfg.dl)
+			return newCore(c.proto, c.s, c.dl)
 		},
-		Loss:   cfg.loss,
-		Seed:   seed,
-		Period: cfg.period,
+		Loss:   c.loss,
+		Seed:   c.seed,
+		Period: c.period,
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return nil, err
 	}
-	defer sub.Close()
-
-	// periodCh carries live -period reloads from POST /config into the tick
-	// loop; latest-wins so a burst of reloads never blocks a handler.
+	// Latest-wins, so a burst of reloads never blocks a handler.
 	periodCh := make(chan time.Duration, 1)
 	backend, err := mgmt.NewLocal(mgmt.LocalOptions{
-		Sub: sub, Protocol: cfg.proto, Engine: string(kind),
-		N: cfg.n, S: cfg.s, DL: cfg.dl,
-		Seed: seed, Period: cfg.period, Loss: cfg.loss,
+		Sub: sub, Protocol: c.proto, Engine: string(kind),
+		N: c.local, S: c.s, DL: c.dl,
+		Seed: c.seed, Period: c.period, Loss: c.loss,
 		OnPeriod: func(d time.Duration) {
 			for {
 				select {
@@ -88,79 +55,24 @@ func runLocal(ctx context.Context, cfg localConfig, log *slog.Logger, stderr io.
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		sub.Close()
+		return nil, err
 	}
 	log.Info("sfnode: local cluster",
-		"engine", string(kind), "protocol", cfg.proto, "n", cfg.n,
-		"s", cfg.s, "dl", cfg.dl, "loss", cfg.loss, "period", cfg.period, "seed", seed)
-
-	var shutdownReq <-chan struct{} = neverClosed
-	if cfg.mgmt != "" {
-		srv, err := mgmt.New(mgmt.Options{Addr: cfg.mgmt, Backend: backend, Log: log})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		if err := srv.Start(); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		defer stopMgmt(srv, log)
-		shutdownReq = srv.ShutdownRequested()
-		mgmtStarted(srv.Addr())
-	}
-
-	tick := time.NewTicker(cfg.period)
-	defer tick.Stop()
-	rep := time.NewTicker(cfg.report)
-	defer rep.Stop()
-	var deadline <-chan time.Time
-	if cfg.duration > 0 {
-		deadline = time.After(cfg.duration)
-	}
-	status := func() {
-		g := backend.Snapshot()
-		tr := backend.Traffic()
-		edges := 0.0
-		if g.N() > 0 {
-			edges = float64(g.NumEdges()) / float64(g.N())
-		}
-		log.Info("sfnode: overlay status",
-			"round", backend.Rounds(), "components", g.ComponentCount(),
-			"edges_per_node", fmt.Sprintf("%.2f", edges),
-			"sends", tr.Sends, "losses", tr.Losses, "delivered", tr.Deliveries,
-			"pending", backend.Pending())
-	}
-	// shutdown is the single exit routine shared by every way out of the
-	// loop (signal, deadline, management-API drain): settle in-flight
-	// messages, report the final ledger, audit the invariants.
-	shutdown := func(why string) int {
-		log.Info("sfnode: shutting down", "reason", why)
-		if err := backend.Drain(); err != nil {
-			status()
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		status()
-		return 0
-	}
-	for {
-		select {
-		case <-tick.C:
-			backend.Tick()
-		case d := <-periodCh:
-			tick.Reset(d)
-		case <-rep.C:
-			status()
-		case <-ctx.Done():
-			return shutdown("signal (leaving needs no protocol action)")
-		case <-shutdownReq:
-			// The /leave handler already drained and audited; running the
-			// shared routine again is idempotent and keeps one exit path.
-			return shutdown("management API leave")
-		case <-deadline:
-			return shutdown("duration elapsed")
-		}
-	}
+		"engine", string(kind), "protocol", c.proto, "n", c.local,
+		"s", c.s, "dl", c.dl, "loss", c.loss, "period", c.period, "seed", c.seed)
+	return &daemon{
+		backend:  backend,
+		tick:     backend.Tick,
+		periodCh: periodCh,
+		overlay: func() []any {
+			g := backend.Snapshot()
+			edges := 0.0
+			if g.N() > 0 {
+				edges = float64(g.NumEdges()) / float64(g.N())
+			}
+			return []any{"components", g.ComponentCount(), "edges_per_node", fmt.Sprintf("%.2f", edges)}
+		},
+		close: sub.Close,
+	}, nil
 }

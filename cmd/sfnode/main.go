@@ -39,7 +39,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -84,120 +83,104 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// config holds the parsed flags.
+type config struct {
+	// UDP mode.
+	id                              int
+	listen, advertise, peers, seeds string
+	// -local mode.
+	local  int
+	engine string
+	loss   float64
+	// Both.
+	proto                    string
+	s, dl                    int
+	seed                     int64
+	period, report, duration time.Duration
+	mgmt                     string
+}
+
+// daemon is what one mode hands the run loop: the management backend over
+// whatever it built, and the few things serve cannot reach through it.
+type daemon struct {
+	backend mgmt.Backend
+	// tick drives one gossip round per period, and periodCh carries live
+	// reloads of the period from POST /config into the loop. Both are nil
+	// in UDP mode, where the node's own timer gossips.
+	tick     func()
+	periodCh <-chan time.Duration
+	// overlay returns the mode's own report fields: the node's view and
+	// directory, or the cluster's graph health.
+	overlay func() []any
+	// close releases what the mode built, after the loop has returned.
+	close func()
+}
+
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	var c config
 	fs := flag.NewFlagSet("sfnode", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	id := fs.Int("id", 0, "this node's id")
-	listen := fs.String("listen", "127.0.0.1:0", "UDP listen address")
-	peersFlag := fs.String("peers", "", "peer directory: id=host:port,id=host:port,...")
-	seedsFlag := fs.String("seeds", "", "comma-separated ids for the initial view (at least max(2, dl))")
-	protoName := fs.String("protocol", "sf", "protocol: sf, sfopt, shuffle, flipper, or pushpull")
-	s := fs.Int("s", 8, "view size (even >= 6 for sf/sfopt)")
-	dl := fs.Int("dl", 2, "duplication threshold (even, <= s-6; sf/sfopt only)")
-	period := fs.Duration("period", 250*time.Millisecond, "gossip period")
-	report := fs.Duration("report", 2*time.Second, "view report interval")
-	duration := fs.Duration("duration", 0, "stop after this long (0 = run until signal)")
-	seedFlag := fs.Int64("seed", 0, "node RNG seed (0 draws one from OS entropy)")
-	advertise := fs.String("advertise", "", "address peers should learn for this node (default: the bound listen address)")
-	local := fs.Int("local", 0, "run an in-process cluster of this many nodes instead of a UDP node")
-	engineFlag := fs.String("engine", string(runtime.EngineCluster), "execution backend for -local: seq, cluster, or sharded")
-	lossFlag := fs.Float64("loss", 0, "simulated uniform loss rate for -local mode")
-	mgmtAddr := fs.String("mgmt", "", "serve the management API + /metrics on this address (empty = disabled)")
+	fs.IntVar(&c.id, "id", 0, "this node's id")
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "UDP listen address")
+	fs.StringVar(&c.peers, "peers", "", "peer directory: id=host:port,id=host:port,...")
+	fs.StringVar(&c.seeds, "seeds", "", "comma-separated ids for the initial view (at least max(2, dl))")
+	fs.StringVar(&c.proto, "protocol", "sf", "protocol: sf, sfopt, shuffle, flipper, or pushpull")
+	fs.IntVar(&c.s, "s", 8, "view size (even >= 6 for sf/sfopt)")
+	fs.IntVar(&c.dl, "dl", 2, "duplication threshold (even, <= s-6; sf/sfopt only)")
+	fs.DurationVar(&c.period, "period", 250*time.Millisecond, "gossip period")
+	fs.DurationVar(&c.report, "report", 2*time.Second, "view report interval")
+	fs.DurationVar(&c.duration, "duration", 0, "stop after this long (0 = run until signal)")
+	fs.Int64Var(&c.seed, "seed", 0, "node RNG seed (0 draws one from OS entropy)")
+	fs.StringVar(&c.advertise, "advertise", "", "address peers should learn for this node (default: the bound listen address)")
+	fs.IntVar(&c.local, "local", 0, "run an in-process cluster of this many nodes instead of a UDP node")
+	fs.StringVar(&c.engine, "engine", string(runtime.EngineCluster), "execution backend for -local: seq, cluster, or sharded")
+	fs.Float64Var(&c.loss, "loss", 0, "simulated uniform loss rate for -local mode")
+	fs.StringVar(&c.mgmt, "mgmt", "", "serve the management API + /metrics on this address (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	log := slog.New(slog.NewTextHandler(stdout, nil))
-	if *local > 0 {
-		return runLocal(ctx, localConfig{
-			n: *local, engine: *engineFlag, proto: *protoName, s: *s, dl: *dl,
-			loss: *lossFlag, seed: *seedFlag,
-			period: *period, report: *report, duration: *duration,
-			mgmt: *mgmtAddr,
-		}, log, stderr)
-	}
-	// Simulation-only knobs are a config error on a real node, not a
-	// silent no-op: a UDP node's loss comes from the network, and there is
-	// no engine to pick.
-	if err := rejectLocalOnlyFlags(fs); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
-	seeds, err := parseSeeds(*seedsFlag, peer.ID(*id))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	// The endpoint dispatches into the node. Peers may already list this
-	// node in their seed views and gossip at it before construction
-	// finishes, so the handoff is atomic; early datagrams are dropped
-	// (S&F tolerates loss by design).
-	var node atomic.Pointer[runtime.Node]
-	ep, err := transport.NewEndpoint(*listen, func(m protocol.Message) {
-		if n := node.Load(); n != nil {
-			n.HandleMessage(m)
-		}
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	defer ep.Close()
-	adv := *advertise
-	if adv == "" {
-		adv = ep.Addr().String()
-	}
-	if err := ep.EnableAddressLearning(peer.ID(*id), adv); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if err := addPeers(ep, *peersFlag); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	core, err := newCore(*protoName, *s, *dl)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	// A production node wants unpredictable partner choices per process;
 	// a fixed -seed reproduces a run exactly (pair it with -period for a
 	// deterministic single-node trace). Either way the seed is logged so
 	// any run can be replayed.
-	seed := *seedFlag
-	if seed == 0 {
-		//lint:allow detrand production nodes want fresh entropy; the seed is logged for replay
-		if seed, err = rng.AutoSeed(); err != nil {
+	if c.seed == 0 {
+		var err error
+		//lint:allow detrand production nodes and demo runs want fresh entropy; the seed is logged for replay
+		if c.seed, err = rng.AutoSeed(); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
-	n, err := runtime.NewNode(runtime.NodeConfig{
-		ID: peer.ID(*id), Core: core, Period: *period, Seed: seed,
-	}, seeds, ep)
+	newDaemon := newUDPDaemon
+	if c.local > 0 {
+		newDaemon = newLocalDaemon
+	} else if err := rejectLocalOnlyFlags(fs); err != nil {
+		// Simulation-only knobs are a config error on a real node, not a
+		// silent no-op: a UDP node's loss comes from the network, and
+		// there is no engine to pick.
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	d, err := newDaemon(c, log)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	node.Store(n)
-	log.Info("sfnode: listening",
-		"id", *id, "protocol", core.Name(), "addr", ep.Addr().String(),
-		"s", *s, "dl", *dl, "period", *period, "seed", seed)
-	n.Start()
-	defer n.Stop()
+	defer d.close()
+	return serve(ctx, d, c, log, stderr)
+}
 
-	var srv *mgmt.Server
-	var shutdownReq <-chan struct{} = neverClosed
-	if *mgmtAddr != "" {
-		backend, err := mgmt.NewUDPNode(mgmt.UDPNodeOptions{
-			Node: n, Endpoint: ep,
-			Protocol: *protoName, S: *s, DL: *dl, Seed: seed,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		srv, err = mgmt.New(mgmt.Options{Addr: *mgmtAddr, Backend: backend, Log: log})
+// serve is the run loop of both modes: management bring-up, ticking (when
+// the daemon is tick-driven), periodic reports, and the wait for a way out.
+// Every way out — signal, management-API leave, deadline — funnels through
+// one shutdown routine: drain in-flight messages, report the final ledger,
+// audit the view invariants. A Ctrl-C'd run must leave the same audited
+// ledger behind as a timed one, and a failed audit is the exit code.
+func serve(ctx context.Context, d *daemon, c config, log *slog.Logger, stderr io.Writer) int {
+	var shutdownReq <-chan struct{}
+	if c.mgmt != "" {
+		srv, err := mgmt.New(mgmt.Options{Addr: c.mgmt, Backend: d.backend, Log: log})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -210,39 +193,58 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		shutdownReq = srv.ShutdownRequested()
 		mgmtStarted(srv.Addr())
 	}
-
-	ticker := time.NewTicker(*report)
-	defer ticker.Stop()
-	var deadline <-chan time.Time
-	if *duration > 0 {
-		deadline = time.After(*duration)
+	var tick *time.Ticker
+	var tickC <-chan time.Time
+	if d.tick != nil {
+		tick = time.NewTicker(c.period)
+		defer tick.Stop()
+		tickC = tick.C
 	}
-	// All exits below share the deferred teardown: stop the gossip loop,
-	// shut the management server down, close the endpoint.
+	rep := time.NewTicker(c.report)
+	defer rep.Stop()
+	var deadline <-chan time.Time
+	if c.duration > 0 {
+		deadline = time.After(c.duration)
+	}
+	report := func() {
+		st := d.backend.Status()
+		log.Info("sfnode: overlay status", append([]any{
+			"round", st.Rounds,
+			"sends", st.Traffic.Sends, "losses", st.Traffic.Losses, "delivered", st.Traffic.Deliveries,
+			"pending", st.Pending,
+			"recvs", st.Counters.Receives, "replies", st.Counters.Replies,
+			"dups", st.Counters.Duplications, "selfloops", st.Counters.SelfLoops,
+		}, d.overlay()...)...)
+	}
+	shutdown := func(why string) int {
+		log.Info("sfnode: shutting down", "reason", why)
+		err := d.backend.Drain()
+		report()
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
+	}
 	for {
 		select {
-		case <-ticker.C:
-			c := n.Counters()
-			log.Info("sfnode: view report",
-				"view", n.ViewSnapshot().String(),
-				"sends", c.Sends, "recvs", c.Receives, "replies", c.Replies,
-				"dups", c.Duplications, "selfloops", c.SelfLoops,
-				"peers", ep.KnownPeers(), "learned", ep.LearnedPeers())
+		case <-tickC:
+			d.tick()
+		case p := <-d.periodCh:
+			tick.Reset(p)
+		case <-rep.C:
+			report()
 		case <-ctx.Done():
-			log.Info("sfnode: leaving on signal (no protocol action needed)")
-			return 0
+			return shutdown("signal (leaving on signal needs no protocol action)")
 		case <-shutdownReq:
-			log.Info("sfnode: leaving via management API (no protocol action needed)")
-			return 0
+			// The /leave handler already drained and audited; running the
+			// shared routine again is idempotent and keeps one exit path.
+			return shutdown("leaving via management API")
 		case <-deadline:
-			log.Info("sfnode: duration elapsed, leaving")
-			return 0
+			return shutdown("duration elapsed")
 		}
 	}
 }
-
-// neverClosed stands in for ShutdownRequested when -mgmt is disabled.
-var neverClosed = make(chan struct{})
 
 // stopMgmt gives in-flight management requests a short grace period.
 func stopMgmt(srv *mgmt.Server, log *slog.Logger) {
@@ -251,6 +253,49 @@ func stopMgmt(srv *mgmt.Server, log *slog.Logger) {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Error("sfnode: mgmt shutdown", "err", err)
 	}
+}
+
+// newUDPDaemon brings one real node up on its socket and starts its gossip
+// timer.
+func newUDPDaemon(c config, log *slog.Logger) (*daemon, error) {
+	seeds, err := parseSeeds(c.seeds, peer.ID(c.id))
+	if err != nil {
+		return nil, err
+	}
+	core, err := newCore(c.proto, c.s, c.dl)
+	if err != nil {
+		return nil, err
+	}
+	n, ep, err := runtime.NewUDPNode(runtime.NodeConfig{
+		ID: peer.ID(c.id), Core: core, Period: c.period, Seed: c.seed,
+	}, seeds, c.listen, c.advertise, func(ep *transport.Endpoint) error {
+		return addPeers(ep, c.peers)
+	})
+	if err != nil {
+		return nil, err
+	}
+	backend, err := mgmt.NewUDPNode(mgmt.UDPNodeOptions{
+		Node: n, Endpoint: ep,
+		Protocol: c.proto, S: c.s, DL: c.dl, Seed: c.seed,
+	})
+	if err != nil {
+		ep.Close()
+		return nil, err
+	}
+	log.Info("sfnode: listening",
+		"id", c.id, "protocol", core.Name(), "addr", ep.Addr().String(),
+		"s", c.s, "dl", c.dl, "period", c.period, "seed", c.seed)
+	n.Start()
+	return &daemon{
+		backend: backend,
+		overlay: func() []any {
+			return []any{"view", n.ViewSnapshot().String(), "peers", ep.KnownPeers(), "learned", ep.LearnedPeers()}
+		},
+		close: func() {
+			n.Stop()
+			ep.Close()
+		},
+	}, nil
 }
 
 // rejectLocalOnlyFlags errors when a -local-only knob was set explicitly

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sendforget/internal/mgmt"
 	"sendforget/internal/protocol"
 	"sendforget/internal/transport"
 )
@@ -254,6 +257,31 @@ func TestRunGracefulShutdownUDP(t *testing.T) {
 	defer mu.Unlock()
 	if !strings.Contains(out.String(), "leaving on signal") {
 		t.Error("shutdown not logged")
+	}
+	// The UDP exit runs the shared shutdown routine: a final report after
+	// the invariant audit.
+	if !strings.Contains(out.String(), "overlay status") {
+		t.Error("no final report on the UDP exit path")
+	}
+}
+
+// auditFails is a backend whose shutdown audit finds a broken view.
+type auditFails struct{ mgmt.Backend }
+
+func (auditFails) Status() mgmt.Status { return mgmt.Status{} }
+func (auditFails) Drain() error        { return errors.New("view invariant violated") }
+
+// TestServeFailedDrainIsExitCode: every way out of the run loop runs Drain,
+// and its verdict is the exit code — for a daemon without a tick (the UDP
+// shape) as for a ticked one.
+func TestServeFailedDrainIsExitCode(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stderr bytes.Buffer
+	d := &daemon{backend: auditFails{}, overlay: func() []any { return nil }}
+	code := serve(ctx, d, config{report: time.Hour}, slog.New(slog.NewTextHandler(io.Discard, nil)), &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "view invariant violated") {
+		t.Errorf("serve = %d, stderr %q; want 1 and the audit error", code, stderr.String())
 	}
 }
 

@@ -3,7 +3,9 @@
 // /health, /config) plus a Prometheus text /metrics exporter, served next to
 // the gossip loop. The same API shape works for a single real UDP node and
 // for an in-process -local cluster — the Backend interface is the seam — so
-// operators and tests drive both through identical requests.
+// operators and tests drive both through identical requests. Every read
+// endpoint answers from one Backend.Status call, so all series of one
+// /metrics scrape are read at the same instant.
 //
 // The gossip protocols themselves need nothing but fire-and-forget
 // datagrams (the paper's practicality claim); everything in this package is
@@ -18,6 +20,7 @@ import (
 	"sendforget/internal/faults"
 	"sendforget/internal/metrics"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // Info identifies what the daemon is running, for /health and /config.
@@ -77,38 +80,60 @@ type ConfigUpdate struct {
 	Loss   *float64 `json:"loss,omitempty"`
 }
 
+// Status is one reading of the daemon: every field is sampled in a single
+// hold of the backend's lock, so identities between them (traffic sends =
+// node sends + replies = fault decisions; sends = losses + deliveries + dead
+// letters + pending) hold on a live daemon, not only on a drained one. Every
+// read endpoint is a projection of it, and a new probe is a new field here,
+// filled in the same lock hold.
+type Status struct {
+	// Config is the daemon's identity and live configuration.
+	Config
+	// Rounds is the logical-time progress counter (ticked rounds in local
+	// mode, initiated actions in UDP mode).
+	Rounds int64
+	// Pending is the number of messages parked in the delay queue.
+	Pending int
+	// Counters sums the node-level protocol ledger.
+	Counters runtime.NodeCounters
+	// Traffic is the transport ledger.
+	Traffic metrics.Traffic
+	// Faults is the fault-layer ledger; nil when no fault layer exists (UDP
+	// mode — the real network injects its own).
+	Faults *faults.Counters
+}
+
 // Backend is the seam between the HTTP layer and the thing actually
 // gossiping. Implementations must be safe for concurrent use: handlers run
 // on server goroutines while the daemon's run loop ticks.
 type Backend interface {
-	// Info identifies the running configuration.
-	Info() Info
-	// Rounds returns the logical-time progress counter (ticked rounds in
-	// local mode, initiated actions in UDP mode).
-	Rounds() int64
-	// Views snapshots the live views, ordered by node id.
-	Views() []NodeView
-	// Counters sums the node-level protocol ledger.
-	Counters() runtime.NodeCounters
-	// Traffic reports the transport ledger.
-	Traffic() metrics.Traffic
-	// FaultCounters reports the fault-layer ledger; ok is false when no
-	// fault layer exists (UDP mode — the real network injects its own).
-	FaultCounters() (c faults.Counters, ok bool)
-	// Pending returns the number of messages parked in the delay queue.
-	Pending() int
+	// Status reads the daemon's identity, configuration and ledgers at one
+	// instant.
+	Status() Status
+	// Views snapshots the live views, ordered by node id, and counts them.
+	// With only set, views holds that node's view alone, or nothing when
+	// the node is not live; live is the full count either way.
+	Views(only *int) (views []NodeView, live int)
 	// Join admits a member per JoinRequest.
 	Join(req JoinRequest) error
 	// Leave removes member id (local mode).
 	Leave(id int) error
 	// Drain delivers everything in flight and checks the per-view
-	// invariants — the unified shutdown path runs it, and /leave without
-	// an id runs it before requesting daemon shutdown.
+	// invariants — the daemon's shutdown routine runs it, and /leave
+	// without an id runs it before requesting daemon shutdown.
 	Drain() error
-	// Config returns the current configuration.
-	Config() Config
 	// Reconfigure applies a live partial update.
 	Reconfigure(upd ConfigUpdate) error
+}
+
+// nodeView renders node id's view in the API shape.
+func nodeView(id int, v *view.View) NodeView {
+	ids := v.IDs()
+	entries := make([]int, len(ids))
+	for i, e := range ids {
+		entries[i] = int(e)
+	}
+	return NodeView{ID: id, View: entries}
 }
 
 // parsePeriod validates a ConfigUpdate period string.

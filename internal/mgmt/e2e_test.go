@@ -120,7 +120,7 @@ func TestE2E50NodeClusterViaAPI(t *testing.T) {
 		t.Fatalf("implausibly quiet run: %+v", tr)
 	}
 	got := scrapeProm(t, base)
-	fc, _ := backend.FaultCounters()
+	fc := backend.Status().Faults
 	want := map[string]int{
 		"sendforget_traffic_sends_total":        tr.Sends,
 		"sendforget_traffic_losses_total":       tr.Losses,

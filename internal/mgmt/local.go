@@ -5,11 +5,10 @@ import (
 	"sync"
 	"time"
 
-	"sendforget/internal/faults"
 	"sendforget/internal/graph"
-	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // LocalOptions parameterizes a Local backend over an in-process cluster.
@@ -17,8 +16,9 @@ type LocalOptions struct {
 	// Sub is the substrate to manage. The backend becomes its single
 	// owner: the daemon's run loop must tick through Local.Tick, never
 	// Sub.TickRound directly, so HTTP-driven churn and config reloads
-	// serialize against ticking on every engine (the seq and sharded
-	// engines are not internally synchronized).
+	// serialize against ticking on every engine (the seq engine is not
+	// internally synchronized; the cluster and sharded engines are, call
+	// by call, but a Status spans several calls).
 	Sub runtime.Substrate
 	// Protocol, Engine, N, S, DL, Seed describe the running config.
 	Protocol string
@@ -72,73 +72,74 @@ func (l *Local) Tick() {
 	l.rounds++
 }
 
-// Info identifies the running configuration.
-func (l *Local) Info() Info {
-	return Info{Mode: "local", Protocol: l.opts.Protocol, Engine: l.opts.Engine, N: l.opts.N}
-}
-
-// Rounds returns how many rounds Tick has driven.
-func (l *Local) Rounds() int64 {
+// Status reads the configuration, the round counter and every ledger in one
+// hold of mu: no tick runs in between, so they describe the same round.
+func (l *Local) Status() Status {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.rounds
-}
-
-// Views snapshots the live views, ordered by node id.
-func (l *Local) Views() []NodeView {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	views := l.opts.Sub.Views()
-	out := make([]NodeView, 0, len(views))
-	for id, v := range views {
-		if v == nil {
-			continue
-		}
-		ids := v.IDs()
-		entries := make([]int, len(ids))
-		for i, e := range ids {
-			entries[i] = int(e)
-		}
-		out = append(out, NodeView{ID: id, View: entries})
+	fc := l.opts.Sub.Conditions().Counters()
+	return Status{
+		Config: Config{
+			Info: Info{Mode: "local", Protocol: l.opts.Protocol, Engine: l.opts.Engine, N: l.opts.N},
+			S:    l.opts.S, DL: l.opts.DL, Seed: l.opts.Seed,
+			Period: l.period.String(), Loss: l.loss,
+		},
+		Rounds:   l.rounds,
+		Pending:  l.opts.Sub.Pending(),
+		Counters: l.opts.Sub.Counters(),
+		Traffic:  l.opts.Sub.Traffic(),
+		Faults:   &fc,
 	}
-	return out
 }
 
-// Snapshot returns the membership graph under the backend lock, so the
-// daemon's report loop can read overlay health without racing HTTP-driven
-// churn.
+// snapshot takes the substrate's copy of the views — the one step that needs
+// mu. What callers build from the copy (the graph, the API shapes) they build
+// after it is released, so the tick loop waits for the copy and no longer.
+func (l *Local) snapshot() []*view.View {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.opts.Sub.Views()
+}
+
+// Views renders the live views, ordered by node id, or just node *only's.
+func (l *Local) Views(only *int) ([]NodeView, int) {
+	views := l.snapshot()
+	live := 0
+	for _, v := range views {
+		if v != nil {
+			live++
+		}
+	}
+	if only != nil {
+		if *only < 0 || *only >= len(views) || views[*only] == nil {
+			return nil, live
+		}
+		return []NodeView{nodeView(*only, views[*only])}, live
+	}
+	out := make([]NodeView, 0, live)
+	for id, v := range views {
+		if v != nil {
+			out = append(out, nodeView(id, v))
+		}
+	}
+	return out, live
+}
+
+// Snapshot returns the membership graph of one consistent view snapshot, so
+// the daemon's report loop can read overlay health without racing
+// HTTP-driven churn.
 func (l *Local) Snapshot() *graph.Graph {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opts.Sub.Snapshot()
+	return graph.FromViews(l.snapshot())
 }
 
-// Counters sums the node-level protocol ledger.
-func (l *Local) Counters() runtime.NodeCounters {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opts.Sub.Counters()
-}
-
-// Traffic reports the transport ledger.
-func (l *Local) Traffic() metrics.Traffic {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opts.Sub.Traffic()
-}
-
-// FaultCounters reports the fault-layer ledger.
-func (l *Local) FaultCounters() (faults.Counters, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opts.Sub.Conditions().Counters(), true
-}
-
-// Pending returns the delay-queue depth.
-func (l *Local) Pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opts.Sub.Pending()
+// inUniverse rejects an id that names no slot of the cluster. API ids are
+// JSON integers: it runs before any conversion to the 32-bit peer.ID, which
+// would wrap 1<<32 + 5 to node 5.
+func (l *Local) inUniverse(id int) error {
+	if id < 0 || id >= l.opts.N {
+		return fmt.Errorf("mgmt: node id %d outside cluster universe [0, %d)", id, l.opts.N)
+	}
+	return nil
 }
 
 // Join activates a node slot with the given seed view.
@@ -149,10 +150,16 @@ func (l *Local) Join(req JoinRequest) error {
 	if len(req.Seeds) == 0 {
 		return fmt.Errorf("mgmt: join needs seed ids (at least max(2, dL) live nodes)")
 	}
+	if err := l.inUniverse(*req.ID); err != nil {
+		return err
+	}
 	seeds := make([]peer.ID, len(req.Seeds))
 	for i, s := range req.Seeds {
 		if s == *req.ID {
 			return fmt.Errorf("mgmt: node %d cannot seed its view with itself", s)
+		}
+		if err := l.inUniverse(s); err != nil {
+			return err
 		}
 		seeds[i] = peer.ID(s)
 	}
@@ -165,11 +172,11 @@ func (l *Local) Join(req JoinRequest) error {
 
 // Leave removes node id (no protocol action — the paper's leave).
 func (l *Local) Leave(id int) error {
+	if err := l.inUniverse(id); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if id < 0 || id >= l.opts.N {
-		return fmt.Errorf("mgmt: node id %d outside cluster universe [0, %d)", id, l.opts.N)
-	}
 	views := l.opts.Sub.Views()
 	if id >= len(views) || views[id] == nil {
 		return fmt.Errorf("mgmt: node %d is not active", id)
@@ -186,18 +193,6 @@ func (l *Local) Drain() error {
 	defer l.mu.Unlock()
 	l.opts.Sub.DrainDelayed()
 	return l.opts.Sub.CheckInvariants()
-}
-
-// Config returns the current configuration.
-func (l *Local) Config() Config {
-	l.mu.Lock()
-	period, loss := l.period, l.loss
-	l.mu.Unlock()
-	return Config{
-		Info: l.Info(),
-		S:    l.opts.S, DL: l.opts.DL, Seed: l.opts.Seed,
-		Period: period.String(), Loss: loss,
-	}
 }
 
 // Reconfigure applies a live partial update: period retunes the daemon's

@@ -197,11 +197,12 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	st := s.backend.Status()
 	s.writeJSON(w, http.StatusOK, healthResponse{
 		Status:  "ok",
-		Info:    s.backend.Info(),
-		Rounds:  s.backend.Rounds(),
-		Pending: s.backend.Pending(),
+		Info:    st.Info,
+		Rounds:  st.Rounds,
+		Pending: st.Pending,
 		//lint:allow detrand operational uptime for /health; never feeds protocol decisions
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	})
@@ -215,31 +216,25 @@ type viewResponse struct {
 }
 
 func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
-	views := s.backend.Views()
-	live := len(views)
+	var only *int
 	if q := r.URL.Query().Get("id"); q != "" {
 		id, err := strconv.Atoi(q)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("mgmt: bad id %q", q))
 			return
 		}
-		filtered := views[:0:0]
-		for _, v := range views {
-			if v.ID == id {
-				filtered = append(filtered, v)
-			}
-		}
-		if len(filtered) == 0 {
-			s.writeError(w, http.StatusNotFound, fmt.Errorf("mgmt: node %d is not active", id))
-			return
-		}
-		views = filtered
+		only = &id
 	}
-	s.writeJSON(w, http.StatusOK, viewResponse{N: s.backend.Info().N, Live: live, Views: views})
+	views, live := s.backend.Views(only)
+	if only != nil && len(views) == 0 {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("mgmt: node %d is not active", *only))
+		return
+	}
+	s.writeJSON(w, http.StatusOK, viewResponse{N: s.backend.Status().N, Live: live, Views: views})
 }
 
 func (s *Server) handleGetConfig(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.backend.Config())
+	s.writeJSON(w, http.StatusOK, s.backend.Status().Config)
 }
 
 func (s *Server) handlePostConfig(w http.ResponseWriter, r *http.Request) {
@@ -253,7 +248,7 @@ func (s *Server) handlePostConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Info("mgmt: config reloaded",
 		"period", deref(upd.Period, "unchanged"), "loss", derefAny(upd.Loss, "unchanged"))
-	s.writeJSON(w, http.StatusOK, s.backend.Config())
+	s.writeJSON(w, http.StatusOK, s.backend.Status().Config)
 }
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -296,10 +291,11 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	st := s.backend.Status()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := metrics.NewPromWriter(w)
-	s.backend.Traffic().WriteProm(p, "sendforget")
-	c := s.backend.Counters()
+	st.Traffic.WriteProm(p, "sendforget")
+	c := st.Counters
 	p.Counter("sendforget_node_ticks_total", "Initiated protocol actions across live nodes.", c.Ticks)
 	p.Counter("sendforget_node_sends_total", "Messages emitted by initiate steps.", c.Sends)
 	p.Counter("sendforget_node_receives_total", "Messages handled by receive steps.", c.Receives)
@@ -307,7 +303,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("sendforget_node_duplications_total", "Messages sent with the duplication flag.", c.Duplications)
 	p.Counter("sendforget_node_selfloops_total", "Initiated actions that were self-loop transformations.", c.SelfLoops)
 	p.Counter("sendforget_node_send_errors_total", "Transport send errors.", c.SendErrors)
-	if fc, ok := s.backend.FaultCounters(); ok {
+	if fc := st.Faults; fc != nil {
 		p.Counter("sendforget_faults_decisions_total", "Fault-layer rulings (one per attempted transmission).", fc.Decisions)
 		p.Counter("sendforget_faults_model_drops_total", "Drops by the base loss model.", fc.ModelDrops)
 		p.Counter("sendforget_faults_link_drops_total", "Drops by per-link override models.", fc.LinkDrops)
@@ -316,8 +312,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("sendforget_faults_partitions_total", "Partition events.", fc.Partitions)
 		p.Counter("sendforget_faults_heals_total", "Heal events.", fc.Heals)
 	}
-	p.Counter("sendforget_rounds_total", "Gossip rounds driven (local) or actions initiated (udp).", int(s.backend.Rounds()))
-	p.Gauge("sendforget_pending_messages", "Messages parked in the delay queue.", float64(s.backend.Pending()))
+	p.Counter("sendforget_rounds_total", "Gossip rounds driven (local) or actions initiated (udp).", int(st.Rounds))
+	p.Gauge("sendforget_pending_messages", "Messages parked in the delay queue.", float64(st.Pending))
 	p.Gauge("sendforget_up", "1 while the management server is serving.", 1)
 	if err := p.Err(); err != nil {
 		s.log.Error("mgmt: metrics write", "err", err)

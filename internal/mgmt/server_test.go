@@ -17,7 +17,6 @@ import (
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/runtime"
-	"sendforget/internal/transport"
 )
 
 // newTestLocal boots a managed in-process cluster and its server, returning
@@ -36,22 +35,23 @@ func newTestLocal(t *testing.T, n int, lossRate float64, onPeriod func(time.Dura
 // newTestBackend builds a managed in-process cluster without a server.
 func newTestBackend(t *testing.T, n int, lossRate float64, onPeriod func(time.Duration)) (*Local, runtime.Substrate) {
 	t.Helper()
-	sub, err := runtime.New(runtime.Config{
-		Engine: runtime.EngineCluster,
-		N:      n,
-		NewCore: func() (protocol.StepCore, error) {
-			return sendforget.NewCore(8, 2)
-		},
-		Loss: lossRate,
-		Seed: 42,
-	})
+	return newTestBackendOn(t, runtime.Config{Engine: runtime.EngineCluster, N: n, Loss: lossRate}, onPeriod)
+}
+
+// newTestBackendOn is newTestBackend on any engine and fault stack; cfg
+// supplies Engine, N and Loss or Conditions.
+func newTestBackendOn(t testing.TB, cfg runtime.Config, onPeriod func(time.Duration)) (*Local, runtime.Substrate) {
+	t.Helper()
+	cfg.NewCore = func() (protocol.StepCore, error) { return sendforget.NewCore(8, 2) }
+	cfg.Seed = 42
+	sub, err := runtime.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sub.Close)
 	backend, err := NewLocal(LocalOptions{
-		Sub: sub, Protocol: "sf", Engine: "cluster", N: n, S: 8, DL: 2,
-		Seed: 42, Period: 250 * time.Millisecond, Loss: lossRate, OnPeriod: onPeriod,
+		Sub: sub, Protocol: "sf", Engine: string(cfg.Engine), N: cfg.N, S: 8, DL: 2,
+		Seed: 42, Period: 250 * time.Millisecond, Loss: cfg.Loss, OnPeriod: onPeriod,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +205,18 @@ func TestJoinLeaveValidation(t *testing.T) {
 		t.Errorf("live after leave = %d, want 7", v.Live)
 	}
 	// A seed outside [0, n) would be gossiped to for ever (and crashes the
-	// sharded engine's router): refused, nothing joined, rounds go on.
-	for _, seeds := range [][]int{{1048576, 1}, {1, 8}, {1, -7}} {
-		postJSON(t, base+"/join", JoinRequest{ID: id(3), Seeds: seeds}, http.StatusBadRequest, nil)
+	// sharded engine's router): refused, nothing joined, rounds go on. So
+	// are JSON integers past int32, which an unchecked conversion to peer.ID
+	// wraps to seeds 1 and 2, or to node 3.
+	for _, req := range []JoinRequest{
+		{ID: id(3), Seeds: []int{1048576, 1}},
+		{ID: id(3), Seeds: []int{1, 8}},
+		{ID: id(3), Seeds: []int{1, -7}},
+		{ID: id(3), Seeds: []int{1<<32 + 1, 1<<32 + 2}},
+		{ID: id(1<<32 + 3), Seeds: []int{1, 2}},
+		{ID: id(-1<<32 + 3), Seeds: []int{1, 2}},
+	} {
+		postJSON(t, base+"/join", req, http.StatusBadRequest, nil)
 	}
 	for i := 0; i < 3; i++ {
 		backend.Tick()
@@ -334,7 +343,7 @@ func TestStalledBodyClosesConnection(t *testing.T) {
 	if _, err := io.Copy(io.Discard, conn); err != nil {
 		t.Fatalf("server kept the stalled connection open: %v", err)
 	}
-	if got := backend.Config().Loss; got != 0 {
+	if got := backend.Status().Loss; got != 0 {
 		t.Errorf("half a body changed the loss rate to %v", got)
 	}
 }
@@ -364,10 +373,10 @@ func TestConfigReload(t *testing.T) {
 	// Certain loss now provably drops: tick until something is sent (early
 	// S&F actions can all be self-loop transformations) and check the
 	// ledger.
-	for i := 0; i < 100 && backend.Traffic().Sends == 0; i++ {
+	for i := 0; i < 100 && backend.Status().Traffic.Sends == 0; i++ {
 		backend.Tick()
 	}
-	tr := backend.Traffic()
+	tr := backend.Status().Traffic
 	if tr.Sends == 0 || tr.Losses != tr.Sends {
 		t.Errorf("traffic under loss=1: %+v, want all sends lost", tr)
 	}
@@ -409,13 +418,14 @@ func TestMetricsMatchTrafficExactly(t *testing.T) {
 		"sendforget_traffic_partition_drops_total": tr.PartitionDrops,
 		"sendforget_traffic_delayed_total":         tr.Delayed,
 	}
-	fc, ok := backend.FaultCounters()
-	if !ok {
+	st := backend.Status()
+	fc := st.Faults
+	if fc == nil {
 		t.Fatal("local backend reports no fault counters")
 	}
 	want["sendforget_faults_decisions_total"] = fc.Decisions
 	want["sendforget_faults_model_drops_total"] = fc.ModelDrops
-	c := backend.Counters()
+	c := st.Counters
 	want["sendforget_node_ticks_total"] = c.Ticks
 	want["sendforget_node_sends_total"] = c.Sends
 	want["sendforget_node_receives_total"] = c.Receives
@@ -459,27 +469,17 @@ func backendTickSome(srv *Server, n int) {
 }
 
 func TestUDPNodeBackend(t *testing.T) {
-	var node atomic.Pointer[runtime.Node]
-	ep, err := transport.NewEndpoint("127.0.0.1:0", func(m protocol.Message) {
-		if n := node.Load(); n != nil {
-			n.HandleMessage(m)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
 	core, err := sendforget.NewCore(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := runtime.NewNode(runtime.NodeConfig{
+	n, ep, err := runtime.NewUDPNode(runtime.NodeConfig{
 		ID: 0, Core: core, Period: time.Hour, Seed: 7,
-	}, []peer.ID{1, 2}, ep)
+	}, []peer.ID{1, 2}, "127.0.0.1:0", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node.Store(n)
+	defer ep.Close()
 	n.Start()
 	defer n.Stop()
 
@@ -524,6 +524,12 @@ func TestUDPNodeBackend(t *testing.T) {
 	}
 	postJSON(t, base+"/join", JoinRequest{ID: id(0), Addr: "127.0.0.1:19996"}, http.StatusBadRequest, nil) // self
 	postJSON(t, base+"/join", JoinRequest{ID: id(6)}, http.StatusBadRequest, nil)                          // no addr
+	// Past int32 the id would wrap into peer 5's directory entry.
+	postJSON(t, base+"/join", JoinRequest{ID: id(1<<32 + 5), Addr: "127.0.0.1:19997"}, http.StatusBadRequest, nil)
+	postJSON(t, base+"/join", JoinRequest{ID: id(1 << 32), Addr: "127.0.0.1:19997"}, http.StatusBadRequest, nil)
+	if got := ep.KnownPeers(); got != 1 {
+		t.Errorf("known peers after rejected joins = %d, want 1", got)
+	}
 	// A UDP node cannot remove peers; bare leave drains + shuts down.
 	postJSON(t, base+"/leave", LeaveRequest{ID: id(5)}, http.StatusBadRequest, nil)
 

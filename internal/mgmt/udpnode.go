@@ -2,8 +2,8 @@ package mgmt
 
 import (
 	"fmt"
+	"math"
 
-	"sendforget/internal/faults"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/runtime"
@@ -38,58 +38,45 @@ func NewUDPNode(opts UDPNodeOptions) (*UDPNode, error) {
 	return &UDPNode{opts: opts}, nil
 }
 
-// Info identifies the running configuration.
-func (u *UDPNode) Info() Info {
-	return Info{Mode: "udp", Protocol: u.opts.Protocol, N: 1}
-}
-
-// Rounds returns the node's initiated-action count — its logical clock.
-func (u *UDPNode) Rounds() int64 {
-	return int64(u.opts.Node.Counters().Ticks)
+// Status reads the node's ledger and the endpoint's once each. Traffic maps
+// the endpoint counters into the substrate-neutral shape; a real network
+// reports no Losses: a datagram the network dropped is simply one this node
+// never hears about, so from one endpoint's vantage the ledger covers sends,
+// local deliveries, and unroutable destinations. There is no fault layer and
+// no sender-side delay queue, and the node's initiated-action count is its
+// logical clock.
+func (u *UDPNode) Status() Status {
+	c, e := u.opts.Node.Counters(), u.opts.Endpoint.Counters()
+	return Status{
+		Config: Config{
+			Info: Info{Mode: "udp", Protocol: u.opts.Protocol, N: 1},
+			S:    u.opts.S, DL: u.opts.DL, Seed: u.opts.Seed,
+			Period: u.opts.Node.Period().String(),
+		},
+		Rounds:   int64(c.Ticks),
+		Counters: c,
+		Traffic:  metrics.Traffic{Sends: e.Sent, Deliveries: e.Delivered, DeadLetters: e.NoRoute},
+	}
 }
 
 // Views returns the node's single view.
-func (u *UDPNode) Views() []NodeView {
-	ids := u.opts.Node.ViewSnapshot().IDs()
-	entries := make([]int, len(ids))
-	for i, e := range ids {
-		entries[i] = int(e)
+func (u *UDPNode) Views(only *int) ([]NodeView, int) {
+	id := int(u.opts.Node.ID())
+	if only != nil && *only != id {
+		return nil, 1
 	}
-	return []NodeView{{ID: int(u.opts.Node.ID()), View: entries}}
+	return []NodeView{nodeView(id, u.opts.Node.ViewSnapshot())}, 1
 }
-
-// Counters returns the node-level protocol ledger.
-func (u *UDPNode) Counters() runtime.NodeCounters {
-	return u.opts.Node.Counters()
-}
-
-// Traffic maps the endpoint counters into the substrate-neutral shape. A
-// real network reports no Losses: a datagram the network dropped is simply
-// one this node never hears about, so from one endpoint's vantage the
-// ledger covers sends, local deliveries, and unroutable destinations.
-func (u *UDPNode) Traffic() metrics.Traffic {
-	c := u.opts.Endpoint.Counters()
-	return metrics.Traffic{
-		Sends:       c.Sent,
-		Deliveries:  c.Delivered,
-		DeadLetters: c.NoRoute,
-	}
-}
-
-// FaultCounters reports no fault layer: the real network injects its own
-// loss.
-func (u *UDPNode) FaultCounters() (faults.Counters, bool) {
-	return faults.Counters{}, false
-}
-
-// Pending is always zero: UDP has no delay queue on the sender.
-func (u *UDPNode) Pending() int { return 0 }
 
 // Join adds a peer to the transport directory — the bootstrap introduction;
 // address learning spreads the rest.
 func (u *UDPNode) Join(req JoinRequest) error {
 	if req.ID == nil || req.Addr == "" {
 		return fmt.Errorf("mgmt: udp join needs an id and an addr (id=host:port directory entry)")
+	}
+	// Before the conversion: 1<<32 + 5 would land in peer 5's entry.
+	if *req.ID < math.MinInt32 || *req.ID > math.MaxInt32 {
+		return fmt.Errorf("mgmt: peer id %d does not fit a 32-bit node id", *req.ID)
 	}
 	if *req.ID == int(u.opts.Node.ID()) {
 		return fmt.Errorf("mgmt: node %d cannot add itself as a peer", *req.ID)
@@ -108,15 +95,6 @@ func (u *UDPNode) Leave(id int) error {
 // empty.
 func (u *UDPNode) Drain() error {
 	return u.opts.Node.CheckInvariants()
-}
-
-// Config returns the current configuration.
-func (u *UDPNode) Config() Config {
-	return Config{
-		Info: u.Info(),
-		S:    u.opts.S, DL: u.opts.DL, Seed: u.opts.Seed,
-		Period: u.opts.Node.Period().String(),
-	}
 }
 
 // Reconfigure retunes the gossip period live. Loss is rejected: the real

@@ -19,13 +19,11 @@
 // nondeterministic seeding for production nodes enters through here.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // RNG is a deterministic pseudo-random number generator. It is not safe for
-// concurrent use; give each goroutine its own generator via Split.
+// concurrent use; give each goroutine its own generator, seeded through
+// DeriveSeed.
 type RNG struct {
 	s [4]uint64
 }
@@ -101,21 +99,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Split derives an independent child generator. The child's stream is
-// decorrelated from the parent's subsequent outputs by reseeding through
-// SplitMix64.
-func (r *RNG) Split() *RNG {
-	c := &RNG{}
-	for i := range c.s {
-		seed := r.Uint64()
-		c.s[i] = splitMix64(&seed)
-	}
-	if c.s[0]|c.s[1]|c.s[2]|c.s[3] == 0 {
-		c.s[0] = 0x9e3779b97f4a7c15
-	}
-	return c
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -189,16 +172,6 @@ func (r *RNG) FastPair(n int) (i, j int) {
 	return i, j
 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle performs a Fisher-Yates shuffle of n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -224,15 +197,4 @@ func (r *RNG) Choose(n, k int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p[:k]
-}
-
-// Exp returns an exponentially distributed value with rate lambda, used by
-// the concurrent runtime to jitter gossip periods. It panics if lambda <= 0.
-func (r *RNG) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: Exp called with lambda <= 0")
-	}
-	// Inverse transform on (0,1]; 1-Float64() avoids log(0).
-	u := 1 - r.Float64()
-	return -math.Log(u) / lambda
 }

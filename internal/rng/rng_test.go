@@ -157,23 +157,6 @@ func TestPairPanicsOnSmallN(t *testing.T) {
 	New(1).Pair(1)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(17)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestChoose(t *testing.T) {
 	r := New(19)
 	for _, tc := range []struct{ n, k int }{{5, 0}, {5, 3}, {5, 5}, {40, 2}} {
@@ -198,48 +181,6 @@ func TestChoosePanics(t *testing.T) {
 		}
 	}()
 	New(1).Choose(2, 3)
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(23)
-	child := parent.Split()
-	// The child stream should differ from the parent's subsequent stream.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split child matched parent on %d/100 outputs", same)
-	}
-}
-
-func TestExpMeanAndPositivity(t *testing.T) {
-	r := New(29)
-	const trials = 200000
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		v := r.Exp(2.0)
-		if v < 0 {
-			t.Fatalf("Exp returned negative value %v", v)
-		}
-		sum += v
-	}
-	mean := sum / trials
-	// Mean of Exp(rate 2) is 0.5; stderr ~ 0.5/sqrt(trials) ~ 0.0011.
-	if math.Abs(mean-0.5) > 0.006 {
-		t.Errorf("Exp(2) empirical mean %v, want ~0.5", mean)
-	}
-}
-
-func TestExpPanicsOnNonPositiveRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Exp(0) did not panic")
-		}
-	}()
-	New(1).Exp(0)
 }
 
 func TestQuickIntnInRange(t *testing.T) {

@@ -780,3 +780,45 @@ func TestAddNodeRejectsSeedsOutsideUniverse(t *testing.T) {
 		sub.Close()
 	}
 }
+
+// TestNewUDPNodeBringUp: the shared bring-up hands back a node its endpoint
+// already dispatches to, and every failure after the bind gives the socket
+// back — the next bring-up binds the same port.
+func TestNewUDPNodeBringUp(t *testing.T) {
+	cfg := func() runtime.NodeConfig {
+		return runtime.NodeConfig{ID: 0, Core: sfCore(t, 8, 2), Period: time.Hour}
+	}
+	n, ep, err := runtime.NewUDPNode(cfg(), []peer.ID{1, 2}, "127.0.0.1:0", "", func(ep *transport.Endpoint) error {
+		return ep.AddPeer(1, "127.0.0.1:19990")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ep.Addr().String()
+	if ep.KnownPeers() != 1 || n.ViewSnapshot().Outdegree() != 2 {
+		t.Errorf("known peers = %d, outdegree = %d, want 1 and 2", ep.KnownPeers(), n.ViewSnapshot().Outdegree())
+	}
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, try := range map[string]func() error{
+		"bad advertise": func() error {
+			_, _, err := runtime.NewUDPNode(cfg(), []peer.ID{1, 2}, addr, "no-port", nil)
+			return err
+		},
+		"bad peer": func() error {
+			_, _, err := runtime.NewUDPNode(cfg(), []peer.ID{1, 2}, addr, "", func(ep *transport.Endpoint) error {
+				return ep.AddPeer(1, "bad::addr::x")
+			})
+			return err
+		},
+		"too few seeds": func() error {
+			_, _, err := runtime.NewUDPNode(cfg(), []peer.ID{1}, addr, "", nil)
+			return err
+		},
+	} {
+		if err := try(); err == nil || strings.Contains(err.Error(), "listen") {
+			t.Errorf("%s: err = %v, want a failure past the bind (an earlier failure left the socket open)", name, err)
+		}
+	}
+}

@@ -32,7 +32,19 @@ func (s *seqSubstrate) TickRound()    { s.eng.Round() }
 func (s *seqSubstrate) DrainDelayed() { s.eng.DrainDelayed() }
 func (s *seqSubstrate) Pending() int  { return s.eng.PendingDelayed() }
 
-func (s *seqSubstrate) Views() []*view.View            { return s.eng.Views() }
+// Views copies the engine's views, which it hands out live: a caller that
+// serializes the call against ticking (mgmt.Local) reads the result after
+// the next tick has begun.
+func (s *seqSubstrate) Views() []*view.View {
+	out := s.eng.Views()
+	for u, v := range out {
+		if v != nil {
+			out[u] = v.Clone()
+		}
+	}
+	return out
+}
+
 func (s *seqSubstrate) Snapshot() *graph.Graph         { return s.eng.Snapshot() }
 func (s *seqSubstrate) Traffic() metrics.Traffic       { return s.eng.Traffic() }
 func (s *seqSubstrate) Counters() NodeCounters         { return s.eng.Tally() }

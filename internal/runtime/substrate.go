@@ -33,8 +33,9 @@ type Substrate interface {
 	DrainDelayed()
 	// Pending returns the number of messages parked in the delay queue.
 	Pending() int
-	// Views snapshots all node views (nil entries for departed nodes).
-	// Callers must treat the views as read-only.
+	// Views snapshots all node views (nil entries for departed nodes): a
+	// copy, which later rounds do not write to. Callers must treat the
+	// views as read-only.
 	Views() []*view.View
 	// Snapshot returns the current membership graph.
 	Snapshot() *graph.Graph

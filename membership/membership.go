@@ -16,7 +16,6 @@ package membership
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"sendforget/internal/analysis"
@@ -191,10 +190,7 @@ type NodeConfig struct {
 
 // Node is a networked S&F participant.
 type Node struct {
-	// inner is set once at construction; peers may gossip at us before it
-	// is assigned (they can hold our id as a seed), so the handoff is
-	// atomic and early datagrams are dropped — S&F tolerates loss.
-	inner atomic.Pointer[runtime.Node]
+	inner *runtime.Node
 	ep    *transport.Endpoint
 }
 
@@ -204,46 +200,26 @@ func NewUDPNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ListenAddr == "" {
 		return nil, fmt.Errorf("membership: ListenAddr is required")
 	}
-	n := &Node{}
-	ep, err := transport.NewEndpoint(cfg.ListenAddr, func(m protocol.Message) {
-		if inner := n.inner.Load(); inner != nil {
-			inner.HandleMessage(m)
+	core, err := sendforget.NewCore(cfg.S, cfg.DL)
+	if err != nil {
+		return nil, err
+	}
+	inner, ep, err := runtime.NewUDPNode(runtime.NodeConfig{
+		ID:     cfg.ID,
+		Core:   core,
+		Period: cfg.GossipPeriod,
+	}, cfg.Seeds, cfg.ListenAddr, cfg.Advertise, func(ep *transport.Endpoint) error {
+		for id, addr := range cfg.Peers {
+			if err := ep.AddPeer(id, addr); err != nil {
+				return err
+			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	adv := cfg.Advertise
-	if adv == "" {
-		adv = ep.Addr().String()
-	}
-	if err := ep.EnableAddressLearning(cfg.ID, adv); err != nil {
-		ep.Close()
-		return nil, err
-	}
-	for id, addr := range cfg.Peers {
-		if err := ep.AddPeer(id, addr); err != nil {
-			ep.Close()
-			return nil, err
-		}
-	}
-	core, err := sendforget.NewCore(cfg.S, cfg.DL)
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
-	inner, err := runtime.NewNode(runtime.NodeConfig{
-		ID:     cfg.ID,
-		Core:   core,
-		Period: cfg.GossipPeriod,
-	}, cfg.Seeds, ep)
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
-	n.inner.Store(inner)
-	n.ep = ep
-	return n, nil
+	return &Node{inner: inner, ep: ep}, nil
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -254,15 +230,15 @@ func (n *Node) Addr() string { return n.ep.Addr().String() }
 func (n *Node) KnownPeers() int { return n.ep.KnownPeers() }
 
 // Start launches the periodic gossip loop.
-func (n *Node) Start() { n.inner.Load().Start() }
+func (n *Node) Start() { n.inner.Start() }
 
 // Sample returns the node's current view ids.
-func (n *Node) Sample() []NodeID { return n.inner.Load().ViewSnapshot().IDs() }
+func (n *Node) Sample() []NodeID { return n.inner.ViewSnapshot().IDs() }
 
 // Close stops gossiping and releases the socket. Leaving the membership
 // needs nothing else: per the paper, a leaver "simply stops participating
 // in the protocol".
 func (n *Node) Close() error {
-	n.inner.Load().Stop()
+	n.inner.Stop()
 	return n.ep.Close()
 }
