@@ -43,10 +43,11 @@ bench-smoke:
 # seeded runs untouched (a performance PR) must reproduce it. This list is the
 # one place the digests are recorded — workload:rounds:state_digest, seed 1 —
 # and .claude/skills/verify/SKILL.md points here. A PR that moves a digest on
-# purpose edits the list and says why.
+# purpose edits the list and says why. Last moved: verdicts drawn per
+# destination shard (each shard rules on its arrivals from its own stream).
 BENCH_PINS = \
-	sharded-pushpull-faults-50k:100:138b15adf7b88060 \
-	sharded-sf-100k:400:32aa62b7550359a5
+	sharded-pushpull-faults-50k:100:d9a39bd6d3a23ea4 \
+	sharded-sf-100k:400:8bae8641cd94eafe
 bench-pin:
 	@for pin in $(BENCH_PINS); do \
 		set -- $$(echo $$pin | tr : ' '); \

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -258,7 +259,11 @@ func stopMgmt(srv *mgmt.Server, log *slog.Logger) {
 // newUDPDaemon brings one real node up on its socket and starts its gossip
 // timer.
 func newUDPDaemon(c config, log *slog.Logger) (*daemon, error) {
-	seeds, err := parseSeeds(c.seeds, peer.ID(c.id))
+	self, err := nodeID(c.id)
+	if err != nil {
+		return nil, fmt.Errorf("sfnode: bad -id: %w", err)
+	}
+	seeds, err := parseSeeds(c.seeds, self)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +272,7 @@ func newUDPDaemon(c config, log *slog.Logger) (*daemon, error) {
 		return nil, err
 	}
 	n, ep, err := runtime.NewUDPNode(runtime.NodeConfig{
-		ID: peer.ID(c.id), Core: core, Period: c.period, Seed: c.seed,
+		ID: self, Core: core, Period: c.period, Seed: c.seed,
 	}, seeds, c.listen, c.advertise, func(ep *transport.Endpoint) error {
 		return addPeers(ep, c.peers)
 	})
@@ -314,6 +319,30 @@ func rejectLocalOnlyFlags(fs *flag.FlagSet) error {
 	return nil
 }
 
+// nodeID converts a flag's integer to a node id. The range is checked on the
+// integer, before the conversion: peer.ID is 32 bits wide, so 4294967297
+// converted first is node 1 — to the duplicate and self-seed checks and to the
+// peer directory alike — and -1 is peer.Nil, the empty view slot.
+func nodeID(v int) (peer.ID, error) {
+	if v < 0 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("%d is outside [0, %d]", v, math.MaxInt32)
+	}
+	return peer.ID(v), nil
+}
+
+// parseID parses one node id of a flag value; the error names the token.
+func parseID(token string) (peer.ID, error) {
+	v, err := strconv.Atoi(strings.TrimSpace(token))
+	if err != nil {
+		return 0, fmt.Errorf("node id %q: %w", token, err)
+	}
+	id, err := nodeID(v)
+	if err != nil {
+		return 0, fmt.Errorf("node id %q: %w", token, err)
+	}
+	return id, nil
+}
+
 // parseSeeds parses the -seeds list for node self. Duplicate ids and self
 // itself are configuration errors: a seed view with duplicates skews partner
 // choice toward one peer, and a self-seed starts the node with the self-loop
@@ -325,16 +354,15 @@ func parseSeeds(s string, self peer.ID) ([]peer.ID, error) {
 	var out []peer.ID
 	seen := make(map[peer.ID]bool)
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+		id, err := parseID(part)
 		if err != nil {
-			return nil, fmt.Errorf("sfnode: bad seed %q: %w", part, err)
+			return nil, fmt.Errorf("sfnode: bad seed: %w", err)
 		}
-		id := peer.ID(v)
 		if id == self {
-			return nil, fmt.Errorf("sfnode: seed %d is this node's own -id (a node cannot seed its view with itself)", v)
+			return nil, fmt.Errorf("sfnode: seed %d is this node's own -id (a node cannot seed its view with itself)", id)
 		}
 		if seen[id] {
-			return nil, fmt.Errorf("sfnode: duplicate seed %d (each seed id may appear once)", v)
+			return nil, fmt.Errorf("sfnode: duplicate seed %d (each seed id may appear once)", id)
 		}
 		seen[id] = true
 		out = append(out, id)
@@ -351,11 +379,11 @@ func addPeers(ep *transport.Endpoint, spec string) error {
 		if len(kv) != 2 {
 			return fmt.Errorf("sfnode: bad peer entry %q (want id=host:port)", part)
 		}
-		id, err := strconv.Atoi(kv[0])
+		id, err := parseID(kv[0])
 		if err != nil {
-			return fmt.Errorf("sfnode: bad peer id %q: %w", kv[0], err)
+			return fmt.Errorf("sfnode: bad peer entry %q: %w", part, err)
 		}
-		if err := ep.AddPeer(peer.ID(id), kv[1]); err != nil {
+		if err := ep.AddPeer(id, kv[1]); err != nil {
 			return err
 		}
 	}

@@ -8,13 +8,16 @@ import (
 	"flag"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sendforget/internal/mgmt"
+	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/transport"
 )
@@ -39,6 +42,61 @@ func TestParseSeeds(t *testing.T) {
 	if _, err := parseSeeds("1,2", 2); err == nil {
 		t.Error("accepted the node's own id as a seed")
 	}
+	// Ids that only look valid after a conversion to the 32-bit peer.ID:
+	// 1<<32 + 1 is node 1, 1<<32 + 2 is this node, -1 is peer.Nil.
+	for _, tc := range []struct{ seeds, token string }{
+		{"4294967297,3", "4294967297"},
+		{"1,4294967298", "4294967298"},
+		{"1,4294967297", "4294967297"},
+		{"-1,3", "-1"},
+		{"1, 2147483648", "2147483648"},
+		{"1,-4294967295", "-4294967295"},
+	} {
+		ids, err := parseSeeds(tc.seeds, 2)
+		if err == nil {
+			t.Errorf("parseSeeds(%q) = %v, want an error naming %s", tc.seeds, ids, tc.token)
+		} else if !strings.Contains(err.Error(), strconv.Quote(tc.token)) && !strings.Contains(err.Error(), strconv.Quote(" "+tc.token)) {
+			t.Errorf("parseSeeds(%q): error %q does not name the offending token %s", tc.seeds, err, tc.token)
+		}
+	}
+	if ids, err := parseSeeds("2147483647,0", 2); err != nil || len(ids) != 2 || ids[0] != math.MaxInt32 || ids[1] != 0 {
+		t.Errorf("parseSeeds at the ends of the id range = %v, %v", ids, err)
+	}
+}
+
+// FuzzParseSeeds holds the -seeds parser to its contract on arbitrary flag
+// values: no panic, and every id it accepts is a non-negative node id that
+// the 32-bit conversion left unchanged — the list it returns names the same
+// numbers the operator typed, none of them the node itself, none twice.
+func FuzzParseSeeds(f *testing.F) {
+	for _, s := range []string{"1,2,3", "1, 2,3", "", ",", "1,,2", "4294967297,2", "-1", "0x10", "1e3", "2147483647", "2147483648", "+5,5", "007,7", " 9 ", "9223372036854775808"} {
+		f.Add(s, 0)
+		f.Add(s, 2147483647)
+	}
+	f.Fuzz(func(t *testing.T, s string, self int) {
+		if self < 0 || self > math.MaxInt32 {
+			return
+		}
+		ids, err := parseSeeds(s, peer.ID(self))
+		if err != nil {
+			return
+		}
+		parts := strings.Split(s, ",")
+		if len(ids) != len(parts) {
+			t.Fatalf("parseSeeds(%q) = %v: %d ids from %d entries", s, ids, len(ids), len(parts))
+		}
+		seen := map[peer.ID]bool{}
+		for i, id := range ids {
+			v, err := strconv.Atoi(strings.TrimSpace(parts[i]))
+			if err != nil || int(int32(v)) != v || v < 0 || peer.ID(v) != id {
+				t.Fatalf("parseSeeds(%q) accepted entry %q as id %d", s, parts[i], id)
+			}
+			if id == peer.ID(self) || seen[id] {
+				t.Fatalf("parseSeeds(%q, self %d) = %v: self or a duplicate got through", s, self, ids)
+			}
+			seen[id] = true
+		}
+	})
 }
 
 func TestAddPeers(t *testing.T) {
@@ -61,6 +119,17 @@ func TestAddPeers(t *testing.T) {
 	}
 	if err := addPeers(ep, "1=bad::addr::x"); err == nil {
 		t.Error("accepted bad address")
+	}
+	// 1<<32 + 1 must not overwrite peer 1's directory entry, and -1 is not a
+	// node.
+	for _, spec := range []string{"4294967297=127.0.0.1:9009", "-1=127.0.0.1:9009", "2147483648=127.0.0.1:9009"} {
+		err := addPeers(ep, spec)
+		if id := spec[:strings.Index(spec, "=")]; err == nil || !strings.Contains(err.Error(), id) {
+			t.Errorf("addPeers(%q) = %v, want an error naming %s", spec, err, id)
+		}
+	}
+	if n := ep.KnownPeers(); n != 2 {
+		t.Errorf("%d peers in the directory after the rejected entries, want the 2 added first", n)
 	}
 }
 

@@ -41,9 +41,10 @@ import (
 //     + DeadLetters once the queue drains. Outcome-only functions (delay
 //     queue drains) are legal; send-only functions are not.
 //
-// The live ledger writes are driver.Router's ruleVerdict/deliverable,
-// transport.Endpoint's Send/receiveLoop, and trace.Summarize, each
-// balanced; this analyzer keeps new accounting honest.
+// The live ledger writes are driver.Router's ruleVerdict/deliverable (and
+// AddTraffic, which sums whole ledgers), transport.Endpoint's
+// Send/receiveLoop, and trace.Summarize, each balanced; this analyzer keeps
+// new accounting honest.
 var Counterbalance = &framework.Analyzer{
 	Name: "counterbalance",
 	Doc:  "traffic ledger fields move only in their owning package, and every send write is paired with an outcome write",

@@ -38,6 +38,7 @@ var detectionMatrix = map[string]map[string][]int{
 	"seedtaint":                {"seedtaint": {24, 29, 44}},
 	"seedtaint/seedflow":       {"seedtaint": {21, 25, 29, 33, 37}},
 	"shardconfine":             {"shardconfine": {59, 60, 98}},
+	"shardmail":                {"shardconfine": {79}},
 	"shardplant":               {"shardconfine": {55}},
 	"shardtype":                {"compiler": {33}},
 	"sharedguard":              {"goroleak": {46, 66, 89}, "sharedguard": {25, 81}},

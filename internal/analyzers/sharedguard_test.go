@@ -27,6 +27,14 @@ func TestShardplantFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("shardplant"), Shardconfine)
 }
 
+// TestShardmailFixture holds the mail exchange's ownership rule: a worker
+// reaches the buckets only through indexes derived from the shard it stole —
+// its row of the set being filled, its column of the set being consumed — and
+// the planted reset of a bucket in someone else's column is reported.
+func TestShardmailFixture(t *testing.T) {
+	framework.RunFixture(t, fixture("shardmail"), Shardconfine)
+}
+
 // TestShardtypeDoesNotCompile holds the invariant the compiler took over
 // from shardconfine when the sharded engine's phase bodies became methods of
 // a shard type: the shardplant bug written in that shape — a *shard method

@@ -1,10 +1,11 @@
 // Package driver is the engine-agnostic transmission discipline shared by
-// every execution substrate: the sequential engine, the goroutine-per-node
-// cluster, and the sharded tick engine all route messages through one
-// Router, so the fault-then-liveness rule, the delay calendar and its clock,
-// and the traffic ledger are implemented exactly once (PR 3 unified the
-// counting semantics across three hand-kept copies; this package deletes the
-// copies).
+// every execution substrate: the sequential engine and the goroutine-per-node
+// cluster route every message through one Router, the sharded tick engine
+// through one Router per shard (each rules on the messages addressed to its
+// shard's nodes, and their ledgers are summed), so the fault-then-liveness
+// rule, the delay calendar and its clock, and the traffic ledger are
+// implemented exactly once (PR 3 unified the counting semantics across three
+// hand-kept copies; this package deletes the copies).
 //
 // The discipline, per message: Sends is incremented first, then the fault
 // stack rules — drop (model, per-link, or partition), park in the delay
@@ -74,11 +75,12 @@ const minRing = 4
 // every routed message counts under Sends first and then lands in exactly
 // one of Losses, DeadLetters, or Deliveries, possibly after a stay in the
 // delay calendar (Delayed). Substrates read snapshots through Traffic. It is
-// not safe for concurrent use: each substrate confines its router to one
-// goroutine (or one barrier phase) at a time — the engine is
-// single-threaded, the network holds its mutex, the sharded engine holds its
-// gate — a contract the sharedguard and shardconfine analyzers enforce on
-// every access rather than one left to reviewer memory.
+// not safe for concurrent use: each substrate confines a router to one
+// goroutine at a time — the engine is single-threaded, the network holds its
+// mutex, a shard of the sharded engine is run by one worker per barrier phase
+// and read by the gate holder between phases — a contract the sharedguard and
+// shardconfine analyzers enforce on every access rather than one left to
+// reviewer memory.
 type Router struct {
 	cond *faults.Conditions
 	rng  *rng.RNG
@@ -102,7 +104,8 @@ type Router struct {
 // NewRouter builds a router ruling through a fault-injection stack. The rng
 // must be the substrate's own decision stream — the router draws from it in
 // call order, so substrates that interleave other draws on the same stream
-// (the sequential engine) keep their exact historical draw sequence. live
+// (the sequential engine) keep their exact historical draw sequence; a router
+// that only ever rules through a decider (RouteBy) takes nil. live
 // reports whether a destination can currently receive; it is called
 // synchronously under whatever serialization the caller holds.
 func NewRouter(cond *faults.Conditions, r *rng.RNG, live func(peer.ID) bool) *Router {
@@ -119,14 +122,23 @@ func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
 	return rt.ruleVerdict(rt.cond.Decide(msg.From, to, rt.rng), to, msg)
 }
 
-// RouteIn is Route under an open fault-stack session — the sharded engine's
-// bulk route pass locks the stack once per pass instead of once per
-// message. The caller owns the session; the router only draws a verdict
-// from it.
+// RouteIn is Route under an open fault-stack session: a loop that rules on
+// many messages locks the stack once instead of once per message. The caller
+// owns the session; the router only draws a verdict from it.
 //
 //vet:hotpath
 func (rt *Router) RouteIn(ses *faults.Session, to peer.ID, msg protocol.Message) Outcome {
 	return rt.ruleVerdict(ses.Decide(msg.From, to, rt.rng), to, msg)
+}
+
+// RouteBy is Route through a decider attached to the stack — how a shard of
+// the sharded engine rules on the messages addressed to it, in parallel with
+// the other shards: no lock, and the decider's stream, not the router's (such
+// a router is built with a nil one).
+//
+//vet:hotpath
+func (rt *Router) RouteBy(d *faults.Decider, to peer.ID, msg protocol.Message) Outcome {
+	return rt.ruleVerdict(d.Decide(msg.From, to), to, msg)
 }
 
 // ruleVerdict counts the attempt and applies a fault verdict: drop (with
@@ -266,6 +278,18 @@ func (rt *Router) Pending() int { return rt.pending }
 
 // Traffic returns a snapshot of the traffic ledger.
 func (rt *Router) Traffic() metrics.Traffic { return rt.ledger }
+
+// AddTraffic adds the router's ledger to sum, field by field: a substrate
+// that keeps one router per shard reports the total.
+func (rt *Router) AddTraffic(sum *metrics.Traffic) {
+	sum.Sends += rt.ledger.Sends
+	sum.Losses += rt.ledger.Losses
+	sum.Deliveries += rt.ledger.Deliveries
+	sum.DeadLetters += rt.ledger.DeadLetters
+	sum.Delayed += rt.ledger.Delayed
+	sum.LinkLosses += rt.ledger.LinkLosses
+	sum.PartitionDrops += rt.ledger.PartitionDrops
+}
 
 // Roster tracks per-node incarnations and derives each activation's RNG
 // seed — the collision-free splitmix derivation both cluster flavors

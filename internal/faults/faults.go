@@ -16,6 +16,7 @@ package faults
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"sendforget/internal/loss"
@@ -94,6 +95,17 @@ type Counters struct {
 // Drops returns the total number of dropped messages.
 func (c Counters) Drops() int { return c.ModelDrops + c.LinkDrops + c.PartitionDrops }
 
+// add accumulates other into c.
+func (c *Counters) add(other *Counters) {
+	c.Decisions += other.Decisions
+	c.ModelDrops += other.ModelDrops
+	c.LinkDrops += other.LinkDrops
+	c.PartitionDrops += other.PartitionDrops
+	c.Delayed += other.Delayed
+	c.Partitions += other.Partitions
+	c.Heals += other.Heals
+}
+
 // Conditions is a composable network-condition stack. The zero value is not
 // usable; construct with New or Lossless. Safe for concurrent use: the
 // runtime's network consults it from handler goroutines while tests
@@ -102,16 +114,41 @@ func (c Counters) Drops() int { return c.ModelDrops + c.LinkDrops + c.PartitionD
 // Decision order is fixed and substrate-independent: partition check
 // (structural, no RNG draw), then the per-link override model if one is
 // registered for the (from, to) link, otherwise the base model, then delay
-// assignment (one extra draw only when Jitter > 0). Keeping the draw
-// sequence identical on both substrates is what makes seeded cross-substrate
-// comparisons meaningful.
+// assignment (one extra draw only when Jitter > 0). The order is written
+// once, in rules.decide; Decide, Session.Decide and Decider.Decide are three
+// ways of reaching it.
 type Conditions struct {
 	mu    sync.Mutex
-	base  loss.Model
+	rules       // the live configuration, written by the setters
+	own   seat  // where Decide and Session.Decide land
+	snap  rules // what attached deciders read; rewritten by Sync
+	seats []*Decider
+}
+
+// rules is the configuration a decision reads, the base model aside (a
+// decision finds that in its seat). Nothing reachable from it is written in
+// place once installed — SetLinkLoss installs a fresh map, Partition a fresh
+// table — so a copy of the struct taken under mu is a snapshot that stays
+// valid, and readable without the lock, while the stack is reconfigured.
+type rules struct {
 	links map[Link]loss.Model
 	group []int32 // nil when healed; group[id] is id's group, -1 when listed in none
 	delay Delay
-	c     Counters
+}
+
+// seat is what a decision writes besides its RNG: the base model instance it
+// advances — the stack's own, or one decider's fork of a stateful one — and
+// the counters it bumps.
+type seat struct {
+	base loss.Model
+	dest loss.DestinationModel // base pre-asserted, nil if not destination-aware
+	c    Counters
+}
+
+// sit installs m as the seat's base model.
+func (st *seat) sit(m loss.Model) {
+	st.base = m
+	st.dest, _ = m.(loss.DestinationModel)
 }
 
 // New builds a condition stack over the given base loss model.
@@ -119,13 +156,16 @@ func New(base loss.Model) (*Conditions, error) {
 	if base == nil {
 		return nil, fmt.Errorf("faults: nil base loss model")
 	}
-	return &Conditions{base: base}, nil
+	c := &Conditions{}
+	c.own.sit(base)
+	return c, nil
 }
 
 // Lossless returns a condition stack whose base model never drops — the
 // starting point for pure partition/delay scenarios.
 func Lossless() *Conditions {
-	return &Conditions{base: loss.None{}}
+	c, _ := New(loss.None{})
+	return c
 }
 
 // FromRate builds a condition stack over a uniform i.i.d. base model — the
@@ -142,22 +182,36 @@ func FromRate(rate float64) (*Conditions, error) {
 func (c *Conditions) Base() loss.Model {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.base
+	return c.own.base
 }
 
 // SetBase swaps the base loss model live — the management API's loss-reload
 // path. Per-link overrides, partitions, delay, and all counters are
 // untouched; only the base model changes, taking effect on the next
-// decision. Swapping a stateful model resets its state by construction (the
-// caller built a fresh model), which is the intended semantics of a reload.
+// decision (for attached deciders, on the next Sync, each with a fresh fork
+// of a stateful model). Swapping a stateful model resets its state by
+// construction (the caller built a fresh model), which is the intended
+// semantics of a reload.
 func (c *Conditions) SetBase(m loss.Model) error {
 	if m == nil {
 		return fmt.Errorf("faults: nil base loss model")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.base = m
+	c.own.sit(m)
+	for _, d := range c.seats {
+		d.next = fork(m)
+	}
 	return nil
+}
+
+// fork returns the model a decider seats for base model m: its own fork of a
+// stateful model, m itself otherwise.
+func fork(m loss.Model) loss.Model {
+	if f, ok := m.(loss.Forker); ok {
+		return f.Fork()
+	}
+	return m
 }
 
 // SetRate is SetBase with a fresh uniform i.i.d. model at the given rate —
@@ -176,24 +230,27 @@ func (c *Conditions) SetRate(rate float64) error {
 func (c *Conditions) Rate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.base.Rate()
+	return c.own.base.Rate()
 }
 
 // SetLinkLoss installs (or, with a nil model, removes) a loss override for
 // the directed link from -> to. Overridden links bypass the base model
 // entirely, so asymmetric and per-destination scenarios compose with any
-// base model.
+// base model. The override table is replaced, never edited: a snapshot taken
+// earlier keeps the table it saw.
 func (c *Conditions) SetLinkLoss(from, to peer.ID, m loss.Model) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	links := maps.Clone(c.links)
 	if m == nil {
-		delete(c.links, Link{From: from, To: to})
-		return
+		delete(links, Link{From: from, To: to})
+	} else {
+		if links == nil {
+			links = make(map[Link]loss.Model)
+		}
+		links[Link{From: from, To: to}] = m
 	}
-	if c.links == nil {
-		c.links = make(map[Link]loss.Model)
-	}
-	c.links[Link{From: from, To: to}] = m
+	c.links = links
 }
 
 // MaxDelay is the longest delivery delay, Fixed+Jitter, SetDelay accepts, in
@@ -245,7 +302,7 @@ func (c *Conditions) Partition(groups ...[]peer.ID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.group = g
-	c.c.Partitions++
+	c.own.c.Partitions++
 }
 
 // Heal removes the active partition.
@@ -254,7 +311,7 @@ func (c *Conditions) Heal() {
 	defer c.mu.Unlock()
 	if c.group != nil {
 		c.group = nil
-		c.c.Heals++
+		c.own.c.Heals++
 	}
 }
 
@@ -265,21 +322,76 @@ func (c *Conditions) Partitioned(from, to peer.ID) bool {
 	return c.separated(from, to)
 }
 
-// separated implements the partition check. Callers hold c.mu.
-func (c *Conditions) separated(from, to peer.ID) bool {
-	if c.group == nil {
+// separated implements the partition check.
+func (ru *rules) separated(from, to peer.ID) bool {
+	if ru.group == nil {
 		return false
 	}
-	return c.groupOf(from) != c.groupOf(to)
+	return ru.groupOf(from) != ru.groupOf(to)
 }
 
 // groupOf returns id's group in the active partition, -1 for an id listed in
 // no group (negative ids and ids past the table among them).
-func (c *Conditions) groupOf(id peer.ID) int32 {
-	if uint(id) < uint(len(c.group)) {
-		return c.group[id]
+func (ru *rules) groupOf(id peer.ID) int32 {
+	if uint(id) < uint(len(ru.group)) {
+		return ru.group[id]
 	}
 	return -1
+}
+
+// decide is the decision order, for every way of reaching the stack: it rules
+// on one attempted transmission from -> to under ru, advancing the models and
+// counters of st and drawing from r. The common configuration — no partition,
+// no overrides — costs two branches before its one model call.
+func (ru *rules) decide(st *seat, from, to peer.ID, r *rng.RNG) Verdict {
+	st.c.Decisions++
+	if ru.separated(from, to) {
+		st.c.PartitionDrops++
+		return Verdict{Drop: DropPartition}
+	}
+	if m, ok := ru.override(from, to); ok {
+		if lostTo(m, to, r) {
+			st.c.LinkDrops++
+			return Verdict{Drop: DropLink}
+		}
+	} else if st.lost(to, r) {
+		st.c.ModelDrops++
+		return Verdict{Drop: DropModel}
+	}
+	d := ru.delay.Fixed
+	if ru.delay.Jitter > 0 {
+		d += r.Intn(ru.delay.Jitter + 1)
+	}
+	if d > 0 {
+		st.c.Delayed++
+	}
+	return Verdict{Delay: d}
+}
+
+// override returns the model registered for the directed link, if any.
+func (ru *rules) override(from, to peer.ID) (loss.Model, bool) {
+	if len(ru.links) == 0 {
+		return nil, false
+	}
+	m, ok := ru.links[Link{From: from, To: to}]
+	return m, ok
+}
+
+// lost consults the seat's base model.
+func (st *seat) lost(to peer.ID, r *rng.RNG) bool {
+	if st.dest != nil {
+		return st.dest.LostTo(to, r)
+	}
+	return st.base.Lost(r)
+}
+
+// lostTo consults an override model, routing through the destination-aware
+// interface when the model implements it.
+func lostTo(m loss.Model, to peer.ID, r *rng.RNG) bool {
+	if dm, ok := m.(loss.DestinationModel); ok {
+		return dm.LostTo(to, r)
+	}
+	return m.Lost(r)
 }
 
 // Decide rules on one attempted transmission from -> to, advancing any
@@ -288,111 +400,98 @@ func (c *Conditions) groupOf(id peer.ID) int32 {
 func (c *Conditions) Decide(from, to peer.ID, r *rng.RNG) Verdict {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.decideLocked(from, to, r)
-}
-
-// decideLocked implements the decision order. Callers hold c.mu.
-func (c *Conditions) decideLocked(from, to peer.ID, r *rng.RNG) Verdict {
-	c.c.Decisions++
-	if c.separated(from, to) {
-		c.c.PartitionDrops++
-		return Verdict{Drop: DropPartition}
-	}
-	if m, ok := c.links[Link{From: from, To: to}]; ok {
-		if lostTo(m, to, r) {
-			c.c.LinkDrops++
-			return Verdict{Drop: DropLink}
-		}
-	} else if lostTo(c.base, to, r) {
-		c.c.ModelDrops++
-		return Verdict{Drop: DropModel}
-	}
-	d := c.delay.Fixed
-	if c.delay.Jitter > 0 {
-		d += r.Intn(c.delay.Jitter + 1)
-	}
-	if d > 0 {
-		c.c.Delayed++
-	}
-	return Verdict{Delay: d}
+	return c.decide(&c.own, from, to, r)
 }
 
 // A Session is a single-owner decision pass over the stack: Begin acquires
-// the lock once and Close releases it, so a routing loop ruling on tens of
-// thousands of messages per round pays the synchronization cost once
-// instead of per message. Begin also pre-resolves the base model's
-// destination-aware interface and notes whether any link overrides or an
-// active partition exist, so the common uniform-loss configuration decides
-// each message with one model call and a couple of branches.
-//
-// While a session is open every other Conditions method blocks; the owner
-// must Close before calling them. Session.Decide draws from r in exactly
-// the order the method form does, so seeded decision streams are unchanged.
-type Session struct {
-	c      *Conditions
-	dest   loss.DestinationModel // base pre-asserted, nil if not destination-aware
-	simple bool                  // no link overrides and no active partition
-}
+// the lock once and Close releases it, so a loop ruling on many messages
+// pays the synchronization cost once instead of per message. While a session
+// is open every other Conditions method blocks; the owner must Close before
+// calling them.
+type Session struct{ c *Conditions }
 
 // Begin opens a decision session, holding the stack's lock until Close.
 func (c *Conditions) Begin() Session {
 	c.mu.Lock()
-	dm, _ := c.base.(loss.DestinationModel)
-	return Session{c: c, dest: dm, simple: len(c.links) == 0 && c.group == nil}
+	return Session{c: c}
 }
 
 // Decide is Conditions.Decide without the per-call lock; see Begin.
 func (s *Session) Decide(from, to peer.ID, r *rng.RNG) Verdict {
-	c := s.c
-	if !s.simple {
-		return c.decideLocked(from, to, r)
-	}
-	c.c.Decisions++
-	var lost bool
-	if s.dest != nil {
-		lost = s.dest.LostTo(to, r)
-	} else {
-		lost = c.base.Lost(r)
-	}
-	if lost {
-		c.c.ModelDrops++
-		return Verdict{Drop: DropModel}
-	}
-	d := c.delay.Fixed
-	if c.delay.Jitter > 0 {
-		d += r.Intn(c.delay.Jitter + 1)
-	}
-	if d > 0 {
-		c.c.Delayed++
-	}
-	return Verdict{Delay: d}
+	return s.c.decide(&s.c.own, from, to, r)
 }
 
 // Close ends the session, releasing the stack.
 func (s *Session) Close() { s.c.mu.Unlock() }
 
-// lostTo consults a model, routing through the destination-aware interface
-// when the model implements it (loss.PerDest keeps working under the
-// condition stack exactly as it did under the engine's direct path).
-func lostTo(m loss.Model, to peer.ID, r *rng.RNG) bool {
-	if dm, ok := m.(loss.DestinationModel); ok {
-		return dm.LostTo(to, r)
+// A Decider is one of several streams ruling against the stack in parallel —
+// the sharded engine attaches one per shard. It decides without the lock,
+// against the snapshot of the configuration the last Sync took, on a seat of
+// its own: its verdict stream, its counters, and its own fork of a stateful
+// base model, so a Gilbert-Elliott burst is a burst over the messages this
+// decider sees. Override models are not forked: a decider must be the only
+// one ruling on a given link (the sharded engine rules where a message
+// arrives, so a link is its destination's shard's alone). Between two Syncs a
+// decider belongs to one goroutine at a time; everything it writes per
+// message lives in the value itself, so deciders embedded in their owners'
+// records share no cache line. The zero value is ready for Attach.
+type Decider struct {
+	ru *rules
+	r  rng.RNG
+	seat
+	next loss.Model // base model to seat at the next Sync; guarded by the stack's mu
+}
+
+// Decide is Conditions.Decide against the last Sync's snapshot, drawing from
+// the decider's own stream.
+func (d *Decider) Decide(from, to peer.ID) Verdict {
+	return d.ru.decide(&d.seat, from, to, &d.r)
+}
+
+// Attach makes d a decider of this stack, with a verdict stream seeded by
+// seed; it may decide after the next Sync.
+func (c *Conditions) Attach(d *Decider, seed int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d.ru = &c.snap
+	d.r = rng.NewState(seed)
+	d.next = fork(c.own.base)
+	c.seats = append(c.seats, d)
+}
+
+// Sync is the exchange between the stack and its attached deciders, made by
+// their owner while none of them is deciding: the counters they accumulated
+// are folded into the stack's, and the configuration as it stands becomes the
+// snapshot they rule against — a base model set since the last Sync is seated
+// now. An engine calls it at the start of a tick, so that a setter called
+// between two ticks takes effect on the very next one, and at its end, so
+// that Counters is whole whenever the engine is idle.
+func (c *Conditions) Sync() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.snap = c.rules
+	for _, d := range c.seats {
+		c.own.c.add(&d.c)
+		d.c = Counters{}
+		if d.next != nil {
+			d.sit(d.next)
+			d.next = nil
+		}
 	}
-	return m.Lost(r)
 }
 
 // Counters returns a snapshot of the per-condition counters.
 func (c *Conditions) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.c
+	return c.own.c
 }
 
 // String names the stack for experiment logs.
 func (c *Conditions) String() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := fmt.Sprintf("faults(base=%s", c.base)
+	s := fmt.Sprintf("faults(base=%s", c.own.base)
 	if len(c.links) > 0 {
 		s += fmt.Sprintf(", links=%d", len(c.links))
 	}

@@ -349,3 +349,228 @@ func TestSetRateLiveReload(t *testing.T) {
 		t.Errorf("override link after reload = %+v, want delivery", v)
 	}
 }
+
+// fullStack builds a stack that takes every branch of the decision order: a
+// Gilbert-Elliott base, a lossy and a clean link override, an even/odd
+// partition over the low ids, and a jittered delay.
+func fullStack(t *testing.T) *Conditions {
+	t.Helper()
+	ge, err := loss.BurstyWithRate(0.2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(ge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetLinkLoss(20, 21, loss.MustUniform(0.5))
+	c.SetLinkLoss(22, 23, loss.None{})
+	c.Partition([]peer.ID{0, 2, 4, 6}, []peer.ID{1, 3, 5, 7})
+	if err := c.SetDelay(Delay{Fixed: 1, Jitter: 3}); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestOneDecisionBody is the guarantee that the decision order is written
+// once: the same seeded sequence of attempts draws the same verdicts, and
+// leaves the same counters, whether it goes through Conditions.Decide, an
+// open Session, or a Decider ruling against a Sync snapshot on its own fork
+// of the base model.
+func TestOneDecisionBody(t *testing.T) {
+	const seed, trials = 77, 5000
+	attempt := func(i int) (from, to peer.ID) {
+		switch i % 4 {
+		case 0:
+			return peer.ID(i % 8), peer.ID((i / 4) % 8) // inside the partition table
+		case 1:
+			return 20, 21
+		case 2:
+			return 22, 23
+		}
+		return peer.ID(30 + i%5), peer.ID(40 + i%7)
+	}
+	run := func(decide func(from, to peer.ID) Verdict) []Verdict {
+		vs := make([]Verdict, trials)
+		for i := range vs {
+			vs[i] = decide(attempt(i))
+		}
+		return vs
+	}
+
+	direct := fullStack(t)
+	r := rng.New(seed)
+	want := run(func(from, to peer.ID) Verdict { return direct.Decide(from, to, r) })
+	seen := map[Drop]bool{}
+	delayed := false
+	for _, v := range want {
+		seen[v.Drop] = true
+		delayed = delayed || v.Delay > 1
+	}
+	if len(seen) != 4 || !delayed {
+		t.Fatalf("the sequence does not exercise every branch: drops %v, jitter seen %v", seen, delayed)
+	}
+
+	inSession := fullStack(t)
+	r = rng.New(seed)
+	ses := inSession.Begin()
+	got := run(func(from, to peer.ID) Verdict { return ses.Decide(from, to, r) })
+	ses.Close()
+
+	attached := fullStack(t)
+	var d Decider
+	attached.Attach(&d, seed)
+	attached.Sync()
+	snap := run(d.Decide)
+	if c := attached.Counters(); c.Decisions != 0 {
+		t.Errorf("the stack counted %d decisions before the Sync that folds them in", c.Decisions)
+	}
+	attached.Sync()
+
+	for i := range want {
+		if got[i] != want[i] || snap[i] != want[i] {
+			t.Fatalf("attempt %d: Decide %+v, Session.Decide %+v, Decider.Decide %+v", i, want[i], got[i], snap[i])
+		}
+	}
+	if a, b, c := direct.Counters(), inSession.Counters(), attached.Counters(); a != b || a != c {
+		t.Errorf("counters differ: Decide %+v, Session %+v, Decider after Sync %+v", a, b, c)
+	}
+}
+
+// TestDeciderRulesAgainstTheLastSync pins the snapshot contract: a decider
+// sees a reconfiguration — of any part of the stack — at the next Sync and
+// not before, each decider bursts on its own fork of a stateful base model,
+// and SetBase seats a fresh fork per decider.
+func TestDeciderRulesAgainstTheLastSync(t *testing.T) {
+	c := Lossless()
+	var a, b Decider
+	c.Attach(&a, 1)
+	c.Attach(&b, 2)
+	c.Sync()
+
+	stuck, err := loss.NewGilbertElliott(0, 1, 1, 0) // Bad, and dropping, from its first message on
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := []struct {
+		name     string
+		set      func()
+		from, to peer.ID
+		want     Verdict
+	}{
+		{"SetBase", func() { _ = c.SetBase(stuck) }, 0, 1, Verdict{Drop: DropModel}},
+		{"SetRate", func() { _ = c.SetRate(0) }, 0, 1, Verdict{}},
+		{"SetLinkLoss", func() { c.SetLinkLoss(0, 1, loss.MustUniform(1)) }, 0, 1, Verdict{Drop: DropLink}},
+		{"SetLinkLoss(nil)", func() { c.SetLinkLoss(0, 1, nil) }, 0, 1, Verdict{}},
+		{"Partition", func() { c.Partition([]peer.ID{0}, []peer.ID{1}) }, 0, 1, Verdict{Drop: DropPartition}},
+		{"Heal", func() { c.Heal() }, 0, 1, Verdict{}},
+		{"SetDelay", func() { _ = c.SetDelay(Delay{Fixed: 4}) }, 0, 1, Verdict{Delay: 4}},
+	}
+	before := Verdict{}
+	for _, ch := range changes {
+		ch.set()
+		for _, d := range []*Decider{&a, &b} {
+			if v := d.Decide(ch.from, ch.to); v != before {
+				t.Errorf("%s reached a decider before the Sync: %+v, want %+v", ch.name, v, before)
+			}
+		}
+		c.Sync()
+		for _, d := range []*Decider{&a, &b} {
+			if v := d.Decide(ch.from, ch.to); v != ch.want {
+				t.Errorf("after %s and a Sync a decider ruled %+v, want %+v", ch.name, v, ch.want)
+			}
+		}
+		before = ch.want
+	}
+	c.Sync()
+	if got := c.Counters(); got.Decisions != 4*len(changes) || got.Partitions != 1 || got.Heals != 1 {
+		t.Errorf("counters after the last Sync = %+v, want %d decisions", got, 4*len(changes))
+	}
+
+	// Forks: two deciders over one Gilbert-Elliott base each keep a channel
+	// state of their own, and the model handed to SetBase is never advanced.
+	ge, err := loss.NewGilbertElliott(0, 1, 0.5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := *ge
+	if err := c.SetBase(ge); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetDelay(Delay{}); err != nil {
+		t.Fatal(err)
+	}
+	c.Sync()
+	same := true
+	for i := 0; i < 200; i++ {
+		same = same && a.Decide(5, 6) == b.Decide(5, 6)
+	}
+	if same {
+		t.Error("two deciders with different streams drew the same 200 verdicts from a bursty base")
+	}
+	if *ge != probe {
+		t.Errorf("the base model handed to SetBase was advanced: %+v, was %+v", *ge, probe)
+	}
+	if a.base == b.base || a.base == loss.Model(ge) {
+		t.Error("deciders share a stateful base model")
+	}
+}
+
+// TestSyncAgainstRunningDeciders runs deciders on their own goroutines
+// between Syncs while another goroutine reconfigures the stack: the setters
+// never touch what a decider reads (run under -race), and every decision is
+// counted once.
+func TestSyncAgainstRunningDeciders(t *testing.T) {
+	ge, err := loss.BurstyWithRate(0.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(ge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := make([]Decider, 4)
+	for i := range ds {
+		c.Attach(&ds[i], int64(i+1))
+	}
+	stop := make(chan struct{})
+	var setters sync.WaitGroup
+	setters.Add(1)
+	go func() {
+		defer setters.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.Partition([]peer.ID{0, 1, 2, 3}, []peer.ID{4, 5, 6, 7})
+			c.SetLinkLoss(peer.ID(i%8), peer.ID((i+1)%8), loss.MustUniform(0.5))
+			_ = c.SetRate(0.3)
+			c.Heal()
+			c.SetLinkLoss(peer.ID(i%8), peer.ID((i+1)%8), nil)
+			_ = c.SetBase(ge)
+		}
+	}()
+	const phases, perPhase = 50, 200
+	for p := 0; p < phases; p++ {
+		c.Sync()
+		var wg sync.WaitGroup
+		for i := range ds {
+			wg.Add(1)
+			go func(d *Decider) {
+				defer wg.Done()
+				for j := 0; j < perPhase; j++ {
+					d.Decide(peer.ID(j%8), peer.ID((j+1)%8))
+				}
+			}(&ds[i])
+		}
+		wg.Wait()
+	}
+	close(stop)
+	setters.Wait()
+	c.Sync()
+	if got, want := c.Counters().Decisions, phases*perPhase*len(ds); got != want {
+		t.Errorf("Decisions = %d, want %d", got, want)
+	}
+}

@@ -26,6 +26,16 @@ type Model interface {
 	String() string
 }
 
+// Forker is implemented by the stateful models. Fork returns an independent
+// model with the same parameters in its initial state, sharing no mutable
+// state with the receiver: an engine that rules on messages in parallel gives
+// each of its streams a fork, so a burst is a burst over the messages one
+// stream sees. A model that does not implement it must be stateless, and is
+// shared.
+type Forker interface {
+	Fork() Model
+}
+
 // None never drops messages. It is the l = 0 setting of the paper.
 type None struct{}
 
@@ -133,6 +143,11 @@ func (g *GilbertElliott) Lost(r *rng.RNG) bool {
 	return r.Bernoulli(p)
 }
 
+// Fork returns a model with g's parameters, starting in the Good state.
+func (g *GilbertElliott) Fork() Model {
+	return &GilbertElliott{PGood: g.PGood, PBad: g.PBad, GoodToBad: g.GoodToBad, BadToGood: g.BadToGood}
+}
+
 // Rate returns the stationary average loss rate of the two-state chain.
 func (g *GilbertElliott) Rate() float64 {
 	pBad := g.GoodToBad / (g.GoodToBad + g.BadToGood)
@@ -159,6 +174,9 @@ func (s *Script) Lost(*rng.RNG) bool {
 	s.next++
 	return d
 }
+
+// Fork returns a script replaying the same sequence from its start.
+func (s *Script) Fork() Model { return &Script{Drops: s.Drops} }
 
 // Rate returns the fraction of drops in the script.
 func (s *Script) Rate() float64 {

@@ -93,18 +93,26 @@ func TestBurstyWithRateStationary(t *testing.T) {
 	if math.Abs(m.Rate()-0.05) > 1e-12 {
 		t.Errorf("declared Rate = %v, want 0.05", m.Rate())
 	}
-	r := rng.New(4)
-	const trials = 400000
-	drops := 0
-	for i := 0; i < trials; i++ {
-		if m.Lost(r) {
-			drops++
+	// The model itself, then a fork of it taken after the parent has run:
+	// what a shard of the sharded engine rules with.
+	for _, model := range []func() Model{func() Model { return m }, m.Fork} {
+		m := model()
+		if math.Abs(m.Rate()-0.05) > 1e-12 {
+			t.Errorf("declared Rate = %v, want 0.05", m.Rate())
 		}
-	}
-	rate := float64(drops) / trials
-	// Correlated samples widen the band; allow 20% relative error.
-	if math.Abs(rate-0.05) > 0.01 {
-		t.Errorf("empirical bursty rate %v, want ~0.05", rate)
+		r := rng.New(4)
+		const trials = 400000
+		drops := 0
+		for i := 0; i < trials; i++ {
+			if m.Lost(r) {
+				drops++
+			}
+		}
+		rate := float64(drops) / trials
+		// Correlated samples widen the band; allow 20% relative error.
+		if math.Abs(rate-0.05) > 0.01 {
+			t.Errorf("empirical bursty rate %v, want ~0.05", rate)
+		}
 	}
 }
 
@@ -113,29 +121,77 @@ func TestBurstyWithRateProducesBursts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(5)
-	// Measure the mean run length of consecutive drops; it should be well
-	// above 1 (a uniform model at 5% has mean run length ~1.05).
-	const trials = 400000
-	runs, dropped := 0, 0
-	inRun := false
-	for i := 0; i < trials; i++ {
-		if m.Lost(r) {
-			dropped++
-			if !inRun {
-				runs++
-				inRun = true
+	for _, model := range []func() Model{func() Model { return m }, m.Fork} {
+		m := model()
+		r := rng.New(5)
+		// Measure the mean run length of consecutive drops; it should be well
+		// above 1 (a uniform model at 5% has mean run length ~1.05).
+		const trials = 400000
+		runs, dropped := 0, 0
+		inRun := false
+		for i := 0; i < trials; i++ {
+			if m.Lost(r) {
+				dropped++
+				if !inRun {
+					runs++
+					inRun = true
+				}
+			} else {
+				inRun = false
 			}
-		} else {
-			inRun = false
+		}
+		if runs == 0 {
+			t.Fatal("no loss bursts observed")
+		}
+		meanRun := float64(dropped) / float64(runs)
+		if meanRun < 5 {
+			t.Errorf("mean burst length %v, want >= 5 (configured 10)", meanRun)
 		}
 	}
-	if runs == 0 {
-		t.Fatal("no loss bursts observed")
+}
+
+// TestForkIsIndependent pins what Forker promises: a fork has its parent's
+// parameters and the initial state — Good for Gilbert-Elliott, the first
+// entry for a script — wherever the parent stands, and running one never
+// moves the other.
+func TestForkIsIndependent(t *testing.T) {
+	r := rng.New(9)
+	stuck, err := NewGilbertElliott(0, 1, 1, 0) // enters Bad on the first message and stays
+	if err != nil {
+		t.Fatal(err)
 	}
-	meanRun := float64(dropped) / float64(runs)
-	if meanRun < 5 {
-		t.Errorf("mean burst length %v, want >= 5 (configured 10)", meanRun)
+	stuck.Lost(r)
+	f := stuck.Fork().(*GilbertElliott)
+	if !stuck.bad || f.bad {
+		t.Errorf("parent bad=%v, fork bad=%v: want a Bad parent and a fork in the Good state", stuck.bad, f.bad)
+	}
+	if p := *stuck; f.PGood != p.PGood || f.PBad != p.PBad || f.GoodToBad != p.GoodToBad || f.BadToGood != p.BadToGood {
+		t.Errorf("fork %+v does not carry the parameters of %+v", *f, p)
+	}
+	fresh, err := NewGilbertElliott(0, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Fork().Lost(r)
+	if fresh.bad {
+		t.Error("running a fork moved its parent out of the Good state")
+	}
+
+	sc := &Script{Drops: []bool{true, false, true}}
+	sc.Lost(r)
+	sf := sc.Fork()
+	for i, want := range sc.Drops {
+		if got := sf.Lost(r); got != want {
+			t.Errorf("forked script entry %d = %v, want %v", i, got, want)
+		}
+	}
+	if sc.Lost(r) {
+		t.Error("running a forked script advanced its parent")
+	}
+	for _, stateless := range []Model{None{}, MustUniform(0.5)} {
+		if _, ok := stateless.(Forker); ok {
+			t.Errorf("%v is stateless and implements Forker", stateless)
+		}
 	}
 }
 

@@ -474,64 +474,119 @@ func TestOutboxMessageCopiesIDs(t *testing.T) {
 	}
 }
 
-// TestOutboxAppendFrom pins the copy the sharded engine's route pass and
-// drain make into a destination inbox: every payload shape — inline (0, 1, 2
-// ids) and arena (3, 8, 255 ids) — arrives with its header intact and its ids
-// re-homed, so the copy reads the same after the source is reset and
-// refilled, while the destination arena grows mid-sequence; and once both
-// buffers have their capacity a copy allocates nothing.
-func TestOutboxAppendFrom(t *testing.T) {
-	payload := func(n, salt int) []peer.ID {
-		ids := make([]peer.ID, n)
-		for i := range ids {
-			ids[i] = peer.ID(salt*1000 + i)
-		}
-		return ids
+// TestOutboxSorted pins the outbox the sharded engine's steps append into: a
+// message lands in the lane of its destination block through every Append
+// form and every payload shape — inline (0, 1, 2 ids) and arena (3, 8, 255
+// ids) — with header and ids intact, each lane in append order, also when a
+// lane spills over several chunks of the shared pool that other lanes'
+// chunks interleave with; Reset empties every lane; and a warm sequence
+// allocates nothing, however its messages spread over the lanes. An id past
+// the last lane panics.
+func TestOutboxSorted(t *testing.T) {
+	const shift, lanes = 3, 5 // lanes of 8 ids
+	sizes := []int{2, 0, 3, 1, 255, 8, 2, 3, 255, 1, 2}
+	type sent struct {
+		to, from peer.ID
+		kind     protocol.Kind
+		dup      bool
+		ids      []peer.ID
 	}
-	sizes := []int{2, 0, 3, 1, 255, 8, 2, 3, 255}
-	var src, dst protocol.Outbox
-	fill := func() {
-		src.Reset()
-		for i, n := range sizes {
-			src.Append(peer.ID(i), peer.ID(100+i), protocol.Kind(i%2), i%3 == 0, payload(n, i)...)
+	// 300 messages: lanes 0, 2 and 3 take about 100 each (seven chunks,
+	// interleaved), lane 1 one message, lane 4 none.
+	var seq []sent
+	for i := 0; i < 300; i++ {
+		to := peer.ID([]int{17, 0, 23, 7, 16, 1, 31, 18, 2, 19, 20, 24}[i%12])
+		if i == 150 {
+			to = 9
 		}
-	}
-	copyAll := func() {
-		dst.Reset()
-		for i := range src.Msgs {
-			dst.AppendFrom(&src, &src.Msgs[i])
+		ids := make([]peer.ID, sizes[i%len(sizes)])
+		for j := range ids {
+			ids[j] = peer.ID(i*1000 + j)
 		}
+		seq = append(seq, sent{to, peer.ID(100 + i), protocol.Kind(i % 2), i%3 == 0, ids})
 	}
-	fill()
-	dst.Append(9, 9, protocol.KindGossip, false, 1, 2, 3) // the copies do not start at arena offset 0
-	for i := range src.Msgs {
-		dst.AppendFrom(&src, &src.Msgs[i])
-	}
-	src.Reset()
-	src.Append(1, 1, protocol.KindGossip, false, payload(300, 77)...) // overwrite the source arena
-	if dst.Len() != len(sizes)+1 {
-		t.Fatalf("destination holds %d messages, want %d", dst.Len(), len(sizes)+1)
-	}
-	for i, n := range sizes {
-		m := &dst.Msgs[i+1]
-		if m.To != peer.ID(i) || m.From != peer.ID(100+i) || m.Kind != protocol.Kind(i%2) || m.Dup != (i%3 == 0) {
-			t.Errorf("message %d: header %+v", i, *m)
-		}
-		got, want := dst.MsgIDs(m), payload(n, i)
-		if len(got) != len(want) {
-			t.Fatalf("message %d: %d ids, want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("message %d: ids %v, want %v", i, got, want)
+	ob := protocol.Sorted(lanes, shift)
+	fill := func(seq []sent) {
+		ob.Reset()
+		for i, m := range seq {
+			switch n := len(m.ids); {
+			case n == 1 && i%2 == 1:
+				ob.Append1(m.to, m.from, m.kind, m.dup, m.ids[0])
+			case n == 2 && i%2 == 0:
+				ob.Append2(m.to, m.from, m.kind, m.dup, m.ids[0], m.ids[1])
+			default:
+				ob.Append(m.to, m.from, m.kind, m.dup, m.ids...)
 			}
 		}
 	}
-	fill()
-	copyAll() // warm: dst has seen this sequence's sizes
-	if avg := testing.AllocsPerRun(50, copyAll); avg != 0 {
-		t.Errorf("warm AppendFrom sequence allocates %.1f times, want 0", avg)
+	check := func(seq []sent) {
+		t.Helper()
+		if ob.Len() != len(seq) {
+			t.Errorf("Len() = %d, want %d", ob.Len(), len(seq))
+		}
+		for l := 0; l < lanes; l++ {
+			var want []sent
+			for _, m := range seq {
+				if int(m.to)>>shift == l {
+					want = append(want, m)
+				}
+			}
+			lane := ob.Lane(l)
+			at := 0
+			for runs := lane.Runs(); ; {
+				run := runs.Next()
+				if run == nil {
+					break
+				}
+				for i := range run {
+					if at == len(want) {
+						t.Fatalf("lane %d holds more than the %d messages addressed to it", l, len(want))
+					}
+					m, w := &run[i], want[at]
+					at++
+					if m.To != w.to || m.From != w.from || m.Kind != w.kind || m.Dup != w.dup {
+						t.Fatalf("lane %d message %d: header %+v, want %+v", l, at-1, *m, w)
+					}
+					got := lane.MsgIDs(m)
+					if len(got) != len(w.ids) {
+						t.Fatalf("lane %d message %d: %d ids, want %d", l, at-1, len(got), len(w.ids))
+					}
+					for j := range got {
+						if got[j] != w.ids[j] {
+							t.Fatalf("lane %d message %d: ids %v, want %v", l, at-1, got, w.ids)
+						}
+					}
+				}
+			}
+			if at != len(want) {
+				t.Errorf("lane %d: the walk yielded %d messages, want %d", l, at, len(want))
+			}
+		}
 	}
+	fill(seq)
+	check(seq)
+	// The same load addressed the other way round — lane 0's to lane 3, lane
+	// 1's to lane 2 and back — fits the capacity the first pass left behind.
+	flipped := make([]sent, len(seq))
+	for i, m := range seq {
+		m.to = 31 - m.to
+		flipped[i] = m
+	}
+	if avg := testing.AllocsPerRun(20, func() { fill(flipped) }); avg != 0 {
+		t.Errorf("a warm sorter allocates %.1f times when its load moves to other lanes, want 0", avg)
+	}
+	check(flipped)
+	fill(seq[:3])
+	check(seq[:3])
+	ob.Reset()
+	check(nil)
+
+	defer func() {
+		if recover() == nil {
+			t.Error("an id past the last lane was filed somewhere")
+		}
+	}()
+	ob.Append2(40, 1, protocol.KindGossip, false, 1, 2)
 }
 
 // TestCountersFollowStepResults pins how the one tally maps step results.

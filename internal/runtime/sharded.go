@@ -28,37 +28,56 @@ import (
 //   - Node state is flat: all views live in one contiguous id array (one
 //     s-slot window per node, wrapped by view.Wrap), per-node RNGs are
 //     values in the node records, liveness is one bit per node in a dense
-//     bitset (n/8 bytes, small enough to stay cached under the route
-//     pass), and per-node event counters are replaced by one counter block
-//     per shard, summed at snapshot time.
+//     bitset (n/8 bytes, small enough to stay in every core's cache), and
+//     per-node event counters are replaced by one counter block per shard,
+//     summed at snapshot time.
 //   - A shard is a type. Nodes are partitioned into contiguous id ranges,
 //     and one shard value owns everything a phase worker may touch for its
-//     range. The phase bodies are methods of *shard, which holds no pointer
-//     to the engine: another shard's state, the router, the gate and the
-//     roster are not nameable from phase code, so the compiler checks what
-//     an analyzer used to infer from an index.
-//   - A tick is three phases. Initiate: a bounded worker pool runs each
-//     shard's initiate steps, appending messages to the shard's outbox
-//     (reused flat buffers — zero steady-state allocations).
-//     Route: a single sequential pass walks the outboxes in shard order,
-//     applies the fault stack per message (preserving one deterministic
-//     RNG stream for loss/delay decisions, exactly like the chunk-merge
-//     discipline of the markov CSR kernel), and copies each survivor into
-//     the inbox of its destination shard. Deliver: the pool walks each
-//     inbox front to back, running the receive steps; replies loop back
-//     through route until quiet. An inbox holds the messages themselves,
-//     so a deliver phase reads one contiguous buffer and nothing it reads
-//     is an arena it appends to.
-//   - Delayed messages take the same path. The route pass parks them in the
-//     router's delay calendar (one reused arena per due round); each tick
-//     starts by draining the round that came due as one more deliver phase —
-//     liveness resolved per message in (due, enqueue) order, survivors
-//     copied to their destination inboxes, replies routed like any other
-//     generation — before the initiate phase runs.
-//   - Results are bit-identical for any worker count: shard geometry
-//     depends only on n (never on GOMAXPROCS), every shard is processed
-//     in node order by exactly one worker, and all cross-shard merging
-//     happens in the sequential route pass.
+//     range: node records, router, decider, counters. The phase bodies are
+//     methods of *shard, which holds no pointer to the engine: another
+//     shard's state, the gate and the roster are not nameable from phase
+//     code, so the compiler checks what an analyzer used to infer from an
+//     index.
+//   - The outbox is the mail. With S shards a mail set is S rows, row k a
+//     sorting outbox (protocol.Sorted) that files what shard k's steps emit
+//     into S lanes by destination shard as the step appends it — one shift
+//     picks the lane, and no step core knows. Lane d of row k is bucket
+//     (k → d), and column d, the lanes d of all rows, is what was addressed to
+//     shard d's nodes. Nothing is copied between the step that emits a
+//     message and the step that receives it, and no goroutine walks all of a
+//     round's messages. Rows and columns live in the engine, not in the
+//     shards: runShards, which holds the stolen index, hands a phase body the
+//     one row it may write and the one column it may read (a column is
+//     read-only by type, protocol.Lane).
+//   - The destination rules. A deliver phase has every shard walk its column
+//     — bucket (k → d) for k in shard order, each in append order — and rule
+//     on each message with the shard's own router: its own ledger, its own
+//     delay calendar, its own decider attached to the fault stack with a
+//     verdict stream of its own (rng.DeriveSeed(cluster seed, verdictStream,
+//     shard index)), and the shared liveness bitset. The receive step runs
+//     on the survivor where it lies. Replies go to the shard's row of the
+//     *other* mail set — another shard may still be reading this shard's row
+//     of the set being delivered — which the next deliver phase consumes;
+//     phases alternate between the two sets until one files nothing. A row
+//     is reset by its owner at the start of a phase that files into it.
+//     Ledgers, pending counts and node counters are summed over shards at
+//     snapshot time.
+//   - Delayed messages never leave their shard: a verdict that assigns a delay
+//     parks the message in the ruling shard's calendar, and a tick starts
+//     with a drain phase in which every shard takes the bucket that came due
+//     — liveness per message in (due, enqueue) order, then the receive step,
+//     straight from the calendar's arena — before the initiate phase runs.
+//     Replies to drained messages are delivered like any others.
+//   - Between phases the gate holder does O(shards) work and touches no
+//     message: it advances the calendar clocks, sums counters to learn
+//     whether the last phase filed anything, and exchanges configuration and
+//     counters with the fault stack (faults.Conditions.Sync) at both ends of
+//     a tick.
+//   - Results are bit-identical for any worker count: shard geometry depends
+//     only on n (never on GOMAXPROCS), every shard is processed in node order
+//     by exactly one worker per phase, a column is walked in source-shard
+//     order whichever workers filled it, and every random draw comes from a
+//     stream that belongs to one node or one shard.
 //
 // Concurrency contract: all public methods are safe for concurrent use.
 // They serialize through a capacity-1 token channel (gate) instead of a
@@ -72,11 +91,21 @@ import (
 // the pool cannot cycle back to the gate. The token channel makes that
 // reasoning structural rather than suppressed.
 
-// Tick phases executed by the worker pool.
+// Tick phases executed by the worker pool. Initiate and drain file into mail
+// set 0; phaseDeliver+p consumes set p and files replies into set 1-p.
 const (
 	phaseInitiate int32 = iota
+	phaseDrain
 	phaseDeliver
 )
+
+// maxShards caps the shard count, and with it a mail set at maxShards²
+// lanes, whatever n is.
+const maxShards = 64
+
+// verdictStream tags the per-shard fault-decision streams in the seed
+// derivation, apart from every (node, incarnation) stream of the roster.
+const verdictStream = -1
 
 // liveSet is a dense bitset over node ids: bit u is set while node u is
 // active.
@@ -86,9 +115,9 @@ func (b liveSet) has(u peer.ID) bool { return b[u>>6]&(1<<(uint(u)&63)) != 0 }
 
 // shardedNode packs one node's per-message state: the view header wrapping
 // its window of the shared slot array, its deterministic RNG, and its step
-// core. Everything the deliver phase reads for a destination is in this
-// record; liveness, which the sequential passes ask for every message, is
-// not (see ShardedCluster.live).
+// core. Everything a receive step reads for a destination is in this record;
+// liveness, which is asked for every message, is not (see
+// ShardedCluster.live).
 type shardedNode struct {
 	view view.View
 	rng  rng.RNG
@@ -98,20 +127,23 @@ type shardedNode struct {
 // shard owns everything a phase worker may touch for the contiguous id range
 // [lo, lo+len(nodes)). Between barrier phases only the worker that stole the
 // shard runs its methods; outside phases only the gate holder reaches it.
-// It holds no reference to the engine or to another shard.
+// It holds no reference to the engine or to another shard; the mail a phase
+// reads and writes is handed to it, phase by phase, by runShards.
 type shard struct {
-	// in leads the struct: the route pass and the drain file every message
-	// into its destination shard's inbox, and this header is all they touch
-	// there. The deliver phase walks it front to back and empties it.
-	in protocol.Outbox
-	// out is the initiate phase output and reply the deliver phase output:
-	// the owning worker resets and fills them, the route pass reads them.
-	out, reply protocol.Outbox
-	cnt        NodeCounters // summed over shards at snapshot time
-
 	lo    peer.ID       // id of nodes[0]
 	nodes []shardedNode // this shard's window of the node records
 	live  liveSet       // the engine's bitset; phases only read it
+
+	// The transmission discipline for messages addressed to this shard's
+	// nodes: a seat of its own at the fault stack, verdict stream included
+	// (dec), and ledger and delay calendar (router). They are what a phase
+	// writes per message, and they are values, not pointers to small heap
+	// objects that would share cache lines with their neighbours': here they
+	// lie between what a phase only reads (above, and the next shard's) and
+	// cnt, written once per phase.
+	dec    faults.Decider
+	router driver.Router
+	cnt    NodeCounters // summed over shards at snapshot time
 }
 
 // ShardedCluster is the sharded synchronous tick engine. Construct with New
@@ -139,19 +171,28 @@ type ShardedCluster struct {
 
 	// shards is indexed inside a barrier phase by one expression, runShards'
 	// with the stolen index; outside phases only the gate holder touches it.
-	shards []shard        //vet:confined shard
+	shards []shard //vet:confined shard
+
+	// The two mail sets, shard k's stake in set p at index 2*k+p: rows is the
+	// sorting outbox its steps file into — lane d of it is bucket (k → d) —
+	// and cols the lanes (src → k) of every shard's row, by source shard:
+	// what was addressed to its nodes. Like shards, they are indexed inside a
+	// phase only by runShards with the stolen index, which hands a phase body
+	// the one row it may write and the one column it may read.
+	rows []protocol.Outbox //vet:confined shard
+	cols [][]protocol.Lane //vet:confined shard
+
 	roster *driver.Roster // per-node incarnations and seed derivation
 
 	// What the gate holder alone touches. slots is the n*s id array behind
 	// every view (node u's view wraps window u), kept for the bulk snapshot.
 	// live is written by activate and RemoveNode; the shards hold its header
 	// and read it inside phases, where no one writes it, so a word that two
-	// shards share is safe. router is the shared transmission discipline
-	// (fault decisions, delay calendar, traffic ledger), drawing from one
-	// deterministic stream consumed in merged shard order.
-	slots  []peer.ID      //vet:confined gate
-	live   liveSet        //vet:confined gate
-	router *driver.Router //vet:confined gate
+	// shards share is safe. filed is the number of messages the steps had
+	// emitted when the gate holder last looked (settle).
+	slots []peer.ID //vet:confined gate
+	live  liveSet   //vet:confined gate
+	filed int       //vet:confined gate
 }
 
 // newSharded builds a sharded tick cluster with the circulant bootstrap
@@ -175,6 +216,10 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 		return nil, fmt.Errorf("runtime: shard size %d is not a power of two", shardSize)
 	}
 	nshards := (cfg.N + shardSize - 1) / shardSize
+	if nshards > maxShards {
+		return nil, fmt.Errorf("runtime: shard size %d splits %d nodes into %d shards, more than %d", shardSize, cfg.N, nshards, maxShards)
+	}
+	shift := uint(bits.TrailingZeros(uint(shardSize)))
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = gort.GOMAXPROCS(0)
@@ -187,7 +232,7 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 		cfg:        cfg,
 		n:          cfg.N,
 		s:          s,
-		shardShift: uint(bits.TrailingZeros(uint(shardSize))),
+		shardShift: shift,
 		nshards:    nshards,
 		workers:    workers,
 		gate:       make(chan struct{}, 1),
@@ -196,19 +241,35 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 		quit:       make(chan struct{}),
 
 		shards: make([]shard, nshards),
+		rows:   make([]protocol.Outbox, 2*nshards),
+		cols:   make([][]protocol.Lane, 2*nshards),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
 		slots:  make([]peer.ID, cfg.N*s),
 		live:   make(liveSet, (cfg.N+63)/64),
 	}
 	nodes := make([]shardedNode, cfg.N) // one slab, like slots; a shard holds its window
+	for i := range e.rows {
+		e.rows[i] = protocol.Sorted(nshards, shift)
+	}
 	for k := range e.shards {
 		lo := k * shardSize
-		e.shards[k] = shard{lo: peer.ID(lo), nodes: nodes[lo:min(lo+shardSize, cfg.N)], live: e.live}
+		e.shards[k] = shard{
+			lo: peer.ID(lo), nodes: nodes[lo:min(lo+shardSize, cfg.N)], live: e.live,
+			// The router asks for liveness per ruled and per drained message.
+			// Its callback is bound to the bitset itself (which is never
+			// reallocated): one load, no engine record behind it. It rules
+			// through the shard's decider and needs no stream of its own.
+			router: *driver.NewRouter(cfg.Conditions, nil, e.live.has),
+		}
+		cfg.Conditions.Attach(&e.shards[k].dec, rng.DeriveSeed(cfg.Seed, verdictStream, int64(k)))
+		for p := 0; p < 2; p++ {
+			col := make([]protocol.Lane, nshards)
+			for src := range col {
+				col[src] = e.rows[2*src+p].Lane(k)
+			}
+			e.cols[2*k+p] = col
+		}
 	}
-	// The router asks for liveness per routed and per drained message, always
-	// under the gate. Its callback is bound to the bitset itself (which is
-	// never reallocated): one load, no engine record behind it.
-	e.router = driver.NewRouter(cfg.Conditions, rng.New(cfg.Seed), e.live.has)
 
 	seeds := make([]peer.ID, cfg.InitDegree)
 	for u := 0; u < cfg.N; u++ {
@@ -226,16 +287,13 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 }
 
 // defaultShardSize picks the nodes-per-shard geometry from n alone: 256
-// preferred (enough shards for work stealing at n >= 10^4), grown so that at
-// most 1024 shards — and hence buffer sets — exist at n = 10^6. Results
-// depend on the geometry, so it must never consult GOMAXPROCS.
+// preferred, grown to the next power of two (the shard-of-destination map
+// stays a shift at every n) so that there are at most maxShards shards.
+// Results depend on the geometry, so it must never consult GOMAXPROCS.
 func defaultShardSize(n int) int {
-	const preferred, maxShards = 256, 1024
-	size := preferred
-	if min := (n + maxShards - 1) / maxShards; size < min {
-		// Grow to the next power of two so the shard-of-destination map in
-		// the route pass stays a shift at every n.
-		size = 1 << uint(bits.Len(uint(min-1)))
+	size := 256
+	for size*maxShards < n {
+		size <<= 1
 	}
 	return size
 }
@@ -301,9 +359,12 @@ func (e *ShardedCluster) runShards(p int32) {
 		sh := &e.shards[k]
 		switch p {
 		case phaseInitiate:
-			sh.initiate()
-		case phaseDeliver:
-			sh.deliver()
+			sh.initiate(&e.rows[2*k])
+		case phaseDrain:
+			sh.drain(&e.rows[2*k])
+		default:
+			set := int(p - phaseDeliver)
+			sh.deliver(e.cols[2*k+set], &e.rows[2*k+1-set])
 		}
 	}
 }
@@ -326,11 +387,12 @@ func (e *ShardedCluster) runPhase(p int32) {
 	}
 }
 
-// initiate runs the initiate step of every live node of the shard, appending
-// outgoing messages to the shard outbox and accumulating the counters locally
-// (one write to the shard's block per phase, none in the loop).
-func (sh *shard) initiate() {
-	sh.out.Reset() // the previous round's messages were consumed by deliver
+// initiate runs the initiate step of every live node of the shard, sorting the
+// outgoing messages into out, the shard's row of mail set 0, and accumulating
+// the counters locally (one write to the shard's block per phase, none in the
+// loop).
+func (sh *shard) initiate(out *protocol.Outbox) {
+	out.Reset() // the previous round's messages were consumed by deliver
 	var cnt NodeCounters
 	for i := range sh.nodes {
 		u := sh.lo + peer.ID(i)
@@ -338,135 +400,148 @@ func (sh *shard) initiate() {
 			continue
 		}
 		nd := &sh.nodes[i]
-		cnt.Initiated(nd.core.InitiateBatch(&nd.view, u, &nd.rng, &sh.out))
+		cnt.Initiated(nd.core.InitiateBatch(&nd.view, u, &nd.rng, out))
 	}
 	sh.cnt.Add(cnt)
 }
 
-// deliver runs the receive step for every message in the shard's inbox,
-// front to back (the order the sequential route pass filed them in, which is
-// what makes it deterministic), and empties the inbox. Replies go to the
-// shard's reply outbox and face the fault stack in the next route pass. The
-// route pass files by destination shard, so every m.To lies in this shard.
-func (sh *shard) deliver() {
-	sh.reply.Reset() // the previous generation's replies were consumed by route
+// receive runs the receive step for a message addressed to one of the shard's
+// nodes, with the reply, if any, sorted into out.
+func (sh *shard) receive(m *protocol.FlatMsg, ids []peer.ID, out *protocol.Outbox, cnt *NodeCounters) {
+	nd := sh.node(m.To)
+	pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}
+	cnt.Received(nd.core.ReceiveBatch(&nd.view, m.To, pkt, &nd.rng, out))
+}
+
+// deliver rules on every message of in, the shard's column of one mail set —
+// the lanes in source-shard order, each front to back, which no scheduler can
+// change — and runs the receive step of each one the router lets through.
+// Replies go to out, the shard's row of the other set: its row of this set
+// may still be under another shard's eyes. A message that draws a delay parks
+// in the shard's own calendar.
+func (sh *shard) deliver(in []protocol.Lane, out *protocol.Outbox) {
+	out.Reset() // consumed by the deliver phase before this one
 	var cnt NodeCounters
-	for i := range sh.in.Msgs {
-		m := &sh.in.Msgs[i]
-		nd := sh.node(m.To)
-		pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: sh.in.MsgIDs(m), Dup: m.Dup}
-		cnt.Received(nd.core.ReceiveBatch(&nd.view, m.To, pkt, &nd.rng, &sh.reply))
-	}
-	sh.in.Reset()
-	sh.cnt.Add(cnt)
-}
-
-// route is the sequential merge pass over what phase p produced: it walks the
-// shards' outboxes (after initiate) or reply outboxes (after deliver) in shard
-// order and rules on every message with the fault stack, drawing from the
-// single fault-decision stream in that fixed order (the same discipline that
-// makes the markov CSR kernel bit-reproducible: parallel phases produce
-// per-chunk buffers, one deterministic order consumes them). Survivors are
-// copied into the destination shard's inbox; delayed messages are copied out
-// of the transient arena into the router's delay calendar. It returns whether
-// any message was filed for delivery.
-func (e *ShardedCluster) route(p int32) bool {
-	delivered := false
-	// One condition-stack session for the whole pass: the stack is locked
-	// once here instead of once per message (route is sequential, so the
-	// single-owner contract holds trivially). The router rules per message
-	// — drop, park, dead letter, or deliver — and the filing of survivors
-	// stays here.
-	ses := e.cfg.Conditions.Begin()
-	for k := range e.shards {
-		ob := &e.shards[k].out
-		if p == phaseDeliver {
-			ob = &e.shards[k].reply
-		}
-		for i := range ob.Msgs {
-			m := &ob.Msgs[i]
-			msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: ob.MsgIDs(m), Dup: m.Dup}
-			if e.router.RouteIn(&ses, m.To, msg) == driver.Delivered {
-				e.shardOf(m.To).in.AppendFrom(ob, m)
-				delivered = true
+	for _, lane := range in {
+		for runs := lane.Runs(); ; {
+			run := runs.Next()
+			if run == nil {
+				break
+			}
+			for i := range run {
+				m := &run[i]
+				ids := lane.MsgIDs(m)
+				msg := protocol.Message{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}
+				if sh.router.RouteBy(&sh.dec, m.To, msg) == driver.Delivered {
+					sh.receive(m, ids, out, &cnt)
+				}
 			}
 		}
 	}
-	ses.Close()
-	return delivered
+	sh.cnt.Add(cnt)
 }
 
-// drainDue does for the delayed messages due by the current tick what route
-// does for fresh ones: it walks the due round's calendar bucket in (due,
-// enqueue) order, resolves liveness per message at drain time (a message to
-// a node that departed while in flight is a dead letter, exactly as on the
-// other substrates; the fault stack already ruled when the message parked),
-// copies the deliverable ones into their inboxes, and settles them — a
-// deliver phase, with replies routed like any other generation.
-//
-//vet:hotpath
-func (e *ShardedCluster) drainDue() {
+// drain delivers the shard's delayed messages due by the current tick: it
+// walks the due round's calendar bucket in (due, enqueue) order, resolves
+// liveness per message at drain time (a message to a node that departed while
+// in flight is a dead letter, exactly as on the other substrates; the fault
+// stack already ruled when the message parked) and runs the receive steps
+// from the bucket itself. Replies go to out, the shard's row of mail set 0,
+// like a round's first messages.
+func (sh *shard) drain(out *protocol.Outbox) {
+	out.Reset()
+	var cnt NodeCounters
 	for {
-		ob, from := e.router.DueBatch()
-		if ob == nil {
+		b, from := sh.router.DueBatch()
+		if b == nil {
+			break
+		}
+		for i := from; i < len(b.Msgs); i++ {
+			if m := &b.Msgs[i]; sh.router.Deliverable(m.To) {
+				sh.receive(m, b.MsgIDs(m), out, &cnt)
+			}
+		}
+	}
+	sh.cnt.Add(cnt)
+}
+
+// settle runs deliver phases until the engine is quiet. The phase before it
+// filed into mail set 0; each deliver phase consumes one set and files the
+// replies into the other. Whether a phase filed anything is read off the
+// shards' counters — every message a step emits is counted as a send or a
+// reply — so no phase writes a flag. Reply chains terminate for every current
+// protocol (replies never generate further replies), so this loop runs at
+// most twice.
+func (e *ShardedCluster) settle() {
+	for p := int32(0); ; p ^= 1 {
+		filed := 0
+		for k := range e.shards {
+			filed += e.shards[k].cnt.Sends + e.shards[k].cnt.Replies
+		}
+		if filed == e.filed {
 			return
 		}
-		delivered := false
-		for i := from; i < len(ob.Msgs); i++ {
-			if m := &ob.Msgs[i]; e.router.Deliverable(m.To) {
-				e.shardOf(m.To).in.AppendFrom(ob, m)
-				delivered = true
-			}
-		}
-		e.settle(delivered)
+		e.filed = filed
+		e.runPhase(phaseDeliver + p)
 	}
 }
 
-// settle runs deliver phases until the engine is quiet: while the last
-// route pass or drain filed messages (delivered), the pool delivers them and
-// the replies they produced are routed as the next generation. Reply chains
-// terminate for every current protocol (replies never generate further
-// replies), so this loop runs at most twice.
-func (e *ShardedCluster) settle(delivered bool) {
-	for delivered {
-		e.runPhase(phaseDeliver)
-		delivered = e.route(phaseDeliver)
+// advance moves every shard's calendar clock one round and delivers what
+// came due: a drain phase, then the replies it provoked.
+func (e *ShardedCluster) advance() {
+	for k := range e.shards {
+		e.shards[k].router.Tick()
+	}
+	if e.pending() > 0 {
+		e.runPhase(phaseDrain)
+		e.settle()
 	}
 }
 
-// TickRound drives one synchronous round: the delay calendar delivers what
-// came due (a deliver phase of its own), every live node initiates once
-// (initiate phase), the fault stack rules on the round's messages in shard
-// order (route), and survivors' receive steps run (deliver phase), with
-// reply generations looping through route until the round is quiet.
+// TickRound drives one synchronous round: the delay calendars deliver what
+// came due (a drain phase), every live node initiates once (initiate phase),
+// and every shard rules on and receives what was addressed to it (deliver
+// phases, until a generation of replies is empty). The fault stack is read
+// once, at the start, and handed the round's counters at the end.
 //
 //vet:hotpath
 func (e *ShardedCluster) TickRound() {
 	<-e.gate
-	e.router.Tick()
-	e.drainDue()
+	e.cfg.Conditions.Sync()
+	e.advance()
 	e.runPhase(phaseInitiate)
-	e.settle(e.route(phaseInitiate))
+	e.settle()
+	e.cfg.Conditions.Sync()
 	e.gate <- struct{}{}
 }
 
 // DrainDelayed advances the tick clock without initiating any actions until
-// the delay calendar is empty, delivering everything in flight — the sharded
+// the delay calendars are empty, delivering everything in flight — the sharded
 // counterpart of Engine.DrainDelayed, run at the end of a comparison so the
 // traffic identity (metrics.Traffic.Conserved) holds exactly.
 func (e *ShardedCluster) DrainDelayed() {
 	<-e.gate
-	for e.router.Pending() > 0 {
-		e.router.Tick()
-		e.drainDue()
+	e.cfg.Conditions.Sync()
+	for e.pending() > 0 {
+		e.advance()
 	}
+	e.cfg.Conditions.Sync()
 	e.gate <- struct{}{}
 }
 
-// Pending returns the number of messages parked in the delay calendar.
+// pending sums the shards' delay calendars. Callers hold the gate.
+func (e *ShardedCluster) pending() int {
+	n := 0
+	for k := range e.shards {
+		n += e.shards[k].router.Pending()
+	}
+	return n
+}
+
+// Pending returns the number of messages parked in the delay calendars.
 func (e *ShardedCluster) Pending() int {
 	<-e.gate
-	n := e.router.Pending()
+	n := e.pending()
 	e.gate <- struct{}{}
 	return n
 }
@@ -511,10 +586,13 @@ func (e *ShardedCluster) Counters() NodeCounters {
 	return sum
 }
 
-// Traffic reports the router's ledger.
+// Traffic sums the shards' ledgers.
 func (e *ShardedCluster) Traffic() metrics.Traffic {
 	<-e.gate
-	t := e.router.Traffic()
+	var t metrics.Traffic
+	for k := range e.shards {
+		e.shards[k].router.AddTraffic(&t)
+	}
 	e.gate <- struct{}{}
 	return t
 }

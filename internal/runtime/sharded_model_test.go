@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"sendforget/internal/faults"
+	"sendforget/internal/loss"
+	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
@@ -388,5 +390,89 @@ func TestShardedViewsAllocs(t *testing.T) {
 	e.RemoveNode(17)
 	if avg := testing.AllocsPerRun(10, func() { _ = e.Views() }); avg > 4 {
 		t.Errorf("Views() allocates %.1f times at n=2000, want at most 4", avg)
+	}
+}
+
+// ringCore is a step core with fixed traffic: every initiate step of node u
+// sends one two-id message to u+1 (mod n), and no receive step replies.
+type ringCore struct{ n int }
+
+func (c ringCore) Name() string               { return "ring" }
+func (c ringCore) ViewSize() int              { return 4 }
+func (c ringCore) CheckView(*view.View) error { return nil }
+func (c ringCore) SeedView([]peer.ID) (*view.View, error) {
+	return view.New(c.ViewSize()), nil
+}
+func (c ringCore) InitiateBatch(_ *view.View, u peer.ID, _ *rng.RNG, out *protocol.Outbox) (int, int, bool) {
+	out.Append2(peer.ID((int(u)+1)%c.n), u, protocol.KindGossip, false, u, u)
+	return 1, 0, true
+}
+func (c ringCore) ReceiveBatch(*view.View, peer.ID, protocol.Packet, *rng.RNG, *protocol.Outbox) (bool, int) {
+	return false, 0
+}
+
+// TestShardedSettersTakeEffectNextTick pins when a reconfiguration of the
+// fault stack reaches the shards: the engine reads the stack once per tick,
+// at its start, so a setter called between two ticks rules the very next one
+// — all of it, on every shard — and not the one after. The ring core makes
+// the expected ledger of each tick exact: n sends, one per link u -> u+1,
+// every one of which crosses an even/odd partition.
+func TestShardedSettersTakeEffectNextTick(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 4} {
+		cond := faults.Lossless()
+		e, err := newSharded(runtime.Config{
+			N: n, Conditions: cond, Seed: 5, ShardSize: 16, Workers: workers, InitDegree: 2,
+			NewCore: func() (protocol.StepCore, error) { return ringCore{n}, nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		var even, odd []peer.ID
+		for u := 0; u < n; u += 2 {
+			even, odd = append(even, peer.ID(u)), append(odd, peer.ID(u+1))
+		}
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		steps := []struct {
+			name string
+			set  func()
+			want metrics.Traffic // what the next tick adds to the ledger
+		}{
+			{"no faults", func() {}, metrics.Traffic{Sends: n, Deliveries: n}},
+			{"SetRate(1)", func() { must(cond.SetRate(1)) }, metrics.Traffic{Sends: n, Losses: n}},
+			{"SetBase(None)", func() { must(cond.SetBase(loss.None{})) }, metrics.Traffic{Sends: n, Deliveries: n}},
+			{"SetDelay(2)", func() { must(cond.SetDelay(faults.Delay{Fixed: 2})) }, metrics.Traffic{Sends: n, Delayed: n}},
+			{"SetDelay(0)", func() { must(cond.SetDelay(faults.Delay{})) }, metrics.Traffic{Sends: n, Deliveries: n}},
+			{"the parked round comes due", func() {}, metrics.Traffic{Sends: n, Deliveries: 2 * n}},
+			{"Partition", func() { cond.Partition(even, odd) }, metrics.Traffic{Sends: n, Losses: n, PartitionDrops: n}},
+			{"Heal", func() { cond.Heal() }, metrics.Traffic{Sends: n, Deliveries: n}},
+			{"SetLinkLoss", func() { cond.SetLinkLoss(3, 4, loss.MustUniform(1)) }, metrics.Traffic{Sends: n, Losses: 1, LinkLosses: 1, Deliveries: n - 1}},
+			{"SetLinkLoss(nil)", func() { cond.SetLinkLoss(3, 4, nil) }, metrics.Traffic{Sends: n, Deliveries: n}},
+		}
+		before := e.Traffic()
+		for _, st := range steps {
+			st.set()
+			e.TickRound()
+			after := e.Traffic()
+			got := metrics.Traffic{
+				Sends: after.Sends - before.Sends, Losses: after.Losses - before.Losses,
+				Deliveries: after.Deliveries - before.Deliveries, DeadLetters: after.DeadLetters - before.DeadLetters,
+				LinkLosses: after.LinkLosses - before.LinkLosses, PartitionDrops: after.PartitionDrops - before.PartitionDrops,
+				Delayed: after.Delayed - before.Delayed,
+			}
+			if got != st.want {
+				t.Errorf("workers=%d: the tick after %s added %+v to the ledger, want %+v", workers, st.name, got, st.want)
+			}
+			before = after
+		}
+		if fc, tr := cond.Counters(), e.Traffic(); fc.Decisions != tr.Sends || fc.Drops() != tr.Losses || fc.Delayed != tr.Delayed {
+			t.Errorf("workers=%d: fault counters %+v do not account for ledger %+v", workers, fc, tr)
+		}
 	}
 }

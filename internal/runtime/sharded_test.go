@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sendforget/internal/faults"
+	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
@@ -54,6 +55,29 @@ func TestShardedValidation(t *testing.T) {
 	for _, size := range []int{-8, 3, 12, 100} {
 		if _, err := newSharded(runtime.Config{N: 60, NewCore: sfFactory(8, 2), ShardSize: size}); err == nil {
 			t.Errorf("accepted shard size %d, not a power of two", size)
+		}
+	}
+	// A mail set is shards² buckets, so the shard count is capped: 1000 nodes
+	// in shards of 16 are 63 shards, one node more is 65.
+	if _, err := newSharded(runtime.Config{N: 1000, NewCore: sfFactory(8, 2), ShardSize: 16}); err != nil {
+		t.Errorf("63 shards rejected: %v", err)
+	}
+	if _, err := newSharded(runtime.Config{N: 1025, NewCore: sfFactory(8, 2), ShardSize: 16}); err == nil {
+		t.Error("accepted a shard size that makes 65 shards")
+	}
+}
+
+// TestShardedDefaultGeometry pins the automatic shard size: a function of n
+// alone, 256 nodes until that would make more than 64 shards, then the next
+// power of two that does not.
+func TestShardedDefaultGeometry(t *testing.T) {
+	for _, tc := range []struct{ n, size, shards int }{
+		{2, 256, 1}, {2000, 256, 8}, {10_000, 256, 40}, {16_384, 256, 64}, {16_385, 512, 33},
+		{50_000, 1024, 49}, {100_000, 2048, 49}, {1_000_000, 16_384, 62},
+	} {
+		size := runtime.DefaultShardSize(tc.n)
+		if shards := (tc.n + size - 1) / size; size != tc.size || shards != tc.shards {
+			t.Errorf("n=%d: shard size %d (%d shards), want %d (%d)", tc.n, size, shards, tc.size, tc.shards)
 		}
 	}
 }
@@ -492,6 +516,12 @@ func delayedRunPin(t *testing.T, cfg runtime.Config) (uint64, metrics.Traffic) {
 	if p := sub.Pending(); p != 0 {
 		t.Fatalf("pending %d after DrainDelayed", p)
 	}
+	return viewDigest(sub), sub.Traffic()
+}
+
+// viewDigest hashes every view slot of the substrate, a marker standing in
+// for the view of a departed node.
+func viewDigest(sub runtime.Substrate) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, v := range sub.Views() {
@@ -504,37 +534,103 @@ func delayedRunPin(t *testing.T, cfg runtime.Config) (uint64, metrics.Traffic) {
 			h.Write(b[:])
 		}
 	}
-	return h.Sum64(), sub.Traffic()
+	return h.Sum64()
 }
 
-// TestShardedDelayedRunPin holds the sharded engine's delayed path to the
-// exact runs the logical-time heap produced: the digests and ledgers were
-// recorded by running this body at the commit before the delay calendar
-// replaced the heap. For the protocols that never reply — S&F, sfopt,
-// push-pull — draining a due round as one deliver phase keeps every
-// destination's receive order and the fault stream's draw order, so the run
-// is byte-identical for any worker count. (Shuffle and flipper are not
-// pinned here: a drained request's reply is now ruled after its drain batch,
-// see DESIGN.md "Fault injection"; TestDelayedRunPinSeqAndCluster pins them
-// where nothing moved.)
+// shardedFaultRun drives a seeded 80-round run through every fault path the
+// sharded engine has — Gilbert-Elliott bursts at a 5% long-run rate, a
+// jittered 0..2-round delay, a partition of the even from the odd ids over
+// rounds 25..34, a lossy link, two nodes leaving in round 20 and one of them
+// rejoining in round 50 — drains the delay calendars, and condenses the
+// outcome to a digest of every view slot, the traffic ledger and the fault
+// stack's counters.
+func shardedFaultRun(t *testing.T, factory protocol.CoreFactory, workers int) (uint64, metrics.Traffic, faults.Counters) {
+	t.Helper()
+	const n = 2000
+	burst, err := loss.BurstyWithRate(0.05, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond, err := faults.New(burst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cond.SetDelay(faults.Delay{Jitter: 2}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := newSharded(runtime.Config{N: n, NewCore: factory, Conditions: cond, Seed: 31, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var even, odd []peer.ID
+	for u := 0; u < n; u++ {
+		if u%2 == 0 {
+			even = append(even, peer.ID(u))
+		} else {
+			odd = append(odd, peer.ID(u))
+		}
+	}
+	for round := 0; round < 80; round++ {
+		switch round {
+		case 10:
+			cond.SetLinkLoss(3, 4, loss.MustUniform(1))
+		case 20:
+			sub.RemoveNode(7)
+			sub.RemoveNode(n / 2)
+		case 25:
+			cond.Partition(even, odd)
+		case 35:
+			cond.Heal()
+		case 50:
+			if err := sub.AddNode(7, []peer.ID{10, 11, 12, 13, 14, 15, 16, 17}, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sub.TickRound()
+	}
+	sub.DrainDelayed()
+	if p := sub.Pending(); p != 0 {
+		t.Fatalf("pending %d after DrainDelayed", p)
+	}
+	return viewDigest(sub), sub.Traffic(), cond.Counters()
+}
+
+// TestShardedDelayedRunPin is the sharded engine's determinism gate on its
+// fault paths: for all five protocols the run of shardedFaultRun is the same —
+// every view slot, the ledger, the fault counters — whether 1, 2, 3 or 8
+// workers tick it (8 is one per shard), and it is the run recorded here. A
+// shard rules on what is addressed to it from a stream of its own and drains
+// a calendar of its own, so nothing about the run depends on which worker
+// took which shard. Re-recorded when the verdicts moved from one engine-wide
+// stream to one per destination shard; shuffle and flipper, whose delayed
+// replies used to be ruled in an order this file did not pin, are pinned with
+// the rest.
 func TestShardedDelayedRunPin(t *testing.T) {
 	pins := map[string]struct {
 		digest  uint64
 		traffic metrics.Traffic
+		faults  faults.Counters
 	}{
-		"sf":       {0x4e754d416f8b549b, metrics.Traffic{Sends: 35356, Losses: 1787, Deliveries: 33554, DeadLetters: 15, Delayed: 33569}},
-		"sfopt":    {0x466d1a5e050d5ea4, metrics.Traffic{Sends: 34790, Losses: 1754, Deliveries: 33028, DeadLetters: 8, Delayed: 33036}},
-		"pushpull": {0xafdacbe19f2a83e8, metrics.Traffic{Sends: 106238, Losses: 5297, Deliveries: 100893, DeadLetters: 48, Delayed: 100941}},
+		// Recorded with the verdicts drawn per destination shard.
+		"sf":       {0x88468b4669ea23cf, metrics.Traffic{Sends: 44229, Losses: 4404, Deliveries: 39809, DeadLetters: 16, LinkLosses: 3, PartitionDrops: 2408, Delayed: 26696}, faults.Counters{Decisions: 44229, ModelDrops: 1993, LinkDrops: 3, PartitionDrops: 2408, Delayed: 26696, Partitions: 1, Heals: 1}},
+		"sfopt":    {0xa82b2847ab1e1073, metrics.Traffic{Sends: 44125, Losses: 4360, Deliveries: 39753, DeadLetters: 12, LinkLosses: 1, PartitionDrops: 2392, Delayed: 26648}, faults.Counters{Decisions: 44125, ModelDrops: 1967, LinkDrops: 1, PartitionDrops: 2392, Delayed: 26648, Partitions: 1, Heals: 1}},
+		"shuffle":  {0x7e051fb4d7761a3, metrics.Traffic{Sends: 39158, Losses: 3251, Deliveries: 35898, DeadLetters: 9, PartitionDrops: 1415, Delayed: 24042}, faults.Counters{Decisions: 39158, ModelDrops: 1836, PartitionDrops: 1415, Delayed: 24042, Partitions: 1, Heals: 1}},
+		"flipper":  {0xe0d691f51c312b30, metrics.Traffic{Sends: 47582, Losses: 4035, Deliveries: 43531, DeadLetters: 16, LinkLosses: 1, PartitionDrops: 1890, Delayed: 29209}, faults.Counters{Decisions: 47582, ModelDrops: 2144, LinkDrops: 1, PartitionDrops: 1890, Delayed: 29209, Partitions: 1, Heals: 1}},
+		"pushpull": {0xe3d7de384eeeff02, metrics.Traffic{Sends: 147878, Losses: 16266, Deliveries: 131590, DeadLetters: 22, LinkLosses: 5, PartitionDrops: 9088, Delayed: 87997}, faults.Counters{Decisions: 147878, ModelDrops: 7173, LinkDrops: 5, PartitionDrops: 9088, Delayed: 87997, Partitions: 1, Heals: 1}},
 	}
 	for _, p := range allProtocols() {
-		pin, ok := pins[p.name]
-		if !ok {
-			continue
-		}
-		for _, workers := range []int{1, 4} {
-			digest, traffic := delayedRunPin(t, runtime.Config{Engine: runtime.EngineSharded, N: 2000, NewCore: p.factory, Seed: 31, Workers: workers})
-			if digest != pin.digest || traffic != pin.traffic {
-				t.Errorf("%s workers=%d: digest %#x traffic %+v, want %#x %+v", p.name, workers, digest, traffic, pin.digest, pin.traffic)
+		pin := pins[p.name]
+		for _, workers := range []int{1, 2, 3, 8} {
+			digest, traffic, fc := shardedFaultRun(t, p.factory, workers)
+			if digest != pin.digest || traffic != pin.traffic || fc != pin.faults {
+				t.Errorf("%s workers=%d: digest %#x traffic %+v faults %+v, want %#x %+v %+v", p.name, workers, digest, traffic, fc, pin.digest, pin.traffic, pin.faults)
+			}
+			if fc.Decisions != traffic.Sends || fc.Drops() != traffic.Losses || fc.Delayed != traffic.Delayed || !traffic.Conserved() {
+				t.Errorf("%s workers=%d: fault counters %+v do not account for ledger %+v", p.name, workers, fc, traffic)
+			}
+			if traffic.PartitionDrops == 0 || traffic.DeadLetters == 0 || traffic.Delayed == 0 || fc.ModelDrops == 0 {
+				t.Errorf("%s workers=%d: a fault path did not run: %+v", p.name, workers, traffic)
 			}
 		}
 	}
