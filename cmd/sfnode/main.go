@@ -101,6 +101,26 @@ type config struct {
 	mgmt                     string
 }
 
+// checkRanges refuses the flag values no run can use, before a socket or an
+// engine exists: a ticker panics on a non-positive interval (-report in both
+// modes, -period in -local mode), runtime.NewNode reads a zero period as
+// "use the default" while the daemon reports the zero, and a negative -local
+// would otherwise select UDP mode and be answered with a complaint about
+// -seeds.
+func (c *config) checkRanges() error {
+	switch {
+	case c.period <= 0:
+		return fmt.Errorf("sfnode: -period %v: the gossip period must be positive", c.period)
+	case c.report <= 0:
+		return fmt.Errorf("sfnode: -report %v: the report interval must be positive", c.report)
+	case c.duration < 0:
+		return fmt.Errorf("sfnode: -duration %v: the run length must not be negative (0 runs until a signal)", c.duration)
+	case c.local < 0:
+		return fmt.Errorf("sfnode: -local %d: the cluster size must not be negative (0 runs one UDP node)", c.local)
+	}
+	return nil
+}
+
 // daemon is what one mode hands the run loop: the management backend over
 // whatever it built, and the few things serve cannot reach through it.
 type daemon struct {
@@ -128,8 +148,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.proto, "protocol", "sf", "protocol: sf, sfopt, shuffle, flipper, or pushpull")
 	fs.IntVar(&c.s, "s", 8, "view size (even >= 6 for sf/sfopt)")
 	fs.IntVar(&c.dl, "dl", 2, "duplication threshold (even, <= s-6; sf/sfopt only)")
-	fs.DurationVar(&c.period, "period", 250*time.Millisecond, "gossip period")
-	fs.DurationVar(&c.report, "report", 2*time.Second, "view report interval")
+	fs.DurationVar(&c.period, "period", 250*time.Millisecond, "gossip period (> 0)")
+	fs.DurationVar(&c.report, "report", 2*time.Second, "view report interval (> 0)")
 	fs.DurationVar(&c.duration, "duration", 0, "stop after this long (0 = run until signal)")
 	fs.Int64Var(&c.seed, "seed", 0, "node RNG seed (0 draws one from OS entropy)")
 	fs.StringVar(&c.advertise, "advertise", "", "address peers should learn for this node (default: the bound listen address)")
@@ -138,6 +158,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&c.loss, "loss", 0, "simulated uniform loss rate for -local mode")
 	fs.StringVar(&c.mgmt, "mgmt", "", "serve the management API + /metrics on this address (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := c.checkRanges(); err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	log := slog.New(slog.NewTextHandler(stdout, nil))

@@ -186,6 +186,41 @@ func TestRunBadArgs(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnusableFlagValues: an interval or a size no run can use is a
+// usage error — exit 2 and one line naming the flag and the value — before a
+// socket or an engine exists (nothing is logged). Without the check -report 0
+// and -period -1s panic in a ticker once the daemon is up, a UDP node runs on
+// a period it does not report, and -local -5 is answered with "-seeds is
+// required".
+func TestRunRejectsUnusableFlagValues(t *testing.T) {
+	udp := []string{"-id", "1", "-listen", "127.0.0.1:0", "-seeds", "2,3", "-peers", "2=127.0.0.1:19995,3=127.0.0.1:19994", "-duration", "50ms"}
+	local := []string{"-local", "10", "-duration", "50ms"}
+	cases := []struct {
+		name        string
+		args        []string
+		flag, value string
+	}{
+		{"local report 0", append(local[:len(local):len(local)], "-report", "0"), "-report", "0s"},
+		{"udp report negative", append(udp[:len(udp):len(udp)], "-report", "-1s"), "-report", "-1s"},
+		{"udp period 0", append(udp[:len(udp):len(udp)], "-period", "0"), "-period", "0s"},
+		{"udp period negative", append(udp[:len(udp):len(udp)], "-period", "-1s"), "-period", "-1s"},
+		{"local period 0", append(local[:len(local):len(local)], "-period", "0"), "-period", "0s"},
+		{"local duration negative", []string{"-local", "10", "-duration", "-1s"}, "-duration", "-1s"},
+		{"local negative", []string{"-local", "-5"}, "-local", "-5"},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		code := run(context.Background(), tc.args, &stdout, &stderr)
+		msg := stderr.String()
+		if code != 2 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.flag+" "+tc.value) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 and one line naming %s %s", tc.name, code, msg, tc.flag, tc.value)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: the daemon came up before the flags were refused: %s", tc.name, stdout.String())
+		}
+	}
+}
+
 // TestRunLocalOnlyFlagDefaults guards the flag matrix from the other side:
 // the -engine and -loss *defaults* must not trip the rejection when the
 // flags are not set explicitly.

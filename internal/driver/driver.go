@@ -119,7 +119,8 @@ func NewRouter(cond *faults.Conditions, r *rng.RNG, live func(peer.ID) bool) *Ro
 //
 //vet:hotpath
 func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
-	return rt.ruleVerdict(rt.cond.Decide(msg.From, to, rt.rng), to, msg)
+	m := protocol.FlatMsg{To: to, From: msg.From, Kind: msg.Kind, Dup: msg.Dup}
+	return rt.ruleVerdict(rt.cond.Decide(msg.From, to, rt.rng), &m, msg.IDs)
 }
 
 // RouteIn is Route under an open fault-stack session: a loop that rules on
@@ -128,22 +129,28 @@ func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
 //
 //vet:hotpath
 func (rt *Router) RouteIn(ses *faults.Session, to peer.ID, msg protocol.Message) Outcome {
-	return rt.ruleVerdict(ses.Decide(msg.From, to, rt.rng), to, msg)
+	m := protocol.FlatMsg{To: to, From: msg.From, Kind: msg.Kind, Dup: msg.Dup}
+	return rt.ruleVerdict(ses.Decide(msg.From, to, rt.rng), &m, msg.IDs)
 }
 
 // RouteBy is Route through a decider attached to the stack — how a shard of
 // the sharded engine rules on the messages addressed to it, in parallel with
 // the other shards: no lock, and the decider's stream, not the router's (such
-// a router is built with a nil one).
+// a router is built with a nil one). The message is ruled on where it lies, m
+// a header of some outbox and ids its ids (Outbox.MsgIDs): nothing of it is
+// copied unless it parks, so nothing of it is held in registers, or spilled,
+// across the decision.
 //
 //vet:hotpath
-func (rt *Router) RouteBy(d *faults.Decider, to peer.ID, msg protocol.Message) Outcome {
-	return rt.ruleVerdict(d.Decide(msg.From, to), to, msg)
+func (rt *Router) RouteBy(d *faults.Decider, m *protocol.FlatMsg, ids []peer.ID) Outcome {
+	return rt.ruleVerdict(d.Decide(m.From, m.To), m, ids)
 }
 
 // ruleVerdict counts the attempt and applies a fault verdict: drop (with
-// subset accounting), park, or fall through to the liveness check.
-func (rt *Router) ruleVerdict(v faults.Verdict, to peer.ID, msg protocol.Message) Outcome {
+// subset accounting), park, or fall through to the liveness check. Of the
+// header it reads the addresses, the kind and the duplicate mark; the ids are
+// the caller's to locate.
+func (rt *Router) ruleVerdict(v faults.Verdict, m *protocol.FlatMsg, ids []peer.ID) Outcome {
 	rt.ledger.Sends++
 	if v.Drop != faults.DropNone {
 		rt.ledger.Losses++
@@ -157,23 +164,23 @@ func (rt *Router) ruleVerdict(v faults.Verdict, to peer.ID, msg protocol.Message
 	}
 	if v.Delay > 0 {
 		rt.ledger.Delayed++
-		rt.park(rt.clock+v.Delay, to, msg)
+		rt.park(rt.clock+v.Delay, m, ids)
 		return Parked
 	}
-	return rt.deliverable(to)
+	return rt.deliverable(m.To)
 }
 
 // park appends the message to the bucket of round due. The span the ring
 // must cover starts at head: a delay equal to the ring length grows the ring
 // instead of landing in the bucket a drain is reading.
-func (rt *Router) park(due int, to peer.ID, msg protocol.Message) {
+func (rt *Router) park(due int, m *protocol.FlatMsg, ids []peer.ID) {
 	if rt.ring == nil {
 		rt.head = rt.clock
 	}
 	if span := due - rt.head + 1; span > len(rt.ring) {
 		rt.grow(span)
 	}
-	rt.ring[due&(len(rt.ring)-1)].Append(to, msg.From, msg.Kind, msg.Dup, msg.IDs...)
+	rt.ring[due&(len(rt.ring)-1)].Append(m.To, m.From, m.Kind, m.Dup, ids...)
 	rt.pending++
 }
 

@@ -92,6 +92,64 @@ func TestRouteVerdictsAgainstLedger(t *testing.T) {
 	}
 }
 
+// TestRouteByRulesOnHeaderInPlace: RouteBy takes a message as it lies in an
+// outbox — the header by pointer, the ids as the outbox locates them, inline
+// or in its arena — and must rule exactly like Route: the same outcomes, the
+// same ledger, and a parked copy that carries every field (the dup mark and a
+// five-id arena payload included) and outlives the outbox's Reset.
+func TestRouteByRulesOnHeaderInPlace(t *testing.T) {
+	cond := faults.Lossless()
+	cond.SetLinkLoss(1, 2, loss.MustUniform(1))
+	nodes := liveSet{1: true, 2: true, 3: true}
+	rt := NewRouter(cond, nil, nodes.live)
+	var d faults.Decider
+	cond.Attach(&d, 7)
+	cond.Sync()
+
+	var ob protocol.Outbox
+	ob.Append2(1, 0, protocol.KindGossip, true, 8, 9)             // delivered
+	ob.Append2(2, 1, protocol.KindGossip, false, 8, 9)            // the 1 -> 2 link drops it
+	ob.Append(4, 0, protocol.KindRequest, false, 5, 6, 7)         // node 4 is away
+	ob.Append(3, 2, protocol.KindReply, true, 10, 11, 12, 13, 14) // parks, once a delay is set
+	before := append([]protocol.FlatMsg(nil), ob.Msgs...)
+	want := []Outcome{Delivered, Dropped, DeadLetter}
+	for i, w := range want {
+		m := &ob.Msgs[i]
+		if got := rt.RouteBy(&d, m, ob.MsgIDs(m)); got != w {
+			t.Fatalf("message %d: outcome %v, want %v", i, got, w)
+		}
+	}
+	if err := cond.SetDelay(faults.Delay{Fixed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cond.Sync()
+	m := &ob.Msgs[3]
+	if got := rt.RouteBy(&d, m, ob.MsgIDs(m)); got != Parked {
+		t.Fatalf("delayed message: outcome %v, want Parked", got)
+	}
+	if !reflect.DeepEqual(ob.Msgs, before) {
+		t.Fatalf("RouteBy wrote the headers it ruled on: %+v, were %+v", ob.Msgs, before)
+	}
+	wantLedger := metrics.Traffic{Sends: 4, Deliveries: 1, Losses: 1, LinkLosses: 1, DeadLetters: 1, Delayed: 1}
+	if got := rt.Traffic(); got != wantLedger || rt.Pending() != 1 {
+		t.Fatalf("ledger %+v with %d pending, want %+v with 1", got, rt.Pending(), wantLedger)
+	}
+	conserved(t, rt, "RouteBy")
+
+	ob.Reset() // the parked copy must not alias the outbox
+	ob.Append(0, 0, protocol.KindGossip, false, 99, 99, 99, 99, 99)
+	rt.Tick()
+	h, ok := rt.Due()
+	wantMsg := protocol.Message{Kind: protocol.KindReply, From: 2, IDs: []peer.ID{10, 11, 12, 13, 14}, Dup: true}
+	if !ok || h.To != 3 || !reflect.DeepEqual(h.Msg, wantMsg) {
+		t.Fatalf("Due = %+v, %v; want to 3, %+v", h, ok, wantMsg)
+	}
+	cond.Sync()
+	if fc := cond.Counters(); fc.Decisions != 4 {
+		t.Errorf("fault stack ruled on %d messages, want 4", fc.Decisions)
+	}
+}
+
 // newRouterOver builds a router whose fault stack is nothing but the base
 // model lm — what engine.New hands its router.
 func newRouterOver(t *testing.T, lm loss.Model, seed int64, live func(peer.ID) bool) *Router {

@@ -39,6 +39,11 @@ type Outbox struct {
 // enough that a lane with one message wastes little.
 const laneChunk = 16
 
+// MaxRun is the length of the longest run LaneRuns.Next hands out: the batch
+// size of a consumer that prepares for a run's messages before it handles
+// any of them.
+const MaxRun = laneChunk
+
 // lane is one destination block's chain of chunks in a sorting outbox.
 type lane struct {
 	tail int32 // last chunk of the chain

@@ -85,6 +85,14 @@ func DeriveSeed(parts ...int64) int64 {
 	return int64(h)
 }
 
+// Touch reads the last word of the generator's state and returns it without
+// advancing the stream. The value is of no use; a driver that knows which
+// generators a batch of steps is about to draw from touches all of them
+// first, so that their cache misses overlap (see view.View.Touch).
+//
+//vet:hotpath
+func (r *RNG) Touch() uint64 { return r.s[3] }
+
 // Uint64 returns the next 64 uniformly random bits (xoshiro256**).
 func (r *RNG) Uint64() uint64 {
 	s := &r.s

@@ -68,6 +68,29 @@ func Wrap(slots []peer.ID) View {
 	return View{slots: slots, out: out, occ: occ}
 }
 
+// idsPerLine is the number of ids on one 64-byte cache line.
+const idsPerLine = 64 / 4
+
+// Touch reads one slot on every cache line the slot array lies on — every
+// idsPerLine-th slot and the last, which covers the lines of a window that
+// starts anywhere an id may — and returns their sum; a zero View reads
+// nothing. It changes nothing and its result means nothing: a driver that
+// knows which views a batch of receive steps is about to write calls it on
+// all of them first, so that their cache misses overlap instead of each
+// waiting inside its own step, and hands the sum to something the compiler
+// cannot see through so that the loads are kept.
+//
+//vet:hotpath
+func (v *View) Touch() (sum peer.ID) {
+	for i := 0; i < len(v.slots); i += idsPerLine {
+		sum += v.slots[i]
+	}
+	if n := len(v.slots); n > 0 {
+		sum += v.slots[n-1]
+	}
+	return sum
+}
+
 // Size returns the number of slots s (Property M1's view size).
 func (v *View) Size() int { return len(v.slots) }
 
@@ -321,11 +344,52 @@ func (v *View) ReplaceRandomOccupied(r *rng.RNG, w peer.ID) (z peer.ID, ok bool)
 // nthSetBit returns the index of the (k+1)-th set bit of m (k counted from
 // 0, bits from the least significant). The caller guarantees m has more than
 // k bits set.
+//
+// It is a search by popcount halving with no data-dependent branch: the low
+// 32 bits hold either more than k set bits, and the search goes on in them,
+// or c <= k of them, and it goes on in the high 32 bits for bit k-c; the same
+// on 16 and on 8 bits, and selectInByte answers for the byte that is left.
+// Clearing the lowest set bit k times ("m &= m - 1", the reference kept in
+// the tests) does the same in a loop whose trip count is uniform in the
+// number of candidate slots — that is what the callers draw — so its exit
+// mispredicts on most calls: the receive step selects twice per message.
 func nthSetBit(m uint64, k int) int {
-	for ; k > 0; k-- {
-		m &= m - 1
+	c := bits.OnesCount32(uint32(m))
+	up := (c - 1 - k) >> (bits.UintSize - 1) // all ones when the bit lies in the upper half
+	k -= c & up
+	pos := 32 & up
+	m >>= uint(32 & up)
+
+	c = bits.OnesCount16(uint16(m))
+	up = (c - 1 - k) >> (bits.UintSize - 1)
+	k -= c & up
+	pos += 16 & up
+	m >>= uint(16 & up)
+
+	c = bits.OnesCount8(uint8(m))
+	up = (c - 1 - k) >> (bits.UintSize - 1)
+	k -= c & up
+	pos += 8 & up
+	m >>= uint(8 & up)
+
+	return pos + int(selectInByte[uint8(m)][k&7])
+}
+
+// selectInByte[b][k] is the index of the (k+1)-th set bit of the byte b, for
+// every k below b's popcount (the other entries are never read): 2 KB, filled
+// at init.
+var selectInByte [256][8]uint8
+
+func init() {
+	for b := range selectInByte {
+		k := 0
+		for i := 0; i < 8; i++ {
+			if b>>i&1 != 0 {
+				selectInByte[b][k] = uint8(i)
+				k++
+			}
+		}
 	}
-	return bits.TrailingZeros64(m)
 }
 
 // IDs returns the multiset of non-empty entries in slot order. The returned
