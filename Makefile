@@ -10,7 +10,7 @@
 # gates on BenchmarkSfvetRepo (recorded 0.9 s) staying under its 5 s ns/op
 # budget so the suite stays fast enough to run on every push.
 
-.PHONY: build test race vet bench-smoke bench-pin e2e loc
+.PHONY: build test race vet bench-smoke bench-pin experiments-pin e2e loc
 
 build:
 	go build ./...
@@ -57,6 +57,18 @@ bench-pin:
 		fi; \
 		echo "bench-pin: $$1 -rounds $$2 -seed 1: state_digest $$got ok"; \
 	done
+
+# The same pin for the paper's experiments: every registered experiment is
+# seeded, so the stdout of `sfexperiments -all` at the default engine is one
+# value whatever -parallel or GOMAXPROCS is (progress timing goes to stderr).
+# A PR that moves a report on purpose edits the digest and says why.
+EXPERIMENTS_PIN = 83ec05e0f751e5fc37842e48cf86c287648ac9b740844c24b52ed98d7ce16eed
+experiments-pin:
+	@got=$$(go run ./cmd/sfexperiments -all 2>/dev/null | sha256sum | cut -d' ' -f1); \
+	if [ "$$got" != "$(EXPERIMENTS_PIN)" ]; then \
+		echo "experiments-pin: sfexperiments -all stdout sha256 $$got, want $(EXPERIMENTS_PIN)"; exit 1; \
+	fi; \
+	echo "experiments-pin: sfexperiments -all stdout sha256 $$got ok"
 
 # Non-test Go lines outside bench/ and testdata/, for the whole repo and per
 # top-level internal/ package: the figure CHANGES.md quotes when a PR reports

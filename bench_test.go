@@ -12,11 +12,9 @@ import (
 	"testing"
 
 	"sendforget/internal/degreemc"
-	"sendforget/internal/engine"
 	"sendforget/internal/experiments"
 	"sendforget/internal/faults"
 	"sendforget/internal/globalmc"
-	"sendforget/internal/loss"
 	"sendforget/internal/markov"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
@@ -34,7 +32,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id); err != nil {
+		if _, err := experiments.Run(id, ""); err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
 	}
@@ -83,10 +81,18 @@ func BenchmarkEngineStepTracked(b *testing.B) {
 }
 
 func benchEngineStep(b *testing.B, newCore protocol.CoreFactory) {
-	e, err := engine.New(newCore, 1000, sendforget.DefaultInitDegree(40, 18, 1000), loss.MustUniform(0.01), rng.New(1))
+	sub, err := runtime.New(runtime.Config{
+		Engine:     runtime.EngineSeq,
+		N:          1000,
+		NewCore:    newCore,
+		InitDegree: sendforget.DefaultInitDegree(40, 18, 1000),
+		Loss:       0.01,
+		Seed:       1,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	e := sub.(*runtime.Seq)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()

@@ -6,6 +6,7 @@
 //	sfexperiments -run fig6.3
 //	sfexperiments -all
 //	sfexperiments -all -parallel 4
+//	sfexperiments -engine sharded -run lem6.6,fig6.3
 package main
 
 import (
@@ -42,17 +43,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ids := fs.String("run", "", "comma-separated experiment ids to run")
 	csvDir := fs.String("csv", "", "also write each result table as CSV into this directory")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "number of experiments to run concurrently")
-	engine := fs.String("engine", string(sfruntime.EngineCluster),
-		"execution backend for substrate-driven experiments: seq, cluster, or sharded")
+	engine := fs.String("engine", "",
+		"execution backend: seq, cluster, or sharded (default: each experiment's own, seq for the simulations and cluster for loss-stress)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	kind, err := sfruntime.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+	var kind sfruntime.EngineKind
+	if *engine != "" {
+		var err error
+		if kind, err = sfruntime.ParseEngine(*engine); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
 	}
-	experiments.SetEngine(kind)
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintln(stdout, id)
@@ -99,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now() //lint:allow detrand wall-clock progress timing, reported to stderr only
-			report, err := experiments.Run(id)
+			report, err := experiments.Run(id, kind)
 			//lint:allow detrand elapsed wall time never feeds protocol state
 			done[i] <- outcome{report: report, err: err, elapsed: time.Since(start)}
 		}(i, id)

@@ -11,15 +11,13 @@ import (
 	"fmt"
 	"os"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/flipper"
 	"sendforget/internal/protocol/pushpull"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/protocol/shuffle"
-	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 	"sendforget/internal/trace"
 )
 
@@ -40,6 +38,10 @@ func run(args []string) int {
 	deps := fs.Bool("deps", true, "track dependence (S&F only)")
 	traceFile := fs.String("trace", "", "write a JSONL action trace to this file")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *rounds < 0 {
+		fmt.Fprintf(os.Stderr, "sfsim: -rounds %d: the round count must not be negative\n", *rounds)
 		return 2
 	}
 
@@ -64,16 +66,12 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
 		return 2
 	}
-	lm, err := loss.NewUniform(*lossRate)
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: *n, NewCore: newCore, InitDegree: *initDeg, Loss: *lossRate, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	e, err := engine.New(newCore, *n, *initDeg, lm, rng.New(*seed))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
+	e := sub.(*runtime.Seq)
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
@@ -89,17 +87,17 @@ func run(args []string) int {
 			}
 		}()
 	}
-	e.Run(*rounds)
+	runtime.Run(e, *rounds)
 	printSummary(e, *protoName == "sf", *deps)
 	return 0
 }
 
-func printSummary(e *engine.Engine, sf, deps bool) {
+func printSummary(e *runtime.Seq, sf, deps bool) {
 	g := e.Snapshot()
 	deg := metrics.Degrees(g, nil)
 	c := e.Traffic()
-	fmt.Printf("protocol        %s\n", e.Name())
-	fmt.Printf("steps           %d (sends %d, losses %d, deliveries %d)\n", e.Tally().Ticks, c.Sends, c.Losses, c.Deliveries)
+	fmt.Printf("protocol        %s\n", e.Core(0).Name())
+	fmt.Printf("steps           %d (sends %d, losses %d, deliveries %d)\n", e.Counters().Ticks, c.Sends, c.Losses, c.Deliveries)
 	fmt.Printf("empirical loss  %.4f\n", c.LossRate())
 	fmt.Printf("edges           %d (%.2f per node)\n", g.NumEdges(), float64(g.NumEdges())/float64(e.N()))
 	fmt.Printf("outdegree       %.2f (var %.2f)\n", deg.MeanOut, deg.VarOut)
@@ -111,7 +109,7 @@ func printSummary(e *engine.Engine, sf, deps bool) {
 	if !sf {
 		return
 	}
-	if pc := e.Tally(); pc.Sends > 0 {
+	if pc := e.Counters(); pc.Sends > 0 {
 		fmt.Printf("dup prob        %.4f, deletion prob %.4f (Lemma 6.6: dup = loss + del)\n",
 			float64(pc.Duplications)/float64(pc.Sends), float64(pc.DeletedIDs)/float64(2*pc.Sends))
 	}

@@ -44,6 +44,9 @@ func TestRunBadParams(t *testing.T) {
 	if code := run([]string{"-bogus"}); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)
 	}
+	if code := run([]string{"-rounds", "-5"}); code != 2 {
+		t.Errorf("negative rounds exit = %d, want 2", code)
+	}
 }
 
 func TestRunWithTrace(t *testing.T) {

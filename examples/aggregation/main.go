@@ -14,12 +14,12 @@ import (
 	"log"
 	"math"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 const (
@@ -58,22 +58,23 @@ type sampler interface {
 
 // sfSampler samples partners from live S&F views maintained under loss.
 type sfSampler struct {
-	eng *engine.Engine
+	sub   runtime.Substrate
+	views []*view.View // as of the last tick
 }
 
 func newSFSampler() *sfSampler {
 	const s, dl = 16, 6
 	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
-	eng, err := engine.New(newCore, n, sendforget.DefaultInitDegree(s, dl, n), loss.MustUniform(0.02), rng.New(7))
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: newCore, InitDegree: sendforget.DefaultInitDegree(s, dl, n), Loss: 0.02, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.Run(100) // reach the steady state first
-	return &sfSampler{eng: eng}
+	runtime.Run(sub, 100) // reach the steady state first
+	return &sfSampler{sub: sub}
 }
 
 func (s *sfSampler) partner(u peer.ID, r *rng.RNG) (peer.ID, bool) {
-	ids := s.eng.View(u).IDs()
+	ids := s.views[u].IDs()
 	if len(ids) == 0 {
 		return 0, false
 	}
@@ -82,7 +83,10 @@ func (s *sfSampler) partner(u peer.ID, r *rng.RNG) (peer.ID, bool) {
 
 // tick keeps the membership evolving while the aggregation runs, providing
 // fresh samples (temporal independence, Property M5).
-func (s *sfSampler) tick() { s.eng.Round() }
+func (s *sfSampler) tick() {
+	s.sub.TickRound()
+	s.views = s.sub.Views()
+}
 
 // ringSampler is the contrast: each node only ever talks to its two ring
 // neighbors.

@@ -13,14 +13,13 @@ import (
 	"fmt"
 	"log"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/pushpull"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 	"sendforget/internal/view"
 )
 
@@ -47,11 +46,11 @@ func main() {
 		warm, lossRate*100, fanout)
 	fmt.Println("overlay       edges/node   coverage by round (5/10/20/40)")
 	for _, o := range overlays {
-		eng, err := engine.New(o.newCore, n, 10, loss.MustUniform(lossRate), rng.New(17))
+		eng, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: o.newCore, InitDegree: 10, Loss: lossRate, Seed: 17})
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng.Run(warm)
+		runtime.Run(eng, warm)
 		edges := float64(eng.Snapshot().NumEdges()) / n
 		cov := spread(eng.Views(), rng.New(23))
 		fmt.Printf("%-12s  %10.2f   %5.3f / %5.3f / %5.3f / %5.3f\n",

@@ -13,13 +13,11 @@ import (
 
 	"sendforget/internal/analysis"
 	"sendforget/internal/churn"
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
-	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 const (
@@ -32,11 +30,11 @@ const (
 
 func main() {
 	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
-	eng, err := engine.New(newCore, n, sendforget.DefaultInitDegree(s, dl, n), loss.MustUniform(lossRate), rng.New(3))
+	eng, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: newCore, InitDegree: sendforget.DefaultInitDegree(s, dl, n), Loss: lossRate, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.Run(80) // steady state
+	runtime.Run(eng, 80) // steady state
 	din := metrics.Degrees(eng.Snapshot(), nil).MeanIn
 	fmt.Printf("steady state reached: mean indegree %.1f at loss %.0f%%\n\n", din, lossRate*100)
 
@@ -62,9 +60,9 @@ func main() {
 
 	// --- Join ----------------------------------------------------------
 	joiner := peer.ID(9)
-	eng.Leave(joiner)
-	eng.Run(200) // flush its id before re-joining
-	seeds := eng.View(peer.ID(n - 1)).IDs()
+	eng.RemoveNode(joiner)
+	runtime.Run(eng, 200) // flush its id before re-joining
+	seeds := eng.Views()[n-1].IDs()
 	if len(seeds) > dl {
 		seeds = seeds[:dl]
 	}

@@ -17,12 +17,11 @@ import (
 	"fmt"
 	"log"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/pushpull"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 	"sendforget/internal/stats"
 	"sendforget/internal/view"
 )
@@ -42,20 +41,20 @@ func main() {
 
 	sf := buildSF()
 	runCase("S&F (live views)", func(round int) []*view.View {
-		sf.Round()
+		sf.TickRound()
 		return sf.Views()
 	})
 
 	frozen := buildSF()
-	frozen.Run(1) // settle, then freeze
-	frozenViews := snapshotViews(frozen.Views())
+	frozen.TickRound() // settle, then freeze
+	frozenViews := frozen.Views()
 	runCase("S&F (frozen snapshot)", func(int) []*view.View {
 		return frozenViews
 	})
 
 	pp := buildPushPull()
 	runCase("push-pull (live views)", func(round int) []*view.View {
-		pp.Round()
+		pp.TickRound()
 		return pp.Views()
 	})
 
@@ -65,24 +64,24 @@ func main() {
 	fmt.Println("gap to the i.i.d. baseline without any coordination.")
 }
 
-func buildSF() *engine.Engine {
+func buildSF() runtime.Substrate {
 	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
 	return warmedUp(newCore, sendforget.DefaultInitDegree(s, dl, n), 41)
 }
 
 // buildPushPull starts from full views: keep-on-send views only ever fill.
-func buildPushPull() *engine.Engine {
+func buildPushPull() runtime.Substrate {
 	newCore := func() (protocol.StepCore, error) { return pushpull.NewCore(s) }
 	return warmedUp(newCore, s, 42)
 }
 
-func warmedUp(newCore protocol.CoreFactory, initDegree int, seed int64) *engine.Engine {
-	eng, err := engine.New(newCore, n, initDegree, loss.MustUniform(0.02), rng.New(seed))
+func warmedUp(newCore protocol.CoreFactory, initDegree int, seed int64) runtime.Substrate {
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: newCore, InitDegree: initDegree, Loss: 0.02, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.Run(100)
-	return eng
+	runtime.Run(sub, 100)
+	return sub
 }
 
 // runCase distributes work by sampling one target per node per round from
@@ -125,15 +124,4 @@ func runCase(name string, viewsAt func(round int) []*view.View) {
 	}
 	fmt.Printf("%-22s  %8d  %9.1f  %11.2f  %7.2f\n",
 		name, maxLoad, acc.Mean(), acc.StdDev(), stat/float64(n-1))
-}
-
-// snapshotViews deep-copies views so the frozen case cannot drift.
-func snapshotViews(vs []*view.View) []*view.View {
-	out := make([]*view.View, len(vs))
-	for i, v := range vs {
-		if v != nil {
-			out[i] = v.Clone()
-		}
-	}
-	return out
 }

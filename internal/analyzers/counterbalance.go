@@ -166,7 +166,7 @@ func ledgerFieldWrite(pass *framework.Pass, target ast.Expr) (counterWrite, bool
 
 // isLedgerStruct applies the structural ledger test: an integer send field
 // plus at least two integer outcome fields. The integer requirement keeps
-// per-event records like engine.ActionEvent (whose Sent and Lost are bools
+// per-event records like runtime.ActionEvent (whose Sent and Lost are bools
 // describing one action, not tallies) out of the ledger rules.
 func isLedgerStruct(st *types.Struct) bool {
 	sendN, outcomeN := 0, 0

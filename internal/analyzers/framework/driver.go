@@ -21,7 +21,7 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	// Path is the package's import path ("sendforget/internal/engine"),
+	// Path is the package's import path ("sendforget/internal/runtime"),
 	// or the fixture directory's base name for testdata packages.
 	Path  string
 	Fset  *token.FileSet

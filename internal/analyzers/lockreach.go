@@ -47,7 +47,7 @@ import (
 // spawned goroutine does not inherit the spawner's critical section.
 //
 // Scope: direct operations are reported in every package. Calls that block
-// transitively are reported in internal/runtime and internal/engine, where
+// transitively are reported in internal/runtime, where
 // the node/cluster locks and the gossip hot path live (plus fixture
 // packages); mgmt.Local serializes a whole substrate behind one mutex by
 // design.
@@ -61,8 +61,7 @@ var Lockreach = &framework.Analyzer{
 // the blocking summaries. The summaries always span the whole program.
 func lockreachScoped(path string) bool {
 	return fixturePackage(path) ||
-		strings.HasPrefix(path, "sendforget/internal/runtime") ||
-		strings.HasPrefix(path, "sendforget/internal/engine")
+		strings.HasPrefix(path, "sendforget/internal/runtime")
 }
 
 // blockReason explains why a function may block: a direct operation at pos,

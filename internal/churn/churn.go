@@ -6,8 +6,8 @@ package churn
 import (
 	"fmt"
 
-	"sendforget/internal/engine"
 	"sendforget/internal/peer"
+	"sendforget/internal/runtime"
 )
 
 // DecayTrace records the fraction of a departed node's id instances that
@@ -21,24 +21,24 @@ type DecayTrace struct {
 }
 
 // TrackLeaverDecay removes node u from a running system (assumed to be in
-// steady state) and runs the engine for rounds rounds, recording the decay
+// steady state) and runs it for rounds rounds, recording the decay
 // of u's id instances. Because u never initiates again, no new instances of
 // its id are created and the trace is exactly the quantity that Lemma 6.10
 // bounds from above by (1 - (1-l-delta)dL/s^2)^i.
-func TrackLeaverDecay(e *engine.Engine, u peer.ID, rounds int) (*DecayTrace, error) {
+func TrackLeaverDecay(sub runtime.Substrate, u peer.ID, rounds int) (*DecayTrace, error) {
 	if rounds < 0 {
 		return nil, fmt.Errorf("churn: negative rounds %d", rounds)
 	}
-	e.Leave(u)
-	initial := e.Snapshot().IDInstances(u)
+	sub.RemoveNode(u)
+	initial := sub.Snapshot().IDInstances(u)
 	trace := &DecayTrace{Initial: initial, Remaining: make([]float64, rounds+1)}
 	if initial == 0 {
 		return trace, nil
 	}
 	trace.Remaining[0] = 1
 	for i := 1; i <= rounds; i++ {
-		e.Round()
-		trace.Remaining[i] = float64(e.Snapshot().IDInstances(u)) / float64(initial)
+		sub.TickRound()
+		trace.Remaining[i] = float64(sub.Snapshot().IDInstances(u)) / float64(initial)
 	}
 	return trace, nil
 }
@@ -64,14 +64,14 @@ type JoinTrace struct {
 }
 
 // TrackJoinerIntegration joins node u (which must currently be departed)
-// with the given seed ids and runs the engine for rounds rounds, recording
+// with the given seed ids and runs the system for rounds rounds, recording
 // u's degrees after each round. Per Section 6.5 the joiner starts with
 // outdegree >= dL and indegree 0.
-func TrackJoinerIntegration(e *engine.Engine, u peer.ID, seeds []peer.ID, rounds int) (*JoinTrace, error) {
+func TrackJoinerIntegration(sub runtime.Substrate, u peer.ID, seeds []peer.ID, rounds int) (*JoinTrace, error) {
 	if rounds < 0 {
 		return nil, fmt.Errorf("churn: negative rounds %d", rounds)
 	}
-	if err := e.Join(u, seeds); err != nil {
+	if err := sub.AddNode(u, seeds, false); err != nil {
 		return nil, err
 	}
 	trace := &JoinTrace{
@@ -79,13 +79,13 @@ func TrackJoinerIntegration(e *engine.Engine, u peer.ID, seeds []peer.ID, rounds
 		Outdegree: make([]int, rounds+1),
 	}
 	record := func(i int) {
-		g := e.Snapshot()
+		g := sub.Snapshot()
 		trace.Indegree[i] = g.Indegree(u)
 		trace.Outdegree[i] = g.Outdegree(u)
 	}
 	record(0)
 	for i := 1; i <= rounds; i++ {
-		e.Round()
+		sub.TickRound()
 		record(i)
 	}
 	return trace, nil

@@ -4,22 +4,26 @@ import (
 	"testing"
 
 	"sendforget/internal/analysis"
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
-	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
-func steadyEngine(t *testing.T, n int, l float64, seed int64) *engine.Engine {
+func steadyEngine(t *testing.T, n int, l float64, seed int64) runtime.Substrate {
 	t.Helper()
-	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) }
-	e, err := engine.New(newCore, n, 6, loss.MustUniform(l), rng.New(seed))
+	e, err := runtime.New(runtime.Config{
+		Engine:     runtime.EngineSeq,
+		N:          n,
+		NewCore:    func() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) },
+		InitDegree: 6,
+		Loss:       l,
+		Seed:       seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run(50) // warm into steady state
+	runtime.Run(e, 50) // warm into steady state
 	return e
 }
 
@@ -63,8 +67,8 @@ func TestTrackLeaverDecayNoInstances(t *testing.T) {
 	// Remove the node twice: second departure has no instances... instead,
 	// remove a node, let its id decay fully, then track a fresh "leave" of
 	// an already-gone node.
-	e.Leave(5)
-	e.Run(300)
+	e.RemoveNode(5)
+	runtime.Run(e, 300)
 	trace, err := TrackLeaverDecay(e, 5, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +83,8 @@ func TestTrackLeaverDecayNoInstances(t *testing.T) {
 
 func TestTrackJoinerIntegration(t *testing.T) {
 	e := steadyEngine(t, 60, 0.01, 4)
-	e.Leave(9)
-	e.Run(100) // flush the id
+	e.RemoveNode(9)
+	runtime.Run(e, 100) // flush the id
 	trace, err := TrackJoinerIntegration(e, 9, []peer.ID{0, 1, 2, 3}, 80)
 	if err != nil {
 		t.Fatal(err)

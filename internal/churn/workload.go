@@ -3,9 +3,9 @@ package churn
 import (
 	"fmt"
 
-	"sendforget/internal/engine"
 	"sendforget/internal/peer"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // WorkloadConfig parameterizes a sustained churn process — an extension
@@ -48,23 +48,23 @@ type WorkloadStats struct {
 	Samples                    []WorkloadSample
 }
 
-// RunWorkload drives the engine for the given number of rounds while
+// RunWorkload drives sub for the given number of rounds while
 // injecting churn events, checkpointing every sampleEvery rounds.
-func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, r *rng.RNG) (*WorkloadStats, error) {
+func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery int, r *rng.RNG) (*WorkloadStats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if rounds < 0 || sampleEvery <= 0 {
 		return nil, fmt.Errorf("churn: invalid rounds=%d sampleEvery=%d", rounds, sampleEvery)
 	}
-	n := e.N()
+	views := sub.Views()
+	n := len(views)
 	live := make(map[peer.ID]bool, n)
 	var liveList []peer.ID
-	for u := 0; u < n; u++ {
-		id := peer.ID(u)
-		if e.View(id) != nil {
-			live[id] = true
-			liveList = append(liveList, id)
+	for u, v := range views {
+		if v != nil {
+			live[peer.ID(u)] = true
+			liveList = append(liveList, peer.ID(u))
 		}
 	}
 	stats := &WorkloadStats{}
@@ -76,7 +76,7 @@ func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, 
 		peer.Sort(liveList)
 	}
 	sample := func(round int) {
-		g := e.Snapshot()
+		g := sub.Snapshot()
 		deg := 0
 		for _, u := range liveList {
 			deg += g.Outdegree(u)
@@ -99,13 +99,13 @@ func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, 
 	for round := 1; round <= rounds; round++ {
 		if r.Bernoulli(cfg.LeaveProb) && len(liveList) > cfg.MinLive {
 			victim := liveList[r.Intn(len(liveList))]
-			e.Leave(victim)
+			sub.RemoveNode(victim)
 			delete(live, victim)
 			refresh()
 			stats.Leaves++
 		}
 		if r.Bernoulli(cfg.JoinProb) && len(liveList) < n {
-			if joiner, ok := joinOne(e, live, liveList, cfg, r); ok {
+			if joiner, ok := joinOne(sub, n, live, liveList, cfg, r); ok {
 				live[joiner] = true
 				stats.Joins++
 				refresh()
@@ -113,7 +113,7 @@ func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, 
 				stats.FailedJoins++
 			}
 		}
-		e.Round()
+		sub.TickRound()
 		if round%sampleEvery == 0 {
 			sample(round)
 		}
@@ -123,8 +123,7 @@ func RunWorkload(e *engine.Engine, cfg WorkloadConfig, rounds, sampleEvery int, 
 
 // joinOne revives a departed id, seeding it from a live node's view (stale
 // entries and all), padded with random live ids when the view is short.
-func joinOne(e *engine.Engine, live map[peer.ID]bool, liveList []peer.ID, cfg WorkloadConfig, r *rng.RNG) (peer.ID, bool) {
-	n := e.N()
+func joinOne(sub runtime.Substrate, n int, live map[peer.ID]bool, liveList []peer.ID, cfg WorkloadConfig, r *rng.RNG) (peer.ID, bool) {
 	var joiner peer.ID = -1
 	// Pick a departed id uniformly (bounded scan from a random offset).
 	off := r.Intn(n)
@@ -140,7 +139,7 @@ func joinOne(e *engine.Engine, live map[peer.ID]bool, liveList []peer.ID, cfg Wo
 	}
 	donor := liveList[r.Intn(len(liveList))]
 	var seeds []peer.ID
-	if v := e.View(donor); v != nil {
+	if v := sub.Views()[donor]; v != nil {
 		seeds = v.IDs()
 	}
 	seeds = append(seeds, donor)
@@ -151,7 +150,7 @@ func joinOne(e *engine.Engine, live map[peer.ID]bool, liveList []peer.ID, cfg Wo
 	for len(seeds) < 4 {
 		seeds = append(seeds, liveList[r.Intn(len(liveList))])
 	}
-	if err := e.Join(joiner, seeds); err != nil {
+	if err := sub.AddNode(joiner, seeds, false); err != nil {
 		return 0, false
 	}
 	return joiner, true

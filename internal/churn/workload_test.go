@@ -5,6 +5,7 @@ import (
 
 	"sendforget/internal/peer"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 func TestWorkloadValidation(t *testing.T) {
@@ -99,9 +100,9 @@ func TestWorkloadJoinRevivesDeparted(t *testing.T) {
 	e := steadyEngine(t, 30, 0, 25)
 	// Empty some slots first.
 	for _, u := range []peer.ID{3, 7, 11} {
-		e.Leave(u)
+		e.RemoveNode(u)
 	}
-	e.Run(30)
+	runtime.Run(e, 30)
 	cfg := WorkloadConfig{JoinProb: 1, MinLive: 5}
 	stats, err := RunWorkload(e, cfg, 10, 5, rng.New(5))
 	if err != nil {

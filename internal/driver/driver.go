@@ -333,8 +333,9 @@ func Circulant(u peer.ID, n int, dst []peer.ID) {
 // BootstrapDegree resolves the circulant bootstrap outdegree every
 // substrate seeds its nodes with: requested, or when that is zero an even
 // value of about half the view size of the cores f builds, clamped to
-// [2, n-1] (and kept even under the clamp). The result must lie in
-// [1, n-1]; how many of the seeds a protocol keeps is its SeedView's rule.
+// [2, n-1] (and kept even under the clamp; at n = 2 there is no such value,
+// and the caller must request one). The result must lie in [1, n-1]; how
+// many of the seeds a protocol keeps is its SeedView's rule.
 func BootstrapDegree(f protocol.CoreFactory, n, requested int) (int, error) {
 	d := requested
 	if d == 0 {
@@ -353,6 +354,9 @@ func BootstrapDegree(f protocol.CoreFactory, n, requested int) (int, error) {
 			d = n - 1
 			if d%2 != 0 {
 				d--
+			}
+			if d < 1 {
+				return 0, fmt.Errorf("driver: the default init degree has no even value below n=%d; set InitDegree", n)
 			}
 		}
 	}

@@ -151,7 +151,7 @@ func TestRouteByRulesOnHeaderInPlace(t *testing.T) {
 }
 
 // newRouterOver builds a router whose fault stack is nothing but the base
-// model lm — what engine.New hands its router.
+// model lm — what runtime.New hands the seq engine's router.
 func newRouterOver(t *testing.T, lm loss.Model, seed int64, live func(peer.ID) bool) *Router {
 	t.Helper()
 	cond, err := faults.New(lm)

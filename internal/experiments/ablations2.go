@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"sendforget/internal/engine"
+	"sendforget/internal/faults"
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
@@ -11,6 +11,7 @@ import (
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/protocol/sfopt"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // AblationOptParams configures the Section 5 optimizations ablation.
@@ -49,9 +50,13 @@ func sfoptCores(opts sfopt.Options) protocol.CoreFactory {
 
 // AblationOpt measures what each of the paper's Section 5 optimizations
 // (undeletion, replace-when-full, larger batches) buys and costs relative
-// to the analyzed baseline, under identical loss.
-func AblationOpt(p AblationOptParams) (*Report, error) {
+// to the analyzed baseline, under identical loss. It runs on the seq engine
+// only: the undeletion and replacement counts live in each node's core.
+func AblationOpt(p AblationOptParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
+	if err := needSeq("abl3", kind, "per-node sfopt counters (sfopt.Core.Counters)"); err != nil {
+		return nil, err
+	}
 	r := &Report{
 		ID:     "abl3",
 		Title:  "Section 5 optimizations: undeletion, replace-when-full, batching",
@@ -73,18 +78,18 @@ func AblationOpt(p AblationOptParams) (*Report, error) {
 	}}
 	rows, err := Sweep(len(variants), sweepWorkers, func(i int) ([]string, error) {
 		v := variants[i]
-		e, err := engine.New(sfoptCores(v.opts), p.N, sendforget.DefaultInitDegree(p.S, p.DL, p.N),
-			loss.MustUniform(p.Loss), rng.New(rng.DeriveSeed(p.Seed, int64(i))))
+		sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: sfoptCores(v.opts),
+			InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Loss: p.Loss, Seed: rng.DeriveSeed(p.Seed, int64(i))}, p.Rounds)
 		if err != nil {
 			return nil, err
 		}
-		e.Run(p.Rounds)
+		e := sub.(*runtime.Seq)
 		if err := e.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
 		g := e.Snapshot()
 		deg := metrics.Degrees(g, nil)
-		c := e.Tally()
+		c := e.Counters()
 		var vc sfopt.Counters
 		for u := 0; u < p.N; u++ {
 			nc := e.Core(peer.ID(u)).(*sfopt.Core).Counters()
@@ -152,7 +157,7 @@ func (p *AblationNonuniformParams) setDefaults() {
 // "While nonuniform loss occurs in practice [33], it is more difficult to
 // model and analyze"): half the nodes suffer heavy inbound loss, half none,
 // and the per-group degree statistics show how far uniformity degrades.
-func AblationNonuniform(p AblationNonuniformParams) (*Report, error) {
+func AblationNonuniform(p AblationNonuniformParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	rates := make(map[peer.ID]float64, p.N/2)
 	var lossyGroup, cleanGroup []peer.ID
@@ -168,12 +173,17 @@ func AblationNonuniform(p AblationNonuniformParams) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := engine.New(sfoptCores(sfopt.Options{S: p.S, DL: p.DL}), p.N, sendforget.DefaultInitDegree(p.S, p.DL, p.N), lm, rng.New(p.Seed))
+	cond, err := faults.New(lm)
 	if err != nil {
 		return nil, err
 	}
-	e.Run(p.Rounds)
-	g := e.Snapshot()
+	sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: sfoptCores(sfopt.Options{S: p.S, DL: p.DL}),
+		InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Conditions: cond, Seed: p.Seed}, p.Rounds)
+	if err != nil {
+		return nil, err
+	}
+	g := sub.Snapshot()
+	sub.Close()
 	lossyDeg := metrics.Degrees(g, lossyGroup)
 	cleanDeg := metrics.Degrees(g, cleanGroup)
 

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"sendforget/internal/engine"
+	"sendforget/internal/faults"
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/protocol"
@@ -12,6 +12,7 @@ import (
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // BaselinesParams configures the Section 3.1 baseline comparison.
@@ -52,7 +53,7 @@ func (p *BaselinesParams) setDefaults() {
 // identical loss: delete-on-send shuffle gradually loses ids; keep-on-send
 // push-pull is loss-immune but spatially dependent; S&F holds its edge
 // population with bounded dependence.
-func Baselines(p BaselinesParams) (*Report, error) {
+func Baselines(p BaselinesParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	r := &Report{
 		ID:     "base1",
@@ -80,19 +81,20 @@ func Baselines(p BaselinesParams) (*Report, error) {
 	checkpoints := p.Rounds/p.Checkpoint + 1
 	series := make([][]float64, len(names))
 	for i, name := range names {
-		e, err := engine.New(cores[i], p.N, initDeg, loss.MustUniform(p.Loss), rng.New(rng.DeriveSeed(p.Seed, int64(i))))
+		sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: cores[i], InitDegree: initDeg, Loss: p.Loss, Seed: rng.DeriveSeed(p.Seed, int64(i))}, 0)
 		if err != nil {
 			return nil, err
 		}
 		series[i] = make([]float64, 0, checkpoints)
 		for c := 0; c < checkpoints; c++ {
 			if c > 0 {
-				e.Run(p.Checkpoint)
+				runtime.Run(sub, p.Checkpoint)
 			}
-			g := e.Snapshot()
+			g := sub.Snapshot()
 			series[i] = append(series[i], float64(g.NumEdges())/float64(p.N))
 		}
-		g := e.Snapshot()
+		g := sub.Snapshot()
+		sub.Close()
 		sd := metrics.MeasureSpatialDependence(g)
 		deg := metrics.Degrees(g, nil)
 		finals.AddRow(name,
@@ -153,9 +155,13 @@ func (p *AblationBurstParams) setDefaults() {
 
 // AblationBurst compares S&F under uniform i.i.d. loss (the paper's model)
 // against Gilbert-Elliott bursty loss at the same average rate — probing how
-// far the paper's i.i.d. assumption carries.
-func AblationBurst(p AblationBurstParams) (*Report, error) {
+// far the paper's i.i.d. assumption carries. It runs on the seq engine only:
+// alpha comes from the per-entry dependence tags in each node's core.
+func AblationBurst(p AblationBurstParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
+	if err := needSeq("abl1", kind, "per-entry dependence tags (sendforget.MeasureDependence)"); err != nil {
+		return nil, err
+	}
 	r := &Report{
 		ID:     "abl1",
 		Title:  "Uniform vs bursty loss at equal average rate (extension)",
@@ -191,11 +197,16 @@ func AblationBurst(p AblationBurstParams) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := engine.New(sfCores(p.S, p.DL, true), p.N, sendforget.DefaultInitDegree(p.S, p.DL, p.N), lm, rng.New(v.seed))
+		cond, err := faults.New(lm)
 		if err != nil {
 			return nil, err
 		}
-		e.Run(p.Rounds)
+		sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: sfCores(p.S, p.DL, true),
+			InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Conditions: cond, Seed: v.seed}, p.Rounds)
+		if err != nil {
+			return nil, err
+		}
+		e := sub.(*runtime.Seq)
 		g := e.Snapshot()
 		deg := metrics.Degrees(g, nil)
 		return []string{v.name,
@@ -252,9 +263,14 @@ func (p *AblationDLParams) setDefaults() {
 
 // AblationDL sweeps the duplication threshold dL at fixed loss, exposing
 // the design tradeoff of Section 5: dL = 0 lets the id population decay
-// (like shuffle), large dL pins outdegrees and increases dependence.
-func AblationDL(p AblationDLParams) (*Report, error) {
+// (like shuffle), large dL pins outdegrees and increases dependence. It runs
+// on the seq engine only: alpha comes from the per-entry dependence tags in
+// each node's core.
+func AblationDL(p AblationDLParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
+	if err := needSeq("abl2", kind, "per-entry dependence tags (sendforget.MeasureDependence)"); err != nil {
+		return nil, err
+	}
 	r := &Report{
 		ID:     "abl2",
 		Title:  "Duplication threshold sweep (design-choice ablation)",
@@ -277,13 +293,14 @@ func AblationDL(p AblationDLParams) (*Report, error) {
 		if initDeg < dl {
 			initDeg = dl
 		}
-		e, err := newSFEngine(p.N, p.S, dl, initDeg, p.Loss, p.Rounds, rng.DeriveSeed(p.Seed, int64(i)), true)
+		sub, err := newSF(kind, p.N, p.S, dl, initDeg, p.Loss, p.Rounds, rng.DeriveSeed(p.Seed, int64(i)), true)
 		if err != nil {
 			return nil, err
 		}
+		e := sub.(*runtime.Seq)
 		g := e.Snapshot()
 		deg := metrics.Degrees(g, nil)
-		c := e.Tally()
+		c := e.Counters()
 		dup := 0.0
 		if c.Sends > 0 {
 			dup = float64(c.Duplications) / float64(c.Sends)

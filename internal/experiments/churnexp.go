@@ -5,6 +5,7 @@ import (
 
 	"sendforget/internal/churn"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // ChurnParams configures the sustained-churn experiment.
@@ -46,7 +47,7 @@ func (p *ChurnParams) setDefaults() {
 // 2); this experiment quantifies how much slack the protocol actually has —
 // live-node connectivity, degree health, and the stale-id fraction at
 // increasing churn rates.
-func Churn1(p ChurnParams) (*Report, error) {
+func Churn1(p ChurnParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	r := &Report{
 		ID:     "churn1",
@@ -58,7 +59,7 @@ func Churn1(p ChurnParams) (*Report, error) {
 		"max live components", "final mean out (live)", "final stale fraction",
 	}}
 	for i, rate := range p.Rates {
-		e, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 80, rng.DeriveSeed(p.Seed, int64(i)), false)
+		sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 80, rng.DeriveSeed(p.Seed, int64(i)), false)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +68,8 @@ func Churn1(p ChurnParams) (*Report, error) {
 			LeaveProb: rate,
 			MinLive:   p.N / 4,
 		}
-		stats, err := churn.RunWorkload(e, cfg, p.Rounds, 50, rng.New(rng.DeriveSeed(p.Seed, 100, int64(i))))
+		stats, err := churn.RunWorkload(sub, cfg, p.Rounds, 50, rng.New(rng.DeriveSeed(p.Seed, 100, int64(i))))
+		sub.Close()
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,7 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestFig61Small(t *testing.T) {
-	r, err := Fig61(Fig61Params{S: 24, Stride: 4, SimN: 200, SimRounds: 100})
+	r, err := Fig61(Fig61Params{S: 24, Stride: 4, SimN: 200, SimRounds: 100}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTab63SmallScale(t *testing.T) {
 }
 
 func TestFig63Small(t *testing.T) {
-	r, err := Fig63(Fig63Params{S: 16, DL: 6, LossRates: []float64{0, 0.05}, Stride: 4, SimN: 200, SimRounds: 100})
+	r, err := Fig63(Fig63Params{S: 16, DL: 6, LossRates: []float64{0, 0.05}, Stride: 4, SimN: 200, SimRounds: 100}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFig64Small(t *testing.T) {
 	r, err := Fig64(Fig64Params{
 		N: 80, S: 12, DL: 4, LossRates: []float64{0, 0.05},
 		Rounds: 100, Leavers: 2, Checkpoint: 25, Seed: 1,
-	})
+	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFig64Small(t *testing.T) {
 }
 
 func TestCor614Small(t *testing.T) {
-	r, err := Cor614(Cor614Params{N: 100, S: 12, DL: 6, Joiners: 2, Seed: 2})
+	r, err := Cor614(Cor614Params{N: 100, S: 12, DL: 6, Joiners: 2, Seed: 2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCor614Small(t *testing.T) {
 }
 
 func TestLem66Small(t *testing.T) {
-	r, err := Lem66(Lem66Params{N: 120, S: 16, DL: 6, Losses: []float64{0, 0.05}, Rounds: 150, Seed: 3})
+	r, err := Lem66(Lem66Params{N: 120, S: 16, DL: 6, Losses: []float64{0, 0.05}, Rounds: 150, Seed: 3}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestLem66Small(t *testing.T) {
 func TestLem76Small(t *testing.T) {
 	// SampleEvery must exceed the ~s^2/d-round entry lifetime or the
 	// chi-square cells correlate; 48 rounds is ~2.7 lifetimes here.
-	r, err := Lem76(Lem76Params{N: 60, S: 12, DL: 4, Samples: 150, SampleEvery: 48, Seed: 4})
+	r, err := Lem76(Lem76Params{N: 60, S: 12, DL: 4, Samples: 150, SampleEvery: 48, Seed: 4}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestLem76Small(t *testing.T) {
 }
 
 func TestLem79Small(t *testing.T) {
-	r, err := Lem79(Lem79Params{N: 150, S: 16, DL: 6, Losses: []float64{0, 0.05}, Rounds: 150, Seed: 1})
+	r, err := Lem79(Lem79Params{N: 150, S: 16, DL: 6, Losses: []float64{0, 0.05}, Rounds: 150, Seed: 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestTab74(t *testing.T) {
 }
 
 func TestLem715Small(t *testing.T) {
-	r, err := Lem715(Lem715Params{Ns: []int{60, 120}, S: 12, DL: 4, MaxRounds: 300, Seed: 6})
+	r, err := Lem715(Lem715Params{Ns: []int{60, 120}, S: 12, DL: 4, MaxRounds: 300, Seed: 6}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestLem715Small(t *testing.T) {
 }
 
 func TestBaselinesSmall(t *testing.T) {
-	r, err := Baselines(BaselinesParams{N: 150, S: 12, DL: 4, Loss: 0.1, Rounds: 200, Checkpoint: 50, Seed: 7})
+	r, err := Baselines(BaselinesParams{N: 150, S: 12, DL: 4, Loss: 0.1, Rounds: 200, Checkpoint: 50, Seed: 7}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestBaselinesSmall(t *testing.T) {
 }
 
 func TestAblationBurstSmall(t *testing.T) {
-	r, err := AblationBurst(AblationBurstParams{N: 120, S: 16, DL: 6, Rate: 0.05, BurstLens: []float64{1, 10}, Rounds: 150, Seed: 8})
+	r, err := AblationBurst(AblationBurstParams{N: 120, S: 16, DL: 6, Rate: 0.05, BurstLens: []float64{1, 10}, Rounds: 150, Seed: 8}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestAblationBurstSmall(t *testing.T) {
 }
 
 func TestAblationDLSmall(t *testing.T) {
-	r, err := AblationDL(AblationDLParams{N: 120, S: 16, Loss: 0.1, DLs: []int{0, 6, 10}, Rounds: 300, Seed: 9})
+	r, err := AblationDL(AblationDLParams{N: 120, S: 16, Loss: 0.1, DLs: []int{0, 6, 10}, Rounds: 300, Seed: 9}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +346,12 @@ func TestRegistry(t *testing.T) {
 	if len(ids) != 21 {
 		t.Fatalf("registry has %d ids, want 21: %v", len(ids), ids)
 	}
-	if _, err := Run("no-such-id"); err == nil {
+	if _, err := Run("no-such-id", ""); err == nil {
 		t.Error("Run accepted unknown id")
 	}
 	// Run the two cheapest registry entries end to end.
 	for _, id := range []string{"fig6.2", "tab7.4"} {
-		r, err := Run(id)
+		r, err := Run(id, "")
 		if err != nil {
 			t.Fatalf("Run(%s): %v", id, err)
 		}
@@ -400,7 +400,7 @@ func TestLem75Small(t *testing.T) {
 }
 
 func TestAblationOptSmall(t *testing.T) {
-	r, err := AblationOpt(AblationOptParams{N: 120, S: 12, DL: 4, Loss: 0.05, Rounds: 150, Seed: 10})
+	r, err := AblationOpt(AblationOptParams{N: 120, S: 12, DL: 4, Loss: 0.05, Rounds: 150, Seed: 10}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestAblationOptSmall(t *testing.T) {
 }
 
 func TestAblationNonuniformSmall(t *testing.T) {
-	r, err := AblationNonuniform(AblationNonuniformParams{N: 150, S: 12, DL: 4, LossyRate: 0.3, Rounds: 200, Seed: 11})
+	r, err := AblationNonuniform(AblationNonuniformParams{N: 150, S: 12, DL: 4, LossyRate: 0.3, Rounds: 200, Seed: 11}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestAblationNonuniformSmall(t *testing.T) {
 }
 
 func TestChurn1Small(t *testing.T) {
-	r, err := Churn1(ChurnParams{N: 100, S: 12, DL: 4, Loss: 0.02, Rates: []float64{0, 0.3}, Rounds: 150, Seed: 12})
+	r, err := Churn1(ChurnParams{N: 100, S: 12, DL: 4, Loss: 0.02, Rates: []float64{0, 0.3}, Rounds: 150, Seed: 12}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestLem78Small(t *testing.T) {
 }
 
 func TestRW1Small(t *testing.T) {
-	r, err := RW1(RW1Params{N: 120, S: 12, DL: 4, Loss: 0.1, WalkLengths: []int{2, 8}, Trials: 5000, Seed: 14})
+	r, err := RW1(RW1Params{N: 120, S: 12, DL: 4, Loss: 0.1, WalkLengths: []int{2, 8}, Trials: 5000, Seed: 14}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +599,7 @@ func TestRW1Small(t *testing.T) {
 
 func TestLossStressSmall(t *testing.T) {
 	p := LossStressParams{N: 40, S: 12, DL: 4, InitDegree: 6, Rounds: 60, LeaveAt: 15, FaultAt: 20, HealAt: 40, Rate: 0.05, Seed: 9}
-	r, err := LossStress(p)
+	r, err := LossStress(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func TestLossStressSmall(t *testing.T) {
 		t.Errorf("uniform scenario has fault-specific drops: %v", row)
 	}
 	// Determinism: same params, identical rendered report.
-	r2, err := LossStress(p)
+	r2, err := LossStress(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sendforget/internal/markov"
 	"sendforget/internal/metrics"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 	"sendforget/internal/stats"
 )
 
@@ -53,7 +54,7 @@ func (p *Fig61Params) setDefaults() {
 // Fig61 reproduces Figure 6.1: S&F node degree distributions (analytical
 // approximation of Eq. 6.1 and exact from the degree MC) against binomial
 // distributions with the same expectation, for s=90, dL=0, l=0, ds(u)=90.
-func Fig61(p Fig61Params) (*Report, error) {
+func Fig61(p Fig61Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	dm := p.S
 	res, err := degreemc.Solve(
@@ -129,12 +130,12 @@ func Fig61(p Fig61Params) (*Report, error) {
 		// Live lossless protocol run on the ds(u) = dm manifold: the
 		// circulant bootstrap with InitDegree = dm/3 gives every node sum
 		// degree exactly dm, the initialization Section 6.1 assumes.
-		e, err := newSFEngine(p.SimN, p.S, 0, dm/3, 0, 0, p.Seed, false)
+		sub, err := newSF(kind, p.SimN, p.S, 0, dm/3, 0, p.SimRounds, p.Seed, false)
 		if err != nil {
 			return nil, err
 		}
-		e.Run(p.SimRounds)
-		deg := metrics.Degrees(e.Snapshot(), nil)
+		deg := metrics.Degrees(sub.Snapshot(), nil)
+		sub.Close()
 		sumT.AddRow("out simulation", f2(deg.MeanOut), f2(mathSqrt(deg.VarOut)))
 		sumT.AddRow("in simulation", f2(deg.MeanIn), f2(mathSqrt(deg.VarIn)))
 	}
@@ -331,7 +332,7 @@ func (p *Fig63Params) setDefaults() {
 // Fig63 reproduces Figure 6.3: in/outdegree distributions from the degree
 // MC for several loss rates at dL=18, s=40, with the paper's reported
 // average indegrees 28±3.4, 27±3.6, 24±4.1, 23±4.3.
-func Fig63(p Fig63Params) (*Report, error) {
+func Fig63(p Fig63Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	r := &Report{
 		ID:     "fig6.3",
@@ -359,12 +360,12 @@ func Fig63(p Fig63Params) (*Report, error) {
 		}
 		pt := lossPoint{res: res, simIn: "-", simOut: "-"}
 		if p.SimN > 0 {
-			e, err := newSFEngine(p.SimN, p.S, p.DL, 0, l, 0, rng.DeriveSeed(p.Seed, int64(li)), false)
+			sub, err := newSF(kind, p.SimN, p.S, p.DL, 0, l, p.SimRounds, rng.DeriveSeed(p.Seed, int64(li)), false)
 			if err != nil {
 				return lossPoint{}, err
 			}
-			e.Run(p.SimRounds)
-			deg := metrics.Degrees(e.Snapshot(), nil)
+			defer sub.Close()
+			deg := metrics.Degrees(sub.Snapshot(), nil)
 			pt.simIn = pm(deg.MeanIn, mathSqrt(deg.VarIn))
 			pt.simOut = pm(deg.MeanOut, mathSqrt(deg.VarOut))
 		}

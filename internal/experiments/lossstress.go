@@ -137,13 +137,14 @@ type lossStressPoint struct {
 }
 
 // LossStress stresses the paper's uniform-i.i.d.-loss assumption (Section 4)
-// on the concurrent substrate: the same S&F cluster is re-run under uniform
-// loss, Gilbert-Elliott burst loss at the matched stationary rate, a heavier
-// burst regime, a healed two-way partition, and jittered delivery delay.
+// on any substrate (the goroutine-per-node cluster by default): the same S&F
+// overlay is re-run under uniform loss, Gilbert-Elliott burst loss at the
+// matched stationary rate, a heavier burst regime, a healed two-way
+// partition, and jittered delivery delay.
 // Each run removes one node mid-way and tracks the fig6.4-style decay of its
 // id instances alongside degree/connectivity and the extended traffic
 // counters.
-func LossStress(p LossStressParams) (*Report, error) {
+func LossStress(p LossStressParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	if !(p.LeaveAt < p.FaultAt && p.FaultAt < p.HealAt && p.HealAt < p.Rounds) {
 		return nil, fmt.Errorf("experiments: need LeaveAt < FaultAt < HealAt < Rounds, got %d/%d/%d/%d",
@@ -151,7 +152,7 @@ func LossStress(p LossStressParams) (*Report, error) {
 	}
 	scenarios := lossScenarios()
 	points, err := Sweep(len(scenarios), sweepWorkers, func(i int) (lossStressPoint, error) {
-		return runLossScenario(p, scenarios[i])
+		return runLossScenario(p, scenarios[i], kind)
 	})
 	if err != nil {
 		return nil, err
@@ -185,16 +186,16 @@ func LossStress(p LossStressParams) (*Report, error) {
 	return r, nil
 }
 
-// runLossScenario executes one deterministic cluster run under the given
-// conditions. The cluster is ticked manually; no wall-clock timers touch
-// protocol state.
-func runLossScenario(p LossStressParams, sc lossScenario) (lossStressPoint, error) {
+// runLossScenario executes one deterministic run under the given conditions
+// on the given backend, the cluster when kind is empty. The substrate is
+// ticked manually; no wall-clock timers touch protocol state.
+func runLossScenario(p LossStressParams, sc lossScenario, kind runtime.EngineKind) (lossStressPoint, error) {
 	cond, err := sc.newConditions(p)
 	if err != nil {
 		return lossStressPoint{}, err
 	}
 	cl, err := runtime.New(runtime.Config{
-		Engine: SubstrateEngine(),
+		Engine: kind,
 		N:      p.N,
 		NewCore: func() (protocol.StepCore, error) {
 			return sendforget.NewCore(p.S, p.DL)

@@ -6,6 +6,7 @@ import (
 
 	"sendforget/internal/peer"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // RW1Params configures the random-walk comparison.
@@ -48,13 +49,15 @@ func (p *RW1Params) setDefaults() {
 // with per-hop loss; the success probability must track (1-l)^k, while the
 // gossip protocol's own local operations involve exactly one message each,
 // whatever the system size.
-func RW1(p RW1Params) (*Report, error) {
+func RW1(p RW1Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
-	e, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 150, p.Seed, false)
+	sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 150, p.Seed, false)
 	if err != nil {
 		return nil, err
 	}
-	_ = e
+	// The walks run over this one steady-state snapshot.
+	views := sub.Views()
+	sub.Close()
 	r := &Report{
 		ID:     "rw1",
 		Title:  "Random-walk sampling vs gossip under loss (Section 3.1)",
@@ -76,7 +79,7 @@ func RW1(p RW1Params) (*Report, error) {
 					ok = false
 					break
 				}
-				view := e.View(node)
+				view := views[node]
 				if view == nil {
 					ok = false
 					break

@@ -4,10 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"sendforget/internal/runtime"
 )
 
-// Runner executes one experiment with its default parameters.
-type Runner func() (*Report, error)
+// Runner executes one experiment with its default parameters on the given
+// backend. The empty kind selects each experiment's historical one: seq for
+// the simulations, the cluster for loss-stress. The analytical experiments
+// ignore it.
+type Runner func(kind runtime.EngineKind) (*Report, error)
 
 var registry struct {
 	once sync.Once
@@ -25,27 +30,27 @@ func Registry() map[string]Runner {
 
 func buildRegistry() {
 	registry.m = map[string]Runner{
-		"fig6.1":      func() (*Report, error) { return Fig61(Fig61Params{}) },
-		"fig6.2":      func() (*Report, error) { return Fig62(Fig62Params{}) },
-		"tab6.3":      func() (*Report, error) { return Tab63(Tab63Params{}) },
-		"fig6.3":      func() (*Report, error) { return Fig63(Fig63Params{}) },
-		"fig6.4":      func() (*Report, error) { return Fig64(Fig64Params{}) },
-		"cor6.14":     func() (*Report, error) { return Cor614(Cor614Params{}) },
-		"lem6.6":      func() (*Report, error) { return Lem66(Lem66Params{}) },
-		"lem7.5":      func() (*Report, error) { return Lem75(Lem75Params{}) },
-		"lem7.6":      func() (*Report, error) { return Lem76(Lem76Params{}) },
-		"lem7.8":      func() (*Report, error) { return Lem78(Lem78Params{}) },
-		"lem7.9":      func() (*Report, error) { return Lem79(Lem79Params{}) },
-		"tab7.4":      func() (*Report, error) { return Tab74(Tab74Params{}) },
-		"lem7.15":     func() (*Report, error) { return Lem715(Lem715Params{}) },
-		"base1":       func() (*Report, error) { return Baselines(BaselinesParams{}) },
-		"rw1":         func() (*Report, error) { return RW1(RW1Params{}) },
-		"churn1":      func() (*Report, error) { return Churn1(ChurnParams{}) },
-		"abl1":        func() (*Report, error) { return AblationBurst(AblationBurstParams{}) },
-		"abl2":        func() (*Report, error) { return AblationDL(AblationDLParams{}) },
-		"abl3":        func() (*Report, error) { return AblationOpt(AblationOptParams{}) },
-		"abl4":        func() (*Report, error) { return AblationNonuniform(AblationNonuniformParams{}) },
-		"loss-stress": func() (*Report, error) { return LossStress(LossStressParams{}) },
+		"fig6.1":      func(k runtime.EngineKind) (*Report, error) { return Fig61(Fig61Params{}, k) },
+		"fig6.2":      func(runtime.EngineKind) (*Report, error) { return Fig62(Fig62Params{}) },
+		"tab6.3":      func(runtime.EngineKind) (*Report, error) { return Tab63(Tab63Params{}) },
+		"fig6.3":      func(k runtime.EngineKind) (*Report, error) { return Fig63(Fig63Params{}, k) },
+		"fig6.4":      func(k runtime.EngineKind) (*Report, error) { return Fig64(Fig64Params{}, k) },
+		"cor6.14":     func(k runtime.EngineKind) (*Report, error) { return Cor614(Cor614Params{}, k) },
+		"lem6.6":      func(k runtime.EngineKind) (*Report, error) { return Lem66(Lem66Params{}, k) },
+		"lem7.5":      func(runtime.EngineKind) (*Report, error) { return Lem75(Lem75Params{}) },
+		"lem7.6":      func(k runtime.EngineKind) (*Report, error) { return Lem76(Lem76Params{}, k) },
+		"lem7.8":      func(runtime.EngineKind) (*Report, error) { return Lem78(Lem78Params{}) },
+		"lem7.9":      func(k runtime.EngineKind) (*Report, error) { return Lem79(Lem79Params{}, k) },
+		"tab7.4":      func(runtime.EngineKind) (*Report, error) { return Tab74(Tab74Params{}) },
+		"lem7.15":     func(k runtime.EngineKind) (*Report, error) { return Lem715(Lem715Params{}, k) },
+		"base1":       func(k runtime.EngineKind) (*Report, error) { return Baselines(BaselinesParams{}, k) },
+		"rw1":         func(k runtime.EngineKind) (*Report, error) { return RW1(RW1Params{}, k) },
+		"churn1":      func(k runtime.EngineKind) (*Report, error) { return Churn1(ChurnParams{}, k) },
+		"abl1":        func(k runtime.EngineKind) (*Report, error) { return AblationBurst(AblationBurstParams{}, k) },
+		"abl2":        func(k runtime.EngineKind) (*Report, error) { return AblationDL(AblationDLParams{}, k) },
+		"abl3":        func(k runtime.EngineKind) (*Report, error) { return AblationOpt(AblationOptParams{}, k) },
+		"abl4":        func(k runtime.EngineKind) (*Report, error) { return AblationNonuniform(AblationNonuniformParams{}, k) },
+		"loss-stress": func(k runtime.EngineKind) (*Report, error) { return LossStress(LossStressParams{}, k) },
 	}
 	registry.ids = make([]string, 0, len(registry.m))
 	for id := range registry.m {
@@ -61,11 +66,11 @@ func IDs() []string {
 	return append([]string(nil), registry.ids...)
 }
 
-// Run executes the experiment with the given id.
-func Run(id string) (*Report, error) {
+// Run executes the experiment with the given id on the given backend.
+func Run(id string, kind runtime.EngineKind) (*Report, error) {
 	runner, ok := Registry()[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
 	}
-	return runner()
+	return runner(kind)
 }

@@ -6,13 +6,12 @@ import (
 	"sendforget/internal/analysis"
 	"sendforget/internal/churn"
 	"sendforget/internal/degreemc"
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // sfCores returns the S&F core factory, with per-slot dependence tags when
@@ -24,18 +23,38 @@ func sfCores(s, dl int, trackDeps bool) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
 }
 
-// newSFEngine builds a warmed-up S&F engine for the simulation experiments;
-// initDeg 0 selects the S&F midpoint bootstrap degree.
-func newSFEngine(n, s, dl, initDeg int, l float64, warmRounds int, seed int64, trackDeps bool) (*engine.Engine, error) {
-	if initDeg == 0 {
-		initDeg = sendforget.DefaultInitDegree(s, dl, n)
+// needSeq fails experiment id on any backend but seq: it reads per-node
+// core state (what) that only the per-action scheduler exposes.
+func needSeq(id string, kind runtime.EngineKind, what string) error {
+	if kind == "" || kind == runtime.EngineSeq {
+		return nil
 	}
-	e, err := engine.New(sfCores(s, dl, trackDeps), n, initDeg, loss.MustUniform(l), rng.New(seed))
+	return fmt.Errorf("%s runs only on the seq engine: it reads %s, which engine %s does not expose", id, what, kind)
+}
+
+// simulate builds cfg on backend kind and runs it for warmRounds rounds. The
+// empty kind selects seq, the one every simulation ran on before -engine
+// reached it, so the default reports stay byte-stable. The caller closes it.
+func simulate(kind runtime.EngineKind, cfg runtime.Config, warmRounds int) (runtime.Substrate, error) {
+	if cfg.Engine = kind; kind == "" {
+		cfg.Engine = runtime.EngineSeq
+	}
+	sub, err := runtime.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.Run(warmRounds)
-	return e, nil
+	runtime.Run(sub, warmRounds)
+	return sub, nil
+}
+
+// newSF builds a warmed-up S&F overlay for the simulation experiments on
+// the given backend; initDeg 0 selects the S&F midpoint bootstrap degree.
+// The caller closes it.
+func newSF(kind runtime.EngineKind, n, s, dl, initDeg int, l float64, warmRounds int, seed int64, trackDeps bool) (runtime.Substrate, error) {
+	if initDeg == 0 {
+		initDeg = sendforget.DefaultInitDegree(s, dl, n)
+	}
+	return simulate(kind, runtime.Config{N: n, NewCore: sfCores(s, dl, trackDeps), InitDegree: initDeg, Loss: l, Seed: seed}, warmRounds)
 }
 
 // Fig64Params configures the Figure 6.4 reproduction.
@@ -84,7 +103,7 @@ func (p *Fig64Params) setDefaults() {
 // system, as a function of rounds since the departure, for several loss
 // rates — together with the decay measured in simulation, which must stay
 // below the bound.
-func Fig64(p Fig64Params) (*Report, error) {
+func Fig64(p Fig64Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	r := &Report{
 		ID:     "fig6.4",
@@ -104,11 +123,12 @@ func Fig64(p Fig64Params) (*Report, error) {
 		}
 		measured := make([]float64, p.Rounds+1)
 		for leaver := 0; leaver < p.Leavers; leaver++ {
-			e, err := newSFEngine(p.N, p.S, p.DL, 0, l, 60, rng.DeriveSeed(p.Seed, int64(li), int64(leaver)), false)
+			sub, err := newSF(kind, p.N, p.S, p.DL, 0, l, 60, rng.DeriveSeed(p.Seed, int64(li), int64(leaver)), false)
 			if err != nil {
 				return nil, err
 			}
-			trace, err := churn.TrackLeaverDecay(e, peer.ID(leaver), p.Rounds)
+			trace, err := churn.TrackLeaverDecay(sub, peer.ID(leaver), p.Rounds)
+			sub.Close()
 			if err != nil {
 				return nil, err
 			}
@@ -172,7 +192,7 @@ func (p *Cor614Params) setDefaults() {
 // Cor614 reproduces Corollary 6.14: with s/dL = 2 and l+delta << 1, a newly
 // joined node is expected to create at least Din/4 instances of its id
 // within 2s rounds.
-func Cor614(p Cor614Params) (*Report, error) {
+func Cor614(p Cor614Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	rounds := 2 * p.S
 	r := &Report{
@@ -184,21 +204,21 @@ func Cor614(p Cor614Params) (*Report, error) {
 	t := Table{Columns: []string{"joiner", "Din (steady)", "bound Din/4", "indegree @2s rounds", "outdegree @2s rounds"}}
 	met := 0
 	for j := 0; j < p.Joiners; j++ {
-		e, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 60, rng.DeriveSeed(p.Seed, int64(j)), false)
+		sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 60, rng.DeriveSeed(p.Seed, int64(j)), false)
 		if err != nil {
 			return nil, err
 		}
 		u := peer.ID(j)
-		e.Leave(u)
-		e.Run(200) // flush the id completely
-		din := metrics.Degrees(e.Snapshot(), nil).MeanIn * float64(p.N) / float64(p.N-1)
+		sub.RemoveNode(u)
+		runtime.Run(sub, 200) // flush the id completely
+		din := metrics.Degrees(sub.Snapshot(), nil).MeanIn * float64(p.N) / float64(p.N-1)
 		// Seeds: copy a live node's view prefix, per Section 5's join rule.
-		seedView := e.View(peer.ID(p.N - 1 - j))
-		seeds := seedView.IDs()
+		seeds := sub.Views()[p.N-1-j].IDs()
 		if len(seeds) > p.DL {
 			seeds = seeds[:p.DL]
 		}
-		trace, err := churn.TrackJoinerIntegration(e, u, seeds, rounds)
+		trace, err := churn.TrackJoinerIntegration(sub, u, seeds, rounds)
+		sub.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +294,7 @@ func (p *Lem66Params) setDefaults() {
 // Lem66 verifies Lemmas 6.6-6.7 in simulation: in the steady state the
 // duplication probability equals the loss rate plus the deletion
 // probability, and lies in [l, l+delta].
-func Lem66(p Lem66Params) (*Report, error) {
+func Lem66(p Lem66Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	r := &Report{
 		ID:     "lem6.6",
@@ -283,14 +303,15 @@ func Lem66(p Lem66Params) (*Report, error) {
 	}
 	t := Table{Columns: []string{"loss l", "dup prob", "del prob", "l + del", "dup - (l+del)", "in [l, l+delta]?"}}
 	for i, l := range p.Losses {
-		e, err := newSFEngine(p.N, p.S, p.DL, 0, l, 100, rng.DeriveSeed(p.Seed, int64(i)), false)
+		sub, err := newSF(kind, p.N, p.S, p.DL, 0, l, 100, rng.DeriveSeed(p.Seed, int64(i)), false)
 		if err != nil {
 			return nil, err
 		}
 		// Measure over a fresh window after the warm-up.
-		before := e.Tally()
-		e.Run(p.Rounds)
-		after := e.Tally()
+		before := sub.Counters()
+		runtime.Run(sub, p.Rounds)
+		after := sub.Counters()
+		sub.Close()
 		sends := after.Sends - before.Sends
 		if sends == 0 {
 			return nil, fmt.Errorf("no sends measured at l=%v", l)

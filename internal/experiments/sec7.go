@@ -9,6 +9,7 @@ import (
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // Lem76Params configures the uniformity experiment.
@@ -48,21 +49,23 @@ func (p *Lem76Params) setDefaults() {
 // steady state every id v != u appears in u's view with equal probability.
 // The chi-square test over time-decorrelated samples must not reject
 // uniformity, while a deliberately skewed reference must be rejected.
-func Lem76(p Lem76Params) (*Report, error) {
+func Lem76(p Lem76Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
-	e, err := newSFEngine(p.N, p.S, p.DL, 0, p.Loss, 100, p.Seed, false)
+	sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 100, p.Seed, false)
 	if err != nil {
 		return nil, err
 	}
+	defer sub.Close()
 	observers := []peer.ID{0, peer.ID(p.N / 2), peer.ID(p.N - 1)}
 	counters := make([]*metrics.OccupancyCounter, len(observers))
 	for i, u := range observers {
 		counters[i] = metrics.NewOccupancyCounter(u, p.N)
 	}
 	for s := 0; s < p.Samples; s++ {
-		e.Run(p.SampleEvery)
+		runtime.Run(sub, p.SampleEvery)
+		views := sub.Views()
 		for i, u := range observers {
-			counters[i].Sample(e.View(u))
+			counters[i].Sample(views[u])
 		}
 	}
 	r := &Report{
@@ -130,15 +133,18 @@ func (p *Lem79Params) setDefaults() {
 // probability for the chosen (s, dL) — the paper defines delta exactly so —
 // and the self-edge/duplicate counts that even perfect i.i.d. views would
 // show at finite n (the 1/n terms the paper neglects) are subtracted.
-func Lem79(p Lem79Params) (*Report, error) {
+func Lem79(p Lem79Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
+	if err := needSeq("lem7.9", kind, "per-entry dependence tags (sendforget.MeasureDependence)"); err != nil {
+		return nil, err
+	}
 	// Calibrate delta: lossless run, measured duplication probability.
-	e0, err := newSFEngine(p.N, p.S, p.DL, 0, 0, 100, p.Seed, true)
+	e0, err := newSF(kind, p.N, p.S, p.DL, 0, 0, 100, p.Seed, true)
 	if err != nil {
 		return nil, err
 	}
-	e0.Run(p.Rounds)
-	c0 := e0.Tally()
+	runtime.Run(e0, p.Rounds)
+	c0 := e0.Counters()
 	deltaHat := p.Delta
 	if c0.Sends > 0 {
 		if m := float64(c0.Duplications) / float64(c0.Sends); m > deltaHat {
@@ -153,11 +159,12 @@ func Lem79(p Lem79Params) (*Report, error) {
 	}
 	t := Table{Columns: []string{"loss l", "alpha bound", "alpha raw", "alpha adj (iid-corrected)", "tagged", "self+dup", "iid-expected self+dup", "entries", "bound holds?"}}
 	for i, l := range p.Losses {
-		e, err := newSFEngine(p.N, p.S, p.DL, 0, l, 100, rng.DeriveSeed(p.Seed, 1, int64(i)), true)
+		sub, err := newSF(kind, p.N, p.S, p.DL, 0, l, 100, rng.DeriveSeed(p.Seed, 1, int64(i)), true)
 		if err != nil {
 			return nil, err
 		}
-		e.Run(p.Rounds)
+		runtime.Run(sub, p.Rounds)
+		e := sub.(*runtime.Seq)
 		st := sendforget.MeasureDependence(e)
 		bound, err := analysis.AlphaLowerBound(l, deltaHat)
 		if err != nil {
@@ -267,7 +274,7 @@ func (p *Lem715Params) setDefaults() {
 // reference views decays to the i.i.d. baseline within O(s log n) rounds
 // (the paper's bound counts O(n s log n) transformations, i.e. O(s log n)
 // actions per node), and the analytical tau bound grows as O(n s log n).
-func Lem715(p Lem715Params) (*Report, error) {
+func Lem715(p Lem715Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
 	r := &Report{
 		ID:     "lem7.15",
@@ -280,20 +287,21 @@ func Lem715(p Lem715Params) (*Report, error) {
 		return nil, err
 	}
 	for i, n := range p.Ns {
-		e, err := newSFEngine(n, p.S, p.DL, 0, p.Loss, 100, rng.DeriveSeed(p.Seed, int64(i)), false)
+		sub, err := newSF(kind, n, p.S, p.DL, 0, p.Loss, 100, rng.DeriveSeed(p.Seed, int64(i)), false)
 		if err != nil {
 			return nil, err
 		}
-		tracker := metrics.NewTemporalTracker(e.Views())
+		tracker := metrics.NewTemporalTracker(sub.Views())
 		baseline := tracker.IndependenceBaseline(n)
 		forgetAt := -1
 		for round := 1; round <= p.MaxRounds; round++ {
-			e.Round()
-			if tracker.Overlap(e.Views()) <= baseline+p.Threshold {
+			sub.TickRound()
+			if tracker.Overlap(sub.Views()) <= baseline+p.Threshold {
 				forgetAt = round
 				break
 			}
 		}
+		sub.Close()
 		if forgetAt < 0 {
 			return nil, fmt.Errorf("n=%d: views did not forget within %d rounds", n, p.MaxRounds)
 		}

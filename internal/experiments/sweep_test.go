@@ -61,7 +61,7 @@ func TestFig63ParallelDeterministic(t *testing.T) {
 		SimN:      120, SimRounds: 40,
 	}
 	render := func() string {
-		r, err := Fig63(params)
+		r, err := Fig63(params, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestAblationDLParallelDeterministic(t *testing.T) {
 		Rounds: 60,
 	}
 	render := func() string {
-		r, err := AblationDL(params)
+		r, err := AblationDL(params, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestAblationDLParallelDeterministic(t *testing.T) {
 // TestFig61StrideOne is the regression test for the indegree-table loop: a
 // Stride of 1 used to floor the indegree step to 0 and hang forever.
 func TestFig61StrideOne(t *testing.T) {
-	r, err := Fig61(Fig61Params{S: 12, Stride: 1, SimN: -1})
+	r, err := Fig61(Fig61Params{S: 12, Stride: 1, SimN: -1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

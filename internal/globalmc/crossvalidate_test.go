@@ -3,13 +3,11 @@ package globalmc
 import (
 	"testing"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/markov"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
-	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // TestSimulatorMatchesExactStationary is the strongest consistency check in
@@ -36,13 +34,19 @@ func TestSimulatorMatchesExactStationary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	newCore := func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
-	e, err := engine.New(newCore, n, 2, loss.None{}, rng.New(99))
+	sub, err := runtime.New(runtime.Config{
+		Engine:     runtime.EngineSeq,
+		N:          n,
+		NewCore:    func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) },
+		InitDegree: 2,
+		Seed:       99,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := sub.(*runtime.Seq)
 	// Burn in, then sample state occupancy after every step.
-	e.Run(200)
+	runtime.Run(e, 200)
 	const samples = 2000000
 	occupancy := make([]float64, chain.Len())
 	unknown := 0

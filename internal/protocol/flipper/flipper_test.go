@@ -3,11 +3,10 @@ package flipper
 import (
 	"testing"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // The generic step contract is checked for all five protocols by
@@ -18,11 +17,20 @@ func cores(s int) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return NewCore(s) }
 }
 
-func mustEngine(t *testing.T, n, s, degree int, lossRate float64, seed int64) *engine.Engine {
-	t.Helper()
-	e, err := engine.New(cores(s), n, degree, loss.MustUniform(lossRate), rng.New(seed))
+// newSeq builds an n-node overlay of cores f on the seq engine.
+func newSeq(f protocol.CoreFactory, n, degree int, lossRate float64, seed int64) (*runtime.Seq, error) {
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: f, InitDegree: degree, Loss: lossRate, Seed: seed})
 	if err != nil {
-		t.Fatalf("engine.New(n=%d s=%d degree=%d): %v", n, s, degree, err)
+		return nil, err
+	}
+	return sub.(*runtime.Seq), nil
+}
+
+func mustEngine(t *testing.T, n, s, degree int, lossRate float64, seed int64) *runtime.Seq {
+	t.Helper()
+	e, err := newSeq(cores(s), n, degree, lossRate, seed)
+	if err != nil {
+		t.Fatalf("newSeq(n=%d s=%d degree=%d): %v", n, s, degree, err)
 	}
 	return e
 }
@@ -31,15 +39,14 @@ func TestValidation(t *testing.T) {
 	if _, err := NewCore(1); err == nil {
 		t.Error("accepted s=1")
 	}
-	r := rng.New(1)
-	if _, err := engine.New(cores(4), 1, 0, loss.None{}, r); err == nil {
+	if _, err := newSeq(cores(4), 1, 0, 0, 1); err == nil {
 		t.Error("accepted n=1")
 	}
-	if _, err := engine.New(cores(8), 3, 3, loss.None{}, r); err == nil {
+	if _, err := newSeq(cores(8), 3, 3, 0, 1); err == nil {
 		t.Error("accepted degree >= n")
 	}
 	// A bootstrap degree above s is a seed overflow: truncated to s.
-	e, err := engine.New(cores(4), 10, 5, loss.None{}, r)
+	e, err := newSeq(cores(4), 10, 5, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +59,14 @@ func TestFlipsPreserveRegularityWithoutLoss(t *testing.T) {
 	// The flipper's defining property: on a lossless network every node's
 	// outdegree is invariant (flips are degree-preserving edge exchanges).
 	e := mustEngine(t, 40, 10, 4, 0, 1)
-	e.Run(300)
+	runtime.Run(e, 300)
 	g := e.Snapshot()
 	for u := 0; u < 40; u++ {
 		if d := g.Outdegree(peer.ID(u)); d != 4 {
 			t.Errorf("node %d outdegree = %d, want invariant 4", u, d)
 		}
 	}
-	if c := e.Tally(); c.Replies == 0 || c.DeletedIDs != 0 {
+	if c := e.Counters(); c.Replies == 0 || c.DeletedIDs != 0 {
 		t.Fatalf("flips completed %d, ids dropped %d", c.Replies, c.DeletedIDs)
 	}
 	if !g.WeaklyConnected() {
@@ -71,7 +78,7 @@ func TestFlipsMixTheGraph(t *testing.T) {
 	// After many flips the circulant structure must be gone: some node
 	// holds an id outside its original window.
 	e := mustEngine(t, 40, 10, 4, 0, 2)
-	e.Run(300)
+	runtime.Run(e, 300)
 	mixed := false
 	for u := 0; u < 40 && !mixed; u++ {
 		for _, id := range e.View(peer.ID(u)).IDs() {
@@ -93,7 +100,7 @@ func TestEdgesDecayUnderLoss(t *testing.T) {
 	// destroys the detached return edge.
 	e := mustEngine(t, 60, 10, 6, 0.2, 3)
 	before := e.Snapshot().NumEdges()
-	e.Run(400)
+	runtime.Run(e, 400)
 	after := e.Snapshot().NumEdges()
 	if after > before/2 {
 		t.Errorf("edge population %d -> %d; expected heavy decay under 20%% loss", before, after)
@@ -135,30 +142,30 @@ func TestDegenerateSelections(t *testing.T) {
 
 func TestChurn(t *testing.T) {
 	e := mustEngine(t, 10, 8, 4, 0, 5)
-	e.Leave(2)
+	e.RemoveNode(2)
 	if e.View(2) != nil {
 		t.Fatal("Leave did not deactivate")
 	}
-	if err := e.Join(2, []peer.ID{0, 1}); err != nil {
+	if err := e.AddNode(2, []peer.ID{0, 1}, false); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if err := e.Join(2, []peer.ID{0}); err == nil {
+	if err := e.AddNode(2, []peer.ID{0}, false); err == nil {
 		t.Error("double join accepted")
 	}
-	e.Leave(3)
-	if err := e.Join(3, nil); err == nil {
+	e.RemoveNode(3)
+	if err := e.AddNode(3, nil, false); err == nil {
 		t.Error("join without seeds accepted")
 	}
 	// Departed nodes neither initiate nor reply: requests to them are dead
 	// letters.
-	e.Leave(4)
-	e.OnAction = func(ev engine.ActionEvent) {
+	e.RemoveNode(4)
+	e.OnAction = func(ev runtime.ActionEvent) {
 		if ev.Initiator == 4 && ev.Sent {
 			t.Error("departed node initiated")
 		}
 	}
 	e.StepAt(4)
-	e.Run(100)
+	runtime.Run(e, 100)
 	if e.Traffic().DeadLetters == 0 || e.View(4) != nil {
 		t.Errorf("dead letters = %d, departed view %v", e.Traffic().DeadLetters, e.View(4))
 	}
@@ -189,8 +196,8 @@ func TestMalformedMessagesIgnored(t *testing.T) {
 
 func TestIdentityAndSnapshot(t *testing.T) {
 	e := mustEngine(t, 10, 8, 0, 0, 1)
-	if e.Name() != "flipper" || e.N() != 10 {
-		t.Errorf("identity: %q %d", e.Name(), e.N())
+	if e.Core(0).Name() != "flipper" || e.N() != 10 {
+		t.Errorf("identity: %q %d", e.Core(0).Name(), e.N())
 	}
 	if !e.Snapshot().WeaklyConnected() {
 		t.Error("initial topology disconnected")

@@ -1,7 +1,6 @@
 // Package protocol defines the interface between gossip membership
-// protocols and the drivers that execute them (the sequential engine of
-// internal/engine and the concurrent and sharded substrates of
-// internal/runtime).
+// protocols and the drivers that execute them (the sequential,
+// concurrent and sharded substrates of internal/runtime).
 //
 // Following Section 4.1 of the paper, a protocol is expressed as *steps*
 // that execute atomically at a single node: an initiate step that may emit a

@@ -3,11 +3,10 @@ package pushpull
 import (
 	"testing"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // The generic step contract is checked for all five protocols by
@@ -18,11 +17,20 @@ func cores(s int) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return NewCore(s) }
 }
 
-func mustEngine(t *testing.T, n, s, initDeg int, lossRate float64, seed int64) *engine.Engine {
-	t.Helper()
-	e, err := engine.New(cores(s), n, initDeg, loss.MustUniform(lossRate), rng.New(seed))
+// newSeq builds an n-node overlay of cores f on the seq engine.
+func newSeq(f protocol.CoreFactory, n, degree int, lossRate float64, seed int64) (*runtime.Seq, error) {
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: f, InitDegree: degree, Loss: lossRate, Seed: seed})
 	if err != nil {
-		t.Fatalf("engine.New(n=%d s=%d init=%d): %v", n, s, initDeg, err)
+		return nil, err
+	}
+	return sub.(*runtime.Seq), nil
+}
+
+func mustEngine(t *testing.T, n, s, initDeg int, lossRate float64, seed int64) *runtime.Seq {
+	t.Helper()
+	e, err := newSeq(cores(s), n, initDeg, lossRate, seed)
+	if err != nil {
+		t.Fatalf("newSeq(n=%d s=%d init=%d): %v", n, s, initDeg, err)
 	}
 	return e
 }
@@ -31,15 +39,14 @@ func TestValidation(t *testing.T) {
 	if _, err := NewCore(1); err == nil {
 		t.Error("accepted s=1")
 	}
-	r := rng.New(1)
-	if _, err := engine.New(cores(4), 1, 0, loss.None{}, r); err == nil {
+	if _, err := newSeq(cores(4), 1, 0, 0, 1); err == nil {
 		t.Error("accepted n=1")
 	}
-	if _, err := engine.New(cores(8), 4, 4, loss.None{}, r); err == nil {
+	if _, err := newSeq(cores(8), 4, 4, 0, 1); err == nil {
 		t.Error("accepted init degree >= n")
 	}
 	// A bootstrap degree above s is a seed overflow: truncated to s.
-	e, err := engine.New(cores(4), 10, 6, loss.None{}, r)
+	e, err := newSeq(cores(4), 10, 6, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,31 +140,31 @@ func TestDependenceGrowsUnderGossip(t *testing.T) {
 
 func TestChurn(t *testing.T) {
 	e := mustEngine(t, 10, 8, 4, 0, 6)
-	e.Leave(2)
+	e.RemoveNode(2)
 	if e.View(2) != nil {
 		t.Fatal("Leave did not deactivate")
 	}
-	if err := e.Join(2, []peer.ID{0, 1, 3}); err != nil {
+	if err := e.AddNode(2, []peer.ID{0, 1, 3}, false); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
 	if e.View(2).Outdegree() != 3 {
 		t.Errorf("joiner outdegree = %d, want 3", e.View(2).Outdegree())
 	}
-	if err := e.Join(2, []peer.ID{0}); err == nil {
+	if err := e.AddNode(2, []peer.ID{0}, false); err == nil {
 		t.Error("double join accepted")
 	}
-	e.Leave(3)
-	if err := e.Join(3, nil); err == nil {
+	e.RemoveNode(3)
+	if err := e.AddNode(3, nil, false); err == nil {
 		t.Error("join without seeds accepted")
 	}
-	e.Leave(4)
-	e.OnAction = func(ev engine.ActionEvent) {
+	e.RemoveNode(4)
+	e.OnAction = func(ev runtime.ActionEvent) {
 		if ev.Initiator == 4 && ev.Sent {
 			t.Error("departed node initiated")
 		}
 	}
 	e.StepAt(4)
-	e.Run(100)
+	runtime.Run(e, 100)
 	if e.Traffic().DeadLetters == 0 || e.View(4) != nil {
 		t.Errorf("dead letters = %d, departed view %v: delivery revived the node or never reached it",
 			e.Traffic().DeadLetters, e.View(4))
@@ -166,7 +173,7 @@ func TestChurn(t *testing.T) {
 
 func TestIdentity(t *testing.T) {
 	e := mustEngine(t, 10, 8, 0, 0, 1)
-	if e.Name() != "push-pull" || e.N() != 10 {
-		t.Errorf("identity: name=%q n=%d", e.Name(), e.N())
+	if e.Core(0).Name() != "push-pull" || e.N() != 10 {
+		t.Errorf("identity: name=%q n=%d", e.Core(0).Name(), e.N())
 	}
 }

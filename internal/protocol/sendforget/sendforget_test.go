@@ -5,11 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 	"sendforget/internal/view"
 )
 
@@ -27,16 +26,25 @@ func cores(s, dl int, tracked bool) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return NewCore(s, dl) }
 }
 
+// newSeq builds an n-node overlay of cores f on the seq engine.
+func newSeq(f protocol.CoreFactory, n, initDeg int, lossRate float64, seed int64) (*runtime.Seq, error) {
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: f, InitDegree: initDeg, Loss: lossRate, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return sub.(*runtime.Seq), nil
+}
+
 // mustEngine builds a lossless n-node S&F system; initDeg 0 selects
 // DefaultInitDegree.
-func mustEngine(t *testing.T, n, s, dl, initDeg int, tracked bool, seed int64) *engine.Engine {
+func mustEngine(t *testing.T, n, s, dl, initDeg int, tracked bool, seed int64) *runtime.Seq {
 	t.Helper()
 	if initDeg == 0 {
 		initDeg = DefaultInitDegree(s, dl, n)
 	}
-	e, err := engine.New(cores(s, dl, tracked), n, initDeg, loss.None{}, rng.New(seed))
+	e, err := newSeq(cores(s, dl, tracked), n, initDeg, 0, seed)
 	if err != nil {
-		t.Fatalf("engine.New(n=%d s=%d dL=%d init=%d): %v", n, s, dl, initDeg, err)
+		t.Fatalf("newSeq(n=%d s=%d dL=%d init=%d): %v", n, s, dl, initDeg, err)
 	}
 	return e
 }
@@ -64,7 +72,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			e, err := engine.New(cores(tt.s, tt.dl, false), tt.n, tt.initDeg, loss.None{}, rng.New(1))
+			e, err := newSeq(cores(tt.s, tt.dl, false), tt.n, tt.initDeg, 0, 1)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -249,7 +257,7 @@ func TestDeliverDeletesWhenFull(t *testing.T) {
 }
 
 // runLossless drives actions with every message delivered.
-func runLossless(e *engine.Engine, actions int) {
+func runLossless(e *runtime.Seq, actions int) {
 	for k := 0; k < actions; k++ {
 		e.Step()
 	}
@@ -274,7 +282,7 @@ func TestSumDegreeInvariantNoLossNoDupNoDel(t *testing.T) {
 			t.Errorf("node %d sum degree = %d, want invariant 12", u, got)
 		}
 	}
-	c := e.Tally()
+	c := e.Counters()
 	if c.DeletedIDs != 0 {
 		t.Errorf("deletions happened under the Lemma 6.2 conditions: %d ids", c.DeletedIDs)
 	}
@@ -290,7 +298,7 @@ func TestEdgeCountPreservedWithoutLoss(t *testing.T) {
 	after := e.Snapshot().NumEdges()
 	// Without loss, edges change only via duplication (+2 per event) and
 	// deletion (-1 per deleted id); verify exact bookkeeping.
-	c := e.Tally()
+	c := e.Counters()
 	want := before + 2*c.Duplications - c.DeletedIDs
 	if after != want {
 		t.Errorf("edges = %d, want %d (before %d, dup %d, deleted ids %d)", after, want, before, c.Duplications, c.DeletedIDs)
@@ -310,17 +318,17 @@ func TestWeakConnectivityMaintainedLossless(t *testing.T) {
 
 func TestJoinLeave(t *testing.T) {
 	e := mustEngine(t, 10, 8, 2, 4, false, 1)
-	e.Leave(5)
+	e.RemoveNode(5)
 	if e.View(5) != nil {
 		t.Fatal("view visible after Leave")
 	}
-	if err := e.Join(5, []peer.ID{0, 1, 2, 3}); err != nil {
+	if err := e.AddNode(5, []peer.ID{0, 1, 2, 3}, false); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
 	if got := e.View(5).Outdegree(); got != 4 {
 		t.Errorf("joiner outdegree = %d, want 4", got)
 	}
-	if err := e.Join(5, []peer.ID{0, 1}); err == nil {
+	if err := e.AddNode(5, []peer.ID{0, 1}, false); err == nil {
 		t.Error("Join of active node accepted")
 	}
 }
@@ -363,8 +371,8 @@ func TestJoinValidatesSeeds(t *testing.T) {
 
 func TestDepartedNodeIgnored(t *testing.T) {
 	e := mustEngine(t, 10, 8, 2, 4, false, 10)
-	e.Leave(3)
-	e.OnAction = func(ev engine.ActionEvent) {
+	e.RemoveNode(3)
+	e.OnAction = func(ev runtime.ActionEvent) {
 		if ev.Initiator == 3 && ev.Sent {
 			t.Error("departed node initiated an action")
 		}
@@ -471,8 +479,8 @@ func TestDuplicationMarksDependence(t *testing.T) {
 
 func TestName(t *testing.T) {
 	e := mustEngine(t, 10, 8, 2, 0, false, 1)
-	if e.Name() != "send&forget" {
-		t.Errorf("Name = %q", e.Name())
+	if e.Core(0).Name() != "send&forget" {
+		t.Errorf("Name = %q", e.Core(0).Name())
 	}
 	if e.N() != 10 {
 		t.Errorf("N = %d", e.N())
@@ -486,7 +494,7 @@ func TestQuickInvariantsUnderRandomDriving(t *testing.T) {
 	// Property: under arbitrary loss rates and scheduling, outdegrees stay
 	// even and within [dL, s].
 	f := func(seed int64, lossPct uint8) bool {
-		e, err := engine.New(cores(10, 2, false), 20, 4, loss.MustUniform(float64(lossPct%100)/100), rng.New(seed))
+		e, err := newSeq(cores(10, 2, false), 20, 4, float64(lossPct%100)/100, seed)
 		if err != nil {
 			return false
 		}

@@ -4,36 +4,44 @@ import (
 	"strings"
 	"testing"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
 // The generic step contract is checked for all five protocols by
 // internal/protocol's conformance table; the tests here cover the three
 // optimizations and the variant tally.
 
+// newSeq builds an n-node overlay of cores f on the seq engine.
+func newSeq(f protocol.CoreFactory, n, initDeg int, lossRate float64, seed int64) (*runtime.Seq, error) {
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: f, InitDegree: initDeg, Loss: lossRate, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return sub.(*runtime.Seq), nil
+}
+
 // drive runs an n-node system of the variant for the given rounds. initDeg 0
 // selects S&F's midpoint between dL and s, as abl3 does.
-func drive(t *testing.T, o Options, n, initDeg int, lossRate float64, rounds int, seed int64) *engine.Engine {
+func drive(t *testing.T, o Options, n, initDeg int, lossRate float64, rounds int, seed int64) *runtime.Seq {
 	t.Helper()
 	if initDeg == 0 {
 		initDeg = sendforget.DefaultInitDegree(o.S, o.DL, n)
 	}
 	newCore := func() (protocol.StepCore, error) { return NewCore(o) }
-	e, err := engine.New(newCore, n, initDeg, loss.MustUniform(lossRate), rng.New(seed))
+	e, err := newSeq(newCore, n, initDeg, lossRate, seed)
 	if err != nil {
-		t.Fatalf("engine.New(%+v): %v", o, err)
+		t.Fatalf("newSeq(%+v): %v", o, err)
 	}
-	e.Run(rounds)
+	runtime.Run(e, rounds)
 	return e
 }
 
 // variantTally sums the per-node variant counters.
-func variantTally(e *engine.Engine) Counters {
+func variantTally(e *runtime.Seq) Counters {
 	var sum Counters
 	for u := 0; u < e.N(); u++ {
 		c := e.Core(peer.ID(u)).(*Core).Counters()
@@ -63,7 +71,7 @@ func TestValidation(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			newCore := func() (protocol.StepCore, error) { return NewCore(tt.opts) }
-			e, err := engine.New(newCore, tt.n, tt.initDeg, loss.None{}, rng.New(1))
+			e, err := newSeq(newCore, tt.n, tt.initDeg, 0, 1)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -114,7 +122,7 @@ func TestBaselineVariantMatchesSFSemantics(t *testing.T) {
 	if edges < 6 || edges > 16 {
 		t.Errorf("edges per node = %v, want stable mid-range", edges)
 	}
-	if e.Tally().Duplications == 0 {
+	if e.Counters().Duplications == 0 {
 		t.Error("no duplications under loss at baseline settings")
 	}
 	if vc := variantTally(e); vc != (Counters{}) {
@@ -125,7 +133,7 @@ func TestBaselineVariantMatchesSFSemantics(t *testing.T) {
 func TestBatchMovesMoreIDs(t *testing.T) {
 	base := drive(t, Options{S: 16, DL: 6}, 100, 0, 0, 200, 2)
 	batch := drive(t, Options{S: 16, DL: 6, BatchK: 4}, 100, 0, 0, 200, 2)
-	cb, ck := base.Tally(), batch.Tally()
+	cb, ck := base.Counters(), batch.Counters()
 	if cb.Sends == 0 || ck.Sends == 0 {
 		t.Fatal("no sends recorded")
 	}
@@ -142,7 +150,7 @@ func TestBatchMovesMoreIDs(t *testing.T) {
 
 func TestReplaceWhenFullNeverDeletes(t *testing.T) {
 	e := drive(t, Options{S: 8, DL: 2, ReplaceWhenFull: true}, 50, 6, 0, 300, 3)
-	if c := e.Tally(); c.DeletedIDs != 0 {
+	if c := e.Counters(); c.DeletedIDs != 0 {
 		t.Errorf("DeletedIDs = %d with ReplaceWhenFull", c.DeletedIDs)
 	}
 	if variantTally(e).Replaced == 0 {
@@ -158,7 +166,7 @@ func TestUndeleteReducesDuplications(t *testing.T) {
 	und := drive(t, Options{S: 12, DL: 6, Undelete: true}, 150, 6, 0.1, 300, 4)
 	// A floor send is compensated either by keeping the entries
 	// (duplication proper) or from the graveyard.
-	kept := func(e *engine.Engine) int { return e.Tally().Duplications - variantTally(e).Undeletions }
+	kept := func(e *runtime.Seq) int { return e.Counters().Duplications - variantTally(e).Undeletions }
 	if kept(base) == 0 {
 		t.Fatal("baseline never duplicated; test configuration too easy")
 	}

@@ -1,11 +1,13 @@
-// Package runtime is the concurrent implementation of the gossip membership
-// protocols: one goroutine per node, periodic action initiation, and
-// fire-and-forget messaging over a transport — the deployment shape Section
-// 5 describes ("each node periodically invoking its InitiateAction method at
-// the same frequency at all nodes").
+// Package runtime holds the execution substrates of the gossip membership
+// protocols behind one Substrate interface: Seq, the sequential scheduler of
+// the paper's analysis model; Cluster, one goroutine per node with periodic
+// action initiation and fire-and-forget messaging over a transport — the
+// deployment shape Section 5 describes ("each node periodically invoking its
+// InitiateAction method at the same frequency at all nodes"); and
+// ShardedCluster, the synchronous tick engine for 10^5..10^6 nodes.
 //
-// Every protocol decision is made by a protocol.StepCore — the same step
-// cores the sequential simulator schedules; the runtime adds only
+// Every protocol decision is made by a protocol.StepCore, and all three
+// substrates run the same cores; they differ only in scheduling,
 // concurrency, timers, and transport. Proposition 5.2 is what licenses
 // sharing the cores: the serial scheduler and the concurrent fire-and-forget
 // deployment induce the same protocol behavior.
@@ -52,10 +54,9 @@ func (c NodeConfig) validate() error {
 }
 
 // NodeCounters is the protocol-event tally every substrate reports. The
-// type lives in internal/protocol so the sequential engine, which this
-// package imports, can keep the same one; the name here is what callers of
-// Substrate.Counters and Node.Counters (the frozen benchmark among them)
-// use.
+// type lives in internal/protocol, beside the step-core results it tallies;
+// the name here is what callers of Substrate.Counters and Node.Counters (the
+// frozen benchmark among them) use.
 type NodeCounters = protocol.Counters
 
 // Node is a single protocol participant. All state is private and protected

@@ -822,3 +822,43 @@ func TestNewUDPNodeBringUp(t *testing.T) {
 		}
 	}
 }
+
+// TestTinyOverlaysAllProtocols builds every protocol at n = 2 and n = 3 on
+// every engine with the default bootstrap degree. At n = 2 no even degree
+// lies below n, and the error must say that the default is what failed; at
+// n = 3 the default degree 2 works for every protocol but S&F at dL = 6,
+// whose SeedView names the seed count it needs.
+func TestTinyOverlaysAllProtocols(t *testing.T) {
+	for _, p := range allProtocols() {
+		for _, n := range []int{2, 3} {
+			want := ""
+			switch {
+			case n == 2:
+				want = "default init degree has no even value below n=2; set InitDegree"
+			case p.name == "sf":
+				want = "dL=6"
+			}
+			for _, kind := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster, runtime.EngineSharded} {
+				sub, err := runtime.New(runtime.Config{Engine: kind, N: n, NewCore: p.factory, Seed: 1})
+				if want != "" {
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("%s n=%d %s: err %v, want one containing %q", p.name, n, kind, err, want)
+					}
+					if err == nil {
+						sub.Close()
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s n=%d %s: %v", p.name, n, kind, err)
+					continue
+				}
+				runtime.Run(sub, 5)
+				if err := sub.CheckInvariants(); err != nil {
+					t.Errorf("%s n=%d %s: %v", p.name, n, kind, err)
+				}
+				sub.Close()
+			}
+		}
+	}
+}

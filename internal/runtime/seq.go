@@ -1,43 +1,262 @@
 package runtime
 
 import (
-	"sendforget/internal/engine"
+	"fmt"
+
+	"sendforget/internal/driver"
 	"sendforget/internal/faults"
 	"sendforget/internal/graph"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 	"sendforget/internal/view"
 )
 
-// seqSubstrate adapts the sequential discrete-event engine
-// (internal/engine) to the Substrate interface. The engine builds its nodes
-// from the same CoreFactory over the same circulant bootstrap as the
-// cluster backends and adds uniform-random-with-replacement scheduling on
-// top; its Round is TickRound and churn maps to Join/Leave.
-type seqSubstrate struct {
-	eng *engine.Engine
+// Seq is the sequential discrete-event engine realizing the paper's analysis
+// model (Section 5): "a central entity repeatedly selects a random node,
+// invokes its InitiateAction method, and waits for the completion of the
+// receive by the receiving node (in case a message was sent)". Construct
+// with New (EngineSeq).
+//
+// Each Step picks an active node uniformly at random (Proposition 5.2), runs
+// its initiate step, subjects every emitted message — including replies of
+// bidirectional baselines — to the fault layer, and runs the receive steps
+// of delivered messages. A TickRound is n such steps, n the number of active
+// nodes: "the period of time during which each node is expected to initiate
+// exactly one action" (Section 6.5).
+//
+// Fault decisions, delay-queue mechanics, and traffic accounting live in the
+// shared internal/driver router; Seq contributes only its scheduling
+// discipline and the reply-chain walk. Beyond Substrate it exposes what only
+// a per-action scheduler has — Step, StepAt, the OnAction hook, and each
+// node's live core and view — so it satisfies sendforget.Overlay. Not safe
+// for concurrent use.
+type Seq struct {
+	newCore protocol.CoreFactory
+	cores   []protocol.StepCore // nil for departed nodes
+	views   []*view.View        // nil for departed nodes
+	tally   protocol.Counters   // protocol events over all nodes
+	out     protocol.Outbox     // the one message the current step emitted
+
+	cond   *faults.Conditions
+	r      *rng.RNG
+	router *driver.Router
+	active []peer.ID // scheduling pool
+	idx    map[peer.ID]int
+
+	// OnAction, when non-nil, receives a structured event per step —
+	// tracing and fine-grained measurement hook.
+	OnAction func(ev ActionEvent)
 }
 
-// newSeq builds the sequential backend from a Config New has resolved.
-func newSeq(cfg Config) (Substrate, error) {
-	eng, err := engine.NewWithConditions(cfg.NewCore, cfg.N, cfg.InitDegree, cfg.Conditions, rng.New(cfg.Seed))
-	if err != nil {
-		return nil, err
+// ActionEvent describes one protocol step for observers.
+type ActionEvent struct {
+	// Step is the 1-based step index.
+	Step int
+	// Initiator is the node whose action ran.
+	Initiator peer.ID
+	// Sent reports whether the action emitted a message (false = self-loop).
+	Sent bool
+	// To is the first message's destination (valid when Sent).
+	To peer.ID
+	// Lost reports whether any message of the action was dropped by the
+	// loss model; DeadLetters counts messages to departed nodes; Delivered
+	// counts successful deliveries (greater than one for reply chains).
+	Lost        bool
+	DeadLetters int
+	Delivered   int
+}
+
+// newSeq builds the sequential backend from a Config New has resolved: one
+// core per node over the circulant bootstrap overlay. The circulant graph —
+// node u points at u+1, ..., u+d (mod n) — is weakly connected, d-regular in
+// and out, and has sum degree exactly 3d at every node: the initialization
+// Section 6.1 assumes. The gossip process then randomizes it (Lemma 7.5:
+// with no loss the stationary distribution is uniform over all reachable
+// graphs).
+func newSeq(cfg Config) (*Seq, error) {
+	e := &Seq{
+		newCore: cfg.NewCore,
+		cores:   make([]protocol.StepCore, cfg.N),
+		views:   make([]*view.View, cfg.N),
+		cond:    cfg.Conditions,
+		r:       rng.New(cfg.Seed),
+		idx:     make(map[peer.ID]int, cfg.N),
 	}
-	return &seqSubstrate{eng: eng}, nil
+	// The router shares the engine's RNG: protocol draws and fault decisions
+	// interleave on one stream.
+	e.router = driver.NewRouter(e.cond, e.r, func(id peer.ID) bool { _, ok := e.idx[id]; return ok })
+	seeds := make([]peer.ID, cfg.InitDegree)
+	for u := 0; u < cfg.N; u++ {
+		driver.Circulant(peer.ID(u), cfg.N, seeds)
+		if err := e.join(peer.ID(u), seeds); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
 }
 
-func (s *seqSubstrate) TickRound()    { s.eng.Round() }
-func (s *seqSubstrate) DrainDelayed() { s.eng.DrainDelayed() }
-func (s *seqSubstrate) Pending() int  { return s.eng.PendingDelayed() }
+// Conditions returns the fault-injection stack every transmission passes.
+func (e *Seq) Conditions() *faults.Conditions { return e.cond }
 
-// Views copies the engine's views, which it hands out live: a caller that
-// serializes the call against ticking (mgmt.Local) reads the result after
-// the next tick has begun.
-func (s *seqSubstrate) Views() []*view.View {
-	out := s.eng.Views()
-	for u, v := range out {
+// N returns the number of node slots (including departed nodes).
+func (e *Seq) N() int { return len(e.views) }
+
+// View returns node u's live view, nil for a departed node. The caller
+// must treat the view as read-only.
+func (e *Seq) View(u peer.ID) *view.View {
+	if int(u) < 0 || int(u) >= len(e.views) {
+		return nil
+	}
+	return e.views[u]
+}
+
+// Core returns node u's step core, nil for a departed node. Callers reach
+// protocol-specific per-node state through it (the sfopt variant tally, the
+// S&F dependence tags).
+func (e *Seq) Core(u peer.ID) protocol.StepCore {
+	if int(u) < 0 || int(u) >= len(e.cores) {
+		return nil
+	}
+	return e.cores[u]
+}
+
+// Counters returns the protocol events summed over all nodes since
+// construction.
+func (e *Seq) Counters() NodeCounters { return e.tally }
+
+// CheckInvariants verifies the protocol's per-view invariant (Observation
+// 5.1 for S&F) on every active node.
+func (e *Seq) CheckInvariants() error {
+	for u, lv := range e.views {
+		if lv == nil {
+			continue
+		}
+		if err := e.cores[u].CheckView(lv); err != nil {
+			return fmt.Errorf("runtime: node %d: %w", u, err)
+		}
+	}
+	return nil
+}
+
+// Traffic reports the router's ledger.
+func (e *Seq) Traffic() metrics.Traffic { return e.router.Traffic() }
+
+// Step executes one protocol action by a uniformly random active node.
+func (e *Seq) Step() {
+	u := e.active[e.r.Intn(len(e.active))]
+	e.StepAt(u)
+}
+
+// StepAt executes one protocol action initiated by u; the protocol tests
+// drive a chosen node with it. A departed u does not act: the step is a
+// self-loop.
+func (e *Seq) StepAt(u peer.ID) {
+	ev := ActionEvent{Step: e.tally.Ticks + 1, Initiator: u}
+	e.out.Reset()
+	if lv := e.View(u); lv != nil {
+		e.tally.Initiated(e.cores[u].InitiateBatch(lv, u, e.r, &e.out))
+	} else {
+		e.tally.Initiated(0, 0, false)
+	}
+	if to, msg, ok := e.out.Message(); ok {
+		ev.Sent = true
+		ev.To = to
+		e.transmit(to, msg, &ev)
+	}
+	if e.OnAction != nil {
+		e.OnAction(ev)
+	}
+}
+
+// transmit routes msg through the shared driver and delivers it, following
+// reply chains (each reply is again subject to the fault layer, which may
+// drop it, cut it at a partition, or park it in the delay queue until a
+// later round).
+func (e *Seq) transmit(to peer.ID, msg protocol.Message, ev *ActionEvent) {
+	for {
+		switch e.router.Route(to, msg) {
+		case driver.Dropped:
+			ev.Lost = true
+			return
+		case driver.Parked:
+			return
+		case driver.DeadLetter:
+			ev.DeadLetters++
+			return
+		}
+		ev.Delivered++
+		var replied bool
+		if to, msg, replied = e.deliver(to, msg); !replied {
+			return
+		}
+	}
+}
+
+// deliver runs the receive step at u, which the router ruled live, and
+// returns the reply of a bidirectional protocol. msg owns its ids, so the
+// outbox the previous step wrote can be reused for the reply.
+func (e *Seq) deliver(u peer.ID, msg protocol.Message) (peer.ID, protocol.Message, bool) {
+	e.out.Reset()
+	e.tally.Received(e.cores[u].ReceiveBatch(e.views[u], u, protocol.Packet(msg), e.r, &e.out))
+	return e.out.Message()
+}
+
+// TickRound executes one round: the delay queue delivers what came due,
+// then as many steps as there are active nodes run. Rounds are the
+// delay-queue clock; Step/StepAt called outside TickRound never advance it.
+func (e *Seq) TickRound() {
+	e.router.Tick()
+	e.drainDue()
+	for i, n := 0, len(e.active); i < n; i++ {
+		e.Step()
+	}
+}
+
+// Pending returns the number of messages parked in the delay queue.
+func (e *Seq) Pending() int { return e.router.Pending() }
+
+// DrainDelayed advances the delay-queue clock without running any protocol
+// steps until the queue is empty. Replies generated by drained deliveries
+// are subject to the fault layer and may be re-delayed; the loop runs until
+// those settle too.
+func (e *Seq) DrainDelayed() {
+	for e.router.Pending() > 0 {
+		e.router.Tick()
+		e.drainDue()
+	}
+}
+
+// drainDue delivers every delayed message due by the current round, in
+// (due, enqueue) order. Routing is resolved at drain time (a destination
+// that left while the message was in flight is a dead letter), and replies
+// re-enter transmit, so they face the fault layer like any send. OnAction
+// does not fire for these deliveries: they belong to no initiate step.
+func (e *Seq) drainDue() {
+	for {
+		d, ok := e.router.Due()
+		if !ok {
+			return
+		}
+		if !e.router.Deliverable(d.To) {
+			continue
+		}
+		var ev ActionEvent // counters only; not reported
+		if replyTo, reply, replied := e.deliver(d.To, d.Msg); replied {
+			e.transmit(replyTo, reply, &ev)
+		}
+	}
+}
+
+// Snapshot returns the current membership graph.
+func (e *Seq) Snapshot() *graph.Graph { return graph.FromViews(e.views) }
+
+// Views copies every node's view (nil for departed nodes): the live ones
+// are what View returns.
+func (e *Seq) Views() []*view.View {
+	out := make([]*view.View, len(e.views))
+	for u, v := range e.views {
 		if v != nil {
 			out[u] = v.Clone()
 		}
@@ -45,23 +264,56 @@ func (s *seqSubstrate) Views() []*view.View {
 	return out
 }
 
-func (s *seqSubstrate) Snapshot() *graph.Graph         { return s.eng.Snapshot() }
-func (s *seqSubstrate) Traffic() metrics.Traffic       { return s.eng.Traffic() }
-func (s *seqSubstrate) Counters() NodeCounters         { return s.eng.Tally() }
-func (s *seqSubstrate) Conditions() *faults.Conditions { return s.eng.Conditions() }
-func (s *seqSubstrate) CheckInvariants() error         { return s.eng.CheckInvariants() }
-
-// AddNode joins node u; the start flag is ignored (the seq engine is
-// scheduler-driven, not timer-driven).
-func (s *seqSubstrate) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
+// AddNode activates departed node u with a fresh core and an initial view
+// holding the seed ids ("a joining node has to know at least dL ids of live
+// nodes"; in practice the ids are copied from another node's view), and
+// adds it to the scheduling pool. The start flag is ignored: Seq is
+// scheduler-driven, not timer-driven.
+func (e *Seq) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 	_ = start
-	if err := checkSeeds(seeds, s.eng.N()); err != nil {
+	if err := checkSeeds(seeds, len(e.views)); err != nil {
 		return err
 	}
-	return s.eng.Join(u, seeds)
+	return e.join(u, seeds)
 }
 
-func (s *seqSubstrate) RemoveNode(u peer.ID) { s.eng.Leave(u) }
+func (e *Seq) join(u peer.ID, seeds []peer.ID) error {
+	if int(u) < 0 || int(u) >= len(e.views) {
+		return fmt.Errorf("runtime: node id %v outside the %d-node universe", u, len(e.views))
+	}
+	if e.views[u] != nil {
+		return fmt.Errorf("runtime: node %v is already active", u)
+	}
+	core, err := e.newCore()
+	if err != nil {
+		return fmt.Errorf("runtime: core for node %v: %w", u, err)
+	}
+	lv, err := core.SeedView(seeds)
+	if err != nil {
+		return fmt.Errorf("runtime: join of %v: %w", u, err)
+	}
+	e.cores[u], e.views[u] = core, lv
+	e.idx[u] = len(e.active)
+	e.active = append(e.active, u)
+	return nil
+}
 
-// Close is a no-op: the seq engine holds no goroutines or timers.
-func (s *seqSubstrate) Close() {}
+// RemoveNode removes node u from the scheduling pool: per the paper, leaving
+// nodes "simply stop participating in the protocol"; the id remains in
+// other views and decays per Lemma 6.10, and messages to it become dead
+// letters. Removing twice is harmless.
+func (e *Seq) RemoveNode(u peer.ID) {
+	i, ok := e.idx[u]
+	if !ok {
+		return
+	}
+	e.cores[u], e.views[u] = nil, nil
+	last := len(e.active) - 1
+	e.active[i] = e.active[last]
+	e.idx[e.active[i]] = i
+	e.active = e.active[:last]
+	delete(e.idx, u)
+}
+
+// Close is a no-op: Seq holds no goroutines or timers.
+func (e *Seq) Close() {}

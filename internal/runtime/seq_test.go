@@ -1,4 +1,4 @@
-package engine
+package runtime_test
 
 import (
 	"encoding/binary"
@@ -6,59 +6,70 @@ import (
 	"math"
 	"testing"
 
+	"sendforget/internal/faults"
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/pushpull"
-	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/protocol/shuffle"
-	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
-// sfCores builds the S&F cores (s=12, dL=4) the tests bootstrap at degree 6.
-func sfCores() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) }
-
-// newSF builds an n-node S&F engine over lm.
-func newSF(t *testing.T, n int, lm loss.Model, seed int64) *Engine {
+// newSeq builds a seq overlay from cfg.
+func newSeq(t *testing.T, cfg runtime.Config) *runtime.Seq {
 	t.Helper()
-	e, err := New(sfCores, n, 6, lm, rng.New(seed))
+	cfg.Engine = runtime.EngineSeq
+	sub, err := runtime.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return sub.(*runtime.Seq)
 }
 
-func TestNewValidation(t *testing.T) {
-	r := rng.New(1)
-	if _, err := New(nil, 10, 6, loss.None{}, r); err == nil {
-		t.Error("accepted nil core factory")
+// seqSF builds an n-node S&F overlay (s=12, dL=4, degree 6) on the seq
+// engine over the base loss model lm.
+func seqSF(t *testing.T, n int, lm loss.Model, seed int64) *runtime.Seq {
+	t.Helper()
+	cond, err := faults.New(lm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(sfCores, 10, 6, nil, r); err == nil {
-		t.Error("accepted nil loss model")
+	return newSeq(t, runtime.Config{N: n, NewCore: sfFactory(12, 4), InitDegree: 6, Conditions: cond, Seed: seed})
+}
+
+// active counts the nodes with a view.
+func active(e *runtime.Seq) int {
+	k := 0
+	for u := 0; u < e.N(); u++ {
+		if e.View(peer.ID(u)) != nil {
+			k++
+		}
 	}
-	if _, err := New(sfCores, 10, 6, loss.None{}, nil); err == nil {
-		t.Error("accepted nil rng")
+	return k
+}
+
+func TestSeqNewValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  runtime.Config
+	}{
+		{"nil core factory", runtime.Config{N: 10, InitDegree: 6}},
+		{"init degree >= n", runtime.Config{N: 10, NewCore: sfFactory(12, 4), InitDegree: 10}},
+		{"fewer than dL seeds per node", runtime.Config{N: 10, NewCore: sfFactory(12, 4), InitDegree: 2}},
+		{"cores fail validation", runtime.Config{N: 10, NewCore: sfFactory(7, 0)}},
+	} {
+		tc.cfg.Engine = runtime.EngineSeq
+		if _, err := runtime.New(tc.cfg); err == nil {
+			t.Errorf("accepted %s", tc.name)
+		}
 	}
-	if _, err := NewWithConditions(sfCores, 10, 6, nil, r); err == nil {
-		t.Error("accepted nil conditions")
+	e := seqSF(t, 10, loss.None{}, 1)
+	if active(e) != 10 || e.N() != 10 {
+		t.Errorf("active = %d, N = %d, want 10", active(e), e.N())
 	}
-	if _, err := New(sfCores, 10, 10, loss.None{}, r); err == nil {
-		t.Error("accepted init degree >= n")
-	}
-	if _, err := New(sfCores, 10, 2, loss.None{}, r); err == nil {
-		t.Error("accepted fewer than dL seeds per node")
-	}
-	bad := func() (protocol.StepCore, error) { return sendforget.NewCore(7, 0) }
-	if _, err := New(bad, 10, 0, loss.None{}, r); err == nil {
-		t.Error("accepted a factory whose cores fail validation")
-	}
-	e := newSF(t, 10, loss.None{}, 1)
-	if e.ActiveCount() != 10 || e.N() != 10 {
-		t.Errorf("ActiveCount = %d, N = %d, want 10", e.ActiveCount(), e.N())
-	}
-	if e.Name() != "send&forget" {
-		t.Errorf("Name = %q", e.Name())
+	if e.Core(0).Name() != "send&forget" {
+		t.Errorf("Name = %q", e.Core(0).Name())
 	}
 	for u := peer.ID(0); u < 10; u++ {
 		if e.View(u).Outdegree() != 6 || e.Core(u) == nil {
@@ -69,27 +80,24 @@ func TestNewValidation(t *testing.T) {
 		t.Error("out-of-range node has a view or a core")
 	}
 	// Default bootstrap degree: about half the view, even, below n.
-	e, err := New(func() (protocol.StepCore, error) { return sendforget.NewCore(8, 0) }, 4, 0, loss.None{}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e = newSeq(t, runtime.Config{N: 4, NewCore: sfFactory(8, 0)})
 	if d := e.View(0).Outdegree(); d != 2 {
 		t.Errorf("default init degree at n=4 = %d, want 2", d)
 	}
 }
 
-func TestNewRejectsEmptyPool(t *testing.T) {
+func TestSeqRejectsEmptyPool(t *testing.T) {
 	for _, n := range []int{0, 1} {
-		if _, err := New(sfCores, n, 0, loss.None{}, rng.New(1)); err == nil {
+		if _, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: n, NewCore: sfFactory(12, 4)}); err == nil {
 			t.Errorf("accepted a %d-node pool", n)
 		}
 	}
 }
 
-func TestRoundStepAccounting(t *testing.T) {
-	e := newSF(t, 25, loss.None{}, 2)
-	e.Run(4)
-	if ticks := e.Tally().Ticks; ticks != 100 {
+func TestSeqRoundStepAccounting(t *testing.T) {
+	e := seqSF(t, 25, loss.None{}, 2)
+	runtime.Run(e, 4)
+	if ticks := e.Counters().Ticks; ticks != 100 {
 		t.Errorf("Ticks after 4 rounds of 25 = %d, want 100", ticks)
 	}
 	c := e.Traffic()
@@ -101,9 +109,9 @@ func TestRoundStepAccounting(t *testing.T) {
 	}
 }
 
-func TestEmpiricalLossRate(t *testing.T) {
-	e := newSF(t, 50, loss.MustUniform(0.1), 4)
-	e.Run(400)
+func TestSeqEmpiricalLossRate(t *testing.T) {
+	e := seqSF(t, 50, loss.MustUniform(0.1), 4)
+	runtime.Run(e, 400)
 	c := e.Traffic()
 	if c.Sends < 1000 {
 		t.Fatalf("too few sends (%d) for a rate estimate", c.Sends)
@@ -113,16 +121,16 @@ func TestEmpiricalLossRate(t *testing.T) {
 	}
 }
 
-func TestLossRateEmptyCounters(t *testing.T) {
-	e := newSF(t, 10, loss.MustUniform(0.5), 4)
+func TestSeqLossRateEmptyCounters(t *testing.T) {
+	e := seqSF(t, 10, loss.MustUniform(0.5), 4)
 	if c := e.Traffic(); c.LossRate() != 0 {
 		t.Errorf("LossRate before the first step = %v (%+v)", c.LossRate(), c)
 	}
 }
 
-func TestInvariantsAfterLossyRun(t *testing.T) {
-	e := newSF(t, 60, loss.MustUniform(0.05), 5)
-	e.Run(300)
+func TestSeqInvariantsAfterLossyRun(t *testing.T) {
+	e := seqSF(t, 60, loss.MustUniform(0.05), 5)
+	runtime.Run(e, 300)
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,21 +140,21 @@ func TestInvariantsAfterLossyRun(t *testing.T) {
 	}
 }
 
-func TestChurnThroughEngine(t *testing.T) {
-	e := newSF(t, 20, loss.None{}, 6)
-	e.Leave(7)
-	if e.ActiveCount() != 19 || e.View(7) != nil || e.Core(7) != nil {
-		t.Errorf("after leave: ActiveCount = %d (want 19), view %v, core %v", e.ActiveCount(), e.View(7), e.Core(7))
+func TestSeqChurn(t *testing.T) {
+	e := seqSF(t, 20, loss.None{}, 6)
+	e.RemoveNode(7)
+	if active(e) != 19 || e.View(7) != nil || e.Core(7) != nil {
+		t.Errorf("after leave: active = %d (want 19), view %v, core %v", active(e), e.View(7), e.Core(7))
 	}
 	// A departed node is never scheduled, and stepping it directly is a
 	// self-loop.
-	e.OnAction = func(ev ActionEvent) {
+	e.OnAction = func(ev runtime.ActionEvent) {
 		if ev.Initiator == 7 && ev.Sent {
 			t.Fatalf("departed node acted: %+v", ev)
 		}
 	}
 	e.StepAt(7)
-	e.Run(50)
+	runtime.Run(e, 50)
 	e.OnAction = nil
 	// The departed id must decay out of all views (Lemma 6.10 dynamics;
 	// 50 rounds at these parameters is ample for n=20).
@@ -154,34 +162,34 @@ func TestChurnThroughEngine(t *testing.T) {
 	if inst := g.IDInstances(7); inst > 2 {
 		t.Errorf("departed id still has %d instances after 50 rounds", inst)
 	}
-	if err := e.Join(7, []peer.ID{0, 1, 2, 3}); err != nil {
+	if err := e.AddNode(7, []peer.ID{0, 1, 2, 3}, false); err != nil {
 		t.Fatal(err)
 	}
-	if e.ActiveCount() != 20 {
-		t.Errorf("ActiveCount after join = %d, want 20", e.ActiveCount())
+	if active(e) != 20 {
+		t.Errorf("active after join = %d, want 20", active(e))
 	}
-	if err := e.Join(7, []peer.ID{0, 1}); err == nil {
-		t.Error("Join of an active node accepted")
+	if err := e.AddNode(7, []peer.ID{0, 1}, false); err == nil {
+		t.Error("join of an active node accepted")
 	}
-	if err := e.Join(20, []peer.ID{0, 1, 2, 3}); err == nil {
-		t.Error("Join outside the universe accepted")
+	if err := e.AddNode(20, []peer.ID{0, 1, 2, 3}, false); err == nil {
+		t.Error("join outside the universe accepted")
 	}
-	e.Run(20)
+	runtime.Run(e, 20)
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Double leave is harmless.
-	e.Leave(7)
-	e.Leave(7)
-	if e.ActiveCount() != 19 {
-		t.Errorf("ActiveCount after double leave = %d, want 19", e.ActiveCount())
+	e.RemoveNode(7)
+	e.RemoveNode(7)
+	if active(e) != 19 {
+		t.Errorf("active after double leave = %d, want 19", active(e))
 	}
 }
 
-func TestDeadLetters(t *testing.T) {
-	e := newSF(t, 10, loss.None{}, 7)
-	e.Leave(0)
-	e.Run(200)
+func TestSeqDeadLetters(t *testing.T) {
+	e := seqSF(t, 10, loss.None{}, 7)
+	e.RemoveNode(0)
+	runtime.Run(e, 200)
 	if e.Traffic().DeadLetters == 0 {
 		t.Error("no dead letters recorded despite messages to the departed node")
 	}
@@ -193,13 +201,13 @@ func TestDeadLetters(t *testing.T) {
 	}
 }
 
-func TestShuffleReplyChainsThroughLoss(t *testing.T) {
-	e, err := New(func() (protocol.StepCore, error) { return shuffle.NewCore(10) }, 30, 6, loss.MustUniform(0.2), rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSeqShuffleReplyChainsThroughLoss(t *testing.T) {
+	e := newSeq(t, runtime.Config{
+		N: 30, NewCore: func() (protocol.StepCore, error) { return shuffle.NewCore(10) },
+		InitDegree: 6, Loss: 0.2, Seed: 8,
+	})
 	before := e.Snapshot().NumEdges()
-	e.Run(300)
+	runtime.Run(e, 300)
 	after := e.Snapshot().NumEdges()
 	if after >= before {
 		t.Errorf("shuffle under 20%% loss did not lose ids: %d -> %d", before, after)
@@ -210,30 +218,30 @@ func TestShuffleReplyChainsThroughLoss(t *testing.T) {
 	}
 	// Replies mean more sends than steps that emitted a request, and the
 	// protocol tally splits the two.
-	pc := e.Tally()
+	pc := e.Counters()
 	if pc.Replies == 0 || c.Sends != pc.Sends+pc.Replies || pc.Ticks != 300*30 || pc.Receives != c.Deliveries {
 		t.Errorf("transport ledger %+v does not match protocol tally %+v", c, pc)
 	}
 }
 
-func TestPushPullStableUnderLoss(t *testing.T) {
-	e, err := New(func() (protocol.StepCore, error) { return pushpull.NewCore(10) }, 30, 10, loss.MustUniform(0.2), rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSeqPushPullStableUnderLoss(t *testing.T) {
+	e := newSeq(t, runtime.Config{
+		N: 30, NewCore: func() (protocol.StepCore, error) { return pushpull.NewCore(10) },
+		InitDegree: 10, Loss: 0.2, Seed: 9,
+	})
 	before := e.Snapshot().NumEdges()
-	e.Run(300)
+	runtime.Run(e, 300)
 	after := e.Snapshot().NumEdges()
 	if after < before {
 		t.Errorf("push-pull lost ids under loss: %d -> %d", before, after)
 	}
 }
 
-func TestOnActionEvents(t *testing.T) {
-	e := newSF(t, 20, loss.MustUniform(0.3), 20)
-	var events []ActionEvent
-	e.OnAction = func(ev ActionEvent) { events = append(events, ev) }
-	e.Run(30)
+func TestSeqOnActionEvents(t *testing.T) {
+	e := seqSF(t, 20, loss.MustUniform(0.3), 20)
+	var events []runtime.ActionEvent
+	e.OnAction = func(ev runtime.ActionEvent) { events = append(events, ev) }
+	runtime.Run(e, 30)
 	if len(events) != 600 {
 		t.Fatalf("events = %d, want 600", len(events))
 	}
@@ -270,12 +278,12 @@ func TestOnActionEvents(t *testing.T) {
 	}
 }
 
-// TestSeededRunPin holds engine.New to the exact run the deleted plain-loss
-// router path produced: the expected digests and ledgers were recorded by
-// running this body at the commit before the path went, so routing a bare
-// model through faults.New(lm) is shown draw-for-draw equal, for a uniform
-// and for a destination-aware model.
-func TestSeededRunPin(t *testing.T) {
+// TestSeqSeededRunPin holds the seq engine to the exact run the deleted
+// plain-loss router path produced: the expected digests and ledgers were
+// recorded by running this body when that path still existed, so routing a
+// bare model through faults.New(lm) is shown draw-for-draw equal, for a
+// uniform and for a destination-aware model.
+func TestSeqSeededRunPin(t *testing.T) {
 	perDest, err := loss.NewPerDest(0.02, map[peer.ID]float64{3: 0.5, 17: 0.25})
 	if err != nil {
 		t.Fatal(err)
@@ -288,8 +296,8 @@ func TestSeededRunPin(t *testing.T) {
 		{loss.MustUniform(0.05), 0xba8c2583aca4976c, metrics.Traffic{Sends: 579, Losses: 23, Deliveries: 556}},
 		{perDest, 0x86c1c3222fffc415, metrics.Traffic{Sends: 545, Losses: 23, Deliveries: 522}},
 	} {
-		e := newSF(t, 40, tc.lm, 14)
-		e.Run(50)
+		e := seqSF(t, 40, tc.lm, 14)
+		runtime.Run(e, 50)
 		h := fnv.New64a()
 		var b [8]byte
 		for _, v := range e.Views() {

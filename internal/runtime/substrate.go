@@ -14,7 +14,7 @@ import (
 )
 
 // Substrate is the single execution-backend interface: the sequential
-// discrete-event engine, the goroutine-per-node cluster, and the sharded
+// discrete-event engine (Seq), the goroutine-per-node cluster, and the sharded
 // synchronous tick engine all satisfy it, so equivalence harnesses,
 // benchmarks, and commands program against the interface and differ only in
 // construction (runtime.New). All three backends drive the same per-node
@@ -70,8 +70,15 @@ type Substrate interface {
 var (
 	_ Substrate = (*Cluster)(nil)
 	_ Substrate = (*ShardedCluster)(nil)
-	_ Substrate = (*seqSubstrate)(nil)
+	_ Substrate = (*Seq)(nil)
 )
+
+// Run drives sub for the given number of rounds.
+func Run(sub Substrate, rounds int) {
+	for i := 0; i < rounds; i++ {
+		sub.TickRound()
+	}
+}
 
 // checkSeeds is the join check every backend's AddNode starts with: each
 // seed id must name a slot of the n-node universe. One that does not would

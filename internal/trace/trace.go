@@ -1,5 +1,5 @@
 // Package trace records simulation runs as JSON Lines for offline
-// debugging and analysis. A Recorder attaches to the engine's OnAction hook
+// debugging and analysis. A Recorder attaches to runtime.Seq's OnAction hook
 // and appends one compact record per protocol action; Load reads a trace
 // back for assertions or replay tooling.
 package trace
@@ -11,7 +11,7 @@ import (
 	"io"
 	"sync"
 
-	"sendforget/internal/engine"
+	"sendforget/internal/runtime"
 )
 
 // Record is one traced protocol action.
@@ -25,8 +25,8 @@ type Record struct {
 	Delivered   int   `json:"delivered,omitempty"`
 }
 
-// fromEvent converts an engine event.
-func fromEvent(ev engine.ActionEvent) Record {
+// fromEvent converts a scheduler event.
+func fromEvent(ev runtime.ActionEvent) Record {
 	return Record{
 		Step:        ev.Step,
 		Initiator:   int32(ev.Initiator),
@@ -39,7 +39,7 @@ func fromEvent(ev engine.ActionEvent) Record {
 }
 
 // Recorder streams action records to a writer as JSON Lines. Safe for use
-// from a single engine; Flush/Close from the owning goroutine.
+// from a single scheduler; Flush/Close from the owning goroutine.
 type Recorder struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -54,11 +54,11 @@ func NewRecorder(w io.Writer) *Recorder {
 	return &Recorder{w: bw, enc: json.NewEncoder(bw)}
 }
 
-// Attach registers the recorder on the engine's OnAction hook, chaining any
+// Attach registers the recorder on the scheduler's OnAction hook, chaining any
 // previously installed hook.
-func (rec *Recorder) Attach(e *engine.Engine) {
+func (rec *Recorder) Attach(e *runtime.Seq) {
 	prev := e.OnAction
-	e.OnAction = func(ev engine.ActionEvent) {
+	e.OnAction = func(ev runtime.ActionEvent) {
 		if prev != nil {
 			prev(ev)
 		}
@@ -67,7 +67,7 @@ func (rec *Recorder) Attach(e *engine.Engine) {
 }
 
 // Observe appends one event.
-func (rec *Recorder) Observe(ev engine.ActionEvent) {
+func (rec *Recorder) Observe(ev runtime.ActionEvent) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if rec.err != nil {

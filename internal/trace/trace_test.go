@@ -5,24 +5,35 @@ import (
 	"strings"
 	"testing"
 
-	"sendforget/internal/engine"
-	"sendforget/internal/loss"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
-	"sendforget/internal/rng"
+	"sendforget/internal/runtime"
 )
 
-func sfCores() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) }
-
-func TestRecorderRoundtrip(t *testing.T) {
-	e, err := engine.New(sfCores, 30, 8, loss.MustUniform(0.2), rng.New(1))
+// newSeq builds an n-node S&F overlay (s=12, dL=4, degree 8) on the seq
+// engine, the one substrate with a per-action hook.
+func newSeq(t *testing.T, n int, lossRate float64, seed int64) *runtime.Seq {
+	t.Helper()
+	sub, err := runtime.New(runtime.Config{
+		Engine:     runtime.EngineSeq,
+		N:          n,
+		NewCore:    func() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) },
+		InitDegree: 8,
+		Loss:       lossRate,
+		Seed:       seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sub.(*runtime.Seq)
+}
+
+func TestRecorderRoundtrip(t *testing.T) {
+	e := newSeq(t, 30, 0.2, 1)
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	rec.Attach(e)
-	e.Run(20)
+	runtime.Run(e, 20)
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +49,7 @@ func TestRecorderRoundtrip(t *testing.T) {
 	}
 	s := Summarize(records)
 	c := e.Traffic()
-	if s.Steps != e.Tally().Ticks || s.Sends != c.Sends || s.Losses != c.Losses || s.Delivered != c.Deliveries {
+	if s.Steps != e.Counters().Ticks || s.Sends != c.Sends || s.Losses != c.Losses || s.Delivered != c.Deliveries {
 		t.Errorf("summary %+v does not match counters %+v", s, c)
 	}
 	if s.SelfLoops == 0 || s.Losses == 0 {
@@ -53,16 +64,13 @@ func TestRecorderRoundtrip(t *testing.T) {
 }
 
 func TestAttachChainsHooks(t *testing.T) {
-	e, err := engine.New(sfCores, 10, 8, loss.None{}, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newSeq(t, 10, 0, 2)
 	prevCalls := 0
-	e.OnAction = func(engine.ActionEvent) { prevCalls++ }
+	e.OnAction = func(runtime.ActionEvent) { prevCalls++ }
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	rec.Attach(e)
-	e.Run(3)
+	runtime.Run(e, 3)
 	if prevCalls != 30 {
 		t.Errorf("previous hook called %d times, want 30", prevCalls)
 	}
@@ -84,7 +92,7 @@ func TestLoadErrors(t *testing.T) {
 func TestRecorderWriteError(t *testing.T) {
 	rec := NewRecorder(failWriter{})
 	for i := 0; i < 10000; i++ {
-		rec.Observe(engine.ActionEvent{Step: i + 1})
+		rec.Observe(runtime.ActionEvent{Step: i + 1})
 	}
 	if err := rec.Flush(); err == nil {
 		t.Error("write error not surfaced")
