@@ -164,6 +164,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	if err := rejectUnusedDL(fs, c.proto); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	log := slog.New(slog.NewTextHandler(stdout, nil))
 	// A production node wants unpredictable partner choices per process;
 	// a fixed -seed reproduces a run exactly (pair it with -period for a
@@ -212,7 +216,7 @@ func serve(ctx context.Context, d *daemon, c config, log *slog.Logger, stderr io
 		}
 		if err := srv.Start(); err != nil {
 			fmt.Fprintln(stderr, err)
-			return 1
+			return 2
 		}
 		defer stopMgmt(srv, log)
 		shutdownReq = srv.ShutdownRequested()
@@ -341,6 +345,18 @@ func rejectLocalOnlyFlags(fs *flag.FlagSet) error {
 		return fmt.Errorf("sfnode: %s only apply to -local mode (a UDP node's loss and engine come from the real network)", strings.Join(bad, ", "))
 	}
 	return nil
+}
+
+// rejectUnusedDL errors when -dl was set explicitly for a protocol without a
+// duplication threshold, which would run, log and report a value it ignores.
+func rejectUnusedDL(fs *flag.FlagSet, proto string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "dl" && (proto == "shuffle" || proto == "flipper" || proto == "pushpull") {
+			err = fmt.Errorf("sfnode: -dl %s: %s has no duplication threshold (-dl applies to sf and sfopt only)", f.Value, proto)
+		}
+	})
+	return err
 }
 
 // nodeID converts a flag's integer to a node id. The range is checked on the

@@ -9,7 +9,9 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -217,6 +219,57 @@ func TestRunRejectsUnusableFlagValues(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%s: the daemon came up before the flags were refused: %s", tc.name, stdout.String())
+		}
+	}
+}
+
+// TestRunFlagMatrix: every bring-up failure is a usage error, exit 2 — a view
+// size or threshold the protocol refuses, or a -dl it would ignore, in both
+// modes; a -listen or -advertise that does not parse; a -mgmt address already
+// taken, in both modes. A refused -dl is one stderr line naming the flag.
+func TestRunFlagMatrix(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	udp := []string{"-listen", "127.0.0.1:0", "-seeds", "1,2", "-peers", "1=127.0.0.1:19993", "-duration", "50ms"}
+	local := []string{"-local", "10", "-duration", "50ms"}
+	type tc struct {
+		args      []string
+		dlIgnored bool // the protocol has no -dl: one line naming it
+	}
+	cases := []tc{
+		{args: append(slices.Clone(udp), "-listen", "nohost")},
+		{args: append(slices.Clone(udp), "-listen", "127.0.0.1:99999")},
+		{args: append(slices.Clone(udp), "-advertise", "bad")},
+		{args: append(slices.Clone(udp), "-advertise", "10.0.0.1:abc")},
+	}
+	for _, mode := range [][]string{udp, local} {
+		for _, c := range []tc{
+			{args: []string{"-s", "7"}},
+			{args: []string{"-dl", "3"}},
+			{args: []string{"-protocol", "sfopt", "-s", "8", "-dl", "4"}},
+			{args: []string{"-protocol", "shuffle", "-s", "1"}},
+			{args: []string{"-protocol", "flipper", "-s", "1"}},
+			{args: []string{"-protocol", "pushpull", "-s", "0"}},
+			{args: []string{"-protocol", "shuffle", "-dl", "2"}, dlIgnored: true},
+			{args: []string{"-protocol", "flipper", "-dl", "4"}, dlIgnored: true},
+			{args: []string{"-protocol", "pushpull", "-dl", "0"}, dlIgnored: true},
+			{args: []string{"-mgmt", taken.Addr().String()}},
+		} {
+			cases = append(cases, tc{append(slices.Clone(mode), c.args...), c.dlIgnored})
+		}
+	}
+	for _, c := range cases {
+		var stderr bytes.Buffer
+		code := run(context.Background(), c.args, io.Discard, &stderr)
+		msg := stderr.String()
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", c.args, code, msg)
+		}
+		if c.dlIgnored && (strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-dl ")) {
+			t.Errorf("%v: stderr %q, want one line naming -dl", c.args, msg)
 		}
 	}
 }

@@ -6,8 +6,8 @@
 //
 // The paper derives the membership properties M1-M5 under a precisely
 // controlled randomness model; the model<->simulation cross-validation in
-// internal/equivalence and internal/experiments is only evidence if the
-// simulator honors that model bit-for-bit. These invariants were previously
+// the runtime's differential tests and internal/experiments is only evidence
+// if the simulator honors that model bit-for-bit. These invariants were previously
 // enforced by code review and PR-description convention (PR 2 established
 // the lock discipline, PR 3 the seed-derivation rule); this suite promotes
 // them to compiler-grade checks run by cmd/sfvet in CI.

@@ -55,7 +55,7 @@ import (
 // Violations found and fixed when the site rules landed: the per-point
 // engine seeds in internal/experiments (ablations2, baselines, churnexp,
 // fig6, randomwalk, sec65, sec7 — all p.Seed+int64(i) shapes) and the
-// paired-substrate seed split in internal/equivalence (cfg.Seed+1).
+// paired-substrate seed split of the old cross-substrate harness (cfg.Seed+1).
 var Seedtaint = &framework.Analyzer{
 	Name: "seedtaint",
 	Doc:  "RNG seeds come from rng.DeriveSeed: no arithmetic on a seed, and no arithmetic-derived seed reaching rng.New through any chain of calls or assignments",

@@ -60,8 +60,6 @@ func tickUntil(backend *Local) (stop func()) {
 // holds every scrape to the identities that tie its series together. They
 // only hold if all series were read at the same instant: a handler that reads
 // the ledgers in separate lock holds mixes counters from different rounds.
-// No churn here: the cluster engine's Counters sums live nodes only, so a
-// leave legitimately breaks the first identity.
 func TestLiveScrapeIsOneSnapshot(t *testing.T) {
 	for _, tc := range []struct {
 		name string

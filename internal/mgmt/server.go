@@ -296,7 +296,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p := metrics.NewPromWriter(w)
 	st.Traffic.WriteProm(p, "sendforget")
 	c := st.Counters
-	p.Counter("sendforget_node_ticks_total", "Initiated protocol actions across live nodes.", c.Ticks)
+	p.Counter("sendforget_node_ticks_total", "Initiated protocol actions across all nodes, departed ones included.", c.Ticks)
 	p.Counter("sendforget_node_sends_total", "Messages emitted by initiate steps.", c.Sends)
 	p.Counter("sendforget_node_receives_total", "Messages handled by receive steps.", c.Receives)
 	p.Counter("sendforget_node_replies_total", "Replies emitted by request/reply protocols.", c.Replies)

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,6 +37,11 @@ type Cluster struct {
 	mu     sync.RWMutex
 	nodes  []*Node
 	roster *driver.Roster // per-node incarnations and seed derivation
+	// A leaving node's counters stay in Counters: it sits in leaving from the
+	// hold that clears its slot until, stopped, its final counters are folded
+	// into departed.
+	leaving  []*Node
+	departed NodeCounters
 
 	drainStop chan struct{}
 	drainWG   sync.WaitGroup
@@ -196,14 +202,17 @@ func (c *Cluster) Snapshot() *graph.Graph {
 	return graph.FromViews(c.Views())
 }
 
-// Counters sums the per-node counters over all live nodes.
+// Counters sums the per-node counters over every node that ever ran, the
+// departed included, so no counter goes back when a node leaves.
 func (c *Cluster) Counters() NodeCounters {
-	var sum NodeCounters
-	for _, n := range c.nodesSnapshot() {
-		if n == nil {
-			continue
+	c.mu.RLock()
+	sum := c.departed
+	nodes := append(slices.Clone(c.nodes), c.leaving...)
+	c.mu.RUnlock()
+	for _, n := range nodes {
+		if n != nil {
+			sum.Add(n.Counters())
 		}
-		sum.Add(n.Counters())
 	}
 	return sum
 }
@@ -237,11 +246,18 @@ func (c *Cluster) RemoveNode(u peer.ID) {
 	}
 	node := c.nodes[u]
 	c.nodes[u] = nil
+	c.leaving = append(c.leaving, node)
 	c.mu.Unlock()
-	// Unregister and stop outside the cluster lock: Stop waits for an
-	// in-flight Tick, which may be blocked in a receive handler.
+	// Unregister, stop and read the final counters outside the cluster lock:
+	// Stop waits for an in-flight Tick, which may be blocked in a receive
+	// handler, and Counters takes the node's own lock.
 	c.net.Register(u, nil)
 	node.Stop()
+	final := node.Counters()
+	c.mu.Lock()
+	c.departed.Add(final)
+	c.leaving = slices.DeleteFunc(c.leaving, func(n *Node) bool { return n == node })
+	c.mu.Unlock()
 }
 
 // AddNode (re)activates node u with the given seed ids (at least

@@ -337,64 +337,6 @@ func TestNodesOverUDP(t *testing.T) {
 	}
 }
 
-func TestClusterRemoveAddNode(t *testing.T) {
-	c, err := newCluster(runtime.Config{N: 30, NewCore: sfFactory(12, 4), Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RemoveNode(5)
-	c.RemoveNode(5)  // idempotent
-	c.RemoveNode(99) // out of range: no-op
-	if c.Nodes()[5] != nil {
-		t.Fatal("node 5 still present after RemoveNode")
-	}
-	for round := 0; round < 300; round++ {
-		c.TickRound()
-	}
-	// The departed id decays from live views.
-	instances := 0
-	for u, v := range c.Views() {
-		if u == 5 || v == nil {
-			continue
-		}
-		instances += v.Multiplicity(5)
-	}
-	if instances > 2 {
-		t.Errorf("departed id retains %d instances", instances)
-	}
-	// Rejoin with live seeds.
-	if err := c.AddNode(5, []peer.ID{0, 1, 2, 3}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddNode(5, []peer.ID{0, 1}, false); err == nil {
-		t.Error("double AddNode accepted")
-	}
-	if err := c.AddNode(99, []peer.ID{0, 1}, false); err == nil {
-		t.Error("out-of-range AddNode accepted")
-	}
-	for round := 0; round < 100; round++ {
-		c.TickRound()
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The rejoined node reintegrates: others hold its id again.
-	instances = 0
-	for u, v := range c.Views() {
-		if u == 5 || v == nil {
-			continue
-		}
-		instances += v.Multiplicity(5)
-	}
-	if instances == 0 {
-		t.Error("rejoined node acquired no in-neighbors")
-	}
-	g := c.Snapshot()
-	if !g.WeaklyConnected() {
-		t.Errorf("cluster disconnected after churn: %d components", g.ComponentCount())
-	}
-}
-
 func TestClusterAddNodeStarted(t *testing.T) {
 	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Period: time.Millisecond, Seed: 32})
 	if err != nil {
@@ -475,100 +417,118 @@ func TestClusterChurnUnderLoss(t *testing.T) {
 	}
 }
 
-// TestClusterChurnWhileSnapshotting is the churn race workout: snapshot,
-// tick, counter, and invariant readers run full-tilt while nodes are removed
-// and re-added. Run under -race; before the cluster's node slice was guarded
-// by a lock, this was a data race (RemoveNode/AddNode wrote c.nodes[u] while
-// Views/TickRound/Counters/CheckInvariants iterated it).
-func TestClusterChurnWhileSnapshotting(t *testing.T) {
-	const n = 24
-	c, err := newCluster(runtime.Config{N: n, NewCore: sfFactory(12, 4), Loss: 0.05, Seed: 77})
+// churnWhileTicking is the churn race workout on the two engines that serve
+// concurrent callers: ticks, churn, and every reader race from several
+// goroutines (the race detector checks the serialization; the invariants check
+// the protocol state). On the cluster the node slice used to be unguarded:
+// RemoveNode/AddNode wrote c.nodes[u] while Views/TickRound/Counters/
+// CheckInvariants iterated it. On the sharded engine the churned ids sit on
+// both sides of every word boundary of the liveness bitset, whose words four
+// 16-node shards share: its writers (RemoveNode, AddNode) run against a
+// ticking pool that reads it in the initiate and deliver phases and — with the
+// jittered delay — in the drain.
+func churnWhileTicking(t *testing.T, kind runtime.EngineKind) {
+	cond, err := faults.FromRate(0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := cond.SetDelay(faults.Delay{Jitter: 2}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := runtime.New(runtime.Config{Engine: kind, N: 200, NewCore: sfFactory(12, 4), Conditions: cond, Seed: 9, ShardSize: 16, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	readers := []func(){
-		func() { c.TickRound() },
-		func() { c.Views() },
-		func() { c.Counters() },
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		runtime.Run(sub, 60)
+	}()
+	go func() {
+		defer writers.Done()
+		churned := []peer.ID{0, 63, 64, 127, 128, 199, 10, 11}
+		for i := 0; i < 40; i++ {
+			u := churned[i%len(churned)]
+			sub.RemoveNode(u)
+			if err := sub.AddNode(u, []peer.ID{1, 2, 3, 4}, false); err != nil {
+				t.Errorf("%s: rejoin %v: %v", kind, u, err)
+				return
+			}
+		}
+	}()
+	for _, read := range []func(){
+		func() { sub.Views() }, func() { sub.Snapshot() }, func() { sub.Counters() },
+		func() { sub.Traffic() }, func() { sub.Pending() },
 		func() {
-			if err := c.CheckInvariants(); err != nil {
-				t.Error(err)
+			if err := sub.CheckInvariants(); err != nil {
+				t.Errorf("%s: %v", kind, err)
 			}
 		},
-		func() { c.Snapshot() },
-		func() { c.Traffic() },
-	}
-	for _, fn := range readers {
-		fn := fn
-		wg.Add(1)
+	} {
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					fn()
+					read()
 				}
 			}
 		}()
 	}
-	// Churner: repeatedly remove and re-add nodes 0..7 while readers run.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 60; i++ {
-			u := peer.ID(i % 8)
-			c.RemoveNode(u)
-			if err := c.AddNode(u, []peer.ID{peer.ID(8 + i%4), peer.ID(12 + i%4), 16, 17}, false); err != nil {
-				t.Errorf("re-add %v: %v", u, err)
-				return
-			}
-		}
-	}()
-	time.Sleep(100 * time.Millisecond)
+	writers.Wait()
 	close(stop)
-	wg.Wait()
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	readers.Wait()
+	for u, v := range sub.Views() {
+		if v == nil {
+			t.Errorf("%s: node %d is away after every leaver rejoined", kind, u)
+		}
 	}
-	if c.Counters().Ticks == 0 {
-		t.Error("no ticks happened during the churn workout")
+	sub.DrainDelayed()
+	// Churn dead-letters in-flight messages but never loses track of them.
+	if tr := sub.Traffic(); !tr.Conserved() || sub.Counters().Ticks == 0 {
+		t.Errorf("%s: ledger %+v, counters %+v after the drain", kind, tr, sub.Counters())
 	}
+	sub.Close()
 }
 
-// TestClusterRejoinSeedStreams pins the splitmix seed derivation: a
-// rejoining node must not reuse any node's initial RNG stream (the old
-// additive Seed+u+7919 scheme collided with the initial seed of node
-// u+7918), so two successive incarnations behave differently.
-func TestClusterRejoinSeedStreams(t *testing.T) {
-	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Seed: 3})
+func TestClusterChurnWhileSnapshotting(t *testing.T) { churnWhileTicking(t, runtime.EngineCluster) }
+func TestShardedChurnWhileTicking(t *testing.T)      { churnWhileTicking(t, runtime.EngineSharded) }
+
+// rejoinSeedStreams pins the splitmix seed derivation on the two engines that
+// give each node a stream of its own: a rejoining node must not reuse any
+// node's RNG stream (the old additive Seed+u+7919 scheme collided with the
+// initial seed of node u+7918), so two successive incarnations must behave
+// differently. Every message is lost, so node 7's view moves by its own draws
+// alone.
+func rejoinSeedStreams(t *testing.T, kind runtime.EngineKind) {
+	sub, err := runtime.New(runtime.Config{Engine: kind, N: 10, NewCore: sfFactory(8, 2), Loss: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := []peer.ID{0, 1, 2, 3}
-	var ticks [2][]peer.ID
-	for inc := 0; inc < 2; inc++ {
-		c.RemoveNode(7)
-		if err := c.AddNode(7, seeds, false); err != nil {
+	var trajectories [2]string
+	for inc := range trajectories {
+		sub.RemoveNode(7)
+		if err := sub.AddNode(7, []peer.ID{0, 1, 2, 3}, false); err != nil {
 			t.Fatal(err)
 		}
-		// Drive the rejoined node alone and record its view trajectory:
-		// distinct incarnations must draw distinct RNG streams.
-		node := c.Nodes()[7]
 		for i := 0; i < 12; i++ {
-			node.Tick()
+			sub.TickRound()
+			trajectories[inc] += fmt.Sprint(sub.Views()[7].IDs())
 		}
-		v := node.ViewSnapshot()
-		ticks[inc] = v.IDs()
 	}
-	a, b := fmt.Sprint(ticks[0]), fmt.Sprint(ticks[1])
-	if a == b {
-		t.Errorf("two incarnations of node 7 produced identical view trajectories %s — seed streams collide", a)
+	if trajectories[0] == trajectories[1] {
+		t.Errorf("%s: two incarnations of node 7 produced identical view trajectories %s — seed streams collide", kind, trajectories[0])
 	}
+	sub.Close()
 }
+
+func TestClusterRejoinSeedStreams(t *testing.T) { rejoinSeedStreams(t, runtime.EngineCluster) }
+func TestShardedRejoinSeedStreams(t *testing.T) { rejoinSeedStreams(t, runtime.EngineSharded) }
 
 // TestClusterPartitionHeal drives the fault layer through the cluster: a
 // two-way partition must cut cross-group gossip (counted, not silently
@@ -620,44 +580,6 @@ func TestClusterPartitionHeal(t *testing.T) {
 	}
 	if tr.Sends != tr.Losses+tr.Deliveries+tr.DeadLetters {
 		t.Errorf("traffic identity violated: %+v", tr)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClusterDelayedDelivery checks the delay queue path end to end in
-// manual-tick mode: with a fixed 2-round delay, messages sit in the queue
-// until TickRound advances the network clock past their due round.
-func TestClusterDelayedDelivery(t *testing.T) {
-	cond := faults.Lossless()
-	if err := cond.SetDelay(faults.Delay{Fixed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Conditions: cond, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.TickRound()
-	tr := c.Traffic()
-	if tr.Deliveries != 0 || tr.Delayed != tr.Sends || tr.Sends == 0 {
-		t.Fatalf("after one round, traffic = %+v: want all sends delayed, none delivered", tr)
-	}
-	if c.Network().Pending() != tr.Sends {
-		t.Fatalf("pending %d != delayed sends %d", c.Network().Pending(), tr.Sends)
-	}
-	for round := 0; round < 60; round++ {
-		c.TickRound()
-	}
-	for c.Network().Pending() > 0 {
-		c.Network().Advance()
-	}
-	tr = c.Traffic()
-	if tr.Sends != tr.Deliveries+tr.DeadLetters+tr.Losses {
-		t.Errorf("traffic identity violated after drain: %+v", tr)
-	}
-	if tr.Deliveries == 0 {
-		t.Error("no delayed deliveries happened")
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

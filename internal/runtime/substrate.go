@@ -43,8 +43,9 @@ type Substrate interface {
 	// (see metrics.Traffic for the unified counting semantics).
 	Traffic() metrics.Traffic
 	// Counters sums the per-node protocol counters (ticks, sends,
-	// receives, replies, duplications, self-loops, deleted ids) over all
-	// live nodes — the node-level ledger the management API's /metrics
+	// receives, replies, duplications, self-loops, deleted ids) over every
+	// node since construction, departed nodes included, so no counter ever
+	// decreases — the node-level ledger the management API's /metrics
 	// endpoint exports next to Traffic.
 	Counters() NodeCounters
 	// Conditions returns the fault-injection stack for mid-run
