@@ -4,91 +4,152 @@
 //
 // The package provides the structural queries the analysis needs — in- and
 // outdegrees, sum degrees, weak connectivity, self-edge and parallel-edge
-// counts, and degree histograms — over either a live snapshot of protocol
-// views or a standalone edge multiset built by tests.
+// counts, and degree histograms — over a snapshot of protocol views (as
+// views, or as the flat slot array the sharded engine keeps them in) or a
+// standalone edge multiset built by tests.
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sendforget/internal/peer"
 	"sendforget/internal/view"
 )
 
-// Graph is an immutable snapshot of a membership graph over nodes 0..n-1.
+// Graph is an immutable snapshot of a membership graph over nodes 0..n-1. The
+// out-lists lie back to back in one edge array, node u's at
+// edges[off[u]:off[u+1]] (compressed sparse rows), so a snapshot is four
+// allocations at any n instead of one per node.
 type Graph struct {
-	n   int
-	out [][]peer.ID // out[u] = multiset of out-neighbors, in slot order
-	in  []int       // in[u]  = indegree din(u)
+	n     int
+	off   []int     // len n+1; off[0] = 0
+	edges []peer.ID // every out-list in node order, each in slot order
+	in    []int     // in[u] = indegree din(u)
+}
+
+// newGraph returns a graph over n nodes with room for m edges, whose
+// out-lists the caller appends to g.edges node by node, ending each with
+// endList.
+func newGraph(n, m int) *Graph {
+	return &Graph{n: n, off: make([]int, n+1), edges: make([]peer.ID, 0, m), in: make([]int, n)}
+}
+
+// endList ends node u's out-list — what was appended since node u-1's ended —
+// and counts the in-degrees of its ids that lie in the universe.
+func (g *Graph) endList(u int) {
+	for _, w := range g.edges[g.off[u]:] {
+		if int(w) >= 0 && int(w) < g.n {
+			g.in[w]++
+		}
+	}
+	g.off[u+1] = len(g.edges)
 }
 
 // FromViews snapshots the membership graph induced by views; views[u] is
 // node u's local view (nil views denote departed nodes with no out-edges).
+// It counts the edges, then copies them.
 func FromViews(views []*view.View) *Graph {
-	g := &Graph{
-		n:   len(views),
-		out: make([][]peer.ID, len(views)),
-		in:  make([]int, len(views)),
+	m := 0
+	for _, v := range views {
+		if v != nil {
+			m += v.Outdegree()
+		}
 	}
+	g := newGraph(len(views), m)
 	for u, v := range views {
-		if v == nil {
-			continue
+		if v != nil {
+			g.edges = v.AppendIDs(g.edges)
 		}
-		g.out[u] = v.IDs()
-		for _, w := range g.out[u] {
-			if int(w) >= 0 && int(w) < g.n {
-				g.in[w]++
-			}
-		}
+		g.endList(u)
 	}
 	return g
 }
 
-// FromEdges builds a graph over n nodes from an explicit edge multiset.
-// It panics if an endpoint is out of range.
-func FromEdges(n int, edges [][2]peer.ID) *Graph {
-	g := &Graph{n: n, out: make([][]peer.ID, n), in: make([]int, n)}
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		if int(u) < 0 || int(u) >= n || int(v) < 0 || int(v) >= n {
-			panic(fmt.Sprintf("graph: edge (%v,%v) out of range n=%d", u, v, n))
+// FromSlots snapshots the membership graph of views of s slots each laid end
+// to end in slots — node u's is slots[u*s:(u+1)*s], peer.Nil marking an empty
+// entry — of which those of nodes for which live is false are departed and
+// have no out-edges. Like FromViews it counts the edges, then copies them, and
+// allocates nothing but the graph.
+func FromSlots(slots []peer.ID, s int, live func(peer.ID) bool) *Graph {
+	n := len(slots) / s
+	window := func(u int) []peer.ID {
+		if !live(peer.ID(u)) {
+			return nil
 		}
-		g.out[u] = append(g.out[u], v)
-		g.in[v]++
+		return slots[u*s : (u+1)*s]
+	}
+	m := 0
+	for u := 0; u < n; u++ {
+		for _, id := range window(u) {
+			if id != peer.Nil {
+				m++
+			}
+		}
+	}
+	g := newGraph(n, m)
+	for u := 0; u < n; u++ {
+		for _, id := range window(u) {
+			if id != peer.Nil {
+				g.edges = append(g.edges, id)
+			}
+		}
+		g.endList(u)
 	}
 	return g
 }
+
+// FromEdges builds a graph over n nodes from an explicit edge multiset; each
+// node's out-list keeps the order its edges have in edges. It panics if an
+// endpoint is out of range.
+func FromEdges(n int, edges [][2]peer.ID) *Graph {
+	for _, e := range edges {
+		if u, v := e[0], e[1]; int(u) < 0 || int(u) >= n || int(v) < 0 || int(v) >= n {
+			panic(fmt.Sprintf("graph: edge (%v,%v) out of range n=%d", u, v, n))
+		}
+	}
+	bySource := slices.Clone(edges)
+	slices.SortStableFunc(bySource, func(a, b [2]peer.ID) int { return cmp.Compare(a[0], b[0]) })
+	g := newGraph(n, len(edges))
+	for u := 0; u < n; u++ {
+		for len(bySource) > 0 && int(bySource[0][0]) == u {
+			g.edges = append(g.edges, bySource[0][1])
+			bySource = bySource[1:]
+		}
+		g.endList(u)
+	}
+	return g
+}
+
+// out returns u's out-list, capacity-clipped so that no append through it
+// reaches the next node's.
+func (g *Graph) out(u int) []peer.ID { return g.edges[g.off[u]:g.off[u+1]:g.off[u+1]] }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
 // NumEdges returns the total number of edges (with multiplicity).
-func (g *Graph) NumEdges() int {
-	m := 0
-	for _, adj := range g.out {
-		m += len(adj)
-	}
-	return m
-}
+func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Outdegree returns d(u).
-func (g *Graph) Outdegree(u peer.ID) int { return len(g.out[u]) }
+func (g *Graph) Outdegree(u peer.ID) int { return g.off[u+1] - g.off[u] }
 
 // Indegree returns din(u).
 func (g *Graph) Indegree(u peer.ID) int { return g.in[u] }
 
 // SumDegree returns ds(u) = d(u) + 2*din(u) (Definition 6.1).
-func (g *Graph) SumDegree(u peer.ID) int { return len(g.out[u]) + 2*g.in[u] }
+func (g *Graph) SumDegree(u peer.ID) int { return g.Outdegree(u) + 2*g.in[u] }
 
 // OutNeighbors returns u's out-neighbor multiset in slot order. The caller
 // must not mutate the returned slice.
-func (g *Graph) OutNeighbors(u peer.ID) []peer.ID { return g.out[u] }
+func (g *Graph) OutNeighbors(u peer.ID) []peer.ID { return g.out(int(u)) }
 
 // InNeighbors returns the set of nodes having u in their views, ascending.
 func (g *Graph) InNeighbors(u peer.ID) []peer.ID {
 	var out []peer.ID
 	for x := 0; x < g.n; x++ {
-		for _, w := range g.out[x] {
+		for _, w := range g.out(x) {
 			if w == u {
 				out = append(out, peer.ID(x))
 				break
@@ -102,8 +163,8 @@ func (g *Graph) InNeighbors(u peer.ID) []peer.ID {
 // The paper conservatively labels all self-edges dependent.
 func (g *Graph) SelfEdges() int {
 	c := 0
-	for u, adj := range g.out {
-		for _, w := range adj {
+	for u := 0; u < g.n; u++ {
+		for _, w := range g.out(u) {
 			if int(w) == u {
 				c++
 			}
@@ -119,9 +180,9 @@ func (g *Graph) SelfEdges() int {
 func (g *Graph) DuplicateEntries() int {
 	c := 0
 	counts := make(map[peer.ID]int)
-	for _, adj := range g.out {
+	for u := 0; u < g.n; u++ {
 		clear(counts)
-		for _, w := range adj {
+		for _, w := range g.out(u) {
 			counts[w]++
 		}
 		for _, m := range counts {
@@ -145,8 +206,8 @@ func (g *Graph) ComponentCount() int {
 		return 0
 	}
 	uf := newUnionFind(g.n)
-	for u, adj := range g.out {
-		for _, w := range adj {
+	for u := 0; u < g.n; u++ {
+		for _, w := range g.out(u) {
 			uf.union(u, int(w))
 		}
 	}
@@ -168,7 +229,7 @@ func (g *Graph) InducedComponents(members []peer.ID) int {
 	}
 	uf := newUnionFind(len(members))
 	for i, u := range members {
-		for _, w := range g.out[u] {
+		for _, w := range g.out(int(u)) {
 			if j, ok := idx[w]; ok {
 				uf.union(i, j)
 			}
@@ -186,7 +247,7 @@ func (g *Graph) StaleEdges(members []peer.ID) int {
 	}
 	stale := 0
 	for _, u := range members {
-		for _, w := range g.out[u] {
+		for _, w := range g.out(int(u)) {
 			if !member[w] {
 				stale++
 			}
@@ -200,7 +261,7 @@ func (g *Graph) StaleEdges(members []peer.ID) int {
 func (g *Graph) DegreeHistograms() (hOut, hIn map[int]int) {
 	hOut, hIn = make(map[int]int), make(map[int]int)
 	for u := 0; u < g.n; u++ {
-		hOut[len(g.out[u])]++
+		hOut[g.Outdegree(peer.ID(u))]++
 		hIn[g.in[u]]++
 	}
 	return hOut, hIn
@@ -209,7 +270,7 @@ func (g *Graph) DegreeHistograms() (hOut, hIn map[int]int) {
 // Multiplicity returns the multiplicity of edge (u, v).
 func (g *Graph) Multiplicity(u, v peer.ID) int {
 	m := 0
-	for _, w := range g.out[u] {
+	for _, w := range g.out(int(u)) {
 		if w == v {
 			m++
 		}

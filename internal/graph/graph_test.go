@@ -102,6 +102,49 @@ func TestInOutNeighbors(t *testing.T) {
 	if len(out) != 2 {
 		t.Errorf("OutNeighbors(0) = %v, want two entries", out)
 	}
+	// Out-lists keep the order of the edge list, and no append through one
+	// reaches the next node's.
+	g = FromEdges(3, [][2]peer.ID{{1, 2}, {0, 2}, {1, 0}, {0, 1}})
+	_ = append(g.OutNeighbors(0), 0)
+	if a, b := g.OutNeighbors(0), g.OutNeighbors(1); len(a) != 2 || a[0] != 2 || a[1] != 1 || len(b) != 2 || b[0] != 2 || b[1] != 0 {
+		t.Errorf("out-lists %v and %v, want [n2 n1] and [n2 n0]", a, b)
+	}
+}
+
+// TestFromSlotsMatchesFromViews: a graph read off a flat slot array is the
+// graph of the same windows as views — out-lists in slot order, in-degrees
+// (an id outside the universe counts for none), departed nodes without
+// out-edges.
+func TestFromSlotsMatchesFromViews(t *testing.T) {
+	const n, s = 70, 6
+	r := rng.New(9)
+	slots := make([]peer.ID, n*s)
+	views := make([]*view.View, n)
+	for u := range views {
+		window := slots[u*s : (u+1)*s]
+		for i := range window {
+			window[i] = peer.ID(r.Intn(n+2)) - 1 // Nil, an id of the universe, or n
+		}
+		if r.Intn(4) > 0 {
+			v := view.Wrap(window)
+			views[u] = &v
+		}
+	}
+	got, want := FromSlots(slots, s, func(u peer.ID) bool { return views[u] != nil }), FromViews(views)
+	if got.N() != n || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%d nodes and %d edges, want %d and %d", got.N(), got.NumEdges(), n, want.NumEdges())
+	}
+	for u := peer.ID(0); u < n; u++ {
+		a, b := got.OutNeighbors(u), want.OutNeighbors(u)
+		if len(a) != len(b) || got.Indegree(u) != want.Indegree(u) {
+			t.Fatalf("node %d: out %v in %d, want out %v in %d", u, a, got.Indegree(u), b, want.Indegree(u))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("node %d: out %v, want %v", u, a, b)
+			}
+		}
+	}
 }
 
 func TestConnectivity(t *testing.T) {

@@ -92,9 +92,9 @@ func (l *Local) Status() Status {
 	}
 }
 
-// snapshot takes the substrate's copy of the views — the one step that needs
-// mu. What callers build from the copy (the graph, the API shapes) they build
-// after it is released, so the tick loop waits for the copy and no longer.
+// snapshot takes the substrate's copy of the views under mu. Views renders
+// the API shapes from the copy after mu is released, so the tick loop waits
+// for the copy and no longer.
 func (l *Local) snapshot() []*view.View {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -125,11 +125,15 @@ func (l *Local) Views(only *int) ([]NodeView, int) {
 	return out, live
 }
 
-// Snapshot returns the membership graph of one consistent view snapshot, so
-// the daemon's report loop can read overlay health without racing
-// HTTP-driven churn.
+// Snapshot returns the membership graph of one consistent state, so the
+// daemon's report loop can read overlay health without racing HTTP-driven
+// churn. The substrate builds it under mu, from its own state: no copy of
+// the views is made for it (on the sharded engine the graph is read straight
+// off the slot array).
 func (l *Local) Snapshot() *graph.Graph {
-	return graph.FromViews(l.snapshot())
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.opts.Sub.Snapshot()
 }
 
 // inUniverse rejects an id that names no slot of the cluster. API ids are

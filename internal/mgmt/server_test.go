@@ -66,6 +66,10 @@ func startTestServer(t *testing.T, srv *Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// The client may hold a connection it dialed but never sent a request
+		// on; the server counts it as busy for five seconds and Shutdown would
+		// wait that long for it.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {

@@ -131,8 +131,8 @@ func mustCore(t *testing.T, c conformant) protocol.StepCore {
 
 func mustSeed(t *testing.T, core protocol.StepCore, k int) *view.View {
 	t.Helper()
-	lv, err := core.SeedView(distinctSeeds(k))
-	if err != nil {
+	lv := view.New(core.ViewSize())
+	if err := core.SeedView(lv, distinctSeeds(k)); err != nil {
 		t.Fatalf("SeedView(%d seeds): %v", k, err)
 	}
 	return lv
@@ -160,6 +160,7 @@ func TestConformance(t *testing.T) {
 	for _, c := range table() {
 		t.Run(c.name, func(t *testing.T) {
 			t.Run("seed rules", func(t *testing.T) { seedRules(t, c) })
+			t.Run("seeding a reused view", func(t *testing.T) { reseed(t, c) })
 			t.Run("empty selection is a self-loop", func(t *testing.T) { selfLoop(t, c) })
 			t.Run("message content", func(t *testing.T) { messageContent(t, c) })
 			t.Run("full view", func(t *testing.T) { fullView(t, c) })
@@ -175,19 +176,16 @@ func seedRules(t *testing.T, c conformant) {
 	if core.ViewSize() != c.s || core.Name() == "" {
 		t.Fatalf("ViewSize = %d (want %d), Name = %q", core.ViewSize(), c.s, core.Name())
 	}
-	if _, err := core.SeedView(nil); err == nil {
+	if err := core.SeedView(view.New(c.s), nil); err == nil {
 		t.Error("no seeds accepted")
 	}
 	if c.minSeeds > 1 {
-		if _, err := core.SeedView(distinctSeeds(c.minSeeds - 1)); err == nil {
+		if err := core.SeedView(view.New(c.s), distinctSeeds(c.minSeeds-1)); err == nil {
 			t.Errorf("%d seeds accepted, minimum is %d", c.minSeeds-1, c.minSeeds)
 		}
 	}
 	for _, k := range []int{c.minSeeds, c.minSeeds + 1, c.s, c.s + 3} {
-		lv, err := core.SeedView(distinctSeeds(k))
-		if err != nil {
-			t.Fatalf("%d seeds: %v", k, err)
-		}
+		lv := mustSeed(t, core, k)
 		want := min(k, c.s)
 		if c.evenOnly {
 			want &^= 1
@@ -211,6 +209,43 @@ func seedRules(t *testing.T, c conformant) {
 		odd.Clear(0)
 		if err := core.CheckView(odd); err == nil {
 			t.Error("odd outdegree passed CheckView")
+		}
+	}
+}
+
+// reseed seeds views whose storage served a node before: one emptied slot by
+// slot after a run of steps, and one made by view.Empty over a dirty slice —
+// how the sharded engine reuses a node's window of its slot array on every
+// rejoin. Each must come out exactly as seeding a new view does.
+func reseed(t *testing.T, c conformant) {
+	core := mustCore(t, c)
+	used := mustSeed(t, core, c.s)
+	r := rng.New(7)
+	var out protocol.Outbox
+	for k := 0; k < 100; k++ {
+		core.InitiateBatch(used, 0, r, &out)
+		core.ReceiveBatch(used, 0, c.packet(2, peer.ID(30+k)), r, &out)
+	}
+	dirty := make([]peer.ID, c.s)
+	for i := range dirty {
+		dirty[i] = peer.ID(40 + i)
+	}
+	for _, k := range []int{c.minSeeds, c.s} {
+		for i := 0; i < used.Size(); i++ {
+			used.Clear(i)
+		}
+		empty := view.Empty(dirty)
+		want := mustSeed(t, core, k)
+		for name, lv := range map[string]*view.View{"cleared": used, "view.Empty": &empty} {
+			if err := core.SeedView(lv, distinctSeeds(k)); err != nil {
+				t.Fatalf("%s, %d seeds: %v", name, k, err)
+			}
+			if !lv.Equal(want) || lv.Outdegree() != want.Outdegree() {
+				t.Errorf("%s, %d seeds: %v with outdegree %d, a new view seeds to %v with %d", name, k, lv, lv.Outdegree(), want, want.Outdegree())
+			}
+			if err := core.CheckView(lv); err != nil {
+				t.Errorf("%s, %d seeds: %v", name, k, err)
+			}
 		}
 	}
 }
@@ -401,11 +436,10 @@ func randomDriving(t *testing.T, c conformant) {
 		for k := 1; k <= n; k++ {
 			seeds = append(seeds, peer.ID((u+k)%n))
 		}
-		lv, err := cores[u].SeedView(seeds)
-		if err != nil {
+		views[u] = view.New(c.s)
+		if err := cores[u].SeedView(views[u], seeds); err != nil {
 			t.Fatal(err)
 		}
-		views[u] = lv
 	}
 	r := rng.New(6)
 	var out, replies protocol.Outbox

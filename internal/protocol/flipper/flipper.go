@@ -45,19 +45,18 @@ func (c *Core) Name() string { return "flipper" }
 // ViewSize returns s.
 func (c *Core) ViewSize() int { return c.s }
 
-// SeedView fills a fresh view with the seed ids (at least one).
-func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+// SeedView fills the empty view lv with the seed ids (at least one).
+func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("flipper: need at least one seed")
+		return fmt.Errorf("flipper: need at least one seed")
 	}
-	v := view.New(c.s)
 	for i, id := range seeds {
 		if i >= c.s {
 			break
 		}
-		v.Set(i, id)
+		lv.Set(i, id)
 	}
-	return v, nil
+	return nil
 }
 
 // InitiateBatch starts a flip: u removes its payload edge (u, w) and offers

@@ -7,6 +7,7 @@ import (
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // The generic step contract is checked for all five protocols by
@@ -114,7 +115,7 @@ func TestDegenerateSelections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, _ := c.SeedView([]peer.ID{1, 1, 2})
+	lv := seeded(t, c, 1, 1, 2)
 	r := rng.New(4)
 	var out protocol.Outbox
 	sent := 0
@@ -176,7 +177,7 @@ func TestMalformedMessagesIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, _ := c.SeedView([]peer.ID{2, 3})
+	lv := seeded(t, c, 2, 3)
 	before := lv.Clone()
 	r := rng.New(6)
 	var out protocol.Outbox
@@ -202,4 +203,14 @@ func TestIdentityAndSnapshot(t *testing.T) {
 	if !e.Snapshot().WeaklyConnected() {
 		t.Error("initial topology disconnected")
 	}
+}
+
+// seeded returns a view of c's size seeded with ids.
+func seeded(t *testing.T, c *Core, ids ...peer.ID) *view.View {
+	t.Helper()
+	lv := view.New(c.ViewSize())
+	if err := c.SeedView(lv, ids); err != nil {
+		t.Fatal(err)
+	}
+	return lv
 }

@@ -61,11 +61,12 @@ type StepCore interface {
 	// ViewSize returns the number of slots s of the local view the core
 	// operates on.
 	ViewSize() int
-	// SeedView builds the initial local view from the bootstrap seed ids
+	// SeedView fills lv, an empty view of ViewSize() slots that the driver
+	// owns, with the initial local view built from the bootstrap seed ids
 	// (the paper's join rule: "a joining node has to know at least dL ids
 	// of live nodes"). It returns an error when the seeds are insufficient
 	// for the protocol's invariants.
-	SeedView(seeds []peer.ID) (*view.View, error)
+	SeedView(lv *view.View, seeds []peer.ID) error
 	// InitiateBatch runs the initiator step at node u over its local view
 	// lv, appending the outgoing message to out. It reports how many
 	// messages it appended (at most one for every current protocol) and how

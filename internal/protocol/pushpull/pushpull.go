@@ -44,32 +44,31 @@ func (c *Core) Name() string { return "push-pull" }
 // ViewSize returns s.
 func (c *Core) ViewSize() int { return c.s }
 
-// SeedView fills a fresh view with the seed ids (at least one).
-func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+// SeedView fills the empty view lv with the seed ids (at least one).
+func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("pushpull: need at least one seed")
+		return fmt.Errorf("pushpull: need at least one seed")
 	}
-	v := view.New(c.s)
 	for i, id := range seeds {
 		if i >= c.s {
 			break
 		}
-		v.Set(i, id)
+		lv.Set(i, id)
 	}
-	return v, nil
+	return nil
 }
 
 // InitiateBatch pushes [u, w] to a random neighbor, keeping both entries —
-// the defining difference from S&F.
+// the defining difference from S&F. An empty selection is ruled out from
+// the occupancy mask before any slot is read, as S&F's is.
 //
 //vet:hotpath
 func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
 	i, j := lv.RandomPairFast(r)
-	v, w := lv.Slot(i), lv.Slot(j)
-	if v.IsNil() || w.IsNil() {
+	if !lv.Occupied(i) || !lv.Occupied(j) {
 		return 0, 0, false
 	}
-	out.Append2(v, u, protocol.KindGossip, false, u, w)
+	out.Append2(lv.Slot(i), u, protocol.KindGossip, false, u, lv.Slot(j))
 	return 1, 0, true
 }
 

@@ -7,6 +7,7 @@ import (
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // The generic step contract is checked for all five protocols by
@@ -60,7 +61,7 @@ func TestSenderKeepsEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, _ := c.SeedView([]peer.ID{1, 2, 3, 4})
+	lv := seeded(t, c, 1, 2, 3, 4)
 	before := lv.Clone()
 	r := rng.New(1)
 	var out protocol.Outbox
@@ -93,7 +94,7 @@ func TestEvictionWhenFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, _ := c.SeedView([]peer.ID{2, 3, 4, 5})
+	lv := seeded(t, c, 2, 3, 4, 5)
 	var out protocol.Outbox
 	pkt := protocol.Packet{Kind: protocol.KindGossip, From: 0, IDs: []peer.ID{0, 7}}
 	if _, deleted := c.ReceiveBatch(lv, 1, pkt, rng.New(3), &out); deleted != 0 {
@@ -112,7 +113,7 @@ func TestFillsEmptySlotsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, _ := c.SeedView([]peer.ID{2, 3})
+	lv := seeded(t, c, 2, 3)
 	var out protocol.Outbox
 	pkt := protocol.Packet{Kind: protocol.KindGossip, From: 0, IDs: []peer.ID{0, 7}}
 	c.ReceiveBatch(lv, 1, pkt, rng.New(4), &out)
@@ -176,4 +177,14 @@ func TestIdentity(t *testing.T) {
 	if e.Core(0).Name() != "push-pull" || e.N() != 10 {
 		t.Errorf("identity: name=%q n=%d", e.Core(0).Name(), e.N())
 	}
+}
+
+// seeded returns a view of c's size seeded with ids.
+func seeded(t *testing.T, c *Core, ids ...peer.ID) *view.View {
+	t.Helper()
+	lv := view.New(c.ViewSize())
+	if err := c.SeedView(lv, ids); err != nil {
+		t.Fatal(err)
+	}
+	return lv
 }

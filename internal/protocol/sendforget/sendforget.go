@@ -72,10 +72,10 @@ func (c *Core) Name() string { return "send&forget" }
 // ViewSize returns s.
 func (c *Core) ViewSize() int { return c.s }
 
-// SeedView fills a fresh view with the seed ids. Seeds beyond s are
+// SeedView fills the empty view lv with the seed ids. Seeds beyond s are
 // dropped; an odd count is truncated to keep the outdegree even; fewer than
 // max(2, dL) usable seeds is an error (the paper's join rule).
-func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
 	k := len(seeds)
 	if k > c.s {
 		k = c.s
@@ -84,28 +84,29 @@ func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
 		k--
 	}
 	if k < c.dl || k < 2 {
-		return nil, fmt.Errorf("sendforget: need at least max(2, dL=%d) seeds, got %d usable", c.dl, k)
+		return fmt.Errorf("sendforget: need at least max(2, dL=%d) seeds, got %d usable", c.dl, k)
 	}
-	lv := view.New(c.s)
 	for i := 0; i < k; i++ {
 		lv.Set(i, seeds[i])
 	}
-	return lv, nil
+	return nil
 }
 
 // initiate is S&F-InitiateAction of Figure 5.1: select two distinct slots
 // with one draw; an empty selection is a self-loop; otherwise send [u, w]
 // to v and clear both entries unless the outdegree is at the floor dL, in
 // which case they are kept (duplicated). It reports the selected slots for
-// the dependence tracker.
+// the dependence tracker. The self-loop is ruled out from the occupancy mask
+// before any slot is read: at the paper's parameters more than half of all
+// initiate steps are self-loops, and they then never load the window.
 //
 //vet:hotpath
 func (c *Core) initiate(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (i, j int, dup, ok bool) {
 	i, j = lv.RandomPairFast(r)
-	v, w := lv.Slot(i), lv.Slot(j)
-	if v.IsNil() || w.IsNil() {
+	if !lv.Occupied(i) || !lv.Occupied(j) {
 		return i, j, false, false
 	}
+	v, w := lv.Slot(i), lv.Slot(j)
 	dup = lv.Outdegree() <= c.dl
 	if !dup {
 		lv.ClearOccupiedPair(i, j)

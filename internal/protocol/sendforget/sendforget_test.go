@@ -139,11 +139,17 @@ func seeded(t *testing.T, s, dl, k int) (*Core, *view.View) {
 	for i := range seeds {
 		seeds[i] = peer.ID(i + 1)
 	}
-	lv, err := c.SeedView(seeds)
-	if err != nil {
+	return c, seedView(t, c, seeds...)
+}
+
+// seedView returns a view of c's size seeded with ids.
+func seedView(t *testing.T, c protocol.StepCore, ids ...peer.ID) *view.View {
+	t.Helper()
+	lv := view.New(c.ViewSize())
+	if err := c.SeedView(lv, ids); err != nil {
 		t.Fatal(err)
 	}
-	return c, lv
+	return lv
 }
 
 // initiateUntilSend retries the initiate step until a non-self-loop action
@@ -338,21 +344,18 @@ func TestJoinValidatesSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SeedView(nil); err == nil {
+	if err := c.SeedView(view.New(8), nil); err == nil {
 		t.Error("no seeds accepted")
 	}
 	c2, err := NewCore(10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.SeedView([]peer.ID{0, 1}); err == nil {
+	if err := c2.SeedView(view.New(10), []peer.ID{0, 1}); err == nil {
 		t.Error("fewer than dL seeds accepted")
 	}
 	// Odd seed count is truncated to even.
-	lv, err := c.SeedView([]peer.ID{0, 1, 2})
-	if err != nil {
-		t.Fatalf("3 seeds: %v", err)
-	}
+	lv := seedView(t, c, 0, 1, 2)
 	if got := lv.Outdegree(); got != 2 {
 		t.Errorf("outdegree after odd seeds = %d, want 2", got)
 	}
@@ -361,10 +364,7 @@ func TestJoinValidatesSeeds(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = peer.ID(i % 7)
 	}
-	if lv, err = c.SeedView(seeds); err != nil {
-		t.Fatalf("overflow seeds: %v", err)
-	}
-	if got := lv.Outdegree(); got != 8 {
+	if got := seedView(t, c, seeds...).Outdegree(); got != 8 {
 		t.Errorf("outdegree after overflow seeds = %d, want 8", got)
 	}
 }
@@ -433,14 +433,7 @@ func TestDuplicationMarksDependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := sender.SeedView([]peer.ID{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rv, err := receiver.SeedView([]peer.ID{5, 6, 7, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lv, rv := seedView(t, sender, 1, 2, 3, 4), seedView(t, receiver, 5, 6, 7, 8)
 	r := rng.New(12)
 	to, msg, _ := initiateUntilSend(t, sender, lv, 0, r)
 	if !msg.Dup {

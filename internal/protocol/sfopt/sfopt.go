@@ -130,9 +130,9 @@ func (c *Core) ViewSize() int { return c.opts.S }
 // Counters returns a copy of the core's variant tally.
 func (c *Core) Counters() Counters { return c.counters }
 
-// SeedView fills a fresh view with the seed ids, truncated to an even count
-// of at most s entries (the variants keep S&F's parity discipline).
-func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+// SeedView fills the empty view lv with the seed ids, truncated to an even
+// count of at most s entries (the variants keep S&F's parity discipline).
+func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
 	k := len(seeds)
 	if k > c.opts.S {
 		k = c.opts.S
@@ -141,13 +141,12 @@ func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
 		k--
 	}
 	if k < 2 {
-		return nil, fmt.Errorf("sfopt: need at least 2 usable seeds, got %d", k)
+		return fmt.Errorf("sfopt: need at least 2 usable seeds, got %d", k)
 	}
-	v := view.New(c.opts.S)
 	for i := 0; i < k; i++ {
-		v.Set(i, seeds[i])
+		lv.Set(i, seeds[i])
 	}
-	return v, nil
+	return nil
 }
 
 // chooseDistinct fills dst with distinct uniformly chosen values in [0, n)

@@ -9,6 +9,7 @@ import (
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // The generic step contract is checked for all five protocols by
@@ -198,10 +199,7 @@ func TestDeliverDeletesWithoutReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := c.SeedView([]peer.ID{2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lv := seeded(t, c, 2, 3, 4, 5, 6, 7)
 	var out protocol.Outbox
 	pkt := protocol.Packet{Kind: protocol.KindGossip, From: 0, IDs: []peer.ID{0, 3}}
 	if _, deleted := c.ReceiveBatch(lv, 1, pkt, rng.New(6), &out); deleted != 2 {
@@ -214,10 +212,7 @@ func TestSelfLoopOnEmptySelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := c.SeedView([]peer.ID{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lv := seeded(t, c, 1, 2, 3, 4)
 	// Every one of the BatchK selected slots must be occupied: with 4 of 12
 	// slots full almost every selection self-loops, leaving the view alone.
 	var out protocol.Outbox
@@ -245,4 +240,14 @@ func TestSnapshotViaGraph(t *testing.T) {
 	if e.N() != 30 {
 		t.Errorf("N = %d", e.N())
 	}
+}
+
+// seeded returns a view of c's size seeded with ids.
+func seeded(t *testing.T, c *Core, ids ...peer.ID) *view.View {
+	t.Helper()
+	lv := view.New(c.ViewSize())
+	if err := c.SeedView(lv, ids); err != nil {
+		t.Fatal(err)
+	}
+	return lv
 }

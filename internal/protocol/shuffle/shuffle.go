@@ -44,19 +44,18 @@ func (c *Core) Name() string { return "shuffle" }
 // ViewSize returns s.
 func (c *Core) ViewSize() int { return c.s }
 
-// SeedView fills a fresh view with the seed ids (at least one).
-func (c *Core) SeedView(seeds []peer.ID) (*view.View, error) {
+// SeedView fills the empty view lv with the seed ids (at least one).
+func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("shuffle: need at least one seed")
+		return fmt.Errorf("shuffle: need at least one seed")
 	}
-	v := view.New(c.s)
 	for i, id := range seeds {
 		if i >= c.s {
 			break
 		}
-		v.Set(i, id)
+		lv.Set(i, id)
 	}
-	return v, nil
+	return nil
 }
 
 // InitiateBatch removes two entries (the exchange offer) and sends them to

@@ -7,6 +7,7 @@ import (
 	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // The generic step contract is checked for all five protocols by
@@ -104,8 +105,8 @@ func TestRequestGeneratesReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, _ := c.SeedView([]peer.ID{1, 2, 3, 4})
-	rv, _ := c.SeedView([]peer.ID{5, 6, 7, 8})
+	lv := seeded(t, c, 1, 2, 3, 4)
+	rv := seeded(t, c, 5, 6, 7, 8)
 	r := rng.New(3)
 	var out protocol.Outbox
 	for {
@@ -131,7 +132,7 @@ func TestRequestGeneratesReply(t *testing.T) {
 		t.Errorf("responder outdegree = %d, want 4", rv.Outdegree())
 	}
 	// A responder with a single entry offers just that one.
-	one, _ := c.SeedView([]peer.ID{9})
+	one := seeded(t, c, 9)
 	out.Reset()
 	c.ReceiveBatch(one, to, protocol.Packet{Kind: protocol.KindRequest, From: 0}, r, &out)
 	if _, reply, ok := out.Message(); !ok || len(reply.IDs) != 1 || reply.IDs[0] != 9 || one.Outdegree() != 0 {
@@ -144,7 +145,7 @@ func TestSelfLoopOnEmptyView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, _ := c.SeedView([]peer.ID{1, 2})
+	lv := seeded(t, c, 1, 2)
 	// Drain the view via requests nobody answers.
 	r := rng.New(4)
 	var out protocol.Outbox
@@ -215,7 +216,7 @@ func TestUnknownKindIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, _ := c.SeedView([]peer.ID{1, 2})
+	lv := seeded(t, c, 1, 2)
 	before := lv.Clone()
 	var out protocol.Outbox
 	replied, deleted := c.ReceiveBatch(lv, 1, protocol.Packet{Kind: 99, From: 0, IDs: []peer.ID{0}}, rng.New(6), &out)
@@ -225,4 +226,14 @@ func TestUnknownKindIgnored(t *testing.T) {
 	if !lv.Equal(before) {
 		t.Error("unknown kind mutated the view")
 	}
+}
+
+// seeded returns a view of c's size seeded with ids.
+func seeded(t *testing.T, c *Core, ids ...peer.ID) *view.View {
+	t.Helper()
+	lv := view.New(c.ViewSize())
+	if err := c.SeedView(lv, ids); err != nil {
+		t.Fatal(err)
+	}
+	return lv
 }

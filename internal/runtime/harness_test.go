@@ -32,12 +32,15 @@ import (
 // engine at Workers 1 and 4, which must agree byte for byte after every op.
 // After every op each substrate must pass CheckInvariants, report counters
 // that never decrease, hold only ids of its universe, have a nil view exactly
-// for the nodes the schedule has away, and have a fault stack whose tally
-// accounts for its ledger; after every drain nothing may be pending and the
-// ledger must be conserved. In probe mode (TestSubstrateProbeModel on all
-// three engines, TestShardedLivenessModel across the sharded engine's shard
-// geometry) the cores are probes and an exact model predicts the ledger, the
-// counters and every node's receive count; in protocol mode
+// for the nodes the schedule has away, snapshot the membership graph its views
+// induce, and have a fault stack whose tally accounts for its ledger; after
+// every drain nothing may be pending and the ledger must be conserved. One
+// schedule of each test draws the longest delay the fault stack accepts, so a
+// drain walks faults.MaxDelay rounds on every engine. In probe mode
+// (TestSubstrateProbeModel on all three engines, TestShardedLivenessModel
+// across the sharded engine's shard geometry) the cores are probes and an
+// exact model predicts the ledger, the counters and every node's receive
+// count; in protocol mode
 // (TestSubstrateEquivalence) the five real protocols run, and the final
 // overlays must agree pairwise. A failing schedule is shrunk by dropping
 // operations until none can go, and printed as a Go literal. The named
@@ -91,12 +94,12 @@ func hotIDs(n int) []peer.ID {
 }
 
 // genSchedule draws ops operations over an n-node universe from r, one of them
-// a delay of 300 rounds, and ends with a drain. Churn goes to the hot ids about
+// a delay of long rounds, and ends with a drain. Churn goes to the hot ids about
 // half the time and, one time in sixteen, to id n, which AddNode must refuse
 // and RemoveNode ignore. Without lossy every loss rate is 0 or 1 and every
 // delay fixed, which the probe model follows exactly; lossy draws fractional
 // rates, burst models and jittered delays instead.
-func genSchedule(r *rng.RNG, n, ops int, lossy bool) schedule {
+func genSchedule(r *rng.RNG, n, ops int, lossy bool, long int) schedule {
 	hot := hotIDs(n)
 	pick := func() peer.ID {
 		switch k := r.Intn(16); {
@@ -111,13 +114,13 @@ func genSchedule(r *rng.RNG, n, ops int, lossy bool) schedule {
 	if lossy {
 		rates = []float64{0, 0.02, 0.1}
 	}
-	long := r.Intn(ops)
+	at := r.Intn(ops)
 	s := make(schedule, 0, ops+1)
 	for i := 0; i < ops; i++ {
 		o := op{kind: opTick}
 		switch k := r.Intn(24); {
-		case i == long:
-			o = op{kind: opDelay, d: 300}
+		case i == at:
+			o = op{kind: opDelay, d: long}
 		case k < 9:
 		case k < 12:
 			o = op{kind: opRemove, u: pick()}
@@ -189,12 +192,11 @@ func (c probeCore) payload(u peer.ID, k int) []peer.ID {
 	return ids
 }
 
-func (c probeCore) SeedView(seeds []peer.ID) (*view.View, error) {
-	v := view.New(c.ViewSize())
-	for i := 0; i < len(seeds) && i < v.Size(); i++ {
-		v.Set(i, seeds[i])
+func (c probeCore) SeedView(lv *view.View, seeds []peer.ID) error {
+	for i := 0; i < len(seeds) && i < lv.Size(); i++ {
+		lv.Set(i, seeds[i])
 	}
-	return v, nil
+	return nil
 }
 
 func (c probeCore) InitiateBatch(_ *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (int, int, bool) {
@@ -236,6 +238,7 @@ type probeModel struct {
 	rate           float64
 	links          map[[2]peer.ID]float64
 	delay, clock   int
+	longest        int // the longest delay a message parked under
 	queue          []probeFlight
 	recv           []int
 	ticks, replies int
@@ -259,6 +262,7 @@ func (m *probeModel) route(f probeFlight) {
 		m.tr.Losses++
 	case m.delay > 0:
 		m.tr.Delayed++
+		m.longest = max(m.longest, m.delay)
 		f.due = m.clock + m.delay
 		m.queue = append(m.queue, f)
 	default:
@@ -336,6 +340,8 @@ func (m *probeModel) apply(o op, net *probeNet, everyNode bool) error {
 		m.delay = o.d
 	case opDrain:
 		for len(m.queue) > 0 {
+			// Nothing is due before the earliest due round: go straight to it.
+			m.clock = slices.MinFunc(m.queue, func(a, b probeFlight) int { return a.due - b.due }).due - 1
 			m.advance()
 		}
 	}
@@ -513,6 +519,9 @@ func (g *rig) check(drained bool) error {
 			}
 		}
 	}
+	if err := sameGraph(sub.Snapshot(), graph.FromViews(g.views)); err != nil {
+		return err
+	}
 	if fc := sub.Conditions().Counters(); fc.Decisions != tr.Sends || fc.Drops() != tr.Losses || fc.Delayed != tr.Delayed {
 		return fmt.Errorf("fault counters %+v do not account for ledger %+v", fc, tr)
 	}
@@ -528,6 +537,24 @@ func (g *rig) check(drained bool) error {
 	// counts every event of every node, the departed included.
 	if want := g.edges - 2*(cnt.Sends-cnt.Duplications) + 2*cnt.Receives - cnt.DeletedIDs; g.sfEdges && outdegrees(g.views) != want {
 		return fmt.Errorf("%d edges, want %d from counters %+v", outdegrees(g.views), want, cnt)
+	}
+	return nil
+}
+
+// sameGraph holds the membership graph a substrate snapshots to the one its
+// views induce: every out-list in slot order, every in-degree, and the number
+// of components.
+func sameGraph(got, want *graph.Graph) error {
+	if got.N() != want.N() {
+		return fmt.Errorf("Snapshot() has %d nodes, Views() %d", got.N(), want.N())
+	}
+	for u := peer.ID(0); int(u) < want.N(); u++ {
+		if !slices.Equal(got.OutNeighbors(u), want.OutNeighbors(u)) || got.Indegree(u) != want.Indegree(u) {
+			return fmt.Errorf("Snapshot() gives node %d out-list %v and in-degree %d, its view %v and %d", u, got.OutNeighbors(u), got.Indegree(u), want.OutNeighbors(u), want.Indegree(u))
+		}
+	}
+	if a, b := got.ComponentCount(), want.ComponentCount(); a != b {
+		return fmt.Errorf("Snapshot() has %d components, the views %d", a, b)
 	}
 	return nil
 }
@@ -635,17 +662,38 @@ func exercisesFaults(tr metrics.Traffic) bool {
 // time without a delay and at drain time with one, a rejoined node receives
 // again, and a setter called between two ticks rules the next one.
 func TestSubstrateProbeModel(t *testing.T) {
-	for _, n := range probeNs {
+	for i, n := range probeNs {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			c := runtime.Config{N: n, Seed: int64(n)}
 			seq, cluster := c, c
 			seq.Engine, cluster.Engine = runtime.EngineSeq, runtime.EngineCluster
 			cfgs := append([]rigConfig{{Config: seq, probe: true}, {Config: cluster, probe: true}}, shardedTwins(c, true)...)
-			rigs := mustRun(t, cfgs, genSchedule(rng.New(int64(7*n)), n, 250, false))
+			long := longDelay(i == 0)
+			rigs := mustRun(t, cfgs, genSchedule(rng.New(int64(7*n)), n, 250, false, long))
 			if tr := rigs[0].m.tr; !exercisesFaults(tr) {
 				t.Fatalf("the schedule leaves a path of the fault stack unexercised: ledger %+v", tr)
 			}
+			checkMaxDelay(t, rigs[0].m, long)
 		})
+	}
+}
+
+// longDelay is the long delay of a test's schedules: for its first one the
+// longest delay SetDelay accepts, whose drain walks every round of it, and
+// 300 rounds for the others.
+func longDelay(first bool) int {
+	if first {
+		return faults.MaxDelay
+	}
+	return 300
+}
+
+// checkMaxDelay fails the test when the schedule drew a delay of
+// faults.MaxDelay and no message parked under it: then no drain walked it.
+func checkMaxDelay(t *testing.T, m *probeModel, long int) {
+	t.Helper()
+	if long == faults.MaxDelay && m.longest != long {
+		t.Fatalf("no message parked under the schedule's delay of %d rounds (longest %d)", long, m.longest)
 	}
 }
 
@@ -658,7 +706,7 @@ func TestSubstrateProbeModel(t *testing.T) {
 // rounds, so the router's liveness reads are held to the model both at route
 // time and at drain time from the first tick on, and must send to an away node.
 func TestShardedLivenessModel(t *testing.T) {
-	for _, n := range probeNs {
+	for i, n := range probeNs {
 		for _, shardSize := range []int{16, 64, 256} {
 			for _, delay := range []int{0, 2} {
 				name := fmt.Sprintf("n=%d/delay=%d", n, delay)
@@ -666,11 +714,13 @@ func TestShardedLivenessModel(t *testing.T) {
 					name += fmt.Sprintf("/shard=%d", shardSize)
 				}
 				t.Run(name, func(t *testing.T) {
-					s := append(schedule{{kind: opDelay, d: delay}}, genSchedule(rng.New(int64(7*n+delay)), n, 200, false)...)
+					long := longDelay(i == 0 && shardSize == 16 && delay == 0)
+					s := append(schedule{{kind: opDelay, d: delay}}, genSchedule(rng.New(int64(7*n+delay)), n, 200, false, long)...)
 					rigs := mustRun(t, shardedTwins(runtime.Config{N: n, Seed: int64(n + delay), ShardSize: shardSize}, true), s)
 					if tr := rigs[0].m.tr; tr.DeadLetters == 0 {
 						t.Fatalf("no message was sent to an away node: ledger %+v", tr)
 					}
+					checkMaxDelay(t, rigs[0].m, long)
 				})
 			}
 		}
@@ -686,11 +736,12 @@ type equivCase struct {
 	newCore        protocol.CoreFactory
 }
 
-// protocolSchedule is a 40-op random schedule followed by the run the gates
-// compare: the faults cleared back to the case's loss rate, every away node
-// rejoined, the delay queue drained, then rounds plain ticks and a drain.
-func protocolSchedule(r *rng.RNG, n int, tc equivCase) schedule {
-	s := genSchedule(r, n, 40, true)
+// protocolSchedule is a 40-op random schedule with a delay of long rounds
+// followed by the run the gates compare: the faults cleared back to the case's
+// loss rate, every away node rejoined, the delay queue drained, then rounds
+// plain ticks and a drain.
+func protocolSchedule(r *rng.RNG, n int, tc equivCase, long int) schedule {
+	s := genSchedule(r, n, 40, true, long)
 	away := make([]bool, n+1)
 	tail := schedule{{kind: opHeal}, {kind: opRate, rate: tc.loss}, {kind: opDelay}}
 	for _, o := range s {
@@ -767,7 +818,7 @@ func (p *overlayPool) perSend(count int) float64 {
 // distribution and raises both tails.
 func TestSubstrateEquivalence(t *testing.T) {
 	const n = 60
-	for _, tc := range []equivCase{
+	for k, tc := range []equivCase{
 		{"sendforget", 150, 8, 0.05, func() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) }},
 		{"sfopt", 150, 8, 0.05, func() (protocol.StepCore, error) {
 			return sfopt.NewCore(sfopt.Options{S: 12, DL: 4, ReplaceWhenFull: true, Undelete: true})
@@ -778,7 +829,7 @@ func TestSubstrateEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var pools [3]overlayPool // seq, cluster, sharded
-			for _, seed := range []int64{11, 29, 47, 83} {
+			for i, seed := range []int64{11, 29, 47, 83} {
 				var cfgs []rigConfig
 				for i, c := range []runtime.Config{
 					{Engine: runtime.EngineSeq, Seed: seed},
@@ -789,7 +840,7 @@ func TestSubstrateEquivalence(t *testing.T) {
 					c.N, c.NewCore, c.InitDegree, c.Loss, c.ShardSize = n, tc.newCore, tc.degree, tc.loss, 16
 					cfgs = append(cfgs, rigConfig{Config: c, sfEdges: tc.name == "sendforget", twin: i == 3})
 				}
-				rigs := mustRun(t, cfgs, protocolSchedule(rng.New(seed), n, tc))
+				rigs := mustRun(t, cfgs, protocolSchedule(rng.New(seed), n, tc, longDelay(k == 0 && i == 0)))
 				for i := range pools {
 					pools[i].add(rigs[i])
 				}

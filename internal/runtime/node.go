@@ -103,8 +103,8 @@ func NewNode(cfg NodeConfig, seeds []peer.ID, out Sender) (*Node, error) {
 		// explicitly chosen small seeds on other nodes.
 		cfg.Seed = rng.DeriveSeed(int64(cfg.ID))
 	}
-	lv, err := cfg.Core.SeedView(seeds)
-	if err != nil {
+	lv := view.New(cfg.Core.ViewSize())
+	if err := cfg.Core.SeedView(lv, seeds); err != nil {
 		return nil, fmt.Errorf("runtime: node %v: %w", cfg.ID, err)
 	}
 	n := &Node{
@@ -222,6 +222,17 @@ func (n *Node) ViewSnapshot() *view.View {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.lv.Clone()
+}
+
+// viewInto copies the node's view into dst, which has the view's size, and
+// returns a View over the copy.
+func (n *Node) viewInto(dst []peer.ID) view.View {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := range dst {
+		dst[i] = n.lv.Slot(i)
+	}
+	return view.Wrap(dst)
 }
 
 // Counters returns a copy of the node's counters.

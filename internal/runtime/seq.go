@@ -288,8 +288,8 @@ func (e *Seq) join(u peer.ID, seeds []peer.ID) error {
 	if err != nil {
 		return fmt.Errorf("runtime: core for node %v: %w", u, err)
 	}
-	lv, err := core.SeedView(seeds)
-	if err != nil {
+	lv := view.New(core.ViewSize())
+	if err := core.SeedView(lv, seeds); err != nil {
 		return fmt.Errorf("runtime: join of %v: %w", u, err)
 	}
 	e.cores[u], e.views[u] = core, lv

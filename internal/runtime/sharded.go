@@ -26,7 +26,8 @@ import (
 // reorganizes the execution for scale:
 //
 //   - Node state is flat: all views live in one contiguous id array (one
-//     s-slot window per node, wrapped by view.Wrap), per-node RNGs are
+//     s-slot window per node, which a join empties with view.Empty and the
+//     step core seeds in place; snapshots read it directly), per-node RNGs are
 //     values in the node records, liveness is one bit per node in a dense
 //     bitset (n/8 bytes, small enough to stay in every core's cache), and
 //     per-node event counters are replaced by one counter block per shard,
@@ -326,8 +327,10 @@ func defaultShardSize(n int) int {
 	return size
 }
 
-// activate installs a fresh core, view, and RNG stream for node u. Callers
-// hold the gate (or, in newSharded, are the only reference holder).
+// activate installs a fresh core, view, and RNG stream for node u: the core
+// seeds the view straight into node u's window of the slot array, emptied
+// first, so nothing but the core is allocated. Callers hold the gate (or, in
+// newSharded, are the only reference holder).
 func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
 	core, err := e.cfg.NewCore()
 	if err != nil {
@@ -336,16 +339,11 @@ func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
 	if core.ViewSize() != e.s {
 		return fmt.Errorf("runtime: core for node %v has view size %d, cluster expects %d", u, core.ViewSize(), e.s)
 	}
-	sv, err := core.SeedView(seeds)
-	if err != nil {
+	nd := e.shardOf(u).node(u)
+	nd.view = view.Empty(e.slots[int(u)*e.s : (int(u)+1)*e.s : (int(u)+1)*e.s])
+	if err := core.SeedView(&nd.view, seeds); err != nil {
 		return err
 	}
-	window := e.slots[int(u)*e.s : (int(u)+1)*e.s]
-	for i := 0; i < e.s; i++ {
-		window[i] = sv.Slot(i)
-	}
-	nd := e.shardOf(u).node(u)
-	nd.view = view.Wrap(window)
 	nd.core = core
 	nd.rng = rng.NewState(e.roster.SeedFor(u))
 	e.live[u>>6] |= 1 << (uint(u) & 63)
@@ -633,9 +631,13 @@ func (e *ShardedCluster) Views() []*view.View {
 	return out
 }
 
-// Snapshot returns the current membership graph.
+// Snapshot returns the current membership graph, built straight from the
+// slot array and the liveness bitset in one hold of the gate: no view is
+// copied, and the graph is a constant number of allocations at any n.
 func (e *ShardedCluster) Snapshot() *graph.Graph {
-	return graph.FromViews(e.Views())
+	<-e.gate
+	defer func() { e.gate <- struct{}{} }()
+	return graph.FromSlots(e.slots, e.s, e.live.has)
 }
 
 // Counters sums the per-shard counters — O(shards), not O(n) per-node lock

@@ -41,12 +41,10 @@ type scriptEvent struct {
 // receiver's shard.
 type scriptCore struct{ net *scriptNet }
 
-func (c scriptCore) Name() string               { return "script" }
-func (c scriptCore) ViewSize() int              { return 4 }
-func (c scriptCore) CheckView(*view.View) error { return nil }
-func (c scriptCore) SeedView([]peer.ID) (*view.View, error) {
-	return view.New(c.ViewSize()), nil
-}
+func (c scriptCore) Name() string                         { return "script" }
+func (c scriptCore) ViewSize() int                        { return 4 }
+func (c scriptCore) CheckView(*view.View) error           { return nil }
+func (c scriptCore) SeedView(*view.View, []peer.ID) error { return nil }
 
 func (c scriptCore) InitiateBatch(_ *view.View, u peer.ID, _ *rng.RNG, out *protocol.Outbox) (int, int, bool) {
 	to := c.net.dest[u]

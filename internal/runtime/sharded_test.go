@@ -492,3 +492,47 @@ func TestShardedViewsAllocs(t *testing.T) {
 		t.Errorf("Views() allocates %.1f times at n=2000, want at most 4", avg)
 	}
 }
+
+// TestShardedSnapshotAllocs bounds the membership graph the sharded engine
+// builds from its slot slab: the graph's own arrays, no copy of the views,
+// whatever n is. Seq and cluster build it from views, and their counts do not
+// grow with n either.
+func TestShardedSnapshotAllocs(t *testing.T) {
+	snapshot := func(kind runtime.EngineKind, n int) float64 {
+		sub, err := runtime.New(runtime.Config{Engine: kind, N: n, NewCore: sfFactory(12, 4), Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		sub.RemoveNode(17)
+		return testing.AllocsPerRun(10, func() { _ = sub.Snapshot() })
+	}
+	if avg := snapshot(runtime.EngineSharded, 2000); avg > 4 {
+		t.Errorf("sharded Snapshot() allocates %.1f times at n=2000, want at most 4", avg)
+	}
+	for _, kind := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster} {
+		if small, large := snapshot(kind, 500), snapshot(kind, 2000); small != large {
+			t.Errorf("%s Snapshot() allocates %.1f times at n=500 and %.1f at n=2000", kind, small, large)
+		}
+	}
+}
+
+// TestShardedSetupAllocs bounds what building a sharded overlay allocates per
+// node: one object, the step core its factory builds, since every view is
+// seeded straight into its window of the slot slab. S&F at n = 4096 makes
+// exactly 2048 allocations more than at n = 2048, both in eight shards so
+// that the per-shard state is the same.
+func TestShardedSetupAllocs(t *testing.T) {
+	build := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			e, err := newSharded(runtime.Config{N: n, NewCore: sfFactory(40, 18), Seed: 3, ShardSize: n / 8, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+		})
+	}
+	if small, large := build(2048), build(4096); large-small != 2048 {
+		t.Errorf("set-up allocates %.0f times at n=2048 and %.0f at n=4096: %.0f more, want one per added node (2048)", small, large, large-small)
+	}
+}

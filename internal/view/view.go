@@ -38,11 +38,22 @@ func New(s int) *View {
 	if s <= 0 {
 		panic("view: New called with non-positive size")
 	}
-	v := &View{slots: make([]peer.ID, s)}
-	for i := range v.slots {
-		v.slots[i] = peer.Nil
+	v := Empty(make([]peer.ID, s))
+	return &v
+}
+
+// Empty empties every slot of the given slice and returns a View backed by
+// it, sharing the array as Wrap does: the sharded cluster seeds a joining
+// node straight into its window of the flat id array this way, with nothing
+// allocated. It panics if slots is empty.
+func Empty(slots []peer.ID) View {
+	if len(slots) == 0 {
+		panic("view: Empty called with no slots")
 	}
-	return v
+	for i := range slots {
+		slots[i] = peer.Nil
+	}
+	return View{slots: slots}
 }
 
 // Wrap returns a View backed by the given slot slice without copying it: the
@@ -102,6 +113,19 @@ func (v *View) Full() bool { return v.out == len(v.slots) }
 
 // Slot returns the id stored at index i (peer.Nil if empty).
 func (v *View) Slot(i int) peer.ID { return v.slots[i] }
+
+// Occupied reports whether slot i holds an id. For s <= 64 it tests the
+// occupancy mask and leaves the slot array alone, so an initiate step can rule
+// out an empty selection — a self-loop — without loading the window; above
+// that it reads the slot.
+//
+//vet:hotpath
+func (v *View) Occupied(i int) bool {
+	if len(v.slots) <= 64 {
+		return v.occ&(1<<uint(i)) != 0
+	}
+	return v.slots[i] != peer.Nil
+}
 
 // Set stores id at index i, overwriting any previous value. Storing peer.Nil
 // is equivalent to Clear.
@@ -394,14 +418,17 @@ func init() {
 
 // IDs returns the multiset of non-empty entries in slot order. The returned
 // slice is freshly allocated.
-func (v *View) IDs() []peer.ID {
-	out := make([]peer.ID, 0, v.out)
+func (v *View) IDs() []peer.ID { return v.AppendIDs(make([]peer.ID, 0, v.out)) }
+
+// AppendIDs appends the non-empty entries to dst in slot order and returns
+// the extended slice.
+func (v *View) AppendIDs(dst []peer.ID) []peer.ID {
 	for _, id := range v.slots {
 		if id != peer.Nil {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // Contains reports whether id appears in some entry.

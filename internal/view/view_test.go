@@ -26,6 +26,44 @@ func TestNewEmpty(t *testing.T) {
 	}
 }
 
+// TestEmptyReusesSlots: Empty empties storage that held a view and wraps it
+// without copying, so a write through the view lands in the caller's slice.
+func TestEmptyReusesSlots(t *testing.T) {
+	slots := []peer.ID{4, peer.Nil, 9, 9}
+	v := Empty(slots)
+	if v.Size() != 4 || v.Outdegree() != 0 || v.CheckInvariants() != nil {
+		t.Fatalf("Empty over a used slice: %v with outdegree %d", &v, v.Outdegree())
+	}
+	v.Set(2, 7)
+	if slots[2] != 7 || slots[0] != peer.Nil {
+		t.Errorf("slots %v after Set(2, 7) through the view", slots)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Empty(nil) did not panic")
+		}
+	}()
+	Empty(nil)
+}
+
+// TestOccupiedMatchesSlots: Occupied answers from the mask up to 64 slots and
+// from the slots above, and agrees with them after any sequence of writes.
+func TestOccupiedMatchesSlots(t *testing.T) {
+	r := rng.New(8)
+	for _, s := range []int{2, 63, 64, 65, 130} {
+		v := New(s)
+		for k := 0; k < 20*s; k++ {
+			id := peer.ID(r.Intn(3)) - 1 // Nil a third of the time
+			v.Set(r.Intn(s), id)
+			for i := 0; i < s; i++ {
+				if v.Occupied(i) != (v.Slot(i) != peer.Nil) {
+					t.Fatalf("s=%d: Occupied(%d) = %v with slot %v", s, i, v.Occupied(i), v.Slot(i))
+				}
+			}
+		}
+	}
+}
+
 func TestNewPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -108,6 +146,9 @@ func TestIDsAndMultiplicity(t *testing.T) {
 	ids := v.IDs()
 	if len(ids) != 3 {
 		t.Fatalf("IDs length = %d, want 3", len(ids))
+	}
+	if got := v.AppendIDs([]peer.ID{1}); len(got) != 4 || got[0] != 1 || got[1] != 3 || got[2] != 3 || got[3] != 9 {
+		t.Errorf("AppendIDs([n1]) = %v, want [n1 n3 n3 n9]", got)
 	}
 	if v.Multiplicity(3) != 2 {
 		t.Errorf("Multiplicity(3) = %d, want 2", v.Multiplicity(3))
