@@ -1,4 +1,4 @@
-// Package analyzers is the repository's static-analysis suite: eleven
+// Package analyzers is the repository's static-analysis suite: ten
 // framework.Analyzers that mechanically enforce the determinism,
 // lock-discipline, accounting, allocation, goroutine-lifecycle, and
 // concurrency invariants the reproduction's correctness and performance
@@ -22,7 +22,7 @@
 //	               words are typed atomics, so atomic and plain access
 //	               cannot mix
 //
-// The remaining seven are interprocedural, built on the framework's CFG,
+// The remaining six are interprocedural, built on the framework's CFG,
 // call graph, taint, allocation-site, held-lock, and happens-before engines,
 // and see the whole loaded program:
 //
@@ -41,12 +41,14 @@
 //	sharedguard conflicting accesses to substrate state (runtime, mgmt,
 //	          driver, transport) must be excluded by a common lock, run
 //	          only in external callers, or touch a not-yet-shared instance
-//	shardconfine fields annotated //vet:confined are only touched by
-//	          their owning shard's worker between barrier phases or
-//	          while holding the engine's gate token
+//
+// What the type system checks needs no analyzer: a sharded phase worker is
+// handed one shard's job and cannot name another shard, and a substrate is
+// built only through runtime.New. The fixtures that plant those bugs must
+// fail to type-check (the "compiler" rows of TestDetectionMatrix).
 //
 // TestDetectionMatrix records which analyzer flags which line of every
-// fixture, five planted bugs included; an analyzer or an engine rule is
+// fixture, eight planted bugs included; an analyzer or an engine rule is
 // merged, replaced or deleted only with that table intact.
 //
 // Exceptions are granted per line with `//lint:allow <analyzer> <reason>`
@@ -72,7 +74,6 @@ func All() []*framework.Analyzer {
 		Errdrop,
 		Hotalloc,
 		Sharedguard,
-		Shardconfine,
 	}
 }
 

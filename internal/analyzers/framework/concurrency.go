@@ -1,10 +1,9 @@
-// The happens-before/confinement engine: the framework's fifth layer, under
-// the sharedguard and shardconfine analyzers. It models the goroutine
-// contexts code may run in and the exclusion a Go program establishes —
-// mutex locksets and channel token protocols (including the sharded
-// engine's gate/work/done barrier dispatch) — and judges every pair of
-// accesses to the same shared object constructor-fresh, sequential,
-// mutually excluded, or racy.
+// The happens-before engine: the framework's fifth layer, under the
+// sharedguard analyzer. It models the goroutine contexts code may run in and
+// the exclusion a Go program establishes — mutex locksets and channel token
+// protocols (including the sharded engine's gate/jobs/done barrier dispatch)
+// — and judges every pair of accesses to the same shared object
+// constructor-fresh, sequential, mutually excluded, or racy.
 //
 // The engine is deliberately instance-insensitive: a lock or an access is
 // keyed by the declared field (or package variable) object, not by the
@@ -14,7 +13,7 @@
 // and two conflicting accesses with no ordering on any instance are
 // reported once, at the write.
 //
-// Three ideas carry the precision the sharded engine needs:
+// Two ideas carry the precision the sharded engine needs:
 //
 //   - Token channels. A capacity-1 channel field that some single function
 //     both bare-receives (acquire) and sends (release) is a lock; holding
@@ -30,11 +29,8 @@
 //     barrier lock excludes the region against every *real* holder of the
 //     same lock (the engine cannot be re-entered while its dispatcher holds
 //     the gate), but not against the other workers of the same phase: those
-//     run concurrently and must be confined by shard index instead.
-//
-//   - Confinement. An access indexed by a value tainted from the
-//     shard-steal counter stays inside the one worker's shard that stole
-//     that index; shardconfine accepts it inside a barrier phase.
+//     run concurrently, and what keeps them apart is the types — a worker
+//     is handed one shard's job and has no name for any other state.
 package framework
 
 import (
@@ -42,7 +38,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Goroutine is one static goroutine-creation context: a go statement, or
@@ -57,21 +52,9 @@ type Goroutine struct {
 	External bool
 }
 
-// ConfinedField is one struct field annotated `//vet:confined shard` or
-// `//vet:confined gate`.
-type ConfinedField struct {
-	Field *types.Var
-	// Mode is "shard" (owned by the worker processing the field's shard
-	// index between barrier phases) or "gate" (touched only while holding
-	// the owning engine's token channel for real).
-	Mode string
-	Pos  token.Position
-}
-
 // ConcAccess is one read or write of a tracked shared object (a struct
 // field or package-level variable), with everything the pair classifier
-// needs: where, in which goroutine contexts, under which locks, and
-// whether the access is provably confined.
+// needs: where, in which goroutine contexts, and under which locks.
 type ConcAccess struct {
 	Obj      types.Object
 	Pos      token.Pos
@@ -82,51 +65,21 @@ type ConcAccess struct {
 	// Fresh: the access runs on an object this function just allocated and
 	// has not shared yet (constructor confinement).
 	Fresh bool
-	// Confined: the access is the base of an index expression whose index
-	// is shard-tainted, so it stays inside one worker's shard.
-	Confined bool
 	// Locks holds the must-held lock keys at the access.
 	Locks Lockset
 	// Ctxs holds the goroutine contexts the enclosing code may run in.
 	Ctxs map[*Goroutine]bool
 }
 
-// HoldsToken reports whether the access really holds (ModeExcl) a token
-// channel of the concurrency result — the gate, for the sharded engine.
-func (a *ConcAccess) HoldsToken(r *ConcurrencyResult) bool {
-	for k, m := range a.Locks {
-		if m == ModeExcl && r.Tokens[k] {
-			return true
-		}
-	}
-	return false
-}
-
-// InBarrierPhase reports whether the access runs in a worker region that
-// inherited a token across a dispatch barrier — i.e. between receiving a
-// phase from the dispatcher and reporting done.
-func (a *ConcAccess) InBarrierPhase(r *ConcurrencyResult) bool {
-	for k, m := range a.Locks {
-		if m == ModeBarrier && r.Tokens[k] {
-			return true
-		}
-	}
-	return false
-}
-
-// ConcurrencyResult is the program-wide happens-before/confinement model,
-// built once per Program (prog.Concurrency()) and shared by analyzers.
+// ConcurrencyResult is the program-wide happens-before model, built once per
+// Program (prog.Concurrency()) and shared by analyzers.
 type ConcurrencyResult struct {
 	// Accesses holds every tracked access in deterministic (file, line,
 	// col) order.
 	Accesses []*ConcAccess
-	// Confined maps annotated field objects to their confinement contract.
-	Confined map[types.Object]*ConfinedField
-	// Tokens marks the channel objects detected as exclusivity tokens.
-	Tokens map[types.Object]bool
 }
 
-// Concurrency returns the program's happens-before/confinement model,
+// Concurrency returns the program's happens-before model,
 // computing it on first use.
 func (prog *Program) Concurrency() *ConcurrencyResult {
 	return prog.Shared("framework.concurrency", func() any {
@@ -201,7 +154,6 @@ type concSolver struct {
 	fns      []*concFn
 	byObj    map[*types.Func]*concFn
 	tokens   map[types.Object]bool
-	confined map[types.Object]*ConfinedField
 	external *Goroutine
 	litCtx   map[*ast.FuncLit]*Goroutine
 	barriers []*barrierSpec
@@ -226,7 +178,6 @@ func newConcSolver(prog *Program) *concSolver {
 		prog:      prog,
 		byObj:     make(map[*types.Func]*concFn),
 		tokens:    make(map[types.Object]bool),
-		confined:  make(map[types.Object]*ConfinedField),
 		external:  &Goroutine{Label: "external caller", External: true},
 		litCtx:    make(map[*ast.FuncLit]*Goroutine),
 		hasCaller: make(map[*types.Func]bool),
@@ -237,7 +188,6 @@ func newConcSolver(prog *Program) *concSolver {
 
 func (s *concSolver) solve() *ConcurrencyResult {
 	s.collectFunctions()
-	s.collectConfined()
 	s.collectTokens()
 	s.collectReferences()
 	s.seedContexts()
@@ -264,11 +214,7 @@ func (s *concSolver) solve() *ConcurrencyResult {
 		}
 		return a.Column < b.Column
 	})
-	return &ConcurrencyResult{
-		Accesses: s.accesses,
-		Confined: s.confined,
-		Tokens:   s.tokens,
-	}
+	return &ConcurrencyResult{Accesses: s.accesses}
 }
 
 func (s *concSolver) collectFunctions() {
@@ -297,66 +243,11 @@ func (s *concSolver) collectFunctions() {
 	}
 }
 
-// collectConfined parses the //vet:confined field directives. The
-// directive sits in the field's doc comment group or its trailing line
-// comment:
-//
-//	slots []peer.ID //vet:confined shard
-func (s *concSolver) collectConfined() {
-	for _, pkg := range s.prog.Packages {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, field := range st.Fields.List {
-					mode := confinedMode(field.Doc)
-					if mode == "" {
-						mode = confinedMode(field.Comment)
-					}
-					if mode == "" {
-						continue
-					}
-					for _, name := range field.Names {
-						v, ok := pkg.Info.Defs[name].(*types.Var)
-						if !ok {
-							continue
-						}
-						s.confined[v] = &ConfinedField{
-							Field: v,
-							Mode:  mode,
-							Pos:   pkg.Fset.Position(name.Pos()),
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-func confinedMode(cg *ast.CommentGroup) string {
-	if cg == nil {
-		return ""
-	}
-	for _, c := range cg.List {
-		if !strings.HasPrefix(c.Text, "//vet:confined") {
-			continue
-		}
-		mode := strings.TrimSpace(strings.TrimPrefix(c.Text, "//vet:confined"))
-		if mode == "shard" || mode == "gate" {
-			return mode
-		}
-	}
-	return ""
-}
-
 // collectTokens detects token channels: a channel-typed field or package
 // variable that one function body both bare-receives (acquire) and sends
 // (release), deferred literal sends included. The pairing inside a single
 // body is what separates a lock token (gate) from barrier plumbing (the
-// work/done channels, whose sends and receives live in different
+// jobs/done channels, whose sends and receives live in different
 // functions).
 func (s *concSolver) collectTokens() {
 	for _, fn := range s.fns {

@@ -1,8 +1,8 @@
-// Body analysis for the happens-before/confinement engine: per-function
-// control-flow replay that tracks the must-held lockset through every
-// block, collects call-site contributions for the interprocedural entry
-// fixpoint, and (in the final pass) records every tracked shared-object
-// access with its locks, contexts, and confinement facts.
+// Body analysis for the happens-before engine: per-function control-flow
+// replay that tracks the must-held lockset through every block, collects
+// call-site contributions for the interprocedural entry fixpoint, and (in
+// the final pass) records every tracked shared-object access with its locks,
+// contexts, and freshness.
 
 package framework
 
@@ -23,7 +23,6 @@ type bodyEnv struct {
 	entry   Lockset
 	freshOK bool
 	fresh   map[types.Object]bool
-	taint   map[types.Object]bool
 	// addr marks locals whose storage may be reached from outside the
 	// body's straight-line code: address-taken (explicitly or by a
 	// pointer-receiver method call) or captured by a function literal.
@@ -40,7 +39,6 @@ func (s *concSolver) runBody(fn *concFn) {
 		entry:   fn.entry,
 		freshOK: true,
 		fresh:   make(map[types.Object]bool),
-		taint:   make(map[types.Object]bool),
 		addr:    make(map[types.Object]bool),
 	}
 	s.analyzeBody(env, fn.decl.Body)
@@ -69,85 +67,66 @@ func (s *concSolver) cfgOf(body *ast.BlockStmt) *CFG {
 	return c
 }
 
-// prescan computes the body's local facts to a fixpoint: freshly
-// allocated locals and shard-index-tainted locals. It walks the body proper
-// plus deferred/invoked literals, and skips goroutine and stored literals
-// (they get their own environments).
+// prescan marks the body's locals bound to a fresh allocation. It walks the
+// body proper plus deferred/invoked literals, and skips goroutine and stored
+// literals (they get their own environments).
 func (s *concSolver) prescan(env *bodyEnv, body *ast.BlockStmt) {
-	for round := 0; round < 4; round++ {
-		changed := false
-		mark := func(m map[types.Object]bool, obj types.Object) {
-			if obj != nil && !m[obj] {
-				m[obj] = true
-				changed = true
+	if !env.freshOK {
+		return
+	}
+	assign := func(lhs ast.Expr, rhs ast.Expr) {
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && freshExpr(rhs) {
+			if obj := refObject(env.pkg.Info, id); obj != nil {
+				env.fresh[obj] = true
 			}
-		}
-		assign := func(lhs ast.Expr, rhs ast.Expr) {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				return
-			}
-			obj := refObject(env.pkg.Info, id)
-			if obj == nil {
-				return
-			}
-			if env.freshOK && freshExpr(rhs) {
-				mark(env.fresh, obj)
-			}
-			if s.taintedExpr(env, rhs) {
-				mark(env.taint, obj)
-			}
-		}
-		var walk func(n ast.Node)
-		walk = func(n ast.Node) {
-			ast.Inspect(n, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt:
-					return false
-				case *ast.DeferStmt:
-					if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-						walk(lit.Body)
-					}
-					return false
-				case *ast.CallExpr:
-					if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
-						walk(lit.Body)
-					}
-					for _, arg := range n.Args {
-						walk(arg)
-					}
-					return false
-				case *ast.FuncLit:
-					return false
-				case *ast.AssignStmt:
-					if len(n.Lhs) == len(n.Rhs) {
-						for i := range n.Lhs {
-							assign(n.Lhs[i], n.Rhs[i])
-						}
-					} else if len(n.Rhs) == 1 {
-						for _, l := range n.Lhs {
-							assign(l, n.Rhs[0])
-						}
-					}
-				case *ast.ValueSpec:
-					if len(n.Names) == len(n.Values) {
-						for i := range n.Names {
-							assign(n.Names[i], n.Values[i])
-						}
-					} else if len(n.Values) == 1 {
-						for _, name := range n.Names {
-							assign(name, n.Values[0])
-						}
-					}
-				}
-				return true
-			})
-		}
-		walk(body)
-		if !changed {
-			break
 		}
 	}
+	var walk func(n ast.Node)
+	walk = func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				return false
+			case *ast.DeferStmt:
+				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+					walk(lit.Body)
+				}
+				return false
+			case *ast.CallExpr:
+				if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
+					walk(lit.Body)
+				}
+				for _, arg := range n.Args {
+					walk(arg)
+				}
+				return false
+			case *ast.FuncLit:
+				return false
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i := range n.Lhs {
+						assign(n.Lhs[i], n.Rhs[i])
+					}
+				} else if len(n.Rhs) == 1 {
+					for _, l := range n.Lhs {
+						assign(l, n.Rhs[0])
+					}
+				}
+			case *ast.ValueSpec:
+				if len(n.Names) == len(n.Values) {
+					for i := range n.Names {
+						assign(n.Names[i], n.Values[i])
+					}
+				} else if len(n.Values) == 1 {
+					for _, name := range n.Names {
+						assign(name, n.Values[0])
+					}
+				}
+			}
+			return true
+		})
+	}
+	walk(body)
 }
 
 // collectAddrTaken marks locals whose storage can leak out of the body's
@@ -284,11 +263,9 @@ func (s *concSolver) applyRecv(info *types.Info, held Lockset, ch ast.Expr) {
 // ---------------------------------------------------------------------------
 
 // exprCtx carries the syntactic context down an expression walk: whether
-// the expression is a write target and whether it is the base of an index
-// expression with a shard-tainted index.
+// the expression is a write target.
 type exprCtx struct {
-	write    bool
-	confined bool
+	write bool
 }
 
 // walkNode dispatches one CFG node to the expression walker with the
@@ -406,7 +383,6 @@ func (env *bodyEnv) detached(suffix string, g *Goroutine) *bodyEnv {
 		ctxs:  map[*Goroutine]bool{g: true},
 		entry: Lockset{},
 		fresh: make(map[types.Object]bool),
-		taint: make(map[types.Object]bool),
 		addr:  make(map[types.Object]bool),
 	}
 }
@@ -430,7 +406,7 @@ func (s *concSolver) walkExpr(env *bodyEnv, e ast.Expr, held Lockset, ctx exprCt
 		}
 		s.walkExpr(env, e.X, held, exprCtx{})
 	case *ast.IndexExpr:
-		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write, confined: s.taintedExpr(env, e.Index)})
+		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write})
 		s.walkExpr(env, e.Index, held, exprCtx{})
 	case *ast.SliceExpr:
 		s.walkExpr(env, e.X, held, exprCtx{write: ctx.write})
@@ -557,7 +533,6 @@ func (s *concSolver) emitAccess(env *bodyEnv, pos token.Pos, v *types.Var, held 
 		FnLabel:  env.label,
 		Write:    ctx.write,
 		Fresh:    fresh,
-		Confined: ctx.confined,
 		Locks:    held.clone(),
 		Ctxs:     env.ctxs,
 	})

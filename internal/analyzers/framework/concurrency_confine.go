@@ -1,8 +1,7 @@
-// Confinement-side value classification for the happens-before engine: how
-// one expression is judged fresh (an allocation this frame just made, or
-// storage that never leaves a local's own bytes) or shard-tainted (a value
-// derived from the atomic steal counter). concurrency_body.go consumes
-// these while replaying function bodies.
+// Freshness classification for the happens-before engine: how one
+// expression is judged fresh (an allocation this frame just made, or storage
+// that never leaves a local's own bytes). concurrency_body.go consumes these
+// while replaying function bodies.
 package framework
 
 import (
@@ -92,44 +91,6 @@ func valueChainRoot(info *types.Info, e ast.Expr) *types.Var {
 func isPointerType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Pointer)
 	return ok
-}
-
-// taintedExpr reports whether e carries a shard index: a value derived
-// from the shard-steal counter (a sync/atomic call on a counter field).
-// Taint propagates through locals, binary arithmetic, conversions, and call
-// results — but deliberately not through indexing or field selection: a
-// value read OUT of shard state (like a message's destination id) is not a
-// shard index. Nor through a call boundary: the function that steals an
-// index spends it, and what it hands on is the shard, not the number.
-func (s *concSolver) taintedExpr(env *bodyEnv, e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := refObject(env.pkg.Info, e)
-		return obj != nil && env.taint[obj]
-	case *ast.BinaryExpr:
-		return s.taintedExpr(env, e.X) || s.taintedExpr(env, e.Y)
-	case *ast.CallExpr:
-		if atomicCounterCall(env.pkg.Info, e) {
-			return true
-		}
-		for _, arg := range e.Args {
-			if s.taintedExpr(env, arg) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// atomicCounterCall matches reading the shard-steal counter: a call of a
-// sync/atomic function or method (e.nextShard.Add(1)).
-func atomicCounterCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
 }
 
 // freshExpr matches an allocation the enclosing function just made:

@@ -16,7 +16,7 @@
 // builder with a forward dataflow solver (cfg.go), a CHA call graph
 // (callgraph.go), an object-based taint fixpoint (taint.go), the held-lock
 // dataflow (lockflow.go), an allocation-site classifier (alloc.go), and the
-// happens-before/confinement engine (concurrency*.go). A rule in those
+// happens-before engine (concurrency*.go). A rule in those
 // engines whose only effect is to silence a finding stays only while some
 // line of the repository is reported without it; DESIGN.md "Enforced
 // invariants" lists each with its witness.

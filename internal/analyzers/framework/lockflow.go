@@ -39,8 +39,8 @@ type LockMeet int
 
 const (
 	// MustHold intersects: a key survives a join only if every path holds
-	// it, in the weakest mode any path holds it in. The race and
-	// confinement proofs use it — a lock taken on one branch protects
+	// it, in the weakest mode any path holds it in. The race proof uses
+	// it — a lock taken on one branch protects
 	// nothing after the join.
 	MustHold LockMeet = iota
 	// MayHold unions: a key survives if any path holds it, in the strongest

@@ -3,6 +3,7 @@ package analyzers
 import (
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -37,11 +38,11 @@ var detectionMatrix = map[string]map[string][]int{
 	"seedcollision":            {"seedtaint": {17, 23}},
 	"seedtaint":                {"seedtaint": {24, 29, 44}},
 	"seedtaint/seedflow":       {"seedtaint": {21, 25, 29, 33, 37}},
-	"shardconfine":             {"shardconfine": {59, 60, 98}},
-	"shardmail":                {"shardconfine": {79}},
-	"shardplant":               {"shardconfine": {55}},
+	"shardmail":                {"compiler": {65}},
+	"shardplant":               {"compiler": {43}},
 	"shardtype":                {"compiler": {33}},
 	"sharedguard":              {"goroleak": {46, 66, 89}, "sharedguard": {25, 81}},
+	"substrateplant":           {"compiler": {18}},
 	"unusedallow":              {},
 }
 
@@ -125,4 +126,50 @@ func TestDetectionMatrix(t *testing.T) {
 		sb.WriteString("},\n")
 	}
 	t.Errorf("detection matrix changed; the suite now reports:\n%s", sb.String())
+}
+
+// compilerPlants are the fixtures of invariants the type system took over,
+// the "compiler" rows of the matrix: each must fail to type-check with
+// exactly one error, on the line marked "// the planted", and the error must
+// be the way the invariant forbids the plant.
+var compilerPlants = []struct{ dir, err string }{
+	// A *shard phase method reaching for a sibling shard.
+	{"shardtype", "sh.shards undefined (type *shard has no field or method shards)"},
+	// A pool worker reaching for the engine's shards.
+	{"shardplant", "p.shards undefined (type *pool has no field or method shards)"},
+	// A worker resetting mail through its column, which is read-only.
+	{"shardmail", "j.in[0].Reset undefined (type protocol.Lane has no field or method Reset)"},
+	// A concrete substrate built outside internal/runtime.
+	{"substrateplant", "undefined: runtime.newSharded"},
+}
+
+func TestCompilerPlants(t *testing.T) {
+	for _, p := range compilerPlants {
+		t.Run(p.dir, func(t *testing.T) {
+			if _, ok := detectionMatrix[p.dir]["compiler"]; !ok {
+				t.Errorf("%s has no compiler row in the detection matrix", p.dir)
+			}
+			src, err := os.ReadFile(filepath.Join(fixture(p.dir), p.dir+".go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, _, planted := strings.Cut(string(src), "// the planted")
+			if !planted {
+				t.Fatal("the fixture lost its planted line")
+			}
+			want := strings.Count(before, "\n") + 1
+
+			loader, err := framework.NewLoader("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = loader.LoadDir(fixture(p.dir))
+			if lines := typeErrorLines(err); len(lines) != 1 || lines[0] != want {
+				t.Fatalf("want one type error, at the planted line %d; loading gave: %v", want, err)
+			}
+			if !strings.Contains(err.Error(), p.err) {
+				t.Errorf("the type error is not %q: %v", p.err, err)
+			}
+		})
+	}
 }

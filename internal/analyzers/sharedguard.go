@@ -27,11 +27,9 @@ import (
 //
 // Scope: objects declared in the concurrent substrate packages
 // (internal/runtime, internal/mgmt, internal/driver, internal/transport).
-// Fields under a //vet:confined contract are shardconfine's findings and
-// are excluded here.
 var Sharedguard = &framework.Analyzer{
 	Name: "sharedguard",
-	Doc:  "conflicting accesses to substrate state must be ordered, excluded, or confined",
+	Doc:  "conflicting accesses to substrate state must be ordered, excluded, or fresh",
 	Run:  runSharedguard,
 }
 
@@ -83,9 +81,6 @@ func collectSharedguard(prog *framework.Program) []*sharedguardFinding {
 	for _, a := range res.Accesses {
 		if !sharedguardScoped(a.Obj) {
 			continue
-		}
-		if res.Confined[a.Obj] != nil {
-			continue // shardconfine owns the annotated fields
 		}
 		byObj[a.Obj] = append(byObj[a.Obj], a)
 	}

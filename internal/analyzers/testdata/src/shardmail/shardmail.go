@@ -1,111 +1,136 @@
 // Package shardmail is the sharded engine's mail exchange in the reduced shape
-// of shardplant: S shards and two mail sets of S×S buckets, bucket (k → d)
-// filled by shard k's phase and consumed by shard d's next one. A phase
-// consumes one set and fills the other, so a worker that stole shard k may
-// read column k of the set being consumed and write row k of the other — the
-// stolen index names both, as it does at the engine's steal site, where the
-// rows and columns are indexed once and handed to the phase body. The planted
-// bug is a worker emptying a bucket of a column that is not its own: on a
-// spill branch no small test takes, it resets shard 0's row of the set being
-// consumed, so that every other shard finds the mail addressed to it gone.
-// The compiled mirror of such an engine passes `go test -race` at test sizes;
-// the index is not derived from the stolen one, and shardconfine reports it
-// on every schedule.
+// of shardplant: S shards and two mail sets of S rows, row k a sorting outbox
+// whose lane d is bucket (k → d), filled by shard k's phase and consumed by
+// shard d's next one. A phase consumes one set and fills the other, so shard
+// k's job holds column k of the set being consumed — its lanes of every row,
+// read-only by type (protocol.Lane) — and row k of the other. The planted bug
+// is a worker emptying mail that is not its own: on a spill branch no small
+// test takes, it resets shard 0's row of the set being consumed, so that every
+// other shard finds the mail addressed to it gone. The compiled mirror of such
+// an engine passes `go test -race` at test sizes; here the only handle a
+// worker has on the set being consumed is its column, a column cannot be
+// reset, and the package does not type-check at the planted line.
 package shardmail
 
-import "sync/atomic"
+import (
+	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
+)
 
 // spillAt is sized so the spill branch only runs after ~a million messages.
 const spillAt = 1 << 20
 
-type plant struct {
-	gate    chan struct{}
-	work    chan int
-	done    chan struct{}
-	quit    chan struct{}
-	steal   atomic.Int64
-	nshards int
-	set     int     // the mail set the next phase consumes
-	seen    []int   //vet:confined shard
-	mail    [][]int //vet:confined shard
+// shardShift maps a node id to its shard: four nodes a shard.
+const shardShift = 2
+
+type shard struct{ seen int }
+
+// job is one shard's work in a phase: its column of the set being consumed
+// and its row of the other.
+type job struct {
+	sh  *shard
+	in  []protocol.Lane
+	out *protocol.Outbox
 }
 
-// NewPlant builds the engine — bucket (k → d) of mail set p at
-// (2*k+p)*nshards+d — and starts its workers.
+// pool holds only channels.
+type pool struct {
+	jobs chan *job
+	done chan struct{}
+	quit chan struct{}
+}
+
+// work runs jobs as they come: empty the job's row, then walk its column in
+// source-shard order, answering each message into the row.
+func (p *pool) work() {
+	for {
+		select {
+		case <-p.quit:
+			return
+		case j := <-p.jobs:
+			j.out.Reset()
+			for _, lane := range j.in {
+				for runs := lane.Runs(); ; {
+					run := runs.Next()
+					if run == nil {
+						break
+					}
+					for i := range run {
+						j.sh.seen++
+						j.out.Append1(run[i].From, run[i].To, protocol.KindGossip, false, run[i].To)
+					}
+				}
+			}
+			if j.sh.seen >= spillAt {
+				j.in[0].Reset() // the planted reset of another shard's row
+			}
+			p.done <- struct{}{}
+		}
+	}
+}
+
+type plant struct {
+	gate   chan struct{}
+	pool   pool
+	shards []shard
+	jobs   [2][]job // jobs[set]: every shard's job of a phase consuming set
+	set    int      // the mail set the next phase consumes
+}
+
+// NewPlant builds the engine — shard k's row of mail set p at rows[2*k+p] —
+// and starts its workers.
 func NewPlant(nshards int) *plant {
 	p := &plant{
-		gate:    make(chan struct{}, 1),
-		work:    make(chan int),
-		done:    make(chan struct{}),
-		quit:    make(chan struct{}),
-		nshards: nshards,
-		seen:    make([]int, nshards),
-		mail:    make([][]int, 2*nshards*nshards),
+		gate: make(chan struct{}, 1),
+		pool: pool{
+			jobs: make(chan *job, nshards),
+			done: make(chan struct{}, nshards),
+			quit: make(chan struct{}),
+		},
+		shards: make([]shard, nshards),
+	}
+	rows := make([]protocol.Outbox, 2*nshards)
+	for i := range rows {
+		rows[i] = protocol.Sorted(nshards, shardShift)
+	}
+	for set := range p.jobs {
+		p.jobs[set] = make([]job, nshards)
+		for k := range p.jobs[set] {
+			col := make([]protocol.Lane, nshards)
+			for src := range col {
+				col[src] = rows[2*src+set].Lane(k)
+			}
+			p.jobs[set][k] = job{sh: &p.shards[k], in: col, out: &rows[2*k+1-set]}
+		}
 	}
 	for k := 0; k < nshards; k++ {
-		p.mail[2*k*nshards+k] = []int{k}
-	}
-	for i := 0; i < nshards; i++ {
-		go p.worker()
+		rows[2*k].Append1(peer.ID(k<<shardShift), peer.ID(k<<shardShift), protocol.KindGossip, false, 0)
+		go p.pool.work()
 	}
 	p.gate <- struct{}{}
 	return p
 }
 
-// worker drains the steal counter each phase: for every shard it steals it
-// empties the shard's row of the set being filled, then walks the shard's
-// column of the set being consumed, in source-shard order, filing what
-// follows from each message.
-func (p *plant) worker() {
-	for {
-		select {
-		case set := <-p.work:
-			for {
-				k := int(p.steal.Add(1)) - 1
-				if k >= p.nshards {
-					break
-				}
-				out := (2*k + 1 - set) * p.nshards
-				for d := 0; d < p.nshards; d++ {
-					p.mail[out+d] = p.mail[out+d][:0]
-				}
-				for src := 0; src < p.nshards; src++ {
-					for _, m := range p.mail[(2*src+set)*p.nshards+k] {
-						p.seen[k]++
-						p.mail[out+m%p.nshards] = append(p.mail[out+m%p.nshards], m+1)
-					}
-				}
-				if p.seen[k] >= spillAt {
-					p.mail[set*p.nshards] = nil // want `write to shard-confined field mail in \(plant\)\.worker inside a barrier phase but not provably at the owning worker's shard index`
-				}
-			}
-			p.done <- struct{}{}
-		case <-p.quit:
-			return
-		}
-	}
-}
-
 // Tick runs one phase under the gate.
 func (p *plant) Tick() {
 	<-p.gate
-	p.steal.Store(0)
-	for i := 0; i < p.nshards; i++ {
-		p.work <- p.set
+	jobs := p.jobs[p.set]
+	for k := range jobs {
+		p.pool.jobs <- &jobs[k]
 	}
-	for i := 0; i < p.nshards; i++ {
-		<-p.done
+	for range jobs {
+		<-p.pool.done
 	}
 	p.set = 1 - p.set
 	p.gate <- struct{}{}
 }
 
-// Seen reads the confined state under the gate token.
+// Seen reads the tally under the gate token.
 func (p *plant) Seen() int {
 	<-p.gate
 	total := 0
-	for _, v := range p.seen {
-		total += v
+	for k := range p.shards {
+		total += p.shards[k].seen
 	}
 	p.gate <- struct{}{}
 	return total
@@ -114,5 +139,5 @@ func (p *plant) Seen() int {
 // Close takes the gate for good and stops the workers.
 func (p *plant) Close() {
 	<-p.gate
-	close(p.quit)
+	close(p.pool.quit)
 }

@@ -1,86 +1,97 @@
-// Package shardplant is the regression companion to the shardconfine
-// analyzer: a reduced sharded tick path with a cross-shard counter write
-// hidden on a spill branch that no small-n schedule takes. The compiled
-// mirror of this package passes `go test -race` — the branch stays cold at
-// test sizes — while the analyzer reports the write on every schedule.
+// Package shardplant is the regression companion to the sharded engine's
+// worker pool: a reduced sharded tick with a cross-shard counter write hidden
+// on a spill branch that no small-n schedule takes. The compiled mirror of
+// the bug in the shape the engine used to have — workers stealing shard
+// indexes from an atomic counter — passes `go test -race`, because the branch
+// stays cold at test sizes. Here it is written in the shape the engine has
+// now: a pool worker is handed one shard's job and its pool holds nothing
+// but channels, so slot zero, which belongs to whichever goroutine ran shard
+// zero's job, has no name there, and the package does not type-check at the
+// planted line.
 package shardplant
-
-import "sync/atomic"
 
 // spillAt is sized so the spill branch only runs after ~a million bumps of
 // one slot: far beyond anything a race-enabled test reaches.
 const spillAt = 1 << 20
 
-type plant struct {
-	gate   chan struct{}
-	work   chan int
-	done   chan struct{}
-	quit   chan struct{}
-	steal  atomic.Int64
-	shards int
-	counts []int //vet:confined shard
+// shard owns one slot of the tally.
+type shard struct{ count int }
+
+// job is one shard's work in a phase.
+type job struct {
+	sh  *shard
+	inc int
 }
 
-// NewPlant builds the engine and starts its workers.
-func NewPlant(shards int) *plant {
-	p := &plant{
-		gate:   make(chan struct{}, 1),
-		work:   make(chan int),
-		done:   make(chan struct{}),
-		quit:   make(chan struct{}),
-		shards: shards,
+// pool holds only channels.
+type pool struct {
+	jobs chan *job
+	done chan struct{}
+	quit chan struct{}
+}
+
+// work runs jobs as they come. The spill branch folds an overflowing slot
+// into slot zero.
+func (p *pool) work() {
+	for {
+		select {
+		case <-p.quit:
+			return
+		case j := <-p.jobs:
+			j.sh.count += j.inc
+			if j.sh.count >= spillAt {
+				p.shards[0].count++ // the planted cross-shard write
+			}
+			p.done <- struct{}{}
+		}
 	}
-	p.counts = make([]int, shards)
-	for i := 0; i < shards; i++ {
-		go p.worker()
+}
+
+type plant struct {
+	gate   chan struct{}
+	pool   pool
+	shards []shard
+	jobs   []job
+}
+
+// NewPlant builds the engine, one job per shard, and starts its workers.
+func NewPlant(nshards int) *plant {
+	p := &plant{
+		gate: make(chan struct{}, 1),
+		pool: pool{
+			jobs: make(chan *job, nshards),
+			done: make(chan struct{}, nshards),
+			quit: make(chan struct{}),
+		},
+		shards: make([]shard, nshards),
+		jobs:   make([]job, nshards),
+	}
+	for k := range p.jobs {
+		p.jobs[k] = job{sh: &p.shards[k], inc: 1}
+		go p.pool.work()
 	}
 	p.gate <- struct{}{}
 	return p
 }
 
-// worker drains the steal counter each phase. The spill branch folds an
-// overflowing slot into slot zero — which belongs to whichever worker
-// stole index zero, not to this one.
-func (p *plant) worker() {
-	for {
-		select {
-		case inc := <-p.work:
-			for {
-				k := int(p.steal.Add(1)) - 1
-				if k >= p.shards {
-					break
-				}
-				p.counts[k] += inc
-				if p.counts[k] >= spillAt {
-					p.counts[0]++ // want `write to shard-confined field counts in \(plant\)\.worker inside a barrier phase but not provably at the owning worker's shard index`
-				}
-			}
-			p.done <- struct{}{}
-		case <-p.quit:
-			return
-		}
-	}
-}
-
 // Tick runs one phase under the gate.
 func (p *plant) Tick() {
 	<-p.gate
-	p.steal.Store(0)
-	for i := 0; i < p.shards; i++ {
-		p.work <- 1
+	for k := range p.jobs {
+		p.pool.jobs <- &p.jobs[k]
 	}
-	for i := 0; i < p.shards; i++ {
-		<-p.done
+	for range p.jobs {
+		<-p.pool.done
 	}
 	p.gate <- struct{}{}
 }
 
-// Total reads the confined state under the gate token.
+// Total reads the tally under the gate token.
 func (p *plant) Total() int {
 	<-p.gate
 	total := 0
-	for _, v := range p.counts {
-		total += v
+	for k := range p.shards {
+		total += p.shards[k].count
 	}
 	p.gate <- struct{}{}
 	return total
@@ -89,5 +100,5 @@ func (p *plant) Total() int {
 // Close takes the gate for good and stops the workers.
 func (p *plant) Close() {
 	<-p.gate
-	close(p.quit)
+	close(p.pool.quit)
 }

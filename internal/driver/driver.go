@@ -77,9 +77,10 @@ const minRing = 4
 // delay calendar (Delayed). Substrates read snapshots through Traffic. It is
 // not safe for concurrent use: each substrate confines a router to one
 // goroutine at a time — the engine is single-threaded, the network holds its
-// mutex, a shard of the sharded engine is run by one worker per barrier phase
-// and read by the gate holder between phases — a contract the sharedguard and
-// shardconfine analyzers enforce on every access rather than one left to
+// mutex, a shard of the sharded engine is run by the one goroutine that
+// claimed its job in a phase and read by the gate holder between phases — a
+// contract the types (a worker can name only its job's shard) and the
+// sharedguard analyzer enforce on every access rather than one left to
 // reviewer memory.
 type Router struct {
 	cond *faults.Conditions

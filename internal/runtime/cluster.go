@@ -28,8 +28,8 @@ import (
 //
 // sfvet's sharedguard analyzer checks this discipline statically: every
 // cross-goroutine access pair to these fields must be lock-excluded,
-// happens-before ordered, or provably confined, independent of which
-// schedules a -race run happens to take.
+// happens-before ordered, or on a not-yet-shared instance, independent of
+// which schedules a -race run happens to take.
 type Cluster struct {
 	cfg Config
 	net *transport.Network

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	gort "runtime"
 	"sync"
-	"sync/atomic"
 
 	"sendforget/internal/driver"
 	"sendforget/internal/faults"
@@ -46,10 +45,11 @@ import (
 //     (k → d), and column d, the lanes d of all rows, is what was addressed to
 //     shard d's nodes. Nothing is copied between the step that emits a
 //     message and the step that receives it, and no goroutine walks all of a
-//     round's messages. Rows and columns live in the engine, not in the
-//     shards: runShards, which holds the stolen index, hands a phase body the
-//     one row it may write and the one column it may read (a column is
-//     read-only by type, protocol.Lane).
+//     round's messages. Rows and columns live in neither the engine nor the
+//     shards but in the job table newSharded builds: one shardJob per shard
+//     and phase kind, holding the shard, the one column its phase may read (a
+//     column is read-only by type, protocol.Lane) and the one row it may
+//     write. A pool worker receives a job and can name nothing else.
 //   - The destination rules. A deliver phase has every shard walk its column
 //     — bucket (k → d) for k in shard order, each in append order — and rule
 //     on each message with the shard's own router: its own ledger, its own
@@ -103,10 +103,10 @@ import (
 //     counters with the fault stack (faults.Conditions.Sync) at both ends of
 //     a tick.
 //   - Results are bit-identical for any worker count: shard geometry depends
-//     only on n (never on GOMAXPROCS), every shard is processed in node order
-//     by exactly one worker per phase, a column is walked in source-shard
-//     order whichever workers filled it, and every random draw comes from a
-//     stream that belongs to one node or one shard.
+//     only on n (never on GOMAXPROCS), every shard's job runs in node order
+//     on exactly one goroutine per phase, whichever claims it, a column is
+//     walked in source-shard order whichever workers filled it, and every
+//     random draw comes from a stream that belongs to one node or one shard.
 //
 // Concurrency contract: all public methods are safe for concurrent use.
 // They serialize through a capacity-1 token channel (gate) instead of a
@@ -115,17 +115,18 @@ import (
 // lock discipline — enforced by sfvet's lockreach analyzer —
 // forbids blocking operations under a sync.Mutex because a handler running
 // under a peer's lock can deadlock against it. That hazard cannot arise
-// here: pool workers never acquire the gate (they are fed work and state
-// exclusively by the gate holder), so the holder's channel operations with
-// the pool cannot cycle back to the gate. The token channel makes that
-// reasoning structural rather than suppressed.
+// here: pool workers never acquire the gate (the pool type holds nothing but
+// its channels, and a worker is fed its jobs by the gate holder), so the
+// holder's channel operations with the pool cannot cycle back to the gate.
+// The token channel makes that reasoning structural rather than suppressed.
 
-// Tick phases executed by the worker pool. Initiate and drain file into mail
-// set 0; phaseDeliver+p consumes set p and files replies into set 1-p.
+// Tick phases, one job table row each. Initiate and drain file into mail set
+// 0; phaseDeliver+p consumes set p and files replies into set 1-p.
 const (
-	phaseInitiate int32 = iota
+	phaseInitiate = iota
 	phaseDrain
 	phaseDeliver
+	phases = phaseDeliver + 2
 )
 
 // maxShards caps the shard count, and with it a mail set at maxShards²
@@ -154,10 +155,10 @@ type shardedNode struct {
 }
 
 // shard owns everything a phase worker may touch for the contiguous id range
-// [lo, lo+len(nodes)). Between barrier phases only the worker that stole the
-// shard runs its methods; outside phases only the gate holder reaches it.
-// It holds no reference to the engine or to another shard; the mail a phase
-// reads and writes is handed to it, phase by phase, by runShards.
+// [lo, lo+len(nodes)). Inside a phase only the goroutine that claimed the
+// shard's job runs its methods; outside phases only the gate holder reaches
+// it. It holds no reference to the engine or to another shard; the mail a
+// phase reads and writes is in the job, not here.
 type shard struct {
 	lo    peer.ID       // id of nodes[0]
 	nodes []shardedNode // this shard's window of the node records
@@ -175,53 +176,83 @@ type shard struct {
 	cnt    NodeCounters // summed over shards at snapshot time
 }
 
+// shardJob is one shard's work in one phase kind: the shard, the column of
+// the mail set a deliver phase consumes (the lanes addressed to the shard's
+// nodes, by source shard; nil in the other phases) and the row of the set
+// the phase files into (the shard's own sorting outbox, lane d of it bucket
+// shard → d). newSharded builds every job once; it is all a worker is given.
+type shardJob struct {
+	sh    *shard
+	in    []protocol.Lane
+	out   *protocol.Outbox
+	phase int
+}
+
+// run executes the job's phase body on its shard.
+func (j *shardJob) run() {
+	switch j.phase {
+	case phaseInitiate:
+		j.sh.initiate(j.out)
+	case phaseDrain:
+		j.sh.drain(j.out)
+	default:
+		j.sh.deliver(j.in, j.out)
+	}
+}
+
+// pool is the engine's worker pool, and holds only its channels: a worker
+// names the job it received and nothing else. jobs carries a phase's jobs
+// from the gate holder, done one token per job a worker ran, and quit
+// (closed by Close) shuts the pool down.
+type pool struct {
+	jobs chan *shardJob
+	done chan struct{}
+	quit chan struct{}
+}
+
+// work is one pool goroutine: it runs jobs as they come until quit.
+func (p *pool) work() {
+	for {
+		select {
+		case <-p.quit:
+			return
+		case j := <-p.jobs:
+			j.run()
+			p.done <- struct{}{}
+		}
+	}
+}
+
 // ShardedCluster is the sharded synchronous tick engine. Construct with New
 // (EngineSharded); call Close when done to release the worker pool.
 type ShardedCluster struct {
 	cfg        Config
 	n, s       int
 	shardShift uint // log2(shardSize): a destination id maps to its shard with a shift
-	nshards    int  // len(shards), which a phase worker may not read
-	workers    int
 
 	// gate is the engine's exclusivity token (capacity 1, token present
 	// when idle): receive to acquire, send to release. See the package
 	// comment above for why this is a channel, not a mutex.
 	gate chan struct{}
 
-	// Pool plumbing. work carries the phase id to parked workers; done
-	// collects one token per wake; quit (closed by Close) shuts the pool
-	// down.
-	work      chan int32
-	done      chan struct{}
-	quit      chan struct{}
+	pool      pool
 	closeOnce sync.Once
-	nextShard atomic.Int32
 
-	// shards is indexed inside a barrier phase by one expression, runShards'
-	// with the stolen index; outside phases only the gate holder touches it.
-	shards []shard //vet:confined shard
+	// jobs[p] is phase p's job of every shard, in shard order.
+	jobs [phases][]shardJob
 
-	// The two mail sets, shard k's stake in set p at index 2*k+p: rows is the
-	// sorting outbox its steps file into — lane d of it is bucket (k → d) —
-	// and cols the lanes (src → k) of every shard's row, by source shard:
-	// what was addressed to its nodes. Like shards, they are indexed inside a
-	// phase only by runShards with the stolen index, which hands a phase body
-	// the one row it may write and the one column it may read.
-	rows []protocol.Outbox //vet:confined shard
-	cols [][]protocol.Lane //vet:confined shard
-
+	// Everything below is the gate holder's; phases reach the shards only
+	// through their jobs. slots is the n*s id array behind every view (node
+	// u's view wraps window u), kept for the bulk snapshot. live is written
+	// by activate and RemoveNode; the shards hold its header and read it
+	// inside phases, where no one writes it, so a word that two shards share
+	// is safe. filed is the number of messages the steps had emitted when the
+	// gate holder last looked (settle).
+	shards []shard
 	roster *driver.Roster // per-node incarnations and seed derivation
-
-	// What the gate holder alone touches. slots is the n*s id array behind
-	// every view (node u's view wraps window u), kept for the bulk snapshot.
-	// live is written by activate and RemoveNode; the shards hold its header
-	// and read it inside phases, where no one writes it, so a word that two
-	// shards share is safe. filed is the number of messages the steps had
-	// emitted when the gate holder last looked (settle).
-	slots []peer.ID //vet:confined gate
-	live  liveSet   //vet:confined gate
-	filed int       //vet:confined gate
+	slots  []peer.ID
+	live   liveSet
+	filed  int
 }
 
 // newSharded builds a sharded tick cluster with the circulant bootstrap
@@ -262,27 +293,31 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 		n:          cfg.N,
 		s:          s,
 		shardShift: shift,
-		nshards:    nshards,
-		workers:    workers,
 		gate:       make(chan struct{}, 1),
-		work:       make(chan int32),
-		done:       make(chan struct{}),
-		quit:       make(chan struct{}),
+		pool: pool{
+			jobs: make(chan *shardJob, nshards),
+			done: make(chan struct{}, nshards),
+			quit: make(chan struct{}),
+		},
 
 		shards: make([]shard, nshards),
-		rows:   make([]protocol.Outbox, 2*nshards),
-		cols:   make([][]protocol.Lane, 2*nshards),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
 		slots:  make([]peer.ID, cfg.N*s),
 		live:   make(liveSet, (cfg.N+63)/64),
 	}
 	nodes := make([]shardedNode, cfg.N) // one slab, like slots; a shard holds its window
-	for i := range e.rows {
-		e.rows[i] = protocol.Sorted(nshards, shift)
+	// The two mail sets: shard k's row of set p at rows[2*k+p].
+	rows := make([]protocol.Outbox, 2*nshards)
+	for i := range rows {
+		rows[i] = protocol.Sorted(nshards, shift)
+	}
+	for p := range e.jobs {
+		e.jobs[p] = make([]shardJob, nshards)
 	}
 	for k := range e.shards {
 		lo := k * shardSize
-		e.shards[k] = shard{
+		sh := &e.shards[k]
+		*sh = shard{
 			lo: peer.ID(lo), nodes: nodes[lo:min(lo+shardSize, cfg.N)], live: e.live,
 			// The router asks for liveness per ruled and per drained message.
 			// Its callback is bound to the bitset itself (which is never
@@ -290,13 +325,15 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 			// through the shard's decider and needs no stream of its own.
 			router: *driver.NewRouter(cfg.Conditions, nil, e.live.has),
 		}
-		cfg.Conditions.Attach(&e.shards[k].dec, rng.DeriveSeed(cfg.Seed, verdictStream, int64(k)))
-		for p := 0; p < 2; p++ {
+		cfg.Conditions.Attach(&sh.dec, rng.DeriveSeed(cfg.Seed, verdictStream, int64(k)))
+		e.jobs[phaseInitiate][k] = shardJob{sh: sh, out: &rows[2*k], phase: phaseInitiate}
+		e.jobs[phaseDrain][k] = shardJob{sh: sh, out: &rows[2*k], phase: phaseDrain}
+		for set := 0; set < 2; set++ {
 			col := make([]protocol.Lane, nshards)
 			for src := range col {
-				col[src] = e.rows[2*src+p].Lane(k)
+				col[src] = rows[2*src+set].Lane(k)
 			}
-			e.cols[2*k+p] = col
+			e.jobs[phaseDeliver+set][k] = shardJob{sh: sh, in: col, out: &rows[2*k+1-set], phase: phaseDeliver}
 		}
 	}
 
@@ -308,8 +345,8 @@ func newSharded(cfg Config) (*ShardedCluster, error) {
 		}
 	}
 
-	for w := 1; w < e.workers; w++ {
-		go e.worker()
+	for w := 1; w < workers; w++ {
+		go e.pool.work()
 	}
 	e.gate <- struct{}{} // the engine starts idle
 	return e, nil
@@ -357,59 +394,32 @@ func (e *ShardedCluster) shardOf(u peer.ID) *shard { return &e.shards[int(u)>>e.
 // id outside it indexes out of range instead of reaching a neighbour.
 func (sh *shard) node(u peer.ID) *shardedNode { return &sh.nodes[u-sh.lo] }
 
-// worker is one parked pool worker: each wake token carries a phase id; the
-// worker steals shards until the phase is exhausted, then reports done.
-func (e *ShardedCluster) worker() {
+// runPhase executes phase p's job of every shard: queue them all for the
+// pool, run the ones no worker has claimed, and join. Any goroutine may run
+// any job; each runs exactly once per phase, in node order — which is why
+// results cannot depend on the worker count. With one worker there is no
+// pool goroutine and the gate holder claims every job. Called with the gate
+// held; the pool never touches the gate, so these channel operations cannot
+// deadlock against it, and the queue holds a whole phase, so queueing never
+// blocks.
+func (e *ShardedCluster) runPhase(p int) {
+	jobs := e.jobs[p]
+	for i := range jobs {
+		e.pool.jobs <- &jobs[i]
+	}
+	pooled := len(jobs) // the jobs a worker will report done
+claim:
 	for {
 		select {
-		case <-e.quit:
-			return
-		case p := <-e.work:
-			e.runShards(p)
-			e.done <- struct{}{}
-		}
-	}
-}
-
-// runShards processes shards of phase p until none remain, stealing shard
-// indices from the shared counter. Any worker may run any shard; each shard
-// runs exactly once per phase, in node order, on one worker — which is why
-// results cannot depend on the worker count. The stolen index is spent here:
-// the phase bodies see the one shard it names and nothing else.
-func (e *ShardedCluster) runShards(p int32) {
-	for {
-		k := int(e.nextShard.Add(1)) - 1
-		if k >= e.nshards {
-			return
-		}
-		sh := &e.shards[k]
-		switch p {
-		case phaseInitiate:
-			sh.initiate(&e.rows[2*k])
-		case phaseDrain:
-			sh.drain(&e.rows[2*k])
+		case j := <-e.pool.jobs:
+			j.run()
+			pooled--
 		default:
-			set := int(p - phaseDeliver)
-			sh.deliver(e.cols[2*k+set], &e.rows[2*k+1-set])
+			break claim
 		}
 	}
-}
-
-// runPhase executes one phase across all shards: wake the pool, participate,
-// and join. Called with the gate held; the pool never touches the gate, so
-// these channel operations cannot deadlock against it.
-func (e *ShardedCluster) runPhase(p int32) {
-	e.nextShard.Store(0)
-	if e.workers <= 1 {
-		e.runShards(p)
-		return
-	}
-	for w := 1; w < e.workers; w++ {
-		e.work <- p
-	}
-	e.runShards(p)
-	for w := 1; w < e.workers; w++ {
-		<-e.done
+	for ; pooled > 0; pooled-- {
+		<-e.pool.done
 	}
 }
 
@@ -535,7 +545,7 @@ func (sh *shard) drain(out *protocol.Outbox) {
 // protocol (replies never generate further replies), so this loop runs at
 // most twice.
 func (e *ShardedCluster) settle() {
-	for p := int32(0); ; p ^= 1 {
+	for p := 0; ; p ^= 1 {
 		filed := 0
 		for k := range e.shards {
 			filed += e.shards[k].cnt.Sends + e.shards[k].cnt.Replies
@@ -723,5 +733,5 @@ func (e *ShardedCluster) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 // Close shuts the worker pool down. The engine must not be used after
 // Close; Close is idempotent and safe to call while the engine is idle.
 func (e *ShardedCluster) Close() {
-	e.closeOnce.Do(func() { close(e.quit) })
+	e.closeOnce.Do(func() { close(e.pool.quit) })
 }

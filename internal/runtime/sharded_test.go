@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	gort "runtime"
 	"testing"
+	"time"
 
 	"sendforget/internal/faults"
 	"sendforget/internal/loss"
@@ -193,17 +194,20 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 // five step cores: after warm-up, a steady-state tick round performs
 // zero heap allocations (flat state, reused outboxes, fused view primitives)
 // — and so does one whose messages are parked in the delay calendar and
-// drained through a deliver phase of their own (the delayed variants).
+// drained through a deliver phase of their own (the delayed variants), and
+// one whose phases are handed out to a pool of four workers (the pooled one).
 // CI runs this test; a protocol whose step core starts allocating per
 // message fails its own subtest immediately.
 func TestShardedZeroAllocTick(t *testing.T) {
 	for _, p := range allProtocols() {
 		for _, tc := range []struct {
-			name  string
-			delay faults.Delay
+			name    string
+			delay   faults.Delay
+			workers int
 		}{
-			{name: p.name},
-			{name: p.name + "/delayed", delay: faults.Delay{Fixed: 1, Jitter: 2}},
+			{name: p.name, workers: 1},
+			{name: p.name + "/delayed", delay: faults.Delay{Fixed: 1, Jitter: 2}, workers: 1},
+			{name: p.name + "/delayed/pooled", delay: faults.Delay{Fixed: 1, Jitter: 2}, workers: 4},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				cond, err := faults.FromRate(0.02)
@@ -213,7 +217,7 @@ func TestShardedZeroAllocTick(t *testing.T) {
 				if err := cond.SetDelay(tc.delay); err != nil {
 					t.Fatal(err)
 				}
-				e, err := newSharded(runtime.Config{N: 2000, NewCore: p.factory, Conditions: cond, Seed: 10, Workers: 1})
+				e, err := newSharded(runtime.Config{N: 2000, NewCore: p.factory, Conditions: cond, Seed: 10, Workers: tc.workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -232,6 +236,50 @@ func TestShardedZeroAllocTick(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardedCloseReleasesWorkers holds the pool's lifecycle: Workers: 4
+// starts three pool goroutines (the gate holder is the fourth worker), Close
+// stops every one of them, and a second Close does nothing.
+func TestShardedCloseReleasesWorkers(t *testing.T) {
+	// The baseline is taken once the goroutines earlier tests released have
+	// gone; after Close the count is polled back down to it.
+	deadline := time.Now().Add(2 * time.Second)
+	base := gort.NumGoroutine()
+	for time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n := gort.NumGoroutine()
+		if n == base {
+			break
+		}
+		base = n
+	}
+	back := func() int {
+		for gort.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return gort.NumGoroutine()
+	}
+
+	e, err := newSharded(runtime.Config{N: 512, NewCore: sfFactory(8, 2), Seed: 5, ShardSize: 64, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		e.TickRound()
+	}
+	if got := gort.NumGoroutine(); got < base+3 {
+		t.Fatalf("%d goroutines with the pool running, want at least %d", got, base+3)
+	}
+	deadline = time.Now().Add(2 * time.Second)
+	e.Close()
+	if got := back(); got > base {
+		t.Fatalf("%d goroutines after Close, want at most %d", got, base)
+	}
+	e.Close()
+	if got := back(); got > base {
+		t.Fatalf("%d goroutines after a second Close, want at most %d", got, base)
 	}
 }
 

@@ -13,6 +13,10 @@
 # change won and tied, the regression bound, and whether the rule holds — the
 # change ahead in at least nine tenths of the pairs, ties counting for
 # neither, and the medians further apart than the parent's quartiles are.
+# The same verdict is appended, as one record, to the JSON array in
+# CHANGE_DIR/BENCH_<WORKLOAD>.json: both commits (`git describe --dirty`),
+# the host line of the runs, every run's value, and per metric both medians
+# and quartile pairs, wins, ties, the gain rule and the regression bound.
 # Use a seed that was not used while the change was written. Exit status: 0
 # when every run was correct with no failed operation, 1 otherwise, 2 on a
 # usage error.
@@ -42,13 +46,17 @@ METRICS="$(awk '
 [ -n "$METRICS" ] || { echo "$0: no end_to_end metrics in $CHANGE/BENCHMARK.json" >&2; exit 2; }
 
 RUNS="$(mktemp)"
-trap 'rm -f "$RUNS"' EXIT
+VERDICT="$(mktemp)"
+trap 'rm -f "$RUNS" "$VERDICT"' EXIT
+HOST=""
 
 # run SIDE DIR PAIR: one benchmark run; appends "side pair metric value" rows
 # and a "side pair ok 0|1" row to $RUNS.
 run() {
   local side="$1" dir="$2" pair="$3" out
   out="$(bash "$dir/bench/run.sh" -workload "$WORKLOAD" -seconds "$SECONDS_PER_RUN" -seed "$SEED" 2>/dev/null)" || true
+  # The host line without the commit and start time, which differ by run.
+  [ -n "$HOST" ] || HOST="$(sed -n 's/^# commit [^ ]*  //; s/  started .*//p' <<<"$out" | head -1)"
   local ok=0
   if grep -q '^{"correct":true,' <<<"$out" && grep -Eq '^failed_ops_share +0 ' <<<"$out"; then ok=1; fi
   echo "$side $pair ok $ok" >>"$RUNS"
@@ -75,12 +83,14 @@ for ((p = 1; p <= PAIRS; p++)); do
 done
 
 echo
-awk -v pairs="$PAIRS" '
+status=0
+awk -v pairs="$PAIRS" -v json="$VERDICT" '
   # q(a, n, f): the f-quantile of a[1..n] sorted ascending, interpolated.
   function q(a, n, f,   h, lo) {
     h = (n - 1) * f + 1; lo = int(h)
     return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
   }
+  function num(x) { return miss ? "null" : sprintf("%.6g", x) }
   function sorted(src, dst, n,   i, j, t) {
     for (i = 1; i <= n; i++) dst[i] = src[i]
     for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
@@ -105,9 +115,43 @@ awk -v pairs="$PAIRS" '
       printf "  change  median %-12.6g quartiles %.6g .. %.6g\n", cm, q(sc, pairs, .25), q(sc, pairs, .75)
       if (pm != 0) printf "  change/parent %.4f   change ahead in %d of %d pairs, %d ties\n", cm / pm, wins, pairs, ties
       gain = (wins >= 0.9 * pairs && ahead > iqr)
-      printf "  gain rule (>= 9/10 pairs and medians apart by more than the parent IQR): %s\n", pairs < 10 ? "needs ten pairs" : gain ? "HOLDS" : "does not hold"
-      printf "  regression bound %.0f%%: %s\n", 100 * bound[name], (pm != 0 && -ahead / pm > bound[name]) ? "EXCEEDED" : "within"
+      rule = pairs < 10 ? "needs ten pairs" : gain ? "HOLDS" : "does not hold"
+      limit = (pm != 0 && -ahead / pm > bound[name]) ? "EXCEEDED" : "within"
+      printf "  gain rule (>= 9/10 pairs and medians apart by more than the parent IQR): %s\n", rule
+      printf "  regression bound %.0f%%: %s\n", 100 * bound[name], limit
+      # The JSON record: a metric with a missing run gets null statistics.
+      runs["parent"] = runs["change"] = ""; miss = 0
+      for (p = 1; p <= pairs; p++) {
+        if (P[p] == "nan" || C[p] == "nan") miss++
+        runs["parent"] = runs["parent"] (p > 1 ? ", " : "") (P[p] == "nan" ? "null" : P[p])
+        runs["change"] = runs["change"] (p > 1 ? ", " : "") (C[p] == "nan" ? "null" : C[p])
+      }
+      printf "%s    \"%s\": {\"better\": \"%s\", \"bound\": %s,", (k > 1 ? ",\n" : ""), name, better[name], bound[name] > json
+      printf " \"parent_runs\": [%s], \"change_runs\": [%s],", runs["parent"], runs["change"] > json
+      printf " \"parent_median\": %s, \"parent_q1\": %s, \"parent_q3\": %s,", num(pm), num(q(sp, pairs, .25)), num(q(sp, pairs, .75)) > json
+      printf " \"change_median\": %s, \"change_q1\": %s, \"change_q3\": %s,", num(cm), num(q(sc, pairs, .25)), num(q(sc, pairs, .75)) > json
+      printf " \"wins\": %d, \"ties\": %d, \"gain_rule\": \"%s\", \"regression_bound\": \"%s\"}", wins, ties, rule, limit > json
     }
+    printf "\n  },\n  \"all_runs_correct\": %s\n}", (bad ? "false" : "true") > json
     if (bad) { printf "\n%d run(s) not correct or with failed operations\n", bad; exit 1 }
     printf "\nevery run correct, failed_ops_share 0\n"
-  }' <(echo "$METRICS") "$RUNS"
+  }' <(echo "$METRICS") "$RUNS" || status=$?
+
+# Append the verdict to the change tree's record of this workload.
+describe() { git -C "$1" describe --always --dirty --abbrev=12 2>/dev/null || echo unknown; }
+record="$(
+  printf '{\n  "workload": "%s",\n  "parent": "%s",\n  "change": "%s",\n' "$WORKLOAD" "$(describe "$PARENT")" "$(describe "$CHANGE")"
+  printf '  "host": "%s",\n' "$(sed 's/\\/\\\\/g; s/"/\\"/g' <<<"$HOST")"
+  printf '  "date": "%s",\n  "pairs": %d,\n  "seconds": %s,\n  "seed": %s,\n  "metrics": {\n' "$(date -u +%FT%TZ)" "$PAIRS" "$SECONDS_PER_RUN" "$SEED"
+  cat "$VERDICT"
+)"
+BENCH_FILE="$CHANGE/BENCH_$WORKLOAD.json"
+if [ -s "$BENCH_FILE" ]; then
+  sed -i '$ d' "$BENCH_FILE"         # the closing bracket
+  sed -i '$ s/}$/},/' "$BENCH_FILE" # the last record gets a successor
+  printf '%s\n]\n' "$record" >>"$BENCH_FILE"
+else
+  printf '[\n%s\n]\n' "$record" >"$BENCH_FILE"
+fi
+echo "verdict appended to $BENCH_FILE"
+exit "$status"
