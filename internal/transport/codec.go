@@ -30,8 +30,9 @@ import (
 // self-populate from gossip instead of requiring static configuration.
 //
 // appendWire is the only function that lays these bytes out and parseWire
-// the only one that reads and validates them; the allocating codec below
-// and the flat codec (flatcodec.go) both go through the pair.
+// the only one that reads and validates them, as trailerEntry is for one
+// trailer entry; the codec below, the flat codec (flatcodec.go) and the UDP
+// endpoint all go through them.
 const (
 	wireMagic    = 0x5346
 	wireVersion  = 1
@@ -44,16 +45,16 @@ const (
 // Error sentinels are package-level values so the hot decode path returns
 // pre-existing interface values instead of constructing errors per call.
 var (
-	// ErrFlatOversize reports a message whose id count exceeds the wire
-	// format's 255-id limit.
-	ErrFlatOversize = errors.New("transport: ids exceed wire limit")
+	// ErrFlatOversize reports a message with more ids, or a longer address,
+	// than the wire format's limit of 255.
+	ErrFlatOversize = errors.New("transport: ids or address exceed wire limit")
 	// ErrFlatTruncated reports a datagram whose length disagrees with its
-	// header or id count.
+	// header, id count or address trailer.
 	ErrFlatTruncated = errors.New("transport: truncated datagram")
 	// ErrFlatBadHeader reports a bad magic, a version the decoder does not
-	// speak (the flat decoder speaks version 1 only — version-2 address
-	// trailers need string allocation and belong to UnmarshalAddressed), or
-	// unknown flag bits.
+	// speak (the flat decoder speaks version 1 only: a version-2 datagram,
+	// address trailer and all, is decoded by UnmarshalAddressed and the UDP
+	// endpoint), or unknown flag bits.
 	ErrFlatBadHeader = errors.New("transport: bad datagram header")
 )
 
@@ -68,8 +69,9 @@ type wireHeader struct {
 	count int // ids follow the header at headerLen + 4*i
 }
 
-// appendWire appends the header and ids of one datagram to dst.
-func appendWire(dst []byte, version byte, kind protocol.Kind, from peer.ID, dup bool, ids []peer.ID) ([]byte, error) {
+// appendWire appends one datagram to dst: the header, the ids and, for
+// version 2, addrs[i] as the trailer entry of ids[i] (nil for version 1).
+func appendWire(dst []byte, version byte, kind protocol.Kind, from peer.ID, dup bool, ids []peer.ID, addrs []string) ([]byte, error) {
 	if len(ids) > maxWireIDs {
 		return dst, ErrFlatOversize
 	}
@@ -83,13 +85,19 @@ func appendWire(dst []byte, version byte, kind protocol.Kind, from peer.ID, dup 
 	for _, id := range ids {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(id)))
 	}
+	for _, a := range addrs {
+		if len(a) > maxWireAddr {
+			return dst, ErrFlatOversize
+		}
+		dst = append(dst, byte(len(a)))
+		dst = append(dst, a...)
+	}
 	return dst, nil
 }
 
 // parseWire validates a datagram of version 1..maxVersion and returns its
-// header and version. A version-1 datagram ends with its ids; a version-2
-// datagram continues with the address trailer, which the caller parses from
-// headerLen + 4*count on.
+// header and version. A version-1 datagram ends with its ids; decode checks
+// the address trailer that follows them in version 2.
 func parseWire(buf []byte, maxVersion byte) (h wireHeader, version byte, err error) {
 	if len(buf) < headerLen {
 		return wireHeader{}, 0, ErrFlatTruncated
@@ -118,9 +126,49 @@ func wireID(buf []byte, i int) peer.ID {
 	return peer.ID(int32(binary.BigEndian.Uint32(buf[headerLen+4*i:])))
 }
 
+// decode validates a datagram of either version and decodes its ids into
+// ids' array, a buffer the caller may reuse, if it is large enough. A
+// version-2 trailer is checked but left in buf: trailer is its offset for
+// trailerEntry, 0 for version 1.
+func decode(buf []byte, ids []peer.ID) (msg protocol.Message, trailer int, err error) {
+	h, version, err := parseWire(buf, wireVersion2)
+	if err != nil {
+		return protocol.Message{}, 0, err
+	}
+	if cap(ids) < h.count {
+		ids = make([]peer.ID, h.count)
+	}
+	ids = ids[:h.count]
+	for i := range ids {
+		ids[i] = wireID(buf, i)
+	}
+	if version == wireVersion2 {
+		trailer = headerLen + 4*h.count
+		off := trailer
+		for i := 0; i < h.count && off >= 0; i++ {
+			_, off = trailerEntry(buf, off)
+		}
+		if off != len(buf) {
+			return protocol.Message{}, 0, ErrFlatTruncated
+		}
+	}
+	return protocol.Message{Kind: h.kind, From: h.from, Dup: h.dup, IDs: ids}, trailer, nil
+}
+
+// trailerEntry reads the version-2 trailer entry at off: its address bytes,
+// aliasing buf (empty = unknown), and the offset of the next entry, or -1
+// if the entry runs past the end of buf.
+func trailerEntry(buf []byte, off int) (addr []byte, next int) {
+	if off >= len(buf) || off+1+int(buf[off]) > len(buf) {
+		return nil, -1
+	}
+	next = off + 1 + int(buf[off])
+	return buf[off+1 : next], next
+}
+
 // Marshal encodes a protocol message into a datagram payload.
 func Marshal(msg protocol.Message) ([]byte, error) {
-	return appendWire(make([]byte, 0, headerLen+4*len(msg.IDs)), wireVersion, msg.Kind, msg.From, msg.Dup, msg.IDs)
+	return appendWire(make([]byte, 0, headerLen+4*len(msg.IDs)), wireVersion, msg.Kind, msg.From, msg.Dup, msg.IDs, nil)
 }
 
 // MarshalAddressed encodes a version-2 datagram carrying one address string
@@ -131,62 +179,29 @@ func MarshalAddressed(msg protocol.Message, addrs []string) ([]byte, error) {
 	}
 	size := headerLen + 4*len(msg.IDs)
 	for _, a := range addrs {
-		if len(a) > maxWireAddr {
-			return nil, fmt.Errorf("transport: address %q exceeds %d bytes", a, maxWireAddr)
-		}
 		size += 1 + len(a)
 	}
-	buf, err := appendWire(make([]byte, 0, size), wireVersion2, msg.Kind, msg.From, msg.Dup, msg.IDs)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range addrs {
-		buf = append(buf, byte(len(a)))
-		buf = append(buf, a...)
-	}
-	return buf, nil
+	return appendWire(make([]byte, 0, size), wireVersion2, msg.Kind, msg.From, msg.Dup, msg.IDs, addrs)
 }
 
 // Unmarshal decodes a datagram payload (either wire version); version-2
 // address payloads are ignored. Use UnmarshalAddressed to retrieve them.
 func Unmarshal(buf []byte) (protocol.Message, error) {
-	msg, _, err := UnmarshalAddressed(buf)
+	msg, _, err := decode(buf, nil)
 	return msg, err
 }
 
 // UnmarshalAddressed decodes a datagram payload. For version-1 datagrams
 // addrs is nil; for version 2 it has one entry per id (possibly empty).
 func UnmarshalAddressed(buf []byte) (protocol.Message, []string, error) {
-	h, version, err := parseWire(buf, wireVersion2)
-	if err != nil {
-		return protocol.Message{}, nil, err
+	msg, off, err := decode(buf, nil)
+	if err != nil || off == 0 {
+		return msg, nil, err
 	}
-	msg := protocol.Message{Kind: h.kind, From: h.from, Dup: h.dup}
-	if h.count > 0 {
-		msg.IDs = make([]peer.ID, h.count)
-		for i := range msg.IDs {
-			msg.IDs[i] = wireID(buf, i)
-		}
-	}
-	if version == wireVersion {
-		return msg, nil, nil
-	}
-	addrs := make([]string, h.count)
-	off := headerLen + 4*h.count
+	addrs := make([]string, len(msg.IDs))
 	for i := range addrs {
-		if off >= len(buf) {
-			return protocol.Message{}, nil, fmt.Errorf("transport: truncated address trailer")
-		}
-		alen := int(buf[off])
-		off++
-		if off+alen > len(buf) {
-			return protocol.Message{}, nil, fmt.Errorf("transport: truncated address %d", i)
-		}
-		addrs[i] = string(buf[off : off+alen])
-		off += alen
-	}
-	if off != len(buf) {
-		return protocol.Message{}, nil, fmt.Errorf("transport: %d trailing bytes", len(buf)-off)
+		a, next := trailerEntry(buf, off) // decode checked every entry
+		addrs[i], off = string(a), next
 	}
 	return msg, addrs, nil
 }

@@ -7,12 +7,8 @@ import (
 
 // This file is the flat wire codec: the same version-1 format as
 // Marshal/Unmarshal, through the same appendWire/parseWire pair, but in
-// append/decode-into style so a warmed-up caller never touches the
-// allocator. Marshal allocates a fresh buffer per message by design (its
-// callers hand the slice to a datagram write and move on); a streaming
-// transport coalescing thousands of FlatMsgs per write cannot afford that,
-// so AppendFlat extends a caller-owned buffer and UnmarshalFlatInto decodes
-// straight into a pooled Outbox arena. Both functions are //vet:hotpath
+// append/decode-into style for the FlatMsgs of a pooled Outbox, so a
+// warmed-up caller never touches the allocator. Both functions are //vet:hotpath
 // roots: the hotalloc analyzer proves every branch of them allocation-free.
 
 // AppendFlat appends the version-1 wire encoding of message m (whose ids
@@ -22,7 +18,7 @@ import (
 //
 //vet:hotpath
 func AppendFlat(dst []byte, o *protocol.Outbox, m *protocol.FlatMsg) ([]byte, error) {
-	return appendWire(dst, wireVersion, m.Kind, m.From, m.Dup, o.MsgIDs(m))
+	return appendWire(dst, wireVersion, m.Kind, m.From, m.Dup, o.MsgIDs(m), nil)
 }
 
 // UnmarshalFlatInto decodes one version-1 datagram as a message addressed

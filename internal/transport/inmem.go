@@ -13,9 +13,9 @@ import (
 	"sendforget/internal/rng"
 )
 
-// Handler consumes a delivered message at a node. Handlers run on the
-// sender's goroutine (or the drain goroutine for delayed messages) and must
-// not block.
+// Handler consumes a delivered message at a node; it runs on the sending,
+// draining or UDP receive goroutine and must not block. As in
+// protocol.Packet, msg.IDs is borrowed: valid only until the handler returns.
 type Handler func(msg protocol.Message)
 
 // Network is an in-memory datagram network for the concurrent runtime:

@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"fmt"
 	"net"
+	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -171,12 +175,12 @@ func TestUDPEndpointRoundtrip(t *testing.T) {
 		msg protocol.Message
 	}
 	ch := make(chan rx, 10)
-	a, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { ch <- rx{m} })
+	a, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { ch <- rx{owned(m)} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { ch <- rx{m} })
+	b, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { ch <- rx{owned(m)} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +212,19 @@ func TestUDPEndpointRoundtrip(t *testing.T) {
 	}
 }
 
+// owned copies the ids a handler borrows, so that the message may outlive
+// the handler call (it is pushed into a channel).
+func owned(m protocol.Message) protocol.Message {
+	m.IDs = slices.Clone(m.IDs)
+	return m
+}
+
 func TestUDPEndpointBadDatagram(t *testing.T) {
-	received := make(chan struct{}, 1)
-	ep, err := NewEndpoint("127.0.0.1:0", func(protocol.Message) { received <- struct{}{} })
+	// Garbage is counted and dropped, and the endpoint keeps going: after one
+	// datagram of each malformation, the next good one is still delivered
+	// with its ids.
+	got := make(chan protocol.Message, 1)
+	ep, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { got <- owned(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,19 +234,41 @@ func TestUDPEndpointBadDatagram(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
+	msg := protocol.Message{Kind: protocol.KindGossip, From: 5, IDs: []peer.ID{5, 6}}
+	v1, err := Marshal(msg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
-	for ep.DecodeErrors() == 0 {
-		select {
-		case <-received:
-			t.Fatal("garbage datagram dispatched to handler")
-		case <-deadline:
-			t.Fatal("decode error not recorded within 2s")
-		default:
-			time.Sleep(5 * time.Millisecond)
+	v2, err := MarshalAddressed(msg, []string{"127.0.0.1:9", ""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badMagic, oneID := bytes.Clone(v1), bytes.Clone(v2)
+	badMagic[0] = 0xff
+	oneID[9] = 1 // the trailer holds more entries than the header has ids
+	bad := [][]byte{
+		{0xde, 0xad, 0xbe, 0xef},
+		badMagic,
+		v1[:len(v1)-1],             // short version 1
+		oneID,                      // version-2 trailer count mismatch
+		v2[:len(v2)-1],             // version-2 trailer cut short
+		append(bytes.Clone(v2), 0), // trailing bytes
+	}
+	for _, b := range append(bad, v2) {
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
 		}
+	}
+	select {
+	case m := <-got:
+		if m.From != 5 || !slices.Equal(m.IDs, msg.IDs) {
+			t.Errorf("delivered %+v, want the good datagram %+v", m, msg)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("good datagram after the garbage not delivered within 2s")
+	}
+	if n := ep.DecodeErrors(); n != len(bad) {
+		t.Errorf("DecodeErrors = %d, want %d", n, len(bad))
 	}
 }
 
@@ -248,8 +284,10 @@ func TestUDPEndpointValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	if err := ep.AddPeer(1, "bad:addr:xx"); err == nil {
-		t.Error("accepted invalid peer address")
+	for _, addr := range []string{"bad:addr:xx", ":7000"} {
+		if err := ep.AddPeer(1, addr); err == nil {
+			t.Errorf("accepted invalid peer address %q", addr)
+		}
 	}
 }
 
@@ -320,7 +358,7 @@ func TestUDPAddressLearning(t *testing.T) {
 	// C must learn A's address both ways.
 	received := func() (chan protocol.Message, func(protocol.Message)) {
 		ch := make(chan protocol.Message, 16)
-		return ch, func(m protocol.Message) { ch <- m }
+		return ch, func(m protocol.Message) { ch <- owned(m) }
 	}
 	chA, hA := received()
 	a, err := NewEndpoint("127.0.0.1:0", hA)
@@ -417,7 +455,7 @@ func TestUDPRelearnAfterRejoin(t *testing.T) {
 	// source addresses, the stale entry stuck forever and every reply went
 	// to the dead port.
 	chB := make(chan protocol.Message, 16)
-	b, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chB <- m })
+	b, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chB <- owned(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +465,7 @@ func TestUDPRelearnAfterRejoin(t *testing.T) {
 	}
 
 	chA1 := make(chan protocol.Message, 16)
-	a1, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chA1 <- m })
+	a1, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chA1 <- owned(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +494,7 @@ func TestUDPRelearnAfterRejoin(t *testing.T) {
 	// Rejoin on a fresh port (guaranteed different from oldAddr since the
 	// old socket's port can't be reused while we hold the new one first).
 	chA2 := make(chan protocol.Message, 16)
-	a2, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chA2 <- m })
+	a2, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chA2 <- owned(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +538,7 @@ func TestUDPTrailerCannotClobberFreshEntry(t *testing.T) {
 	// peers but must never overwrite an existing entry. Otherwise one stale
 	// trailer would undo a refresh learned from a live source address.
 	chB := make(chan protocol.Message, 16)
-	b, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chB <- m })
+	b, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chB <- owned(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +547,7 @@ func TestUDPTrailerCannotClobberFreshEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	chA := make(chan protocol.Message, 16)
-	a, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chA <- m })
+	a, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chA <- owned(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +598,7 @@ func TestUDPTrailerHostnameNotResolved(t *testing.T) {
 	// resolver (the lookup would run on the receive goroutine under the lock
 	// every Send takes). Only literal ip:port entries are learned.
 	got := make(chan protocol.Message, 1)
-	ep, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { got <- m })
+	ep, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { got <- owned(m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,6 +629,172 @@ func TestUDPTrailerHostnameNotResolved(t *testing.T) {
 	// trailer entry). Id 7's entry names a host and is ignored.
 	if n := ep.LearnedPeers(); n != 2 {
 		t.Errorf("LearnedPeers = %d, want 2 (sender and the literal entry; localhost:9 must not be resolved)", n)
+	}
+}
+
+func TestUDPAddressIdentity(t *testing.T) {
+	// Directory entries compare as unmapped netip.AddrPorts. A knows B as
+	// "localhost:p" (resolved once, possibly to an IPv4-mapped net.IP), B
+	// knows A as "127.0.0.1:p": traffic both ways must route and must never
+	// count as a refresh, and neither may an IPv4-mapped sighting of a plain
+	// IPv4 entry.
+	if ua, err := net.ResolveUDPAddr("udp", "localhost:0"); err != nil || ua.IP.To4() == nil {
+		t.Skipf("localhost does not resolve to IPv4 here: %v %v", ua, err)
+	}
+	chA, chB := make(chan protocol.Message, 1), make(chan protocol.Message, 1)
+	a, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chA <- owned(m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewEndpoint("127.0.0.1:0", func(m protocol.Message) { chB <- owned(m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, err := range []error{
+		a.EnableAddressLearning(0, a.Addr().String()),
+		b.EnableAddressLearning(1, b.Addr().String()),
+		a.AddPeer(1, net.JoinHostPort("localhost", fmt.Sprint(b.Addr().Port))),
+		b.AddPeer(0, a.Addr().String()),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange := func(from *Endpoint, fromID, to peer.ID, ch chan protocol.Message) {
+		t.Helper()
+		if err := from.Send(to, protocol.Message{Kind: protocol.KindGossip, From: fromID, IDs: []peer.ID{fromID, to}}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-ch:
+			if m.From != fromID || !slices.Equal(m.IDs, []peer.ID{fromID, to}) {
+				t.Fatalf("received %+v", m)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("n%d -> n%d not delivered", fromID, to)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		exchange(a, 0, 1, chB)
+		exchange(b, 1, 0, chA)
+	}
+	mapped := netip.AddrPortFrom(netip.AddrFrom16(netip.MustParseAddr("127.0.0.1").As16()), uint16(a.Addr().Port))
+	b.mu.Lock()
+	b.learn(0, mapped, true)
+	b.mu.Unlock()
+	for _, ep := range []*Endpoint{a, b} {
+		if r, l := ep.RefreshedPeers(), ep.LearnedPeers(); r != 0 || l != 0 {
+			t.Errorf("%v: refreshed %d, learned %d; want 0 and 0 (every sighting matches the configured entry)", ep.Addr(), r, l)
+		}
+	}
+}
+
+func TestUDPSendWireBytes(t *testing.T) {
+	// Send puts on the wire exactly what Marshal encodes, and with address
+	// learning on exactly what MarshalAddressed does: the advertise address
+	// for the endpoint's own id, the directory's entry for a known id, and
+	// nothing for an unknown one.
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	ep, err := NewEndpoint("127.0.0.1:0", func(protocol.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	if err := ep.AddPeer(1, raw.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.AddPeer(2, "127.0.0.1:9"); err != nil {
+		t.Fatal(err)
+	}
+	msg := protocol.Message{Kind: protocol.KindGossip, From: 0, IDs: []peer.ID{0, 2, 3}, Dup: true}
+	check := func(want []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Send(1, msg); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 512)
+		if err := raw.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := raw.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf[:n], want) {
+			t.Errorf("sent %x, want %x", buf[:n], want)
+		}
+	}
+	check(Marshal(msg))
+	if err := ep.EnableAddressLearning(0, "127.0.0.1:7000"); err != nil {
+		t.Fatal(err)
+	}
+	check(MarshalAddressed(msg, []string{"127.0.0.1:7000", "127.0.0.1:9", ""}))
+}
+
+// TestEndpointZeroAlloc holds a warmed-up endpoint with address learning on
+// to no allocation: not for a Send to a known peer, and not for a Send whose
+// datagram the other endpoint receives, decodes, learns from and hands to
+// its handler.
+func TestEndpointZeroAlloc(t *testing.T) {
+	handled := make(chan struct{}, 1)
+	a, err := NewEndpoint("127.0.0.1:0", func(protocol.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewEndpoint("127.0.0.1:0", func(protocol.Message) {
+		select {
+		case handled <- struct{}{}:
+		default:
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, err := range []error{
+		a.EnableAddressLearning(0, a.Addr().String()),
+		b.EnableAddressLearning(1, b.Addr().String()),
+		a.AddPeer(1, b.Addr().String()),
+		a.AddPeer(2, "127.0.0.1:9"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	msg := protocol.Message{Kind: protocol.KindGossip, From: 0, IDs: []peer.ID{0, 2}}
+	send := func() {
+		if err := a.Send(1, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	roundTrip := func() {
+		send()
+		select {
+		case <-handled:
+		case <-deadline:
+			t.Fatal("datagram not handled")
+		}
+	}
+	roundTrip() // b learns n0 from the source address and n2 from the trailer
+	if n := b.LearnedPeers(); n != 2 {
+		t.Fatalf("b learned %d peers, want 2", n)
+	}
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Errorf("send and receive: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("send: %v allocs/op, want 0", allocs)
 	}
 }
 
