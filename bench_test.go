@@ -150,8 +150,8 @@ func BenchmarkDegreeMCSolveCached(b *testing.B) {
 	}
 }
 
-// BenchmarkStationary measures power iteration on a mid-size sparse chain
-// (the adjacency-list representation the builders produce).
+// BenchmarkStationary measures power iteration on a mid-size degree chain
+// (s=40, dL=18) in the CSR form every chain takes.
 func BenchmarkStationary(b *testing.B) {
 	sp, err := degreemc.NewSpace(degreemc.Params{S: 40, DL: 18, Loss: 0.05})
 	if err != nil {
@@ -164,26 +164,6 @@ func BenchmarkStationary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := markov.Stationary(chain, nil, 1e-9, 1000000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStationaryCSR measures the same power iteration on the finalized
-// CSR form the solver now iterates.
-func BenchmarkStationaryCSR(b *testing.B) {
-	sp, err := degreemc.NewSpace(degreemc.Params{S: 40, DL: 18, Loss: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	chain, err := sp.BuildChain(degreemc.Field{PFull: 0.01, Gap: 25, PDup: 0.06})
-	if err != nil {
-		b.Fatal(err)
-	}
-	csr := chain.Finalize()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := markov.Stationary(csr, nil, 1e-9, 1000000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 //     the entry moves without duplication (>= 1-(l+delta)) and is not a
 //     self-edge (the self-edge fraction beta is at most 1/6 under
 //     Assumption 7.7).
-func DependenceChain(l, delta float64) (*markov.Dense, error) {
+func DependenceChain(l, delta float64) (*markov.CSR, error) {
 	if err := checkRates(l, delta); err != nil {
 		return nil, err
 	}
@@ -27,12 +27,12 @@ func DependenceChain(l, delta float64) (*markov.Dense, error) {
 	if toDep > 1 {
 		toDep = 1
 	}
-	c := markov.NewDense(2)
-	c.Set(0, 1, toDep)
-	c.Set(0, 0, 1-toDep)
-	c.Set(1, 0, toIndep)
-	c.Set(1, 1, 1-toIndep)
-	return c, nil
+	c := markov.NewSparse(2)
+	c.Add(0, 1, toDep)
+	c.Add(0, 0, 1-toDep)
+	c.Add(1, 0, toIndep)
+	c.Add(1, 1, 1-toIndep)
+	return c.Finalize(), nil
 }
 
 // DependentFraction returns the stationary probability of the dependent

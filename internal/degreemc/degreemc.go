@@ -52,11 +52,7 @@
 // distributions, with which we start the next iteration."
 package degreemc
 
-import (
-	"fmt"
-
-	"sendforget/internal/markov"
-)
+import "fmt"
 
 // State is a (outdegree, indegree) pair of the tagged node.
 type State struct {
@@ -280,51 +276,4 @@ func (sp *Space) Transitions(f Field) []Transition {
 		})
 	}
 	return out
-}
-
-// uniformizationHeadroom keeps every row of the uniformized chain with a
-// positive self-loop, which guarantees aperiodicity and damps power
-// iteration oscillation.
-const uniformizationHeadroom = 1.1
-
-// BuildChain uniformizes the rates under field f into a stochastic chain
-// over sp's states.
-func (sp *Space) BuildChain(f Field) (*markov.Sparse, error) {
-	n := sp.Len()
-	rates := make([][]struct {
-		to   int
-		rate float64
-	}, n)
-	maxRow := 0.0
-	for k, st := range sp.states {
-		total := 0.0
-		sp.transitions(st, f, func(to State, rate float64, _ Kind) {
-			idx, ok := sp.index[to]
-			if !ok {
-				return
-			}
-			rates[k] = append(rates[k], struct {
-				to   int
-				rate float64
-			}{idx, rate})
-			total += rate
-		})
-		if total > maxRow {
-			maxRow = total
-		}
-	}
-	if maxRow == 0 {
-		return nil, fmt.Errorf("degreemc: chain has no transitions")
-	}
-	w := maxRow * uniformizationHeadroom
-	chain := markov.NewSparse(n)
-	for k, row := range rates {
-		for _, e := range row {
-			chain.Add(k, e.to, e.rate/w)
-		}
-	}
-	if err := chain.CloseRows(); err != nil {
-		return nil, err
-	}
-	return chain, nil
 }

@@ -196,7 +196,7 @@ func solve(par Params, opts SolveOptions) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := tmpl.rewrite(sp, field); err != nil {
+		if _, err := tmpl.rewrite(field); err != nil {
 			return nil, err
 		}
 		stat, _, err := markov.Stationary(tmpl.csr, rho, opts.InnerTol, opts.InnerMaxIter)
@@ -205,7 +205,7 @@ func solve(par Params, opts SolveOptions) (*Result, error) {
 		}
 		// The residual is the distance of the iterate from its image; the
 		// damped update shrinks oscillation while sharing the fixed point.
-		if markov.TV(rho, stat) < opts.OuterTol {
+		if stats.TotalVariation(rho, stat) < opts.OuterTol {
 			return sp.buildResult(par, stat, outer)
 		}
 		for k := range rho {

@@ -6,13 +6,19 @@ import (
 	"sendforget/internal/markov"
 )
 
-// chainTemplate is the reusable CSR form of the degree MC. The sparsity
-// pattern of the chain does not depend on the mean-field values — only the
-// edge weights do — so the fixed-point iteration builds the structure once
-// and rewrites the weights in place every outer round, instead of
-// re-running the adjacency-list construction, dedup, and uniformization
-// allocation each time.
+// uniformizationHeadroom keeps every row of the uniformized chain with a
+// positive self-loop, which guarantees aperiodicity and damps power
+// iteration oscillation.
+const uniformizationHeadroom = 1.1
+
+// chainTemplate is the degree MC's one chain builder. The sparsity pattern
+// of the chain does not depend on the mean-field values — only the edge
+// weights do — so the pattern is enumerated once into CSR form and rewrite
+// fills in the weights for a field. The fixed-point iteration rewrites the
+// same template every outer round; BuildChain and Transient rewrite a fresh
+// one once.
 type chainTemplate struct {
+	sp  *Space
 	csr *markov.CSR
 	// self[k] is the slot index (within row k) of the self-loop entry that
 	// absorbs the uniformization remainder.
@@ -41,6 +47,7 @@ func (sp *Space) newChainTemplate() (*chainTemplate, error) {
 		s.Add(k, k, 1) // reserve the self-loop slot
 	}
 	t := &chainTemplate{
+		sp:     sp,
 		csr:    s.Finalize(),
 		self:   make([]int, n),
 		totals: make([]float64, n),
@@ -62,10 +69,18 @@ func (sp *Space) newChainTemplate() (*chainTemplate, error) {
 }
 
 // rewrite recomputes the uniformized transition probabilities for field f
-// into the template's weight slots. It mirrors BuildChain: raw rates are
-// accumulated per edge, the uniformization constant is the maximum row total
-// times the headroom, and each row's missing mass becomes its self-loop.
-func (t *chainTemplate) rewrite(sp *Space, f Field) error {
+// into the template's weight slots and returns the uniformization constant
+// w: raw rates are accumulated per edge, w is the maximum row total times
+// the headroom, every rate is divided by w, and each row's missing mass
+// becomes its self-loop.
+//
+// A raw rate r (as emitted by transitions, with the common 1/(s(s-1))
+// dropped) means the event fires with probability r/(n s(s-1)) per global
+// action, i.e. r/(s(s-1)) per round of n actions. Dividing by w makes one
+// chain step span s(s-1)/w rounds — independent of the state, which is what
+// makes the time change exact.
+func (t *chainTemplate) rewrite(f Field) (float64, error) {
+	sp := t.sp
 	maxRow := 0.0
 	var missing bool
 	for k, st := range sp.states {
@@ -93,10 +108,10 @@ func (t *chainTemplate) rewrite(sp *Space, f Field) error {
 		}
 	}
 	if missing {
-		return fmt.Errorf("degreemc: field emitted a transition outside the template pattern")
+		return 0, fmt.Errorf("degreemc: field emitted a transition outside the template pattern")
 	}
 	if maxRow == 0 {
-		return fmt.Errorf("degreemc: chain has no transitions")
+		return 0, fmt.Errorf("degreemc: chain has no transitions")
 	}
 	w := maxRow * uniformizationHeadroom
 	for k := range t.totals {
@@ -106,7 +121,21 @@ func (t *chainTemplate) rewrite(sp *Space, f Field) error {
 		}
 		probs[t.self[k]] += 1 - t.totals[k]/w
 	}
-	return nil
+	return w, nil
+}
+
+// BuildChain uniformizes the rates under field f into a stochastic chain
+// over sp's states. Edges of the pattern that f switches off stay in the
+// chain at weight 0.
+func (sp *Space) BuildChain(f Field) (*markov.CSR, error) {
+	t, err := sp.newChainTemplate()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := t.rewrite(f); err != nil {
+		return nil, err
+	}
+	return t.csr, nil
 }
 
 // findCol locates col in a sorted row by binary search.

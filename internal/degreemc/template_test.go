@@ -2,16 +2,21 @@ package degreemc
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"sendforget/internal/markov"
 )
 
-// TestTemplateRewriteMatchesBuildChain checks that rewriting the CSR template
-// for a field produces the same stochastic chain BuildChain constructs from
-// scratch, including on the lossless manifold where many rates vanish.
-func TestTemplateRewriteMatchesBuildChain(t *testing.T) {
+// TestTemplateMatchesTransitions checks the one chain builder against a
+// reference uniformized inside the test from the exported Transitions list:
+// the same w, and every edge weight and self-loop equal bit for bit. One
+// template is rewritten for several fields in turn (including the lossless
+// manifold, where many rates vanish), so no weight may leak from one field
+// into the next; BuildChain must produce the same rows.
+func TestTemplateMatchesTransitions(t *testing.T) {
 	for _, par := range []Params{
 		{S: 12, DL: 6, Loss: 0},
 		{S: 12, DL: 6, Loss: 0.15},
@@ -30,34 +35,101 @@ func TestTemplateRewriteMatchesBuildChain(t *testing.T) {
 			{PFull: 0, Gap: 4, PDup: 0},
 			{PFull: 1, Gap: 0.5, PDup: 0.9},
 		} {
-			chain, err := sp.BuildChain(f)
+			n := sp.Len()
+			ref := make([]map[int]float64, n)
+			totals := make([]float64, n)
+			for k := range ref {
+				ref[k] = map[int]float64{}
+			}
+			for _, tr := range sp.Transitions(f) {
+				from, _ := sp.Index(tr.From)
+				to, ok := sp.Index(tr.To)
+				if !ok {
+					continue
+				}
+				ref[from][to] += tr.Rate
+				totals[from] += tr.Rate
+			}
+			wantW := 0.0
+			for _, total := range totals {
+				wantW = math.Max(wantW, total)
+			}
+			wantW *= uniformizationHeadroom
+
+			w, err := tmpl.rewrite(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tmpl.rewrite(sp, f); err != nil {
-				t.Fatal(err)
+			if w != wantW {
+				t.Fatalf("par %+v field %+v: w = %v, reference %v", par, f, w, wantW)
 			}
 			if err := markov.Validate(tmpl.csr); err != nil {
 				t.Fatalf("par %+v field %+v: rewritten template invalid: %v", par, f, err)
 			}
-			for k := 0; k < sp.Len(); k++ {
-				want := map[int]float64{}
-				chain.ForEach(k, func(col int, p float64) { want[col] += p })
-				got := map[int]float64{}
-				tmpl.csr.ForEach(k, func(col int, p float64) { got[col] += p })
-				for col, p := range want {
-					q := got[col]
-					if diff := p - q; diff > 1e-12 || diff < -1e-12 {
-						t.Fatalf("par %+v field %+v row %d col %d: template %v chain %v", par, f, k, col, q, p)
-					}
-					delete(got, col)
+			built, err := sp.BuildChain(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < n; k++ {
+				cols, probs := tmpl.csr.Row(k)
+				builtCols, builtProbs := built.Row(k)
+				if !slices.Equal(cols, builtCols) || !slices.Equal(probs, builtProbs) {
+					t.Fatalf("par %+v field %+v row %d: BuildChain differs from the rewritten template", par, f, k)
 				}
-				for col, q := range got {
-					if q > 1e-12 {
-						t.Fatalf("par %+v field %+v row %d: template has extra mass %v at col %d", par, f, k, q, col)
+				for slot, c := range cols {
+					want := ref[k][int(c)] / w
+					if int(c) == k {
+						want += 1 - totals[k]/w
 					}
+					if probs[slot] != want {
+						t.Fatalf("par %+v field %+v row %d col %d: builder %v reference %v", par, f, k, c, probs[slot], want)
+					}
+					delete(ref[k], int(c))
+				}
+				if len(ref[k]) != 0 {
+					t.Fatalf("par %+v field %+v row %d: transitions outside the pattern: %v", par, f, k, ref[k])
 				}
 			}
+		}
+	}
+}
+
+// TestTransientRoundsPerStep pins Transient's time scale: one step of the
+// builder's chain spans s(s-1)/w rounds for the w the builder returned, so
+// sampling once per s(s-1)/w rounds must land on successive chain steps.
+func TestTransientRoundsPerStep(t *testing.T) {
+	par := Params{S: 12, DL: 6, Loss: 0.15}
+	f := Field{PFull: 0.3, Gap: 2.5, PDup: 0.1}
+	sp, err := NewSpace(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, err := sp.newChainTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := tmpl.rewrite(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundsPerStep := float64(par.S*(par.S-1)) / w
+	from := State{Out: par.DL, In: 0}
+	const steps = 200
+	traj, err := sp.Transient(f, from, steps*roundsPerStep, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, _ := sp.Index(from)
+	dist := make([]float64, sp.Len())
+	dist[k0] = 1
+	for i := 1; i <= steps; i++ {
+		dist = markov.Step(tmpl.csr, dist)
+		mo := 0.0
+		for k, p := range dist {
+			mo += p * float64(sp.States()[k].Out)
+		}
+		if traj[i].MeanOut != mo {
+			t.Fatalf("sample %d (round %v): MeanOut %v, want %v after %d chain steps", i, traj[i].Round, traj[i].MeanOut, mo, i)
 		}
 	}
 }

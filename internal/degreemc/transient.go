@@ -14,53 +14,6 @@ type TransientPoint struct {
 	MeanIn  float64
 }
 
-// buildChainScaled uniformizes like BuildChain and additionally returns the
-// real-time scale: how many protocol rounds one chain step spans.
-//
-// A raw transition rate r (as emitted by transitions, with the common
-// 1/(s(s-1)) dropped) means the event fires with probability r/(n s(s-1))
-// per global action, i.e. r/(s(s-1)) per round of n actions. Uniformization
-// divides all rates by w, so one chain step advances s(s-1)/w rounds —
-// independent of the state, which is what makes the time change exact.
-func (sp *Space) buildChainScaled(f Field) (*markov.Sparse, float64, error) {
-	n := sp.Len()
-	type edge struct {
-		to   int
-		rate float64
-	}
-	rates := make([][]edge, n)
-	maxRow := 0.0
-	for k, st := range sp.states {
-		total := 0.0
-		sp.transitions(st, f, func(to State, rate float64, _ Kind) {
-			idx, ok := sp.index[to]
-			if !ok {
-				return
-			}
-			rates[k] = append(rates[k], edge{idx, rate})
-			total += rate
-		})
-		if total > maxRow {
-			maxRow = total
-		}
-	}
-	if maxRow == 0 {
-		return nil, 0, fmt.Errorf("degreemc: chain has no transitions")
-	}
-	w := maxRow * uniformizationHeadroom
-	chain := markov.NewSparse(n)
-	for k, row := range rates {
-		for _, e := range row {
-			chain.Add(k, e.to, e.rate/w)
-		}
-	}
-	if err := chain.CloseRows(); err != nil {
-		return nil, 0, err
-	}
-	roundsPerStep := float64(sp.par.S*(sp.par.S-1)) / w
-	return chain, roundsPerStep, nil
-}
-
 // Transient evolves a point mass at from under the chain with field f and
 // returns samples+1 trajectory points spanning [0, maxRounds] — the exact
 // expected degree evolution of, e.g., a joiner starting at (dL, 0)
@@ -74,10 +27,16 @@ func (sp *Space) Transient(f Field, from State, maxRounds float64, samples int) 
 	if !ok {
 		return nil, fmt.Errorf("degreemc: transient start %+v outside state space", from)
 	}
-	chain, roundsPerStep, err := sp.buildChainScaled(f)
+	tmpl, err := sp.newChainTemplate()
 	if err != nil {
 		return nil, err
 	}
+	w, err := tmpl.rewrite(f)
+	if err != nil {
+		return nil, err
+	}
+	// One chain step spans s(s-1)/w rounds (see rewrite).
+	roundsPerStep := float64(sp.par.S*(sp.par.S-1)) / w
 	dist := make([]float64, sp.Len())
 	dist[k0] = 1
 	out := make([]TransientPoint, 0, samples+1)
@@ -95,7 +54,7 @@ func (sp *Space) Transient(f Field, from State, maxRounds float64, samples int) 
 		targetRound := maxRounds * float64(i) / float64(samples)
 		targetSteps := int(math.Round(targetRound / roundsPerStep))
 		for stepsDone < targetSteps {
-			dist = markov.Step(chain, dist)
+			dist = markov.Step(tmpl.csr, dist)
 			stepsDone++
 		}
 		record(targetRound)

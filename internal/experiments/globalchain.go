@@ -6,6 +6,7 @@ import (
 	"sendforget/internal/analysis"
 	"sendforget/internal/globalmc"
 	"sendforget/internal/markov"
+	"sendforget/internal/stats"
 )
 
 // Lem75Params configures the exact global-chain reproduction.
@@ -85,7 +86,7 @@ func Lem75(p Lem75Params) (*Report, error) {
 	}
 	mt.AddRow("reachable states", d(manifold.Len()))
 	mt.AddRow("ergodic", fmt.Sprintf("%v", markov.IsErgodic(manifold.MC())))
-	mt.AddRow("TV(stationary, uniform)", f4(markov.TV(piM, uniform)))
+	mt.AddRow("TV(stationary, uniform)", f4(stats.TotalVariation(piM, uniform)))
 	r.Tables = append(r.Tables, mt)
 
 	dt := Table{

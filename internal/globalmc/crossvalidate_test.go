@@ -3,11 +3,11 @@ package globalmc
 import (
 	"testing"
 
-	"sendforget/internal/markov"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/runtime"
+	"sendforget/internal/stats"
 )
 
 // TestSimulatorMatchesExactStationary is the strongest consistency check in
@@ -77,7 +77,7 @@ func TestSimulatorMatchesExactStationary(t *testing.T) {
 	for i := range occupancy {
 		occupancy[i] /= samples
 	}
-	if tv := markov.TV(occupancy, pi); tv > 0.02 {
+	if tv := stats.TotalVariation(occupancy, pi); tv > 0.02 {
 		t.Errorf("TV(simulated occupancy, exact stationary) = %v, want <= 0.02", tv)
 	}
 	// The duplicate-free state must sit at (or tie for, within sampling

@@ -191,7 +191,7 @@ type Chain struct {
 	par    Params
 	states []State
 	index  map[string]int
-	mc     *markov.Sparse
+	mc     *markov.CSR
 	// PartitionClipped counts transition probability mass redirected to
 	// self-loops because the target state was partitioned.
 	PartitionClipped float64
@@ -244,15 +244,16 @@ func Build(par Params, initial State) (*Chain, error) {
 		})
 		rows = append(rows, r)
 	}
-	c.mc = markov.NewSparse(len(c.states))
+	mc := markov.NewSparse(len(c.states))
 	for _, r := range rows {
 		for j, p := range r.to {
-			c.mc.Add(r.from, j, p)
+			mc.Add(r.from, j, p)
 		}
 		if r.self > 0 {
-			c.mc.Add(r.from, r.from, r.self)
+			mc.Add(r.from, r.from, r.self)
 		}
 	}
+	c.mc = mc.Finalize()
 	if err := markov.Validate(c.mc); err != nil {
 		return nil, fmt.Errorf("globalmc: assembled chain invalid: %w", err)
 	}
@@ -356,7 +357,7 @@ func (c *Chain) Len() int { return len(c.states) }
 func (c *Chain) States() []State { return c.states }
 
 // MC returns the transition chain.
-func (c *Chain) MC() *markov.Sparse { return c.mc }
+func (c *Chain) MC() *markov.CSR { return c.mc }
 
 // Stationary computes the chain's stationary distribution.
 func (c *Chain) Stationary(tol float64, maxIter int) ([]float64, error) {

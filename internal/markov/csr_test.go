@@ -1,7 +1,7 @@
 package markov
 
 import (
-	"runtime"
+	"fmt"
 	"testing"
 
 	"sendforget/internal/rng"
@@ -87,97 +87,82 @@ func TestFinalizeDedupAndSort(t *testing.T) {
 	}
 }
 
-// TestCSRMatchesSparseStep is the property test: for random chains (with
-// duplicate Adds), the finalized CSR and the original Sparse agree on Step.
+// TestCSRMatchesSparseStep is the property test for Finalize: for random
+// chains (with duplicate Adds), stepping the finalized CSR agrees with
+// stepping the builder's raw, uncompacted Adds.
 func TestCSRMatchesSparseStep(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + r.Intn(40)
 		s, dist := randomChain(r, n)
-		m := s.Finalize()
-		got := Step(m, dist)
-		want := Step(s, dist)
+		want := make([]float64, n)
+		for i, row := range s.rows {
+			for _, e := range row {
+				want[e.col] += dist[i] * e.p
+			}
+		}
+		got := Step(s.Finalize(), dist)
 		for j := range want {
 			if !almostEqual(got[j], want[j], 1e-12) {
-				t.Fatalf("trial %d: Step differs at %d: csr %v sparse %v", trial, j, got[j], want[j])
+				t.Fatalf("trial %d: Step differs at %d: csr %v raw adds %v", trial, j, got[j], want[j])
 			}
 		}
 	}
 }
 
-// withChunkGeometry shrinks the chunk tunables so small test chains exercise
-// the chunked kernel, restoring the defaults afterwards.
-func withChunkGeometry(t *testing.T, chunkRows, minRows, workers int, fn func()) {
-	t.Helper()
-	oldChunk, oldMin, oldWorkers := csrChunkRows, csrParallelMinRows, csrWorkers
-	csrChunkRows, csrParallelMinRows, csrWorkers = chunkRows, minRows, workers
-	defer func() { csrChunkRows, csrParallelMinRows, csrWorkers = oldChunk, oldMin, oldWorkers }()
-	fn()
+// denseStep is the reference kernel: a dense loop over every (i, j) pair,
+// out[j] += dist[i]*P[i][j] with i ascending, one row of P expanded at a
+// time so the reference needs O(n) memory.
+func denseStep(m *CSR, dist []float64) []float64 {
+	n := m.N()
+	out := make([]float64, n)
+	row := make([]float64, n)
+	for i := 0; i < n; i++ {
+		cols, probs := m.Row(i)
+		for k, c := range cols {
+			row[c] = probs[k]
+		}
+		for j := 0; j < n; j++ {
+			out[j] += dist[i] * row[j]
+		}
+		for _, c := range cols {
+			row[c] = 0
+		}
+	}
+	return out
 }
 
-// TestChunkedStepBitIdentical asserts the tentpole determinism guarantee:
-// the chunked kernel produces bit-identical output with 1 worker and with
-// many, because partial sums merge in fixed chunk order.
-func TestChunkedStepBitIdentical(t *testing.T) {
-	r := rng.New(7)
-	s, dist := randomChain(r, 700)
-	m := s.Finalize()
-	outs := make([][]float64, 0, 3)
-	for _, workers := range []int{1, 4, 7} {
-		withChunkGeometry(t, 64, 128, workers, func() {
-			out := make([]float64, m.N())
-			sc := &csrScratch{}
-			m.step(dist, out, sc)
-			outs = append(outs, out)
-		})
+// TestStepMatchesDenseReference requires Step to reproduce the dense
+// reference bit for bit: both sum each column's contributions with the row
+// index ascending, and the dense loop's extra terms are exact zeros.
+func TestStepMatchesDenseReference(t *testing.T) {
+	r := rng.New(5)
+	chains := map[string]*CSR{}
+	dists := map[string][]float64{}
+	for _, n := range []int{7, 500, 5000} {
+		s, dist := randomChain(r, n)
+		name := fmt.Sprintf("random-%d", n)
+		chains[name], dists[name] = s.Finalize(), dist
 	}
-	for w := 1; w < len(outs); w++ {
-		for j := range outs[0] {
-			if outs[0][j] != outs[w][j] {
-				t.Fatalf("worker-count variant %d differs at %d: %x vs %x", w, j, outs[0][j], outs[w][j])
+	// Row 1 is a pure self-loop; row 2 carries no mass in dist.
+	s := NewSparse(4)
+	s.Add(0, 1, 0.25)
+	s.Add(0, 3, 0.75)
+	s.Add(1, 1, 1)
+	s.Add(2, 0, 1)
+	s.Add(3, 2, 0.5)
+	s.Add(3, 0, 0.5)
+	chains["self-loop-row"], dists["self-loop-row"] = s.Finalize(), []float64{0.1, 0.6, 0, 0.3}
+	for name, m := range chains {
+		dist := dists[name]
+		for step := 0; step < 3; step++ {
+			got, want := Step(m, dist), denseStep(m, dist)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s step %d: out[%d] = %x, dense reference %x", name, step, j, got[j], want[j])
+				}
 			}
-		}
-	}
-}
-
-// TestStationaryCSRParallelMatchesSequential runs the full power iteration
-// through the chunked kernel with 1 and with several workers and requires a
-// bit-identical stationary distribution.
-func TestStationaryCSRParallelMatchesSequential(t *testing.T) {
-	r := rng.New(21)
-	s, _ := randomChain(r, 900)
-	// Make the chain ergodic (cycle edges connect, self-loops deperiodize)
-	// and renormalize each row to a distribution.
-	for i := 0; i < s.N(); i++ {
-		s.Add(i, (i+1)%s.N(), 0.05)
-		s.Add(i, i, 0.05)
-	}
-	s.Compact()
-	for i := range s.rows {
-		sum := s.RowSum(i)
-		for k := range s.rows[i] {
-			s.rows[i][k].p /= sum
-		}
-	}
-	m := s.Finalize()
-	var seq, par []float64
-	withChunkGeometry(t, 64, 128, 1, func() {
-		pi, _, err := Stationary(m, nil, 1e-10, 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq = pi
-	})
-	withChunkGeometry(t, 64, 128, 8, func() {
-		pi, _, err := Stationary(m, nil, 1e-10, 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par = pi
-	})
-	for j := range seq {
-		if seq[j] != par[j] {
-			t.Fatalf("stationary differs at state %d: %x vs %x", j, seq[j], par[j])
+			dist = got
 		}
 	}
 }
@@ -205,21 +190,6 @@ func TestCSRRowRewrite(t *testing.T) {
 	}
 }
 
-func TestRowsPerChunkDeterministic(t *testing.T) {
-	// The chunk geometry must not depend on the machine.
-	if g := runtime.GOMAXPROCS(0); g < 1 {
-		t.Fatalf("GOMAXPROCS = %d", g)
-	}
-	if got := rowsPerChunk(100); got != csrChunkRows {
-		t.Errorf("rowsPerChunk(100) = %d, want %d", got, csrChunkRows)
-	}
-	// Very large chains grow the chunk instead of the chunk count.
-	n := csrChunkRows * csrMaxChunks * 3
-	if got := rowsPerChunk(n); (n+got-1)/got > csrMaxChunks {
-		t.Errorf("rowsPerChunk(%d) = %d exceeds csrMaxChunks chunks", n, got)
-	}
-}
-
 func BenchmarkSparseChainBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := buildDenseRows(400, 400, 7)
@@ -240,41 +210,18 @@ func BenchmarkFinalize(b *testing.B) {
 	}
 }
 
-func benchmarkStep(b *testing.B, c Chain, n int) {
-	b.Helper()
-	dist := make([]float64, n)
+// BenchmarkStep measures one power-iteration step on a random
+// (full-bandwidth) 5,000-state chain.
+func BenchmarkStep(b *testing.B) {
+	s, _ := randomChain(rng.New(3), 5000)
+	m := s.Finalize()
+	dist := make([]float64, m.N())
 	for i := range dist {
-		dist[i] = 1 / float64(n)
+		dist[i] = 1 / float64(m.N())
 	}
-	out := make([]float64, n)
-	step := newStepper(c)
+	out := make([]float64, m.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		step(dist, out)
+		m.stepInto(dist, out)
 	}
-}
-
-func BenchmarkStepSparse(b *testing.B) {
-	s, _ := randomChain(rng.New(3), 5000)
-	benchmarkStep(b, s, 5000)
-}
-
-// BenchmarkStepCSR measures the plain (single-pass) CSR kernel.
-func BenchmarkStepCSR(b *testing.B) {
-	old := csrParallelMinRows
-	csrParallelMinRows = 1 << 30
-	defer func() { csrParallelMinRows = old }()
-	s, _ := randomChain(rng.New(3), 5000)
-	benchmarkStep(b, s.Finalize(), 5000)
-}
-
-// BenchmarkStepCSRChunked measures the chunked kernel on the same chain — a
-// random (full-bandwidth) chain is its worst case, since every chunk's dirty
-// range spans all columns.
-func BenchmarkStepCSRChunked(b *testing.B) {
-	old := csrParallelMinRows
-	csrParallelMinRows = 1
-	defer func() { csrParallelMinRows = old }()
-	s, _ := randomChain(rng.New(3), 5000)
-	benchmarkStep(b, s.Finalize(), 5000)
 }

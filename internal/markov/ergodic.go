@@ -6,7 +6,7 @@ import "fmt"
 // strongly connected (one SCC spanning all states) — condition (1) of the
 // ergodic theorem quoted in Section 3.2 and the property Lemma 7.1 proves
 // for the global S&F chain.
-func IsIrreducible(c Chain) bool {
+func IsIrreducible(c *CSR) bool {
 	n := c.N()
 	if n == 0 {
 		return false
@@ -17,7 +17,7 @@ func IsIrreducible(c Chain) bool {
 // sccs returns the strongly connected components of the positive-transition
 // graph, using an iterative Tarjan so large degree-MC state spaces cannot
 // overflow the goroutine stack.
-func sccs(c Chain) [][]int {
+func sccs(c *CSR) [][]int {
 	n := c.N()
 	const unvisited = -1
 	index := make([]int, n)
@@ -27,25 +27,14 @@ func sccs(c Chain) [][]int {
 		index[i] = unvisited
 	}
 	var (
-		stack   []int
-		order   = 0
-		result  [][]int
-		adj     = make([][]int, n)
-		adjDone = make([]bool, n)
+		stack  []int
+		order  = 0
+		result [][]int
 	)
-	neighbors := func(u int) []int {
-		if !adjDone[u] {
-			c.ForEach(u, func(v int, _ float64) {
-				adj[u] = append(adj[u], v)
-			})
-			adjDone[u] = true
-		}
-		return adj[u]
-	}
 
 	type frame struct {
 		v  int
-		ni int // next neighbor index to explore
+		ni int // next slot of v's row to explore
 	}
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
@@ -59,10 +48,14 @@ func sccs(c Chain) [][]int {
 		onStack[root] = true
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
-			ns := neighbors(f.v)
-			if f.ni < len(ns) {
-				w := ns[f.ni]
+			cols, probs := c.Row(f.v)
+			if f.ni < len(cols) {
+				k := f.ni
 				f.ni++
+				if probs[k] == 0 {
+					continue
+				}
+				w := int(cols[k])
 				if index[w] == unvisited {
 					index[w] = order
 					low[w] = order
@@ -107,7 +100,7 @@ func sccs(c Chain) [][]int {
 // Period returns the period of an irreducible chain: the gcd of the lengths
 // of all directed cycles. A period of 1 means aperiodic — condition (2) of
 // the ergodic theorem. It returns an error if the chain is not irreducible.
-func Period(c Chain) (int, error) {
+func Period(c *CSR) (int, error) {
 	if !IsIrreducible(c) {
 		return 0, fmt.Errorf("markov: period undefined for reducible chain")
 	}
@@ -121,19 +114,24 @@ func Period(c Chain) (int, error) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		c.ForEach(u, func(v int, _ float64) {
+		cols, probs := c.Row(u)
+		for k, col := range cols {
+			if probs[k] == 0 {
+				continue
+			}
+			v := int(col)
 			if !seen[v] {
 				seen[v] = true
 				level[v] = level[u] + 1
 				queue = append(queue, v)
-				return
+				continue
 			}
 			d := level[u] + 1 - level[v]
 			if d < 0 {
 				d = -d
 			}
 			g = gcd(g, d)
-		})
+		}
 	}
 	if g == 0 {
 		// A strongly connected graph with >= 2 states always closes some
@@ -147,7 +145,7 @@ func Period(c Chain) (int, error) {
 // IsErgodic reports whether the chain is irreducible and aperiodic, i.e.
 // has a unique stationary distribution reached from every start (the
 // fundamental theorem quoted in Section 3.2).
-func IsErgodic(c Chain) bool {
+func IsErgodic(c *CSR) bool {
 	if !IsIrreducible(c) {
 		return false
 	}

@@ -6,18 +6,37 @@ import (
 	"testing/quick"
 
 	"sendforget/internal/rng"
+	"sendforget/internal/stats"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // twoState builds the classic two-state chain with P(0->1)=a, P(1->0)=b.
-func twoState(a, b float64) *Dense {
-	d := NewDense(2)
-	d.Set(0, 0, 1-a)
-	d.Set(0, 1, a)
-	d.Set(1, 0, b)
-	d.Set(1, 1, 1-b)
-	return d
+func twoState(a, b float64) *CSR {
+	s := NewSparse(2)
+	s.Add(0, 0, 1-a)
+	s.Add(0, 1, a)
+	s.Add(1, 0, b)
+	s.Add(1, 1, 1-b)
+	return s.Finalize()
+}
+
+// cycle builds the deterministic k-cycle 0 -> 1 -> ... -> k-1 -> 0.
+func cycle(k int) *CSR {
+	s := NewSparse(k)
+	for i := 0; i < k; i++ {
+		s.Add(i, (i+1)%k, 1)
+	}
+	return s.Finalize()
+}
+
+// identity builds the n-state chain in which every state is absorbing.
+func identity(n int) *CSR {
+	s := NewSparse(n)
+	for i := 0; i < n; i++ {
+		s.Add(i, i, 1)
+	}
+	return s.Finalize()
 }
 
 func TestValidate(t *testing.T) {
@@ -25,10 +44,10 @@ func TestValidate(t *testing.T) {
 	if err := Validate(d); err != nil {
 		t.Fatalf("valid chain rejected: %v", err)
 	}
-	bad := NewDense(2)
-	bad.Set(0, 0, 0.5)
-	bad.Set(1, 0, 1)
-	if err := Validate(bad); err == nil {
+	bad := NewSparse(2)
+	bad.Add(0, 0, 0.5)
+	bad.Add(1, 0, 1)
+	if err := Validate(bad.Finalize()); err == nil {
 		t.Error("row summing to 0.5 accepted")
 	}
 }
@@ -55,7 +74,7 @@ func TestStationaryFixedPointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := Step(d, pi)
-	if tv := TV(pi, next); tv > 1e-10 {
+	if tv := stats.TotalVariation(pi, next); tv > 1e-10 {
 		t.Errorf("pi*P differs from pi by TV %v", tv)
 	}
 }
@@ -77,16 +96,13 @@ func TestStationaryCustomInit(t *testing.T) {
 func TestStationaryNonConvergence(t *testing.T) {
 	// The deterministic 2-cycle is periodic: power iteration from a point
 	// mass never converges.
-	d := NewDense(2)
-	d.Set(0, 1, 1)
-	d.Set(1, 0, 1)
-	if _, _, err := Stationary(d, []float64{1, 0}, 1e-12, 50); err == nil {
+	if _, _, err := Stationary(cycle(2), []float64{1, 0}, 1e-12, 50); err == nil {
 		t.Error("periodic chain converged from point mass")
 	}
 }
 
 func TestStationaryEmptyChain(t *testing.T) {
-	if _, _, err := Stationary(NewDense(0), nil, 1e-9, 10); err == nil {
+	if _, _, err := Stationary(NewSparse(0).Finalize(), nil, 1e-9, 10); err == nil {
 		t.Error("empty chain accepted")
 	}
 }
@@ -97,25 +113,15 @@ func TestSparseAddAccumulates(t *testing.T) {
 	s.Add(0, 1, 0.3)
 	s.Add(0, 0, 0.5)
 	s.Add(1, 0, 1)
-	if err := Validate(s); err != nil {
+	m := s.Finalize()
+	if err := Validate(m); err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(s.RowSum(0), 1, 1e-12) {
-		t.Errorf("RowSum(0) = %v", s.RowSum(0))
+	cols, probs := m.Row(0)
+	if len(cols) != 2 {
+		t.Fatalf("compacted row 0 has %d entries, want 2", len(cols))
 	}
-	s.Compact()
-	got := 0.0
-	entries := 0
-	s.ForEach(0, func(col int, p float64) {
-		entries++
-		if col == 1 {
-			got = p
-		}
-	})
-	if entries != 2 {
-		t.Errorf("compacted row 0 has %d entries, want 2", entries)
-	}
-	if !almostEqual(got, 0.5, 1e-12) {
+	if got := probs[1]; cols[1] != 1 || !almostEqual(got, 0.5, 1e-12) {
 		t.Errorf("accumulated P(0->1) = %v, want 0.5", got)
 	}
 }
@@ -123,9 +129,7 @@ func TestSparseAddAccumulates(t *testing.T) {
 func TestSparseAddZeroIgnored(t *testing.T) {
 	s := NewSparse(1)
 	s.Add(0, 0, 0)
-	count := 0
-	s.ForEach(0, func(int, float64) { count++ })
-	if count != 0 {
+	if cols, _ := s.Finalize().Row(0); len(cols) != 0 {
 		t.Error("zero-probability transition stored")
 	}
 }
@@ -146,16 +150,12 @@ func TestCloseRows(t *testing.T) {
 	if err := s.CloseRows(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(s); err != nil {
+	m := s.Finalize()
+	if err := Validate(m); err != nil {
 		t.Fatal(err)
 	}
-	selfLoop := 0.0
-	s.ForEach(0, func(col int, p float64) {
-		if col == 0 {
-			selfLoop = p
-		}
-	})
-	if !almostEqual(selfLoop, 0.75, 1e-12) {
+	cols, probs := m.Row(0)
+	if selfLoop := probs[0]; cols[0] != 0 || !almostEqual(selfLoop, 0.75, 1e-12) {
 		t.Errorf("self-loop = %v, want 0.75", selfLoop)
 	}
 	over := NewSparse(1)
@@ -165,22 +165,27 @@ func TestCloseRows(t *testing.T) {
 	}
 }
 
+// TestSparseStationaryMatchesDense builds the (0.3, 0.6) two-state chain
+// with its mass split over several Adds in scrambled order and checks its
+// stationary distribution against power iteration with the test-local dense
+// reference step.
 func TestSparseStationaryMatchesDense(t *testing.T) {
-	dense := twoState(0.3, 0.6)
 	sparse := NewSparse(2)
-	sparse.Add(0, 0, 0.7)
-	sparse.Add(0, 1, 0.3)
-	sparse.Add(1, 0, 0.6)
 	sparse.Add(1, 1, 0.4)
-	pd, _, err := Stationary(dense, nil, 1e-12, 10000)
+	sparse.Add(0, 1, 0.1)
+	sparse.Add(1, 0, 0.6)
+	sparse.Add(0, 0, 0.7)
+	sparse.Add(0, 1, 0.2)
+	m := sparse.Finalize()
+	ps, _, err := Stationary(m, nil, 1e-12, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, _, err := Stationary(sparse, nil, 1e-12, 10000)
-	if err != nil {
-		t.Fatal(err)
+	pd := []float64{0.5, 0.5}
+	for iter := 0; iter < 10000; iter++ {
+		pd = denseStep(m, pd)
 	}
-	if tv := TV(pd, ps); tv > 1e-9 {
+	if tv := stats.TotalVariation(pd, ps); tv > 1e-9 {
 		t.Errorf("dense and sparse stationary differ by %v", tv)
 	}
 }
@@ -190,34 +195,37 @@ func TestIsIrreducible(t *testing.T) {
 		t.Error("connected two-state chain reported reducible")
 	}
 	// Absorbing state: not irreducible.
-	d := NewDense(2)
-	d.Set(0, 1, 1)
-	d.Set(1, 1, 1)
-	if IsIrreducible(d) {
+	s := NewSparse(2)
+	s.Add(0, 1, 1)
+	s.Add(1, 1, 1)
+	if IsIrreducible(s.Finalize()) {
 		t.Error("chain with absorbing state reported irreducible")
 	}
-	if IsIrreducible(NewDense(0)) {
+	if IsIrreducible(NewSparse(0).Finalize()) {
 		t.Error("empty chain reported irreducible")
 	}
 	// Two disjoint cycles.
-	d4 := NewDense(4)
-	d4.Set(0, 1, 1)
-	d4.Set(1, 0, 1)
-	d4.Set(2, 3, 1)
-	d4.Set(3, 2, 1)
-	if IsIrreducible(d4) {
+	s4 := NewSparse(4)
+	s4.Add(0, 1, 1)
+	s4.Add(1, 0, 1)
+	s4.Add(2, 3, 1)
+	s4.Add(3, 2, 1)
+	if IsIrreducible(s4.Finalize()) {
 		t.Error("disconnected chain reported irreducible")
+	}
+	// A slot rewritten to weight 0 is not an edge.
+	m := twoState(0.3, 0.6)
+	_, p1 := m.Row(1)
+	p1[0], p1[1] = 0, 1
+	if IsIrreducible(m) {
+		t.Error("zero-weight slot counted as an edge")
 	}
 }
 
 func TestPeriod(t *testing.T) {
 	// Deterministic k-cycles have period k.
 	for _, k := range []int{2, 3, 5} {
-		d := NewDense(k)
-		for i := 0; i < k; i++ {
-			d.Set(i, (i+1)%k, 1)
-		}
-		p, err := Period(d)
+		p, err := Period(cycle(k))
 		if err != nil {
 			t.Fatalf("cycle %d: %v", k, err)
 		}
@@ -226,12 +234,12 @@ func TestPeriod(t *testing.T) {
 		}
 	}
 	// A self-loop makes any irreducible chain aperiodic.
-	d := NewDense(3)
-	d.Set(0, 1, 0.5)
-	d.Set(0, 0, 0.5)
-	d.Set(1, 2, 1)
-	d.Set(2, 0, 1)
-	p, err := Period(d)
+	s := NewSparse(3)
+	s.Add(0, 1, 0.5)
+	s.Add(0, 0, 0.5)
+	s.Add(1, 2, 1)
+	s.Add(2, 0, 1)
+	p, err := Period(s.Finalize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +247,11 @@ func TestPeriod(t *testing.T) {
 		t.Errorf("period with self-loop = %d, want 1", p)
 	}
 	// Reducible chain: error.
-	bad := NewDense(2)
-	bad.Set(0, 0, 1)
-	bad.Set(1, 1, 1)
-	if _, err := Period(bad); err == nil {
+	if _, err := Period(identity(2)); err == nil {
 		t.Error("Period accepted reducible chain")
 	}
 	// Single state with self-loop.
-	one := NewDense(1)
-	one.Set(0, 0, 1)
-	p, err = Period(one)
+	p, err = Period(identity(1))
 	if err != nil || p != 1 {
 		t.Errorf("single state period = %d, %v", p, err)
 	}
@@ -258,18 +261,30 @@ func TestIsErgodic(t *testing.T) {
 	if !IsErgodic(twoState(0.3, 0.6)) {
 		t.Error("ergodic chain rejected")
 	}
-	cycle := NewDense(2)
-	cycle.Set(0, 1, 1)
-	cycle.Set(1, 0, 1)
-	if IsErgodic(cycle) {
+	if IsErgodic(cycle(2)) {
 		t.Error("periodic chain reported ergodic")
 	}
-	red := NewDense(2)
-	red.Set(0, 0, 1)
-	red.Set(1, 1, 1)
-	if IsErgodic(red) {
+	if IsErgodic(identity(2)) {
 		t.Error("reducible chain reported ergodic")
 	}
+}
+
+// positiveChain builds an n-state chain with every transition strictly
+// positive (hence ergodic), rows normalized to distributions.
+func positiveChain(r *rng.RNG, n int, eps float64) *CSR {
+	s := NewSparse(n)
+	for i := 0; i < n; i++ {
+		row := make([]float64, n)
+		sum := 0.0
+		for j := range row {
+			row[j] = r.Float64() + eps
+			sum += row[j]
+		}
+		for j := range row {
+			s.Add(i, j, row[j]/sum)
+		}
+	}
+	return s.Finalize()
 }
 
 func TestErgodicTheoremEmpirically(t *testing.T) {
@@ -278,18 +293,7 @@ func TestErgodicTheoremEmpirically(t *testing.T) {
 	r := rng.New(42)
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + r.Intn(5)
-		d := NewDense(n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, n)
-			sum := 0.0
-			for j := range row {
-				row[j] = r.Float64() + 0.01 // strictly positive: ergodic
-				sum += row[j]
-			}
-			for j := range row {
-				d.Set(i, j, row[j]/sum)
-			}
-		}
+		d := positiveChain(r, n, 0.01)
 		if !IsErgodic(d) {
 			t.Fatal("strictly positive chain not ergodic")
 		}
@@ -302,7 +306,7 @@ func TestErgodicTheoremEmpirically(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		if tv := TV(p1, p2); tv > 1e-8 {
+		if tv := stats.TotalVariation(p1, p2); tv > 1e-8 {
 			t.Errorf("trial %d: different starts gave TV %v", trial, tv)
 		}
 	}
@@ -311,19 +315,7 @@ func TestErgodicTheoremEmpirically(t *testing.T) {
 func TestQuickStepPreservesMass(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%6) + 2
-		r := rng.New(seed)
-		d := NewDense(n)
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = r.Float64()
-				sum += row[j]
-			}
-			for j := range row {
-				d.Set(i, j, row[j]/sum)
-			}
-		}
+		d := positiveChain(rng.New(seed), n, 0)
 		dist := make([]float64, n)
 		dist[0] = 1
 		next := Step(d, dist)
@@ -363,14 +355,14 @@ func TestSpectralGapTwoState(t *testing.T) {
 
 func TestSpectralGapImmediateForgetting(t *testing.T) {
 	// A chain whose every row equals pi forgets in one step: lambda2 = 0.
-	d := NewDense(3)
+	s := NewSparse(3)
 	for i := 0; i < 3; i++ {
-		d.Set(i, 0, 0.5)
-		d.Set(i, 1, 0.3)
-		d.Set(i, 2, 0.2)
+		s.Add(i, 0, 0.5)
+		s.Add(i, 1, 0.3)
+		s.Add(i, 2, 0.2)
 	}
 	pi := []float64{0.5, 0.3, 0.2}
-	l2, relax, err := SpectralGap(d, pi, 1e-12, 1000)
+	l2, relax, err := SpectralGap(s.Finalize(), pi, 1e-12, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +376,7 @@ func TestSpectralGapValidation(t *testing.T) {
 	if _, _, err := SpectralGap(d, []float64{1}, 1e-9, 100); err == nil {
 		t.Error("accepted wrong-length pi")
 	}
-	if _, _, err := SpectralGap(NewDense(1), []float64{1}, 1e-9, 100); err == nil {
+	if _, _, err := SpectralGap(identity(1), []float64{1}, 1e-9, 100); err == nil {
 		t.Error("accepted single-state chain")
 	}
 }

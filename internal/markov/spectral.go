@@ -14,7 +14,7 @@ import (
 //
 // pi must be the chain's stationary distribution. The estimate converges
 // geometrically at rate |lambda3/lambda2|; maxIter bounds the work.
-func SpectralGap(c Chain, pi []float64, tol float64, maxIter int) (lambda2 float64, relaxation float64, err error) {
+func SpectralGap(c *CSR, pi []float64, tol float64, maxIter int) (lambda2 float64, relaxation float64, err error) {
 	n := c.N()
 	if n < 2 {
 		return 0, 0, fmt.Errorf("markov: spectral gap needs >= 2 states")
@@ -35,10 +35,9 @@ func SpectralGap(c Chain, pi []float64, tol float64, maxIter int) (lambda2 float
 	}
 	scale(v, 1/norm1(v))
 	next := make([]float64, n)
-	step := newStepper(c)
 	prev := 0.0
 	for iter := 0; iter < maxIter; iter++ {
-		step(v, next)
+		c.stepInto(v, next)
 		deflate(next, pi)
 		lambda := norm1(next)
 		if lambda == 0 {
