@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"sendforget/internal/metrics"
+	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/flipper"
 	"sendforget/internal/protocol/pushpull"
@@ -19,6 +20,7 @@ import (
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/runtime"
 	"sendforget/internal/trace"
+	"sendforget/internal/view"
 )
 
 func main() {
@@ -71,7 +73,6 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	e := sub.(*runtime.Seq)
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
@@ -80,26 +81,28 @@ func run(args []string) int {
 		}
 		defer f.Close()
 		rec := trace.NewRecorder(f)
-		rec.Attach(e)
+		rec.Attach(sub.(*runtime.Seq))
 		defer func() {
 			if err := rec.Flush(); err != nil {
 				fmt.Fprintln(os.Stderr, "trace:", err)
 			}
 		}()
 	}
-	runtime.Run(e, *rounds)
-	printSummary(e, *protoName == "sf", *deps)
+	runtime.Run(sub, *rounds)
+	printSummary(sub, *protoName == "sf", *deps)
 	return 0
 }
 
-func printSummary(e *runtime.Seq, sf, deps bool) {
+func printSummary(e runtime.Substrate, sf, deps bool) {
 	g := e.Snapshot()
 	deg := metrics.Degrees(g, nil)
 	c := e.Traffic()
-	fmt.Printf("protocol        %s\n", e.Core(0).Name())
+	var name string // every node runs the same protocol
+	e.EachNode(func(_ peer.ID, _ *view.View, core protocol.StepCore) { name = core.Name() })
+	fmt.Printf("protocol        %s\n", name)
 	fmt.Printf("steps           %d (sends %d, losses %d, deliveries %d)\n", e.Counters().Ticks, c.Sends, c.Losses, c.Deliveries)
 	fmt.Printf("empirical loss  %.4f\n", c.LossRate())
-	fmt.Printf("edges           %d (%.2f per node)\n", g.NumEdges(), float64(g.NumEdges())/float64(e.N()))
+	fmt.Printf("edges           %d (%.2f per node)\n", g.NumEdges(), float64(g.NumEdges())/float64(g.N()))
 	fmt.Printf("outdegree       %.2f (var %.2f)\n", deg.MeanOut, deg.VarOut)
 	fmt.Printf("indegree        %.2f (var %.2f, min %d, max %d)\n", deg.MeanIn, deg.VarIn, deg.MinIn, deg.MaxIn)
 	fmt.Printf("components      %d (weakly connected: %v)\n", g.ComponentCount(), g.WeaklyConnected())
@@ -113,7 +116,9 @@ func printSummary(e *runtime.Seq, sf, deps bool) {
 		fmt.Printf("dup prob        %.4f, deletion prob %.4f (Lemma 6.6: dup = loss + del)\n",
 			float64(pc.Duplications)/float64(pc.Sends), float64(pc.DeletedIDs)/float64(2*pc.Sends))
 	}
-	if st := sendforget.MeasureDependence(e); deps && st.Entries > 0 {
+	var st sendforget.DependenceStats
+	e.EachNode(st.Add)
+	if deps && st.Entries > 0 {
 		fmt.Printf("alpha           %.4f (independent entries, Lemma 7.9)\n", st.Alpha())
 	}
 }

@@ -333,18 +333,14 @@ func Circulant(u peer.ID, n int, dst []peer.ID) {
 
 // BootstrapDegree resolves the circulant bootstrap outdegree every
 // substrate seeds its nodes with: requested, or when that is zero an even
-// value of about half the view size of the cores f builds, clamped to
+// value of about half the view size s, clamped to
 // [2, n-1] (and kept even under the clamp; at n = 2 there is no such value,
 // and the caller must request one). The result must lie in [1, n-1]; how
 // many of the seeds a protocol keeps is its SeedView's rule.
-func BootstrapDegree(f protocol.CoreFactory, n, requested int) (int, error) {
+func BootstrapDegree(s, n, requested int) (int, error) {
 	d := requested
 	if d == 0 {
-		probe, err := f()
-		if err != nil {
-			return 0, fmt.Errorf("driver: core factory: %w", err)
-		}
-		d = probe.ViewSize() / 2
+		d = s / 2
 		if d%2 != 0 {
 			d--
 		}

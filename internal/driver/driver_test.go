@@ -293,9 +293,6 @@ func TestDeadLetterResolvedAtDrainTime(t *testing.T) {
 }
 
 func TestBootstrapDegreeAndCirculant(t *testing.T) {
-	cores := func(s int) protocol.CoreFactory {
-		return func() (protocol.StepCore, error) { return sized{s: s}, nil }
-	}
 	for _, tc := range []struct {
 		s, n, requested, want int
 	}{
@@ -306,13 +303,13 @@ func TestBootstrapDegreeAndCirculant(t *testing.T) {
 		{40, 8, 0, 6},     // below n and even
 		{40, 1000, 7, 7},  // a request is taken as given
 	} {
-		got, err := BootstrapDegree(cores(tc.s), tc.n, tc.requested)
+		got, err := BootstrapDegree(tc.s, tc.n, tc.requested)
 		if err != nil || got != tc.want {
 			t.Errorf("BootstrapDegree(s=%d, n=%d, requested=%d) = %d, %v; want %d", tc.s, tc.n, tc.requested, got, err, tc.want)
 		}
 	}
 	for _, requested := range []int{-1, 10, 11} {
-		if _, err := BootstrapDegree(cores(8), 10, requested); err == nil {
+		if _, err := BootstrapDegree(8, 10, requested); err == nil {
 			t.Errorf("init degree %d accepted for n=10", requested)
 		}
 	}
@@ -322,15 +319,6 @@ func TestBootstrapDegreeAndCirculant(t *testing.T) {
 		t.Errorf("Circulant(8, 10) = %v, want %v", seeds, want)
 	}
 }
-
-// sized is a StepCore stub that only knows its view size, which is all
-// BootstrapDegree asks a core.
-type sized struct {
-	protocol.StepCore
-	s int
-}
-
-func (c sized) ViewSize() int { return c.s }
 
 // refEntry is one parked message as the reference model of the delay
 // calendar remembers it: everything Due must give back, plus the (due, seq)

@@ -12,6 +12,7 @@ import (
 	"sendforget/internal/protocol/sfopt"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // AblationOptParams configures the Section 5 optimizations ablation.
@@ -50,13 +51,10 @@ func sfoptCores(opts sfopt.Options) protocol.CoreFactory {
 
 // AblationOpt measures what each of the paper's Section 5 optimizations
 // (undeletion, replace-when-full, larger batches) buys and costs relative
-// to the analyzed baseline, under identical loss. It runs on the seq engine
-// only: the undeletion and replacement counts live in each node's core.
+// to the analyzed baseline, under identical loss. The undeletion and
+// replacement counts live in each node's core.
 func AblationOpt(p AblationOptParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
-	if err := needSeq("abl3", kind, "per-node sfopt counters (sfopt.Core.Counters)"); err != nil {
-		return nil, err
-	}
 	r := &Report{
 		ID:     "abl3",
 		Title:  "Section 5 optimizations: undeletion, replace-when-full, batching",
@@ -83,19 +81,19 @@ func AblationOpt(p AblationOptParams, kind runtime.EngineKind) (*Report, error) 
 		if err != nil {
 			return nil, err
 		}
-		e := sub.(*runtime.Seq)
-		if err := e.CheckInvariants(); err != nil {
+		defer sub.Close()
+		if err := sub.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		g := e.Snapshot()
+		g := sub.Snapshot()
 		deg := metrics.Degrees(g, nil)
-		c := e.Counters()
+		c := sub.Counters()
 		var vc sfopt.Counters
-		for u := 0; u < p.N; u++ {
-			nc := e.Core(peer.ID(u)).(*sfopt.Core).Counters()
+		sub.EachNode(func(_ peer.ID, _ *view.View, core protocol.StepCore) {
+			nc := core.(*sfopt.Core).Counters()
 			vc.Undeletions += nc.Undeletions
 			vc.Replaced += nc.Replaced
-		}
+		})
 		// Every received id is stored, replaces an entry, or is deleted.
 		k := max(v.opts.BatchK, 2)
 		perSend := 0.0

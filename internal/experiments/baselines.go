@@ -155,13 +155,10 @@ func (p *AblationBurstParams) setDefaults() {
 
 // AblationBurst compares S&F under uniform i.i.d. loss (the paper's model)
 // against Gilbert-Elliott bursty loss at the same average rate — probing how
-// far the paper's i.i.d. assumption carries. It runs on the seq engine only:
-// alpha comes from the per-entry dependence tags in each node's core.
+// far the paper's i.i.d. assumption carries. Alpha comes from the per-entry
+// dependence tags in each node's core.
 func AblationBurst(p AblationBurstParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
-	if err := needSeq("abl1", kind, "per-entry dependence tags (sendforget.MeasureDependence)"); err != nil {
-		return nil, err
-	}
 	r := &Report{
 		ID:     "abl1",
 		Title:  "Uniform vs bursty loss at equal average rate (extension)",
@@ -206,16 +203,18 @@ func AblationBurst(p AblationBurstParams, kind runtime.EngineKind) (*Report, err
 		if err != nil {
 			return nil, err
 		}
-		e := sub.(*runtime.Seq)
-		g := e.Snapshot()
+		defer sub.Close()
+		g := sub.Snapshot()
 		deg := metrics.Degrees(g, nil)
+		var st sendforget.DependenceStats
+		sub.EachNode(st.Add)
 		return []string{v.name,
-			f4(e.Traffic().LossRate()),
+			f4(sub.Traffic().LossRate()),
 			f2(float64(g.NumEdges()) / float64(p.N)),
 			f2(deg.MeanOut),
 			f2(deg.VarIn),
 			d(g.ComponentCount()),
-			f4(sendforget.MeasureDependence(e).Alpha()),
+			f4(st.Alpha()),
 		}, nil
 	})
 	if err != nil {
@@ -263,14 +262,10 @@ func (p *AblationDLParams) setDefaults() {
 
 // AblationDL sweeps the duplication threshold dL at fixed loss, exposing
 // the design tradeoff of Section 5: dL = 0 lets the id population decay
-// (like shuffle), large dL pins outdegrees and increases dependence. It runs
-// on the seq engine only: alpha comes from the per-entry dependence tags in
-// each node's core.
+// (like shuffle), large dL pins outdegrees and increases dependence. Alpha
+// comes from the per-entry dependence tags in each node's core.
 func AblationDL(p AblationDLParams, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
-	if err := needSeq("abl2", kind, "per-entry dependence tags (sendforget.MeasureDependence)"); err != nil {
-		return nil, err
-	}
 	r := &Report{
 		ID:     "abl2",
 		Title:  "Duplication threshold sweep (design-choice ablation)",
@@ -297,18 +292,20 @@ func AblationDL(p AblationDLParams, kind runtime.EngineKind) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := sub.(*runtime.Seq)
-		g := e.Snapshot()
+		defer sub.Close()
+		g := sub.Snapshot()
 		deg := metrics.Degrees(g, nil)
-		c := e.Counters()
+		c := sub.Counters()
 		dup := 0.0
 		if c.Sends > 0 {
 			dup = float64(c.Duplications) / float64(c.Sends)
 		}
+		var st sendforget.DependenceStats
+		sub.EachNode(st.Add)
 		return []string{d(dl),
 			f2(float64(g.NumEdges()) / float64(p.N)),
 			f2(deg.MeanOut), f2(deg.MeanIn),
-			f4(sendforget.MeasureDependence(e).Alpha()),
+			f4(st.Alpha()),
 			d(g.ComponentCount()),
 			f4(dup),
 		}, nil

@@ -23,15 +23,6 @@ func sfCores(s, dl int, trackDeps bool) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
 }
 
-// needSeq fails experiment id on any backend but seq: it reads per-node
-// core state (what) that only the per-action scheduler exposes.
-func needSeq(id string, kind runtime.EngineKind, what string) error {
-	if kind == "" || kind == runtime.EngineSeq {
-		return nil
-	}
-	return fmt.Errorf("%s runs only on the seq engine: it reads %s, which engine %s does not expose", id, what, kind)
-}
-
 // simulate builds cfg on backend kind and runs it for warmRounds rounds. The
 // empty kind selects seq, the one every simulation ran on before -engine
 // reached it, so the default reports stay byte-stable. The caller closes it.

@@ -135,9 +135,6 @@ func (p *Lem79Params) setDefaults() {
 // show at finite n (the 1/n terms the paper neglects) are subtracted.
 func Lem79(p Lem79Params, kind runtime.EngineKind) (*Report, error) {
 	p.setDefaults()
-	if err := needSeq("lem7.9", kind, "per-entry dependence tags (sendforget.MeasureDependence)"); err != nil {
-		return nil, err
-	}
 	// Calibrate delta: lossless run, measured duplication probability.
 	e0, err := newSF(kind, p.N, p.S, p.DL, 0, 0, 100, p.Seed, true)
 	if err != nil {
@@ -145,6 +142,7 @@ func Lem79(p Lem79Params, kind runtime.EngineKind) (*Report, error) {
 	}
 	runtime.Run(e0, p.Rounds)
 	c0 := e0.Counters()
+	e0.Close()
 	deltaHat := p.Delta
 	if c0.Sends > 0 {
 		if m := float64(c0.Duplications) / float64(c0.Sends); m > deltaHat {
@@ -164,13 +162,15 @@ func Lem79(p Lem79Params, kind runtime.EngineKind) (*Report, error) {
 			return nil, err
 		}
 		runtime.Run(sub, p.Rounds)
-		e := sub.(*runtime.Seq)
-		st := sendforget.MeasureDependence(e)
+		var st sendforget.DependenceStats
+		sub.EachNode(st.Add)
+		views := sub.Views()
+		sub.Close()
 		bound, err := analysis.AlphaLowerBound(l, deltaHat)
 		if err != nil {
 			return nil, err
 		}
-		iidSelf, iidDup := metrics.IIDDependenceBaseline(e.Views(), p.N)
+		iidSelf, iidDup := metrics.IIDDependenceBaseline(views, p.N)
 		excess := float64(st.Dependent) - iidSelf - iidDup
 		if excess < 0 {
 			excess = 0

@@ -8,6 +8,7 @@ import (
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/runtime"
 	"sendforget/internal/stats"
+	"sendforget/internal/view"
 )
 
 // TestSimulatorMatchesExactStationary is the strongest consistency check in
@@ -54,16 +55,13 @@ func TestSimulatorMatchesExactStationary(t *testing.T) {
 	for k := 0; k < samples; k++ {
 		e.Step()
 		for u := 0; u < n; u++ {
-			row := current.Mult[u]
-			for v := range row {
-				row[v] = 0
-			}
-			if lv := e.View(peer.ID(u)); lv != nil {
-				for _, id := range lv.IDs() {
-					row[id]++
-				}
-			}
+			clear(current.Mult[u])
 		}
+		e.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+			for _, id := range lv.IDs() {
+				current.Mult[u][id]++
+			}
+		})
 		if idx, ok := chain.Index(current); ok {
 			occupancy[idx]++
 		} else {

@@ -7,6 +7,7 @@ import (
 
 	"sendforget/internal/graph"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/runtime"
 	"sendforget/internal/view"
 )
@@ -101,28 +102,39 @@ func (l *Local) snapshot() []*view.View {
 	return l.opts.Sub.Views()
 }
 
-// Views renders the live views, ordered by node id, or just node *only's.
-func (l *Local) Views(only *int) ([]NodeView, int) {
-	views := l.snapshot()
-	live := 0
-	for _, v := range views {
-		if v != nil {
-			live++
+// node renders node id's view and counts the live nodes in one EachNode
+// pass, copying no other view; ok reports whether id is live. Callers hold
+// mu.
+func (l *Local) node(id int) (nv NodeView, live int, ok bool) {
+	l.opts.Sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		live++
+		if int(u) == id {
+			nv, ok = nodeView(id, lv), true
 		}
-	}
+	})
+	return nv, live, ok
+}
+
+// Views renders the live views, ordered by node id, or just node *only's,
+// which is read in place under mu.
+func (l *Local) Views(only *int) ([]NodeView, int) {
 	if only != nil {
-		if *only < 0 || *only >= len(views) || views[*only] == nil {
+		l.mu.Lock()
+		nv, live, ok := l.node(*only)
+		l.mu.Unlock()
+		if !ok {
 			return nil, live
 		}
-		return []NodeView{nodeView(*only, views[*only])}, live
+		return []NodeView{nv}, live
 	}
-	out := make([]NodeView, 0, live)
+	views := l.snapshot()
+	out := make([]NodeView, 0, len(views))
 	for id, v := range views {
 		if v != nil {
 			out = append(out, nodeView(id, v))
 		}
 	}
-	return out, live
+	return out, len(out)
 }
 
 // Snapshot returns the membership graph of one consistent state, so the
@@ -181,8 +193,7 @@ func (l *Local) Leave(id int) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	views := l.opts.Sub.Views()
-	if id >= len(views) || views[id] == nil {
+	if _, _, ok := l.node(id); !ok {
 		return fmt.Errorf("mgmt: node %d is not active", id)
 	}
 	l.opts.Sub.RemoveNode(peer.ID(id))

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	gort "runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -187,6 +188,32 @@ func TestHealthAndView(t *testing.T) {
 		getJSON(t, base+"/view?id="+bad, http.StatusBadRequest, nil)
 	}
 	getJSON(t, base+"/view?id=99", http.StatusNotFound, nil)
+}
+
+// TestOneNodeViewCopiesNoOtherView holds GET /view?id's backend read to a
+// cost that does not grow with the cluster: the bytes Views(&id) allocates
+// at n = 20,000 stay within twice those at n = 2,000 (a copy of every view
+// would be ten times).
+func TestOneNodeViewCopiesNoOtherView(t *testing.T) {
+	perCall := func(n int) uint64 {
+		backend, _ := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSharded, N: n}, nil)
+		id := n / 2
+		if nv, live := backend.Views(&id); len(nv) != 1 || nv[0].ID != id || live != n {
+			t.Fatalf("n=%d: Views(&%d) = %+v, %d live", n, id, nv, live)
+		}
+		const calls = 50
+		var before, after gort.MemStats
+		gort.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			backend.Views(&id)
+		}
+		gort.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	small, large := perCall(2000), perCall(20000)
+	if large > 2*small {
+		t.Errorf("Views(&id) allocates %d B at n=20000 against %d B at n=2000", large, small)
+	}
 }
 
 func TestJoinLeaveValidation(t *testing.T) {

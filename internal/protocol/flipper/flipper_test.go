@@ -51,7 +51,7 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.View(0).Outdegree(); got != 4 {
+	if got := e.Views()[0].Outdegree(); got != 4 {
 		t.Errorf("degree > s seeded %d entries, want 4", got)
 	}
 }
@@ -81,8 +81,9 @@ func TestFlipsMixTheGraph(t *testing.T) {
 	e := mustEngine(t, 40, 10, 4, 0, 2)
 	runtime.Run(e, 300)
 	mixed := false
+	views := e.Views()
 	for u := 0; u < 40 && !mixed; u++ {
-		for _, id := range e.View(peer.ID(u)).IDs() {
+		for _, id := range views[u].IDs() {
 			diff := (int(id) - u + 40) % 40
 			if diff > 4 {
 				mixed = true
@@ -144,7 +145,7 @@ func TestDegenerateSelections(t *testing.T) {
 func TestChurn(t *testing.T) {
 	e := mustEngine(t, 10, 8, 4, 0, 5)
 	e.RemoveNode(2)
-	if e.View(2) != nil {
+	if e.Views()[2] != nil {
 		t.Fatal("Leave did not deactivate")
 	}
 	if err := e.AddNode(2, []peer.ID{0, 1}, false); err != nil {
@@ -167,8 +168,8 @@ func TestChurn(t *testing.T) {
 	}
 	e.StepAt(4)
 	runtime.Run(e, 100)
-	if e.Traffic().DeadLetters == 0 || e.View(4) != nil {
-		t.Errorf("dead letters = %d, departed view %v", e.Traffic().DeadLetters, e.View(4))
+	if e.Traffic().DeadLetters == 0 || e.Views()[4] != nil {
+		t.Errorf("dead letters = %d, departed view %v", e.Traffic().DeadLetters, e.Views()[4])
 	}
 }
 
@@ -197,8 +198,10 @@ func TestMalformedMessagesIgnored(t *testing.T) {
 
 func TestIdentityAndSnapshot(t *testing.T) {
 	e := mustEngine(t, 10, 8, 0, 0, 1)
-	if e.Core(0).Name() != "flipper" || e.N() != 10 {
-		t.Errorf("identity: %q %d", e.Core(0).Name(), e.N())
+	cores := map[string]int{}
+	e.EachNode(func(_ peer.ID, _ *view.View, c protocol.StepCore) { cores[c.Name()]++ })
+	if cores["flipper"] != 10 || len(cores) != 1 {
+		t.Errorf("identity: cores %v, want 10 flipper", cores)
 	}
 	if !e.Snapshot().WeaklyConnected() {
 		t.Error("initial topology disconnected")

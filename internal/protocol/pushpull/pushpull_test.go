@@ -51,7 +51,7 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.View(0).Outdegree(); got != 4 {
+	if got := e.Views()[0].Outdegree(); got != 4 {
 		t.Errorf("init degree > s seeded %d entries, want 4", got)
 	}
 }
@@ -142,14 +142,14 @@ func TestDependenceGrowsUnderGossip(t *testing.T) {
 func TestChurn(t *testing.T) {
 	e := mustEngine(t, 10, 8, 4, 0, 6)
 	e.RemoveNode(2)
-	if e.View(2) != nil {
+	if e.Views()[2] != nil {
 		t.Fatal("Leave did not deactivate")
 	}
 	if err := e.AddNode(2, []peer.ID{0, 1, 3}, false); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if e.View(2).Outdegree() != 3 {
-		t.Errorf("joiner outdegree = %d, want 3", e.View(2).Outdegree())
+	if e.Views()[2].Outdegree() != 3 {
+		t.Errorf("joiner outdegree = %d, want 3", e.Views()[2].Outdegree())
 	}
 	if err := e.AddNode(2, []peer.ID{0}, false); err == nil {
 		t.Error("double join accepted")
@@ -166,16 +166,18 @@ func TestChurn(t *testing.T) {
 	}
 	e.StepAt(4)
 	runtime.Run(e, 100)
-	if e.Traffic().DeadLetters == 0 || e.View(4) != nil {
+	if e.Traffic().DeadLetters == 0 || e.Views()[4] != nil {
 		t.Errorf("dead letters = %d, departed view %v: delivery revived the node or never reached it",
-			e.Traffic().DeadLetters, e.View(4))
+			e.Traffic().DeadLetters, e.Views()[4])
 	}
 }
 
 func TestIdentity(t *testing.T) {
 	e := mustEngine(t, 10, 8, 0, 0, 1)
-	if e.Core(0).Name() != "push-pull" || e.N() != 10 {
-		t.Errorf("identity: name=%q n=%d", e.Core(0).Name(), e.N())
+	cores := map[string]int{}
+	e.EachNode(func(_ peer.ID, _ *view.View, c protocol.StepCore) { cores[c.Name()]++ })
+	if cores["push-pull"] != 10 || len(cores) != 1 {
+		t.Errorf("identity: cores %v, want 10 push-pull", cores)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // The steps are Core's; the decorator only tags the slots they touched. On
 // top of the tag, the paper's Section 2 labeling also counts all self-edges
 // as dependent and, for ids with multiplicity m > 1 in the same view, m-1
-// of the copies as dependent. MeasureDependence applies all three rules;
+// of the copies as dependent. DependenceStats.Add applies all three rules;
 // 1 minus its fraction is the empirical alpha that Lemma 7.9 bounds from
 // below by 1 - 2(l+delta). Tracking costs one bool per view slot and one
 // write to the core per step, which is why it is a constructor choice and
@@ -63,16 +63,6 @@ func (c *TrackedCore) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet
 	return false, deleted
 }
 
-// Overlay is the read access MeasureDependence needs to a running system:
-// every node's view and step core. The sequential engine provides it.
-type Overlay interface {
-	N() int
-	// View returns node u's view, nil for a departed node.
-	View(u peer.ID) *view.View
-	// Core returns node u's step core.
-	Core(u peer.ID) protocol.StepCore
-}
-
 // DependenceStats summarizes the dependence measurement over all views.
 type DependenceStats struct {
 	Entries    int // nonempty view entries
@@ -90,46 +80,41 @@ func (s DependenceStats) Alpha() float64 {
 	return 1 - float64(s.Dependent)/float64(s.Entries)
 }
 
-// MeasureDependence measures the current views of o. Nodes whose core is
-// not a TrackedCore carry no tags: their entries count as dependent only
-// under the self-edge and multiplicity rules.
-func MeasureDependence(o Overlay) DependenceStats {
-	var st DependenceStats
-	seen := make(map[peer.ID]int)
-	for u := peer.ID(0); int(u) < o.N(); u++ {
-		lv := o.View(u)
-		if lv == nil {
+// Add measures node u's view lv, read with its step core, into s: a
+// runtime.Substrate visitor, so sub.EachNode(st.Add) measures a running
+// overlay on any engine. A core that is not a TrackedCore carries no tags:
+// its entries count as dependent only under the self-edge and multiplicity
+// rules.
+func (s *DependenceStats) Add(u peer.ID, lv *view.View, core protocol.StepCore) {
+	var dep []bool
+	if tc, ok := core.(*TrackedCore); ok {
+		dep = tc.dep
+	}
+	for i := 0; i < lv.Size(); i++ {
+		id := lv.Slot(i)
+		if id.IsNil() {
 			continue
 		}
-		var dep []bool
-		if tc, ok := o.Core(u).(*TrackedCore); ok {
-			dep = tc.dep
+		s.Entries++
+		dependent := false
+		if dep != nil && dep[i] {
+			s.Tagged++
+			dependent = true
 		}
-		clear(seen)
-		for i := 0; i < lv.Size(); i++ {
-			id := lv.Slot(i)
-			if id.IsNil() {
-				continue
-			}
-			st.Entries++
-			dependent := false
-			if dep != nil && dep[i] {
-				st.Tagged++
+		if id == u {
+			s.SelfEdges++
+			dependent = true
+		}
+		// Of m copies of one id, all but the first are duplicates.
+		for j := 0; j < i; j++ {
+			if lv.Slot(j) == id {
+				s.Duplicates++
 				dependent = true
+				break
 			}
-			if id == u {
-				st.SelfEdges++
-				dependent = true
-			}
-			seen[id]++
-			if seen[id] > 1 {
-				st.Duplicates++
-				dependent = true
-			}
-			if dependent {
-				st.Dependent++
-			}
+		}
+		if dependent {
+			s.Dependent++
 		}
 	}
-	return st
 }

@@ -80,7 +80,7 @@ func TestConfigValidation(t *testing.T) {
 				if tt.initDeg == 0 {
 					return
 				}
-				if got := e.View(0).Outdegree(); got != tt.wantDegree {
+				if got := e.Views()[0].Outdegree(); got != tt.wantDegree {
 					t.Fatalf("bootstrap outdegree = %d, want %d", got, tt.wantDegree)
 				}
 				return
@@ -118,7 +118,7 @@ func TestDefaultInitDegree(t *testing.T) {
 	if d%2 != 0 || d < 18 || d > 40 {
 		t.Errorf("default init degree %d outside even [18,40]", d)
 	}
-	if got := mustEngine(t, 100, 40, 18, 0, false, 1).View(0).Outdegree(); got != d {
+	if got := mustEngine(t, 100, 40, 18, 0, false, 1).Views()[0].Outdegree(); got != d {
 		t.Errorf("bootstrap outdegree = %d, want the default %d", got, d)
 	}
 	// Tiny system: default degree must stay below n.
@@ -325,13 +325,13 @@ func TestWeakConnectivityMaintainedLossless(t *testing.T) {
 func TestJoinLeave(t *testing.T) {
 	e := mustEngine(t, 10, 8, 2, 4, false, 1)
 	e.RemoveNode(5)
-	if e.View(5) != nil {
+	if e.Views()[5] != nil {
 		t.Fatal("view visible after Leave")
 	}
 	if err := e.AddNode(5, []peer.ID{0, 1, 2, 3}, false); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if got := e.View(5).Outdegree(); got != 4 {
+	if got := e.Views()[5].Outdegree(); got != 4 {
 		t.Errorf("joiner outdegree = %d, want 4", got)
 	}
 	if err := e.AddNode(5, []peer.ID{0, 1}, false); err == nil {
@@ -385,7 +385,7 @@ func TestDepartedNodeIgnored(t *testing.T) {
 	if e.Traffic().DeadLetters == 0 {
 		t.Error("no message reached the departed node's id in 2000 steps")
 	}
-	if e.View(3) != nil {
+	if e.Views()[3] != nil {
 		t.Error("delivery revived departed node")
 	}
 }
@@ -393,7 +393,8 @@ func TestDepartedNodeIgnored(t *testing.T) {
 func TestDependenceTrackingLossless(t *testing.T) {
 	e := mustEngine(t, 50, 12, 0, 4, true, 11)
 	runLossless(e, 30000)
-	st := MeasureDependence(e)
+	var st DependenceStats
+	e.EachNode(st.Add)
 	if st.Entries == 0 {
 		t.Fatal("no entries measured")
 	}
@@ -412,7 +413,8 @@ func TestDependenceStatsWithoutTracking(t *testing.T) {
 	// at the floor so every send duplicates.
 	e := mustEngine(t, 10, 12, 4, 4, false, 1)
 	runLossless(e, 500)
-	st := MeasureDependence(e)
+	var st DependenceStats
+	e.EachNode(st.Add)
 	if st.Entries == 0 || st.Tagged != 0 {
 		t.Errorf("untracked stats = %+v, want entries and no tags", st)
 	}
@@ -421,6 +423,23 @@ func TestDependenceStatsWithoutTracking(t *testing.T) {
 	}
 	if (DependenceStats{}).Alpha() != 1 {
 		t.Errorf("zero-value Alpha = %v, want 1", DependenceStats{}.Alpha())
+	}
+}
+
+// TestDependenceRulesCountAnEntryOnce plants a view whose tagged slot is
+// also a self-edge and a duplicate: each rule counts it, Dependent once.
+func TestDependenceRulesCountAnEntryOnce(t *testing.T) {
+	tc, err := NewTrackedCore(6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.dep[1] = true
+	lv := view.Wrap([]peer.ID{3, 3, 5, peer.Nil, peer.Nil, peer.Nil})
+	var st DependenceStats
+	st.Add(3, &lv, tc)
+	want := DependenceStats{Entries: 3, Tagged: 1, SelfEdges: 2, Duplicates: 1, Dependent: 2}
+	if st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
 	}
 }
 
@@ -472,14 +491,15 @@ func TestDuplicationMarksDependence(t *testing.T) {
 
 func TestName(t *testing.T) {
 	e := mustEngine(t, 10, 8, 2, 0, false, 1)
-	if e.Core(0).Name() != "send&forget" {
-		t.Errorf("Name = %q", e.Core(0).Name())
-	}
-	if e.N() != 10 {
-		t.Errorf("N = %d", e.N())
-	}
-	if got := e.Core(0).ViewSize(); got != 8 {
-		t.Errorf("ViewSize = %d", got)
+	cores := map[string]int{}
+	e.EachNode(func(_ peer.ID, _ *view.View, c protocol.StepCore) {
+		cores[c.Name()]++
+		if got := c.ViewSize(); got != 8 {
+			t.Errorf("ViewSize = %d", got)
+		}
+	})
+	if cores["send&forget"] != 10 || len(cores) != 1 {
+		t.Errorf("cores %v, want 10 send&forget", cores)
 	}
 }
 

@@ -44,11 +44,11 @@ func drive(t *testing.T, o Options, n, initDeg int, lossRate float64, rounds int
 // variantTally sums the per-node variant counters.
 func variantTally(e *runtime.Seq) Counters {
 	var sum Counters
-	for u := 0; u < e.N(); u++ {
-		c := e.Core(peer.ID(u)).(*Core).Counters()
+	e.EachNode(func(_ peer.ID, _ *view.View, core protocol.StepCore) {
+		c := core.(*Core).Counters()
 		sum.Undeletions += c.Undeletions
 		sum.Replaced += c.Replaced
-	}
+	})
 	return sum
 }
 
@@ -77,7 +77,7 @@ func TestValidation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
 				}
-				if got, want := e.View(0).Outdegree(), tt.initDeg&^1; got != want {
+				if got, want := e.Views()[0].Outdegree(), tt.initDeg&^1; got != want {
 					t.Fatalf("bootstrap outdegree = %d, want %d", got, want)
 				}
 				return
@@ -237,8 +237,8 @@ func TestSnapshotViaGraph(t *testing.T) {
 	if !e.Snapshot().WeaklyConnected() {
 		t.Error("initial variant topology disconnected")
 	}
-	if e.N() != 30 {
-		t.Errorf("N = %d", e.N())
+	if n := len(e.Views()); n != 30 {
+		t.Errorf("N = %d", n)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.View(0).Outdegree(); got != 4 {
+	if got := e.Views()[0].Outdegree(); got != 4 {
 		t.Errorf("init degree > s seeded %d entries, want 4", got)
 	}
 }
@@ -61,8 +61,10 @@ func TestInitialTopologyConnected(t *testing.T) {
 	if !e.Snapshot().WeaklyConnected() {
 		t.Fatal("initial topology disconnected")
 	}
-	if e.Core(0).Name() != "shuffle" || e.N() != 20 {
-		t.Errorf("identity: name=%q n=%d", e.Core(0).Name(), e.N())
+	cores := map[string]int{}
+	e.EachNode(func(_ peer.ID, _ *view.View, c protocol.StepCore) { cores[c.Name()]++ })
+	if cores["shuffle"] != 20 || len(cores) != 1 {
+		t.Errorf("identity: cores %v, want 20 shuffle", cores)
 	}
 }
 
@@ -168,13 +170,13 @@ func TestSelfLoopOnEmptyView(t *testing.T) {
 func TestChurn(t *testing.T) {
 	e := mustEngine(t, 10, 8, 4, 0, 5)
 	e.RemoveNode(2)
-	if e.View(2) != nil {
+	if e.Views()[2] != nil {
 		t.Fatal("Leave did not deactivate")
 	}
 	if err := e.AddNode(2, []peer.ID{0, 1}, false); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if e.View(2).Outdegree() != 2 {
+	if e.Views()[2].Outdegree() != 2 {
 		t.Fatal("Join did not restore the node")
 	}
 	if err := e.AddNode(2, []peer.ID{0}, false); err == nil {
@@ -193,7 +195,7 @@ func TestChurn(t *testing.T) {
 	if err := e.AddNode(4, seeds, false); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.View(4).Outdegree(); got != 8 {
+	if got := e.Views()[4].Outdegree(); got != 8 {
 		t.Errorf("overflow join outdegree = %d, want 8", got)
 	}
 	// Departed nodes neither initiate nor reply: requests to them are dead
@@ -206,8 +208,8 @@ func TestChurn(t *testing.T) {
 	}
 	e.StepAt(5)
 	runtime.Run(e, 100)
-	if e.Traffic().DeadLetters == 0 || e.View(5) != nil {
-		t.Errorf("dead letters = %d, departed view %v", e.Traffic().DeadLetters, e.View(5))
+	if e.Traffic().DeadLetters == 0 || e.Views()[5] != nil {
+		t.Errorf("dead letters = %d, departed view %v", e.Traffic().DeadLetters, e.Views()[5])
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sendforget/internal/graph"
 	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 	"sendforget/internal/transport"
 	"sendforget/internal/view"
@@ -32,6 +33,7 @@ import (
 // which schedules a -race run happens to take.
 type Cluster struct {
 	cfg Config
+	s   int // every node's view size
 	net *transport.Network
 
 	mu     sync.RWMutex
@@ -48,8 +50,8 @@ type Cluster struct {
 }
 
 // newCluster wires up the nodes with the circulant bootstrap topology, from
-// a Config New has resolved.
-func newCluster(cfg Config) (*Cluster, error) {
+// a Config New has resolved and its view size s.
+func newCluster(cfg Config, s int) (*Cluster, error) {
 	if cfg.Period == 0 {
 		cfg.Period = 10 * time.Millisecond
 	}
@@ -59,15 +61,16 @@ func newCluster(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
+		s:      s,
 		net:    nw,
 		nodes:  make([]*Node, cfg.N),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
 	}
 	seeds := make([]peer.ID, cfg.InitDegree)
 	for u := 0; u < cfg.N; u++ {
-		core, err := cfg.NewCore()
+		core, err := coreFor(cfg.NewCore, peer.ID(u), s)
 		if err != nil {
-			return nil, fmt.Errorf("runtime: core for node %d: %w", u, err)
+			return nil, err
 		}
 		driver.Circulant(peer.ID(u), cfg.N, seeds)
 		node, err := NewNode(NodeConfig{
@@ -85,21 +88,15 @@ func newCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// nodesSnapshot copies the node slice under the read lock. Iterating the
-// copy keeps long operations (ticking a round, snapshotting views) off the
-// lock so churn never waits behind them.
-func (c *Cluster) nodesSnapshot() []*Node {
+// Nodes copies the node slice (nil entries for departed nodes) under the
+// read lock. The copy is the caller's to keep and does not observe later
+// churn; iterating it keeps long operations (ticking a round, reading every
+// node) off the lock, so churn never waits behind them.
+func (c *Cluster) Nodes() []*Node {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]*Node, len(c.nodes))
-	copy(out, c.nodes)
-	return out
+	return slices.Clone(c.nodes)
 }
-
-// Nodes returns a snapshot of the cluster's node slice (nil entries for
-// departed nodes). The copy is the caller's to keep; it does not observe
-// later churn.
-func (c *Cluster) Nodes() []*Node { return c.nodesSnapshot() }
 
 // Network returns the underlying in-memory network.
 func (c *Cluster) Network() *transport.Network { return c.net }
@@ -130,7 +127,7 @@ func (c *Cluster) Start() {
 		}(c.drainStop)
 	}
 	c.mu.Unlock()
-	for _, n := range c.nodesSnapshot() {
+	for _, n := range c.Nodes() {
 		if n != nil {
 			n.Start()
 		}
@@ -139,7 +136,7 @@ func (c *Cluster) Start() {
 
 // Stop terminates every node and the drain timer.
 func (c *Cluster) Stop() {
-	for _, n := range c.nodesSnapshot() {
+	for _, n := range c.Nodes() {
 		if n != nil {
 			n.Stop()
 		}
@@ -159,7 +156,7 @@ func (c *Cluster) Stop() {
 // deterministic tests and examples that do not want wall-clock timers.
 func (c *Cluster) TickRound() {
 	c.net.Advance()
-	for _, n := range c.nodesSnapshot() {
+	for _, n := range c.Nodes() {
 		if n != nil {
 			n.Tick()
 		}
@@ -186,28 +183,18 @@ func (c *Cluster) Pending() int { return c.net.Pending() }
 func (c *Cluster) Close() { c.Stop() }
 
 // Views snapshots all node views (nil entries for departed nodes) into one
-// slab of slots, locking each node once for the copy of its own: a constant
-// number of allocations, like the sharded engine's bulk snapshot.
-func (c *Cluster) Views() []*view.View {
-	nodes := c.nodesSnapshot()
-	size := 0
-	for _, n := range nodes {
+// slab, locking each node once for the copy of its own.
+func (c *Cluster) Views() []*view.View { return views(c, c.cfg.N, c.s) }
+
+// EachNode calls fn for every live node in id order, under the node's lock.
+func (c *Cluster) EachNode(fn func(u peer.ID, lv *view.View, core protocol.StepCore)) {
+	for u, n := range c.Nodes() {
 		if n != nil {
-			size += n.core.ViewSize()
+			n.mu.Lock()
+			fn(peer.ID(u), n.lv, n.core)
+			n.mu.Unlock()
 		}
 	}
-	slab := make([]peer.ID, size)
-	views := make([]view.View, len(nodes))
-	out := make([]*view.View, len(nodes))
-	for u, n := range nodes {
-		if n != nil {
-			s := n.core.ViewSize()
-			views[u] = n.viewInto(slab[:s:s])
-			slab = slab[s:]
-			out[u] = &views[u]
-		}
-	}
-	return out
 }
 
 // Snapshot returns the current membership graph, built from Views' slab.
@@ -233,19 +220,8 @@ func (c *Cluster) Counters() NodeCounters {
 // Traffic reports the network router's ledger.
 func (c *Cluster) Traffic() metrics.Traffic { return c.net.Traffic() }
 
-// CheckInvariants validates the protocol's per-view invariant (Observation
-// 5.1 for S&F) on every node.
-func (c *Cluster) CheckInvariants() error {
-	for _, n := range c.nodesSnapshot() {
-		if n == nil {
-			continue
-		}
-		if err := n.CheckInvariants(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// CheckInvariants validates the protocol's per-view invariant on every node.
+func (c *Cluster) CheckInvariants() error { return checkInvariants(c) }
 
 // RemoveNode makes node u leave the cluster: its gossip loop stops and it
 // drops off the network, exactly the paper's leave semantics (no protocol
@@ -292,10 +268,10 @@ func (c *Cluster) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 		c.mu.Unlock()
 		return fmt.Errorf("runtime: node %v is already active", u)
 	}
-	core, err := c.cfg.NewCore()
+	core, err := coreFor(c.cfg.NewCore, u, c.s)
 	if err != nil {
 		c.mu.Unlock()
-		return fmt.Errorf("runtime: core for node %v: %w", u, err)
+		return err
 	}
 	c.roster.Bump(u)
 	node, err := NewNode(NodeConfig{

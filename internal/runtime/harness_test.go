@@ -522,6 +522,9 @@ func (g *rig) check(drained bool) error {
 	if err := sameGraph(sub.Snapshot(), graph.FromViews(g.views)); err != nil {
 		return err
 	}
+	if err := sameNodes(sub, g.views); err != nil {
+		return err
+	}
 	if fc := sub.Conditions().Counters(); fc.Decisions != tr.Sends || fc.Drops() != tr.Losses || fc.Delayed != tr.Delayed {
 		return fmt.Errorf("fault counters %+v do not account for ledger %+v", fc, tr)
 	}
@@ -539,6 +542,32 @@ func (g *rig) check(drained bool) error {
 		return fmt.Errorf("%d edges, want %d from counters %+v", outdegrees(g.views), want, cnt)
 	}
 	return nil
+}
+
+// sameNodes holds EachNode to views, what Views() reported: it must visit
+// exactly the live nodes, in ascending id order, each with a view equal to
+// its copy and a core of that view's size.
+func sameNodes(sub runtime.Substrate, views []*view.View) (err error) {
+	var live, visited []peer.ID
+	for u, v := range views {
+		if v != nil {
+			live = append(live, peer.ID(u))
+		}
+	}
+	sub.EachNode(func(u peer.ID, lv *view.View, core protocol.StepCore) {
+		visited = append(visited, u)
+		switch {
+		case err != nil || int(u) >= len(views) || views[u] == nil:
+		case core.ViewSize() != lv.Size():
+			err = fmt.Errorf("EachNode gives node %d a core of view size %d and a view of %d slots", u, core.ViewSize(), lv.Size())
+		case !lv.Equal(views[u]):
+			err = fmt.Errorf("EachNode gives node %d view %v, Views() %v", u, lv, views[u])
+		}
+	})
+	if !slices.Equal(visited, live) {
+		return fmt.Errorf("EachNode visited %v, Views() reports %v live", visited, live)
+	}
+	return err
 }
 
 // sameGraph holds the membership graph a substrate snapshots to the one its

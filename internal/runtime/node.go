@@ -224,17 +224,6 @@ func (n *Node) ViewSnapshot() *view.View {
 	return n.lv.Clone()
 }
 
-// viewInto copies the node's view into dst, which has the view's size, and
-// returns a View over the copy.
-func (n *Node) viewInto(dst []peer.ID) view.View {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i := range dst {
-		dst[i] = n.lv.Slot(i)
-	}
-	return view.Wrap(dst)
-}
-
 // Counters returns a copy of the node's counters.
 func (n *Node) Counters() NodeCounters {
 	n.mu.Lock()

@@ -208,6 +208,28 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// TestEnginesRejectAnotherViewSize holds every engine to the one view size
+// New probes: a factory whose later cores are larger is refused at the first
+// join that gets one.
+func TestEnginesRejectAnotherViewSize(t *testing.T) {
+	for _, kind := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster, runtime.EngineSharded} {
+		calls := 0
+		f := func() (protocol.StepCore, error) {
+			if calls++; calls > 3 {
+				return sendforget.NewCore(12, 0)
+			}
+			return sendforget.NewCore(8, 0)
+		}
+		sub, err := runtime.New(runtime.Config{Engine: kind, N: 10, NewCore: f, InitDegree: 4})
+		if err == nil {
+			sub.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "core for node n2 has view size 12, the substrate expects 8") {
+			t.Errorf("%s: err %v, want node 2's core refused", kind, err)
+		}
+	}
+}
+
 func TestClusterTickRounds(t *testing.T) {
 	c, err := newCluster(runtime.Config{N: 40, NewCore: sfFactory(12, 4), Loss: 0.05, Seed: 7})
 	if err != nil {

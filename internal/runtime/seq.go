@@ -28,12 +28,12 @@ import (
 //
 // Fault decisions, delay-queue mechanics, and traffic accounting live in the
 // shared internal/driver router; Seq contributes only its scheduling
-// discipline and the reply-chain walk. Beyond Substrate it exposes what only
-// a per-action scheduler has — Step, StepAt, the OnAction hook, and each
-// node's live core and view — so it satisfies sendforget.Overlay. Not safe
+// discipline and the reply-chain walk. Beyond Substrate it exposes only what
+// a per-action scheduler has: Step, StepAt and the OnAction hook. Not safe
 // for concurrent use.
 type Seq struct {
 	newCore protocol.CoreFactory
+	s       int                 // every node's view size
 	cores   []protocol.StepCore // nil for departed nodes
 	views   []*view.View        // nil for departed nodes
 	tally   protocol.Counters   // protocol events over all nodes
@@ -68,16 +68,17 @@ type ActionEvent struct {
 	Delivered   int
 }
 
-// newSeq builds the sequential backend from a Config New has resolved: one
-// core per node over the circulant bootstrap overlay. The circulant graph —
-// node u points at u+1, ..., u+d (mod n) — is weakly connected, d-regular in
-// and out, and has sum degree exactly 3d at every node: the initialization
-// Section 6.1 assumes. The gossip process then randomizes it (Lemma 7.5:
+// newSeq builds the sequential backend from a Config New has resolved and
+// its view size s: one core per node over the circulant bootstrap overlay.
+// The circulant graph — node u points at u+1, ..., u+d (mod n) — is weakly
+// connected, d-regular in and out, and has sum degree exactly 3d at every
+// node: the initialization Section 6.1 assumes. The gossip process then randomizes it (Lemma 7.5:
 // with no loss the stationary distribution is uniform over all reachable
 // graphs).
-func newSeq(cfg Config) (*Seq, error) {
+func newSeq(cfg Config, s int) (*Seq, error) {
 	e := &Seq{
 		newCore: cfg.NewCore,
+		s:       s,
 		cores:   make([]protocol.StepCore, cfg.N),
 		views:   make([]*view.View, cfg.N),
 		cond:    cfg.Conditions,
@@ -100,44 +101,22 @@ func newSeq(cfg Config) (*Seq, error) {
 // Conditions returns the fault-injection stack every transmission passes.
 func (e *Seq) Conditions() *faults.Conditions { return e.cond }
 
-// N returns the number of node slots (including departed nodes).
-func (e *Seq) N() int { return len(e.views) }
-
-// View returns node u's live view, nil for a departed node. The caller
-// must treat the view as read-only.
-func (e *Seq) View(u peer.ID) *view.View {
-	if int(u) < 0 || int(u) >= len(e.views) {
-		return nil
-	}
-	return e.views[u]
-}
-
-// Core returns node u's step core, nil for a departed node. Callers reach
-// protocol-specific per-node state through it (the sfopt variant tally, the
-// S&F dependence tags).
-func (e *Seq) Core(u peer.ID) protocol.StepCore {
-	if int(u) < 0 || int(u) >= len(e.cores) {
-		return nil
-	}
-	return e.cores[u]
-}
-
 // Counters returns the protocol events summed over all nodes since
 // construction.
 func (e *Seq) Counters() NodeCounters { return e.tally }
 
-// CheckInvariants verifies the protocol's per-view invariant (Observation
-// 5.1 for S&F) on every active node.
-func (e *Seq) CheckInvariants() error {
+// CheckInvariants verifies the protocol's per-view invariant on every active
+// node.
+func (e *Seq) CheckInvariants() error { return checkInvariants(e) }
+
+// EachNode calls fn for every active node in id order, with its live view
+// and core.
+func (e *Seq) EachNode(fn func(u peer.ID, lv *view.View, core protocol.StepCore)) {
 	for u, lv := range e.views {
-		if lv == nil {
-			continue
-		}
-		if err := e.cores[u].CheckView(lv); err != nil {
-			return fmt.Errorf("runtime: node %d: %w", u, err)
+		if lv != nil {
+			fn(peer.ID(u), lv, e.cores[u])
 		}
 	}
-	return nil
 }
 
 // Traffic reports the router's ledger.
@@ -155,8 +134,8 @@ func (e *Seq) Step() {
 func (e *Seq) StepAt(u peer.ID) {
 	ev := ActionEvent{Step: e.tally.Ticks + 1, Initiator: u}
 	e.out.Reset()
-	if lv := e.View(u); lv != nil {
-		e.tally.Initiated(e.cores[u].InitiateBatch(lv, u, e.r, &e.out))
+	if uint(u) < uint(len(e.views)) && e.views[u] != nil {
+		e.tally.Initiated(e.cores[u].InitiateBatch(e.views[u], u, e.r, &e.out))
 	} else {
 		e.tally.Initiated(0, 0, false)
 	}
@@ -252,17 +231,8 @@ func (e *Seq) drainDue() {
 // Snapshot returns the current membership graph.
 func (e *Seq) Snapshot() *graph.Graph { return graph.FromViews(e.views) }
 
-// Views copies every node's view (nil for departed nodes): the live ones
-// are what View returns.
-func (e *Seq) Views() []*view.View {
-	out := make([]*view.View, len(e.views))
-	for u, v := range e.views {
-		if v != nil {
-			out[u] = v.Clone()
-		}
-	}
-	return out
-}
+// Views copies every node's view (nil for departed nodes).
+func (e *Seq) Views() []*view.View { return views(e, len(e.views), e.s) }
 
 // AddNode activates departed node u with a fresh core and an initial view
 // holding the seed ids ("a joining node has to know at least dL ids of live
@@ -284,11 +254,11 @@ func (e *Seq) join(u peer.ID, seeds []peer.ID) error {
 	if e.views[u] != nil {
 		return fmt.Errorf("runtime: node %v is already active", u)
 	}
-	core, err := e.newCore()
+	core, err := coreFor(e.newCore, u, e.s)
 	if err != nil {
-		return fmt.Errorf("runtime: core for node %v: %w", u, err)
+		return err
 	}
-	lv := view.New(core.ViewSize())
+	lv := view.New(e.s)
 	if err := core.SeedView(lv, seeds); err != nil {
 		return fmt.Errorf("runtime: join of %v: %w", u, err)
 	}

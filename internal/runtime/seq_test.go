@@ -14,6 +14,7 @@ import (
 	"sendforget/internal/protocol/pushpull"
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // newSeq builds a seq overlay from cfg.
@@ -41,11 +42,7 @@ func seqSF(t *testing.T, n int, lm loss.Model, seed int64) *runtime.Seq {
 // active counts the nodes with a view.
 func active(e *runtime.Seq) int {
 	k := 0
-	for u := 0; u < e.N(); u++ {
-		if e.View(peer.ID(u)) != nil {
-			k++
-		}
-	}
+	e.EachNode(func(peer.ID, *view.View, protocol.StepCore) { k++ })
 	return k
 }
 
@@ -65,23 +62,17 @@ func TestSeqNewValidation(t *testing.T) {
 		}
 	}
 	e := seqSF(t, 10, loss.None{}, 1)
-	if active(e) != 10 || e.N() != 10 {
-		t.Errorf("active = %d, N = %d, want 10", active(e), e.N())
+	if active(e) != 10 || len(e.Views()) != 10 {
+		t.Errorf("active = %d, N = %d, want 10", active(e), len(e.Views()))
 	}
-	if e.Core(0).Name() != "send&forget" {
-		t.Errorf("Name = %q", e.Core(0).Name())
-	}
-	for u := peer.ID(0); u < 10; u++ {
-		if e.View(u).Outdegree() != 6 || e.Core(u) == nil {
-			t.Errorf("node %v: view %v, core %v", u, e.View(u), e.Core(u))
+	e.EachNode(func(u peer.ID, lv *view.View, core protocol.StepCore) {
+		if core.Name() != "send&forget" || lv.Outdegree() != 6 {
+			t.Errorf("node %v: core %q, view %v", u, core.Name(), lv)
 		}
-	}
-	if e.View(10) != nil || e.Core(-1) != nil {
-		t.Error("out-of-range node has a view or a core")
-	}
+	})
 	// Default bootstrap degree: about half the view, even, below n.
 	e = newSeq(t, runtime.Config{N: 4, NewCore: sfFactory(8, 0)})
-	if d := e.View(0).Outdegree(); d != 2 {
+	if d := e.Views()[0].Outdegree(); d != 2 {
 		t.Errorf("default init degree at n=4 = %d, want 2", d)
 	}
 }

@@ -257,17 +257,8 @@ type ShardedCluster struct {
 
 // newSharded builds a sharded tick cluster with the circulant bootstrap
 // topology (the same initial overlay newCluster wires), from a Config New
-// has resolved.
-func newSharded(cfg Config) (*ShardedCluster, error) {
-	probe, err := cfg.NewCore()
-	if err != nil {
-		return nil, fmt.Errorf("runtime: core factory: %w", err)
-	}
-	s := probe.ViewSize()
-	if s < 1 {
-		return nil, fmt.Errorf("runtime: core view size %d", s)
-	}
-
+// has resolved and its view size s.
+func newSharded(cfg Config, s int) (*ShardedCluster, error) {
 	shardSize := cfg.ShardSize
 	if shardSize == 0 {
 		shardSize = defaultShardSize(cfg.N)
@@ -369,12 +360,9 @@ func defaultShardSize(n int) int {
 // first, so nothing but the core is allocated. Callers hold the gate (or, in
 // newSharded, are the only reference holder).
 func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
-	core, err := e.cfg.NewCore()
+	core, err := coreFor(e.cfg.NewCore, u, e.s)
 	if err != nil {
-		return fmt.Errorf("runtime: core for node %v: %w", u, err)
-	}
-	if core.ViewSize() != e.s {
-		return fmt.Errorf("runtime: core for node %v has view size %d, cluster expects %d", u, core.ViewSize(), e.s)
+		return err
 	}
 	nd := e.shardOf(u).node(u)
 	nd.view = view.Empty(e.slots[int(u)*e.s : (int(u)+1)*e.s : (int(u)+1)*e.s])
@@ -619,26 +607,21 @@ func (e *ShardedCluster) Pending() int {
 }
 
 // Views snapshots all node views (nil entries for departed nodes) in one
-// bulk pass: the engine is held once for the whole copy instead of locking
-// every node individually, and the copy is three allocations — one slab for
-// every slot, one for the view headers, one for the result — instead of two
+// hold of the gate, into one slab: a constant number of allocations, not two
 // per live node, which is what keeps snapshot cost sane at 10^5+ nodes.
-func (e *ShardedCluster) Views() []*view.View {
+func (e *ShardedCluster) Views() []*view.View { return views(e, e.n, e.s) }
+
+// EachNode calls fn for every live node in id order, with the gate held for
+// the whole pass.
+func (e *ShardedCluster) EachNode(fn func(u peer.ID, lv *view.View, core protocol.StepCore)) {
 	<-e.gate
-	slab := make([]peer.ID, len(e.slots))
-	copy(slab, e.slots)
-	views := make([]view.View, e.n)
-	out := make([]*view.View, e.n)
-	for u := range out {
-		if e.live.has(peer.ID(u)) {
-			// Capacity-clipped, so no operation on one snapshot view can
-			// reach its neighbor's window.
-			views[u] = view.Wrap(slab[u*e.s : (u+1)*e.s : (u+1)*e.s])
-			out[u] = &views[u]
+	defer func() { e.gate <- struct{}{} }()
+	for u := peer.ID(0); int(u) < e.n; u++ {
+		if e.live.has(u) {
+			nd := e.shardOf(u).node(u)
+			fn(u, &nd.view, nd.core)
 		}
 	}
-	e.gate <- struct{}{}
-	return out
 }
 
 // Snapshot returns the current membership graph, built straight from the
@@ -678,21 +661,8 @@ func (e *ShardedCluster) Traffic() metrics.Traffic {
 func (e *ShardedCluster) Conditions() *faults.Conditions { return e.cfg.Conditions }
 
 // CheckInvariants validates the protocol's per-view invariant on every live
-// node, in one bulk pass.
-func (e *ShardedCluster) CheckInvariants() error {
-	<-e.gate
-	defer func() { e.gate <- struct{}{} }()
-	for u := 0; u < e.n; u++ {
-		if !e.live.has(peer.ID(u)) {
-			continue
-		}
-		nd := e.shardOf(peer.ID(u)).node(peer.ID(u))
-		if err := nd.core.CheckView(&nd.view); err != nil {
-			return fmt.Errorf("runtime: node %v: %w", peer.ID(u), err)
-		}
-	}
-	return nil
-}
+// node, in one hold of the gate.
+func (e *ShardedCluster) CheckInvariants() error { return checkInvariants(e) }
 
 // RemoveNode makes node u leave the cluster, the paper's leave semantics:
 // no protocol action, its id decays from other views, and in-flight

@@ -54,6 +54,14 @@ type Substrate interface {
 	// CheckInvariants validates the protocol's per-view invariant on every
 	// live node.
 	CheckInvariants() error
+	// EachNode calls fn for every live node in ascending id order, with the
+	// node's own view and step core, while the substrate is held the way its
+	// other readers hold it: Seq holds nothing, Cluster locks each node for
+	// its call, ShardedCluster holds its gate for the whole pass. It is the
+	// one read of per-node state (Views and CheckInvariants are built on it,
+	// and so is any measurement of protocol-specific core state). fn only
+	// reads, and must not call back into the substrate.
+	EachNode(fn func(u peer.ID, lv *view.View, core protocol.StepCore))
 	// AddNode (re)activates node u with the given seed ids (at least
 	// max(2, dL) per the paper's join rule). The start flag launches the
 	// node's own gossip loop on timer-driven substrates and is ignored by
@@ -79,6 +87,54 @@ func Run(sub Substrate, rounds int) {
 	for i := 0; i < rounds; i++ {
 		sub.TickRound()
 	}
+}
+
+// views copies the n-slot overlay of sub, whose views have s slots each,
+// into one slab through EachNode (nil entries for departed nodes): three
+// allocations and the visitor's closure at any n, and no later round writes
+// to the copy. Every engine's Views is this body.
+func views(sub Substrate, n, s int) []*view.View {
+	slab := make([]peer.ID, n*s)
+	vs := make([]view.View, n)
+	out := make([]*view.View, n)
+	sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		// Capacity-clipped, so no operation on one copy can reach its
+		// neighbour's window.
+		w := slab[int(u)*s : (int(u)+1)*s : (int(u)+1)*s]
+		for i := range w {
+			w[i] = lv.Slot(i)
+		}
+		vs[u] = view.Wrap(w)
+		out[u] = &vs[u]
+	})
+	return out
+}
+
+// checkInvariants verifies the protocol's per-view invariant (Observation
+// 5.1 for S&F) on every live node of sub and reports the first violation.
+// Every engine's CheckInvariants is this body.
+func checkInvariants(sub Substrate) (err error) {
+	sub.EachNode(func(u peer.ID, lv *view.View, core protocol.StepCore) {
+		if err == nil {
+			if e := core.CheckView(lv); e != nil {
+				err = fmt.Errorf("runtime: node %v: %w", u, e)
+			}
+		}
+	})
+	return err
+}
+
+// coreFor builds node u's step core with f and holds it to the view size s
+// New probed: every engine keeps one size for all its nodes.
+func coreFor(f protocol.CoreFactory, u peer.ID, s int) (protocol.StepCore, error) {
+	core, err := f()
+	if err != nil {
+		return nil, fmt.Errorf("runtime: core for node %v: %w", u, err)
+	}
+	if core.ViewSize() != s {
+		return nil, fmt.Errorf("runtime: core for node %v has view size %d, the substrate expects %d", u, core.ViewSize(), s)
+	}
+	return core, nil
 }
 
 // checkSeeds is the join check every backend's AddNode starts with: each
@@ -166,9 +222,10 @@ type Config struct {
 // internal/runtime obtains a substrate: equivalence harnesses, benchmarks,
 // and commands stay free of backend-specific branches beyond this call. It
 // resolves what every backend resolves the same way — the node count and
-// core factory checks, the seed and bootstrap-degree defaults, and the fault
-// stack (Conditions, or the paper's uniform loss at rate Loss) — so the
-// constructors receive a Config with those fields final.
+// core factory checks, the view size (one probe of the factory; every node
+// of a substrate has it), the seed and bootstrap-degree defaults, and the
+// fault stack (Conditions, or the paper's uniform loss at rate Loss) — so
+// the constructors receive a Config with those fields final, and the size.
 func New(cfg Config) (Substrate, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("runtime: need at least 2 nodes, got %d", cfg.N)
@@ -179,8 +236,15 @@ func New(cfg Config) (Substrate, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	var err error
-	if cfg.InitDegree, err = driver.BootstrapDegree(cfg.NewCore, cfg.N, cfg.InitDegree); err != nil {
+	probe, err := cfg.NewCore()
+	if err != nil {
+		return nil, fmt.Errorf("runtime: core factory: %w", err)
+	}
+	s := probe.ViewSize()
+	if s < 1 {
+		return nil, fmt.Errorf("runtime: core view size %d", s)
+	}
+	if cfg.InitDegree, err = driver.BootstrapDegree(s, cfg.N, cfg.InitDegree); err != nil {
 		return nil, err
 	}
 	if cfg.Conditions == nil {
@@ -190,11 +254,11 @@ func New(cfg Config) (Substrate, error) {
 	}
 	switch cfg.Engine {
 	case EngineSeq:
-		return newSeq(cfg)
+		return newSeq(cfg, s)
 	case EngineCluster, "":
-		return newCluster(cfg)
+		return newCluster(cfg, s)
 	case EngineSharded:
-		return newSharded(cfg)
+		return newSharded(cfg, s)
 	}
 	return nil, fmt.Errorf("runtime: unknown engine %q", cfg.Engine)
 }
