@@ -274,6 +274,21 @@ func TestRunFlagMatrix(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNaNLoss: a NaN -loss is refused like any rate outside [0,1],
+// exit 2 with nothing logged. NaN fails every comparison, so a check written
+// as "p < 0 || p > 1" passes it, and the daemon would run with no loss at all
+// and a /config it cannot encode.
+func TestRunRejectsNaNLoss(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-local", "20", "-loss", "NaN", "-duration", "50ms"}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "NaN") {
+		t.Errorf("exit %d, stderr %q; want exit 2 naming NaN", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("the daemon came up on a NaN loss rate: %s", stdout.String())
+	}
+}
+
 // TestRunLocalOnlyFlagDefaults guards the flag matrix from the other side:
 // the -engine and -loss *defaults* must not trip the rejection when the
 // flags are not set explicitly.

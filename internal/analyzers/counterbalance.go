@@ -20,9 +20,9 @@ import (
 // field (Sent or Sends) alongside at least two outcome fields (Lost,
 // Losses, Delivered, Deliveries, NoRoute, DeadLetters, Delayed). That
 // shape matches metrics.Traffic (the one ledger every simulated substrate
-// reports), transport.Counters (what a real UDP socket can count) and
-// trace.Summary — and deliberately excludes per-node tallies like
-// runtime.NodeCounters, which have no outcome side.
+// reports) and transport.Counters (what a real UDP socket can count) — and
+// deliberately excludes per-node tallies like runtime.NodeCounters, which
+// have no outcome side.
 //
 // Two rules are enforced on ledger fields:
 //
@@ -42,9 +42,9 @@ import (
 //     queue drains) are legal; send-only functions are not.
 //
 // The live ledger writes are driver.Router's ruleVerdict/deliverable (and
-// AddTraffic, which sums whole ledgers), transport.Endpoint's
-// Send/receiveLoop, and trace.Summarize, each balanced; this analyzer keeps
-// new accounting honest.
+// AddTraffic, which sums whole ledgers) and transport.Endpoint's
+// Send/receiveLoop, each balanced; this analyzer keeps new accounting
+// honest.
 var Counterbalance = &framework.Analyzer{
 	Name: "counterbalance",
 	Doc:  "traffic ledger fields move only in their owning package, and every send write is paired with an outcome write",

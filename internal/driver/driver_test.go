@@ -87,9 +87,6 @@ func TestRouteVerdictsAgainstLedger(t *testing.T) {
 		t.Fatalf("RouteIn outcomes %v, want %v", in, want)
 	}
 	conserved(t, rt, "RouteIn")
-	if fc := cond.Counters(); fc.Decisions != rt.Traffic().Sends {
-		t.Errorf("fault stack ruled on %d messages, router counted %d sends", fc.Decisions, rt.Traffic().Sends)
-	}
 }
 
 // TestRouteByRulesOnHeaderInPlace: RouteBy takes a message as it lies in an
@@ -143,10 +140,6 @@ func TestRouteByRulesOnHeaderInPlace(t *testing.T) {
 	wantMsg := protocol.Message{Kind: protocol.KindReply, From: 2, IDs: []peer.ID{10, 11, 12, 13, 14}, Dup: true}
 	if !ok || h.To != 3 || !reflect.DeepEqual(h.Msg, wantMsg) {
 		t.Fatalf("Due = %+v, %v; want to 3, %+v", h, ok, wantMsg)
-	}
-	cond.Sync()
-	if fc := cond.Counters(); fc.Decisions != 4 {
-		t.Errorf("fault stack ruled on %d messages, want 4", fc.Decisions)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package faults is the composable network-condition layer shared by the
 // two execution substrates: the in-memory transport.Network of the
 // concurrent runtime and the sequential engine both consult one Conditions
-// instance per run, so fault injection behaves identically — decision order,
-// RNG draws, and counters — no matter which substrate carries the traffic.
+// instance per run, so fault injection behaves identically — decision order
+// and RNG draws — no matter which substrate carries the traffic.
 //
 // The paper's analysis (Section 4) assumes uniform i.i.d. loss. Conditions
 // generalizes that single knob into the failure modes real deployments see
@@ -10,8 +10,8 @@
 // HyParView under partitions): a stateful base loss model (e.g.
 // Gilbert-Elliott bursts), per-link asymmetric loss overrides, dynamic
 // partitions with healing, and fixed/jittered delivery delay that reorders
-// messages. Each condition reports its own counter so experiments can
-// attribute every dropped or late message to the condition that caused it.
+// messages. Each verdict names the condition that dropped or delayed the
+// message; the substrate's router counts it once, in metrics.Traffic.
 package faults
 
 import (
@@ -74,36 +74,11 @@ type Delay struct {
 	Jitter int
 }
 
-// Counters tallies per-condition events. ModelDrops + LinkDrops +
-// PartitionDrops is the total loss the substrate reports as Traffic.Losses.
+// Counters tallies the stack's topology changes. Per-message outcomes are
+// counted where the verdicts are acted on, in the router's metrics.Traffic.
 type Counters struct {
-	// Decisions counts Decide calls (one per attempted transmission).
-	Decisions int
-	// ModelDrops counts drops by the base loss model.
-	ModelDrops int
-	// LinkDrops counts drops by per-link override models.
-	LinkDrops int
-	// PartitionDrops counts drops across an active partition.
-	PartitionDrops int
-	// Delayed counts messages assigned a nonzero delivery delay.
-	Delayed int
-	// Partitions and Heals count topology changes.
 	Partitions int
 	Heals      int
-}
-
-// Drops returns the total number of dropped messages.
-func (c Counters) Drops() int { return c.ModelDrops + c.LinkDrops + c.PartitionDrops }
-
-// add accumulates other into c.
-func (c *Counters) add(other *Counters) {
-	c.Decisions += other.Decisions
-	c.ModelDrops += other.ModelDrops
-	c.LinkDrops += other.LinkDrops
-	c.PartitionDrops += other.PartitionDrops
-	c.Delayed += other.Delayed
-	c.Partitions += other.Partitions
-	c.Heals += other.Heals
 }
 
 // Conditions is a composable network-condition stack. The zero value is not
@@ -118,37 +93,24 @@ func (c *Counters) add(other *Counters) {
 // once, in rules.decide; Decide, Session.Decide and Decider.Decide are three
 // ways of reaching it.
 type Conditions struct {
-	mu    sync.Mutex
-	rules       // the live configuration, written by the setters
-	own   seat  // where Decide and Session.Decide land
-	snap  rules // what attached deciders read; rewritten by Sync
-	seats []*Decider
+	mu     sync.Mutex
+	rules             // the live configuration, written by the setters
+	base   loss.Model // what Decide and Session.Decide advance
+	counts Counters
+	snap   rules // what attached deciders read; rewritten by Sync
+	seats  []*Decider
 }
 
 // rules is the configuration a decision reads, the base model aside (a
-// decision finds that in its seat). Nothing reachable from it is written in
-// place once installed — SetLinkLoss installs a fresh map, Partition a fresh
-// table — so a copy of the struct taken under mu is a snapshot that stays
-// valid, and readable without the lock, while the stack is reconfigured.
+// decision is handed the instance it advances). Nothing reachable from it is
+// written in place once installed — SetLinkLoss installs a fresh map,
+// Partition a fresh table — so a copy of the struct taken under mu is a
+// snapshot that stays valid, and readable without the lock, while the stack
+// is reconfigured.
 type rules struct {
 	links map[Link]loss.Model
 	group []int32 // nil when healed; group[id] is id's group, -1 when listed in none
 	delay Delay
-}
-
-// seat is what a decision writes besides its RNG: the base model instance it
-// advances — the stack's own, or one decider's fork of a stateful one — and
-// the counters it bumps.
-type seat struct {
-	base loss.Model
-	dest loss.DestinationModel // base pre-asserted, nil if not destination-aware
-	c    Counters
-}
-
-// sit installs m as the seat's base model.
-func (st *seat) sit(m loss.Model) {
-	st.base = m
-	st.dest, _ = m.(loss.DestinationModel)
 }
 
 // New builds a condition stack over the given base loss model.
@@ -156,9 +118,7 @@ func New(base loss.Model) (*Conditions, error) {
 	if base == nil {
 		return nil, fmt.Errorf("faults: nil base loss model")
 	}
-	c := &Conditions{}
-	c.own.sit(base)
-	return c, nil
+	return &Conditions{base: base}, nil
 }
 
 // Lossless returns a condition stack whose base model never drops — the
@@ -178,13 +138,6 @@ func FromRate(rate float64) (*Conditions, error) {
 	return New(m)
 }
 
-// Base returns the base loss model.
-func (c *Conditions) Base() loss.Model {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.own.base
-}
-
 // SetBase swaps the base loss model live — the management API's loss-reload
 // path. Per-link overrides, partitions, delay, and all counters are
 // untouched; only the base model changes, taking effect on the next
@@ -198,7 +151,7 @@ func (c *Conditions) SetBase(m loss.Model) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.own.sit(m)
+	c.base = m
 	for _, d := range c.seats {
 		d.next = fork(m)
 	}
@@ -230,7 +183,7 @@ func (c *Conditions) SetRate(rate float64) error {
 func (c *Conditions) Rate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.own.base.Rate()
+	return c.base.Rate()
 }
 
 // SetLinkLoss installs (or, with a nil model, removes) a loss override for
@@ -302,7 +255,7 @@ func (c *Conditions) Partition(groups ...[]peer.ID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.group = g
-	c.own.c.Partitions++
+	c.counts.Partitions++
 }
 
 // Heal removes the active partition.
@@ -311,7 +264,7 @@ func (c *Conditions) Heal() {
 	defer c.mu.Unlock()
 	if c.group != nil {
 		c.group = nil
-		c.own.c.Heals++
+		c.counts.Heals++
 	}
 }
 
@@ -340,30 +293,23 @@ func (ru *rules) groupOf(id peer.ID) int32 {
 }
 
 // decide is the decision order, for every way of reaching the stack: it rules
-// on one attempted transmission from -> to under ru, advancing the models and
-// counters of st and drawing from r. The common configuration — no partition,
-// no overrides — costs two branches before its one model call.
-func (ru *rules) decide(st *seat, from, to peer.ID, r *rng.RNG) Verdict {
-	st.c.Decisions++
+// on one attempted transmission from -> to under ru, advancing base (or the
+// link's override model) and drawing from r. The common configuration — no
+// partition, no overrides — costs two branches before its one model call.
+func (ru *rules) decide(base loss.Model, from, to peer.ID, r *rng.RNG) Verdict {
 	if ru.separated(from, to) {
-		st.c.PartitionDrops++
 		return Verdict{Drop: DropPartition}
 	}
 	if m, ok := ru.override(from, to); ok {
-		if lostTo(m, to, r) {
-			st.c.LinkDrops++
+		if m.Lost(to, r) {
 			return Verdict{Drop: DropLink}
 		}
-	} else if st.lost(to, r) {
-		st.c.ModelDrops++
+	} else if base.Lost(to, r) {
 		return Verdict{Drop: DropModel}
 	}
 	d := ru.delay.Fixed
 	if ru.delay.Jitter > 0 {
 		d += r.Intn(ru.delay.Jitter + 1)
-	}
-	if d > 0 {
-		st.c.Delayed++
 	}
 	return Verdict{Delay: d}
 }
@@ -377,30 +323,13 @@ func (ru *rules) override(from, to peer.ID) (loss.Model, bool) {
 	return m, ok
 }
 
-// lost consults the seat's base model.
-func (st *seat) lost(to peer.ID, r *rng.RNG) bool {
-	if st.dest != nil {
-		return st.dest.LostTo(to, r)
-	}
-	return st.base.Lost(r)
-}
-
-// lostTo consults an override model, routing through the destination-aware
-// interface when the model implements it.
-func lostTo(m loss.Model, to peer.ID, r *rng.RNG) bool {
-	if dm, ok := m.(loss.DestinationModel); ok {
-		return dm.LostTo(to, r)
-	}
-	return m.Lost(r)
-}
-
 // Decide rules on one attempted transmission from -> to, advancing any
 // stateful models and drawing from r in the documented order. The caller
 // supplies its own RNG so each substrate keeps its deterministic stream.
 func (c *Conditions) Decide(from, to peer.ID, r *rng.RNG) Verdict {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.decide(&c.own, from, to, r)
+	return c.decide(c.base, from, to, r)
 }
 
 // A Session is a single-owner decision pass over the stack: Begin acquires
@@ -418,7 +347,7 @@ func (c *Conditions) Begin() Session {
 
 // Decide is Conditions.Decide without the per-call lock; see Begin.
 func (s *Session) Decide(from, to peer.ID, r *rng.RNG) Verdict {
-	return s.c.decide(&s.c.own, from, to, r)
+	return s.c.decide(s.c.base, from, to, r)
 }
 
 // Close ends the session, releasing the stack.
@@ -426,26 +355,26 @@ func (s *Session) Close() { s.c.mu.Unlock() }
 
 // A Decider is one of several streams ruling against the stack in parallel —
 // the sharded engine attaches one per shard. It decides without the lock,
-// against the snapshot of the configuration the last Sync took, on a seat of
-// its own: its verdict stream, its counters, and its own fork of a stateful
-// base model, so a Gilbert-Elliott burst is a burst over the messages this
-// decider sees. Override models are not forked: a decider must be the only
-// one ruling on a given link (the sharded engine rules where a message
-// arrives, so a link is its destination's shard's alone). Between two Syncs a
-// decider belongs to one goroutine at a time; everything it writes per
-// message lives in the value itself, so deciders embedded in their owners'
+// against the snapshot of the configuration the last Sync took, with a
+// verdict stream of its own and its own fork of a stateful base model, so a
+// Gilbert-Elliott burst is a burst over the messages this decider sees.
+// Override models are not forked: a decider must be the only one ruling on a
+// given link (the sharded engine rules where a message arrives, so a link is
+// its destination's shard's alone). Between two Syncs a decider belongs to
+// one goroutine at a time; everything it writes per message lives in the
+// value itself or in its own fork, so deciders embedded in their owners'
 // records share no cache line. The zero value is ready for Attach.
 type Decider struct {
-	ru *rules
-	r  rng.RNG
-	seat
+	ru   *rules
+	r    rng.RNG
+	base loss.Model
 	next loss.Model // base model to seat at the next Sync; guarded by the stack's mu
 }
 
 // Decide is Conditions.Decide against the last Sync's snapshot, drawing from
 // the decider's own stream.
 func (d *Decider) Decide(from, to peer.ID) Verdict {
-	return d.ru.decide(&d.seat, from, to, &d.r)
+	return d.ru.decide(d.base, from, to, &d.r)
 }
 
 // Attach makes d a decider of this stack, with a verdict stream seeded by
@@ -455,43 +384,38 @@ func (c *Conditions) Attach(d *Decider, seed int64) {
 	defer c.mu.Unlock()
 	d.ru = &c.snap
 	d.r = rng.NewState(seed)
-	d.next = fork(c.own.base)
+	d.next = fork(c.base)
 	c.seats = append(c.seats, d)
 }
 
-// Sync is the exchange between the stack and its attached deciders, made by
-// their owner while none of them is deciding: the counters they accumulated
-// are folded into the stack's, and the configuration as it stands becomes the
-// snapshot they rule against — a base model set since the last Sync is seated
-// now. An engine calls it at the start of a tick, so that a setter called
-// between two ticks takes effect on the very next one, and at its end, so
-// that Counters is whole whenever the engine is idle.
+// Sync hands the attached deciders the configuration as it stands, made by
+// their owner while none of them is deciding: it becomes the snapshot they
+// rule against, and a base model set since the last Sync is seated now. An
+// engine calls it at the start of a tick, so that a setter called between
+// two ticks takes effect on the very next one.
 func (c *Conditions) Sync() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.snap = c.rules
 	for _, d := range c.seats {
-		c.own.c.add(&d.c)
-		d.c = Counters{}
 		if d.next != nil {
-			d.sit(d.next)
-			d.next = nil
+			d.base, d.next = d.next, nil
 		}
 	}
 }
 
-// Counters returns a snapshot of the per-condition counters.
+// Counters returns a snapshot of the topology counters.
 func (c *Conditions) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.own.c
+	return c.counts
 }
 
 // String names the stack for experiment logs.
 func (c *Conditions) String() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := fmt.Sprintf("faults(base=%s", c.own.base)
+	s := fmt.Sprintf("faults(base=%s", c.base)
 	if len(c.links) > 0 {
 		s += fmt.Sprintf(", links=%d", len(c.links))
 	}

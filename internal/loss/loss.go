@@ -4,13 +4,14 @@
 // probability l, identical for all messages, and independent of other
 // messages". Uniform is therefore the model every experiment uses. The
 // package also provides a Gilbert-Elliott bursty model as an extension
-// ablation (the paper notes nonuniform loss occurs in practice but is harder
-// to analyze) and a deterministic script model for tests.
+// ablation and a per-destination model (the paper notes nonuniform loss
+// occurs in practice but is harder to analyze).
 package loss
 
 import (
 	"fmt"
 
+	"sendforget/internal/peer"
 	"sendforget/internal/rng"
 )
 
@@ -18,8 +19,8 @@ import (
 // stateful (burst models); they are not safe for concurrent use unless
 // documented otherwise.
 type Model interface {
-	// Lost reports whether the next message is dropped.
-	Lost(r *rng.RNG) bool
+	// Lost reports whether the next message, addressed to to, is dropped.
+	Lost(to peer.ID, r *rng.RNG) bool
 	// Rate returns the long-run average loss probability.
 	Rate() float64
 	// String names the model for experiment logs.
@@ -40,7 +41,7 @@ type Forker interface {
 type None struct{}
 
 // Lost always reports false.
-func (None) Lost(*rng.RNG) bool { return false }
+func (None) Lost(peer.ID, *rng.RNG) bool { return false }
 
 // Rate returns 0.
 func (None) Rate() float64 { return 0 }
@@ -55,7 +56,7 @@ type Uniform struct {
 
 // NewUniform returns a Uniform model, validating 0 <= p <= 1.
 func NewUniform(p float64) (Uniform, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return Uniform{}, fmt.Errorf("loss: probability %v outside [0,1]", p)
 	}
 	return Uniform{P: p}, nil
@@ -72,7 +73,7 @@ func MustUniform(p float64) Uniform {
 }
 
 // Lost drops the message with probability P.
-func (u Uniform) Lost(r *rng.RNG) bool { return r.Bernoulli(u.P) }
+func (u Uniform) Lost(_ peer.ID, r *rng.RNG) bool { return r.Bernoulli(u.P) }
 
 // Rate returns P.
 func (u Uniform) Rate() float64 { return u.P }
@@ -93,7 +94,7 @@ type GilbertElliott struct {
 // the Good state.
 func NewGilbertElliott(pGood, pBad, goodToBad, badToGood float64) (*GilbertElliott, error) {
 	for _, p := range []float64{pGood, pBad, goodToBad, badToGood} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return nil, fmt.Errorf("loss: parameter %v outside [0,1]", p)
 		}
 	}
@@ -109,10 +110,10 @@ func NewGilbertElliott(pGood, pBad, goodToBad, badToGood float64) (*GilbertEllio
 // burstLen messages. Used by the abl1 experiment to compare bursty and
 // uniform loss at equal average rates.
 func BurstyWithRate(rate float64, burstLen float64) (*GilbertElliott, error) {
-	if rate <= 0 || rate >= 1 {
+	if !(rate > 0 && rate < 1) {
 		return nil, fmt.Errorf("loss: bursty rate %v outside (0,1)", rate)
 	}
-	if burstLen < 1 {
+	if !(burstLen >= 1) {
 		return nil, fmt.Errorf("loss: burst length %v < 1", burstLen)
 	}
 	// Stationary P(bad) = g2b / (g2b + b2g) must equal rate, and mean burst
@@ -126,7 +127,7 @@ func BurstyWithRate(rate float64, burstLen float64) (*GilbertElliott, error) {
 }
 
 // Lost advances the channel state and drops according to the current state.
-func (g *GilbertElliott) Lost(r *rng.RNG) bool {
+func (g *GilbertElliott) Lost(_ peer.ID, r *rng.RNG) bool {
 	if g.bad {
 		if r.Bernoulli(g.BadToGood) {
 			g.bad = false
@@ -157,39 +158,3 @@ func (g *GilbertElliott) Rate() float64 {
 func (g *GilbertElliott) String() string {
 	return fmt.Sprintf("gilbert-elliott(rate=%.3g)", g.Rate())
 }
-
-// Script replays a fixed drop sequence; once exhausted it stops dropping.
-// It exists so protocol tests can force specific loss patterns.
-type Script struct {
-	Drops []bool
-	next  int
-}
-
-// Lost pops the next scripted outcome.
-func (s *Script) Lost(*rng.RNG) bool {
-	if s.next >= len(s.Drops) {
-		return false
-	}
-	d := s.Drops[s.next]
-	s.next++
-	return d
-}
-
-// Fork returns a script replaying the same sequence from its start.
-func (s *Script) Fork() Model { return &Script{Drops: s.Drops} }
-
-// Rate returns the fraction of drops in the script.
-func (s *Script) Rate() float64 {
-	if len(s.Drops) == 0 {
-		return 0
-	}
-	n := 0
-	for _, d := range s.Drops {
-		if d {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Drops))
-}
-
-func (s *Script) String() string { return fmt.Sprintf("script(%d)", len(s.Drops)) }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sendforget/internal/peer"
 	"sendforget/internal/rng"
 )
 
@@ -11,7 +12,7 @@ func TestNoneNeverDrops(t *testing.T) {
 	r := rng.New(1)
 	m := None{}
 	for i := 0; i < 1000; i++ {
-		if m.Lost(r) {
+		if m.Lost(0, r) {
 			t.Fatal("None dropped a message")
 		}
 	}
@@ -26,6 +27,9 @@ func TestNewUniformValidates(t *testing.T) {
 	}
 	if _, err := NewUniform(1.1); err == nil {
 		t.Error("NewUniform(1.1) accepted")
+	}
+	if _, err := NewUniform(math.NaN()); err == nil {
+		t.Error("NewUniform(NaN) accepted")
 	}
 	m, err := NewUniform(0.25)
 	if err != nil {
@@ -51,7 +55,7 @@ func TestUniformEmpiricalRate(t *testing.T) {
 	const trials = 200000
 	drops := 0
 	for i := 0; i < trials; i++ {
-		if m.Lost(r) {
+		if m.Lost(0, r) {
 			drops++
 		}
 	}
@@ -67,10 +71,10 @@ func TestUniformBoundaries(t *testing.T) {
 	always := MustUniform(1)
 	never := MustUniform(0)
 	for i := 0; i < 100; i++ {
-		if !always.Lost(r) {
+		if !always.Lost(0, r) {
 			t.Fatal("Uniform(1) delivered a message")
 		}
-		if never.Lost(r) {
+		if never.Lost(0, r) {
 			t.Fatal("Uniform(0) dropped a message")
 		}
 	}
@@ -82,6 +86,13 @@ func TestGilbertElliottValidation(t *testing.T) {
 	}
 	if _, err := NewGilbertElliott(0, 1, 0, 0); err == nil {
 		t.Error("accepted degenerate chain")
+	}
+	for i := range 4 {
+		p := []float64{0, 1, 0.1, 0.1}
+		p[i] = math.NaN()
+		if _, err := NewGilbertElliott(p[0], p[1], p[2], p[3]); err == nil {
+			t.Errorf("accepted NaN parameter %d", i)
+		}
 	}
 }
 
@@ -104,7 +115,7 @@ func TestBurstyWithRateStationary(t *testing.T) {
 		const trials = 400000
 		drops := 0
 		for i := 0; i < trials; i++ {
-			if m.Lost(r) {
+			if m.Lost(0, r) {
 				drops++
 			}
 		}
@@ -130,7 +141,7 @@ func TestBurstyWithRateProducesBursts(t *testing.T) {
 		runs, dropped := 0, 0
 		inRun := false
 		for i := 0; i < trials; i++ {
-			if m.Lost(r) {
+			if m.Lost(0, r) {
 				dropped++
 				if !inRun {
 					runs++
@@ -151,16 +162,15 @@ func TestBurstyWithRateProducesBursts(t *testing.T) {
 }
 
 // TestForkIsIndependent pins what Forker promises: a fork has its parent's
-// parameters and the initial state — Good for Gilbert-Elliott, the first
-// entry for a script — wherever the parent stands, and running one never
-// moves the other.
+// parameters and the initial state — Good for Gilbert-Elliott — wherever
+// the parent stands, and running one never moves the other.
 func TestForkIsIndependent(t *testing.T) {
 	r := rng.New(9)
 	stuck, err := NewGilbertElliott(0, 1, 1, 0) // enters Bad on the first message and stays
 	if err != nil {
 		t.Fatal(err)
 	}
-	stuck.Lost(r)
+	stuck.Lost(0, r)
 	f := stuck.Fork().(*GilbertElliott)
 	if !stuck.bad || f.bad {
 		t.Errorf("parent bad=%v, fork bad=%v: want a Bad parent and a fork in the Good state", stuck.bad, f.bad)
@@ -172,21 +182,9 @@ func TestForkIsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.Fork().Lost(r)
+	fresh.Fork().Lost(0, r)
 	if fresh.bad {
 		t.Error("running a fork moved its parent out of the Good state")
-	}
-
-	sc := &Script{Drops: []bool{true, false, true}}
-	sc.Lost(r)
-	sf := sc.Fork()
-	for i, want := range sc.Drops {
-		if got := sf.Lost(r); got != want {
-			t.Errorf("forked script entry %d = %v, want %v", i, got, want)
-		}
-	}
-	if sc.Lost(r) {
-		t.Error("running a forked script advanced its parent")
 	}
 	for _, stateless := range []Model{None{}, MustUniform(0.5)} {
 		if _, ok := stateless.(Forker); ok {
@@ -208,24 +206,32 @@ func TestBurstyWithRateValidation(t *testing.T) {
 	if _, err := BurstyWithRate(0.99, 1); err == nil {
 		t.Error("accepted infeasible rate/burst combination")
 	}
+	if _, err := BurstyWithRate(math.NaN(), 10); err == nil {
+		t.Error("accepted rate NaN")
+	}
+	if _, err := BurstyWithRate(0.05, math.NaN()); err == nil {
+		t.Error("accepted burst length NaN")
+	}
 }
 
-func TestScript(t *testing.T) {
-	s := &Script{Drops: []bool{true, false, true}}
-	r := rng.New(6)
-	got := []bool{s.Lost(r), s.Lost(r), s.Lost(r), s.Lost(r), s.Lost(r)}
-	want := []bool{true, false, true, false, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Script outcomes = %v, want %v", got, want)
+func TestNewPerDestValidates(t *testing.T) {
+	for _, bad := range []float64{-0.1, 1.1, math.NaN()} {
+		if _, err := NewPerDest(bad, nil); err == nil {
+			t.Errorf("NewPerDest accepted default rate %v", bad)
+		}
+		if _, err := NewPerDest(0, map[peer.ID]float64{3: bad}); err == nil {
+			t.Errorf("NewPerDest accepted rate %v", bad)
 		}
 	}
-	if r := s.Rate(); math.Abs(r-2.0/3.0) > 1e-12 {
-		t.Errorf("Script.Rate = %v, want 2/3", r)
+	m, err := NewPerDest(0, map[peer.ID]float64{3: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	empty := &Script{}
-	if empty.Rate() != 0 {
-		t.Errorf("empty Script.Rate = %v, want 0", empty.Rate())
+	r := rng.New(7)
+	for i := 0; i < 100; i++ {
+		if !m.Lost(3, r) || m.Lost(4, r) {
+			t.Fatal("PerDest ignored the destination: want 3 always dropped, 4 never")
+		}
 	}
 }
 
@@ -239,8 +245,5 @@ func TestStringers(t *testing.T) {
 	m, _ := BurstyWithRate(0.05, 10)
 	if m.String() == "" {
 		t.Error("GilbertElliott.String empty")
-	}
-	if (&Script{}).String() == "" {
-		t.Error("Script.String empty")
 	}
 }

@@ -7,19 +7,10 @@ import (
 	"sendforget/internal/rng"
 )
 
-// DestinationModel is an optional extension of Model for nonuniform loss:
-// the drop probability may depend on the message destination. The paper
-// restricts its analysis to uniform loss but notes that "nonuniform loss
-// occurs in practice [33]"; the abl4 experiment probes how far S&F's
-// properties survive it.
-type DestinationModel interface {
-	Model
-	// LostTo reports whether the next message addressed to dst is dropped.
-	LostTo(dst peer.ID, r *rng.RNG) bool
-}
-
 // PerDest drops messages with a per-destination probability, falling back
-// to Default for unlisted destinations.
+// to Default for unlisted destinations. The paper restricts its analysis to
+// uniform loss but notes that "nonuniform loss occurs in practice [33]"; the
+// abl4 experiment probes how far S&F's properties survive it.
 type PerDest struct {
 	Default float64
 	Rates   map[peer.ID]float64
@@ -27,33 +18,25 @@ type PerDest struct {
 
 // NewPerDest validates the rates.
 func NewPerDest(def float64, rates map[peer.ID]float64) (*PerDest, error) {
-	if def < 0 || def > 1 {
+	if !(def >= 0 && def <= 1) {
 		return nil, fmt.Errorf("loss: default rate %v outside [0,1]", def)
 	}
 	for id, p := range rates {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return nil, fmt.Errorf("loss: rate %v for %v outside [0,1]", p, id)
 		}
 	}
 	return &PerDest{Default: def, Rates: rates}, nil
 }
 
-// rateFor returns the drop probability for dst.
-func (m *PerDest) rateFor(dst peer.ID) float64 {
-	if p, ok := m.Rates[dst]; ok {
-		return p
+// Lost drops the message with to's probability.
+func (m *PerDest) Lost(to peer.ID, r *rng.RNG) bool {
+	p, ok := m.Rates[to]
+	if !ok {
+		p = m.Default
 	}
-	return m.Default
+	return r.Bernoulli(p)
 }
-
-// LostTo implements DestinationModel.
-func (m *PerDest) LostTo(dst peer.ID, r *rng.RNG) bool {
-	return r.Bernoulli(m.rateFor(dst))
-}
-
-// Lost implements Model using the default rate (used only by callers that
-// do not know the destination).
-func (m *PerDest) Lost(r *rng.RNG) bool { return r.Bernoulli(m.Default) }
 
 // Rate returns the unweighted average of the configured rates. The sum
 // runs over destinations in sorted order so the reported average is

@@ -82,8 +82,8 @@ type ConfigUpdate struct {
 
 // Status is one reading of the daemon: every field is sampled in a single
 // hold of the backend's lock, so identities between them (traffic sends =
-// node sends + replies = fault decisions; sends = losses + deliveries + dead
-// letters + pending) hold on a live daemon, not only on a drained one. Every
+// node sends + replies; sends = losses + deliveries + dead letters +
+// pending) hold on a live daemon, not only on a drained one. Every
 // read endpoint is a projection of it, and a new probe is a new field here,
 // filled in the same lock hold.
 type Status struct {
@@ -98,8 +98,9 @@ type Status struct {
 	Counters runtime.NodeCounters
 	// Traffic is the transport ledger.
 	Traffic metrics.Traffic
-	// Faults is the fault-layer ledger; nil when no fault layer exists (UDP
-	// mode — the real network injects its own).
+	// Faults counts the fault stack's partitions and heals; nil when no
+	// fault layer exists (UDP mode — the real network injects its own). Its
+	// per-message series on /metrics are Traffic read by condition.
 	Faults *faults.Counters
 }
 

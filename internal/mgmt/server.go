@@ -304,11 +304,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("sendforget_node_selfloops_total", "Initiated actions that were self-loop transformations.", c.SelfLoops)
 	p.Counter("sendforget_node_send_errors_total", "Transport send errors.", c.SendErrors)
 	if fc := st.Faults; fc != nil {
-		p.Counter("sendforget_faults_decisions_total", "Fault-layer rulings (one per attempted transmission).", fc.Decisions)
-		p.Counter("sendforget_faults_model_drops_total", "Drops by the base loss model.", fc.ModelDrops)
-		p.Counter("sendforget_faults_link_drops_total", "Drops by per-link override models.", fc.LinkDrops)
-		p.Counter("sendforget_faults_partition_drops_total", "Drops across an active partition.", fc.PartitionDrops)
-		p.Counter("sendforget_faults_delayed_total", "Messages assigned a nonzero delivery delay.", fc.Delayed)
+		// The per-message series are the router's ledger read by condition:
+		// the fault layer rules on every send and counts none of them.
+		tr := st.Traffic
+		p.Counter("sendforget_faults_decisions_total", "Fault-layer rulings (one per attempted transmission).", tr.Sends)
+		p.Counter("sendforget_faults_model_drops_total", "Drops by the base loss model.", tr.Losses-tr.LinkLosses-tr.PartitionDrops)
+		p.Counter("sendforget_faults_link_drops_total", "Drops by per-link override models.", tr.LinkLosses)
+		p.Counter("sendforget_faults_partition_drops_total", "Drops across an active partition.", tr.PartitionDrops)
+		p.Counter("sendforget_faults_delayed_total", "Messages assigned a nonzero delivery delay.", tr.Delayed)
 		p.Counter("sendforget_faults_partitions_total", "Partition events.", fc.Partitions)
 		p.Counter("sendforget_faults_heals_total", "Heal events.", fc.Heals)
 	}

@@ -8,12 +8,16 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	gort "runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sendforget/internal/faults"
+	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
@@ -450,12 +454,11 @@ func TestMetricsMatchTrafficExactly(t *testing.T) {
 		"sendforget_traffic_delayed_total":         tr.Delayed,
 	}
 	st := backend.Status()
-	fc := st.Faults
-	if fc == nil {
+	if st.Faults == nil {
 		t.Fatal("local backend reports no fault counters")
 	}
-	want["sendforget_faults_decisions_total"] = fc.Decisions
-	want["sendforget_faults_model_drops_total"] = fc.ModelDrops
+	want["sendforget_faults_decisions_total"] = tr.Sends
+	want["sendforget_faults_model_drops_total"] = tr.Losses - tr.LinkLosses - tr.PartitionDrops
 	c := st.Counters
 	want["sendforget_node_ticks_total"] = c.Ticks
 	want["sendforget_node_sends_total"] = c.Sends
@@ -471,6 +474,59 @@ func TestMetricsMatchTrafficExactly(t *testing.T) {
 	}
 	if got["sendforget_up"] != "1" {
 		t.Errorf("sendforget_up = %q", got["sendforget_up"])
+	}
+}
+
+// TestMetricsGolden holds one /metrics body, byte for byte, to a file that
+// is never re-captured: a seeded seq run through a partition and its heal,
+// link overrides, jittered delay and a departure, scraped with messages
+// still in flight, so every traffic_* and faults_* series is nonzero.
+func TestMetricsGolden(t *testing.T) {
+	const n = 16
+	cond, err := faults.FromRate(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cond.SetDelay(faults.Delay{Fixed: 1, Jitter: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for id := peer.ID(0); id < n; id++ {
+		cond.SetLinkLoss(id, (id+1)%n, loss.MustUniform(0.5))
+	}
+	backend, _ := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSeq, N: n, Conditions: cond}, nil)
+	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evens, odds []peer.ID
+	for id := peer.ID(0); id < n; id++ {
+		if id%2 == 0 {
+			evens = append(evens, id)
+		} else {
+			odds = append(odds, id)
+		}
+	}
+	tick := func(rounds int) {
+		for range rounds {
+			backend.Tick()
+		}
+	}
+	tick(10)
+	cond.Partition(evens, odds)
+	tick(10)
+	cond.Heal()
+	if err := backend.Leave(3); err != nil {
+		t.Fatal(err)
+	}
+	tick(10)
+	rec := httptest.NewRecorder()
+	srv.srv.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Body.String(); got != string(want) {
+		t.Errorf("/metrics body differs from testdata/metrics.golden:\n%s", got)
 	}
 }
 

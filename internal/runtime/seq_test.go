@@ -248,8 +248,5 @@ func TestSeqSeededRunPin(t *testing.T) {
 		if got := e.Traffic(); got != tc.traffic {
 			t.Errorf("%v: traffic %+v, want %+v", tc.lm, got, tc.traffic)
 		}
-		if fc := e.Conditions().Counters(); fc.Decisions != tc.traffic.Sends || fc.Drops() != tc.traffic.Losses {
-			t.Errorf("%v: fault stack tally %+v does not match the ledger %+v", tc.lm, fc, tc.traffic)
-		}
 	}
 }

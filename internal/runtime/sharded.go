@@ -99,9 +99,8 @@ import (
 //     Replies to drained messages are delivered like any others.
 //   - Between phases the gate holder does O(shards) work and touches no
 //     message: it advances the calendar clocks, sums counters to learn
-//     whether the last phase filed anything, and exchanges configuration and
-//     counters with the fault stack (faults.Conditions.Sync) at both ends of
-//     a tick.
+//     whether the last phase filed anything, and hands the deciders the fault
+//     stack's configuration (faults.Conditions.Sync) at the start of a tick.
 //   - Results are bit-identical for any worker count: shard geometry depends
 //     only on n (never on GOMAXPROCS), every shard's job runs in node order
 //     on exactly one goroutine per phase, whichever claims it, a column is
@@ -562,7 +561,7 @@ func (e *ShardedCluster) advance() {
 // came due (a drain phase), every live node initiates once (initiate phase),
 // and every shard rules on and receives what was addressed to it (deliver
 // phases, until a generation of replies is empty). The fault stack is read
-// once, at the start, and handed the round's counters at the end.
+// once, at the start.
 //
 //vet:hotpath
 func (e *ShardedCluster) TickRound() {
@@ -571,7 +570,6 @@ func (e *ShardedCluster) TickRound() {
 	e.advance()
 	e.runPhase(phaseInitiate)
 	e.settle()
-	e.cfg.Conditions.Sync()
 	e.gate <- struct{}{}
 }
 
@@ -585,7 +583,6 @@ func (e *ShardedCluster) DrainDelayed() {
 	for e.pending() > 0 {
 		e.advance()
 	}
-	e.cfg.Conditions.Sync()
 	e.gate <- struct{}{}
 }
 

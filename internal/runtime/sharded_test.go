@@ -399,7 +399,7 @@ func viewDigest(sub runtime.Substrate) uint64 {
 // rounds 25..34, a lossy link, two nodes leaving in round 20 and one of them
 // rejoining in round 50 — drains the delay calendars, and condenses the
 // outcome to a digest of every view slot, the traffic ledger and the fault
-// stack's counters.
+// stack's topology counters.
 func shardedFaultRun(t *testing.T, factory protocol.CoreFactory, workers int) (uint64, metrics.Traffic, faults.Counters) {
 	t.Helper()
 	const n = 2000
@@ -469,11 +469,11 @@ func TestShardedDelayedRunPin(t *testing.T) {
 		faults  faults.Counters
 	}{
 		// Recorded with the verdicts drawn per destination shard.
-		"sf":       {0x88468b4669ea23cf, metrics.Traffic{Sends: 44229, Losses: 4404, Deliveries: 39809, DeadLetters: 16, LinkLosses: 3, PartitionDrops: 2408, Delayed: 26696}, faults.Counters{Decisions: 44229, ModelDrops: 1993, LinkDrops: 3, PartitionDrops: 2408, Delayed: 26696, Partitions: 1, Heals: 1}},
-		"sfopt":    {0xa82b2847ab1e1073, metrics.Traffic{Sends: 44125, Losses: 4360, Deliveries: 39753, DeadLetters: 12, LinkLosses: 1, PartitionDrops: 2392, Delayed: 26648}, faults.Counters{Decisions: 44125, ModelDrops: 1967, LinkDrops: 1, PartitionDrops: 2392, Delayed: 26648, Partitions: 1, Heals: 1}},
-		"shuffle":  {0x7e051fb4d7761a3, metrics.Traffic{Sends: 39158, Losses: 3251, Deliveries: 35898, DeadLetters: 9, PartitionDrops: 1415, Delayed: 24042}, faults.Counters{Decisions: 39158, ModelDrops: 1836, PartitionDrops: 1415, Delayed: 24042, Partitions: 1, Heals: 1}},
-		"flipper":  {0xe0d691f51c312b30, metrics.Traffic{Sends: 47582, Losses: 4035, Deliveries: 43531, DeadLetters: 16, LinkLosses: 1, PartitionDrops: 1890, Delayed: 29209}, faults.Counters{Decisions: 47582, ModelDrops: 2144, LinkDrops: 1, PartitionDrops: 1890, Delayed: 29209, Partitions: 1, Heals: 1}},
-		"pushpull": {0xe3d7de384eeeff02, metrics.Traffic{Sends: 147878, Losses: 16266, Deliveries: 131590, DeadLetters: 22, LinkLosses: 5, PartitionDrops: 9088, Delayed: 87997}, faults.Counters{Decisions: 147878, ModelDrops: 7173, LinkDrops: 5, PartitionDrops: 9088, Delayed: 87997, Partitions: 1, Heals: 1}},
+		"sf":       {0x88468b4669ea23cf, metrics.Traffic{Sends: 44229, Losses: 4404, Deliveries: 39809, DeadLetters: 16, LinkLosses: 3, PartitionDrops: 2408, Delayed: 26696}, faults.Counters{Partitions: 1, Heals: 1}},
+		"sfopt":    {0xa82b2847ab1e1073, metrics.Traffic{Sends: 44125, Losses: 4360, Deliveries: 39753, DeadLetters: 12, LinkLosses: 1, PartitionDrops: 2392, Delayed: 26648}, faults.Counters{Partitions: 1, Heals: 1}},
+		"shuffle":  {0x7e051fb4d7761a3, metrics.Traffic{Sends: 39158, Losses: 3251, Deliveries: 35898, DeadLetters: 9, PartitionDrops: 1415, Delayed: 24042}, faults.Counters{Partitions: 1, Heals: 1}},
+		"flipper":  {0xe0d691f51c312b30, metrics.Traffic{Sends: 47582, Losses: 4035, Deliveries: 43531, DeadLetters: 16, LinkLosses: 1, PartitionDrops: 1890, Delayed: 29209}, faults.Counters{Partitions: 1, Heals: 1}},
+		"pushpull": {0xe3d7de384eeeff02, metrics.Traffic{Sends: 147878, Losses: 16266, Deliveries: 131590, DeadLetters: 22, LinkLosses: 5, PartitionDrops: 9088, Delayed: 87997}, faults.Counters{Partitions: 1, Heals: 1}},
 	}
 	for _, p := range allProtocols() {
 		pin := pins[p.name]
@@ -482,10 +482,10 @@ func TestShardedDelayedRunPin(t *testing.T) {
 			if digest != pin.digest || traffic != pin.traffic || fc != pin.faults {
 				t.Errorf("%s workers=%d: digest %#x traffic %+v faults %+v, want %#x %+v %+v", p.name, workers, digest, traffic, fc, pin.digest, pin.traffic, pin.faults)
 			}
-			if fc.Decisions != traffic.Sends || fc.Drops() != traffic.Losses || fc.Delayed != traffic.Delayed || !traffic.Conserved() {
-				t.Errorf("%s workers=%d: fault counters %+v do not account for ledger %+v", p.name, workers, fc, traffic)
+			if !traffic.Conserved() {
+				t.Errorf("%s workers=%d: ledger %+v not conserved after the drain", p.name, workers, traffic)
 			}
-			if traffic.PartitionDrops == 0 || traffic.DeadLetters == 0 || traffic.Delayed == 0 || fc.ModelDrops == 0 {
+			if traffic.PartitionDrops == 0 || traffic.DeadLetters == 0 || traffic.Delayed == 0 || traffic.Losses == traffic.LinkLosses+traffic.PartitionDrops {
 				t.Errorf("%s workers=%d: a fault path did not run: %+v", p.name, workers, traffic)
 			}
 		}

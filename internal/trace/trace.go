@@ -119,30 +119,3 @@ func Load(r io.Reader) ([]Record, error) {
 	}
 	return out, nil
 }
-
-// Summary aggregates a loaded trace.
-type Summary struct {
-	Steps     int
-	SelfLoops int
-	Sends     int
-	Losses    int
-	Delivered int
-}
-
-// Summarize folds records into totals.
-func Summarize(records []Record) Summary {
-	var s Summary
-	for _, r := range records {
-		s.Steps++
-		if !r.Sent {
-			s.SelfLoops++
-			continue
-		}
-		s.Sends++
-		if r.Lost {
-			s.Losses++
-		}
-		s.Delivered += r.Delivered
-	}
-	return s
-}
