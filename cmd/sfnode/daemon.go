@@ -27,9 +27,8 @@ func newLocalDaemon(c config, log *slog.Logger) (*daemon, error) {
 		NewCore: func() (protocol.StepCore, error) {
 			return newCore(c.proto, c.s, c.dl)
 		},
-		Loss:   c.loss,
-		Seed:   c.seed,
-		Period: c.period,
+		Loss: c.loss,
+		Seed: c.seed,
 	})
 	if err != nil {
 		return nil, err

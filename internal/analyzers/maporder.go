@@ -30,9 +30,9 @@ import (
 // changes the rounded sum and the printed digits with it.
 //
 // Suite history: the suite's first full-repo run caught three real
-// bit-determinism bugs — stats.Histogram.Mean and Variance summed their
-// counts map in iteration order, and loss.PerDest.Rate did the same over
-// its per-destination map; all three were rewritten to iterate sorted
+// bit-determinism bugs — an integer histogram's mean and variance summed
+// its counts map in iteration order, and loss.PerDest.Rate did the same
+// over its per-destination map; all three were rewritten to iterate sorted
 // keys. The repo's remaining map ranges were already order-free or sorted
 // (registry.buildRegistry sorts its id slice before emitting).
 var Maporder = &framework.Analyzer{

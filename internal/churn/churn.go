@@ -90,14 +90,3 @@ func TrackJoinerIntegration(sub runtime.Substrate, u peer.ID, seeds []peer.ID, r
 	}
 	return trace, nil
 }
-
-// RoundsToIndegree returns the first round at which the joiner's indegree
-// reached target, or -1 if it never did within the trace.
-func (t *JoinTrace) RoundsToIndegree(target int) int {
-	for i, d := range t.Indegree {
-		if d >= target {
-			return i
-		}
-	}
-	return -1
-}

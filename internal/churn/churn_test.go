@@ -100,12 +100,6 @@ func TestTrackJoinerIntegration(t *testing.T) {
 	if trace.Indegree[80] == 0 {
 		t.Error("joiner acquired no in-neighbors in 80 rounds")
 	}
-	if r := trace.RoundsToIndegree(1); r <= 0 || r > 80 {
-		t.Errorf("RoundsToIndegree(1) = %d", r)
-	}
-	if r := trace.RoundsToIndegree(10_000); r != -1 {
-		t.Errorf("RoundsToIndegree(unreachable) = %d, want -1", r)
-	}
 }
 
 func TestTrackJoinerValidation(t *testing.T) {

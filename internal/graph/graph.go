@@ -4,7 +4,7 @@
 //
 // The package provides the structural queries the analysis needs — in- and
 // outdegrees, sum degrees, weak connectivity, self-edge and parallel-edge
-// counts, and degree histograms — over a snapshot of protocol views (as
+// counts, and stale edges — over a snapshot of protocol views (as
 // views, or as the flat slot array the sharded engine keeps them in) or a
 // standalone edge multiset built by tests.
 package graph
@@ -145,20 +145,6 @@ func (g *Graph) SumDegree(u peer.ID) int { return g.Outdegree(u) + 2*g.in[u] }
 // must not mutate the returned slice.
 func (g *Graph) OutNeighbors(u peer.ID) []peer.ID { return g.out(int(u)) }
 
-// InNeighbors returns the set of nodes having u in their views, ascending.
-func (g *Graph) InNeighbors(u peer.ID) []peer.ID {
-	var out []peer.ID
-	for x := 0; x < g.n; x++ {
-		for _, w := range g.out(x) {
-			if w == u {
-				out = append(out, peer.ID(x))
-				break
-			}
-		}
-	}
-	return out
-}
-
 // SelfEdges returns the number of entries u.lv[i] = u summed over all nodes.
 // The paper conservatively labels all self-edges dependent.
 func (g *Graph) SelfEdges() int {
@@ -254,17 +240,6 @@ func (g *Graph) StaleEdges(members []peer.ID) int {
 		}
 	}
 	return stale
-}
-
-// DegreeHistograms returns histograms of out- and indegrees: hOut[d] is the
-// number of nodes with outdegree d, and similarly hIn.
-func (g *Graph) DegreeHistograms() (hOut, hIn map[int]int) {
-	hOut, hIn = make(map[int]int), make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		hOut[g.Outdegree(peer.ID(u))]++
-		hIn[g.in[u]]++
-	}
-	return hOut, hIn
 }
 
 // Multiplicity returns the multiplicity of edge (u, v).

@@ -43,40 +43,3 @@ func Range(n int) []ID {
 func Sort(ids []ID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
-
-// Set is a set of node ids.
-type Set map[ID]struct{}
-
-// NewSet builds a set from ids.
-func NewSet(ids ...ID) Set {
-	s := make(Set, len(ids))
-	for _, id := range ids {
-		s.Add(id)
-	}
-	return s
-}
-
-// Add inserts id into the set.
-func (s Set) Add(id ID) { s[id] = struct{}{} }
-
-// Remove deletes id from the set.
-func (s Set) Remove(id ID) { delete(s, id) }
-
-// Has reports membership.
-func (s Set) Has(id ID) bool {
-	_, ok := s[id]
-	return ok
-}
-
-// Len returns the set cardinality.
-func (s Set) Len() int { return len(s) }
-
-// Slice returns the members in ascending order.
-func (s Set) Slice() []ID {
-	out := make([]ID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	Sort(out)
-	return out
-}

@@ -58,34 +58,3 @@ func TestSort(t *testing.T) {
 		}
 	}
 }
-
-func TestSet(t *testing.T) {
-	s := NewSet(3, 1, 3)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (duplicates collapse)", s.Len())
-	}
-	if !s.Has(1) || !s.Has(3) {
-		t.Error("set missing inserted members")
-	}
-	if s.Has(2) {
-		t.Error("Has(2) = true for absent member")
-	}
-	s.Add(2)
-	if !s.Has(2) {
-		t.Error("Add(2) did not insert")
-	}
-	s.Remove(3)
-	if s.Has(3) {
-		t.Error("Remove(3) did not delete")
-	}
-	got := s.Slice()
-	want := []ID{1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("Slice = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Slice = %v, want %v (sorted)", got, want)
-		}
-	}
-}

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LogChoose returns log of the binomial coefficient C(n, k) using the
 // log-gamma function, avoiding overflow for the large coefficients of
@@ -13,15 +10,6 @@ func LogChoose(n, k int) float64 {
 		return math.Inf(-1)
 	}
 	return lgamma(float64(n)+1) - lgamma(float64(k)+1) - lgamma(float64(n-k)+1)
-}
-
-// Choose returns C(n, k) as a float64 (0 when k out of range).
-func Choose(n, k int) float64 {
-	lc := LogChoose(n, k)
-	if math.IsInf(lc, -1) {
-		return 0
-	}
-	return math.Exp(lc)
 }
 
 // BinomialPMF returns P(X = k) for X ~ Binomial(n, p).
@@ -97,26 +85,6 @@ func DistVariance(pmf []float64) float64 {
 
 // DistStdDev returns the standard deviation of a pmf indexed by value.
 func DistStdDev(pmf []float64) float64 { return math.Sqrt(DistVariance(pmf)) }
-
-// Normalize scales a nonnegative weight vector to sum to 1. It returns an
-// error if the weights sum to zero or contain negatives/NaNs.
-func Normalize(w []float64) ([]float64, error) {
-	s := 0.0
-	for _, x := range w {
-		if x < 0 || math.IsNaN(x) {
-			return nil, fmt.Errorf("stats: invalid weight %v", x)
-		}
-		s += x
-	}
-	if s == 0 {
-		return nil, fmt.Errorf("stats: weights sum to zero")
-	}
-	out := make([]float64, len(w))
-	for i, x := range w {
-		out[i] = x / s
-	}
-	return out, nil
-}
 
 // TotalVariation returns the total-variation distance between two pmfs,
 // 0.5 * sum |p_i - q_i|. Shorter vectors are zero-padded.

@@ -1,14 +1,13 @@
 // Package stats provides the statistical machinery the experiments use:
-// online moment accumulators, integer histograms, discrete distributions
-// (binomial reference curves for Figures 6.1 and 6.3), distribution
-// distances, and a chi-square goodness-of-fit test built on an incomplete
-// gamma implemented from scratch.
+// an online moment accumulator, binomial reference curves (Figures 6.1 and
+// 6.3) and pmf moments, total-variation and Kolmogorov-Smirnov distances,
+// and the chi-square uniformity test behind Lemma 7.6, built on an
+// incomplete gamma implemented from scratch.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator tracks count, mean, and variance online using Welford's
@@ -17,30 +16,15 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the sample mean (0 when empty).
 func (a *Accumulator) Mean() float64 { return a.mean }
@@ -54,132 +38,10 @@ func (a *Accumulator) Variance() float64 {
 	return a.m2 / float64(a.n)
 }
 
-// SampleVariance returns the unbiased sample variance (dividing by n-1).
-func (a *Accumulator) SampleVariance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest observation (0 when empty).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation (0 when empty).
-func (a *Accumulator) Max() float64 { return a.max }
 
 // String summarizes the accumulator as "mean ± stddev (n=...)".
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("%.4g ± %.4g (n=%d)", a.Mean(), a.StdDev(), a.n)
-}
-
-// Histogram counts integer observations.
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int)}
-}
-
-// Observe adds one observation of value v.
-func (h *Histogram) Observe(v int) { h.ObserveN(v, 1) }
-
-// ObserveN adds k observations of value v.
-func (h *Histogram) ObserveN(v, k int) {
-	h.counts[v] += k
-	h.total += k
-}
-
-// Count returns the number of observations of v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the total number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Support returns the observed values in ascending order.
-func (h *Histogram) Support() []int {
-	vals := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-	return vals
-}
-
-// Mean returns the histogram mean. Accumulation runs over the sorted
-// support, not the count map directly: float addition is not associative,
-// so summing in Go's randomized map order would let the last digits of
-// reported means differ between identically-seeded runs.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range h.Support() {
-		s += float64(v) * float64(h.counts[v])
-	}
-	return s / float64(h.total)
-}
-
-// Variance returns the population variance of the histogram, accumulated
-// over the sorted support for the same bit-reproducibility reason as Mean.
-func (h *Histogram) Variance() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	m := h.Mean()
-	s := 0.0
-	for _, v := range h.Support() {
-		d := float64(v) - m
-		s += d * d * float64(h.counts[v])
-	}
-	return s / float64(h.total)
-}
-
-// StdDev returns the population standard deviation of the histogram.
-func (h *Histogram) StdDev() float64 { return math.Sqrt(h.Variance()) }
-
-// PMF returns the normalized probability mass function over 0..max(support)
-// as a dense slice. An empty histogram yields a nil slice.
-func (h *Histogram) PMF() []float64 {
-	if h.total == 0 {
-		return nil
-	}
-	maxV := 0
-	for v := range h.counts {
-		if v > maxV {
-			maxV = v
-		}
-		if v < 0 {
-			panic("stats: PMF on histogram with negative support")
-		}
-	}
-	pmf := make([]float64, maxV+1)
-	for v, c := range h.counts {
-		pmf[v] = float64(c) / float64(h.total)
-	}
-	return pmf
-}
-
-// Quantile returns the smallest value v with CDF(v) >= q, for q in (0, 1].
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 || q <= 0 || q > 1 {
-		return 0
-	}
-	need := int(math.Ceil(q * float64(h.total)))
-	acc := 0
-	for _, v := range h.Support() {
-		acc += h.counts[v]
-		if acc >= need {
-			return v
-		}
-	}
-	sup := h.Support()
-	return sup[len(sup)-1]
 }

@@ -48,7 +48,8 @@ func ConnectivityMinDL(l, delta, eps float64) (int, error) {
 
 // ClusterConfig configures an in-process cluster.
 type ClusterConfig struct {
-	// N is the number of nodes (>= 2).
+	// N is the number of nodes (>= 3: the bootstrap views need an even
+	// outdegree below N).
 	N int
 	// S is the view size (even, >= 6); DL the duplication threshold (even,
 	// <= S-6). Pick them with Thresholds.
@@ -69,22 +70,15 @@ type Cluster struct {
 
 // NewCluster builds (but does not start) a cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	// Bootstrap outdegree midway between dL and s (even, >= 2) — the
-	// well-provisioned start the paper's analysis assumes.
-	d := (cfg.DL + cfg.S) / 2
-	if d%2 != 0 {
-		d--
-	}
-	if d < 2 {
-		d = 2
-	}
 	sub, err := runtime.New(runtime.Config{
 		Engine: runtime.EngineCluster,
 		N:      cfg.N,
 		NewCore: func() (protocol.StepCore, error) {
 			return sendforget.NewCore(cfg.S, cfg.DL)
 		},
-		InitDegree: d,
+		// Bootstrap outdegree midway between dL and s, below N — the
+		// well-provisioned start the paper's analysis assumes.
+		InitDegree: sendforget.DefaultInitDegree(cfg.S, cfg.DL, cfg.N),
 		Loss:       cfg.Loss,
 		Period:     cfg.GossipPeriod,
 		Seed:       cfg.Seed,
@@ -113,8 +107,14 @@ func (c *Cluster) Gossip(rounds int) {
 
 // Sample returns node u's current view: an approximately uniform,
 // independent sample of live member ids (Properties M3/M4 of the paper).
+// It returns nil when u is not a current member: an id outside [0, N) or
+// one that has left (Remove) and not rejoined.
 func (c *Cluster) Sample(u NodeID) []NodeID {
-	return c.inner.Nodes()[u].ViewSnapshot().IDs()
+	nodes := c.inner.Nodes()
+	if u < 0 || int(u) >= len(nodes) || nodes[u] == nil {
+		return nil
+	}
+	return nodes[u].ViewSnapshot().IDs()
 }
 
 // Stats summarizes the cluster's membership graph.

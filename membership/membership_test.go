@@ -212,3 +212,42 @@ func TestUDPAddressLearningEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+func TestClusterSampleNonMember(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{N: 10, S: 8, DL: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []NodeID{-1, 10, 1 << 20} {
+		if got := c.Sample(u); got != nil {
+			t.Errorf("Sample(%v) = %v for an id outside [0, 10), want nil", u, got)
+		}
+	}
+	c.Remove(4)
+	if got := c.Sample(4); got != nil {
+		t.Errorf("Sample(4) = %v after Remove(4), want nil", got)
+	}
+	if got := c.Sample(5); len(got) == 0 {
+		t.Error("Sample(5) of a live member is empty")
+	}
+}
+
+func TestClusterSmallN(t *testing.T) {
+	for _, n := range []int{3, 4} {
+		c, err := NewCluster(ClusterConfig{N: n, S: 8, DL: 2, Loss: 0.01, Seed: 4})
+		if err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		c.Gossip(50)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		for u := NodeID(0); int(u) < n; u++ {
+			for _, id := range c.Sample(u) {
+				if id < 0 || int(id) >= n {
+					t.Errorf("N=%d: Sample(%v) holds id %v outside the cluster", n, u, id)
+				}
+			}
+		}
+	}
+}
