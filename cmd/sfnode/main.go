@@ -18,7 +18,8 @@
 // -mgmt addr serves a management API and Prometheus /metrics next to the
 // gossip loop: GET /health, /view, /config, /metrics; POST /join, /leave,
 // /config (live reload). A bare POST /leave drains the daemon and shuts it
-// down. See README.md ("Management API").
+// down. -pprof adds net/http/pprof's profiles under /debug/pprof/ on the
+// same listener. See README.md ("Management API").
 //
 // Alternatively, -local n runs an in-process n-node cluster on the selected
 // execution backend (-engine seq|cluster|sharded), ticking one synchronous
@@ -99,6 +100,7 @@ type config struct {
 	seed                     int64
 	period, report, duration time.Duration
 	mgmt                     string
+	pprof                    bool
 }
 
 // checkRanges refuses the flag values no run can use, before a socket or an
@@ -106,7 +108,7 @@ type config struct {
 // modes, -period in -local mode), runtime.NewNode reads a zero period as
 // "use the default" while the daemon reports the zero, and a negative -local
 // would otherwise select UDP mode and be answered with a complaint about
-// -seeds.
+// -seeds; -pprof without -mgmt would serve the profiles nowhere.
 func (c *config) checkRanges() error {
 	switch {
 	case c.period <= 0:
@@ -117,6 +119,8 @@ func (c *config) checkRanges() error {
 		return fmt.Errorf("sfnode: -duration %v: the run length must not be negative (0 runs until a signal)", c.duration)
 	case c.local < 0:
 		return fmt.Errorf("sfnode: -local %d: the cluster size must not be negative (0 runs one UDP node)", c.local)
+	case c.pprof && c.mgmt == "":
+		return fmt.Errorf("sfnode: -pprof true: the profiles are served on the -mgmt listener, which is not set")
 	}
 	return nil
 }
@@ -157,6 +161,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.engine, "engine", string(runtime.EngineCluster), "execution backend for -local: seq, cluster, or sharded")
 	fs.Float64Var(&c.loss, "loss", 0, "simulated uniform loss rate for -local mode")
 	fs.StringVar(&c.mgmt, "mgmt", "", "serve the management API + /metrics on this address (empty = disabled)")
+	fs.BoolVar(&c.pprof, "pprof", false, "also serve net/http/pprof under /debug/pprof/ on the -mgmt address")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -209,7 +214,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 func serve(ctx context.Context, d *daemon, c config, log *slog.Logger, stderr io.Writer) int {
 	var shutdownReq <-chan struct{}
 	if c.mgmt != "" {
-		srv, err := mgmt.New(mgmt.Options{Addr: c.mgmt, Backend: d.backend, Log: log})
+		srv, err := mgmt.New(mgmt.Options{Addr: c.mgmt, Backend: d.backend, Log: log, Pprof: c.pprof})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2

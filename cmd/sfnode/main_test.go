@@ -209,6 +209,7 @@ func TestRunRejectsUnusableFlagValues(t *testing.T) {
 		{"local period 0", append(local[:len(local):len(local)], "-period", "0"), "-period", "0s"},
 		{"local duration negative", []string{"-local", "10", "-duration", "-1s"}, "-duration", "-1s"},
 		{"local negative", []string{"-local", "-5"}, "-local", "-5"},
+		{"pprof without mgmt", append(local[:len(local):len(local)], "-pprof"), "-pprof", "true"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -554,6 +555,44 @@ func TestRunLocalLeaveViaAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bare /leave status = %d", resp.StatusCode)
 	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Errorf("run exit = %d, want 0", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not exit after bare /leave")
+	}
+}
+
+// TestRunPprof: -pprof mounts the profiles on the -mgmt listener, beside the
+// management API, and the daemon still leaves through a bare POST /leave.
+func TestRunPprof(t *testing.T) {
+	addrCh := hookMgmtAddr(t)
+	done := make(chan int, 1)
+	go func() {
+		done <- run(context.Background(), []string{
+			"-local", "20", "-period", "2ms", "-report", "1h", "-seed", "11",
+			"-mgmt", "127.0.0.1:0", "-pprof",
+		}, io.Discard, io.Discard)
+	}()
+	base := "http://" + waitMgmtAddr(t, addrCh)
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/health"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(base+"/leave", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	select {
 	case code := <-done:
 		if code != 0 {

@@ -655,3 +655,47 @@ func TestCalendarSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	conserved(t, rt, "steady state")
 }
+
+// TestParkedArenaPayloadsSurviveDueBatch sends payloads of 3, 8 and 255 ids —
+// each one's offset into its bucket's arena kept in the header's IDs[0] —
+// through a park and a DueBatch: they surface from the bucket with every id
+// intact, although the caller's buffer was overwritten after each send.
+func TestParkedArenaPayloadsSurviveDueBatch(t *testing.T) {
+	cond := faults.Lossless()
+	if err := cond.SetDelay(faults.Delay{Fixed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(cond, rng.New(5), func(peer.ID) bool { return true })
+	sizes := []int{3, 8, 255, 2, 255, 8, 3}
+	buf := make([]peer.ID, 255)
+	for i, n := range sizes {
+		for j := range buf[:n] {
+			buf[j] = peer.ID(i<<8 | j)
+		}
+		if got := rt.Route(peer.ID(i), gossip(7, buf[:n]...)); got != Parked {
+			t.Fatalf("message %d: %v, want Parked", i, got)
+		}
+		clear(buf)
+	}
+	rt.Tick()
+	ob, from := rt.DueBatch()
+	if ob == nil || len(ob.Msgs)-from != len(sizes) {
+		t.Fatalf("DueBatch surfaced %v from %d, want %d messages", ob, from, len(sizes))
+	}
+	for i, n := range sizes {
+		m := &ob.Msgs[from+i]
+		ids := ob.MsgIDs(m)
+		if m.To != peer.ID(i) || m.From != 7 || int(m.IDLen) != n || len(ids) != n {
+			t.Fatalf("message %d: header %+v with %d ids, want %d", i, *m, len(ids), n)
+		}
+		for j, id := range ids {
+			if id != peer.ID(i<<8|j) {
+				t.Fatalf("message %d: id %d = %d, want %d", i, j, id, i<<8|j)
+			}
+		}
+		if !rt.Deliverable(m.To) {
+			t.Fatalf("message %d: live destination not deliverable", i)
+		}
+	}
+	conserved(t, rt, "drain")
+}

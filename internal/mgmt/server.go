@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"sync"
 	"time"
@@ -25,6 +26,9 @@ type Options struct {
 	Backend Backend
 	// Log receives structured request/lifecycle logs; nil discards them.
 	Log *slog.Logger
+	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ (off by
+	// default: the path is then a 404 like any other unknown one).
+	Pprof bool
 }
 
 // Server serves the management API and the /metrics exporter next to the
@@ -79,6 +83,13 @@ func New(o Options) (*Server, error) {
 	mux.HandleFunc("POST /join", s.handleJoin)
 	mux.HandleFunc("POST /leave", s.handleLeave)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	if o.Pprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 	s.srv = &http.Server{
 		Addr:              o.Addr,
 		Handler:           mux,

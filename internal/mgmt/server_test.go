@@ -663,6 +663,43 @@ func TestUDPNodeBackend(t *testing.T) {
 	}
 }
 
+// TestPprofMount holds Options.Pprof to what it mounts: off, /debug/pprof/
+// and its profiles are 404s like any unknown path; on, they serve, and the
+// management API beside them answers as before.
+func TestPprofMount(t *testing.T) {
+	get := func(t *testing.T, url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	backend, _ := newTestBackend(t, 8, 0, nil)
+	for _, on := range []bool{false, true} {
+		srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend, Pprof: on})
+		if err != nil {
+			t.Fatal(err)
+		}
+		startTestServer(t, srv)
+		base := "http://" + srv.Addr()
+		want := http.StatusNotFound
+		if on {
+			want = http.StatusOK
+		}
+		for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/goroutine?debug=1"} {
+			if got := get(t, base+path); got != want {
+				t.Errorf("Pprof %v: GET %s = %d, want %d", on, path, got, want)
+			}
+		}
+		if got := get(t, base+"/health"); got != http.StatusOK {
+			t.Errorf("Pprof %v: GET /health = %d, want 200", on, got)
+		}
+	}
+}
+
 func TestServerValidation(t *testing.T) {
 	if _, err := New(Options{Addr: "127.0.0.1:0"}); err == nil {
 		t.Error("accepted nil backend")

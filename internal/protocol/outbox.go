@@ -1,19 +1,28 @@
 package protocol
 
-import "sendforget/internal/peer"
+import (
+	"slices"
 
-// FlatMsg is a compact message header. Messages of the dominant two-id shape
-// (every Figure 5.1 gossip message) carry their ids inline in IDs, so the
-// hot path never touches the arena; longer payloads live in the owning
-// Outbox's arena at [IDOff, IDOff+IDLen). Headers stay valid across arena
-// growth because they hold offsets, not slices.
+	"sendforget/internal/peer"
+)
+
+// FlatMsg is a compact message header: 20 bytes, so a run of MaxRun headers
+// spans five cache lines. Messages of the dominant two-id shape (every
+// Figure 5.1 gossip message) carry their ids inline in IDs, so the hot path
+// never touches the arena; a longer payload lives in the owning Outbox's
+// arena at [IDs[0], IDs[0]+IDLen), its offset stored where the inline ids
+// would be. Headers stay valid across arena growth because they hold
+// offsets, not slices.
 type FlatMsg struct {
-	To, From     peer.ID
-	IDs          [2]peer.ID // inline storage when IDLen <= 2
-	IDOff, IDLen int32
-	Kind         Kind
-	Dup          bool
+	To, From peer.ID
+	IDs      [2]peer.ID // the ids when IDLen <= 2, else IDs[0] is the arena offset
+	IDLen    uint16
+	Kind     Kind
+	Dup      bool
 }
+
+// MaxIDs is the longest payload a FlatMsg can describe.
+const MaxIDs = 1<<16 - 1
 
 // Outbox accumulates outgoing messages with no per-message allocation in the
 // steady state: the backing slices retain their capacity across Reset, so
@@ -26,9 +35,9 @@ type Outbox struct {
 
 	// Set on an outbox that sorts (Sorted). Msgs is then a pool of chunks —
 	// laneChunk consecutive headers each, chunk c at Msgs[c*laneChunk:] — and
-	// a lane is a chain of them: lane i starts in chunk i, which is its own
-	// for good, and draws further chunks from the end of the pool as it
-	// fills; next[c] is the chunk after c in its lane's chain.
+	// a lane is a chain of them, each taken from the end of the pool when the
+	// lane's last one is full (its first on its first append); next[c] is
+	// the chunk after c in its lane's chain.
 	lanes []lane
 	next  []int32
 	shift uint
@@ -44,10 +53,11 @@ const laneChunk = 16
 // any of them.
 const MaxRun = laneChunk
 
-// lane is one destination block's chain of chunks in a sorting outbox.
+// lane is one destination block's chain of chunks in a sorting outbox; a
+// lane with no messages has none.
 type lane struct {
-	tail int32 // last chunk of the chain
-	n    int32 // messages in the lane
+	head, tail int32 // first and last chunk of the chain
+	n          int32 // messages in the lane
 }
 
 // blankChunk extends the pool by one chunk.
@@ -60,31 +70,21 @@ var blankChunk [laneChunk]FlatMsg
 // step cores append to it like to any outbox; a message to an id past the
 // last lane is a bug in the caller and panics.
 //
-// The lanes share one pool of headers and one id arena. A lane's first chunk
-// is set aside when the outbox is built, so what the outbox has to grow by is
-// what the fullest lanes hold beyond one chunk — a total that shrinks as
-// traffic spreads over more lanes, and that is the pool's to hand to
-// whichever lanes are the full ones: traffic that drifts from lane to lane
-// costs no allocation.
+// The lanes share one pool of headers and one id arena, and a lane takes a
+// chunk of the pool only when it has a message for it: an outbox nothing is
+// filed into costs only its lane table. The pool grows by a chunk per lane
+// at least, and Reset keeps it for whichever lanes are busy next, so traffic
+// that drifts or spreads from lane to lane costs no allocation.
 func Sorted(lanes int, shift uint) Outbox {
-	o := Outbox{
-		Msgs:  make([]FlatMsg, lanes*laneChunk),
-		lanes: make([]lane, lanes),
-		next:  make([]int32, lanes),
-		shift: shift,
-	}
-	o.Reset()
-	return o
+	return Outbox{lanes: make([]lane, lanes), shift: shift}
 }
 
 // Reset forgets the buffered messages, keeping the capacity.
 func (o *Outbox) Reset() {
-	o.Msgs = o.Msgs[:len(o.lanes)*laneChunk]
+	o.Msgs = o.Msgs[:0]
 	o.IDs = o.IDs[:0]
-	o.next = o.next[:len(o.lanes)]
-	for i := range o.lanes {
-		o.lanes[i] = lane{tail: int32(i)}
-	}
+	o.next = o.next[:0]
+	clear(o.lanes)
 }
 
 // Len returns the number of buffered messages.
@@ -110,30 +110,52 @@ func (o *Outbox) slot(to peer.ID) *FlatMsg {
 		return &o.Msgs[len(o.Msgs)-1]
 	}
 	l := &o.lanes[to>>o.shift]
-	if l.n != 0 && l.n%laneChunk == 0 {
-		// The lane's last chunk is full: chain a fresh one from the pool.
+	if l.n%laneChunk == 0 {
+		// The lane has no chunk yet, or its last one is full: chain a fresh
+		// one from the pool.
 		c := int32(len(o.next))
+		if len(o.Msgs)+laneChunk > cap(o.Msgs) {
+			o.grow()
+		}
 		o.Msgs = append(o.Msgs, blankChunk[:]...)
 		o.next = append(o.next, 0)
-		o.next[l.tail] = c
+		if l.n == 0 {
+			l.head = c
+		} else {
+			o.next[l.tail] = c
+		}
 		l.tail = c
 	}
 	l.n++
 	return &o.Msgs[l.tail*laneChunk+(l.n-1)%laneChunk]
 }
 
+// grow makes room in the pool of a sorting outbox for at least one more
+// chunk per lane. A lane holds a part-filled chunk once it has any message,
+// so as traffic spreads over more lanes, what the pool must hold for the
+// same messages grows by up to a chunk per lane: the pool takes that room in
+// one step, not a chunk at a time over the many rounds the spreading takes.
+func (o *Outbox) grow() {
+	o.Msgs = slices.Grow(o.Msgs, len(o.lanes)*laneChunk)
+	o.next = slices.Grow(o.next, cap(o.Msgs)/laneChunk-len(o.next))
+}
+
 // Append buffers one message. Up to two ids are stored inline in the
 // header; longer payloads are copied into the arena, so callers may pass
-// views into their own (or another outbox's) storage either way.
+// views into their own (or another outbox's) storage either way. More than
+// MaxIDs ids is a bug in the caller and panics.
 //
 //vet:hotpath
 func (o *Outbox) Append(to, from peer.ID, kind Kind, dup bool, ids ...peer.ID) {
+	if len(ids) > MaxIDs {
+		panic("protocol: Append of more than MaxIDs (65535) ids")
+	}
 	m := o.slot(to)
-	*m = FlatMsg{To: to, From: from, IDLen: int32(len(ids)), Kind: kind, Dup: dup}
+	*m = FlatMsg{To: to, From: from, IDLen: uint16(len(ids)), Kind: kind, Dup: dup}
 	if len(ids) <= 2 {
 		copy(m.IDs[:], ids)
 	} else {
-		m.IDOff = int32(len(o.IDs))
+		m.IDs[0] = peer.ID(len(o.IDs))
 		o.IDs = append(o.IDs, ids...)
 	}
 }
@@ -182,7 +204,8 @@ func (o *Outbox) Lane(i int) Lane { return Lane{o: o, i: i} }
 //
 //vet:hotpath
 func (l Lane) Runs() LaneRuns {
-	return LaneRuns{o: l.o, chunk: int32(l.i), left: l.o.lanes[l.i].n}
+	ln := &l.o.lanes[l.i]
+	return LaneRuns{o: l.o, chunk: ln.head, left: ln.n}
 }
 
 // MsgIDs returns the ids of message m of the lane; see Outbox.MsgIDs.
@@ -221,7 +244,8 @@ func (o *Outbox) MsgIDs(m *FlatMsg) []peer.ID {
 	if m.IDLen <= 2 {
 		return m.IDs[:m.IDLen]
 	}
-	return o.IDs[m.IDOff : m.IDOff+m.IDLen]
+	off := int(m.IDs[0])
+	return o.IDs[off : off+int(m.IDLen)]
 }
 
 // Message returns the message a single step left in the outbox, in the

@@ -1,6 +1,9 @@
 package runtime
 
-import "sendforget/internal/metrics"
+import (
+	"sendforget/internal/metrics"
+	"sendforget/internal/protocol"
+)
 
 // ShardLedgers returns each shard's own traffic ledger, in shard order: what
 // Traffic sums. Tests use it to hold every shard's verdict stream, not just
@@ -14,6 +17,18 @@ func ShardLedgers(sub Substrate) []metrics.Traffic {
 		ledgers[k] = e.shards[k].router.Traffic()
 	}
 	return ledgers
+}
+
+// ReplyRows returns every shard's row of mail set 1, the set the first
+// deliver phase files replies into, in shard order. The rows are the
+// engine's: a test reads them only while nothing ticks.
+func ReplyRows(sub Substrate) []*protocol.Outbox {
+	e := sub.(*ShardedCluster)
+	rows := make([]*protocol.Outbox, len(e.shards))
+	for k, j := range e.jobs[phaseDeliver] {
+		rows[k] = j.out
+	}
+	return rows
 }
 
 // DefaultShardSize is the automatic shard geometry, for the test that pins it.

@@ -45,11 +45,14 @@ import (
 //     (k → d), and column d, the lanes d of all rows, is what was addressed to
 //     shard d's nodes. Nothing is copied between the step that emits a
 //     message and the step that receives it, and no goroutine walks all of a
-//     round's messages. Rows and columns live in neither the engine nor the
-//     shards but in the job table newSharded builds: one shardJob per shard
-//     and phase kind, holding the shard, the one column its phase may read (a
-//     column is read-only by type, protocol.Lane) and the one row it may
-//     write. A pool worker receives a job and can name nothing else.
+//     round's messages. A message is a 20-byte header in its lane, and a lane
+//     takes room in its row's pool only for what is filed into it, so a row
+//     nothing is filed into (the reply set under a protocol that never
+//     replies) holds no header. Rows and columns live in neither the engine
+//     nor the shards but in the job table newSharded builds: one shardJob per
+//     shard and phase kind, holding the shard, the one column its phase may
+//     read (a column is read-only by type, protocol.Lane) and the one row it
+//     may write. A pool worker receives a job and can name nothing else.
 //   - The destination rules. A deliver phase has every shard walk its column
 //     — bucket (k → d) for k in shard order, each in append order — and rule
 //     on each message with the shard's own router: its own ledger, its own
@@ -71,11 +74,11 @@ import (
 //     hundred instructions, and the next message's loads do not fit in the
 //     reorder window beside them. So deliver and drain take their input a run
 //     at a time — the at most protocol.MaxRun headers that lie consecutively in
-//     a lane, the due bucket cut to the same length — and touch starts the
-//     misses of the whole run first: a tight loop that reads every
-//     destination's node record (the view header at its front, a word of the
-//     RNG state at its back), a second that reads a slot on every cache line
-//     of every destination's window (view.Touch), and only then the
+//     a lane (five cache lines), the due bucket cut to the same length — and
+//     touch starts the misses of the whole run first: a tight loop that reads
+//     every destination's node record (the view header at its front, a word
+//     of the RNG state at its back), a second that reads a slot on every cache
+//     line of every destination's window (view.Touch), and only then the
 //     per-message body in the order it always had — verdict, ledger, park or
 //     liveness, receive step — so no draw, no counter and no message moves.
 //     All touches come before any verdict because the loads must be issued

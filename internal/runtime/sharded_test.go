@@ -240,6 +240,52 @@ func TestShardedZeroAllocTick(t *testing.T) {
 	}
 }
 
+// TestShardedReplySetStaysEmpty holds the reply mail set to what replies
+// need: a lane takes pool chunks only for messages filed into it, so under
+// S&F, which never replies, no row of set 1 holds a header after 50 rounds,
+// while a shuffle run files its replies there and still ticks without
+// allocating once warm.
+func TestShardedReplySetStaysEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		factory protocol.CoreFactory
+		replies bool
+	}{
+		{"sf", func() (protocol.StepCore, error) { return sendforget.NewCore(16, 6) }, false},
+		{"shuffle", func() (protocol.StepCore, error) { return shuffle.NewCore(16) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cond, err := faults.FromRate(0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := newSharded(runtime.Config{N: 4096, NewCore: tc.factory, Conditions: cond, Seed: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for round := 0; round < 50; round++ {
+				e.TickRound()
+			}
+			held := 0
+			for k, row := range runtime.ReplyRows(e) {
+				if !tc.replies && cap(row.Msgs) != 0 {
+					t.Errorf("shard %d: the reply row holds %d headers, want 0", k, cap(row.Msgs))
+				}
+				held += cap(row.Msgs)
+			}
+			if tc.replies {
+				if held == 0 {
+					t.Error("no reply row holds a header after 50 rounds of shuffle")
+				}
+				if avg := testing.AllocsPerRun(20, e.TickRound); avg != 0 {
+					t.Errorf("steady-state TickRound allocates %.1f times per round, want 0", avg)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedCloseReleasesWorkers holds the pool's lifecycle: Workers: 4
 // starts three pool goroutines (the gate holder is the fourth worker), Close
 // stops every one of them, and a second Close does nothing.

@@ -32,13 +32,13 @@ func UnmarshalFlatInto(buf []byte, to peer.ID, out *protocol.Outbox) error {
 	if err != nil {
 		return err
 	}
-	m := protocol.FlatMsg{To: to, From: h.from, IDLen: int32(h.count), Kind: h.kind, Dup: h.dup}
+	m := protocol.FlatMsg{To: to, From: h.from, IDLen: uint16(h.count), Kind: h.kind, Dup: h.dup}
 	if h.count <= 2 {
 		for i := 0; i < h.count; i++ {
 			m.IDs[i] = wireID(buf, i)
 		}
 	} else {
-		m.IDOff = int32(len(out.IDs))
+		m.IDs[0] = peer.ID(len(out.IDs))
 		for i := 0; i < h.count; i++ {
 			out.IDs = append(out.IDs, wireID(buf, i))
 		}

@@ -152,3 +152,43 @@ func TestFlatCodecZeroAlloc(t *testing.T) {
 		t.Errorf("flat codec round trip allocates %v times per run, want 0", allocs)
 	}
 }
+
+// TestUnmarshalFlatIntoArenaOffset decodes payloads of 3, 8 and 255 ids, with
+// inline ones between them, into one outbox: each arena payload's offset is
+// in its header's IDs[0], and MsgIDs reads every id back from there.
+func TestUnmarshalFlatIntoArenaOffset(t *testing.T) {
+	sizes := []int{3, 2, 8, 1, 255, 3}
+	var dst protocol.Outbox
+	for i, n := range sizes {
+		ids := make([]peer.ID, n)
+		for j := range ids {
+			ids[j] = peer.ID(i<<8 | j)
+		}
+		buf, err := Marshal(protocol.Message{Kind: protocol.KindGossip, From: 9, IDs: ids})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := UnmarshalFlatInto(buf, peer.ID(i), &dst); err != nil {
+			t.Fatalf("payload of %d ids: %v", n, err)
+		}
+	}
+	arena := 0
+	for i, n := range sizes {
+		m := &dst.Msgs[i]
+		ids := dst.MsgIDs(m)
+		if m.To != peer.ID(i) || int(m.IDLen) != n || len(ids) != n {
+			t.Fatalf("message %d: header %+v with %d ids, want %d", i, *m, len(ids), n)
+		}
+		if n > 2 {
+			if int(m.IDs[0]) != arena {
+				t.Errorf("message %d: arena offset %d, want %d", i, m.IDs[0], arena)
+			}
+			arena += n
+		}
+		for j, id := range ids {
+			if id != peer.ID(i<<8|j) {
+				t.Fatalf("message %d: id %d = %d, want %d", i, j, id, i<<8|j)
+			}
+		}
+	}
+}
