@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"log/slog"
-	"time"
 
 	"sendforget/internal/mgmt"
 	"sendforget/internal/protocol"
@@ -33,25 +32,9 @@ func newLocalDaemon(c config, log *slog.Logger) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Latest-wins, so a burst of reloads never blocks a handler.
-	periodCh := make(chan time.Duration, 1)
 	backend, err := mgmt.NewLocal(mgmt.LocalOptions{
 		Sub: sub, Protocol: c.proto, Engine: string(kind),
-		N: c.local, S: c.s, DL: c.dl,
-		Seed: c.seed, Period: c.period, Loss: c.loss,
-		OnPeriod: func(d time.Duration) {
-			for {
-				select {
-				case periodCh <- d:
-					return
-				default:
-					select {
-					case <-periodCh:
-					default:
-					}
-				}
-			}
-		},
+		N: c.local, S: c.s, DL: c.dl, Seed: c.seed, Loss: c.loss,
 	})
 	if err != nil {
 		sub.Close()
@@ -61,9 +44,8 @@ func newLocalDaemon(c config, log *slog.Logger) (*daemon, error) {
 		"engine", string(kind), "protocol", c.proto, "n", c.local,
 		"s", c.s, "dl", c.dl, "loss", c.loss, "period", c.period, "seed", c.seed)
 	return &daemon{
-		backend:  backend,
-		tick:     backend.Tick,
-		periodCh: periodCh,
+		backend: backend,
+		tick:    backend.Tick,
 		overlay: func() []any {
 			g := backend.Snapshot()
 			edges := 0.0

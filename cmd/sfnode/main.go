@@ -104,11 +104,10 @@ type config struct {
 }
 
 // checkRanges refuses the flag values no run can use, before a socket or an
-// engine exists: a ticker panics on a non-positive interval (-report in both
-// modes, -period in -local mode), runtime.NewNode reads a zero period as
-// "use the default" while the daemon reports the zero, and a negative -local
-// would otherwise select UDP mode and be answered with a complaint about
-// -seeds; -pprof without -mgmt would serve the profiles nowhere.
+// engine exists: a ticker panics on a non-positive interval (-period and
+// -report, in both modes), and a negative -local would otherwise select UDP
+// mode and be answered with a complaint about -seeds; -pprof without -mgmt
+// would serve the profiles nowhere.
 func (c *config) checkRanges() error {
 	switch {
 	case c.period <= 0:
@@ -129,11 +128,9 @@ func (c *config) checkRanges() error {
 // whatever it built, and the few things serve cannot reach through it.
 type daemon struct {
 	backend mgmt.Backend
-	// tick drives one gossip round per period, and periodCh carries live
-	// reloads of the period from POST /config into the loop. Both are nil
-	// in UDP mode, where the node's own timer gossips.
-	tick     func()
-	periodCh <-chan time.Duration
+	// tick drives one gossip round: the cluster's, or the node's one
+	// action. The run loop calls it once per period.
+	tick func()
 	// overlay returns the mode's own report fields: the node's view and
 	// directory, or the cluster's graph health.
 	overlay func() []any
@@ -205,16 +202,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return serve(ctx, d, c, log, stderr)
 }
 
-// serve is the run loop of both modes: management bring-up, ticking (when
-// the daemon is tick-driven), periodic reports, and the wait for a way out.
-// Every way out — signal, management-API leave, deadline — funnels through
-// one shutdown routine: drain in-flight messages, report the final ledger,
-// audit the view invariants. A Ctrl-C'd run must leave the same audited
-// ledger behind as a timed one, and a failed audit is the exit code.
+// serve is the run loop of both modes and their only clock: management
+// bring-up, one tick per period, periodic reports, and the wait for a way
+// out. Every way out — signal, management-API leave, deadline — funnels
+// through one shutdown routine, which runs with ticking stopped: drain
+// in-flight messages, report the final ledger, audit the view invariants. A
+// Ctrl-C'd run must leave the same audited ledger behind as a timed one, and
+// a failed audit is the exit code.
 func serve(ctx context.Context, d *daemon, c config, log *slog.Logger, stderr io.Writer) int {
+	// POST /config hands a new period to the loop, latest wins, so a burst
+	// of reloads never blocks a handler. The server makes one call at a
+	// time, so once a stale period is displaced the send cannot block.
+	periodCh := make(chan time.Duration, 1)
+	onPeriod := func(p time.Duration) {
+		select {
+		case <-periodCh:
+		default:
+		}
+		periodCh <- p
+	}
 	var shutdownReq <-chan struct{}
 	if c.mgmt != "" {
-		srv, err := mgmt.New(mgmt.Options{Addr: c.mgmt, Backend: d.backend, Log: log, Pprof: c.pprof})
+		srv, err := mgmt.New(mgmt.Options{
+			Addr: c.mgmt, Backend: d.backend, Log: log, Pprof: c.pprof,
+			Period: c.period, OnPeriod: onPeriod,
+		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -227,13 +239,8 @@ func serve(ctx context.Context, d *daemon, c config, log *slog.Logger, stderr io
 		shutdownReq = srv.ShutdownRequested()
 		mgmtStarted(srv.Addr())
 	}
-	var tick *time.Ticker
-	var tickC <-chan time.Time
-	if d.tick != nil {
-		tick = time.NewTicker(c.period)
-		defer tick.Stop()
-		tickC = tick.C
-	}
+	tick := time.NewTicker(c.period)
+	defer tick.Stop()
 	rep := time.NewTicker(c.report)
 	defer rep.Stop()
 	var deadline <-chan time.Time
@@ -262,9 +269,9 @@ func serve(ctx context.Context, d *daemon, c config, log *slog.Logger, stderr io
 	}
 	for {
 		select {
-		case <-tickC:
+		case <-tick.C:
 			d.tick()
-		case p := <-d.periodCh:
+		case p := <-periodCh:
 			tick.Reset(p)
 		case <-rep.C:
 			report()
@@ -289,8 +296,8 @@ func stopMgmt(srv *mgmt.Server, log *slog.Logger) {
 	}
 }
 
-// newUDPDaemon brings one real node up on its socket and starts its gossip
-// timer.
+// newUDPDaemon brings one real node up on its socket; the run loop ticks
+// it.
 func newUDPDaemon(c config, log *slog.Logger) (*daemon, error) {
 	self, err := nodeID(c.id)
 	if err != nil {
@@ -305,7 +312,7 @@ func newUDPDaemon(c config, log *slog.Logger) (*daemon, error) {
 		return nil, err
 	}
 	n, ep, err := runtime.NewUDPNode(runtime.NodeConfig{
-		ID: self, Core: core, Period: c.period, Seed: c.seed,
+		ID: self, Core: core, Seed: c.seed,
 	}, seeds, c.listen, c.advertise, func(ep *transport.Endpoint) error {
 		return addPeers(ep, c.peers)
 	})
@@ -323,16 +330,13 @@ func newUDPDaemon(c config, log *slog.Logger) (*daemon, error) {
 	log.Info("sfnode: listening",
 		"id", c.id, "protocol", core.Name(), "addr", ep.Addr().String(),
 		"s", c.s, "dl", c.dl, "period", c.period, "seed", c.seed)
-	n.Start()
 	return &daemon{
 		backend: backend,
+		tick:    n.Tick,
 		overlay: func() []any {
 			return []any{"view", n.ViewSnapshot().String(), "peers", ep.KnownPeers(), "learned", ep.LearnedPeers()}
 		},
-		close: func() {
-			n.Stop()
-			ep.Close()
-		},
+		close: func() { ep.Close() },
 	}, nil
 }
 

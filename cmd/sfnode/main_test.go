@@ -438,6 +438,71 @@ func TestRunGracefulShutdownUDP(t *testing.T) {
 	}
 }
 
+// TestRunUDPPeriodReload: a UDP node is ticked by the run loop's ticker, so
+// POST /config retunes its gossip period live — from an hour, which no test
+// outlasts, to 2ms, after which /health's rounds advance.
+func TestRunUDPPeriodReload(t *testing.T) {
+	addrCh := hookMgmtAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan int, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-id", "0",
+			"-listen", "127.0.0.1:0",
+			"-peers", "1=127.0.0.1:19994",
+			"-seeds", "1,2",
+			"-period", "1h",
+			"-report", "1h",
+			"-mgmt", "127.0.0.1:0",
+		}, io.Discard, io.Discard)
+	}()
+	base := "http://" + waitMgmtAddr(t, addrCh)
+	rounds := func() int64 {
+		t.Helper()
+		resp, err := http.Get(base + "/health")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var health struct {
+			Rounds int64 `json:"rounds"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+			t.Fatal(err)
+		}
+		return health.Rounds
+	}
+	if r := rounds(); r != 0 {
+		t.Fatalf("rounds = %d before the reload, at a period of an hour", r)
+	}
+	resp, err := http.Post(base+"/config", "application/json", strings.NewReader(`{"period":"2ms"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"period":"2ms"`) {
+		t.Fatalf("POST /config = %d %s, want 200 reporting the 2ms period", resp.StatusCode, body)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rounds() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no round within 5s of the period reload")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Errorf("run exit = %d, want 0", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not shut down after signal")
+	}
+}
+
 // auditFails is a backend whose shutdown audit finds a broken view.
 type auditFails struct{ mgmt.Backend }
 
@@ -445,14 +510,13 @@ func (auditFails) Status() mgmt.Status { return mgmt.Status{} }
 func (auditFails) Drain() error        { return errors.New("view invariant violated") }
 
 // TestServeFailedDrainIsExitCode: every way out of the run loop runs Drain,
-// and its verdict is the exit code — for a daemon without a tick (the UDP
-// shape) as for a ticked one.
+// and its verdict is the exit code.
 func TestServeFailedDrainIsExitCode(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var stderr bytes.Buffer
-	d := &daemon{backend: auditFails{}, overlay: func() []any { return nil }}
-	code := serve(ctx, d, config{report: time.Hour}, slog.New(slog.NewTextHandler(io.Discard, nil)), &stderr)
+	d := &daemon{backend: auditFails{}, tick: func() {}, overlay: func() []any { return nil }}
+	code := serve(ctx, d, config{period: time.Hour, report: time.Hour}, slog.New(slog.NewTextHandler(io.Discard, nil)), &stderr)
 	if code != 1 || !strings.Contains(stderr.String(), "view invariant violated") {
 		t.Errorf("serve = %d, stderr %q; want 1 and the audit error", code, stderr.String())
 	}

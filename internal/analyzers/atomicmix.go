@@ -14,8 +14,8 @@ import (
 // looks locally innocent: the plain access can tear, be reordered, or read
 // a stale value, and -race only catches the schedules it happens to see.
 //
-// The repo's rule is the pattern runtime.Node.SetPeriod (PR 8) uses: a
-// *typed* atomic (atomic.Int64) for the shared word, which makes the
+// The repo's rule is the pattern runtime.NewUDPNode's node handoff uses: a
+// *typed* atomic (atomic.Pointer) for the shared word, which makes the
 // atomic/plain mix a compile error instead of a finding. No package uses
 // the function API today; this analyzer keeps it from creeping back in
 // during a refactor ("only one writer exists, a plain int64 will do").

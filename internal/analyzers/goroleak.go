@@ -16,19 +16,19 @@ import (
 //
 //  1. Termination: the goroutine's CFG must be able to reach its exit — a
 //     `for { work() }` loop with no return is unstoppable by construction.
-//     Gossip loops pass because their select carries a `case <-stop:
-//     return` arm.
+//     Gossip loops pass because they end when their stop channel closes
+//     (runtime.Pacer.Next reports false).
 //  2. Shutdown/synchronization: the body (or a function it transitively
 //     calls) must reference one of the sanctioned mechanisms — a channel
 //     receive (done/stop channel, range over a work channel, select arm), a
 //     context.Context.Done call, or a sync.WaitGroup.Done so a Stop path
 //     can Wait for it.
 //
-// Why this is an invariant and not a style preference: runtime.Node.Stop
-// documents "terminates the gossip loop and waits for it", and the
-// equivalence harness and churn tests call Stop between phases — a leaked
-// gossip goroutine keeps ticking into the network after its node
-// "departed", which breaks the paper's leave semantics (a leaver stops
+// Why this is an invariant and not a style preference: runtime.Cluster.Stop
+// documents "ends the loops Start launched and waits for them", and tests
+// call Stop between phases — a leaked gossip loop keeps ticking into the
+// network after the cluster stopped, and a leaked loop over a departed
+// node's work breaks the paper's leave semantics (a leaver stops
 // participating, Section 5) and shows up as phantom sends in the unified
 // traffic ledger. PR 3's churn race was exactly a lifecycle bug of this
 // family: state mutated by a goroutine that outlived the membership change.

@@ -14,9 +14,6 @@
 package mgmt
 
 import (
-	"fmt"
-	"time"
-
 	"sendforget/internal/faults"
 	"sendforget/internal/metrics"
 	"sendforget/internal/runtime"
@@ -60,21 +57,21 @@ type LeaveRequest struct {
 	ID *int `json:"id,omitempty"`
 }
 
-// Config is the live-reloadable slice of the daemon's configuration, plus
-// the read-only identity fields an operator wants alongside it.
+// Config is the backend's slice of the daemon's configuration: the
+// read-only identity fields and the live-reloadable loss rate. The gossip
+// period is the run loop's; the server reports it beside Config.
 type Config struct {
 	Info
-	S      int     `json:"s"`
-	DL     int     `json:"dl"`
-	Seed   int64   `json:"seed"`
-	Period string  `json:"period"`
-	Loss   float64 `json:"loss"`
+	S    int     `json:"s"`
+	DL   int     `json:"dl"`
+	Seed int64   `json:"seed"`
+	Loss float64 `json:"loss"`
 }
 
 // ConfigUpdate is a partial live reconfiguration: nil fields are untouched.
-// Period retunes the gossip/tick cadence on any backend; Loss swaps the
-// fault layer's base model (local mode only — a real network's loss is not
-// ours to set).
+// Period retunes the run loop's gossip cadence in either mode (the server
+// applies it); Loss swaps the fault layer's base model (local mode only — a
+// real network's loss is not ours to set).
 type ConfigUpdate struct {
 	Period *string  `json:"period,omitempty"`
 	Loss   *float64 `json:"loss,omitempty"`
@@ -123,7 +120,8 @@ type Backend interface {
 	// invariants — the daemon's shutdown routine runs it, and /leave
 	// without an id runs it before requesting daemon shutdown.
 	Drain() error
-	// Reconfigure applies a live partial update.
+	// Reconfigure applies a live partial update. The server passes only
+	// Loss; the period is its own.
 	Reconfigure(upd ConfigUpdate) error
 }
 
@@ -135,16 +133,4 @@ func nodeView(id int, v *view.View) NodeView {
 		entries[i] = int(e)
 	}
 	return NodeView{ID: id, View: entries}
-}
-
-// parsePeriod validates a ConfigUpdate period string.
-func parsePeriod(s string) (time.Duration, error) {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("mgmt: bad period %q: %w", s, err)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("mgmt: period must be positive, got %v", d)
-	}
-	return d, nil
 }

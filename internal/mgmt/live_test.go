@@ -69,7 +69,7 @@ func TestLiveScrapeIsOneSnapshot(t *testing.T) {
 		{"jittered delay", runtime.Config{Engine: runtime.EngineSharded, N: 2000, Conditions: delayed(t, 0.05)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			backend, _ := newTestBackendOn(t, tc.cfg, nil)
+			backend, _ := newTestBackendOn(t, tc.cfg)
 			srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +118,7 @@ func TestAPIHammer(t *testing.T) {
 	for _, kind := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster, runtime.EngineSharded} {
 		t.Run(string(kind), func(t *testing.T) {
 			const n, iters = 64, 40
-			backend, sub := newTestBackendOn(t, runtime.Config{Engine: kind, N: n, Conditions: delayed(t, 0.1), ShardSize: 16}, nil)
+			backend, sub := newTestBackendOn(t, runtime.Config{Engine: kind, N: n, Conditions: delayed(t, 0.1), ShardSize: 16})
 			srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
 			if err != nil {
 				t.Fatal(err)
@@ -227,7 +227,7 @@ func FuzzAPIRequests(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body string) {
-		backend, sub := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSeq, N: 8}, nil)
+		backend, sub := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSeq, N: 8})
 		srv, err := New(Options{Addr: "unused", Backend: backend})
 		if err != nil {
 			t.Fatal(err)

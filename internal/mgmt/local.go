@@ -27,27 +27,23 @@ type LocalOptions struct {
 	N        int
 	S, DL    int
 	Seed     int64
-	// Period is the initial tick period.
+	// Period is not read: the gossip period is the run loop's, reported
+	// and reloaded by the server (Options.Period).
 	Period time.Duration
 	// Loss is the initial base loss rate.
 	Loss float64
-	// OnPeriod, when non-nil, is called (outside the backend lock) after
-	// a live period change so the daemon's run loop can retune its
-	// ticker.
-	OnPeriod func(time.Duration)
 }
 
 // Local adapts a runtime.Substrate to the management Backend. All substrate
 // access is serialized under one mutex; see LocalOptions.Sub. The
 // single-owner rule is load-bearing rather than advisory: sharedguard
-// verifies that period, loss, and rounds are only ever touched under mu
-// (or before the daemon goroutines exist), so a new HTTP handler that
-// forgets the lock fails vet, not production.
+// verifies that loss and rounds are only ever touched under mu (or before
+// the daemon goroutines exist), so a new HTTP handler that forgets the lock
+// fails vet, not production.
 type Local struct {
 	opts LocalOptions
 
 	mu     sync.Mutex
-	period time.Duration
 	loss   float64
 	rounds int64
 }
@@ -59,10 +55,7 @@ func NewLocal(opts LocalOptions) (*Local, error) {
 	if opts.Sub == nil {
 		return nil, fmt.Errorf("mgmt: nil substrate")
 	}
-	if opts.Period <= 0 {
-		return nil, fmt.Errorf("mgmt: nonpositive period %v", opts.Period)
-	}
-	return &Local{opts: opts, period: opts.Period, loss: opts.Loss}, nil
+	return &Local{opts: opts, loss: opts.Loss}, nil
 }
 
 // Tick drives one gossip round; the daemon's run loop calls it per period.
@@ -82,8 +75,7 @@ func (l *Local) Status() Status {
 	return Status{
 		Config: Config{
 			Info: Info{Mode: "local", Protocol: l.opts.Protocol, Engine: l.opts.Engine, N: l.opts.N},
-			S:    l.opts.S, DL: l.opts.DL, Seed: l.opts.Seed,
-			Period: l.period.String(), Loss: l.loss,
+			S:    l.opts.S, DL: l.opts.DL, Seed: l.opts.Seed, Loss: l.loss,
 		},
 		Rounds:   l.rounds,
 		Pending:  l.opts.Sub.Pending(),
@@ -210,36 +202,20 @@ func (l *Local) Drain() error {
 	return l.opts.Sub.CheckInvariants()
 }
 
-// Reconfigure applies a live partial update: period retunes the daemon's
-// tick cadence (via OnPeriod), loss swaps the fault layer's base model.
-// Validation is all-or-nothing: a bad field leaves the whole update
-// unapplied.
+// Reconfigure swaps the fault layer's base loss model. A rate outside
+// [0, 1] leaves it unapplied.
 func (l *Local) Reconfigure(upd ConfigUpdate) error {
-	var period time.Duration
-	if upd.Period != nil {
-		d, err := parsePeriod(*upd.Period)
-		if err != nil {
-			return err
-		}
-		period = d
+	if upd.Loss == nil {
+		return nil
 	}
-	if upd.Loss != nil && (*upd.Loss < 0 || *upd.Loss > 1) {
+	if *upd.Loss < 0 || *upd.Loss > 1 {
 		return fmt.Errorf("mgmt: loss rate %g outside [0, 1]", *upd.Loss)
 	}
 	l.mu.Lock()
-	if upd.Loss != nil {
-		if err := l.opts.Sub.Conditions().SetRate(*upd.Loss); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-		l.loss = *upd.Loss
+	defer l.mu.Unlock()
+	if err := l.opts.Sub.Conditions().SetRate(*upd.Loss); err != nil {
+		return err
 	}
-	if upd.Period != nil {
-		l.period = period
-	}
-	l.mu.Unlock()
-	if upd.Period != nil && l.opts.OnPeriod != nil {
-		l.opts.OnPeriod(period)
-	}
+	l.loss = *upd.Loss
 	return nil
 }

@@ -29,6 +29,14 @@ type Options struct {
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ (off by
 	// default: the path is then a 404 like any other unknown one).
 	Pprof bool
+	// Period is the daemon run loop's gossip period, which /config reports
+	// and POST /config reloads. The period belongs to the run loop, not to
+	// a backend; zero reports "0s".
+	Period time.Duration
+	// OnPeriod, when non-nil, is called with each reloaded period so the
+	// run loop can retune its ticker, one call at a time. It must not
+	// block.
+	OnPeriod func(time.Duration)
 }
 
 // Server serves the management API and the /metrics exporter next to the
@@ -46,6 +54,12 @@ type Server struct {
 	start        time.Time
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
+
+	// reload serializes POST /config: a reload's backend update, period
+	// and OnPeriod call land together, in request order.
+	reload   sync.Mutex
+	period   time.Duration
+	onPeriod func(time.Duration)
 }
 
 // Connection time limits. A client that stalls — in its headers, in the
@@ -74,6 +88,8 @@ func New(o Options) (*Server, error) {
 		backend:    o.Backend,
 		log:        log,
 		shutdownCh: make(chan struct{}),
+		period:     o.Period,
+		onPeriod:   o.OnPeriod,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /health", s.handleHealth)
@@ -244,8 +260,23 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, viewResponse{N: s.backend.Status().N, Live: live, Views: views})
 }
 
+// configResponse is the GET and POST /config body: the backend's
+// configuration and the run loop's period, which the server holds.
+type configResponse struct {
+	Config
+	Period string `json:"period"`
+}
+
+// config reads the configuration /config reports.
+func (s *Server) config() configResponse {
+	cfg := s.backend.Status().Config
+	s.reload.Lock()
+	defer s.reload.Unlock()
+	return configResponse{Config: cfg, Period: s.period.String()}
+}
+
 func (s *Server) handleGetConfig(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.backend.Status().Config)
+	s.writeJSON(w, http.StatusOK, s.config())
 }
 
 func (s *Server) handlePostConfig(w http.ResponseWriter, r *http.Request) {
@@ -253,13 +284,41 @@ func (s *Server) handlePostConfig(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &upd) {
 		return
 	}
-	if err := s.backend.Reconfigure(upd); err != nil {
+	if err := s.reconfigure(upd); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.log.Info("mgmt: config reloaded",
 		"period", deref(upd.Period, "unchanged"), "loss", derefAny(upd.Loss, "unchanged"))
-	s.writeJSON(w, http.StatusOK, s.backend.Status().Config)
+	s.writeJSON(w, http.StatusOK, s.config())
+}
+
+// reconfigure applies a live partial update, all or nothing: the period is
+// validated before the backend applies the loss (which it validates first),
+// and set only once the backend has accepted.
+func (s *Server) reconfigure(upd ConfigUpdate) error {
+	var period time.Duration
+	if upd.Period != nil {
+		var err error
+		if period, err = time.ParseDuration(*upd.Period); err != nil {
+			return fmt.Errorf("mgmt: bad period %q: %w", *upd.Period, err)
+		}
+		if period <= 0 {
+			return fmt.Errorf("mgmt: period must be positive, got %v", period)
+		}
+	}
+	s.reload.Lock()
+	defer s.reload.Unlock()
+	if err := s.backend.Reconfigure(ConfigUpdate{Loss: upd.Loss}); err != nil {
+		return err
+	}
+	if upd.Period != nil {
+		s.period = period
+		if s.onPeriod != nil {
+			s.onPeriod(period)
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {

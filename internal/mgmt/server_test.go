@@ -24,12 +24,13 @@ import (
 	"sendforget/internal/runtime"
 )
 
-// newTestLocal boots a managed in-process cluster and its server, returning
-// the backend, the substrate, and the server's base URL.
+// newTestLocal boots a managed in-process cluster and its server, whose run
+// loop period is 250ms and reports reloads to onPeriod, returning the
+// backend, the substrate, and the server's base URL.
 func newTestLocal(t *testing.T, n int, lossRate float64, onPeriod func(time.Duration)) (*Local, runtime.Substrate, *Server, string) {
 	t.Helper()
-	backend, sub := newTestBackend(t, n, lossRate, onPeriod)
-	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
+	backend, sub := newTestBackend(t, n, lossRate)
+	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend, Period: 250 * time.Millisecond, OnPeriod: onPeriod})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +39,14 @@ func newTestLocal(t *testing.T, n int, lossRate float64, onPeriod func(time.Dura
 }
 
 // newTestBackend builds a managed in-process cluster without a server.
-func newTestBackend(t *testing.T, n int, lossRate float64, onPeriod func(time.Duration)) (*Local, runtime.Substrate) {
+func newTestBackend(t *testing.T, n int, lossRate float64) (*Local, runtime.Substrate) {
 	t.Helper()
-	return newTestBackendOn(t, runtime.Config{Engine: runtime.EngineCluster, N: n, Loss: lossRate}, onPeriod)
+	return newTestBackendOn(t, runtime.Config{Engine: runtime.EngineCluster, N: n, Loss: lossRate})
 }
 
 // newTestBackendOn is newTestBackend on any engine and fault stack; cfg
 // supplies Engine, N and Loss or Conditions.
-func newTestBackendOn(t testing.TB, cfg runtime.Config, onPeriod func(time.Duration)) (*Local, runtime.Substrate) {
+func newTestBackendOn(t testing.TB, cfg runtime.Config) (*Local, runtime.Substrate) {
 	t.Helper()
 	cfg.NewCore = func() (protocol.StepCore, error) { return sendforget.NewCore(8, 2) }
 	cfg.Seed = 42
@@ -56,7 +57,7 @@ func newTestBackendOn(t testing.TB, cfg runtime.Config, onPeriod func(time.Durat
 	t.Cleanup(sub.Close)
 	backend, err := NewLocal(LocalOptions{
 		Sub: sub, Protocol: "sf", Engine: string(cfg.Engine), N: cfg.N, S: 8, DL: 2,
-		Seed: 42, Period: 250 * time.Millisecond, Loss: cfg.Loss, OnPeriod: onPeriod,
+		Seed: 42, Loss: cfg.Loss,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func TestHealthAndView(t *testing.T) {
 // would be ten times).
 func TestOneNodeViewCopiesNoOtherView(t *testing.T) {
 	perCall := func(n int) uint64 {
-		backend, _ := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSharded, N: n}, nil)
+		backend, _ := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSharded, N: n})
 		id := n / 2
 		if nv, live := backend.Views(&id); len(nv) != 1 || nv[0].ID != id || live != n {
 			t.Fatalf("n=%d: Views(&%d) = %+v, %d live", n, id, nv, live)
@@ -331,7 +332,7 @@ func TestTrailingBodyRejected(t *testing.T) {
 			t.Errorf("POST /config %q = %d, want 400", body, resp.StatusCode)
 		}
 	}
-	var cfg Config
+	var cfg configResponse
 	getJSON(t, base+"/config", http.StatusOK, &cfg)
 	if cfg.Loss != 0.25 {
 		t.Errorf("loss = %v after rejected requests, want 0.25: half a request was applied", cfg.Loss)
@@ -351,7 +352,7 @@ func TestStalledBodyClosesConnection(t *testing.T) {
 	// A client that sends its headers and then stalls mid-body must not pin
 	// a handler goroutine and a connection for ever: the read limit closes
 	// the connection. New sets both limits; the test shortens the read one.
-	backend, _ := newTestBackend(t, 4, 0, nil)
+	backend, _ := newTestBackend(t, 4, 0)
 	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
 	if err != nil {
 		t.Fatal(err)
@@ -385,10 +386,12 @@ func TestStalledBodyClosesConnection(t *testing.T) {
 
 func TestConfigReload(t *testing.T) {
 	var reloaded atomic.Int64
+	var calls atomic.Int32
 	backend, sub, _, base := newTestLocal(t, 8, 0, func(d time.Duration) {
 		reloaded.Store(int64(d))
+		calls.Add(1)
 	})
-	var cfg Config
+	var cfg configResponse
 	getJSON(t, base+"/config", http.StatusOK, &cfg)
 	if cfg.Period != "250ms" || cfg.Loss != 0 || cfg.S != 8 || cfg.DL != 2 {
 		t.Errorf("config = %+v", cfg)
@@ -399,8 +402,8 @@ func TestConfigReload(t *testing.T) {
 	if cfg.Period != "5ms" || cfg.Loss != 1 {
 		t.Errorf("config after reload = %+v", cfg)
 	}
-	if got := time.Duration(reloaded.Load()); got != 5*time.Millisecond {
-		t.Errorf("OnPeriod got %v, want 5ms", got)
+	if got := time.Duration(reloaded.Load()); got != 5*time.Millisecond || calls.Load() != 1 {
+		t.Errorf("OnPeriod got %v in %d calls, want 5ms once", got, calls.Load())
 	}
 	if got := sub.Conditions().Rate(); got != 1 {
 		t.Errorf("conditions rate = %v, want 1 (live loss reload)", got)
@@ -416,10 +419,23 @@ func TestConfigReload(t *testing.T) {
 		t.Errorf("traffic under loss=1: %+v, want all sends lost", tr)
 	}
 
-	bad := "-5ms"
-	postJSON(t, base+"/config", ConfigUpdate{Period: &bad}, http.StatusBadRequest, nil)
-	badLoss := 1.5
-	postJSON(t, base+"/config", ConfigUpdate{Loss: &badLoss}, http.StatusBadRequest, nil)
+	// All or nothing: a bad field, alone or beside a good one, applies
+	// neither.
+	bad, good := "-5ms", "7ms"
+	badLoss, goodLoss := 1.5, 0.5
+	for _, upd := range []ConfigUpdate{
+		{Period: &bad},
+		{Loss: &badLoss},
+		{Period: &bad, Loss: &goodLoss},
+		{Period: &good, Loss: &badLoss},
+	} {
+		postJSON(t, base+"/config", upd, http.StatusBadRequest, nil)
+	}
+	getJSON(t, base+"/config", http.StatusOK, &cfg)
+	if cfg.Period != "5ms" || cfg.Loss != 1 || calls.Load() != 1 || sub.Conditions().Rate() != 1 {
+		t.Errorf("config after rejected reloads = %+v (%d OnPeriod calls, rate %v), want 5ms and 1 untouched",
+			cfg, calls.Load(), sub.Conditions().Rate())
+	}
 	// Unknown fields fail loudly rather than silently applying nothing.
 	resp, err := http.Post(base+"/config", "application/json", strings.NewReader(`{"perid":"5ms"}`))
 	if err != nil {
@@ -428,6 +444,29 @@ func TestConfigReload(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestConfigWithoutPeriod: a server built with neither Period nor OnPeriod
+// (a harness that drives the backend itself) reports "0s" and still takes a
+// reload.
+func TestConfigWithoutPeriod(t *testing.T) {
+	backend, _ := newTestBackend(t, 4, 0)
+	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startTestServer(t, srv)
+	base := "http://" + srv.Addr()
+	var cfg configResponse
+	getJSON(t, base+"/config", http.StatusOK, &cfg)
+	if cfg.Period != "0s" {
+		t.Errorf("period = %q, want 0s", cfg.Period)
+	}
+	period, lossRate := "3ms", 0.25
+	postJSON(t, base+"/config", ConfigUpdate{Period: &period, Loss: &lossRate}, http.StatusOK, &cfg)
+	if cfg.Period != "3ms" || cfg.Loss != 0.25 {
+		t.Errorf("config after reload = %+v", cfg)
 	}
 }
 
@@ -493,7 +532,7 @@ func TestMetricsGolden(t *testing.T) {
 	for id := peer.ID(0); id < n; id++ {
 		cond.SetLinkLoss(id, (id+1)%n, loss.MustUniform(0.5))
 	}
-	backend, _ := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSeq, N: n, Conditions: cond}, nil)
+	backend, _ := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSeq, N: n, Conditions: cond})
 	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})
 	if err != nil {
 		t.Fatal(err)
@@ -561,14 +600,12 @@ func TestUDPNodeBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, ep, err := runtime.NewUDPNode(runtime.NodeConfig{
-		ID: 0, Core: core, Period: time.Hour, Seed: 7,
+		ID: 0, Core: core, Seed: 7,
 	}, []peer.ID{1, 2}, "127.0.0.1:0", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	n.Start()
-	defer n.Stop()
 
 	backend, err := NewUDPNode(UDPNodeOptions{
 		Node: n, Endpoint: ep, Protocol: "sf", S: 8, DL: 2, Seed: 7,
@@ -620,36 +657,22 @@ func TestUDPNodeBackend(t *testing.T) {
 	// A UDP node cannot remove peers; bare leave drains + shuts down.
 	postJSON(t, base+"/leave", LeaveRequest{ID: id(5)}, http.StatusBadRequest, nil)
 
-	// Live period reload through the API.
-	period := "1ms"
-	var cfg Config
-	postJSON(t, base+"/config", ConfigUpdate{Period: &period}, http.StatusOK, &cfg)
-	if cfg.Period != "1ms" {
-		t.Errorf("period after reload = %q", cfg.Period)
-	}
-	deadline := time.After(5 * time.Second)
-	for n.Counters().Ticks == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("no tick after period reload")
-		case <-time.After(2 * time.Millisecond):
-		}
+	// The node is ticked by hand here; a daemon ticks it from its run loop
+	// (sfnode's TestRunUDPPeriodReload holds the live period reload).
+	for i := 0; i < 20; i++ {
+		n.Tick()
 	}
 	lossRate := 0.5
 	postJSON(t, base+"/config", ConfigUpdate{Loss: &lossRate}, http.StatusBadRequest, nil)
 
-	// Metrics expose the endpoint ledger. The node is live-ticking, so
-	// bracket the scrape with two snapshots instead of expecting an exact
-	// standstill value (exactness is asserted in quiescent local mode).
-	before := ep.Counters()
+	// Metrics expose the endpoint ledger.
 	got := scrapeProm(t, base)
-	after := ep.Counters()
 	var sends int
 	if _, err := fmt.Sscanf(got["sendforget_traffic_sends_total"], "%d", &sends); err != nil {
 		t.Fatalf("sends sample %q: %v", got["sendforget_traffic_sends_total"], err)
 	}
-	if sends < before.Sent || sends > after.Sent {
-		t.Errorf("sends = %d, want within [%d, %d]", sends, before.Sent, after.Sent)
+	if want := ep.Counters().Sent; sends != want || sends == 0 {
+		t.Errorf("sends = %d, want the endpoint's %d (nonzero)", sends, want)
 	}
 	if _, hasFaults := got["sendforget_faults_decisions_total"]; hasFaults {
 		t.Error("udp backend exposes fault counters")
@@ -677,7 +700,7 @@ func TestPprofMount(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	backend, _ := newTestBackend(t, 8, 0, nil)
+	backend, _ := newTestBackend(t, 8, 0)
 	for _, on := range []bool{false, true} {
 		srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend, Pprof: on})
 		if err != nil {

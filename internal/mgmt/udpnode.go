@@ -12,7 +12,8 @@ import (
 
 // UDPNodeOptions parameterizes a UDPNode backend over one real node.
 type UDPNodeOptions struct {
-	// Node is the running gossip node; Endpoint its UDP transport.
+	// Node is the gossip node, ticked by the daemon's run loop; Endpoint
+	// its UDP transport.
 	Node     *runtime.Node
 	Endpoint *transport.Endpoint
 	// Protocol, S, DL, Seed describe the running config.
@@ -51,7 +52,6 @@ func (u *UDPNode) Status() Status {
 		Config: Config{
 			Info: Info{Mode: "udp", Protocol: u.opts.Protocol, N: 1},
 			S:    u.opts.S, DL: u.opts.DL, Seed: u.opts.Seed,
-			Period: u.opts.Node.Period().String(),
 		},
 		Rounds:   int64(c.Ticks),
 		Counters: c,
@@ -97,18 +97,11 @@ func (u *UDPNode) Drain() error {
 	return u.opts.Node.CheckInvariants()
 }
 
-// Reconfigure retunes the gossip period live. Loss is rejected: the real
-// network's loss rate is measured, not configured.
+// Reconfigure rejects a loss rate: the real network's loss rate is
+// measured, not configured.
 func (u *UDPNode) Reconfigure(upd ConfigUpdate) error {
 	if upd.Loss != nil {
 		return fmt.Errorf("mgmt: loss model applies to -local mode only (a real network's loss is not configurable)")
 	}
-	if upd.Period == nil {
-		return nil
-	}
-	d, err := parsePeriod(*upd.Period)
-	if err != nil {
-		return err
-	}
-	return u.opts.Node.SetPeriod(d)
+	return nil
 }

@@ -17,15 +17,18 @@ import (
 	"sendforget/internal/view"
 )
 
-// Cluster is a set of concurrently running protocol nodes wired through an
-// in-memory lossy network.
+// Cluster is a set of concurrently stepped protocol nodes wired through an
+// in-memory lossy network. TickRound drives it one round at a time; Start
+// drives it by the wall clock instead, one loop per node slot and one for
+// the network's delay queue.
 //
 // The node slice is guarded by an RWMutex so churn (RemoveNode/AddNode) is
 // safe while other goroutines snapshot views, tick rounds, or sum counters:
 // readers copy the slice under the read lock and operate on the copy, so a
 // node removed mid-iteration is at worst ticked one extra time — which is
-// harmless (it only gossips into a network that no longer routes to it) —
-// and never a data race.
+// harmless (it only gossips into a network that no longer routes to it,
+// and its final counters may miss that tick) — and never a data race.
+// Start's slot loops read their slot the same way.
 //
 // sfvet's sharedguard analyzer checks this discipline statically: every
 // cross-goroutine access pair to these fields must be lock-excluded,
@@ -40,21 +43,23 @@ type Cluster struct {
 	nodes  []*Node
 	roster *driver.Roster // per-node incarnations and seed derivation
 	// A leaving node's counters stay in Counters: it sits in leaving from the
-	// hold that clears its slot until, stopped, its final counters are folded
-	// into departed.
+	// hold that clears its slot until its final counters, read off the lock,
+	// are folded into departed.
 	leaving  []*Node
 	departed NodeCounters
 
-	drainStop chan struct{}
-	drainWG   sync.WaitGroup
+	run *loops // what Start launched; nil while the cluster is not running
+}
+
+// loops is one Start's wall-clock loops: Stop closes stop and waits on wg.
+type loops struct {
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // newCluster wires up the nodes with the circulant bootstrap topology, from
 // a Config New has resolved and its view size s.
 func newCluster(cfg Config, s int) (*Cluster, error) {
-	if cfg.Period == 0 {
-		cfg.Period = 10 * time.Millisecond
-	}
 	nw, err := transport.NewNetworkWithConditions(cfg.Conditions, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
@@ -74,10 +79,9 @@ func newCluster(cfg Config, s int) (*Cluster, error) {
 		}
 		driver.Circulant(peer.ID(u), cfg.N, seeds)
 		node, err := NewNode(NodeConfig{
-			ID:     peer.ID(u),
-			Core:   core,
-			Period: cfg.Period,
-			Seed:   c.roster.SeedFor(peer.ID(u)),
+			ID:   peer.ID(u),
+			Core: core,
+			Seed: c.roster.SeedFor(peer.ID(u)),
 		}, seeds, nw)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: node %d: %w", u, err)
@@ -105,49 +109,83 @@ func (c *Cluster) Network() *transport.Network { return c.net }
 // reconfiguration (partitions, link overrides).
 func (c *Cluster) Conditions() *faults.Conditions { return c.net.Conditions() }
 
-// Start launches every node's gossip loop plus a drain timer that advances
-// the network's delay queue once per period.
-func (c *Cluster) Start() {
-	c.mu.Lock()
-	if c.drainStop == nil {
-		c.drainStop = make(chan struct{})
-		c.drainWG.Add(1)
-		go func(stop chan struct{}) {
-			defer c.drainWG.Done()
-			ticker := time.NewTicker(c.cfg.Period)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					c.net.Advance()
-				}
-			}
-		}(c.drainStop)
-	}
-	c.mu.Unlock()
-	for _, n := range c.Nodes() {
-		if n != nil {
-			n.Start()
-		}
+// Pacer paces a wall-clock loop, the module's one clock: nodes are stepped,
+// never timed, so what drives rounds by the clock runs
+// `for p := Every(period, stop); p.Next(); { step() }` on a goroutine of its
+// own — the step a direct call there, where the race analyzers follow it.
+type Pacer struct {
+	ticker *time.Ticker
+	stop   <-chan struct{}
+}
+
+// Every starts a pacer with the given (positive) period that runs until
+// stop is closed.
+func Every(period time.Duration, stop <-chan struct{}) *Pacer {
+	return &Pacer{ticker: time.NewTicker(period), stop: stop}
+}
+
+// Next waits for the next period and reports true, or reports false once
+// stop is closed (and stops the pacer).
+func (p *Pacer) Next() bool {
+	select {
+	case <-p.stop:
+		p.ticker.Stop()
+		return false
+	case <-p.ticker.C:
+		return true
 	}
 }
 
-// Stop terminates every node and the drain timer.
-func (c *Cluster) Stop() {
-	for _, n := range c.Nodes() {
-		if n != nil {
-			n.Stop()
-		}
-	}
+// Start drives the cluster by the wall clock: one loop per node slot ticks
+// whichever node holds the slot once per period, and one loop advances the
+// network's delay queue at the same rate. AddNode and RemoveNode start and
+// stop nothing; a joined node is ticked by its slot's loop. Start on a
+// running cluster does nothing, and a stopped cluster can be started again.
+// The period must be positive.
+func (c *Cluster) Start(period time.Duration) {
 	c.mu.Lock()
-	stop := c.drainStop
-	c.drainStop = nil
+	defer c.mu.Unlock()
+	if c.run != nil {
+		return
+	}
+	r := &loops{stop: make(chan struct{})}
+	c.run = r
+	r.wg.Add(len(c.nodes) + 1)
+	go func() {
+		defer r.wg.Done()
+		for p := Every(period, r.stop); p.Next(); {
+			c.net.Advance()
+		}
+	}()
+	for u := range c.nodes {
+		go func() {
+			defer r.wg.Done()
+			for p := Every(period, r.stop); p.Next(); {
+				c.tickSlot(u)
+			}
+		}()
+	}
+}
+
+// tickSlot ticks the node holding slot u, if any.
+func (c *Cluster) tickSlot(u int) {
+	c.mu.RLock()
+	n := c.nodes[u]
+	c.mu.RUnlock()
+	if n != nil {
+		n.Tick()
+	}
+}
+
+// Stop ends the loops Start launched and waits for them. Idempotent.
+func (c *Cluster) Stop() {
+	c.mu.Lock()
+	r := c.run
+	c.run = nil
 	c.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		c.drainWG.Wait()
+	if r != nil {
+		close(r.stop)
+		r.wg.Wait()
 	}
 }
 
@@ -178,7 +216,7 @@ func (c *Cluster) DrainDelayed() {
 // Pending returns the number of messages parked in the network delay queue.
 func (c *Cluster) Pending() int { return c.net.Pending() }
 
-// Close stops every node and the drain timer, releasing the cluster's
+// Close stops the loops Start launched, releasing the cluster's
 // goroutines. The Substrate counterpart of Stop; idempotent.
 func (c *Cluster) Close() { c.Stop() }
 
@@ -223,10 +261,10 @@ func (c *Cluster) Traffic() metrics.Traffic { return c.net.Traffic() }
 // CheckInvariants validates the protocol's per-view invariant on every node.
 func (c *Cluster) CheckInvariants() error { return checkInvariants(c) }
 
-// RemoveNode makes node u leave the cluster: its gossip loop stops and it
-// drops off the network, exactly the paper's leave semantics (no protocol
-// action). Its id decays from the other views per Lemma 6.10. Idempotent,
-// and safe to call while the cluster is running.
+// RemoveNode makes node u leave the cluster: nothing ticks it any more and
+// it drops off the network, exactly the paper's leave semantics (no
+// protocol action). Its id decays from the other views per Lemma 6.10.
+// Idempotent, and safe to call while the cluster is running.
 func (c *Cluster) RemoveNode(u peer.ID) {
 	c.mu.Lock()
 	if int(u) < 0 || int(u) >= len(c.nodes) || c.nodes[u] == nil {
@@ -237,11 +275,9 @@ func (c *Cluster) RemoveNode(u peer.ID) {
 	c.nodes[u] = nil
 	c.leaving = append(c.leaving, node)
 	c.mu.Unlock()
-	// Unregister, stop and read the final counters outside the cluster lock:
-	// Stop waits for an in-flight Tick, which may be blocked in a receive
-	// handler, and Counters takes the node's own lock.
+	// Unregister and read the final counters outside the cluster lock:
+	// Counters takes the node's own lock, which a receive handler may hold.
 	c.net.Register(u, nil)
-	node.Stop()
 	final := node.Counters()
 	c.mu.Lock()
 	c.departed.Add(final)
@@ -250,12 +286,11 @@ func (c *Cluster) RemoveNode(u peer.ID) {
 }
 
 // AddNode (re)activates node u with the given seed ids (at least
-// max(2, dL), per the paper's join rule) and starts its gossip loop when
-// start is set; callers driving TickRound manually simply include it in
-// subsequent rounds. Each activation gets a fresh RNG stream derived from
-// (cluster seed, id, incarnation). Safe to call while the cluster is
-// running.
-func (c *Cluster) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
+// max(2, dL), per the paper's join rule). The next TickRound includes it,
+// and on a running cluster its slot's loop ticks it; start does nothing.
+// Each activation gets a fresh RNG stream derived from (cluster seed, id,
+// incarnation). Safe to call while the cluster is running.
+func (c *Cluster) AddNode(u peer.ID, seeds []peer.ID, _ bool) error {
 	if err := checkSeeds(seeds, c.cfg.N); err != nil {
 		return err
 	}
@@ -275,10 +310,9 @@ func (c *Cluster) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 	}
 	c.roster.Bump(u)
 	node, err := NewNode(NodeConfig{
-		ID:     u,
-		Core:   core,
-		Period: c.cfg.Period,
-		Seed:   c.roster.SeedFor(u),
+		ID:   u,
+		Core: core,
+		Seed: c.roster.SeedFor(u),
 	}, seeds, c.net)
 	if err != nil {
 		c.mu.Unlock()
@@ -287,8 +321,5 @@ func (c *Cluster) AddNode(u peer.ID, seeds []peer.ID, start bool) error {
 	c.nodes[u] = node
 	c.mu.Unlock()
 	c.net.Register(u, node.HandleMessage)
-	if start {
-		node.Start()
-	}
 	return nil
 }

@@ -1,23 +1,26 @@
 // Package runtime holds the execution substrates of the gossip membership
 // protocols behind one Substrate interface: Seq, the sequential scheduler of
-// the paper's analysis model; Cluster, one goroutine per node with periodic
-// action initiation and fire-and-forget messaging over a transport — the
-// deployment shape Section 5 describes ("each node periodically invoking its
+// the paper's analysis model; Cluster, concurrently stepped nodes with
+// fire-and-forget messaging over an in-memory transport — the deployment
+// shape Section 5 describes ("each node periodically invoking its
 // InitiateAction method at the same frequency at all nodes"); and
 // ShardedCluster, the synchronous tick engine for 10^5..10^6 nodes.
 //
 // Every protocol decision is made by a protocol.StepCore, and all three
 // substrates run the same cores; they differ only in scheduling,
-// concurrency, timers, and transport. Proposition 5.2 is what licenses
-// sharing the cores: the serial scheduler and the concurrent fire-and-forget
-// deployment induce the same protocol behavior.
+// concurrency, and transport. Proposition 5.2 is what licenses sharing the
+// cores: the serial scheduler and the concurrent fire-and-forget deployment
+// induce the same protocol behavior.
+//
+// A Node is stepped, never timed: it gossips when something calls Tick. The
+// wall-clock cadence of a deployment belongs to whoever drives the rounds:
+// Cluster.Start and the public membership.Node pace theirs with Every, and
+// a daemon's run loop ticks from its own ticker.
 package runtime
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
@@ -39,9 +42,6 @@ type NodeConfig struct {
 	// the node serializes access through its own lock, so a core shared with
 	// another node would race.
 	Core protocol.StepCore
-	// Period is the gossip period between initiated actions (used by
-	// Start; Tick can be driven manually instead). Defaults to 100ms.
-	Period time.Duration
 	// Seed seeds the node's private RNG; 0 derives one from the id.
 	Seed int64
 }
@@ -59,9 +59,10 @@ func (c NodeConfig) validate() error {
 // frozen benchmark among them) use.
 type NodeCounters = protocol.Counters
 
-// Node is a single protocol participant. All state is private and protected
-// by one mutex; sends happen outside the lock so that two nodes gossiping
-// at each other cannot deadlock.
+// Node is a single protocol participant, stepped by its caller: Tick
+// initiates one action and HandleMessage receives one message. All state is
+// private and protected by one mutex; sends happen outside the lock so that
+// two nodes gossiping at each other cannot deadlock.
 type Node struct {
 	cfg  NodeConfig
 	core protocol.StepCore
@@ -72,17 +73,6 @@ type Node struct {
 	r        *rng.RNG
 	counters NodeCounters
 	ob       protocol.Outbox // the one message the current step emitted
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
-
-	// periodNS is the current gossip period in nanoseconds, readable
-	// while the loop runs; reset carries live period changes to the
-	// gossip loop (capacity 1, latest value wins).
-	periodNS atomic.Int64
-	reset    chan time.Duration
 }
 
 // NewNode builds a node whose initial view is seeded by the core ("a joining
@@ -95,9 +85,6 @@ func NewNode(cfg NodeConfig, seeds []peer.ID, out Sender) (*Node, error) {
 	if out == nil {
 		return nil, fmt.Errorf("runtime: nil sender")
 	}
-	if cfg.Period == 0 {
-		cfg.Period = 100 * time.Millisecond
-	}
 	if cfg.Seed == 0 {
 		// Hash rather than ID+1: the additive fallback collided with
 		// explicitly chosen small seeds on other nodes.
@@ -107,17 +94,13 @@ func NewNode(cfg NodeConfig, seeds []peer.ID, out Sender) (*Node, error) {
 	if err := cfg.Core.SeedView(lv, seeds); err != nil {
 		return nil, fmt.Errorf("runtime: node %v: %w", cfg.ID, err)
 	}
-	n := &Node{
-		cfg:   cfg,
-		core:  cfg.Core,
-		out:   out,
-		lv:    lv,
-		r:     rng.New(cfg.Seed),
-		stop:  make(chan struct{}),
-		reset: make(chan time.Duration, 1),
-	}
-	n.periodNS.Store(int64(cfg.Period))
-	return n, nil
+	return &Node{
+		cfg:  cfg,
+		core: cfg.Core,
+		out:  out,
+		lv:   lv,
+		r:    rng.New(cfg.Seed),
+	}, nil
 }
 
 // ID returns the node's identity.
@@ -159,62 +142,6 @@ func (n *Node) send(to peer.ID, msg protocol.Message) {
 		n.counters.SendErrors++
 		n.mu.Unlock()
 	}
-}
-
-// Start launches the periodic gossip loop. It is idempotent.
-func (n *Node) Start() {
-	n.startOnce.Do(func() {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			ticker := time.NewTicker(time.Duration(n.periodNS.Load()))
-			defer ticker.Stop()
-			for {
-				select {
-				case <-n.stop:
-					return
-				case d := <-n.reset:
-					ticker.Reset(d)
-				case <-ticker.C:
-					n.Tick()
-				}
-			}
-		}()
-	})
-}
-
-// Period returns the current gossip period.
-func (n *Node) Period() time.Duration { return time.Duration(n.periodNS.Load()) }
-
-// SetPeriod changes the gossip period live — the management API's config
-// reload path. The running loop picks the new period up on its next select;
-// if the loop has not started yet, Start uses the latest value. Latest call
-// wins when several race.
-func (n *Node) SetPeriod(d time.Duration) error {
-	if d <= 0 {
-		return fmt.Errorf("runtime: node period must be positive, got %v", d)
-	}
-	n.periodNS.Store(int64(d))
-	for {
-		select {
-		case n.reset <- d:
-			return nil
-		default:
-			// Displace a stale pending reset so the newest value lands.
-			select {
-			case <-n.reset:
-			default:
-			}
-		}
-	}
-}
-
-// Stop terminates the gossip loop and waits for it. Leaving the system
-// needs nothing more — per the paper, leavers "simply stop participating in
-// the protocol". Idempotent.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() { close(n.stop) })
-	n.wg.Wait()
 }
 
 // ViewSnapshot returns a copy of the node's current view.

@@ -177,22 +177,6 @@ func TestNodeSendErrorCounted(t *testing.T) {
 	}
 }
 
-func TestNodeStartStopIdempotent(t *testing.T) {
-	rec := &recorder{}
-	n, err := runtime.NewNode(runtime.NodeConfig{ID: 0, Core: sfCore(t, 6, 0), Period: time.Millisecond}, []peer.ID{1, 2}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	n.Start()
-	time.Sleep(20 * time.Millisecond)
-	n.Stop()
-	n.Stop()
-	if n.Counters().Ticks == 0 {
-		t.Error("no ticks after Start")
-	}
-}
-
 func TestClusterValidation(t *testing.T) {
 	if _, err := newCluster(runtime.Config{N: 1, NewCore: sfFactory(8, 0)}); err == nil {
 		t.Error("accepted n=1")
@@ -262,14 +246,24 @@ func TestClusterTickRounds(t *testing.T) {
 }
 
 func TestClusterConcurrent(t *testing.T) {
-	// Real goroutines + timers: run briefly, then verify invariants. This
-	// is the race-detector workout for the lock discipline.
-	c, err := newCluster(runtime.Config{N: 20, NewCore: sfFactory(12, 4), Loss: 0.02, Period: time.Millisecond, Seed: 8})
+	// Real goroutines + timers, with churn while the slot loops run: run
+	// briefly, then verify invariants. This is the race-detector workout
+	// for the lock discipline.
+	c, err := newCluster(runtime.Config{N: 20, NewCore: sfFactory(12, 4), Loss: 0.02, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
-	time.Sleep(150 * time.Millisecond)
+	c.Start(time.Millisecond)
+	deadline := time.Now().Add(150 * time.Millisecond)
+	for i := 0; time.Now().Before(deadline); i++ {
+		u := peer.ID(3 + i%4)
+		c.RemoveNode(u)
+		time.Sleep(2 * time.Millisecond)
+		if err := c.AddNode(u, []peer.ID{0, 1, 2, 10}, false); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	c.Stop()
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -279,13 +273,38 @@ func TestClusterConcurrent(t *testing.T) {
 	}
 }
 
+// TestClusterStartStopIdempotent: a second Start or Stop does nothing, and a
+// stopped cluster starts again and gossips again.
+func TestClusterStartStopIdempotent(t *testing.T) {
+	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTicks := func(above int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Counters().Ticks <= above {
+			if time.Now().After(deadline) {
+				t.Fatalf("ticks stuck at %d", above)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for run := 0; run < 2; run++ {
+		c.Start(time.Millisecond)
+		c.Start(time.Millisecond) // a second Start does nothing
+		waitTicks(c.Counters().Ticks)
+		c.Stop()
+		c.Stop()
+	}
+}
+
 func TestClusterNodeDeparture(t *testing.T) {
 	c, err := newCluster(runtime.Config{N: 30, NewCore: sfFactory(12, 4), Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 3 leaves: stops participating and drops off the network.
-	c.Nodes()[3].Stop()
+	// Node 3 leaves: nothing ticks it and it drops off the network.
 	c.Network().Register(3, nil)
 	for round := 0; round < 400; round++ {
 		for u, n := range c.Nodes() {
@@ -360,11 +379,11 @@ func TestNodesOverUDP(t *testing.T) {
 }
 
 func TestClusterAddNodeStarted(t *testing.T) {
-	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Period: time.Millisecond, Seed: 32})
+	c, err := newCluster(runtime.Config{N: 10, NewCore: sfFactory(8, 2), Seed: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	c.Start(time.Millisecond)
 	c.RemoveNode(3)
 	if err := c.AddNode(3, []peer.ID{0, 1}, true); err != nil {
 		t.Fatal(err)
@@ -608,47 +627,6 @@ func TestClusterPartitionHeal(t *testing.T) {
 	}
 }
 
-func TestNodeSetPeriodLive(t *testing.T) {
-	rec := &recorder{}
-	// Start with a period far beyond the test horizon, then reload to a
-	// fast one: ticks arriving at all proves the running loop picked the
-	// change up.
-	n, err := runtime.NewNode(runtime.NodeConfig{
-		ID: 0, Core: sfCore(t, 8, 2), Period: time.Hour,
-	}, []peer.ID{1, 2}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Period(); got != time.Hour {
-		t.Errorf("Period = %v, want 1h", got)
-	}
-	if err := n.SetPeriod(0); err == nil {
-		t.Error("accepted nonpositive period")
-	}
-	n.Start()
-	defer n.Stop()
-	if err := n.SetPeriod(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Period(); got != time.Millisecond {
-		t.Errorf("Period after reload = %v, want 1ms", got)
-	}
-	deadline := time.After(5 * time.Second)
-	for n.Counters().Ticks == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("no tick after period reload")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	// A second reload while a reset may still be pending must not block.
-	for i := 0; i < 100; i++ {
-		if err := n.SetPeriod(time.Duration(i+1) * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestSubstrateCountersAllEngines(t *testing.T) {
 	for _, kind := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster, runtime.EngineSharded} {
 		sub, err := runtime.New(runtime.Config{
@@ -730,7 +708,7 @@ func TestAddNodeRejectsSeedsOutsideUniverse(t *testing.T) {
 // back — the next bring-up binds the same port.
 func TestNewUDPNodeBringUp(t *testing.T) {
 	cfg := func() runtime.NodeConfig {
-		return runtime.NodeConfig{ID: 0, Core: sfCore(t, 8, 2), Period: time.Hour}
+		return runtime.NodeConfig{ID: 0, Core: sfCore(t, 8, 2)}
 	}
 	n, ep, err := runtime.NewUDPNode(cfg(), []peer.ID{1, 2}, "127.0.0.1:0", "", func(ep *transport.Endpoint) error {
 		return ep.AddPeer(1, "127.0.0.1:19990")

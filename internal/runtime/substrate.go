@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"sendforget/internal/driver"
 	"sendforget/internal/faults"
@@ -63,14 +62,15 @@ type Substrate interface {
 	// reads, and must not call back into the substrate.
 	EachNode(fn func(u peer.ID, lv *view.View, core protocol.StepCore))
 	// AddNode (re)activates node u with the given seed ids (at least
-	// max(2, dL) per the paper's join rule). The start flag launches the
-	// node's own gossip loop on timer-driven substrates and is ignored by
-	// tick-driven ones.
+	// max(2, dL) per the paper's join rule); the next round steps it. The
+	// start flag does nothing on any engine: a running Cluster ticks
+	// whichever node holds a slot.
 	AddNode(u peer.ID, seeds []peer.ID, start bool) error
 	// RemoveNode makes node u leave: no protocol action, its id decays
 	// from other views, in-flight messages to it become dead letters.
 	RemoveNode(u peer.ID)
-	// Close releases the substrate's resources (worker pools, timers).
+	// Close releases the substrate's resources (worker pools, the
+	// cluster's round loops).
 	// The substrate must not be used after Close; Close is idempotent.
 	Close()
 }
@@ -201,10 +201,6 @@ type Config struct {
 	// Seed drives the fault-decision stream and the per-node RNGs (0
 	// selects 1).
 	Seed int64
-	// Period is each node's gossip period for timer-driven operation
-	// (cluster only; TickRound works without timers). Defaults to 10ms for
-	// fast examples.
-	Period time.Duration
 	// Workers bounds the worker pool (sharded only; 0 selects
 	// min(GOMAXPROCS, shards), 1 runs every phase inline with no
 	// goroutines at all). The worker count never influences results, only

@@ -14,8 +14,8 @@ import (
 // socket. The endpoint dispatches into the node, but peers may already hold
 // this node's id as a seed and gossip at it before construction finishes, so
 // the handoff is atomic and early datagrams are dropped — S&F tolerates loss
-// by design. The caller Starts the node, and Stops it and Closes the
-// endpoint when done; on an error nothing is left open.
+// by design. The caller ticks the node, and Closes the endpoint when done;
+// on an error nothing is left open.
 func NewUDPNode(cfg NodeConfig, seeds []peer.ID, listen, advertise string, directory func(*transport.Endpoint) error) (*Node, *transport.Endpoint, error) {
 	var node atomic.Pointer[Node]
 	ep, err := transport.NewEndpoint(listen, func(m protocol.Message) {

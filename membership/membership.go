@@ -9,13 +9,20 @@
 // cluster (testing, simulation, or embedding), and NewUDPNode for a real
 // networked participant.
 //
+// A member gossips once per round, and the caller chooses what a round is:
+// Cluster.Gossip steps rounds by hand, deterministically, while Start on a
+// Cluster or a Node runs them by the wall clock, once per GossipPeriod,
+// until Stop or Close.
+//
 // The heavy machinery — the protocol itself, the simulator, the paper's
 // analysis — lives under internal/; this package re-exports the pieces a
 // downstream user needs with a stable surface.
 package membership
 
 import (
+	"cmp"
 	"fmt"
+	"sync"
 	"time"
 
 	"sendforget/internal/analysis"
@@ -56,16 +63,18 @@ type ClusterConfig struct {
 	S, DL int
 	// Loss is the simulated uniform message loss rate in [0, 1).
 	Loss float64
-	// GossipPeriod is each node's action period when Start is used.
+	// GossipPeriod is each node's action period when Start is used
+	// (default 10ms).
 	GossipPeriod time.Duration
 	// Seed makes runs reproducible; 0 selects a fixed default.
 	Seed int64
 }
 
-// Cluster is an in-process S&F cluster: one goroutine per node over a
-// lossy in-memory network.
+// Cluster is an in-process S&F cluster over a lossy in-memory network,
+// driven round by round with Gossip or by the wall clock with Start.
 type Cluster struct {
-	inner *runtime.Cluster
+	inner  *runtime.Cluster
+	period time.Duration
 }
 
 // NewCluster builds (but does not start) a cluster.
@@ -80,21 +89,21 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// well-provisioned start the paper's analysis assumes.
 		InitDegree: sendforget.DefaultInitDegree(cfg.S, cfg.DL, cfg.N),
 		Loss:       cfg.Loss,
-		Period:     cfg.GossipPeriod,
 		Seed:       cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	// The public Cluster exposes Start/Sample, which need the concrete
-	// goroutine-per-node backend; the factory guarantees the kind.
-	return &Cluster{inner: sub.(*runtime.Cluster)}, nil
+	// cluster backend; the factory guarantees the kind.
+	return &Cluster{inner: sub.(*runtime.Cluster), period: cmp.Or(cfg.GossipPeriod, 10*time.Millisecond)}, nil
 }
 
-// Start launches the gossip loops. Stop must be called eventually.
-func (c *Cluster) Start() { c.inner.Start() }
+// Start has every node gossip once per GossipPeriod until Stop. A stopped
+// cluster can be started again.
+func (c *Cluster) Start() { c.inner.Start(c.period) }
 
-// Stop terminates all nodes and waits for them.
+// Stop ends the gossip and waits for it.
 func (c *Cluster) Stop() { c.inner.Stop() }
 
 // Gossip drives one synchronous round (every node initiates once) without
@@ -158,10 +167,10 @@ func (c *Cluster) CheckInvariants() error { return c.inner.CheckInvariants() }
 func (c *Cluster) Remove(u NodeID) { c.inner.RemoveNode(u) }
 
 // Add (re)activates node u, seeding its view with the given ids — copy a
-// live node's Sample() per the paper's join rule. When the cluster is
-// running (Start was called), the new node starts gossiping immediately.
+// live node's Sample() per the paper's join rule. The node gossips in the
+// next round: the next Gossip, or the next period while Start runs.
 func (c *Cluster) Add(u NodeID, seeds []NodeID) error {
-	return c.inner.AddNode(u, seeds, true)
+	return c.inner.AddNode(u, seeds, false)
 }
 
 // NodeConfig configures a networked UDP node.
@@ -190,8 +199,13 @@ type NodeConfig struct {
 
 // Node is a networked S&F participant.
 type Node struct {
-	inner *runtime.Node
-	ep    *transport.Endpoint
+	inner  *runtime.Node
+	ep     *transport.Endpoint
+	period time.Duration
+
+	startOnce, closeOnce sync.Once
+	stop                 chan struct{} // closed by Close
+	wg                   sync.WaitGroup
 }
 
 // NewUDPNode binds the socket, wires the directory, and returns a node
@@ -205,9 +219,8 @@ func NewUDPNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	inner, ep, err := runtime.NewUDPNode(runtime.NodeConfig{
-		ID:     cfg.ID,
-		Core:   core,
-		Period: cfg.GossipPeriod,
+		ID:   cfg.ID,
+		Core: core,
 	}, cfg.Seeds, cfg.ListenAddr, cfg.Advertise, func(ep *transport.Endpoint) error {
 		for id, addr := range cfg.Peers {
 			if err := ep.AddPeer(id, addr); err != nil {
@@ -219,7 +232,7 @@ func NewUDPNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Node{inner: inner, ep: ep}, nil
+	return &Node{inner: inner, ep: ep, period: cmp.Or(cfg.GossipPeriod, 100*time.Millisecond), stop: make(chan struct{})}, nil
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -229,8 +242,19 @@ func (n *Node) Addr() string { return n.ep.Addr().String() }
 // including entries learned from gossip.
 func (n *Node) KnownPeers() int { return n.ep.KnownPeers() }
 
-// Start launches the periodic gossip loop.
-func (n *Node) Start() { n.inner.Start() }
+// Start has the node gossip once per GossipPeriod until Close. A second
+// Start does nothing.
+func (n *Node) Start() {
+	n.startOnce.Do(func() {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			for p := runtime.Every(n.period, n.stop); p.Next(); {
+				n.inner.Tick()
+			}
+		}()
+	})
+}
 
 // Sample returns the node's current view ids.
 func (n *Node) Sample() []NodeID { return n.inner.ViewSnapshot().IDs() }
@@ -239,6 +263,7 @@ func (n *Node) Sample() []NodeID { return n.inner.ViewSnapshot().IDs() }
 // needs nothing else: per the paper, a leaver "simply stops participating
 // in the protocol".
 func (n *Node) Close() error {
-	n.inner.Stop()
+	n.closeOnce.Do(func() { close(n.stop) })
+	n.wg.Wait()
 	return n.ep.Close()
 }

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	gort "runtime"
 	"testing"
 	"time"
 )
@@ -168,9 +169,56 @@ func TestClusterChurnFacade(t *testing.T) {
 	if !st.WeaklyConnected {
 		t.Errorf("cluster fragmented after facade churn: %+v", st)
 	}
-	// Stop the re-added node's loop if Add started it (cluster not
-	// running, but Add(start=true) launched one goroutine).
+}
+
+// TestClusterRestart: a cluster started, stopped and started again gossips
+// again; every node ticks on the second run, not only the delay queue.
+func TestClusterRestart(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{N: 10, S: 8, DL: 2, GossipPeriod: time.Millisecond, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ticksAbove := func(n int, run string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for c.inner.Counters().Ticks <= n {
+			if time.Now().After(deadline) {
+				t.Fatalf("no ticks on the %s run (stuck at %d)", run, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	c.Start()
+	ticksAbove(0, "first")
 	c.Stop()
+	c.Start()
+	ticksAbove(c.inner.Counters().Ticks, "second")
+}
+
+// TestClusterAddIdle: on a cluster only Gossip drives, a node that left and
+// rejoined gossips in Gossip's rounds and nowhere else — no tick while the
+// cluster sits idle, and no goroutine left behind.
+func TestClusterAddIdle(t *testing.T) {
+	base := gort.NumGoroutine()
+	c, err := NewCluster(ClusterConfig{N: 30, S: 12, DL: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Gossip(20)
+	c.Remove(4)
+	if err := c.Add(4, c.Sample(0)); err != nil {
+		t.Fatal(err)
+	}
+	c.Gossip(1)
+	ticks := c.inner.Counters().Ticks
+	time.Sleep(100 * time.Millisecond)
+	if got := c.inner.Counters().Ticks; got != ticks {
+		t.Errorf("idle cluster ticked after a rejoin: %d -> %d", ticks, got)
+	}
+	if got := gort.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines running on an idle cluster, %d before it was built", got, base)
+	}
 }
 
 func TestUDPAddressLearningEndToEnd(t *testing.T) {
