@@ -23,25 +23,10 @@ type AblationOptParams struct {
 	Seed     int64
 }
 
-func (p *AblationOptParams) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 16
-	}
-	if p.DL == 0 {
-		p.DL = 6
-	}
-	if p.Loss == 0 {
-		p.Loss = 0.05
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 400
-	}
-	if p.Seed == 0 {
-		p.Seed = 53
-	}
+// ablationOptDefaults returns 400 rounds of 400 nodes at s = 16, dL = 6 and
+// 5% loss.
+func ablationOptDefaults() AblationOptParams {
+	return AblationOptParams{N: 400, S: 16, DL: 6, Loss: 0.05, Rounds: 400, Seed: 53}
 }
 
 // sfoptCores returns the core factory of one optimization variant.
@@ -54,7 +39,6 @@ func sfoptCores(opts sfopt.Options) protocol.CoreFactory {
 // to the analyzed baseline, under identical loss. The undeletion and
 // replacement counts live in each node's core.
 func AblationOpt(p AblationOptParams, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	r := &Report{
 		ID:     "abl3",
 		Title:  "Section 5 optimizations: undeletion, replace-when-full, batching",
@@ -130,25 +114,10 @@ type AblationNonuniformParams struct {
 	Seed      int64
 }
 
-func (p *AblationNonuniformParams) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 16
-	}
-	if p.DL == 0 {
-		p.DL = 6
-	}
-	if p.LossyRate == 0 {
-		p.LossyRate = 0.2
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 400
-	}
-	if p.Seed == 0 {
-		p.Seed = 54
-	}
+// ablationNonuniformDefaults returns 400 rounds of 400 nodes at s = 16,
+// dL = 6, half of them losing 20% of their inbound messages.
+func ablationNonuniformDefaults() AblationNonuniformParams {
+	return AblationNonuniformParams{N: 400, S: 16, DL: 6, LossyRate: 0.2, Rounds: 400, Seed: 54}
 }
 
 // AblationNonuniform probes the paper's uniform-loss assumption (Section 4:
@@ -156,7 +125,6 @@ func (p *AblationNonuniformParams) setDefaults() {
 // model and analyze"): half the nodes suffer heavy inbound loss, half none,
 // and the per-group degree statistics show how far uniformity degrades.
 func AblationNonuniform(p AblationNonuniformParams, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	rates := make(map[peer.ID]float64, p.N/2)
 	var lossyGroup, cleanGroup []peer.ID
 	for u := 0; u < p.N; u++ {

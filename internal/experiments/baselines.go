@@ -25,28 +25,10 @@ type BaselinesParams struct {
 	Seed       int64
 }
 
-func (p *BaselinesParams) setDefaults() {
-	if p.N == 0 {
-		p.N = 500
-	}
-	if p.S == 0 {
-		p.S = 20
-	}
-	if p.DL == 0 {
-		p.DL = 8
-	}
-	if p.Loss == 0 {
-		p.Loss = 0.05
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 400
-	}
-	if p.Checkpoint == 0 {
-		p.Checkpoint = 50
-	}
-	if p.Seed == 0 {
-		p.Seed = 31
-	}
+// baselinesDefaults returns 400 rounds of 500 nodes at s = 20, dL = 8 and
+// 5% loss, a row every 50 rounds.
+func baselinesDefaults() BaselinesParams {
+	return BaselinesParams{N: 500, S: 20, DL: 8, Loss: 0.05, Rounds: 400, Checkpoint: 50, Seed: 31}
 }
 
 // Baselines reproduces the Section 3.1 taxonomy claims head-to-head under
@@ -54,7 +36,9 @@ func (p *BaselinesParams) setDefaults() {
 // push-pull is loss-immune but spatially dependent; S&F holds its edge
 // population with bounded dependence.
 func Baselines(p BaselinesParams, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
+	if p.Checkpoint <= 0 {
+		return nil, fmt.Errorf("base1: checkpoint %d, want > 0", p.Checkpoint)
+	}
 	r := &Report{
 		ID:     "base1",
 		Title:  "S&F vs shuffle (delete-on-send) vs push-pull (keep-on-send) under loss",
@@ -129,28 +113,10 @@ type AblationBurstParams struct {
 	Seed      int64
 }
 
-func (p *AblationBurstParams) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 40
-	}
-	if p.DL == 0 {
-		p.DL = 18
-	}
-	if p.Rate == 0 {
-		p.Rate = 0.05
-	}
-	if p.BurstLens == nil {
-		p.BurstLens = []float64{1, 10, 50}
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 300
-	}
-	if p.Seed == 0 {
-		p.Seed = 11
-	}
+// ablationBurstDefaults returns the paper's s = 40, dL = 18 on 400 nodes at
+// 5% loss, uniform against bursts of 10 and 50, for 300 rounds.
+func ablationBurstDefaults() AblationBurstParams {
+	return AblationBurstParams{N: 400, S: 40, DL: 18, Rate: 0.05, BurstLens: []float64{1, 10, 50}, Rounds: 300, Seed: 11}
 }
 
 // AblationBurst compares S&F under uniform i.i.d. loss (the paper's model)
@@ -158,7 +124,6 @@ func (p *AblationBurstParams) setDefaults() {
 // far the paper's i.i.d. assumption carries. Alpha comes from the per-entry
 // dependence tags in each node's core.
 func AblationBurst(p AblationBurstParams, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	r := &Report{
 		ID:     "abl1",
 		Title:  "Uniform vs bursty loss at equal average rate (extension)",
@@ -239,25 +204,10 @@ type AblationDLParams struct {
 	Seed   int64
 }
 
-func (p *AblationDLParams) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 40
-	}
-	if p.Loss == 0 {
-		p.Loss = 0.05
-	}
-	if p.DLs == nil {
-		p.DLs = []int{0, 6, 12, 18, 24, 30, 34}
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 400
-	}
-	if p.Seed == 0 {
-		p.Seed = 12
-	}
+// ablationDLDefaults returns dL from 0 to 34 at s = 40 on 400 nodes at 5%
+// loss, for 400 rounds.
+func ablationDLDefaults() AblationDLParams {
+	return AblationDLParams{N: 400, S: 40, Loss: 0.05, DLs: []int{0, 6, 12, 18, 24, 30, 34}, Rounds: 400, Seed: 12}
 }
 
 // AblationDL sweeps the duplication threshold dL at fixed loss, exposing
@@ -265,7 +215,6 @@ func (p *AblationDLParams) setDefaults() {
 // (like shuffle), large dL pins outdegrees and increases dependence. Alpha
 // comes from the per-entry dependence tags in each node's core.
 func AblationDL(p AblationDLParams, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	r := &Report{
 		ID:     "abl2",
 		Title:  "Duplication threshold sweep (design-choice ablation)",

@@ -17,28 +17,10 @@ type ChurnParams struct {
 	Seed     int64
 }
 
-func (p *ChurnParams) setDefaults() {
-	if p.N == 0 {
-		p.N = 300
-	}
-	if p.S == 0 {
-		p.S = 16
-	}
-	if p.DL == 0 {
-		p.DL = 6
-	}
-	if p.Loss == 0 {
-		p.Loss = 0.02
-	}
-	if p.Rates == nil {
-		p.Rates = []float64{0, 0.1, 0.25, 0.5}
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 400
-	}
-	if p.Seed == 0 {
-		p.Seed = 88
-	}
+// churnDefaults returns 400 rounds of 300 nodes at s = 16, dL = 6 and 2%
+// loss, at join/leave rates from 0 to 0.5 per round.
+func churnDefaults() ChurnParams {
+	return ChurnParams{N: 300, S: 16, DL: 6, Loss: 0.02, Rates: []float64{0, 0.1, 0.25, 0.5}, Rounds: 400, Seed: 88}
 }
 
 // Churn1 extends the paper's churn-ceases analysis to *sustained* churn:
@@ -48,7 +30,6 @@ func (p *ChurnParams) setDefaults() {
 // live-node connectivity, degree health, and the stale-id fraction at
 // increasing churn rates.
 func Churn1(p ChurnParams, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	r := &Report{
 		ID:     "churn1",
 		Title:  "Sustained churn (extension): property persistence while churn never ceases",

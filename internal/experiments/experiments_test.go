@@ -37,7 +37,9 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestFig61Small(t *testing.T) {
-	r, err := Fig61(Fig61Params{S: 24, Stride: 4, SimN: 200, SimRounds: 100}, "")
+	p := fig61Defaults()
+	p.S, p.Stride, p.SimN, p.SimRounds = 24, 4, 200, 100
+	r, err := Fig61(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestFig61Small(t *testing.T) {
 }
 
 func TestFig62(t *testing.T) {
-	r, err := Fig62(Fig62Params{})
+	r, err := Fig62(fig62Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,10 @@ func TestTab63SmallScale(t *testing.T) {
 }
 
 func TestFig63Small(t *testing.T) {
-	r, err := Fig63(Fig63Params{S: 16, DL: 6, LossRates: []float64{0, 0.05}, Stride: 4, SimN: 200, SimRounds: 100}, "")
+	p := fig63Defaults()
+	p.S, p.DL, p.LossRates = 16, 6, []float64{0, 0.05}
+	p.SimN, p.SimRounds = 200, 100
+	r, err := Fig63(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +143,10 @@ func TestFig63Small(t *testing.T) {
 }
 
 func TestFig64Small(t *testing.T) {
-	r, err := Fig64(Fig64Params{
-		N: 80, S: 12, DL: 4, LossRates: []float64{0, 0.05},
-		Rounds: 100, Leavers: 2, Checkpoint: 25, Seed: 1,
-	}, "")
+	p := fig64Defaults()
+	p.N, p.S, p.DL, p.LossRates = 80, 12, 4, []float64{0, 0.05}
+	p.Rounds, p.Leavers, p.Checkpoint, p.Seed = 100, 2, 25, 1
+	r, err := Fig64(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +189,10 @@ func TestCor614Small(t *testing.T) {
 }
 
 func TestLem66Small(t *testing.T) {
-	r, err := Lem66(Lem66Params{N: 120, S: 16, DL: 6, Losses: []float64{0, 0.05}, Rounds: 150, Seed: 3}, "")
+	p := lem66Defaults()
+	p.N, p.S, p.DL, p.Losses = 120, 16, 6, []float64{0, 0.05}
+	p.Rounds, p.Seed = 150, 3
+	r, err := Lem66(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +230,10 @@ func TestLem76Small(t *testing.T) {
 }
 
 func TestLem79Small(t *testing.T) {
-	r, err := Lem79(Lem79Params{N: 150, S: 16, DL: 6, Losses: []float64{0, 0.05}, Rounds: 150, Seed: 1}, "")
+	p := lem79Defaults()
+	p.N, p.S, p.DL, p.Losses = 150, 16, 6, []float64{0, 0.05}
+	p.Rounds, p.Seed = 150, 1
+	r, err := Lem79(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +245,7 @@ func TestLem79Small(t *testing.T) {
 }
 
 func TestTab74(t *testing.T) {
-	r, err := Tab74(Tab74Params{})
+	r, err := Tab74(tab74Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +263,9 @@ func TestTab74(t *testing.T) {
 }
 
 func TestLem715Small(t *testing.T) {
-	r, err := Lem715(Lem715Params{Ns: []int{60, 120}, S: 12, DL: 4, MaxRounds: 300, Seed: 6}, "")
+	p := lem715Defaults()
+	p.Ns, p.S, p.DL, p.MaxRounds, p.Seed = []int{60, 120}, 12, 4, 300, 6
+	r, err := Lem715(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +611,10 @@ func TestRW1Small(t *testing.T) {
 }
 
 func TestLossStressSmall(t *testing.T) {
-	p := LossStressParams{N: 40, S: 12, DL: 4, InitDegree: 6, Rounds: 60, LeaveAt: 15, FaultAt: 20, HealAt: 40, Rate: 0.05, Seed: 9}
+	p := lossStressDefaults()
+	p.N, p.S, p.DL, p.InitDegree = 40, 12, 4, 6
+	p.Rounds, p.LeaveAt, p.FaultAt, p.HealAt = 60, 15, 20, 40
+	p.Rate, p.Seed = 0.05, 9
 	r, err := LossStress(p, "")
 	if err != nil {
 		t.Fatal(err)
@@ -632,5 +648,77 @@ func TestLossStressSmall(t *testing.T) {
 		if r.Tables[i].String() != r2.Tables[i].String() {
 			t.Errorf("table %d not deterministic:\n%s\nvs\n%s", i, r.Tables[i].String(), r2.Tables[i].String())
 		}
+	}
+}
+
+// TestZeroMeansZero holds the runners to the parameters they are given: a
+// zero loss rate, a zero dL and a zero simulation size are the paper's own
+// baselines, not requests for a default.
+func TestZeroMeansZero(t *testing.T) {
+	lem78 := lem78Defaults()
+	lem78.N, lem78.S, lem78.DL, lem78.Loss, lem78.Rounds = 60, 12, 4, 0, 100
+	lem75 := lem75Defaults()
+	lem75.DL = 0
+	fig63 := fig63Defaults()
+	fig63.S, fig63.DL, fig63.LossRates = 12, 4, []float64{0, 0.05}
+	fig63.SimN, fig63.SimRounds = 0, 20
+	simColumns := func(r *Report) string {
+		var cells []string
+		for _, row := range r.Tables[0].Rows {
+			cells = append(cells, row[3], row[4])
+		}
+		return strings.Join(cells, " ")
+	}
+	params := func(r *Report) string { return r.Params }
+	for _, tc := range []struct {
+		name string
+		run  func() (*Report, error)
+		got  func(*Report) string
+		want string
+	}{
+		{"lem7.8 loss 0", func() (*Report, error) { return Lem78(lem78) }, params, " l=0 "},
+		{"lem7.5 dL 0", func() (*Report, error) { return Lem75(lem75) }, params, " dL(lossy)=0 "},
+		{"fig6.3 simN 0", func() (*Report, error) { return Fig63(fig63, "") }, simColumns, "- - - -"},
+	} {
+		r, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := tc.got(r); !strings.Contains(got, tc.want) {
+			t.Errorf("%s: got %q, want it to contain %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestZeroStepRejected: a table stride or checkpoint that is not positive
+// would loop forever (fig6.1, fig6.3, fig6.4) or divide by zero (base1), so
+// the runners refuse it.
+func TestZeroStepRejected(t *testing.T) {
+	for _, step := range []int{0, -1} {
+		fig61 := fig61Defaults()
+		fig61.S, fig61.SimN, fig61.Stride = 12, 0, step
+		fig63 := fig63Defaults()
+		fig63.S, fig63.DL, fig63.LossRates, fig63.SimN, fig63.Stride = 12, 4, []float64{0}, 0, step
+		fig64 := fig64Defaults()
+		fig64.N, fig64.S, fig64.DL, fig64.LossRates = 40, 12, 4, []float64{0}
+		fig64.Rounds, fig64.Leavers, fig64.Checkpoint = 20, 1, step
+		base := baselinesDefaults()
+		base.N, base.S, base.DL, base.Rounds, base.Checkpoint = 40, 12, 4, 20, step
+		for name, run := range map[string]func() (*Report, error){
+			"fig6.1 stride":     func() (*Report, error) { return Fig61(fig61, "") },
+			"fig6.3 stride":     func() (*Report, error) { return Fig63(fig63, "") },
+			"fig6.4 checkpoint": func() (*Report, error) { return Fig64(fig64, "") },
+			"base1 checkpoint":  func() (*Report, error) { return Baselines(base, "") },
+		} {
+			if _, err := run(); err == nil {
+				t.Errorf("%s %d: no error", name, step)
+			}
+		}
+	}
+	// fig6.4's half-life note reads the first loss rate.
+	fig64 := fig64Defaults()
+	fig64.LossRates = nil
+	if _, err := Fig64(fig64, ""); err == nil {
+		t.Error("fig6.4 without loss rates: no error")
 	}
 }

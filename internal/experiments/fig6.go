@@ -18,44 +18,31 @@ func mathSqrt(x float64) float64 { return math.Sqrt(x) }
 
 // Fig61Params configures the Figure 6.1 reproduction.
 type Fig61Params struct {
-	// S is the view size (paper: 90); DL = 0, loss = 0, ds(u) = S for all u.
+	// S is the view size; DL = 0, loss = 0, ds(u) = S for all u.
 	S int
-	// Stride selects every Stride-th degree for the table (default 6).
+	// Stride selects every Stride-th degree for the table.
 	Stride int
 	// SimN adds a live lossless Monte-Carlo cross-check with SimN nodes
-	// initialized on the ds(u) = S manifold (negative disables; 0 selects
-	// the default 1500).
+	// initialized on the ds(u) = S manifold, run for SimRounds rounds; 0
+	// omits it.
 	SimN      int
 	SimRounds int
 	Seed      int64
 }
 
-func (p *Fig61Params) setDefaults() {
-	if p.S == 0 {
-		p.S = 90
-	}
-	if p.Stride == 0 {
-		p.Stride = 6
-	}
-	if p.SimN == 0 {
-		p.SimN = 1500
-	}
-	if p.SimN < 0 {
-		p.SimN = 0
-	}
-	if p.SimRounds == 0 {
-		p.SimRounds = 300
-	}
-	if p.Seed == 0 {
-		p.Seed = 61
-	}
+// fig61Defaults returns the paper's s = 90, every 6th degree, and a
+// 1500-node, 300-round simulation cross-check.
+func fig61Defaults() Fig61Params {
+	return Fig61Params{S: 90, Stride: 6, SimN: 1500, SimRounds: 300, Seed: 61}
 }
 
 // Fig61 reproduces Figure 6.1: S&F node degree distributions (analytical
 // approximation of Eq. 6.1 and exact from the degree MC) against binomial
 // distributions with the same expectation, for s=90, dL=0, l=0, ds(u)=90.
 func Fig61(p Fig61Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
+	if p.Stride <= 0 {
+		return nil, fmt.Errorf("fig6.1: stride %d, want > 0", p.Stride)
+	}
 	dm := p.S
 	res, err := degreemc.Solve(
 		degreemc.Params{S: p.S, DL: 0},
@@ -151,29 +138,21 @@ func Fig61(p Fig61Params, kind runtime.EngineKind) (*Report, error) {
 
 // Fig62Params configures the Figure 6.2 reproduction.
 type Fig62Params struct {
-	// S/DL/Loss select a small chain for enumeration (defaults 8/2/0.05).
+	// S/DL/Loss select a small chain for enumeration.
 	S, DL  int
 	Loss   float64
 	SumCap int
 }
 
-func (p *Fig62Params) setDefaults() {
-	if p.S == 0 {
-		p.S, p.DL = 8, 2
-	}
-	if p.Loss == 0 {
-		p.Loss = 0.05
-	}
-	if p.SumCap == 0 {
-		p.SumCap = 2 * p.S
-	}
+// fig62Defaults returns a chain small enough to enumerate and draw.
+func fig62Defaults() Fig62Params {
+	return Fig62Params{S: 8, DL: 2, Loss: 0.05, SumCap: 16} // SumCap = 2S
 }
 
 // Fig62 reproduces the structure of Figure 6.2: the degree MC's reachable
 // states, its solid (atomic-action) and dashed (loss/duplication/deletion)
 // transitions, and the unreachability of the isolated state.
 func Fig62(p Fig62Params) (*Report, error) {
-	p.setDefaults()
 	sp, err := degreemc.NewSpace(degreemc.Params{S: p.S, DL: p.DL, Loss: p.Loss, SumCap: p.SumCap})
 	if err != nil {
 		return nil, err
@@ -238,25 +217,20 @@ func hasIsolated(sp *degreemc.Space) bool {
 
 // Tab63Params configures the threshold-selection reproduction.
 type Tab63Params struct {
-	// DHat is the desired lossless expected outdegree (paper: 30).
+	// DHat is the desired lossless expected outdegree.
 	DHat int
-	// Delta is the duplication/deletion probability budget (paper: 0.01).
+	// Delta is the duplication/deletion probability budget.
 	Delta float64
 }
 
-func (p *Tab63Params) setDefaults() {
-	if p.DHat == 0 {
-		p.DHat = 30
-	}
-	if p.Delta == 0 {
-		p.Delta = 0.01
-	}
+// tab63Defaults returns the paper's worked example.
+func tab63Defaults() Tab63Params {
+	return Tab63Params{DHat: 30, Delta: 0.01}
 }
 
 // Tab63 reproduces the Section 6.3 worked example: dHat=30, delta=0.01
 // should give dL=18 and s=40.
 func Tab63(p Tab63Params) (*Report, error) {
-	p.setDefaults()
 	dlA, sA, err := analysis.Thresholds(p.DHat, p.Delta)
 	if err != nil {
 		return nil, err
@@ -296,36 +270,18 @@ type Fig63Params struct {
 	LossRates []float64
 	Stride    int
 	// SimN enables a Monte-Carlo cross-check column: a live simulation of
-	// SimN nodes per loss rate (0 disables; the default 1500 enables it).
+	// SimN nodes per loss rate, run for SimRounds rounds; 0 omits it.
 	SimN      int
 	SimRounds int
 	Seed      int64
 }
 
-func (p *Fig63Params) setDefaults() {
-	if p.S == 0 {
-		p.S = 40
-	}
-	if p.DL == 0 {
-		p.DL = 18
-	}
-	if p.LossRates == nil {
-		p.LossRates = []float64{0, 0.01, 0.05, 0.1}
-	}
-	if p.Stride == 0 {
-		p.Stride = 4
-	}
-	if p.SimN == 0 {
-		p.SimN = 1500
-	}
-	if p.SimN < 0 {
-		p.SimN = 0 // explicit opt-out
-	}
-	if p.SimRounds == 0 {
-		p.SimRounds = 300
-	}
-	if p.Seed == 0 {
-		p.Seed = 63
+// fig63Defaults returns the paper's s = 40, dL = 18 and loss rates, every
+// 4th indegree, and a 1500-node, 300-round simulation per loss rate.
+func fig63Defaults() Fig63Params {
+	return Fig63Params{
+		S: 40, DL: 18, LossRates: []float64{0, 0.01, 0.05, 0.1}, Stride: 4,
+		SimN: 1500, SimRounds: 300, Seed: 63,
 	}
 }
 
@@ -333,7 +289,9 @@ func (p *Fig63Params) setDefaults() {
 // MC for several loss rates at dL=18, s=40, with the paper's reported
 // average indegrees 28±3.4, 27±3.6, 24±4.1, 23±4.3.
 func Fig63(p Fig63Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
+	if p.Stride <= 0 {
+		return nil, fmt.Errorf("fig6.3: stride %d, want > 0", p.Stride)
+	}
 	r := &Report{
 		ID:     "fig6.3",
 		Title:  "Degree distributions under loss (degree MC)",

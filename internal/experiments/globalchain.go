@@ -15,21 +15,11 @@ type Lem75Params struct {
 	Loss     float64
 }
 
-func (p *Lem75Params) setDefaults() {
-	if p.N == 0 {
-		p.N = 3
-	}
-	if p.S == 0 {
-		p.S = 6
-	}
-	if p.Loss == 0 {
-		p.Loss = 0.1
-	}
-	// DL defaults to 2 for the lossy chain (keeps degrees off the floor);
-	// the lossless manifold chain always uses dL = 0 per Section 7.2.
-	if p.DL == 0 {
-		p.DL = 2
-	}
+// lem75Defaults returns the smallest system with a nontrivial chain: three
+// nodes at s = 6 and 10% loss. DL 2 keeps the lossy chain's degrees off the
+// floor; the lossless manifold chain always uses dL = 0 per Section 7.2.
+func lem75Defaults() Lem75Params {
+	return Lem75Params{N: 3, S: 6, DL: 2, Loss: 0.1}
 }
 
 // Lem75 materializes the exact global Markov chain of Section 7 for a tiny
@@ -38,7 +28,6 @@ func (p *Lem75Params) setDefaults() {
 // distribution on the lossless sum-degree manifold, and exact uniformity of
 // edge probabilities.
 func Lem75(p Lem75Params) (*Report, error) {
-	p.setDefaults()
 	r := &Report{
 		ID:     "lem7.5",
 		Title:  "Exact global MC: Lemmas 7.1/7.2/7.5/7.6 on an enumerated state space",

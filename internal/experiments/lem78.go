@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 )
 
@@ -15,25 +16,10 @@ type Lem78Params struct {
 	Seed     int64
 }
 
-func (p *Lem78Params) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 16
-	}
-	if p.DL == 0 {
-		p.DL = 6
-	}
-	if p.Loss == 0 {
-		p.Loss = 0.05
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 600
-	}
-	if p.Seed == 0 {
-		p.Seed = 78
-	}
+// lem78Defaults returns 600 rounds of 400 nodes at s = 16, dL = 6 and 5%
+// loss.
+func lem78Defaults() Lem78Params {
+	return Lem78Params{N: 400, S: 16, DL: 6, Loss: 0.05, Rounds: 600, Seed: 78}
 }
 
 // instance is one id occurrence with full provenance — the unit the proof
@@ -67,10 +53,7 @@ func newInstanceSim(p Lem78Params) *instanceSim {
 		views: make([][]*instance, p.N),
 		r:     rng.New(p.Seed),
 	}
-	initDeg := (p.DL + p.S) / 2
-	if initDeg%2 != 0 {
-		initDeg--
-	}
+	initDeg := sendforget.DefaultInitDegree(p.S, p.DL, p.N)
 	for u := range sim.views {
 		for k := 1; k <= initDeg; k++ {
 			sim.views[u] = append(sim.views[u], &instance{
@@ -169,7 +152,6 @@ func (sim *instanceSim) die(inst *instance) {
 // return"). The bound is deliberately crude; the measured probability is
 // far smaller, which is why Lemma 7.9's final constant has slack.
 func Lem78(p Lem78Params) (*Report, error) {
-	p.setDefaults()
 	sim := newInstanceSim(p)
 	for round := 0; round < p.Rounds; round++ {
 		for k := 0; k < p.N; k++ {

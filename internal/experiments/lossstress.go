@@ -28,39 +28,13 @@ type LossStressParams struct {
 	Seed     int64
 }
 
-func (p *LossStressParams) setDefaults() {
-	if p.N == 0 {
-		p.N = 120
-	}
-	if p.S == 0 {
-		p.S = 16
-	}
-	if p.DL == 0 {
-		p.DL = 6
-	}
-	if p.InitDegree == 0 {
-		p.InitDegree = 8
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 240
-	}
-	if p.LeaveAt == 0 {
-		p.LeaveAt = 60
-	}
-	if p.FaultAt == 0 {
-		p.FaultAt = 80
-	}
-	if p.HealAt == 0 {
-		p.HealAt = 160
-	}
-	if p.Rate == 0 {
-		p.Rate = 0.05
-	}
-	if p.BurstLen == 0 {
-		p.BurstLen = 8
-	}
-	if p.Seed == 0 {
-		p.Seed = 65
+// lossStressDefaults returns 240 rounds of 120 nodes at s = 16, dL = 6: a
+// leaver at round 60, the fault window [80, 160), 5% loss in bursts of 8.
+func lossStressDefaults() LossStressParams {
+	return LossStressParams{
+		N: 120, S: 16, DL: 6, InitDegree: 8,
+		Rounds: 240, LeaveAt: 60, FaultAt: 80, HealAt: 160,
+		Rate: 0.05, BurstLen: 8, Seed: 65,
 	}
 }
 
@@ -145,7 +119,6 @@ type lossStressPoint struct {
 // id instances alongside degree/connectivity and the extended traffic
 // counters.
 func LossStress(p LossStressParams, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	if !(p.LeaveAt < p.FaultAt && p.FaultAt < p.HealAt && p.HealAt < p.Rounds) {
 		return nil, fmt.Errorf("experiments: need LeaveAt < FaultAt < HealAt < Rounds, got %d/%d/%d/%d",
 			p.LeaveAt, p.FaultAt, p.HealAt, p.Rounds)

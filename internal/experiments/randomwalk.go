@@ -18,28 +18,10 @@ type RW1Params struct {
 	Seed        int64
 }
 
-func (p *RW1Params) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 16
-	}
-	if p.DL == 0 {
-		p.DL = 6
-	}
-	if p.Loss == 0 {
-		p.Loss = 0.05
-	}
-	if p.WalkLengths == nil {
-		p.WalkLengths = []int{2, 4, 8, 16, 32}
-	}
-	if p.Trials == 0 {
-		p.Trials = 20000
-	}
-	if p.Seed == 0 {
-		p.Seed = 91
-	}
+// rw1Defaults returns 20000 walks per length, 2 to 32 hops, over 400 nodes
+// at s = 16, dL = 6 and 5% loss.
+func rw1Defaults() RW1Params {
+	return RW1Params{N: 400, S: 16, DL: 6, Loss: 0.05, WalkLengths: []int{2, 4, 8, 16, 32}, Trials: 20000, Seed: 91}
 }
 
 // RW1 quantifies the Section 3.1 argument against random-walk sampling:
@@ -50,7 +32,6 @@ func (p *RW1Params) setDefaults() {
 // gossip protocol's own local operations involve exactly one message each,
 // whatever the system size.
 func RW1(p RW1Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 150, p.Seed, false)
 	if err != nil {
 		return nil, err

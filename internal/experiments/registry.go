@@ -8,10 +8,10 @@ import (
 	"sendforget/internal/runtime"
 )
 
-// Runner executes one experiment with its default parameters on the given
-// backend. The empty kind selects each experiment's historical one: seq for
-// the simulations, the cluster for loss-stress. The analytical experiments
-// ignore it.
+// Runner executes one experiment with its defaults literal on the given
+// backend. The empty kind selects each experiment's historical backend: seq
+// for the simulations, the cluster for loss-stress. The analytical
+// experiments ignore it.
 type Runner func(kind runtime.EngineKind) (*Report, error)
 
 var registry struct {
@@ -20,9 +20,9 @@ var registry struct {
 	ids  []string
 }
 
-// Registry maps experiment ids (as listed in DESIGN.md) to default-parameter
-// runners. cmd/sfexperiments iterates it. The map is built once and shared;
-// callers must not mutate it.
+// Registry maps experiment ids (as listed in DESIGN.md) to runners that pass
+// each experiment its defaults literal. cmd/sfexperiments iterates it. The
+// map is built once and shared; callers must not mutate it.
 func Registry() map[string]Runner {
 	registry.once.Do(buildRegistry)
 	return registry.m
@@ -30,27 +30,29 @@ func Registry() map[string]Runner {
 
 func buildRegistry() {
 	registry.m = map[string]Runner{
-		"fig6.1":      func(k runtime.EngineKind) (*Report, error) { return Fig61(Fig61Params{}, k) },
-		"fig6.2":      func(runtime.EngineKind) (*Report, error) { return Fig62(Fig62Params{}) },
-		"tab6.3":      func(runtime.EngineKind) (*Report, error) { return Tab63(Tab63Params{}) },
-		"fig6.3":      func(k runtime.EngineKind) (*Report, error) { return Fig63(Fig63Params{}, k) },
-		"fig6.4":      func(k runtime.EngineKind) (*Report, error) { return Fig64(Fig64Params{}, k) },
-		"cor6.14":     func(k runtime.EngineKind) (*Report, error) { return Cor614(Cor614Params{}, k) },
-		"lem6.6":      func(k runtime.EngineKind) (*Report, error) { return Lem66(Lem66Params{}, k) },
-		"lem7.5":      func(runtime.EngineKind) (*Report, error) { return Lem75(Lem75Params{}) },
-		"lem7.6":      func(k runtime.EngineKind) (*Report, error) { return Lem76(Lem76Params{}, k) },
-		"lem7.8":      func(runtime.EngineKind) (*Report, error) { return Lem78(Lem78Params{}) },
-		"lem7.9":      func(k runtime.EngineKind) (*Report, error) { return Lem79(Lem79Params{}, k) },
-		"tab7.4":      func(runtime.EngineKind) (*Report, error) { return Tab74(Tab74Params{}) },
-		"lem7.15":     func(k runtime.EngineKind) (*Report, error) { return Lem715(Lem715Params{}, k) },
-		"base1":       func(k runtime.EngineKind) (*Report, error) { return Baselines(BaselinesParams{}, k) },
-		"rw1":         func(k runtime.EngineKind) (*Report, error) { return RW1(RW1Params{}, k) },
-		"churn1":      func(k runtime.EngineKind) (*Report, error) { return Churn1(ChurnParams{}, k) },
-		"abl1":        func(k runtime.EngineKind) (*Report, error) { return AblationBurst(AblationBurstParams{}, k) },
-		"abl2":        func(k runtime.EngineKind) (*Report, error) { return AblationDL(AblationDLParams{}, k) },
-		"abl3":        func(k runtime.EngineKind) (*Report, error) { return AblationOpt(AblationOptParams{}, k) },
-		"abl4":        func(k runtime.EngineKind) (*Report, error) { return AblationNonuniform(AblationNonuniformParams{}, k) },
-		"loss-stress": func(k runtime.EngineKind) (*Report, error) { return LossStress(LossStressParams{}, k) },
+		"fig6.1":  func(k runtime.EngineKind) (*Report, error) { return Fig61(fig61Defaults(), k) },
+		"fig6.2":  func(runtime.EngineKind) (*Report, error) { return Fig62(fig62Defaults()) },
+		"tab6.3":  func(runtime.EngineKind) (*Report, error) { return Tab63(tab63Defaults()) },
+		"fig6.3":  func(k runtime.EngineKind) (*Report, error) { return Fig63(fig63Defaults(), k) },
+		"fig6.4":  func(k runtime.EngineKind) (*Report, error) { return Fig64(fig64Defaults(), k) },
+		"cor6.14": func(k runtime.EngineKind) (*Report, error) { return Cor614(cor614Defaults(), k) },
+		"lem6.6":  func(k runtime.EngineKind) (*Report, error) { return Lem66(lem66Defaults(), k) },
+		"lem7.5":  func(runtime.EngineKind) (*Report, error) { return Lem75(lem75Defaults()) },
+		"lem7.6":  func(k runtime.EngineKind) (*Report, error) { return Lem76(lem76Defaults(), k) },
+		"lem7.8":  func(runtime.EngineKind) (*Report, error) { return Lem78(lem78Defaults()) },
+		"lem7.9":  func(k runtime.EngineKind) (*Report, error) { return Lem79(lem79Defaults(), k) },
+		"tab7.4":  func(runtime.EngineKind) (*Report, error) { return Tab74(tab74Defaults()) },
+		"lem7.15": func(k runtime.EngineKind) (*Report, error) { return Lem715(lem715Defaults(), k) },
+		"base1":   func(k runtime.EngineKind) (*Report, error) { return Baselines(baselinesDefaults(), k) },
+		"rw1":     func(k runtime.EngineKind) (*Report, error) { return RW1(rw1Defaults(), k) },
+		"churn1":  func(k runtime.EngineKind) (*Report, error) { return Churn1(churnDefaults(), k) },
+		"abl1":    func(k runtime.EngineKind) (*Report, error) { return AblationBurst(ablationBurstDefaults(), k) },
+		"abl2":    func(k runtime.EngineKind) (*Report, error) { return AblationDL(ablationDLDefaults(), k) },
+		"abl3":    func(k runtime.EngineKind) (*Report, error) { return AblationOpt(ablationOptDefaults(), k) },
+		"abl4": func(k runtime.EngineKind) (*Report, error) {
+			return AblationNonuniform(ablationNonuniformDefaults(), k)
+		},
+		"loss-stress": func(k runtime.EngineKind) (*Report, error) { return LossStress(lossStressDefaults(), k) },
 	}
 	registry.ids = make([]string, 0, len(registry.m))
 	for id := range registry.m {

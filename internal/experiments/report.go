@@ -3,6 +3,12 @@
 // Section 3.1 and two ablations. Each runner returns a Report with the same
 // rows/series the paper presents; DESIGN.md maps experiment ids to paper
 // artifacts and EXPERIMENTS.md records paper-versus-measured values.
+//
+// A runner runs exactly the parameters it is given: a zero field means
+// zero (dL = 0, l = 0, no simulation column), never "use the default". The
+// paper's parameters are one literal per experiment, built fresh on every
+// call by an unexported defaults function (fig64Defaults for Fig64), which
+// the registry passes.
 package experiments
 
 import (

@@ -59,33 +59,12 @@ type Fig64Params struct {
 	Seed       int64
 }
 
-func (p *Fig64Params) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 40
-	}
-	if p.DL == 0 {
-		p.DL = 18
-	}
-	if p.Delta == 0 {
-		p.Delta = 0.01
-	}
-	if p.LossRates == nil {
-		p.LossRates = []float64{0, 0.01, 0.05, 0.1}
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 500
-	}
-	if p.Leavers == 0 {
-		p.Leavers = 5
-	}
-	if p.Checkpoint == 0 {
-		p.Checkpoint = 50
-	}
-	if p.Seed == 0 {
-		p.Seed = 64
+// fig64Defaults returns the paper's s = 40, dL = 18 and loss rates on 400
+// nodes: five leavers per rate, tracked for 500 rounds, a row every 50.
+func fig64Defaults() Fig64Params {
+	return Fig64Params{
+		N: 400, S: 40, DL: 18, Delta: 0.01, LossRates: []float64{0, 0.01, 0.05, 0.1},
+		Rounds: 500, Leavers: 5, Checkpoint: 50, Seed: 64,
 	}
 }
 
@@ -95,7 +74,9 @@ func (p *Fig64Params) setDefaults() {
 // rates — together with the decay measured in simulation, which must stay
 // below the bound.
 func Fig64(p Fig64Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
+	if p.Checkpoint <= 0 || len(p.LossRates) == 0 {
+		return nil, fmt.Errorf("fig6.4: need checkpoint > 0 and a loss rate, got %d and %v", p.Checkpoint, p.LossRates)
+	}
 	r := &Report{
 		ID:     "fig6.4",
 		Title:  "Departed-node id decay: Lemma 6.10 bound vs simulation",
@@ -154,37 +135,20 @@ func Fig64(p Fig64Params, kind runtime.EngineKind) (*Report, error) {
 type Cor614Params struct {
 	N, S, DL int
 	Loss     float64
-	Delta    float64
 	Joiners  int
 	Seed     int64
 }
 
-func (p *Cor614Params) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 40
-	}
-	if p.DL == 0 {
-		p.DL = 20 // s/dL = 2 as in the corollary
-	}
-	if p.Delta == 0 {
-		p.Delta = 0.01
-	}
-	if p.Joiners == 0 {
-		p.Joiners = 5
-	}
-	if p.Seed == 0 {
-		p.Seed = 614
-	}
+// cor614Defaults returns five joiners into 400 lossless nodes at s = 40 and
+// dL = 20: s/dL = 2 as in the corollary.
+func cor614Defaults() Cor614Params {
+	return Cor614Params{N: 400, S: 40, DL: 20, Joiners: 5, Seed: 614}
 }
 
 // Cor614 reproduces Corollary 6.14: with s/dL = 2 and l+delta << 1, a newly
 // joined node is expected to create at least Din/4 instances of its id
 // within 2s rounds.
 func Cor614(p Cor614Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	rounds := 2 * p.S
 	r := &Report{
 		ID:    "cor6.14",
@@ -258,27 +222,12 @@ type Lem66Params struct {
 	Seed     int64
 }
 
-func (p *Lem66Params) setDefaults() {
-	if p.N == 0 {
-		p.N = 500
-	}
-	if p.S == 0 {
-		p.S = 40
-	}
-	if p.DL == 0 {
-		p.DL = 18
-	}
-	if p.Delta == 0 {
-		p.Delta = 0.01
-	}
-	if p.Losses == nil {
-		p.Losses = []float64{0, 0.01, 0.05, 0.1}
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 300
-	}
-	if p.Seed == 0 {
-		p.Seed = 66
+// lem66Defaults returns the paper's s = 40, dL = 18 and loss rates on 500
+// nodes, measured over 300 rounds.
+func lem66Defaults() Lem66Params {
+	return Lem66Params{
+		N: 500, S: 40, DL: 18, Delta: 0.01, Losses: []float64{0, 0.01, 0.05, 0.1},
+		Rounds: 300, Seed: 66,
 	}
 }
 
@@ -286,7 +235,6 @@ func (p *Lem66Params) setDefaults() {
 // duplication probability equals the loss rate plus the deletion
 // probability, and lies in [l, l+delta].
 func Lem66(p Lem66Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	r := &Report{
 		ID:     "lem6.6",
 		Title:  "Steady-state duplication/deletion balance (Lemmas 6.6-6.7)",

@@ -21,27 +21,15 @@ type Lem76Params struct {
 	Seed        int64
 }
 
-func (p *Lem76Params) setDefaults() {
-	if p.N == 0 {
-		p.N = 150
-	}
-	if p.S == 0 {
-		p.S = 16
-	}
-	if p.DL == 0 {
-		p.DL = 6
-	}
-	if p.Samples == 0 {
-		p.Samples = 300
-	}
-	if p.SampleEvery == 0 {
+// lem76Defaults returns 300 samples of a lossless 150-node overlay at
+// s = 16, dL = 6.
+func lem76Defaults() Lem76Params {
+	return Lem76Params{
+		N: 150, S: 16, DL: 6, Samples: 300, Seed: 77,
 		// Views forget their past within O(s log n) rounds (Property M5);
 		// sampling denser than that correlates the chi-square cells and
 		// inflates the statistic.
-		p.SampleEvery = 4 * p.S
-	}
-	if p.Seed == 0 {
-		p.Seed = 77
+		SampleEvery: 64, // 4S
 	}
 }
 
@@ -50,7 +38,6 @@ func (p *Lem76Params) setDefaults() {
 // The chi-square test over time-decorrelated samples must not reject
 // uniformity, while a deliberately skewed reference must be rejected.
 func Lem76(p Lem76Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 100, p.Seed, false)
 	if err != nil {
 		return nil, err
@@ -98,27 +85,12 @@ type Lem79Params struct {
 	Seed     int64
 }
 
-func (p *Lem79Params) setDefaults() {
-	if p.N == 0 {
-		p.N = 400
-	}
-	if p.S == 0 {
-		p.S = 40
-	}
-	if p.DL == 0 {
-		p.DL = 18
-	}
-	if p.Delta == 0 {
-		p.Delta = 0.01
-	}
-	if p.Losses == nil {
-		p.Losses = []float64{0, 0.01, 0.05, 0.1}
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 300
-	}
-	if p.Seed == 0 {
-		p.Seed = 79
+// lem79Defaults returns the paper's s = 40, dL = 18 and loss rates on 400
+// nodes, measured after 300 rounds.
+func lem79Defaults() Lem79Params {
+	return Lem79Params{
+		N: 400, S: 40, DL: 18, Delta: 0.01, Losses: []float64{0, 0.01, 0.05, 0.1},
+		Rounds: 300, Seed: 79,
 	}
 }
 
@@ -134,7 +106,6 @@ func (p *Lem79Params) setDefaults() {
 // and the self-edge/duplicate counts that even perfect i.i.d. views would
 // show at finite n (the 1/n terms the paper neglects) are subtracted.
 func Lem79(p Lem79Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	// Calibrate delta: lossless run, measured duplication probability.
 	e0, err := newSF(kind, p.N, p.S, p.DL, 0, 0, 100, p.Seed, true)
 	if err != nil {
@@ -197,13 +168,10 @@ type Tab74Params struct {
 	Eps   []float64
 }
 
-func (p *Tab74Params) setDefaults() {
-	if p.Rates == nil {
-		p.Rates = []float64{0.005, 0.01, 0.05}
-	}
-	if p.Eps == nil {
-		p.Eps = []float64{1e-10, 1e-20, 1e-30}
-	}
+// tab74Defaults returns three rates, the paper's 1% among them, against
+// three tolerances down to the paper's 1e-30.
+func tab74Defaults() Tab74Params {
+	return Tab74Params{Rates: []float64{0.005, 0.01, 0.05}, Eps: []float64{1e-10, 1e-20, 1e-30}}
 }
 
 // Tab74 reproduces the Section 7.4 connectivity condition: the minimal dL
@@ -211,7 +179,6 @@ func (p *Tab74Params) setDefaults() {
 // out-neighbors, modeling independent ids as Binomial(dL, alpha). The
 // paper's example: l = delta = 1%, eps = 1e-30 requires dL >= 26.
 func Tab74(p Tab74Params) (*Report, error) {
-	p.setDefaults()
 	r := &Report{
 		ID:    "tab7.4",
 		Title: "Minimal dL for weak connectivity w.h.p. (Section 7.4)",
@@ -248,25 +215,10 @@ type Lem715Params struct {
 	Seed      int64
 }
 
-func (p *Lem715Params) setDefaults() {
-	if p.Ns == nil {
-		p.Ns = []int{100, 200, 400}
-	}
-	if p.S == 0 {
-		p.S = 16
-	}
-	if p.DL == 0 {
-		p.DL = 6
-	}
-	if p.MaxRounds == 0 {
-		p.MaxRounds = 400
-	}
-	if p.Threshold == 0 {
-		p.Threshold = 0.05
-	}
-	if p.Seed == 0 {
-		p.Seed = 715
-	}
+// lem715Defaults returns three lossless overlays, n = 100 to 400, at s = 16,
+// dL = 6, each given 400 rounds to come within 0.05 of the baseline.
+func lem715Defaults() Lem715Params {
+	return Lem715Params{Ns: []int{100, 200, 400}, S: 16, DL: 6, MaxRounds: 400, Threshold: 0.05, Seed: 715}
 }
 
 // Lem715 verifies Property M5 (temporal independence, Lemma 7.15) in
@@ -275,7 +227,6 @@ func (p *Lem715Params) setDefaults() {
 // (the paper's bound counts O(n s log n) transformations, i.e. O(s log n)
 // actions per node), and the analytical tau bound grows as O(n s log n).
 func Lem715(p Lem715Params, kind runtime.EngineKind) (*Report, error) {
-	p.setDefaults()
 	r := &Report{
 		ID:     "lem7.15",
 		Title:  "Temporal independence: overlap decay and the tau bound",

@@ -17,7 +17,9 @@ import (
 // Figure 6.3 simulated mean indegrees must sit inside the paper's reported
 // 28±3.4, 27±3.6, 24±4.1, 23±4.3 at l = 0, 0.01, 0.05, 0.1.
 func TestPaperOraclesOnSharded(t *testing.T) {
-	lem, err := Lem66(Lem66Params{N: 400, S: 16, DL: 6, Rounds: 200, Seed: 3}, runtime.EngineSharded)
+	lp := lem66Defaults()
+	lp.N, lp.S, lp.DL, lp.Rounds, lp.Seed = 400, 16, 6, 200, 3
+	lem, err := Lem66(lp, runtime.EngineSharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,9 @@ func TestPaperOraclesOnSharded(t *testing.T) {
 		}
 	}
 
-	fig, err := Fig63(Fig63Params{SimN: 1000, SimRounds: 300}, runtime.EngineSharded)
+	fp := fig63Defaults()
+	fp.SimN = 1000
+	fig, err := Fig63(fp, runtime.EngineSharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +73,9 @@ func TestNodeStateExperimentsOnEveryEngine(t *testing.T) {
 	for _, kind := range []runtime.EngineKind{runtime.EngineCluster, runtime.EngineSharded} {
 		reports := map[string]func() (*Report, error){
 			"lem7.9": func() (*Report, error) {
-				return Lem79(Lem79Params{N: n, S: 16, DL: 6, Losses: []float64{0, 0.05}, Rounds: 30, Seed: 1}, kind)
+				p := lem79Defaults()
+				p.N, p.S, p.DL, p.Losses, p.Rounds, p.Seed = n, 16, 6, []float64{0, 0.05}, 30, 1
+				return Lem79(p, kind)
 			},
 			"abl1": func() (*Report, error) {
 				return AblationBurst(AblationBurstParams{N: n, S: 16, DL: 6, Rate: 0.05, BurstLens: []float64{10}, Rounds: 60, Seed: 8}, kind)

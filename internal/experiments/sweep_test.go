@@ -55,11 +55,9 @@ func withSweepWorkers(t *testing.T, workers int, fn func()) {
 // per-point seeds derive from the input index, so the worker schedule must
 // not leak into the output.
 func TestFig63ParallelDeterministic(t *testing.T) {
-	params := Fig63Params{
-		S: 12, DL: 4,
-		LossRates: []float64{0, 0.05, 0.1},
-		SimN:      120, SimRounds: 40,
-	}
+	params := fig63Defaults()
+	params.S, params.DL, params.LossRates = 12, 4, []float64{0, 0.05, 0.1}
+	params.SimN, params.SimRounds = 120, 40
 	render := func() string {
 		r, err := Fig63(params, "")
 		if err != nil {
@@ -78,11 +76,9 @@ func TestFig63ParallelDeterministic(t *testing.T) {
 // TestAblationDLParallelDeterministic covers the filtered sweep: points
 // skipped by the dL <= s-6 guard must keep their original-index seeds.
 func TestAblationDLParallelDeterministic(t *testing.T) {
-	params := AblationDLParams{
-		N: 120, S: 16,
-		DLs:    []int{0, 4, 8, 14}, // 14 > 16-6 is filtered out
-		Rounds: 60,
-	}
+	params := ablationDLDefaults()
+	params.N, params.S, params.Rounds = 120, 16, 60
+	params.DLs = []int{0, 4, 8, 14} // 14 > 16-6 is filtered out
 	render := func() string {
 		r, err := AblationDL(params, "")
 		if err != nil {
@@ -101,7 +97,9 @@ func TestAblationDLParallelDeterministic(t *testing.T) {
 // TestFig61StrideOne is the regression test for the indegree-table loop: a
 // Stride of 1 used to floor the indegree step to 0 and hang forever.
 func TestFig61StrideOne(t *testing.T) {
-	r, err := Fig61(Fig61Params{S: 12, Stride: 1, SimN: -1}, "")
+	p := fig61Defaults()
+	p.S, p.Stride, p.SimN = 12, 1, 0
+	r, err := Fig61(p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
