@@ -6,12 +6,15 @@
 // outdegrees, sum degrees, weak connectivity, self-edge and parallel-edge
 // counts, and stale edges — over a snapshot of protocol views (as
 // views, or as the flat slot array the sharded engine keeps them in) or a
-// standalone edge multiset built by tests.
+// standalone edge multiset built by tests. A Counter reads the size and weak
+// connectivity of the graph over the live nodes off their views in place,
+// with no snapshot taken.
 package graph
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"sendforget/internal/peer"
@@ -188,16 +191,14 @@ func (g *Graph) WeaklyConnected() bool { return g.ComponentCount() <= 1 }
 // ComponentCount returns the number of weakly connected components,
 // computed with a union-find over the undirected support of the edge set.
 func (g *Graph) ComponentCount() int {
-	if g.n == 0 {
-		return 0
-	}
 	uf := newUnionFind(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, w := range g.out(u) {
-			uf.union(u, int(w))
-		}
+	for u := range g.n {
+		uf.add(peer.ID(u))
 	}
-	return uf.components()
+	for u := range g.n {
+		uf.joinAll(peer.ID(u), g.out(u))
+	}
+	return uf.comps
 }
 
 // InducedComponents returns the number of weakly connected components of
@@ -206,35 +207,27 @@ func (g *Graph) ComponentCount() int {
 // use it to check connectivity among live nodes while stale ids of departed
 // nodes still linger in views.
 func (g *Graph) InducedComponents(members []peer.ID) int {
-	if len(members) == 0 {
-		return 0
+	uf := newUnionFind(g.n)
+	for _, u := range members {
+		uf.add(u)
 	}
-	idx := make(map[peer.ID]int, len(members))
-	for i, u := range members {
-		idx[u] = i
+	for _, u := range members {
+		uf.joinAll(u, g.out(int(u)))
 	}
-	uf := newUnionFind(len(members))
-	for i, u := range members {
-		for _, w := range g.out(int(u)) {
-			if j, ok := idx[w]; ok {
-				uf.union(i, j)
-			}
-		}
-	}
-	return uf.components()
+	return uf.comps
 }
 
 // StaleEdges returns the number of view entries pointing outside the member
 // set — the lingering ids of departed nodes (Section 6.5).
 func (g *Graph) StaleEdges(members []peer.ID) int {
-	member := make(map[peer.ID]bool, len(members))
+	member := make([]bool, g.n)
 	for _, u := range members {
 		member[u] = true
 	}
 	stale := 0
 	for _, u := range members {
 		for _, w := range g.out(int(u)) {
-			if !member[w] {
+			if int(w) < 0 || int(w) >= g.n || !member[w] {
 				stale++
 			}
 		}
@@ -257,41 +250,119 @@ func (g *Graph) Multiplicity(u, v peer.ID) int {
 // views — the "instances of u's id in the system" of Section 6.5.
 func (g *Graph) IDInstances(id peer.ID) int { return g.in[id] }
 
-// unionFind is a weighted quick-union with path halving.
-type unionFind struct {
-	parent []int
-	size   []int
-	comps  int
+// Counter counts the vertices, edges and weakly connected components of a
+// membership graph read in place, with no Graph built: each live node is
+// named first (Live), then each live node's view is added (Out). The
+// vertices are the live nodes; an entry naming any other id, such as the
+// lingering id of a departed node, counts as an edge and joins no component.
+// It holds 4 bytes per id of the universe.
+type Counter struct {
+	uf    unionFind
+	edges int
 }
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n), comps: n}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
+// NewCounter returns a Counter over the ids 0..n-1, none of them live yet.
+func NewCounter(n int) *Counter { return &Counter{uf: newUnionFind(n)} }
+
+// Live makes node u a vertex. Every live node is named before any view is
+// added.
+func (c *Counter) Live(u peer.ID) { c.uf.add(u) }
+
+// Out adds live node u's out-edges: the occupied entries of its view lv.
+func (c *Counter) Out(u peer.ID, lv *view.View) {
+	r := c.uf.find(u)
+	for i := range lv.Size() {
+		if w := lv.Slot(i); w != peer.Nil {
+			c.edges++
+			r = c.uf.join(r, w)
+		}
 	}
-	return uf
 }
 
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
+// Summary returns the counts of everything added so far.
+func (c *Counter) Summary() Summary {
+	return Summary{n: c.uf.vertices, edges: c.edges, comps: c.uf.comps}
+}
+
+// Summary is the size and weak connectivity of a membership graph: the
+// three numbers an overlay report reads, without the graph.
+type Summary struct{ n, edges, comps int }
+
+// N returns the number of vertices.
+func (s Summary) N() int { return s.n }
+
+// NumEdges returns the total number of edges (with multiplicity).
+func (s Summary) NumEdges() int { return s.edges }
+
+// ComponentCount returns the number of weakly connected components.
+func (s Summary) ComponentCount() int { return s.comps }
+
+// absent marks an id of a unionFind's universe that is not a vertex. No set
+// is 2^31 vertices large, so no root holds it.
+const absent = math.MinInt32
+
+// unionFind is a weighted quick-union with path halving over the ids
+// 0..len(p)-1, one int32 each: a root holds minus the size of its set, any
+// other vertex its parent, and an id that is not a vertex holds absent.
+type unionFind struct {
+	p        []int32
+	vertices int
+	comps    int
+}
+
+// newUnionFind returns a union-find over the ids 0..n-1 with no vertices.
+func newUnionFind(n int) unionFind {
+	p := make([]int32, n)
+	for i := range p {
+		p[i] = absent
+	}
+	return unionFind{p: p}
+}
+
+// add makes id u a vertex, alone in its set.
+func (uf *unionFind) add(u peer.ID) {
+	uf.p[u] = -1
+	uf.vertices++
+	uf.comps++
+}
+
+// find returns the root of vertex x's set.
+func (uf *unionFind) find(x peer.ID) peer.ID {
+	p := uf.p
+	for p[x] >= 0 {
+		if gp := p[p[x]]; gp >= 0 {
+			p[x] = gp
+		}
+		x = peer.ID(p[x])
 	}
 	return x
 }
 
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
+// join merges the set of w, if w is a vertex, into the set whose root is r,
+// and returns the root of the merged set. A caller walking one vertex's
+// out-list finds its root once and passes each join's result to the next.
+func (uf *unionFind) join(r, w peer.ID) peer.ID {
+	p := uf.p
+	if uint32(w) >= uint32(len(p)) || p[w] == absent {
+		return r
 	}
-	if uf.size[ra] < uf.size[rb] {
-		ra, rb = rb, ra
+	rw := uf.find(w)
+	if rw == r {
+		return r
 	}
-	uf.parent[rb] = ra
-	uf.size[ra] += uf.size[rb]
+	if p[r] > p[rw] { // rw's set is the larger: r goes under it
+		r, rw = rw, r
+	}
+	p[r] += p[rw]
+	p[rw] = int32(r)
 	uf.comps--
+	return r
 }
 
-func (uf *unionFind) components() int { return uf.comps }
+// joinAll joins vertex u's set with that of every vertex in ws.
+func (uf *unionFind) joinAll(u peer.ID, ws []peer.ID) {
+	r := uf.find(u)
+	for _, w := range ws {
+		r = uf.join(r, w)
+	}
+}

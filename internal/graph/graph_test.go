@@ -246,3 +246,90 @@ func TestStaleEdges(t *testing.T) {
 		t.Errorf("StaleEdges(nil) = %d, want 0", got)
 	}
 }
+
+// TestCounter reads an overlay of eight ids in place: two disjoint rings
+// 0→1→2→0 and 3→4→5→3, a live node 6 with an empty view, and node 7, which
+// has departed but whose id lingers in the views of 0 and 4. The vertices are
+// the seven live nodes and the components three; a graph over all eight ids
+// joins the rings through 7 and counts two.
+func TestCounter(t *testing.T) {
+	outs := map[peer.ID][]peer.ID{0: {1, 7}, 1: {2}, 2: {0}, 3: {4}, 4: {5, 7}, 5: {3}, 6: nil}
+	views := make([]*view.View, 8)
+	live := []peer.ID{0, 1, 2, 3, 4, 5, 6}
+	for _, u := range live {
+		views[u] = view.New(4)
+		for i, w := range outs[u] {
+			views[u].Set(2*i+1, w) // leave empty slots between the entries
+		}
+	}
+	c := NewCounter(len(views))
+	for _, u := range live {
+		c.Live(u)
+	}
+	for _, u := range live {
+		c.Out(u, views[u])
+	}
+	got := c.Summary()
+	if got.N() != 7 || got.NumEdges() != 8 || got.ComponentCount() != 3 {
+		t.Errorf("Summary: N %d, NumEdges %d, ComponentCount %d; want 7, 8, 3", got.N(), got.NumEdges(), got.ComponentCount())
+	}
+	g := FromViews(views)
+	if ic := g.InducedComponents(live); ic != got.ComponentCount() {
+		t.Errorf("InducedComponents(live) = %d, the counter %d", ic, got.ComponentCount())
+	}
+	if se := g.StaleEdges(live); se != 2 {
+		t.Errorf("StaleEdges(live) = %d, want 2", se)
+	}
+	if cc := g.ComponentCount(); cc != 2 {
+		t.Errorf("ComponentCount over all eight ids = %d, want 2 (the rings meet at 7)", cc)
+	}
+}
+
+// TestQuickInducedComponentsMatchesSearch holds the union-find to a
+// breadth-first search over the undirected member-to-member edges of random
+// graphs, with random member sets.
+func TestQuickInducedComponentsMatchesSearch(t *testing.T) {
+	f := func(seed int64, nRaw, mRaw uint8) bool {
+		n := int(nRaw%15) + 1
+		r := rng.New(seed)
+		edges := make([][2]peer.ID, int(mRaw%40))
+		for i := range edges {
+			edges[i] = [2]peer.ID{peer.ID(r.Intn(n)), peer.ID(r.Intn(n))}
+		}
+		member := make([]bool, n)
+		var members []peer.ID
+		for u := range n {
+			if r.Intn(4) > 0 {
+				member[u] = true
+				members = append(members, peer.ID(u))
+			}
+		}
+		adj := make([][]int, n)
+		for _, e := range edges {
+			if member[e[0]] && member[e[1]] {
+				adj[e[0]] = append(adj[e[0]], int(e[1]))
+				adj[e[1]] = append(adj[e[1]], int(e[0]))
+			}
+		}
+		comps, seen := 0, make([]bool, n)
+		for _, s := range members {
+			if seen[s] {
+				continue
+			}
+			comps++
+			seen[s] = true
+			for queue := []int{int(s)}; len(queue) > 0; queue = queue[1:] {
+				for _, w := range adj[queue[0]] {
+					if !seen[w] {
+						seen[w] = true
+						queue = append(queue, w)
+					}
+				}
+			}
+		}
+		return FromEdges(n, edges).InducedComponents(members) == comps
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

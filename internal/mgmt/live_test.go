@@ -110,10 +110,10 @@ func TestLiveScrapeIsOneSnapshot(t *testing.T) {
 }
 
 // TestAPIHammer drives every endpoint concurrently with the tick loop on each
-// engine — churn, config reloads, view and ledger reads — and then holds the
-// drained cluster to the traffic identity and the view invariants. Run under
-// -race it is the proof that Local's lock covers every substrate access, the
-// snapshot work done outside it included.
+// engine — churn, config reloads, view and ledger reads, the overlay report —
+// and then holds the drained cluster to the traffic identity and the view
+// invariants. Run under -race it is the proof that Local's lock covers every
+// substrate access, the snapshot work done outside it included.
 func TestAPIHammer(t *testing.T) {
 	for _, kind := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster, runtime.EngineSharded} {
 		t.Run(string(kind), func(t *testing.T) {
@@ -165,6 +165,11 @@ func TestAPIHammer(t *testing.T) {
 				func(i int) {
 					do("GET", "/metrics", "", http.StatusOK)
 					do("GET", "/health", "", http.StatusOK)
+				},
+				func(i int) { // the daemon's overlay report
+					if live := backend.Snapshot().N(); live < n-1 || live > n {
+						t.Errorf("report counts %d live nodes while at most one of %d is away", live, n)
+					}
 				},
 			} {
 				wg.Add(1)

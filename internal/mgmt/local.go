@@ -129,15 +129,20 @@ func (l *Local) Views(only *int) ([]NodeView, int) {
 	return out, len(out)
 }
 
-// Snapshot returns the membership graph of one consistent state, so the
-// daemon's report loop can read overlay health without racing HTTP-driven
-// churn. The substrate builds it under mu, from its own state: no copy of
-// the views is made for it (on the sharded engine the graph is read straight
-// off the slot array).
-func (l *Local) Snapshot() *graph.Graph {
+// Snapshot returns the size and weak connectivity of the membership graph
+// over the live nodes, in one consistent state, so the daemon's report loop
+// can read overlay health without racing HTTP-driven churn. It reads the
+// views in place, in two EachNode passes under mu (one names the live nodes,
+// one adds their views), and copies nothing: it allocates the Counter, 4
+// bytes per node, and a few small objects whatever n is. An entry naming a
+// departed node counts as an edge, not as a vertex.
+func (l *Local) Snapshot() graph.Summary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.opts.Sub.Snapshot()
+	c := graph.NewCounter(l.opts.N)
+	l.opts.Sub.EachNode(func(u peer.ID, _ *view.View, _ protocol.StepCore) { c.Live(u) })
+	l.opts.Sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) { c.Out(u, lv) })
+	return c.Summary()
 }
 
 // inUniverse rejects an id that names no slot of the cluster. API ids are
