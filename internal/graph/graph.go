@@ -257,8 +257,8 @@ func (g *Graph) IDInstances(id peer.ID) int { return g.in[id] }
 // lingering id of a departed node, counts as an edge and joins no component.
 // It holds 4 bytes per id of the universe.
 type Counter struct {
-	uf    unionFind
-	edges int
+	uf          unionFind
+	live, edges int
 }
 
 // NewCounter returns a Counter over the ids 0..n-1, none of them live yet.
@@ -266,7 +266,10 @@ func NewCounter(n int) *Counter { return &Counter{uf: newUnionFind(n)} }
 
 // Live makes node u a vertex. Every live node is named before any view is
 // added.
-func (c *Counter) Live(u peer.ID) { c.uf.add(u) }
+func (c *Counter) Live(u peer.ID) {
+	c.uf.add(u)
+	c.live++
+}
 
 // Out adds live node u's out-edges: the occupied entries of its view lv.
 func (c *Counter) Out(u peer.ID, lv *view.View) {
@@ -281,7 +284,7 @@ func (c *Counter) Out(u peer.ID, lv *view.View) {
 
 // Summary returns the counts of everything added so far.
 func (c *Counter) Summary() Summary {
-	return Summary{n: c.uf.vertices, edges: c.edges, comps: c.uf.comps}
+	return Summary{n: c.live, edges: c.edges, comps: c.uf.comps}
 }
 
 // Summary is the size and weak connectivity of a membership graph: the
@@ -305,9 +308,8 @@ const absent = math.MinInt32
 // 0..len(p)-1, one int32 each: a root holds minus the size of its set, any
 // other vertex its parent, and an id that is not a vertex holds absent.
 type unionFind struct {
-	p        []int32
-	vertices int
-	comps    int
+	p     []int32
+	comps int // sets among the vertices
 }
 
 // newUnionFind returns a union-find over the ids 0..n-1 with no vertices.
@@ -322,7 +324,6 @@ func newUnionFind(n int) unionFind {
 // add makes id u a vertex, alone in its set.
 func (uf *unionFind) add(u peer.ID) {
 	uf.p[u] = -1
-	uf.vertices++
 	uf.comps++
 }
 
@@ -350,7 +351,7 @@ func (uf *unionFind) join(r, w peer.ID) peer.ID {
 	if rw == r {
 		return r
 	}
-	if p[r] > p[rw] { // rw's set is the larger: r goes under it
+	if p[r] > p[rw] { // keep r the root of the larger set
 		r, rw = rw, r
 	}
 	p[r] += p[rw]
