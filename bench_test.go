@@ -194,15 +194,17 @@ func benchProtocols() []struct {
 	}
 }
 
-// BenchmarkClusterTick measures one full synchronous round of the sharded
-// tick engine (n initiate steps plus all triggered receive steps and loss
-// decisions), built by runtime.New and driven through the Substrate
-// interface, reporting ns/node-tick so runs at different n compare directly:
+// BenchmarkClusterTick measures one full synchronous round of an engine (n
+// initiate steps plus all triggered receive steps and loss decisions), built
+// by runtime.New and driven through the Substrate interface, reporting
+// ns/node-tick so runs at different n compare directly:
 //
 //   - sharded: S&F at 10k, 100k, and (full mode only; skipped under -short)
 //     1M nodes.
 //   - sharded/<proto>: each of the five protocols at 10k and 100k, and two
 //     of them under jittered delay.
+//   - seq, cluster: S&F at 10k on the message-at-a-time engines, whose
+//     sends lend their ids from a reused outbox.
 //
 // The family exists for its allocs/op column: CI's zero-alloc guard reads
 // every row. Performance is quoted from bench/ (see bench/README.md), which
@@ -210,7 +212,7 @@ func benchProtocols() []struct {
 // (transport.marshal_ns/unmarshal_ns) and the pair draw (rng.fastpair_ns)
 // this file used to carry rows for.
 func BenchmarkClusterTick(b *testing.B) {
-	sharded := func(factory protocol.CoreFactory, n int, delay faults.Delay) func(*testing.B) {
+	round := func(engine runtime.EngineKind, factory protocol.CoreFactory, n int, delay faults.Delay) func(*testing.B) {
 		// Arena capacity creeps up for hundreds of rounds at n>=100k (the
 		// in-flight message high-water mark drifts under loss), so the
 		// larger sizes need a longer warm-up before allocs/op reads 0.
@@ -227,7 +229,7 @@ func BenchmarkClusterTick(b *testing.B) {
 				b.Fatal(err)
 			}
 			sub, err := runtime.New(runtime.Config{
-				Engine: runtime.EngineSharded, N: n, NewCore: factory, Conditions: cond, Seed: 10,
+				Engine: engine, N: n, NewCore: factory, Conditions: cond, Seed: 10,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -245,6 +247,11 @@ func BenchmarkClusterTick(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node-tick")
 		}
 	}
+	sharded := func(factory protocol.CoreFactory, n int, delay faults.Delay) func(*testing.B) {
+		return round(runtime.EngineSharded, factory, n, delay)
+	}
+	b.Run("seq/n=10k", round(runtime.EngineSeq, sfCoreFactory(16, 6), 10_000, faults.Delay{}))
+	b.Run("cluster/n=10k", round(runtime.EngineCluster, sfCoreFactory(16, 6), 10_000, faults.Delay{}))
 	b.Run("sharded/n=10k", sharded(sfCoreFactory(16, 6), 10_000, faults.Delay{}))
 	b.Run("sharded/n=100k", sharded(sfCoreFactory(16, 6), 100_000, faults.Delay{}))
 	b.Run("sharded/n=1M", func(b *testing.B) {

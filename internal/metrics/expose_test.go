@@ -11,7 +11,10 @@ func TestPromWriterFormat(t *testing.T) {
 	p := NewPromWriter(&b)
 	p.Counter("x_total", "a counter.", 42)
 	p.Gauge("y", "a gauge.", 1.5)
-	if err := p.Err(); err != nil {
+	if b.Len() != 0 {
+		t.Errorf("wrote %q before Flush", b.String())
+	}
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	want := "# HELP x_total a counter.\n# TYPE x_total counter\nx_total 42\n" +
@@ -43,7 +46,7 @@ func TestPromWriterStickyError(t *testing.T) {
 	p := NewPromWriter(&failWriter{left: 10})
 	p.Counter("x_total", "h", 1)
 	p.Counter("y_total", "h", 2)
-	if p.Err() == nil {
+	if p.Flush() == nil {
 		t.Fatal("expected write error")
 	}
 }
@@ -73,7 +76,7 @@ func TestTrafficWriteProm(t *testing.T) {
 	var b strings.Builder
 	p := NewPromWriter(&b)
 	tr.WriteProm(p, "sendforget")
-	if err := p.Err(); err != nil {
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got := promValues(t, b.String())

@@ -363,6 +363,13 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.backend.Status()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := writeMetrics(w, &st); err != nil {
+		s.log.Error("mgmt: metrics write", "err", err)
+	}
+}
+
+// writeMetrics writes st as one Prometheus exposition, in one Write.
+func writeMetrics(w io.Writer, st *Status) error {
 	p := metrics.NewPromWriter(w)
 	st.Traffic.WriteProm(p, "sendforget")
 	c := st.Counters
@@ -388,9 +395,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("sendforget_rounds_total", "Gossip rounds driven (local) or actions initiated (udp).", int(st.Rounds))
 	p.Gauge("sendforget_pending_messages", "Messages parked in the delay queue.", float64(st.Pending))
 	p.Gauge("sendforget_up", "1 while the management server is serving.", 1)
-	if err := p.Err(); err != nil {
-		s.log.Error("mgmt: metrics write", "err", err)
-	}
+	return p.Flush()
 }
 
 // deref returns *p or alt when p is nil (log formatting helper).

@@ -569,6 +569,42 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls and bytes it is handed.
+type countingWriter struct{ writes, bytes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestMetricsWriterAllocs bounds what the /metrics writer costs a scrape:
+// the writer and its one buffer, every sample formatted into the buffer (no
+// string per sample, none per metric name) and the page written in one
+// Write.
+func TestMetricsWriterAllocs(t *testing.T) {
+	backend, _ := newTestBackend(t, 50, 0.05)
+	for range 10 {
+		backend.Tick()
+	}
+	st := backend.Status()
+	if st.Faults == nil {
+		t.Fatal("no fault counters: the faults series would go unmeasured")
+	}
+	var w countingWriter
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := writeMetrics(&w, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("writeMetrics allocates %v times per call, want at most 2", allocs)
+	}
+	if w.writes != 101 || w.bytes%101 != 0 {
+		t.Errorf("%d writes of %d bytes over 101 calls, want one write per call", w.writes, w.bytes)
+	}
+}
+
 func TestBareLeaveDrainsAndRequestsShutdown(t *testing.T) {
 	_, sub, srv, base := newTestLocal(t, 8, 0.5, nil)
 	backendTickSome(srv, 5)

@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"slices"
 	"testing"
 
 	"sendforget/internal/peer"
@@ -480,30 +481,31 @@ func randomDriving(t *testing.T, c conformant) {
 	}
 }
 
-// TestOutboxMessageCopiesIDs pins the helper the message-at-a-time drivers
-// rely on: the returned Message owns its ids, whether they were inline or
-// in the arena, so resetting and refilling the outbox cannot change it.
-func TestOutboxMessageCopiesIDs(t *testing.T) {
+// TestOutboxLend pins the accessor the message-at-a-time drivers send with:
+// it hands out the step's one message without allocating, its ids lent from
+// the outbox's own storage whether they sit inline in the header or in the
+// arena, so the driver must keep the outbox untouched until the send is done.
+func TestOutboxLend(t *testing.T) {
 	var ob protocol.Outbox
-	if _, _, ok := ob.Message(); ok {
+	if _, _, ok := ob.Lend(); ok {
 		t.Error("empty outbox yielded a message")
 	}
 	for _, ids := range [][]peer.ID{{7}, {7, 8}, {7, 8, 9, 10}} {
 		ob.Reset()
 		ob.Append(5, 3, protocol.KindReply, true, ids...)
-		to, msg, ok := ob.Message()
-		if !ok || to != 5 || msg.From != 3 || msg.Kind != protocol.KindReply || !msg.Dup {
-			t.Fatalf("Message() = %v, %+v, %v", to, msg, ok)
+		var (
+			to  peer.ID
+			msg protocol.Message
+			ok  bool
+		)
+		if allocs := testing.AllocsPerRun(10, func() { to, msg, ok = ob.Lend() }); allocs != 0 {
+			t.Errorf("%d ids: Lend allocates %v times, want 0", len(ids), allocs)
 		}
-		ob.Reset()
-		ob.Append(1, 1, protocol.KindGossip, false, 40, 41, 42, 43)
-		if len(msg.IDs) != len(ids) {
-			t.Fatalf("ids %v, want %v", msg.IDs, ids)
+		if !ok || to != 5 || msg.From != 3 || msg.Kind != protocol.KindReply || !msg.Dup || !slices.Equal(msg.IDs, ids) {
+			t.Fatalf("Lend() = %v, %+v, %v; want the message to 5 with ids %v", to, msg, ok, ids)
 		}
-		for i := range ids {
-			if msg.IDs[i] != ids[i] {
-				t.Fatalf("ids %v changed after the outbox was reused, want %v", msg.IDs, ids)
-			}
+		if &msg.IDs[0] != &ob.MsgIDs(&ob.Msgs[0])[0] {
+			t.Errorf("%d ids: Lend copied the ids, want them lent from the outbox", len(ids))
 		}
 	}
 }

@@ -126,7 +126,7 @@ func TestDegenerateSelections(t *testing.T) {
 			continue
 		}
 		sent++
-		to, msg, _ := out.Message()
+		to, msg, _ := out.Lend()
 		if to == msg.IDs[0] {
 			t.Fatalf("degenerate flip emitted: target %v == payload %v", to, msg.IDs[0])
 		}

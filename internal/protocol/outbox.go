@@ -248,20 +248,19 @@ func (o *Outbox) MsgIDs(m *FlatMsg) []peer.ID {
 	return o.IDs[off : off+int(m.IDLen)]
 }
 
-// Message returns the message a single step left in the outbox, in the
-// self-contained shape the message-at-a-time drivers hand to a transport:
-// the ids are copied out, so the caller may release the lock guarding the
-// outbox, or reset it, before the message is sent. ok is false when the
-// step emitted nothing. A step emits at most one message; drivers that
-// batch many steps into one outbox walk Msgs instead.
-func (o *Outbox) Message() (to peer.ID, msg Message, ok bool) {
+// Lend returns the message a single step left in the outbox, in the shape
+// the message-at-a-time drivers hand to a transport. It is lent, not copied:
+// msg.IDs aliases the outbox and is valid until the next Reset, so a driver
+// keeps the outbox to itself until the message has been sent (a
+// runtime.Sender keeps nothing of it past Send). ok is false when the step
+// emitted nothing. A step emits at most one message; drivers that batch
+// many steps into one outbox walk Msgs instead.
+func (o *Outbox) Lend() (to peer.ID, msg Message, ok bool) {
 	if len(o.Msgs) == 0 {
 		return 0, Message{}, false
 	}
 	m := &o.Msgs[0]
-	ids := make([]peer.ID, m.IDLen)
-	copy(ids, o.MsgIDs(m))
-	return m.To, Message{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}, true
+	return m.To, Message{Kind: m.Kind, From: m.From, IDs: o.MsgIDs(m), Dup: m.Dup}, true
 }
 
 // Packet is a delivered message as a receive step sees it. IDs may alias

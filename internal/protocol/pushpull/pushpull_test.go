@@ -71,7 +71,7 @@ func TestSenderKeepsEntries(t *testing.T) {
 	if !lv.Equal(before) {
 		t.Error("push-pull mutated the sender view on send")
 	}
-	if to, msg, _ := out.Message(); !lv.Contains(to) || msg.IDs[0] != 2 || !lv.Contains(msg.IDs[1]) || msg.Dup {
+	if to, msg, _ := out.Lend(); !lv.Contains(to) || msg.IDs[0] != 2 || !lv.Contains(msg.IDs[1]) || msg.Dup {
 		t.Errorf("pushed %+v to %v from view %v", msg, to, lv)
 	}
 }

@@ -161,7 +161,7 @@ func initiateUntilSend(t *testing.T, c protocol.StepCore, lv *view.View, u peer.
 	for k := 0; k < 1000; k++ {
 		before := lv.Clone()
 		msgs, _, ok := c.InitiateBatch(lv, u, r, &out)
-		if to, msg, sent := out.Message(); ok {
+		if to, msg, sent := out.Lend(); ok {
 			if !sent || msgs != 1 {
 				t.Fatalf("ok step appended %d messages (msgs=%d)", out.Len(), msgs)
 			}

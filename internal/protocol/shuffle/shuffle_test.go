@@ -116,16 +116,18 @@ func TestRequestGeneratesReply(t *testing.T) {
 			break
 		}
 	}
-	to, req, _ := out.Message()
+	to, req, _ := out.Lend()
 	if req.Kind != protocol.KindRequest || lv.Outdegree() != 2 {
 		t.Fatalf("request %+v left outdegree %d, want a request and 2", req, lv.Outdegree())
 	}
-	out.Reset()
-	replied, deleted := c.ReceiveBatch(rv, to, protocol.Packet(req), r, &out)
+	// The request's ids are lent from out: the reply goes into an outbox of
+	// its own.
+	var replies protocol.Outbox
+	replied, deleted := c.ReceiveBatch(rv, to, protocol.Packet(req), r, &replies)
 	if !replied || deleted != 0 {
 		t.Fatalf("request to a half-full view: replied=%v deleted=%d", replied, deleted)
 	}
-	replyTo, reply, _ := out.Message()
+	replyTo, reply, _ := replies.Lend()
 	if replyTo != 0 || reply.Kind != protocol.KindReply || len(reply.IDs) != 2 {
 		t.Errorf("reply %+v to %v, want two ids back to n0", reply, replyTo)
 	}
@@ -137,7 +139,7 @@ func TestRequestGeneratesReply(t *testing.T) {
 	one := seeded(t, c, 9)
 	out.Reset()
 	c.ReceiveBatch(one, to, protocol.Packet{Kind: protocol.KindRequest, From: 0}, r, &out)
-	if _, reply, ok := out.Message(); !ok || len(reply.IDs) != 1 || reply.IDs[0] != 9 || one.Outdegree() != 0 {
+	if _, reply, ok := out.Lend(); !ok || len(reply.IDs) != 1 || reply.IDs[0] != 9 || one.Outdegree() != 0 {
 		t.Errorf("single-entry responder replied %+v (ok=%v), view %v", reply, ok, one)
 	}
 }

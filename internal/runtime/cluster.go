@@ -23,12 +23,14 @@ import (
 // the network's delay queue.
 //
 // The node slice is guarded by an RWMutex so churn (RemoveNode/AddNode) is
-// safe while other goroutines snapshot views, tick rounds, or sum counters:
-// readers copy the slice under the read lock and operate on the copy, so a
-// node removed mid-iteration is at worst ticked one extra time — which is
-// harmless (it only gossips into a network that no longer routes to it,
-// and its final counters may miss that tick) — and never a data race.
-// Start's slot loops read their slot the same way.
+// safe while other goroutines snapshot views, tick rounds, or sum counters.
+// Its length is fixed at construction; only its slots change. Readers copy
+// slots under the read lock — Start's slot loops one slot, a round a block
+// of slots at a time, the rest the whole slice — and operate on the copy, so
+// a node removed mid-iteration is at worst read (or ticked) one extra time
+// — which is harmless (it only gossips into a network that no longer routes
+// to it, and its final counters may miss that tick) — and never a data
+// race.
 //
 // sfvet's sharedguard analyzer checks this discipline statically: every
 // cross-goroutine access pair to these fields must be lock-excluded,
@@ -47,6 +49,8 @@ type Cluster struct {
 	// are folded into departed.
 	leaving  []*Node
 	departed NodeCounters
+
+	spares *outboxPool // shared by the nodes
 
 	run *loops // what Start launched; nil while the cluster is not running
 }
@@ -70,6 +74,7 @@ func newCluster(cfg Config, s int) (*Cluster, error) {
 		net:    nw,
 		nodes:  make([]*Node, cfg.N),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
+		spares: new(outboxPool),
 	}
 	seeds := make([]peer.ID, cfg.InitDegree)
 	for u := 0; u < cfg.N; u++ {
@@ -78,11 +83,11 @@ func newCluster(cfg Config, s int) (*Cluster, error) {
 			return nil, err
 		}
 		driver.Circulant(peer.ID(u), cfg.N, seeds)
-		node, err := NewNode(NodeConfig{
+		node, err := newNode(NodeConfig{
 			ID:   peer.ID(u),
 			Core: core,
 			Seed: c.roster.SeedFor(peer.ID(u)),
-		}, seeds, nw)
+		}, seeds, nw, c.spares)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: node %d: %w", u, err)
 		}
@@ -194,9 +199,17 @@ func (c *Cluster) Stop() {
 // deterministic tests and examples that do not want wall-clock timers.
 func (c *Cluster) TickRound() {
 	c.net.Advance()
-	for _, n := range c.Nodes() {
-		if n != nil {
-			n.Tick()
+	// The slots are read a block at a time under the read lock, into a
+	// buffer on the stack, and the block's nodes are ticked off the lock.
+	var block [64]*Node
+	for lo := 0; lo < c.cfg.N; lo += len(block) {
+		c.mu.RLock()
+		k := copy(block[:], c.nodes[lo:])
+		c.mu.RUnlock()
+		for _, n := range block[:k] {
+			if n != nil {
+				n.Tick()
+			}
 		}
 	}
 }
@@ -309,11 +322,11 @@ func (c *Cluster) AddNode(u peer.ID, seeds []peer.ID, _ bool) error {
 		return err
 	}
 	c.roster.Bump(u)
-	node, err := NewNode(NodeConfig{
+	node, err := newNode(NodeConfig{
 		ID:   u,
 		Core: core,
 		Seed: c.roster.SeedFor(u),
-	}, seeds, c.net)
+	}, seeds, c.net, c.spares)
 	if err != nil {
 		c.mu.Unlock()
 		return err

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,8 @@ import (
 	"sendforget/internal/transport"
 )
 
-// recorder is a Sender capturing messages.
+// recorder is a Sender capturing messages. The ids are lent for the call
+// only (see runtime.Sender), so it keeps a copy of them.
 type recorder struct {
 	mu   sync.Mutex
 	msgs []protocol.Message
@@ -27,6 +29,7 @@ type recorder struct {
 func (r *recorder) Send(to peer.ID, msg protocol.Message) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	msg.IDs = slices.Clone(msg.IDs)
 	r.msgs = append(r.msgs, msg)
 	r.tos = append(r.tos, to)
 	return r.err
@@ -270,6 +273,50 @@ func TestClusterConcurrent(t *testing.T) {
 	}
 	if ticks := c.Counters().Ticks; ticks < 20 {
 		t.Errorf("only %d ticks across the cluster", ticks)
+	}
+}
+
+// TestNodeConcurrentTickAndReceive races Tick and HandleMessage on the same
+// nodes of a shuffle cluster: four goroutines tick the nodes of one small
+// cluster, so a node's initiate step runs while requests and replies from
+// the other goroutines' sends arrive at it, and a reply to its own request
+// comes back through the synchronous network while its send is still under
+// way. Every step in flight must write into an outbox of its own and lend
+// its ids only until its send returns: the race detector watches the
+// outboxes, and the views and the traffic ledger must come out consistent.
+func TestNodeConcurrentTickAndReceive(t *testing.T) {
+	const n, goroutines, ticks = 12, 4, 400
+	c, err := newCluster(runtime.Config{
+		N:       n,
+		NewCore: func() (protocol.StepCore, error) { return shuffle.NewCore(6) },
+		Loss:    0.05,
+		Seed:    21,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := c.Nodes()
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ticks {
+				// Neighbouring goroutines tick the same node at once.
+				nodes[(i+g/2)%n].Tick()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	cnt, tr := c.Counters(), c.Traffic()
+	if cnt.Ticks != goroutines*ticks || cnt.Replies == 0 {
+		t.Errorf("counters %+v, want %d ticks and some replies", cnt, goroutines*ticks)
+	}
+	if !tr.Conserved() || tr.Sends != cnt.Sends+cnt.Replies || tr.Deliveries != cnt.Receives {
+		t.Errorf("traffic %+v does not match the node counters %+v", tr, cnt)
 	}
 }
 

@@ -37,7 +37,10 @@ type Seq struct {
 	cores   []protocol.StepCore // nil for departed nodes
 	views   []*view.View        // nil for departed nodes
 	tally   protocol.Counters   // protocol events over all nodes
-	out     protocol.Outbox     // the one message the current step emitted
+	// out is where the steps write their one message, in turns: a message
+	// in delivery aliases one outbox while the receive step writes its reply
+	// into the other.
+	out [2]protocol.Outbox
 
 	cond   *faults.Conditions
 	r      *rng.RNG
@@ -131,18 +134,21 @@ func (e *Seq) Step() {
 // StepAt executes one protocol action initiated by u; the protocol tests
 // drive a chosen node with it. A departed u does not act: the step is a
 // self-loop.
+//
+//vet:hotpath
 func (e *Seq) StepAt(u peer.ID) {
 	ev := ActionEvent{Step: e.tally.Ticks + 1, Initiator: u}
-	e.out.Reset()
+	ob := &e.out[0]
+	ob.Reset()
 	if uint(u) < uint(len(e.views)) && e.views[u] != nil {
-		e.tally.Initiated(e.cores[u].InitiateBatch(e.views[u], u, e.r, &e.out))
+		e.tally.Initiated(e.cores[u].InitiateBatch(e.views[u], u, e.r, ob))
 	} else {
 		e.tally.Initiated(0, 0, false)
 	}
-	if to, msg, ok := e.out.Message(); ok {
+	if to, msg, ok := ob.Lend(); ok {
 		ev.Sent = true
 		ev.To = to
-		e.transmit(to, msg, &ev)
+		e.transmit(to, msg, 1, &ev)
 	}
 	if e.OnAction != nil {
 		e.OnAction(ev)
@@ -152,9 +158,11 @@ func (e *Seq) StepAt(u peer.ID) {
 // transmit routes msg through the shared driver and delivers it, following
 // reply chains (each reply is again subject to the fault layer, which may
 // drop it, cut it at a partition, or park it in the delay queue until a
-// later round).
-func (e *Seq) transmit(to peer.ID, msg protocol.Message, ev *ActionEvent) {
-	for {
+// later round). msg is lent: its ids alias the outbox that is not e.out[next]
+// (or a delay-calendar bucket), and a parked message is copied. Each reply
+// goes into e.out[next], and the turns alternate down the chain.
+func (e *Seq) transmit(to peer.ID, msg protocol.Message, next int, ev *ActionEvent) {
+	for ; ; next ^= 1 {
 		switch e.router.Route(to, msg) {
 		case driver.Dropped:
 			ev.Lost = true
@@ -167,19 +175,19 @@ func (e *Seq) transmit(to peer.ID, msg protocol.Message, ev *ActionEvent) {
 		}
 		ev.Delivered++
 		var replied bool
-		if to, msg, replied = e.deliver(to, msg); !replied {
+		if to, msg, replied = e.deliver(to, msg, &e.out[next]); !replied {
 			return
 		}
 	}
 }
 
 // deliver runs the receive step at u, which the router ruled live, and
-// returns the reply of a bidirectional protocol. msg owns its ids, so the
-// outbox the previous step wrote can be reused for the reply.
-func (e *Seq) deliver(u peer.ID, msg protocol.Message) (peer.ID, protocol.Message, bool) {
-	e.out.Reset()
-	e.tally.Received(e.cores[u].ReceiveBatch(e.views[u], u, protocol.Packet(msg), e.r, &e.out))
-	return e.out.Message()
+// returns the reply of a bidirectional protocol, lent from ob. msg's ids
+// must not alias ob.
+func (e *Seq) deliver(u peer.ID, msg protocol.Message, ob *protocol.Outbox) (peer.ID, protocol.Message, bool) {
+	ob.Reset()
+	e.tally.Received(e.cores[u].ReceiveBatch(e.views[u], u, protocol.Packet(msg), e.r, ob))
+	return ob.Lend()
 }
 
 // TickRound executes one round: the delay queue delivers what came due,
@@ -222,8 +230,8 @@ func (e *Seq) drainDue() {
 			continue
 		}
 		var ev ActionEvent // counters only; not reported
-		if replyTo, reply, replied := e.deliver(d.To, d.Msg); replied {
-			e.transmit(replyTo, reply, &ev)
+		if replyTo, reply, replied := e.deliver(d.To, d.Msg, &e.out[0]); replied {
+			e.transmit(replyTo, reply, 1, &ev)
 		}
 	}
 }

@@ -33,6 +33,25 @@ type Network struct {
 	// a map probe on every Send. The slice grows on Register; unregistered
 	// or out-of-range ids are unroutable (nil entry).
 	handlers []Handler
+	// spare holds the drain buffers no Advance is using; an Advance takes
+	// one (or makes one, when another Advance holds every spare) and puts it
+	// back, so a warmed-up network drains without allocating.
+	spare []drainBuf
+}
+
+// drainBuf is what one Advance copies its due messages into under the lock,
+// to run their handlers outside it.
+type drainBuf struct {
+	dels []delivery
+	ids  []peer.ID
+}
+
+// delivery is one drained message and its handler; the message's ids are
+// ids[off : off+len(msg.IDs)] of its drainBuf.
+type delivery struct {
+	h   Handler
+	msg protocol.Message
+	off int
 }
 
 // NewNetwork builds a network dropping messages per the given loss model —
@@ -128,14 +147,11 @@ func (nw *Network) Send(to peer.ID, msg protocol.Message) error {
 // aliases calendar storage only until the next Tick, and once the lock is
 // released another goroutine's Advance may tick.
 func (nw *Network) Advance() {
-	type delivery struct {
-		h   Handler
-		msg protocol.Message
-		off int // msg's ids are ids[off : off+len(msg.IDs)]
-	}
-	var deliveries []delivery
-	var ids []peer.ID
 	nw.mu.Lock()
+	var b drainBuf
+	if k := len(nw.spare) - 1; k >= 0 {
+		b, nw.spare = nw.spare[k], nw.spare[:k]
+	}
 	nw.router.Tick()
 	for {
 		d, ok := nw.router.Due()
@@ -145,15 +161,19 @@ func (nw *Network) Advance() {
 		if !nw.router.Deliverable(d.To) {
 			continue
 		}
-		deliveries = append(deliveries, delivery{h: nw.handlerFor(d.To), msg: d.Msg, off: len(ids)})
-		ids = append(ids, d.Msg.IDs...)
+		b.dels = append(b.dels, delivery{h: nw.handlerFor(d.To), msg: d.Msg, off: len(b.ids)})
+		b.ids = append(b.ids, d.Msg.IDs...)
 	}
 	nw.mu.Unlock()
-	for _, d := range deliveries {
+	for _, d := range b.dels {
 		end := d.off + len(d.msg.IDs)
-		d.msg.IDs = ids[d.off:end:end]
+		d.msg.IDs = b.ids[d.off:end:end]
 		d.h(d.msg)
 	}
+	clear(b.dels) // drop the handlers, so a spare keeps no node alive
+	nw.mu.Lock()
+	nw.spare = append(nw.spare, drainBuf{dels: b.dels[:0], ids: b.ids[:0]})
+	nw.mu.Unlock()
 }
 
 // Pending returns the number of messages waiting in the delay queue.

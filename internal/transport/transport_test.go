@@ -912,6 +912,40 @@ func TestNetworkDelayAndReorder(t *testing.T) {
 	}
 }
 
+// TestNetworkDelayedKeepsLentIDs holds the network to the Sender contract
+// the runtime nodes rely on: Send borrows msg.IDs for the call only, so a
+// message it parks in the delay calendar must keep a copy. The sender here
+// reuses one id buffer for every send, as a node reuses its outbox, and each
+// delayed message must still arrive with the ids it was sent with.
+func TestNetworkDelayedKeepsLentIDs(t *testing.T) {
+	nw, err := NewNetworkWithConditions(faults.Lossless(), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Conditions().SetDelay(faults.Delay{Fixed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]peer.ID
+	nw.Register(1, func(m protocol.Message) { got = append(got, slices.Clone(m.IDs)) })
+	buf := make([]peer.ID, 0, 4)
+	var want [][]peer.ID
+	for _, n := range []int{1, 2, 4} { // inline and arena payloads
+		buf = buf[:0]
+		for i := range n {
+			buf = append(buf, peer.ID(10*n+i))
+		}
+		want = append(want, slices.Clone(buf))
+		if err := nw.Send(1, protocol.Message{Kind: protocol.KindGossip, From: 0, IDs: buf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clear(buf[:cap(buf)]) // the sender's next step overwrites its buffer
+	nw.Advance()
+	if nw.Pending() != 0 || !slices.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("delivered ids %v (pending %d), want %v", got, nw.Pending(), want)
+	}
+}
+
 func TestNetworkDelayedToDepartedIsDeadLetter(t *testing.T) {
 	// Routing resolves at drain time: a message delayed toward a node that
 	// deregistered while it was in flight counts as NoRoute, keeping the
