@@ -16,14 +16,19 @@
 // liveness is resolved again (a destination that left while the message was
 // in flight dead-letters) but the fault stack is not re-consulted.
 //
-// The delay calendar is a power-of-two ring of protocol.Outbox buckets, one
-// per due round: parking is one Outbox.Append into the bucket of round
-// clock+delay, so append order inside a bucket is (due, enqueue) order and
-// the arenas are reused round after round — a warmed-up router parks and
-// drains without allocating. The ring does not exist until a message parks
-// and doubles when a delay reaches past it. A drained message (Held, or a
-// DueBatch bucket) aliases its bucket, which nothing parks into until the
-// next Tick.
+// The delay calendar is a power-of-two ring of due rounds over one pool of
+// chunks, protocol.MaxRun headers each. A round is a chain of chunks, the
+// shape of a sorting outbox's lane: parking copies the ruled header into the
+// tail chunk of round clock+delay (a payload of more than two ids goes to
+// the round's id arena), so a round holds its messages in (due, enqueue)
+// order, and a drain hands them out a chunk — a run — at a time. When a
+// drain finds a round exhausted, the round's chunks go back to a free list,
+// and the parks of the same tick take them again: the pool holds what is in
+// flight, not the ring length times the largest round, and a warmed-up
+// router parks and drains without allocating. The ring does not exist until
+// a message parks and doubles when a delay reaches past it. What Due and
+// DueBatch hand out aliases the pool and is valid until the next Due or
+// DueBatch call.
 //
 // The package also owns the churn bookkeeping the substrates duplicated:
 // collision-free per-incarnation seed derivation (Roster) and the circulant
@@ -57,18 +62,41 @@ const (
 )
 
 // Held is one message surfaced from the delay calendar by Due. Msg.IDs
-// aliases the bucket of the round the message came due in and is valid until
-// the next Tick (for a round drained late, after several Ticks: until Due
-// moves on to the following round). A caller that lets other goroutines
-// Tick while it holds the message copies the ids out first.
+// aliases the calendar and is valid until the next Due or DueBatch call,
+// which may release the round the message came due in for later parks to
+// reuse. A caller that lets another goroutine drain while it holds the
+// message copies the ids out first.
 type Held struct {
 	To  peer.ID
 	Msg protocol.Message
 }
 
 // minRing is the calendar's initial length in rounds: room for delays up to
-// minRing-1 beside the bucket being drained.
+// minRing-1 beside the round being drained.
 const minRing = 4
+
+// chunk is the calendar's unit of storage: protocol.MaxRun consecutive
+// headers, one run of a drain.
+type chunk [protocol.MaxRun]protocol.FlatMsg
+
+// slabChunks is how many chunks the pool takes from the allocator at a time
+// (1280 bytes): few enough that the pool never holds more than three chunks
+// no round has asked for.
+const slabChunks = 4
+
+// blankSlab extends the pool by one slab.
+var blankSlab [slabChunks]chunk
+
+// noChunk ends a chain of chunks.
+const noChunk = -1
+
+// round is one due round of the calendar: a chain of chunks, each full but
+// the last, and an id arena. A round with no messages holds no chunk.
+type round struct {
+	head, tail int32     // first and last chunk of the chain
+	n          int32     // messages parked for the round
+	ids        []peer.ID // payloads of more than two ids, at the offsets their headers keep
+}
 
 // Router rules on messages for one substrate and is the single writer of
 // the traffic ledger (the counting semantics documented on metrics.Traffic):
@@ -90,16 +118,23 @@ type Router struct {
 	ledger metrics.Traffic
 	clock  int
 
-	// The delay calendar: round d's bucket is ring[d&(len(ring)-1)], the
-	// length zero or a power of two. head is the oldest round whose bucket
-	// is in use — being drained, or drained and still aliased by the caller
-	// — and next the drain cursor inside it. Every parked message is due in
-	// [head, head+len(ring)), so no two rounds in use share a bucket.
-	// pending counts the messages not yet handed out.
-	ring    []protocol.Outbox
-	head    int
-	next    int
+	// The delay calendar: round d is ring[d&(len(ring)-1)], the length zero
+	// or a power of two. base is the oldest round in use — being drained,
+	// or drained and still lent to the caller — and at the number of its
+	// messages handed out, the next of them in chunk cur. Every parked
+	// message is due in [base, base+len(ring)), so no two rounds in use
+	// share a slot. pending counts the messages not yet handed out.
+	ring    []round
+	base    int
+	at, cur int32
 	pending int
+
+	// The chunk pool: chunk c is slabs[c/slabChunks][c%slabChunks], link[c]
+	// the chunk after it in its round's chain or on the free list, which
+	// starts at free. len(link) chunks have been handed out at least once.
+	slabs [][]chunk
+	link  []int32
+	free  int32
 }
 
 // NewRouter builds a router ruling through a fault-injection stack. The rng
@@ -110,13 +145,13 @@ type Router struct {
 // reports whether a destination can currently receive; it is called
 // synchronously under whatever serialization the caller holds.
 func NewRouter(cond *faults.Conditions, r *rng.RNG, live func(peer.ID) bool) *Router {
-	return &Router{cond: cond, rng: r, live: live}
+	return &Router{cond: cond, rng: r, live: live, free: noChunk}
 }
 
 // Route rules on one message addressed to to, consulting the fault stack
-// with a per-message decision. A message that parks is copied into its
-// calendar bucket (delayed messages outlive the caller's buffers); no path
-// allocates once the buckets have reached their steady-state capacity.
+// with a per-message decision. A message that parks is copied into the
+// calendar (delayed messages outlive the caller's buffers); no path
+// allocates once the chunk pool has reached the traffic's high-water mark.
 //
 //vet:hotpath
 func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
@@ -171,24 +206,80 @@ func (rt *Router) ruleVerdict(v faults.Verdict, m *protocol.FlatMsg, ids []peer.
 	return rt.deliverable(m.To)
 }
 
-// park appends the message to the bucket of round due. The span the ring
-// must cover starts at head: a delay equal to the ring length grows the ring
-// instead of landing in the bucket a drain is reading.
+// park copies the message into the tail chunk of round due, chaining a
+// chunk to the round when its last one is full (or it has none). The span
+// the ring must cover starts at base: a delay that reaches the slot of the
+// round a drain is reading grows the ring instead.
 func (rt *Router) park(due int, m *protocol.FlatMsg, ids []peer.ID) {
-	if rt.ring == nil {
-		rt.head = rt.clock
+	if len(ids) > protocol.MaxIDs {
+		panic("driver: park of more than protocol.MaxIDs (65535) ids")
 	}
-	if span := due - rt.head + 1; span > len(rt.ring) {
+	if rt.ring == nil {
+		rt.base = rt.clock
+	}
+	if span := due - rt.base + 1; span > len(rt.ring) {
 		rt.grow(span)
 	}
-	rt.ring[due&(len(rt.ring)-1)].Append(m.To, m.From, m.Kind, m.Dup, ids...)
+	slot := due & (len(rt.ring) - 1)
+	r := &rt.ring[slot]
+	if r.n%protocol.MaxRun == 0 {
+		c := rt.take()
+		if r.n == 0 {
+			r.head = c
+		} else {
+			rt.link[r.tail] = c
+		}
+		r.tail = c
+	}
+	h := &rt.chunk(r.tail)[r.n%protocol.MaxRun]
+	*h = protocol.FlatMsg{To: m.To, From: m.From, IDLen: uint16(len(ids)), Kind: m.Kind, Dup: m.Dup}
+	if len(ids) <= 2 {
+		copy(h.IDs[:], ids)
+	} else {
+		h.IDs[0] = peer.ID(len(r.ids))
+		rt.ring[slot].ids = append(rt.ring[slot].ids, ids...)
+	}
+	r.n++
 	rt.pending++
 }
 
-// grow doubles the ring until it spans span rounds and moves every round's
-// bucket — the one being drained included — to its slot under the new
-// length. Buckets move as headers: the arenas, and the ids a caller still
-// aliases, stay where they are.
+// take hands out a chunk for a round's chain: the head of the free list, or
+// the next never-used chunk of the pool, which takes a slab from the
+// allocator when its last one is used up.
+func (rt *Router) take() int32 {
+	if c := rt.free; c != noChunk {
+		rt.free = rt.link[c]
+		return c
+	}
+	c := int32(len(rt.link))
+	if int(c) == len(rt.slabs)*slabChunks {
+		rt.slabs = append(rt.slabs, nil)
+		rt.slabs[len(rt.slabs)-1] = append(rt.slabs[len(rt.slabs)-1], blankSlab[:]...)
+	}
+	rt.link = append(rt.link, noChunk)
+	return c
+}
+
+// chunk returns chunk c of the pool.
+func (rt *Router) chunk(c int32) *chunk {
+	return &rt.slabs[c/slabChunks][c%slabChunks]
+}
+
+// release returns an exhausted round's chunks to the free list, splicing its
+// whole chain in front, and empties its arena, keeping the capacity.
+func (rt *Router) release(r *round) {
+	if r.n > 0 {
+		rt.link[r.tail] = rt.free
+		rt.free = r.head
+	}
+	r.n = 0
+	r.ids = r.ids[:0]
+}
+
+// grow doubles the ring until it spans span rounds and moves every round —
+// the one being drained included, with the drain's place in it — to its
+// slot under the new length. Rounds move as records: their chunks, and
+// whatever a caller still aliases, stay where they are.
 func (rt *Router) grow(span int) {
 	old := len(rt.ring)
 	n := max(old, minRing)
@@ -196,11 +287,11 @@ func (rt *Router) grow(span int) {
 		n <<= 1
 	}
 	for len(rt.ring) < n {
-		rt.ring = append(rt.ring, protocol.Outbox{})
+		rt.ring = append(rt.ring, round{})
 	}
 	// A round's new slot is its old slot plus a multiple of the old length:
 	// either where it already is, or a fresh slot no other round maps to.
-	for d := rt.head; d < rt.head+old; d++ {
+	for d := rt.base; d < rt.base+old; d++ {
 		if from, to := d&(old-1), d&(n-1); from != to {
 			rt.ring[to], rt.ring[from] = rt.ring[from], rt.ring[to]
 		}
@@ -218,25 +309,35 @@ func (rt *Router) deliverable(to peer.ID) Outcome {
 	return Delivered
 }
 
-// Tick advances the delay-calendar clock one round, ending the lifetime of
-// everything the previous round's drain handed out.
-func (rt *Router) Tick() { rt.clock++ }
+// Tick advances the delay-calendar clock one round. With nothing pending, a
+// base round left behind by drains that stopped (a substrate drains only
+// while something is in flight) moves up to the clock with what it still
+// lends out, so the next park does not grow the ring across the idle rounds.
+func (rt *Router) Tick() {
+	rt.clock++
+	if rt.pending == 0 && rt.ring != nil && rt.base < rt.clock {
+		from, to := rt.base&(len(rt.ring)-1), rt.clock&(len(rt.ring)-1)
+		rt.ring[to], rt.ring[from] = rt.ring[from], rt.ring[to]
+		rt.base = rt.clock
+	}
+}
 
-// dueBucket returns the oldest bucket with messages due by the current clock
-// still to hand out (from index rt.next on), releasing the drained buckets
-// of earlier rounds on the way; nil when nothing further is due.
-func (rt *Router) dueBucket() *protocol.Outbox {
-	for rt.ring != nil {
-		b := &rt.ring[rt.head&(len(rt.ring)-1)]
-		if rt.next < len(b.Msgs) {
-			return b
+// dueRound returns the oldest round with messages due by the current clock
+// still to hand out, releasing the exhausted rounds before it — the one the
+// previous call handed out the last of included; nil when nothing further
+// is due.
+func (rt *Router) dueRound() *round {
+	for rt.ring != nil && rt.base <= rt.clock {
+		r := &rt.ring[rt.base&(len(rt.ring)-1)]
+		if rt.at < r.n {
+			if rt.at == 0 {
+				rt.cur = r.head
+			}
+			return r
 		}
-		if rt.head == rt.clock {
-			break
-		}
-		b.Reset()
-		rt.head++
-		rt.next = 0
+		rt.release(r)
+		rt.base++
+		rt.at = 0
 	}
 	return nil
 }
@@ -246,32 +347,79 @@ func (rt *Router) dueBucket() *protocol.Outbox {
 // message has not been accounted beyond Delayed: the caller resolves it
 // with Deliverable at drain time.
 func (rt *Router) Due() (Held, bool) {
-	b := rt.dueBucket()
-	if b == nil {
+	r := rt.dueRound()
+	if r == nil {
 		return Held{}, false
 	}
-	m := &b.Msgs[rt.next]
-	rt.next++
+	m := &rt.chunk(rt.cur)[rt.at%protocol.MaxRun]
+	rt.at++
+	if rt.at%protocol.MaxRun == 0 && rt.at < r.n {
+		rt.cur = rt.link[rt.cur]
+	}
 	rt.pending--
-	return Held{To: m.To, Msg: protocol.Message{Kind: m.Kind, From: m.From, IDs: b.MsgIDs(m), Dup: m.Dup}}, true
+	return Held{To: m.To, Msg: protocol.Message{Kind: m.Kind, From: m.From, IDs: msgIDs(m, r.ids), Dup: m.Dup}}, true
 }
 
 // DueBatch is Due for a whole round at once: every remaining message of the
-// oldest due round, as ob.Msgs[from:] of its bucket in (due, enqueue) order;
-// ob is nil when nothing further is due. The bucket is read-only and has
-// Held's lifetime, and each message is still to be resolved with
-// Deliverable.
+// oldest due round, in (due, enqueue) order, as a walk over its runs; ok is
+// false when nothing further is due. The runs are read-only and have Held's
+// lifetime, and each message is still to be resolved with Deliverable.
 //
 //vet:hotpath
-func (rt *Router) DueBatch() (ob *protocol.Outbox, from int) {
-	b := rt.dueBucket()
-	if b == nil {
-		return nil, 0
+func (rt *Router) DueBatch() (runs DueRuns, ok bool) {
+	r := rt.dueRound()
+	if r == nil {
+		return DueRuns{}, false
 	}
-	from = rt.next
-	rt.pending -= len(b.Msgs) - from
-	rt.next = len(b.Msgs)
-	return b, from
+	runs = DueRuns{rt: rt, ids: r.ids, chunk: rt.cur, off: rt.at % protocol.MaxRun, left: r.n - rt.at}
+	rt.pending -= int(runs.left)
+	rt.at = r.n
+	return runs, true
+}
+
+// DueRuns walks what one DueBatch call handed out, run by run: a run is the
+// messages that lie consecutively in one chunk of the calendar, at most
+// protocol.MaxRun.
+type DueRuns struct {
+	rt        *Router
+	ids       []peer.ID // the round's id arena
+	chunk     int32
+	off, left int32
+}
+
+// Next returns the next run, nil after the last. The slice aliases the
+// calendar and must not be written or retained past the next Due or
+// DueBatch call.
+//
+//vet:hotpath
+func (d *DueRuns) Next() []protocol.FlatMsg {
+	if d.left == 0 {
+		return nil
+	}
+	n := min(d.left, protocol.MaxRun-d.off)
+	run := d.rt.chunk(d.chunk)[d.off : d.off+n]
+	d.left -= n
+	d.off = 0
+	if d.left > 0 {
+		d.chunk = d.rt.link[d.chunk]
+	}
+	return run
+}
+
+// MsgIDs returns the ids of message m of a run: inline in the header, or in
+// the round's arena. The slice has the run's lifetime.
+//
+//vet:hotpath
+func (d *DueRuns) MsgIDs(m *protocol.FlatMsg) []peer.ID { return msgIDs(m, d.ids) }
+
+// msgIDs locates a parked header's ids: inline, or at the arena offset the
+// header keeps in IDs[0].
+func msgIDs(m *protocol.FlatMsg, arena []peer.ID) []peer.ID {
+	if m.IDLen <= 2 {
+		return m.IDs[:m.IDLen]
+	}
+	off := int(m.IDs[0])
+	return arena[off : off+int(m.IDLen)]
 }
 
 // Deliverable resolves drain-time liveness for a message surfaced by Due or

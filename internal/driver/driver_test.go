@@ -324,9 +324,10 @@ type refEntry struct {
 
 // calendarModel drives a Router and a sort-by-(due, enqueue) reference side
 // by side and fails the test on the first divergence. held are the messages
-// handed out and still inside their documented lifetime: they are compared
-// with the reference again after every later call, so a bucket reused or
-// overwritten too early shows up as a changed message.
+// handed out and still inside their documented lifetime (until the next Due
+// or DueBatch call, across Ticks and parks): they are compared with the
+// reference again after every later call, so a chunk reused or overwritten
+// too early shows up as a changed message.
 type calendarModel struct {
 	t     *testing.T
 	rt    *Router
@@ -414,16 +415,13 @@ func (m *calendarModel) route(to peer.ID, delay, nIDs int, session bool) {
 func (m *calendarModel) tick() {
 	m.rt.Tick()
 	m.clock++
-	m.held = m.held[:0]
 	m.check("tick")
 }
 
-// expire ends the lifetime of held messages of rounds before due: handing
-// out a message of a later round lets the calendar reuse their bucket.
-func (m *calendarModel) expire(due int) {
-	if len(m.held) > 0 && m.held[0].want.due < due {
-		m.held = m.held[:0]
-	}
+// expire ends the lifetime of every held message: a Due or DueBatch call
+// may release the round they came due in, and a later park reuse its chunks.
+func (m *calendarModel) expire() {
+	m.held = m.held[:0]
 }
 
 // resolve does what every substrate does with a surfaced message: settle its
@@ -439,6 +437,7 @@ func (m *calendarModel) resolve(to peer.ID, msg protocol.Message, want refEntry)
 // dueOne calls Due once and reports whether a message surfaced.
 func (m *calendarModel) dueOne() bool {
 	m.t.Helper()
+	m.expire()
 	if len(m.ref) == 0 || m.ref[0].due > m.clock {
 		if h, ok := m.rt.Due(); ok {
 			m.t.Fatalf("Due surfaced %+v, reference has nothing due at clock %d", h, m.clock)
@@ -447,7 +446,6 @@ func (m *calendarModel) dueOne() bool {
 		return false
 	}
 	want := m.ref[0]
-	m.expire(want.due)
 	h, ok := m.rt.Due()
 	if !ok {
 		m.t.Fatalf("Due is empty at clock %d, reference has (due %d, seq %d)", m.clock, want.due, want.seq)
@@ -459,32 +457,38 @@ func (m *calendarModel) dueOne() bool {
 	return true
 }
 
-// dueBatch calls DueBatch once: everything left of the oldest due round.
+// dueBatch calls DueBatch once: everything left of the oldest due round,
+// walked run by run.
 func (m *calendarModel) dueBatch() {
 	m.t.Helper()
-	ob, from := m.rt.DueBatch()
+	m.expire()
+	runs, ok := m.rt.DueBatch()
 	if len(m.ref) == 0 || m.ref[0].due > m.clock {
-		if ob != nil {
-			m.t.Fatalf("DueBatch surfaced %d messages, reference has nothing due at clock %d", len(ob.Msgs)-from, m.clock)
+		if ok {
+			m.t.Fatalf("DueBatch surfaced %v, reference has nothing due at clock %d", runs.Next(), m.clock)
 		}
 		m.check("empty batch")
 		return
 	}
 	round := m.ref[0].due
-	m.expire(round)
-	if ob == nil {
+	if !ok {
 		m.t.Fatalf("DueBatch is empty at clock %d, reference has round %d due", m.clock, round)
 	}
-	for i := from; i < len(ob.Msgs); i++ {
-		if len(m.ref) == 0 || m.ref[0].due != round {
-			m.t.Fatalf("DueBatch handed out %d messages of round %d, more than the reference holds", len(ob.Msgs)-from, round)
+	for run := runs.Next(); run != nil; run = runs.Next() {
+		if len(run) > protocol.MaxRun {
+			m.t.Fatalf("DueBatch handed out a run of %d messages, more than %d", len(run), protocol.MaxRun)
 		}
-		want := m.ref[0]
-		m.ref = m.ref[1:]
-		fm := &ob.Msgs[i]
-		msg := protocol.Message{Kind: fm.Kind, From: fm.From, IDs: ob.MsgIDs(fm), Dup: fm.Dup}
-		m.resolve(fm.To, msg, want)
-		m.held = append(m.held, heldEntry{Held{To: fm.To, Msg: msg}, want})
+		for i := range run {
+			if len(m.ref) == 0 || m.ref[0].due != round {
+				m.t.Fatalf("DueBatch handed out more messages of round %d than the reference holds", round)
+			}
+			want := m.ref[0]
+			m.ref = m.ref[1:]
+			fm := &run[i]
+			msg := protocol.Message{Kind: fm.Kind, From: fm.From, IDs: runs.MsgIDs(fm), Dup: fm.Dup}
+			m.resolve(fm.To, msg, want)
+			m.held = append(m.held, heldEntry{Held{To: fm.To, Msg: msg}, want})
+		}
 	}
 	if len(m.ref) > 0 && m.ref[0].due == round {
 		m.t.Fatalf("DueBatch left (due %d, seq %d) of round %d behind", m.ref[0].due, m.ref[0].seq, round)
@@ -555,12 +559,12 @@ func TestCalendarMatchesSortedReference(t *testing.T) {
 	}
 }
 
-// TestCalendarGrowsUnderHalfDrainedBucket pins the first bucket-lifetime
-// rule: the bucket a drain is reading counts toward the ring's span. A
+// TestCalendarGrowsUnderHalfDrainedBucket pins the first round-lifetime
+// rule: the round a drain is reading counts toward the ring's span. A
 // message parked mid-drain with a delay equal to the ring length maps to the
 // very slot being drained; it must grow the ring (moving the half-drained
-// bucket with its cursor) instead of joining that bucket — where the next
-// Tick's release would drop it and Pending would never reach zero.
+// round with the drain's place in it) instead of joining that round — where
+// the drain's release would drop it and Pending would never reach zero.
 func TestCalendarGrowsUnderHalfDrainedBucket(t *testing.T) {
 	cond := faults.Lossless()
 	rt := NewRouter(cond, rng.New(7), func(peer.ID) bool { return true })
@@ -622,8 +626,9 @@ func TestCalendarGrowsUnderHalfDrainedBucket(t *testing.T) {
 }
 
 // TestCalendarSteadyStateDoesNotAllocate is the router's share of the
-// zero-alloc tick: once every bucket of the ring has held a round, parking
-// and draining — by message or by batch — never reach the allocator.
+// zero-alloc tick: once the chunk pool and every round's arena have seen the
+// traffic's high-water mark, parking and draining — by message or by batch —
+// never reach the allocator.
 func TestCalendarSteadyStateDoesNotAllocate(t *testing.T) {
 	cond := faults.Lossless()
 	if err := cond.SetDelay(faults.Delay{Fixed: 1, Jitter: 2}); err != nil {
@@ -641,9 +646,11 @@ func TestCalendarSteadyStateDoesNotAllocate(t *testing.T) {
 		if h, ok := rt.Due(); ok {
 			rt.Deliverable(h.To)
 		}
-		if ob, from := rt.DueBatch(); ob != nil {
-			for i := from; i < len(ob.Msgs); i++ {
-				rt.Deliverable(ob.Msgs[i].To)
+		if runs, ok := rt.DueBatch(); ok {
+			for run := runs.Next(); run != nil; run = runs.Next() {
+				for i := range run {
+					rt.Deliverable(run[i].To)
+				}
 			}
 		}
 	}
@@ -657,9 +664,10 @@ func TestCalendarSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 // TestParkedArenaPayloadsSurviveDueBatch sends payloads of 3, 8 and 255 ids —
-// each one's offset into its bucket's arena kept in the header's IDs[0] —
-// through a park and a DueBatch: they surface from the bucket with every id
-// intact, although the caller's buffer was overwritten after each send.
+// each one's offset into its round's arena kept in the header's IDs[0] —
+// through a park and a DueBatch: they surface from the round's runs with
+// every id intact, although the caller's buffer was overwritten after each
+// send.
 func TestParkedArenaPayloadsSurviveDueBatch(t *testing.T) {
 	cond := faults.Lossless()
 	if err := cond.SetDelay(faults.Delay{Fixed: 1}); err != nil {
@@ -678,13 +686,17 @@ func TestParkedArenaPayloadsSurviveDueBatch(t *testing.T) {
 		clear(buf)
 	}
 	rt.Tick()
-	ob, from := rt.DueBatch()
-	if ob == nil || len(ob.Msgs)-from != len(sizes) {
-		t.Fatalf("DueBatch surfaced %v from %d, want %d messages", ob, from, len(sizes))
+	runs, ok := rt.DueBatch()
+	var due []protocol.FlatMsg
+	for run := runs.Next(); run != nil; run = runs.Next() {
+		due = append(due, run...)
+	}
+	if !ok || len(due) != len(sizes) {
+		t.Fatalf("DueBatch surfaced %v (ok %v), want %d messages", due, ok, len(sizes))
 	}
 	for i, n := range sizes {
-		m := &ob.Msgs[from+i]
-		ids := ob.MsgIDs(m)
+		m := &due[i]
+		ids := runs.MsgIDs(m)
 		if m.To != peer.ID(i) || m.From != 7 || int(m.IDLen) != n || len(ids) != n {
 			t.Fatalf("message %d: header %+v with %d ids, want %d", i, *m, len(ids), n)
 		}
@@ -698,4 +710,161 @@ func TestParkedArenaPayloadsSurviveDueBatch(t *testing.T) {
 		}
 	}
 	conserved(t, rt, "drain")
+}
+
+// TestCalendarRandomSchedules is the model test at the calendar's extremes:
+// delays from 0 to 9 (past the initial ring, so it grows — also mid-drain,
+// where a reply to a drained message parks), arena payloads of 3 to 255 ids,
+// drains that run one message at a time, a round at a time, or switch from
+// one to the other inside a round, and stretches with nothing in flight.
+// Every call is checked against the sorted reference, and every message
+// handed out is checked again after each later call of its lifetime.
+func TestCalendarRandomSchedules(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		cond, err := faults.FromRate(0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &calendarModel{t: t, cond: cond, nodes: liveSet{}}
+		for id := peer.ID(0); id < 8; id++ {
+			m.nodes[id] = id%3 != 0
+		}
+		m.rt = NewRouter(cond, rng.New(seed), m.nodes.live)
+		r := rng.New(2000 + seed)
+		park := func() {
+			m.route(peer.ID(r.Intn(8)), r.Intn(10), 3+r.Intn(253), r.Intn(2) == 0)
+		}
+		for step := 0; step < 600; step++ {
+			switch op := r.Intn(10); {
+			case op < 4:
+				park()
+			case op < 6:
+				// A drain that parks as it goes, one message at a time or a
+				// round at a time, switching between the two.
+				m.tick()
+				for {
+					if r.Intn(2) == 0 {
+						if !m.dueOne() {
+							break
+						}
+					} else if m.dueBatch(); len(m.ref) == 0 || m.ref[0].due > m.clock {
+						break
+					}
+					if r.Intn(3) == 0 {
+						park()
+					}
+				}
+			case op < 8:
+				m.tick()
+				for k := r.Intn(3); k > 0 && m.dueOne(); k-- {
+				}
+				m.dueBatch()
+			case op < 9:
+				for k := r.Intn(8); k > 0; k-- {
+					m.tick() // the drain falls behind, or nothing is in flight
+				}
+			default:
+				id := peer.ID(r.Intn(8))
+				m.nodes[id] = !m.nodes[id]
+			}
+		}
+		for len(m.ref) > 0 {
+			m.tick()
+			m.dueBatch()
+		}
+		if len(m.rt.ring) <= minRing {
+			t.Errorf("seed %d: ring of %d rounds never grew past delays up to 9", seed, len(m.rt.ring))
+		}
+		if l := m.rt.Traffic(); !l.Conserved() || l.Delayed == 0 {
+			t.Errorf("seed %d: final ledger %+v: want conserved with delays", seed, l)
+		}
+	}
+}
+
+// poolCap is the number of headers the calendar holds room for.
+func poolCap(rt *Router) int {
+	n := 0
+	for _, s := range rt.slabs {
+		n += cap(s) * protocol.MaxRun
+	}
+	return n
+}
+
+// TestCalendarCapacityTracksPending holds the calendar's memory to its
+// traffic. Under Jitter 2 a round's messages come due over three rounds, and
+// the number routed each round wanders between 100 and 700: what the
+// calendar must hold is the pending count at its peak, plus at most a part-
+// filled chunk per round and the rest of a slab. A ring of per-round buckets
+// that keep their capacity holds the largest round in every bucket instead.
+func TestCalendarCapacityTracksPending(t *testing.T) {
+	cond := faults.Lossless()
+	if err := cond.SetDelay(faults.Delay{Fixed: 1, Jitter: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(cond, rng.New(3), func(peer.ID) bool { return true })
+	r := rng.New(4)
+	peak := 0
+	for round := 0; round < 300; round++ {
+		ses := cond.Begin()
+		for i, k := 0, 100+r.Intn(601); i < k; i++ {
+			rt.RouteIn(&ses, peer.ID(i), gossip(0, 1, 2))
+		}
+		ses.Close()
+		peak = max(peak, rt.Pending())
+		if bound := peak + 2*protocol.MaxRun*len(rt.ring); round >= 30 && poolCap(rt) > bound {
+			t.Fatalf("round %d: the calendar holds room for %d headers, more than the pending peak %d plus two chunks for each of %d rounds (%d)",
+				round, poolCap(rt), peak, len(rt.ring), bound)
+		}
+		rt.Tick()
+		for {
+			runs, ok := rt.DueBatch()
+			if !ok {
+				break
+			}
+			for run := runs.Next(); run != nil; run = runs.Next() {
+				for i := range run {
+					rt.Deliverable(run[i].To)
+				}
+			}
+		}
+	}
+	conserved(t, rt, "capacity")
+}
+
+// TestCalendarIdleTicksKeepRing: rounds in which nothing is in flight and
+// nothing drains do not count toward the ring's span. After a thousand idle
+// Ticks, a park with the delay the ring was built for lands in the ring as
+// it is.
+func TestCalendarIdleTicksKeepRing(t *testing.T) {
+	cond := faults.Lossless()
+	if err := cond.SetDelay(faults.Delay{Fixed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(cond, rng.New(6), func(peer.ID) bool { return true })
+	rt.Route(1, gossip(0, 5, 6))
+	rt.Tick()
+	rt.Tick()
+	h, ok := rt.Due()
+	if !ok || h.Msg.IDs[1] != 6 {
+		t.Fatalf("due: %+v %v", h, ok)
+	}
+	rt.Deliverable(h.To)
+	for i := 0; i < 1000; i++ {
+		rt.Tick()
+	}
+	if got := rt.Route(1, gossip(0, 7, 8)); got != Parked {
+		t.Fatalf("park after idle ticks: %v", got)
+	}
+	if !reflect.DeepEqual(h.Msg.IDs, []peer.ID{5, 6}) {
+		t.Errorf("message held across idle ticks changed: %v", h.Msg.IDs)
+	}
+	if len(rt.ring) != minRing {
+		t.Errorf("ring of %d rounds after idle ticks, want %d", len(rt.ring), minRing)
+	}
+	rt.Tick()
+	rt.Tick()
+	if h, ok := rt.Due(); !ok || h.Msg.IDs[1] != 8 || !rt.Deliverable(h.To) {
+		t.Fatalf("due after idle ticks: %+v %v", h, ok)
+	}
+	conserved(t, rt, "idle")
 }

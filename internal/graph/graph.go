@@ -24,19 +24,24 @@ import (
 // Graph is an immutable snapshot of a membership graph over nodes 0..n-1. The
 // out-lists lie back to back in one edge array, node u's at
 // edges[off[u]:off[u+1]] (compressed sparse rows), so a snapshot is four
-// allocations at any n instead of one per node.
+// allocations at any n instead of one per node. The offsets and in-degrees
+// are 32-bit, like the ids: an edge count n*s stays below 2^31 at every size
+// the engines run (10^6 nodes of 40 slots are 4*10^7 edges).
 type Graph struct {
 	n     int
-	off   []int     // len n+1; off[0] = 0
+	off   []int32   // len n+1; off[0] = 0
 	edges []peer.ID // every out-list in node order, each in slot order
-	in    []int     // in[u] = indegree din(u)
+	in    []int32   // in[u] = indegree din(u)
 }
 
 // newGraph returns a graph over n nodes with room for m edges, whose
 // out-lists the caller appends to g.edges node by node, ending each with
 // endList.
 func newGraph(n, m int) *Graph {
-	return &Graph{n: n, off: make([]int, n+1), edges: make([]peer.ID, 0, m), in: make([]int, n)}
+	if m > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d edges, more than 32-bit offsets address", m))
+	}
+	return &Graph{n: n, off: make([]int32, n+1), edges: make([]peer.ID, 0, m), in: make([]int32, n)}
 }
 
 // endList ends node u's out-list — what was appended since node u-1's ended —
@@ -47,7 +52,7 @@ func (g *Graph) endList(u int) {
 			g.in[w]++
 		}
 	}
-	g.off[u+1] = len(g.edges)
+	g.off[u+1] = int32(len(g.edges))
 }
 
 // FromViews snapshots the membership graph induced by views; views[u] is
@@ -136,13 +141,13 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Outdegree returns d(u).
-func (g *Graph) Outdegree(u peer.ID) int { return g.off[u+1] - g.off[u] }
+func (g *Graph) Outdegree(u peer.ID) int { return int(g.off[u+1] - g.off[u]) }
 
 // Indegree returns din(u).
-func (g *Graph) Indegree(u peer.ID) int { return g.in[u] }
+func (g *Graph) Indegree(u peer.ID) int { return int(g.in[u]) }
 
 // SumDegree returns ds(u) = d(u) + 2*din(u) (Definition 6.1).
-func (g *Graph) SumDegree(u peer.ID) int { return g.Outdegree(u) + 2*g.in[u] }
+func (g *Graph) SumDegree(u peer.ID) int { return g.Outdegree(u) + 2*g.Indegree(u) }
 
 // OutNeighbors returns u's out-neighbor multiset in slot order. The caller
 // must not mutate the returned slice.
@@ -248,7 +253,7 @@ func (g *Graph) Multiplicity(u, v peer.ID) int {
 
 // IDInstances returns the total number of entries holding id across all
 // views — the "instances of u's id in the system" of Section 6.5.
-func (g *Graph) IDInstances(id peer.ID) int { return g.in[id] }
+func (g *Graph) IDInstances(id peer.ID) int { return g.Indegree(id) }
 
 // Counter counts the vertices, edges and weakly connected components of a
 // membership graph read in place, with no Graph built: each live node is

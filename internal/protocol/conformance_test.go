@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -478,6 +479,60 @@ func randomDriving(t *testing.T, c conformant) {
 		if out.Len() != 0 {
 			t.Fatalf("step %d: a reply begot a reply", step)
 		}
+	}
+}
+
+// TestSharedCoresStayPristine: a core without the protocol.PerNode marker is
+// the one core every node of a substrate runs, at once on the concurrent
+// engines, so its steps may read it and nothing more. Each such core drives
+// three views through 1,000 initiate steps and the receives of what they
+// send (replies included), and must come out reflect.DeepEqual to a fresh
+// core from its factory, as it went in.
+func TestSharedCoresStayPristine(t *testing.T) {
+	shared := 0
+	for _, c := range table() {
+		if _, perNode := mustCore(t, c).(protocol.PerNode); perNode {
+			continue
+		}
+		shared++
+		t.Run(c.name, func(t *testing.T) {
+			const n = 3
+			core, pristine := mustCore(t, c), mustCore(t, c)
+			if !reflect.DeepEqual(core, pristine) {
+				t.Fatalf("two cores from one factory differ: %+v, %+v", core, pristine)
+			}
+			views := make([]*view.View, n)
+			for u := range views {
+				views[u] = view.New(c.s)
+				if err := core.SeedView(views[u], []peer.ID{peer.ID((u + 1) % n), peer.ID((u + 2) % n)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := rng.New(8)
+			var out, replies protocol.Outbox
+			deliver := func(from, to *protocol.Outbox) {
+				for i := range from.Msgs {
+					if m := &from.Msgs[i]; int(m.To) < n {
+						pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: from.MsgIDs(m), Dup: m.Dup}
+						core.ReceiveBatch(views[m.To], m.To, pkt, r, to)
+					}
+				}
+			}
+			for step := 0; step < 1000; step++ {
+				u := peer.ID(r.Intn(n))
+				out.Reset()
+				replies.Reset()
+				core.InitiateBatch(views[u], u, r, &out)
+				deliver(&out, &replies)
+				deliver(&replies, &out)
+			}
+			if !reflect.DeepEqual(core, pristine) {
+				t.Errorf("after 1,000 steps the shared core is %+v, want it untouched: %+v", core, pristine)
+			}
+		})
+	}
+	if shared == 0 {
+		t.Fatal("no core in the table is shared")
 	}
 }
 

@@ -51,10 +51,11 @@ type Message struct {
 // so a step allocates nothing and a driver accounts without reading the
 // core's memory.
 //
-// A StepCore instance belongs to one node: implementations may keep
-// per-node protocol state (the sfopt graveyard, the S&F dependence tags)
-// and are not safe for concurrent use. Drivers build one per node from a
-// CoreFactory and serialize calls per instance.
+// A core that keeps per-node protocol state (the sfopt graveyard, the S&F
+// dependence tags) carries the PerNode marker: drivers build one per node
+// from its CoreFactory and serialize calls per instance. Any other core holds
+// only parameters, which its steps read and never write, so one value serves
+// every node of a substrate, steps at different nodes running on it at once.
 type StepCore interface {
 	// Name identifies the protocol in experiment output.
 	Name() string
@@ -90,8 +91,19 @@ type StepCore interface {
 // benchmark module.
 type BatchStepCore = StepCore
 
-// CoreFactory builds a fresh, independent StepCore. Drivers call it once
-// per node (and once per rejoin) so per-node state never crosses nodes.
+// PerNode marks a StepCore whose steps write state of the node they run at:
+// a driver builds such a core for every node, and again at every rejoin, so
+// per-node state never crosses nodes, and never shares one. The method does
+// nothing.
+type PerNode interface {
+	StepCore
+	PerNode()
+}
+
+// CoreFactory builds a fresh, independent StepCore. A substrate calls it once
+// to learn the protocol; unless that core is PerNode, every node runs it, and
+// otherwise the substrate calls the factory again for every node and every
+// rejoin.
 type CoreFactory func() (StepCore, error)
 
 // Counters tallies protocol events as the steps report them. It is the one

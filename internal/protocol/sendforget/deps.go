@@ -28,7 +28,10 @@ type TrackedCore struct {
 	dep []bool // dep[slot]
 }
 
-var _ protocol.StepCore = (*TrackedCore)(nil)
+var _ protocol.PerNode = (*TrackedCore)(nil)
+
+// PerNode marks the core as one node's own: the tags are its view's.
+func (c *TrackedCore) PerNode() {}
 
 // NewTrackedCore builds an S&F step core that tags dependent entries.
 func NewTrackedCore(s, dl int) (*TrackedCore, error) {

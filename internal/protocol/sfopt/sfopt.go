@@ -81,9 +81,10 @@ type Counters struct {
 }
 
 // Core is the per-node step core of the optimized S&F variants,
-// implementing protocol.StepCore. Unlike the stateless baselines it carries
-// per-node protocol state (the undeletion graveyard), so cores are never
-// shared between nodes. Not safe for concurrent use.
+// implementing protocol.PerNode. Unlike the stateless baselines it carries
+// per-node protocol state (the undeletion graveyard, the variant tally, the
+// step scratch), so cores are never shared between nodes. Not safe for
+// concurrent use.
 type Core struct {
 	opts     Options
 	counters Counters
@@ -97,7 +98,10 @@ type Core struct {
 	payload      []peer.ID // message payload, len BatchK
 }
 
-var _ protocol.StepCore = (*Core)(nil)
+var _ protocol.PerNode = (*Core)(nil)
+
+// PerNode marks the core as one node's own.
+func (c *Core) PerNode() {}
 
 // NewCore builds a variant step core.
 func NewCore(opts Options) (*Core, error) {

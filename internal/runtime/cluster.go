@@ -38,7 +38,7 @@ import (
 // which schedules a -race run happens to take.
 type Cluster struct {
 	cfg Config
-	s   int // every node's view size
+	src coreSource
 	net *transport.Network
 
 	mu     sync.RWMutex
@@ -62,15 +62,15 @@ type loops struct {
 }
 
 // newCluster wires up the nodes with the circulant bootstrap topology, from
-// a Config New has resolved and its view size s.
-func newCluster(cfg Config, s int) (*Cluster, error) {
+// a Config New has resolved and its step cores.
+func newCluster(cfg Config, src coreSource) (*Cluster, error) {
 	nw, err := transport.NewNetworkWithConditions(cfg.Conditions, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		s:      s,
+		src:    src,
 		net:    nw,
 		nodes:  make([]*Node, cfg.N),
 		roster: driver.NewRoster(cfg.Seed, cfg.N),
@@ -78,7 +78,7 @@ func newCluster(cfg Config, s int) (*Cluster, error) {
 	}
 	seeds := make([]peer.ID, cfg.InitDegree)
 	for u := 0; u < cfg.N; u++ {
-		core, err := coreFor(cfg.NewCore, peer.ID(u), s)
+		core, err := src.core(peer.ID(u))
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +235,7 @@ func (c *Cluster) Close() { c.Stop() }
 
 // Views snapshots all node views (nil entries for departed nodes) into one
 // slab, locking each node once for the copy of its own.
-func (c *Cluster) Views() []*view.View { return views(c, c.cfg.N, c.s) }
+func (c *Cluster) Views() []*view.View { return views(c, c.cfg.N, c.src.s) }
 
 // EachNode calls fn for every live node in id order, under the node's lock.
 func (c *Cluster) EachNode(fn func(u peer.ID, lv *view.View, core protocol.StepCore)) {
@@ -316,7 +316,7 @@ func (c *Cluster) AddNode(u peer.ID, seeds []peer.ID, _ bool) error {
 		c.mu.Unlock()
 		return fmt.Errorf("runtime: node %v is already active", u)
 	}
-	core, err := coreFor(c.cfg.NewCore, u, c.s)
+	core, err := c.src.core(u)
 	if err != nil {
 		c.mu.Unlock()
 		return err

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"unsafe"
+
 	"sendforget/internal/metrics"
 	"sendforget/internal/protocol"
 )
@@ -33,3 +35,6 @@ func ReplyRows(sub Substrate) []*protocol.Outbox {
 
 // DefaultShardSize is the automatic shard geometry, for the test that pins it.
 var DefaultShardSize = defaultShardSize
+
+// ShardedNodeSize is the size of the sharded engine's per-node record.
+const ShardedNodeSize = unsafe.Sizeof(shardedNode{})

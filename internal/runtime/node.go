@@ -45,9 +45,10 @@ type Sender interface {
 type NodeConfig struct {
 	// ID is this node's identity.
 	ID peer.ID
-	// Core is the per-node protocol step core. It must be a fresh instance:
-	// the node serializes access through its own lock, so a core shared with
-	// another node would race.
+	// Core is the node's protocol step core. The node serializes its own
+	// steps, not those of other nodes, so a protocol.PerNode core must be
+	// the node's alone; any other core only has its parameters read by a
+	// step and may serve every node at once.
 	Core protocol.StepCore
 	// Seed seeds the node's private RNG; 0 derives one from the id.
 	Seed int64

@@ -15,6 +15,7 @@ import (
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/runtime"
 	"sendforget/internal/transport"
+	"sendforget/internal/view"
 )
 
 // recorder is a Sender capturing messages. The ids are lent for the call
@@ -196,16 +197,17 @@ func TestClusterValidation(t *testing.T) {
 }
 
 // TestEnginesRejectAnotherViewSize holds every engine to the one view size
-// New probes: a factory whose later cores are larger is refused at the first
-// join that gets one.
+// New probes: a factory of protocol.PerNode cores — the only kind an engine
+// builds more than one of — whose later cores are larger is refused at the
+// first join that gets one.
 func TestEnginesRejectAnotherViewSize(t *testing.T) {
 	for _, kind := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster, runtime.EngineSharded} {
 		calls := 0
 		f := func() (protocol.StepCore, error) {
 			if calls++; calls > 3 {
-				return sendforget.NewCore(12, 0)
+				return sendforget.NewTrackedCore(12, 0)
 			}
-			return sendforget.NewCore(8, 0)
+			return sendforget.NewTrackedCore(8, 0)
 		}
 		sub, err := runtime.New(runtime.Config{Engine: kind, N: 10, NewCore: f, InitDegree: 4})
 		if err == nil {
@@ -284,6 +286,8 @@ func TestClusterConcurrent(t *testing.T) {
 // way. Every step in flight must write into an outbox of its own and lend
 // its ids only until its send returns: the race detector watches the
 // outboxes, and the views and the traffic ledger must come out consistent.
+// Every node runs the one shuffle core New probed, so the steps racing here
+// also run on one core at once: a step that wrote to its core would race.
 func TestNodeConcurrentTickAndReceive(t *testing.T) {
 	const n, goroutines, ticks = 12, 4, 400
 	c, err := newCluster(runtime.Config{
@@ -295,6 +299,14 @@ func TestNodeConcurrentTickAndReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var shared protocol.StepCore
+	c.EachNode(func(u peer.ID, _ *view.View, core protocol.StepCore) {
+		if shared == nil {
+			shared = core
+		} else if core != shared {
+			t.Errorf("node %v runs a core of its own, want the one core every node shares", u)
+		}
+	})
 	nodes := c.Nodes()
 	var wg sync.WaitGroup
 	for g := range goroutines {

@@ -32,11 +32,10 @@ import (
 // a per-action scheduler has: Step, StepAt and the OnAction hook. Not safe
 // for concurrent use.
 type Seq struct {
-	newCore protocol.CoreFactory
-	s       int                 // every node's view size
-	cores   []protocol.StepCore // nil for departed nodes
-	views   []*view.View        // nil for departed nodes
-	tally   protocol.Counters   // protocol events over all nodes
+	src   coreSource
+	cores []protocol.StepCore // nil for departed nodes
+	views []*view.View        // nil for departed nodes
+	tally protocol.Counters   // protocol events over all nodes
 	// out is where the steps write their one message, in turns: a message
 	// in delivery aliases one outbox while the receive step writes its reply
 	// into the other.
@@ -72,21 +71,20 @@ type ActionEvent struct {
 }
 
 // newSeq builds the sequential backend from a Config New has resolved and
-// its view size s: one core per node over the circulant bootstrap overlay.
+// its step cores, over the circulant bootstrap overlay.
 // The circulant graph — node u points at u+1, ..., u+d (mod n) — is weakly
 // connected, d-regular in and out, and has sum degree exactly 3d at every
 // node: the initialization Section 6.1 assumes. The gossip process then randomizes it (Lemma 7.5:
 // with no loss the stationary distribution is uniform over all reachable
 // graphs).
-func newSeq(cfg Config, s int) (*Seq, error) {
+func newSeq(cfg Config, src coreSource) (*Seq, error) {
 	e := &Seq{
-		newCore: cfg.NewCore,
-		s:       s,
-		cores:   make([]protocol.StepCore, cfg.N),
-		views:   make([]*view.View, cfg.N),
-		cond:    cfg.Conditions,
-		r:       rng.New(cfg.Seed),
-		idx:     make(map[peer.ID]int, cfg.N),
+		src:   src,
+		cores: make([]protocol.StepCore, cfg.N),
+		views: make([]*view.View, cfg.N),
+		cond:  cfg.Conditions,
+		r:     rng.New(cfg.Seed),
+		idx:   make(map[peer.ID]int, cfg.N),
 	}
 	// The router shares the engine's RNG: protocol draws and fault decisions
 	// interleave on one stream.
@@ -159,7 +157,7 @@ func (e *Seq) StepAt(u peer.ID) {
 // reply chains (each reply is again subject to the fault layer, which may
 // drop it, cut it at a partition, or park it in the delay queue until a
 // later round). msg is lent: its ids alias the outbox that is not e.out[next]
-// (or a delay-calendar bucket), and a parked message is copied. Each reply
+// (or the delay calendar), and a parked message is copied. Each reply
 // goes into e.out[next], and the turns alternate down the chain.
 func (e *Seq) transmit(to peer.ID, msg protocol.Message, next int, ev *ActionEvent) {
 	for ; ; next ^= 1 {
@@ -240,9 +238,9 @@ func (e *Seq) drainDue() {
 func (e *Seq) Snapshot() *graph.Graph { return graph.FromViews(e.views) }
 
 // Views copies every node's view (nil for departed nodes).
-func (e *Seq) Views() []*view.View { return views(e, len(e.views), e.s) }
+func (e *Seq) Views() []*view.View { return views(e, len(e.views), e.src.s) }
 
-// AddNode activates departed node u with a fresh core and an initial view
+// AddNode activates departed node u with its step core and an initial view
 // holding the seed ids ("a joining node has to know at least dL ids of live
 // nodes"; in practice the ids are copied from another node's view), and
 // adds it to the scheduling pool. The start flag is ignored: Seq is
@@ -262,11 +260,11 @@ func (e *Seq) join(u peer.ID, seeds []peer.ID) error {
 	if e.views[u] != nil {
 		return fmt.Errorf("runtime: node %v is already active", u)
 	}
-	core, err := coreFor(e.newCore, u, e.s)
+	core, err := e.src.core(u)
 	if err != nil {
 		return err
 	}
-	lv := view.New(e.s)
+	lv := view.New(e.src.s)
 	if err := core.SeedView(lv, seeds); err != nil {
 		return fmt.Errorf("runtime: join of %v: %w", u, err)
 	}

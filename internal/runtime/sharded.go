@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	gort "runtime"
+	gotrace "runtime/trace"
 	"sync"
 
 	"sendforget/internal/driver"
@@ -21,13 +23,16 @@ import (
 // goroutine, one mutex, one transport registration per node — which tops out
 // around n=500 per tick because every round pays n lock acquisitions, n
 // handler-map dispatches, and several allocations per message. The sharded
-// engine keeps the exact same protocol code (the per-node StepCores) but
+// engine keeps the exact same protocol code (the StepCores: one shared by
+// every node, or one per node for a protocol.PerNode protocol) but
 // reorganizes the execution for scale:
 //
 //   - Node state is flat: all views live in one contiguous id array (one
 //     s-slot window per node, which a join empties with view.Empty and the
 //     step core seeds in place; snapshots read it directly), per-node RNGs are
-//     values in the node records, liveness is one bit per node in a dense
+//     values in the node records, the step core a stateless protocol shares
+//     is one value in each shard (a record holds no interface word for it, and
+//     set-up and rejoin build none), liveness is one bit per node in a dense
 //     bitset (n/8 bytes, small enough to stay in every core's cache), and
 //     per-node event counters are replaced by one counter block per shard,
 //     summed at snapshot time.
@@ -68,13 +73,14 @@ import (
 //     snapshot time.
 //   - A run at a time. A message's destination is a uniform sample of the
 //     nodes (the paper's M3/M4), so the record and the view window its receive
-//     step writes are lines nobody touched since that node last acted — 248
-//     bytes a node, 25 MB at n = 100k, three or four cache misses per message,
+//     step writes are lines nobody touched since that node last acted — 232
+//     bytes a node at s = 40 (a 72-byte record and a 160-byte window), 23 MB
+//     at n = 100k, three or four cache misses per message,
 //     taken one after the other: a verdict and a receive step are several
 //     hundred instructions, and the next message's loads do not fit in the
 //     reorder window beside them. So deliver and drain take their input a run
 //     at a time — the at most protocol.MaxRun headers that lie consecutively in
-//     a lane (five cache lines), the due bucket cut to the same length — and
+//     a lane (five cache lines), or in a chunk of the delay calendar — and
 //     touch starts the misses of the whole run first: a tight loop that reads
 //     every destination's node record (the view header at its front, a word
 //     of the RNG state at its back), a second that reads a slot on every cache
@@ -96,10 +102,13 @@ import (
 //     have been.
 //   - Delayed messages never leave their shard: a verdict that assigns a delay
 //     parks the message in the ruling shard's calendar, and a tick starts
-//     with a drain phase in which every shard takes the bucket that came due
+//     with a drain phase in which every shard takes the rounds that came due
 //     — liveness per message in (due, enqueue) order, then the receive step,
-//     straight from the calendar's arena — before the initiate phase runs.
-//     Replies to drained messages are delivered like any others.
+//     straight from the calendar's chunks — before the initiate phase runs.
+//     The drain hands the drained rounds' chunks back to the calendar, and
+//     the same tick's deliver phases park into them, so a calendar holds
+//     what is in flight. Replies to drained messages are delivered like any
+//     others.
 //   - Between phases the gate holder does O(shards) work and touches no
 //     message: it advances the calendar clocks, sums counters to learn
 //     whether the last phase filed anything, and hands the deciders the fault
@@ -146,14 +155,14 @@ type liveSet []uint64
 func (b liveSet) has(u peer.ID) bool { return b[u>>6]&(1<<(uint(u)&63)) != 0 }
 
 // shardedNode packs one node's per-message state: the view header wrapping
-// its window of the shared slot array, its deterministic RNG, and its step
-// core. Everything a receive step reads for a destination is in this record;
-// liveness, which is asked for every message, is not (see
+// its window of the shared slot array and its deterministic RNG. Everything a
+// receive step reads for a destination is in this record but the step core,
+// which is the shard's (one for every node, unless the protocol is
+// protocol.PerNode), and liveness, which is asked for every message (see
 // ShardedCluster.live).
 type shardedNode struct {
 	view view.View
 	rng  rng.RNG
-	core protocol.StepCore
 }
 
 // shard owns everything a phase worker may touch for the contiguous id range
@@ -165,6 +174,12 @@ type shard struct {
 	lo    peer.ID       // id of nodes[0]
 	nodes []shardedNode // this shard's window of the node records
 	live  liveSet       // the engine's bitset; phases only read it
+
+	// The step cores: shared runs every node, unless the protocol is
+	// protocol.PerNode and cores, the shard's window of the engine's core
+	// slab, holds a core per node instead.
+	shared protocol.StepCore
+	cores  []protocol.StepCore
 
 	// The transmission discipline for messages addressed to this shard's
 	// nodes: a seat of its own at the fault stack, verdict stream included
@@ -190,8 +205,19 @@ type shardJob struct {
 	phase int
 }
 
+// phaseRegions names the runtime/trace region a job runs in by its phase
+// kind, so an execution trace (go test -trace, or /debug/pprof/trace on a
+// daemon) shows every worker's share of each phase. A region costs nothing
+// while no trace is being taken.
+var phaseRegions = [phaseDeliver + 1]string{
+	phaseInitiate: "phase initiate",
+	phaseDrain:    "phase drain",
+	phaseDeliver:  "phase deliver",
+}
+
 // run executes the job's phase body on its shard.
 func (j *shardJob) run() {
+	defer gotrace.StartRegion(context.Background(), phaseRegions[j.phase]).End()
 	switch j.phase {
 	case phaseInitiate:
 		j.sh.initiate(j.out)
@@ -229,7 +255,8 @@ func (p *pool) work() {
 // (EngineSharded); call Close when done to release the worker pool.
 type ShardedCluster struct {
 	cfg        Config
-	n, s       int
+	src        coreSource // the step cores, and the view size s of every node
+	n          int
 	shardShift uint // log2(shardSize): a destination id maps to its shard with a shift
 
 	// gate is the engine's exclusivity token (capacity 1, token present
@@ -259,8 +286,8 @@ type ShardedCluster struct {
 
 // newSharded builds a sharded tick cluster with the circulant bootstrap
 // topology (the same initial overlay newCluster wires), from a Config New
-// has resolved and its view size s.
-func newSharded(cfg Config, s int) (*ShardedCluster, error) {
+// has resolved and its step cores.
+func newSharded(cfg Config, src coreSource) (*ShardedCluster, error) {
 	shardSize := cfg.ShardSize
 	if shardSize == 0 {
 		shardSize = defaultShardSize(cfg.N)
@@ -281,10 +308,11 @@ func newSharded(cfg Config, s int) (*ShardedCluster, error) {
 		workers = nshards
 	}
 
+	s := src.s
 	e := &ShardedCluster{
 		cfg:        cfg,
+		src:        src,
 		n:          cfg.N,
-		s:          s,
 		shardShift: shift,
 		gate:       make(chan struct{}, 1),
 		pool: pool{
@@ -299,6 +327,10 @@ func newSharded(cfg Config, s int) (*ShardedCluster, error) {
 		live:   make(liveSet, (cfg.N+63)/64),
 	}
 	nodes := make([]shardedNode, cfg.N) // one slab, like slots; a shard holds its window
+	var cores []protocol.StepCore
+	if src.shared == nil {
+		cores = make([]protocol.StepCore, cfg.N)
+	}
 	// The two mail sets: shard k's row of set p at rows[2*k+p].
 	rows := make([]protocol.Outbox, 2*nshards)
 	for i := range rows {
@@ -310,13 +342,17 @@ func newSharded(cfg Config, s int) (*ShardedCluster, error) {
 	for k := range e.shards {
 		lo := k * shardSize
 		sh := &e.shards[k]
+		hi := min(lo+shardSize, cfg.N)
 		*sh = shard{
-			lo: peer.ID(lo), nodes: nodes[lo:min(lo+shardSize, cfg.N)], live: e.live,
+			lo: peer.ID(lo), nodes: nodes[lo:hi], live: e.live, shared: src.shared,
 			// The router asks for liveness per ruled and per drained message.
 			// Its callback is bound to the bitset itself (which is never
 			// reallocated): one load, no engine record behind it. It rules
 			// through the shard's decider and needs no stream of its own.
 			router: *driver.NewRouter(cfg.Conditions, nil, e.live.has),
+		}
+		if cores != nil {
+			sh.cores = cores[lo:hi]
 		}
 		cfg.Conditions.Attach(&sh.dec, rng.DeriveSeed(cfg.Seed, verdictStream, int64(k)))
 		e.jobs[phaseInitiate][k] = shardJob{sh: sh, out: &rows[2*k], phase: phaseInitiate}
@@ -357,21 +393,26 @@ func defaultShardSize(n int) int {
 	return size
 }
 
-// activate installs a fresh core, view, and RNG stream for node u: the core
-// seeds the view straight into node u's window of the slot array, emptied
-// first, so nothing but the core is allocated. Callers hold the gate (or, in
-// newSharded, are the only reference holder).
+// activate installs a view and an RNG stream for node u, and its core when
+// the protocol is protocol.PerNode: the core seeds the view straight into
+// node u's window of the slot array, emptied first, so nothing is allocated
+// but a PerNode core. Callers hold the gate (or, in newSharded, are the only
+// reference holder).
 func (e *ShardedCluster) activate(u peer.ID, seeds []peer.ID) error {
-	core, err := coreFor(e.cfg.NewCore, u, e.s)
+	core, err := e.src.core(u)
 	if err != nil {
 		return err
 	}
-	nd := e.shardOf(u).node(u)
-	nd.view = view.Empty(e.slots[int(u)*e.s : (int(u)+1)*e.s : (int(u)+1)*e.s])
+	sh := e.shardOf(u)
+	nd := sh.node(u)
+	s := e.src.s
+	nd.view = view.Empty(e.slots[int(u)*s : (int(u)+1)*s : (int(u)+1)*s])
 	if err := core.SeedView(&nd.view, seeds); err != nil {
 		return err
 	}
-	nd.core = core
+	if sh.cores != nil {
+		sh.cores[u-sh.lo] = core
+	}
 	nd.rng = rng.NewState(e.roster.SeedFor(u))
 	e.live[u>>6] |= 1 << (uint(u) & 63)
 	return nil
@@ -383,6 +424,14 @@ func (e *ShardedCluster) shardOf(u peer.ID) *shard { return &e.shards[int(u)>>e.
 // node returns the record of node u, which must lie in the shard's range: an
 // id outside it indexes out of range instead of reaching a neighbour.
 func (sh *shard) node(u peer.ID) *shardedNode { return &sh.nodes[u-sh.lo] }
+
+// core returns the step core of node u, which must lie in the shard's range.
+func (sh *shard) core(u peer.ID) protocol.StepCore {
+	if sh.cores != nil {
+		return sh.cores[u-sh.lo]
+	}
+	return sh.shared
+}
 
 // runPhase executes phase p's job of every shard: queue them all for the
 // pool, run the ones no worker has claimed, and join. Any goroutine may run
@@ -426,7 +475,7 @@ func (sh *shard) initiate(out *protocol.Outbox) {
 			continue
 		}
 		nd := &sh.nodes[i]
-		cnt.Initiated(nd.core.InitiateBatch(&nd.view, u, &nd.rng, out))
+		cnt.Initiated(sh.core(u).InitiateBatch(&nd.view, u, &nd.rng, out))
 	}
 	sh.cnt.Add(cnt)
 }
@@ -436,7 +485,7 @@ func (sh *shard) initiate(out *protocol.Outbox) {
 func (sh *shard) receive(m *protocol.FlatMsg, ids []peer.ID, out *protocol.Outbox, cnt *NodeCounters) {
 	nd := sh.node(m.To)
 	pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}
-	cnt.Received(nd.core.ReceiveBatch(&nd.view, m.To, pkt, &nd.rng, out))
+	cnt.Received(sh.core(m.To).ReceiveBatch(&nd.view, m.To, pkt, &nd.rng, out))
 }
 
 // touch starts the cache misses of a run's destinations together (see "A run
@@ -496,29 +545,29 @@ func (sh *shard) deliver(in []protocol.Lane, out *protocol.Outbox) {
 }
 
 // drain delivers the shard's delayed messages due by the current tick: it
-// walks the due round's calendar bucket in (due, enqueue) order, in runs of
-// the length deliver's have and touched the same way, resolves liveness per
-// message at drain time (a message to a node that departed while in flight is
-// a dead letter, exactly as on the other substrates; the fault stack already
-// ruled when the message parked) and runs the receive steps from the bucket
-// itself. Replies go to out, the shard's row of mail set 0, like a round's
-// first messages.
+// walks each due round's runs in (due, enqueue) order — a run is one chunk of
+// the calendar, as long as deliver's at most, and touched the same way —
+// resolves liveness per message at drain time (a message to a node that
+// departed while in flight is a dead letter, exactly as on the other
+// substrates; the fault stack already ruled when the message parked) and
+// runs the receive steps from the calendar itself. The last DueBatch call,
+// which finds nothing further due, returns the drained rounds' chunks to the
+// calendar, for this tick's parks. Replies go to out, the shard's row of mail
+// set 0, like a round's first messages.
 func (sh *shard) drain(out *protocol.Outbox) {
 	out.Reset()
 	var cnt NodeCounters
 	var touched uint64
 	for {
-		b, from := sh.router.DueBatch()
-		if b == nil {
+		runs, ok := sh.router.DueBatch()
+		if !ok {
 			break
 		}
-		for due := b.Msgs[from:]; len(due) > 0; {
-			run := due[:min(len(due), protocol.MaxRun)]
-			due = due[len(run):]
+		for run := runs.Next(); run != nil; run = runs.Next() {
 			touched += sh.touch(run)
 			for i := range run {
 				if m := &run[i]; sh.router.Deliverable(m.To) {
-					sh.receive(m, b.MsgIDs(m), out, &cnt)
+					sh.receive(m, runs.MsgIDs(m), out, &cnt)
 				}
 			}
 		}
@@ -564,15 +613,23 @@ func (e *ShardedCluster) advance() {
 // came due (a drain phase), every live node initiates once (initiate phase),
 // and every shard rules on and receives what was addressed to it (deliver
 // phases, until a generation of replies is empty). The fault stack is read
-// once, at the start.
+// once, at the start. The gate holder's steps run in trace regions of their
+// own, the phase jobs it claims nested in them.
 //
 //vet:hotpath
 func (e *ShardedCluster) TickRound() {
 	<-e.gate
+	ctx := context.Background()
+	r := gotrace.StartRegion(ctx, "tick sync")
 	e.cfg.Conditions.Sync()
+	r.End()
+	r = gotrace.StartRegion(ctx, "tick advance")
 	e.advance()
+	r.End()
 	e.runPhase(phaseInitiate)
+	r = gotrace.StartRegion(ctx, "tick settle")
 	e.settle()
+	r.End()
 	e.gate <- struct{}{}
 }
 
@@ -609,7 +666,7 @@ func (e *ShardedCluster) Pending() int {
 // Views snapshots all node views (nil entries for departed nodes) in one
 // hold of the gate, into one slab: a constant number of allocations, not two
 // per live node, which is what keeps snapshot cost sane at 10^5+ nodes.
-func (e *ShardedCluster) Views() []*view.View { return views(e, e.n, e.s) }
+func (e *ShardedCluster) Views() []*view.View { return views(e, e.n, e.src.s) }
 
 // EachNode calls fn for every live node in id order, with the gate held for
 // the whole pass.
@@ -618,8 +675,8 @@ func (e *ShardedCluster) EachNode(fn func(u peer.ID, lv *view.View, core protoco
 	defer func() { e.gate <- struct{}{} }()
 	for u := peer.ID(0); int(u) < e.n; u++ {
 		if e.live.has(u) {
-			nd := e.shardOf(u).node(u)
-			fn(u, &nd.view, nd.core)
+			sh := e.shardOf(u)
+			fn(u, &sh.node(u).view, sh.core(u))
 		}
 	}
 }
@@ -630,7 +687,7 @@ func (e *ShardedCluster) EachNode(fn func(u peer.ID, lv *view.View, core protoco
 func (e *ShardedCluster) Snapshot() *graph.Graph {
 	<-e.gate
 	defer func() { e.gate <- struct{}{} }()
-	return graph.FromSlots(e.slots, e.s, e.live.has)
+	return graph.FromSlots(e.slots, e.src.s, e.live.has)
 }
 
 // Counters sums the per-shard counters — O(shards), not O(n) per-node lock

@@ -1,14 +1,17 @@
 package runtime_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	gort "runtime"
 	"runtime/debug"
+	gotrace "runtime/trace"
 	"testing"
 	"time"
 
+	"sendforget/internal/driver"
 	"sendforget/internal/faults"
 	"sendforget/internal/loss"
 	"sendforget/internal/metrics"
@@ -613,25 +616,99 @@ func TestShardedSnapshotAllocs(t *testing.T) {
 }
 
 // TestShardedSetupAllocs bounds what building a sharded overlay allocates per
-// node: one object, the step core its factory builds, since every view is
-// seeded straight into its window of the slot slab. S&F at n = 4096 makes
-// exactly 2048 allocations more than at n = 2048, both in eight shards so
-// that the per-shard state is the same. The collector is off while it
-// counts: a GC cycle allocates two objects of the Go runtime's own, and a
-// cycle that lands in one size's runs and not the other's moved the
-// difference by one.
+// node: nothing, for a protocol whose one step core serves every node — every
+// view is seeded straight into its window of the slot slab — and one core,
+// with whatever its factory allocates, for a protocol.PerNode one. S&F makes
+// the same number of allocations at n = 2048 as at n = 4096, both in eight
+// shards so that the per-shard state is the same; sfopt (three objects a
+// core: the core and its two step buffers) makes one core's worth more per
+// added node. The collector is off while it counts: a GC cycle allocates two
+// objects of the Go runtime's own, and a cycle that lands in one size's runs
+// and not the other's moved the difference by one.
 func TestShardedSetupAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	build := func(n int) float64 {
+	sfoptFactory := func() (protocol.StepCore, error) {
+		return sfopt.NewCore(sfopt.Options{S: 40, DL: 18, ReplaceWhenFull: true})
+	}
+	build := func(n int, f protocol.CoreFactory) float64 {
 		return testing.AllocsPerRun(3, func() {
-			e, err := newSharded(runtime.Config{N: n, NewCore: sfFactory(40, 18), Seed: 3, ShardSize: n / 8, Workers: 1})
+			e, err := newSharded(runtime.Config{N: n, NewCore: f, Seed: 3, ShardSize: n / 8, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			e.Close()
 		})
 	}
-	if small, large := build(2048), build(4096); large-small != 2048 {
-		t.Errorf("set-up allocates %.0f times at n=2048 and %.0f at n=4096: %.0f more, want one per added node (2048)", small, large, large-small)
+	if small, large := build(2048, sfFactory(40, 18)), build(4096, sfFactory(40, 18)); large != small {
+		t.Errorf("S&F set-up allocates %.0f times at n=2048 and %.0f at n=4096, want the same", small, large)
+	}
+	perCore := testing.AllocsPerRun(10, func() {
+		if _, err := sfoptFactory(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if small, large := build(2048, sfoptFactory), build(4096, sfoptFactory); large-small != 2048*perCore {
+		t.Errorf("sfopt set-up allocates %.0f times at n=2048 and %.0f at n=4096: %.0f more, want one core (%.0f allocations) per added node (%.0f)",
+			small, large, large-small, perCore, 2048*perCore)
+	}
+}
+
+// TestShardedNodeRecordSize: the record a receive step reads for its
+// destination is the view header and the RNG state, 72 bytes; the step core
+// is the shard's, not a 16-byte interface word in every record.
+func TestShardedNodeRecordSize(t *testing.T) {
+	if runtime.ShardedNodeSize > 72 {
+		t.Errorf("sharded node record is %d bytes, want at most 72", runtime.ShardedNodeSize)
+	}
+}
+
+// TestShardedRejoinAllocs: a node that leaves and joins again under S&F gets
+// the shared core, a view seeded in its old window and a fresh RNG stream
+// value, so the cycle allocates nothing.
+func TestShardedRejoinAllocs(t *testing.T) {
+	e, err := newSharded(runtime.Config{N: 2048, NewCore: sfFactory(40, 18), Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	seeds := make([]peer.ID, 30)
+	driver.Circulant(9, 2048, seeds)
+	if avg := testing.AllocsPerRun(100, func() {
+		e.RemoveNode(9)
+		if err := e.AddNode(9, seeds, false); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("a RemoveNode/AddNode cycle allocates %.1f times, want 0", avg)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedTickTraceRegions takes an execution trace of one delayed
+// push-pull tick and finds every region the tick runs in: the gate holder's
+// sync, advance and settle, and the three phase kinds of the shard jobs.
+func TestShardedTickTraceRegions(t *testing.T) {
+	cond := faults.Lossless()
+	if err := cond.SetDelay(faults.Delay{Fixed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := newSharded(runtime.Config{N: 512, NewCore: allProtocols()[4].factory, Conditions: cond, Seed: 4, ShardSize: 64, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.TickRound() // parks a round's messages for the traced tick to drain
+	var buf bytes.Buffer
+	if err := gotrace.Start(&buf); err != nil {
+		t.Skipf("a trace is being taken already: %v", err)
+	}
+	e.TickRound()
+	gotrace.Stop()
+	for _, region := range []string{"tick sync", "tick advance", "tick settle", "phase initiate", "phase drain", "phase deliver"} {
+		if !bytes.Contains(buf.Bytes(), []byte(region)) {
+			t.Errorf("the trace of a tick has no %q region", region)
+		}
 	}
 }

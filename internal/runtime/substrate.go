@@ -124,15 +124,47 @@ func checkInvariants(sub Substrate) (err error) {
 	return err
 }
 
-// coreFor builds node u's step core with f and holds it to the view size s
-// New probed: every engine keeps one size for all its nodes.
-func coreFor(f protocol.CoreFactory, u peer.ID, s int) (protocol.StepCore, error) {
-	core, err := f()
+// coreSource hands the nodes of one substrate their step cores. New probes
+// the factory once, and unless the probed core is protocol.PerNode it is
+// every node's core: it holds only parameters, so building one per node, and
+// one per rejoin, would only allocate. A PerNode protocol's node gets a core
+// of its own from the factory at every activation.
+type coreSource struct {
+	shared  protocol.StepCore // the probed core; nil for a PerNode protocol
+	factory protocol.CoreFactory
+	s       int // the view size of every node
+}
+
+// newCoreSource probes f: its core, its view size, and whether one core may
+// serve every node.
+func newCoreSource(f protocol.CoreFactory) (coreSource, error) {
+	probe, err := f()
+	if err != nil {
+		return coreSource{}, fmt.Errorf("runtime: core factory: %w", err)
+	}
+	src := coreSource{shared: probe, factory: f, s: probe.ViewSize()}
+	if src.s < 1 {
+		return coreSource{}, fmt.Errorf("runtime: core view size %d", src.s)
+	}
+	if _, perNode := probe.(protocol.PerNode); perNode {
+		src.shared = nil
+	}
+	return src, nil
+}
+
+// core returns node u's step core for an activation: the shared one, or a
+// fresh one held to the probed view size, since every engine keeps one size
+// for all its nodes.
+func (src coreSource) core(u peer.ID) (protocol.StepCore, error) {
+	if src.shared != nil {
+		return src.shared, nil
+	}
+	core, err := src.factory()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: core for node %v: %w", u, err)
 	}
-	if core.ViewSize() != s {
-		return nil, fmt.Errorf("runtime: core for node %v has view size %d, the substrate expects %d", u, core.ViewSize(), s)
+	if core.ViewSize() != src.s {
+		return nil, fmt.Errorf("runtime: core for node %v has view size %d, the substrate expects %d", u, core.ViewSize(), src.s)
 	}
 	return core, nil
 }
@@ -183,8 +215,9 @@ type Config struct {
 	Engine EngineKind
 	// N is the number of node slots.
 	N int
-	// NewCore builds one fresh protocol step core per node. Cores hold
-	// per-node state and are never shared across nodes.
+	// NewCore builds the protocol's step cores. New calls it once; unless
+	// that core is protocol.PerNode it serves every node, and otherwise
+	// every node gets a fresh one, again at every rejoin.
 	NewCore protocol.CoreFactory
 	// InitDegree is the circulant bootstrap outdegree (0 selects an even
 	// value of about half the core's view size).
@@ -218,10 +251,12 @@ type Config struct {
 // internal/runtime obtains a substrate: equivalence harnesses, benchmarks,
 // and commands stay free of backend-specific branches beyond this call. It
 // resolves what every backend resolves the same way — the node count and
-// core factory checks, the view size (one probe of the factory; every node
-// of a substrate has it), the seed and bootstrap-degree defaults, and the
-// fault stack (Conditions, or the paper's uniform loss at rate Loss) — so
-// the constructors receive a Config with those fields final, and the size.
+// core factory checks, the step cores (one probe of the factory gives the
+// view size every node of a substrate has, and, unless the protocol is
+// protocol.PerNode, the one core every node runs), the seed and
+// bootstrap-degree defaults, and the fault stack (Conditions, or the paper's
+// uniform loss at rate Loss) — so the constructors receive a Config with
+// those fields final, and the cores.
 func New(cfg Config) (Substrate, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("runtime: need at least 2 nodes, got %d", cfg.N)
@@ -232,15 +267,11 @@ func New(cfg Config) (Substrate, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	probe, err := cfg.NewCore()
+	src, err := newCoreSource(cfg.NewCore)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: core factory: %w", err)
+		return nil, err
 	}
-	s := probe.ViewSize()
-	if s < 1 {
-		return nil, fmt.Errorf("runtime: core view size %d", s)
-	}
-	if cfg.InitDegree, err = driver.BootstrapDegree(s, cfg.N, cfg.InitDegree); err != nil {
+	if cfg.InitDegree, err = driver.BootstrapDegree(src.s, cfg.N, cfg.InitDegree); err != nil {
 		return nil, err
 	}
 	if cfg.Conditions == nil {
@@ -250,11 +281,11 @@ func New(cfg Config) (Substrate, error) {
 	}
 	switch cfg.Engine {
 	case EngineSeq:
-		return newSeq(cfg, s)
+		return newSeq(cfg, src)
 	case EngineCluster, "":
-		return newCluster(cfg, s)
+		return newCluster(cfg, src)
 	case EngineSharded:
-		return newSharded(cfg, s)
+		return newSharded(cfg, src)
 	}
 	return nil, fmt.Errorf("runtime: unknown engine %q", cfg.Engine)
 }

@@ -144,8 +144,8 @@ func (nw *Network) Send(to peer.ID, msg protocol.Message) error {
 // routing is resolved at drain time, so a message to a node that departed
 // while in flight counts as a dead letter. Handlers run outside the lock,
 // on ids copied out of the router's calendar under it: a drained message
-// aliases calendar storage only until the next Tick, and once the lock is
-// released another goroutine's Advance may tick.
+// aliases calendar storage only until the next Due, and once the lock is
+// released another goroutine's Advance may drain.
 func (nw *Network) Advance() {
 	nw.mu.Lock()
 	var b drainBuf
