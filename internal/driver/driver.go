@@ -24,8 +24,8 @@
 // order, and a drain hands them out a chunk — a run — at a time. When a
 // drain finds a round exhausted, the round's chunks go back to a free list,
 // and the parks of the same tick take them again: the pool holds what is in
-// flight, not the ring length times the largest round, and a warmed-up
-// router parks and drains without allocating. The ring does not exist until
+// flight and at most a part-filled chunk per round, and a warmed-up router
+// parks and drains without allocating. The ring does not exist until
 // a message parks and doubles when a delay reaches past it. What Due and
 // DueBatch hand out aliases the pool and is valid until the next Due or
 // DueBatch call.
