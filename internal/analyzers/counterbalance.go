@@ -41,8 +41,8 @@ import (
 //     + DeadLetters once the queue drains. Outcome-only functions (delay
 //     queue drains) are legal; send-only functions are not.
 //
-// The live ledger writes are driver.Router's ruleVerdict/deliverable (and
-// AddTraffic, which sums whole ledgers) and transport.Endpoint's
+// The live ledger writes are driver.Router's RouteBy, ruleVerdict and admit
+// (and AddTraffic, which sums whole ledgers) and transport.Endpoint's
 // Send/receiveLoop, each balanced; this analyzer keeps new accounting
 // honest.
 var Counterbalance = &framework.Analyzer{

@@ -156,7 +156,7 @@ func NewRouter(cond *faults.Conditions, r *rng.RNG, live func(peer.ID) bool) *Ro
 //vet:hotpath
 func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
 	m := protocol.FlatMsg{To: to, From: msg.From, Kind: msg.Kind, Dup: msg.Dup}
-	return rt.ruleVerdict(rt.cond.Decide(msg.From, to, rt.rng), &m, msg.IDs)
+	return rt.ruleVerdict(rt.cond.Decide(msg.From, to, rt.rng), &m, msg.IDs, rt.live(to))
 }
 
 // RouteIn is Route under an open fault-stack session: a loop that rules on
@@ -166,7 +166,7 @@ func (rt *Router) Route(to peer.ID, msg protocol.Message) Outcome {
 //vet:hotpath
 func (rt *Router) RouteIn(ses *faults.Session, to peer.ID, msg protocol.Message) Outcome {
 	m := protocol.FlatMsg{To: to, From: msg.From, Kind: msg.Kind, Dup: msg.Dup}
-	return rt.ruleVerdict(ses.Decide(msg.From, to, rt.rng), &m, msg.IDs)
+	return rt.ruleVerdict(ses.Decide(msg.From, to, rt.rng), &m, msg.IDs, rt.live(to))
 }
 
 // RouteBy is Route through a decider attached to the stack — how a shard of
@@ -175,18 +175,30 @@ func (rt *Router) RouteIn(ses *faults.Session, to peer.ID, msg protocol.Message)
 // a router is built with a nil one). The message is ruled on where it lies, m
 // a header of some outbox and ids its ids (Outbox.MsgIDs): nothing of it is
 // copied unless it parks, so nothing of it is held in registers, or spilled,
-// across the decision.
+// across the decision. live is whether m.To can receive, read by the caller
+// from the set the router's callback reads, so that the common message makes
+// no dynamic call: under a plain configuration (faults.Decider.Plain) the
+// trial, the ledger and the liveness are all settled here, inline.
 //
 //vet:hotpath
-func (rt *Router) RouteBy(d *faults.Decider, m *protocol.FlatMsg, ids []peer.ID) Outcome {
-	return rt.ruleVerdict(d.Decide(m.From, m.To), m, ids)
+func (rt *Router) RouteBy(d *faults.Decider, m *protocol.FlatMsg, ids []peer.ID, live bool) Outcome {
+	lost, plain := d.Plain()
+	if !plain {
+		return rt.ruleVerdict(d.Decide(m.From, m.To), m, ids, live)
+	}
+	rt.ledger.Sends++
+	if lost {
+		rt.ledger.Losses++
+		return Dropped
+	}
+	return rt.admit(live)
 }
 
 // ruleVerdict counts the attempt and applies a fault verdict: drop (with
-// subset accounting), park, or fall through to the liveness check. Of the
-// header it reads the addresses, the kind and the duplicate mark; the ids are
-// the caller's to locate.
-func (rt *Router) ruleVerdict(v faults.Verdict, m *protocol.FlatMsg, ids []peer.ID) Outcome {
+// subset accounting), park, or fall through to the liveness of the
+// destination, live. Of the header it reads the addresses, the kind and the
+// duplicate mark; the ids are the caller's to locate.
+func (rt *Router) ruleVerdict(v faults.Verdict, m *protocol.FlatMsg, ids []peer.ID, live bool) Outcome {
 	rt.ledger.Sends++
 	if v.Drop != faults.DropNone {
 		rt.ledger.Losses++
@@ -203,7 +215,7 @@ func (rt *Router) ruleVerdict(v faults.Verdict, m *protocol.FlatMsg, ids []peer.
 		rt.park(rt.clock+v.Delay, m, ids)
 		return Parked
 	}
-	return rt.deliverable(m.To)
+	return rt.admit(live)
 }
 
 // park copies the message into the tail chunk of round due, chaining a
@@ -298,10 +310,10 @@ func (rt *Router) grow(span int) {
 	}
 }
 
-// deliverable is the liveness half of the discipline: dead letter or
-// delivery, counted exactly once.
-func (rt *Router) deliverable(to peer.ID) Outcome {
-	if !rt.live(to) {
+// admit is the liveness half of the discipline, for a destination that is
+// live or not: dead letter or delivery, counted exactly once.
+func (rt *Router) admit(live bool) Outcome {
+	if !live {
 		rt.ledger.DeadLetters++
 		return DeadLetter
 	}
@@ -426,7 +438,7 @@ func msgIDs(m *protocol.FlatMsg, arena []peer.ID) []peer.ID {
 // DueBatch, counting the dead letter or the delivery. The fault stack is not
 // re-consulted: the message already passed it when it parked.
 func (rt *Router) Deliverable(to peer.ID) bool {
-	return rt.deliverable(to) == Delivered
+	return rt.admit(rt.live(to)) == Delivered
 }
 
 // Pending returns the number of messages parked in the delay calendar.

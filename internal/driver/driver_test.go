@@ -89,6 +89,48 @@ func TestRouteVerdictsAgainstLedger(t *testing.T) {
 	conserved(t, rt, "RouteIn")
 }
 
+// TestRouteByPlainMatchesRoute: under the paper's configuration — uniform
+// loss and nothing else — RouteBy settles every message inline, through
+// faults.Decider.Plain, and must rule exactly as Route does on a router
+// whose stream is the decider's: the same outcome per message over live and
+// departed destinations, and the same ledger.
+func TestRouteByPlainMatchesRoute(t *testing.T) {
+	cond, err := faults.FromRate(0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := liveSet{}
+	for id := peer.ID(0); id < 50; id += 3 {
+		nodes[id] = true
+	}
+	var d faults.Decider
+	cond.Attach(&d, 11)
+	cond.Sync()
+	if _, plain := d.Plain(); !plain {
+		t.Fatal("uniform loss alone is not plain")
+	}
+	var d2 faults.Decider // Plain drew once above: a second seat starts level with Route
+	cond.Attach(&d2, 11)
+	cond.Sync()
+	by, route := NewRouter(cond, nil, nodes.live), NewRouter(cond, rng.New(11), nodes.live)
+	var ob protocol.Outbox
+	for i := 0; i < 2000; i++ {
+		ob.Reset()
+		to := peer.ID(i % 50)
+		ob.Append2(to, 1, protocol.KindGossip, false, 8, 9)
+		m := &ob.Msgs[0]
+		got := by.RouteBy(&d2, m, ob.MsgIDs(m), nodes.live(to))
+		want := route.Route(to, protocol.Message{Kind: protocol.KindGossip, From: 1, IDs: []peer.ID{8, 9}})
+		if got != want {
+			t.Fatalf("message %d to %d: RouteBy %v, Route %v", i, to, got, want)
+		}
+	}
+	if by.Traffic() != route.Traffic() {
+		t.Fatalf("RouteBy ledger %+v, Route ledger %+v", by.Traffic(), route.Traffic())
+	}
+	conserved(t, by, "RouteBy")
+}
+
 // TestRouteByRulesOnHeaderInPlace: RouteBy takes a message as it lies in an
 // outbox — the header by pointer, the ids as the outbox locates them, inline
 // or in its arena — and must rule exactly like Route: the same outcomes, the
@@ -112,7 +154,7 @@ func TestRouteByRulesOnHeaderInPlace(t *testing.T) {
 	want := []Outcome{Delivered, Dropped, DeadLetter}
 	for i, w := range want {
 		m := &ob.Msgs[i]
-		if got := rt.RouteBy(&d, m, ob.MsgIDs(m)); got != w {
+		if got := rt.RouteBy(&d, m, ob.MsgIDs(m), nodes.live(m.To)); got != w {
 			t.Fatalf("message %d: outcome %v, want %v", i, got, w)
 		}
 	}
@@ -121,7 +163,7 @@ func TestRouteByRulesOnHeaderInPlace(t *testing.T) {
 	}
 	cond.Sync()
 	m := &ob.Msgs[3]
-	if got := rt.RouteBy(&d, m, ob.MsgIDs(m)); got != Parked {
+	if got := rt.RouteBy(&d, m, ob.MsgIDs(m), nodes.live(m.To)); got != Parked {
 		t.Fatalf("delayed message: outcome %v, want Parked", got)
 	}
 	if !reflect.DeepEqual(ob.Msgs, before) {

@@ -295,7 +295,9 @@ func (ru *rules) groupOf(id peer.ID) int32 {
 // decide is the decision order, for every way of reaching the stack: it rules
 // on one attempted transmission from -> to under ru, advancing base (or the
 // link's override model) and drawing from r. The common configuration — no
-// partition, no overrides — costs two branches before its one model call.
+// partition, no overrides — costs two branches before its one model draw. A
+// stateless uniform or no-loss base, the paper's setting, is ruled here
+// without the interface call: the same trial Uniform.Lost makes, inlined.
 func (ru *rules) decide(base loss.Model, from, to peer.ID, r *rng.RNG) Verdict {
 	if ru.separated(from, to) {
 		return Verdict{Drop: DropPartition}
@@ -304,8 +306,18 @@ func (ru *rules) decide(base loss.Model, from, to peer.ID, r *rng.RNG) Verdict {
 		if m.Lost(to, r) {
 			return Verdict{Drop: DropLink}
 		}
-	} else if base.Lost(to, r) {
-		return Verdict{Drop: DropModel}
+	} else {
+		var lost bool
+		switch b := base.(type) {
+		case loss.Uniform:
+			lost = r.Bernoulli(b.P)
+		case loss.None:
+		default:
+			lost = base.Lost(to, r)
+		}
+		if lost {
+			return Verdict{Drop: DropModel}
+		}
 	}
 	d := ru.delay.Fixed
 	if ru.delay.Jitter > 0 {
@@ -369,12 +381,38 @@ type Decider struct {
 	r    rng.RNG
 	base loss.Model
 	next loss.Model // base model to seat at the next Sync; guarded by the stack's mu
+	cut  uint64     // rng.Threshold of a plain configuration's one trial, 0 if not plain; set by Sync
 }
 
 // Decide is Conditions.Decide against the last Sync's snapshot, drawing from
 // the decider's own stream.
 func (d *Decider) Decide(from, to peer.ID) Verdict {
 	return d.ru.decide(d.base, from, to, &d.r)
+}
+
+// Plain rules on one message when the last Sync found the configuration
+// plain — no partition, no link override, no delay, and a stateless uniform
+// base model at a rate strictly between 0 and 1 — and then draws and decides
+// exactly as Decide would: lost is its DropModel verdict, anything else its
+// immediate delivery. For any other configuration ok is false and nothing
+// is drawn; the caller asks Decide. It is small enough to inline, draw
+// included, into a caller's per-message loop.
+func (d *Decider) Plain() (lost, ok bool) {
+	if d.cut == 0 {
+		return false, false
+	}
+	return d.r.BernoulliAt(d.cut), true
+}
+
+// plainCut is the cut Sync gives a decider ruling under ru with base model
+// base: the threshold of base's trial when the decision is nothing more, 0
+// otherwise.
+func plainCut(ru *rules, base loss.Model) uint64 {
+	u, ok := base.(loss.Uniform)
+	if !ok || ru.group != nil || len(ru.links) != 0 || ru.delay != (Delay{}) {
+		return 0
+	}
+	return rng.Threshold(u.P)
 }
 
 // Attach makes d a decider of this stack, with a verdict stream seeded by
@@ -401,6 +439,7 @@ func (c *Conditions) Sync() {
 		if d.next != nil {
 			d.base, d.next = d.next, nil
 		}
+		d.cut = plainCut(&c.snap, d.base)
 	}
 }
 

@@ -432,6 +432,89 @@ func TestOneDecisionBody(t *testing.T) {
 	}
 }
 
+// TestDeciderPlain: Plain takes over exactly the configurations whose
+// decision is one trial of a stateless uniform base at a rate inside (0, 1),
+// is in force from the Sync that makes the configuration plain until the one
+// that ends it, and there draws and rules as Decide does, verdict for
+// verdict on the same stream.
+func TestDeciderPlain(t *testing.T) {
+	plain := func(c *Conditions) bool {
+		var d Decider
+		c.Attach(&d, 1)
+		c.Sync()
+		_, ok := d.Plain()
+		return ok
+	}
+	burst, err := loss.BurstyWithRate(0.1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDest, err := loss.NewPerDest(0.1, map[peer.ID]float64{3: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Conditions{
+		"lossless":     Lossless(),
+		"rate 0":       mustStack(t, loss.MustUniform(0)),
+		"rate 1":       mustStack(t, loss.MustUniform(1)),
+		"bursty":       mustStack(t, burst),
+		"per-dest":     mustStack(t, perDest),
+		"partitioned":  mustStack(t, loss.MustUniform(0.1)),
+		"link":         mustStack(t, loss.MustUniform(0.1)),
+		"fixed delay":  mustStack(t, loss.MustUniform(0.1)),
+		"jitter delay": mustStack(t, loss.MustUniform(0.1)),
+	} {
+		switch name {
+		case "partitioned":
+			c.Partition([]peer.ID{1, 2})
+		case "link":
+			c.SetLinkLoss(1, 2, loss.MustUniform(0.5))
+		case "fixed delay":
+			_ = c.SetDelay(Delay{Fixed: 1})
+		case "jitter delay":
+			_ = c.SetDelay(Delay{Jitter: 1})
+		}
+		if plain(c) {
+			t.Errorf("%s: Plain rules a configuration that is not plain", name)
+		}
+	}
+
+	c := mustStack(t, loss.MustUniform(0.2))
+	var fast, full Decider
+	c.Attach(&fast, 5)
+	c.Attach(&full, 5)
+	c.Sync()
+	for i := 0; i < 5000; i++ {
+		lost, ok := fast.Plain()
+		v := full.Decide(peer.ID(i%9), peer.ID(i%7))
+		if !ok || lost != (v.Drop == DropModel) || v.Delay != 0 {
+			t.Fatalf("trial %d: Plain (%v, %v), Decide %+v", i, lost, ok, v)
+		}
+	}
+	c.Partition([]peer.ID{1})
+	if _, ok := fast.Plain(); !ok {
+		t.Fatal("a partition took effect before the Sync")
+	}
+	c.Sync()
+	if _, ok := fast.Plain(); ok {
+		t.Fatal("Plain still rules after a Sync under a partition")
+	}
+	c.Heal()
+	c.Sync()
+	if _, ok := fast.Plain(); !ok {
+		t.Fatal("Plain does not rule again after the heal's Sync")
+	}
+}
+
+func mustStack(t *testing.T, base loss.Model) *Conditions {
+	t.Helper()
+	c, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestDeciderRulesAgainstTheLastSync pins the snapshot contract: a decider
 // sees a reconfiguration — of any part of the stack — at the next Sync and
 // not before, each decider bursts on its own fork of a stateful base model,

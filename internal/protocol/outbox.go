@@ -60,9 +60,6 @@ type lane struct {
 	n          int32 // messages in the lane
 }
 
-// blankChunk extends the pool by one chunk.
-var blankChunk [laneChunk]FlatMsg
-
 // Sorted returns an outbox that files every appended message, as it is
 // appended, into the lane of its destination — lane to>>shift, one lane per
 // contiguous block of 1<<shift ids — so that whoever consumes one lane (Lane)
@@ -113,11 +110,13 @@ func (o *Outbox) slot(to peer.ID) *FlatMsg {
 	if l.n%laneChunk == 0 {
 		// The lane has no chunk yet, or its last one is full: chain a fresh
 		// one from the pool.
+		// The chunk is resliced, not appended: every Append writes its
+		// header whole, so the chunk needs no zeroing first.
 		c := int32(len(o.next))
 		if len(o.Msgs)+laneChunk > cap(o.Msgs) {
 			o.grow()
 		}
-		o.Msgs = append(o.Msgs, blankChunk[:]...)
+		o.Msgs = o.Msgs[:len(o.Msgs)+laneChunk]
 		o.next = append(o.next, 0)
 		if l.n == 0 {
 			l.head = c

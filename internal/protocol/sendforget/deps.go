@@ -3,29 +3,27 @@ package sendforget
 import (
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
-	"sendforget/internal/rng"
 	"sendforget/internal/view"
 )
 
-// TrackedCore is Core decorated with one dependence tag per view slot,
-// realizing the dependence Markov chain of Figure 7.1 empirically:
+// TrackedCore is Core with one dependence tag per view slot, realizing the
+// dependence Markov chain of Figure 7.1 empirically:
 //
 //   - independent -> dependent: the entry was kept by a duplicating send, or
 //     was created by receiving a message from a duplicating send;
 //   - dependent -> independent: the entry moved to a new view via a
 //     non-duplicating send.
 //
-// The steps are Core's; the decorator only tags the slots they touched. On
-// top of the tag, the paper's Section 2 labeling also counts all self-edges
-// as dependent and, for ids with multiplicity m > 1 in the same view, m-1
-// of the copies as dependent. DependenceStats.Add applies all three rules;
-// 1 minus its fraction is the empirical alpha that Lemma 7.9 bounds from
-// below by 1 - 2(l+delta). Tracking costs one bool per view slot and one
-// write to the core per step, which is why it is a constructor choice and
-// not part of Core.
+// The steps are Core's, the same bodies: they tag the slots they touched
+// when the core has tags. On top of the tag, the paper's Section 2 labeling
+// also counts all self-edges as dependent and, for ids with multiplicity
+// m > 1 in the same view, m-1 of the copies as dependent.
+// DependenceStats.Add applies all three rules; 1 minus its fraction is the
+// empirical alpha that Lemma 7.9 bounds from below by 1 - 2(l+delta).
+// Tracking costs one bool per view slot and one write to the core per step,
+// which is why it is a constructor choice and not part of every Core.
 type TrackedCore struct {
 	Core
-	dep []bool // dep[slot]
 }
 
 var _ protocol.PerNode = (*TrackedCore)(nil)
@@ -39,31 +37,8 @@ func NewTrackedCore(s, dl int) (*TrackedCore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TrackedCore{Core: *c, dep: make([]bool, s)}, nil
-}
-
-// InitiateBatch runs Core's initiate step and tags the two selected slots:
-// on duplication the kept copies now share their information with the
-// copies the message creates, so they become dependent; otherwise the slots
-// were cleared and their tags reset.
-func (c *TrackedCore) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
-	i, j, dup, ok := c.initiate(lv, u, r, out)
-	if ok {
-		c.dep[i], c.dep[j] = dup, dup
-	}
-	return sent(dup, ok)
-}
-
-// ReceiveBatch runs Core's receive step and tags the two slots it stored
-// into: entries created by a duplicating action are dependent (Figure 7.1:
-// "received previously duplicated"); entries moved by a non-duplicating
-// action become independent ("sent without duplication").
-func (c *TrackedCore) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
-	a, b, stored, deleted := c.receive(lv, pkt, r)
-	if stored {
-		c.dep[a], c.dep[b] = pkt.Dup, pkt.Dup
-	}
-	return false, deleted
+	c.dep = make([]bool, s)
+	return &TrackedCore{Core: *c}, nil
 }
 
 // DependenceStats summarizes the dependence measurement over all views.

@@ -24,10 +24,13 @@ import (
 )
 
 // Core is the per-node S&F step core: the two Figure 5.1 steps over one
-// local view, implementing protocol.StepCore. It holds parameters only, so
-// a step touches nothing but the view, the RNG and the driver's outbox.
+// local view, implementing protocol.StepCore. A core from NewCore holds
+// parameters only, so a step touches nothing but the view, the RNG and the
+// driver's outbox; the one inside a TrackedCore also keeps its node's
+// dependence tags, which the same step bodies write.
 type Core struct {
 	s, dl int
+	dep   []bool // dep[slot], TrackedCore's tags; nil in a core from NewCore
 }
 
 var _ protocol.StepCore = (*Core)(nil)
@@ -92,79 +95,69 @@ func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
 	return nil
 }
 
-// initiate is S&F-InitiateAction of Figure 5.1: select two distinct slots
-// with one draw; an empty selection is a self-loop; otherwise send [u, w]
-// to v and clear both entries unless the outdegree is at the floor dL, in
-// which case they are kept (duplicated). It reports the selected slots for
-// the dependence tracker. The self-loop is ruled out from the occupancy mask
-// before any slot is read: at the paper's parameters more than half of all
-// initiate steps are self-loops, and they then never load the window.
+// InitiateBatch is S&F-InitiateAction of Figure 5.1: select two distinct
+// slots with one draw; an empty selection is a self-loop; otherwise send
+// [u, w] to v and clear both entries unless the outdegree is at the floor
+// dL, in which case they are kept (duplicated). The self-loop is ruled out
+// from the occupancy mask before any slot is read: at the paper's
+// parameters more than half of all initiate steps are self-loops, and they
+// then never load the window. A tracking core tags the two selected slots:
+// on duplication the kept copies now share their information with the
+// copies the message creates, so they become dependent; otherwise the slots
+// were cleared and their tags reset. It implements protocol.StepCore, and
+// is the step's one body: the view, outbox and RNG calls under it inline
+// but the pair draw.
 //
 //vet:hotpath
-func (c *Core) initiate(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (i, j int, dup, ok bool) {
-	i, j = lv.RandomPairFast(r)
+func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
+	i, j := lv.RandomPairFast(r)
 	if !lv.Occupied(i) || !lv.Occupied(j) {
-		return i, j, false, false
+		return 0, 0, false
 	}
 	v, w := lv.Slot(i), lv.Slot(j)
-	dup = lv.Outdegree() <= c.dl
+	dup := lv.Outdegree() <= c.dl
 	if !dup {
 		lv.ClearOccupiedPair(i, j)
 	}
 	out.Append2(v, u, protocol.KindGossip, dup, u, w)
-	return i, j, dup, true
+	if c.dep != nil {
+		c.dep[i], c.dep[j] = dup, dup
+	}
+	if dup {
+		return 1, 1, true
+	}
+	return 1, 0, true
 }
 
-// receive is S&F-Receive of Figure 5.1: store both ids into uniformly
+// ReceiveBatch is S&F-Receive of Figure 5.1: store both ids into uniformly
 // chosen empty slots, or delete them when the view is full (outdegree can
 // never exceed the slot count, so full ⟺ d(u) = s). Packets of another kind
-// or arity are ignored — the UDP substrate can deliver garbage. It reports
-// the slots stored into for the dependence tracker.
+// or arity are ignored — the UDP substrate can deliver garbage. A tracking
+// core tags the two slots stored into: entries created by a duplicating
+// action are dependent (Figure 7.1: "received previously duplicated");
+// entries moved by a non-duplicating action become independent ("sent
+// without duplication"). It implements protocol.StepCore; S&F never
+// replies, so out is never written.
 //
 //vet:hotpath
-func (c *Core) receive(lv *view.View, pkt protocol.Packet, r *rng.RNG) (a, b int, stored bool, deleted int) {
+func (c *Core) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
 	if pkt.Kind != protocol.KindGossip || len(pkt.IDs) != 2 {
-		return 0, 0, false, 0
+		return false, 0
 	}
 	if lv.Full() {
-		return 0, 0, false, 2
+		return false, 2
 	}
 	a, b, ok := lv.RandomEmptyPair(r)
 	if !ok {
 		// Outdegree below s with even parity guarantees two empty slots;
 		// reaching here means the view invariant was violated externally.
-		return 0, 0, false, 2
+		return false, 2
 	}
 	lv.FillEmptyPair(a, b, pkt.IDs[0], pkt.IDs[1])
-	return a, b, true, 0
-}
-
-// InitiateBatch implements protocol.StepCore.
-//
-//vet:hotpath
-func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
-	_, _, dup, ok := c.initiate(lv, u, r, out)
-	return sent(dup, ok)
-}
-
-// ReceiveBatch implements protocol.StepCore. S&F never replies, so out is
-// never written.
-//
-//vet:hotpath
-func (c *Core) ReceiveBatch(lv *view.View, u peer.ID, pkt protocol.Packet, r *rng.RNG, out *protocol.Outbox) (replied bool, deleted int) {
-	_, _, _, deleted = c.receive(lv, pkt, r)
-	return false, deleted
-}
-
-// sent maps an initiate outcome to InitiateBatch's result list.
-func sent(dup, ok bool) (msgs, dups int, _ bool) {
-	if !ok {
-		return 0, 0, false
+	if c.dep != nil {
+		c.dep[a], c.dep[b] = pkt.Dup, pkt.Dup
 	}
-	if dup {
-		dups = 1
-	}
-	return 1, dups, true
+	return false, 0
 }
 
 // CheckView verifies Observation 5.1: outdegree even and within [dL, s].

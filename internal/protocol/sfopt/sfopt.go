@@ -82,9 +82,8 @@ type Counters struct {
 
 // Core is the per-node step core of the optimized S&F variants,
 // implementing protocol.PerNode. Unlike the stateless baselines it carries
-// per-node protocol state (the undeletion graveyard, the variant tally, the
-// step scratch), so cores are never shared between nodes. Not safe for
-// concurrent use.
+// per-node protocol state (the undeletion graveyard, the variant tally), so
+// cores are never shared between nodes. Not safe for concurrent use.
 type Core struct {
 	opts     Options
 	counters Counters
@@ -92,11 +91,18 @@ type Core struct {
 	// bury evicts the oldest entry on overflow, exhume pops the most
 	// recent. A ring rather than a slice so the steps stay
 	// allocation-free.
-	grave        []peer.ID
-	gHead, gLen  int
-	slotsScratch []int     // slot selection, len BatchK
-	payload      []peer.ID // message payload, len BatchK
+	grave       []peer.ID
+	gHead, gLen int
+	// The step scratch of a batch larger than stackBatch, len BatchK each;
+	// nil otherwise, when the initiate step keeps its scratch on the stack.
+	bigSlots []int
+	bigIDs   []peer.ID
 }
+
+// stackBatch is the largest BatchK whose initiate-step scratch — the
+// selected slots and the payload — lives in the step's stack frame, so that
+// a core is one heap object (two with Undelete's graveyard).
+const stackBatch = 8
 
 var _ protocol.PerNode = (*Core)(nil)
 
@@ -114,10 +120,9 @@ func NewCore(opts Options) (*Core, error) {
 	if opts.GraveyardSize == 0 {
 		opts.GraveyardSize = opts.S
 	}
-	c := &Core{
-		opts:         opts,
-		slotsScratch: make([]int, opts.BatchK),
-		payload:      make([]peer.ID, opts.BatchK),
+	c := &Core{opts: opts}
+	if opts.BatchK > stackBatch {
+		c.bigSlots, c.bigIDs = make([]int, opts.BatchK), make([]peer.ID, opts.BatchK)
 	}
 	if opts.Undelete {
 		c.grave = make([]peer.ID, opts.GraveyardSize)
@@ -180,16 +185,22 @@ func chooseDistinct(r *rng.RNG, n int, dst []int) {
 //vet:hotpath
 func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
 	k := c.opts.BatchK
-	slots := c.slotsScratch[:k]
+	var slotBuf [stackBatch]int
+	var idBuf [stackBatch]peer.ID
+	slots, payload := slotBuf[:], idBuf[:]
+	if k > stackBatch {
+		slots, payload = c.bigSlots, c.bigIDs
+	}
+	slots, payload = slots[:k], payload[:k]
 	chooseDistinct(r, lv.Size(), slots)
 	for i, slot := range slots {
 		id := lv.Slot(slot)
 		if id.IsNil() {
 			return 0, 0, false
 		}
-		c.payload[i] = id
+		payload[i] = id
 	}
-	target := c.payload[0]
+	target := payload[0]
 	atFloor := lv.Outdegree() <= c.opts.DL
 	switch {
 	case !atFloor:
@@ -214,14 +225,14 @@ func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol
 		// Baseline duplication: keep the entries.
 	}
 	// Overwrite the target slot of the payload scratch with the sender id.
-	c.payload[0] = u
+	payload[0] = u
 	if atFloor {
 		dups = 1
 	}
 	if k == 2 {
-		out.Append2(target, u, protocol.KindGossip, atFloor, u, c.payload[1])
+		out.Append2(target, u, protocol.KindGossip, atFloor, u, payload[1])
 	} else {
-		out.Append(target, u, protocol.KindGossip, atFloor, c.payload[:k]...)
+		out.Append(target, u, protocol.KindGossip, atFloor, payload...)
 	}
 	return 1, dups, true
 }

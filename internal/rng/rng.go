@@ -19,13 +19,16 @@
 // nondeterministic seeding for production nodes enters through here.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator. It is not safe for
 // concurrent use; give each goroutine its own generator, seeded through
 // DeriveSeed.
 type RNG struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // splitMix64 advances a SplitMix64 state and returns the next output. It is
@@ -52,15 +55,12 @@ func New(seed int64) *RNG {
 // stores them in a flat slice indexed by node id) use it to avoid a heap
 // object and a pointer chase per node.
 func NewState(seed int64) RNG {
-	var r RNG
 	sm := uint64(seed)
-	for i := range r.s {
-		r.s[i] = splitMix64(&sm)
-	}
+	r := RNG{splitMix64(&sm), splitMix64(&sm), splitMix64(&sm), splitMix64(&sm)}
 	// A state of all zeros is the one invalid xoshiro state; SplitMix64
 	// cannot produce four zero outputs in a row, but guard anyway.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if r.s0|r.s1|r.s2|r.s3 == 0 {
+		r.s0 = 0x9e3779b97f4a7c15
 	}
 	return r
 }
@@ -91,20 +91,18 @@ func DeriveSeed(parts ...int64) int64 {
 // first, so that their cache misses overlap (see view.View.Touch).
 //
 //vet:hotpath
-func (r *RNG) Touch() uint64 { return r.s[3] }
+func (r *RNG) Touch() uint64 { return r.s3 }
 
-// Uint64 returns the next 64 uniformly random bits (xoshiro256**).
+// Uint64 returns the next 64 uniformly random bits (xoshiro256**). The
+// state is read into locals and written back whole, which the compiler
+// prices low enough to inline this step into every caller — FastPair,
+// Bernoulli, Float64 and uint64n included — so a draw is no call of its own.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	s1 := r.s1
+	s2 := r.s2 ^ r.s0
+	s3 := r.s3 ^ s1
+	*r = RNG{r.s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -134,16 +132,34 @@ func (r *RNG) Float64() float64 {
 }
 
 // Bernoulli returns true with probability p. Values of p outside [0,1] are
-// clamped (p<=0 never fires, p>=1 always fires).
+// clamped (p<=0 never fires, p>=1 always fires) and draw nothing. The
+// clamps come first in one test so that the whole trial, draw included,
+// inlines into the loss models and the fault stack.
 func (r *RNG) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
+	if p <= 0 || p >= 1 {
+		return p >= 1
 	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
+	return float64(r.Uint64()>>11)*0x1p-53 < p // r.Float64() < p, spelled out: the call's cost would not fit
 }
+
+// Threshold is the integer form of a probability p in (0, 1) that
+// BernoulliAt compares a draw against: r.BernoulliAt(Threshold(p)) draws
+// once and fires exactly when r.Bernoulli(p) would, since the 53-bit draw k
+// fires Bernoulli when k*2^-53 < p, that is when k < ceil(p*2^53) (both
+// products are exact). For p outside (0, 1), where Bernoulli draws nothing,
+// it returns 0.
+func Threshold(p float64) uint64 {
+	if !(p > 0 && p < 1) {
+		return 0
+	}
+	return uint64(math.Ceil(p * 0x1p53))
+}
+
+// BernoulliAt is Bernoulli(p) for t = Threshold(p), p in (0, 1): the clamps
+// and the float arithmetic were done once, in Threshold, so what is left is
+// one draw and one integer compare, cheap enough to inline into a caller
+// that also tests whether it may take this path.
+func (r *RNG) BernoulliAt(t uint64) bool { return r.Uint64()>>11 < t }
 
 // Pair returns an ordered pair of distinct uniform indices (i, j) in [0, n).
 // This is the "select 1 <= i != j <= s u.a.r." step of the S&F protocol
@@ -166,7 +182,9 @@ func (r *RNG) Pair(n int) (i, j int) {
 // n/2^32 — invisible at protocol view sizes — and the draw mapping differs
 // from Pair, so the two are not stream-compatible under a shared seed. The
 // sharded substrate's batch step cores use this to halve the RNG cost of
-// pair selection. Requires 2 <= n <= 1<<31; it panics if n < 2.
+// pair selection. Requires 2 <= n <= 1<<31; it panics if n < 2. The draw
+// inlines into it, so a pair is one call; the mapping is past the inlining
+// budget by itself, and the pair with it (cost 103 against 80).
 func (r *RNG) FastPair(n int) (i, j int) {
 	if n < 2 {
 		panic("rng: FastPair called with n < 2")

@@ -345,10 +345,11 @@ func newSharded(cfg Config, src coreSource) (*ShardedCluster, error) {
 		hi := min(lo+shardSize, cfg.N)
 		*sh = shard{
 			lo: peer.ID(lo), nodes: nodes[lo:hi], live: e.live, shared: src.shared,
-			// The router asks for liveness per ruled and per drained message.
-			// Its callback is bound to the bitset itself (which is never
-			// reallocated): one load, no engine record behind it. It rules
-			// through the shard's decider and needs no stream of its own.
+			// A deliver phase reads a ruled message's liveness off the bitset
+			// and hands it to RouteBy; the router's callback, bound to the
+			// bitset itself (which is never reallocated), answers for the
+			// drained ones. It rules through the shard's decider and needs
+			// no stream of its own.
 			router: *driver.NewRouter(cfg.Conditions, nil, e.live.has),
 		}
 		if cores != nil {
@@ -480,14 +481,6 @@ func (sh *shard) initiate(out *protocol.Outbox) {
 	sh.cnt.Add(cnt)
 }
 
-// receive runs the receive step for a message addressed to one of the shard's
-// nodes, with the reply, if any, sorted into out.
-func (sh *shard) receive(m *protocol.FlatMsg, ids []peer.ID, out *protocol.Outbox, cnt *NodeCounters) {
-	nd := sh.node(m.To)
-	pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}
-	cnt.Received(sh.core(m.To).ReceiveBatch(&nd.view, m.To, pkt, &nd.rng, out))
-}
-
 // touch starts the cache misses of a run's destinations together (see "A run
 // at a time" above): one tight loop over the node records — the view header at
 // the front of each, the last word of the RNG state at the back — and then one
@@ -519,7 +512,10 @@ func sink(uint64) {}
 // a run at a time: the destinations of a run are touched before its first
 // message is ruled on. Replies go to out, the shard's row of the other set:
 // its row of this set may still be under another shard's eyes. A message that
-// draws a delay parks in the shard's own calendar.
+// draws a delay parks in the shard's own calendar. A message costs two calls:
+// the ruling (RouteBy) and the receive step (ReceiveBatch), which is written
+// out here and in drain rather than in a helper the compiler would not
+// inline.
 func (sh *shard) deliver(in []protocol.Lane, out *protocol.Outbox) {
 	out.Reset() // consumed by the deliver phase before this one
 	var cnt NodeCounters
@@ -534,9 +530,12 @@ func (sh *shard) deliver(in []protocol.Lane, out *protocol.Outbox) {
 			for i := range run {
 				m := &run[i]
 				ids := lane.MsgIDs(m)
-				if sh.router.RouteBy(&sh.dec, m, ids) == driver.Delivered {
-					sh.receive(m, ids, out, &cnt)
+				if sh.router.RouteBy(&sh.dec, m, ids, sh.live.has(m.To)) != driver.Delivered {
+					continue
 				}
+				nd := sh.node(m.To)
+				pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: ids, Dup: m.Dup}
+				cnt.Received(sh.core(m.To).ReceiveBatch(&nd.view, m.To, pkt, &nd.rng, out))
 			}
 		}
 	}
@@ -566,9 +565,13 @@ func (sh *shard) drain(out *protocol.Outbox) {
 		for run := runs.Next(); run != nil; run = runs.Next() {
 			touched += sh.touch(run)
 			for i := range run {
-				if m := &run[i]; sh.router.Deliverable(m.To) {
-					sh.receive(m, runs.MsgIDs(m), out, &cnt)
+				m := &run[i]
+				if !sh.router.Deliverable(m.To) {
+					continue
 				}
+				nd := sh.node(m.To)
+				pkt := protocol.Packet{Kind: m.Kind, From: m.From, IDs: runs.MsgIDs(m), Dup: m.Dup}
+				cnt.Received(sh.core(m.To).ReceiveBatch(&nd.view, m.To, pkt, &nd.rng, out))
 			}
 		}
 	}

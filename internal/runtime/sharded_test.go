@@ -620,8 +620,8 @@ func TestShardedSnapshotAllocs(t *testing.T) {
 // view is seeded straight into its window of the slot slab — and one core,
 // with whatever its factory allocates, for a protocol.PerNode one. S&F makes
 // the same number of allocations at n = 2048 as at n = 4096, both in eight
-// shards so that the per-shard state is the same; sfopt (three objects a
-// core: the core and its two step buffers) makes one core's worth more per
+// shards so that the per-shard state is the same; sfopt, whose core is one
+// object (its step scratch is on the stack), makes one allocation more per
 // added node. The collector is off while it counts: a GC cycle allocates two
 // objects of the Go runtime's own, and a cycle that lands in one size's runs
 // and not the other's moved the difference by one.
@@ -647,9 +647,12 @@ func TestShardedSetupAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if small, large := build(2048, sfoptFactory), build(4096, sfoptFactory); large-small != 2048*perCore {
-		t.Errorf("sfopt set-up allocates %.0f times at n=2048 and %.0f at n=4096: %.0f more, want one core (%.0f allocations) per added node (%.0f)",
-			small, large, large-small, perCore, 2048*perCore)
+	if perCore != 1 {
+		t.Errorf("an sfopt core takes %.0f allocations, want 1", perCore)
+	}
+	if small, large := build(2048, sfoptFactory), build(4096, sfoptFactory); large-small != 2048 {
+		t.Errorf("sfopt set-up allocates %.0f times at n=2048 and %.0f at n=4096: %.0f more, want one allocation per added node (2048)",
+			small, large, large-small)
 	}
 }
 

@@ -76,7 +76,7 @@ func NewEndpoint(listenAddr string, handler Handler) (*Endpoint, error) {
 	}
 	ep := &Endpoint{conn: conn, handler: handler, peers: make(map[peer.ID]route)}
 	ep.wg.Add(1)
-	go ep.receiveLoop()
+	go ep.receiveLoop(make([]byte, 64*1024))
 	return ep, nil
 }
 
@@ -212,9 +212,11 @@ func (ep *Endpoint) Close() (err error) {
 }
 
 // receiveLoop decodes each datagram in place, into ids it lends the handler.
-func (ep *Endpoint) receiveLoop() {
+// buf, the largest datagram's room, is on the heap, handed over by
+// NewEndpoint: made here it would not escape, and every receive goroutine
+// would grow its stack to hold (and zero) the 64 KiB.
+func (ep *Endpoint) receiveLoop(buf []byte) {
 	defer ep.wg.Done()
-	buf := make([]byte, 64*1024)
 	ids := make([]peer.ID, 0, maxWireIDs)
 	for {
 		n, src, err := ep.conn.ReadFromUDPAddrPort(buf)

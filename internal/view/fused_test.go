@@ -98,8 +98,10 @@ func TestClearOccupiedPairMatchesSequentialClears(t *testing.T) {
 }
 
 // TestFillEmptyPairMatchesSequentialSets: for every ordered pair of empty
-// slots, the fused fill must leave exactly the state two Set calls leave.
+// slots, and with either id Nil or not, the fused fill must leave exactly the
+// state two Set calls leave.
 func TestFillEmptyPairMatchesSequentialSets(t *testing.T) {
+	ids := [][2]peer.ID{{101, 202}, {peer.Nil, 202}, {101, peer.Nil}, {peer.Nil, peer.Nil}}
 	for _, s := range fusedSizes {
 		for name, base := range occupancyCases(s) {
 			empty := slotsWhere(base, true)
@@ -108,16 +110,18 @@ func TestFillEmptyPairMatchesSequentialSets(t *testing.T) {
 					if a == b {
 						continue
 					}
-					fused := base.Clone()
-					fused.FillEmptyPair(a, b, peer.ID(101), peer.ID(202))
-					scalar := base.Clone()
-					scalar.Set(a, peer.ID(101))
-					scalar.Set(b, peer.ID(202))
-					if !fused.Equal(scalar) || fused.Outdegree() != scalar.Outdegree() {
-						t.Fatalf("s=%d %s: FillEmptyPair(%d,%d) = %v, scalar sets = %v", s, name, a, b, fused, scalar)
-					}
-					if err := fused.CheckInvariants(); err != nil {
-						t.Fatalf("s=%d %s: after FillEmptyPair(%d,%d): %v", s, name, a, b, err)
+					for _, id := range ids {
+						fused := base.Clone()
+						fused.FillEmptyPair(a, b, id[0], id[1])
+						scalar := base.Clone()
+						scalar.Set(a, id[0])
+						scalar.Set(b, id[1])
+						if !fused.Equal(scalar) || fused.Outdegree() != scalar.Outdegree() {
+							t.Fatalf("s=%d %s: FillEmptyPair(%d,%d,%v) = %v, scalar sets = %v", s, name, a, b, id, fused, scalar)
+						}
+						if err := fused.CheckInvariants(); err != nil {
+							t.Fatalf("s=%d %s: after FillEmptyPair(%d,%d,%v): %v", s, name, a, b, id, err)
+						}
 					}
 				}
 			}

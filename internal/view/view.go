@@ -204,30 +204,27 @@ func (v *View) RandomEmptyPair(r *rng.RNG) (a, b int, ok bool) {
 	return a, b, true
 }
 
-// FillEmptyPair stores two non-Nil ids at the distinct empty slots a and b —
-// the receive step's two Set calls fused so the occupancy bookkeeping runs
-// once without re-reading the slots. Callers guarantee a != b and that both
-// slots are empty (RandomEmptyPair's contract); Nil ids fall back to Set,
-// which handles them like Clear.
+// FillEmptyPair stores two ids at the distinct empty slots a and b — the
+// receive step's two Set calls fused so the occupancy bookkeeping runs once
+// without re-reading the slots. Callers guarantee a != b and that both slots
+// are empty (RandomEmptyPair's contract). A Nil id leaves its slot empty, as
+// Set would. Bits of slots past the mask's 64 are shifted out (a Go shift by
+// 64 or more is 0), so the mask needs no range test, and the step inlines.
 //
 //vet:hotpath
 func (v *View) FillEmptyPair(a, b int, ida, idb peer.ID) {
-	if ida == peer.Nil || idb == peer.Nil {
-		v.Set(a, ida)
-		v.Set(b, idb)
-		return
-	}
 	v.slots[a] = ida
 	v.slots[b] = idb
 	v.out += 2
-	var m uint64
-	if a < 64 {
-		m |= 1 << uint(a)
+	v.occ |= 1<<uint(a) | 1<<uint(b)
+	if ida == peer.Nil {
+		v.out--
+		v.occ &^= 1 << uint(a)
 	}
-	if b < 64 {
-		m |= 1 << uint(b)
+	if idb == peer.Nil {
+		v.out--
+		v.occ &^= 1 << uint(b)
 	}
-	v.occ |= m
 }
 
 // ClearOccupiedPair empties the distinct slots i and j — the initiate step's
