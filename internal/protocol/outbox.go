@@ -109,9 +109,9 @@ func (o *Outbox) slot(to peer.ID) *FlatMsg {
 	l := &o.lanes[to>>o.shift]
 	if l.n%laneChunk == 0 {
 		// The lane has no chunk yet, or its last one is full: chain a fresh
-		// one from the pool.
-		// The chunk is resliced, not appended: every Append writes its
-		// header whole, so the chunk needs no zeroing first.
+		// one from the pool. It is resliced into the room grow reserved, not
+		// appended: every Append writes its header whole, so the chunk
+		// needs no zeroing first.
 		c := int32(len(o.next))
 		if len(o.Msgs)+laneChunk > cap(o.Msgs) {
 			o.grow()

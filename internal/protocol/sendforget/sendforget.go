@@ -105,8 +105,8 @@ func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
 // on duplication the kept copies now share their information with the
 // copies the message creates, so they become dependent; otherwise the slots
 // were cleared and their tags reset. It implements protocol.StepCore, and
-// is the step's one body: the view, outbox and RNG calls under it inline
-// but the pair draw.
+// is the step's one body: under it only the pair draw (rng.FastPair) and
+// the outbox's slot lookup are calls.
 //
 //vet:hotpath
 func (c *Core) InitiateBatch(lv *view.View, u peer.ID, r *rng.RNG, out *protocol.Outbox) (msgs, dups int, ok bool) {
