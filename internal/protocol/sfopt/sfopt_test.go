@@ -232,6 +232,56 @@ func TestSelfLoopOnEmptySelection(t *testing.T) {
 	}
 }
 
+// TestBatchScratchOnStackAndHeap: a batch up to stackBatch ids takes its
+// step scratch from the stack and a larger one from the core, and both
+// send [u, the other selected ids...] to the first selected id, clear the
+// selected slots of a full view above the floor, and allocate nothing per
+// step.
+func TestBatchScratchOnStackAndHeap(t *testing.T) {
+	for _, k := range []int{stackBatch, stackBatch + 2} {
+		c, err := NewCore(Options{S: 20, DL: 0, BatchK: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := make([]peer.ID, 20)
+		for i := range full {
+			full[i] = peer.ID(100 + i)
+		}
+		lv := seeded(t, c, full...)
+		var out protocol.Outbox
+		if msgs, _, ok := c.InitiateBatch(lv, 7, rng.New(3), &out); !ok || msgs != 1 {
+			t.Fatalf("BatchK %d: initiate on a full view: %d messages, ok %v", k, msgs, ok)
+		}
+		m := &out.Msgs[0]
+		ids := out.MsgIDs(m)
+		seen := map[peer.ID]bool{m.To: true}
+		for _, id := range ids[1:] {
+			seen[id] = true
+		}
+		if len(ids) != k || ids[0] != 7 || m.From != 7 || len(seen) != k || m.To < 100 || m.To >= 120 {
+			t.Fatalf("BatchK %d: message to %d with ids %v", k, m.To, ids)
+		}
+		if lv.Outdegree() != 20-k {
+			t.Fatalf("BatchK %d: outdegree %d after the send, want %d", k, lv.Outdegree(), 20-k)
+		}
+		for id := range seen {
+			if lv.Contains(id) {
+				t.Fatalf("BatchK %d: sent id %d still in the view %v", k, id, lv)
+			}
+		}
+		r := rng.New(4)
+		if a := testing.AllocsPerRun(100, func() {
+			for i, id := range full {
+				lv.Set(i, id)
+			}
+			out.Reset()
+			c.InitiateBatch(lv, 7, r, &out)
+		}); a != 0 {
+			t.Errorf("BatchK %d: %.2f allocations per step", k, a)
+		}
+	}
+}
+
 func TestSnapshotViaGraph(t *testing.T) {
 	e := drive(t, Options{S: 12, DL: 4}, 30, 0, 0, 0, 1)
 	if !e.Snapshot().WeaklyConnected() {
