@@ -295,9 +295,7 @@ func (ru *rules) groupOf(id peer.ID) int32 {
 // decide is the decision order, for every way of reaching the stack: it rules
 // on one attempted transmission from -> to under ru, advancing base (or the
 // link's override model) and drawing from r. The common configuration — no
-// partition, no overrides — costs two branches before its one model draw. A
-// stateless uniform or no-loss base, the paper's setting, is ruled here
-// without the interface call: the same trial Uniform.Lost makes, inlined.
+// partition, no overrides — costs two branches before its one model call.
 func (ru *rules) decide(base loss.Model, from, to peer.ID, r *rng.RNG) Verdict {
 	if ru.separated(from, to) {
 		return Verdict{Drop: DropPartition}
@@ -306,18 +304,8 @@ func (ru *rules) decide(base loss.Model, from, to peer.ID, r *rng.RNG) Verdict {
 		if m.Lost(to, r) {
 			return Verdict{Drop: DropLink}
 		}
-	} else {
-		var lost bool
-		switch b := base.(type) {
-		case loss.Uniform:
-			lost = r.Bernoulli(b.P)
-		case loss.None:
-		default:
-			lost = base.Lost(to, r)
-		}
-		if lost {
-			return Verdict{Drop: DropModel}
-		}
+	} else if base.Lost(to, r) {
+		return Verdict{Drop: DropModel}
 	}
 	d := ru.delay.Fixed
 	if ru.delay.Jitter > 0 {
