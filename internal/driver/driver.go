@@ -177,8 +177,8 @@ func (rt *Router) RouteIn(ses *faults.Session, to peer.ID, msg protocol.Message)
 // copied unless it parks, so nothing of it is held in registers, or spilled,
 // across the decision. live is whether m.To can receive, read by the caller
 // from the set the router's callback reads, so that the common message makes
-// no dynamic call: under a plain configuration (faults.Decider.Plain) the
-// trial, the ledger and the liveness are all settled here, inline.
+// no dynamic call: under a plain configuration (faults.Decider.Plain, one
+// static call for the trial) the ledger and the liveness are settled here.
 //
 //vet:hotpath
 func (rt *Router) RouteBy(d *faults.Decider, m *protocol.FlatMsg, ids []peer.ID, live bool) Outcome {

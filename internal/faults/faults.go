@@ -369,7 +369,7 @@ type Decider struct {
 	r    rng.RNG
 	base loss.Model
 	next loss.Model // base model to seat at the next Sync; guarded by the stack's mu
-	cut  uint64     // rng.Threshold of a plain configuration's one trial, 0 if not plain; set by Sync
+	p    float64    // a plain configuration's loss rate, 0 if not plain; set by Sync
 }
 
 // Decide is Conditions.Decide against the last Sync's snapshot, drawing from
@@ -383,24 +383,23 @@ func (d *Decider) Decide(from, to peer.ID) Verdict {
 // base model at a rate strictly between 0 and 1 — and then draws and decides
 // exactly as Decide would: lost is its DropModel verdict, anything else its
 // immediate delivery. For any other configuration ok is false and nothing
-// is drawn; the caller asks Decide. It is small enough to inline, draw
-// included, into a caller's per-message loop.
+// is drawn; the caller asks Decide.
 func (d *Decider) Plain() (lost, ok bool) {
-	if d.cut == 0 {
+	if d.p == 0 {
 		return false, false
 	}
-	return d.r.BernoulliAt(d.cut), true
+	return d.r.Bernoulli(d.p), true
 }
 
-// plainCut is the cut Sync gives a decider ruling under ru with base model
-// base: the threshold of base's trial when the decision is nothing more, 0
+// plainRate is the rate Sync gives a decider ruling under ru with base model
+// base: the rate of base's one trial when the decision is nothing more, 0
 // otherwise.
-func plainCut(ru *rules, base loss.Model) uint64 {
+func plainRate(ru *rules, base loss.Model) float64 {
 	u, ok := base.(loss.Uniform)
-	if !ok || ru.group != nil || len(ru.links) != 0 || ru.delay != (Delay{}) {
+	if !ok || ru.group != nil || len(ru.links) != 0 || ru.delay != (Delay{}) || !(u.P > 0 && u.P < 1) {
 		return 0
 	}
-	return rng.Threshold(u.P)
+	return u.P
 }
 
 // Attach makes d a decider of this stack, with a verdict stream seeded by
@@ -427,7 +426,7 @@ func (c *Conditions) Sync() {
 		if d.next != nil {
 			d.base, d.next = d.next, nil
 		}
-		d.cut = plainCut(&c.snap, d.base)
+		d.p = plainRate(&c.snap, d.base)
 	}
 }
 

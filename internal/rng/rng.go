@@ -19,10 +19,7 @@
 // nondeterministic seeding for production nodes enters through here.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // RNG is a deterministic pseudo-random number generator. It is not safe for
 // concurrent use; give each goroutine its own generator, seeded through
@@ -141,25 +138,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	}
 	return float64(r.Uint64()>>11)*0x1p-53 < p // r.Float64() < p, spelled out: the call's cost would not fit
 }
-
-// Threshold is the integer form of a probability p in (0, 1) that
-// BernoulliAt compares a draw against: r.BernoulliAt(Threshold(p)) draws
-// once and fires exactly when r.Bernoulli(p) would, since the 53-bit draw k
-// fires Bernoulli when k*2^-53 < p, that is when k < ceil(p*2^53) (both
-// products are exact). For p outside (0, 1), where Bernoulli draws nothing,
-// it returns 0.
-func Threshold(p float64) uint64 {
-	if !(p > 0 && p < 1) {
-		return 0
-	}
-	return uint64(math.Ceil(p * 0x1p53))
-}
-
-// BernoulliAt is Bernoulli(p) for t = Threshold(p), p in (0, 1): the clamps
-// and the float arithmetic were done once, in Threshold, so what is left is
-// one draw and one integer compare, cheap enough to inline into a caller
-// that also tests whether it may take this path.
-func (r *RNG) BernoulliAt(t uint64) bool { return r.Uint64()>>11 < t }
 
 // Pair returns an ordered pair of distinct uniform indices (i, j) in [0, n).
 // This is the "select 1 <= i != j <= s u.a.r." step of the S&F protocol

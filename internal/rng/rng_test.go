@@ -254,29 +254,3 @@ func TestDeriveSeed(t *testing.T) {
 		t.Error("DeriveSeed is not deterministic")
 	}
 }
-
-// TestBernoulliAtMatchesBernoulli: the integer trial draws the same word and
-// fires exactly when the float trial does — draw for draw over a stream, and
-// at the 53-bit values either side of each threshold, where a rounding slip
-// would show — and Threshold is 0 where Bernoulli draws nothing.
-func TestBernoulliAtMatchesBernoulli(t *testing.T) {
-	for _, p := range []float64{0.01, 0.05, 1.0 / 3, 0.5, 0.999, 1e-300, 0x1p-53, 3 * 0x1p-54, math.Nextafter(1, 0)} {
-		th := Threshold(p)
-		a, b := New(9), New(9)
-		for i := 0; i < 20000; i++ {
-			if x, y := a.Bernoulli(p), b.BernoulliAt(th); x != y {
-				t.Fatalf("p=%v draw %d: Bernoulli %v, BernoulliAt %v", p, i, x, y)
-			}
-		}
-		for _, k := range []uint64{th - 1, th, th + 1} {
-			if float, integer := float64(k)*0x1p-53 < p, k < th; float != integer {
-				t.Errorf("p=%v k=%d: float trial %v, integer trial %v", p, k, float, integer)
-			}
-		}
-	}
-	for _, p := range []float64{0, -0.5, 1, 2, math.NaN()} {
-		if th := Threshold(p); th != 0 {
-			t.Errorf("Threshold(%v) = %d, want 0", p, th)
-		}
-	}
-}
