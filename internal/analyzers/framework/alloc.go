@@ -30,9 +30,9 @@ import (
 //     receiver — the pooled-slab idiom (`o.Msgs = append(o.Msgs, m)`,
 //     `o.IDs = append(o.IDs, src.IDs[a:b]...)`) reuses caller-owned capacity
 //     and is the hot path's sanctioned append shape;
-//   - boxing a concrete non-pointer-shaped value into an interface
-//     (assignment, call argument, or return) allocates, as does a variadic
-//     call that materializes its argument slice, string concatenation, and
+//   - boxing a concrete value into an interface (assignment, call
+//     argument, or return) allocates, as does a variadic call that
+//     materializes its argument slice, string concatenation, and
 //     string<->[]byte/[]rune conversions;
 //   - go statements and capturing closures allocate by construction;
 //   - calls into allocating stdlib packages (fmt, errors, strings, sort,
@@ -228,8 +228,8 @@ func (c *allocClassifier) classifyAssign(n *ast.AssignStmt) {
 			}
 		}
 	}
-	// Interface boxing through assignment: concrete non-pointer-shaped rhs
-	// into interface-typed lhs. Multi-value forms (x, ok := v.(T), x, y :=
+	// Interface boxing through assignment: concrete rhs into
+	// interface-typed lhs. Multi-value forms (x, ok := v.(T), x, y :=
 	// f()) pass values through without a conversion step.
 	if (n.Tok == token.ASSIGN || n.Tok == token.DEFINE) && len(n.Lhs) == len(n.Rhs) {
 		for i, lhs := range n.Lhs {
@@ -243,7 +243,7 @@ func (c *allocClassifier) classifyAssign(n *ast.AssignStmt) {
 }
 
 // checkBox reports rhs when assigning/passing it to an interface-typed
-// destination boxes a concrete non-pointer-shaped value.
+// destination boxes a concrete value.
 func (c *allocClassifier) checkBox(dst types.Type, rhs ast.Expr) {
 	if dst == nil || !types.IsInterface(dst) {
 		return
@@ -254,17 +254,6 @@ func (c *allocClassifier) checkBox(dst types.Type, rhs ast.Expr) {
 	}
 	if _, isTuple := rt.(*types.Tuple); isTuple {
 		return // multi-value expression in a single-assign context
-	}
-	if b, isBasic := rt.Underlying().(*types.Basic); isBasic &&
-		(b.Kind() == types.UntypedNil || b.Kind() == types.Invalid) {
-		return
-	}
-	if tv, ok := c.info.Types[rhs]; ok && tv.Value != nil {
-		return // constants box to interned values in practice; skip the noise
-	}
-	switch rt.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return // pointer-shaped: boxes without allocating
 	}
 	c.report(rhs.Pos(), "%s boxed into interface (allocates)", typeString(rt))
 }
@@ -340,9 +329,6 @@ func (c *allocClassifier) checkConversion(call *ast.CallExpr, target types.Type)
 	src := c.info.TypeOf(call.Args[0])
 	if src == nil {
 		return
-	}
-	if tv, ok := c.info.Types[call.Args[0]]; ok && tv.Value != nil {
-		return // constant conversions fold at compile time
 	}
 	tb, tIsBasic := target.Underlying().(*types.Basic)
 	sb, sIsBasic := src.Underlying().(*types.Basic)

@@ -23,11 +23,6 @@ type bodyEnv struct {
 	entry   Lockset
 	freshOK bool
 	fresh   map[types.Object]bool
-	// addr marks locals whose storage may be reached from outside the
-	// body's straight-line code: address-taken (explicitly or by a
-	// pointer-receiver method call) or captured by a function literal.
-	// Only addr-free locals qualify as private value storage.
-	addr map[types.Object]bool
 }
 
 func (s *concSolver) runBody(fn *concFn) {
@@ -39,7 +34,6 @@ func (s *concSolver) runBody(fn *concFn) {
 		entry:   fn.entry,
 		freshOK: true,
 		fresh:   make(map[types.Object]bool),
-		addr:    make(map[types.Object]bool),
 	}
 	s.analyzeBody(env, fn.decl.Body)
 }
@@ -48,7 +42,6 @@ func (s *concSolver) runBody(fn *concFn) {
 // must-lockset dataflow, and the block replay that feeds the fixpoint
 // (collect mode) or the access list (emit mode).
 func (s *concSolver) analyzeBody(env *bodyEnv, body *ast.BlockStmt) {
-	s.collectAddrTaken(env, body)
 	s.prescan(env, body)
 	ReplayHeldLocks(s.cfgOf(body), env.entry, MustHold,
 		func(held Lockset, n ast.Node) { s.applyNodeOps(env, held, n) },
@@ -127,65 +120,6 @@ func (s *concSolver) prescan(env *bodyEnv, body *ast.BlockStmt) {
 		})
 	}
 	walk(body)
-}
-
-// collectAddrTaken marks locals whose storage can leak out of the body's
-// value semantics: explicitly address-taken, implicitly address-taken by a
-// pointer-receiver method call, or captured by a function literal. The
-// scan descends into literals too — over-marking there only costs
-// precision in the shared fact maps, never soundness.
-func (s *concSolver) collectAddrTaken(env *bodyEnv, body *ast.BlockStmt) {
-	info := env.pkg.Info
-	local := func(e ast.Expr) types.Object {
-		v, _ := rootIdentObj(info, e).(*types.Var)
-		if v == nil || v.IsField() || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
-			return nil
-		}
-		return v
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if v := local(n.X); v != nil {
-					env.addr[v] = true
-				}
-			}
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if !ok {
-				break
-			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok {
-				break
-			}
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil {
-				break
-			}
-			if _, isPtr := sig.Recv().Type().(*types.Pointer); isPtr {
-				if v := local(sel.X); v != nil {
-					env.addr[v] = true
-				}
-			}
-		case *ast.FuncLit:
-			ast.Inspect(n.Body, func(m ast.Node) bool {
-				id, ok := m.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				v, ok := info.Uses[id].(*types.Var)
-				if ok && !v.IsField() && v.Pkg() != nil &&
-					v.Parent() != v.Pkg().Scope() &&
-					(v.Pos() < n.Pos() || v.Pos() > n.End()) {
-					env.addr[v] = true
-				}
-				return true
-			})
-		}
-		return true
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -383,7 +317,6 @@ func (env *bodyEnv) detached(suffix string, g *Goroutine) *bodyEnv {
 		ctxs:  map[*Goroutine]bool{g: true},
 		entry: Lockset{},
 		fresh: make(map[types.Object]bool),
-		addr:  make(map[types.Object]bool),
 	}
 }
 
@@ -520,8 +453,7 @@ func (s *concSolver) record(env *bodyEnv, sel *ast.SelectorExpr, v *types.Var, h
 		return
 	}
 	root := rootIdentObj(env.pkg.Info, sel.X)
-	fresh := (root != nil && env.fresh[root]) || s.privateRoot(env, sel.X) != nil
-	s.emitAccess(env, sel.Sel.Pos(), v, held, ctx, fresh)
+	s.emitAccess(env, sel.Sel.Pos(), v, held, ctx, root != nil && env.fresh[root])
 }
 
 func (s *concSolver) emitAccess(env *bodyEnv, pos token.Pos, v *types.Var, held Lockset, ctx exprCtx, fresh bool) {

@@ -1,7 +1,6 @@
 // Freshness classification for the happens-before engine: how one
-// expression is judged fresh (an allocation this frame just made, or storage
-// that never leaves a local's own bytes). concurrency_body.go consumes these
-// while replaying function bodies.
+// expression is judged fresh (an allocation this frame just made).
+// concurrency_body.go consumes these while replaying function bodies.
 package framework
 
 import (
@@ -34,63 +33,6 @@ func rootIdentObj(info *types.Info, e ast.Expr) types.Object {
 			return nil
 		}
 	}
-}
-
-// privateRoot returns the local value variable that owns the storage a
-// selector chain resolves into, when the chain never leaves the variable's
-// own bytes and the variable's address never escapes. Writes into such
-// storage are the function's own — value semantics mean every assignment
-// copied — exactly like a fresh allocation.
-func (s *concSolver) privateRoot(env *bodyEnv, e ast.Expr) *types.Var {
-	v := valueChainRoot(env.pkg.Info, e)
-	if v == nil || env.addr[v] {
-		return nil
-	}
-	return v
-}
-
-// valueChainRoot resolves a chain that stays inside one local value: every
-// step selects a field of a value or indexes a value array, and the root
-// is a local or parameter of non-pointer type. The caller decides whether
-// address-taking disqualifies the root: an access needs the storage fully
-// private, while a method call only needs the receiver to point into the
-// caller's own value at this site.
-func valueChainRoot(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		e = ast.Unparen(e)
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			tv, ok := info.Types[x.X]
-			if !ok || isPointerType(tv.Type) {
-				return nil
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			tv, ok := info.Types[x.X]
-			if !ok {
-				return nil
-			}
-			if _, isArr := tv.Type.Underlying().(*types.Array); !isArr {
-				return nil
-			}
-			e = x.X
-		case *ast.Ident:
-			v, _ := refObject(info, x).(*types.Var)
-			if v == nil || v.IsField() ||
-				v.Pkg() == nil || v.Parent() == v.Pkg().Scope() ||
-				isPointerType(v.Type()) {
-				return nil
-			}
-			return v
-		default:
-			return nil
-		}
-	}
-}
-
-func isPointerType(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Pointer)
-	return ok
 }
 
 // freshExpr matches an allocation the enclosing function just made:

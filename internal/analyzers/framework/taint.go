@@ -24,10 +24,6 @@ type Taint uint8
 // sound coarsening. Closures propagate naturally: a captured variable is
 // the same object inside and outside the literal.
 type TaintSpec struct {
-	// Include selects the packages whose function bodies participate in
-	// propagation. Excluded packages are invisible — their functions have
-	// no summaries, and sources/sinks inside them are not considered.
-	Include func(*Package) bool
 	// Source returns the intrinsic taint of an expression (before operand
 	// propagation), e.g. "an integer identifier named like a seed". Return
 	// 0 for expressions with no intrinsic taint.
@@ -51,7 +47,7 @@ type TaintResult struct {
 	ret   map[*types.Func]Taint
 }
 
-// SolveTaint runs the analysis to fixpoint over prog's included packages.
+// SolveTaint runs the analysis to fixpoint over every package of prog.
 func SolveTaint(prog *Program, spec TaintSpec) *TaintResult {
 	r := &TaintResult{
 		spec:  spec,
@@ -59,17 +55,11 @@ func SolveTaint(prog *Program, spec TaintSpec) *TaintResult {
 		obj:   make(map[types.Object]Taint),
 		ret:   make(map[*types.Func]Taint),
 	}
-	var included []*Package
-	for _, pkg := range prog.Packages {
-		if spec.Include == nil || spec.Include(pkg) {
-			included = append(included, pkg)
-		}
-	}
 	// The lattice is finite and every transfer joins upward, so this
 	// terminates; the bound is a safety net, not a tuning knob.
 	for pass := 0; pass < 64; pass++ {
 		changed := false
-		for _, pkg := range included {
+		for _, pkg := range prog.Packages {
 			for _, f := range pkg.Files {
 				for _, decl := range f.Decls {
 					fd, ok := decl.(*ast.FuncDecl)

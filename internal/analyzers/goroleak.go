@@ -20,9 +20,9 @@ import (
 //     (runtime.Pacer.Next reports false).
 //  2. Shutdown/synchronization: the body (or a function it transitively
 //     calls) must reference one of the sanctioned mechanisms — a channel
-//     receive (done/stop channel, range over a work channel, select arm), a
-//     context.Context.Done call, or a sync.WaitGroup.Done so a Stop path
-//     can Wait for it.
+//     receive (done/stop channel, `<-ctx.Done()`, range over a work
+//     channel, select arm) or a sync.WaitGroup.Done so a Stop path can
+//     Wait for it.
 //
 // Why this is an invariant and not a style preference: runtime.Cluster.Stop
 // documents "ends the loops Start launched and waits for them", and tests
@@ -103,10 +103,10 @@ func pkgOf(pass *framework.Pass) *framework.Package {
 }
 
 // hasShutdownSignal reports whether the body — or any source function it
-// transitively calls — contains a channel receive, a context Done call, or
-// a WaitGroup.Done call. Function literals inside the body count (the
-// deferred `func() { <-sem }()` idiom); further `go` statements do not:
-// a goroutine does not shut down by spawning another.
+// transitively calls — contains a channel receive or a WaitGroup.Done
+// call. Function literals inside the body count (the deferred
+// `func() { <-sem }()` idiom); further `go` statements do not: a goroutine
+// does not shut down by spawning another.
 func hasShutdownSignal(prog *framework.Program, pkg *framework.Package, body *ast.BlockStmt, seen map[*types.Func]bool) bool {
 	found := false
 	var calls []*ast.CallExpr
@@ -159,33 +159,13 @@ func hasShutdownSignal(prog *framework.Program, pkg *framework.Package, body *as
 	return false
 }
 
-// isShutdownCall matches context.Context.Done and sync.WaitGroup.Done.
+// isShutdownCall matches sync.WaitGroup.Done. A context's Done needs no
+// case of its own: it returns a channel, and the receive is the signal.
 func isShutdownCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Done" {
 		return false
 	}
 	selection, found := info.Selections[sel]
-	if !found {
-		return false
-	}
-	recv := selection.Recv()
-	if p, isPtr := recv.Underlying().(*types.Pointer); isPtr {
-		recv = p.Elem()
-	}
-	// sync.WaitGroup is concrete; context.Context is an interface — both
-	// surface here as named types.
-	if named, isNamed := recv.(*types.Named); isNamed {
-		obj := named.Obj()
-		if obj.Pkg() == nil {
-			return false
-		}
-		switch {
-		case obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup":
-			return true
-		case obj.Pkg().Path() == "context" && obj.Name() == "Context":
-			return true
-		}
-	}
-	return false
+	return found && framework.IsSyncNamed(selection.Recv(), "WaitGroup")
 }

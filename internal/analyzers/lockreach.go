@@ -329,8 +329,8 @@ func checkLockreach(pass *framework.Pass, body *ast.BlockStmt, summaries blockSu
 	framework.ReplayHeldLocks(framework.BuildCFG(body), nil, framework.MayHold,
 		func(held framework.Lockset, n ast.Node) { framework.MutexOps(info, held, n) },
 		func(n ast.Node, held framework.Lockset) {
-			if _, deferred := n.(*ast.DeferStmt); deferred || len(held) == 0 {
-				return // a deferred call runs at exit, not here
+			if len(held) == 0 {
+				return
 			}
 			if s := stmtOf[n]; s != nil {
 				check(s, held)

@@ -119,8 +119,6 @@ func reportMapOrderSinks(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeSt
 					}
 				}
 			}
-		case *ast.FuncLit:
-			return false
 		}
 		return true
 	})

@@ -28,6 +28,7 @@ var detectionMatrix = map[string]map[string][]int{
 	"counterbalance":           {"counterbalance": {36, 59, 60}},
 	"detrand":                  {"detrand": {7, 8, 9, 18, 21, 25}},
 	"errdrop":                  {"errdrop": {23, 27, 33, 38, 43}, "goroleak": {79}},
+	"gateplant":                {"sharedguard": {119}},
 	"goroleak":                 {"goroleak": {26, 33}, "sharedguard": {21, 41, 56, 78}},
 	"hotalloc":                 {"goroleak": {73}, "hotalloc": {25, 40, 49, 56, 61, 65, 69, 73, 81, 87}, "sharedguard": {21, 93}},
 	"hotplant":                 {"hotalloc": {53}},
@@ -41,7 +42,7 @@ var detectionMatrix = map[string]map[string][]int{
 	"shardmail":                {"compiler": {65}},
 	"shardplant":               {"compiler": {43}},
 	"shardtype":                {"compiler": {33}},
-	"sharedguard":              {"goroleak": {46, 66, 89}, "sharedguard": {25, 81}},
+	"sharedguard":              {"goroleak": {44, 67}, "sharedguard": {24, 59}},
 	"substrateplant":           {"compiler": {18}},
 	"unusedallow":              {},
 }

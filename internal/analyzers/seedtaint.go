@@ -48,9 +48,9 @@ import (
 // result is a clean seed no matter what its arguments were (arithmetic *in*
 // those arguments is still a site finding).
 //
-// internal/rng is exempt and excluded from propagation — it is the
-// sanctioned mixer, and its SplitMix64 and xoshiro internals are the
-// arithmetic this analyzer exists to ban elsewhere.
+// internal/rng is analyzed like any other package: its SplitMix64 and
+// xoshiro internals mix state words, never seed-named values, so neither
+// rule fires there.
 //
 // Violations found and fixed when the site rules landed: the per-point
 // engine seeds in internal/experiments (ablations2, baselines, churnexp,
@@ -77,15 +77,11 @@ var seedArithOps = map[token.Token]bool{
 }
 
 func runSeedtaint(pass *framework.Pass) error {
-	if pass.Pkg.Path() == rngPkgPath {
-		return nil
-	}
 	result := pass.Prog.Shared("seedtaint", func() any {
 		return framework.SolveTaint(pass.Prog, framework.TaintSpec{
-			Include: func(p *framework.Package) bool { return p.Path != rngPkgPath },
-			Source:  seedTaintSource,
-			Binary:  seedTaintBinary,
-			Call:    seedTaintCall,
+			Source: seedTaintSource,
+			Binary: seedTaintBinary,
+			Call:   seedTaintCall,
 		})
 	}).(*framework.TaintResult)
 

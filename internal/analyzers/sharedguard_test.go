@@ -16,6 +16,12 @@ func TestChurnplantFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("churnplant"), Sharedguard)
 }
 
+// The sharded engine's lock model in miniature: a gate-held write a pool job
+// reads stays proven, and one write made without the gate is reported.
+func TestGateplantFixture(t *testing.T) {
+	framework.RunFixture(t, fixture("gateplant"), Sharedguard)
+}
+
 // The bug of testdata/src/shardplant in the shape the sharded engine had
 // before its pool ran prebuilt jobs, compiled for real so the dynamic side
 // of the comparison actually runs: a gate/work/done engine whose workers

@@ -1,7 +1,6 @@
 // Package sharedguard exercises the happens-before engine's access-pair
-// judgement: one representative of every proof path that silences a
-// conflicting pair — mutex exclusion, caller-private value storage — plus
-// the pair no proof covers and a reviewed suppression.
+// judgement: mutex exclusion silencing a conflicting pair, the pair no
+// proof covers, a lock held on one branch only, and a reviewed suppression.
 package sharedguard
 
 import "sync"
@@ -36,27 +35,6 @@ func Run(s *srv) {
 	s.mu.Unlock()
 	s.racy++
 	wg.Wait()
-}
-
-type stats struct{ hits int }
-
-// Bump writes shared stats storage from a goroutine: the access Tally's
-// bumps would conflict with if they were not private.
-func Bump(st *stats) {
-	go func() {
-		st.hits++
-	}()
-}
-
-// Tally works on a caller-private value: the struct lives in a local whose
-// address is never taken, so its accesses can never be the storage Bump's
-// goroutine touches.
-func Tally(n int) int {
-	var acc stats
-	for i := 0; i < n; i++ {
-		acc.hits++
-	}
-	return acc.hits
 }
 
 // Dump races Run's protocol on purpose: callers only invoke Dump after the

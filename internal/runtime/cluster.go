@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
+	gotrace "runtime/trace"
 	"slices"
 	"sync"
 	"time"
@@ -197,7 +199,9 @@ func (c *Cluster) Stop() {
 // TickRound drives one synchronous round — the network delivers the delayed
 // messages that came due, then every live node initiates once — for
 // deterministic tests and examples that do not want wall-clock timers.
+// The round runs in a "tick round" trace region.
 func (c *Cluster) TickRound() {
+	defer gotrace.StartRegion(context.Background(), "tick round").End()
 	c.net.Advance()
 	// The slots are read a block at a time under the read lock, into a
 	// buffer on the stack, and the block's nodes are ticked off the lock.

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
+	gotrace "runtime/trace"
 
 	"sendforget/internal/driver"
 	"sendforget/internal/faults"
@@ -191,7 +193,9 @@ func (e *Seq) deliver(u peer.ID, msg protocol.Message, ob *protocol.Outbox) (pee
 // TickRound executes one round: the delay queue delivers what came due,
 // then as many steps as there are active nodes run. Rounds are the
 // delay-queue clock; Step/StepAt called outside TickRound never advance it.
+// The round runs in a "tick round" trace region.
 func (e *Seq) TickRound() {
+	defer gotrace.StartRegion(context.Background(), "tick round").End()
 	e.router.Tick()
 	e.drainDue()
 	for i, n := 0, len(e.active); i < n; i++ {

@@ -715,3 +715,26 @@ func TestShardedTickTraceRegions(t *testing.T) {
 		}
 	}
 }
+
+// TestSubstrateTickTraceRegion takes an execution trace of one round on each
+// message-at-a-time engine and finds the "tick round" region it runs in.
+func TestSubstrateTickTraceRegion(t *testing.T) {
+	for _, engine := range []runtime.EngineKind{runtime.EngineSeq, runtime.EngineCluster} {
+		t.Run(string(engine), func(t *testing.T) {
+			sub, err := runtime.New(runtime.Config{Engine: engine, N: 64, NewCore: allProtocols()[0].factory, Conditions: faults.Lossless(), Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			var buf bytes.Buffer
+			if err := gotrace.Start(&buf); err != nil {
+				t.Skipf("a trace is being taken already: %v", err)
+			}
+			sub.TickRound()
+			gotrace.Stop()
+			if !bytes.Contains(buf.Bytes(), []byte("tick round")) {
+				t.Error(`the trace of a round has no "tick round" region`)
+			}
+		})
+	}
+}
