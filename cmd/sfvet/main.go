@@ -11,35 +11,32 @@
 // cache, not broken source) is reported distinctly, with the `go build
 // ./...` remedy, so CI logs point at the cache rather than the code.
 //
-// Packages are analyzed in parallel (the export data, call graph, and
-// program-wide fixpoints are built once and shared); diagnostic order is
-// deterministic regardless of -parallel.
+// Packages are analyzed on GOMAXPROCS goroutines (the export data, call
+// graph, and program-wide fixpoints are built once and shared); diagnostic
+// order is deterministic regardless of the worker count.
 //
 // Flags:
 //
 //	-list             print the analyzers and their one-line docs, then exit
 //	-only name[,name] run only the named analyzers
-//	-json             print diagnostics as a JSON array on stdout
 //	-github           print GitHub Actions ::error workflow annotations
-//	-unusedallow      also report //lint:allow directives that suppressed
-//	                  nothing this run (stale escape hatches); warnings only,
-//	                  the exit status is unchanged. Conflicts with -only,
-//	                  since staleness is meaningful only for a full-suite run.
-//	-parallel n       analyze up to n packages concurrently (default GOMAXPROCS)
 //
 // Suppression is per line in the source, not per invocation: a reviewed
 // exception carries a `//lint:allow <analyzer> <reason>` comment (see
-// internal/analyzers/framework).
+// internal/analyzers/framework). A full-suite run also reports every
+// directive that suppressed nothing as an "unusedallow" finding, so a stale
+// escape hatch fails the run like any other diagnostic. A run with -only
+// skips that check: a directive for an analyzer that did not run always
+// looks stale.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"go/token"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -51,30 +48,13 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiagnostic is the -json wire shape: one object per diagnostic, stable
-// field names so CI tooling can consume it without parsing the human form.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sfvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := fs.Bool("json", false, "print diagnostics as a JSON array on stdout")
 	github := fs.Bool("github", false, "print GitHub Actions ::error annotations")
-	unusedAllow := fs.Bool("unusedallow", false, "also report //lint:allow directives that suppressed nothing (warnings; exit status unchanged)")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max packages analyzed concurrently")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *unusedAllow && *only != "" {
-		fmt.Fprintln(stderr, "sfvet: -unusedallow conflicts with -only: a directive for an analyzer that did not run always looks stale")
 		return 2
 	}
 	suite := analyzers.All()
@@ -120,45 +100,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return failLoad(err, stderr)
 	}
 	prog := framework.NewProgram(pkgs)
-	diags, err := prog.AnalyzeAll(suite, *parallel)
+	diags, err := prog.AnalyzeAll(suite)
 	if err != nil {
 		fmt.Fprintf(stderr, "sfvet: %v\n", err)
 		return 2
 	}
-	switch {
-	case *asJSON:
-		out := make([]jsonDiagnostic, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiagnostic{
-				Analyzer: d.Analyzer,
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(stderr, "sfvet: %v\n", err)
-			return 2
-		}
-	case *github:
-		for _, d := range diags {
+	if *only == "" {
+		diags = append(diags, unusedAllows(prog.UnusedAllows())...)
+	}
+	for _, d := range diags {
+		if *github {
 			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d,title=sfvet/%s::%s\n",
 				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, githubEscape(d.Message))
-		}
-	default:
-		for _, d := range diags {
+		} else {
 			fmt.Fprintln(stdout, d)
 		}
-	}
-	if *unusedAllow {
-		warnOut := stdout
-		if *asJSON {
-			warnOut = stderr // keep stdout a pure JSON array
-		}
-		reportUnusedAllows(prog.UnusedAllows(), *github, warnOut, stderr)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "sfvet: %d diagnostic(s) across %d package(s)\n", len(diags), len(pkgs))
@@ -182,24 +138,19 @@ func failLoad(err error, stderr io.Writer) int {
 	return 2
 }
 
-// reportUnusedAllows prints one warning per stale //lint:allow directive —
-// a grant that suppressed nothing across the full run. Warnings never change
-// the exit status: a stale directive means a diagnostic disappeared, which is
-// progress to harvest, not a regression to block on. Under -github the
-// warnings are ::warning workflow annotations so they surface on the PR
-// without failing the check.
-func reportUnusedAllows(unused []framework.AllowDirective, github bool, stdout, stderr io.Writer) {
+// unusedAllows turns each //lint:allow directive that suppressed nothing in
+// a full-suite run into an "unusedallow" finding: the diagnostic it once
+// silenced is gone, so the directive goes too.
+func unusedAllows(unused []framework.AllowDirective) []framework.Diagnostic {
+	diags := make([]framework.Diagnostic, 0, len(unused))
 	for _, u := range unused {
-		if github {
-			fmt.Fprintf(stdout, "::warning file=%s,line=%d,title=sfvet/unusedallow::unused //lint:allow %s directive (%s)\n",
-				u.File, u.Line, u.Analyzer, githubEscape(u.Reason))
-			continue
-		}
-		fmt.Fprintf(stdout, "%s:%d: unused //lint:allow %s directive (%s)\n", u.File, u.Line, u.Analyzer, u.Reason)
+		diags = append(diags, framework.Diagnostic{
+			Analyzer: "unusedallow",
+			Pos:      token.Position{Filename: u.File, Line: u.Line},
+			Message:  fmt.Sprintf("//lint:allow %s directive suppresses nothing (%s): remove it", u.Analyzer, u.Reason),
+		})
 	}
-	if len(unused) > 0 {
-		fmt.Fprintf(stderr, "sfvet: %d unused //lint:allow directive(s); remove them or re-justify\n", len(unused))
-	}
+	return diags
 }
 
 // githubEscape applies the workflow-command data escaping rules: percent,

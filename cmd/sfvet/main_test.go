@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -71,23 +70,6 @@ func TestSingleAnalyzerOverOnePackage(t *testing.T) {
 	}
 }
 
-// TestJSONOutputIsWellFormed: -json must emit a JSON array (empty for a
-// clean package) that CI tooling can consume without parsing the human
-// form.
-func TestJSONOutputIsWellFormed(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-json", "-only", "detrand", "./internal/rng/..."}, &out, &errOut); code != 0 {
-		t.Fatalf("sfvet -json: exit %d\nstderr: %s", code, errOut.String())
-	}
-	var diags []jsonDiagnostic
-	if err := json.Unmarshal(out.Bytes(), &diags); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out.String())
-	}
-	if len(diags) != 0 {
-		t.Errorf("expected clean package, got %d diagnostics: %v", len(diags), diags)
-	}
-}
-
 // TestGitHubModeEmitsNothingWhenClean: ::error annotations appear only for
 // findings.
 func TestGitHubModeEmitsNothingWhenClean(t *testing.T) {
@@ -100,58 +82,36 @@ func TestGitHubModeEmitsNothingWhenClean(t *testing.T) {
 	}
 }
 
-// TestUnusedAllowConflictsWithOnly pins the flag-composition rule: with a
-// partial suite every directive for a skipped analyzer would read as stale,
-// so the combination is a usage error, not a quietly wrong report.
-func TestUnusedAllowConflictsWithOnly(t *testing.T) {
+// staleFixture is a package with one //lint:allow that suppresses a live
+// detrand finding and one that suppresses nothing.
+const staleFixture = "sendforget/internal/analyzers/testdata/src/unusedallow"
+
+// TestStaleAllowIsAFinding: a full-suite run reports the directive that
+// suppresses nothing as an unusedallow finding and exits 1, in both output
+// forms; a run with -only skips the check, since a directive for an analyzer
+// that did not run always looks stale.
+func TestStaleAllowIsAFinding(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{staleFixture}, "unusedallow.go:16: [unusedallow] //lint:allow detrand directive suppresses nothing (stale: the wall-clock read this excused is gone): remove it\n"},
+		{[]string{"-github", staleFixture}, ",line=16,col=0,title=sfvet/unusedallow::"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(tc.args, &out, &errOut); code != 1 {
+			t.Fatalf("sfvet %v: exit %d, want 1\nstdout: %s\nstderr: %s", tc.args, code, out.String(), errOut.String())
+		}
+		if lines := strings.Count(out.String(), "\n"); lines != 1 || !strings.Contains(out.String(), tc.want) {
+			t.Errorf("sfvet %v printed %d line(s), want one containing %q:\n%s", tc.args, lines, tc.want, out.String())
+		}
+		if tc.args[0] == "-github" && !strings.HasPrefix(out.String(), "::error file=") {
+			t.Errorf("sfvet -github: stale directive is not an ::error annotation: %q", out.String())
+		}
+	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-unusedallow", "-only", "detrand", "./internal/rng/..."}, &out, &errOut); code != 2 {
-		t.Fatalf("sfvet -unusedallow -only detrand: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-unusedallow conflicts with -only") {
-		t.Errorf("stderr missing conflict message: %s", errOut.String())
-	}
-}
-
-// TestUnusedAllowWarningsDoNotChangeExitStatus runs the full suite with
-// -unusedallow over internal/rng — whose one detrand directive is live — and
-// requires a clean exit with no warning lines.
-func TestUnusedAllowWarningsDoNotChangeExitStatus(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-unusedallow", "./internal/rng/..."}, &out, &errOut); code != 0 {
-		t.Fatalf("sfvet -unusedallow ./internal/rng/...: exit %d\nstdout: %s\nstderr: %s",
-			code, out.String(), errOut.String())
-	}
-	if strings.Contains(out.String(), "unused //lint:allow") {
-		t.Errorf("live directive reported stale:\n%s", out.String())
-	}
-}
-
-// TestReportUnusedAllowsFormats covers both output forms off a synthetic
-// directive: the human file:line form and the -github ::warning annotation
-// (which must not be a ::error — stale allows warn, never fail).
-func TestReportUnusedAllowsFormats(t *testing.T) {
-	unused := []framework.AllowDirective{
-		{File: "internal/x/x.go", Line: 12, Analyzer: "detrand", Reason: "old excuse"},
-	}
-
-	var out, errOut bytes.Buffer
-	reportUnusedAllows(unused, false, &out, &errOut)
-	if want := "internal/x/x.go:12: unused //lint:allow detrand directive (old excuse)\n"; out.String() != want {
-		t.Errorf("human form = %q, want %q", out.String(), want)
-	}
-	if !strings.Contains(errOut.String(), "1 unused //lint:allow directive(s)") {
-		t.Errorf("summary missing from stderr: %s", errOut.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	reportUnusedAllows(unused, true, &out, &errOut)
-	if !strings.HasPrefix(out.String(), "::warning file=internal/x/x.go,line=12,title=sfvet/unusedallow::") {
-		t.Errorf("github form not a ::warning annotation: %q", out.String())
-	}
-	if strings.Contains(out.String(), "::error") {
-		t.Errorf("stale allows must warn, not error: %q", out.String())
+	if code := run([]string{"-only", "detrand", staleFixture}, &out, &errOut); code != 0 || out.Len() != 0 {
+		t.Errorf("sfvet -only detrand: exit %d, stdout %q; want 0 and nothing", code, out.String())
 	}
 }
 
@@ -189,19 +149,20 @@ func TestGitHubEscape(t *testing.T) {
 }
 
 // TestWholeRepoIsClean is the CLI-level form of the suite's acceptance
-// criterion: zero diagnostics over every package, exit status 0. The run
-// carries -unusedallow, so it doubles as the stale-suppression audit: every
-// //lint:allow directive in the tree must still be earning its keep.
+// criterion: zero diagnostics over every package, exit status 0. A
+// full-suite run also reports stale directives, so it doubles as the
+// stale-suppression audit: every //lint:allow directive in the tree must
+// still be earning its keep.
 func TestWholeRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire module")
 	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-unusedallow"}, &out, &errOut); code != 0 {
-		t.Fatalf("sfvet -unusedallow ./...: exit %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	if code := run(nil, &out, &errOut); code != 0 {
+		t.Fatalf("sfvet ./...: exit %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
 	if out.Len() != 0 {
-		t.Errorf("sfvet -unusedallow ./... printed diagnostics or stale directives despite exit 0:\n%s", out.String())
+		t.Errorf("sfvet ./... printed diagnostics despite exit 0:\n%s", out.String())
 	}
 }
 

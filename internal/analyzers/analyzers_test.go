@@ -144,7 +144,7 @@ func TestRepoClean(t *testing.T) {
 		t.Fatal("loader returned no packages")
 	}
 	prog := framework.NewProgram(pkgs)
-	diags, err := prog.AnalyzeAll(All(), 4)
+	diags, err := prog.AnalyzeAll(All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ type allowKey struct {
 // AllowDirective is one parsed //lint:allow grant. Used reports whether the
 // directive suppressed at least one diagnostic (or answered an AllowedAt
 // query) during this run — a directive that is never used is a stale escape
-// hatch the -unusedallow sfvet mode surfaces.
+// hatch, which a full-suite sfvet run reports as an unusedallow finding.
 type AllowDirective struct {
 	File     string
 	Line     int

@@ -36,6 +36,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -170,17 +171,12 @@ func (prog *Program) Analyze(pkg *Package, analyzers []*Analyzer) ([]Diagnostic,
 }
 
 // AnalyzeAll runs the suite over every package of the program on up to
-// workers goroutines and returns the findings in deterministic (package,
+// GOMAXPROCS goroutines and returns the findings in deterministic (package,
 // file, line) order regardless of the worker count. The heavy shared
 // structures — export data, the call graph, Shared memos — are built once
 // and read by all workers.
-func (prog *Program) AnalyzeAll(analyzers []*Analyzer, workers int) ([]Diagnostic, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(prog.Packages) {
-		workers = len(prog.Packages)
-	}
+func (prog *Program) AnalyzeAll(analyzers []*Analyzer) ([]Diagnostic, error) {
+	workers := min(runtime.GOMAXPROCS(0), len(prog.Packages))
 	perPkg := make([][]Diagnostic, len(prog.Packages))
 	errs := make([]error, len(prog.Packages))
 	var wg sync.WaitGroup

@@ -178,7 +178,7 @@ func TestHotallocCatchesWhatDynamicCountingMisses(t *testing.T) {
 	}
 }
 
-// TestUnusedAllows pins the -unusedallow contract at the framework level:
+// TestUnusedAllows pins the stale-directive check at the framework level:
 // after a full run over the fixture, the directive that suppressed a live
 // detrand diagnostic is used, and the stale one is reported with its file,
 // line, and reason.

@@ -1,6 +1,6 @@
-// Package unusedallow exercises the -unusedallow sfvet mode: one directive
+// Package unusedallow exercises sfvet's stale-directive check: one directive
 // that still suppresses a live diagnostic (the banned math/rand import) and
-// one that suppresses nothing — the stale escape hatch the mode reports.
+// one that suppresses nothing, which a full-suite run reports as a finding.
 package unusedallow
 
 import (

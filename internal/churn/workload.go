@@ -17,10 +17,6 @@ type WorkloadConfig struct {
 	JoinProb, LeaveProb float64
 	// MinLive floors the live population: leaves are suppressed below it.
 	MinLive int
-	// MaxSeeds bounds how many ids a joiner copies from a live node's view
-	// (0 = as many as the view offers). Per Section 5, a joiner copies
-	// another node's view — which may include stale ids.
-	MaxSeeds int
 }
 
 func (c WorkloadConfig) validate() error {
@@ -105,7 +101,7 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 			stats.Leaves++
 		}
 		if r.Bernoulli(cfg.JoinProb) && len(liveList) < n {
-			if joiner, ok := joinOne(sub, n, live, liveList, cfg, r); ok {
+			if joiner, ok := joinOne(sub, n, live, liveList, r); ok {
 				live[joiner] = true
 				stats.Joins++
 				refresh()
@@ -123,7 +119,7 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 
 // joinOne revives a departed id, seeding it from a live node's view (stale
 // entries and all), padded with random live ids when the view is short.
-func joinOne(sub runtime.Substrate, n int, live map[peer.ID]bool, liveList []peer.ID, cfg WorkloadConfig, r *rng.RNG) (peer.ID, bool) {
+func joinOne(sub runtime.Substrate, n int, live map[peer.ID]bool, liveList []peer.ID, r *rng.RNG) (peer.ID, bool) {
 	var joiner peer.ID = -1
 	// Pick a departed id uniformly (bounded scan from a random offset).
 	off := r.Intn(n)
@@ -143,9 +139,6 @@ func joinOne(sub runtime.Substrate, n int, live map[peer.ID]bool, liveList []pee
 		seeds = v.IDs()
 	}
 	seeds = append(seeds, donor)
-	if cfg.MaxSeeds > 0 && len(seeds) > cfg.MaxSeeds {
-		seeds = seeds[:cfg.MaxSeeds]
-	}
 	// Pad with random live ids if the donor view was too short.
 	for len(seeds) < 4 {
 		seeds = append(seeds, liveList[r.Intn(len(liveList))])

@@ -39,12 +39,6 @@ type Params struct {
 	DL int
 	// Loss is the uniform message loss rate in [0, 1).
 	Loss float64
-	// KeepPartitioned includes partitioned membership graphs as ordinary
-	// states instead of redirecting transitions into them to self-loops.
-	// The paper's chain excludes them (Section 7.1); the physical protocol
-	// can genuinely reach them, so cross-validation against a live
-	// simulator uses the unclipped chain.
-	KeepPartitioned bool
 }
 
 func (p Params) validate() error {
@@ -228,7 +222,7 @@ func Build(par Params, initial State) (*Chain, error) {
 	for i := 0; i < len(c.states); i++ {
 		r := row{from: i, to: make(map[int]float64)}
 		c.transitions(c.states[i], func(next State, p float64) {
-			if !par.KeepPartitioned && !next.weaklyConnected() {
+			if !next.weaklyConnected() {
 				c.PartitionClipped += p
 				r.self += p
 				return

@@ -47,14 +47,8 @@ func (c *Core) ViewSize() int { return c.s }
 
 // SeedView fills the empty view lv with the seed ids (at least one).
 func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
-	if len(seeds) == 0 {
+	if lv.Seed(seeds) == 0 {
 		return fmt.Errorf("flipper: need at least one seed")
-	}
-	for i, id := range seeds {
-		if i >= c.s {
-			break
-		}
-		lv.Set(i, id)
 	}
 	return nil
 }

@@ -79,19 +79,11 @@ func (c *Core) ViewSize() int { return c.s }
 // dropped; an odd count is truncated to keep the outdegree even; fewer than
 // max(2, dL) usable seeds is an error (the paper's join rule).
 func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
-	k := len(seeds)
-	if k > c.s {
-		k = c.s
-	}
-	if k%2 != 0 {
-		k--
-	}
+	k := min(len(seeds), c.s) &^ 1
 	if k < c.dl || k < 2 {
 		return fmt.Errorf("sendforget: need at least max(2, dL=%d) seeds, got %d usable", c.dl, k)
 	}
-	for i := 0; i < k; i++ {
-		lv.Set(i, seeds[i])
-	}
+	lv.Seed(seeds[:k])
 	return nil
 }
 

@@ -38,10 +38,9 @@ type Options struct {
 	// deleting ids that do not fit.
 	ReplaceWhenFull bool
 	// Undelete compensates at the dL floor by restoring recently cleared
-	// ids from a graveyard instead of duplicating live entries.
+	// ids from a graveyard of the last S ids cleared, instead of
+	// duplicating live entries.
 	Undelete bool
-	// GraveyardSize bounds the per-node graveyard (default S).
-	GraveyardSize int
 }
 
 func (o Options) validate() error {
@@ -117,15 +116,12 @@ func NewCore(opts Options) (*Core, error) {
 	if opts.BatchK == 0 {
 		opts.BatchK = 2
 	}
-	if opts.GraveyardSize == 0 {
-		opts.GraveyardSize = opts.S
-	}
 	c := &Core{opts: opts}
 	if opts.BatchK > stackBatch {
 		c.bigSlots, c.bigIDs = make([]int, opts.BatchK), make([]peer.ID, opts.BatchK)
 	}
 	if opts.Undelete {
-		c.grave = make([]peer.ID, opts.GraveyardSize)
+		c.grave = make([]peer.ID, opts.S)
 	}
 	return c, nil
 }
@@ -142,19 +138,11 @@ func (c *Core) Counters() Counters { return c.counters }
 // SeedView fills the empty view lv with the seed ids, truncated to an even
 // count of at most s entries (the variants keep S&F's parity discipline).
 func (c *Core) SeedView(lv *view.View, seeds []peer.ID) error {
-	k := len(seeds)
-	if k > c.opts.S {
-		k = c.opts.S
-	}
-	if k%2 != 0 {
-		k--
-	}
+	k := min(len(seeds), c.opts.S) &^ 1
 	if k < 2 {
 		return fmt.Errorf("sfopt: need at least 2 usable seeds, got %d", k)
 	}
-	for i := 0; i < k; i++ {
-		lv.Set(i, seeds[i])
-	}
+	lv.Seed(seeds[:k])
 	return nil
 }
 

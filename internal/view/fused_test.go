@@ -66,7 +66,61 @@ func occupancyCases(s int) map[string]*View {
 	return cases
 }
 
-var fusedSizes = []int{2, 8, 64, 70} // 70 exercises the scan fallback
+// 63, 64 and 65 sit at the mask's edge; 65, 70 and 129 run the scan.
+var fusedSizes = []int{2, 8, 63, 64, 65, 70, 129}
+
+// TestMaskAtShiftBoundary runs every op that writes the occupancy mask at
+// slots 63, 64 and 65 of a 70-slot view: the last slot the mask covers and
+// the first two it does not. The ops test no slot against 64 — a Go shift of
+// a uint64 by 64 or more is 0 — so after each call the mask must still hold
+// exactly the occupied slots among the first 64.
+func TestMaskAtShiftBoundary(t *testing.T) {
+	const s = 70
+	full := func() *View {
+		v := New(s)
+		for i := 0; i < s; i++ {
+			v.Set(i, peer.ID(i+1))
+		}
+		return v
+	}
+	ops := []struct {
+		name string
+		do   func(i int) *View
+	}{
+		{"Set", func(i int) *View { v := New(s); v.Set(i, 42); return v }},
+		{"Set Nil", func(i int) *View { v := full(); v.Set(i, peer.Nil); return v }},
+		{"Clear", func(i int) *View { v := full(); v.Clear(i); return v }},
+		{"ClearOccupiedPair", func(i int) *View { v := full(); v.ClearOccupiedPair(i, 0); return v }},
+		{"FillEmptyPair", func(i int) *View { v := New(s); v.FillEmptyPair(i, 1, 42, 43); return v }},
+		{"FillEmptyPair Nil", func(i int) *View { v := New(s); v.FillEmptyPair(1, i, 42, peer.Nil); return v }},
+		{"Wrap", func(i int) *View {
+			slots := make([]peer.ID, s)
+			for j := range slots {
+				slots[j] = peer.Nil
+			}
+			slots[i], slots[2] = 42, 43
+			v := Wrap(slots)
+			return &v
+		}},
+	}
+	for _, op := range ops {
+		for _, i := range []int{63, 64, 65} {
+			v := op.do(i)
+			if err := v.CheckInvariants(); err != nil {
+				t.Errorf("%s at slot %d: %v", op.name, i, err)
+			}
+			var want uint64
+			for j := 0; j < 64; j++ {
+				if !v.slots[j].IsNil() {
+					want |= 1 << uint(j)
+				}
+			}
+			if v.occ != want {
+				t.Errorf("%s at slot %d: mask %064b, want the low 64 slots %064b", op.name, i, v.occ, want)
+			}
+		}
+	}
+}
 
 // TestClearOccupiedPairMatchesSequentialClears: for every ordered pair of
 // occupied slots, the fused clear must leave exactly the state two Clear

@@ -29,7 +29,8 @@ type View struct {
 	// (s <= 64) it covers the whole view, and the receive steps select
 	// random empty slots with a few bit operations instead of a
 	// slot scan. For larger views it is maintained for the covered prefix
-	// but never consulted.
+	// but never consulted. Slots from 64 on need no range test: a Go shift
+	// of a uint64 by 64 or more is 0, so their bits fall off the mask.
 	occ uint64
 }
 
@@ -71,9 +72,7 @@ func Wrap(slots []peer.ID) View {
 	for i, id := range slots {
 		if id != peer.Nil {
 			out++
-			if i < 64 {
-				occ |= 1 << uint(i)
-			}
+			occ |= 1 << uint(i)
 		}
 	}
 	return View{slots: slots, out: out, occ: occ}
@@ -136,16 +135,25 @@ func (v *View) Set(i int, id peer.ID) {
 	v.slots[i] = id
 	if id != peer.Nil {
 		v.out++
-		if i < 64 {
-			v.occ |= 1 << uint(i)
-		}
-	} else if i < 64 {
+		v.occ |= 1 << uint(i)
+	} else {
 		v.occ &^= 1 << uint(i)
 	}
 }
 
 // Clear empties slot i. Clearing an already-empty slot is a no-op.
 func (v *View) Clear(i int) { v.Set(i, peer.Nil) }
+
+// Seed stores ids in slots 0, 1, ... of the view, as many as fit, and
+// returns how many it stored: a joining node's first view. The protocol's
+// SeedView decides how many seeds it takes and rejects too few.
+func (v *View) Seed(ids []peer.ID) int {
+	n := min(len(ids), len(v.slots))
+	for i, id := range ids[:n] {
+		v.Set(i, id)
+	}
+	return n
+}
 
 // RandomPairFast selects an ordered pair of distinct slot indices uniformly
 // at random — Figure 5.1 line 2 — with one 64-bit draw through rng.FastPair
@@ -175,33 +183,10 @@ func (v *View) RandomEmptyPair(r *rng.RNG) (a, b int, ok bool) {
 	// then locate both.
 	x, y := r.FastPair(e)
 	if s <= 64 {
-		// The occupancy mask covers the whole view: select the x-th and
-		// y-th zero bits instead of scanning slots.
-		mask := ^uint64(0)
-		if s < 64 {
-			mask = 1<<uint(s) - 1
-		}
-		zeros := ^v.occ & mask
-		return nthSetBit(zeros, x), nthSetBit(zeros, y), true
+		free := v.free()
+		return nthSetBit(free, x), nthSetBit(free, y), true
 	}
-	a, b = -1, -1
-	k := 0
-	for i, id := range v.slots {
-		if id != peer.Nil {
-			continue
-		}
-		if k == x {
-			a = i
-		}
-		if k == y {
-			b = i
-		}
-		k++
-		if a >= 0 && b >= 0 {
-			break
-		}
-	}
-	return a, b, true
+	return v.nth(x, false), v.nth(y, false), true
 }
 
 // FillEmptyPair stores two ids at the distinct empty slots a and b — the
@@ -236,14 +221,7 @@ func (v *View) ClearOccupiedPair(i, j int) {
 	v.slots[i] = peer.Nil
 	v.slots[j] = peer.Nil
 	v.out -= 2
-	var m uint64
-	if i < 64 {
-		m |= 1 << uint(i)
-	}
-	if j < 64 {
-		m |= 1 << uint(j)
-	}
-	v.occ &^= m
+	v.occ &^= 1<<uint(i) | 1<<uint(j)
 }
 
 // RandomEmptySlot returns one uniformly chosen empty slot index without
@@ -259,23 +237,9 @@ func (v *View) RandomEmptySlot(r *rng.RNG) (int, bool) {
 	}
 	x := r.Intn(e)
 	if s <= 64 {
-		mask := ^uint64(0)
-		if s < 64 {
-			mask = 1<<uint(s) - 1
-		}
-		return nthSetBit(^v.occ&mask, x), true
+		return nthSetBit(v.free(), x), true
 	}
-	k := 0
-	for i, id := range v.slots {
-		if id != peer.Nil {
-			continue
-		}
-		if k == x {
-			return i, true
-		}
-		k++
-	}
-	return 0, false // unreachable: e > 0
+	return v.nth(x, false), true
 }
 
 // RandomOccupiedSlot returns one uniformly chosen occupied slot index
@@ -289,21 +253,10 @@ func (v *View) RandomOccupiedSlot(r *rng.RNG) (int, bool) {
 		return 0, false
 	}
 	x := r.Intn(v.out)
-	s := len(v.slots)
-	if s <= 64 {
+	if len(v.slots) <= 64 {
 		return nthSetBit(v.occ, x), true
 	}
-	k := 0
-	for i, id := range v.slots {
-		if id == peer.Nil {
-			continue
-		}
-		if k == x {
-			return i, true
-		}
-		k++
-	}
-	return 0, false // unreachable: out > 0
+	return v.nth(x, true), true
 }
 
 // RandomOccupiedPair returns an ordered pair of distinct uniformly chosen
@@ -319,28 +272,30 @@ func (v *View) RandomOccupiedPair(r *rng.RNG) (a, b int, ok bool) {
 		return 0, 0, false
 	}
 	x, y := r.FastPair(v.out)
-	s := len(v.slots)
-	if s <= 64 {
+	if len(v.slots) <= 64 {
 		return nthSetBit(v.occ, x), nthSetBit(v.occ, y), true
 	}
-	a, b = -1, -1
-	k := 0
+	return v.nth(x, true), v.nth(y, true), true
+}
+
+// free returns the mask of the empty slots of a view of at most 64 slots.
+// For s = 64 the shift gives 0, and 0 - 1 is the full mask.
+func (v *View) free() uint64 { return ^v.occ & (1<<uint(len(v.slots)) - 1) }
+
+// nth returns the index of the (k+1)-th occupied slot, or of the (k+1)-th
+// empty one when occupied is false, by a scan of the slots: the selectors'
+// path for a view of more than 64 slots, which the mask does not cover. The
+// caller guarantees that many such slots exist.
+func (v *View) nth(k int, occupied bool) int {
 	for i, id := range v.slots {
-		if id == peer.Nil {
-			continue
-		}
-		if k == x {
-			a = i
-		}
-		if k == y {
-			b = i
-		}
-		k++
-		if a >= 0 && b >= 0 {
-			break
+		if (id != peer.Nil) == occupied {
+			if k == 0 {
+				return i
+			}
+			k--
 		}
 	}
-	return a, b, true
+	panic("view: nth past the last matching slot")
 }
 
 // ReplaceRandomOccupied is flipper's pointer flip fused into one view op:
@@ -486,9 +441,7 @@ func (v *View) CheckInvariants() error {
 	for i, id := range v.slots {
 		if id != peer.Nil {
 			n++
-			if i < 64 {
-				occ |= 1 << uint(i)
-			}
+			occ |= 1 << uint(i)
 		}
 	}
 	if n != v.out {
