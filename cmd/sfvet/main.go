@@ -23,11 +23,12 @@
 //
 // Suppression is per line in the source, not per invocation: a reviewed
 // exception carries a `//lint:allow <analyzer> <reason>` comment (see
-// internal/analyzers/framework). A full-suite run also reports every
-// directive that suppressed nothing as an "unusedallow" finding, so a stale
-// escape hatch fails the run like any other diagnostic. A run with -only
-// skips that check: a directive for an analyzer that did not run always
-// looks stale.
+// internal/analyzers/framework). A run of every analyzer over the whole
+// module (./...) also reports each directive that suppressed nothing as an
+// "unusedallow" finding, so a stale escape hatch fails the run like any
+// other diagnostic. A run with -only, or over a narrower pattern, skips that
+// check: a directive for an analyzer that did not run always looks stale,
+// and so does one whose finding needs packages the run did not load.
 package main
 
 import (
@@ -37,6 +38,7 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sfvet: %v\n", err)
 		return 2
 	}
-	if *only == "" {
+	if *only == "" && slices.Contains(patterns, "./...") {
 		diags = append(diags, unusedAllows(prog.UnusedAllows())...)
 	}
 	for _, d := range diags {
@@ -139,8 +141,8 @@ func failLoad(err error, stderr io.Writer) int {
 }
 
 // unusedAllows turns each //lint:allow directive that suppressed nothing in
-// a full-suite run into an "unusedallow" finding: the diagnostic it once
-// silenced is gone, so the directive goes too.
+// a whole-module run of every analyzer into an "unusedallow" finding: the
+// diagnostic it once silenced is gone, so the directive goes too.
 func unusedAllows(unused []framework.AllowDirective) []framework.Diagnostic {
 	diags := make([]framework.Diagnostic, 0, len(unused))
 	for _, u := range unused {

@@ -18,7 +18,8 @@ type allowKey struct {
 // AllowDirective is one parsed //lint:allow grant. Used reports whether the
 // directive suppressed at least one diagnostic (or answered an AllowedAt
 // query) during this run — a directive that is never used is a stale escape
-// hatch, which a full-suite sfvet run reports as an unusedallow finding.
+// hatch, which an sfvet run of every analyzer over ./... reports as an
+// unusedallow finding.
 type AllowDirective struct {
 	File     string
 	Line     int

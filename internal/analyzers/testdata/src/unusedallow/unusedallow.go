@@ -1,6 +1,6 @@
 // Package unusedallow exercises sfvet's stale-directive check: one directive
 // that still suppresses a live diagnostic (the banned math/rand import) and
-// one that suppresses nothing, which a full-suite run reports as a finding.
+// one that suppresses nothing, which sfvet reports as a finding.
 package unusedallow
 
 import (
