@@ -11,9 +11,9 @@
 // cache, not broken source) is reported distinctly, with the `go build
 // ./...` remedy, so CI logs point at the cache rather than the code.
 //
-// Packages are analyzed on GOMAXPROCS goroutines (the export data, call
-// graph, and program-wide fixpoints are built once and shared); diagnostic
-// order is deterministic regardless of the worker count.
+// Each analyzer runs once over the whole loaded program, up to GOMAXPROCS
+// analyzers at a time (the export data and call graph are built once and
+// shared); diagnostic order is deterministic regardless of the worker count.
 //
 // Flags:
 //
@@ -102,11 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return failLoad(err, stderr)
 	}
 	prog := framework.NewProgram(pkgs)
-	diags, err := prog.AnalyzeAll(suite)
-	if err != nil {
-		fmt.Fprintf(stderr, "sfvet: %v\n", err)
-		return 2
-	}
+	diags := prog.Run(suite)
 	if *only == "" && slices.Contains(patterns, "./...") {
 		diags = append(diags, unusedAllows(prog.UnusedAllows())...)
 	}

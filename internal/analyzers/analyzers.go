@@ -12,7 +12,8 @@
 // the lock discipline, PR 3 the seed-derivation rule); this suite promotes
 // them to compiler-grade checks run by cmd/sfvet in CI.
 //
-// Four analyzers are syntactic, per-package checks:
+// Each analyzer runs once over the whole loaded program. Four are syntactic
+// checks, package by package:
 //
 //	detrand        no ambient randomness or wall clock in simulation code
 //	counterbalance traffic counters move only through their owning package,
@@ -23,8 +24,7 @@
 //	               cannot mix
 //
 // The remaining six are interprocedural, built on the framework's CFG,
-// call graph, taint, allocation-site, held-lock, and happens-before engines,
-// and see the whole loaded program:
+// call graph, taint, allocation-site, held-lock, and happens-before engines:
 //
 //	seedtaint RNG seeds come from rng.DeriveSeed: no arithmetic on a
 //	          seed, and no arithmetic-derived seed reaching rng.New

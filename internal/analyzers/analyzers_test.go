@@ -143,12 +143,7 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("loader returned no packages")
 	}
-	prog := framework.NewProgram(pkgs)
-	diags, err := prog.AnalyzeAll(All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
+	for _, d := range framework.NewProgram(pkgs).Run(All()) {
 		t.Errorf("%s", d)
 	}
 }

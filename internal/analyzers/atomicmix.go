@@ -27,26 +27,27 @@ var Atomicmix = &framework.Analyzer{
 	Run:  runAtomicmix,
 }
 
-func runAtomicmix(pass *framework.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
+func runAtomicmix(prog *framework.Program, report framework.Report) {
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+				if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
+					fn.Type().(*types.Signature).Recv() == nil {
+					report(call.Pos(),
+						"atomic.%s(%s, ...) leaves every plain access to that word a silent race: declare it as a typed atomic (atomic.Int64, atomic.Pointer[T], ...)",
+						fn.Name(), types.ExprString(call.Args[0]))
+				}
 				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
-				fn.Type().(*types.Signature).Recv() == nil {
-				pass.Reportf(call.Pos(),
-					"atomic.%s(%s, ...) leaves every plain access to that word a silent race: declare it as a typed atomic (atomic.Int64, atomic.Pointer[T], ...)",
-					fn.Name(), types.ExprString(call.Args[0]))
-			}
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }

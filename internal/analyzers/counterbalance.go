@@ -68,17 +68,16 @@ var counterOutcomeFields = map[string]bool{
 	"Delayed": true,
 }
 
-func runCounterbalance(pass *framework.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+func runCounterbalance(prog *framework.Program, report framework.Report) {
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkCounterWrites(pkg, report, fd)
+				}
 			}
-			checkCounterWrites(pass, fd)
 		}
 	}
-	return nil
 }
 
 // counterWrite is one mutation of a ledger field.
@@ -89,15 +88,15 @@ type counterWrite struct {
 	typ   string // ledger type name, for diagnostics
 }
 
-func checkCounterWrites(pass *framework.Pass, fd *ast.FuncDecl) {
+func checkCounterWrites(pkg *framework.Package, report framework.Report, fd *ast.FuncDecl) {
 	var sends, outcomes []counterWrite
 	record := func(target ast.Expr) {
-		w, ok := ledgerFieldWrite(pass, target)
+		w, ok := ledgerFieldWrite(pkg.Info, target)
 		if !ok {
 			return
 		}
-		if w.owner != pass.Pkg.Path() {
-			pass.Reportf(w.pos.Pos(),
+		if w.owner != pkg.Path {
+			report(w.pos.Pos(),
 				"direct write to %s.%s outside its accounting package %s: route the event through the owning package's counters",
 				w.typ, w.field, w.owner)
 			return
@@ -121,14 +120,14 @@ func checkCounterWrites(pass *framework.Pass, fd *ast.FuncDecl) {
 	})
 	if len(sends) > 0 && len(outcomes) == 0 {
 		w := sends[0]
-		pass.Reportf(w.pos.Pos(),
+		report(w.pos.Pos(),
 			"%s counts a send (%s.%s) but records no outcome: every attempt must land in lost, delivered, dead-letter, or the delay queue",
 			fd.Name.Name, w.typ, w.field)
 	}
 }
 
 // ledgerFieldWrite resolves a write target to a ledger field, if it is one.
-func ledgerFieldWrite(pass *framework.Pass, target ast.Expr) (counterWrite, bool) {
+func ledgerFieldWrite(info *types.Info, target ast.Expr) (counterWrite, bool) {
 	sel, ok := target.(*ast.SelectorExpr)
 	if !ok {
 		return counterWrite{}, false
@@ -137,7 +136,7 @@ func ledgerFieldWrite(pass *framework.Pass, target ast.Expr) (counterWrite, bool
 	if !counterSendFields[field] && !counterOutcomeFields[field] {
 		return counterWrite{}, false
 	}
-	selection, ok := pass.TypesInfo.Selections[sel]
+	selection, ok := info.Selections[sel]
 	if !ok || selection.Kind() != types.FieldVal {
 		return counterWrite{}, false
 	}

@@ -56,47 +56,48 @@ var detrandForbiddenTimeFuncs = map[string]bool{
 	"Until": true,
 }
 
-func runDetrand(pass *framework.Pass) error {
-	if !deterministicPackage(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, spec := range f.Imports {
-			path, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				continue
-			}
-			if reason, bad := detrandForbiddenImports[path]; bad {
-				pass.Reportf(spec.Pos(),
-					"import of %s (%s) in deterministic package %s: all randomness must flow through internal/rng",
-					path, reason, pass.Pkg.Path())
-			}
+func runDetrand(prog *framework.Program, report framework.Report) {
+	for _, pkg := range prog.Packages {
+		if !deterministicPackage(pkg.Path) {
+			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+		for _, f := range pkg.Files {
+			for _, spec := range f.Imports {
+				path, err := strconv.Unquote(spec.Path.Value)
+				if err != nil {
+					continue
+				}
+				if reason, bad := detrandForbiddenImports[path]; bad {
+					report(spec.Pos(),
+						"import of %s (%s) in deterministic package %s: all randomness must flow through internal/rng",
+						path, reason, pkg.Path)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					return true
+				}
+				if fn.Pkg().Path() == "time" && detrandForbiddenTimeFuncs[fn.Name()] {
+					report(call.Pos(),
+						"call to time.%s in deterministic package %s: simulated time must be logical (rounds/steps), not wall clock",
+						fn.Name(), pkg.Path)
+				}
+				if fn.Name() == "AutoSeed" && fn.Pkg().Path() == rngPkgPath {
+					report(call.Pos(),
+						"call to rng.AutoSeed injects nondeterministic entropy into package %s: use an explicit seed, or allow this site with a reason",
+						pkg.Path)
+				}
 				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			if fn.Pkg().Path() == "time" && detrandForbiddenTimeFuncs[fn.Name()] {
-				pass.Reportf(call.Pos(),
-					"call to time.%s in deterministic package %s: simulated time must be logical (rounds/steps), not wall clock",
-					fn.Name(), pass.Pkg.Path())
-			}
-			if fn.Name() == "AutoSeed" && fn.Pkg().Path() == rngPkgPath {
-				pass.Reportf(call.Pos(),
-					"call to rng.AutoSeed injects nondeterministic entropy into package %s: use an explicit seed, or allow this site with a reason",
-					pass.Pkg.Path())
-			}
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }

@@ -47,37 +47,38 @@ func errdropScoped(path string) bool {
 		strings.HasPrefix(path, "sendforget/cmd/")
 }
 
-func runErrdrop(pass *framework.Pass) error {
-	if !errdropScoped(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkErrdropBody(pass, fd.Body)
+func runErrdrop(prog *framework.Program, report framework.Report) {
+	for _, pkg := range prog.Packages {
+		if !errdropScoped(pkg.Path) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkErrdropBody(prog.CallGraph, pkg.Info, report, fd.Body)
+				}
 			}
 		}
 	}
-	return nil
 }
 
 // checkErrdropBody scans one function body (including nested literals — a
 // closure's error variable lives in the same object space) for the three
 // discard shapes.
-func checkErrdropBody(pass *framework.Pass, body *ast.BlockStmt) {
+func checkErrdropBody(graph *framework.CallGraph, info *types.Info, report framework.Report, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeferStmt, *ast.GoStmt:
 			return false
 		case *ast.ExprStmt:
 			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-				if name, ok := errdropMonitored(pass, call); ok {
-					pass.Reportf(call.Pos(),
+				if name, ok := errdropMonitored(graph, info, call); ok {
+					report(call.Pos(),
 						"error returned by %s is discarded: record the outcome or propagate it", name)
 				}
 			}
 		case *ast.AssignStmt:
-			errdropCheckAssign(pass, body, n)
+			errdropCheckAssign(graph, info, report, body, n)
 		}
 		return true
 	})
@@ -85,7 +86,7 @@ func checkErrdropBody(pass *framework.Pass, body *ast.BlockStmt) {
 
 // errdropCheckAssign handles `_ = send(...)` and `err := send(...)` where
 // err is never read afterwards.
-func errdropCheckAssign(pass *framework.Pass, scope *ast.BlockStmt, as *ast.AssignStmt) {
+func errdropCheckAssign(graph *framework.CallGraph, info *types.Info, report framework.Report, scope *ast.BlockStmt, as *ast.AssignStmt) {
 	if len(as.Rhs) != 1 {
 		return
 	}
@@ -93,11 +94,11 @@ func errdropCheckAssign(pass *framework.Pass, scope *ast.BlockStmt, as *ast.Assi
 	if !ok {
 		return
 	}
-	name, ok := errdropMonitored(pass, call)
+	name, ok := errdropMonitored(graph, info, call)
 	if !ok {
 		return
 	}
-	idx := errdropErrIndex(pass.TypesInfo, call)
+	idx := errdropErrIndex(info, call)
 	if idx < 0 || idx >= len(as.Lhs) {
 		return
 	}
@@ -108,19 +109,19 @@ func errdropCheckAssign(pass *framework.Pass, scope *ast.BlockStmt, as *ast.Assi
 		return
 	}
 	if id.Name == "_" {
-		pass.Reportf(id.Pos(),
+		report(id.Pos(),
 			"error returned by %s is assigned to _: record the outcome or propagate it", name)
 		return
 	}
-	obj := pass.TypesInfo.Defs[id]
+	obj := info.Defs[id]
 	if obj == nil {
-		obj = pass.TypesInfo.Uses[id]
+		obj = info.Uses[id]
 	}
 	if obj == nil {
 		return
 	}
-	if !errdropConsulted(pass.TypesInfo, scope, id, obj) {
-		pass.Reportf(id.Pos(),
+	if !errdropConsulted(info, scope, id, obj) {
+		report(id.Pos(),
 			"error %s from %s is bound but never consulted: record the outcome or propagate it", id.Name, name)
 	}
 }
@@ -172,11 +173,11 @@ func errdropConsulted(info *types.Info, scope *ast.BlockStmt, binding *ast.Ident
 // returns an error, and names it for the diagnostic. Close is exempt. In
 // fixture packages, methods and functions named Send/Receive/Recv/SendTo
 // stand in for the transport layer.
-func errdropMonitored(pass *framework.Pass, call *ast.CallExpr) (string, bool) {
-	if errdropErrIndex(pass.TypesInfo, call) < 0 {
+func errdropMonitored(graph *framework.CallGraph, info *types.Info, call *ast.CallExpr) (string, bool) {
+	if errdropErrIndex(info, call) < 0 {
 		return "", false
 	}
-	for _, fn := range pass.Prog.CallGraph.Callees(pass.TypesInfo, call) {
+	for _, fn := range graph.Callees(info, call) {
 		if fn.Name() == "Close" || fn.Pkg() == nil {
 			continue
 		}

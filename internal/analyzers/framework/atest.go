@@ -67,10 +67,7 @@ func runFixture(dir string, analyzers []*Analyzer) ([]Diagnostic, []wantExpectat
 	if err != nil {
 		return nil, nil, err
 	}
-	diags, err := RunAnalyzers(pkg, analyzers)
-	if err != nil {
-		return nil, nil, err
-	}
+	diags := NewProgram([]*Package{pkg}).Run(analyzers)
 	var wants []wantExpectation
 	for _, f := range pkg.Files {
 		filename := pkg.Fset.Position(f.Pos()).Filename

@@ -30,7 +30,7 @@ type CallGraph struct {
 	// in a module package, source-loaded or imported via export data.
 	named []*types.Named
 	// implCache memoizes interface-method -> concrete-methods resolution.
-	// implMu guards it: Callees runs from parallel per-package passes.
+	// implMu guards it: Callees runs from analyzers running in parallel.
 	implMu    sync.Mutex
 	implCache map[*types.Func][]*types.Func
 }

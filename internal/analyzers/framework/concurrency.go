@@ -71,20 +71,17 @@ type ConcAccess struct {
 	Ctxs map[*Goroutine]bool
 }
 
-// ConcurrencyResult is the program-wide happens-before model, built once per
-// Program (prog.Concurrency()) and shared by analyzers.
+// ConcurrencyResult is the program-wide happens-before model, built by
+// prog.Concurrency().
 type ConcurrencyResult struct {
 	// Accesses holds every tracked access in deterministic (file, line,
 	// col) order.
 	Accesses []*ConcAccess
 }
 
-// Concurrency returns the program's happens-before model,
-// computing it on first use.
+// Concurrency builds the program's happens-before model.
 func (prog *Program) Concurrency() *ConcurrencyResult {
-	return prog.Shared("framework.concurrency", func() any {
-		return newConcSolver(prog).solve()
-	}).(*ConcurrencyResult)
+	return newConcSolver(prog).solve()
 }
 
 // Racy reports whether the write w and another access o to the same object

@@ -28,20 +28,20 @@ type AllowDirective struct {
 	Used     bool
 }
 
-// allowSet is a package's parsed suppression directives. Both line grants of
-// a directive (its own line and the one below) share a single record, so
+// allowSet is the program's parsed suppression directives. Both line grants
+// of a directive (its own line and the one below) share a single record, so
 // using either marks the directive used. The mutex covers Used marking:
-// AllowedAt may be called from parallel per-package passes.
+// AllowedAt is called from analyzers running in parallel.
 type allowSet struct {
 	mu    sync.Mutex
 	byKey map[allowKey]*AllowDirective
 	all   []*AllowDirective
 }
 
-// allows returns the package's directive set, building it on first use.
-func (pkg *Package) allows() *allowSet {
-	pkg.allowOnce.Do(func() {
-		s := &allowSet{byKey: make(map[allowKey]*AllowDirective)}
+// newAllowSet parses every //lint:allow directive of the packages.
+func newAllowSet(pkgs []*Package) *allowSet {
+	s := &allowSet{byKey: make(map[allowKey]*AllowDirective)}
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
@@ -67,9 +67,20 @@ func (pkg *Package) allows() *allowSet {
 				}
 			}
 		}
-		pkg.allowSet = s
-	})
-	return pkg.allowSet
+	}
+	return s
+}
+
+// use reports whether a directive grants analyzer the line, marking the
+// directive used.
+func (s *allowSet) use(file string, line int, analyzer string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d := s.byKey[allowKey{file, line, analyzer}]
+	if d != nil {
+		d.Used = true
+	}
+	return d != nil
 }
 
 // parseAllow extracts the analyzer names and trailing free-text reason from
@@ -94,58 +105,28 @@ func parseAllow(text string) (names []string, reason string, ok bool) {
 	return names, reason, len(names) > 0
 }
 
-// suppressAllowed drops diagnostics covered by an allow directive, marking
-// the covering directives used.
-func suppressAllowed(pkg *Package, diags []Diagnostic) []Diagnostic {
-	s := pkg.allows()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.byKey) == 0 {
-		return diags
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if a := s.byKey[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]; a != nil {
-			a.Used = true
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept
-}
-
 // AllowedAt reports whether an allow directive for the named analyzer covers
 // pos, marking it used. Analyzers use this to honor suppressions at places
 // other than the reported diagnostic — hotalloc consults it at every call
 // edge so an allow on a call site prunes the whole subtree behind the call.
-func (pkg *Package) AllowedAt(pos token.Pos, analyzer string) bool {
-	s := pkg.allows()
-	p := pkg.Fset.Position(pos)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if a := s.byKey[allowKey{p.Filename, p.Line, analyzer}]; a != nil {
-		a.Used = true
-		return true
-	}
-	return false
+func (prog *Program) AllowedAt(pos token.Pos, analyzer string) bool {
+	p := prog.fset.Position(pos)
+	return prog.allows.use(p.Filename, p.Line, analyzer)
 }
 
 // UnusedAllows returns every //lint:allow directive in the program that
-// suppressed nothing during the analyses run so far, sorted by file, line,
-// and analyzer. Call it after AnalyzeAll: a directive unused at that point
-// is a stale escape hatch — the diagnostic it once silenced is gone.
+// suppressed nothing during the runs so far, sorted by file, line, and
+// analyzer. Call it after Run: a directive unused at that point is a stale
+// escape hatch — the diagnostic it once silenced is gone.
 func (prog *Program) UnusedAllows() []AllowDirective {
 	var out []AllowDirective
-	for _, pkg := range prog.Packages {
-		s := pkg.allows()
-		s.mu.Lock()
-		for _, d := range s.all {
-			if !d.Used {
-				out = append(out, *d)
-			}
+	prog.allows.mu.Lock()
+	for _, d := range prog.allows.all {
+		if !d.Used {
+			out = append(out, *d)
 		}
-		s.mu.Unlock()
 	}
+	prog.allows.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.File != b.File {

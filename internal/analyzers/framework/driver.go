@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -28,10 +27,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// Parsed //lint:allow directives, built lazily (see directives.go).
-	allowOnce sync.Once
-	allowSet  *allowSet
 }
 
 // ErrExportData marks a package-load failure caused by missing or unreadable

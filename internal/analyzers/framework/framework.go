@@ -1,12 +1,12 @@
-// Package framework is a minimal, dependency-free reimplementation of the
-// golang.org/x/tools/go/analysis API shape: named Analyzers run over
-// type-checked packages and report position-tagged diagnostics.
+// Package framework runs named Analyzers over a whole type-checked program
+// and collects position-tagged diagnostics, without golang.org/x/tools.
 //
 // The repository vendors no third-party modules, so the x/tools analysis
-// driver is not available; this package provides the slice of it that
-// cmd/sfvet and the internal/analyzers suite need:
+// driver is not available; this package provides what cmd/sfvet and the
+// internal/analyzers suite need:
 //
-//   - Analyzer / Pass / Diagnostic types mirroring go/analysis,
+//   - Analyzer, Program and Diagnostic: each analyzer runs once over the
+//     whole loaded program (Program.Run) and reports where it finds,
 //   - a Loader that type-checks packages through `go list -export`
 //     export data (see driver.go), and
 //   - an analysistest-style fixture runner keyed on `// want "regexp"`
@@ -33,10 +33,9 @@ package framework
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -48,32 +47,14 @@ type Analyzer struct {
 	Name string
 	// Doc states the invariant the analyzer enforces and why.
 	Doc string
-	// Run inspects one package and reports findings through the pass.
-	Run func(*Pass) error
+	// Run inspects the whole program and reports each finding. Other
+	// analyzers may run alongside it, so it treats the program as
+	// read-only.
+	Run func(prog *Program, report Report)
 }
 
-// Pass carries one analyzer's view of one type-checked package. Prog gives
-// interprocedural analyzers the whole loaded program: every source package,
-// the shared call graph, and a memo for program-wide computations.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	Prog      *Program
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
+// Report records one finding of the running analyzer at pos.
+type Report func(pos token.Pos, format string, args ...any)
 
 // Diagnostic is one finding, already resolved to a file position.
 type Diagnostic struct {
@@ -87,39 +68,30 @@ func (d Diagnostic) String() string {
 }
 
 // Program is a whole loaded program: the source packages under analysis,
-// the CHA call graph spanning them, and a memo that lets analyzers share
-// program-wide computations (taint fixpoints, blocking summaries) across
-// per-package passes — including parallel ones.
+// the CHA call graph spanning them, and their //lint:allow directives.
 type Program struct {
 	Packages  []*Package
 	CallGraph *CallGraph
 
+	fset   *token.FileSet // every package's: one Loader loads them all
 	byPath map[string]*Package
-
-	mu     sync.Mutex
-	shared map[string]*sharedEntry
+	allows *allowSet
 }
 
-// sharedEntry is one memoized program-wide computation. Each key builds
-// under its own once, so one Shared build may depend on another
-// (sharedguard's findings consume the happens-before model); only
-// self-recursion on a single key deadlocks.
-type sharedEntry struct {
-	once sync.Once
-	v    any
-}
-
-// NewProgram builds the program view — including the call graph — over the
-// given source packages.
+// NewProgram builds the program view — the call graph and the allow set —
+// over the given source packages.
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Packages:  pkgs,
 		CallGraph: buildCallGraph(pkgs, "sendforget/"),
 		byPath:    make(map[string]*Package, len(pkgs)),
-		shared:    make(map[string]*sharedEntry),
+		allows:    newAllowSet(pkgs),
 	}
 	for _, pkg := range pkgs {
 		prog.byPath[pkg.Path] = pkg
+	}
+	if len(pkgs) > 0 {
+		prog.fset = pkgs[0].Fset
 	}
 	return prog
 }
@@ -128,93 +100,36 @@ func NewProgram(pkgs []*Package) *Program {
 // was not loaded from source.
 func (prog *Program) Package(path string) *Package { return prog.byPath[path] }
 
-// Shared memoizes a program-wide computation under key: the first caller
-// builds it, everyone else gets the same value. Each key builds under its
-// own sync.Once, so a value is computed exactly once even when packages are
-// analyzed in parallel, and one build may call Shared for a different key;
-// the built value must be treated as read-only.
-func (prog *Program) Shared(key string, build func() any) any {
-	prog.mu.Lock()
-	e, ok := prog.shared[key]
-	if !ok {
-		e = &sharedEntry{}
-		prog.shared[key] = e
-	}
-	prog.mu.Unlock()
-	e.once.Do(func() { e.v = build() })
-	return e.v
-}
-
-// Analyze applies every analyzer to one of the program's packages, filters
-// the findings through the package's //lint:allow directives, and returns
-// them in file/line order. Analyzer runtime errors (not diagnostics) are
-// returned as err.
-func (prog *Program) Analyze(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Prog:      prog,
-			diags:     &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
-		}
-	}
-	diags = suppressAllowed(pkg, diags)
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
-// AnalyzeAll runs the suite over every package of the program on up to
-// GOMAXPROCS goroutines and returns the findings in deterministic (package,
-// file, line) order regardless of the worker count. The heavy shared
-// structures — export data, the call graph, Shared memos — are built once
-// and read by all workers.
-func (prog *Program) AnalyzeAll(analyzers []*Analyzer) ([]Diagnostic, error) {
-	workers := min(runtime.GOMAXPROCS(0), len(prog.Packages))
-	perPkg := make([][]Diagnostic, len(prog.Packages))
-	errs := make([]error, len(prog.Packages))
-	var wg sync.WaitGroup
+// Run applies each analyzer once to the whole program, one analyzer per
+// worker on up to GOMAXPROCS goroutines, drops each finding a //lint:allow
+// directive covers as it is reported, and returns the rest in (file, line,
+// column, analyzer) order regardless of the worker count.
+func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
+	found := make([][]Diagnostic, len(analyzers))
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(analyzers)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				perPkg[i], errs[i] = prog.Analyze(prog.Packages[i], analyzers)
+				a := analyzers[i]
+				a.Run(prog, func(pos token.Pos, format string, args ...any) {
+					p := prog.fset.Position(pos)
+					if !prog.allows.use(p.Filename, p.Line, a.Name) {
+						found[i] = append(found[i], Diagnostic{a.Name, p, fmt.Sprintf(format, args...)})
+					}
+				})
 			}
 		}()
 	}
-	for i := range prog.Packages {
+	for i := range analyzers {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	var diags []Diagnostic
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, perPkg[i]...)
-	}
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
-// RunAnalyzers analyzes a single package as its own one-package program —
-// the fixture runner's entry point. Interprocedural analyzers see only the
-// package itself, which is exactly the fixture contract.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return NewProgram([]*Package{pkg}).Analyze(pkg, analyzers)
-}
-
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
+	diags := slices.Concat(found...)
+	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
@@ -227,4 +142,5 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags
 }

@@ -53,53 +53,37 @@ func goroleakScoped(path string) bool {
 		strings.HasPrefix(path, "sendforget/cmd/")
 }
 
-func runGoroleak(pass *framework.Pass) error {
-	if !goroleakScoped(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
+func runGoroleak(prog *framework.Program, report framework.Report) {
+	for _, pkg := range prog.Packages {
+		if !goroleakScoped(pkg.Path) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if gs, ok := n.(*ast.GoStmt); ok {
+					checkGoStmt(prog, pkg, report, gs)
+				}
 				return true
-			}
-			checkGoStmt(pass, gs)
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }
 
-func checkGoStmt(pass *framework.Pass, gs *ast.GoStmt) {
-	body, in, ok := pass.Prog.CallGraph.GoroutineEntry(pkgOf(pass), gs)
+func checkGoStmt(prog *framework.Program, pkg *framework.Package, report framework.Report, gs *ast.GoStmt) {
+	body, in, ok := prog.CallGraph.GoroutineEntry(pkg, gs)
 	if !ok {
 		return // dynamic target: nothing to inspect statically
 	}
 	cfg := framework.BuildCFG(body)
 	if !cfg.ExitReachable() {
-		pass.Reportf(gs.Pos(),
+		report(gs.Pos(),
 			"goroutine cannot terminate: no path reaches a return — add a stop signal (done channel, context) to its loop")
 		return
 	}
-	if !hasShutdownSignal(pass.Prog, in, body, map[*types.Func]bool{}) {
-		pass.Reportf(gs.Pos(),
+	if !hasShutdownSignal(prog, in, body, map[*types.Func]bool{}) {
+		report(gs.Pos(),
 			"goroutine has no shutdown or synchronization mechanism (done-channel receive, context.Done, or WaitGroup.Done): Stop paths cannot reach or await it")
 	}
-}
-
-// pkgOf recovers the pass's source package from the program (the pass holds
-// the types.Package; the call graph wants the loaded framework.Package).
-func pkgOf(pass *framework.Pass) *framework.Package {
-	if pkg := pass.Prog.Package(pass.Pkg.Path()); pkg != nil {
-		return pkg
-	}
-	// Fixture packages are registered under their bare name.
-	for _, pkg := range pass.Prog.Packages {
-		if pkg.Types == pass.Pkg {
-			return pkg
-		}
-	}
-	return nil
 }
 
 // hasShutdownSignal reports whether the body — or any source function it

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -46,33 +45,12 @@ var Hotalloc = &framework.Analyzer{
 	Run:  runHotalloc,
 }
 
-// hotFinding is one allocation site reachable from a hot root, resolved to
-// the package that must report (and may suppress) it.
-type hotFinding struct {
-	pkgPath string
-	pos     token.Pos
-	chain   string
-	what    string
-}
-
-func runHotalloc(pass *framework.Pass) error {
-	findings := pass.Prog.Shared("hotalloc.findings", func() any {
-		return collectHotFindings(pass.Prog)
-	}).([]hotFinding)
-	for _, f := range findings {
-		if f.pkgPath == pass.Pkg.Path() {
-			pass.Reportf(f.pos, "allocation on hot path (%s): %s", f.chain, f.what)
-		}
-	}
-	return nil
-}
-
-// collectHotFindings walks the call graph breadth-first from every
-// //vet:hotpath root, classifying allocation sites in each reached function.
-// BFS order makes the recorded chain the shortest root-to-function path, and
-// the deterministic package/declaration/callee ordering makes the output
-// stable across runs and worker counts.
-func collectHotFindings(prog *framework.Program) []hotFinding {
+// runHotalloc walks the call graph breadth-first from every //vet:hotpath
+// root, reporting the allocation sites in each reached function. BFS order
+// makes the reported chain the shortest root-to-function path, and the
+// deterministic package/declaration/callee ordering makes the output stable
+// across runs.
+func runHotalloc(prog *framework.Program, report framework.Report) {
 	graph := prog.CallGraph
 
 	type workItem struct {
@@ -92,7 +70,6 @@ func collectHotFindings(prog *framework.Program) []hotFinding {
 		}
 	}
 
-	var findings []hotFinding
 	for len(queue) > 0 {
 		item := queue[0]
 		queue = queue[1:]
@@ -102,12 +79,7 @@ func collectHotFindings(prog *framework.Program) []hotFinding {
 		}
 		chain := strings.Join(item.chain, " -> ")
 		for _, site := range prog.AllocSites(src.Pkg, src.Decl) {
-			findings = append(findings, hotFinding{
-				pkgPath: src.Pkg.Path,
-				pos:     site.Pos,
-				chain:   chain,
-				what:    site.What,
-			})
+			report(site.Pos, "allocation on hot path (%s): %s", chain, site.What)
 		}
 		walkExecuted(src.Decl.Body, func(n ast.Node) {
 			call, ok := n.(*ast.CallExpr)
@@ -116,7 +88,7 @@ func collectHotFindings(prog *framework.Program) []hotFinding {
 			}
 			// An allow directive on the call line cuts this edge: everything
 			// behind the call is a reviewed, documented exception.
-			if src.Pkg.AllowedAt(call.Pos(), "hotalloc") {
+			if prog.AllowedAt(call.Pos(), "hotalloc") {
 				return
 			}
 			for _, callee := range graph.Callees(src.Pkg.Info, call) {
@@ -130,5 +102,4 @@ func collectHotFindings(prog *framework.Program) []hotFinding {
 			}
 		})
 	}
-	return findings
 }

@@ -192,11 +192,7 @@ func TestUnusedAllows(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := framework.NewProgram([]*framework.Package{pkg})
-	diags, err := prog.Analyze(pkg, All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
+	for _, d := range prog.Run(All()) {
 		t.Errorf("fixture should analyze clean (the live finding is suppressed): %s", d)
 	}
 	unused := prog.UnusedAllows()

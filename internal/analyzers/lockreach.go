@@ -74,29 +74,29 @@ type blockReason struct {
 // blockSummaries maps every source function that may block to its reason.
 type blockSummaries map[*types.Func]*blockReason
 
-func runLockreach(pass *framework.Pass) error {
-	var summaries blockSummaries
-	if lockreachScoped(pass.Pkg.Path()) {
-		summaries = pass.Prog.Shared("lockreach.summaries", func() any {
-			return buildBlockSummaries(pass.Prog)
-		}).(blockSummaries)
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkLockreach(pass, n.Body, summaries)
+func runLockreach(prog *framework.Program, report framework.Report) {
+	all := buildBlockSummaries(prog)
+	for _, pkg := range prog.Packages {
+		var summaries blockSummaries
+		if lockreachScoped(pkg.Path) {
+			summaries = all
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Body != nil {
+						checkLockreach(prog.CallGraph, pkg.Info, report, n.Body, summaries)
+					}
+					return false
+				case *ast.FuncLit: // package-level initializer
+					checkLockreach(prog.CallGraph, pkg.Info, report, n.Body, summaries)
+					return false
 				}
-				return false
-			case *ast.FuncLit: // package-level initializer
-				checkLockreach(pass, n.Body, summaries)
-				return false
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	return nil
 }
 
 // buildBlockSummaries computes the may-block fixpoint over every source
@@ -270,8 +270,7 @@ func blockingOp(info *types.Info, n ast.Node) (direct, why string) {
 // reports what blocks while any mutex may be held. Function literals are
 // checked on their own with an empty held set — a goroutine or callback
 // does not inherit its creator's critical section.
-func checkLockreach(pass *framework.Pass, body *ast.BlockStmt, summaries blockSummaries) {
-	info := pass.TypesInfo
+func checkLockreach(graph *framework.CallGraph, info *types.Info, report framework.Report, body *ast.BlockStmt, summaries blockSummaries) {
 	// What the CFG does not carry: the select or range statement a
 	// communication or range-operand node belongs to, and the receiver path
 	// each mutex is locked through, for the diagnostic.
@@ -280,7 +279,7 @@ func checkLockreach(pass *framework.Pass, body *ast.BlockStmt, summaries blockSu
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkLockreach(pass, n.Body, summaries)
+			checkLockreach(graph, info, report, n.Body, summaries)
 			return false
 		case *ast.SelectStmt:
 			for _, c := range n.Body.List {
@@ -313,12 +312,12 @@ func checkLockreach(pass *framework.Pass, body *ast.BlockStmt, summaries blockSu
 		}
 		if direct, why := blockingOp(info, n); direct != "" {
 			reported[n.Pos()] = true
-			pass.Reportf(n.Pos(), "%s while holding %s: release the lock (or stage the message) first", direct, holding(held))
+			report(n.Pos(), "%s while holding %s: release the lock (or stage the message) first", direct, holding(held))
 		} else if call, ok := n.(*ast.CallExpr); ok && why == "" {
-			for _, callee := range pass.Prog.CallGraph.Callees(info, call) {
+			for _, callee := range graph.Callees(info, call) {
 				if why := summaries[callee]; why != nil {
 					reported[n.Pos()] = true
-					pass.Reportf(n.Pos(),
+					report(n.Pos(),
 						"call to %s while holding %s: %s %s (%s); release the lock first",
 						callee.Name(), holding(held), callee.Name(), why.what, why.pos)
 					break

@@ -41,27 +41,28 @@ var Maporder = &framework.Analyzer{
 	Run:  runMaporder,
 }
 
-func runMaporder(pass *framework.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+func runMaporder(prog *framework.Program, report framework.Report) {
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					rs, ok := n.(*ast.RangeStmt)
+					if !ok {
+						return true
+					}
+					if t := pkg.Info.TypeOf(rs.X); t == nil || !isMapType(t) {
+						return true
+					}
+					reportMapOrderSinks(pkg.Info, report, fd, rs)
+					return true
+				})
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				if t := pass.TypesInfo.TypeOf(rs.X); t == nil || !isMapType(t) {
-					return true
-				}
-				reportMapOrderSinks(pass, fd, rs)
-				return true
-			})
 		}
 	}
-	return nil
 }
 
 // isMapType reports whether t is (or points to) a map.
@@ -80,41 +81,41 @@ var orderedSinkMethods = map[string]bool{
 }
 
 // reportMapOrderSinks scans one map-range body for order-sensitive sinks.
-func reportMapOrderSinks(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
+func reportMapOrderSinks(info *types.Info, report framework.Report, fd *ast.FuncDecl, rs *ast.RangeStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			switch fun := n.Fun.(type) {
 			case *ast.Ident:
-				if fun.Name == "append" && isBuiltinAppend(pass, fun) && len(n.Args) > 0 {
+				if fun.Name == "append" && isBuiltinAppend(info, fun) && len(n.Args) > 0 {
 					target := types.ExprString(n.Args[0])
-					if !sortedLaterInFunc(pass, fd, rs, target) {
-						pass.Reportf(n.Pos(),
+					if !sortedLaterInFunc(info, fd, rs, target) {
+						report(n.Pos(),
 							"append to %s in map-iteration order: sort the keys first (or sort %s before it is consumed)",
 							target, target)
 					}
 				}
 			case *ast.SelectorExpr:
 				name := fun.Sel.Name
-				if fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+				if fn, ok := info.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 					if len(name) >= 5 && (name[:5] == "Print" || name[:6] == "Fprint") {
-						pass.Reportf(n.Pos(),
+						report(n.Pos(),
 							"fmt.%s inside a map range: output order changes per run; sort the keys first", name)
 					}
 					return true
 				}
-				if _, isMethod := pass.TypesInfo.Selections[fun]; isMethod && orderedSinkMethods[name] {
-					pass.Reportf(n.Pos(),
+				if _, isMethod := info.Selections[fun]; isMethod && orderedSinkMethods[name] {
+					report(n.Pos(),
 						"%s call in map-iteration order: rows/bytes land in per-run order; sort the keys first", name)
 				}
 			}
 		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "channel send in map-iteration order: receivers observe a per-run order; sort the keys first")
+			report(n.Pos(), "channel send in map-iteration order: receivers observe a per-run order; sort the keys first")
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 {
-				if t := pass.TypesInfo.TypeOf(n.Lhs[0]); t != nil {
+				if t := info.TypeOf(n.Lhs[0]); t != nil {
 					if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
-						pass.Reportf(n.Pos(),
+						report(n.Pos(),
 							"floating-point accumulation in map-iteration order: float addition is not associative, so the sum depends on the per-run order; sort the keys first")
 					}
 				}
@@ -126,15 +127,15 @@ func reportMapOrderSinks(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeSt
 
 // isBuiltinAppend confirms the identifier resolves to the append builtin
 // (not a shadowing local function).
-func isBuiltinAppend(pass *framework.Pass, id *ast.Ident) bool {
-	_, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+func isBuiltinAppend(info *types.Info, id *ast.Ident) bool {
+	_, ok := info.Uses[id].(*types.Builtin)
 	return ok
 }
 
 // sortedLaterInFunc reports whether, after the range statement, the target
 // expression is passed to a sort call in the same function — the
 // sorted-keys idiom that re-establishes deterministic order.
-func sortedLaterInFunc(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, target string) bool {
+func sortedLaterInFunc(info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt, target string) bool {
 	sorted := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if sorted {
@@ -153,7 +154,7 @@ func sortedLaterInFunc(pass *framework.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt
 		default:
 			return true
 		}
-		fn, ok := pass.TypesInfo.Uses[callee].(*types.Func)
+		fn, ok := info.Uses[callee].(*types.Func)
 		if !ok || fn.Pkg() == nil {
 			return true
 		}

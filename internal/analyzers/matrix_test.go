@@ -174,3 +174,32 @@ func TestCompilerPlants(t *testing.T) {
 		})
 	}
 }
+
+// TestFixtureAllowsAreUsed runs the whole suite over every fixture that
+// type-checks and requires each of its //lint:allow directives to suppress
+// something — a finding, or one of hotalloc's call edges — apart from the
+// deliberately stale directive of the unusedallow fixture.
+func TestFixtureAllowsAreUsed(t *testing.T) {
+	loader, err := framework.NewLoader("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unused []string
+	for _, dir := range fixtureDirs(t) {
+		pkg, err := loader.LoadDir(fixture(dir))
+		if typeErrorLines(err) != nil {
+			continue // a compiler row: the plant does not type-check
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := framework.NewProgram([]*framework.Package{pkg})
+		prog.Run(All())
+		for _, d := range prog.UnusedAllows() {
+			unused = append(unused, fmt.Sprintf("%s/%s:%d %s", dir, filepath.Base(d.File), d.Line, d.Analyzer))
+		}
+	}
+	if want := []string{"unusedallow/unusedallow.go:16 detrand"}; !reflect.DeepEqual(unused, want) {
+		t.Errorf("unused //lint:allow directives in the fixtures: %v, want only %v", unused, want)
+	}
+}

@@ -76,60 +76,58 @@ var seedArithOps = map[token.Token]bool{
 	token.SHL: true, token.SHR: true, token.AND_NOT: true,
 }
 
-func runSeedtaint(pass *framework.Pass) error {
-	result := pass.Prog.Shared("seedtaint", func() any {
-		return framework.SolveTaint(pass.Prog, framework.TaintSpec{
-			Source: seedTaintSource,
-			Binary: seedTaintBinary,
-			Call:   seedTaintCall,
-		})
-	}).(*framework.TaintResult)
-
-	info := pass.TypesInfo
+func runSeedtaint(prog *framework.Program, out framework.Report) {
+	result := framework.SolveTaint(prog, framework.TaintSpec{
+		Source: seedTaintSource,
+		Binary: seedTaintBinary,
+		Call:   seedTaintCall,
+	})
 	// One finding per position: a sink is visited before the arithmetic it
 	// holds, so its more specific message wins.
 	reported := map[token.Pos]bool{}
 	report := func(pos token.Pos, format string, args ...any) {
 		if !reported[pos] {
 			reported[pos] = true
-			pass.Reportf(pos, format+": use rng.DeriveSeed so streams cannot collide", args...)
+			out(pos, format+": use rng.DeriveSeed so streams cannot collide", args...)
 		}
 	}
 	arith := func(e ast.Expr) bool {
 		b, ok := e.(*ast.BinaryExpr)
 		return ok && seedArithOps[b.Op]
 	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if !isRngFunc(info, n, "New") || len(n.Args) != 1 {
-					break
-				}
-				if arg := n.Args[0]; arith(arg) {
-					report(arg.Pos(), "rng.New seeded with an arithmetic expression")
-				} else if result.Eval(info, arg) == seedTaintDerived {
-					report(arg.Pos(), "arithmetic-derived seed reaches rng.New (through assignments/calls)")
-				}
-			case *ast.KeyValueExpr:
-				if key := seedNameOf(n.Key); key != "" && arith(n.Value) {
-					report(n.Value.Pos(), "field %s set from an arithmetic expression", key)
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if i < len(n.Rhs) && seedNameOf(lhs) != "" && arith(n.Rhs[i]) {
-						report(n.Rhs[i].Pos(), "seed variable assigned from an arithmetic expression")
+	for _, pkg := range prog.Packages {
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if !isRngFunc(info, n, "New") || len(n.Args) != 1 {
+						break
+					}
+					if arg := n.Args[0]; arith(arg) {
+						report(arg.Pos(), "rng.New seeded with an arithmetic expression")
+					} else if result.Eval(info, arg) == seedTaintDerived {
+						report(arg.Pos(), "arithmetic-derived seed reaches rng.New (through assignments/calls)")
+					}
+				case *ast.KeyValueExpr:
+					if key := seedNameOf(n.Key); key != "" && arith(n.Value) {
+						report(n.Value.Pos(), "field %s set from an arithmetic expression", key)
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if i < len(n.Rhs) && seedNameOf(lhs) != "" && arith(n.Rhs[i]) {
+							report(n.Rhs[i].Pos(), "seed variable assigned from an arithmetic expression")
+						}
+					}
+				case *ast.BinaryExpr:
+					if seedArithOps[n.Op] && (mentionsSeed(info, n.X) || mentionsSeed(info, n.Y)) {
+						report(n.Pos(), "seed derived by arithmetic (%s)", n.Op)
 					}
 				}
-			case *ast.BinaryExpr:
-				if seedArithOps[n.Op] && (mentionsSeed(info, n.X) || mentionsSeed(info, n.Y)) {
-					report(n.Pos(), "seed derived by arithmetic (%s)", n.Op)
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	return nil
 }
 
 // seedNameOf returns the name of a seed-named variable or field reference,

@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/types"
 	"sort"
 	"strings"
@@ -50,32 +49,10 @@ func sharedguardScoped(obj types.Object) bool {
 	return sharedguardScope[pkg.Path()] || fixturePackage(pkg.Path())
 }
 
-// sharedguardFinding is one unsynchronized conflicting pair, anchored at a
-// write site.
-type sharedguardFinding struct {
-	at      *framework.ConcAccess // the write the diagnostic anchors to
-	other   *framework.ConcAccess // the conflicting counterpart
-	pkgPath string
-}
-
-func runSharedguard(pass *framework.Pass) error {
-	findings := pass.Prog.Shared("sharedguard.findings", func() any {
-		return collectSharedguard(pass.Prog)
-	}).([]*sharedguardFinding)
-	path := pass.Pkg.Path()
-	for _, f := range findings {
-		if f.pkgPath != path {
-			continue
-		}
-		pass.Reportf(f.at.Pos, "%s", sharedguardMessage(f))
-	}
-	return nil
-}
-
-// collectSharedguard classifies every conflicting access pair program-wide
-// and keeps the racy ones, one finding per write site (the earliest
+// runSharedguard classifies every conflicting access pair program-wide and
+// reports the racy ones, one finding per write site (the earliest
 // counterpart wins, so the diagnostic is deterministic).
-func collectSharedguard(prog *framework.Program) []*sharedguardFinding {
+func runSharedguard(prog *framework.Program, report framework.Report) {
 	res := prog.Concurrency()
 	byObj := make(map[types.Object][]*framework.ConcAccess)
 	for _, a := range res.Accesses {
@@ -98,7 +75,6 @@ func collectSharedguard(prog *framework.Program) []*sharedguardFinding {
 		}
 		return pi.Column < pj.Column
 	})
-	var findings []*sharedguardFinding
 	for _, obj := range objs {
 		accs := byObj[obj]
 		reported := make(map[*framework.ConcAccess]bool)
@@ -115,11 +91,13 @@ func collectSharedguard(prog *framework.Program) []*sharedguardFinding {
 				if !framework.Racy(w, o) {
 					continue
 				}
-				findings = append(findings, &sharedguardFinding{
-					at:      w,
-					other:   o,
-					pkgPath: w.Pkg.Path,
-				})
+				kind := "read"
+				if o.Write {
+					kind = "write"
+				}
+				report(w.Pos,
+					"unsynchronized write to %s in %s: conflicts with the %s in %s at %s:%d — no common lock excludes the two and neither runs on a fresh instance",
+					w.Obj.Name(), w.FnLabel, kind, o.FnLabel, shortFile(o.Position.Filename), o.Position.Line)
 				reported[w] = true
 				// If the counterpart is a later write, one diagnostic for
 				// the pair is enough.
@@ -130,19 +108,6 @@ func collectSharedguard(prog *framework.Program) []*sharedguardFinding {
 			}
 		}
 	}
-	return findings
-}
-
-func sharedguardMessage(f *sharedguardFinding) string {
-	kind := "read"
-	if f.other.Write {
-		kind = "write"
-	}
-	pos := f.other.Position
-	site := fmt.Sprintf("%s:%d", shortFile(pos.Filename), pos.Line)
-	return fmt.Sprintf(
-		"unsynchronized write to %s in %s: conflicts with the %s in %s at %s — no common lock excludes the two and neither runs on a fresh instance",
-		f.at.Obj.Name(), f.at.FnLabel, kind, f.other.FnLabel, site)
 }
 
 // shortFile trims the path to its last two segments, enough to identify the

@@ -7,7 +7,9 @@ import (
 	"fmt"
 
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // DecayTrace records the fraction of a departed node's id instances that
@@ -30,7 +32,7 @@ func TrackLeaverDecay(sub runtime.Substrate, u peer.ID, rounds int) (*DecayTrace
 		return nil, fmt.Errorf("churn: negative rounds %d", rounds)
 	}
 	sub.RemoveNode(u)
-	initial := sub.Snapshot().IDInstances(u)
+	initial := instances(sub, u)
 	trace := &DecayTrace{Initial: initial, Remaining: make([]float64, rounds+1)}
 	if initial == 0 {
 		return trace, nil
@@ -38,9 +40,17 @@ func TrackLeaverDecay(sub runtime.Substrate, u peer.ID, rounds int) (*DecayTrace
 	trace.Remaining[0] = 1
 	for i := 1; i <= rounds; i++ {
 		sub.TickRound()
-		trace.Remaining[i] = float64(sub.Snapshot().IDInstances(u)) / float64(initial)
+		trace.Remaining[i] = float64(instances(sub, u)) / float64(initial)
 	}
 	return trace, nil
+}
+
+// instances counts the entries naming id in every live view: its indegree
+// in the membership graph, read in place.
+func instances(sub runtime.Substrate, id peer.ID) int {
+	in := 0
+	sub.EachNode(func(_ peer.ID, lv *view.View, _ protocol.StepCore) { in += lv.Multiplicity(id) })
+	return in
 }
 
 // HalfLife returns the first round at which the remaining fraction is at
@@ -79,9 +89,12 @@ func TrackJoinerIntegration(sub runtime.Substrate, u peer.ID, seeds []peer.ID, r
 		Outdegree: make([]int, rounds+1),
 	}
 	record := func(i int) {
-		g := sub.Snapshot()
-		trace.Indegree[i] = g.Indegree(u)
-		trace.Outdegree[i] = g.Outdegree(u)
+		sub.EachNode(func(w peer.ID, lv *view.View, _ protocol.StepCore) {
+			trace.Indegree[i] += lv.Multiplicity(u)
+			if w == u {
+				trace.Outdegree[i] = lv.Outdegree()
+			}
+		})
 	}
 	record(0)
 	for i := 1; i <= rounds; i++ {

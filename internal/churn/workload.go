@@ -3,9 +3,12 @@ package churn
 import (
 	"fmt"
 
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // WorkloadConfig parameterizes a sustained churn process — an extension
@@ -53,16 +56,14 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 	if rounds < 0 || sampleEvery <= 0 {
 		return nil, fmt.Errorf("churn: invalid rounds=%d sampleEvery=%d", rounds, sampleEvery)
 	}
-	views := sub.Views()
-	n := len(views)
+	first := sub.Snapshot()
+	n := first.N()
 	live := make(map[peer.ID]bool, n)
 	var liveList []peer.ID
-	for u, v := range views {
-		if v != nil {
-			live[peer.ID(u)] = true
-			liveList = append(liveList, peer.ID(u))
-		}
-	}
+	sub.EachNode(func(u peer.ID, _ *view.View, _ protocol.StepCore) {
+		live[u] = true
+		liveList = append(liveList, u)
+	})
 	stats := &WorkloadStats{}
 	refresh := func() {
 		liveList = liveList[:0]
@@ -71,8 +72,7 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 		}
 		peer.Sort(liveList)
 	}
-	sample := func(round int) {
-		g := sub.Snapshot()
+	sample := func(round int, g *graph.Graph) {
 		deg := 0
 		for _, u := range liveList {
 			deg += g.Outdegree(u)
@@ -91,7 +91,7 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 			StaleFraction:  staleFrac,
 		})
 	}
-	sample(0)
+	sample(0, first)
 	for round := 1; round <= rounds; round++ {
 		if r.Bernoulli(cfg.LeaveProb) && len(liveList) > cfg.MinLive {
 			victim := liveList[r.Intn(len(liveList))]
@@ -111,7 +111,7 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 		}
 		sub.TickRound()
 		if round%sampleEvery == 0 {
-			sample(round)
+			sample(round, sub.Snapshot())
 		}
 	}
 	return stats, nil
@@ -135,9 +135,11 @@ func joinOne(sub runtime.Substrate, n int, live map[peer.ID]bool, liveList []pee
 	}
 	donor := liveList[r.Intn(len(liveList))]
 	var seeds []peer.ID
-	if v := sub.Views()[donor]; v != nil {
-		seeds = v.IDs()
-	}
+	sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		if u == donor {
+			seeds = lv.IDs()
+		}
+	})
 	seeds = append(seeds, donor)
 	// Pad with random live ids if the donor view was too short.
 	for len(seeds) < 4 {

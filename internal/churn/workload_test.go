@@ -1,6 +1,8 @@
 package churn
 
 import (
+	"math"
+	goruntime "runtime"
 	"testing"
 
 	"sendforget/internal/peer"
@@ -114,5 +116,41 @@ func TestWorkloadJoinRevivesDeparted(t *testing.T) {
 	last := stats.Samples[len(stats.Samples)-1]
 	if last.Live != 30 {
 		t.Errorf("live = %d, want full 30", last.Live)
+	}
+}
+
+// TestJoinOneBytesIndependentOfN holds a join's read of its donor to that
+// one view: the bytes one joinOne call allocates do not grow with the
+// overlay, as they did while it copied every view to read one. Each size
+// rejoins node 0 five times from the same draws and keeps the least, so an
+// allocation of the runtime's own between the two reads does not count.
+func TestJoinOneBytesIndependentOfN(t *testing.T) {
+	joinBytes := func(n int) uint64 {
+		e := steadyEngine(t, n, 0, 26)
+		defer e.Close()
+		live := make(map[peer.ID]bool, n)
+		var liveList []peer.ID
+		for u := peer.ID(1); u < peer.ID(n); u++ {
+			live[u] = true
+			liveList = append(liveList, u)
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			e.RemoveNode(0)
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			joiner, ok := joinOne(e, n, live, liveList, rng.New(27))
+			goruntime.ReadMemStats(&after)
+			if !ok || joiner != 0 {
+				t.Fatalf("n=%d: joinOne = %d, %v; want node 0 back", n, joiner, ok)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := joinBytes(1000), joinBytes(8000)
+	t.Logf("joinOne allocates %d B at n = 1,000 and %d B at n = 8,000", small, large)
+	if large > small {
+		t.Errorf("joinOne allocates %d B at n = 8,000 against %d B at n = 1,000: it reads more than the donor's view", large, small)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
 // sfCores returns the S&F core factory, with per-slot dependence tags when
@@ -168,7 +169,12 @@ func Cor614(p Cor614Params, kind runtime.EngineKind) (*Report, error) {
 		runtime.Run(sub, 200) // flush the id completely
 		din := metrics.Degrees(sub.Snapshot(), nil).MeanIn * float64(p.N) / float64(p.N-1)
 		// Seeds: copy a live node's view prefix, per Section 5's join rule.
-		seeds := sub.Views()[p.N-1-j].IDs()
+		var seeds []peer.ID
+		sub.EachNode(func(w peer.ID, lv *view.View, _ protocol.StepCore) {
+			if w == peer.ID(p.N-1-j) {
+				seeds = lv.IDs()
+			}
+		})
 		if len(seeds) > p.DL {
 			seeds = seeds[:p.DL]
 		}
