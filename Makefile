@@ -7,9 +7,10 @@
 # load error (bad flag, unparseable package). A //lint:allow directive that
 # silences nothing is a diagnostic of its own (unusedallow), so this target
 # and CI fail on it and the directive is removed. CI additionally
-# gates on BenchmarkSfvetRepo (recorded 0.9 s for the ten-analyzer suite,
-# median of seven runs on a 2-vCPU Xeon) staying under its 5 s ns/op
-# budget so the suite stays fast enough to run on every push.
+# gates on BenchmarkSfvetRepo (recorded 0.92 s for the ten-analyzer suite at
+# GOMAXPROCS=2 and 1.25 s at 1, medians of nine runs on a 2-vCPU Xeon)
+# staying under its 5 s ns/op budget so the suite stays fast enough to run
+# on every push.
 
 .PHONY: build test race vet bench-smoke bench-pin experiments-pin e2e loc
 

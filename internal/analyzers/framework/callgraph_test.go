@@ -2,6 +2,7 @@ package framework
 
 import (
 	"go/ast"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -25,10 +26,11 @@ func TestCHAResolvesStepCoreImplementations(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := NewProgram(pkgs)
-	rt := prog.Package("sendforget/internal/runtime")
-	if rt == nil {
+	i := slices.IndexFunc(pkgs, func(p *Package) bool { return p.Path == "sendforget/internal/runtime" })
+	if i < 0 {
 		t.Fatal("runtime package not loaded")
 	}
+	rt := pkgs[i]
 
 	var call *ast.CallExpr
 	for _, f := range rt.Files {

@@ -6,7 +6,7 @@
 // internal/analyzers suite need:
 //
 //   - Analyzer, Program and Diagnostic: each analyzer runs once over the
-//     whole loaded program (Program.Run) and reports where it finds,
+//     whole loaded program (Program.Run) and reports positions,
 //   - a Loader that type-checks packages through `go list -export`
 //     export data (see driver.go), and
 //   - an analysistest-style fixture runner keyed on `// want "regexp"`
@@ -74,7 +74,6 @@ type Program struct {
 	CallGraph *CallGraph
 
 	fset   *token.FileSet // every package's: one Loader loads them all
-	byPath map[string]*Package
 	allows *allowSet
 }
 
@@ -84,21 +83,13 @@ func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Packages:  pkgs,
 		CallGraph: buildCallGraph(pkgs, "sendforget/"),
-		byPath:    make(map[string]*Package, len(pkgs)),
 		allows:    newAllowSet(pkgs),
-	}
-	for _, pkg := range pkgs {
-		prog.byPath[pkg.Path] = pkg
 	}
 	if len(pkgs) > 0 {
 		prog.fset = pkgs[0].Fset
 	}
 	return prog
 }
-
-// Package returns the source package with the given path, or nil when it
-// was not loaded from source.
-func (prog *Program) Package(path string) *Package { return prog.byPath[path] }
 
 // Run applies each analyzer once to the whole program, one analyzer per
 // worker on up to GOMAXPROCS goroutines, drops each finding a //lint:allow
