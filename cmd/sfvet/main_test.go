@@ -26,9 +26,8 @@ func TestAnalyzerNameListIsCurrent(t *testing.T) {
 }
 
 var allAnalyzerNames = []string{
-	"detrand", "counterbalance", "maporder", "atomicmix",
-	"seedtaint", "lockreach", "goroleak", "errdrop", "hotalloc",
-	"sharedguard",
+	"sharedguard", "seedtaint", "lockreach", "errdrop", "hotalloc",
+	"detrand", "maporder", "atomicmix", "counterbalance", "goroleak",
 }
 
 func TestListPrintsAllAnalyzers(t *testing.T) {

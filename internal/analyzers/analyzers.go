@@ -61,19 +61,21 @@ import (
 	"sendforget/internal/analyzers/framework"
 )
 
-// All returns the full suite in reporting order.
+// All returns the full suite, costliest first: Program.Run hands analyzers
+// out in this order, so the slowest one starts at once and the cheap ones
+// fill the other workers while it runs.
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
-		Detrand,
-		Counterbalance,
-		Maporder,
-		Atomicmix,
+		Sharedguard,
 		Seedtaint,
 		Lockreach,
-		Goroleak,
 		Errdrop,
 		Hotalloc,
-		Sharedguard,
+		Detrand,
+		Maporder,
+		Atomicmix,
+		Counterbalance,
+		Goroleak,
 	}
 }
 

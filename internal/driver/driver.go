@@ -202,10 +202,7 @@ func (rt *Router) ruleVerdict(v faults.Verdict, m *protocol.FlatMsg, ids []peer.
 	rt.ledger.Sends++
 	if v.Drop != faults.DropNone {
 		rt.ledger.Losses++
-		switch v.Drop {
-		case faults.DropLink:
-			rt.ledger.LinkLosses++
-		case faults.DropPartition:
+		if v.Drop == faults.DropPartition {
 			rt.ledger.PartitionDrops++
 		}
 		return Dropped
@@ -455,7 +452,6 @@ func (rt *Router) AddTraffic(sum *metrics.Traffic) {
 	sum.Deliveries += rt.ledger.Deliveries
 	sum.DeadLetters += rt.ledger.DeadLetters
 	sum.Delayed += rt.ledger.Delayed
-	sum.LinkLosses += rt.ledger.LinkLosses
 	sum.PartitionDrops += rt.ledger.PartitionDrops
 }
 

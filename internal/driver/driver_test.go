@@ -22,8 +22,8 @@ func conserved(t *testing.T, rt *Router, when string) {
 		t.Fatalf("%s: sends %d != losses %d + deliveries %d + dead letters %d + pending %d",
 			when, l.Sends, l.Losses, l.Deliveries, l.DeadLetters, rt.Pending())
 	}
-	if l.LinkLosses+l.PartitionDrops > l.Losses {
-		t.Fatalf("%s: loss subsets exceed losses: %+v", when, l)
+	if l.PartitionDrops > l.Losses {
+		t.Fatalf("%s: partition drops exceed losses: %+v", when, l)
 	}
 }
 
@@ -38,7 +38,6 @@ func (s liveSet) live(id peer.ID) bool { return s[id] }
 
 func TestRouteVerdictsAgainstLedger(t *testing.T) {
 	cond := faults.Lossless()
-	cond.SetLinkLoss(1, 2, loss.MustUniform(1)) // the 1 -> 2 link drops everything
 	cond.Partition([]peer.ID{0, 1, 2, 7}, []peer.ID{3})
 	nodes := liveSet{0: true, 1: true, 2: true, 3: true}
 	rt := NewRouter(cond, rng.New(1), nodes.live)
@@ -50,10 +49,8 @@ func TestRouteVerdictsAgainstLedger(t *testing.T) {
 		after    metrics.Traffic
 	}{
 		{"plain delivery", 0, 1, Delivered, metrics.Traffic{Sends: 1, Deliveries: 1}},
-		{"link override drops", 1, 2, Dropped, metrics.Traffic{Sends: 2, Deliveries: 1, Losses: 1, LinkLosses: 1}},
-		{"the reverse link is clean", 2, 1, Delivered, metrics.Traffic{Sends: 3, Deliveries: 2, Losses: 1, LinkLosses: 1}},
-		{"partition cuts", 0, 3, Dropped, metrics.Traffic{Sends: 4, Deliveries: 2, Losses: 2, LinkLosses: 1, PartitionDrops: 1}},
-		{"departed destination", 0, 7, DeadLetter, metrics.Traffic{Sends: 5, Deliveries: 2, Losses: 2, LinkLosses: 1, PartitionDrops: 1, DeadLetters: 1}},
+		{"partition cuts", 0, 3, Dropped, metrics.Traffic{Sends: 2, Deliveries: 1, Losses: 1, PartitionDrops: 1}},
+		{"departed destination", 0, 7, DeadLetter, metrics.Traffic{Sends: 3, Deliveries: 1, Losses: 1, PartitionDrops: 1, DeadLetters: 1}},
 	}
 	for _, st := range steps {
 		if got := rt.Route(st.to, gossip(st.from, st.from, 9)); got != st.want {
@@ -74,8 +71,9 @@ func TestRouteVerdictsAgainstLedger(t *testing.T) {
 	}
 	conserved(t, rt, "cut and departed")
 
-	// RouteIn rules exactly like Route, under the caller's session.
-	cond.Heal()
+	// RouteIn rules exactly like Route, under the caller's session; a new
+	// cut separates 1 from 2.
+	cond.Partition([]peer.ID{0, 1, 3}, []peer.ID{2})
 	ses := cond.Begin()
 	in := []Outcome{
 		rt.RouteIn(&ses, 1, gossip(0, 0, 9)),
@@ -138,7 +136,7 @@ func TestRouteByPlainMatchesRoute(t *testing.T) {
 // five-id arena payload included) and outlives the outbox's Reset.
 func TestRouteByRulesOnHeaderInPlace(t *testing.T) {
 	cond := faults.Lossless()
-	cond.SetLinkLoss(1, 2, loss.MustUniform(1))
+	cond.Partition([]peer.ID{0, 1, 4}, []peer.ID{2, 3})
 	nodes := liveSet{1: true, 2: true, 3: true}
 	rt := NewRouter(cond, nil, nodes.live)
 	var d faults.Decider
@@ -147,7 +145,7 @@ func TestRouteByRulesOnHeaderInPlace(t *testing.T) {
 
 	var ob protocol.Outbox
 	ob.Append2(1, 0, protocol.KindGossip, true, 8, 9)             // delivered
-	ob.Append2(2, 1, protocol.KindGossip, false, 8, 9)            // the 1 -> 2 link drops it
+	ob.Append2(2, 1, protocol.KindGossip, false, 8, 9)            // the partition drops it
 	ob.Append(4, 0, protocol.KindRequest, false, 5, 6, 7)         // node 4 is away
 	ob.Append(3, 2, protocol.KindReply, true, 10, 11, 12, 13, 14) // parks, once a delay is set
 	before := append([]protocol.FlatMsg(nil), ob.Msgs...)
@@ -169,7 +167,7 @@ func TestRouteByRulesOnHeaderInPlace(t *testing.T) {
 	if !reflect.DeepEqual(ob.Msgs, before) {
 		t.Fatalf("RouteBy wrote the headers it ruled on: %+v, were %+v", ob.Msgs, before)
 	}
-	wantLedger := metrics.Traffic{Sends: 4, Deliveries: 1, Losses: 1, LinkLosses: 1, DeadLetters: 1, Delayed: 1}
+	wantLedger := metrics.Traffic{Sends: 4, Deliveries: 1, Losses: 1, PartitionDrops: 1, DeadLetters: 1, Delayed: 1}
 	if got := rt.Traffic(); got != wantLedger || rt.Pending() != 1 {
 		t.Fatalf("ledger %+v with %d pending, want %+v with 1", got, rt.Pending(), wantLedger)
 	}

@@ -8,15 +8,13 @@
 // generalizes that single knob into the failure modes real deployments see
 // and related systems are evaluated against (Cyclon under burst loss,
 // HyParView under partitions): a stateful base loss model (e.g.
-// Gilbert-Elliott bursts), per-link asymmetric loss overrides, dynamic
-// partitions with healing, and fixed/jittered delivery delay that reorders
+// Gilbert-Elliott bursts), dynamic partitions with healing, and fixed/jittered delivery delay that reorders
 // messages. Each verdict names the condition that dropped or delayed the
 // message; the substrate's router counts it once, in metrics.Traffic.
 package faults
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 
 	"sendforget/internal/loss"
@@ -33,8 +31,6 @@ const (
 	DropNone Drop = iota
 	// DropModel is a drop by the base loss model (the paper's l).
 	DropModel
-	// DropLink is a drop by a per-link override model.
-	DropLink
 	// DropPartition is a structural drop across an active partition.
 	DropPartition
 )
@@ -45,8 +41,6 @@ func (d Drop) String() string {
 		return "none"
 	case DropModel:
 		return "model"
-	case DropLink:
-		return "link"
 	case DropPartition:
 		return "partition"
 	}
@@ -58,11 +52,6 @@ func (d Drop) String() string {
 type Verdict struct {
 	Drop  Drop
 	Delay int
-}
-
-// Link is a directed sender-receiver pair for asymmetric overrides.
-type Link struct {
-	From, To peer.ID
 }
 
 // Delay configures delivery latency in substrate rounds: every surviving
@@ -87,9 +76,7 @@ type Counters struct {
 // partition and heal it.
 //
 // Decision order is fixed and substrate-independent: partition check
-// (structural, no RNG draw), then the per-link override model if one is
-// registered for the (from, to) link, otherwise the base model, then delay
-// assignment (one extra draw only when Jitter > 0). The order is written
+// (structural, no RNG draw), then the base model, then delay assignment (one extra draw only when Jitter > 0). The order is written
 // once, in rules.decide; Decide, Session.Decide and Decider.Decide are three
 // ways of reaching it.
 type Conditions struct {
@@ -103,12 +90,11 @@ type Conditions struct {
 
 // rules is the configuration a decision reads, the base model aside (a
 // decision is handed the instance it advances). Nothing reachable from it is
-// written in place once installed — SetLinkLoss installs a fresh map,
-// Partition a fresh table — so a copy of the struct taken under mu is a
+// written in place once installed — Partition installs a fresh table — so
+// a copy of the struct taken under mu is a
 // snapshot that stays valid, and readable without the lock, while the stack
 // is reconfigured.
 type rules struct {
-	links map[Link]loss.Model
 	group []int32 // nil when healed; group[id] is id's group, -1 when listed in none
 	delay Delay
 }
@@ -139,8 +125,7 @@ func FromRate(rate float64) (*Conditions, error) {
 }
 
 // SetBase swaps the base loss model live — the management API's loss-reload
-// path. Per-link overrides, partitions, delay, and all counters are
-// untouched; only the base model changes, taking effect on the next
+// path. Partitions, delay, and all counters are untouched; only the base model changes, taking effect on the next
 // decision (for attached deciders, on the next Sync, each with a fresh fork
 // of a stateful model). Swapping a stateful model resets its state by
 // construction (the caller built a fresh model), which is the intended
@@ -177,33 +162,13 @@ func (c *Conditions) SetRate(rate float64) error {
 	return c.SetBase(m)
 }
 
-// Rate returns the base model's long-run loss rate (link overrides and
-// partitions add to the realized rate; experiments read the realized rate
+// Rate returns the base model's long-run loss rate (partitions add to the
+// realized rate; experiments read the realized rate
 // from the traffic counters instead).
 func (c *Conditions) Rate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.base.Rate()
-}
-
-// SetLinkLoss installs (or, with a nil model, removes) a loss override for
-// the directed link from -> to. Overridden links bypass the base model
-// entirely, so asymmetric and per-destination scenarios compose with any
-// base model. The override table is replaced, never edited: a snapshot taken
-// earlier keeps the table it saw.
-func (c *Conditions) SetLinkLoss(from, to peer.ID, m loss.Model) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	links := maps.Clone(c.links)
-	if m == nil {
-		delete(links, Link{From: from, To: to})
-	} else {
-		if links == nil {
-			links = make(map[Link]loss.Model)
-		}
-		links[Link{From: from, To: to}] = m
-	}
-	c.links = links
 }
 
 // MaxDelay is the longest delivery delay, Fixed+Jitter, SetDelay accepts, in
@@ -268,13 +233,6 @@ func (c *Conditions) Heal() {
 	}
 }
 
-// Partitioned reports whether an active partition separates from and to.
-func (c *Conditions) Partitioned(from, to peer.ID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.separated(from, to)
-}
-
 // separated implements the partition check.
 func (ru *rules) separated(from, to peer.ID) bool {
 	if ru.group == nil {
@@ -293,18 +251,14 @@ func (ru *rules) groupOf(id peer.ID) int32 {
 }
 
 // decide is the decision order, for every way of reaching the stack: it rules
-// on one attempted transmission from -> to under ru, advancing base (or the
-// link's override model) and drawing from r. The common configuration — no
-// partition, no overrides — costs two branches before its one model call.
+// on one attempted transmission from -> to under ru, advancing base and
+// drawing from r. Without a partition it costs one branch before its one
+// model call.
 func (ru *rules) decide(base loss.Model, from, to peer.ID, r *rng.RNG) Verdict {
 	if ru.separated(from, to) {
 		return Verdict{Drop: DropPartition}
 	}
-	if m, ok := ru.override(from, to); ok {
-		if m.Lost(to, r) {
-			return Verdict{Drop: DropLink}
-		}
-	} else if base.Lost(to, r) {
+	if base.Lost(to, r) {
 		return Verdict{Drop: DropModel}
 	}
 	d := ru.delay.Fixed
@@ -312,15 +266,6 @@ func (ru *rules) decide(base loss.Model, from, to peer.ID, r *rng.RNG) Verdict {
 		d += r.Intn(ru.delay.Jitter + 1)
 	}
 	return Verdict{Delay: d}
-}
-
-// override returns the model registered for the directed link, if any.
-func (ru *rules) override(from, to peer.ID) (loss.Model, bool) {
-	if len(ru.links) == 0 {
-		return nil, false
-	}
-	m, ok := ru.links[Link{From: from, To: to}]
-	return m, ok
 }
 
 // Decide rules on one attempted transmission from -> to, advancing any
@@ -358,12 +303,9 @@ func (s *Session) Close() { s.c.mu.Unlock() }
 // against the snapshot of the configuration the last Sync took, with a
 // verdict stream of its own and its own fork of a stateful base model, so a
 // Gilbert-Elliott burst is a burst over the messages this decider sees.
-// Override models are not forked: a decider must be the only one ruling on a
-// given link (the sharded engine rules where a message arrives, so a link is
-// its destination's shard's alone). Between two Syncs a decider belongs to
-// one goroutine at a time; everything it writes per message lives in the
-// value itself or in its own fork, so deciders embedded in their owners'
-// records share no cache line. The zero value is ready for Attach.
+// Between two Syncs a decider belongs to one goroutine at a time; everything
+// it writes per message lives in the value itself or in its own fork, so
+// deciders embedded in their owners' records share no cache line. The zero value is ready for Attach.
 type Decider struct {
 	ru   *rules
 	r    rng.RNG
@@ -379,7 +321,7 @@ func (d *Decider) Decide(from, to peer.ID) Verdict {
 }
 
 // Plain rules on one message when the last Sync found the configuration
-// plain — no partition, no link override, no delay, and a stateless uniform
+// plain — no partition, no delay, and a stateless uniform
 // base model at a rate strictly between 0 and 1 — and then draws and decides
 // exactly as Decide would: lost is its DropModel verdict, anything else its
 // immediate delivery. For any other configuration ok is false and nothing
@@ -396,7 +338,7 @@ func (d *Decider) Plain() (lost, ok bool) {
 // otherwise.
 func plainRate(ru *rules, base loss.Model) float64 {
 	u, ok := base.(loss.Uniform)
-	if !ok || ru.group != nil || len(ru.links) != 0 || ru.delay != (Delay{}) || !(u.P > 0 && u.P < 1) {
+	if !ok || ru.group != nil || ru.delay != (Delay{}) || !(u.P > 0 && u.P < 1) {
 		return 0
 	}
 	return u.P
@@ -442,9 +384,6 @@ func (c *Conditions) String() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := fmt.Sprintf("faults(base=%s", c.base)
-	if len(c.links) > 0 {
-		s += fmt.Sprintf(", links=%d", len(c.links))
-	}
 	if c.group != nil {
 		s += ", partitioned"
 	}

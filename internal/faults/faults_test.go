@@ -34,32 +34,6 @@ func TestDecideBaseModel(t *testing.T) {
 	}
 }
 
-func TestLinkOverrideBypassesBase(t *testing.T) {
-	// Base always drops; the overridden link never does, and vice versa.
-	c, err := FromRate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetLinkLoss(0, 1, loss.None{})
-	c.SetLinkLoss(2, 3, loss.MustUniform(1))
-	r := rng.New(2)
-	if v := c.Decide(0, 1, r); v.Drop != DropNone {
-		t.Errorf("overridden lossless link dropped: %+v", v)
-	}
-	// The override is directed: the reverse link uses the base model.
-	if v := c.Decide(1, 0, r); v.Drop != DropModel {
-		t.Errorf("reverse link verdict = %+v, want model drop", v)
-	}
-	if v := c.Decide(2, 3, r); v.Drop != DropLink {
-		t.Errorf("lossy link verdict = %+v, want link drop", v)
-	}
-	// Removing the override restores the base model.
-	c.SetLinkLoss(0, 1, nil)
-	if v := c.Decide(0, 1, r); v.Drop != DropModel {
-		t.Errorf("removed override verdict = %+v, want model drop", v)
-	}
-}
-
 func TestPartitionAndHeal(t *testing.T) {
 	c := Lossless()
 	r := rng.New(3)
@@ -75,8 +49,8 @@ func TestPartitionAndHeal(t *testing.T) {
 		{9, 8, false},
 	}
 	for _, tc := range cases {
-		if got := c.Partitioned(tc.from, tc.to); got != tc.cut {
-			t.Errorf("Partitioned(%v, %v) = %v, want %v", tc.from, tc.to, got, tc.cut)
+		if got := c.separated(tc.from, tc.to); got != tc.cut {
+			t.Errorf("separated(%v, %v) = %v, want %v", tc.from, tc.to, got, tc.cut)
 		}
 		wantDrop := DropNone
 		if tc.cut {
@@ -88,7 +62,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 	c.Heal()
 	c.Heal() // idempotent: only one heal counted
-	if c.Partitioned(0, 2) {
+	if c.separated(0, 2) {
 		t.Error("still partitioned after Heal")
 	}
 	if v := c.Decide(0, 2, r); v.Drop != DropNone {
@@ -137,8 +111,8 @@ func TestPartitionTableMatchesMapModel(t *testing.T) {
 		for _, from := range probe {
 			for _, to := range probe {
 				want := groupOf(from) != groupOf(to)
-				if got := c.Partitioned(from, to); got != want {
-					t.Errorf("grouping %d: Partitioned(%v, %v) = %v, want %v", gi, from, to, got, want)
+				if got := c.separated(from, to); got != want {
+					t.Errorf("grouping %d: separated(%v, %v) = %v, want %v", gi, from, to, got, want)
 				}
 				ses := c.Begin()
 				v := ses.Decide(from, to, r)
@@ -339,23 +313,11 @@ func TestSetRateLiveReload(t *testing.T) {
 	if err := c.SetBase(nil); err == nil {
 		t.Error("accepted nil base model")
 	}
-	// Link overrides survive a base reload.
-	m, err := loss.NewUniform(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetLinkLoss(0, 1, m)
-	if err := c.SetRate(1); err != nil {
-		t.Fatal(err)
-	}
-	if v := c.Decide(0, 1, r); v.Drop != DropNone {
-		t.Errorf("override link after reload = %+v, want delivery", v)
-	}
 }
 
 // fullStack builds a stack that takes every branch of the decision order: a
-// Gilbert-Elliott base, a lossy and a clean link override, an even/odd
-// partition over the low ids, and a jittered delay.
+// Gilbert-Elliott base, an even/odd partition over the low ids, and a
+// jittered delay.
 func fullStack(t *testing.T) *Conditions {
 	t.Helper()
 	ge, err := loss.BurstyWithRate(0.2, 4)
@@ -366,8 +328,6 @@ func fullStack(t *testing.T) *Conditions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetLinkLoss(20, 21, loss.MustUniform(0.5))
-	c.SetLinkLoss(22, 23, loss.None{})
 	c.Partition([]peer.ID{0, 2, 4, 6}, []peer.ID{1, 3, 5, 7})
 	if err := c.SetDelay(Delay{Fixed: 1, Jitter: 3}); err != nil {
 		t.Fatal(err)
@@ -382,13 +342,8 @@ func fullStack(t *testing.T) *Conditions {
 func TestOneDecisionBody(t *testing.T) {
 	const seed, trials = 77, 5000
 	attempt := func(i int) (from, to peer.ID) {
-		switch i % 4 {
-		case 0:
-			return peer.ID(i % 8), peer.ID((i / 4) % 8) // inside the partition table
-		case 1:
-			return 20, 21
-		case 2:
-			return 22, 23
+		if i%2 == 0 {
+			return peer.ID(i % 8), peer.ID((i / 2) % 8) // inside the partition table
 		}
 		return peer.ID(30 + i%5), peer.ID(40 + i%7)
 	}
@@ -409,7 +364,7 @@ func TestOneDecisionBody(t *testing.T) {
 		seen[v.Drop] = true
 		delayed = delayed || v.Delay > 1
 	}
-	if len(seen) != 4 || !delayed {
+	if len(seen) != 3 || !delayed {
 		t.Fatalf("the sequence does not exercise every branch: drops %v, jitter seen %v", seen, delayed)
 	}
 
@@ -460,15 +415,12 @@ func TestDeciderPlain(t *testing.T) {
 		"bursty":       mustStack(t, burst),
 		"per-dest":     mustStack(t, perDest),
 		"partitioned":  mustStack(t, loss.MustUniform(0.1)),
-		"link":         mustStack(t, loss.MustUniform(0.1)),
 		"fixed delay":  mustStack(t, loss.MustUniform(0.1)),
 		"jitter delay": mustStack(t, loss.MustUniform(0.1)),
 	} {
 		switch name {
 		case "partitioned":
 			c.Partition([]peer.ID{1, 2})
-		case "link":
-			c.SetLinkLoss(1, 2, loss.MustUniform(0.5))
 		case "fixed delay":
 			_ = c.SetDelay(Delay{Fixed: 1})
 		case "jitter delay":
@@ -538,8 +490,6 @@ func TestDeciderRulesAgainstTheLastSync(t *testing.T) {
 	}{
 		{"SetBase", func() { _ = c.SetBase(stuck) }, 0, 1, Verdict{Drop: DropModel}},
 		{"SetRate", func() { _ = c.SetRate(0) }, 0, 1, Verdict{}},
-		{"SetLinkLoss", func() { c.SetLinkLoss(0, 1, loss.MustUniform(1)) }, 0, 1, Verdict{Drop: DropLink}},
-		{"SetLinkLoss(nil)", func() { c.SetLinkLoss(0, 1, nil) }, 0, 1, Verdict{}},
 		{"Partition", func() { c.Partition([]peer.ID{0}, []peer.ID{1}) }, 0, 1, Verdict{Drop: DropPartition}},
 		{"Heal", func() { c.Heal() }, 0, 1, Verdict{}},
 		{"SetDelay", func() { _ = c.SetDelay(Delay{Fixed: 4}) }, 0, 1, Verdict{Delay: 4}},
@@ -621,10 +571,10 @@ func TestSyncAgainstRunningDeciders(t *testing.T) {
 			default:
 			}
 			c.Partition([]peer.ID{0, 1, 2, 3}, []peer.ID{4, 5, 6, 7})
-			c.SetLinkLoss(peer.ID(i%8), peer.ID((i+1)%8), loss.MustUniform(0.5))
+			_ = c.SetDelay(Delay{Fixed: i % 2, Jitter: i % 3})
 			_ = c.SetRate(0.3)
 			c.Heal()
-			c.SetLinkLoss(peer.ID(i%8), peer.ID((i+1)%8), nil)
+			_ = c.SetDelay(Delay{})
 			_ = c.SetBase(ge)
 		}
 	}()

@@ -76,7 +76,7 @@ func (t Traffic) WriteProm(p *PromWriter, ns string) {
 	p.counter(ns, "_traffic_losses_total", "Messages dropped by the fault layer.", t.Losses)
 	p.counter(ns, "_traffic_deliveries_total", "Messages handed to a live node's receive step.", t.Deliveries)
 	p.counter(ns, "_traffic_dead_letters_total", "Messages addressed to departed or unroutable nodes.", t.DeadLetters)
-	p.counter(ns, "_traffic_link_losses_total", "Losses attributed to per-link override models.", t.LinkLosses)
+	p.counter(ns, "_traffic_link_losses_total", "Always 0: the fault stack has no per-link loss.", t.LinkLosses)
 	p.counter(ns, "_traffic_partition_drops_total", "Losses attributed to an active partition.", t.PartitionDrops)
 	p.counter(ns, "_traffic_delayed_total", "Messages routed through the delay queue.", t.Delayed)
 }

@@ -32,15 +32,16 @@ type Traffic struct {
 	// request/reply protocols), before loss, routing, or marshalling.
 	Sends int
 	// Losses counts messages dropped by the fault layer: the base loss
-	// model plus the per-link and partition conditions broken out below.
+	// model plus the partition drops broken out below.
 	Losses int
 	// Deliveries counts messages handed to a live node's receive step.
 	Deliveries int
 	// DeadLetters counts messages addressed to departed or unroutable nodes.
 	DeadLetters int
 
-	// LinkLosses is the subset of Losses dropped by per-link override
-	// models (faults.Conditions.SetLinkLoss).
+	// LinkLosses is always 0: the fault stack has no per-link loss. It
+	// stays, with its /metrics series, because the benchmark module
+	// (bench/stats.go, bench/daemon.go) reads it.
 	LinkLosses int
 	// PartitionDrops is the subset of Losses dropped by an active
 	// partition (faults.Conditions.Partition).

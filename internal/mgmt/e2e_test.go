@@ -126,7 +126,7 @@ func TestE2E50NodeClusterViaAPI(t *testing.T) {
 		"sendforget_traffic_deliveries_total":   tr.Deliveries,
 		"sendforget_traffic_dead_letters_total": tr.DeadLetters,
 		"sendforget_faults_decisions_total":     tr.Sends,
-		"sendforget_faults_model_drops_total":   tr.Losses - tr.LinkLosses - tr.PartitionDrops,
+		"sendforget_faults_model_drops_total":   tr.Losses - tr.PartitionDrops,
 		"sendforget_pending_messages":           0,
 	}
 	for name, val := range want {

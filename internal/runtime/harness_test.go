@@ -57,12 +57,11 @@ const (
 	opPartition        // Partition([0, u), [u, n))
 	opHeal             // Heal()
 	opRate             // SetBase: uniform loss at rate, or a Gilbert-Elliott burst model at it
-	opLink             // SetLinkLoss(u, v, uniform rate); a negative rate removes the override
 	opDelay            // SetDelay(Delay{Fixed: d, Jitter: j})
 	opDrain            // DrainDelayed()
 )
 
-var opNames = [...]string{"opTick", "opAdd", "opRemove", "opPartition", "opHeal", "opRate", "opLink", "opDelay", "opDrain"}
+var opNames = [...]string{"opTick", "opAdd", "opRemove", "opPartition", "opHeal", "opRate", "opDelay", "opDrain"}
 
 type op struct {
 	kind  opKind
@@ -94,7 +93,7 @@ func hotIDs(n int) []peer.ID {
 }
 
 // genSchedule draws ops operations over an n-node universe from r, one of them
-// a delay of long rounds, and ends with a drain. Churn goes to the hot ids about
+// a delay of long rounds with a tick under it, and ends with a drain. Churn goes to the hot ids about
 // half the time and, one time in sixteen, to id n, which AddNode must refuse
 // and RemoveNode ignore. Without lossy every loss rate is 0 or 1 and every
 // delay fixed, which the probe model follows exactly; lossy draws fractional
@@ -115,12 +114,12 @@ func genSchedule(r *rng.RNG, n, ops int, lossy bool, long int) schedule {
 		rates = []float64{0, 0.02, 0.1}
 	}
 	at := r.Intn(ops)
-	s := make(schedule, 0, ops+1)
+	s := make(schedule, 0, ops+2)
 	for i := 0; i < ops; i++ {
 		o := op{kind: opTick}
-		switch k := r.Intn(24); {
+		switch k := r.Intn(22); {
 		case i == at:
-			o = op{kind: opDelay, d: long}
+			s = append(s, op{kind: opDelay, d: long}) // and a tick under it
 		case k < 9:
 		case k < 12:
 			o = op{kind: opRemove, u: pick()}
@@ -134,11 +133,6 @@ func genSchedule(r *rng.RNG, n, ops int, lossy bool, long int) schedule {
 			o = op{kind: opRate, rate: rates[r.Intn(len(rates))]}
 			o.burst = lossy && o.rate > 0 && r.Intn(2) == 0
 		case k < 20:
-			o = op{kind: opLink, u: hot[r.Intn(len(hot))], v: hot[r.Intn(len(hot))], rate: -1}
-			if r.Intn(3) > 0 {
-				o.rate = rates[r.Intn(len(rates))]
-			}
-		case k < 22:
 			o = op{kind: opDelay, d: r.Intn(4)}
 			if lossy {
 				o.j = r.Intn(3)
@@ -230,13 +224,12 @@ func (c probeCore) ReceiveBatch(_ *view.View, u peer.ID, pkt protocol.Packet, _ 
 
 // probeModel predicts a probe substrate from the flights its cores logged and
 // the fault stack as the schedule set it — a two-way partition, all-or-nothing
-// base and link loss, a fixed delay: the messages in flight, and what every
+// base loss, a fixed delay: the messages in flight, and what every
 // node and the ledger must have counted.
 type probeModel struct {
 	away           []bool  // the rig's
 	split          peer.ID // Partition([0, split), [split, n)); 0 when healed
 	rate           float64
-	links          map[[2]peer.ID]float64
 	delay, clock   int
 	longest        int // the longest delay a message parked under
 	queue          []probeFlight
@@ -246,19 +239,15 @@ type probeModel struct {
 }
 
 // route rules on one message the way the fault stack and the router do:
-// partition, then the link override or else the base model, then park it or
-// resolve it against liveness now.
+// partition, then the base model, then park it or resolve it against
+// liveness now.
 func (m *probeModel) route(f probeFlight) {
 	m.tr.Sends++
-	rate, link := m.links[[2]peer.ID{f.from, f.to}]
 	switch {
 	case (f.from < m.split) != (f.to < m.split):
 		m.tr.Losses++
 		m.tr.PartitionDrops++
-	case link && rate == 1:
-		m.tr.Losses++
-		m.tr.LinkLosses++
-	case !link && m.rate == 1:
+	case m.rate == 1:
 		m.tr.Losses++
 	case m.delay > 0:
 		m.tr.Delayed++
@@ -330,12 +319,6 @@ func (m *probeModel) apply(o op, net *probeNet, everyNode bool) error {
 		m.split = 0
 	case opRate:
 		m.rate = o.rate
-	case opLink:
-		if o.rate < 0 {
-			delete(m.links, [2]peer.ID{o.u, o.v})
-		} else {
-			m.links[[2]peer.ID{o.u, o.v}] = o.rate
-		}
 	case opDelay:
 		m.delay = o.d
 	case opDrain:
@@ -400,7 +383,7 @@ func newRig(c rigConfig) (*rig, error) {
 	g := &rig{rigConfig: c, away: make([]bool, c.N)}
 	if c.probe {
 		g.net = &probeNet{n: c.N, hot: hotIDs(c.N), sent: make([][]probeFlight, c.N), recv: make([]int, c.N), bad: make([]int, c.N)}
-		g.m = &probeModel{away: g.away, links: map[[2]peer.ID]float64{}, recv: make([]int, c.N)}
+		g.m = &probeModel{away: g.away, recv: make([]int, c.N)}
 		c.NewCore = func() (protocol.StepCore, error) { return probeCore{g.net}, nil }
 		c.Conditions = faults.Lossless()
 	}
@@ -468,12 +451,6 @@ func (g *rig) apply(o op) error {
 		if err == nil {
 			err = cond.SetBase(m)
 		}
-	case opLink:
-		var m loss.Model
-		if o.rate >= 0 {
-			m = loss.MustUniform(o.rate)
-		}
-		cond.SetLinkLoss(o.u, o.v, m)
 	case opDelay:
 		err = cond.SetDelay(faults.Delay{Fixed: o.d, Jitter: o.j})
 	case opDrain:
@@ -528,7 +505,7 @@ func (g *rig) check(drained bool) error {
 	// The by-condition fields are subsets: /metrics derives the base model's
 	// drops as what is left of Losses, and a delayed message survived the
 	// fault layer.
-	if tr.LinkLosses+tr.PartitionDrops > tr.Losses || tr.Delayed > tr.Sends-tr.Losses {
+	if tr.PartitionDrops > tr.Losses || tr.Delayed > tr.Sends-tr.Losses {
 		return fmt.Errorf("ledger %+v breaks down by condition to more than it counted", tr)
 	}
 	if drained && (pending != 0 || !tr.Conserved()) {
@@ -681,9 +658,9 @@ func shardedTwins(c runtime.Config, probe bool) []rigConfig {
 }
 
 // exercisesFaults reports whether a ledger took every path of the fault stack:
-// a dead letter, a partition drop, a link loss, a base-model loss and a delay.
+// a dead letter, a partition drop, a base-model loss and a delay.
 func exercisesFaults(tr metrics.Traffic) bool {
-	return tr.DeadLetters > 0 && tr.PartitionDrops > 0 && tr.LinkLosses > 0 && tr.Delayed > 0 && tr.Losses > tr.PartitionDrops+tr.LinkLosses
+	return tr.DeadLetters > 0 && tr.PartitionDrops > 0 && tr.Delayed > 0 && tr.Losses > tr.PartitionDrops
 }
 
 // TestSubstrateProbeModel is the harness in probe mode on all three engines,
@@ -782,8 +759,6 @@ func protocolSchedule(r *rng.RNG, n int, tc equivCase, long int) schedule {
 			away[o.u] = true
 		case opAdd:
 			away[o.u] = false
-		case opLink:
-			tail = append(tail, op{kind: opLink, u: o.u, v: o.v, rate: -1})
 		}
 	}
 	for u, gone := range away[:n] {
@@ -1009,19 +984,16 @@ func TestShardedRepliesUnderDelay(t *testing.T) {
 // its start, so a setter called between two ticks rules the very next one —
 // all of it, on every shard — and not the one after. The probe model applies
 // each setter at once, so it predicts every tick's ledger exactly, at Workers
-// 1 and 4. The link setters cut, and then restore, every link into node 63,
-// which a quarter of all probes go to.
+// 1 and 4. The last partition isolates node 63, which a quarter of all probes
+// go to, for exactly one tick.
 func TestShardedSettersTakeEffectNextTick(t *testing.T) {
 	const n = 64
 	tick := op{kind: opTick}
-	var cut, mend schedule
-	for u := peer.ID(0); u < n; u++ {
-		cut, mend = append(cut, op{kind: opLink, u: u, v: n - 1, rate: 1}), append(mend, op{kind: opLink, u: u, v: n - 1, rate: -1})
-	}
-	s := slices.Concat(schedule{
+	s := schedule{
 		tick, {kind: opRate, rate: 1}, tick, {kind: opRate}, tick, {kind: opDelay, d: 2}, tick, {kind: opDelay}, tick, tick,
 		{kind: opPartition, u: n / 2}, tick, {kind: opHeal}, tick,
-	}, cut, schedule{tick}, mend, schedule{tick, {kind: opRemove, u: n - 1}, tick, {kind: opDrain}})
+		{kind: opPartition, u: n - 1}, tick, {kind: opHeal}, tick, {kind: opRemove, u: n - 1}, tick, {kind: opDrain},
+	}
 	g := mustRun(t, shardedTwins(runtime.Config{N: n, Seed: 5, ShardSize: 16}, true), s)[0]
 	if !exercisesFaults(g.tr) {
 		t.Fatalf("a setter ruled on no message: ledger %+v", g.tr)

@@ -717,7 +717,7 @@ func (e *ShardedCluster) Traffic() metrics.Traffic {
 }
 
 // Conditions returns the fault-injection stack for mid-run reconfiguration
-// (partitions, link overrides).
+// (partitions, delay).
 func (e *ShardedCluster) Conditions() *faults.Conditions { return e.cfg.Conditions }
 
 // CheckInvariants validates the protocol's per-view invariant on every live

@@ -478,8 +478,6 @@ func shardedFaultRun(t *testing.T, factory protocol.CoreFactory, workers int) (u
 	}
 	for round := 0; round < 80; round++ {
 		switch round {
-		case 10:
-			cond.SetLinkLoss(3, 4, loss.MustUniform(1))
 		case 20:
 			sub.RemoveNode(7)
 			sub.RemoveNode(n / 2)
@@ -517,12 +515,13 @@ func TestShardedDelayedRunPin(t *testing.T) {
 		traffic metrics.Traffic
 		faults  faults.Counters
 	}{
-		// Recorded with the verdicts drawn per destination shard.
-		"sf":       {0x88468b4669ea23cf, metrics.Traffic{Sends: 44229, Losses: 4404, Deliveries: 39809, DeadLetters: 16, LinkLosses: 3, PartitionDrops: 2408, Delayed: 26696}, faults.Counters{Partitions: 1, Heals: 1}},
-		"sfopt":    {0xa82b2847ab1e1073, metrics.Traffic{Sends: 44125, Losses: 4360, Deliveries: 39753, DeadLetters: 12, LinkLosses: 1, PartitionDrops: 2392, Delayed: 26648}, faults.Counters{Partitions: 1, Heals: 1}},
+		// Re-recorded when the run lost its link override at round 10;
+		// shuffle, which sent nothing over that link, did not move.
+		"sf":       {0xdc62390e8ed926b0, metrics.Traffic{Sends: 43992, Losses: 4416, Deliveries: 39558, DeadLetters: 18, PartitionDrops: 2420, Delayed: 26528}, faults.Counters{Partitions: 1, Heals: 1}},
+		"sfopt":    {0x806391457a67d5b0, metrics.Traffic{Sends: 44013, Losses: 4358, Deliveries: 39643, DeadLetters: 12, PartitionDrops: 2392, Delayed: 26581}, faults.Counters{Partitions: 1, Heals: 1}},
 		"shuffle":  {0x7e051fb4d7761a3, metrics.Traffic{Sends: 39158, Losses: 3251, Deliveries: 35898, DeadLetters: 9, PartitionDrops: 1415, Delayed: 24042}, faults.Counters{Partitions: 1, Heals: 1}},
-		"flipper":  {0xe0d691f51c312b30, metrics.Traffic{Sends: 47582, Losses: 4035, Deliveries: 43531, DeadLetters: 16, LinkLosses: 1, PartitionDrops: 1890, Delayed: 29209}, faults.Counters{Partitions: 1, Heals: 1}},
-		"pushpull": {0xe3d7de384eeeff02, metrics.Traffic{Sends: 147878, Losses: 16266, Deliveries: 131590, DeadLetters: 22, LinkLosses: 5, PartitionDrops: 9088, Delayed: 87997}, faults.Counters{Partitions: 1, Heals: 1}},
+		"flipper":  {0xb7ad41c5a9310824, metrics.Traffic{Sends: 47348, Losses: 3997, Deliveries: 43343, DeadLetters: 8, PartitionDrops: 1854, Delayed: 29082}, faults.Counters{Partitions: 1, Heals: 1}},
+		"pushpull": {0x6b7dd5aab9fba002, metrics.Traffic{Sends: 147850, Losses: 16234, Deliveries: 131602, DeadLetters: 14, PartitionDrops: 9051, Delayed: 88004}, faults.Counters{Partitions: 1, Heals: 1}},
 	}
 	for _, p := range allProtocols() {
 		pin := pins[p.name]
@@ -534,7 +533,7 @@ func TestShardedDelayedRunPin(t *testing.T) {
 			if !traffic.Conserved() {
 				t.Errorf("%s workers=%d: ledger %+v not conserved after the drain", p.name, workers, traffic)
 			}
-			if traffic.PartitionDrops == 0 || traffic.DeadLetters == 0 || traffic.Delayed == 0 || traffic.Losses == traffic.LinkLosses+traffic.PartitionDrops {
+			if traffic.PartitionDrops == 0 || traffic.DeadLetters == 0 || traffic.Delayed == 0 || traffic.Losses == traffic.PartitionDrops {
 				t.Errorf("%s workers=%d: a fault path did not run: %+v", p.name, workers, traffic)
 			}
 		}

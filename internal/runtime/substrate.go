@@ -48,7 +48,7 @@ type Substrate interface {
 	// endpoint exports next to Traffic.
 	Counters() NodeCounters
 	// Conditions returns the fault-injection stack for mid-run
-	// reconfiguration (partitions, link overrides).
+	// reconfiguration (partitions, delay).
 	Conditions() *faults.Conditions
 	// CheckInvariants validates the protocol's per-view invariant on every
 	// live node.
@@ -226,8 +226,8 @@ type Config struct {
 	// set.
 	Loss float64
 	// Conditions, when non-nil, is the fault-injection stack consulted per
-	// message instead of plain uniform loss: burst models, per-link
-	// overrides, partitions, and delivery delay. The instance must be
+	// message instead of plain uniform loss: burst and per-destination
+	// loss models, partitions, and delivery delay. The instance must be
 	// dedicated to this substrate (stateful models would otherwise
 	// interleave streams across runs).
 	Conditions *faults.Conditions

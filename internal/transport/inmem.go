@@ -86,7 +86,7 @@ func NewNetworkWithConditions(cond *faults.Conditions, r *rng.RNG) (*Network, er
 }
 
 // Conditions returns the network's fault-injection stack, for dynamic
-// reconfiguration (partition, heal, link overrides) mid-run.
+// reconfiguration (partition, heal, delay) mid-run.
 func (nw *Network) Conditions() *faults.Conditions { return nw.cond }
 
 // Register attaches a node's receive handler. Re-registering replaces the

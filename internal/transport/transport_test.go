@@ -829,36 +829,6 @@ func TestNetworkSentAccountingUnified(t *testing.T) {
 	}
 }
 
-func TestNetworkLinkOverride(t *testing.T) {
-	lm, err := loss.NewUniform(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := NewNetwork(lm, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Register(1, func(protocol.Message) {})
-	nw.Register(2, func(protocol.Message) {})
-	always, err := loss.NewUniform(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Conditions().SetLinkLoss(0, 1, always)
-	msg := protocol.Message{Kind: protocol.KindGossip, From: 0, IDs: []peer.ID{0}}
-	for i := 0; i < 10; i++ {
-		nw.Send(1, msg)
-		nw.Send(2, msg)
-	}
-	c := nw.Traffic()
-	if c.LinkLosses != 10 || c.Losses != 10 {
-		t.Errorf("link 0->1 should drop all 10: %+v", c)
-	}
-	if c.Deliveries != 10 {
-		t.Errorf("link 0->2 should deliver all 10: %+v", c)
-	}
-}
-
 func TestNetworkDelayAndReorder(t *testing.T) {
 	// Jittered delay reorders messages; Advance drains in (due, enqueue)
 	// order and the counter identity holds once the queue is empty.
