@@ -8,11 +8,11 @@
 // hand-kept copies; this package deletes the copies).
 //
 // The discipline, per message: Sends is incremented first, then the fault
-// stack rules — drop (model, per-link, or partition), park in the delay
-// calendar, or pass — and a passing message faces the liveness check (a
-// departed destination is a dead letter, per the paper: "every message sent
-// to this node causes its id to be deleted from the sender's view") before
-// counting as a delivery. Parked messages re-enter at drain time, where
+// stack rules — drop (model or partition), park in the delay calendar, or
+// pass — and a passing message faces the liveness check (a departed
+// destination is a dead letter, per the paper: "every message sent to this
+// node causes its id to be deleted from the sender's view") before counting
+// as a delivery. Parked messages re-enter at drain time, where
 // liveness is resolved again (a destination that left while the message was
 // in flight dead-letters) but the fault stack is not re-consulted.
 //

@@ -8,9 +8,10 @@
 // generalizes that single knob into the failure modes real deployments see
 // and related systems are evaluated against (Cyclon under burst loss,
 // HyParView under partitions): a stateful base loss model (e.g.
-// Gilbert-Elliott bursts), dynamic partitions with healing, and fixed/jittered delivery delay that reorders
-// messages. Each verdict names the condition that dropped or delayed the
-// message; the substrate's router counts it once, in metrics.Traffic.
+// Gilbert-Elliott bursts), dynamic partitions with healing, and
+// fixed/jittered delivery delay that reorders messages. Each verdict names
+// the condition that dropped or delayed the message; the substrate's router
+// counts it once, in metrics.Traffic.
 package faults
 
 import (
@@ -76,9 +77,10 @@ type Counters struct {
 // partition and heal it.
 //
 // Decision order is fixed and substrate-independent: partition check
-// (structural, no RNG draw), then the base model, then delay assignment (one extra draw only when Jitter > 0). The order is written
-// once, in rules.decide; Decide, Session.Decide and Decider.Decide are three
-// ways of reaching it.
+// (structural, no RNG draw), then the base model, then delay assignment (one
+// extra draw only when Jitter > 0). The order is written once, in
+// rules.decide; Decide, Session.Decide and Decider.Decide are three ways of
+// reaching it.
 type Conditions struct {
 	mu     sync.Mutex
 	rules             // the live configuration, written by the setters
@@ -91,9 +93,8 @@ type Conditions struct {
 // rules is the configuration a decision reads, the base model aside (a
 // decision is handed the instance it advances). Nothing reachable from it is
 // written in place once installed — Partition installs a fresh table — so
-// a copy of the struct taken under mu is a
-// snapshot that stays valid, and readable without the lock, while the stack
-// is reconfigured.
+// a copy of the struct taken under mu is a snapshot that stays valid, and
+// readable without the lock, while the stack is reconfigured.
 type rules struct {
 	group []int32 // nil when healed; group[id] is id's group, -1 when listed in none
 	delay Delay
@@ -125,11 +126,11 @@ func FromRate(rate float64) (*Conditions, error) {
 }
 
 // SetBase swaps the base loss model live — the management API's loss-reload
-// path. Partitions, delay, and all counters are untouched; only the base model changes, taking effect on the next
-// decision (for attached deciders, on the next Sync, each with a fresh fork
-// of a stateful model). Swapping a stateful model resets its state by
-// construction (the caller built a fresh model), which is the intended
-// semantics of a reload.
+// path. Partitions, delay, and all counters are untouched; only the base
+// model changes, taking effect on the next decision (for attached deciders,
+// on the next Sync, each with a fresh fork of a stateful model). Swapping a
+// stateful model resets its state by construction (the caller built a fresh
+// model), which is the intended semantics of a reload.
 func (c *Conditions) SetBase(m loss.Model) error {
 	if m == nil {
 		return fmt.Errorf("faults: nil base loss model")
@@ -163,8 +164,8 @@ func (c *Conditions) SetRate(rate float64) error {
 }
 
 // Rate returns the base model's long-run loss rate (partitions add to the
-// realized rate; experiments read the realized rate
-// from the traffic counters instead).
+// realized rate; experiments read the realized rate from the traffic
+// counters instead).
 func (c *Conditions) Rate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -305,7 +306,8 @@ func (s *Session) Close() { s.c.mu.Unlock() }
 // Gilbert-Elliott burst is a burst over the messages this decider sees.
 // Between two Syncs a decider belongs to one goroutine at a time; everything
 // it writes per message lives in the value itself or in its own fork, so
-// deciders embedded in their owners' records share no cache line. The zero value is ready for Attach.
+// deciders embedded in their owners' records share no cache line. The zero
+// value is ready for Attach.
 type Decider struct {
 	ru   *rules
 	r    rng.RNG

@@ -65,7 +65,7 @@ var opNames = [...]string{"opTick", "opAdd", "opRemove", "opPartition", "opHeal"
 
 type op struct {
 	kind  opKind
-	u, v  peer.ID
+	u     peer.ID
 	rate  float64
 	d, j  int
 	burst bool
@@ -73,7 +73,7 @@ type op struct {
 
 // GoString prints the op as a literal of this file.
 func (o op) GoString() string {
-	return fmt.Sprintf("{kind: %s, u: %d, v: %d, rate: %g, d: %d, j: %d, burst: %t}", opNames[o.kind], o.u, o.v, o.rate, o.d, o.j, o.burst)
+	return fmt.Sprintf("{kind: %s, u: %d, rate: %g, d: %d, j: %d, burst: %t}", opNames[o.kind], o.u, o.rate, o.d, o.j, o.burst)
 }
 
 type schedule []op
@@ -93,11 +93,12 @@ func hotIDs(n int) []peer.ID {
 }
 
 // genSchedule draws ops operations over an n-node universe from r, one of them
-// a delay of long rounds with a tick under it, and ends with a drain. Churn goes to the hot ids about
-// half the time and, one time in sixteen, to id n, which AddNode must refuse
-// and RemoveNode ignore. Without lossy every loss rate is 0 or 1 and every
-// delay fixed, which the probe model follows exactly; lossy draws fractional
-// rates, burst models and jittered delays instead.
+// a delay of long rounds with a tick under it, and ends with a drain. Churn
+// goes to the hot ids about half the time and, one time in sixteen, to id n,
+// which AddNode must refuse and RemoveNode ignore. Without lossy every loss
+// rate is 0 or 1 and every delay fixed, which the probe model follows
+// exactly; lossy draws fractional rates, burst models and jittered delays
+// instead.
 func genSchedule(r *rng.RNG, n, ops int, lossy bool, long int) schedule {
 	hot := hotIDs(n)
 	pick := func() peer.ID {

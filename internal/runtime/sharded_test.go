@@ -445,10 +445,10 @@ func viewDigest(sub runtime.Substrate) uint64 {
 // shardedFaultRun drives a seeded 80-round run through every fault path the
 // sharded engine has — Gilbert-Elliott bursts at a 5% long-run rate, a
 // jittered 0..2-round delay, a partition of the even from the odd ids over
-// rounds 25..34, a lossy link, two nodes leaving in round 20 and one of them
-// rejoining in round 50 — drains the delay calendars, and condenses the
-// outcome to a digest of every view slot, the traffic ledger and the fault
-// stack's topology counters.
+// rounds 25..34, two nodes leaving in round 20 and one of them rejoining in
+// round 50 — drains the delay calendars, and condenses the outcome to a
+// digest of every view slot, the traffic ledger and the fault stack's
+// topology counters.
 func shardedFaultRun(t *testing.T, factory protocol.CoreFactory, workers int) (uint64, metrics.Traffic, faults.Counters) {
 	t.Helper()
 	const n = 2000
