@@ -47,12 +47,9 @@ func newLocalDaemon(c config, log *slog.Logger) (*daemon, error) {
 		backend: backend,
 		tick:    backend.Tick,
 		overlay: func() []any {
-			g := backend.Snapshot()
-			edges := 0.0
-			if g.N() > 0 {
-				edges = float64(g.NumEdges()) / float64(g.N())
-			}
-			return []any{"components", g.ComponentCount(), "edges_per_node", fmt.Sprintf("%.2f", edges)}
+			q := backend.Snapshot()
+			edges := float64(q.Edges) / max(float64(q.Vertices), 1)
+			return []any{"components", q.Components, "edges_per_node", fmt.Sprintf("%.2f", edges)}
 		},
 		close: sub.Close,
 	}, nil

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"os"
 
-	"sendforget/internal/metrics"
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/flipper"
@@ -94,21 +94,19 @@ func run(args []string) int {
 }
 
 func printSummary(e runtime.Substrate, sf, deps bool) {
-	g := e.Snapshot()
-	deg := metrics.Degrees(g, nil)
+	q := graph.NewPass(e.N()).Universe(e.EachNode)
 	c := e.Traffic()
 	var name string // every node runs the same protocol
 	e.EachNode(func(_ peer.ID, _ *view.View, core protocol.StepCore) { name = core.Name() })
 	fmt.Printf("protocol        %s\n", name)
 	fmt.Printf("steps           %d (sends %d, losses %d, deliveries %d)\n", e.Counters().Ticks, c.Sends, c.Losses, c.Deliveries)
 	fmt.Printf("empirical loss  %.4f\n", c.LossRate())
-	fmt.Printf("edges           %d (%.2f per node)\n", g.NumEdges(), float64(g.NumEdges())/float64(g.N()))
-	fmt.Printf("outdegree       %.2f (var %.2f)\n", deg.MeanOut, deg.VarOut)
-	fmt.Printf("indegree        %.2f (var %.2f, min %d, max %d)\n", deg.MeanIn, deg.VarIn, deg.MinIn, deg.MaxIn)
-	fmt.Printf("components      %d (weakly connected: %v)\n", g.ComponentCount(), g.WeaklyConnected())
-	sd := metrics.MeasureSpatialDependence(g)
+	fmt.Printf("edges           %d (%.2f per node)\n", q.Edges, float64(q.Edges)/float64(q.Vertices))
+	fmt.Printf("outdegree       %.2f (var %.2f)\n", q.MeanOut, q.VarOut)
+	fmt.Printf("indegree        %.2f (var %.2f, min %d, max %d)\n", q.MeanIn, q.VarIn, q.MinIn, q.MaxIn)
+	fmt.Printf("components      %d (weakly connected: %v)\n", q.Components, q.Connected())
 	fmt.Printf("self-edges      %d, same-view duplicates %d (visible dependent fraction %.4f)\n",
-		sd.SelfEdges, sd.Duplicates, sd.DependentFraction())
+		q.SelfEdges, q.Duplicates, q.DependentFraction())
 	if !sf {
 		return
 	}

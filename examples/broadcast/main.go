@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/pushpull"
@@ -51,7 +52,7 @@ func main() {
 			log.Fatal(err)
 		}
 		runtime.Run(eng, warm)
-		edges := float64(eng.Snapshot().NumEdges()) / n
+		edges := float64(graph.NewPass(n).Universe(eng.EachNode).Edges) / n
 		cov := spread(eng.Views(), rng.New(23))
 		fmt.Printf("%-12s  %10.2f   %5.3f / %5.3f / %5.3f / %5.3f\n",
 			o.name, edges, cov[5], cov[10], cov[20], cov[40])

@@ -13,7 +13,7 @@ import (
 
 	"sendforget/internal/analysis"
 	"sendforget/internal/churn"
-	"sendforget/internal/metrics"
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	runtime.Run(eng, 80) // steady state
-	din := metrics.Degrees(eng.Snapshot(), nil).MeanIn
+	din := graph.NewPass(n).Universe(eng.EachNode).MeanIn
 	fmt.Printf("steady state reached: mean indegree %.1f at loss %.0f%%\n\n", din, lossRate*100)
 
 	// --- Leave ---------------------------------------------------------

@@ -56,8 +56,8 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 	if rounds < 0 || sampleEvery <= 0 {
 		return nil, fmt.Errorf("churn: invalid rounds=%d sampleEvery=%d", rounds, sampleEvery)
 	}
-	first := sub.Snapshot()
-	n := first.N()
+	n := sub.N()
+	pass := graph.NewPass(n)
 	live := make(map[peer.ID]bool, n)
 	var liveList []peer.ID
 	sub.EachNode(func(u peer.ID, _ *view.View, _ protocol.StepCore) {
@@ -72,26 +72,7 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 		}
 		peer.Sort(liveList)
 	}
-	sample := func(round int, g *graph.Graph) {
-		deg := 0
-		for _, u := range liveList {
-			deg += g.Outdegree(u)
-		}
-		meanOut := 0.0
-		staleFrac := 0.0
-		if len(liveList) > 0 && deg > 0 {
-			meanOut = float64(deg) / float64(len(liveList))
-			staleFrac = float64(g.StaleEdges(liveList)) / float64(deg)
-		}
-		stats.Samples = append(stats.Samples, WorkloadSample{
-			Round:          round,
-			Live:           len(liveList),
-			LiveComponents: g.InducedComponents(liveList),
-			MeanOutLive:    meanOut,
-			StaleFraction:  staleFrac,
-		})
-	}
-	sample(0, first)
+	stats.Samples = append(stats.Samples, sample(sub, pass, 0))
 	for round := 1; round <= rounds; round++ {
 		if r.Bernoulli(cfg.LeaveProb) && len(liveList) > cfg.MinLive {
 			victim := liveList[r.Intn(len(liveList))]
@@ -111,10 +92,24 @@ func RunWorkload(sub runtime.Substrate, cfg WorkloadConfig, rounds, sampleEvery 
 		}
 		sub.TickRound()
 		if round%sampleEvery == 0 {
-			sample(round, sub.Snapshot())
+			stats.Samples = append(stats.Samples, sample(sub, pass, round))
 		}
 	}
 	return stats, nil
+}
+
+// sample reads checkpoint round off the live nodes' views in place, through
+// the one Pass a run keeps: live nodes are the vertices, and an entry naming
+// a departed id is stale.
+func sample(sub runtime.Substrate, pass *graph.Pass, round int) WorkloadSample {
+	q := pass.Live(sub.EachNode)
+	return WorkloadSample{
+		Round:          round,
+		Live:           q.Vertices,
+		LiveComponents: q.Components,
+		MeanOutLive:    float64(q.Edges) / max(float64(q.Vertices), 1),
+		StaleFraction:  float64(q.Stale) / max(float64(q.Edges), 1),
+	}
 }
 
 // joinOne revives a departed id, seeding it from a live node's view (stale

@@ -5,6 +5,7 @@ import (
 	goruntime "runtime"
 	"testing"
 
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
@@ -152,5 +153,37 @@ func TestJoinOneBytesIndependentOfN(t *testing.T) {
 	t.Logf("joinOne allocates %d B at n = 1,000 and %d B at n = 8,000", small, large)
 	if large > small {
 		t.Errorf("joinOne allocates %d B at n = 8,000 against %d B at n = 1,000: it reads more than the donor's view", large, small)
+	}
+}
+
+// TestSampleBytesIndependentOfN holds a checkpoint after the first to the
+// same bytes at n = 1,000 and 8,000: it reads the views in place through the
+// run's one graph.Pass, where it once copied every view into a graph. Node 0
+// has left, so the reading meets a stale id. Each size keeps the least of
+// five samples, so an allocation of the runtime's own between the two reads
+// does not count.
+func TestSampleBytesIndependentOfN(t *testing.T) {
+	sampleBytes := func(n int) uint64 {
+		e := steadyEngine(t, n, 0, 26)
+		defer e.Close()
+		e.RemoveNode(0)
+		pass := graph.NewPass(n)
+		if s := sample(e, pass, 0); s.Live != n-1 || s.StaleFraction == 0 {
+			t.Fatalf("n=%d: first sample %+v, want %d live nodes and stale entries", n, s, n-1)
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			sample(e, pass, 1)
+			goruntime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := sampleBytes(1000), sampleBytes(8000)
+	t.Logf("a sample allocates %d B at n = 1,000 and %d B at n = 8,000", small, large)
+	if large > small {
+		t.Errorf("a sample allocates %d B at n = 8,000 against %d B at n = 1,000: it reads more than the pass", large, small)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"sendforget/internal/faults"
+	"sendforget/internal/graph"
 	"sendforget/internal/loss"
-	"sendforget/internal/metrics"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
@@ -69,8 +69,7 @@ func AblationOpt(p AblationOptParams, kind runtime.EngineKind) (*Report, error) 
 		if err := sub.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		g := sub.Snapshot()
-		deg := metrics.Degrees(g, nil)
+		q := graph.NewPass(p.N).Universe(sub.EachNode)
 		c := sub.Counters()
 		var vc sfopt.Counters
 		sub.EachNode(func(_ peer.ID, _ *view.View, core protocol.StepCore) {
@@ -85,8 +84,8 @@ func AblationOpt(p AblationOptParams, kind runtime.EngineKind) (*Report, error) 
 			perSend = float64(k*c.Receives-c.DeletedIDs) / float64(c.Sends)
 		}
 		return []string{v.name,
-			f2(float64(g.NumEdges()) / float64(p.N)),
-			f2(deg.MeanOut), f2(deg.VarIn), d(g.ComponentCount()),
+			f2(float64(q.Edges) / float64(p.N)),
+			f2(q.MeanOut), f2(q.VarIn), d(q.Components),
 			f2(perSend),
 			d(c.Duplications - vc.Undeletions), d(vc.Undeletions), d(c.DeletedIDs), d(vc.Replaced),
 		}, nil
@@ -148,10 +147,10 @@ func AblationNonuniform(p AblationNonuniformParams, kind runtime.EngineKind) (*R
 	if err != nil {
 		return nil, err
 	}
-	g := sub.Snapshot()
+	pass := graph.NewPass(p.N)
+	q := pass.Universe(sub.EachNode)
 	sub.Close()
-	lossyDeg := metrics.Degrees(g, lossyGroup)
-	cleanDeg := metrics.Degrees(g, cleanGroup)
+	lossyDeg, cleanDeg := pass.Group(lossyGroup), pass.Group(cleanGroup)
 
 	r := &Report{
 		ID:    "abl4",
@@ -167,13 +166,13 @@ func AblationNonuniform(p AblationNonuniformParams, kind runtime.EngineKind) (*R
 	// Representation skew: total instances of lossy-group ids vs clean.
 	lossyIDs, cleanIDs := 0, 0
 	for _, u := range lossyGroup {
-		lossyIDs += g.IDInstances(u)
+		lossyIDs += pass.Indegree(u)
 	}
 	for _, u := range cleanGroup {
-		cleanIDs += g.IDInstances(u)
+		cleanIDs += pass.Indegree(u)
 	}
 	t2 := Table{Columns: []string{"quantity", "value"}}
-	t2.AddRow("components", d(g.ComponentCount()))
+	t2.AddRow("components", d(q.Components))
 	t2.AddRow("lossy-group id instances / node", f2(float64(lossyIDs)/float64(len(lossyGroup))))
 	t2.AddRow("clean-group id instances / node", f2(float64(cleanIDs)/float64(len(cleanGroup))))
 	skew := 0.0

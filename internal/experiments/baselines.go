@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"sendforget/internal/faults"
+	"sendforget/internal/graph"
 	"sendforget/internal/loss"
-	"sendforget/internal/metrics"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/flipper"
 	"sendforget/internal/protocol/pushpull"
@@ -64,6 +64,7 @@ func Baselines(p BaselinesParams, kind runtime.EngineKind) (*Report, error) {
 
 	checkpoints := p.Rounds/p.Checkpoint + 1
 	series := make([][]float64, len(names))
+	pass := graph.NewPass(p.N)
 	for i, name := range names {
 		sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: cores[i], InitDegree: initDeg, Loss: p.Loss, Seed: rng.DeriveSeed(p.Seed, int64(i))}, 0)
 		if err != nil {
@@ -74,18 +75,15 @@ func Baselines(p BaselinesParams, kind runtime.EngineKind) (*Report, error) {
 			if c > 0 {
 				runtime.Run(sub, p.Checkpoint)
 			}
-			g := sub.Snapshot()
-			series[i] = append(series[i], float64(g.NumEdges())/float64(p.N))
+			series[i] = append(series[i], float64(pass.Universe(sub.EachNode).Edges)/float64(p.N))
 		}
-		g := sub.Snapshot()
+		q := pass.Universe(sub.EachNode)
 		sub.Close()
-		sd := metrics.MeasureSpatialDependence(g)
-		deg := metrics.Degrees(g, nil)
 		finals.AddRow(name,
-			f2(float64(g.NumEdges())/float64(p.N)),
-			d(g.ComponentCount()),
-			f4(sd.DependentFraction()),
-			f2(deg.VarIn),
+			f2(float64(q.Edges)/float64(p.N)),
+			d(q.Components),
+			f4(q.DependentFraction()),
+			f2(q.VarIn),
 		)
 	}
 	for c := 0; c < checkpoints; c++ {
@@ -169,16 +167,15 @@ func AblationBurst(p AblationBurstParams, kind runtime.EngineKind) (*Report, err
 			return nil, err
 		}
 		defer sub.Close()
-		g := sub.Snapshot()
-		deg := metrics.Degrees(g, nil)
+		q := graph.NewPass(p.N).Universe(sub.EachNode)
 		var st sendforget.DependenceStats
 		sub.EachNode(st.Add)
 		return []string{v.name,
 			f4(sub.Traffic().LossRate()),
-			f2(float64(g.NumEdges()) / float64(p.N)),
-			f2(deg.MeanOut),
-			f2(deg.VarIn),
-			d(g.ComponentCount()),
+			f2(float64(q.Edges) / float64(p.N)),
+			f2(q.MeanOut),
+			f2(q.VarIn),
+			d(q.Components),
 			f4(st.Alpha()),
 		}, nil
 	})
@@ -242,8 +239,7 @@ func AblationDL(p AblationDLParams, kind runtime.EngineKind) (*Report, error) {
 			return nil, err
 		}
 		defer sub.Close()
-		g := sub.Snapshot()
-		deg := metrics.Degrees(g, nil)
+		q := graph.NewPass(p.N).Universe(sub.EachNode)
 		c := sub.Counters()
 		dup := 0.0
 		if c.Sends > 0 {
@@ -252,10 +248,10 @@ func AblationDL(p AblationDLParams, kind runtime.EngineKind) (*Report, error) {
 		var st sendforget.DependenceStats
 		sub.EachNode(st.Add)
 		return []string{d(dl),
-			f2(float64(g.NumEdges()) / float64(p.N)),
-			f2(deg.MeanOut), f2(deg.MeanIn),
+			f2(float64(q.Edges) / float64(p.N)),
+			f2(q.MeanOut), f2(q.MeanIn),
 			f4(st.Alpha()),
-			d(g.ComponentCount()),
+			d(q.Components),
 			f4(dup),
 		}, nil
 	})

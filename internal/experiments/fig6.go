@@ -6,8 +6,8 @@ import (
 
 	"sendforget/internal/analysis"
 	"sendforget/internal/degreemc"
+	"sendforget/internal/graph"
 	"sendforget/internal/markov"
-	"sendforget/internal/metrics"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
 	"sendforget/internal/stats"
@@ -121,7 +121,7 @@ func Fig61(p Fig61Params, kind runtime.EngineKind) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		deg := metrics.Degrees(sub.Snapshot(), nil)
+		deg := graph.NewPass(p.SimN).Universe(sub.EachNode)
 		sub.Close()
 		sumT.AddRow("out simulation", f2(deg.MeanOut), f2(mathSqrt(deg.VarOut)))
 		sumT.AddRow("in simulation", f2(deg.MeanIn), f2(mathSqrt(deg.VarIn)))
@@ -323,7 +323,7 @@ func Fig63(p Fig63Params, kind runtime.EngineKind) (*Report, error) {
 				return lossPoint{}, err
 			}
 			defer sub.Close()
-			deg := metrics.Degrees(sub.Snapshot(), nil)
+			deg := graph.NewPass(p.SimN).Universe(sub.EachNode)
 			pt.simIn = pm(deg.MeanIn, mathSqrt(deg.VarIn))
 			pt.simOut = pm(deg.MeanOut, mathSqrt(deg.VarOut))
 		}

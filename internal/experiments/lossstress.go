@@ -183,15 +183,11 @@ func runLossScenario(p LossStressParams, sc lossScenario, kind runtime.EngineKin
 	defer cl.Close()
 	leaver := peer.ID(p.N - 1)
 	var halves [2][]peer.ID
-	live := make([]peer.ID, 0, p.N-1)
 	for u := 0; u < p.N; u++ {
 		halves[u%2] = append(halves[u%2], peer.ID(u))
-		if peer.ID(u) != leaver {
-			live = append(live, peer.ID(u))
-		}
 	}
 	pt := lossStressPoint{name: sc.name}
-	var mid *graph.Graph
+	pass := graph.NewPass(p.N)
 	for round := 0; round < p.Rounds; round++ {
 		if round == p.LeaveAt {
 			cl.RemoveNode(leaver)
@@ -200,8 +196,9 @@ func runLossScenario(p LossStressParams, sc lossScenario, kind runtime.EngineKin
 			cl.Conditions().Partition(halves[0], halves[1])
 		}
 		if round == p.HealAt {
-			// Snapshot before healing: this is the overlay under the fault.
-			mid = cl.Snapshot()
+			// Read before healing: this is the overlay under the fault.
+			pt.compMid = pass.Live(cl.EachNode).Components
+			pt.leaverMid = pass.Indegree(leaver)
 			if sc.partition {
 				cl.Conditions().Heal()
 			}
@@ -212,7 +209,7 @@ func runLossScenario(p LossStressParams, sc lossScenario, kind runtime.EngineKin
 	if err := cl.CheckInvariants(); err != nil {
 		return lossStressPoint{}, fmt.Errorf("%s: %w", sc.name, err)
 	}
-	end := cl.Snapshot()
+	end := pass.Live(cl.EachNode)
 	tr := cl.Traffic()
 	if tr.Sends != tr.Losses+tr.Deliveries+tr.DeadLetters {
 		return lossStressPoint{}, fmt.Errorf("%s: traffic identity violated: %+v", sc.name, tr)
@@ -225,15 +222,10 @@ func runLossScenario(p LossStressParams, sc lossScenario, kind runtime.EngineKin
 	if tr.Sends > 0 {
 		pt.lossRate = float64(tr.Losses) / float64(tr.Sends)
 	}
-	pt.compMid = mid.InducedComponents(live)
-	pt.compEnd = end.InducedComponents(live)
-	pt.leaverMid = mid.IDInstances(leaver)
-	pt.leaverEnd = end.IDInstances(leaver)
-	for _, u := range live {
-		pt.meanOut += float64(end.Outdegree(u))
-		pt.meanIn += float64(end.Indegree(u))
-	}
-	pt.meanOut /= float64(len(live))
-	pt.meanIn /= float64(len(live))
+	pt.compEnd = end.Components
+	pt.leaverEnd = pass.Indegree(leaver)
+	// The live nodes' entries name live nodes, apart from the stale ones.
+	pt.meanOut = float64(end.Edges) / float64(end.Vertices)
+	pt.meanIn = float64(end.Edges-end.Stale) / float64(end.Vertices)
 	return pt, nil
 }

@@ -6,7 +6,7 @@ import (
 	"sendforget/internal/analysis"
 	"sendforget/internal/churn"
 	"sendforget/internal/degreemc"
-	"sendforget/internal/metrics"
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
@@ -167,7 +167,7 @@ func Cor614(p Cor614Params, kind runtime.EngineKind) (*Report, error) {
 		u := peer.ID(j)
 		sub.RemoveNode(u)
 		runtime.Run(sub, 200) // flush the id completely
-		din := metrics.Degrees(sub.Snapshot(), nil).MeanIn * float64(p.N) / float64(p.N-1)
+		din := graph.NewPass(p.N).Universe(sub.EachNode).MeanIn * float64(p.N) / float64(p.N-1)
 		// Seeds: copy a live node's view prefix, per Section 5's join rule.
 		var seeds []peer.ID
 		sub.EachNode(func(w peer.ID, lv *view.View, _ protocol.StepCore) {

@@ -21,9 +21,7 @@ package globalmc
 import (
 	"fmt"
 
-	"sendforget/internal/graph"
 	"sendforget/internal/markov"
-	"sendforget/internal/peer"
 )
 
 // Params parameterizes the global chain. Unlike the protocol Config, S and
@@ -127,20 +125,6 @@ func (st State) SumDegrees() []int {
 		}
 	}
 	return out
-}
-
-// Graph converts the state to a membership multigraph.
-func (st State) Graph() *graph.Graph {
-	n := len(st.Mult)
-	var edges [][2]peer.ID
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			for k := 0; k < int(st.Mult[u][v]); k++ {
-				edges = append(edges, [2]peer.ID{peer.ID(u), peer.ID(v)})
-			}
-		}
-	}
-	return graph.FromEdges(n, edges)
 }
 
 // weaklyConnected reports whether the membership graph is weakly connected;

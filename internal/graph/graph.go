@@ -2,13 +2,12 @@
 // multigraph G = (V, E) whose vertices are nodes and whose edge multiset
 // contains (u, v) with the multiplicity of v in u.lv.
 //
-// The package provides the structural queries the analysis needs — in- and
-// outdegrees, sum degrees, weak connectivity, self-edge and parallel-edge
-// counts, and stale edges — over a snapshot of protocol views (as
-// views, or as the flat slot array the sharded engine keeps them in) or a
-// standalone edge multiset built by tests. A Counter reads the size and weak
-// connectivity of the graph over the live nodes off their views in place,
-// with no snapshot taken.
+// A Pass reads what the paper's properties are measured on — size, degree
+// balance, visible dependence, stale entries and weak connectivity — off the
+// live nodes' views in place. A Graph is a snapshot with adjacency: the
+// out-lists of a copy of the views (or of the flat slot array the sharded
+// engine keeps them in) or of a standalone edge multiset built by tests, and
+// the structural queries tests hold a Pass to.
 package graph
 
 import (
@@ -18,6 +17,8 @@ import (
 	"slices"
 
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
+	"sendforget/internal/stats"
 	"sendforget/internal/view"
 )
 
@@ -188,11 +189,6 @@ func (g *Graph) DuplicateEntries() int {
 	return c
 }
 
-// WeaklyConnected reports whether the graph, viewed as undirected, has a
-// single connected component spanning all n vertices. Isolated vertices make
-// the graph disconnected (for n > 1).
-func (g *Graph) WeaklyConnected() bool { return g.ComponentCount() <= 1 }
-
 // ComponentCount returns the number of weakly connected components,
 // computed with a union-find over the undirected support of the edge set.
 func (g *Graph) ComponentCount() int {
@@ -240,70 +236,163 @@ func (g *Graph) StaleEdges(members []peer.ID) int {
 	return stale
 }
 
-// Multiplicity returns the multiplicity of edge (u, v).
-func (g *Graph) Multiplicity(u, v peer.ID) int {
-	m := 0
-	for _, w := range g.out(int(u)) {
-		if w == v {
-			m++
+// Pass reads the quality of a membership graph off the live nodes' views in
+// place, with no Graph built: one walk names the live nodes, a second adds
+// their views. Universe reads every id 0..n-1 as a vertex (a departed node
+// has outdegree 0, as in a Graph snapshot), Live only the live nodes; the two
+// agree whenever every node is live. Under both an entry naming a departed id
+// is an edge counted toward that id's indegree, and under Live it joins no
+// component. Degrees are summed over the vertices in ascending id order. A
+// Pass holds 16 bytes an id and allocates nothing per node for a reading, so
+// a caller that reads repeatedly keeps one.
+type Pass struct {
+	uf   unionFind
+	out  []int32 // out[u] = outdegree of live node u; -1 for any other id
+	in   []int32 // in[w] = entries naming w
+	seen []int32 // seen[w] = u+1 once w is met in live node u's view
+}
+
+// Nodes is what a Pass reads: a substrate's EachNode, which calls fn for
+// every live node in ascending id order with its view.
+type Nodes func(fn func(u peer.ID, lv *view.View, core protocol.StepCore))
+
+// NewPass returns a Pass over the ids 0..n-1.
+func NewPass(n int) *Pass {
+	return &Pass{uf: unionFind{p: make([]int32, n)}, out: make([]int32, n), in: make([]int32, n), seen: make([]int32, n)}
+}
+
+// Universe reads the graph with every id of the universe as a vertex.
+func (p *Pass) Universe(nodes Nodes) Quality { return p.read(nodes, true) }
+
+// Live reads the graph with the live nodes as its vertices.
+func (p *Pass) Live(nodes Nodes) Quality { return p.read(nodes, false) }
+
+func (p *Pass) read(nodes Nodes, universe bool) Quality {
+	for i := range p.out {
+		p.uf.p[i], p.out[i], p.in[i], p.seen[i] = absent, -1, 0, 0
+	}
+	p.uf.comps = 0
+	nodes(func(u peer.ID, _ *view.View, _ protocol.StepCore) { p.out[u] = 0 })
+	for u, d := range p.out {
+		if universe || d == 0 {
+			p.uf.add(peer.ID(u))
 		}
 	}
-	return m
-}
-
-// IDInstances returns the total number of entries holding id across all
-// views — the "instances of u's id in the system" of Section 6.5.
-func (g *Graph) IDInstances(id peer.ID) int { return g.Indegree(id) }
-
-// Counter counts the vertices, edges and weakly connected components of a
-// membership graph read in place, with no Graph built: each live node is
-// named first (Live), then each live node's view is added (Out). The
-// vertices are the live nodes; an entry naming any other id, such as the
-// lingering id of a departed node, counts as an edge and joins no component.
-// It holds 4 bytes per id of the universe.
-type Counter struct {
-	uf          unionFind
-	live, edges int
-}
-
-// NewCounter returns a Counter over the ids 0..n-1, none of them live yet.
-func NewCounter(n int) *Counter { return &Counter{uf: newUnionFind(n)} }
-
-// Live makes node u a vertex. Every live node is named before any view is
-// added.
-func (c *Counter) Live(u peer.ID) {
-	c.uf.add(u)
-	c.live++
-}
-
-// Out adds live node u's out-edges: the occupied entries of its view lv.
-func (c *Counter) Out(u peer.ID, lv *view.View) {
-	r := c.uf.find(u)
-	for i := range lv.Size() {
-		if w := lv.Slot(i); w != peer.Nil {
-			c.edges++
-			r = c.uf.join(r, w)
+	var q Quality
+	nodes(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		if p.out[u] != 0 { // not named by the first walk: it joined since
+			return
+		}
+		r, stamp, d := p.uf.find(u), int32(u)+1, int32(0)
+		for i := range lv.Size() {
+			w := lv.Slot(i)
+			if w == peer.Nil {
+				continue
+			}
+			d++
+			if uint32(w) >= uint32(len(p.out)) || p.out[w] < 0 {
+				q.Stale++
+				if uint32(w) >= uint32(len(p.out)) {
+					continue
+				}
+			}
+			p.in[w]++
+			if w == u {
+				q.SelfEdges++
+			}
+			if p.seen[w] == stamp {
+				q.Duplicates++
+			}
+			p.seen[w] = stamp
+			r = p.uf.join(r, w)
+		}
+		p.out[u] = d
+		q.Edges += int(d)
+		q.Slots += lv.Size()
+	})
+	var s degreeSum
+	for u, d := range p.out {
+		if universe || d >= 0 {
+			s.add(max(d, 0), p.in[u])
 		}
 	}
+	q.Vertices, q.Degrees, q.Components = s.n, s.result(), p.uf.comps
+	return q
 }
 
-// Summary returns the counts of everything added so far.
-func (c *Counter) Summary() Summary {
-	return Summary{n: c.live, edges: c.edges, comps: c.uf.comps}
+// Group returns the degree balance of the ids in group, summed in the order
+// given, as the last reading found them; a departed id has outdegree 0.
+func (p *Pass) Group(group []peer.ID) Degrees {
+	var s degreeSum
+	for _, u := range group {
+		s.add(max(p.out[u], 0), p.in[u])
+	}
+	return s.result()
 }
 
-// Summary is the size and weak connectivity of a membership graph: the
-// three numbers an overlay report reads, without the graph.
-type Summary struct{ n, edges, comps int }
+// Indegree returns the entries naming id u, live or not, in the last reading.
+func (p *Pass) Indegree(u peer.ID) int { return int(p.in[u]) }
 
-// N returns the number of vertices.
-func (s Summary) N() int { return s.n }
+// Quality is one reading of a membership graph: its size, its degree balance
+// (Property M2), the dependence its edges show (M4) and its weak
+// connectivity.
+type Quality struct {
+	Vertices int
+	Edges    int // occupied entries of the live nodes' views
+	Degrees
+	Slots int // the live nodes' view capacity
+	// SelfEdges counts entries naming their own node, Duplicates all but one
+	// entry of each id a view holds more than once: both are dependent.
+	SelfEdges, Duplicates int
+	Stale                 int // entries naming an id that is not a live node
+	Components            int // weakly connected
+}
 
-// NumEdges returns the total number of edges (with multiplicity).
-func (s Summary) NumEdges() int { return s.edges }
+// EmptyFraction returns the share of the live nodes' view slots holding no id.
+func (q Quality) EmptyFraction() float64 {
+	return float64(q.Slots-q.Edges) / max(float64(q.Slots), 1)
+}
 
-// ComponentCount returns the number of weakly connected components.
-func (s Summary) ComponentCount() int { return s.comps }
+// DependentFraction returns (self-edges + duplicates) / edges.
+func (q Quality) DependentFraction() float64 {
+	return float64(q.SelfEdges+q.Duplicates) / max(float64(q.Edges), 1)
+}
+
+// Connected reports whether the graph is weakly connected.
+func (q Quality) Connected() bool { return q.Components <= 1 }
+
+// ComponentCount returns Components; the benchmark module reads it.
+func (q Quality) ComponentCount() int { return q.Components }
+
+// Degrees is the in- and outdegree balance of a vertex set: means and
+// population variances, minima and maxima, all 0 for an empty set.
+type Degrees struct {
+	MeanOut, VarOut, MeanIn, VarIn float64
+	MinOut, MaxOut, MinIn, MaxIn   int
+}
+
+// degreeSum adds up a Degrees one vertex at a time.
+type degreeSum struct {
+	n       int
+	out, in stats.Accumulator
+	d       Degrees
+}
+
+func (s *degreeSum) add(out, in int32) {
+	o, i, d := int(out), int(in), &s.d
+	if s.n++; s.n == 1 {
+		d.MinOut, d.MaxOut, d.MinIn, d.MaxIn = o, o, i, i
+	}
+	s.out.Add(float64(o))
+	s.in.Add(float64(i))
+	d.MinOut, d.MaxOut, d.MinIn, d.MaxIn = min(d.MinOut, o), max(d.MaxOut, o), min(d.MinIn, i), max(d.MaxIn, i)
+}
+
+func (s *degreeSum) result() Degrees {
+	d := s.d
+	d.MeanOut, d.VarOut, d.MeanIn, d.VarIn = s.out.Mean(), s.out.Variance(), s.in.Mean(), s.in.Variance()
+	return d
+}
 
 // absent marks an id of a unionFind's universe that is not a vertex. No set
 // is 2^31 vertices large, so no root holds it.

@@ -1,11 +1,16 @@
 package graph
 
 import (
+	"math"
+	goruntime "runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/rng"
+	"sendforget/internal/stats"
 	"sendforget/internal/view"
 )
 
@@ -41,14 +46,8 @@ func TestFromEdgesDegrees(t *testing.T) {
 	if got := g.SelfEdges(); got != 1 {
 		t.Errorf("SelfEdges = %d, want 1", got)
 	}
-	if got := g.Multiplicity(0, 1); got != 2 {
-		t.Errorf("Multiplicity(0,1) = %d, want 2", got)
-	}
 	if got := g.DuplicateEntries(); got != 1 {
 		t.Errorf("DuplicateEntries = %d, want 1 (the parallel 0->1)", got)
-	}
-	if got := g.IDInstances(1); got != 4 {
-		t.Errorf("IDInstances(1) = %d, want 4", got)
 	}
 }
 
@@ -94,12 +93,8 @@ func TestFromViewsNilView(t *testing.T) {
 
 func TestInOutNeighbors(t *testing.T) {
 	g := FromEdges(4, [][2]peer.ID{{0, 2}, {1, 2}, {2, 3}, {0, 2}})
-	if g.Multiplicity(0, 2) != 2 || g.Multiplicity(1, 2) != 1 || g.Multiplicity(3, 2) != 0 {
-		t.Errorf("multiplicities into n2 = %d %d %d, want 2 1 0", g.Multiplicity(0, 2), g.Multiplicity(1, 2), g.Multiplicity(3, 2))
-	}
-	out := g.OutNeighbors(0)
-	if len(out) != 2 {
-		t.Errorf("OutNeighbors(0) = %v, want two entries", out)
+	if a, b, c := g.OutNeighbors(0), g.OutNeighbors(1), g.OutNeighbors(3); !slices.Equal(a, []peer.ID{2, 2}) || !slices.Equal(b, []peer.ID{2}) || len(c) != 0 {
+		t.Errorf("out-lists of n0, n1, n3 = %v %v %v, want [n2 n2] [n2] []", a, b, c)
 	}
 	// Out-lists keep the order of the edge list, and no append through one
 	// reaches the next node's.
@@ -163,12 +158,12 @@ func TestConnectivity(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := FromEdges(tt.n, tt.edges)
-			if got := g.ComponentCount(); got != tt.comps {
+			if got := FromEdges(tt.n, tt.edges).ComponentCount(); got != tt.comps {
 				t.Errorf("ComponentCount = %d, want %d", got, tt.comps)
 			}
-			if got := g.WeaklyConnected(); got != tt.conn {
-				t.Errorf("WeaklyConnected = %v, want %v", got, tt.conn)
+			q := NewPass(tt.n).Universe(nodesOf(viewsOf(tt.n, tt.edges)))
+			if q.Components != tt.comps || q.Connected() != tt.conn {
+				t.Errorf("Pass: %d components, connected %v; want %d, %v", q.Components, q.Connected(), tt.comps, tt.conn)
 			}
 		})
 	}
@@ -247,13 +242,60 @@ func TestStaleEdges(t *testing.T) {
 	}
 }
 
-// TestCounter reads an overlay of eight ids in place: two disjoint rings
-// 0→1→2→0 and 3→4→5→3, a live node 6 with an empty view, and node 7, which
-// has departed but whose id lingers in the views of 0 and 4. The vertices are
-// the seven live nodes and the components three; a graph over all eight ids
-// joins the rings through 7 and counts two.
-func TestCounter(t *testing.T) {
-	outs := map[peer.ID][]peer.ID{0: {1, 7}, 1: {2}, 2: {0}, 3: {4}, 4: {5, 7}, 5: {3}, 6: nil}
+// viewsOf returns the views of n live nodes that hold edges: node u's out-list
+// in edge order, in a view one slot larger than it needs.
+func viewsOf(n int, edges [][2]peer.ID) []*view.View {
+	outs := make([][]peer.ID, n)
+	for _, e := range edges {
+		outs[e[0]] = append(outs[e[0]], e[1])
+	}
+	views := make([]*view.View, n)
+	for u, out := range outs {
+		views[u] = view.New(len(out) + 1)
+		for i, w := range out {
+			views[u].Set(i, w)
+		}
+	}
+	return views
+}
+
+// nodesOf reads views the way a substrate's EachNode does: every live node,
+// one with a view, in ascending id order.
+func nodesOf(views []*view.View) Nodes {
+	return func(fn func(peer.ID, *view.View, protocol.StepCore)) {
+		for u, v := range views {
+			if v != nil {
+				fn(peer.ID(u), v, nil)
+			}
+		}
+	}
+}
+
+// refDegrees is the degree balance of the ids of g, summed in the order
+// given: the reference a Pass's degrees are held to bit for bit.
+func refDegrees(g *Graph, ids []peer.ID) Degrees {
+	var out, in stats.Accumulator
+	var d Degrees
+	for k, u := range ids {
+		o, i := g.Outdegree(u), g.Indegree(u)
+		out.Add(float64(o))
+		in.Add(float64(i))
+		if k == 0 {
+			d.MinOut, d.MaxOut, d.MinIn, d.MaxIn = o, o, i, i
+		}
+		d.MinOut, d.MaxOut, d.MinIn, d.MaxIn = min(d.MinOut, o), max(d.MaxOut, o), min(d.MinIn, i), max(d.MaxIn, i)
+	}
+	d.MeanOut, d.VarOut, d.MeanIn, d.VarIn = out.Mean(), out.Variance(), in.Mean(), in.Variance()
+	return d
+}
+
+// TestPass reads an overlay of eight ids in place: two disjoint rings
+// 0→1→2→0 and 3→4→5→3 (5 holds 3 twice), a live node 6 whose view holds only
+// itself, and node 7, which has departed but whose id lingers in the views of
+// 0 and 4. Over the live nodes the components are three; over all eight ids
+// the rings meet at 7 and they are two.
+func TestPass(t *testing.T) {
+	outs := map[peer.ID][]peer.ID{0: {1, 7}, 1: {2}, 2: {0}, 3: {4}, 4: {5, 7}, 5: {3, 3}, 6: {6}}
 	views := make([]*view.View, 8)
 	live := []peer.ID{0, 1, 2, 3, 4, 5, 6}
 	for _, u := range live {
@@ -262,26 +304,124 @@ func TestCounter(t *testing.T) {
 			views[u].Set(2*i+1, w) // leave empty slots between the entries
 		}
 	}
-	c := NewCounter(len(views))
-	for _, u := range live {
-		c.Live(u)
+	p := NewPass(len(views))
+	got := p.Live(nodesOf(views))
+	want := Quality{
+		Vertices: 7, Edges: 10, Slots: 28, SelfEdges: 1, Duplicates: 1, Stale: 2, Components: 3,
+		Degrees: Degrees{MeanOut: 10.0 / 7, MeanIn: 8.0 / 7, MinOut: 1, MaxOut: 2, MinIn: 1, MaxIn: 2},
 	}
-	for _, u := range live {
-		c.Out(u, views[u])
+	got.VarOut, got.VarIn = 0, 0 // held to the graph below
+	if got != want {
+		t.Errorf("Live = %+v,\nwant %+v", got, want)
 	}
-	got := c.Summary()
-	if got.N() != 7 || got.NumEdges() != 8 || got.ComponentCount() != 3 {
-		t.Errorf("Summary: N %d, NumEdges %d, ComponentCount %d; want 7, 8, 3", got.N(), got.NumEdges(), got.ComponentCount())
+	if f := got.EmptyFraction(); math.Abs(f-18.0/28) > 1e-12 {
+		t.Errorf("EmptyFraction = %v, want 18/28", f)
+	}
+	if f := got.DependentFraction(); math.Abs(f-0.2) > 1e-12 || got.Connected() {
+		t.Errorf("DependentFraction = %v, Connected = %v; want 0.2, false", f, got.Connected())
 	}
 	g := FromViews(views)
-	if ic := g.InducedComponents(live); ic != got.ComponentCount() {
-		t.Errorf("InducedComponents(live) = %d, the counter %d", ic, got.ComponentCount())
+	if d := p.Live(nodesOf(views)).Degrees; d != refDegrees(g, live) {
+		t.Errorf("Live degrees %+v, the graph's over the live nodes %+v", d, refDegrees(g, live))
 	}
-	if se := g.StaleEdges(live); se != 2 {
-		t.Errorf("StaleEdges(live) = %d, want 2", se)
+	u := p.Universe(nodesOf(views))
+	if u.Vertices != 8 || u.Components != 2 || u.MinOut != 0 || p.Indegree(7) != 2 || u.Degrees != refDegrees(g, append(live, 7)) {
+		t.Errorf("Universe = %+v, Indegree(7) = %d; want 8 vertices in 2 components, the departed 7 of outdegree 0 and indegree 2", u, p.Indegree(7))
 	}
-	if cc := g.ComponentCount(); cc != 2 {
-		t.Errorf("ComponentCount over all eight ids = %d, want 2 (the rings meet at 7)", cc)
+	if d := p.Group([]peer.ID{7, 3}); d != refDegrees(g, []peer.ID{7, 3}) {
+		t.Errorf("Group(7, 3) = %+v, the graph's %+v", d, refDegrees(g, []peer.ID{7, 3}))
+	}
+	if q := NewPass(0).Universe(nodesOf(nil)); q != (Quality{}) || q.EmptyFraction() != 0 || q.DependentFraction() != 0 {
+		t.Errorf("empty universe: %+v", q)
+	}
+}
+
+// TestQuickPassMatchesGraph holds both readings of one Pass, reused, to the
+// graph of the same views: random views, some departed, over random
+// universes. Under Universe every id is a vertex, under Live the live nodes
+// only; the degrees match bit for bit.
+func TestQuickPassMatchesGraph(t *testing.T) {
+	p := NewPass(20)
+	f := func(seed int64, nRaw uint8) bool {
+		n := int(nRaw%20) + 1
+		r := rng.New(seed)
+		s := 1 + r.Intn(6)
+		views := make([]*view.View, n)
+		var all, live, group []peer.ID
+		for u := range views {
+			all = append(all, peer.ID(u))
+			if r.Intn(3) > 0 {
+				group = append(group, peer.ID(u))
+			}
+			if r.Intn(4) == 0 {
+				continue
+			}
+			views[u] = view.New(s)
+			for i := range s {
+				if r.Intn(3) > 0 {
+					views[u].Set(i, peer.ID(r.Intn(n)))
+				}
+			}
+			live = append(live, peer.ID(u))
+		}
+		if len(p.out) != n {
+			p = NewPass(n)
+		}
+		g := FromViews(views)
+		want := Quality{
+			Vertices: n, Edges: g.NumEdges(), Degrees: refDegrees(g, all), Slots: s * len(live),
+			SelfEdges: g.SelfEdges(), Duplicates: g.DuplicateEntries(), Stale: g.StaleEdges(live), Components: g.ComponentCount(),
+		}
+		if got := p.Universe(nodesOf(views)); got != want {
+			t.Logf("n=%d Universe = %+v,\nwant %+v", n, got, want)
+			return false
+		}
+		want.Vertices, want.Degrees, want.Components = len(live), refDegrees(g, live), g.InducedComponents(live)
+		if got := p.Live(nodesOf(views)); got != want {
+			t.Logf("n=%d Live = %+v,\nwant %+v", n, got, want)
+			return false
+		}
+		for _, u := range all {
+			if p.Indegree(u) != g.Indegree(u) {
+				return false
+			}
+		}
+		return p.Group(group) == refDegrees(g, group)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPassBytesIndependentOfN holds a reading through a kept Pass to the
+// same bytes at n = 1,000 and 8,000: the walks' closures, nothing per node.
+// Each size keeps the least of five readings, so an allocation of the
+// runtime's own between the two reads does not count.
+func TestPassBytesIndependentOfN(t *testing.T) {
+	readBytes := func(n int) uint64 {
+		views := make([]*view.View, n)
+		for u := range views {
+			views[u] = view.New(4)
+			views[u].Set(0, peer.ID((u+1)%n))
+			views[u].Set(2, peer.ID((u+7)%n))
+		}
+		nodes, p := nodesOf(views), NewPass(n)
+		p.Universe(nodes)
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			p.Live(nodes)
+			p.Universe(nodes)
+			goruntime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := readBytes(1000), readBytes(8000)
+	t.Logf("two readings allocate %d B at n = 1,000 and %d B at n = 8,000", small, large)
+	if large > small {
+		t.Errorf("two readings allocate %d B at n = 8,000 against %d B at n = 1,000: the Pass allocates per node", large, small)
 	}
 }
 

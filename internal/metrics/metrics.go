@@ -1,13 +1,13 @@
 // Package metrics measures the membership properties M1-M5 of Section 2 on
-// live simulations: degree balance (M2), view uniformity (M3), spatial
-// dependence (M4, complementing the protocol's own tracker), and temporal
-// overlap decay (M5).
+// live simulations that a single overlay reading cannot: view uniformity
+// (M3), the i.i.d. baseline for spatial dependence (M4), and temporal overlap
+// decay (M5). Degree balance (M2) and the dependence visible in the graph are
+// read by graph.Pass.
 package metrics
 
 import (
 	"fmt"
 
-	"sendforget/internal/graph"
 	"sendforget/internal/peer"
 	"sendforget/internal/stats"
 	"sendforget/internal/view"
@@ -66,49 +66,6 @@ func (t Traffic) LossRate() float64 {
 		return 0
 	}
 	return float64(t.Losses) / float64(t.Sends)
-}
-
-// DegreeStats summarizes the in/out degree balance of a membership graph
-// (Property M2: bounded indegree variance).
-type DegreeStats struct {
-	MeanOut, VarOut float64
-	MeanIn, VarIn   float64
-	MinIn, MaxIn    int
-}
-
-// Degrees measures the degree balance of g over the given active node set
-// (all nodes when active is nil).
-func Degrees(g *graph.Graph, active []peer.ID) DegreeStats {
-	var out, in stats.Accumulator
-	minIn, maxIn := int(^uint(0)>>1), -1
-	consider := func(u peer.ID) {
-		out.Add(float64(g.Outdegree(u)))
-		din := g.Indegree(u)
-		in.Add(float64(din))
-		if din < minIn {
-			minIn = din
-		}
-		if din > maxIn {
-			maxIn = din
-		}
-	}
-	if active == nil {
-		for u := 0; u < g.N(); u++ {
-			consider(peer.ID(u))
-		}
-	} else {
-		for _, u := range active {
-			consider(u)
-		}
-	}
-	if maxIn < 0 {
-		minIn, maxIn = 0, 0
-	}
-	return DegreeStats{
-		MeanOut: out.Mean(), VarOut: out.Variance(),
-		MeanIn: in.Mean(), VarIn: in.Variance(),
-		MinIn: minIn, MaxIn: maxIn,
-	}
 }
 
 // OccupancyCounter accumulates, for a fixed observer node, how often each
@@ -266,32 +223,4 @@ func IIDDependenceBaseline(views []*view.View, n int) (self, dup float64) {
 		dup += d * (d - 1) / 2 / float64(n)
 	}
 	return self, dup
-}
-
-// SpatialDependence measures the graph-visible dependence markers of
-// Section 2 — self-edges and same-view duplicates — as a fraction of all
-// entries. The full Property M4 estimator additionally needs the protocol's
-// duplication tags (sendforget.DependenceStats); this measurement is
-// protocol-agnostic and is what the baseline comparison uses.
-type SpatialDependence struct {
-	Entries    int
-	SelfEdges  int
-	Duplicates int
-}
-
-// MeasureSpatialDependence inspects a graph snapshot.
-func MeasureSpatialDependence(g *graph.Graph) SpatialDependence {
-	return SpatialDependence{
-		Entries:    g.NumEdges(),
-		SelfEdges:  g.SelfEdges(),
-		Duplicates: g.DuplicateEntries(),
-	}
-}
-
-// DependentFraction returns (self-edges + duplicates) / entries.
-func (sd SpatialDependence) DependentFraction() float64 {
-	if sd.Entries == 0 {
-		return 0
-	}
-	return float64(sd.SelfEdges+sd.Duplicates) / float64(sd.Entries)
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sendforget/internal/graph"
-	"sendforget/internal/peer"
 	"sendforget/internal/view"
 )
 
@@ -16,30 +14,6 @@ func TestTrafficLossRate(t *testing.T) {
 	}
 	if got := (Traffic{}).LossRate(); got != 0 {
 		t.Errorf("zero-traffic LossRate = %v, want 0", got)
-	}
-}
-
-func TestDegrees(t *testing.T) {
-	g := graph.FromEdges(3, [][2]peer.ID{{0, 1}, {0, 2}, {1, 2}})
-	st := Degrees(g, nil)
-	if math.Abs(st.MeanOut-1) > 1e-12 {
-		t.Errorf("MeanOut = %v, want 1", st.MeanOut)
-	}
-	if math.Abs(st.MeanIn-1) > 1e-12 {
-		t.Errorf("MeanIn = %v, want 1", st.MeanIn)
-	}
-	if st.MinIn != 0 || st.MaxIn != 2 {
-		t.Errorf("MinIn/MaxIn = %d/%d, want 0/2", st.MinIn, st.MaxIn)
-	}
-	// Restricted to nodes 1 and 2.
-	st = Degrees(g, []peer.ID{1, 2})
-	if math.Abs(st.MeanIn-1.5) > 1e-12 {
-		t.Errorf("restricted MeanIn = %v, want 1.5", st.MeanIn)
-	}
-	// Empty active set.
-	st = Degrees(g, []peer.ID{})
-	if st.MinIn != 0 || st.MaxIn != 0 {
-		t.Errorf("empty set Min/Max = %d/%d", st.MinIn, st.MaxIn)
 	}
 }
 
@@ -162,20 +136,5 @@ func TestIndependenceBaseline(t *testing.T) {
 	}
 	if got := tt.IndependenceBaseline(0); got != 0 {
 		t.Errorf("baseline n=0 = %v, want 0", got)
-	}
-}
-
-func TestSpatialDependence(t *testing.T) {
-	g := graph.FromEdges(3, [][2]peer.ID{{0, 0}, {0, 1}, {0, 1}, {2, 1}})
-	sd := MeasureSpatialDependence(g)
-	if sd.Entries != 4 || sd.SelfEdges != 1 || sd.Duplicates != 1 {
-		t.Errorf("SpatialDependence = %+v", sd)
-	}
-	if math.Abs(sd.DependentFraction()-0.5) > 1e-12 {
-		t.Errorf("DependentFraction = %v, want 0.5", sd.DependentFraction())
-	}
-	var empty SpatialDependence
-	if empty.DependentFraction() != 0 {
-		t.Error("empty DependentFraction != 0")
 	}
 }

@@ -167,7 +167,7 @@ func TestAPIHammer(t *testing.T) {
 					do("GET", "/health", "", http.StatusOK)
 				},
 				func(i int) { // the daemon's overlay report
-					if live := backend.Snapshot().N(); live < n-1 || live > n {
+					if live := backend.Snapshot().Vertices; live < n-1 || live > n {
 						t.Errorf("report counts %d live nodes while at most one of %d is away", live, n)
 					}
 				},

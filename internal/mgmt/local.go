@@ -46,6 +46,7 @@ type Local struct {
 	mu     sync.Mutex
 	loss   float64
 	rounds int64
+	pass   *graph.Pass // Snapshot's, kept between reports
 }
 
 var _ Backend = (*Local)(nil)
@@ -55,7 +56,7 @@ func NewLocal(opts LocalOptions) (*Local, error) {
 	if opts.Sub == nil {
 		return nil, fmt.Errorf("mgmt: nil substrate")
 	}
-	return &Local{opts: opts, loss: opts.Loss}, nil
+	return &Local{opts: opts, loss: opts.Loss, pass: graph.NewPass(opts.N)}, nil
 }
 
 // Tick drives one gossip round; the daemon's run loop calls it per period.
@@ -129,20 +130,16 @@ func (l *Local) Views(only *int) ([]NodeView, int) {
 	return out, len(out)
 }
 
-// Snapshot returns the size and weak connectivity of the membership graph
-// over the live nodes, in one consistent state, so the daemon's report loop
-// can read overlay health without racing HTTP-driven churn. It reads the
-// views in place, in two EachNode passes under mu (one names the live nodes,
-// one adds their views), and copies nothing: it allocates the Counter, 4
-// bytes per node, and a few small objects whatever n is. An entry naming a
-// departed node counts as an edge, not as a vertex.
-func (l *Local) Snapshot() graph.Summary {
+// Snapshot reads the quality of the membership graph over the live nodes, in
+// one consistent state, so the daemon's report loop can read overlay health
+// without racing HTTP-driven churn. It is one graph.Pass over EachNode under
+// mu, which copies no view and reuses the backend's Pass: a report allocates
+// a few small objects whatever n is. An entry naming a departed node counts
+// as an edge, not as a vertex.
+func (l *Local) Snapshot() graph.Quality {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c := graph.NewCounter(l.opts.N)
-	l.opts.Sub.EachNode(func(u peer.ID, _ *view.View, _ protocol.StepCore) { c.Live(u) })
-	l.opts.Sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) { c.Out(u, lv) })
-	return c.Summary()
+	return l.pass.Live(l.opts.Sub.EachNode)
 }
 
 // inUniverse rejects an id that names no slot of the cluster. API ids are

@@ -70,7 +70,7 @@ func TestFlipsPreserveRegularityWithoutLoss(t *testing.T) {
 	if c := e.Counters(); c.Replies == 0 || c.DeletedIDs != 0 {
 		t.Fatalf("flips completed %d, ids dropped %d", c.Replies, c.DeletedIDs)
 	}
-	if !g.WeaklyConnected() {
+	if g.ComponentCount() != 1 {
 		t.Error("lossless flipper disconnected the graph")
 	}
 }
@@ -203,7 +203,7 @@ func TestIdentityAndSnapshot(t *testing.T) {
 	if cores["flipper"] != 10 || len(cores) != 1 {
 		t.Errorf("identity: cores %v, want 10 flipper", cores)
 	}
-	if !e.Snapshot().WeaklyConnected() {
+	if e.Snapshot().ComponentCount() != 1 {
 		t.Error("initial topology disconnected")
 	}
 }

@@ -94,7 +94,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestInitialTopology(t *testing.T) {
 	g := mustEngine(t, 12, 8, 2, 4, false, 1).Snapshot()
-	if !g.WeaklyConnected() {
+	if g.ComponentCount() != 1 {
 		t.Fatal("initial circulant topology not weakly connected")
 	}
 	for u := 0; u < 12; u++ {
@@ -317,7 +317,7 @@ func TestEdgeCountPreservedWithoutLoss(t *testing.T) {
 func TestWeakConnectivityMaintainedLossless(t *testing.T) {
 	e := mustEngine(t, 60, 16, 6, 8, false, 9)
 	runLossless(e, 50000)
-	if g := e.Snapshot(); !g.WeaklyConnected() {
+	if g := e.Snapshot(); g.ComponentCount() != 1 {
 		t.Errorf("graph disconnected after lossless run: %d components", g.ComponentCount())
 	}
 }

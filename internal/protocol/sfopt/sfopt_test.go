@@ -116,7 +116,7 @@ func TestBaselineVariantMatchesSFSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := e.Snapshot()
-	if !g.WeaklyConnected() {
+	if g.ComponentCount() != 1 {
 		t.Error("variant baseline disconnected")
 	}
 	edges := float64(g.NumEdges()) / 100
@@ -284,7 +284,7 @@ func TestBatchScratchOnStackAndHeap(t *testing.T) {
 
 func TestSnapshotViaGraph(t *testing.T) {
 	e := drive(t, Options{S: 12, DL: 4}, 30, 0, 0, 0, 1)
-	if !e.Snapshot().WeaklyConnected() {
+	if e.Snapshot().ComponentCount() != 1 {
 		t.Error("initial variant topology disconnected")
 	}
 	if n := len(e.Views()); n != 30 {

@@ -58,7 +58,7 @@ func TestValidation(t *testing.T) {
 
 func TestInitialTopologyConnected(t *testing.T) {
 	e := mustEngine(t, 20, 8, 4, 0, 1)
-	if !e.Snapshot().WeaklyConnected() {
+	if e.Snapshot().ComponentCount() != 1 {
 		t.Fatal("initial topology disconnected")
 	}
 	cores := map[string]int{}

@@ -252,6 +252,9 @@ func (c *Cluster) EachNode(fn func(u peer.ID, lv *view.View, core protocol.StepC
 	}
 }
 
+// N returns the size of the id universe.
+func (c *Cluster) N() int { return c.cfg.N }
+
 // Snapshot returns the current membership graph, built from Views' slab.
 func (c *Cluster) Snapshot() *graph.Graph {
 	return graph.FromViews(c.Views())

@@ -497,7 +497,11 @@ func (g *rig) check(drained bool) error {
 			}
 		}
 	}
-	if err := sameGraph(sub.Snapshot(), graph.FromViews(g.views)); err != nil {
+	want := graph.FromViews(g.views)
+	if err := sameGraph(sub.Snapshot(), want); err != nil {
+		return err
+	}
+	if err := samePass(sub, g.views, want); err != nil {
 		return err
 	}
 	if err := sameNodes(sub, g.views); err != nil {
@@ -567,6 +571,56 @@ func sameGraph(got, want *graph.Graph) error {
 		return fmt.Errorf("Snapshot() has %d components, the views %d", a, b)
 	}
 	return nil
+}
+
+// samePass holds the in-place quality pass over sub to want, the graph of its
+// views, under each definition: Universe to the whole graph, Live to the
+// subgraph the live nodes induce, with the degrees summed in ascending id
+// order bit for bit.
+func samePass(sub runtime.Substrate, views []*view.View, want *graph.Graph) error {
+	if sub.N() != len(views) {
+		return fmt.Errorf("N() = %d, Views() has %d", sub.N(), len(views))
+	}
+	var all, live []peer.ID
+	slots := 0
+	for u, v := range views {
+		all = append(all, peer.ID(u))
+		if v != nil {
+			live = append(live, peer.ID(u))
+			slots += v.Size()
+		}
+	}
+	p := graph.NewPass(len(views))
+	ref := graph.Quality{
+		Vertices: len(all), Edges: want.NumEdges(), Degrees: refDegrees(want, all), Slots: slots,
+		SelfEdges: want.SelfEdges(), Duplicates: want.DuplicateEntries(), Stale: want.StaleEdges(live), Components: want.ComponentCount(),
+	}
+	if got := p.Universe(sub.EachNode); got != ref {
+		return fmt.Errorf("Universe pass %+v, the views' graph %+v", got, ref)
+	}
+	ref.Vertices, ref.Degrees, ref.Components = len(live), refDegrees(want, live), want.InducedComponents(live)
+	if got := p.Live(sub.EachNode); got != ref {
+		return fmt.Errorf("Live pass %+v, the views' graph over the live nodes %+v", got, ref)
+	}
+	return nil
+}
+
+// refDegrees is the degree balance of the ids of g, summed in the order
+// given, as experiments summed it off a graph snapshot.
+func refDegrees(g *graph.Graph, ids []peer.ID) graph.Degrees {
+	var out, in stats.Accumulator
+	var d graph.Degrees
+	for k, u := range ids {
+		o, i := g.Outdegree(u), g.Indegree(u)
+		out.Add(float64(o))
+		in.Add(float64(i))
+		if k == 0 {
+			d.MinOut, d.MaxOut, d.MinIn, d.MaxIn = o, o, i, i
+		}
+		d.MinOut, d.MaxOut, d.MinIn, d.MaxIn = min(d.MinOut, o), max(d.MaxOut, o), min(d.MinIn, i), max(d.MaxIn, i)
+	}
+	d.MeanOut, d.VarOut, d.MeanIn, d.VarIn = out.Mean(), out.Variance(), in.Mean(), in.Variance()
+	return d
 }
 
 // failure is the first assertion a schedule broke, and the rigs that broke it.
@@ -927,13 +981,13 @@ func removeAddNode(t *testing.T, c runtime.Config) {
 	c.NewCore = sfFactory(12, 4)
 	cfgs, away := []rigConfig{{Config: c, sfEdges: true}}, peer.ID(c.N)
 	leave := slices.Concat(schedule{{kind: opRemove, u: 5}, {kind: opRemove, u: 5}, {kind: opRemove, u: away}}, ticks(300))
-	if k := graph.FromViews(mustRun(t, cfgs, leave)[0].views).IDInstances(5); k > 2 {
+	if k := graph.FromViews(mustRun(t, cfgs, leave)[0].views).Indegree(5); k > 2 {
 		t.Errorf("departed id retains %d instances", k)
 	}
 	rejoin := schedule{{kind: opAdd, u: 5}, {kind: opAdd, u: 5}, {kind: opAdd, u: away}}
 	g := mustRun(t, cfgs, slices.Concat(leave, rejoin, ticks(100), schedule{{kind: opDrain}}))[0]
-	if og := graph.FromViews(g.views); og.IDInstances(5) == 0 || !og.WeaklyConnected() || g.tr.DeadLetters == 0 {
-		t.Errorf("after the rejoin: %d instances of node 5, %d components, ledger %+v", og.IDInstances(5), og.ComponentCount(), g.tr)
+	if og := graph.FromViews(g.views); og.Indegree(5) == 0 || og.ComponentCount() != 1 || g.tr.DeadLetters == 0 {
+		t.Errorf("after the rejoin: %d instances of node 5, %d components, ledger %+v", og.Indegree(5), og.ComponentCount(), g.tr)
 	}
 }
 

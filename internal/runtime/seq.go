@@ -238,6 +238,9 @@ func (e *Seq) drainDue() {
 	}
 }
 
+// N returns the size of the id universe.
+func (e *Seq) N() int { return len(e.views) }
+
 // Snapshot returns the current membership graph.
 func (e *Seq) Snapshot() *graph.Graph { return graph.FromViews(e.views) }
 

@@ -132,7 +132,7 @@ func TestSeqInvariantsAfterLossyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := e.Snapshot()
-	if !g.WeaklyConnected() {
+	if g.ComponentCount() != 1 {
 		t.Errorf("graph disconnected after moderate-loss run: %d components", g.ComponentCount())
 	}
 }

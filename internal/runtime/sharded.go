@@ -684,6 +684,9 @@ func (e *ShardedCluster) EachNode(fn func(u peer.ID, lv *view.View, core protoco
 	}
 }
 
+// N returns the size of the id universe.
+func (e *ShardedCluster) N() int { return e.n }
+
 // Snapshot returns the current membership graph, built straight from the
 // slot array and the liveness bitset in one hold of the gate: no view is
 // copied, and the graph is a constant number of allocations at any n.

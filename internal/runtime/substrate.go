@@ -36,7 +36,12 @@ type Substrate interface {
 	// copy, which later rounds do not write to. Callers must treat the
 	// views as read-only.
 	Views() []*view.View
-	// Snapshot returns the current membership graph.
+	// N returns the size of the id universe: the nodes are 0..N()-1, live
+	// or departed.
+	N() int
+	// Snapshot returns the current membership graph: a copy of every view.
+	// Quality is read in place by a graph.Pass over EachNode instead; only
+	// the benchmark module still calls Snapshot.
 	Snapshot() *graph.Graph
 	// Traffic reports the transport ledger in the substrate-neutral shape
 	// (see metrics.Traffic for the unified counting semantics).

@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"sendforget/internal/analysis"
-	"sendforget/internal/metrics"
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
@@ -126,7 +126,9 @@ func (c *Cluster) Sample(u NodeID) []NodeID {
 	return nodes[u].ViewSnapshot().IDs()
 }
 
-// Stats summarizes the cluster's membership graph.
+// Stats summarizes the membership graph over the current members: a node
+// that has left (Remove) and not rejoined is not a vertex, and its id, while
+// it lingers in views, is an edge that joins nothing.
 type Stats struct {
 	EdgesPerNode      float64
 	MeanOutdegree     float64
@@ -137,24 +139,18 @@ type Stats struct {
 	DependentFraction float64 // visible self-edges + duplicates
 }
 
-// Stats measures the current membership graph.
+// Stats measures the current membership graph over the current members,
+// reading the views in place.
 func (c *Cluster) Stats() Stats {
-	g := c.inner.Snapshot()
-	deg := metrics.Degrees(g, nil)
-	sd := metrics.MeasureSpatialDependence(g)
-	n := g.N()
-	edges := 0.0
-	if n > 0 {
-		edges = float64(g.NumEdges()) / float64(n)
-	}
+	q := graph.NewPass(c.inner.N()).Live(c.inner.EachNode)
 	return Stats{
-		EdgesPerNode:      edges,
-		MeanOutdegree:     deg.MeanOut,
-		MeanIndegree:      deg.MeanIn,
-		IndegreeVariance:  deg.VarIn,
-		Components:        g.ComponentCount(),
-		WeaklyConnected:   g.WeaklyConnected(),
-		DependentFraction: sd.DependentFraction(),
+		EdgesPerNode:      float64(q.Edges) / max(float64(q.Vertices), 1),
+		MeanOutdegree:     q.MeanOut,
+		MeanIndegree:      q.MeanIn,
+		IndegreeVariance:  q.VarIn,
+		Components:        q.Components,
+		WeaklyConnected:   q.Connected(),
+		DependentFraction: q.DependentFraction(),
 	}
 }
 

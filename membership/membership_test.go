@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"math"
 	gort "runtime"
 	"testing"
 	"time"
@@ -297,5 +298,32 @@ func TestClusterSmallN(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStatsCountsCurrentMembers: a member that left is not a vertex of the
+// membership graph. Once node 5's id has decayed from every view, the 199
+// members are one component and the indegree variance is what it was before
+// the leave. Read over all 200 ids, Stats counted 5 as a component of its own
+// (2 components, not weakly connected) and its indegree 0 into the variance
+// (11.57 against 5.32 before the leave).
+func TestStatsCountsCurrentMembers(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{N: 200, S: 40, DL: 18, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Gossip(300)
+	before := c.Stats()
+	c.Remove(5)
+	c.Gossip(5000)
+	st := c.Stats()
+	if st.Components != 1 || !st.WeaklyConnected {
+		t.Errorf("199 members read as %d components (weakly connected %v), want 1", st.Components, st.WeaklyConnected)
+	}
+	if st.IndegreeVariance > 1.5*before.IndegreeVariance {
+		t.Errorf("indegree variance %.2f after the leave, %.2f before", st.IndegreeVariance, before.IndegreeVariance)
+	}
+	if want := st.MeanOutdegree; math.Abs(st.EdgesPerNode-want) > 1e-9 {
+		t.Errorf("EdgesPerNode %.4f, the members' mean outdegree %.4f", st.EdgesPerNode, want)
 	}
 }

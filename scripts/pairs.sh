@@ -13,10 +13,15 @@
 # change won and tied, the regression bound, and whether the rule holds — the
 # change ahead in at least nine tenths of the pairs, ties counting for
 # neither, and the medians further apart than the parent's quartiles are.
+# Every calibrated rate is a wall-clock rate multiplied by the run's
+# host_slowdown, so a change that moves that probe moves every rate with it:
+# both sides' host_slowdown medians and quartiles are printed too, and a
+# shift of the median larger than the parent's IQR is flagged as MOVED.
 # The same verdict is appended, as one record, to the JSON array in
 # CHANGE_DIR/BENCH_<WORKLOAD>.json: both commits (`git describe --dirty`),
-# the host line of the runs, every run's value, and per metric both medians
-# and quartile pairs, wins, ties, the gain rule and the regression bound.
+# the host line of the runs, every run's value, per metric both medians
+# and quartile pairs, wins, ties, the gain rule and the regression bound,
+# and, under the key host_slowdown beside the metrics, the calibration's.
 # Use a seed that was not used while the change was written. Exit status: 0
 # when every run was correct with no failed operation, 1 otherwise, 2 on a
 # usage error.
@@ -66,7 +71,7 @@ run() {
     v="$(awk -v n="$name" '$1 == n { print $2; exit }' <<<"$out")"
     echo "$side $pair $name ${v:-nan}" >>"$RUNS"
     line+=" $name=${v:-missing}"
-  done <<<"$METRICS"
+  done <<<"$METRICS"$'\nhost_slowdown'
   [ "$ok" = 1 ] || line+=" NOT-CORRECT-OR-FAILED-OPS"
   echo "$line"
 }
@@ -132,7 +137,30 @@ awk -v pairs="$PAIRS" -v json="$VERDICT" '
       printf " \"change_median\": %s, \"change_q1\": %s, \"change_q3\": %s,", num(cm), num(q(sc, pairs, .25)), num(q(sc, pairs, .75)) > json
       printf " \"wins\": %d, \"ties\": %d, \"gain_rule\": \"%s\", \"regression_bound\": \"%s\"}", wins, ties, rule, limit > json
     }
-    printf "\n  },\n  \"all_runs_correct\": %s\n}", (bad ? "false" : "true") > json
+    # The calibration: the same statistics, and whether its median moved by
+    # more than the parent IQR.
+    runs["parent"] = runs["change"] = ""; miss = 0
+    for (p = 1; p <= pairs; p++) {
+      P[p] = val["parent", "host_slowdown", p]; C[p] = val["change", "host_slowdown", p]
+      if (P[p] == "nan" || C[p] == "nan") miss++
+      runs["parent"] = runs["parent"] (p > 1 ? ", " : "") (P[p] == "nan" ? "null" : P[p])
+      runs["change"] = runs["change"] (p > 1 ? ", " : "") (C[p] == "nan" ? "null" : C[p])
+    }
+    sorted(P, sp, pairs); sorted(C, sc, pairs)
+    pm = q(sp, pairs, .5); cm = q(sc, pairs, .5); iqr = q(sp, pairs, .75) - q(sp, pairs, .25)
+    moved = !miss && (cm - pm > iqr || pm - cm > iqr)
+    printf "host_slowdown (every calibrated rate above is multiplied by it)\n"
+    if (miss) printf "  missing from %d pair(s)\n", miss
+    else {
+      printf "  parent  median %-12.6g quartiles %.6g .. %.6g (IQR %.4g)\n", pm, q(sp, pairs, .25), q(sp, pairs, .75), iqr
+      printf "  change  median %-12.6g quartiles %.6g .. %.6g\n", cm, q(sc, pairs, .25), q(sc, pairs, .75)
+      printf "  shift %+.4g: %s\n", cm - pm, moved ? "MOVED, more than the parent IQR: the calibrated rates moved with it" : "within the parent IQR"
+    }
+    printf "\n  },\n  \"all_runs_correct\": %s,\n", (bad ? "false" : "true") > json
+    printf "  \"host_slowdown\": {\"parent_runs\": [%s], \"change_runs\": [%s],", runs["parent"], runs["change"] > json
+    printf " \"parent_median\": %s, \"parent_q1\": %s, \"parent_q3\": %s,", num(pm), num(q(sp, pairs, .25)), num(q(sp, pairs, .75)) > json
+    printf " \"change_median\": %s, \"change_q1\": %s, \"change_q3\": %s,", num(cm), num(q(sc, pairs, .25)), num(q(sc, pairs, .75)) > json
+    printf " \"moved\": %s}\n}", (moved ? "true" : "false") > json
     if (bad) { printf "\n%d run(s) not correct or with failed operations\n", bad; exit 1 }
     printf "\nevery run correct, failed_ops_share 0\n"
   }' <(echo "$METRICS") "$RUNS" || status=$?
