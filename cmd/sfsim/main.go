@@ -38,7 +38,7 @@ func run(args []string) int {
 	rounds := fs.Int("rounds", 300, "rounds to run (n actions each)")
 	seed := fs.Int64("seed", 1, "random seed")
 	deps := fs.Bool("deps", true, "track dependence (S&F only)")
-	traceFile := fs.String("trace", "", "write a JSONL action trace to this file")
+	traceFile := fs.String("trace", "", "write every node's step log to this file as JSONL, one line per step")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -68,11 +68,6 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoName)
 		return 2
 	}
-	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: *n, NewCore: newCore, InitDegree: *initDeg, Loss: *lossRate, Seed: *seed})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
@@ -80,13 +75,18 @@ func run(args []string) int {
 			return 2
 		}
 		defer f.Close()
-		rec := trace.NewRecorder(f)
-		rec.Attach(sub.(*runtime.Seq))
+		rec := trace.NewRecorder(max(*n, 0))
+		newCore = rec.Wrap(newCore)
 		defer func() {
-			if err := rec.Flush(); err != nil {
+			if err := rec.Write(f); err != nil {
 				fmt.Fprintln(os.Stderr, "trace:", err)
 			}
 		}()
+	}
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: *n, NewCore: newCore, InitDegree: *initDeg, Loss: *lossRate, Seed: *seed})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	runtime.Run(sub, *rounds)
 	printSummary(sub, *protoName == "sf", *deps)

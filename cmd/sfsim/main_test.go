@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"testing"
 
+	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
+	"sendforget/internal/protocol/sendforget"
+	"sendforget/internal/runtime"
 	"sendforget/internal/trace"
+	"sendforget/internal/view"
 )
 
 func TestRunSF(t *testing.T) {
@@ -49,24 +55,38 @@ func TestRunBadParams(t *testing.T) {
 	}
 }
 
+// TestRunWithTrace: -trace writes one line per step, and the log replays
+// every node's view of the run, which the test repeats untraced (seq is
+// seeded). The default S&F core is sendforget.TrackedCore, so the heads are
+// a PerNode core's seeds.
 func TestRunWithTrace(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/trace.jsonl"
-	args := []string{"-n", "40", "-s", "12", "-dl", "4", "-rounds", "20", "-trace", path}
+	path := t.TempDir() + "/trace.jsonl"
+	args := []string{"-n", "40", "-s", "12", "-dl", "4", "-init", "6", "-loss", "0.05", "-rounds", "20", "-seed", "3", "-trace", path}
 	if code := run(args); code != 0 {
 		t.Fatalf("traced run exit = %d", code)
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	records, err := trace.Load(f)
+	rec, err := trace.Load(bytes.NewReader(data), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 800 {
-		t.Errorf("trace has %d records, want 800", len(records))
+	newCore := func() (protocol.StepCore, error) { return sendforget.NewTrackedCore(12, 4) }
+	sub, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: 40, NewCore: newCore, InitDegree: 6, Loss: 0.05, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.Run(sub, 20)
+	sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		var p trace.Replay
+		if err := p.Run(newCore, rec.Log(u)); err != nil || !p.View.Equal(lv) {
+			t.Errorf("node %d: replay %v (%v), live %v", u, p.View, err, lv)
+		}
+	})
+	if c, lines := sub.Counters(), bytes.Count(data, []byte("\n")); lines != c.Ticks+c.Receives || c.Ticks != 800 {
+		t.Errorf("trace has %d lines, want one per step: %d initiates and %d receives", lines, c.Ticks, c.Receives)
 	}
 }
 

@@ -11,9 +11,9 @@
 // cache, not broken source) is reported distinctly, with the `go build
 // ./...` remedy, so CI logs point at the cache rather than the code.
 //
-// Each analyzer runs once over the whole loaded program, up to GOMAXPROCS
-// analyzers at a time (the export data and call graph are built once and
-// shared); diagnostic order is deterministic regardless of the worker count.
+// Each analyzer runs once over the whole loaded program, one after another
+// (the export data and call graph are built once and shared), and the
+// diagnostics come out in position order.
 //
 // Flags:
 //

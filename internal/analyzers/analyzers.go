@@ -61,9 +61,7 @@ import (
 	"sendforget/internal/analyzers/framework"
 )
 
-// All returns the full suite, costliest first: Program.Run hands analyzers
-// out in this order, so the slowest one starts at once and the cheap ones
-// fill the other workers while it runs.
+// All returns the full suite.
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		Sharedguard,

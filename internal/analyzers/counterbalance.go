@@ -163,18 +163,12 @@ func ledgerFieldWrite(info *types.Info, target ast.Expr) (counterWrite, bool) {
 	return counterWrite{pos: sel, field: field, owner: owner, typ: obj.Name()}, true
 }
 
-// isLedgerStruct applies the structural ledger test: an integer send field
-// plus at least two integer outcome fields. The integer requirement keeps
-// per-event records like runtime.ActionEvent (whose Sent and Lost are bools
-// describing one action, not tallies) out of the ledger rules.
+// isLedgerStruct applies the structural ledger test: a send field plus at
+// least two outcome fields.
 func isLedgerStruct(st *types.Struct) bool {
 	sendN, outcomeN := 0, 0
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		b, ok := f.Type().Underlying().(*types.Basic)
-		if !ok || b.Info()&types.IsInteger == 0 {
-			continue
-		}
 		if counterSendFields[f.Name()] {
 			sendN++
 		}

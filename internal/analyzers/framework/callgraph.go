@@ -5,7 +5,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // CallGraph is a static call graph spanning every package a Program loaded
@@ -30,8 +29,6 @@ type CallGraph struct {
 	// in a module package, source-loaded or imported via export data.
 	named []*types.Named
 	// implCache memoizes interface-method -> concrete-methods resolution.
-	// implMu guards it: Callees runs from analyzers running in parallel.
-	implMu    sync.Mutex
 	implCache map[*types.Func][]*types.Func
 }
 
@@ -160,8 +157,6 @@ func (g *CallGraph) Callees(info *types.Info, call *ast.CallExpr) []*types.Func 
 // implementations performs the CHA step: the concrete methods named like
 // method on every universe type whose method set satisfies the interface.
 func (g *CallGraph) implementations(recv types.Type, method *types.Func) []*types.Func {
-	g.implMu.Lock()
-	defer g.implMu.Unlock()
 	if cached, ok := g.implCache[method]; ok {
 		return cached
 	}

@@ -1,11 +1,11 @@
 package framework
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // allowKey identifies one (file, line, analyzer) suppression grant.
@@ -30,10 +30,8 @@ type AllowDirective struct {
 
 // allowSet is the program's parsed suppression directives. Both line grants
 // of a directive (its own line and the one below) share a single record, so
-// using either marks the directive used. The mutex covers Used marking:
-// AllowedAt is called from analyzers running in parallel.
+// using either marks the directive used.
 type allowSet struct {
-	mu    sync.Mutex
 	byKey map[allowKey]*AllowDirective
 	all   []*AllowDirective
 }
@@ -74,8 +72,6 @@ func newAllowSet(pkgs []*Package) *allowSet {
 // use reports whether a directive grants analyzer the line, marking the
 // directive used.
 func (s *allowSet) use(file string, line int, analyzer string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	d := s.byKey[allowKey{file, line, analyzer}]
 	if d != nil {
 		d.Used = true
@@ -120,22 +116,13 @@ func (prog *Program) AllowedAt(pos token.Pos, analyzer string) bool {
 // escape hatch — the diagnostic it once silenced is gone.
 func (prog *Program) UnusedAllows() []AllowDirective {
 	var out []AllowDirective
-	prog.allows.mu.Lock()
 	for _, d := range prog.allows.all {
 		if !d.Used {
 			out = append(out, *d)
 		}
 	}
-	prog.allows.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(out, func(a, b AllowDirective) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Analyzer, b.Analyzer))
 	})
 	return out
 }

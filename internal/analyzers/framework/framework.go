@@ -32,12 +32,10 @@
 package framework
 
 import (
+	"cmp"
 	"fmt"
 	"go/token"
-	"runtime"
 	"slices"
-	"sort"
-	"sync"
 )
 
 // Analyzer is one named static check.
@@ -91,47 +89,22 @@ func NewProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// Run applies each analyzer once to the whole program, one analyzer per
-// worker on up to GOMAXPROCS goroutines, drops each finding a //lint:allow
-// directive covers as it is reported, and returns the rest in (file, line,
-// column, analyzer) order regardless of the worker count.
+// Run applies each analyzer once to the whole program, in order, drops each
+// finding a //lint:allow directive covers as it is reported, and returns the
+// rest in (file, line, column, analyzer) order.
 func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
-	found := make([][]Diagnostic, len(analyzers))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(analyzers)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				a := analyzers[i]
-				a.Run(prog, func(pos token.Pos, format string, args ...any) {
-					p := prog.fset.Position(pos)
-					if !prog.allows.use(p.Filename, p.Line, a.Name) {
-						found[i] = append(found[i], Diagnostic{a.Name, p, fmt.Sprintf(format, args...)})
-					}
-				})
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		a.Run(prog, func(pos token.Pos, format string, args ...any) {
+			p := prog.fset.Position(pos)
+			if !prog.allows.use(p.Filename, p.Line, a.Name) {
+				diags = append(diags, Diagnostic{a.Name, p, fmt.Sprintf(format, args...)})
 			}
-		}()
+		})
 	}
-	for i := range analyzers {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	diags := slices.Concat(found...)
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortStableFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), cmp.Compare(a.Analyzer, b.Analyzer))
 	})
 	return diags
 }

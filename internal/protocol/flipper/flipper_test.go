@@ -161,12 +161,11 @@ func TestChurn(t *testing.T) {
 	// Departed nodes neither initiate nor reply: requests to them are dead
 	// letters.
 	e.RemoveNode(4)
-	e.OnAction = func(ev runtime.ActionEvent) {
-		if ev.Initiator == 4 && ev.Sent {
-			t.Error("departed node initiated")
-		}
-	}
+	before := e.Counters()
 	e.StepAt(4)
+	if c := e.Counters(); c.Sends != before.Sends || c.SelfLoops != before.SelfLoops+1 {
+		t.Errorf("departed node initiated: counters %+v after %+v", c, before)
+	}
 	runtime.Run(e, 100)
 	if e.Traffic().DeadLetters == 0 || e.Views()[4] != nil {
 		t.Errorf("dead letters = %d, departed view %v", e.Traffic().DeadLetters, e.Views()[4])

@@ -100,6 +100,16 @@ type PerNode interface {
 	PerNode()
 }
 
+// Unwrap returns the core under c's decorators (a decorator, like trace's
+// step recorder, has an Unwrap method), or c itself. Code that reads a core's
+// own state asserts on what it returns.
+func Unwrap(c StepCore) StepCore {
+	for d, ok := c.(interface{ Unwrap() StepCore }); ok; d, ok = c.(interface{ Unwrap() StepCore }) {
+		c = d.Unwrap()
+	}
+	return c
+}
+
 // CoreFactory builds a fresh, independent StepCore. A substrate calls it once
 // to learn the protocol; unless that core is PerNode, every node runs it, and
 // otherwise the substrate calls the factory again for every node and every

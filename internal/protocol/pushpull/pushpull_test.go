@@ -159,12 +159,11 @@ func TestChurn(t *testing.T) {
 		t.Error("join without seeds accepted")
 	}
 	e.RemoveNode(4)
-	e.OnAction = func(ev runtime.ActionEvent) {
-		if ev.Initiator == 4 && ev.Sent {
-			t.Error("departed node initiated")
-		}
-	}
+	before := e.Counters()
 	e.StepAt(4)
+	if c := e.Counters(); c.Sends != before.Sends || c.SelfLoops != before.SelfLoops+1 {
+		t.Errorf("departed node initiated: counters %+v after %+v", c, before)
+	}
 	runtime.Run(e, 100)
 	if e.Traffic().DeadLetters == 0 || e.Views()[4] != nil {
 		t.Errorf("dead letters = %d, departed view %v: delivery revived the node or never reached it",

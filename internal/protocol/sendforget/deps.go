@@ -60,12 +60,12 @@ func (s DependenceStats) Alpha() float64 {
 
 // Add measures node u's view lv, read with its step core, into s: a
 // runtime.Substrate visitor, so sub.EachNode(st.Add) measures a running
-// overlay on any engine. A core that is not a TrackedCore carries no tags:
-// its entries count as dependent only under the self-edge and multiplicity
-// rules.
+// overlay on any engine. A core that is not a TrackedCore, under any
+// decorators, carries no tags: its entries count as dependent only under the
+// self-edge and multiplicity rules.
 func (s *DependenceStats) Add(u peer.ID, lv *view.View, core protocol.StepCore) {
 	var dep []bool
-	if tc, ok := core.(*TrackedCore); ok {
+	if tc, ok := protocol.Unwrap(core).(*TrackedCore); ok {
 		dep = tc.dep
 	}
 	for i := 0; i < lv.Size(); i++ {

@@ -372,12 +372,11 @@ func TestJoinValidatesSeeds(t *testing.T) {
 func TestDepartedNodeIgnored(t *testing.T) {
 	e := mustEngine(t, 10, 8, 2, 4, false, 10)
 	e.RemoveNode(3)
-	e.OnAction = func(ev runtime.ActionEvent) {
-		if ev.Initiator == 3 && ev.Sent {
-			t.Error("departed node initiated an action")
-		}
-	}
+	before := e.Counters()
 	e.StepAt(3)
+	if c := e.Counters(); c.Sends != before.Sends || c.SelfLoops != before.SelfLoops+1 {
+		t.Errorf("departed node initiated an action: counters %+v after %+v", c, before)
+	}
 	// Messages to a departed node are dead letters and must not revive it.
 	for k := 0; k < 2000; k++ {
 		e.Step()

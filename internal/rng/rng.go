@@ -82,6 +82,13 @@ func DeriveSeed(parts ...int64) int64 {
 	return int64(h)
 }
 
+// State returns the generator's position in its stream, which FromState
+// resumes: a step log records it, and a replay draws what the step drew.
+func (r *RNG) State() [4]uint64 { return [4]uint64{r.s0, r.s1, r.s2, r.s3} }
+
+// FromState returns the generator at state s, as State reported it.
+func FromState(s [4]uint64) RNG { return RNG{s[0], s[1], s[2], s[3]} }
+
 // Touch reads the last word of the generator's state and returns it without
 // advancing the stream. The value is of no use; a driver that knows which
 // generators a batch of steps is about to draw from touches all of them

@@ -22,6 +22,7 @@ import (
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
 	"sendforget/internal/stats"
+	"sendforget/internal/trace"
 	"sendforget/internal/view"
 )
 
@@ -33,7 +34,9 @@ import (
 // After every op each substrate must pass CheckInvariants, report counters
 // that never decrease, hold only ids of its universe, have a nil view exactly
 // for the nodes the schedule has away, snapshot the membership graph its views
-// induce, and have a fault stack whose tally accounts for its ledger; after
+// induce, and have a fault stack whose tally accounts for its ledger; with
+// real protocols, every live node's view must also equal what its step log
+// replays to (internal/trace); after
 // every drain nothing may be pending and the ledger must be conserved. One
 // schedule of each test draws the longest delay the fault stack accepts, so a
 // drain walks faults.MaxDelay rounds on every engine. In probe mode
@@ -378,6 +381,14 @@ type rig struct {
 	edges int
 	net   *probeNet
 	m     *probeModel
+	// rec logs every step of a real protocol's cores. Where the last check
+	// left them, replays holds each node's replay of its log, logged how
+	// many of its entries are summed into initiates and receives, and those
+	// the steps of every log, the entries before a reset included.
+	rec                 *trace.Recorder
+	replays             []trace.Replay
+	logged              []int
+	initiates, receives int
 }
 
 func newRig(c rigConfig) (*rig, error) {
@@ -387,6 +398,9 @@ func newRig(c rigConfig) (*rig, error) {
 		g.m = &probeModel{away: g.away, recv: make([]int, c.N)}
 		c.NewCore = func() (protocol.StepCore, error) { return probeCore{g.net}, nil }
 		c.Conditions = faults.Lossless()
+	} else {
+		g.rec, g.replays, g.logged = trace.NewRecorder(c.N), make([]trace.Replay, c.N), make([]int, c.N)
+		c.NewCore = g.rec.Wrap(c.NewCore)
 	}
 	sub, err := runtime.New(c.Config)
 	if err != nil {
@@ -429,6 +443,10 @@ func (g *rig) apply(o op) error {
 		} else if err == nil {
 			g.away[o.u] = false
 			g.edges += sub.Views()[o.u].Outdegree()
+			if g.rec != nil {
+				g.rec.Reset(o.u)
+				g.replays[o.u], g.logged[o.u] = trace.Replay{}, 0
+			}
 		}
 	case opRemove:
 		sub.RemoveNode(o.u)
@@ -507,6 +525,9 @@ func (g *rig) check(drained bool) error {
 	if err := sameNodes(sub, g.views); err != nil {
 		return err
 	}
+	if err := g.replay(); err != nil {
+		return err
+	}
 	// The by-condition fields are subsets: /metrics derives the base model's
 	// drops as what is left of Losses, and a delayed message survived the
 	// fault layer.
@@ -552,6 +573,46 @@ func sameNodes(sub runtime.Substrate, views []*view.View) (err error) {
 	if !slices.Equal(visited, live) {
 		return fmt.Errorf("EachNode visited %v, Views() reports %v live", visited, live)
 	}
+	return err
+}
+
+// replay holds the step logs to the counters and the ledger, one initiate per
+// tick and one receive per receive and per delivery, and holds every live
+// node's view to the one its log replays to and, on the engines that give
+// each node its own RNG stream, each logged step's RNG state to the state the
+// node's previous step left. The sums and replays pick up where the last
+// check left them.
+func (g *rig) replay() (err error) {
+	if g.rec == nil {
+		return nil
+	}
+	for u, done := range g.logged {
+		lg := g.rec.Log(peer.ID(u))
+		for _, st := range lg[done:] {
+			if st.Recv == nil {
+				g.initiates++
+			} else {
+				g.receives++
+			}
+		}
+		g.logged[u] = len(lg)
+	}
+	if cnt := g.last; g.initiates != cnt.Ticks || g.receives != cnt.Receives || g.receives != g.tr.Deliveries {
+		return fmt.Errorf("the step logs hold %d initiates and %d receives; counters %+v, ledger %+v", g.initiates, g.receives, cnt, g.tr)
+	}
+	g.sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		if err != nil {
+			return
+		}
+		p, lg := &g.replays[u], g.rec.Log(u)
+		if err = p.Run(g.NewCore, lg); err != nil {
+			err = fmt.Errorf("node %d: %w", u, err)
+		} else if p.View != nil && !p.View.Equal(lv) {
+			err = fmt.Errorf("node %d: its log of %d steps replays to %v, its view is %v", u, len(lg), p.View, lv)
+		} else if p.Jumps != 0 && g.Engine != runtime.EngineSeq {
+			err = fmt.Errorf("node %d: %d of its %d logged steps began at another RNG state than its previous step left", u, p.Jumps, len(lg))
+		}
+	})
 	return err
 }
 

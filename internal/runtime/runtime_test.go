@@ -8,12 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"sendforget/internal/driver"
 	"sendforget/internal/faults"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/runtime"
+	"sendforget/internal/trace"
 	"sendforget/internal/transport"
 	"sendforget/internal/view"
 )
@@ -800,6 +802,74 @@ func TestNewUDPNodeBringUp(t *testing.T) {
 	} {
 		if err := try(); err == nil || strings.Contains(err.Error(), "listen") {
 			t.Errorf("%s: err = %v, want a failure past the bind (an earlier failure left the socket open)", name, err)
+		}
+	}
+}
+
+// TestUDPNodeReplay runs twelve S&F nodes (s = 16, dL = 6) on real sockets,
+// each on its own loopback endpoint with every node's address in its
+// directory, its own included: a self-addressed datagram is otherwise
+// unroutable. The nodes are ticked by hand in id order, and each round ends
+// at a barrier: every datagram sent has been delivered, and every delivered
+// one received by its node. After every round each node's view must equal the
+// replay of its step log, each logged step beginning at the RNG state the
+// node's previous step left. Delivery order is the network's, so the run is
+// not reproducible; the replay is exact for whatever order it took.
+func TestUDPNodeReplay(t *testing.T) {
+	const n, rounds = 12, 150
+	rec := trace.NewRecorder(n)
+	newCore := rec.Wrap(sfFactory(16, 6))
+	nodes := make([]*runtime.Node, n)
+	eps := make([]*transport.Endpoint, n)
+	for u := range nodes {
+		core, err := newCore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds := make([]peer.ID, 8)
+		driver.Circulant(peer.ID(u), n, seeds)
+		if nodes[u], eps[u], err = runtime.NewUDPNode(runtime.NodeConfig{ID: peer.ID(u), Core: core}, seeds, "127.0.0.1:0", "", nil); err != nil {
+			t.Fatal(err)
+		}
+		defer eps[u].Close()
+	}
+	for _, ep := range eps {
+		for v, to := range eps {
+			if err := ep.AddPeer(peer.ID(v), to.Addr().String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replays := make([]trace.Replay, n)
+	for round := 1; round <= rounds; round++ {
+		for _, nd := range nodes {
+			nd.Tick()
+		}
+		var sent, delivered, received int
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			sent, delivered, received = 0, 0, 0
+			for u, ep := range eps {
+				c := ep.Counters()
+				sent, delivered, received = sent+c.Sent, delivered+c.Delivered, received+nodes[u].Counters().Receives
+			}
+			if sent == delivered && delivered == received {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d datagrams sent, %d delivered, %d received after 5 s", round, sent, delivered, received)
+			}
+		}
+		for u, nd := range nodes {
+			p := &replays[u]
+			if err := p.Run(sfFactory(16, 6), rec.Log(peer.ID(u))); err != nil {
+				t.Fatalf("round %d, node %d: %v", round, u, err)
+			}
+			if lv := nd.ViewSnapshot(); !p.View.Equal(lv) || p.Jumps != 0 {
+				t.Fatalf("round %d, node %d: replay %v with %d RNG jumps, live view %v", round, u, p.View, p.Jumps, lv)
+			}
+		}
+		if round == rounds && delivered < rounds*n/4 {
+			t.Errorf("%d datagrams delivered in %d rounds of %d nodes", delivered, rounds, n)
 		}
 	}
 }

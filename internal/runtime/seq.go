@@ -31,8 +31,7 @@ import (
 // Fault decisions, delay-queue mechanics, and traffic accounting live in the
 // shared internal/driver router; Seq contributes only its scheduling
 // discipline and the reply-chain walk. Beyond Substrate it exposes only what
-// a per-action scheduler has: Step, StepAt and the OnAction hook. Not safe
-// for concurrent use.
+// a per-action scheduler has: Step and StepAt. Not safe for concurrent use.
 type Seq struct {
 	src   coreSource
 	cores []protocol.StepCore // nil for departed nodes
@@ -48,28 +47,6 @@ type Seq struct {
 	router *driver.Router
 	active []peer.ID // scheduling pool
 	idx    map[peer.ID]int
-
-	// OnAction, when non-nil, receives a structured event per step —
-	// tracing and fine-grained measurement hook.
-	OnAction func(ev ActionEvent)
-}
-
-// ActionEvent describes one protocol step for observers.
-type ActionEvent struct {
-	// Step is the 1-based step index.
-	Step int
-	// Initiator is the node whose action ran.
-	Initiator peer.ID
-	// Sent reports whether the action emitted a message (false = self-loop).
-	Sent bool
-	// To is the first message's destination (valid when Sent).
-	To peer.ID
-	// Lost reports whether any message of the action was dropped by the
-	// loss model; DeadLetters counts messages to departed nodes; Delivered
-	// counts successful deliveries (greater than one for reply chains).
-	Lost        bool
-	DeadLetters int
-	Delivered   int
 }
 
 // newSeq builds the sequential backend from a Config New has resolved and
@@ -137,7 +114,6 @@ func (e *Seq) Step() {
 //
 //vet:hotpath
 func (e *Seq) StepAt(u peer.ID) {
-	ev := ActionEvent{Step: e.tally.Ticks + 1, Initiator: u}
 	ob := &e.out[0]
 	ob.Reset()
 	if uint(u) < uint(len(e.views)) && e.views[u] != nil {
@@ -146,12 +122,7 @@ func (e *Seq) StepAt(u peer.ID) {
 		e.tally.Initiated(0, 0, false)
 	}
 	if to, msg, ok := ob.Lend(); ok {
-		ev.Sent = true
-		ev.To = to
-		e.transmit(to, msg, 1, &ev)
-	}
-	if e.OnAction != nil {
-		e.OnAction(ev)
+		e.transmit(to, msg, 1)
 	}
 }
 
@@ -161,19 +132,11 @@ func (e *Seq) StepAt(u peer.ID) {
 // later round). msg is lent: its ids alias the outbox that is not e.out[next]
 // (or the delay calendar), and a parked message is copied. Each reply
 // goes into e.out[next], and the turns alternate down the chain.
-func (e *Seq) transmit(to peer.ID, msg protocol.Message, next int, ev *ActionEvent) {
+func (e *Seq) transmit(to peer.ID, msg protocol.Message, next int) {
 	for ; ; next ^= 1 {
-		switch e.router.Route(to, msg) {
-		case driver.Dropped:
-			ev.Lost = true
-			return
-		case driver.Parked:
-			return
-		case driver.DeadLetter:
-			ev.DeadLetters++
+		if e.router.Route(to, msg) != driver.Delivered {
 			return
 		}
-		ev.Delivered++
 		var replied bool
 		if to, msg, replied = e.deliver(to, msg, &e.out[next]); !replied {
 			return
@@ -220,8 +183,7 @@ func (e *Seq) DrainDelayed() {
 // drainDue delivers every delayed message due by the current round, in
 // (due, enqueue) order. Routing is resolved at drain time (a destination
 // that left while the message was in flight is a dead letter), and replies
-// re-enter transmit, so they face the fault layer like any send. OnAction
-// does not fire for these deliveries: they belong to no initiate step.
+// re-enter transmit, so they face the fault layer like any send.
 func (e *Seq) drainDue() {
 	for {
 		d, ok := e.router.Due()
@@ -231,9 +193,8 @@ func (e *Seq) drainDue() {
 		if !e.router.Deliverable(d.To) {
 			continue
 		}
-		var ev ActionEvent // counters only; not reported
 		if replyTo, reply, replied := e.deliver(d.To, d.Msg, &e.out[0]); replied {
-			e.transmit(replyTo, reply, 1, &ev)
+			e.transmit(replyTo, reply, 1)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sendforget/internal/protocol/pushpull"
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/runtime"
+	"sendforget/internal/trace"
 	"sendforget/internal/view"
 )
 
@@ -173,44 +174,30 @@ func TestSeqPushPullStableUnderLoss(t *testing.T) {
 	}
 }
 
-func TestSeqOnActionEvents(t *testing.T) {
-	e := seqSF(t, 20, loss.MustUniform(0.3), 20)
-	var events []runtime.ActionEvent
-	e.OnAction = func(ev runtime.ActionEvent) { events = append(events, ev) }
+// TestSeqStepLog: a recorder on seq logs one entry per step the counters
+// tally, and, though every node draws from the engine's one stream, each
+// node's log replays its view.
+func TestSeqStepLog(t *testing.T) {
+	rec := trace.NewRecorder(20)
+	e := newSeq(t, runtime.Config{N: 20, NewCore: rec.Wrap(sfFactory(12, 4)), InitDegree: 6, Loss: 0.3, Seed: 20})
 	runtime.Run(e, 30)
-	if len(events) != 600 {
-		t.Fatalf("events = %d, want 600", len(events))
-	}
-	sent, lost, selfLoops, delivered := 0, 0, 0, 0
-	for i, ev := range events {
-		if ev.Step != i+1 {
-			t.Fatalf("event %d has step %d", i, ev.Step)
+	initiates, receives := 0, 0
+	e.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		var p trace.Replay
+		if err := p.Run(sfFactory(12, 4), rec.Log(u)); err != nil || !p.View.Equal(lv) {
+			t.Errorf("node %d: replay %v (%v), live %v", u, p.View, err, lv)
 		}
-		if !ev.Sent {
-			selfLoops++
-			if ev.Lost || ev.Delivered > 0 {
-				t.Fatalf("self-loop event with transport outcomes: %+v", ev)
+		for _, st := range rec.Log(u) {
+			if st.Recv == nil {
+				initiates++
+			} else {
+				receives++
 			}
-			continue
 		}
-		sent++
-		if ev.Lost {
-			lost++
-		}
-		delivered += ev.Delivered
-	}
-	c := e.Traffic()
-	if sent != c.Sends {
-		t.Errorf("event sends %d != counter %d", sent, c.Sends)
-	}
-	if lost != c.Losses {
-		t.Errorf("event losses %d != counter %d", lost, c.Losses)
-	}
-	if delivered != c.Deliveries {
-		t.Errorf("event deliveries %d != counter %d", delivered, c.Deliveries)
-	}
-	if selfLoops == 0 || lost == 0 || delivered == 0 {
-		t.Errorf("expected a mix of outcomes: self=%d lost=%d delivered=%d", selfLoops, lost, delivered)
+	})
+	c, tr := e.Counters(), e.Traffic()
+	if initiates != 600 || initiates != c.Ticks || receives != c.Receives || receives != tr.Deliveries || tr.Losses == 0 {
+		t.Errorf("log holds %d initiates and %d receives; counters %+v, ledger %+v", initiates, receives, c, tr)
 	}
 }
 

@@ -2,121 +2,182 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
+	"sendforget/internal/protocol/flipper"
+	"sendforget/internal/protocol/pushpull"
 	"sendforget/internal/protocol/sendforget"
+	"sendforget/internal/protocol/sfopt"
+	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/runtime"
+	"sendforget/internal/view"
 )
 
-// newSeq builds an n-node S&F overlay (s=12, dL=4, degree 8) on the seq
-// engine, the one substrate with a per-action hook.
-func newSeq(t *testing.T, n int, lossRate float64, seed int64) *runtime.Seq {
+var factories = []struct {
+	name string
+	f    protocol.CoreFactory
+}{
+	{"sf", func() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) }},
+	{"sf-tracked", func() (protocol.StepCore, error) { return sendforget.NewTrackedCore(12, 4) }},
+	{"sfopt", func() (protocol.StepCore, error) {
+		return sfopt.NewCore(sfopt.Options{S: 12, DL: 4, ReplaceWhenFull: true, Undelete: true})
+	}},
+	{"shuffle", func() (protocol.StepCore, error) { return shuffle.NewCore(12) }},
+	{"flipper", func() (protocol.StepCore, error) { return flipper.NewCore(12) }},
+	{"pushpull", func() (protocol.StepCore, error) { return pushpull.NewCore(12) }},
+}
+
+// recorded runs a 30-node overlay of f's cores on engine for 20 rounds at
+// 20 % loss, with every step logged.
+func recorded(t *testing.T, engine runtime.EngineKind, f protocol.CoreFactory) (runtime.Substrate, *Recorder) {
 	t.Helper()
-	sub, err := runtime.New(runtime.Config{
-		Engine:     runtime.EngineSeq,
-		N:          n,
-		NewCore:    func() (protocol.StepCore, error) { return sendforget.NewCore(12, 4) },
-		InitDegree: 8,
-		Loss:       lossRate,
-		Seed:       seed,
+	rec := NewRecorder(30)
+	sub, err := runtime.New(runtime.Config{Engine: engine, N: 30, NewCore: rec.Wrap(f), InitDegree: 6, Loss: 0.2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Close)
+	runtime.Run(sub, 20)
+	return sub, rec
+}
+
+// mismatches replays every live node of sub from rec and lists those whose
+// replay differs from the live view.
+func mismatches(t *testing.T, sub runtime.Substrate, rec *Recorder, f protocol.CoreFactory) (bad []peer.ID) {
+	t.Helper()
+	sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		var p Replay
+		if err := p.Run(f, rec.Log(u)); err != nil {
+			t.Fatalf("node %d: %v", u, err)
+		}
+		if !p.View.Equal(lv) {
+			bad = append(bad, u)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sub.(*runtime.Seq)
+	return bad
 }
 
+// TestRecorderRoundtrip: on seq, whose nodes share one stream, every protocol's log
+// replays every view, before and after a round trip through JSON Lines, and
+// holds one entry per step the counters tallied.
 func TestRecorderRoundtrip(t *testing.T) {
-	e := newSeq(t, 30, 0.2, 1)
-	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	rec.Attach(e)
-	runtime.Run(e, 20)
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Count() != 600 {
-		t.Fatalf("Count = %d, want 600", rec.Count())
-	}
-	records, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 600 {
-		t.Fatalf("loaded %d records, want 600", len(records))
-	}
-	// The trace accounts for every action the ledgers counted.
-	var selfLoops, sends, losses, delivered int
-	for _, r := range records {
-		if !r.Sent {
-			selfLoops++
-			continue
-		}
-		sends++
-		if r.Lost {
-			losses++
-		}
-		delivered += r.Delivered
-	}
-	tr := e.Traffic()
-	if len(records) != e.Counters().Ticks || sends != tr.Sends || losses != tr.Losses || delivered != tr.Deliveries {
-		t.Errorf("trace: %d steps, %d sends, %d losses, %d delivered; ledger %+v", len(records), sends, losses, delivered, tr)
-	}
-	if selfLoops == 0 || losses == 0 {
-		t.Errorf("expected a mix of outcomes: %d self-loops, %d losses", selfLoops, losses)
-	}
-	// Steps are sequential.
-	for i, r := range records {
-		if r.Step != i+1 {
-			t.Fatalf("record %d has step %d", i, r.Step)
-		}
+	for _, tc := range factories {
+		t.Run(tc.name, func(t *testing.T) {
+			sub, rec := recorded(t, runtime.EngineSeq, tc.f)
+			initiates, receives := 0, 0
+			for _, u := range peer.Range(30) {
+				for _, st := range rec.Log(u) {
+					if st.Recv == nil {
+						initiates++
+					} else {
+						receives++
+					}
+				}
+			}
+			if c := sub.Counters(); initiates != c.Ticks || receives != c.Receives || c.Replies == 0 && tc.name == "shuffle" {
+				t.Errorf("log holds %d initiates and %d receives; counters %+v", initiates, receives, c)
+			}
+			if bad := mismatches(t, sub, rec, tc.f); bad != nil {
+				t.Errorf("replay differs from the live view at nodes %v", bad)
+			}
+			var buf bytes.Buffer
+			if err := rec.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if lines := strings.Count(buf.String(), "\n"); lines != initiates+receives {
+				t.Errorf("%d lines for %d steps", lines, initiates+receives)
+			}
+			loaded, err := Load(&buf, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(loaded.logs, rec.logs) {
+				t.Error("the logs changed in a round trip through JSON Lines")
+			}
+		})
 	}
 }
 
-func TestAttachChainsHooks(t *testing.T) {
-	e := newSeq(t, 10, 0, 2)
-	prevCalls := 0
-	e.OnAction = func(runtime.ActionEvent) { prevCalls++ }
-	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	rec.Attach(e)
-	runtime.Run(e, 3)
-	if prevCalls != 30 {
-		t.Errorf("previous hook called %d times, want 30", prevCalls)
+// TestReplayCatchesOutOfStepWrite: on cluster, whose nodes draw from their
+// own streams, the logged RNG states chain from step to step, and a write to
+// a view from outside its node's steps makes that node's replay differ.
+func TestReplayCatchesOutOfStepWrite(t *testing.T) {
+	f := factories[0].f
+	sub, rec := recorded(t, runtime.EngineCluster, f)
+	sub.EachNode(func(u peer.ID, _ *view.View, _ protocol.StepCore) {
+		var p Replay
+		if err := p.Run(f, rec.Log(u)); err != nil || p.Jumps != 0 {
+			t.Errorf("node %d: %d steps began at another stream state than the last left (%v)", u, p.Jumps, err)
+		}
+	})
+	sub.EachNode(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		if u == 7 {
+			lv.Set(0, lv.Slot(0)+1)
+		}
+	})
+	if bad := mismatches(t, sub, rec, f); !reflect.DeepEqual(bad, []peer.ID{7}) {
+		t.Errorf("replay differs at %v, want node 7 only", bad)
 	}
-	if rec.Count() != 30 {
-		t.Errorf("recorder observed %d events, want 30", rec.Count())
+}
+
+// TestWrapKeepsCoreKind: a recorded PerNode core is still PerNode, so each
+// node keeps its own, and the S&F dependence tags read the same through the
+// recorder as without it.
+func TestWrapKeepsCoreKind(t *testing.T) {
+	for _, tc := range factories {
+		c, _ := tc.f()
+		w, err := NewRecorder(1).Wrap(tc.f)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, bare := c.(protocol.PerNode)
+		if _, wrapped := w.(protocol.PerNode); bare != wrapped || reflect.TypeOf(protocol.Unwrap(w)) != reflect.TypeOf(c) {
+			t.Errorf("%s: PerNode %t, recorded %t; recorded core unwraps to %T", tc.name, bare, wrapped, protocol.Unwrap(w))
+		}
+	}
+	tracked := factories[1].f
+	plain, err := runtime.New(runtime.Config{Engine: runtime.EngineSeq, N: 30, NewCore: tracked, InitDegree: 6, Loss: 0.2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.Run(plain, 20)
+	sub, _ := recorded(t, runtime.EngineSeq, tracked)
+	var want, got sendforget.DependenceStats
+	plain.EachNode(want.Add)
+	sub.EachNode(got.Add)
+	if got != want || want.Tagged == 0 {
+		t.Errorf("dependence through the recorder %+v, without %+v", got, want)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(strings.NewReader("{bad json}\n")); err == nil {
-		t.Error("accepted malformed line")
+	for _, in := range []string{"{bad json}\n", `{"node":30,"rng":[1,2,3,4]}`, `{"node":-1,"rng":[1,2,3,4]}`} {
+		if _, err := Load(strings.NewReader(in), 30); err == nil {
+			t.Errorf("accepted %q", in)
+		}
 	}
-	records, err := Load(strings.NewReader("\n\n"))
-	if err != nil || len(records) != 0 {
-		t.Errorf("blank lines: %v, %v", records, err)
+	rec, err := Load(strings.NewReader("\n\n"), 3)
+	if err != nil || rec.Log(2) != nil {
+		t.Errorf("blank lines: %v, %v", rec, err)
+	}
+	var p Replay
+	if err := p.Run(factories[0].f, []Step{{Node: 1}}); err == nil {
+		t.Error("replayed a step with no head before it")
 	}
 }
 
 func TestRecorderWriteError(t *testing.T) {
-	rec := NewRecorder(failWriter{})
-	for i := 0; i < 10000; i++ {
-		rec.Observe(runtime.ActionEvent{Step: i + 1})
-	}
-	if err := rec.Flush(); err == nil {
+	_, rec := recorded(t, runtime.EngineSeq, factories[0].f)
+	if err := rec.Write(failWriter{}); err == nil {
 		t.Error("write error not surfaced")
 	}
 }
 
 type failWriter struct{}
 
-func (failWriter) Write([]byte) (int, error) { return 0, errFail }
-
-var errFail = &writeError{}
-
-type writeError struct{}
-
-func (*writeError) Error() string { return "synthetic write failure" }
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("synthetic write failure") }
