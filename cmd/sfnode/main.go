@@ -312,7 +312,7 @@ func newUDPDaemon(c config, log *slog.Logger) (*daemon, error) {
 		return nil, err
 	}
 	n, ep, err := runtime.NewUDPNode(runtime.NodeConfig{
-		ID: self, Core: core, Seed: c.seed,
+		ID: self, Core: core, Seed: rng.Seed(c.seed),
 	}, seeds, c.listen, c.advertise, func(ep *transport.Endpoint) error {
 		return addPeers(ep, c.peers)
 	})

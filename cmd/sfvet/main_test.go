@@ -26,8 +26,8 @@ func TestAnalyzerNameListIsCurrent(t *testing.T) {
 }
 
 var allAnalyzerNames = []string{
-	"sharedguard", "seedtaint", "lockreach", "errdrop", "hotalloc",
-	"detrand", "maporder", "atomicmix", "counterbalance", "goroleak",
+	"sharedguard", "lockreach", "errdrop", "hotalloc", "detrand",
+	"maporder", "atomicmix", "counterbalance", "goroleak",
 }
 
 func TestListPrintsAllAnalyzers(t *testing.T) {
@@ -172,7 +172,7 @@ func TestWholeRepoIsClean(t *testing.T) {
 }
 
 // BenchmarkSfvetRepo is the whole-repo smoke benchmark: one full suite run —
-// load, call graph, program-wide fixpoints, ten analyzers over every
+// load, call graph, program-wide fixpoints, nine analyzers over every
 // package — per iteration. It bounds the CI vet budget (the workflow
 // parses its ns/op figure and fails above the stated budget); a
 // regression here is a regression in every CI run.

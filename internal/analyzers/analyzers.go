@@ -1,4 +1,4 @@
-// Package analyzers is the repository's static-analysis suite: ten
+// Package analyzers is the repository's static-analysis suite: nine
 // framework.Analyzers that mechanically enforce the determinism,
 // lock-discipline, accounting, allocation, goroutine-lifecycle, and
 // concurrency invariants the reproduction's correctness and performance
@@ -15,7 +15,9 @@
 // Each analyzer runs once over the whole loaded program. Four are syntactic
 // checks, package by package:
 //
-//	detrand        no ambient randomness or wall clock in simulation code
+//	detrand        no ambient randomness or wall clock in simulation code,
+//	               and no rng.Seed made by arithmetic or by a conversion
+//	               outside the packages that own a root seed
 //	counterbalance traffic counters move only through their owning package,
 //	               and every send is paired with an outcome
 //	maporder       no map-iteration order leaking into ordered output
@@ -23,12 +25,9 @@
 //	               words are typed atomics, so atomic and plain access
 //	               cannot mix
 //
-// The remaining six are interprocedural, built on the framework's CFG,
-// call graph, taint, allocation-site, held-lock, and happens-before engines:
+// The remaining five are interprocedural, built on the framework's CFG,
+// call graph, allocation-site, held-lock, and happens-before engines:
 //
-//	seedtaint RNG seeds come from rng.DeriveSeed: no arithmetic on a
-//	          seed, and no arithmetic-derived seed reaching rng.New
-//	          through any chain of calls or assignments
 //	lockreach nothing that blocks (send, channel op, sleep, wait) while
 //	          a mutex is held, written in place or reached through any
 //	          chain of calls
@@ -43,9 +42,10 @@
 //	          only in external callers, or touch a not-yet-shared instance
 //
 // What the type system checks needs no analyzer: a sharded phase worker is
-// handed one shard's job and cannot name another shard, and a substrate is
-// built only through runtime.New. The fixtures that plant those bugs must
-// fail to type-check (the "compiler" rows of TestDetectionMatrix).
+// handed one shard's job and cannot name another shard, a substrate is
+// built only through runtime.New, and a stream is seeded from an rng.Seed,
+// never from an int64. The fixtures that plant those bugs must fail to
+// type-check (the "compiler" rows of TestDetectionMatrix).
 //
 // TestDetectionMatrix records which analyzer flags which line of every
 // fixture, eight planted bugs included; an analyzer or an engine rule is
@@ -65,7 +65,6 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		Sharedguard,
-		Seedtaint,
 		Lockreach,
 		Errdrop,
 		Hotalloc,

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"sendforget/internal/analyzers/framework"
@@ -18,9 +17,9 @@ func TestDetrandFixture(t *testing.T) {
 }
 
 // The seedflow and lockdiscipline fixtures outlived their analyzers: they
-// pin the site rules seedtaint and lockreach took over.
+// pin what detrand's seed sites and lockreach took over.
 func TestSeedflowFixture(t *testing.T) {
-	framework.RunFixture(t, fixture("seedtaint/seedflow"), Seedtaint)
+	framework.RunFixture(t, fixture("seedtaint/seedflow"), Detrand)
 }
 
 func TestLockdisciplineFixture(t *testing.T) {
@@ -40,10 +39,6 @@ func TestMaporderFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("maporder"), Maporder)
 }
 
-func TestSeedtaintFixture(t *testing.T) {
-	framework.RunFixture(t, fixture("seedtaint"), Seedtaint)
-}
-
 func TestLockreachFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("lockreach"), Lockreach)
 }
@@ -56,44 +51,17 @@ func TestErrdropFixture(t *testing.T) {
 	framework.RunFixture(t, fixture("errdrop"), Errdrop)
 }
 
-// TestSeedtaintSeesWhatSeedflowMisses pins the gap that justifies the
-// interprocedural engine: every flagged case in the seedtaint fixture hides
-// its arithmetic behind a helper whose parameters are not seed-named, so
-// none of the site rules seedtaint inherited from the syntactic seedflow
-// analyzer fires on the package — all three findings come from following
-// the taint through calls and fields to the rng.New sink, the PR 3
-// collision scheme end to end.
-func TestSeedtaintSeesWhatSeedflowMisses(t *testing.T) {
-	diags, err := framework.FixtureDiagnostics(fixture("seedtaint"), Seedtaint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 3 {
-		t.Fatalf("want 3 seedtaint diagnostics (helper, inline, field), got %d: %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "arithmetic-derived seed reaches rng.New") {
-			t.Errorf("a site rule sees through the helper: %s", d)
-		}
-	}
-}
-
 // TestSeedflowCatchesPR3Collision is the regression test for the PR 3 seed
 // bug: the cluster derived node u's initial stream from Seed+u+1 and its
 // rejoin stream from Seed+u+7919, so a rejoining node u replayed the
-// initial stream of node u+7918. The test asserts (a) seedtaint flags both
-// derivations in the replayed scheme, (b) the historical scheme really does
-// collide, and (c) rng.DeriveSeed on the same part tuples does not.
+// initial stream of node u+7918. The test asserts (a) neither derivation of
+// the replayed scheme type-checks (TestCompilerPlants holds the errors to
+// the planted lines), (b) the historical scheme really does collide, and
+// (c) rng.DeriveSeed on the same part tuples does not.
 func TestSeedflowCatchesPR3Collision(t *testing.T) {
-	dir := fixture("seedcollision")
-	framework.RunFixture(t, dir, Seedtaint)
-
-	diags, err := framework.FixtureDiagnostics(dir, Seedtaint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("want 2 seedtaint diagnostics for the PR 3 scheme, got %d: %v", len(diags), diags)
+	_, err := framework.FixtureDiagnostics(fixture("seedcollision"), All()...)
+	if lines := typeErrorLines(err); len(lines) != 2 {
+		t.Fatalf("want both derivations of the additive scheme to fail to type-check; loading gave: %v", err)
 	}
 
 	// (b) The collision itself: node u's rejoin stream equals node
@@ -101,8 +69,8 @@ func TestSeedflowCatchesPR3Collision(t *testing.T) {
 	const seed = 42
 	const u = int64(3)
 	w := u + 7918
-	rejoin := rng.New(seed + u + 7919)
-	initial := rng.New(seed + w + 1)
+	rejoin := rng.New(rng.Seed(seed + u + 7919))
+	initial := rng.New(rng.Seed(seed + w + 1))
 	for i := 0; i < 8; i++ {
 		if got, want := rejoin.Uint64(), initial.Uint64(); got != want {
 			t.Fatalf("draw %d: expected the historical additive scheme to collide (got %d vs %d)", i, got, want)

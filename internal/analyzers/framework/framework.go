@@ -14,8 +14,7 @@
 //
 // On top sit the engines the interprocedural analyzers compose: a CFG
 // builder with a forward dataflow solver (cfg.go), a CHA call graph
-// (callgraph.go), an object-based taint fixpoint (taint.go), the held-lock
-// dataflow (lockflow.go), an allocation-site classifier (alloc.go), and the
+// (callgraph.go), the held-lock dataflow (lockflow.go), an allocation-site classifier (alloc.go), and the
 // happens-before engine (concurrency*.go). A rule in those
 // engines whose only effect is to silence a finding stays only while some
 // line of the repository is reported without it; DESIGN.md "Enforced

@@ -132,8 +132,7 @@ func (c *plantCluster) deliver() {
 }
 
 // TestHotallocCatchesWhatDynamicCountingMisses is the regression test the
-// hotalloc analyzer exists for, mirroring the seedtaint-vs-seedflow test
-// from PR 5: the planted allocation sits on the rejoin branch, a
+// hotalloc analyzer exists for: the planted allocation sits on the rejoin branch, a
 // TestShardedZeroAllocTick-style AllocsPerRun count over a stable 500-node
 // cluster measures zero allocations — the branch never runs — while the
 // static analyzer reports the site with its full call chain.

@@ -36,9 +36,9 @@ var detectionMatrix = map[string]map[string][]int{
 	"lockreach":                {"lockreach": {35, 41, 55, 66, 100}},
 	"lockreach/lockdiscipline": {"goroleak": {90}, "lockreach": {25, 32, 38, 43, 50, 56, 70, 116}},
 	"maporder":                 {"maporder": {14, 45, 52, 68, 78}},
-	"seedcollision":            {"seedtaint": {17, 23}},
-	"seedtaint":                {"seedtaint": {24, 29, 44}},
-	"seedtaint/seedflow":       {"seedtaint": {21, 25, 29, 33, 37}},
+	"seedcollision":            {"compiler": {18, 24}},
+	"seedtaint":                {"compiler": {20, 25, 40}},
+	"seedtaint/seedflow":       {"detrand": {26, 30, 34, 38, 42, 44, 54}},
 	"shardmail":                {"compiler": {65}},
 	"shardplant":               {"compiler": {43}},
 	"shardtype":                {"compiler": {33}},
@@ -130,9 +130,9 @@ func TestDetectionMatrix(t *testing.T) {
 }
 
 // compilerPlants are the fixtures of invariants the type system took over,
-// the "compiler" rows of the matrix: each must fail to type-check with
-// exactly one error, on the line marked "// the planted", and the error must
-// be the way the invariant forbids the plant.
+// the "compiler" rows of the matrix: each must fail to type-check with one
+// error on each line marked "// the planted" and none elsewhere, and every
+// error must be the way the invariant forbids the plant.
 var compilerPlants = []struct{ dir, err string }{
 	// A *shard phase method reaching for a sibling shard.
 	{"shardtype", "sh.shards undefined (type *shard has no field or method shards)"},
@@ -142,6 +142,10 @@ var compilerPlants = []struct{ dir, err string }{
 	{"shardmail", "j.in[0].Reset undefined (type protocol.Lane has no field or method Reset)"},
 	// A concrete substrate built outside internal/runtime.
 	{"substrateplant", "undefined: runtime.newSharded"},
+	// An int64 seeding a stream: the old cluster's Seed+u+1, written in
+	// place or routed through a helper, a local or a struct field.
+	{"seedcollision", "of type int64) as rng.Seed value in argument to rng.New"},
+	{"seedtaint", "of type int64) as rng.Seed value in argument to rng.New"},
 }
 
 func TestCompilerPlants(t *testing.T) {
@@ -154,22 +158,26 @@ func TestCompilerPlants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before, _, planted := strings.Cut(string(src), "// the planted")
-			if !planted {
-				t.Fatal("the fixture lost its planted line")
+			var want []int
+			for i, line := range strings.Split(string(src), "\n") {
+				if strings.Contains(line, "// the planted") {
+					want = append(want, i+1)
+				}
 			}
-			want := strings.Count(before, "\n") + 1
+			if want == nil {
+				t.Fatal("the fixture lost its planted lines")
+			}
 
 			loader, err := framework.NewLoader("")
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, err = loader.LoadDir(fixture(p.dir))
-			if lines := typeErrorLines(err); len(lines) != 1 || lines[0] != want {
-				t.Fatalf("want one type error, at the planted line %d; loading gave: %v", want, err)
+			if lines := typeErrorLines(err); !reflect.DeepEqual(lines, want) {
+				t.Fatalf("want one type error on each planted line %v; loading gave: %v", want, err)
 			}
-			if !strings.Contains(err.Error(), p.err) {
-				t.Errorf("the type error is not %q: %v", p.err, err)
+			if strings.Count(err.Error(), p.err) != len(want) {
+				t.Errorf("a type error is not %q: %v", p.err, err)
 			}
 		})
 	}

@@ -1,32 +1,28 @@
-// Package seedtaint exercises the seedtaint analyzer: an arithmetic-derived
-// seed must not reach rng.New through *any* chain of assignments and calls.
-//
-// Every flagged case here is deliberately invisible to the site rules the
-// seedflow fixture covers — the arithmetic is hidden behind helpers whose
-// parameters are not seed-named, which is exactly how the PR 3 collision
-// scheme survived review. TestSeedtaintSeesWhatSeedflowMisses asserts that
-// gap: every finding on this package is a flow into rng.New.
+// Package seedtaint plants the additive seed scheme behind helpers whose
+// parameters are not seed-named, which is how the collision survived
+// review: the additive derivation lived in a helper, syntactically far from
+// the rng.New it fed. The helpers return int64, and an int64 is not an
+// rng.Seed, so every plant fails to type-check wherever it is routed —
+// through a local, straight into the call, or through a struct field.
 package seedtaint
 
 import "sendforget/internal/rng"
 
 // seedFor is the PR 3 bug shape extracted into a helper: additive per-arm
-// seeds collide across experiment arms. Its parameters are not seed-named,
-// so the site rules' naming heuristic never looks inside.
+// seeds collide across experiment arms.
 func seedFor(base int64, u int64) int64 {
 	return base + u + 1
 }
 
-// perArm is the call site that made the historical bug: syntactically clean,
-// interprocedurally a derived seed.
+// perArm is the call site that made the historical bug.
 func perArm(seed int64, arm int64) *rng.RNG {
 	s := seedFor(seed, arm)
-	return rng.New(s) // want `arithmetic-derived seed reaches rng.New`
+	return rng.New(s) // the planted local
 }
 
-// perArmInline routes the helper result straight into the sink.
+// perArmInline routes the helper result straight into the call.
 func perArmInline(seed int64, arm int64) *rng.RNG {
-	return rng.New(seedFor(seed, arm)) // want `arithmetic-derived seed reaches rng.New`
+	return rng.New(seedFor(seed, arm)) // the planted call
 }
 
 // mix hides multiplicative derivation one more call deep.
@@ -34,20 +30,20 @@ func mix(a, b int64) int64 {
 	return a ^ b*7919
 }
 
-// armConfig carries a seed through a struct field; the taint is field-based.
+// armConfig carries a seed through a struct field.
 type armConfig struct {
 	Seed int64
 }
 
 func viaField(seed int64, u int64) *rng.RNG {
 	c := armConfig{Seed: mix(seed, u)}
-	return rng.New(c.Seed) // want `arithmetic-derived seed reaches rng.New`
+	return rng.New(c.Seed) // the planted field
 }
 
-// Sanctioned shapes below: plain seeds, DeriveSeed — including DeriveSeed
-// hidden behind a helper, which sanitizes the chain.
+// Sanctioned shapes below: a Seed passed along, DeriveSeed, and DeriveSeed
+// hidden behind a helper or a field.
 
-func plain(seed int64) *rng.RNG {
+func plain(seed rng.Seed) *rng.RNG {
 	return rng.New(seed)
 }
 
@@ -55,9 +51,7 @@ func derived(seed int64, u int64) *rng.RNG {
 	return rng.New(rng.DeriveSeed(seed, u))
 }
 
-// goodFor mirrors seedFor but uses the sanctioned mixer; its result is a
-// clean seed no matter how it is routed.
-func goodFor(base int64, u int64) int64 {
+func goodFor(base int64, u int64) rng.Seed {
 	return rng.DeriveSeed(base, u)
 }
 
@@ -66,20 +60,11 @@ func goodPerArm(seed int64, arm int64) *rng.RNG {
 	return rng.New(s)
 }
 
-// cleanConfig is a distinct type from armConfig on purpose: field taint is
-// per field object, and a clean field must stay clean.
 type cleanConfig struct {
-	Seed int64
+	Seed rng.Seed
 }
 
 func viaCleanField(seed int64, u int64) *rng.RNG {
 	c := cleanConfig{Seed: rng.DeriveSeed(seed, u)}
 	return rng.New(c.Seed)
-}
-
-// The escape hatch: a regression harness reproducing the historical
-// collision on purpose.
-func historical(seed int64, u int64) *rng.RNG {
-	//lint:allow seedtaint reproduces the PR 3 collision on purpose
-	return rng.New(seedFor(seed, u))
 }

@@ -470,7 +470,7 @@ func NewRoster(seed int64, n int) *Roster {
 }
 
 // SeedFor derives node u's RNG seed for its current incarnation.
-func (ro *Roster) SeedFor(u peer.ID) int64 {
+func (ro *Roster) SeedFor(u peer.ID) rng.Seed {
 	return rng.DeriveSeed(ro.seed, int64(u), int64(ro.incarnations[u]))
 }
 

@@ -191,7 +191,7 @@ func newRouterOver(t *testing.T, lm loss.Model, seed int64, live func(peer.ID) b
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewRouter(cond, rng.New(seed), live)
+	return NewRouter(cond, rng.New(rng.Seed(seed)), live)
 }
 
 func TestRouteModelPath(t *testing.T) {
@@ -553,8 +553,8 @@ func TestCalendarMatchesSortedReference(t *testing.T) {
 		for id := peer.ID(0); id < 6; id++ {
 			m.nodes[id] = id%2 == 0
 		}
-		m.rt = NewRouter(cond, rng.New(seed), m.nodes.live)
-		r := rng.New(1000 + seed)
+		m.rt = NewRouter(cond, rng.New(rng.Seed(seed)), m.nodes.live)
+		r := rng.New(rng.Seed(1000 + seed))
 		// Early seeds stay inside the initial ring, later ones reach three
 		// times past it, so both the no-growth and the growth paths see long
 		// runs.
@@ -769,8 +769,8 @@ func TestCalendarRandomSchedules(t *testing.T) {
 		for id := peer.ID(0); id < 8; id++ {
 			m.nodes[id] = id%3 != 0
 		}
-		m.rt = NewRouter(cond, rng.New(seed), m.nodes.live)
-		r := rng.New(2000 + seed)
+		m.rt = NewRouter(cond, rng.New(rng.Seed(seed)), m.nodes.live)
+		r := rng.New(rng.Seed(2000 + seed))
 		park := func() {
 			m.route(peer.ID(r.Intn(8)), r.Intn(10), 3+r.Intn(253), r.Intn(2) == 0)
 		}

@@ -61,7 +61,7 @@ func AblationOpt(p AblationOptParams, kind runtime.EngineKind) (*Report, error) 
 	rows, err := Sweep(len(variants), sweepWorkers, func(i int) ([]string, error) {
 		v := variants[i]
 		sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: sfoptCores(v.opts),
-			InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Loss: p.Loss, Seed: rng.DeriveSeed(p.Seed, int64(i))}, p.Rounds)
+			InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Loss: p.Loss}, rng.DeriveSeed(p.Seed, int64(i)), p.Rounds)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +143,7 @@ func AblationNonuniform(p AblationNonuniformParams, kind runtime.EngineKind) (*R
 		return nil, err
 	}
 	sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: sfoptCores(sfopt.Options{S: p.S, DL: p.DL}),
-		InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Conditions: cond, Seed: p.Seed}, p.Rounds)
+		InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Conditions: cond}, rng.Seed(p.Seed), p.Rounds)
 	if err != nil {
 		return nil, err
 	}

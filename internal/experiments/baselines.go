@@ -66,7 +66,7 @@ func Baselines(p BaselinesParams, kind runtime.EngineKind) (*Report, error) {
 	series := make([][]float64, len(names))
 	pass := graph.NewPass(p.N)
 	for i, name := range names {
-		sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: cores[i], InitDegree: initDeg, Loss: p.Loss, Seed: rng.DeriveSeed(p.Seed, int64(i))}, 0)
+		sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: cores[i], InitDegree: initDeg, Loss: p.Loss}, rng.DeriveSeed(p.Seed, int64(i)), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -133,12 +133,12 @@ func AblationBurst(p AblationBurstParams, kind runtime.EngineKind) (*Report, err
 	type burstVariant struct {
 		name  string
 		model func() (loss.Model, error)
-		seed  int64
+		seed  rng.Seed
 	}
 	variants := []burstVariant{{
 		name:  "uniform",
 		model: func() (loss.Model, error) { return loss.MustUniform(p.Rate), nil },
-		seed:  p.Seed,
+		seed:  rng.Seed(p.Seed),
 	}}
 	for i, bl := range p.BurstLens {
 		if bl <= 1 {
@@ -162,7 +162,7 @@ func AblationBurst(p AblationBurstParams, kind runtime.EngineKind) (*Report, err
 			return nil, err
 		}
 		sub, err := simulate(kind, runtime.Config{N: p.N, NewCore: sfCores(p.S, p.DL, true),
-			InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Conditions: cond, Seed: v.seed}, p.Rounds)
+			InitDegree: sendforget.DefaultInitDegree(p.S, p.DL, p.N), Conditions: cond}, v.seed, p.Rounds)
 		if err != nil {
 			return nil, err
 		}

@@ -117,7 +117,7 @@ func Fig61(p Fig61Params, kind runtime.EngineKind) (*Report, error) {
 		// Live lossless protocol run on the ds(u) = dm manifold: the
 		// circulant bootstrap with InitDegree = dm/3 gives every node sum
 		// degree exactly dm, the initialization Section 6.1 assumes.
-		sub, err := newSF(kind, p.SimN, p.S, 0, dm/3, 0, p.SimRounds, p.Seed, false)
+		sub, err := newSF(kind, p.SimN, p.S, 0, dm/3, 0, p.SimRounds, rng.Seed(p.Seed), false)
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,7 @@ func newInstanceSim(p Lem78Params) *instanceSim {
 	sim := &instanceSim{
 		s: p.S, dl: p.DL, loss: p.Loss,
 		views: make([][]*instance, p.N),
-		r:     rng.New(p.Seed),
+		r:     rng.New(rng.Seed(p.Seed)),
 	}
 	initDeg := sendforget.DefaultInitDegree(p.S, p.DL, p.N)
 	for u := range sim.views {

@@ -32,7 +32,7 @@ func rw1Defaults() RW1Params {
 // gossip protocol's own local operations involve exactly one message each,
 // whatever the system size.
 func RW1(p RW1Params, kind runtime.EngineKind) (*Report, error) {
-	sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 150, p.Seed, false)
+	sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 150, rng.Seed(p.Seed), false)
 	if err != nil {
 		return nil, err
 	}

@@ -24,10 +24,12 @@ func sfCores(s, dl int, trackDeps bool) protocol.CoreFactory {
 	return func() (protocol.StepCore, error) { return sendforget.NewCore(s, dl) }
 }
 
-// simulate builds cfg on backend kind and runs it for warmRounds rounds. The
-// empty kind selects seq, the one every simulation ran on before -engine
-// reached it, so the default reports stay byte-stable. The caller closes it.
-func simulate(kind runtime.EngineKind, cfg runtime.Config, warmRounds int) (runtime.Substrate, error) {
+// simulate builds cfg, seeded by seed, on backend kind and runs it for
+// warmRounds rounds. The empty kind selects seq, the one every simulation
+// ran on before -engine reached it, so the default reports stay
+// byte-stable. The caller closes it.
+func simulate(kind runtime.EngineKind, cfg runtime.Config, seed rng.Seed, warmRounds int) (runtime.Substrate, error) {
+	cfg.Seed = int64(seed)
 	if cfg.Engine = kind; kind == "" {
 		cfg.Engine = runtime.EngineSeq
 	}
@@ -42,11 +44,11 @@ func simulate(kind runtime.EngineKind, cfg runtime.Config, warmRounds int) (runt
 // newSF builds a warmed-up S&F overlay for the simulation experiments on
 // the given backend; initDeg 0 selects the S&F midpoint bootstrap degree.
 // The caller closes it.
-func newSF(kind runtime.EngineKind, n, s, dl, initDeg int, l float64, warmRounds int, seed int64, trackDeps bool) (runtime.Substrate, error) {
+func newSF(kind runtime.EngineKind, n, s, dl, initDeg int, l float64, warmRounds int, seed rng.Seed, trackDeps bool) (runtime.Substrate, error) {
 	if initDeg == 0 {
 		initDeg = sendforget.DefaultInitDegree(s, dl, n)
 	}
-	return simulate(kind, runtime.Config{N: n, NewCore: sfCores(s, dl, trackDeps), InitDegree: initDeg, Loss: l, Seed: seed}, warmRounds)
+	return simulate(kind, runtime.Config{N: n, NewCore: sfCores(s, dl, trackDeps), InitDegree: initDeg, Loss: l}, seed, warmRounds)
 }
 
 // Fig64Params configures the Figure 6.4 reproduction.

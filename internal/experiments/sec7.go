@@ -38,7 +38,7 @@ func lem76Defaults() Lem76Params {
 // The chi-square test over time-decorrelated samples must not reject
 // uniformity, while a deliberately skewed reference must be rejected.
 func Lem76(p Lem76Params, kind runtime.EngineKind) (*Report, error) {
-	sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 100, p.Seed, false)
+	sub, err := newSF(kind, p.N, p.S, p.DL, 0, p.Loss, 100, rng.Seed(p.Seed), false)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func lem79Defaults() Lem79Params {
 // show at finite n (the 1/n terms the paper neglects) are subtracted.
 func Lem79(p Lem79Params, kind runtime.EngineKind) (*Report, error) {
 	// Calibrate delta: lossless run, measured duplication probability.
-	e0, err := newSF(kind, p.N, p.S, p.DL, 0, 0, 100, p.Seed, true)
+	e0, err := newSF(kind, p.N, p.S, p.DL, 0, 0, 100, rng.Seed(p.Seed), true)
 	if err != nil {
 		return nil, err
 	}

@@ -348,7 +348,7 @@ func plainRate(ru *rules, base loss.Model) float64 {
 
 // Attach makes d a decider of this stack, with a verdict stream seeded by
 // seed; it may decide after the next Sync.
-func (c *Conditions) Attach(d *Decider, seed int64) {
+func (c *Conditions) Attach(d *Decider, seed rng.Seed) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d.ru = &c.snap

@@ -268,7 +268,7 @@ func TestConcurrentDecideAndRepartition(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := rng.New(int64(w + 1))
+			r := rng.New(rng.Seed(w + 1))
 			for i := 0; i < 2000; i++ {
 				c.Decide(peer.ID(i%8), peer.ID((i+1)%8), r)
 			}
@@ -557,7 +557,7 @@ func TestSyncAgainstRunningDeciders(t *testing.T) {
 	}
 	ds := make([]Decider, 4)
 	for i := range ds {
-		c.Attach(&ds[i], int64(i+1))
+		c.Attach(&ds[i], rng.Seed(i+1))
 	}
 	stop := make(chan struct{})
 	var setters sync.WaitGroup

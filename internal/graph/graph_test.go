@@ -175,7 +175,7 @@ func TestQuickHandshake(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%20) + 1
 		m := int(mRaw % 64)
-		r := rng.New(seed)
+		r := rng.New(rng.Seed(seed))
 		edges := make([][2]peer.ID, m)
 		for i := range edges {
 			edges[i] = [2]peer.ID{peer.ID(r.Intn(n)), peer.ID(r.Intn(n))}
@@ -197,7 +197,7 @@ func TestQuickComponentsNeverExceedN(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%15) + 1
 		m := int(mRaw % 40)
-		r := rng.New(seed)
+		r := rng.New(rng.Seed(seed))
 		edges := make([][2]peer.ID, m)
 		for i := range edges {
 			edges[i] = [2]peer.ID{peer.ID(r.Intn(n)), peer.ID(r.Intn(n))}
@@ -344,7 +344,7 @@ func TestQuickPassMatchesGraph(t *testing.T) {
 	p := NewPass(20)
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%20) + 1
-		r := rng.New(seed)
+		r := rng.New(rng.Seed(seed))
 		s := 1 + r.Intn(6)
 		views := make([]*view.View, n)
 		var all, live, group []peer.ID
@@ -431,7 +431,7 @@ func TestPassBytesIndependentOfN(t *testing.T) {
 func TestQuickInducedComponentsMatchesSearch(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%15) + 1
-		r := rng.New(seed)
+		r := rng.New(rng.Seed(seed))
 		edges := make([][2]peer.ID, int(mRaw%40))
 		for i := range edges {
 			edges[i] = [2]peer.ID{peer.ID(r.Intn(n)), peer.ID(r.Intn(n))}

@@ -12,7 +12,7 @@ import (
 // and degree-MC builders, which enumerate events independently and rely on
 // Add to accumulate.
 func buildDenseRows(n, perRow int, seed int64) *Sparse {
-	r := rng.New(seed)
+	r := rng.New(rng.Seed(seed))
 	s := NewSparse(n)
 	for i := 0; i < n; i++ {
 		for k := 0; k < perRow; k++ {

@@ -315,7 +315,7 @@ func TestErgodicTheoremEmpirically(t *testing.T) {
 func TestQuickStepPreservesMass(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%6) + 2
-		d := positiveChain(rng.New(seed), n, 0)
+		d := positiveChain(rng.New(rng.Seed(seed)), n, 0)
 		dist := make([]float64, n)
 		dist[0] = 1
 		next := Step(d, dist)

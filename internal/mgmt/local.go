@@ -46,7 +46,7 @@ type Local struct {
 	mu     sync.Mutex
 	loss   float64
 	rounds int64
-	pass   *graph.Pass // Snapshot's, kept between reports
+	pass   *graph.Pass // built by the first Snapshot, kept between reports
 }
 
 var _ Backend = (*Local)(nil)
@@ -56,7 +56,7 @@ func NewLocal(opts LocalOptions) (*Local, error) {
 	if opts.Sub == nil {
 		return nil, fmt.Errorf("mgmt: nil substrate")
 	}
-	return &Local{opts: opts, loss: opts.Loss, pass: graph.NewPass(opts.N)}, nil
+	return &Local{opts: opts, loss: opts.Loss}, nil
 }
 
 // Tick drives one gossip round; the daemon's run loop calls it per period.
@@ -133,12 +133,16 @@ func (l *Local) Views(only *int) ([]NodeView, int) {
 // Snapshot reads the quality of the membership graph over the live nodes, in
 // one consistent state, so the daemon's report loop can read overlay health
 // without racing HTTP-driven churn. It is one graph.Pass over EachNode under
-// mu, which copies no view and reuses the backend's Pass: a report allocates
-// a few small objects whatever n is. An entry naming a departed node counts
-// as an edge, not as a vertex.
+// mu, which copies no view. The first report builds the backend's Pass (16
+// bytes an id) and every later one reuses it, allocating a few small objects
+// whatever n is; a daemon that never reports holds no Pass. An entry naming
+// a departed node counts as an edge, not as a vertex.
 func (l *Local) Snapshot() graph.Quality {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.pass == nil {
+		l.pass = graph.NewPass(l.opts.N)
+	}
 	return l.pass.Live(l.opts.Sub.EachNode)
 }
 

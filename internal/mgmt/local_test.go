@@ -126,8 +126,9 @@ func TestSnapshotMatchesGraph(t *testing.T) {
 
 // TestSnapshotAllocs bounds the report's memory on the sharded engine: the
 // same number of allocations at n = 2000 and n = 4000, and at most 1 KiB per
-// call, none of it per node, because the backend keeps its graph.Pass between
-// reports. A report built on a copy of the graph took 41 bytes per node here,
+// call after the first, none of it per node, because the backend keeps the
+// graph.Pass its first report built. A report built on a copy of the graph
+// took 41 bytes per node here,
 // at s = 12, and one that allocated its union-find per call 4. The collector
 // is off while it counts, so no GC cycle's own allocations land in one size's
 // runs.
@@ -140,6 +141,7 @@ func TestSnapshotAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		backend.Tick()
+		_ = backend.Snapshot()
 		var before, after gort.MemStats
 		gort.ReadMemStats(&before)
 		for range calls {
@@ -161,5 +163,27 @@ func TestSnapshotAllocs(t *testing.T) {
 		if limit := uint64(1024); c.bytes > limit {
 			t.Errorf("Snapshot() allocates %d B per call at n=%d, want at most %d", c.bytes, c.n, limit)
 		}
+	}
+}
+
+// TestNewLocalBytesDoNotGrowWithN: NewLocal allocates the same bytes, to
+// within 1 KiB of other goroutines' noise, for a universe of 8 ids and of
+// 100,000. The Pass that reads overlay quality takes 16 bytes an id (1.6 MB
+// here), and only Snapshot reads it, so the first Snapshot builds it; a
+// daemon that never reports holds none.
+func TestNewLocalBytesDoNotGrowWithN(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	_, sub := newSFLocal(t, runtime.EngineSeq, 8, 6, 0, 0, 1)
+	bytes := func(n int) uint64 {
+		var before, after gort.MemStats
+		gort.ReadMemStats(&before)
+		if _, err := NewLocal(LocalOptions{Sub: sub, N: n}); err != nil {
+			t.Fatal(err)
+		}
+		gort.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if small, large := bytes(8), bytes(100_000); large > small+1024 {
+		t.Errorf("NewLocal allocates %d B at n = 8 and %d B at n = 100000", small, large)
 	}
 }

@@ -322,7 +322,7 @@ func TestQuickEdgeExchangeOnlyMovesIntendedEdges(t *testing.T) {
 	// Property: on random graphs where the prerequisites hold, the edge
 	// exchange changes exactly the four intended multiplicities.
 	f := func(seed int64) bool {
-		r := rng.New(seed)
+		r := rng.New(rng.Seed(seed))
 		n := 5
 		g := NewGraph(n)
 		// Random multigraph with outdegree 4 each.

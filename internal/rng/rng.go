@@ -12,8 +12,10 @@
 // Simulation and analysis code must not import math/rand, math/rand/v2, or
 // crypto/rand, and must not read the wall clock for anything that feeds a
 // protocol decision — the detrand analyzer (cmd/sfvet) enforces both
-// mechanically. Seeds for derived streams come from DeriveSeed, never from
-// arithmetic on other seeds (the seedtaint analyzer enforces that). The one
+// mechanically. A stream is seeded from a Seed, which DeriveSeed makes from
+// any tuple of integers; an int64 does not reach New without a conversion,
+// and detrand reports arithmetic on a Seed and a conversion to one outside
+// the entry points that own a run's root seed. The one
 // entropy escape is AutoSeed in this package, which wraps crypto/rand
 // behind an audited `//lint:allow detrand` directive so that even
 // nondeterministic seeding for production nodes enters through here.
@@ -39,9 +41,15 @@ func splitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// New returns a generator seeded from seed. Distinct seeds yield independent
-// streams for all practical purposes.
-func New(seed int64) *RNG {
+// Seed selects a stream. Distinct seeds yield independent streams for all
+// practical purposes, and DeriveSeed is how one is made from several parts:
+// additive schemes such as seed+id+1 collide whenever two derivations sum
+// to the same value. A run's root seed is an int64 (a flag, a config
+// field); it becomes a Seed once, where a stream is seeded from it.
+type Seed int64
+
+// New returns a generator seeded from seed.
+func New(seed Seed) *RNG {
 	r := new(RNG)
 	*r = NewState(seed)
 	return r
@@ -51,7 +59,7 @@ func New(seed int64) *RNG {
 // New(seed). Engines that keep one generator per node (the sharded cluster
 // stores them in a flat slice indexed by node id) use it to avoid a heap
 // object and a pointer chase per node.
-func NewState(seed int64) RNG {
+func NewState(seed Seed) RNG {
 	sm := uint64(seed)
 	r := RNG{splitMix64(&sm), splitMix64(&sm), splitMix64(&sm), splitMix64(&sm)}
 	// A state of all zeros is the one invalid xoshiro state; SplitMix64
@@ -68,7 +76,7 @@ func NewState(seed int64) RNG {
 // arithmetic like seed+id+constant, whose streams collide whenever two
 // derivations sum to the same value. The result is never 0 so it survives
 // "0 means derive a default" conventions.
-func DeriveSeed(parts ...int64) int64 {
+func DeriveSeed(parts ...int64) Seed {
 	// Each part both perturbs and advances the SplitMix64 state, so
 	// (a, b) and (b, a) — and any equal-sum combination — hash differently.
 	h := uint64(0x6a09e667f3bcc909)
@@ -79,7 +87,7 @@ func DeriveSeed(parts ...int64) int64 {
 	if h == 0 {
 		h = 0x9e3779b97f4a7c15
 	}
-	return int64(h)
+	return Seed(h)
 }
 
 // State returns the generator's position in its stream, which FromState

@@ -234,7 +234,7 @@ func TestDeriveSeed(t *testing.T) {
 	// The motivating collisions of the additive scheme: a rejoining node's
 	// stream (cluster seed, u, incarnation 1) must not equal any node's
 	// initial stream, and equal-sum part combinations must differ.
-	seen := make(map[int64][]int64)
+	seen := make(map[Seed][]int64)
 	for u := int64(0); u < 2000; u++ {
 		for inc := int64(0); inc < 3; inc++ {
 			s := DeriveSeed(1, u, inc)

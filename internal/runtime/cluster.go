@@ -66,7 +66,7 @@ type loops struct {
 // newCluster wires up the nodes with the circulant bootstrap topology, from
 // a Config New has resolved and its step cores.
 func newCluster(cfg Config, src coreSource) (*Cluster, error) {
-	nw, err := transport.NewNetworkWithConditions(cfg.Conditions, rng.New(cfg.Seed))
+	nw, err := transport.NewNetworkWithConditions(cfg.Conditions, rng.New(rng.Seed(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}

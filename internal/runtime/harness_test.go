@@ -746,18 +746,54 @@ func shrink(cfgs []rigConfig, s schedule) schedule {
 	return s
 }
 
-// mustRun runs s on cfgs and returns the rigs; on a failure it shrinks s
-// against the rigs that failed and fails the test with the shrunk schedule.
+// mustRun runs s on cfgs and returns the rigs; on a failure it fails the
+// test with shrunkReport's account of it.
 func mustRun(t *testing.T, cfgs []rigConfig, s schedule) []*rig {
 	t.Helper()
 	rigs, fail := runSchedule(cfgs, s)
-	if fail == nil {
-		return rigs
+	if fail != nil {
+		t.Fatal(shrunkReport(fail, s))
 	}
+	return rigs
+}
+
+// shrunkReport describes fail, a failure of schedule s: the failing rigs
+// and error, then s shrunk against those rigs and how the shrunk schedule
+// fails. A failure that a rerun does not repeat is reported as such, with
+// the original error.
+func shrunkReport(fail *failure, s schedule) string {
 	min := shrink(fail.rigs, s)
-	_, again := runSchedule(fail.rigs, min)
-	t.Fatalf("%v: %v\nshrunk to %d ops, failing with %v:\n%#v", fail.rigs, fail.err, len(min), again.err, min)
-	return nil
+	head := fmt.Sprintf("%v: %v\nshrunk to %d ops", fail.rigs, fail.err, len(min))
+	if _, again := runSchedule(fail.rigs, min); again != nil {
+		return fmt.Sprintf("%s, failing with %v:\n%#v", head, again.err, min)
+	}
+	return fmt.Sprintf("%s, on which the failure did not recur:\n%#v", head, min)
+}
+
+// TestShrunkReportKeepsAFailureThatDoesNotRecur runs a rig that fails once:
+// its first core fails to build, so no rerun of shrink's fails again. The
+// report must still carry the original failure and say that it did not
+// recur.
+func TestShrunkReportKeepsAFailureThatDoesNotRecur(t *testing.T) {
+	built := 0
+	oneShot := func() (protocol.StepCore, error) {
+		if built++; built == 1 {
+			return nil, fmt.Errorf("one-shot core failure")
+		}
+		return sendforget.NewCore(8, 2)
+	}
+	cfgs := []rigConfig{{Config: runtime.Config{Engine: runtime.EngineSeq, N: 20, NewCore: oneShot, Seed: 3}}}
+	s := schedule{{kind: opTick}, {kind: opTick}}
+	_, fail := runSchedule(cfgs, s)
+	if fail == nil {
+		t.Fatal("the one-shot rig did not fail")
+	}
+	report := shrunkReport(fail, s)
+	for _, want := range []string{"one-shot core failure", "the failure did not recur"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("the report lacks %q:\n%s", want, report)
+		}
+	}
 }
 
 // probeNs are cluster sizes that put the liveness bitset's last word in every
@@ -794,7 +830,7 @@ func TestSubstrateProbeModel(t *testing.T) {
 			seq.Engine, cluster.Engine = runtime.EngineSeq, runtime.EngineCluster
 			cfgs := append([]rigConfig{{Config: seq, probe: true}, {Config: cluster, probe: true}}, shardedTwins(c, true)...)
 			long := longDelay(i == 0)
-			rigs := mustRun(t, cfgs, genSchedule(rng.New(int64(7*n)), n, 250, false, long))
+			rigs := mustRun(t, cfgs, genSchedule(rng.New(rng.Seed(7*n)), n, 250, false, long))
 			if tr := rigs[0].m.tr; !exercisesFaults(tr) {
 				t.Fatalf("the schedule leaves a path of the fault stack unexercised: ledger %+v", tr)
 			}
@@ -840,7 +876,7 @@ func TestShardedLivenessModel(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					long := longDelay(i == 0 && shardSize == 16 && delay == 0)
-					s := append(schedule{{kind: opDelay, d: delay}}, genSchedule(rng.New(int64(7*n+delay)), n, 200, false, long)...)
+					s := append(schedule{{kind: opDelay, d: delay}}, genSchedule(rng.New(rng.Seed(7*n+delay)), n, 200, false, long)...)
 					rigs := mustRun(t, shardedTwins(runtime.Config{N: n, Seed: int64(n + delay), ShardSize: shardSize}, true), s)
 					if tr := rigs[0].m.tr; tr.DeadLetters == 0 {
 						t.Fatalf("no message was sent to an away node: ledger %+v", tr)
@@ -956,14 +992,14 @@ func TestSubstrateEquivalence(t *testing.T) {
 				var cfgs []rigConfig
 				for i, c := range []runtime.Config{
 					{Engine: runtime.EngineSeq, Seed: seed},
-					{Engine: runtime.EngineCluster, Seed: rng.DeriveSeed(seed, 1)},
-					{Engine: runtime.EngineSharded, Seed: rng.DeriveSeed(seed, 2), Workers: 1},
-					{Engine: runtime.EngineSharded, Seed: rng.DeriveSeed(seed, 2), Workers: 4},
+					{Engine: runtime.EngineCluster, Seed: int64(rng.DeriveSeed(seed, 1))},
+					{Engine: runtime.EngineSharded, Seed: int64(rng.DeriveSeed(seed, 2)), Workers: 1},
+					{Engine: runtime.EngineSharded, Seed: int64(rng.DeriveSeed(seed, 2)), Workers: 4},
 				} {
 					c.N, c.NewCore, c.InitDegree, c.Loss, c.ShardSize = n, tc.newCore, tc.degree, tc.loss, 16
 					cfgs = append(cfgs, rigConfig{Config: c, sfEdges: tc.name == "sendforget", twin: i == 3})
 				}
-				rigs := mustRun(t, cfgs, protocolSchedule(rng.New(seed), n, tc, longDelay(k == 0 && i == 0)))
+				rigs := mustRun(t, cfgs, protocolSchedule(rng.New(rng.Seed(seed)), n, tc, longDelay(k == 0 && i == 0)))
 				for i := range pools {
 					pools[i].add(rigs[i])
 				}

@@ -51,7 +51,7 @@ type NodeConfig struct {
 	// step and may serve every node at once.
 	Core protocol.StepCore
 	// Seed seeds the node's private RNG; 0 derives one from the id.
-	Seed int64
+	Seed rng.Seed
 }
 
 func (c NodeConfig) validate() error {

@@ -62,7 +62,7 @@ func newSeq(cfg Config, src coreSource) (*Seq, error) {
 		cores: make([]protocol.StepCore, cfg.N),
 		views: make([]*view.View, cfg.N),
 		cond:  cfg.Conditions,
-		r:     rng.New(cfg.Seed),
+		r:     rng.New(rng.Seed(cfg.Seed)),
 		idx:   make(map[peer.ID]int, cfg.N),
 	}
 	// The router shares the engine's RNG: protocol draws and fault decisions

@@ -140,7 +140,7 @@ func TestSelectorDrawSequences(t *testing.T) {
 		for i := 0; i < s; i += 3 {
 			v.Set(i, peer.ID(i+1))
 		}
-		r, ref := rng.New(int64(s)), rng.New(int64(s))
+		r, ref := rng.New(rng.Seed(s)), rng.New(rng.Seed(s))
 		mask := func(empty bool) (m uint64) {
 			for _, i := range slotsWhere(v, empty) {
 				m |= 1 << uint(i)
