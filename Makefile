@@ -7,8 +7,8 @@
 # load error (bad flag, unparseable package). A //lint:allow directive that
 # silences nothing is a diagnostic of its own (unusedallow), so this target
 # and CI fail on it and the directive is removed. CI additionally
-# gates on BenchmarkSfvetRepo (recorded 0.74 s for the nine-analyzer suite at
-# GOMAXPROCS=2 and 0.84 s at 1, medians of nine runs on a 2-vCPU Xeon)
+# gates on BenchmarkSfvetRepo (recorded 0.84 s for the nine-analyzer suite at
+# GOMAXPROCS=2 and 0.95 s at 1, medians of nine runs on a 2-vCPU Xeon)
 # staying under its 5 s ns/op budget so the suite stays fast enough to run
 # on every push.
 

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sendforget/internal/graph"
@@ -17,6 +18,7 @@ import (
 	"sendforget/internal/protocol/flipper"
 	"sendforget/internal/protocol/pushpull"
 	"sendforget/internal/protocol/sendforget"
+	"sendforget/internal/protocol/sfopt"
 	"sendforget/internal/protocol/shuffle"
 	"sendforget/internal/runtime"
 	"sendforget/internal/trace"
@@ -24,12 +26,14 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(args []string) int {
+// run parses the flags, runs the simulation and writes its summary to
+// stdout; flag and construction errors go to stderr.
+func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("sfsim", flag.ContinueOnError)
-	protoName := fs.String("protocol", "sf", "protocol: sf, shuffle, flipper, or pushpull")
+	protoName := fs.String("protocol", "sf", "protocol: sf, sfopt (S&F with ReplaceWhenFull and Undelete), shuffle, flipper, or pushpull")
 	n := fs.Int("n", 500, "number of nodes")
 	s := fs.Int("s", 40, "view size (even)")
 	dl := fs.Int("dl", 18, "S&F duplication threshold (even)")
@@ -48,15 +52,19 @@ func run(args []string) int {
 	}
 
 	var newCore protocol.CoreFactory
+	if (*protoName == "sf" || *protoName == "sfopt") && *initDeg == 0 {
+		*initDeg = sendforget.DefaultInitDegree(*s, *dl, *n)
+	}
 	switch *protoName {
 	case "sf":
-		if *initDeg == 0 {
-			*initDeg = sendforget.DefaultInitDegree(*s, *dl, *n)
-		}
 		if *deps {
 			newCore = func() (protocol.StepCore, error) { return sendforget.NewTrackedCore(*s, *dl) }
 		} else {
 			newCore = func() (protocol.StepCore, error) { return sendforget.NewCore(*s, *dl) }
+		}
+	case "sfopt":
+		newCore = func() (protocol.StepCore, error) {
+			return sfopt.NewCore(sfopt.Options{S: *s, DL: *dl, ReplaceWhenFull: true, Undelete: true})
 		}
 	case "shuffle":
 		newCore = func() (protocol.StepCore, error) { return shuffle.NewCore(*s) }
@@ -89,34 +97,34 @@ func run(args []string) int {
 		return 2
 	}
 	runtime.Run(sub, *rounds)
-	printSummary(sub, *protoName == "sf", *deps)
+	printSummary(stdout, sub, *protoName == "sf", *deps)
 	return 0
 }
 
-func printSummary(e runtime.Substrate, sf, deps bool) {
+func printSummary(w io.Writer, e runtime.Substrate, sf, deps bool) {
 	q := graph.NewPass(e.N()).Universe(e.EachNode)
 	c := e.Traffic()
 	var name string // every node runs the same protocol
 	e.EachNode(func(_ peer.ID, _ *view.View, core protocol.StepCore) { name = core.Name() })
-	fmt.Printf("protocol        %s\n", name)
-	fmt.Printf("steps           %d (sends %d, losses %d, deliveries %d)\n", e.Counters().Ticks, c.Sends, c.Losses, c.Deliveries)
-	fmt.Printf("empirical loss  %.4f\n", c.LossRate())
-	fmt.Printf("edges           %d (%.2f per node)\n", q.Edges, float64(q.Edges)/float64(q.Vertices))
-	fmt.Printf("outdegree       %.2f (var %.2f)\n", q.MeanOut, q.VarOut)
-	fmt.Printf("indegree        %.2f (var %.2f, min %d, max %d)\n", q.MeanIn, q.VarIn, q.MinIn, q.MaxIn)
-	fmt.Printf("components      %d (weakly connected: %v)\n", q.Components, q.Connected())
-	fmt.Printf("self-edges      %d, same-view duplicates %d (visible dependent fraction %.4f)\n",
+	fmt.Fprintf(w, "protocol        %s\n", name)
+	fmt.Fprintf(w, "steps           %d (sends %d, losses %d, deliveries %d)\n", e.Counters().Ticks, c.Sends, c.Losses, c.Deliveries)
+	fmt.Fprintf(w, "empirical loss  %.4f\n", c.LossRate())
+	fmt.Fprintf(w, "edges           %d (%.2f per node)\n", q.Edges, float64(q.Edges)/float64(q.Vertices))
+	fmt.Fprintf(w, "outdegree       %.2f (var %.2f)\n", q.MeanOut, q.VarOut)
+	fmt.Fprintf(w, "indegree        %.2f (var %.2f, min %d, max %d)\n", q.MeanIn, q.VarIn, q.MinIn, q.MaxIn)
+	fmt.Fprintf(w, "components      %d (weakly connected: %v)\n", q.Components, q.Connected())
+	fmt.Fprintf(w, "self-edges      %d, same-view duplicates %d (visible dependent fraction %.4f)\n",
 		q.SelfEdges, q.Duplicates, q.DependentFraction())
 	if !sf {
 		return
 	}
 	if pc := e.Counters(); pc.Sends > 0 {
-		fmt.Printf("dup prob        %.4f, deletion prob %.4f (Lemma 6.6: dup = loss + del)\n",
+		fmt.Fprintf(w, "dup prob        %.4f, deletion prob %.4f (Lemma 6.6: dup = loss + del)\n",
 			float64(pc.Duplications)/float64(pc.Sends), float64(pc.DeletedIDs)/float64(2*pc.Sends))
 	}
 	var st sendforget.DependenceStats
 	e.EachNode(st.Add)
 	if deps && st.Entries > 0 {
-		fmt.Printf("alpha           %.4f (independent entries, Lemma 7.9)\n", st.Alpha())
+		fmt.Fprintf(w, "alpha           %.4f (independent entries, Lemma 7.9)\n", st.Alpha())
 	}
 }

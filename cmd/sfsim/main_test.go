@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"sendforget/internal/peer"
@@ -15,42 +17,65 @@ import (
 
 func TestRunSF(t *testing.T) {
 	args := []string{"-protocol", "sf", "-n", "60", "-s", "12", "-dl", "4", "-loss", "0.05", "-rounds", "50", "-seed", "7"}
-	if code := run(args); code != 0 {
+	if code := run(args, io.Discard); code != 0 {
 		t.Errorf("sf run exit = %d", code)
 	}
 }
 
 func TestRunShuffle(t *testing.T) {
 	args := []string{"-protocol", "shuffle", "-n", "60", "-s", "12", "-rounds", "50"}
-	if code := run(args); code != 0 {
+	if code := run(args, io.Discard); code != 0 {
 		t.Errorf("shuffle run exit = %d", code)
 	}
 }
 
 func TestRunPushPull(t *testing.T) {
 	args := []string{"-protocol", "pushpull", "-n", "60", "-s", "12", "-rounds", "50"}
-	if code := run(args); code != 0 {
+	if code := run(args, io.Discard); code != 0 {
 		t.Errorf("pushpull run exit = %d", code)
 	}
 }
 
+// TestRunSFOpt: sfsim runs the optimized S&F variant sfnode offers, with
+// ReplaceWhenFull and Undelete on and the S&F bootstrap degree, and prints
+// the summary every protocol shares.
+func TestRunSFOpt(t *testing.T) {
+	var out strings.Builder
+	args := []string{"-protocol", "sfopt", "-n", "60", "-s", "12", "-dl", "4", "-loss", "0.05", "-rounds", "50", "-seed", "7"}
+	if code := run(args, &out); code != 0 {
+		t.Fatalf("sfopt run exit = %d", code)
+	}
+	for _, want := range []string{
+		"protocol        s&f-opt+replace+undelete\n",
+		"steps           3000 ",
+		"components      1 (weakly connected: true)\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "dup prob") {
+		t.Errorf("summary reports S&F's Lemma 6.6 identity, which the variant does not keep:\n%s", out.String())
+	}
+}
+
 func TestRunUnknownProtocol(t *testing.T) {
-	if code := run([]string{"-protocol", "raft"}); code != 2 {
+	if code := run([]string{"-protocol", "raft"}, io.Discard); code != 2 {
 		t.Errorf("unknown protocol exit = %d, want 2", code)
 	}
 }
 
 func TestRunBadParams(t *testing.T) {
-	if code := run([]string{"-protocol", "sf", "-s", "7"}); code != 2 {
+	if code := run([]string{"-protocol", "sf", "-s", "7"}, io.Discard); code != 2 {
 		t.Errorf("odd view size exit = %d, want 2", code)
 	}
-	if code := run([]string{"-loss", "1.5"}); code != 2 {
+	if code := run([]string{"-loss", "1.5"}, io.Discard); code != 2 {
 		t.Errorf("bad loss exit = %d, want 2", code)
 	}
-	if code := run([]string{"-bogus"}); code != 2 {
+	if code := run([]string{"-bogus"}, io.Discard); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)
 	}
-	if code := run([]string{"-rounds", "-5"}); code != 2 {
+	if code := run([]string{"-rounds", "-5"}, io.Discard); code != 2 {
 		t.Errorf("negative rounds exit = %d, want 2", code)
 	}
 }
@@ -62,7 +87,7 @@ func TestRunBadParams(t *testing.T) {
 func TestRunWithTrace(t *testing.T) {
 	path := t.TempDir() + "/trace.jsonl"
 	args := []string{"-n", "40", "-s", "12", "-dl", "4", "-init", "6", "-loss", "0.05", "-rounds", "20", "-seed", "3", "-trace", path}
-	if code := run(args); code != 0 {
+	if code := run(args, io.Discard); code != 0 {
 		t.Fatalf("traced run exit = %d", code)
 	}
 	data, err := os.ReadFile(path)
@@ -91,14 +116,14 @@ func TestRunWithTrace(t *testing.T) {
 }
 
 func TestRunTraceBadPath(t *testing.T) {
-	if code := run([]string{"-rounds", "1", "-trace", "/no/such/dir/x.jsonl"}); code != 2 {
+	if code := run([]string{"-rounds", "1", "-trace", "/no/such/dir/x.jsonl"}, io.Discard); code != 2 {
 		t.Errorf("bad trace path exit = %d, want 2", code)
 	}
 }
 
 func TestRunFlipper(t *testing.T) {
 	args := []string{"-protocol", "flipper", "-n", "60", "-s", "12", "-rounds", "50"}
-	if code := run(args); code != 0 {
+	if code := run(args, io.Discard); code != 0 {
 		t.Errorf("flipper run exit = %d", code)
 	}
 }

@@ -3,13 +3,17 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sendforget/internal/analysis"
-	"sendforget/internal/metrics"
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
+	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
 	"sendforget/internal/rng"
 	"sendforget/internal/runtime"
+	"sendforget/internal/stats"
+	"sendforget/internal/view"
 )
 
 // Lem76Params configures the uniformity experiment.
@@ -44,15 +48,14 @@ func Lem76(p Lem76Params, kind runtime.EngineKind) (*Report, error) {
 	}
 	defer sub.Close()
 	observers := []peer.ID{0, peer.ID(p.N / 2), peer.ID(p.N - 1)}
-	counters := make([]*metrics.OccupancyCounter, len(observers))
+	counters := make([]*occupancy, len(observers))
 	for i, u := range observers {
-		counters[i] = metrics.NewOccupancyCounter(u, p.N)
+		counters[i] = &occupancy{observer: u, counts: make([]int, p.N)}
 	}
 	for s := 0; s < p.Samples; s++ {
 		runtime.Run(sub, p.SampleEvery)
-		views := sub.Views()
-		for i, u := range observers {
-			counters[i].Sample(views[u])
+		for _, o := range counters {
+			o.sample(sub.EachNode)
 		}
 	}
 	r := &Report{
@@ -62,11 +65,11 @@ func Lem76(p Lem76Params, kind runtime.EngineKind) (*Report, error) {
 	}
 	t := Table{Columns: []string{"observer", "samples", "chi2 stat", "df", "p-value", "uniformity rejected at 1%?"}}
 	for i, u := range observers {
-		stat, pv, err := counters[i].UniformityTest()
+		stat, pv, err := counters[i].uniformityTest()
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(u.String(), d(counters[i].Samples()), f2(stat), d(p.N-2), f4(pv), fmt.Sprintf("%v", pv < 0.01))
+		t.AddRow(u.String(), d(counters[i].samples), f2(stat), d(p.N-2), f4(pv), fmt.Sprintf("%v", pv < 0.01))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -135,13 +138,12 @@ func Lem79(p Lem79Params, kind runtime.EngineKind) (*Report, error) {
 		runtime.Run(sub, p.Rounds)
 		var st sendforget.DependenceStats
 		sub.EachNode(st.Add)
-		views := sub.Views()
+		iidSelf, iidDup := iidDependence(sub.EachNode, p.N)
 		sub.Close()
 		bound, err := analysis.AlphaLowerBound(l, deltaHat)
 		if err != nil {
 			return nil, err
 		}
-		iidSelf, iidDup := metrics.IIDDependenceBaseline(views, p.N)
 		excess := float64(st.Dependent) - iidSelf - iidDup
 		if excess < 0 {
 			excess = 0
@@ -242,12 +244,12 @@ func Lem715(p Lem715Params, kind runtime.EngineKind) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		tracker := metrics.NewTemporalTracker(sub.Views())
-		baseline := tracker.IndependenceBaseline(n)
+		ref := reference(sub.Views())
+		baseline := ref.independenceBaseline(n)
 		forgetAt := -1
 		for round := 1; round <= p.MaxRounds; round++ {
 			sub.TickRound()
-			if tracker.Overlap(sub.Views()) <= baseline+p.Threshold {
+			if ref.overlap(sub.EachNode) <= baseline+p.Threshold {
 				forgetAt = round
 				break
 			}
@@ -274,4 +276,126 @@ func Lem715(p Lem715Params, kind runtime.EngineKind) (*Report, error) {
 		"the analytical tau bound is loose (conductance-based); the simulation forgets far faster",
 	)
 	return r, nil
+}
+
+// occupancy counts, for one observer, how often each id is present in the
+// observer's view across samples: the estimator behind Lemma 7.6's
+// uniformity test (Property M3).
+type occupancy struct {
+	observer peer.ID
+	counts   []int // presence count of each id
+	samples  int
+}
+
+// sample records the presence (0/1, not multiplicity) of each id in the
+// observer's current view, read in place; a pass that does not visit the
+// observer (it has left) records nothing.
+func (o *occupancy) sample(nodes graph.Nodes) {
+	nodes(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		if u != o.observer {
+			return
+		}
+		o.samples++
+		for i := 0; i < lv.Size(); i++ {
+			if id := lv.Slot(i); !id.IsNil() && copiesBefore(lv, i) == 0 {
+				o.counts[id]++
+			}
+		}
+	})
+}
+
+// others returns the presence counts of every id but the observer's own:
+// self-edges are dependent by definition, and the uniformity claim is over
+// v != u.
+func (o *occupancy) others() []int {
+	return slices.Concat(o.counts[:o.observer], o.counts[o.observer+1:])
+}
+
+// uniformityTest runs the chi-square test of the hypothesis that all ids
+// v != observer are equally likely to appear in the observer's view. It
+// returns the statistic and p-value; small p-values reject uniformity.
+func (o *occupancy) uniformityTest() (stat, pValue float64, err error) {
+	if o.samples == 0 {
+		return 0, 0, fmt.Errorf("experiments: no occupancy samples recorded")
+	}
+	return stats.ChiSquareUniformTest(o.others())
+}
+
+// iidDependence returns the expected numbers of self-edges and same-view
+// duplicates that perfectly i.i.d. uniform views over n ids would exhibit,
+// at the sizes of the views nodes visits: per view with d entries, d/n
+// self-edges and about C(d,2)/n duplicate pairs. The paper's asymptotic
+// analysis (n >> s) neglects these 1/n terms; Lem79 subtracts them before
+// comparing against the Lemma 7.9 bound.
+func iidDependence(nodes graph.Nodes, n int) (self, dup float64) {
+	nodes(func(_ peer.ID, lv *view.View, _ protocol.StepCore) {
+		d := float64(lv.Outdegree())
+		self += d / float64(n)
+		dup += d * (d - 1) / 2 / float64(n)
+	})
+	return self, dup
+}
+
+// reference is the frozen overlay Lem715 measures forgetting against (nil
+// entries for nodes absent at the time): Property M5 predicts the overlap
+// with it decays to the independence baseline within O(s log n) actions per
+// node.
+type reference []*view.View
+
+// overlap returns the fraction of the current entries of the nodes visited
+// that also appear, as a multiset, in the same node's reference view, in
+// [0, 1]. A node with no reference view counts for nothing.
+func (ref reference) overlap(nodes graph.Nodes) float64 {
+	common, total := 0, 0
+	nodes(func(u peer.ID, lv *view.View, _ protocol.StepCore) {
+		if ref[u] != nil {
+			common += multisetOverlap(ref[u], lv)
+			total += lv.Outdegree()
+		}
+	})
+	if total == 0 {
+		return 0
+	}
+	return float64(common) / float64(total)
+}
+
+// independenceBaseline returns the expected overlap fraction if current
+// views were i.i.d. uniform samples: each entry matches a reference entry
+// with probability ~ dRef/n (dRef entries among n ids).
+func (ref reference) independenceBaseline(n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	var refDeg stats.Accumulator
+	for _, v := range ref {
+		if v != nil {
+			refDeg.Add(float64(v.Outdegree()))
+		}
+	}
+	return refDeg.Mean() / float64(n)
+}
+
+// multisetOverlap returns the size of the multiset intersection of the
+// non-empty entries of two views: the k-th copy of an id in b is common when
+// a holds at least k copies of it.
+func multisetOverlap(a, b *view.View) int {
+	overlap := 0
+	for i := 0; i < b.Size(); i++ {
+		if id := b.Slot(i); !id.IsNil() && copiesBefore(b, i) < a.Multiplicity(id) {
+			overlap++
+		}
+	}
+	return overlap
+}
+
+// copiesBefore returns how many of the slots before slot i of v hold the id
+// slot i holds.
+func copiesBefore(v *view.View, i int) int {
+	k := 0
+	for j := 0; j < i; j++ {
+		if v.Slot(j) == v.Slot(i) {
+			k++
+		}
+	}
+	return k
 }

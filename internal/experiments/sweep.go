@@ -30,15 +30,6 @@ func Sweep[T any](n, workers int, task func(i int) (T, error)) ([]T, error) {
 	}
 	results := make([]T, n)
 	errs := make([]error, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			var err error
-			if results[i], err = task(i); err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -27,12 +27,12 @@ import (
 // The node slice is guarded by an RWMutex so churn (RemoveNode/AddNode) is
 // safe while other goroutines snapshot views, tick rounds, or sum counters.
 // Its length is fixed at construction; only its slots change. Readers copy
-// slots under the read lock — Start's slot loops one slot, a round a block
-// of slots at a time, the rest the whole slice — and operate on the copy, so
-// a node removed mid-iteration is at worst read (or ticked) one extra time
-// — which is harmless (it only gossips into a network that no longer routes
-// to it, and its final counters may miss that tick) — and never a data
-// race.
+// slots under the read lock — Node and Start's slot loops one slot, a round
+// and EachNode a block of slots at a time, Counters the whole slice at one
+// instant — and operate on the copy, so a node removed mid-iteration is at
+// worst read (or ticked) one extra time — which is harmless (it only gossips
+// into a network that no longer routes to it, and its final counters may
+// miss that tick) — and never a data race.
 //
 // sfvet's sharedguard analyzer checks this discipline statically: every
 // cross-goroutine access pair to these fields must be lock-excluded,
@@ -99,18 +99,33 @@ func newCluster(cfg Config, src coreSource) (*Cluster, error) {
 	return c, nil
 }
 
-// Nodes copies the node slice (nil entries for departed nodes) under the
-// read lock. The copy is the caller's to keep and does not observe later
-// churn; iterating it keeps long operations (ticking a round, reading every
-// node) off the lock, so churn never waits behind them.
-func (c *Cluster) Nodes() []*Node {
+// Node returns the node holding slot u, read under the read lock, or nil
+// when u is outside the universe or its node has left.
+func (c *Cluster) Node(u peer.ID) *Node {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return slices.Clone(c.nodes)
+	if int(u) < 0 || int(u) >= len(c.nodes) {
+		return nil
+	}
+	return c.nodes[u]
 }
 
-// Network returns the underlying in-memory network.
-func (c *Cluster) Network() *transport.Network { return c.net }
+// each calls fn for every live node in id order. The slots are read a block
+// at a time under the read lock, into a buffer on the stack, and fn runs off
+// the lock, so churn never waits behind it and nothing is allocated.
+func (c *Cluster) each(fn func(u peer.ID, n *Node)) {
+	var block [64]*Node
+	for lo := 0; lo < c.cfg.N; lo += len(block) {
+		c.mu.RLock()
+		k := copy(block[:], c.nodes[lo:])
+		c.mu.RUnlock()
+		for i, n := range block[:k] {
+			if n != nil {
+				fn(peer.ID(lo+i), n)
+			}
+		}
+	}
+}
 
 // Conditions returns the network's fault-injection stack for mid-run
 // reconfiguration (partitions, delay).
@@ -176,10 +191,7 @@ func (c *Cluster) Start(period time.Duration) {
 
 // tickSlot ticks the node holding slot u, if any.
 func (c *Cluster) tickSlot(u int) {
-	c.mu.RLock()
-	n := c.nodes[u]
-	c.mu.RUnlock()
-	if n != nil {
+	if n := c.Node(peer.ID(u)); n != nil {
 		n.Tick()
 	}
 }
@@ -203,19 +215,7 @@ func (c *Cluster) Stop() {
 func (c *Cluster) TickRound() {
 	defer gotrace.StartRegion(context.Background(), "tick round").End()
 	c.net.Advance()
-	// The slots are read a block at a time under the read lock, into a
-	// buffer on the stack, and the block's nodes are ticked off the lock.
-	var block [64]*Node
-	for lo := 0; lo < c.cfg.N; lo += len(block) {
-		c.mu.RLock()
-		k := copy(block[:], c.nodes[lo:])
-		c.mu.RUnlock()
-		for _, n := range block[:k] {
-			if n != nil {
-				n.Tick()
-			}
-		}
-	}
+	c.each(func(_ peer.ID, n *Node) { n.Tick() })
 }
 
 // DrainDelayed advances the network clock without ticking any node until
@@ -243,13 +243,11 @@ func (c *Cluster) Views() []*view.View { return views(c, c.cfg.N, c.src.s) }
 
 // EachNode calls fn for every live node in id order, under the node's lock.
 func (c *Cluster) EachNode(fn func(u peer.ID, lv *view.View, core protocol.StepCore)) {
-	for u, n := range c.Nodes() {
-		if n != nil {
-			n.mu.Lock()
-			fn(peer.ID(u), n.lv, n.core)
-			n.mu.Unlock()
-		}
-	}
+	c.each(func(u peer.ID, n *Node) {
+		n.mu.Lock()
+		fn(u, n.lv, n.core)
+		n.mu.Unlock()
+	})
 }
 
 // N returns the size of the id universe.
@@ -261,7 +259,9 @@ func (c *Cluster) Snapshot() *graph.Graph {
 }
 
 // Counters sums the per-node counters over every node that ever ran, the
-// departed included, so no counter goes back when a node leaves.
+// departed included, so no counter goes back when a node leaves. It copies
+// the slots and the leaving list at one instant: a sum taken block by block
+// could count a node that leaves mid-sum twice, in its slot and in departed.
 func (c *Cluster) Counters() NodeCounters {
 	c.mu.RLock()
 	sum := c.departed

@@ -5,7 +5,12 @@ import (
 
 	"sendforget/internal/metrics"
 	"sendforget/internal/protocol"
+	"sendforget/internal/transport"
 )
+
+// Network returns the cluster's in-memory network, for tests that take a
+// node off it without removing the node.
+func (c *Cluster) Network() *transport.Network { return c.net }
 
 // ShardLedgers returns each shard's own traffic ledger, in shard order: what
 // Traffic sums. Tests use it to hold every shard's verdict stream, not just

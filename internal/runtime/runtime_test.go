@@ -2,6 +2,8 @@ package runtime_test
 
 import (
 	"fmt"
+	"math"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -10,6 +12,7 @@ import (
 
 	"sendforget/internal/driver"
 	"sendforget/internal/faults"
+	"sendforget/internal/graph"
 	"sendforget/internal/peer"
 	"sendforget/internal/protocol"
 	"sendforget/internal/protocol/sendforget"
@@ -55,7 +58,7 @@ func sfFactory(s, dl int) protocol.CoreFactory {
 
 // newCluster builds the goroutine-per-node backend the only way a package
 // outside internal/runtime can, and asserts the concrete type: these tests
-// reach Nodes, Network, Start and Stop, which Substrate does not carry.
+// reach Node, Network, Start and Stop, which Substrate does not carry.
 func newCluster(cfg runtime.Config) (*runtime.Cluster, error) {
 	cfg.Engine = runtime.EngineCluster
 	sub, err := runtime.New(cfg)
@@ -309,7 +312,6 @@ func TestNodeConcurrentTickAndReceive(t *testing.T) {
 			t.Errorf("node %v runs a core of its own, want the one core every node shares", u)
 		}
 	})
-	nodes := c.Nodes()
 	var wg sync.WaitGroup
 	for g := range goroutines {
 		wg.Add(1)
@@ -317,7 +319,7 @@ func TestNodeConcurrentTickAndReceive(t *testing.T) {
 			defer wg.Done()
 			for i := range ticks {
 				// Neighbouring goroutines tick the same node at once.
-				nodes[(i+g/2)%n].Tick()
+				c.Node(peer.ID((i + g/2) % n)).Tick()
 			}
 		}()
 	}
@@ -368,9 +370,9 @@ func TestClusterNodeDeparture(t *testing.T) {
 	// Node 3 leaves: nothing ticks it and it drops off the network.
 	c.Network().Register(3, nil)
 	for round := 0; round < 400; round++ {
-		for u, n := range c.Nodes() {
+		for u := range peer.ID(30) {
 			if u != 3 {
-				n.Tick()
+				c.Node(u).Tick()
 			}
 		}
 	}
@@ -385,6 +387,41 @@ func TestClusterNodeDeparture(t *testing.T) {
 	}
 	if instances > 3 {
 		t.Errorf("departed id still has %d instances after 400 rounds", instances)
+	}
+}
+
+// TestClusterPassBytesIndependentOfN holds two graph.Pass readings over the
+// cluster engine to the same bytes at n = 1,000 and 8,000: EachNode reads
+// the slots a block at a time, where it once copied the whole node slice per
+// reading. Each size keeps the least of five reading pairs, so an allocation
+// of the runtime's own between the two reads does not count.
+func TestClusterPassBytesIndependentOfN(t *testing.T) {
+	readBytes := func(n int) uint64 {
+		c, err := newCluster(runtime.Config{N: n, NewCore: sfFactory(8, 2), Seed: 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.RemoveNode(5)
+		nodes, p := graph.Nodes(c.EachNode), graph.NewPass(n)
+		if q := p.Live(nodes); q.Vertices != n-1 {
+			t.Fatalf("n=%d: a reading found %d live nodes, want %d", n, q.Vertices, n-1)
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			p.Live(nodes)
+			p.Universe(nodes)
+			goruntime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := readBytes(1000), readBytes(8000)
+	t.Logf("two readings allocate %d B at n = 1,000 and %d B at n = 8,000", small, large)
+	if large != small {
+		t.Errorf("two readings allocate %d B at n = 8,000 against %d B at n = 1,000: EachNode copies per node", large, small)
 	}
 }
 
@@ -451,7 +488,7 @@ func TestClusterAddNodeStarted(t *testing.T) {
 	}
 	time.Sleep(40 * time.Millisecond)
 	c.Stop()
-	if c.Nodes()[3].Counters().Ticks == 0 {
+	if c.Node(3).Counters().Ticks == 0 {
 		t.Error("restarted node never ticked")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -479,7 +516,7 @@ func TestClusterChurnUnderLoss(t *testing.T) {
 		case 300:
 			// Rejoin node 7 seeded from a live node's view, per the paper's
 			// join rule (copy at least max(2, dL) live ids).
-			seeds := c.Nodes()[0].ViewSnapshot().IDs()
+			seeds := c.Node(0).ViewSnapshot().IDs()
 			if err := c.AddNode(7, seeds, false); err != nil {
 				t.Fatalf("round %d: rejoin failed with seeds %v: %v", round, seeds, err)
 			}

@@ -119,11 +119,11 @@ func (c *Cluster) Gossip(rounds int) {
 // It returns nil when u is not a current member: an id outside [0, N) or
 // one that has left (Remove) and not rejoined.
 func (c *Cluster) Sample(u NodeID) []NodeID {
-	nodes := c.inner.Nodes()
-	if u < 0 || int(u) >= len(nodes) || nodes[u] == nil {
+	n := c.inner.Node(u)
+	if n == nil {
 		return nil
 	}
-	return nodes[u].ViewSnapshot().IDs()
+	return n.ViewSnapshot().IDs()
 }
 
 // Stats summarizes the membership graph over the current members: a node

@@ -327,3 +327,34 @@ func TestStatsCountsCurrentMembers(t *testing.T) {
 		t.Errorf("EdgesPerNode %.4f, the members' mean outdegree %.4f", st.EdgesPerNode, want)
 	}
 }
+
+// TestSampleBytesIndependentOfN holds one Sample to the same bytes at
+// n = 1,000 and 8,000: it reads the one member's view, where it once copied
+// the cluster's whole node slice to find it. Each size keeps the least of
+// five calls, so an allocation of the runtime's own between the two reads
+// does not count.
+func TestSampleBytesIndependentOfN(t *testing.T) {
+	sampleBytes := func(n int) uint64 {
+		c, err := NewCluster(ClusterConfig{N: n, S: 8, DL: 2, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after gort.MemStats
+			gort.ReadMemStats(&before)
+			ids := c.Sample(7)
+			gort.ReadMemStats(&after)
+			if len(ids) == 0 {
+				t.Fatalf("n=%d: Sample(7) of a live member is empty", n)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := sampleBytes(1000), sampleBytes(8000)
+	t.Logf("one Sample allocates %d B at n = 1,000 and %d B at n = 8,000", small, large)
+	if large != small {
+		t.Errorf("one Sample allocates %d B at n = 8,000 against %d B at n = 1,000: it reads more than the member's view", large, small)
+	}
+}
