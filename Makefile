@@ -12,7 +12,7 @@
 # staying under its 5 s ns/op budget so the suite stays fast enough to run
 # on every push.
 
-.PHONY: build test race vet bench-smoke bench-pin experiments-pin e2e loc
+.PHONY: build test race vet bench-smoke bench-pin experiments-pin e2e loc deadexports
 
 build:
 	go build ./...
@@ -78,3 +78,14 @@ LOC = find $(1) -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not 
 loc:
 	@printf '%7d  total\n' $$($(call LOC,.))
 	@for d in internal/*/; do printf '%7d  %s\n' $$($(call LOC,$$d)) $$d; done
+
+# Exported functions and methods that nothing calls: each one declared
+# outside bench/ and testdata/ whose name appears in no non-test code (bench/
+# included) and in no other package's tests, comments not counted. It exits 1
+# if it lists any, and has no allowlist: such a function moves into its
+# package's tests or goes. The match is by name, so a dead function that
+# shares its name with a live one is missed, but a function that any code
+# names is never listed. (A method called only through an interface declared
+# outside the module, such as fmt.Stringer, would be; none is today.)
+deadexports:
+	@go run ./scripts/deadexports

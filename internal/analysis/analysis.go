@@ -1,9 +1,10 @@
 // Package analysis implements the paper's closed-form results: the
 // analytical degree distribution of Section 6.1 (Eq. 6.1), the threshold
-// selection rule of Section 6.3, the id-decay and join-integration bounds of
-// Section 6.5 (Lemmas 6.9-6.13, Corollary 6.14), the spatial-independence
-// bound of Lemma 7.9, the connectivity threshold of Section 7.4, and the
-// temporal-independence bound of Lemma 7.15.
+// selection rule of Section 6.3, the duplication bracket of Lemma 6.7, the
+// id-decay and join-integration bounds of Section 6.5 (Lemmas 6.9-6.13,
+// Corollary 6.14), the spatial-independence bound of Lemma 7.9, the
+// connectivity threshold of Section 7.4, and the temporal-independence bound
+// of Lemma 7.15.
 package analysis
 
 import (
@@ -172,20 +173,6 @@ func HalfLife(l, delta float64, dl, s int) (int, error) {
 		return 0, fmt.Errorf("analysis: degenerate decay rate %v", perRound)
 	}
 	return int(math.Ceil(math.Log(0.5) / math.Log(perRound))), nil
-}
-
-// CreationRateBound returns the Lemma 6.11 lower bound on the expected
-// number of new id instances an average node creates per round:
-//
-//	Delta >= (1-l-delta)*dL/s^2 * Din
-func CreationRateBound(l, delta float64, dl, s int, din float64) (float64, error) {
-	if err := checkRates(l, delta); err != nil {
-		return 0, err
-	}
-	if dl < 0 || s <= 0 {
-		return 0, fmt.Errorf("analysis: invalid degrees dL=%d s=%d", dl, s)
-	}
-	return (1 - l - delta) * float64(dl) / float64(s*s) * din, nil
 }
 
 // JoinerIntegration returns the Lemma 6.13 quantities: within the first

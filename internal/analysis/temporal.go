@@ -5,11 +5,11 @@ import (
 	"math"
 )
 
-// ExpectedConductanceBound returns the Lemma 7.14 lower bound on the
+// expectedConductanceBound returns the Lemma 7.14 lower bound on the
 // expected conductance of the global MC graph:
 //
 //	Phi(G) >= dE*(dE-1)*alpha / (2*s*(s-1))
-func ExpectedConductanceBound(s int, dE, alpha float64) (float64, error) {
+func expectedConductanceBound(s int, dE, alpha float64) (float64, error) {
 	if s < 2 {
 		return 0, fmt.Errorf("analysis: view size %d too small", s)
 	}
@@ -37,19 +37,10 @@ func TemporalIndependenceBound(n, s int, dE, alpha, eps float64) (float64, error
 	if eps <= 0 || eps >= 1 {
 		return 0, fmt.Errorf("analysis: eps %v outside (0, 1)", eps)
 	}
-	if _, err := ExpectedConductanceBound(s, dE, alpha); err != nil {
+	if _, err := expectedConductanceBound(s, dE, alpha); err != nil {
 		return 0, err
 	}
 	sf := float64(s)
 	pre := 16 * sf * sf * (sf - 1) * (sf - 1) / (dE * dE * (dE - 1) * (dE - 1) * alpha * alpha)
 	return pre * (float64(n)*sf*math.Log(float64(n)) + math.Log(4/eps)), nil
-}
-
-// ActionsPerNode converts a transformation-count bound into the expected
-// number of actions each node initiates (dividing by n).
-func ActionsPerNode(tau float64, n int) (float64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("analysis: n must be positive, got %d", n)
-	}
-	return tau / float64(n), nil
 }

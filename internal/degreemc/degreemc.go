@@ -217,7 +217,8 @@ func (sp *Space) transitions(st State, f Field, emit func(to State, rate float64
 	d, i := st.Out, st.In
 	loss := par.Loss
 	// clip redirects transitions exceeding the sum cap to self-loops by
-	// dropping them (CloseRows restores the mass as self-loop probability).
+	// dropping them (the template's rewrite gives each row's missing mass to
+	// its self-loop).
 	clip := func(to State, rate float64, kind Kind) {
 		if rate <= 0 {
 			return

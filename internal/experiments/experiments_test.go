@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"sendforget/internal/analysis"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -184,6 +187,36 @@ func TestCor614Small(t *testing.T) {
 		}
 		if got == 0 {
 			t.Errorf("joiner %s acquired no in-neighbors", row[0])
+		}
+	}
+}
+
+// TestCor614Premise holds cor6.14 to its corollary's premise s = 2 dL:
+// elsewhere Lemma 6.13's bound is not Din/4 (at s = 3 dL it is Din/9), so the
+// experiment refuses to run. At s = 2 dL its bound column is Lemma 6.13's.
+func TestCor614Premise(t *testing.T) {
+	if r, err := Cor614(Cor614Params{N: 100, S: 30, DL: 10, Joiners: 1, Seed: 2}, ""); err == nil {
+		t.Errorf("Cor614 at s=30 dL=10 returned a report, want an error:\n%s", r)
+	}
+	p := Cor614Params{N: 100, S: 12, DL: 6, Loss: 0.02, Joiners: 2, Seed: 3}
+	r, err := Cor614(p, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range r.Tables[0].Rows {
+		din, err1 := strconv.ParseFloat(row[1], 64)
+		bound, err2 := strconv.ParseFloat(row[2], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparseable row %v", row)
+		}
+		_, want, err := analysis.JoinerIntegration(p.Loss, 0, p.DL, p.S, din)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Din is printed to two decimals, so the bound is held to the
+		// rounding of both columns.
+		if math.Abs(bound-want) > 0.01 {
+			t.Errorf("joiner %s: bound column %v, Lemma 6.13 gives %v at Din %v", row[0], bound, want, din)
 		}
 	}
 }

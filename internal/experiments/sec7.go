@@ -264,11 +264,7 @@ func Lem715(p Lem715Params, kind runtime.EngineKind) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		perNode, err := analysis.ActionsPerNode(tau, n)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(d(n), f4(baseline), d(forgetAt), f2(scale), f(perNode))
+		t.AddRow(d(n), f4(baseline), d(forgetAt), f2(scale), f(tau/float64(n)))
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,

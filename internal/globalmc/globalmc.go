@@ -112,21 +112,6 @@ func (st State) Outdegree(u int) int {
 	return d
 }
 
-// SumDegrees returns the sum-degree vector (Definition 6.1).
-func (st State) SumDegrees() []int {
-	n := len(st.Mult)
-	out := make([]int, n)
-	for u := 0; u < n; u++ {
-		out[u] = st.Outdegree(u)
-	}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			out[v] += 2 * int(st.Mult[u][v])
-		}
-	}
-	return out
-}
-
 // weaklyConnected reports whether the membership graph is weakly connected;
 // partitioned states are excluded from the chain per Section 7.1. It runs a
 // small union-find directly on the multiplicity matrix — this check runs
@@ -353,24 +338,4 @@ func (c *Chain) EdgeProbability(pi []float64, u, v int) float64 {
 		}
 	}
 	return p
-}
-
-// ManifoldStates returns the indices of states whose sum-degree vector
-// equals want — the subchain G_ds of Section 7.2.
-func (c *Chain) ManifoldStates(want []int) []int {
-	var out []int
-	for i, st := range c.states {
-		ds := st.SumDegrees()
-		match := len(ds) == len(want)
-		for k := range want {
-			if !match || ds[k] != want[k] {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -325,3 +325,103 @@ func TestAllV0StatesRespectConstraints(t *testing.T) {
 		}
 	}
 }
+
+// AllV0States enumerates the paper's V0 (Section 7.1): every weakly
+// connected membership graph in which all node outdegrees are even and
+// within [dL, s-2]. Lemma A.3 proves that under positive loss every state
+// of V0 is reachable from every other; combined with BFS reachability from
+// a single initial state this gives an exact, exhaustive check of the
+// lemma for tiny systems.
+func AllV0States(par Params) []State {
+	n := par.N
+	maxOut := par.S - 2
+	// Enumerate per-node views: all multiplicity vectors over n ids with
+	// even total in [dL, s-2].
+	var viewChoices [][]uint8
+	var build func(vec []uint8, idx, total int)
+	build = func(vec []uint8, idx, total int) {
+		if total > maxOut {
+			return
+		}
+		if idx == n {
+			if total >= par.DL && total%2 == 0 {
+				c := make([]uint8, n)
+				copy(c, vec)
+				viewChoices = append(viewChoices, c)
+			}
+			return
+		}
+		for m := 0; m+total <= maxOut; m++ {
+			vec[idx] = uint8(m)
+			build(vec, idx+1, total+m)
+		}
+		vec[idx] = 0
+	}
+	build(make([]uint8, n), 0, 0)
+
+	// Cartesian product over nodes, keeping weakly connected states.
+	var out []State
+	current := NewState(n)
+	var assign func(u int)
+	assign = func(u int) {
+		if u == n {
+			if current.weaklyConnected() {
+				out = append(out, current.clone())
+			}
+			return
+		}
+		for _, vc := range viewChoices {
+			copy(current.Mult[u], vc)
+			assign(u + 1)
+		}
+	}
+	assign(0)
+	return out
+}
+
+// Contains reports whether the chain's reachable set includes st.
+func (c *Chain) Contains(st State) bool {
+	_, ok := c.index[st.key()]
+	return ok
+}
+
+// Index returns the state's index in States(), if present.
+func (c *Chain) Index(st State) (int, bool) {
+	i, ok := c.index[st.key()]
+	return i, ok
+}
+
+// SumDegrees returns the sum-degree vector (Definition 6.1).
+func (st State) SumDegrees() []int {
+	n := len(st.Mult)
+	out := make([]int, n)
+	for u := 0; u < n; u++ {
+		out[u] = st.Outdegree(u)
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			out[v] += 2 * int(st.Mult[u][v])
+		}
+	}
+	return out
+}
+
+// ManifoldStates returns the indices of states whose sum-degree vector
+// equals want — the subchain G_ds of Section 7.2.
+func (c *Chain) ManifoldStates(want []int) []int {
+	var out []int
+	for i, st := range c.states {
+		ds := st.SumDegrees()
+		match := len(ds) == len(want)
+		for k := range want {
+			if !match || ds[k] != want[k] {
+				match = false
+				break
+			}
+		}
+		if match {
+			out = append(out, i)
+		}
+	}
+	return out
+}

@@ -348,11 +348,6 @@ type Quality struct {
 	Components            int // weakly connected
 }
 
-// EmptyFraction returns the share of the live nodes' view slots holding no id.
-func (q Quality) EmptyFraction() float64 {
-	return float64(q.Slots-q.Edges) / max(float64(q.Slots), 1)
-}
-
 // DependentFraction returns (self-edges + duplicates) / edges.
 func (q Quality) DependentFraction() float64 {
 	return float64(q.SelfEdges+q.Duplicates) / max(float64(q.Edges), 1)

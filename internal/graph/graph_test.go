@@ -473,3 +473,8 @@ func TestQuickInducedComponentsMatchesSearch(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// EmptyFraction returns the share of the live nodes' view slots holding no id.
+func (q Quality) EmptyFraction() float64 {
+	return float64(q.Slots-q.Edges) / max(float64(q.Slots), 1)
+}

@@ -33,7 +33,7 @@ func NewSparse(n int) *Sparse {
 // Add accumulates probability p onto transition (i -> j). Multiple Adds to
 // the same pair sum, which lets builders enumerate disjoint events
 // independently. Add is O(1): duplicates are appended and merged later by
-// compact (called by CloseRows and Finalize), so building a row of L
+// compact (called by Finalize), so building a row of L
 // entries costs O(L log L) total rather than the O(L^2) of a per-Add
 // duplicate scan.
 func (s *Sparse) Add(i, j int, p float64) {
@@ -94,30 +94,6 @@ func (s *Sparse) compact() {
 		s.rows[i] = row
 	}
 	s.dirty = false
-}
-
-// CloseRows tops up each row's missing probability mass as a self-loop,
-// making the chain stochastic. Builders that enumerate only the
-// state-changing events call it once at the end (the remainder is exactly
-// the chain's self-loop probability). It returns an error if any row
-// already exceeds probability 1 beyond tolerance.
-func (s *Sparse) CloseRows() error {
-	const tol = 1e-9
-	s.compact()
-	for i, row := range s.rows {
-		sum := 0.0
-		for _, e := range row {
-			sum += e.p
-		}
-		if sum > 1+tol {
-			return fmt.Errorf("markov: row %d has probability mass %v > 1", i, sum)
-		}
-		if rem := 1 - sum; rem > 0 {
-			s.Add(i, i, rem)
-		}
-	}
-	s.compact()
-	return nil
 }
 
 // Finalize compacts s and converts it to CSR form. The Sparse remains valid

@@ -143,28 +143,6 @@ func TestSparseAddPanicsOnNegative(t *testing.T) {
 	NewSparse(1).Add(0, 0, -0.1)
 }
 
-func TestCloseRows(t *testing.T) {
-	s := NewSparse(2)
-	s.Add(0, 1, 0.25)
-	s.Add(1, 0, 1)
-	if err := s.CloseRows(); err != nil {
-		t.Fatal(err)
-	}
-	m := s.Finalize()
-	if err := Validate(m); err != nil {
-		t.Fatal(err)
-	}
-	cols, probs := m.Row(0)
-	if selfLoop := probs[0]; cols[0] != 0 || !almostEqual(selfLoop, 0.75, 1e-12) {
-		t.Errorf("self-loop = %v, want 0.75", selfLoop)
-	}
-	over := NewSparse(1)
-	over.Add(0, 0, 1.5)
-	if err := over.CloseRows(); err == nil {
-		t.Error("row mass > 1 accepted")
-	}
-}
-
 // TestSparseStationaryMatchesDense builds the (0.3, 0.6) two-state chain
 // with its mass split over several Adds in scrambled order and checks its
 // stationary distribution against power iteration with the test-local dense

@@ -220,6 +220,14 @@ func (n *Node) ViewSnapshot() *view.View {
 	return n.lv.Clone()
 }
 
+// ViewIDs returns the ids in the node's view in slot order, read under the
+// node's lock into one slice of their length.
+func (n *Node) ViewIDs() []peer.ID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.lv.IDs()
+}
+
 // Counters returns a copy of the node's counters.
 func (n *Node) Counters() NodeCounters {
 	n.mu.Lock()

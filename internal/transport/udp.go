@@ -129,15 +129,6 @@ func (ep *Endpoint) LearnedPeers() int {
 	return ep.learned
 }
 
-// RefreshedPeers returns how many directory entries were rewritten because a
-// datagram's source address disagreed with the stored one (a peer that
-// rejoined on a new port).
-func (ep *Endpoint) RefreshedPeers() int {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.refreshed
-}
-
 // KnownPeers returns the number of directory entries.
 func (ep *Endpoint) KnownPeers() int {
 	ep.mu.Lock()

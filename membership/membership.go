@@ -123,7 +123,7 @@ func (c *Cluster) Sample(u NodeID) []NodeID {
 	if n == nil {
 		return nil
 	}
-	return n.ViewSnapshot().IDs()
+	return n.ViewIDs()
 }
 
 // Stats summarizes the membership graph over the current members: a node
@@ -253,7 +253,7 @@ func (n *Node) Start() {
 }
 
 // Sample returns the node's current view ids.
-func (n *Node) Sample() []NodeID { return n.inner.ViewSnapshot().IDs() }
+func (n *Node) Sample() []NodeID { return n.inner.ViewIDs() }
 
 // Close stops gossiping and releases the socket. Leaving the membership
 // needs nothing else: per the paper, a leaver "simply stops participating

@@ -332,7 +332,8 @@ func TestStatsCountsCurrentMembers(t *testing.T) {
 // n = 1,000 and 8,000: it reads the one member's view, where it once copied
 // the cluster's whole node slice to find it. Each size keeps the least of
 // five calls, so an allocation of the runtime's own between the two reads
-// does not count.
+// does not count. Both Samples, the cluster's and the UDP node's, allocate
+// their result and nothing else, where each once cloned the view first.
 func TestSampleBytesIndependentOfN(t *testing.T) {
 	sampleBytes := func(n int) uint64 {
 		c, err := NewCluster(ClusterConfig{N: n, S: 8, DL: 2, Seed: 5})
@@ -356,5 +357,21 @@ func TestSampleBytesIndependentOfN(t *testing.T) {
 	t.Logf("one Sample allocates %d B at n = 1,000 and %d B at n = 8,000", small, large)
 	if large != small {
 		t.Errorf("one Sample allocates %d B at n = 8,000 against %d B at n = 1,000: it reads more than the member's view", large, small)
+	}
+
+	c, err := NewCluster(ClusterConfig{N: 1000, S: 8, DL: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { c.Sample(7) }); allocs != 1 {
+		t.Errorf("Cluster.Sample allocates %v objects, want 1 (its result)", allocs)
+	}
+	node, err := NewUDPNode(NodeConfig{ID: 0, S: 8, DL: 2, ListenAddr: "127.0.0.1:0", Seeds: []NodeID{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if allocs := testing.AllocsPerRun(20, func() { node.Sample() }); allocs != 1 {
+		t.Errorf("Node.Sample allocates %v objects, want 1 (its result)", allocs)
 	}
 }
